@@ -246,17 +246,15 @@ type DeploymentConfig struct {
 	// 1 = sequential). Released outputs are identical at every setting.
 	Workers int
 	// Faults is a fault-injection schedule, e.g.
-	// "seed=7,upload=0.1,dropout=0.005,crash@1" — comma-separated rates per
-	// fault kind (upload, dropout, dealer, crash, shard) plus forced
+	// "seed=7,upload=0.1,dropout=0.005,shard@1" — comma-separated rates per
+	// fault kind (upload, dropout, dealer, shard) plus forced
 	// one-shot faults (kind@sequence). Schedules are pure functions of the
 	// seed, so a run replays deterministically; see docs/FAULTS.md. Empty
 	// disables injection.
 	Faults string
-	// StreamIngest routes input collection through the sharded streaming
-	// pipeline (docs/INGEST.md): O(IngestShards × IngestBatch) memory
-	// instead of O(Devices), bit-identical released outputs. IngestShards
-	// and IngestBatch default to 8 and 64 when ≤ 0.
-	StreamIngest bool
+	// IngestShards and IngestBatch shape input collection's sharded
+	// streaming pipeline (docs/INGEST.md); they default to 8 and 64 when
+	// ≤ 0, and released outputs are identical at every shape.
 	IngestShards int
 	IngestBatch  int
 }
@@ -283,7 +281,6 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		BudgetEpsilon:       cfg.BudgetEpsilon,
 		Workers:             cfg.Workers,
 		Faults:              plan,
-		StreamIngest:        cfg.StreamIngest,
 		IngestShards:        cfg.IngestShards,
 		IngestBatch:         cfg.IngestBatch,
 	})
@@ -373,8 +370,8 @@ func EvaluationQueries() []QueryInfo {
 }
 
 // RunPlanned executes a query using the execution-level choices a plan made:
-// the em variant and, when the plan outsourced the sum, a device sum tree of
-// the chosen fanout. This is how the two phases of the paper compose — plan
+// the em variant and, when the plan outsourced the sum to a tree, that
+// tree's fanout for the ingest shard combine. This is how the two phases of the paper compose — plan
 // once at deployment scale, execute with the same structure.
 func (d *Deployment) RunPlanned(p *PlanResult, source string) (*RunResult, error) {
 	if p == nil {

@@ -5,7 +5,7 @@
 //	arboretum plan  -query top1 [-n 1073741824] [-goal device-expected-cpu]
 //	arboretum plan  -query median -limit-max-sent-user 1000 -limit-agg-core-hours 1000
 //	arboretum plan  -file my_query.txt -categories 1024
-//	arboretum run   -query top1 [-devices 128] [-committee 5] [-workers 4] [-stream]
+//	arboretum run   -query top1 [-devices 128] [-committee 5] [-workers 4]
 //	arboretum list
 //
 // `plan` prints the chosen plan (vignettes, committees, six-metric cost) for
@@ -65,7 +65,7 @@ func usage() {
                     [-limit-agg-core-hours h] [-limit-agg-sent GB]
   arboretum run     -query <name> | -file <path> [-devices D] [-committee M] [-seed S] [-workers W]
                     [-faults "seed=7,upload=0.1,dropout=0.005"]
-                    [-stream] [-ingest-shards S] [-ingest-batch B]
+                    [-ingest-shards S] [-ingest-batch B]
   arboretum explain -query <name> | -file <path> [-n N] -dim sum|em|noise|compute
   arboretum list`)
 }
@@ -174,10 +174,9 @@ func runCmd(args []string) error {
 	committee := fs.Int("committee", 5, "committee size")
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "worker pool size for per-device work (0 = ARBORETUM_WORKERS, then GOMAXPROCS)")
-	faultSpec := fs.String("faults", "", `fault schedule, e.g. "seed=7,upload=0.1,dropout=0.005,crash@1" (see docs/FAULTS.md)`)
-	stream := fs.Bool("stream", false, "collect inputs via the sharded streaming ingest pipeline (docs/INGEST.md); released outputs are identical")
-	shards := fs.Int("ingest-shards", 0, "streaming-ingest shard count (0 = default 8)")
-	batch := fs.Int("ingest-batch", 0, "streaming-ingest batch size (0 = default 64)")
+	faultSpec := fs.String("faults", "", `fault schedule, e.g. "seed=7,upload=0.1,dropout=0.005,shard@1" (see docs/FAULTS.md)`)
+	shards := fs.Int("ingest-shards", 0, "ingest shard count (0 = default 8; docs/INGEST.md)")
+	batch := fs.Int("ingest-batch", 0, "ingest batch size (0 = default 64)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -192,7 +191,7 @@ func runCmd(args []string) error {
 		Devices: *devices, Categories: int(c), CommitteeSize: *committee,
 		Seed: *seed, BudgetEpsilon: 1000, Workers: *workers,
 		Faults:       *faultSpec,
-		StreamIngest: *stream, IngestShards: *shards, IngestBatch: *batch,
+		IngestShards: *shards, IngestBatch: *batch,
 	})
 	if err != nil {
 		return err

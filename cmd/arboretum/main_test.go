@@ -94,8 +94,8 @@ func captureRun(t *testing.T, args []string) (string, error) {
 // determinism contract: the same -seed and -faults spec must print a
 // byte-identical transcript (outputs, fault schedule, fired-fault log, and
 // recovery summary) on every invocation, so an operator can replay a chaos
-// run from nothing but the two flags. The schedule forces an aggregator
-// crash at chunk 1, exercising checkpoint resume + Merkle audit end to end.
+// run from nothing but the two flags. The schedule forces a crash of shard
+// 1, exercising checkpoint resume + Merkle audit end to end.
 func TestRunCmdFaultReplayDeterminism(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "count.txt")
 	q := "aggr = sum(db);\nnoised = laplace(aggr[0], 5.0);\noutput(declassify(noised));\n"
@@ -105,7 +105,7 @@ func TestRunCmdFaultReplayDeterminism(t *testing.T) {
 	args := []string{
 		"-file", path, "-categories", "4",
 		"-devices", "48", "-committee", "5", "-seed", "7",
-		"-faults", "seed=7,upload=0.1,crash@1",
+		"-faults", "seed=7,upload=0.1,shard@1",
 	}
 	first, err := captureRun(t, args)
 	if err != nil {
@@ -114,10 +114,10 @@ func TestRunCmdFaultReplayDeterminism(t *testing.T) {
 	if !strings.Contains(first, "fault plan:") || !strings.Contains(first, "recovery:") {
 		t.Errorf("report missing plan/recovery sections:\n%s", first)
 	}
-	if !strings.Contains(first, "fault crash[1") {
-		t.Errorf("forced aggregator crash at chunk 1 not in fired log:\n%s", first)
+	if !strings.Contains(first, "fault shard[1") {
+		t.Errorf("forced crash of shard 1 not in fired log:\n%s", first)
 	}
-	if !strings.Contains(first, "1 aggregator crashes (1 resumes)") {
+	if !strings.Contains(first, "1 shard crashes (1 resumes)") {
 		t.Errorf("crash-then-resume not reflected in recovery summary:\n%s", first)
 	}
 	second, err := captureRun(t, args)
@@ -135,38 +135,47 @@ func TestRunCmdBadFaultSpec(t *testing.T) {
 	}
 }
 
-// TestRunCmdStreamMatchesLegacy is the CLI half of the streaming-ingest
-// equivalence contract (docs/INGEST.md): -stream must print a transcript
-// byte-identical to the legacy collection path at the same seed, at any
-// shard/batch shape, including under a forced shard crash (which fires
-// only on the streaming path and recovers from its batch checkpoint).
+// TestRunCmdStreamMatchesLegacy is the CLI half of the ingest equivalence
+// contract (docs/INGEST.md): at the same seed, `run` prints the transcript
+// the deleted materialize-and-audit path printed — recorded here from the
+// commit before that deletion, for a plain and a sampled query — at the
+// default shape and at any shard/batch/worker shape, and a forced shard crash
+// recovers from its batch checkpoint without changing it.
 func TestRunCmdStreamMatchesLegacy(t *testing.T) {
-	base := []string{"-query", "top1", "-devices", "48", "-committee", "5", "-seed", "7"}
-	legacy, err := captureRun(t, base)
-	if err != nil {
-		t.Fatalf("legacy run: %v", err)
-	}
-	for _, extra := range [][]string{
-		{"-stream"},
-		{"-stream", "-ingest-shards", "3", "-ingest-batch", "5", "-workers", "4"},
+	for _, tc := range []struct {
+		base   []string
+		legacy string
+	}{
+		{[]string{"-query", "top1", "-devices", "48", "-committee", "5", "-seed", "7"},
+			"accepted inputs: 48\ncharged ε: 0.1\noutput[0] = 0\n"},
+		{[]string{"-query", "secrecy", "-devices", "64", "-seed", "3"},
+			"accepted inputs: 64\ncharged ε: 0.01704\noutput[0] = 200\noutput[1] = -1800\noutput[2] = 2200\noutput[3] = 1\n"},
 	} {
-		got, err := captureRun(t, append(append([]string{}, base...), extra...))
-		if err != nil {
-			t.Fatalf("stream run %v: %v", extra, err)
-		}
-		if got != legacy {
-			t.Errorf("stream transcript %v diverged from legacy:\n--- legacy ---\n%s\n--- stream ---\n%s", extra, legacy, got)
+		for _, extra := range [][]string{
+			nil,
+			{"-ingest-shards", "3", "-ingest-batch", "5", "-workers", "4"},
+		} {
+			got, err := captureRun(t, append(append([]string{}, tc.base...), extra...))
+			if err != nil {
+				t.Fatalf("run %v %v: %v", tc.base, extra, err)
+			}
+			if got != tc.legacy {
+				t.Errorf("transcript %v %v diverged from legacy:\n--- legacy ---\n%s\n--- got ---\n%s", tc.base, extra, tc.legacy, got)
+			}
 		}
 	}
-	crashed, err := captureRun(t, append(append([]string{}, base...),
-		"-stream", "-ingest-batch", "8", "-faults", "seed=7,shard@1"))
+	crashed, err := captureRun(t, []string{"-query", "top1", "-devices", "48", "-committee", "5", "-seed", "7",
+		"-ingest-batch", "8", "-faults", "seed=7,shard@1"})
 	if err != nil {
-		t.Fatalf("stream run with forced shard crash: %v", err)
+		t.Fatalf("run with forced shard crash: %v", err)
 	}
 	if !strings.Contains(crashed, "fault shard[1") {
 		t.Errorf("forced shard crash not in fired log:\n%s", crashed)
 	}
 	if !strings.Contains(crashed, "1 shard crashes (1 resumes)") {
 		t.Errorf("shard crash-then-resume not in recovery summary:\n%s", crashed)
+	}
+	if !strings.HasSuffix(crashed, "accepted inputs: 48\ncharged ε: 0.1\noutput[0] = 0\n") {
+		t.Errorf("recovered run released a different transcript:\n%s", crashed)
 	}
 }

@@ -32,22 +32,22 @@ import (
 // execution path (the taxonomy of docs/FAULTS.md).
 type Kind int
 
+// Kind values are pinned, never renumbered: the kind is hashed into every
+// Fires and Pick decision, so a seeded schedule replays unchanged only while
+// its kinds keep their numbers. Value 3 belonged to the retired
+// aggregator-crash kind (a fold crash is ShardCrash now) and stays unused.
 const (
 	// UploadTimeout: a device's upload attempt times out during input
 	// collection. Coordinates: (device ID, attempt).
-	UploadTimeout Kind = iota
+	UploadTimeout Kind = 0
 	// MemberDropout: a committee member becomes unreachable after an MPC
 	// communication round inside a mechanism vignette. Coordinates:
 	// (vignette sequence, attempt, round).
-	MemberDropout
+	MemberDropout Kind = 1
 	// DealerFailure: an old-committee member vanishes mid-hand-off before
 	// dealing its VSR sub-shares. Coordinates: (transfer sequence, attempt,
 	// dealer position).
-	DealerFailure
-	// AggregatorCrash: the aggregator process dies while folding one audit
-	// chunk; it must resume from the last checkpointed partial sum.
-	// Coordinates: (chunk index, attempt).
-	AggregatorCrash
+	DealerFailure Kind = 2
 	// WALCrash: the analyst-gateway daemon dies while appending one record
 	// to the privacy-budget ledger WAL (internal/ledger). Coordinates:
 	// (record sequence, stage), where stage 0 crashes before any byte is
@@ -55,13 +55,13 @@ const (
 	// "wal@N" therefore crashes before record N reaches the disk; rates
 	// exercise both stages. Recovery is the ledger's replay on reopen
 	// (docs/SERVICE.md).
-	WALCrash
-	// ShardCrash: a streaming-ingest shard aggregator dies while folding one
-	// upload batch; it must resume from its last batch-boundary checkpoint,
+	WALCrash Kind = 4
+	// ShardCrash: an ingest shard aggregator dies while folding one upload
+	// batch; it must resume from its last batch-boundary checkpoint,
 	// re-verified against the recorded commitment hash (docs/INGEST.md).
 	// Coordinates: (shard, batch, attempt), so a forced "shard@N" crashes
 	// shard N's first fold of its first batch.
-	ShardCrash
+	ShardCrash Kind = 5
 	// DaemonCrash: the arboretumd gateway process dies at a job-lifecycle
 	// boundary (internal/service). Coordinates: (job sequence, stage),
 	// where stage 0 crashes before the claim is journaled, 1 after the
@@ -71,16 +71,25 @@ const (
 	// therefore kills the daemon just as job N is claimed; rates exercise
 	// every stage. Recovery is the job journal's replay + deterministic
 	// re-execution on restart (docs/SERVICE.md).
-	DaemonCrash
+	DaemonCrash Kind = 6
 
-	numKinds
+	numKinds = 7 // one past the highest value; sizes the per-kind tables
 )
 
-var kindNames = [numKinds]string{"upload", "dropout", "dealer", "crash", "wal", "shard", "daemon"}
+// kindNames holds each kind's spec-string name; the retired value has none.
+var kindNames = [numKinds]string{
+	UploadTimeout: "upload", MemberDropout: "dropout", DealerFailure: "dealer",
+	WALCrash: "wal", ShardCrash: "shard", DaemonCrash: "daemon",
+}
+
+// valid reports whether k is a live kind.
+func (k Kind) valid() bool {
+	return k >= 0 && k < numKinds && kindNames[k] != ""
+}
 
 // String returns the kind's spec-string name.
 func (k Kind) String() string {
-	if k < 0 || k >= numKinds {
+	if !k.valid() {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 	return kindNames[k]
@@ -89,7 +98,7 @@ func (k Kind) String() string {
 // kindByName resolves a spec-string name.
 func kindByName(name string) (Kind, bool) {
 	for k, n := range kindNames {
-		if n == name {
+		if n != "" && n == name {
 			return Kind(k), true
 		}
 	}
@@ -145,7 +154,7 @@ func (p *Plan) SetRate(k Kind, rate float64) *Plan {
 
 // Force makes kind fire deterministically at the injection point whose first
 // coordinate is seq and whose remaining coordinates are zero — e.g.
-// Force(AggregatorCrash, 1) crashes the first fold of chunk 1, and
+// Force(ShardCrash, 1) crashes shard 1's first fold of its first batch, and
 // Force(MemberDropout, 0) drops a member after the first round of the first
 // attempt of vignette 0. It returns the plan for chaining.
 func (p *Plan) Force(k Kind, seq int) *Plan {
@@ -225,7 +234,7 @@ func (p *Plan) uniform(k Kind, idx []int) float64 {
 // idx. It is a pure function of (seed, kind, idx) — calling it twice, in any
 // order, from any goroutine, gives the same answer.
 func (p *Plan) Fires(k Kind, idx ...int) bool {
-	if p == nil || k < 0 || k >= numKinds {
+	if p == nil || !k.valid() {
 		return false
 	}
 	if p.forcedAt[k] != nil && p.forcedAt[k][idxKey(idx)] {
@@ -298,8 +307,8 @@ func (p *Plan) Fired() []Fault {
 //	<kind>=<rate> an independent per-injection-point probability in [0, 1]
 //	<kind>@<seq>  a forced fault (see Force)
 //
-// with kinds upload, dropout, dealer, crash, wal, shard, daemon — e.g.
-// "seed=7,upload=0.05,dropout=0.01,crash@1". An empty spec returns a nil
+// with kinds upload, dropout, dealer, wal, shard, daemon — e.g.
+// "seed=7,upload=0.05,dropout=0.01,shard@1". An empty spec returns a nil
 // plan (no injection).
 func Parse(spec string) (*Plan, error) {
 	spec = strings.TrimSpace(spec)

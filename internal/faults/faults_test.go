@@ -63,15 +63,15 @@ func TestKindsIndependent(t *testing.T) {
 }
 
 func TestForce(t *testing.T) {
-	p := New(1).Force(AggregatorCrash, 2)
-	if !p.Fires(AggregatorCrash, 2, 0) {
-		t.Fatal("forced crash@2 did not fire at (2, 0)")
+	p := New(1).Force(ShardCrash, 2)
+	if !p.Fires(ShardCrash, 2, 0, 0) {
+		t.Fatal("forced shard@2 did not fire at (2, 0, 0)")
 	}
-	if p.Fires(AggregatorCrash, 2, 1) {
-		t.Fatal("forced crash@2 fired on a retry attempt")
+	if p.Fires(ShardCrash, 2, 0, 1) {
+		t.Fatal("forced shard@2 fired on a retry attempt")
 	}
-	if p.Fires(AggregatorCrash, 1, 0) {
-		t.Fatal("crash fired at an unforced chunk")
+	if p.Fires(ShardCrash, 1, 0, 0) {
+		t.Fatal("crash fired at an unforced shard")
 	}
 }
 
@@ -111,7 +111,7 @@ func TestPickDeterministicInRange(t *testing.T) {
 }
 
 func TestParseStringRoundTrip(t *testing.T) {
-	spec := "seed=7,upload=0.05,dropout=0.01,dealer=0.1,crash@1,crash@3"
+	spec := "seed=7,upload=0.05,dropout=0.01,dealer=0.1,shard@1,shard@3"
 	p, err := Parse(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +119,8 @@ func TestParseStringRoundTrip(t *testing.T) {
 	if p.Seed() != 7 {
 		t.Fatalf("seed = %d", p.Seed())
 	}
-	if !p.Fires(AggregatorCrash, 3, 0) {
-		t.Fatal("parsed forced crash@3 did not fire")
+	if !p.Fires(ShardCrash, 3, 0, 0) {
+		t.Fatal("parsed forced shard@3 did not fire")
 	}
 	q, err := Parse(p.String())
 	if err != nil {
@@ -198,7 +198,7 @@ func TestParseEmptyAndErrors(t *testing.T) {
 	if p, err := Parse("  "); err != nil || p != nil {
 		t.Fatalf("empty spec = (%v, %v), want (nil, nil)", p, err)
 	}
-	for _, bad := range []string{"bogus=0.1", "upload=2", "upload", "crash@-1", "seed=x", "frob@2"} {
+	for _, bad := range []string{"bogus=0.1", "upload=2", "upload", "shard@-1", "seed=x", "frob@2", "crash@1", "=0.1", "@1"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
@@ -227,5 +227,51 @@ func TestRecordConcurrent(t *testing.T) {
 	got[0].Idx[0] = -99
 	if p.Fired()[0].Idx[0] == -99 {
 		t.Fatal("Fired aliases internal log")
+	}
+}
+
+// Kind numbers are part of the replay contract: the kind is hashed into
+// every Fires and Pick decision, so renumbering one would silently change
+// every seeded schedule. The masks are Fires(k, i, 1) for i < 64 at seed 7,
+// rate 0.25, recorded before the aggregator-crash kind (value 3) was retired.
+func TestKindValuesPinned(t *testing.T) {
+	pinned := []struct {
+		kind  Kind
+		value int
+		name  string
+		mask  uint64
+		pick  int
+	}{
+		{UploadTimeout, 0, "upload", 0x8a18817000a62031, 291},
+		{MemberDropout, 1, "dropout", 0x013484c404903c28, 98},
+		{DealerFailure, 2, "dealer", 0x0110428318a00e01, 403},
+		{WALCrash, 4, "wal", 0x10a0011ead0d1002, 821},
+		{ShardCrash, 5, "shard", 0x30e00814d80c0001, 4},
+		{DaemonCrash, 6, "daemon", 0x416512a848034095, 853},
+	}
+	for _, pin := range pinned {
+		if int(pin.kind) != pin.value || pin.kind.String() != pin.name {
+			t.Errorf("kind %q = %d, pinned %q = %d", pin.kind, int(pin.kind), pin.name, pin.value)
+		}
+		p := New(7).SetRate(pin.kind, 0.25)
+		var mask uint64
+		for i := 0; i < 64; i++ {
+			if p.Fires(pin.kind, i, 1) {
+				mask |= 1 << uint(i)
+			}
+		}
+		if mask != pin.mask {
+			t.Errorf("%s: seeded schedule %#016x, pinned %#016x", pin.kind, mask, pin.mask)
+		}
+		if got := p.Pick(1000, pin.kind, 3, 1); got != pin.pick {
+			t.Errorf("%s: Pick = %d, pinned %d", pin.kind, got, pin.pick)
+		}
+	}
+	// The retired value names no kind and never fires.
+	if Kind(3).valid() || New(7).Fires(Kind(3), 1, 0) {
+		t.Error("retired kind 3 is live")
+	}
+	if _, ok := kindByName("crash"); ok {
+		t.Error(`retired spec name "crash" still parses`)
 	}
 }

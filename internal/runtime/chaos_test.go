@@ -37,11 +37,26 @@ func chaosData(i int) int {
 
 const chaosN = 48
 
+// chaosDeployment uses the default ingest shape: 8 shards of 6 devices, one
+// batch each.
 func chaosDeployment(t *testing.T, plan *faults.Plan, seed int64) *Deployment {
+	t.Helper()
+	return chaosShapedDeployment(t, plan, seed, 0, 0)
+}
+
+// chaosStreamDeployment cuts the same population into 4 shards × 2 batches,
+// so shard crashes land mid-stream, after a committed checkpoint.
+func chaosStreamDeployment(t *testing.T, plan *faults.Plan, seed int64) *Deployment {
+	t.Helper()
+	return chaosShapedDeployment(t, plan, seed, 4, 8)
+}
+
+func chaosShapedDeployment(t *testing.T, plan *faults.Plan, seed int64, shards, batch int) *Deployment {
 	t.Helper()
 	d, err := NewDeployment(Config{
 		N: chaosN, Categories: 4, CommitteeSize: 5, Seed: seed, KeyBits: 256,
 		BudgetEpsilon: 1000, Data: chaosData, Faults: plan,
+		IngestShards: shards, IngestBatch: batch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +182,7 @@ output(top[1]);`,
 func chaosTypedErr(err error) bool {
 	for _, target := range []error{
 		ErrCommitteeBroken, ErrCommitteeDegraded, ErrNoSpareCommittee,
-		ErrHandoffFailed, ErrAggregatorFailed, ErrShardFailed, ErrNoValidInputs,
+		ErrHandoffFailed, ErrShardFailed, ErrNoValidInputs,
 		vsr.ErrInsufficientShares,
 	} {
 		if errors.Is(err, target) {
@@ -210,56 +225,71 @@ func almostEq(a, b float64) bool {
 	return d < 1e-9 && d > -1e-9
 }
 
-// TestChaosSweep is the acceptance sweep: ≥50 (schedule, shape) runs with
-// all four fault kinds armed. Zero wrong answers and zero budget violations
-// are required; failures must be typed.
-func TestChaosSweep(t *testing.T) {
-	schedules := chaosSchedules // × 3 shapes; see chaos_norace_test.go
+// chaosSweep is the acceptance sweep: chaosSchedules × 3 shapes end-to-end
+// runs with every runtime fault kind armed. Every run completes correctly
+// (per the plan-derived reference) or fails closed with a typed error, and
+// never double-charges the budget; at least one schedule must complete and at
+// least one must fire a shard crash.
+func chaosSweep(t *testing.T, seedBase uint64, deploy func(*testing.T, *faults.Plan, int64) *Deployment) {
 	certEps := map[string]float64{}
 	for _, shape := range chaosShapes {
 		certEps[shape.name] = chaosBudgetEps(t, shape.src)
 	}
 	// Every (schedule, shape) run is an independent deployment, so the sweep
-	// fans out as parallel subtests; the completion tally is checked by the
-	// cleanup hook once they all finish.
+	// fans out as parallel subtests; the tallies are checked by the cleanup
+	// hook once they all finish.
 	var mu sync.Mutex
-	completed, failedClosed := 0, 0
+	completed, failedClosed, crashed := 0, 0, 0
 	t.Cleanup(func() {
-		t.Logf("chaos sweep: %d completed, %d failed closed", completed, failedClosed)
+		t.Logf("chaos sweep: %d completed, %d failed closed, %d runs saw shard crashes",
+			completed, failedClosed, crashed)
 		if completed == 0 {
 			t.Error("no schedule completed — rates are too hot to exercise recovery")
 		}
+		if crashed == 0 {
+			t.Error("no schedule fired a shard crash — the ShardCrash injection point is dead")
+		}
 	})
-	for s := 0; s < schedules; s++ {
+	for s := 0; s < chaosSchedules; s++ {
 		for _, shape := range chaosShapes {
 			s, shape := s, shape
 			t.Run(fmt.Sprintf("schedule%d/%s", s, shape.name), func(t *testing.T) {
 				t.Parallel()
-				plan := faults.New(uint64(1000+s)).
+				plan := faults.New(seedBase+uint64(s)).
 					SetRate(faults.UploadTimeout, 0.08).
 					SetRate(faults.MemberDropout, 0.002).
 					SetRate(faults.DealerFailure, 0.08).
-					SetRate(faults.AggregatorCrash, 0.2)
-				d := chaosDeployment(t, plan, 42)
+					SetRate(faults.ShardCrash, 0.25)
+				d := deploy(t, plan, 42)
 				res, err := d.Run(shape.src, RunOptions{})
 				assertBudget(t, d, certEps[shape.name], shape.name)
+				mu.Lock()
+				if d.Metrics.ShardCrashes > 0 {
+					crashed++
+				}
 				if err != nil {
-					mu.Lock()
 					failedClosed++
-					mu.Unlock()
+				} else {
+					completed++
+				}
+				mu.Unlock()
+				if err != nil {
 					if !chaosTypedErr(err) {
 						t.Errorf("untyped failure: %v", err)
 					}
 					return
 				}
-				mu.Lock()
-				completed++
-				mu.Unlock()
 				shape.check(t, plan, res.Outputs)
 			})
 		}
 	}
 }
+
+// The one sweep runs at two ingest shapes (see chaos_norace_test.go for its
+// size): one-batch shards, where a crash restores an empty checkpoint, and
+// multi-batch shards, where it restores a committed one.
+func TestChaosSweep(t *testing.T)       { chaosSweep(t, 1000, chaosDeployment) }
+func TestChaosStreamSweep(t *testing.T) { chaosSweep(t, 2000, chaosStreamDeployment) }
 
 // TestChaosReplayDeterminism: the same plan seed replays bit-for-bit — same
 // outputs, same fired-fault log (coordinates and notes), same recovery
@@ -279,7 +309,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 			SetRate(faults.UploadTimeout, 0.15).
 			SetRate(faults.MemberDropout, 0.004).
 			SetRate(faults.DealerFailure, 0.2).
-			SetRate(faults.AggregatorCrash, 0.3)
+			SetRate(faults.ShardCrash, 0.3)
 		d := chaosDeployment(t, plan, 42)
 		res, err := d.Run(chaosShapes[1].src, RunOptions{})
 		m := d.Metrics
@@ -289,7 +319,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 			metrics: [11]int{
 				m.UploadTimeouts, m.UploadRetries, m.UploadsDropped,
 				m.MemberDropouts, m.Reformations, m.DealerFailures,
-				m.VSRRedeals, m.AggregatorCrashes, m.AggregatorResumes,
+				m.VSRRedeals, m.ShardCrashes, m.ShardResumes,
 				m.VignetteRetries, int(m.BackoffSimulated),
 			},
 		}
@@ -306,24 +336,27 @@ func TestChaosReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosCrashResumeAudit: a forced aggregator crash at chunk 1 resumes
-// from the last Merkle-audited checkpoint, the query completes, and the full
-// end-to-end audit passes over every chunk.
+// TestChaosCrashResumeAudit: a forced crash in a shard's second batch
+// resumes from the committed checkpoint of its first — re-verified against
+// the recorded commitment — the query completes, and the audit passes over
+// every batch: the checkpoint the shard resumed from is the same commitment
+// the devices audit.
 func TestChaosCrashResumeAudit(t *testing.T) {
-	plan := faults.New(11).Force(faults.AggregatorCrash, 1)
-	d := chaosDeployment(t, plan, 42)
+	plan := faults.New(11).ForceAt(faults.ShardCrash, 1, 1, 0)
+	d := chaosStreamDeployment(t, plan, 42)
 	res, err := d.Run(chaosShapes[0].src, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Metrics.AggregatorCrashes != 1 || d.Metrics.AggregatorResumes != 1 {
-		t.Errorf("crashes=%d resumes=%d, want 1/1",
-			d.Metrics.AggregatorCrashes, d.Metrics.AggregatorResumes)
+	if d.Metrics.ShardCrashes != 1 || d.Metrics.ShardResumes != 1 {
+		t.Errorf("crashes=%d resumes=%d, want 1/1", d.Metrics.ShardCrashes, d.Metrics.ShardResumes)
 	}
-	// ceil(48/16) = 3 chunks, all audited, none failing: the checkpoint the
-	// aggregator resumed from is the same commitment the devices audit.
-	if d.Metrics.AuditsServed != 3 || d.Metrics.AuditFailures != 0 {
-		t.Errorf("audits served=%d failures=%d, want 3/0",
+	if fired := plan.Fired(); len(fired) != 1 || !reflect.DeepEqual(fired[0].Idx, []int{1, 1, 0}) {
+		t.Errorf("fired log %v, want one shard crash at [1 1 0]", fired)
+	}
+	// 4 shards × 2 batches, all audited, none failing.
+	if d.Metrics.AuditsServed != 8 || d.Metrics.AuditFailures != 0 {
+		t.Errorf("audits served=%d failures=%d, want 8/0",
 			d.Metrics.AuditsServed, d.Metrics.AuditFailures)
 	}
 	got, want := res.Outputs[0].Float(), 4.0

@@ -100,19 +100,40 @@ func TestPickViableReassigns(t *testing.T) {
 	}
 	healthy := sortition.Committee{10, 11, 12, 13, 14}
 	healthy2 := sortition.Committee{20, 21, 22, 23, 24}
-	out, err := d.pickViable([]sortition.Committee{broken, healthy, healthy2}, 2)
+	out, consumed, err := d.pickViable([]sortition.Committee{broken, healthy, healthy2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0][0] != 10 || out[1][0] != 20 {
-		t.Errorf("reassignment picked %v", out)
+	if out[0][0] != 10 || out[1][0] != 20 || consumed != 3 {
+		t.Errorf("reassignment picked %v, consuming %d committees", out, consumed)
 	}
 	if d.Metrics.Reassignments != 1 {
 		t.Errorf("reassignments = %d, want 1", d.Metrics.Reassignments)
 	}
 	// Not enough viable committees → error.
-	if _, err := d.pickViable([]sortition.Committee{broken, healthy}, 2); err == nil {
+	if _, _, err := d.pickViable([]sortition.Committee{broken, healthy}, 2); err == nil {
 		t.Fatal("insufficient viable committees accepted")
+	}
+}
+
+// TestChurnRepeatedQueries: Reassignments is a lifetime counter, and Run once
+// used it to slice the spare pool — skipping viable spares on the second
+// query of a deployment with churn and slicing out of range by the fourth.
+// Eight consecutive queries must each complete or fail with a typed error.
+func TestChurnRepeatedQueries(t *testing.T) {
+	d, err := NewDeployment(Config{
+		N: 64, Categories: 4, CommitteeSize: 5, Seed: 1, OfflineFrac: 0.12, BudgetEpsilon: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 8; q++ {
+		if _, err := d.Run(countSrc, RunOptions{}); err != nil && !chaosTypedErr(err) {
+			t.Errorf("query %d: untyped failure: %v", q, err)
+		}
+	}
+	if d.Metrics.Reassignments == 0 {
+		t.Error("no committee was reassigned; the churn shape no longer exercises the spare pool")
 	}
 }
 

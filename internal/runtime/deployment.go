@@ -14,16 +14,17 @@
 //
 // # Concurrency
 //
-// The per-device work — encrypting one-hot rows, generating proofs, folding
-// sum-tree groups — is embarrassingly parallel, and the runtime fans it out
-// over the internal/parallel worker pool (Config.Workers; 0 = auto). A
-// Deployment itself is NOT safe for concurrent use: Run mutates shared state
-// (metrics, budget, RNG). Determinism is preserved at every worker count
-// because all draws from the deployment's seeded RNG happen sequentially on
-// the coordinating goroutine before any parallel section starts, the
-// parallel sections use only crypto/rand (whose output never reaches the
-// released values), and per-device results are re-assembled in device order.
-// See docs/CONCURRENCY.md.
+// Input collection — encrypting one-hot rows, generating and verifying
+// proofs, folding — is embarrassingly parallel across ingest shards, and the
+// runtime fans the shards (and the combine tree's groups) out over the
+// internal/parallel worker pool (Config.Workers; 0 = auto). A Deployment
+// itself is NOT safe for concurrent use: Run mutates shared state (metrics,
+// budget, RNG). Determinism is preserved at every worker count because all
+// draws from the deployment's seeded RNG happen sequentially on the
+// coordinating goroutine before any parallel section starts, the parallel
+// sections use only crypto/rand (whose output never reaches the released
+// values), and shard results are re-assembled in shard order, which is
+// device order. See docs/CONCURRENCY.md.
 package runtime
 
 import (
@@ -76,8 +77,8 @@ type Config struct {
 	// BudgetEpsilon is the deployment's total privacy budget (default 10).
 	BudgetEpsilon float64
 
-	// Workers bounds the worker pool used for per-device parallel work
-	// (encryption, proof generation, sum-tree folding). 0 resolves via
+	// Workers bounds the worker pool used for input collection (one task
+	// per ingest shard) and the combine tree. 0 resolves via
 	// parallel.Workers: the ARBORETUM_WORKERS environment variable, then
 	// GOMAXPROCS. 1 forces the sequential paths (bit-identical to the
 	// pre-parallel runtime).
@@ -91,26 +92,19 @@ type Config struct {
 	SecureNoise bool
 
 	// Faults injects typed mid-execution failures (upload timeouts,
-	// committee-member dropout mid-MPC-round, VSR dealer failures,
-	// aggregator crashes, ingest shard crashes) at the runtime's injection
-	// points; nil injects nothing. Schedules are pure functions of the
-	// plan's seed, so a run replays bit-for-bit (docs/FAULTS.md).
+	// committee-member dropout mid-MPC-round, VSR dealer failures, ingest
+	// shard crashes) at the runtime's injection points; nil injects nothing.
+	// Schedules are pure functions of the plan's seed, so a run replays
+	// bit-for-bit (docs/FAULTS.md).
 	Faults *faults.Plan
 
-	// StreamIngest routes input collection through the sharded, streaming
-	// ingest pipeline (docs/INGEST.md): devices upload in batches to
-	// IngestShards per-shard aggregators that verify, fold, and commit
-	// incrementally with O(IngestShards × IngestBatch) ciphertext memory,
-	// then the shard partials combine through the sum-tree machinery. The
-	// accepted set and the released sums are bit-for-bit identical to the
-	// legacy materializing path; the aggregator audit runs on retained
-	// batch samples against the batch-commitment tree instead of the
-	// legacy full-coverage chunk audit. Default false (legacy path).
-	StreamIngest bool
-	// IngestShards and IngestBatch shape the pipeline (defaults 8 and 64).
-	// Both are fixed counts — never derived from GOMAXPROCS — so fault
-	// schedules addressed by (shard, batch, attempt) replay identically on
-	// any machine at any worker count.
+	// IngestShards and IngestBatch shape input collection (docs/INGEST.md;
+	// defaults 8 and 64): devices upload in batches to IngestShards
+	// per-shard aggregators that verify, fold, and commit incrementally,
+	// and the shard partials combine in a tree. Both are fixed counts —
+	// never derived from GOMAXPROCS — so fault schedules addressed by
+	// (shard, batch, attempt) replay identically on any machine at any
+	// worker count, and the released outputs are identical at every shape.
 	IngestShards int
 	IngestBatch  int
 }
@@ -176,19 +170,17 @@ type Metrics struct {
 	Reassignments    int // committee tasks moved to the next committee (churn)
 
 	// Fault-injection and recovery counters (zero without a fault plan).
-	UploadTimeouts    int           // upload attempts that timed out
-	UploadRetries     int           // timeouts that were retried
-	UploadsDropped    int           // devices dropped after exhausting retries
-	MemberDropouts    int           // members lost mid-MPC-round
-	Reformations      int           // committees re-formed from the sortition pool
-	DealerFailures    int           // dealers that vanished during a VSR hand-off
-	VSRRedeals        int           // hand-off attempts re-dealt from survivors
-	AggregatorCrashes int           // aggregator step crashes
-	AggregatorResumes int           // resumes from the last audited checkpoint
-	ShardCrashes      int           // ingest shard-aggregator batch-fold crashes
-	ShardResumes      int           // shard resumes from a batch-boundary checkpoint
-	VignetteRetries   int           // mechanism vignettes retried after a fault
-	BackoffSimulated  time.Duration // total backoff a real deployment would have waited
+	UploadTimeouts   int           // upload attempts that timed out
+	UploadRetries    int           // timeouts that were retried
+	UploadsDropped   int           // devices dropped after exhausting retries
+	MemberDropouts   int           // members lost mid-MPC-round
+	Reformations     int           // committees re-formed from the sortition pool
+	DealerFailures   int           // dealers that vanished during a VSR hand-off
+	VSRRedeals       int           // hand-off attempts re-dealt from survivors
+	ShardCrashes     int           // ingest shard-aggregator batch-fold crashes
+	ShardResumes     int           // shard resumes from a batch-boundary checkpoint
+	VignetteRetries  int           // mechanism vignettes retried after a fault
+	BackoffSimulated time.Duration // total backoff a real deployment would have waited
 }
 
 // NewDeployment registers N devices and runs the trusted setup (Section 5.1:
@@ -296,13 +288,16 @@ func (d *Deployment) viableCommittee(c sortition.Committee) bool {
 
 // pickViable returns the first viable committees from the sortition output,
 // reassigning the tasks of broken ones to the next committee (Section 5.1:
-// "Arboretum can reassign i's tasks to committee i+1 mod c").
-func (d *Deployment) pickViable(all []sortition.Committee, need int) ([]sortition.Committee, error) {
+// "Arboretum can reassign i's tasks to committee i+1 mod c"), and how many
+// of all it consumed doing so — the rest are the caller's spares.
+func (d *Deployment) pickViable(all []sortition.Committee, need int) ([]sortition.Committee, int, error) {
 	var out []sortition.Committee
+	consumed := 0
 	for _, c := range all {
 		if len(out) == need {
 			break
 		}
+		consumed++
 		if d.viableCommittee(c) {
 			out = append(out, d.onlineMembers(c))
 			continue
@@ -310,9 +305,9 @@ func (d *Deployment) pickViable(all []sortition.Committee, need int) ([]sortitio
 		d.Metrics.Reassignments++
 	}
 	if len(out) < need {
-		return nil, fmt.Errorf("runtime: only %d of %d committees viable under churn", len(out), need)
+		return nil, 0, fmt.Errorf("%w: only %d of %d committees viable under churn", ErrNoSpareCommittee, len(out), need)
 	}
-	return out, nil
+	return out, consumed, nil
 }
 
 // defaultData is a Zipf-like category distribution: category 0 is the mode.
@@ -509,7 +504,15 @@ func (km *keyMaterial) reconstructKey() (*ahe.PrivateKey, error) {
 type upload struct {
 	vec   []*ahe.Ciphertext
 	proof *zkp.Proof
+	uploadEvent
+}
 
+// uploadEvent is an upload's fault history: the compact record a shard hands
+// the coordinator for every upload that hit at least one simulated timeout.
+// The coordinator tallies them in shard order — which is device order, since
+// shards are contiguous ranges — so the fault log and the metrics replay
+// identically at every worker count.
+type uploadEvent struct {
 	dev      int           // device ID, for the fault log
 	timeouts int           // attempts that timed out
 	backoff  time.Duration // simulated wait between attempts
@@ -563,7 +566,7 @@ func (d *Deployment) deviceUploadRetry(km *keyMaterial, dev *Device, width, hot 
 		if d.cfg.Faults.Fires(faults.UploadTimeout, dev.ID, attempt) {
 			timeouts++
 			if attempt+1 >= uploadBackoff.attempts {
-				return upload{dev: dev.ID, timeouts: timeouts, backoff: backoff, dropped: true}, nil
+				return upload{uploadEvent: uploadEvent{dev: dev.ID, timeouts: timeouts, backoff: backoff, dropped: true}}, nil
 			}
 			backoff += uploadBackoff.delay(attempt)
 			continue
@@ -572,65 +575,9 @@ func (d *Deployment) deviceUploadRetry(km *keyMaterial, dev *Device, width, hot 
 		if err != nil {
 			return upload{}, err
 		}
-		up.dev = dev.ID
-		up.timeouts = timeouts
-		up.backoff = backoff
+		up.uploadEvent = uploadEvent{dev: dev.ID, timeouts: timeouts, backoff: backoff}
 		return up, nil
 	}
-}
-
-// acceptUploads runs the aggregator's sequential side of input collection:
-// traffic accounting and proof verification, in device order (the verifier's
-// replay state is not synchronized, and keeping this loop ordered makes the
-// metrics and the accepted set identical at every worker count).
-func (d *Deployment) acceptUploads(verifier *zkp.Verifier, ups []upload) [][]*ahe.Ciphertext {
-	var accepted [][]*ahe.Ciphertext
-	for _, up := range ups {
-		if d.tallyUpload(up) {
-			continue // dropped after upload timeouts: nothing arrived
-		}
-		for _, ct := range up.vec {
-			d.Metrics.DeviceBytesSent += int64(ct.Bytes())
-		}
-		d.Metrics.DeviceBytesSent += int64(up.proof.Bytes())
-		d.Metrics.ZKPsVerified++
-		if !verifier.Verify(up.proof) {
-			d.Metrics.ZKPsRejected++
-			continue
-		}
-		accepted = append(accepted, up.vec)
-	}
-	return accepted
-}
-
-// collectInputs has every device encrypt its one-hot row under the query
-// key and prove well-formedness; the aggregator verifies each proof and
-// drops invalid uploads (Section 5.3). The device-side work (encryption,
-// proof generation) runs one pool task per online device; verification and
-// metrics accounting stay sequential in device order.
-func (d *Deployment) collectInputs(km *keyMaterial) ([][]*ahe.Ciphertext, error) {
-	keys := make(map[int][]byte, len(d.Devices))
-	for _, dev := range d.Devices {
-		keys[dev.ID] = dev.Key
-	}
-	verifier := zkp.NewVerifier(keys)
-	var online []*Device
-	for _, dev := range d.Devices {
-		if !dev.Offline { // churned devices simply do not upload
-			online = append(online, dev)
-		}
-	}
-	ups, err := parallel.Map(nil, len(online), d.workers(), func(i int) (upload, error) {
-		return d.deviceUploadRetry(km, online[i], d.cfg.Categories, online[i].Category)
-	})
-	if err != nil {
-		return nil, err
-	}
-	accepted := d.acceptUploads(verifier, ups)
-	if len(accepted) == 0 {
-		return nil, ErrNoValidInputs
-	}
-	return accepted, nil
 }
 
 // noiseRand returns the sampler used for committee noise: crypto/rand when

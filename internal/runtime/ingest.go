@@ -17,16 +17,16 @@ import (
 	"arboretum/internal/zkp"
 )
 
-// This file is the sharded, streaming ingest pipeline (docs/INGEST.md): the
-// replacement for collectInputs' materialize-everything collection phase.
-// Devices upload in batches to per-shard aggregators; each shard verifies
-// proofs, folds the batch into pooled accumulators (one per ciphertext
-// cell), and commits the running partials at every batch boundary, so the
-// pipeline holds O(shards × batch) ciphertexts at any instant instead of
-// O(population). Shard partials then combine hierarchically through the
-// sum-tree machinery. Because a Paillier addition is multiplication mod n² —
-// associative and commutative — the combined sums are bit-for-bit identical
-// to the legacy sequential fold at every worker count and shard count.
+// This file is input collection (Section 5.3; docs/INGEST.md): the sharded,
+// streaming ingest pipeline. Devices upload in batches to per-shard
+// aggregators; each shard verifies proofs, folds the batch into pooled
+// accumulators (one per ciphertext cell), and commits the running partials
+// at every batch boundary, so folding holds O(shards × batch) ciphertexts at
+// any instant. Shard partials then combine in a tree of the planner's
+// sum-tree fanout, and devices audit the committed batches. Because a
+// Paillier addition is multiplication mod n² — associative and commutative —
+// the combined sums are bit-for-bit identical at every worker count, shard
+// count, batch size, and fanout.
 
 const (
 	// defaultIngestShards and defaultIngestBatch are fixed constants — never
@@ -34,14 +34,17 @@ const (
 	// (shard, batch, attempt) replay identically on any machine.
 	defaultIngestShards = 8
 	defaultIngestBatch  = 64
+	// defaultCombineFanout is the shard-combine tree's fanout when the
+	// planner's sum choice names none: partials merge pairwise.
+	defaultCombineFanout = 2
 )
 
 // shardSource produces one ingest shard's device uploads in shard-local
 // device order. fill populates buf[0:n] with the uploads of shard-local
 // devices [start, start+n). Implementations may reuse buf's slots and any
 // scratch behind them between calls, but every *ahe.Ciphertext handed out
-// must stay immutable once returned — the pipeline retains references to a
-// bounded sample of batches for audit replay.
+// must stay immutable once returned — the pipeline retains references to
+// batches for audit replay.
 type shardSource interface {
 	count() int
 	fill(buf []upload, start, n int) error
@@ -62,33 +65,30 @@ type ingestSpec struct {
 	pub     *ahe.PublicKey
 	width   int // ciphertext cells per upload (categories, or bins×categories)
 	batch   int // devices folded per batch: the bounded-memory unit
+	fanout  int // shard-combine tree fanout (≤ 1 = defaultCombineFanout)
 	workers int
-	byz     bool // Byzantine aggregator: corrupt one mid-stream partial
 	plan    *faults.Plan
 	track   bool       // record accepted device indices (the bin protocol needs them)
 	gauge   *heapGauge // optional peak-heap sampling for the bench harness
+	// byz makes the aggregator Byzantine: it shifts the partial that batch
+	// byzBatch of shard byzShard commits and carries the lie forward.
+	byz                bool
+	byzShard, byzBatch int
+	// sampleAudit retains only each shard's first, middle, and last batch
+	// for audit replay instead of every batch. Sampling cannot catch a lie
+	// told in an unretained batch, so only the virtual-population harness
+	// sets it: it measures fold memory at 10^6+ devices, where retaining
+	// every batch's inputs would be the O(population) term it must not hold.
+	sampleAudit bool
 	// ctx cancels the ingest at batch boundaries (RunOptions.Ctx); nil
 	// never cancels. Written once before the shard fan-out, read-only
 	// inside it.
 	ctx context.Context
 }
 
-// uploadEvent is the compact coordinator-bound record of a device upload
-// that hit at least one simulated timeout. Shards collect these instead of
-// mutating shared metrics; the coordinator tallies them in shard order —
-// which is device order, since shards are contiguous ranges — so the fault
-// log and the metrics replay identically at every worker count.
-type uploadEvent struct {
-	dev      int
-	timeouts int
-	backoff  time.Duration
-	dropped  bool
-}
-
-// retainedBatch is one audit sample: a batch's accepted inputs plus the
-// shard's claimed partials just before and just after folding it. Each shard
-// retains O(1) batches, so audit memory stays bounded while every retained
-// claim is still pinned to the global batch-commitment tree.
+// retainedBatch is what an audit replays: a batch's accepted inputs plus the
+// shard's claimed partials just before and just after folding it. Every
+// retained claim is pinned to the global batch-commitment tree.
 type retainedBatch struct {
 	batch   int                 // shard-local batch index
 	prev    []*ahe.Ciphertext   // checkpoint before the batch (nil cells: nothing folded yet)
@@ -119,16 +119,10 @@ type shardResult struct {
 	acceptedIdx []int32 // shard-local accepted device indices (track mode)
 }
 
-// ingestRetainAudit lists the shard-local batches retained for audit replay:
-// first, middle, last. O(1) per shard, and the set always covers the middle
-// batch — the position a Byzantine shard aggregator corrupts — while the
-// first and last pin the stream's endpoints.
-func ingestRetainAudit(nBatches int) [3]int {
-	return [3]int{0, nBatches / 2, nBatches - 1}
-}
-
-func retainsBatch(set [3]int, b int) bool {
-	return b == set[0] || b == set[1] || b == set[2]
+// retains reports whether shard-local batch b of nBatches is kept for audit
+// replay: every batch, or under sampleAudit the first, middle, and last.
+func (sp *ingestSpec) retains(b, nBatches int) bool {
+	return !sp.sampleAudit || b == 0 || b == nBatches/2 || b == nBatches-1
 }
 
 var (
@@ -184,8 +178,9 @@ func snapshotCts(cts []*ahe.Ciphertext) []*ahe.Ciphertext {
 // their proofs once, fold the accepted vectors into the pooled accumulators
 // (with the ShardCrash injection point wrapping the fold in a
 // checkpoint/resume retry loop), commit the partials, and move to the next
-// batch. Steady-state memory is one upload batch plus 2×width big.Ints
-// (accumulators and the rotating checkpoint), independent of shard size.
+// batch. Steady-state fold memory is one upload batch plus 2×width big.Ints
+// (accumulators and the rotating checkpoint), independent of shard size;
+// what grows with the shard is what the audit retains (ingestSpec.retains).
 //
 // Verification runs exactly once per batch, before any fold attempt: its
 // outcomes — the accepted set and the verifier's replay state — are durable
@@ -219,10 +214,9 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 
 	nBatches := (n + sp.batch - 1) / sp.batch
 	res.leaves = make([]byte, 0, nBatches*sha256.Size)
-	retain := ingestRetainAudit(nBatches)
 	corruptAt := -1
-	if sp.byz && shard == 0 {
-		corruptAt = nBatches / 2
+	if sp.byz && shard == sp.byzShard {
+		corruptAt = sp.byzBatch
 	}
 
 	for b := 0; b < nBatches; b++ {
@@ -249,9 +243,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 		for i := 0; i < cnt; i++ {
 			up := &batchBuf[i]
 			if up.timeouts > 0 {
-				res.events = append(res.events, uploadEvent{
-					dev: up.dev, timeouts: up.timeouts, backoff: up.backoff, dropped: up.dropped,
-				})
+				res.events = append(res.events, up.uploadEvent)
 			}
 			if up.dropped {
 				continue // nothing arrived
@@ -271,7 +263,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 			}
 		}
 		var prev []*ahe.Ciphertext
-		if retainsBatch(retain, b) {
+		if sp.retains(b, nBatches) {
 			prev = snapshotCts(checkpoint)
 		}
 		//arblint:ignore ctxcheckpoint bounded retry: returns once attempt+1 reaches shardBackoff.attempts
@@ -343,7 +335,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 		res.leaves = ingestAccHash(h, accs, fill, res.leaves)
 		ckptHash = append(ckptHash[:0], res.leaves[len(res.leaves)-sha256.Size:]...)
 		haveCkpt = true
-		if retainsBatch(retain, b) {
+		if sp.retains(b, nBatches) {
 			res.retained = append(res.retained, retainedBatch{
 				batch:   b,
 				prev:    prev,
@@ -401,7 +393,7 @@ func runShardedIngest(sp *ingestSpec, jobs []shardRun) (*ingestResult, error) {
 	if res.accepted == 0 {
 		return res, nil
 	}
-	sums, sent, err := combinePartials(sp.pub, partials, sp.workers)
+	sums, sent, err := combinePartials(sp.pub, partials, sp.fanout, sp.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -426,18 +418,18 @@ func runShardedIngest(sp *ingestSpec, jobs []shardRun) (*ingestResult, error) {
 	return res, nil
 }
 
-// ingestCombineFanout is the combine tree's fanout: shard partials merge
-// pairwise level by level, reusing the sum-tree fold.
-const ingestCombineFanout = 2
-
-// combinePartials folds the shard partials hierarchically with the
-// sum-tree machinery until one vector remains, reporting the traffic the
-// combine generated (aggregator-side: shard partials travel between
-// aggregator tiers, not from devices).
-func combinePartials(pub *ahe.PublicKey, partials [][]*ahe.Ciphertext, workers int) ([]*ahe.Ciphertext, int64, error) {
+// combinePartials folds the shard partials level by level in groups of
+// fanout until one vector remains, reporting the traffic the combine
+// generated (aggregator-side: shard partials travel between aggregator
+// tiers, not from devices). Every tree shape performs len(partials)−1
+// additions per cell, so the traffic is the same at every fanout.
+func combinePartials(pub *ahe.PublicKey, partials [][]*ahe.Ciphertext, fanout, workers int) ([]*ahe.Ciphertext, int64, error) {
+	if fanout <= 1 {
+		fanout = defaultCombineFanout
+	}
 	var total int64
 	for len(partials) > 1 {
-		next, sent, err := foldGroups(pub, partials, ingestCombineFanout, workers)
+		next, sent, err := foldGroups(pub, partials, fanout, workers)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -447,12 +439,13 @@ func combinePartials(pub *ahe.PublicKey, partials [][]*ahe.Ciphertext, workers i
 	return partials[0], total, nil
 }
 
-// auditIngest replays the retained batch samples against the global batch
-// commitment: for each sample, verify the Merkle inclusion of the claimed
+// auditIngest replays the retained batches against the global batch
+// commitment: for each one, verify the Merkle inclusion of the claimed
 // checkpoint, then recompute claimed = prev ⊞ Σ batch inputs and compare.
-// Coverage is O(1) per shard, pinned to the first, middle, and last batches
-// of every shard — a corruption of the shard partial must pass through the
-// last batch's commitment, so a lying shard is caught there at the latest.
+// A replay starts from the shard's own claimed prev, so it catches a lie
+// only in the batch where it was told — every later batch recomputes
+// consistently from the already-shifted checkpoint. Detection therefore
+// needs every batch retained, which is what Run does (ingestSpec.retains).
 func auditIngest(pub *ahe.PublicKey, res *ingestResult, m *Metrics) error {
 	if res.tree == nil {
 		return nil
@@ -486,7 +479,8 @@ func auditIngestBatch(pub *ahe.PublicKey, tree *merkle.Tree, leaf int, rb retain
 	if !merkle.Verify(tree.Root(), ingestPartialHash(h, rb.claimed, fill, nil), proof) {
 		return fmt.Errorf("runtime: ingest inclusion proof for batch %d failed", leaf)
 	}
-	running := snapshotCts(rb.prev)
+	// Shallow copy: the replay replaces cells, it never mutates one.
+	running := append([]*ahe.Ciphertext(nil), rb.prev...)
 	for _, vec := range rb.inputs {
 		for c := range vec {
 			if running[c] == nil {
@@ -536,37 +530,31 @@ func (s *deviceSource) fill(buf []upload, start, n int) error {
 	return nil
 }
 
-// ingestParams resolves the configured shard count and batch size.
-func (d *Deployment) ingestParams() (shards, batch int) {
-	shards = d.cfg.IngestShards
-	if shards <= 0 {
-		shards = defaultIngestShards
-	}
-	batch = d.cfg.IngestBatch
-	if batch <= 0 {
-		batch = defaultIngestBatch
-	}
-	return shards, batch
-}
-
-// streamIngest runs the pipeline over the deployment's online devices, cut
-// into contiguous shard ranges in device order (so shard order IS device
-// order and every coordinator tally below replays identically), then folds
-// the shard-side counters into the metrics.
-func (d *Deployment) streamIngest(km *keyMaterial, width int, hot func(onlineIdx int, dev *Device) int, track bool) (*ingestResult, error) {
+// ingest runs the pipeline over the deployment's online devices, cut into
+// contiguous shard ranges in device order (so shard order IS device order
+// and every coordinator tally below replays identically), audits every
+// committed batch, and folds the shard-side counters into the metrics.
+// fanout is the planner's sum-tree choice for the shard combine.
+func (d *Deployment) ingest(km *keyMaterial, width, fanout int, hot func(onlineIdx int, dev *Device) int, track bool) (*ingestResult, error) {
 	var online []*Device
 	for _, dev := range d.Devices {
 		if !dev.Offline { // churned devices simply do not upload
 			online = append(online, dev)
 		}
 	}
-	shards, batch := d.ingestParams()
+	shards, batch := d.cfg.IngestShards, d.cfg.IngestBatch
+	if shards <= 0 {
+		shards = defaultIngestShards
+	}
+	if batch <= 0 {
+		batch = defaultIngestBatch
+	}
 	sp := &ingestSpec{
 		pub:     km.pub,
 		width:   width,
 		batch:   batch,
+		fanout:  fanout,
 		workers: d.workers(),
-		byz:     d.cfg.ByzantineAggregator,
 		plan:    d.cfg.Faults,
 		track:   track,
 		ctx:     d.runCtx,
@@ -586,21 +574,34 @@ func (d *Deployment) streamIngest(km *keyMaterial, width int, hot func(onlineIdx
 			verifier: zkp.NewVerifier(keys),
 		}
 	}
+	if d.cfg.ByzantineAggregator {
+		// The cheating aggregator lies in one batch of one shard; which one
+		// is a pure function of the seed, so the run replays and a sweep
+		// over seeds plants the lie at every position.
+		batches := make([]int, shards)
+		total := 0
+		for s, job := range jobs {
+			batches[s] = (job.src.count() + batch - 1) / batch
+			total += batches[s]
+		}
+		if total > 0 {
+			k := int(uint64(d.cfg.Seed) % uint64(total))
+			for s, n := range batches {
+				if k < n {
+					sp.byz, sp.byzShard, sp.byzBatch = true, s, k
+					break
+				}
+				k -= n
+			}
+		}
+	}
 	res, err := runShardedIngest(sp, jobs)
 	if err != nil {
 		return nil, err
 	}
-	d.tallyIngest(res)
-	return res, nil
-}
-
-// tallyIngest folds a completed ingest's shard-side counters into the
-// metrics and the fault log on the coordinating goroutine, shard by shard —
-// device order, since shards are contiguous ranges.
-func (d *Deployment) tallyIngest(res *ingestResult) {
 	for _, sr := range res.shards {
 		for _, ev := range sr.events {
-			d.tallyUpload(upload{dev: ev.dev, timeouts: ev.timeouts, backoff: ev.backoff, dropped: ev.dropped})
+			d.tallyUpload(ev)
 		}
 		for _, f := range sr.faults {
 			d.cfg.Faults.Record(f)
@@ -613,52 +614,47 @@ func (d *Deployment) tallyIngest(res *ingestResult) {
 		d.Metrics.BackoffSimulated += sr.backoff
 	}
 	d.Metrics.AggregatorBytes += res.combineBytes
-}
-
-// streamCollectInputs is collectInputs on the streaming pipeline
-// (Config.StreamIngest): same accepted set, same sums — bit for bit — with
-// O(shards × batch) ciphertext memory instead of O(population). Shard
-// pre-aggregation subsumes the legacy chunked fold; the aggregator audit
-// runs on retained batch samples against the batch-commitment tree.
-func (d *Deployment) streamCollectInputs(km *keyMaterial) ([]*ahe.Ciphertext, int, error) {
-	res, err := d.streamIngest(km, d.cfg.Categories, func(_ int, dev *Device) int { return dev.Category }, false)
-	if err != nil {
-		return nil, 0, err
-	}
 	if res.accepted == 0 {
-		return nil, 0, ErrNoValidInputs
+		return nil, ErrNoValidInputs
 	}
 	if err := auditIngest(km.pub, res, &d.Metrics); err != nil {
-		return nil, 0, fmt.Errorf("runtime: audit: %w", err)
+		return nil, fmt.Errorf("runtime: audit: %w", err)
+	}
+	return res, nil
+}
+
+// collectInputs has every online device encrypt its one-hot row under the
+// query key and prove it well formed; the shard aggregators verify each
+// proof, drop invalid uploads, and fold the rest (Section 5.3). It returns
+// the audited per-category sums and how many uploads were accepted.
+func (d *Deployment) collectInputs(km *keyMaterial, fanout int) ([]*ahe.Ciphertext, int, error) {
+	res, err := d.ingest(km, d.cfg.Categories, fanout, func(_ int, dev *Device) int { return dev.Category }, false)
+	if err != nil {
+		return nil, 0, err
 	}
 	return res.sums, res.accepted, nil
 }
 
-// streamCollectBinned is collectBinnedInputs on the streaming pipeline: it
-// returns the per-bin-per-category sums (for windowSums) and the accepted
-// devices' bins. The bin draws consume the deployment RNG sequentially in
-// device order BEFORE any shard task runs — draw for draw the same stream
-// as the legacy path, at every worker and shard count.
-func (d *Deployment) streamCollectBinned(km *keyMaterial) ([]*ahe.Ciphertext, []int, error) {
+// collectBinned is collection for the bin protocol (sample.go): every online
+// device uploads a b×C vector with its one-hot row in a uniformly random
+// bin, zeros elsewhere, and a proof that the whole vector is one-hot. It
+// returns the audited per-bin-per-category sums (for windowSums) and the
+// (simulation-only) bin each accepted device chose. The bin draws consume
+// the deployment RNG sequentially in device order BEFORE any shard task
+// runs, so the stream is identical at every worker and shard count.
+func (d *Deployment) collectBinned(km *keyMaterial, fanout int) ([]*ahe.Ciphertext, []int, error) {
 	cats := d.cfg.Categories
-	width := sampleBinCount * cats
 	var chosen []int
 	for _, dev := range d.Devices {
 		if !dev.Offline {
 			chosen = append(chosen, d.rng.Intn(sampleBinCount))
 		}
 	}
-	res, err := d.streamIngest(km, width, func(onlineIdx int, dev *Device) int {
+	res, err := d.ingest(km, sampleBinCount*cats, fanout, func(onlineIdx int, dev *Device) int {
 		return chosen[onlineIdx]*cats + dev.Category
 	}, true)
 	if err != nil {
 		return nil, nil, err
-	}
-	if res.accepted == 0 {
-		return nil, nil, fmt.Errorf("%w: no binned inputs survived", ErrNoValidInputs)
-	}
-	if err := auditIngest(km.pub, res, &d.Metrics); err != nil {
-		return nil, nil, fmt.Errorf("runtime: audit: %w", err)
 	}
 	bins := make([]int, len(res.acceptedIdx))
 	for i, idx := range res.acceptedIdx {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
+	"arboretum/internal/fixed"
 )
 
 // --- virtual-population helpers ---
@@ -68,8 +70,8 @@ func ingestHistogram(t *testing.T, sk *ahe.PrivateKey, pop *virtualPopulation, r
 
 // TestVirtualIngestExactHistogram: a fault-free sharded ingest over a virtual
 // population accepts every device exactly once — the decrypted sums equal the
-// exact histogram — commits one leaf per batch, and the retained-sample audit
-// passes over every shard.
+// exact histogram — commits one leaf per batch, and the harness's sampled
+// audit (first, middle, last batch of each shard) passes over every shard.
 func TestVirtualIngestExactHistogram(t *testing.T) {
 	sk := ingestKey(t)
 	pop := newVirtualPopulation(99, 2000, 8)
@@ -164,20 +166,17 @@ func TestVirtualIngestTotalCrashFailsClosed(t *testing.T) {
 	}
 }
 
-// --- legacy-vs-streaming equivalence ---
+// --- shape invariance against the recorded golden table ---
 
-// ingestEqCfg is one run of the equivalence matrix.
+// ingestEqCfg is one run of the equivalence matrix (0 = the default).
 type ingestEqCfg struct {
-	stream        bool
 	shards, batch int
 	workers       int
+	fanout        int
 }
 
 func (c ingestEqCfg) String() string {
-	if !c.stream {
-		return fmt.Sprintf("legacy/w%d", c.workers)
-	}
-	return fmt.Sprintf("stream/s%d.b%d.w%d", c.shards, c.batch, c.workers)
+	return fmt.Sprintf("s%d.b%d.w%d.f%d", c.shards, c.batch, c.workers, c.fanout)
 }
 
 // ingestEqRun executes one full query with upload faults armed and returns
@@ -196,175 +195,320 @@ func ingestEqRun(t *testing.T, src string, seed int64, cfg ingestEqCfg) (*Result
 		MaliciousFrac: 0.1, OfflineFrac: 0.1, OfflineTolerance: 0.4,
 		BudgetEpsilon: 1000,
 		Workers:       cfg.workers, Faults: plan,
-		StreamIngest: cfg.stream, IngestShards: cfg.shards, IngestBatch: cfg.batch,
+		IngestShards: cfg.shards, IngestBatch: cfg.batch,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run(src, RunOptions{})
+	res, err := d.Run(src, RunOptions{SumTreeFanout: cfg.fanout})
 	if err != nil {
 		t.Fatalf("%v: %v", cfg, err)
 	}
 	return res, d.Metrics, plan.Fired()
 }
 
-// TestStreamIngestEquivalence is the acceptance matrix: the streaming
-// pipeline must release byte-identical results to the legacy materializing
-// path — same outputs, same accepted set size, same upload/ZKP counters,
-// same fired-fault log — across seeds, worker counts, and shard counts, for
-// both the plain and the binned (secrecy-of-the-sample) protocols, with
-// malicious devices, churned-offline devices, and upload timeouts all armed.
-func TestStreamIngestEquivalence(t *testing.T) {
+// ingestGolden is what one (query, seed) of the matrix released at the
+// commit before the materialize-and-audit collection path was deleted,
+// recorded from that path: raw fixed-point outputs, accepted/sampled counts,
+// the {ZKPsVerified, ZKPsRejected, UploadTimeouts, UploadRetries,
+// UploadsDropped} counters, and the fired-fault log as (device, timeouts)
+// pairs — every device recovered, none dropped. It pins "same seed ⇒
+// bit-identical outputs" across that deletion, not only within this tree.
+type ingestGolden struct {
+	outputs           []fixed.Fixed
+	accepted, sampled int
+	counters          [5]int
+	recovered         [][2]int
+}
+
+func (g ingestGolden) fired() []faults.Fault {
+	var out []faults.Fault
+	for _, r := range g.recovered {
+		out = append(out, faults.Fault{
+			Kind: faults.UploadTimeout, Idx: []int{r[0]},
+			Note: fmt.Sprintf("device %d recovered after %d timeouts", r[0], r[1]),
+		})
+	}
+	return out
+}
+
+// TestIngestEquivalence is the acceptance matrix: collection must release
+// byte-identical results — same outputs, same accepted set size, same
+// upload/ZKP counters, same fired-fault log — at every worker count, shard
+// count, batch size, and combine fanout, and those results must be the ones
+// in the golden table, for both the plain and the binned
+// (secrecy-of-the-sample) protocols, with malicious devices, churned-offline
+// devices, and upload timeouts all armed.
+func TestIngestEquivalence(t *testing.T) {
+	const count = `aggr = sum(db);
+noised = laplace(aggr[0], 5.0);
+output(declassify(noised));`
 	shapes := []struct {
-		name  string
-		seeds []int64
-		src   string
+		name string
+		seed int64
+		src  string
+		want ingestGolden
 	}{
-		{"count", []int64{42, 7}, `aggr = sum(db);
-noised = laplace(aggr[0], 5.0);
-output(declassify(noised));`},
-		{"sampled", []int64{42}, `sampleUniform(0.5);
-aggr = sum(db);
-noised = laplace(aggr[0], 5.0);
-output(declassify(noised));`},
+		{"count", 42, count, ingestGolden{
+			outputs: []fixed.Fixed{1638400}, accepted: 50, sampled: 50,
+			counters:  [5]int{56, 6, 9, 9, 0},
+			recovered: [][2]int{{5, 1}, {16, 2}, {19, 1}, {25, 1}, {32, 1}, {41, 1}, {42, 1}, {63, 1}},
+		}},
+		{"count", 7, count, ingestGolden{
+			outputs: []fixed.Fixed{1703936}, accepted: 53, sampled: 53,
+			counters:  [5]int{59, 6, 10, 10, 0},
+			recovered: [][2]int{{5, 1}, {16, 2}, {19, 1}, {25, 1}, {32, 1}, {41, 1}, {42, 1}, {48, 1}, {63, 1}},
+		}},
+		{"sampled", 42, "sampleUniform(0.5);\n" + count, ingestGolden{
+			outputs: []fixed.Fixed{851968}, accepted: 50, sampled: 26,
+			counters:  [5]int{56, 6, 9, 9, 0},
+			recovered: [][2]int{{5, 1}, {16, 2}, {19, 1}, {25, 1}, {32, 1}, {41, 1}, {42, 1}, {63, 1}},
+		}},
 	}
 	variants := []ingestEqCfg{
-		{stream: true, shards: 1, batch: 8, workers: 1},
-		{stream: true, shards: 3, batch: 8, workers: 4},
-		{stream: true, shards: 8, batch: 8, workers: 2},
+		{}, // every default: 8 shards, batch 64, auto workers, pairwise combine
+		{shards: 1, batch: 8, workers: 1},
+		{shards: 3, batch: 8, workers: 4, fanout: 8},
+		{shards: 8, batch: 8, workers: 2, fanout: 3},
+		{shards: 5, batch: 3, workers: 1, fanout: 2},
+		{shards: 16, batch: 1, workers: 4, fanout: 100},
 	}
 	for _, shape := range shapes {
-		for _, seed := range shape.seeds {
-			t.Run(fmt.Sprintf("%s/seed%d", shape.name, seed), func(t *testing.T) {
-				wantRes, wantM, wantFired := ingestEqRun(t, shape.src, seed, ingestEqCfg{workers: 4})
-				if wantM.ZKPsRejected == 0 {
-					t.Fatal("baseline rejected no proofs; MaliciousFrac is not exercised")
+		t.Run(fmt.Sprintf("%s/seed%d", shape.name, shape.seed), func(t *testing.T) {
+			want := shape.want
+			for _, cfg := range variants {
+				res, m, fired := ingestEqRun(t, shape.src, shape.seed, cfg)
+				if !reflect.DeepEqual(res.Outputs, want.outputs) {
+					t.Errorf("%v: outputs %v, golden %v", cfg, res.Outputs, want.outputs)
 				}
-				for _, cfg := range variants {
-					res, m, fired := ingestEqRun(t, shape.src, seed, cfg)
-					if !reflect.DeepEqual(res.Outputs, wantRes.Outputs) {
-						t.Errorf("%v: outputs %v, legacy %v", cfg, res.Outputs, wantRes.Outputs)
-					}
-					if res.Accepted != wantRes.Accepted || res.Sampled != wantRes.Sampled {
-						t.Errorf("%v: accepted/sampled %d/%d, legacy %d/%d",
-							cfg, res.Accepted, res.Sampled, wantRes.Accepted, wantRes.Sampled)
-					}
-					got := [5]int{m.ZKPsVerified, m.ZKPsRejected, m.UploadTimeouts, m.UploadRetries, m.UploadsDropped}
-					want := [5]int{wantM.ZKPsVerified, wantM.ZKPsRejected, wantM.UploadTimeouts, wantM.UploadRetries, wantM.UploadsDropped}
-					if got != want {
-						t.Errorf("%v: zkp/upload counters %v, legacy %v", cfg, got, want)
-					}
-					if !reflect.DeepEqual(fired, wantFired) {
-						t.Errorf("%v: fired-fault log diverged from legacy:\n stream: %v\n legacy: %v",
-							cfg, fired, wantFired)
-					}
+				if res.Accepted != want.accepted || res.Sampled != want.sampled {
+					t.Errorf("%v: accepted/sampled %d/%d, golden %d/%d",
+						cfg, res.Accepted, res.Sampled, want.accepted, want.sampled)
 				}
-			})
+				got := [5]int{m.ZKPsVerified, m.ZKPsRejected, m.UploadTimeouts, m.UploadRetries, m.UploadsDropped}
+				if got != want.counters {
+					t.Errorf("%v: zkp/upload counters %v, golden %v", cfg, got, want.counters)
+				}
+				if !reflect.DeepEqual(fired, want.fired()) {
+					t.Errorf("%v: fired-fault log diverged from golden:\n got:    %v\n golden: %v",
+						cfg, fired, want.fired())
+				}
+				if m.AuditFailures != 0 || m.AuditsServed == 0 {
+					t.Errorf("%v: audits served=%d failures=%d on an honest run", cfg, m.AuditsServed, m.AuditFailures)
+				}
+			}
+		})
+	}
+}
+
+// --- the audit: full coverage in Run, every lie caught ---
+
+// auditFixture runs an honest-or-Byzantine ingest over a virtual population
+// with every batch retained, the way Run collects.
+func auditFixture(t *testing.T, sk *ahe.PrivateKey, pop *virtualPopulation, shards, batch int, sp ingestSpec) *ingestResult {
+	t.Helper()
+	jobs, err := pop.shardRuns(&sk.PublicKey, 1, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.pub, sp.width, sp.batch = &sk.PublicKey, pop.categories, batch
+	res, err := runShardedIngest(&sp, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestAuditedSumCorrectTotals: an honest ingest folds every device exactly
+// once, commits one leaf per batch, retains every batch, and every batch
+// audits clean.
+func TestAuditedSumCorrectTotals(t *testing.T) {
+	sk := ingestKey(t)
+	pop := newVirtualPopulation(3, 40, 4)
+	res := auditFixture(t, sk, pop, 2, 8, ingestSpec{}) // 2 shards × 20 devices = 3 batches each
+	ingestHistogram(t, sk, pop, res)
+	if res.tree.Size() != 6 {
+		t.Errorf("tree has %d leaves, want 6", res.tree.Size())
+	}
+	var m Metrics
+	if err := auditIngest(&sk.PublicKey, res, &m); err != nil {
+		t.Errorf("honest ingest failed audit: %v", err)
+	}
+	if m.AuditsServed != 6 || m.AuditFailures != 0 {
+		t.Errorf("audits served=%d failures=%d, want 6/0 (every batch)", m.AuditsServed, m.AuditFailures)
+	}
+}
+
+// TestAuditedSumDetectsCorruption plants the Byzantine shift at each batch
+// of each shard in turn. Exactly the corrupted batch fails (the corruption
+// carries forward, so later batches recompute consistently from the bad
+// partial — the audit localizes the lie to where it was told), which is why
+// a sampled audit that skips that batch sees nothing.
+func TestAuditedSumDetectsCorruption(t *testing.T) {
+	sk := ingestKey(t)
+	pop := newVirtualPopulation(3, 64, 2) // category 0 is the mode: cell 0 is never empty
+	const shards, batches = 2, 4          // 32 devices per shard at batch 8
+	for shard := 0; shard < shards; shard++ {
+		for b := 0; b < batches; b++ {
+			byz := ingestSpec{byz: true, byzShard: shard, byzBatch: b}
+			res := auditFixture(t, sk, pop, shards, 8, byz)
+			var m Metrics
+			err := auditIngest(&sk.PublicKey, res, &m)
+			if err == nil || !strings.Contains(err.Error(), "aggregator misbehavior") {
+				t.Errorf("shard %d batch %d: want an aggregator-misbehavior error, got %v", shard, b, err)
+			}
+			if m.AuditsServed != shards*batches || m.AuditFailures != 1 {
+				t.Errorf("shard %d batch %d: audits served=%d failures=%d, want %d/1",
+					shard, b, m.AuditsServed, m.AuditFailures, shards*batches)
+			}
+			byz.sampleAudit = true
+			sampled := auditFixture(t, sk, pop, shards, 8, byz)
+			missed := auditIngest(&sk.PublicKey, sampled, &Metrics{}) == nil
+			if retained := byz.retains(b, batches); missed == retained {
+				t.Errorf("shard %d batch %d: sampled audit missed=%v, but the batch is retained=%v",
+					shard, b, missed, retained)
+			}
 		}
 	}
 }
 
-// TestStreamIngestByzantineDetected: a Byzantine shard aggregator that
-// shifts a mid-stream partial is caught by the retained-sample audit — the
-// corrupted batch no longer recomputes from its predecessor checkpoint.
-func TestStreamIngestByzantineDetected(t *testing.T) {
-	d, err := NewDeployment(Config{
-		N: 64, Categories: 4, CommitteeSize: 5, Seed: 42, KeyBits: 256,
-		BudgetEpsilon: 1000, ByzantineAggregator: true,
-		StreamIngest: true, IngestShards: 8, IngestBatch: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestAuditIndexValidation: an audit against a leaf the commitment tree
+// does not have, or the wrong leaf, is rejected.
+func TestAuditIndexValidation(t *testing.T) {
+	sk := ingestKey(t)
+	res := auditFixture(t, sk, newVirtualPopulation(3, 20, 2), 1, 8, ingestSpec{})
+	h, fill := sha256.New(), make([]byte, (sk.N2.BitLen()+7)/8)
+	rb := res.shards[0].retained[1]
+	for _, leaf := range []int{-1, 99, 0} {
+		if err := auditIngestBatch(&sk.PublicKey, res.tree, leaf, rb, h, fill); err == nil {
+			t.Errorf("batch 1 audited clean against leaf %d", leaf)
+		}
 	}
-	_, err = d.Run(`aggr = sum(db);
-noised = laplace(aggr[0], 5.0);
-output(declassify(noised));`, RunOptions{})
-	if err == nil {
-		t.Fatal("run completed with a Byzantine shard aggregator")
+	if err := auditIngestBatch(&sk.PublicKey, res.tree, 1, rb, h, fill); err != nil {
+		t.Errorf("batch 1 against its own leaf: %v", err)
 	}
-	if !strings.Contains(err.Error(), "aggregator misbehavior") {
-		t.Errorf("want an aggregator-misbehavior audit error, got %v", err)
+}
+
+// TestIngestEmptyRejected: with nothing accepted there is nothing to commit
+// or audit, and collection fails closed instead of releasing empty sums.
+func TestIngestEmptyRejected(t *testing.T) {
+	sk := ingestKey(t)
+	res := auditFixture(t, sk, newVirtualPopulation(3, 0, 2), 4, 8, ingestSpec{})
+	if res.accepted != 0 || res.sums != nil || res.tree != nil {
+		t.Errorf("empty ingest produced accepted=%d sums=%v tree=%v", res.accepted, res.sums, res.tree)
 	}
-	if d.Metrics.AuditFailures == 0 {
-		t.Error("no audit failure recorded for a detected corruption")
+	d := smallDeployment(t, 16, 2, func(c *Config) { c.MaliciousFrac = 1 })
+	if _, err := d.Run(countSrc, RunOptions{}); !errors.Is(err, ErrNoValidInputs) {
+		t.Errorf("all-rejected collection: want ErrNoValidInputs, got %v", err)
+	}
+}
+
+// TestIngestByzantineDetected is the Run-level half: the Byzantine
+// aggregator's batch is a function of the seed, so sweeping seeds plants the
+// shift at every batch of every shard, and every run must fail its audit.
+func TestIngestByzantineDetected(t *testing.T) {
+	const shards, batches = 2, 4 // 64 devices: 32 per shard at batch 8
+	for seed := int64(0); seed < shards*batches; seed++ {
+		d, err := NewDeployment(Config{
+			N: 64, Categories: 4, CommitteeSize: 5, Seed: seed, KeyBits: 256,
+			BudgetEpsilon: 1000, ByzantineAggregator: true,
+			Data:         func(int) int { return 0 }, // cell 0 is never empty
+			IngestShards: shards, IngestBatch: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = d.Run(countSrc, RunOptions{})
+		if err == nil {
+			t.Fatalf("seed %d: run completed with a Byzantine aggregator", seed)
+		}
+		if !strings.Contains(err.Error(), "aggregator misbehavior") {
+			t.Errorf("seed %d: want an aggregator-misbehavior audit error, got %v", seed, err)
+		}
+		if d.Metrics.AuditsServed != shards*batches || d.Metrics.AuditFailures != 1 {
+			t.Errorf("seed %d: audits served=%d failures=%d, want %d/1",
+				seed, d.Metrics.AuditsServed, d.Metrics.AuditFailures, shards*batches)
+		}
+	}
+}
+
+// --- small shapes and the combine fanout ---
+
+// TestIngestSmallShapes: the degenerate shapes the default path must take in
+// stride — more shards than online devices (most shards empty), one device
+// per shard, and a single one-device shard.
+func TestIngestSmallShapes(t *testing.T) {
+	for _, shards := range []int{16, 7, 1} {
+		d, err := NewDeployment(Config{
+			N: 8, Categories: 2, CommitteeSize: 4, Seed: 5, KeyBits: 256,
+			// Two 4-member committees cover all 8 devices; with one device
+			// churned away both stay viable at g = 0.4.
+			OfflineTolerance: 0.4, BudgetEpsilon: 1000,
+			Data:         func(int) int { return 0 },
+			IngestShards: shards, IngestBatch: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Devices[3].Offline = true
+		res, err := d.Run(countSrc, RunOptions{})
+		if err != nil {
+			t.Fatalf("%d shards over 7 online devices: %v", shards, err)
+		}
+		if res.Accepted != 7 || d.Metrics.ZKPsVerified != 7 {
+			t.Errorf("%d shards: accepted %d, verified %d, want 7/7", shards, res.Accepted, d.Metrics.ZKPsVerified)
+		}
+		// One audit per non-empty batch: 7 one-device shards, or 2 batches.
+		wantAudits := map[int]int{16: 7, 7: 7, 1: 2}[shards]
+		if d.Metrics.AuditsServed != wantAudits || d.Metrics.AuditFailures != 0 {
+			t.Errorf("%d shards: audits served=%d failures=%d, want %d/0",
+				shards, d.Metrics.AuditsServed, d.Metrics.AuditFailures, wantAudits)
+		}
+	}
+	sk := ingestKey(t)
+	pop := newVirtualPopulation(1, 1, 3)
+	res := auditFixture(t, sk, pop, 1, 64, ingestSpec{})
+	ingestHistogram(t, sk, pop, res)
+	if err := auditIngest(&sk.PublicKey, res, &Metrics{}); err != nil || res.tree.Size() != 1 {
+		t.Errorf("single one-device shard: audit %v, %d leaves", err, res.tree.Size())
+	}
+}
+
+// TestCombineFanoutInvariant: the planner's sum-tree fanout only reshapes the
+// shard-combine tree. Every fanout — unset, pairwise, wide, wider than the
+// shard count — yields bit-identical sums from the same (partials − 1) × width
+// additions, so the combine traffic is the same number of ciphertext
+// transfers (byte totals wobble only with ciphertext lengths, ≤ 2 B each).
+func TestCombineFanoutInvariant(t *testing.T) {
+	sk := ingestKey(t)
+	pop := newVirtualPopulation(9, 200, 4)
+	const shards = 5
+	cell := int64((sk.N2.BitLen() + 7) / 8)
+	adds := int64((shards - 1) * pop.categories)
+	var want []*ahe.Ciphertext
+	for _, fanout := range []int{0, 2, 8, shards + 3} {
+		res := auditFixture(t, sk, pop, shards, 16, ingestSpec{fanout: fanout, workers: 4})
+		if want == nil {
+			want = res.sums
+			ingestHistogram(t, sk, pop, res)
+		}
+		for c := range want {
+			if res.sums[c].C.Cmp(want[c].C) != 0 {
+				t.Errorf("fanout %d: cell %d differs from fanout 0", fanout, c)
+			}
+		}
+		if res.combineBytes > adds*cell || res.combineBytes < adds*(cell-2) {
+			t.Errorf("fanout %d: combine traffic %d B, want %d transfers of ~%d B", fanout, res.combineBytes, adds, cell)
+		}
 	}
 }
 
 // --- chaos integration (shard crashes inside full end-to-end queries) ---
 
-func chaosStreamDeployment(t *testing.T, plan *faults.Plan, seed int64) *Deployment {
-	t.Helper()
-	d, err := NewDeployment(Config{
-		N: chaosN, Categories: 4, CommitteeSize: 5, Seed: seed, KeyBits: 256,
-		BudgetEpsilon: 1000, Data: chaosData, Faults: plan,
-		StreamIngest: true, IngestShards: 4, IngestBatch: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-// TestChaosStreamSweep runs the chaos shapes over the streaming pipeline
-// with shard crashes armed alongside the other fault kinds: every run
-// completes correctly (per the plan-derived reference) or fails closed with
-// a typed error, and never double-charges the budget.
-func TestChaosStreamSweep(t *testing.T) {
-	certEps := map[string]float64{}
-	for _, shape := range chaosShapes {
-		certEps[shape.name] = chaosBudgetEps(t, shape.src)
-	}
-	var mu sync.Mutex
-	completed, failedClosed, crashed := 0, 0, 0
-	t.Cleanup(func() {
-		t.Logf("stream chaos sweep: %d completed, %d failed closed, %d runs saw shard crashes",
-			completed, failedClosed, crashed)
-		if completed == 0 {
-			t.Error("no schedule completed — rates are too hot to exercise recovery")
-		}
-		if crashed == 0 {
-			t.Error("no schedule fired a shard crash — the ShardCrash injection point is dead")
-		}
-	})
-	for s := 0; s < chaosSchedules; s++ {
-		for _, shape := range chaosShapes {
-			s, shape := s, shape
-			t.Run(fmt.Sprintf("schedule%d/%s", s, shape.name), func(t *testing.T) {
-				t.Parallel()
-				plan := faults.New(uint64(2000+s)).
-					SetRate(faults.UploadTimeout, 0.08).
-					SetRate(faults.MemberDropout, 0.002).
-					SetRate(faults.DealerFailure, 0.08).
-					SetRate(faults.ShardCrash, 0.25)
-				d := chaosStreamDeployment(t, plan, 42)
-				res, err := d.Run(shape.src, RunOptions{})
-				assertBudget(t, d, certEps[shape.name], shape.name)
-				mu.Lock()
-				if d.Metrics.ShardCrashes > 0 {
-					crashed++
-				}
-				mu.Unlock()
-				if err != nil {
-					mu.Lock()
-					failedClosed++
-					mu.Unlock()
-					if !chaosTypedErr(err) {
-						t.Errorf("untyped failure: %v", err)
-					}
-					return
-				}
-				mu.Lock()
-				completed++
-				mu.Unlock()
-				shape.check(t, plan, res.Outputs)
-			})
-		}
-	}
-}
-
-// TestChaosStreamReplayDeterminism: a streaming run under fault injection
-// replays bit-for-bit from its plan seed — outputs, fired-fault coordinates,
-// shard crash/resume counters, and error text all identical.
+// TestChaosStreamReplayDeterminism: a run with mid-stream shard crashes
+// replays bit-for-bit from its plan seed at any worker count — outputs,
+// fired-fault coordinates, shard crash/resume counters, and error text all
+// identical.
 func TestChaosStreamReplayDeterminism(t *testing.T) {
 	type trace struct {
 		outputs  string
@@ -400,9 +544,9 @@ func TestChaosStreamReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosStreamCrashResumeAudit: a forced shard crash inside a full query
-// resumes from the shard checkpoint, the query completes with the expected
-// count, and the retained-sample audit passes over every shard.
+// TestChaosStreamCrashResumeAudit: a forced crash in a shard's first batch —
+// nothing committed yet — resumes from the empty checkpoint, the query
+// completes with the expected count, and the audit passes over every batch.
 func TestChaosStreamCrashResumeAudit(t *testing.T) {
 	plan := faults.New(11).Force(faults.ShardCrash, 1)
 	d := chaosStreamDeployment(t, plan, 42)
@@ -413,8 +557,8 @@ func TestChaosStreamCrashResumeAudit(t *testing.T) {
 	if d.Metrics.ShardCrashes != 1 || d.Metrics.ShardResumes != 1 {
 		t.Errorf("crashes=%d resumes=%d, want 1/1", d.Metrics.ShardCrashes, d.Metrics.ShardResumes)
 	}
-	// 4 shards × 12 devices at batch 8 = 2 batches per shard, both retained
-	// ({first, middle, last} collapses to {0, 1}): 8 audits, none failing.
+	// 4 shards × 12 devices at batch 8 = 2 batches per shard: 8 audits, none
+	// failing.
 	if d.Metrics.AuditsServed != 8 || d.Metrics.AuditFailures != 0 {
 		t.Errorf("audits served=%d failures=%d, want 8/0", d.Metrics.AuditsServed, d.Metrics.AuditFailures)
 	}
@@ -480,13 +624,15 @@ func BenchmarkIngest(b *testing.B) {
 	b.ReportMetric(float64(gauge.peakBytes()), "heap-peak-bytes")
 }
 
-// benchCollect is BenchmarkCollectInputs' body for both collection paths:
-// a full deployment (real per-device encryption), population sized by
-// ARBORETUM_BENCH_DEVICES.
-func benchCollect(b *testing.B, stream bool) {
+// BenchmarkCollectInputs times the input phase (encrypt + prove for every
+// online device, then verify, fold, commit, combine, and audit) through a
+// full deployment with real per-device encryption. Run with -cpu 1,4 to
+// compare the sequential fallback against the pool; ARBORETUM_BENCH_DEVICES
+// resizes the population.
+func BenchmarkCollectInputs(b *testing.B) {
 	d, err := NewDeployment(Config{
 		N: benchDevices(64), Categories: 16, CommitteeSize: 5, Seed: 7,
-		BudgetEpsilon: 1e9, StreamIngest: stream,
+		BudgetEpsilon: 1e9,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -504,25 +650,10 @@ func benchCollect(b *testing.B, stream bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.queryID++ // fresh replay-protection scope per iteration
-		if stream {
-			if _, _, err := d.streamCollectInputs(km); err != nil {
-				b.Fatal(err)
-			}
-		} else if _, err := d.collectInputs(km); err != nil {
+		if _, _, err := d.collectInputs(km, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	reportPerDevice(b, before, d.cfg.N)
 }
-
-// BenchmarkCollectInputs times the legacy materializing input phase
-// (encrypt + prove for every online device, then verify) through a full
-// deployment. Run with -cpu 1,4 to compare the sequential fallback against
-// the pool; ARBORETUM_BENCH_DEVICES resizes the population.
-func BenchmarkCollectInputs(b *testing.B) { benchCollect(b, false) }
-
-// BenchmarkCollectInputsStream is the same phase through the sharded,
-// streaming pipeline (verify + fold + commit per batch) — the head-to-head
-// against BenchmarkCollectInputs at identical population and key size.
-func BenchmarkCollectInputsStream(b *testing.B) { benchCollect(b, true) }

@@ -57,8 +57,9 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSumTreeDeterministicAcrossWorkers exercises the device sum tree (the
-// outsourcing path) at both worker counts.
+// TestSumTreeDeterministicAcrossWorkers exercises the planner's sum-tree
+// choice — the shard-combine fanout — at both worker counts, and against the
+// default pairwise combine: the fanout reshapes the tree, never the result.
 func TestSumTreeDeterministicAcrossWorkers(t *testing.T) {
 	src := "aggr = sum(db);\nresult = em(aggr, 3.0);\noutput(result);"
 	opts := RunOptions{SumTreeFanout: 4}
@@ -70,37 +71,8 @@ func TestSumTreeDeterministicAcrossWorkers(t *testing.T) {
 	if stableMetrics(m1) != stableMetrics(m8) {
 		t.Fatalf("sum-tree metrics differ:\n1 worker: %+v\n8 workers: %+v", m1, m8)
 	}
-}
-
-// --- benchmarks ---
-
-// BenchmarkCollectInputs moved to ingest_test.go, where it shares the
-// per-device reporting harness with its streaming twin.
-
-// BenchmarkDeviceSumTree times one sum-tree level over 64 encrypted vectors.
-func BenchmarkDeviceSumTree(b *testing.B) {
-	d, err := NewDeployment(Config{
-		N: 64, Categories: 16, CommitteeSize: 5, Seed: 7, BudgetEpsilon: 1e9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	committees, err := d.selectCommittees(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	km, err := d.keygen(committees[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs, err := d.collectInputs(km)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.deviceSumTree(km.pub, inputs, 8); err != nil {
-			b.Fatal(err)
-		}
+	resDef, mDef := runOnce(t, 8, src, RunOptions{})
+	if !reflect.DeepEqual(res1.Outputs, resDef.Outputs) || stableMetrics(m1) != stableMetrics(mDef) {
+		t.Fatalf("fanout 4 diverged from the default combine: %v vs %v", res1.Outputs, resDef.Outputs)
 	}
 }

@@ -125,7 +125,7 @@ func (s *templateSource) fill(buf []upload, start, n int) error {
 		if err := zkp.ProveKeyed(s.sc, s.keyBuf[:], stmt, zkp.Witness{Vector: s.witness}, pr); err != nil {
 			return err
 		}
-		buf[i] = upload{vec: s.templates[cat], proof: pr, dev: dev}
+		buf[i] = upload{vec: s.templates[cat], proof: pr, uploadEvent: uploadEvent{dev: dev}}
 	}
 	return nil
 }
@@ -151,9 +151,34 @@ func (p *virtualPopulation) templatesFor(pub *ahe.PublicKey) ([][]*ahe.Ciphertex
 	return templates, nil
 }
 
+// shardRuns cuts the population into contiguous shard ranges, each with a
+// template upload source and a shard-scoped verifier.
+func (p *virtualPopulation) shardRuns(pub *ahe.PublicKey, queryID uint64, shards int) ([]shardRun, error) {
+	templates, err := p.templatesFor(pub)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]shardRun, shards)
+	for s := range jobs {
+		lo := s * p.n / shards
+		hi := (s + 1) * p.n / shards
+		jobs[s] = shardRun{
+			base: lo,
+			src: &templateSource{
+				pop: p, queryID: queryID, base: lo, n: hi - lo,
+				templates: templates, sc: zkp.NewScratch(), witness: make([]int64, p.categories),
+			},
+			verifier: zkp.NewVerifierFunc(p.keyFunc(), lo, hi),
+		}
+	}
+	return jobs, nil
+}
+
 // virtualIngest runs the streaming pipeline over a virtual population — the
 // entry point for the ingest benchmarks and the crash/memory tests. With no
 // faults fired, decrypting the returned sums yields pop.histogram exactly.
+// It is the one caller that samples the audit (ingestSpec.sampleAudit): its
+// job is showing fold memory flat at 10^6–10^7 devices.
 func virtualIngest(pop *virtualPopulation, pub *ahe.PublicKey, queryID uint64, shards, batch, workers int, plan *faults.Plan, gauge *heapGauge) (*ingestResult, error) {
 	if shards <= 0 {
 		shards = defaultIngestShards
@@ -161,29 +186,14 @@ func virtualIngest(pop *virtualPopulation, pub *ahe.PublicKey, queryID uint64, s
 	if batch <= 0 {
 		batch = defaultIngestBatch
 	}
-	width := pop.categories
-	templates, err := pop.templatesFor(pub)
+	jobs, err := pop.shardRuns(pub, queryID, shards)
 	if err != nil {
 		return nil, err
 	}
-	sp := &ingestSpec{
-		pub: pub, width: width, batch: batch,
-		workers: workers, plan: plan, gauge: gauge,
-	}
-	jobs := make([]shardRun, shards)
-	for s := range jobs {
-		lo := s * pop.n / shards
-		hi := (s + 1) * pop.n / shards
-		jobs[s] = shardRun{
-			base: lo,
-			src: &templateSource{
-				pop: pop, queryID: queryID, base: lo, n: hi - lo,
-				templates: templates, sc: zkp.NewScratch(), witness: make([]int64, width),
-			},
-			verifier: zkp.NewVerifierFunc(pop.keyFunc(), lo, hi),
-		}
-	}
-	return runShardedIngest(sp, jobs)
+	return runShardedIngest(&ingestSpec{
+		pub: pub, width: pop.categories, batch: batch,
+		workers: workers, plan: plan, gauge: gauge, sampleAudit: true,
+	}, jobs)
 }
 
 // heapGauge samples the process heap so the bench harness can report a

@@ -29,14 +29,10 @@ var (
 	// budget (it wraps the last attempt's cause, e.g.
 	// vsr.ErrInsufficientShares when too many dealers vanished).
 	ErrHandoffFailed = errors.New("runtime: VSR hand-off failed")
-	// ErrAggregatorFailed: the aggregator could not complete an audited
-	// aggregation step within its retry budget, or a restored checkpoint
-	// did not verify.
-	ErrAggregatorFailed = errors.New("runtime: aggregation step failed")
 	// ErrNoValidInputs: every device upload was dropped (timeouts, churn)
 	// or rejected (invalid proofs).
 	ErrNoValidInputs = errors.New("runtime: no valid inputs")
-	// ErrShardFailed: a streaming-ingest shard aggregator could not fold a
+	// ErrShardFailed: an ingest shard aggregator could not fold a
 	// batch within its retry budget, or a restored batch-boundary
 	// checkpoint did not verify against its recorded commitment.
 	ErrShardFailed = errors.New("runtime: ingest shard failed")
@@ -72,24 +68,16 @@ var (
 	vignetteBackoff = backoffPolicy{attempts: 3, base: 200 * time.Millisecond, cap: 2 * time.Second}
 	// handoffBackoff governs VSR re-dealing retries after dealer failures.
 	handoffBackoff = backoffPolicy{attempts: 3, base: 100 * time.Millisecond, cap: time.Second}
-	// aggregatorBackoff governs aggregator crash-recovery: each retry
-	// restores the last Merkle-audited checkpoint and refolds the chunk.
-	aggregatorBackoff = backoffPolicy{attempts: 3, base: 500 * time.Millisecond, cap: 5 * time.Second}
 	// shardBackoff governs ingest shard-aggregator crash-recovery: each
 	// retry restores the shard's last batch-boundary checkpoint (verified
 	// against its recorded commitment) and refolds the batch.
 	shardBackoff = backoffPolicy{attempts: 3, base: 500 * time.Millisecond, cap: 5 * time.Second}
 )
 
-// tallyUpload folds one device's upload-fault counters into the metrics and
-// the fault log. It runs on the coordinating goroutine in device order
-// (acceptUploads / collectBinnedInputs), which keeps the log and the metrics
-// identical at every worker count. It reports whether the upload was dropped
-// after exhausting its retries.
-func (d *Deployment) tallyUpload(up upload) bool {
-	if up.timeouts == 0 {
-		return false
-	}
+// tallyUpload folds one upload's fault counters into the metrics and the
+// fault log. It runs on the coordinating goroutine in device order (ingest),
+// which keeps the log and the metrics identical at every worker count.
+func (d *Deployment) tallyUpload(up uploadEvent) {
 	d.Metrics.UploadTimeouts += up.timeouts
 	d.Metrics.BackoffSimulated += up.backoff
 	if up.dropped {
@@ -99,14 +87,13 @@ func (d *Deployment) tallyUpload(up upload) bool {
 			Kind: faults.UploadTimeout, Idx: []int{up.dev},
 			Note: fmt.Sprintf("device %d dropped after %d timeouts", up.dev, up.timeouts),
 		})
-		return true
+		return
 	}
 	d.Metrics.UploadRetries += up.timeouts
 	d.cfg.Faults.Record(faults.Fault{
 		Kind: faults.UploadTimeout, Idx: []int{up.dev},
 		Note: fmt.Sprintf("device %d recovered after %d timeouts", up.dev, up.timeouts),
 	})
-	return false
 }
 
 // FaultReport renders the plan, the fired-fault log, and the recovery
@@ -123,9 +110,9 @@ func (d *Deployment) FaultReport() string {
 		fmt.Fprintf(&b, "  fault %s%v: %s\n", f.Kind, f.Idx, f.Note)
 	}
 	m := d.Metrics
-	fmt.Fprintf(&b, "recovery: %d upload retries (%d devices dropped), %d member dropouts, %d re-formations, %d dealer failures, %d VSR re-deals, %d aggregator crashes (%d resumes), %d shard crashes (%d resumes), %d vignette retries, %v simulated backoff\n",
+	fmt.Fprintf(&b, "recovery: %d upload retries (%d devices dropped), %d member dropouts, %d re-formations, %d dealer failures, %d VSR re-deals, %d shard crashes (%d resumes), %d vignette retries, %v simulated backoff\n",
 		m.UploadRetries, m.UploadsDropped, m.MemberDropouts, m.Reformations,
-		m.DealerFailures, m.VSRRedeals, m.AggregatorCrashes, m.AggregatorResumes,
-		m.ShardCrashes, m.ShardResumes, m.VignetteRetries, m.BackoffSimulated)
+		m.DealerFailures, m.VSRRedeals, m.ShardCrashes, m.ShardResumes,
+		m.VignetteRetries, m.BackoffSimulated)
 	return b.String()
 }

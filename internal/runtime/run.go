@@ -19,8 +19,9 @@ type RunOptions struct {
 	// EMVariant picks the exponential-mechanism instantiation (Figure 4);
 	// the default is the Gumbel variant.
 	EMVariant mechanism.EMVariant
-	// SumTreeFanout > 0 makes devices aggregate in a tree of this fanout
-	// instead of the aggregator's loop (the outsourcing option).
+	// SumTreeFanout is the planner's sum choice: the fanout of the tree
+	// that combines the ingest shards' partial sums (≤ 1 = pairwise). The
+	// released outputs are identical at every fanout.
 	SumTreeFanout int
 	// Ctx cancels the run cooperatively: the runtime checks it at phase,
 	// statement, vignette-attempt, and ingest-batch boundaries — points
@@ -86,13 +87,13 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	committees, err := d.pickViable(all, 2)
+	committees, consumed, err := d.pickViable(all, 2)
 	if err != nil {
 		return nil, err
 	}
 	// Every remaining viable committee joins the rotation pool.
 	var pool []sortition.Committee
-	for _, c := range all[len(committees)+d.Metrics.Reassignments:] {
+	for _, c := range all[consumed:] {
 		if d.viableCommittee(c) {
 			pool = append(pool, d.onlineMembers(c))
 		}
@@ -121,75 +122,30 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 	if err := d.checkpoint("input collection"); err != nil {
 		return nil, err
 	}
-	// Input collection and audited aggregation (Section 5.3). Sampling
-	// queries run the bin protocol of Section 6: devices hide their
-	// contribution in a random bin and the committee decrypts only a secret
-	// window of bins.
+	// Input collection and audited aggregation (Section 5.3): the sums
+	// arrive combined and audited (docs/INGEST.md). Sampling queries run the
+	// bin protocol of Section 6: devices hide their contribution in a random
+	// bin and the committee decrypts only a secret window of bins.
 	var (
 		sums     []*ahe.Ciphertext
 		sampled  int
 		accepted int
 	)
 	if rate := sampleRate(prog); rate > 0 && rate < 1 {
-		var perBin []*ahe.Ciphertext
-		var binOf []int
-		if d.cfg.StreamIngest {
-			// The streaming pipeline folds and audits as batches arrive
-			// (docs/INGEST.md); only the window decryption remains.
-			perBin, binOf, err = d.streamCollectBinned(km)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			binned, bins, err := d.collectBinnedInputs(km)
-			if err != nil {
-				return nil, err
-			}
-			as, running, err := aggregateWithAudit(km.pub, binned, d.cfg.ByzantineAggregator, d.cfg.Faults, &d.Metrics)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.runAudits(as); err != nil {
-				return nil, fmt.Errorf("runtime: audit: %w", err)
-			}
-			perBin, binOf = running, bins
+		perBin, binOf, err := d.collectBinned(km, opts.SumTreeFanout)
+		if err != nil {
+			return nil, err
 		}
 		sums, sampled, err = d.windowSums(km, perBin, binOf, rate)
 		if err != nil {
 			return nil, err
 		}
 		accepted = len(binOf)
-	} else if d.cfg.StreamIngest {
-		// Shard pre-aggregation subsumes both the device sum tree and the
-		// legacy chunked aggregator fold; the sums arrive combined and
-		// audited.
-		sums, accepted, err = d.streamCollectInputs(km)
-		if err != nil {
-			return nil, err
-		}
-		sampled = accepted
 	} else {
-		inputs, err := d.collectInputs(km)
+		sums, accepted, err = d.collectInputs(km, opts.SumTreeFanout)
 		if err != nil {
 			return nil, err
 		}
-		// With a sum tree the devices pre-aggregate in groups before the
-		// aggregator combines (the planner's outsourcing option).
-		if opts.SumTreeFanout > 1 {
-			inputs, err = d.deviceSumTree(km.pub, inputs, opts.SumTreeFanout)
-			if err != nil {
-				return nil, err
-			}
-		}
-		as, running, err := aggregateWithAudit(km.pub, inputs, d.cfg.ByzantineAggregator, d.cfg.Faults, &d.Metrics)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.runAudits(as); err != nil {
-			return nil, fmt.Errorf("runtime: audit: %w", err)
-		}
-		sums = running
-		accepted = len(inputs)
 		sampled = accepted
 	}
 
@@ -234,9 +190,8 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 
 // foldGroups folds vectors column-wise in contiguous groups of the given
 // fanout — one pool task per group, partials reassembled in group order, so
-// the output is identical at every worker count. It is the shared tree-level
-// step of deviceSumTree (devices pre-aggregating) and the streaming ingest's
-// hierarchical shard combine, and reports the traffic the folds generated.
+// the output is identical at every worker count. It is one level of the
+// ingest's shard-combine tree, and reports the traffic the folds generated.
 func foldGroups(pub *ahe.PublicKey, inputs [][]*ahe.Ciphertext, fanout, workers int) ([][]*ahe.Ciphertext, int64, error) {
 	nGroups := (len(inputs) + fanout - 1) / fanout
 	type groupSum struct {
@@ -274,18 +229,6 @@ func foldGroups(pub *ahe.PublicKey, inputs [][]*ahe.Ciphertext, fanout, workers 
 		sent += gs.sent
 	}
 	return out, sent, nil
-}
-
-// deviceSumTree pre-aggregates inputs in device groups of the given fanout
-// (one tree level is enough to exercise the path; deeper trees repeat it).
-// The per-group traffic is device-side, so it tallies into DeviceBytesSent.
-func (d *Deployment) deviceSumTree(pub *ahe.PublicKey, inputs [][]*ahe.Ciphertext, fanout int) ([][]*ahe.Ciphertext, error) {
-	out, sent, err := foldGroups(pub, inputs, fanout, d.workers())
-	if err != nil {
-		return nil, err
-	}
-	d.Metrics.DeviceBytesSent += sent
-	return out, nil
 }
 
 // quantileSrc builds the quantile query with a large ε for deterministic

@@ -160,8 +160,9 @@ output(declassify(noised));`
 	}
 }
 
-// The device sum tree (the planner's outsourcing option) must produce the
-// same result as the aggregator loop.
+// The planner's sum-tree choice (its outsourcing option) sets the fanout of
+// the tree that combines the shard partials; the count must come out the
+// same as with the default pairwise combine.
 func TestDeviceSumTree(t *testing.T) {
 	d := smallDeployment(t, 64, 4, func(c *Config) {
 		c.Data = func(i int) int { return i % 4 }

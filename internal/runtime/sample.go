@@ -8,8 +8,6 @@ import (
 	"arboretum/internal/ahe"
 	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
-	"arboretum/internal/parallel"
-	"arboretum/internal/zkp"
 )
 
 // The bin protocol of Section 6 implements secrecy of the sample: each
@@ -39,64 +37,6 @@ func sampleRate(prog *lang.Program) float64 {
 		}
 	})
 	return rate
-}
-
-// collectBinnedInputs has every online device upload a b×C vector: its
-// one-hot row in a uniformly random bin, zeros everywhere else, with a ZKP
-// that the whole vector is one-hot. It returns the accepted vectors and the
-// (simulation-only) bin each accepted device chose.
-//
-// The bin draws come from the deployment's seeded RNG, so they happen
-// sequentially in device order BEFORE the parallel section — the RNG stream
-// is consumed identically at every worker count. The encryption and proof
-// work then fans out one pool task per device, and verification re-runs
-// sequentially in device order.
-func (d *Deployment) collectBinnedInputs(km *keyMaterial) ([][]*ahe.Ciphertext, []int, error) {
-	keys := make(map[int][]byte, len(d.Devices))
-	for _, dev := range d.Devices {
-		keys[dev.ID] = dev.Key
-	}
-	verifier := zkp.NewVerifier(keys)
-	cats := d.cfg.Categories
-	width := sampleBinCount * cats
-	var online []*Device
-	var chosen []int
-	for _, dev := range d.Devices {
-		if dev.Offline {
-			continue
-		}
-		online = append(online, dev)
-		chosen = append(chosen, d.rng.Intn(sampleBinCount))
-	}
-	ups, err := parallel.Map(nil, len(online), d.workers(), func(i int) (upload, error) {
-		hot := chosen[i]*cats + online[i].Category
-		return d.deviceUploadRetry(km, online[i], width, hot)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var accepted [][]*ahe.Ciphertext
-	var bins []int
-	for i, up := range ups {
-		if d.tallyUpload(up) {
-			continue // dropped after exhausting upload retries
-		}
-		for _, ct := range up.vec {
-			d.Metrics.DeviceBytesSent += int64(ct.Bytes())
-		}
-		d.Metrics.DeviceBytesSent += int64(up.proof.Bytes())
-		d.Metrics.ZKPsVerified++
-		if !verifier.Verify(up.proof) {
-			d.Metrics.ZKPsRejected++
-			continue
-		}
-		accepted = append(accepted, up.vec)
-		bins = append(bins, chosen[i])
-	}
-	if len(accepted) == 0 {
-		return nil, nil, fmt.Errorf("%w: no binned inputs survived", ErrNoValidInputs)
-	}
-	return accepted, bins, nil
 }
 
 // windowSums lets the committee decrypt only the sampled window: it draws

@@ -605,8 +605,7 @@ func classify(err error) string {
 	for _, e := range []error{
 		runtime.ErrCommitteeBroken, runtime.ErrCommitteeDegraded,
 		runtime.ErrNoSpareCommittee, runtime.ErrHandoffFailed,
-		runtime.ErrAggregatorFailed, runtime.ErrNoValidInputs,
-		runtime.ErrShardFailed,
+		runtime.ErrNoValidInputs, runtime.ErrShardFailed,
 	} {
 		if errors.Is(err, e) {
 			return "failed_closed"

@@ -8,17 +8,31 @@ import (
 	"arboretum/internal/shamir"
 )
 
+// TestDefaultGroupSanity validates the built-in group's constant.
 func TestDefaultGroupSanity(t *testing.T) {
 	g := DefaultGroup()
-	if !g.P.ProbablyPrime(10) {
+	if !g.P.ProbablyPrime(20) {
 		t.Fatal("P not prime")
 	}
-	if !g.Q.ProbablyPrime(10) {
+	if !g.Q.ProbablyPrime(20) {
 		t.Fatal("Q not prime")
 	}
-	// G must have order Q: G^Q = 1 and G ≠ 1.
-	if new(big.Int).Exp(g.G, g.Q, g.P).Cmp(big.NewInt(1)) != 0 {
-		t.Fatal("G^Q != 1")
+	if twoQ := new(big.Int).Lsh(g.Q, 1); twoQ.Add(twoQ, big.NewInt(1)).Cmp(g.P) != 0 {
+		t.Fatal("P != 2Q+1")
+	}
+	// G must have order Q: G^Q = 1 and G ≠ 1 (Q is prime).
+	if g.G.Cmp(big.NewInt(1)) == 0 || new(big.Int).Exp(g.G, g.Q, g.P).Cmp(big.NewInt(1)) != 0 {
+		t.Fatal("G does not have order Q")
+	}
+	if g.Field().P.Cmp(g.Q) != 0 {
+		t.Fatal("sharing field is not Z_Q")
+	}
+}
+
+// The group is parsed once and shared, not rebuilt per query.
+func TestDefaultGroupBuiltOnce(t *testing.T) {
+	if DefaultGroup() != DefaultGroup() {
+		t.Fatal("DefaultGroup is rebuilt per call")
 	}
 }
 

@@ -35,6 +35,15 @@ fi
 echo "== go test ./..."
 go test ./...
 
+# bench/ is a nested module (bench/go.mod, replace arboretum => ../), so
+# ./... above never reaches it; it compiles against runtime.Config,
+# runtime.Metrics, vsr and the service, so a root-module API change has to
+# build and pass there too (~25 s, mostly its -smoke run of all four
+# workloads).
+echo "== go -C bench vet ./... && go -C bench test ./..."
+go -C bench vet ./...
+go -C bench test ./...
+
 # Allocation-regression gates (docs/KERNELS.md): the kernel hot paths are
 # pinned to their steady-state allocation counts. Runs inside `go test ./...`
 # too; this named invocation bypasses the test cache so the gate always
