@@ -35,13 +35,14 @@ func allocCeiling(t *testing.T, name string, max float64, f func()) {
 	}
 }
 
-func TestAllocGateSinglePrime(t *testing.T) {
+// allocGate pins Encrypt, Mul and Sum on the ring p at two allocations each.
+func allocGate(t *testing.T, p Params, seed uint64) {
 	t.Setenv("ARBORETUM_WORKERS", "1")
-	ctx, err := NewContext(TestParams)
+	ctx, err := NewContext(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := benchrand.New(0xA110C)
+	rng := benchrand.New(seed)
 	kp, err := ctx.GenerateKeys(rng)
 	if err != nil {
 		t.Fatal(err)
@@ -79,46 +80,8 @@ func TestAllocGateSinglePrime(t *testing.T) {
 	})
 }
 
-func TestAllocGateRNS(t *testing.T) {
-	t.Setenv("ARBORETUM_WORKERS", "1")
-	ctx, err := NewRNSContext(TestRNSParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := benchrand.New(0xA110D)
-	kp, err := ctx.GenerateKeys(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ctx.Encode([]uint64{4, 5, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct1, err := ctx.Encrypt(rng, kp.PK, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct2, err := ctx.Encrypt(rng, kp.PK, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cts := make([]*RNSCiphertext, 48)
-	for i := range cts {
-		cts[i] = ct1
-	}
-	allocCeiling(t, "bgv.RNS.Encrypt", 2, func() {
-		if _, err := ctx.Encrypt(rng, kp.PK, m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	allocCeiling(t, "bgv.RNS.Mul", 2, func() {
-		if _, err := ctx.Mul(ct1, ct2, kp.RLK); err != nil {
-			t.Fatal(err)
-		}
-	})
-	allocCeiling(t, "bgv.RNS.Sum", 2, func() {
-		if _, err := ctx.Sum(cts); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
+// TestAllocGateSinglePrime gates the one-prime ring (L = 1).
+func TestAllocGateSinglePrime(t *testing.T) { allocGate(t, TestParams, 0xA110C) }
+
+// TestAllocGateRNS gates the three-prime test ring.
+func TestAllocGateRNS(t *testing.T) { allocGate(t, TestRNSParams, 0xA110D) }

@@ -1,9 +1,9 @@
 package bgv
 
-// Benchmarks for the batched-NTT hot paths. Run with -cpu to compare the
-// sequential fallback against the worker pool:
+// Benchmarks for the NTT kernels and the ring's hot paths. Run with -cpu to
+// compare the sequential fallback against the worker pool:
 //
-//	go test ./internal/bgv -bench 'NTTBatch|Mul|Sum' -cpu 1,4
+//	go test ./internal/bgv -bench 'Mul|Sum' -cpu 1,4
 //
 // At -cpu 1 the pool takes its sequential fast path (the pre-parallel
 // baseline).
@@ -13,13 +13,16 @@ package bgv
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
 	"arboretum/internal/benchrand"
 )
 
-var benchParams = Params{N: 1 << 12, T: 65537}
+// benchParams is the one-prime ring at degree 4096: the un-tagged benchmarks
+// below (and bgv_test.go's, at TestParams) run the ring at L = 1.
+var benchParams = Params{N: 1 << 12, T: 65537, Qi: []uint64{Q}}
 
 func benchContext(b *testing.B) *Context {
 	b.Helper()
@@ -30,18 +33,26 @@ func benchContext(b *testing.B) *Context {
 	return ctx
 }
 
+// uniformPoly draws one uniform polynomial mod Q (a whole ring element at
+// L = 1).
+func uniformPoly(tb testing.TB, ctx *Context, r io.Reader) Poly {
+	tb.Helper()
+	p := make(Poly, ctx.l*ctx.n)
+	if err := ctx.sampleUniform(r, p); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 // BenchmarkNTTForward times a single forward transform of one degree-4096
 // polynomial — the core single-core kernel every higher-level operation is
 // built from.
 func BenchmarkNTTForward(b *testing.B) {
 	ctx := benchContext(b)
-	p, err := ctx.sampleUniform(benchrand.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := uniformPoly(b, ctx, benchrand.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.ntt.Forward(p)
+		ctx.ntt[0].Forward(p)
 	}
 }
 
@@ -49,13 +60,10 @@ func BenchmarkNTTForward(b *testing.B) {
 // polynomial.
 func BenchmarkNTTInverse(b *testing.B) {
 	ctx := benchContext(b)
-	p, err := ctx.sampleUniform(benchrand.New(2))
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := uniformPoly(b, ctx, benchrand.New(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.ntt.Inverse(p)
+		ctx.ntt[0].Inverse(p)
 	}
 }
 
@@ -66,16 +74,16 @@ func BenchmarkNTTBatch(b *testing.B) {
 	rng := benchrand.New(3)
 	polys := make([]Poly, 64)
 	for i := range polys {
-		p, err := ctx.sampleUniform(rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		polys[i] = p
+		polys[i] = uniformPoly(b, ctx, rng)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.ntt.forwardBatch(polys)
-		ctx.ntt.inverseBatch(polys)
+		for _, p := range polys {
+			ctx.ntt[0].Forward(p)
+		}
+		for _, p := range polys {
+			ctx.ntt[0].Inverse(p)
+		}
 	}
 }
 
@@ -132,8 +140,8 @@ func BenchmarkSum(b *testing.B) {
 	}
 }
 
-// BenchmarkEncryptLarge times one degree-4096 encryption (three batched
-// forward + two batched inverse transforms).
+// BenchmarkEncryptLarge times one degree-4096 encryption (one forward and
+// two inverse transforms against the key's cached NTT forms).
 func BenchmarkEncryptLarge(b *testing.B) {
 	ctx := benchContext(b)
 	rng := benchrand.New(6)
@@ -153,25 +161,25 @@ func BenchmarkEncryptLarge(b *testing.B) {
 	}
 }
 
-// --- RNS ring benchmarks ---
+// --- multi-prime ring benchmarks ---
 //
-// Each RNS benchmark runs under a /ring=<degree>x<primes> sub-name;
+// Each of these runs under a /ring=<degree>x<primes> sub-name;
 // scripts/bench.sh parses the tag into a "ring" field in BENCH_kernels.json,
 // so the tracked rows distinguish the test ring from the paper's deployment
 // ring (2^15, 135-bit composite modulus). The paper-scale rows are the
 // point: Table 1's FHE column is measured on this machine, not extrapolated
 // from a reduced ring.
 
-var benchRNSRings = []RNSParams{TestRNSParams, PaperRNSParams}
+var benchRNSRings = []Params{TestRNSParams, PaperRNSParams}
 
-func ringTag(p RNSParams) string {
+func ringTag(p Params) string {
 	return fmt.Sprintf("ring=%dx%d", p.N, len(p.Qi))
 }
 
 type rnsBenchState struct {
-	ctx  *RNSContext
-	keys *RNSKeyPair
-	a, b *RNSCiphertext
+	ctx  *Context
+	keys *KeyPair
+	a, b *Ciphertext
 	m    Poly
 }
 
@@ -183,14 +191,14 @@ var (
 // benchRNSState builds (once per ring) the context, keys, and two
 // ciphertexts every RNS benchmark reuses — paper-scale key generation is
 // ~10^2 ms, far too slow to repeat per benchmark.
-func benchRNSState(b *testing.B, p RNSParams) *rnsBenchState {
+func benchRNSState(b *testing.B, p Params) *rnsBenchState {
 	b.Helper()
 	rnsBenchMu.Lock()
 	defer rnsBenchMu.Unlock()
 	if s, ok := rnsBenchCache[p.N]; ok {
 		return s
 	}
-	ctx, err := NewRNSContext(p)
+	ctx, err := NewContext(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,7 +276,7 @@ func BenchmarkRNSSum(b *testing.B) {
 	for _, p := range benchRNSRings {
 		b.Run(ringTag(p), func(b *testing.B) {
 			s := benchRNSState(b, p)
-			cts := make([]*RNSCiphertext, 64)
+			cts := make([]*Ciphertext, 64)
 			for i := range cts {
 				cts[i] = s.a
 			}

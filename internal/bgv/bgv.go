@@ -1,15 +1,21 @@
 // Package bgv implements a BGV-style leveled homomorphic encryption scheme
-// over the ring Z_q[x]/(x^n + 1).
+// over the ring Z_Q[x]/(x^n + 1), Q = q_1·…·q_L a product of word-sized
+// NTT-friendly primes (an RNS basis).
 //
 // Arboretum's prototype uses BGV (Section 6) with a polynomial degree of 2^15
 // and a 135-bit ciphertext modulus. This package is a real, working RLWE
 // scheme — key generation, encryption, decryption, homomorphic addition,
 // plaintext multiplication, and one level of ciphertext multiplication with
-// gadget relinearization — implemented on the standard library alone with a
-// single 60-bit NTT-friendly prime modulus. Tests and the runtime use reduced
-// ring degrees (2^10–2^12); the cost model charges FHE operations at the
-// paper's 2^15-scale rates, so planner decisions are unaffected by the
-// smaller test parameters (see DESIGN.md for the substitution argument).
+// gadget relinearization — implemented on the standard library alone. There
+// is one ring implementation, parameterised by its prime basis (Params.Qi):
+// PaperRNSParams is the paper's deployment ring (2^15, three 45-bit primes,
+// exactly 135 bits), which the benchmarks and the cost model's calibration
+// (costmodel.CalibrateRing) measure natively; TestRNSParams (2^10, three
+// primes) and TestParams (2^10, the single prime Q) are the reduced rings the
+// unit tests run. The execution runtime does not import this package: the
+// planner prices FHE operations from the cost model, whose FHE rates
+// `arboretum plan -ring` measures on this ring (see DESIGN.md for the
+// substitution argument).
 //
 // Encoding is coefficient packing: a plaintext is a vector of up to n values
 // mod t placed in the polynomial's coefficients. Addition is slot-wise;
@@ -18,165 +24,47 @@
 //
 // # Thread safety
 //
-// A Context is immutable after NewContext — its NTT tables are precomputed
-// and only ever read — so one Context may serve any number of goroutines
+// A Context is logically immutable after NewContext — its NTT tables and CRT
+// constants are precomputed and only ever read, and its scratch pools are
+// internally synchronized — so one Context may serve any number of goroutines
 // concurrently. The same holds for SecretKey, PublicKey, and RelinKey once
 // generated. Ciphertext, Poly, and Plaintext values are plain slices with no
 // internal synchronization: do not mutate one while another goroutine reads
-// it. The hot paths (Encrypt's two half-products, Mul's relinearization
-// digits, Sum's chunked fold) batch their independent NTT transforms across
-// the internal/parallel worker pool; every result is bit-identical at any
-// worker count because all ring arithmetic is exact modular arithmetic and
-// partial results are combined in a fixed order. See docs/CONCURRENCY.md.
+// it. The hot paths (Encrypt's and Mul's per-prime lanes, Sum's chunked fold)
+// fan out over the internal/parallel worker pool; every result is
+// bit-identical at any worker count because all ring arithmetic is exact
+// modular arithmetic, the lanes are independent, and partial results are
+// combined in a fixed order. See docs/CONCURRENCY.md.
 package bgv
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
-
-	"arboretum/internal/fixed"
-	"arboretum/internal/parallel"
 )
 
-// Q is the ciphertext modulus: 2^60 − 2^18 + 1, prime, with q ≡ 1 (mod 2^18),
-// so the negacyclic NTT works for every ring degree up to 2^17.
+// Q is the 60-bit NTT-friendly prime 2^60 − 2^18 + 1, q ≡ 1 (mod 2^18), so
+// the negacyclic NTT works for every ring degree up to 2^17. It is the whole
+// basis of the one-prime test ring (TestParams).
 const Q uint64 = 1152921504606830593
 
-// relinBase is the gadget decomposition base (2^relinLogBase) used by the
-// relinearization key.
+// relinLogBase is the log of the gadget decomposition base (2^relinLogBase)
+// used by the relinearization key: each prime's residues are split into
+// ⌈bits(q_l)/relinLogBase⌉ digits.
 const relinLogBase = 10
 
-// relinDigits is the number of gadget digits: Q < 2^60, so six 10-bit digits
-// cover every coefficient.
-const relinDigits = (60 + relinLogBase - 1) / relinLogBase
-
-// Params fixes a ring degree and plaintext modulus.
-type Params struct {
-	N int    // ring degree, power of two
-	T uint64 // plaintext modulus, coprime with Q, T ≪ Q
-}
-
-// Validate checks the parameter set.
-func (p Params) Validate() error {
-	if p.N < 16 || p.N&(p.N-1) != 0 {
-		return fmt.Errorf("bgv: ring degree %d must be a power of two ≥ 16", p.N)
-	}
-	if p.N > 1<<17 {
-		return fmt.Errorf("bgv: ring degree %d exceeds 2^17 supported by Q", p.N)
-	}
-	if p.T < 2 || p.T >= 1<<20 {
-		return fmt.Errorf("bgv: plaintext modulus %d out of range [2, 2^20)", p.T)
-	}
-	if Q%p.T == 0 {
-		return errors.New("bgv: plaintext modulus divides Q")
-	}
-	return nil
-}
-
-// TestParams is a small parameter set for unit tests (one multiplication of
-// depth is supported at these sizes).
-var TestParams = Params{N: 1 << 10, T: 65537}
-
-// Poly is a polynomial with coefficients in [0, Q), length N. Polys and
-// the types built from them (Ciphertext, keys) carry no synchronization:
-// they may be read concurrently, but a caller who mutates one must not
-// share it across goroutines.
+// Poly is one N-coefficient polynomial: an encoded plaintext (coefficients
+// below T, hence valid residues in every prime's lane) or a single prime's
+// row of a ring element. Polys and the types built from them (Ciphertext,
+// keys) carry no synchronization: they may be read concurrently, but a caller
+// who mutates one must not share it across goroutines.
 type Poly []uint64
 
-// Context carries the parameter set, NTT tables, and the scratch pools the
-// hot paths draw from. It is logically immutable after NewContext — the pools
-// are internally synchronized — so all methods are safe for concurrent use,
-// and the hot ones (Encrypt, Mul, Sum, batched transforms) fan work out over
-// a worker pool internally.
-type Context struct {
-	Params Params
-	ntt    *nttTables
-
-	// Scratch pools for the zero-alloc hot paths: every Encrypt/Mul checks a
-	// scratch struct out, overwrites it completely, and returns it on exit.
-	// Nothing pooled ever escapes into a returned Ciphertext (results live in
-	// freshly allocated slabs), so callers cannot observe recycling.
-	enc fixed.Pool[encScratch]
-	mul fixed.Pool[mulScratch]
-}
-
-// encScratch holds Encrypt's working polynomials: the ternary draws (u, e1,
-// e2), the two half-products (bu, au), eval-domain key copies (bt, at) for
-// public keys without cached NTT forms, the bulk sampling buffer, and
-// pre-built batch headers so batched transforms don't allocate slice
-// literals per call.
-type encScratch struct {
-	u, e1, e2 Poly
-	bu, au    Poly
-	bt, at    Poly
-	buf       []byte
-	batch2    []Poly
-	batch3    []Poly
-}
-
-// mulScratch holds Mul's working polynomials: eval-domain copies of the four
-// input halves, the tensor accumulators (d0, d1, d2), per-digit gadget
-// polynomials and their two products, eval-domain relin-key copies (bt, at)
-// for keys without cached NTT forms, and a pre-built batch header.
-type mulScratch struct {
-	a0, a1, b0, b1 Poly
-	d0, d1, d2     Poly
-	dig, p0, p1    []Poly
-	bt, at         Poly
-	batch4         []Poly
-}
-
-// NewContext validates params and precomputes NTT tables.
-func NewContext(p Params) (*Context, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	tables, err := newNTTTables(p.N, Q)
-	if err != nil {
-		return nil, err
-	}
-	c := &Context{Params: p, ntt: tables}
-	n := p.N
-	c.enc.New = func() *encScratch {
-		s := &encScratch{
-			u: make(Poly, n), e1: make(Poly, n), e2: make(Poly, n),
-			bu: make(Poly, n), au: make(Poly, n),
-			bt: make(Poly, n), at: make(Poly, n),
-			buf:    make([]byte, n),
-			batch2: make([]Poly, 2),
-			batch3: make([]Poly, 3),
-		}
-		return s
-	}
-	c.mul.New = func() *mulScratch {
-		s := &mulScratch{
-			a0: make(Poly, n), a1: make(Poly, n), b0: make(Poly, n), b1: make(Poly, n),
-			d0: make(Poly, n), d1: make(Poly, n), d2: make(Poly, n),
-			dig: make([]Poly, relinDigits), p0: make([]Poly, relinDigits), p1: make([]Poly, relinDigits),
-			bt: make(Poly, n), at: make(Poly, n),
-			batch4: make([]Poly, 4),
-		}
-		for i := 0; i < relinDigits; i++ {
-			s.dig[i] = make(Poly, n)
-			s.p0[i] = make(Poly, n)
-			s.p1[i] = make(Poly, n)
-		}
-		return s
-	}
-	return c, nil
-}
-
-func (c *Context) newPoly() Poly { return make(Poly, c.Params.N) }
-
-// --- sampling ---
+// Plaintext is a coefficient vector mod T, length ≤ N.
+type Plaintext []uint64
 
 // sampleUniformInto fills p with uniform coefficients mod q by rejection
 // sampling: a draw is accepted only below the largest multiple of q that fits
-// in 64 bits, so the reduction is unbiased. For q = Q the bound equals 16·Q —
-// byte-for-byte the historical single-prime sampler — and the same helper
-// serves the RNS primes, where the per-prime bounds differ.
+// in 64 bits, so the reduction is unbiased.
 func sampleUniformInto(r io.Reader, p Poly, q uint64) error {
 	bound := (^uint64(0) / q) * q
 	var buf [8]byte
@@ -193,545 +81,4 @@ func sampleUniformInto(r io.Reader, p Poly, q uint64) error {
 		}
 	}
 	return nil
-}
-
-// sampleUniform fills a fresh polynomial with uniform coefficients mod Q.
-func (c *Context) sampleUniform(r io.Reader) (Poly, error) {
-	p := c.newPoly()
-	if err := sampleUniformInto(r, p, Q); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// sampleTernaryInto fills p with coefficients in {−1, 0, 1} mod q; used for
-// secrets, encryption randomness, and errors. Small ternary errors keep one
-// multiplication within the noise budget at test parameters (documented
-// reduced-security test instantiation; see package comment). buf must be at
-// least len(p) bytes: one bulk read instead of a 1-byte read per coefficient
-// gives crypto/rand throughput without per-call overhead, and the same byte →
-// coefficient mapping for every modulus keeps the single-prime and RNS
-// samplers consuming identical randomness.
-func sampleTernaryInto(r io.Reader, p Poly, buf []byte, q uint64) error {
-	buf = buf[:len(p)]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range p {
-		switch buf[i] % 4 {
-		case 0:
-			p[i] = 1
-		case 1:
-			p[i] = q - 1
-		default:
-			p[i] = 0
-		}
-	}
-	return nil
-}
-
-// sampleTernary fills a fresh polynomial with coefficients in {−1, 0, 1}.
-func (c *Context) sampleTernary(r io.Reader) (Poly, error) {
-	p := c.newPoly()
-	buf := make([]byte, len(p))
-	if err := sampleTernaryInto(r, p, buf, Q); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// --- polynomial arithmetic ---
-
-func (c *Context) polyAdd(a, b Poly) Poly {
-	out := c.newPoly()
-	for i := range out {
-		out[i] = addMod(a[i], b[i], Q)
-	}
-	return out
-}
-
-func (c *Context) polySub(a, b Poly) Poly {
-	out := c.newPoly()
-	for i := range out {
-		out[i] = subMod(a[i], b[i], Q)
-	}
-	return out
-}
-
-func (c *Context) polyNeg(a Poly) Poly {
-	out := c.newPoly()
-	for i := range out {
-		out[i] = negMod(a[i], Q)
-	}
-	return out
-}
-
-func (c *Context) polyScale(a Poly, k uint64) Poly {
-	out := c.newPoly()
-	for i := range out {
-		out[i] = mulMod(a[i], k, Q)
-	}
-	return out
-}
-
-// polyMul multiplies in the ring via NTT.
-func (c *Context) polyMul(a, b Poly) Poly {
-	ae := append(Poly(nil), a...)
-	be := append(Poly(nil), b...)
-	c.ntt.Forward(ae)
-	c.ntt.Forward(be)
-	for i := range ae {
-		ae[i] = mulMod(ae[i], be[i], Q)
-	}
-	c.ntt.Inverse(ae)
-	return ae
-}
-
-// --- keys ---
-
-// SecretKey is the RLWE secret (ternary polynomial).
-type SecretKey struct {
-	S Poly
-}
-
-// PublicKey is the RLWE public key (A, B = −A·S + T·E). Keys produced by
-// GenerateKeys also carry their NTT forms, which Encrypt reuses instead of
-// transforming A and B on every call; a zero-constructed PublicKey still
-// works through the uncached fallback path.
-type PublicKey struct {
-	A, B Poly
-
-	// Evaluation-domain (bit-reversed) forms of A and B, populated at key
-	// generation. Unexported: derived data, never serialized.
-	aNTT, bNTT Poly
-}
-
-// RelinKey key-switches s² back to s after multiplication, one entry per
-// gadget digit: (A_i, B_i = −A_i·S + T·E_i + base^i·S²). Keys produced by
-// GenerateKeys carry cached NTT forms of every digit pair, which saves Mul
-// twelve forward transforms per call.
-type RelinKey struct {
-	A, B []Poly
-
-	aNTT, bNTT []Poly
-}
-
-// KeyPair bundles the keys a key-generation committee produces.
-type KeyPair struct {
-	SK  *SecretKey
-	PK  *PublicKey
-	RLK *RelinKey
-}
-
-// GenerateKeys produces a fresh keypair (Section 5.2 runs this inside a
-// committee MPC; the runtime calls it through the MPC engine).
-func (c *Context) GenerateKeys(r io.Reader) (*KeyPair, error) {
-	s, err := c.sampleTernary(r)
-	if err != nil {
-		return nil, err
-	}
-	a, err := c.sampleUniform(r)
-	if err != nil {
-		return nil, err
-	}
-	e, err := c.sampleTernary(r)
-	if err != nil {
-		return nil, err
-	}
-	// b = −a·s + t·e
-	b := c.polyAdd(c.polyNeg(c.polyMul(a, s)), c.polyScale(e, c.Params.T))
-	sk := &SecretKey{S: s}
-	pk := &PublicKey{A: a, B: b}
-	pk.aNTT = append(Poly(nil), a...)
-	pk.bNTT = append(Poly(nil), b...)
-	c.ntt.Forward(pk.aNTT)
-	c.ntt.Forward(pk.bNTT)
-	rlk, err := c.generateRelinKey(r, sk)
-	if err != nil {
-		return nil, err
-	}
-	return &KeyPair{SK: sk, PK: pk, RLK: rlk}, nil
-}
-
-func (c *Context) generateRelinKey(r io.Reader, sk *SecretKey) (*RelinKey, error) {
-	s2 := c.polyMul(sk.S, sk.S)
-	digits := relinDigits
-	rlk := &RelinKey{
-		A: make([]Poly, digits), B: make([]Poly, digits),
-		aNTT: make([]Poly, digits), bNTT: make([]Poly, digits),
-	}
-	pow := uint64(1)
-	for i := 0; i < digits; i++ {
-		a, err := c.sampleUniform(r)
-		if err != nil {
-			return nil, err
-		}
-		e, err := c.sampleTernary(r)
-		if err != nil {
-			return nil, err
-		}
-		b := c.polyAdd(c.polyNeg(c.polyMul(a, sk.S)), c.polyScale(e, c.Params.T))
-		b = c.polyAdd(b, c.polyScale(s2, pow))
-		rlk.A[i], rlk.B[i] = a, b
-		rlk.aNTT[i] = append(Poly(nil), a...)
-		rlk.bNTT[i] = append(Poly(nil), b...)
-		c.ntt.Forward(rlk.aNTT[i])
-		c.ntt.Forward(rlk.bNTT[i])
-		pow = mulMod(pow, 1<<relinLogBase, Q)
-	}
-	return rlk, nil
-}
-
-// --- ciphertexts ---
-
-// Ciphertext is a degree-1 BGV ciphertext (C0, C1) with
-// C0 + C1·S = m + T·noise (mod Q).
-type Ciphertext struct {
-	C0, C1 Poly
-}
-
-// Bytes returns the serialized size for traffic accounting.
-func (ct *Ciphertext) Bytes() int {
-	if ct == nil {
-		return 0
-	}
-	return 8 * (len(ct.C0) + len(ct.C1))
-}
-
-// Plaintext is a coefficient vector mod T, length ≤ N.
-type Plaintext []uint64
-
-// Encode places values (reduced mod T) into a polynomial's coefficients.
-func (c *Context) Encode(values []uint64) (Poly, error) {
-	if len(values) > c.Params.N {
-		return nil, fmt.Errorf("bgv: %d values exceed ring degree %d", len(values), c.Params.N)
-	}
-	p := c.newPoly()
-	for i, v := range values {
-		p[i] = v % c.Params.T
-	}
-	return p, nil
-}
-
-// newCiphertext allocates a result ciphertext as a single 2n-word slab
-// sliced into its two halves: exactly two heap allocations (slab + header
-// struct), which is the entire steady-state allocation budget of the hot
-// paths — everything else they touch is pooled scratch.
-func (c *Context) newCiphertext() *Ciphertext {
-	n := c.Params.N
-	slab := make(Poly, 2*n)
-	return &Ciphertext{C0: slab[:n:n], C1: slab[n:]}
-}
-
-// Encrypt encrypts the encoded plaintext polynomial under pk.
-//
-// All working polynomials come from the Context's scratch pool and the result
-// is written into a fresh two-poly slab, so a steady-state Encrypt performs
-// two heap allocations (the returned ciphertext) at one worker. Keys from
-// GenerateKeys carry cached NTT forms of (A, B): only u is transformed
-// forward (3 NTTs per call instead of 5); hand-built keys take the uncached
-// batch path. Both paths are bit-identical to the historical per-call
-// formulation — same randomness consumption, same exact modular arithmetic.
-func (c *Context) Encrypt(r io.Reader, pk *PublicKey, m Poly) (*Ciphertext, error) {
-	if len(m) != c.Params.N {
-		return nil, errors.New("bgv: plaintext polynomial has wrong degree")
-	}
-	s := c.enc.Get()
-	defer c.enc.Put(s)
-	if err := sampleTernaryInto(r, s.u, s.buf, Q); err != nil {
-		return nil, err
-	}
-	if err := sampleTernaryInto(r, s.e1, s.buf, Q); err != nil {
-		return nil, err
-	}
-	if err := sampleTernaryInto(r, s.e2, s.buf, Q); err != nil {
-		return nil, err
-	}
-	t := c.Params.T
-	// Both half-products share the encryption randomness u: with the key's
-	// evaluation-domain form cached, only u crosses into the evaluation
-	// domain, the two products are point-wise, and the pair transforms back
-	// in one batch. Exact modular arithmetic keeps the result bit-identical
-	// to the sequential per-product formulation.
-	var bEval, aEval Poly
-	if len(pk.bNTT) == c.Params.N && len(pk.aNTT) == c.Params.N {
-		c.ntt.Forward(s.u)
-		bEval, aEval = pk.bNTT, pk.aNTT
-	} else {
-		copy(s.bt, pk.B)
-		copy(s.at, pk.A)
-		s.batch3[0], s.batch3[1], s.batch3[2] = s.bt, s.at, s.u
-		c.ntt.forwardBatch(s.batch3)
-		bEval, aEval = s.bt, s.at
-	}
-	for i := range s.u {
-		s.bu[i] = mulMod(bEval[i], s.u[i], Q)
-		s.au[i] = mulMod(aEval[i], s.u[i], Q)
-	}
-	s.batch2[0], s.batch2[1] = s.bu, s.au
-	c.ntt.inverseBatch(s.batch2)
-	ct := c.newCiphertext()
-	for i := range ct.C0 {
-		ct.C0[i] = addMod(addMod(s.bu[i], mulMod(s.e1[i], t, Q), Q), m[i], Q)
-		ct.C1[i] = addMod(s.au[i], mulMod(s.e2[i], t, Q), Q)
-	}
-	return ct, nil
-}
-
-// EncryptValues encodes and encrypts a value vector in one call.
-func (c *Context) EncryptValues(r io.Reader, pk *PublicKey, values []uint64) (*Ciphertext, error) {
-	m, err := c.Encode(values)
-	if err != nil {
-		return nil, err
-	}
-	return c.Encrypt(r, pk, m)
-}
-
-// Decrypt recovers the plaintext coefficient vector.
-func (c *Context) Decrypt(sk *SecretKey, ct *Ciphertext) (Plaintext, error) {
-	if ct == nil || len(ct.C0) != c.Params.N || len(ct.C1) != c.Params.N {
-		return nil, errors.New("bgv: malformed ciphertext")
-	}
-	phase := c.polyAdd(ct.C0, c.polyMul(ct.C1, sk.S))
-	out := make(Plaintext, c.Params.N)
-	t := c.Params.T
-	half := Q / 2
-	for i, v := range phase {
-		// Centered lift: values near Q represent small negatives.
-		if v > half {
-			// (v − Q) mod t, computed without going negative.
-			diff := Q - v // |negative value|
-			out[i] = (t - diff%t) % t
-		} else {
-			out[i] = v % t
-		}
-	}
-	return out, nil
-}
-
-// Add homomorphically adds (slot-wise): the ⊞ operator. The result is one
-// slab (two allocations), like every hot-path ciphertext.
-func (c *Context) Add(a, b *Ciphertext) (*Ciphertext, error) {
-	if a == nil || b == nil {
-		return nil, errors.New("bgv: nil ciphertext")
-	}
-	out := c.newCiphertext()
-	for i := range out.C0 {
-		out.C0[i] = addMod(a.C0[i], b.C0[i], Q)
-		out.C1[i] = addMod(a.C1[i], b.C1[i], Q)
-	}
-	return out, nil
-}
-
-// Sub homomorphically subtracts.
-func (c *Context) Sub(a, b *Ciphertext) (*Ciphertext, error) {
-	if a == nil || b == nil {
-		return nil, errors.New("bgv: nil ciphertext")
-	}
-	out := c.newCiphertext()
-	for i := range out.C0 {
-		out.C0[i] = subMod(a.C0[i], b.C0[i], Q)
-		out.C1[i] = subMod(a.C1[i], b.C1[i], Q)
-	}
-	return out, nil
-}
-
-// AddPlain adds an encoded plaintext to a ciphertext.
-func (c *Context) AddPlain(a *Ciphertext, m Poly) (*Ciphertext, error) {
-	if a == nil {
-		return nil, errors.New("bgv: nil ciphertext")
-	}
-	return &Ciphertext{C0: c.polyAdd(a.C0, m), C1: append(Poly(nil), a.C1...)}, nil
-}
-
-// MulPlain multiplies a ciphertext by an encoded plaintext polynomial
-// (negacyclic convolution in coefficient encoding; scalar for degree-0 m).
-func (c *Context) MulPlain(a *Ciphertext, m Poly) (*Ciphertext, error) {
-	if a == nil {
-		return nil, errors.New("bgv: nil ciphertext")
-	}
-	return &Ciphertext{C0: c.polyMul(a.C0, m), C1: c.polyMul(a.C1, m)}, nil
-}
-
-// MulScalar multiplies by a public integer scalar.
-func (c *Context) MulScalar(a *Ciphertext, k uint64) (*Ciphertext, error) {
-	if a == nil {
-		return nil, errors.New("bgv: nil ciphertext")
-	}
-	kk := k % c.Params.T
-	return &Ciphertext{C0: c.polyScale(a.C0, kk), C1: c.polyScale(a.C1, kk)}, nil
-}
-
-// Mul multiplies two ciphertexts and relinearizes back to degree 1: the ⊠
-// operator. One multiplication level is supported at the default parameters.
-//
-// The tensor and the relinearization are computed in the evaluation domain:
-// the four input polynomials are transformed in one batch, the tensor is
-// point-wise, each gadget digit costs one forward transform against the relin
-// key's cached NTT forms, and everything is accumulated before two final
-// inverse transforms — 13 transforms where the naive version does 36. All
-// working polynomials are pooled scratch and the result is a fresh slab, so
-// a steady-state Mul performs two heap allocations at one worker. The NTT is
-// a linear bijection over exact modular arithmetic, so this is bit-identical
-// to the textbook per-product formulation at any worker count.
-func (c *Context) Mul(a, b *Ciphertext, rlk *RelinKey) (*Ciphertext, error) {
-	if a == nil || b == nil {
-		return nil, errors.New("bgv: nil ciphertext")
-	}
-	if rlk == nil {
-		return nil, errors.New("bgv: relinearization key required")
-	}
-	if len(rlk.A) != relinDigits || len(rlk.B) != relinDigits {
-		return nil, fmt.Errorf("bgv: relin key has %d digits, want %d", len(rlk.A), relinDigits)
-	}
-	n := c.Params.N
-	s := c.mul.Get()
-	defer c.mul.Put(s)
-	// Tensor: (a0 + a1 s)(b0 + b1 s) = d0 + d1 s + d2 s², point-wise in the
-	// evaluation domain.
-	copy(s.a0, a.C0)
-	copy(s.a1, a.C1)
-	copy(s.b0, b.C0)
-	copy(s.b1, b.C1)
-	s.batch4[0], s.batch4[1], s.batch4[2], s.batch4[3] = s.a0, s.a1, s.b0, s.b1
-	c.ntt.forwardBatch(s.batch4)
-	for i := 0; i < n; i++ {
-		s.d0[i] = mulMod(s.a0[i], s.b0[i], Q)
-		s.d1[i] = addMod(mulMod(s.a0[i], s.b1[i], Q), mulMod(s.a1[i], s.b0[i], Q), Q)
-		s.d2[i] = mulMod(s.a1[i], s.b1[i], Q)
-	}
-	// Gadget decomposition needs d2's coefficients, so it alone returns to
-	// the coefficient domain here.
-	c.ntt.Inverse(s.d2)
-	mask := uint64(1<<relinLogBase) - 1
-	for i := 0; i < relinDigits; i++ {
-		digit := s.dig[i]
-		for j := range s.d2 {
-			digit[j] = s.d2[j] & mask
-			s.d2[j] >>= relinLogBase
-		}
-	}
-	// Each digit contributes digit·B_i to c0 and digit·A_i to c1. With the
-	// relin key's NTT forms cached at key generation, a digit costs one
-	// forward transform and two point-wise products. The digits are
-	// independent — one pool task each above one worker, a plain loop (no
-	// closure, no allocation) at one — and the contributions are added in
-	// digit order either way (addition mod Q is associative and commutative,
-	// so the order is immaterial to the value; fixing it keeps the loop
-	// obviously deterministic and the result bit-identical at any worker
-	// count).
-	cached := len(rlk.bNTT) == relinDigits && len(rlk.aNTT) == relinDigits &&
-		len(rlk.bNTT[0]) == n
-	if parallel.Workers(0) == 1 {
-		for i := 0; i < relinDigits; i++ {
-			if err := c.mulDigit(s, rlk, i, cached); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		err := parallel.ForEach(nil, relinDigits, 0, func(i int) error {
-			return c.mulDigit(s, rlk, i, cached)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < relinDigits; i++ {
-		p0, p1 := s.p0[i], s.p1[i]
-		for j := 0; j < n; j++ {
-			s.d0[j] = addMod(s.d0[j], p0[j], Q)
-			s.d1[j] = addMod(s.d1[j], p1[j], Q)
-		}
-	}
-	s.batch4[0], s.batch4[1] = s.d0, s.d1
-	c.ntt.inverseBatch(s.batch4[:2])
-	ct := c.newCiphertext()
-	copy(ct.C0, s.d0)
-	copy(ct.C1, s.d1)
-	return ct, nil
-}
-
-// mulDigit computes one gadget digit's relinearization products into the
-// scratch slots s.p0[i] and s.p1[i]: digit·B_i and digit·A_i in the
-// evaluation domain. Digits touch disjoint scratch slots, so mulDigit calls
-// for distinct i may run concurrently. When the relin key carries no cached
-// NTT forms the digit transforms its own copies (allocating — only hand-built
-// keys take that path).
-func (c *Context) mulDigit(s *mulScratch, rlk *RelinKey, i int, cached bool) error {
-	n := c.Params.N
-	dp := s.dig[i]
-	c.ntt.Forward(dp)
-	bi, ai := Poly(nil), Poly(nil)
-	if cached {
-		bi, ai = rlk.bNTT[i], rlk.aNTT[i]
-	} else {
-		bi = append(Poly(nil), rlk.B[i]...)
-		ai = append(Poly(nil), rlk.A[i]...)
-		c.ntt.Forward(bi)
-		c.ntt.Forward(ai)
-	}
-	p0, p1 := s.p0[i], s.p1[i]
-	for j := 0; j < n; j++ {
-		p0[j] = mulMod(dp[j], bi[j], Q)
-		p1[j] = mulMod(dp[j], ai[j], Q)
-	}
-	return nil
-}
-
-// minParallelSum is the ciphertext count below which Sum stays sequential.
-const minParallelSum = 32
-
-// sumRange folds addition sequentially over a non-empty slice, accumulating
-// into a single pair of buffers instead of allocating a fresh ciphertext per
-// Add — the values are identical to the Add-based fold (same addMod in the
-// same order), but the aggregator's inner loop stops churning the allocator.
-func (c *Context) sumRange(cts []*Ciphertext) (*Ciphertext, error) {
-	if cts[0] == nil {
-		return nil, errors.New("bgv: nil ciphertext")
-	}
-	if len(cts) == 1 {
-		return cts[0], nil
-	}
-	acc := c.newCiphertext()
-	copy(acc.C0, cts[0].C0)
-	copy(acc.C1, cts[0].C1)
-	for _, ct := range cts[1:] {
-		if ct == nil {
-			return nil, errors.New("bgv: nil ciphertext")
-		}
-		c0, c1 := ct.C0, ct.C1
-		for i := range acc.C0 {
-			acc.C0[i] = addMod(acc.C0[i], c0[i], Q)
-			acc.C1[i] = addMod(acc.C1[i], c1[i], Q)
-		}
-	}
-	return acc, nil
-}
-
-// Sum folds Add over ciphertexts (the aggregator's AHE/FHE sum loop). Large
-// sums fold in parallel chunks whose partials are combined in index order;
-// coefficient-wise addition mod Q is associative and commutative, so the
-// result is bit-identical to the sequential fold at any worker count.
-func (c *Context) Sum(cts []*Ciphertext) (*Ciphertext, error) {
-	if len(cts) == 0 {
-		return nil, errors.New("bgv: empty sum")
-	}
-	w := parallel.Workers(0)
-	if w > 1 && len(cts) >= minParallelSum {
-		chunk := (len(cts) + w - 1) / w
-		nChunks := (len(cts) + chunk - 1) / chunk
-		partials, err := parallel.Map(nil, nChunks, w, func(ci int) (*Ciphertext, error) {
-			lo := ci * chunk
-			hi := lo + chunk
-			if hi > len(cts) {
-				hi = len(cts)
-			}
-			return c.sumRange(cts[lo:hi])
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c.sumRange(partials)
-	}
-	return c.sumRange(cts)
 }

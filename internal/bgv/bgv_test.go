@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 )
 
+// The L = 1 suite: every test in this file runs the ring on the one-prime
+// basis TestParams (rns_test.go is the three-prime suite).
 var (
 	ctxOnce sync.Once
 	ctx     *Context
@@ -29,12 +31,13 @@ func testCtx(t testing.TB) (*Context, *KeyPair) {
 }
 
 func TestParamsValidate(t *testing.T) {
+	qi := []uint64{Q}
 	bad := []Params{
-		{N: 10, T: 17},           // not a power of two
-		{N: 8, T: 17},            // too small
-		{N: 1 << 18, T: 17},      // exceeds Q's 2-adicity
-		{N: 1 << 10, T: 1},       // t too small
-		{N: 1 << 10, T: 1 << 21}, // t too large
+		{N: 10, T: 17, Qi: qi},           // not a power of two
+		{N: 8, T: 17, Qi: qi},            // too small
+		{N: 1 << 18, T: 17, Qi: qi},      // exceeds Q's 2-adicity
+		{N: 1 << 10, T: 1, Qi: qi},       // t too small
+		{N: 1 << 10, T: 1 << 21, Qi: qi}, // t too large
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -48,13 +51,10 @@ func TestParamsValidate(t *testing.T) {
 
 func TestNTTRoundTrip(t *testing.T) {
 	c, _ := testCtx(t)
-	p, err := c.sampleUniform(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := uniformPoly(t, c, rand.Reader)
 	orig := append(Poly(nil), p...)
-	c.ntt.Forward(p)
-	c.ntt.Inverse(p)
+	c.ntt[0].Forward(p)
+	c.ntt[0].Inverse(p)
 	for i := range p {
 		if p[i] != orig[i] {
 			t.Fatalf("NTT round trip differs at %d: %d != %d", i, p[i], orig[i])
@@ -66,15 +66,15 @@ func TestNTTRoundTrip(t *testing.T) {
 func TestQuickNTTRoundTrip(t *testing.T) {
 	c, _ := testCtx(t)
 	f := func(seed uint64) bool {
-		p := c.newPoly()
+		p := make(Poly, c.n)
 		s := seed
 		for i := range p {
 			s = s*6364136223846793005 + 1442695040888963407
 			p[i] = s % Q
 		}
 		orig := append(Poly(nil), p...)
-		c.ntt.Forward(p)
-		c.ntt.Inverse(p)
+		c.ntt[0].Forward(p)
+		c.ntt[0].Inverse(p)
 		for i := range p {
 			if p[i] != orig[i] {
 				return false
@@ -87,17 +87,17 @@ func TestQuickNTTRoundTrip(t *testing.T) {
 	}
 }
 
-// polyMul must agree with schoolbook negacyclic convolution.
+// polyMulRow must agree with schoolbook negacyclic convolution.
 func TestPolyMulMatchesSchoolbook(t *testing.T) {
 	c, _ := testCtx(t)
 	n := c.Params.N
-	a := c.newPoly()
-	b := c.newPoly()
+	a := make(Poly, n)
+	b := make(Poly, n)
 	// Sparse polynomials keep the schoolbook check fast.
 	a[0], a[1], a[n-1] = 3, 5, 7
 	b[0], b[2], b[n-1] = 11, 13, 17
-	got := c.polyMul(a, b)
-	want := c.newPoly()
+	got := c.polyMulRow(0, a, b)
+	want := make(Poly, n)
 	for i := 0; i < n; i++ {
 		if a[i] == 0 {
 			continue
@@ -117,7 +117,7 @@ func TestPolyMulMatchesSchoolbook(t *testing.T) {
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("polyMul differs at %d: %d != %d", i, got[i], want[i])
+			t.Fatalf("polyMulRow differs at %d: %d != %d", i, got[i], want[i])
 		}
 	}
 }
@@ -316,20 +316,55 @@ func TestDecryptMalformed(t *testing.T) {
 	}
 }
 
+// TestNilCiphertextOps: every ciphertext-taking method rejects an operand
+// that is nil or not shaped for this ring — a zero value, a truncated one, a
+// ciphertext of the three-prime ring — with the error Decrypt uses, in either
+// operand position. (Unchecked, the row slicing panics, and Mul computes on
+// whatever the previous call left in its pooled scratch.)
 func TestNilCiphertextOps(t *testing.T) {
 	c, kp := testCtx(t)
 	a, _ := c.EncryptValues(rand.Reader, kp.PK, []uint64{1})
-	if _, err := c.Add(nil, a); err == nil {
-		t.Error("Add(nil) accepted")
+	m, _ := c.Encode([]uint64{2})
+	c3, kp3 := testRNSCtx(t)
+	wrongRing, err := c3.EncryptValues(rand.Reader, kp3.PK, []uint64{1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.Sub(a, nil); err == nil {
-		t.Error("Sub(nil) accepted")
+	bad := map[string]*Ciphertext{
+		"nil":        nil,
+		"zero value": {},
+		"short":      {C0: a.C0[:c.n-1], C1: a.C1[:c.n-1]},
+		"short C1":   {C0: a.C0, C1: a.C1[:3]},
+		"wrong ring": wrongRing,
 	}
-	if _, err := c.MulScalar(nil, 2); err == nil {
-		t.Error("MulScalar(nil) accepted")
+	ops := map[string]func(x *Ciphertext) error{
+		"Add(x, a)":  func(x *Ciphertext) error { _, err := c.Add(x, a); return err },
+		"Add(a, x)":  func(x *Ciphertext) error { _, err := c.Add(a, x); return err },
+		"Sub(x, a)":  func(x *Ciphertext) error { _, err := c.Sub(x, a); return err },
+		"Sub(a, x)":  func(x *Ciphertext) error { _, err := c.Sub(a, x); return err },
+		"Mul(x, a)":  func(x *Ciphertext) error { _, err := c.Mul(x, a, kp.RLK); return err },
+		"Mul(a, x)":  func(x *Ciphertext) error { _, err := c.Mul(a, x, kp.RLK); return err },
+		"AddPlain":   func(x *Ciphertext) error { _, err := c.AddPlain(x, m); return err },
+		"MulPlain":   func(x *Ciphertext) error { _, err := c.MulPlain(x, m); return err },
+		"MulScalar":  func(x *Ciphertext) error { _, err := c.MulScalar(x, 2); return err },
+		"Sum{a,x,a}": func(x *Ciphertext) error { _, err := c.Sum([]*Ciphertext{a, x, a}); return err },
+		"Sum{x}":     func(x *Ciphertext) error { _, err := c.Sum([]*Ciphertext{x}); return err },
+		"Decrypt":    func(x *Ciphertext) error { _, err := c.Decrypt(kp.SK, x); return err },
+		"Marshal":    func(x *Ciphertext) error { _, err := c.MarshalCiphertext(x); return err },
 	}
-	if _, err := c.Mul(nil, a, kp.RLK); err == nil {
-		t.Error("Mul(nil) accepted")
+	for opName, op := range ops {
+		for badName, x := range bad {
+			if err := op(x); err == nil || err.Error() != "bgv: malformed ciphertext" {
+				t.Errorf("%s on a %s ciphertext: err = %v, want bgv: malformed ciphertext", opName, badName, err)
+			}
+		}
+	}
+	// A plaintext of the wrong degree is rejected too, not indexed.
+	if _, err := c.AddPlain(a, m[:3]); err == nil {
+		t.Error("AddPlain with a short plaintext accepted")
+	}
+	if _, err := c.MulPlain(a, m[:3]); err == nil {
+		t.Error("MulPlain with a short plaintext accepted")
 	}
 }
 
@@ -425,29 +460,29 @@ func BenchmarkMul(b *testing.B) {
 
 func BenchmarkNTT(b *testing.B) {
 	c, _ := testCtx(b)
-	p, _ := c.sampleUniform(rand.Reader)
+	p := uniformPoly(b, c, rand.Reader)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.ntt.Forward(p)
-		c.ntt.Inverse(p)
+		c.ntt[0].Forward(p)
+		c.ntt[0].Inverse(p)
 	}
 }
 
 func TestCiphertextMarshalRoundTrip(t *testing.T) {
 	c, kp := testCtx(t)
 	ct, _ := c.EncryptValues(rand.Reader, kp.PK, []uint64{7, 8, 9})
-	data, err := ct.MarshalBinary()
+	data, err := c.MarshalCiphertext(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 4+16*c.Params.N {
+	if len(data) != wireHeader+8+16*c.Params.N {
 		t.Fatalf("wire size = %d", len(data))
 	}
-	var back Ciphertext
-	if err := back.UnmarshalBinary(data); err != nil {
+	back, err := c.UnmarshalCiphertext(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := c.Decrypt(kp.SK, &back)
+	pt, err := c.Decrypt(kp.SK, back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,19 +490,18 @@ func TestCiphertextMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped ciphertext decrypts to %v", pt[:3])
 	}
 	// Malformed wire data is rejected.
-	if err := back.UnmarshalBinary(data[:10]); err == nil {
+	if _, err := c.UnmarshalCiphertext(data[:10]); err == nil {
 		t.Error("truncated ciphertext accepted")
 	}
 	bad := append([]byte(nil), data...)
 	// Coefficient ≥ Q.
 	for i := 0; i < 8; i++ {
-		bad[4+i] = 0xff
+		bad[wireHeader+8+i] = 0xff
 	}
-	if err := back.UnmarshalBinary(bad); err == nil {
+	if _, err := c.UnmarshalCiphertext(bad); err == nil {
 		t.Error("out-of-range coefficient accepted")
 	}
-	var nilCt *Ciphertext
-	if _, err := nilCt.MarshalBinary(); err == nil {
+	if _, err := c.MarshalCiphertext(nil); err == nil {
 		t.Error("nil ciphertext marshaled")
 	}
 }

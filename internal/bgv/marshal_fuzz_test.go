@@ -2,8 +2,10 @@ package bgv
 
 // Fuzz and hardening tests for the ciphertext wire format: arbitrary
 // (corrupt, truncated, oversized) input must produce an error, never a panic
-// or an out-of-range coefficient, and unmarshaling must not alias the
-// caller's buffer.
+// or an out-of-range residue; accepted input has a unique encoding; and
+// unmarshaling must not alias the caller's buffer. The bodies are shared by
+// the one-prime suite (here) and the three-prime suite
+// (rns_marshal_fuzz_test.go): the two differ only in the ring.
 
 import (
 	"bytes"
@@ -12,49 +14,67 @@ import (
 	"testing"
 )
 
-func fuzzSeedCiphertext(tb testing.TB) []byte {
+func fuzzSeedCiphertext(tb testing.TB, c *Context, kp *KeyPair) []byte {
 	tb.Helper()
-	c, kp := testCtx(tb)
 	ct, err := c.EncryptValues(rand.Reader, kp.PK, []uint64{1, 2, 3})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	data, err := ct.MarshalBinary()
+	data, err := c.MarshalCiphertext(ct)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return data
 }
 
-func FuzzCiphertextUnmarshal(f *testing.F) {
-	valid := fuzzSeedCiphertext(f)
+// fuzzCiphertextUnmarshal seeds and runs the wire-format fuzz target on the
+// ring p.
+func fuzzCiphertextUnmarshal(f *testing.F, p Params) {
+	ctx, err := NewContext(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ct := ctx.newCiphertext() // all-zero ciphertext is valid wire material
+	valid, err := ctx.MarshalCiphertext(ct)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
+	f.Add(valid[:wireHeader])
 	f.Add(append(append([]byte(nil), valid...), 1))
-	// A plausible header with out-of-range coefficients.
+	// Plausible header, out-of-range residue in the first lane.
 	bad := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(bad[4:], ^uint64(0))
+	binary.LittleEndian.PutUint64(bad[wireHeader+8*ctx.l:], ^uint64(0))
 	f.Add(bad)
+	// Wrong prime in the header.
+	wrongPrime := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(wrongPrime[wireHeader:], p.Qi[0]+2)
+	f.Add(wrongPrime)
+	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ct Ciphertext
-		if err := ct.UnmarshalBinary(data); err != nil {
+		ct, err := ctx.UnmarshalCiphertext(data)
+		if err != nil {
 			return // rejected input: fine, as long as it did not panic
 		}
 		// Accepted input must be internally consistent and re-marshal to the
 		// exact same bytes (the format has a unique encoding).
-		if len(ct.C0) != len(ct.C1) {
-			t.Fatal("accepted ciphertext with mismatched polynomials")
+		ln := ctx.l * ctx.n
+		if len(ct.C0) != ln || len(ct.C1) != ln {
+			t.Fatal("accepted ciphertext with wrong row layout")
 		}
-		for _, p := range []Poly{ct.C0, ct.C1} {
-			for _, v := range p {
-				if v >= Q {
-					t.Fatalf("accepted out-of-range coefficient %d", v)
+		for _, half := range [][]uint64{ct.C0, ct.C1} {
+			for li := 0; li < ctx.l; li++ {
+				q := ctx.Params.Qi[li]
+				for _, v := range ctx.row(half, li) {
+					if v >= q {
+						t.Fatalf("accepted residue %d ≥ prime %d", v, q)
+					}
 				}
 			}
 		}
-		out, err := ct.MarshalBinary()
+		out, err := ctx.MarshalCiphertext(ct)
 		if err != nil {
 			t.Fatalf("re-marshal of accepted ciphertext failed: %v", err)
 		}
@@ -64,13 +84,15 @@ func FuzzCiphertextUnmarshal(f *testing.F) {
 	})
 }
 
-// TestUnmarshalDoesNotAliasInput mutates the input buffer after a successful
+func FuzzCiphertextUnmarshal(f *testing.F) { fuzzCiphertextUnmarshal(f, TestParams) }
+
+// unmarshalDoesNotAliasInput mutates the input buffer after a successful
 // unmarshal and checks the ciphertext is unaffected (and vice versa for
 // marshal output).
-func TestUnmarshalDoesNotAliasInput(t *testing.T) {
-	data := fuzzSeedCiphertext(t)
-	var ct Ciphertext
-	if err := ct.UnmarshalBinary(data); err != nil {
+func unmarshalDoesNotAliasInput(t *testing.T, c *Context, kp *KeyPair) {
+	data := fuzzSeedCiphertext(t, c, kp)
+	ct, err := c.UnmarshalCiphertext(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	before := append(Poly(nil), ct.C0...)
@@ -80,37 +102,54 @@ func TestUnmarshalDoesNotAliasInput(t *testing.T) {
 	if !polyEq(before, ct.C0) {
 		t.Fatal("ciphertext aliases the unmarshal input buffer")
 	}
-	out, err := ct.MarshalBinary()
+	out, err := c.MarshalCiphertext(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out[4] ^= 0xff
+	out[wireHeader+8*c.l] ^= 0xff
 	if ct.C0[0] != before[0] {
 		t.Fatal("ciphertext aliases its marshal output buffer")
 	}
 }
 
-// TestUnmarshalRejectsCorruption spot-checks the error paths the fuzzer
+func TestUnmarshalDoesNotAliasInput(t *testing.T) {
+	c, kp := testCtx(t)
+	unmarshalDoesNotAliasInput(t, c, kp)
+}
+
+// unmarshalRejectsCorruption spot-checks the error paths the fuzzer
 // explores, so they are exercised in every ordinary test run too.
-func TestUnmarshalRejectsCorruption(t *testing.T) {
-	data := fuzzSeedCiphertext(t)
+func unmarshalRejectsCorruption(t *testing.T, c *Context, kp *KeyPair) {
+	data := fuzzSeedCiphertext(t, c, kp)
 	cases := map[string][]byte{
 		"empty":        {},
-		"short header": data[:3],
+		"short header": data[:7],
 		"truncated":    data[:len(data)-1],
 		"trailing":     append(append([]byte(nil), data...), 0),
-		"degree zero":  {0, 0, 0, 0},
+		"header only":  data[:wireHeader],
 	}
-	nonPow2 := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(nonPow2[:4], 1000)
-	cases["degree not a power of two"] = nonPow2
-	outOfRange := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint64(outOfRange[4:], Q)
-	cases["coefficient = Q"] = outOfRange
+	// patch returns a copy of data with a header or payload word replaced.
+	patch := func(put func(b []byte)) []byte {
+		b := append([]byte(nil), data...)
+		put(b)
+		return b
+	}
+	cases["degree zero"] = patch(func(b []byte) { binary.LittleEndian.PutUint32(b[:4], 0) })
+	cases["degree not a power of two"] = patch(func(b []byte) { binary.LittleEndian.PutUint32(b[:4], 1000) })
+	cases["wrong degree"] = patch(func(b []byte) { binary.LittleEndian.PutUint32(b[:4], uint32(c.n*2)) })
+	cases["wrong prime count"] = patch(func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], uint32(c.l+1)) })
+	cases["wrong prime"] = patch(func(b []byte) { binary.LittleEndian.PutUint64(b[wireHeader:], c.Params.Qi[0]+2) })
+	cases["residue = prime"] = patch(func(b []byte) {
+		binary.LittleEndian.PutUint64(b[wireHeader+8*c.l:], c.Params.Qi[0])
+	})
 	for name, in := range cases {
-		var ct Ciphertext
-		if err := ct.UnmarshalBinary(in); err == nil {
+		if _, err := c.UnmarshalCiphertext(in); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+func TestUnmarshalRejectsCorruption(t *testing.T) {
+	c, kp := testCtx(t)
+	unmarshalRejectsCorruption(t, c, kp)
 }

@@ -2,8 +2,8 @@ package bgv
 
 import "math/bits"
 
-// Modular arithmetic over the fixed 60-bit NTT-friendly ciphertext modulus.
-// All values are kept reduced in [0, q).
+// Modular arithmetic over one word-sized NTT-friendly prime q < 2^62 (one
+// lane of the RNS basis). All values are kept reduced in [0, q).
 
 func addMod(a, b, q uint64) uint64 {
 	s := a + b
@@ -21,7 +21,7 @@ func subMod(a, b, q uint64) uint64 {
 }
 
 // mulMod returns a·b mod q using a 128-bit intermediate product. Both inputs
-// must be < q < 2^60, so the high word of the product is < q and
+// must be < q, so the high word of the product is < q and
 // bits.Div64's precondition holds.
 func mulMod(a, b, q uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-
-	"arboretum/internal/parallel"
 )
 
 // Negacyclic number-theoretic transform over Z_q[x]/(x^n + 1).
@@ -18,14 +16,14 @@ import (
 // storing ψ-adjusted twiddle factors in bit-reversed order (the standard
 // Cooley-Tukey forward / Gentleman-Sande inverse negacyclic pair), every
 // twiddle multiply uses Shoup precomputation instead of a hardware division,
-// butterfly values stay lazily reduced (below 4q forward, 2q inverse; the
-// 60-bit q leaves four bits of headroom in a 64-bit word), and n⁻¹ is folded
+// butterfly values stay lazily reduced (below 4q forward, 2q inverse;
+// Params.Validate keeps q < 2^62 so 4q fits a 64-bit word), and n⁻¹ is folded
 // into the last inverse stage. Forward produces the evaluation domain in
 // bit-reversed order and Inverse consumes it, so the explicit permutation
 // pass disappears; point-wise products between the two are order-agnostic.
 // See docs/KERNELS.md for the invariants and the equivalence argument.
 //
-// The textbook formulation is retained in ntt_reference.go; randomized tests
+// The textbook formulation is retained in ntt_reference_test.go; randomized tests
 // assert the optimized pair matches it bit for bit (modulo the documented
 // bit-reversal of the evaluation domain).
 
@@ -222,38 +220,4 @@ func (t *nttTables) Inverse(a []uint64) {
 			a[i] -= q
 		}
 	}
-}
-
-// forwardBatch runs Forward over each polynomial (in place), one worker-pool
-// task per polynomial. The tables are read-only, so transforms of distinct
-// polynomials never share mutable state. At one worker the plain loop runs
-// directly — same order, and no closure allocation on the zero-alloc paths.
-func (t *nttTables) forwardBatch(ps []Poly) {
-	if parallel.Workers(0) == 1 {
-		for _, p := range ps {
-			t.Forward(p)
-		}
-		return
-	}
-	//arblint:ignore errdiscard ForEach only propagates closure errors and this closure is infallible
-	_ = parallel.ForEach(nil, len(ps), 0, func(i int) error {
-		t.Forward(ps[i])
-		return nil
-	})
-}
-
-// inverseBatch runs Inverse over each polynomial (in place), in parallel
-// (sequentially at one worker, like forwardBatch).
-func (t *nttTables) inverseBatch(ps []Poly) {
-	if parallel.Workers(0) == 1 {
-		for _, p := range ps {
-			t.Inverse(p)
-		}
-		return
-	}
-	//arblint:ignore errdiscard ForEach only propagates closure errors and this closure is infallible
-	_ = parallel.ForEach(nil, len(ps), 0, func(i int) error {
-		t.Inverse(ps[i])
-		return nil
-	})
 }

@@ -97,7 +97,7 @@ func TestForwardOutputReduced(t *testing.T) {
 }
 
 // TestPolyMulMatchesReferenceTransforms multiplies random polynomials with
-// the production polyMul (optimized transforms) and with the reference
+// the production polyMulRow (optimized transforms) and with the reference
 // transforms and asserts identical coefficients — the end-to-end consequence
 // of transform equivalence that the ciphertext paths depend on.
 func TestPolyMulMatchesReferenceTransforms(t *testing.T) {
@@ -106,17 +106,17 @@ func TestPolyMulMatchesReferenceTransforms(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		a := randomPoly(t, n)
 		b := randomPoly(t, n)
-		got := c.polyMul(a, b)
+		got := c.polyMulRow(0, a, b)
 		ae := append(Poly(nil), a...)
 		be := append(Poly(nil), b...)
-		c.ntt.referenceForward(ae)
-		c.ntt.referenceForward(be)
+		c.ntt[0].referenceForward(ae)
+		c.ntt[0].referenceForward(be)
 		for i := range ae {
 			ae[i] = mulMod(ae[i], be[i], Q)
 		}
-		c.ntt.referenceInverse(ae)
+		c.ntt[0].referenceInverse(ae)
 		if !polyEq(got, ae) {
-			t.Fatal("polyMul differs from reference-transform product")
+			t.Fatal("polyMulRow differs from reference-transform product")
 		}
 	}
 }

@@ -2,7 +2,8 @@ package bgv
 
 // Determinism tests: the batched/parallel formulations must be bit-identical
 // to their sequential counterparts at any worker count, because all ring
-// arithmetic is exact mod Q.
+// arithmetic is exact mod Q. They run the one-prime ring (TestParams), where
+// a ring element is a single row and the textbook formulation is one lane.
 
 import (
 	"bytes"
@@ -26,8 +27,8 @@ func polyEq(a, b Poly) bool {
 }
 
 // TestMulMatchesTextbookFormulation recomputes a multiplication with the
-// original per-product polyMul formulation and asserts the evaluation-domain
-// version produces the exact same ciphertext.
+// textbook per-product polyMulRow formulation and asserts the
+// evaluation-domain version produces the exact same ciphertext.
 func TestMulMatchesTextbookFormulation(t *testing.T) {
 	ctx, err := NewContext(TestParams)
 	if err != nil {
@@ -46,23 +47,31 @@ func TestMulMatchesTextbookFormulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Textbook reference: tensor via polyMul, relinearize digit by digit in
-	// the coefficient domain (the pre-batching implementation).
+	// Textbook reference: tensor via per-product multiplication, relinearize
+	// digit by digit in the coefficient domain.
+	mul := func(x, y []uint64) []uint64 { return ctx.polyMulRow(0, x, y) }
+	add := func(x, y []uint64) []uint64 {
+		out := make([]uint64, len(x))
+		for i := range out {
+			out[i] = addMod(x[i], y[i], Q)
+		}
+		return out
+	}
 	rlk := kp.RLK
-	d0 := ctx.polyMul(a.C0, b.C0)
-	d1 := ctx.polyAdd(ctx.polyMul(a.C0, b.C1), ctx.polyMul(a.C1, b.C0))
-	d2 := ctx.polyMul(a.C1, b.C1)
+	d0 := mul(a.C0, b.C0)
+	d1 := add(mul(a.C0, b.C1), mul(a.C1, b.C0))
+	d2 := mul(a.C1, b.C1)
 	mask := uint64(1<<relinLogBase) - 1
 	c0, c1 := d0, d1
-	rem := append(Poly(nil), d2...)
+	rem := append([]uint64(nil), d2...)
 	for i := 0; i < len(rlk.A); i++ {
-		digit := ctx.newPoly()
+		digit := make([]uint64, len(rem))
 		for j := range rem {
 			digit[j] = rem[j] & mask
 			rem[j] >>= relinLogBase
 		}
-		c0 = ctx.polyAdd(c0, ctx.polyMul(digit, rlk.B[i]))
-		c1 = ctx.polyAdd(c1, ctx.polyMul(digit, rlk.A[i]))
+		c0 = add(c0, mul(digit, rlk.B[i]))
+		c1 = add(c1, mul(digit, rlk.A[i]))
 	}
 
 	for _, workers := range []int{1, 4} {

@@ -1,17 +1,18 @@
 package bgv
 
-// Multi-prime RNS (residue number system) variant of the BGV ring.
+// The ring: Z_Q[x]/(x^n + 1) in RNS (residue number system) form.
 //
-// The single-prime ring (bgv.go) tops out at a 60-bit modulus because every
-// coefficient must fit a machine word. The paper's prototype runs at ring
-// degree 2^15 with a ~135-bit ciphertext modulus (Section 6), which this file
-// reaches by CRT: the modulus is a product Q = q_1·…·q_L of word-sized
-// NTT-friendly primes, and a ring element is stored as its residues mod each
-// q_l — L rows of N words. Every ring operation is then L independent
-// single-prime operations reusing the per-prime NTT tables from ntt.go, so
-// the paper-scale parameters run natively on 64-bit arithmetic and
-// scripts/bench.sh can *measure* the Table 1 FHE column instead of
-// extrapolating it through internal/costmodel.
+// A coefficient must fit a machine word, so a single prime tops out at 60
+// bits. The paper's prototype runs at ring degree 2^15 with a ~135-bit
+// ciphertext modulus (Section 6), which the ring reaches by CRT: the modulus
+// is a product Q = q_1·…·q_L of word-sized NTT-friendly primes, and a ring
+// element is stored as its residues mod each q_l — L rows of N words. Every
+// ring operation is then L independent single-prime operations on the
+// per-prime NTT tables from ntt.go, so the paper-scale parameters run natively
+// on 64-bit arithmetic and scripts/bench.sh can *measure* the Table 1 FHE
+// column instead of extrapolating it. The prime basis is a parameter value
+// (Params.Qi), not a second implementation: the one-prime test ring
+// (TestParams) is this code at L = 1.
 //
 // Relinearization is the hybrid RNS gadget: a tensor coefficient d2 is
 // represented per prime, each residue is decomposed into base-2^relinLogBase
@@ -19,15 +20,18 @@ package bgv
 // g_l = (Q/q_l)·((Q/q_l)^{-1} mod q_l) is the CRT interpolation basis —
 // Σ_l g_l·(x mod q_l) ≡ x (mod Q). Because g_l ≡ 1 (mod q_l) and ≡ 0 mod
 // every other prime, the key-generation factors need no big-integer
-// arithmetic at all. For L = 1 and q_1 = Q the whole scheme collapses
-// digit-for-digit onto the single-prime implementation: the samplers consume
-// identical randomness (rns_equiv_test.go pins the equivalence bit for bit).
+// arithmetic at all.
 //
-// Thread safety mirrors Context: an RNSContext is logically immutable after
-// NewRNSContext (the scratch pools are internally synchronized), the hot
-// paths run one worker-pool task per prime, and results are bit-identical at
-// any worker count because the per-prime lanes are independent and partials
-// combine in a fixed order.
+// The samplers' byte consumption is part of the contract: a ternary draw
+// reads N bytes whatever L is, a uniform draw reads each prime's row in turn,
+// and key generation draws secret, public A, public error, then per gadget
+// digit A and error. rns_equiv_test.go pins the resulting words at L = 1 to
+// digests of the single-prime implementation this ring replaced.
+//
+// A Context is logically immutable after NewContext (the scratch pools are
+// internally synchronized), the hot paths run one worker-pool task per prime,
+// and results are bit-identical at any worker count because the per-prime
+// lanes are independent and partials combine in a fixed order.
 
 import (
 	"errors"
@@ -40,8 +44,8 @@ import (
 	"arboretum/internal/parallel"
 )
 
-// RNSParams fixes a ring degree, plaintext modulus, and RNS prime basis.
-type RNSParams struct {
+// Params fixes a ring degree, plaintext modulus, and RNS prime basis.
+type Params struct {
 	N  int      // ring degree, power of two
 	T  uint64   // plaintext modulus, coprime with every q_l, T ≪ q_l
 	Qi []uint64 // pairwise-distinct NTT-friendly primes, q_l ≡ 1 (mod 2N)
@@ -50,7 +54,7 @@ type RNSParams struct {
 // PaperRNSParams is the paper-scale parameter set: ring degree 2^15 and a
 // 135-bit modulus built from three 45-bit primes ≡ 1 (mod 2^18). This is the
 // instantiation Table 1's FHE column is measured at.
-var PaperRNSParams = RNSParams{
+var PaperRNSParams = Params{
 	N: 1 << 15,
 	T: 65537,
 	Qi: []uint64{
@@ -62,17 +66,21 @@ var PaperRNSParams = RNSParams{
 
 // TestRNSParams is a small three-prime basis (30-bit primes, ring degree
 // 2^10) for unit tests.
-var TestRNSParams = RNSParams{
+var TestRNSParams = Params{
 	N:  1 << 10,
 	T:  65537,
 	Qi: []uint64{1073479681, 1068236801, 1062469633},
 }
 
+// TestParams is the one-prime ring at the test degree: the single 60-bit
+// modulus Q (one multiplication of depth is supported at these sizes).
+var TestParams = Params{N: 1 << 10, T: 65537, Qi: []uint64{Q}}
+
 // maxRNSPrimes bounds the basis size; the paper needs three.
 const maxRNSPrimes = 8
 
 // Validate checks the parameter set.
-func (p RNSParams) Validate() error {
+func (p Params) Validate() error {
 	if p.N < 16 || p.N&(p.N-1) != 0 {
 		return fmt.Errorf("bgv: ring degree %d must be a power of two ≥ 16", p.N)
 	}
@@ -112,19 +120,19 @@ func (p RNSParams) Validate() error {
 // ring the evaluation tables quote (2^15, 135-bit composite modulus) and
 // "test" is the reduced ring the unit tests run. The planner CLI's -ring
 // flag and the cost model's native calibration path accept these names.
-func RingByName(name string) (RNSParams, error) {
+func RingByName(name string) (Params, error) {
 	switch name {
 	case "paper":
 		return PaperRNSParams, nil
 	case "test":
 		return TestRNSParams, nil
 	default:
-		return RNSParams{}, fmt.Errorf("bgv: unknown ring %q (want \"paper\" or \"test\")", name)
+		return Params{}, fmt.Errorf("bgv: unknown ring %q (want \"paper\" or \"test\")", name)
 	}
 }
 
 // Modulus returns the composite ciphertext modulus Q = Π q_l.
-func (p RNSParams) Modulus() *big.Int {
+func (p Params) Modulus() *big.Int {
 	q := big.NewInt(1)
 	for _, qi := range p.Qi {
 		q.Mul(q, new(big.Int).SetUint64(qi))
@@ -134,21 +142,21 @@ func (p RNSParams) Modulus() *big.Int {
 
 // ModulusBits returns the bit length of the composite modulus — the number
 // bench rows and the cost model tag parameter sets with.
-func (p RNSParams) ModulusBits() int { return p.Modulus().BitLen() }
+func (p Params) ModulusBits() int { return p.Modulus().BitLen() }
 
-// rnsEncScratch holds RNSContext.Encrypt's working state: L·N-word vectors
-// for the draws and half-products plus the bulk sampling buffer.
-type rnsEncScratch struct {
+// encScratch holds Encrypt's working state: L·N-word vectors for the draws
+// and half-products plus the bulk sampling buffer.
+type encScratch struct {
 	u, e1, e2 []uint64
 	bu, au    []uint64
 	bt, at    []uint64
 	buf       []byte
 }
 
-// rnsMulScratch holds RNSContext.Mul's working state: eval-domain input
-// copies, tensor accumulators, the per-(prime, digit) gadget polynomials,
-// and one per-prime work row for the digit transforms.
-type rnsMulScratch struct {
+// mulScratch holds Mul's working state: eval-domain input copies, tensor
+// accumulators, the per-(prime, digit) gadget polynomials, and one per-prime
+// work row for the digit transforms.
+type mulScratch struct {
 	a0, a1, b0, b1 []uint64
 	d0, d1, d2     []uint64
 	dig            [][]uint64 // totalDigits rows of N coefficients
@@ -156,10 +164,14 @@ type rnsMulScratch struct {
 	bt, at         []uint64   // L·N: eval relin rows for uncached keys
 }
 
-// RNSContext carries an RNS parameter set, one NTT table per prime, the CRT
-// reconstruction constants, and the hot-path scratch pools.
-type RNSContext struct {
-	Params RNSParams
+// Context carries a parameter set, one NTT table per prime, the CRT
+// reconstruction constants, and the scratch pools the hot paths draw from:
+// every Encrypt/Mul checks a scratch struct out, overwrites it completely,
+// and returns it on exit. Nothing pooled ever escapes into a returned
+// Ciphertext (results live in freshly allocated slabs), so callers cannot
+// observe recycling. All methods are safe for concurrent use.
+type Context struct {
+	Params Params
 
 	n   int
 	l   int
@@ -176,17 +188,17 @@ type RNSContext struct {
 	digOff      []int
 	totalDigits int
 
-	enc fixed.Pool[rnsEncScratch]
-	mul fixed.Pool[rnsMulScratch]
+	enc fixed.Pool[encScratch]
+	mul fixed.Pool[mulScratch]
 }
 
-// NewRNSContext validates params and precomputes the per-prime NTT tables
+// NewContext validates params and precomputes the per-prime NTT tables
 // and CRT constants.
-func NewRNSContext(p RNSParams) (*RNSContext, error) {
+func NewContext(p Params) (*Context, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	c := &RNSContext{Params: p, n: p.N, l: len(p.Qi)}
+	c := &Context{Params: p, n: p.N, l: len(p.Qi)}
 	c.ntt = make([]*nttTables, c.l)
 	for i, q := range p.Qi {
 		t, err := newNTTTables(p.N, q)
@@ -216,16 +228,16 @@ func NewRNSContext(p RNSParams) (*RNSContext, error) {
 		c.totalDigits += c.digits[i]
 	}
 	n, l, total := c.n, c.l, c.totalDigits
-	c.enc.New = func() *rnsEncScratch {
-		return &rnsEncScratch{
+	c.enc.New = func() *encScratch {
+		return &encScratch{
 			u: make([]uint64, l*n), e1: make([]uint64, l*n), e2: make([]uint64, l*n),
 			bu: make([]uint64, l*n), au: make([]uint64, l*n),
 			bt: make([]uint64, l*n), at: make([]uint64, l*n),
 			buf: make([]byte, n),
 		}
 	}
-	c.mul.New = func() *rnsMulScratch {
-		s := &rnsMulScratch{
+	c.mul.New = func() *mulScratch {
+		s := &mulScratch{
 			a0: make([]uint64, l*n), a1: make([]uint64, l*n),
 			b0: make([]uint64, l*n), b1: make([]uint64, l*n),
 			d0: make([]uint64, l*n), d1: make([]uint64, l*n), d2: make([]uint64, l*n),
@@ -242,21 +254,23 @@ func NewRNSContext(p RNSParams) (*RNSContext, error) {
 }
 
 // Levels returns the number of RNS primes.
-func (c *RNSContext) Levels() int { return c.l }
+func (c *Context) Levels() int { return c.l }
 
 // row returns prime l's N-word row of an L·N vector.
-func (c *RNSContext) row(v []uint64, l int) []uint64 {
+func (c *Context) row(v []uint64, l int) []uint64 {
 	return v[l*c.n : (l+1)*c.n]
 }
 
 // --- sampling ---
 
-// sampleTernaryRNS draws ONE ternary polynomial (N bytes from r, the same
-// byte → coefficient mapping as the single-prime sampler) and writes its
-// residues into every prime's row: −1 becomes q_l−1 in row l. The byte
-// consumption is independent of L, which is what makes the L = 1 stream
-// identical to the single-prime scheme's.
-func (c *RNSContext) sampleTernaryRNS(r io.Reader, dst []uint64, buf []byte) error {
+// sampleTernary draws ONE polynomial with coefficients in {−1, 0, 1} — used
+// for secrets, encryption randomness, and errors; small ternary errors keep
+// one multiplication within the noise budget at test parameters — and writes
+// its residues into every prime's row: −1 becomes q_l−1 in row l. One bulk
+// read of N bytes (buf must hold at least that many) instead of a 1-byte read
+// per coefficient gives crypto/rand throughput without per-call overhead, and
+// the byte consumption is independent of L.
+func (c *Context) sampleTernary(r io.Reader, dst []uint64, buf []byte) error {
 	buf = buf[:c.n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
@@ -278,9 +292,9 @@ func (c *RNSContext) sampleTernaryRNS(r io.Reader, dst []uint64, buf []byte) err
 	return nil
 }
 
-// sampleUniformRNS draws each prime's row uniformly and independently —
+// sampleUniform draws each prime's row uniformly and independently —
 // by CRT that is exactly a uniform element of Z_Q[x]/(x^n+1).
-func (c *RNSContext) sampleUniformRNS(r io.Reader, dst []uint64) error {
+func (c *Context) sampleUniform(r io.Reader, dst []uint64) error {
 	for l := 0; l < c.l; l++ {
 		if err := sampleUniformInto(r, c.row(dst, l), c.Params.Qi[l]); err != nil {
 			return err
@@ -292,7 +306,7 @@ func (c *RNSContext) sampleUniformRNS(r io.Reader, dst []uint64) error {
 // --- per-row polynomial helpers (key generation; not allocation-sensitive) ---
 
 // polyMulRow multiplies two N-word rows negacyclically mod q_l.
-func (c *RNSContext) polyMulRow(l int, a, b []uint64) []uint64 {
+func (c *Context) polyMulRow(l int, a, b []uint64) []uint64 {
 	q := c.Params.Qi[l]
 	ae := append([]uint64(nil), a...)
 	be := append([]uint64(nil), b...)
@@ -307,52 +321,55 @@ func (c *RNSContext) polyMulRow(l int, a, b []uint64) []uint64 {
 
 // --- keys ---
 
-// RNSSecretKey is the RLWE secret in RNS form (the same ternary polynomial's
-// residues in every row).
-type RNSSecretKey struct {
+// SecretKey is the RLWE secret (the same ternary polynomial's residues in
+// every row).
+type SecretKey struct {
 	S []uint64 // L·N
 }
 
-// RNSPublicKey is the RLWE public key (A, B = −A·S + T·E) in RNS form, with
-// cached per-prime NTT forms populated at generation.
-type RNSPublicKey struct {
+// PublicKey is the RLWE public key (A, B = −A·S + T·E). Keys produced by
+// GenerateKeys also carry their per-prime NTT forms, which Encrypt reuses
+// instead of transforming A and B on every call; a hand-built PublicKey still
+// works through the uncached fallback path.
+type PublicKey struct {
 	A, B []uint64 // L·N
 
+	// Evaluation-domain (bit-reversed) forms of A and B, populated at key
+	// generation. Unexported: derived data, never serialized.
 	aNTT, bNTT []uint64
 }
 
-// RNSRelinKey holds one (A, B) pair per flat gadget digit (prime l, digit j):
+// RelinKey key-switches s² back to s after multiplication. It holds one (A, B) pair per flat gadget digit (prime l, digit j):
 // B = −A·S + T·E + g_l·2^(relinLogBase·j)·S².
-type RNSRelinKey struct {
+type RelinKey struct {
 	A, B [][]uint64 // totalDigits entries of L·N
 
 	aNTT, bNTT [][]uint64
 }
 
-// RNSKeyPair bundles the generated keys.
-type RNSKeyPair struct {
-	SK  *RNSSecretKey
-	PK  *RNSPublicKey
-	RLK *RNSRelinKey
+// KeyPair bundles the keys a key-generation committee produces.
+type KeyPair struct {
+	SK  *SecretKey
+	PK  *PublicKey
+	RLK *RelinKey
 }
 
-// GenerateKeys produces a fresh keypair. The draw order (secret, public A,
-// public error, then per gadget digit: A then error) and byte consumption
-// mirror Context.GenerateKeys exactly, so at L = 1 with q_1 = Q the keys are
-// bit-identical to the single-prime ones.
-func (c *RNSContext) GenerateKeys(r io.Reader) (*RNSKeyPair, error) {
+// GenerateKeys produces a fresh keypair (Section 5.2 runs this inside a
+// committee MPC). The draw order is secret, public A, public error, then per
+// gadget digit: A then error.
+func (c *Context) GenerateKeys(r io.Reader) (*KeyPair, error) {
 	n, l := c.n, c.l
 	buf := make([]byte, n)
 	s := make([]uint64, l*n)
-	if err := c.sampleTernaryRNS(r, s, buf); err != nil {
+	if err := c.sampleTernary(r, s, buf); err != nil {
 		return nil, err
 	}
 	a := make([]uint64, l*n)
-	if err := c.sampleUniformRNS(r, a); err != nil {
+	if err := c.sampleUniform(r, a); err != nil {
 		return nil, err
 	}
 	e := make([]uint64, l*n)
-	if err := c.sampleTernaryRNS(r, e, buf); err != nil {
+	if err := c.sampleTernary(r, e, buf); err != nil {
 		return nil, err
 	}
 	t := c.Params.T
@@ -365,8 +382,8 @@ func (c *RNSContext) GenerateKeys(r io.Reader) (*RNSKeyPair, error) {
 			brow[i] = addMod(negMod(as[i], q), mulMod(erow[i], t, q), q)
 		}
 	}
-	sk := &RNSSecretKey{S: s}
-	pk := &RNSPublicKey{A: a, B: b}
+	sk := &SecretKey{S: s}
+	pk := &PublicKey{A: a, B: b}
 	pk.aNTT = append([]uint64(nil), a...)
 	pk.bNTT = append([]uint64(nil), b...)
 	for li := 0; li < l; li++ {
@@ -377,17 +394,17 @@ func (c *RNSContext) GenerateKeys(r io.Reader) (*RNSKeyPair, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RNSKeyPair{SK: sk, PK: pk, RLK: rlk}, nil
+	return &KeyPair{SK: sk, PK: pk, RLK: rlk}, nil
 }
 
-func (c *RNSContext) generateRelinKey(r io.Reader, sk *RNSSecretKey, buf []byte) (*RNSRelinKey, error) {
+func (c *Context) generateRelinKey(r io.Reader, sk *SecretKey, buf []byte) (*RelinKey, error) {
 	n, l, t := c.n, c.l, c.Params.T
 	// s² per row.
 	s2 := make([]uint64, l*n)
 	for li := 0; li < l; li++ {
 		copy(c.row(s2, li), c.polyMulRow(li, c.row(sk.S, li), c.row(sk.S, li)))
 	}
-	rlk := &RNSRelinKey{
+	rlk := &RelinKey{
 		A: make([][]uint64, c.totalDigits), B: make([][]uint64, c.totalDigits),
 		aNTT: make([][]uint64, c.totalDigits), bNTT: make([][]uint64, c.totalDigits),
 	}
@@ -399,11 +416,11 @@ func (c *RNSContext) generateRelinKey(r io.Reader, sk *RNSSecretKey, buf []byte)
 		for j := 0; j < c.digits[li]; j++ {
 			id := c.digOff[li] + j
 			a := make([]uint64, l*n)
-			if err := c.sampleUniformRNS(r, a); err != nil {
+			if err := c.sampleUniform(r, a); err != nil {
 				return nil, err
 			}
 			e := make([]uint64, l*n)
-			if err := c.sampleTernaryRNS(r, e, buf); err != nil {
+			if err := c.sampleTernary(r, e, buf); err != nil {
 				return nil, err
 			}
 			b := make([]uint64, l*n)
@@ -436,14 +453,15 @@ func (c *RNSContext) generateRelinKey(r io.Reader, sk *RNSSecretKey, buf []byte)
 
 // --- ciphertexts ---
 
-// RNSCiphertext is a degree-1 BGV ciphertext in RNS form: C0 and C1 each
-// hold L rows of N words (level-major).
-type RNSCiphertext struct {
+// Ciphertext is a degree-1 BGV ciphertext (C0, C1) with
+// C0 + C1·S = m + T·noise (mod Q), in RNS form: C0 and C1 each hold L rows of
+// N words (level-major).
+type Ciphertext struct {
 	C0, C1 []uint64
 }
 
 // Bytes returns the serialized coefficient size for traffic accounting.
-func (ct *RNSCiphertext) Bytes() int {
+func (ct *Ciphertext) Bytes() int {
 	if ct == nil {
 		return 0
 	}
@@ -451,17 +469,40 @@ func (ct *RNSCiphertext) Bytes() int {
 }
 
 // newCiphertext allocates a result ciphertext as a single 2·L·N slab sliced
-// in half — two heap allocations, the hot paths' whole budget.
-func (c *RNSContext) newCiphertext() *RNSCiphertext {
+// in half: exactly two heap allocations (slab + header struct), which is the
+// entire steady-state allocation budget of the hot paths — everything else
+// they touch is pooled scratch.
+func (c *Context) newCiphertext() *Ciphertext {
 	ln := c.l * c.n
 	slab := make([]uint64, 2*ln)
-	return &RNSCiphertext{C0: slab[:ln:ln], C1: slab[ln:]}
+	return &Ciphertext{C0: slab[:ln:ln], C1: slab[ln:]}
+}
+
+// errMalformed rejects a nil ciphertext or one whose halves are not L·N
+// words: a zero value, a truncated one, or one from another ring.
+var errMalformed = errors.New("bgv: malformed ciphertext")
+
+// errPlainDegree rejects an encoded plaintext that is not N coefficients.
+var errPlainDegree = errors.New("bgv: plaintext polynomial has wrong degree")
+
+// check returns errMalformed unless every ciphertext has this ring's shape.
+// Every ciphertext-taking method calls it first: row slices by L·N, and Mul
+// copies its operands into pooled scratch, where a short operand would leave
+// the previous call's data in place.
+func (c *Context) check(cts ...*Ciphertext) error {
+	ln := c.l * c.n
+	for _, ct := range cts {
+		if ct == nil || len(ct.C0) != ln || len(ct.C1) != ln {
+			return errMalformed
+		}
+	}
+	return nil
 }
 
 // Encode places values (reduced mod T) into a polynomial's coefficients.
 // The result is a plain N-length Poly: plaintext coefficients are below T,
 // hence below every prime, so one row serves all L lanes.
-func (c *RNSContext) Encode(values []uint64) (Poly, error) {
+func (c *Context) Encode(values []uint64) (Poly, error) {
 	if len(values) > c.n {
 		return nil, fmt.Errorf("bgv: %d values exceed ring degree %d", len(values), c.n)
 	}
@@ -474,22 +515,20 @@ func (c *RNSContext) Encode(values []uint64) (Poly, error) {
 
 // Encrypt encrypts the encoded plaintext polynomial under pk. Scratch is
 // pooled and the result is a fresh slab: two steady-state allocations at one
-// worker. The ternary draws consume the same bytes as the single-prime
-// Encrypt, and each prime lane computes the same formula, so at L = 1 the
-// output is bit-identical.
-func (c *RNSContext) Encrypt(r io.Reader, pk *RNSPublicKey, m Poly) (*RNSCiphertext, error) {
+// worker.
+func (c *Context) Encrypt(r io.Reader, pk *PublicKey, m Poly) (*Ciphertext, error) {
 	if len(m) != c.n {
-		return nil, errors.New("bgv: plaintext polynomial has wrong degree")
+		return nil, errPlainDegree
 	}
 	s := c.enc.Get()
 	defer c.enc.Put(s)
-	if err := c.sampleTernaryRNS(r, s.u, s.buf); err != nil {
+	if err := c.sampleTernary(r, s.u, s.buf); err != nil {
 		return nil, err
 	}
-	if err := c.sampleTernaryRNS(r, s.e1, s.buf); err != nil {
+	if err := c.sampleTernary(r, s.e1, s.buf); err != nil {
 		return nil, err
 	}
-	if err := c.sampleTernaryRNS(r, s.e2, s.buf); err != nil {
+	if err := c.sampleTernary(r, s.e2, s.buf); err != nil {
 		return nil, err
 	}
 	ct := c.newCiphertext()
@@ -510,7 +549,7 @@ func (c *RNSContext) Encrypt(r io.Reader, pk *RNSPublicKey, m Poly) (*RNSCiphert
 // encryptRow runs one prime lane of Encrypt: (b·u, a·u) in the evaluation
 // domain against the key's cached NTT rows, back, then the noise and message
 // terms. Lanes touch disjoint rows, so they may run concurrently.
-func (c *RNSContext) encryptRow(s *rnsEncScratch, pk *RNSPublicKey, m Poly, ct *RNSCiphertext, li int) {
+func (c *Context) encryptRow(s *encScratch, pk *PublicKey, m Poly, ct *Ciphertext, li int) {
 	q := c.Params.Qi[li]
 	t := c.Params.T
 	ntt := c.ntt[li]
@@ -542,7 +581,7 @@ func (c *RNSContext) encryptRow(s *rnsEncScratch, pk *RNSPublicKey, m Poly, ct *
 }
 
 // EncryptValues encodes and encrypts a value vector in one call.
-func (c *RNSContext) EncryptValues(r io.Reader, pk *RNSPublicKey, values []uint64) (*RNSCiphertext, error) {
+func (c *Context) EncryptValues(r io.Reader, pk *PublicKey, values []uint64) (*Ciphertext, error) {
 	m, err := c.Encode(values)
 	if err != nil {
 		return nil, err
@@ -553,9 +592,9 @@ func (c *RNSContext) EncryptValues(r io.Reader, pk *RNSPublicKey, values []uint6
 // Decrypt recovers the plaintext coefficient vector: per-prime phase
 // c0 + c1·s, CRT reconstruction to the full modulus, centered lift, then
 // reduction mod T. Decryption is off the hot path and allocates freely.
-func (c *RNSContext) Decrypt(sk *RNSSecretKey, ct *RNSCiphertext) (Plaintext, error) {
-	if ct == nil || len(ct.C0) != c.l*c.n || len(ct.C1) != c.l*c.n {
-		return nil, errors.New("bgv: malformed ciphertext")
+func (c *Context) Decrypt(sk *SecretKey, ct *Ciphertext) (Plaintext, error) {
+	if err := c.check(ct); err != nil {
+		return nil, err
 	}
 	n := c.n
 	phase := make([]uint64, c.l*n)
@@ -593,10 +632,11 @@ func (c *RNSContext) Decrypt(sk *RNSSecretKey, ct *RNSCiphertext) (Plaintext, er
 	return out, nil
 }
 
-// Add homomorphically adds (slot-wise).
-func (c *RNSContext) Add(a, b *RNSCiphertext) (*RNSCiphertext, error) {
-	if a == nil || b == nil {
-		return nil, errors.New("bgv: nil ciphertext")
+// Add homomorphically adds (slot-wise): the ⊞ operator. The result is one
+// slab (two allocations), like every hot-path ciphertext.
+func (c *Context) Add(a, b *Ciphertext) (*Ciphertext, error) {
+	if err := c.check(a, b); err != nil {
+		return nil, err
 	}
 	out := c.newCiphertext()
 	n := c.n
@@ -614,9 +654,9 @@ func (c *RNSContext) Add(a, b *RNSCiphertext) (*RNSCiphertext, error) {
 }
 
 // Sub homomorphically subtracts.
-func (c *RNSContext) Sub(a, b *RNSCiphertext) (*RNSCiphertext, error) {
-	if a == nil || b == nil {
-		return nil, errors.New("bgv: nil ciphertext")
+func (c *Context) Sub(a, b *Ciphertext) (*Ciphertext, error) {
+	if err := c.check(a, b); err != nil {
+		return nil, err
 	}
 	out := c.newCiphertext()
 	n := c.n
@@ -633,18 +673,76 @@ func (c *RNSContext) Sub(a, b *RNSCiphertext) (*RNSCiphertext, error) {
 	return out, nil
 }
 
+// AddPlain adds an encoded plaintext to a ciphertext. m's coefficients are
+// below T, hence already reduced in every prime's lane.
+func (c *Context) AddPlain(a *Ciphertext, m Poly) (*Ciphertext, error) {
+	if err := c.check(a); err != nil {
+		return nil, err
+	}
+	if len(m) != c.n {
+		return nil, errPlainDegree
+	}
+	out := c.newCiphertext()
+	copy(out.C1, a.C1)
+	for li := 0; li < c.l; li++ {
+		q := c.Params.Qi[li]
+		o0, a0 := c.row(out.C0, li), c.row(a.C0, li)
+		for i := range o0 {
+			o0[i] = addMod(a0[i], m[i], q)
+		}
+	}
+	return out, nil
+}
+
+// MulPlain multiplies a ciphertext by an encoded plaintext polynomial
+// (negacyclic convolution in coefficient encoding; scalar for degree-0 m).
+func (c *Context) MulPlain(a *Ciphertext, m Poly) (*Ciphertext, error) {
+	if err := c.check(a); err != nil {
+		return nil, err
+	}
+	if len(m) != c.n {
+		return nil, errPlainDegree
+	}
+	out := c.newCiphertext()
+	for li := 0; li < c.l; li++ {
+		copy(c.row(out.C0, li), c.polyMulRow(li, c.row(a.C0, li), m))
+		copy(c.row(out.C1, li), c.polyMulRow(li, c.row(a.C1, li), m))
+	}
+	return out, nil
+}
+
+// MulScalar multiplies by a public integer scalar.
+func (c *Context) MulScalar(a *Ciphertext, k uint64) (*Ciphertext, error) {
+	if err := c.check(a); err != nil {
+		return nil, err
+	}
+	kk := k % c.Params.T
+	out := c.newCiphertext()
+	for li := 0; li < c.l; li++ {
+		q := c.Params.Qi[li]
+		o0, o1 := c.row(out.C0, li), c.row(out.C1, li)
+		a0, a1 := c.row(a.C0, li), c.row(a.C1, li)
+		for i := range o0 {
+			o0[i] = mulMod(a0[i], kk, q)
+			o1[i] = mulMod(a1[i], kk, q)
+		}
+	}
+	return out, nil
+}
+
 // Mul multiplies two ciphertexts and relinearizes back to degree 1 with the
-// hybrid RNS gadget. Phase one runs per prime: batch-forward the four input
-// rows, point-wise tensor, inverse-transform d2, extract that prime's
-// base-2^10 digits. Phase two runs per prime again: every (prime, digit)
+// hybrid RNS gadget: the ⊠ operator. One multiplication level is supported at
+// the named parameter sets. Phase one runs per prime: forward-transform the
+// four input rows, point-wise tensor, inverse-transform d2, extract that
+// prime's base-2^10 digits. Phase two runs per prime again: every (prime, digit)
 // polynomial — small coefficients, valid in every lane — is forward-
 // transformed in this prime's domain and folded against the relin key's
 // cached NTT rows in flat digit order, then d0 and d1 come back and land in
 // the result slab. Scratch is pooled; at one worker a steady-state Mul
 // performs two heap allocations.
-func (c *RNSContext) Mul(a, b *RNSCiphertext, rlk *RNSRelinKey) (*RNSCiphertext, error) {
-	if a == nil || b == nil {
-		return nil, errors.New("bgv: nil ciphertext")
+func (c *Context) Mul(a, b *Ciphertext, rlk *RelinKey) (*Ciphertext, error) {
+	if err := c.check(a, b); err != nil {
+		return nil, err
 	}
 	if rlk == nil {
 		return nil, errors.New("bgv: relinearization key required")
@@ -689,7 +787,7 @@ func (c *RNSContext) Mul(a, b *RNSCiphertext, rlk *RNSRelinKey) (*RNSCiphertext,
 // mulTensorRow runs phase one of Mul for one prime lane: forward transforms,
 // point-wise tensor into (d0, d1, d2), d2 back to coefficients, digit
 // extraction into this prime's flat digit slots.
-func (c *RNSContext) mulTensorRow(s *rnsMulScratch, li int) {
+func (c *Context) mulTensorRow(s *mulScratch, li int) {
 	q := c.Params.Qi[li]
 	ntt := c.ntt[li]
 	n := c.n
@@ -719,7 +817,7 @@ func (c *RNSContext) mulTensorRow(s *rnsMulScratch, li int) {
 // mulRelinRow runs phase two of Mul for one prime lane: fold every flat
 // gadget digit against the relin key in this lane, inverse-transform the two
 // accumulators, and write the lane's result rows.
-func (c *RNSContext) mulRelinRow(s *rnsMulScratch, rlk *RNSRelinKey, ct *RNSCiphertext, li int, cached bool) {
+func (c *Context) mulRelinRow(s *mulScratch, rlk *RelinKey, ct *Ciphertext, li int, cached bool) {
 	q := c.Params.Qi[li]
 	ntt := c.ntt[li]
 	n := c.n
@@ -749,27 +847,25 @@ func (c *RNSContext) mulRelinRow(s *rnsMulScratch, rlk *RNSRelinKey, ct *RNSCiph
 	copy(c.row(ct.C1, li), d1)
 }
 
+// minParallelSum is the ciphertext count below which Sum stays sequential.
+const minParallelSum = 32
+
 // sumRange folds addition sequentially over a non-empty slice into one
-// freshly allocated accumulator ciphertext: two allocations per range.
-func (c *RNSContext) sumRange(cts []*RNSCiphertext) (*RNSCiphertext, error) {
-	if cts[0] == nil {
-		return nil, errors.New("bgv: nil ciphertext")
+// freshly allocated accumulator ciphertext instead of allocating a fresh
+// ciphertext per Add — the same addMod in the same order, two allocations per
+// range.
+func (c *Context) sumRange(cts []*Ciphertext) (*Ciphertext, error) {
+	if err := c.check(cts...); err != nil {
+		return nil, err
 	}
 	if len(cts) == 1 {
 		return cts[0], nil
-	}
-	ln := c.l * c.n
-	if len(cts[0].C0) != ln || len(cts[0].C1) != ln {
-		return nil, errors.New("bgv: malformed ciphertext")
 	}
 	acc := c.newCiphertext()
 	copy(acc.C0, cts[0].C0)
 	copy(acc.C1, cts[0].C1)
 	n := c.n
 	for _, ct := range cts[1:] {
-		if ct == nil {
-			return nil, errors.New("bgv: nil ciphertext")
-		}
 		for li := 0; li < c.l; li++ {
 			q := c.Params.Qi[li]
 			a0, a1 := c.row(acc.C0, li), c.row(acc.C1, li)
@@ -783,9 +879,11 @@ func (c *RNSContext) sumRange(cts []*RNSCiphertext) (*RNSCiphertext, error) {
 	return acc, nil
 }
 
-// Sum folds Add over ciphertexts, in parallel chunks above minParallelSum,
-// combining partials in index order — bit-identical at any worker count.
-func (c *RNSContext) Sum(cts []*RNSCiphertext) (*RNSCiphertext, error) {
+// Sum folds Add over ciphertexts (the aggregator's AHE/FHE sum loop). Large
+// sums fold in parallel chunks whose partials are combined in index order;
+// coefficient-wise addition mod q_l is associative and commutative, so the
+// result is bit-identical to the sequential fold at any worker count.
+func (c *Context) Sum(cts []*Ciphertext) (*Ciphertext, error) {
 	if len(cts) == 0 {
 		return nil, errors.New("bgv: empty sum")
 	}
@@ -793,7 +891,7 @@ func (c *RNSContext) Sum(cts []*RNSCiphertext) (*RNSCiphertext, error) {
 	if w > 1 && len(cts) >= minParallelSum {
 		chunk := (len(cts) + w - 1) / w
 		nChunks := (len(cts) + chunk - 1) / chunk
-		partials, err := parallel.Map(nil, nChunks, w, func(ci int) (*RNSCiphertext, error) {
+		partials, err := parallel.Map(nil, nChunks, w, func(ci int) (*Ciphertext, error) {
 			lo := ci * chunk
 			hi := lo + chunk
 			if hi > len(cts) {

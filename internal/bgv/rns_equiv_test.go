@@ -1,19 +1,25 @@
 package bgv
 
-// Equivalence tests pinning the RNS ring to the single-prime ring where the
-// parameter sets overlap. At L = 1 with q_1 = Q the two implementations are
-// specified to be BIT-IDENTICAL — same randomness consumption, same draw
-// order, same exact modular arithmetic — so these tests compare raw
-// coefficient words, not just decrypted plaintexts. They are the regression
-// fence that lets the RNS path inherit the single-prime path's test history:
-// any divergence in sampling, keygen, encryption, multiplication, or
-// summation shows up as a word-level mismatch with a deterministic seed.
+// Golden tests pinning the one-prime ring (TestParams: L = 1, q_1 = Q) to
+// the single-prime implementation the RNS ring replaced. That implementation
+// was specified to be BIT-IDENTICAL to the RNS ring at L = 1 — same
+// randomness consumption, same draw order, same exact modular arithmetic —
+// and a word-level comparison held the two together. The literals below are
+// SHA-256 digests of the words the single-prime Context produced (keys,
+// a ciphertext, a relinearized product, a 48-way sum, a decryption) at the
+// last commit that had it, captured by running these same inputs through it
+// in a scratch checkout. Same seed ⇒ same bits is therefore pinned across
+// that deletion: any divergence in sampling, keygen, encryption,
+// multiplication, or summation changes a digest.
 //
 // The CRT half checks the reconstruction identities the multi-prime decoder
 // rests on: qHat/qHatInv are a valid CRT basis, and interpolation round-trips
 // residue vectors at the q_i boundaries.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/big"
 	"sync"
 	"testing"
@@ -21,210 +27,152 @@ import (
 	"arboretum/internal/benchrand"
 )
 
-// singlePrimeRNSParams is the L = 1 overlap point: the RNS ring running on
-// the single-prime modulus at the test degree.
-var singlePrimeRNSParams = RNSParams{N: 1 << 10, T: 65537, Qi: []uint64{Q}}
+// Digests of the single-prime Context's output (see the file comment).
+const (
+	goldenSecretKey = "8706a599252e2848ee9257c7b7c537edc97e6ee3333c1826a4f809ba29a6c499" // SK.S
+	goldenPublicKey = "d0eafadf516226e09dfee7eb68b9789485ead7b2682423eadc6aa03949be5345" // PK.A ‖ PK.B
+	goldenRelinKey  = "bd88f3a2c02cd589ae4a8930305c9db4c86db8675acd498d45492641b0ce6b3f" // A[0] ‖ B[0] ‖ … ‖ A[5] ‖ B[5]
+	goldenEncrypt   = "acec515dc70c97f2c19486a2790b4e1d7ce4bc2a7e6e3026967e7a5e50a1fc9f" // C0 ‖ C1
+	goldenMul       = "9a5ad2e3cceb466e22aca599141ae7269028a00f52cad6c525992ff2a659ef54" // C0 ‖ C1
+	goldenMulPlain  = "2c4725e793403cd9bc235c6116fbb5b448f4c4617f15b93594a0fbd1bd13ba36" // Decrypt(product)
+	goldenSum       = "3a739bc6c04709241800aee06bb343178b4cf28561d44acad0d3a10daf80de14" // C0 ‖ C1
+	goldenDecryptCt = "29c13b2ae0e27ffb0869e3cf9c9b6d17a4118c1c240515e29f4e16c9ed76ac98" // C0 ‖ C1
+	goldenDecrypt   = "fea097eaf403174654afc57762cff2db40f063593678565b01be0a8a3bab926f" // plaintext words
+)
+
+// digestWords hashes the little-endian 8-byte encoding of the concatenated
+// word slices.
+func digestWords(parts ...[]uint64) string {
+	var buf []byte
+	for _, p := range parts {
+		for _, w := range p {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+func wantDigest(t *testing.T, what, want string, parts ...[]uint64) {
+	t.Helper()
+	if got := digestWords(parts...); got != want {
+		t.Fatalf("%s: digest %s, want %s (the single-prime implementation's)", what, got, want)
+	}
+}
 
 var (
 	equivOnce sync.Once
 	equivErr  error
-	equivSP   *Context    // single-prime
-	equivRC   *RNSContext // RNS at L = 1
-	equivSPK  *KeyPair
-	equivRK   *RNSKeyPair
+	equivCtx  *Context
+	equivKeys *KeyPair
 )
 
-// equivCtxs builds both rings and generates keys from the SAME deterministic
-// stream, so every cross-check below starts from byte-identical key material.
-func equivCtxs(t *testing.T) (*Context, *RNSContext, *KeyPair, *RNSKeyPair) {
+// equivRing builds the one-prime ring and the keys every golden starts from.
+func equivRing(t *testing.T) (*Context, *KeyPair) {
 	t.Helper()
 	equivOnce.Do(func() {
-		equivSP, equivErr = NewContext(TestParams)
+		equivCtx, equivErr = NewContext(TestParams)
 		if equivErr != nil {
 			return
 		}
-		equivRC, equivErr = NewRNSContext(singlePrimeRNSParams)
-		if equivErr != nil {
-			return
-		}
-		equivSPK, equivErr = equivSP.GenerateKeys(benchrand.New(0xA11CE))
-		if equivErr != nil {
-			return
-		}
-		equivRK, equivErr = equivRC.GenerateKeys(benchrand.New(0xA11CE))
+		equivKeys, equivErr = equivCtx.GenerateKeys(benchrand.New(0xA11CE))
 	})
 	if equivErr != nil {
 		t.Fatal(equivErr)
 	}
-	return equivSP, equivRC, equivSPK, equivRK
+	return equivCtx, equivKeys
 }
 
-func wordsEqual(t *testing.T, what string, got []uint64, want Poly) {
+// encryptSeeded encrypts values with the randomness stream benchrand.New(seed).
+func encryptSeeded(t *testing.T, c *Context, pk *PublicKey, seed uint64, values []uint64) *Ciphertext {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: length %d vs %d", what, len(got), len(want))
+	ct, err := c.EncryptValues(benchrand.New(seed), pk, values)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: word %d is %d, want %d", what, i, got[i], want[i])
-		}
-	}
+	return ct
 }
 
 func TestRNSSinglePrimeKeysBitExact(t *testing.T) {
-	_, rc, spk, rk := equivCtxs(t)
-	wordsEqual(t, "secret key", rk.SK.S, spk.SK.S)
-	wordsEqual(t, "public key A", rk.PK.A, spk.PK.A)
-	wordsEqual(t, "public key B", rk.PK.B, spk.PK.B)
-	if rc.totalDigits != relinDigits {
-		t.Fatalf("L=1 gadget has %d digits, want %d", rc.totalDigits, relinDigits)
+	c, kp := equivRing(t)
+	wantDigest(t, "secret key", goldenSecretKey, kp.SK.S)
+	wantDigest(t, "public key", goldenPublicKey, kp.PK.A, kp.PK.B)
+	if c.totalDigits != 6 {
+		t.Fatalf("L=1 gadget has %d digits, want 6 (60 bits in base 2^10)", c.totalDigits)
 	}
-	if len(rk.RLK.A) != len(spk.RLK.A) {
-		t.Fatalf("relin key has %d digits, want %d", len(rk.RLK.A), len(spk.RLK.A))
+	var rlk [][]uint64
+	for i := range kp.RLK.A {
+		rlk = append(rlk, kp.RLK.A[i], kp.RLK.B[i])
 	}
-	for i := range rk.RLK.A {
-		wordsEqual(t, "relin A digit", rk.RLK.A[i], spk.RLK.A[i])
-		wordsEqual(t, "relin B digit", rk.RLK.B[i], spk.RLK.B[i])
-	}
+	wantDigest(t, "relin key", goldenRelinKey, rlk...)
 }
 
 func TestRNSSinglePrimeEncryptBitExact(t *testing.T) {
-	sp, rc, spk, rk := equivCtxs(t)
-	values := []uint64{3, 1, 4, 1, 5, 9, 2, 6, sp.Params.T - 1}
-	a, err := sp.EncryptValues(benchrand.New(42), spk.PK, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := rc.EncryptValues(benchrand.New(42), rk.PK, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wordsEqual(t, "encrypt C0", b.C0, a.C0)
-	wordsEqual(t, "encrypt C1", b.C1, a.C1)
+	c, kp := equivRing(t)
+	values := []uint64{3, 1, 4, 1, 5, 9, 2, 6, c.Params.T - 1}
+	ct := encryptSeeded(t, c, kp.PK, 42, values)
+	wantDigest(t, "encrypt", goldenEncrypt, ct.C0, ct.C1)
 	// The uncached-key path (a hand-built key with no NTT cache) must encrypt
 	// to the same words as the cached path.
-	bareSP := &PublicKey{A: spk.PK.A, B: spk.PK.B}
-	bareRC := &RNSPublicKey{A: rk.PK.A, B: rk.PK.B}
-	a2, err := sp.EncryptValues(benchrand.New(42), bareSP, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := rc.EncryptValues(benchrand.New(42), bareRC, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wordsEqual(t, "uncached single-prime C0", []uint64(a2.C0), a.C0)
-	wordsEqual(t, "uncached RNS C0", b2.C0, a.C0)
-	wordsEqual(t, "uncached RNS C1", b2.C1, a.C1)
+	bare := encryptSeeded(t, c, &PublicKey{A: kp.PK.A, B: kp.PK.B}, 42, values)
+	wantDigest(t, "uncached encrypt", goldenEncrypt, bare.C0, bare.C1)
 }
 
 func TestRNSSinglePrimeMulBitExact(t *testing.T) {
-	sp, rc, spk, rk := equivCtxs(t)
-	a1, err := sp.EncryptValues(benchrand.New(7), spk.PK, []uint64{6, 7})
+	c, kp := equivRing(t)
+	a := encryptSeeded(t, c, kp.PK, 7, []uint64{6, 7})
+	b := encryptSeeded(t, c, kp.PK, 8, []uint64{8, 9})
+	prod, err := c.Mul(a, b, kp.RLK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := sp.EncryptValues(benchrand.New(8), spk.PK, []uint64{8, 9})
+	wantDigest(t, "mul", goldenMul, prod.C0, prod.C1)
+	pt, err := c.Decrypt(kp.SK, prod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := rc.EncryptValues(benchrand.New(7), rk.PK, []uint64{6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := rc.EncryptValues(benchrand.New(8), rk.PK, []uint64{8, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap, err := sp.Mul(a1, a2, spk.RLK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := rc.Mul(b1, b2, rk.RLK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wordsEqual(t, "mul C0", bp.C0, ap.C0)
-	wordsEqual(t, "mul C1", bp.C1, ap.C1)
-	pa, err := sp.Decrypt(spk.SK, ap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := rc.Decrypt(rk.SK, bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("decrypted slot %d: %d vs %d", i, pb[i], pa[i])
-		}
-	}
-	if pa[0] != 48 || pa[1] != 6*9+7*8 {
-		t.Fatalf("product slots: got %v, want [48 110]", pa[:2])
+	wantDigest(t, "decrypted product", goldenMulPlain, pt)
+	if pt[0] != 48 || pt[1] != 6*9+7*8 {
+		t.Fatalf("product slots: got %v, want [48 110]", pt[:2])
 	}
 }
 
 func TestRNSSinglePrimeSumBitExact(t *testing.T) {
-	sp, rc, spk, rk := equivCtxs(t)
-	const k = 37
-	as := make([]*Ciphertext, k)
-	bs := make([]*RNSCiphertext, k)
-	for i := 0; i < k; i++ {
-		seed := uint64(1000 + i)
-		var err error
-		as[i], err = sp.EncryptValues(benchrand.New(seed), spk.PK, []uint64{uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs[i], err = rc.EncryptValues(benchrand.New(seed), rk.PK, []uint64{uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
+	c, kp := equivRing(t)
+	cts := make([]*Ciphertext, 48) // above minParallelSum when workers > 1
+	for i := range cts {
+		cts[i] = encryptSeeded(t, c, kp.PK, uint64(1000+i), []uint64{uint64(i)})
 	}
-	sa, err := sp.Sum(as)
+	sum, err := c.Sum(cts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := rc.Sum(bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wordsEqual(t, "sum C0", sb.C0, sa.C0)
-	wordsEqual(t, "sum C1", sb.C1, sa.C1)
+	wantDigest(t, "sum", goldenSum, sum.C0, sum.C1)
 }
 
 func TestRNSSinglePrimeDecryptBitExact(t *testing.T) {
-	sp, rc, spk, rk := equivCtxs(t)
+	c, kp := equivRing(t)
 	// Coefficients spanning the full plaintext range, including the T−1
 	// boundary where the centered lift changes sign.
-	values := make([]uint64, sp.Params.N)
+	values := make([]uint64, c.Params.N)
 	rng := benchrand.New(99)
 	buf := make([]byte, 8)
 	for i := range values {
 		if _, err := rng.Read(buf); err != nil {
 			t.Fatal(err)
 		}
-		values[i] = (uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16) % sp.Params.T
+		values[i] = (uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16) % c.Params.T
 	}
-	a, err := sp.EncryptValues(benchrand.New(5), spk.PK, values)
+	ct := encryptSeeded(t, c, kp.PK, 5, values)
+	wantDigest(t, "ciphertext", goldenDecryptCt, ct.C0, ct.C1)
+	pt, err := c.Decrypt(kp.SK, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rc.EncryptValues(benchrand.New(5), rk.PK, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, err := sp.Decrypt(spk.SK, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := rc.Decrypt(rk.SK, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pa {
-		if pa[i] != values[i] || pb[i] != values[i] {
-			t.Fatalf("slot %d: single=%d rns=%d want %d", i, pa[i], pb[i], values[i])
+	wantDigest(t, "decrypt", goldenDecrypt, pt)
+	for i := range pt {
+		if pt[i] != values[i] {
+			t.Fatalf("slot %d: got %d, want %d", i, pt[i], values[i])
 		}
 	}
 }

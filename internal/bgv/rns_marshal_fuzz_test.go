@@ -1,114 +1,20 @@
 package bgv
 
-// Fuzz and hardening tests for the RNS ciphertext wire format, mirroring
-// marshal_fuzz_test.go: arbitrary input must error, never panic or yield an
-// out-of-range residue; accepted input has a unique encoding; and the
-// pooled-scratch encryption and multiplication paths must never leak a
-// buffer that a later call mutates.
+// The three-prime suite for the ciphertext wire format (bodies shared with
+// marshal_fuzz_test.go), and the pooling-discipline test: the pooled-scratch
+// encryption and multiplication paths must never leak a buffer that a later
+// call mutates, nor one call's scratch into another call's result.
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/binary"
 	"testing"
 )
 
-func fuzzSeedRNSCiphertext(tb testing.TB) []byte {
-	tb.Helper()
-	ctx, keys := testRNSCtx(tb)
-	ct, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{1, 2, 3})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	data, err := ctx.MarshalCiphertext(ct)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
-}
-
-func FuzzRNSCiphertextUnmarshal(f *testing.F) {
-	ctx, _ := func() (*RNSContext, *RNSKeyPair) {
-		c, err := NewRNSContext(TestRNSParams)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return c, nil
-	}()
-	ct := ctx.newCiphertext() // all-zero ciphertext is valid wire material
-	valid, err := ctx.MarshalCiphertext(ct)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5])
-	f.Add([]byte{})
-	f.Add(valid[:rnsWireHeader])
-	f.Add(append(append([]byte(nil), valid...), 1))
-	// Plausible header, out-of-range residue in the first lane.
-	bad := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(bad[rnsWireHeader+8*len(ctx.Params.Qi):], ^uint64(0))
-	f.Add(bad)
-	// Wrong prime in the header.
-	wrongPrime := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(wrongPrime[rnsWireHeader:], Q)
-	f.Add(wrongPrime)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ct, err := ctx.UnmarshalCiphertext(data)
-		if err != nil {
-			return // rejected input: fine, as long as it did not panic
-		}
-		ln := ctx.l * ctx.n
-		if len(ct.C0) != ln || len(ct.C1) != ln {
-			t.Fatal("accepted ciphertext with wrong row layout")
-		}
-		for _, half := range [][]uint64{ct.C0, ct.C1} {
-			for li := 0; li < ctx.l; li++ {
-				q := ctx.Params.Qi[li]
-				for _, v := range ctx.row(half, li) {
-					if v >= q {
-						t.Fatalf("accepted residue %d ≥ prime %d", v, q)
-					}
-				}
-			}
-		}
-		out, err := ctx.MarshalCiphertext(ct)
-		if err != nil {
-			t.Fatalf("re-marshal of accepted ciphertext failed: %v", err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatal("re-marshal differs from accepted input")
-		}
-	})
-}
+func FuzzRNSCiphertextUnmarshal(f *testing.F) { fuzzCiphertextUnmarshal(f, TestRNSParams) }
 
 func TestRNSUnmarshalRejectsCorruption(t *testing.T) {
-	ctx, _ := testRNSCtx(t)
-	data := fuzzSeedRNSCiphertext(t)
-	cases := map[string][]byte{
-		"empty":        {},
-		"short header": data[:7],
-		"truncated":    data[:len(data)-1],
-		"trailing":     append(append([]byte(nil), data...), 0),
-		"header only":  data[:rnsWireHeader],
-	}
-	wrongN := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(wrongN[:4], uint32(ctx.n*2))
-	cases["wrong degree"] = wrongN
-	wrongL := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(wrongL[4:8], uint32(ctx.l+1))
-	cases["wrong prime count"] = wrongL
-	wrongQ := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint64(wrongQ[rnsWireHeader:], Q)
-	cases["wrong prime"] = wrongQ
-	outOfRange := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint64(outOfRange[rnsWireHeader+8*ctx.l:], ctx.Params.Qi[0])
-	cases["residue = prime"] = outOfRange
-	for name, in := range cases {
-		if _, err := ctx.UnmarshalCiphertext(in); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
+	ctx, keys := testRNSCtx(t)
+	unmarshalRejectsCorruption(t, ctx, keys)
 }
 
 func TestRNSMarshalRoundTrip(t *testing.T) {
@@ -135,21 +41,8 @@ func TestRNSMarshalRoundTrip(t *testing.T) {
 }
 
 func TestRNSUnmarshalDoesNotAliasInput(t *testing.T) {
-	ctx, _ := testRNSCtx(t)
-	data := fuzzSeedRNSCiphertext(t)
-	ct, err := ctx.UnmarshalCiphertext(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]uint64(nil), ct.C0...)
-	for i := range data {
-		data[i] = 0
-	}
-	for i := range before {
-		if ct.C0[i] != before[i] {
-			t.Fatal("ciphertext aliases the unmarshal input buffer")
-		}
-	}
+	ctx, keys := testRNSCtx(t)
+	unmarshalDoesNotAliasInput(t, ctx, keys)
 }
 
 // TestRNSPooledBuffersDoNotEscape pins the pooling discipline: results come
@@ -171,7 +64,7 @@ func TestRNSPooledBuffersDoNotEscape(t *testing.T) {
 	if _, err := ctx.Mul(first, second, keys.RLK); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Sum([]*RNSCiphertext{first, second}); err != nil {
+	if _, err := ctx.Sum([]*Ciphertext{first, second}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{333}); err != nil {
@@ -188,5 +81,21 @@ func TestRNSPooledBuffersDoNotEscape(t *testing.T) {
 	}
 	if pt[0] != 111 {
 		t.Fatalf("issued ciphertext decrypts to %d after pool churn, want 111", pt[0])
+	}
+	// Mul after Mul: the pooled scratch still holds the NTT-domain operands
+	// of the multiplication above. An operand too short to overwrite them
+	// must be rejected — not multiplied as whatever the last caller left
+	// behind, which decrypts to garbage with a nil error.
+	for name, empty := range map[string]*Ciphertext{
+		"zero value": {},
+		"short":      {C0: first.C0[:ctx.n], C1: first.C1[:ctx.n]},
+	} {
+		if got, err := ctx.Mul(empty, second, keys.RLK); err == nil {
+			stale, _ := ctx.Decrypt(keys.SK, got)
+			t.Fatalf("Mul on a %s operand returned a ciphertext built from stale scratch (decrypts to %v…)", name, stale[:2])
+		}
+		if _, err := ctx.Mul(second, empty, keys.RLK); err == nil {
+			t.Fatalf("Mul with a %s right operand accepted", name)
+		}
 	}
 }

@@ -8,16 +8,16 @@ import (
 
 var (
 	rnsOnce sync.Once
-	rnsCtx  *RNSContext
-	rnsKeys *RNSKeyPair
+	rnsCtx  *Context
+	rnsKeys *KeyPair
 	rnsErr  error
 )
 
 // testRNSCtx builds one shared context and keypair at TestRNSParams.
-func testRNSCtx(t testing.TB) (*RNSContext, *RNSKeyPair) {
+func testRNSCtx(t testing.TB) (*Context, *KeyPair) {
 	t.Helper()
 	rnsOnce.Do(func() {
-		rnsCtx, rnsErr = NewRNSContext(TestRNSParams)
+		rnsCtx, rnsErr = NewContext(TestRNSParams)
 		if rnsErr != nil {
 			return
 		}
@@ -42,7 +42,7 @@ func TestRNSParamsValidate(t *testing.T) {
 	if PaperRNSParams.N != 1<<15 {
 		t.Fatalf("paper ring degree is %d, want 2^15", PaperRNSParams.N)
 	}
-	bad := []RNSParams{
+	bad := []Params{
 		{N: 1000, T: 65537, Qi: []uint64{1073479681}},                // degree not a power of two
 		{N: 1 << 10, T: 1, Qi: []uint64{1073479681}},                 // t too small
 		{N: 1 << 10, T: 65537, Qi: nil},                              // no primes
@@ -127,6 +127,46 @@ func TestRNSAddSub(t *testing.T) {
 	}
 }
 
+// TestRNSPlainOps runs the plaintext-operand operations on three lanes:
+// each is a per-row loop, and a plaintext coefficient (below T) must act as
+// the same residue in every lane.
+func TestRNSPlainOps(t *testing.T) {
+	ctx, keys := testRNSCtx(t)
+	a, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{10, 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ctx.Encode([]uint64{5, ctx.Params.T - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := ctx.Encode([]uint64{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		op   func() (*Ciphertext, error)
+		want [2]uint64
+	}{
+		{"AddPlain", func() (*Ciphertext, error) { return ctx.AddPlain(a, m) }, [2]uint64{15, 19}},
+		{"MulPlain", func() (*Ciphertext, error) { return ctx.MulPlain(a, four) }, [2]uint64{40, 80}},
+		{"MulScalar", func() (*Ciphertext, error) { return ctx.MulScalar(a, ctx.Params.T+3) }, [2]uint64{30, 60}},
+	} {
+		ct, err := tc.op()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		pt, err := ctx.Decrypt(keys.SK, ct)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if pt[0] != tc.want[0] || pt[1] != tc.want[1] {
+			t.Errorf("%s: got %v, want %v", tc.name, pt[:2], tc.want)
+		}
+	}
+}
+
 func TestRNSMul(t *testing.T) {
 	ctx, keys := testRNSCtx(t)
 	a, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{3})
@@ -188,7 +228,7 @@ func TestRNSMulNegacyclicWraparound(t *testing.T) {
 func TestRNSSum(t *testing.T) {
 	ctx, keys := testRNSCtx(t)
 	const k = 40 // above minParallelSum when workers > 1
-	cts := make([]*RNSCiphertext, k)
+	cts := make([]*Ciphertext, k)
 	var want uint64
 	for i := range cts {
 		v := uint64(i * 3)
@@ -218,7 +258,7 @@ func TestRNSPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale keygen is slow; skipped with -short")
 	}
-	ctx, err := NewRNSContext(PaperRNSParams)
+	ctx, err := NewContext(PaperRNSParams)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,188 +1,9 @@
 package costmodel
 
 import (
-	"crypto/rand"
 	"fmt"
-	"math/big"
 	"time"
-
-	"arboretum/internal/ahe"
-	"arboretum/internal/bgv"
-	"arboretum/internal/merkle"
-	"arboretum/internal/mpc"
-	"arboretum/internal/zkp"
 )
-
-// Calibrate builds a cost model by micro-benchmarking this repository's own
-// cryptographic substrates on the current machine — the automated
-// alternative to hand-benchmarking that the paper points at (Section 4.6:
-// "the manual benchmarking step could be avoided by using an automated cost
-// modeling framework, such as CostCO"). The resulting model prices HE, MPC,
-// ZKP, and hashing operations from live measurements, scaled from the test
-// parameter sizes to the paper's deployment parameters; composite committee
-// costs (key generation, decryption) and wire sizes keep the
-// deployment-calibrated defaults, since they depend on protocol structure
-// rather than raw primitive speed.
-//
-// Use the result the same way as Default(): pass it as planner.Request.Model
-// to make planning decisions reflect the local machine's crypto speeds.
-func Calibrate() (*Model, error) {
-	m := Default()
-
-	// --- BGV at the reduced test ring, scaled up to the paper's 2^15 ring.
-	ctx, err := bgv.NewContext(bgv.TestParams)
-	if err != nil {
-		return nil, fmt.Errorf("costmodel: calibrate bgv: %w", err)
-	}
-	keys, err := ctx.GenerateKeys(rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	// NTT work scales ~n·log n between ring degrees.
-	ringScale := ringWorkScale(bgv.TestParams.N, m.Slots)
-	encT, err := timeIt(8, func() error {
-		_, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{1, 2, 3})
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.HEEnc = encT * ringScale
-	ctA, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{1})
-	if err != nil {
-		return nil, fmt.Errorf("costmodel: calibrate encrypt: %w", err)
-	}
-	ctB, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{2})
-	if err != nil {
-		return nil, fmt.Errorf("costmodel: calibrate encrypt: %w", err)
-	}
-	addT, err := timeIt(64, func() error {
-		_, err := ctx.Add(ctA, ctB)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.HEAdd = addT * ringScale
-	mulT, err := timeIt(4, func() error {
-		_, err := ctx.Mul(ctA, ctB, keys.RLK)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.HEMulCt = mulT * ringScale
-	m.HEMulPlain = m.HEMulCt / 10 // plaintext mult skips relinearization
-
-	// --- Paillier at 512 bits, scaled to a 2048-bit deployment modulus
-	// (modular exponentiation scales ~cubically in the modulus size).
-	sk, err := ahe.GenerateKey(rand.Reader, 512)
-	if err != nil {
-		return nil, err
-	}
-	const paillierScale = 4 * 4 * 4
-	decT, err := timeIt(16, func() error {
-		ct, err := sk.Encrypt(rand.Reader, big.NewInt(7))
-		if err != nil {
-			return err
-		}
-		_, err = sk.Decrypt(ct)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.HEDecShare = decT * paillierScale
-
-	// --- MPC with a small committee; per-op costs are per member and the
-	// traffic model already scales with the committee size.
-	eng, err := mpc.NewEngine(5)
-	if err != nil {
-		return nil, err
-	}
-	x, err := eng.Input(0, 123)
-	if err != nil {
-		return nil, fmt.Errorf("costmodel: calibrate mpc input: %w", err)
-	}
-	y, err := eng.Input(1, 456)
-	if err != nil {
-		return nil, fmt.Errorf("costmodel: calibrate mpc input: %w", err)
-	}
-	multT, err := timeIt(32, func() error {
-		eng.Mul(x, y)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.MPCPerMultCPU = multT
-	cmpT, err := timeIt(8, func() error {
-		_, err := eng.Less(x, y)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.MPCPerCmpCPU = cmpT
-	expT, err := timeIt(4, func() error {
-		_, err := eng.FixedExp(x)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.MPCPerExpCPU = expT
-
-	// --- ZKP and hashing.
-	prover := zkp.NewProver([]byte("calibration-key"))
-	stmt := zkp.Statement{Device: 0, QueryID: 1, Claim: zkp.Claim{Kind: zkp.ClaimOneHot, VectorLen: 8}}
-	wit := zkp.Witness{Vector: []int64{0, 1, 0, 0, 0, 0, 0, 0}}
-	zkpT, err := timeIt(32, func() error {
-		_, err := prover.Prove(stmt, wit)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The simulated proofs are far cheaper than G16; keep the deployment
-	// ratio between generation and verification.
-	ratio := m.ZKPVerify / m.ZKPGen
-	m.ZKPGen = zkpT * 1e6 // MAC → SNARK scale factor (documented substitution)
-	m.ZKPVerify = m.ZKPGen * ratio
-
-	leaves := make([][]byte, 256)
-	for i := range leaves {
-		leaves[i] = []byte{byte(i)}
-	}
-	hashT, err := timeIt(16, func() error {
-		_, err := merkle.New(leaves)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.MerkleHash = hashT / (2 * 256)
-
-	if err := m.sanity(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ringWorkScale approximates how n·log2(n) work grows between ring degrees.
-func ringWorkScale(from, to int) float64 {
-	f := float64(from) * log2f(from)
-	t := float64(to) * log2f(to)
-	return t / f
-}
-
-func log2f(n int) float64 {
-	l := 0.0
-	for v := n; v > 1; v >>= 1 {
-		l++
-	}
-	return l
-}
 
 // timeIt measures the average wall-clock time of fn over iters runs.
 func timeIt(iters int, fn func() error) (float64, error) {

@@ -1,42 +1,36 @@
 package costmodel
 
-import "testing"
+import (
+	"reflect"
+	"testing"
 
+	"arboretum/internal/bgv"
+)
+
+// TestCalibrateProducesUsableModel calibrates on the one-prime test ring
+// (L = 1): the measured model must be usable by the planner as it stands.
 func TestCalibrateProducesUsableModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration benchmarks real crypto")
 	}
-	m, err := Calibrate()
+	m, err := CalibrateRing(bgv.TestParams)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Structural orderings the planner relies on.
-	if m.HEMulCt < m.HEAdd {
-		t.Error("HE multiplication should cost more than addition")
-	}
-	if m.MPCPerCmpCPU < m.MPCPerMultCPU {
-		t.Error("MPC comparison should cost more than multiplication")
-	}
-	if m.HEEnc <= 0 || m.HEAdd <= 0 || m.ZKPGen <= 0 || m.MerkleHash <= 0 {
-		t.Errorf("non-positive calibrated costs: %+v", m)
-	}
-	// Wire sizes and composite committee costs keep deployment defaults.
-	d := Default()
-	if m.CtBytes != d.CtBytes || m.KeyGenBytes != d.KeyGenBytes {
-		t.Error("calibration should not touch wire sizes / composite costs")
 	}
 	if err := m.sanity(); err != nil {
 		t.Errorf("sanity: %v", err)
 	}
-}
-
-func TestRingWorkScale(t *testing.T) {
-	// 2^10 → 2^15: (2^15·15)/(2^10·10) = 48.
-	if got := ringWorkScale(1<<10, 1<<15); got != 48 {
-		t.Errorf("ringWorkScale = %g, want 48", got)
+	if m.Slots != 1<<10 {
+		t.Errorf("Slots = %d, want the ring degree 1024", m.Slots)
 	}
-	if got := ringWorkScale(1<<12, 1<<12); got != 1 {
-		t.Errorf("identity scale = %g", got)
+	// Everything that is not an FHE constant keeps the deployment default:
+	// reverting the measured fields must give back Default() exactly.
+	d := Default()
+	m.Slots, m.CtBytes = d.Slots, d.CtBytes
+	m.HEEnc, m.HEAdd, m.HEMulCt, m.HEMulPlain = d.HEEnc, d.HEAdd, d.HEMulCt, d.HEMulPlain
+	m.HECmp, m.HEExp = d.HECmp, d.HEExp
+	if !reflect.DeepEqual(m, d) {
+		t.Errorf("calibration touched a non-FHE constant:\n got %+v\nwant %+v", m, d)
 	}
 }
 

@@ -1,13 +1,16 @@
 package costmodel
 
-// Native ring calibration. Calibrate (calibrate.go) measures BGV at a
-// reduced single-prime test ring and extrapolates to the paper's 2^15-degree,
-// 135-bit-modulus deployment ring by an n·log n work model — the right tool
-// when the deployment ring is too slow to instantiate. With the multi-prime
-// RNS ring (internal/bgv/rns.go) the deployment parameters run natively, so
-// CalibrateRing measures the FHE column of the evaluation tables directly:
-// no ring extrapolation, ciphertext sizes taken from real serialized
-// ciphertexts, and Slots/CtBytes consistent with the ring being priced.
+// Ring calibration — the cost model's one calibration entry point, the
+// automated alternative to hand-benchmarking that the paper points at
+// (Section 4.6: "the manual benchmarking step could be avoided by using an
+// automated cost modeling framework, such as CostCO"). The BGV ring
+// (internal/bgv) runs the paper's 2^15-degree, 135-bit-modulus deployment
+// parameters natively, so CalibrateRing measures the FHE column of the
+// evaluation tables directly on the ring it is given: no extrapolation
+// between ring degrees, ciphertext sizes taken from real ciphertexts, and
+// Slots/CtBytes consistent with the ring being priced. The non-FHE constants
+// (Paillier, MPC, ZKP, hashing) are re-measured, with reconciliation against
+// a live run, by the benchmark's replay (bench/replay.go), not here.
 
 import (
 	"crypto/rand"
@@ -17,15 +20,15 @@ import (
 )
 
 // CalibrateRing builds a cost model whose FHE constants are measured
-// natively on the given RNS ring. Non-FHE constants keep the deployment
+// natively on the given ring. Non-FHE constants keep the deployment
 // defaults, and the deep-circuit estimates (HECmp, HEExp) — which cannot be
 // micro-benchmarked here — are rescaled by the measured-to-default
 // ciphertext-multiplication ratio, preserving the orderings planning
 // depends on.
-func CalibrateRing(p bgv.RNSParams) (*Model, error) {
+func CalibrateRing(p bgv.Params) (*Model, error) {
 	d := Default()
 	m := Default()
-	ctx, err := bgv.NewRNSContext(p)
+	ctx, err := bgv.NewContext(p)
 	if err != nil {
 		return nil, fmt.Errorf("costmodel: calibrate ring: %w", err)
 	}
@@ -86,7 +89,7 @@ func CalibrateRing(p bgv.RNSParams) (*Model, error) {
 	return m, nil
 }
 
-func mustEncode(ctx *bgv.RNSContext, values []uint64) bgv.Poly {
+func mustEncode(ctx *bgv.Context, values []uint64) bgv.Poly {
 	p, err := ctx.Encode(values)
 	if err != nil {
 		panic(err) // values fit any test or deployment ring

@@ -31,7 +31,7 @@ func TestCalibrateRingTestRing(t *testing.T) {
 }
 
 func TestCalibrateRingRejectsBadParams(t *testing.T) {
-	if _, err := CalibrateRing(bgv.RNSParams{N: 1000, T: 65537, Qi: []uint64{5}}); err == nil {
+	if _, err := CalibrateRing(bgv.Params{N: 1000, T: 65537, Qi: []uint64{5}}); err == nil {
 		t.Fatal("CalibrateRing accepted invalid ring parameters")
 	}
 }

@@ -1,6 +1,9 @@
 package policy
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -116,8 +119,54 @@ func TestEveryInternalPackageGoverned(t *testing.T) {
 	}
 }
 
+// declared parses the non-test files of the repo package pkg and returns
+// the names it declares at package level, split by kind: named types, and
+// functions — a plain function under its name, a method under both
+// "method" and "Type.method" (the policy tables use either spelling).
+func declared(t *testing.T, root, pkg string) (types, funcs map[string]bool) {
+	t.Helper()
+	notTest := func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join(root, filepath.FromSlash(pkg)), notTest, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatalf("parse %s: %v", pkg, err)
+	}
+	types, funcs = map[string]bool{}, map[string]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						if ts, ok := s.(*ast.TypeSpec); ok {
+							types[ts.Name.Name] = true
+						}
+					}
+				case *ast.FuncDecl:
+					funcs[d.Name.Name] = true
+					if d.Recv != nil && len(d.Recv.List) == 1 {
+						recv := d.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						if idx, ok := recv.(*ast.IndexExpr); ok { // generic receiver T[P]
+							recv = idx.X
+						}
+						if id, ok := recv.(*ast.Ident); ok {
+							funcs[id.Name+"."+d.Name.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return types, funcs
+}
+
 // TestPolicyKeysExist fails when a policy entry names a repo package that no
-// longer exists on disk: deleting a package must retire its policy rows.
+// longer exists on disk, or an identifier that package's non-test files no
+// longer declare: deleting or renaming a package, type or function must
+// retire (or follow with) its policy rows, not orphan them silently — a
+// SecretTypes row naming a type that is gone taints nothing.
 func TestPolicyKeysExist(t *testing.T) {
 	root := repoRoot(t)
 	sets := governingSets()
@@ -130,6 +179,35 @@ func TestPolicyKeysExist(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(key))); err != nil {
 				t.Errorf("%s lists %q but that package does not exist: %v", name, key, err)
 			}
+		}
+	}
+
+	resolve := func(table, pkg, id string, wantType bool) {
+		types, funcs := declared(t, root, pkg)
+		kind, ok := "function or method", funcs[id]
+		if wantType {
+			kind, ok = "type", types[id]
+		}
+		if !ok {
+			t.Errorf("%s lists %s.%s but no non-test file of that package declares a %s %s", table, pkg, id, kind, id)
+		}
+	}
+	byKind := map[bool]map[string]map[string]map[string]bool{
+		true:  {"SecretTypes": SecretTypes, "AliasProne": AliasProne},
+		false: {"RawAggregateSources": RawAggregateSources, "ReleaseSanitizers": ReleaseSanitizers},
+	}
+	for wantType, tables := range byKind {
+		for table, rows := range tables {
+			for pkg, ids := range rows {
+				for id := range ids {
+					resolve(table, pkg, id, wantType)
+				}
+			}
+		}
+	}
+	for pkg, ids := range CheckpointFuncs {
+		for _, id := range ids {
+			resolve("CheckpointFuncs", pkg, id, false)
 		}
 	}
 }
