@@ -1,10 +1,13 @@
-// Command arbload drives an arboretumd analyst gateway with concurrent
-// analysts, as the load-test engine behind scripts/loadtest.sh.
+// Command arbload drives an arboretumd analyst gateway over HTTP, as the
+// engine behind scripts/loadtest.sh's conformance and crash-recovery passes.
+// (The gateway's tracked latency/throughput baseline is the gateway-closed
+// workload of bench/, not this command.)
 //
 // Usage:
 //
 //	arbload -addr 127.0.0.1:8750 -smoke
-//	arbload -addr 127.0.0.1:8750 -clients 8 -queries 24 -tenants 4
+//	arbload -addr 127.0.0.1:8750 -phase submit -ids FILE -queries 24 -tenants 4
+//	arbload -addr 127.0.0.1:8750 -phase verify -ids FILE
 //
 // -smoke runs the API-conformance pass CI uses: it exercises every
 // endpoint of docs/SERVICE.md (health, tenant create/list/budget, query
@@ -14,19 +17,10 @@
 // daemon to run with -job-workers 1 so a second submission stays queued
 // behind the first (scripts/loadtest.sh arranges this).
 //
-// Without -smoke it hammers the gateway: -queries submissions spread
-// round-robin over -tenants tenants from -clients concurrent clients,
-// polled to completion. It retries rate-limited (429) and queue-full
-// (503) submissions — so a tight daemon -rate is exercised, not fatal —
-// and fails if any job fails, any budget is oversubscribed, or any
-// tenant's spent ε differs from its completed jobs × the per-query ε. It
-// prints a throughput/latency summary: the gateway's tracked baseline.
-//
-// The two -phase modes split that flow around a daemon kill, as the
-// engine behind `scripts/loadtest.sh -kill`:
-//
-//	arbload -addr ... -phase submit -ids FILE -queries 24 -tenants 4
-//	arbload -addr ... -phase verify -ids FILE
+// The two -phase modes split a submission burst around a daemon kill, as
+// the engine behind `scripts/loadtest.sh -kill`. Submissions retry
+// rate-limited (429) and queue-full (503) rejections, so a tight daemon
+// -rate is exercised, not fatal.
 //
 // `-phase submit` submits without waiting, appending one "tenant id"
 // line to FILE per accepted (202) job, and exits cleanly when the daemon
@@ -48,12 +42,8 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
-	"sync"
 	"time"
-
-	"arboretum/internal/parallel"
 )
 
 // countQuery is the cheap fixed-price workload: a Laplace count with ε = 1
@@ -68,12 +58,11 @@ const overBudgetQuery = "aggr = sum(db);\nnoised = laplace(aggr[0], 50.0);\noutp
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8750", "arboretumd address")
-	smoke := flag.Bool("smoke", false, "run the API conformance pass instead of the load test")
+	smoke := flag.Bool("smoke", false, "run the API conformance pass")
 	phase := flag.String("phase", "", `kill-test phase: "submit" or "verify" (needs -ids)`)
 	ids := flag.String("ids", "", "accepted-job file for -phase (one \"tenant id\" line per job)")
-	clients := flag.Int("clients", 8, "concurrent analyst clients")
-	queries := flag.Int("queries", 24, "total queries to submit")
-	tenants := flag.Int("tenants", 4, "tenants to spread load across")
+	queries := flag.Int("queries", 24, "total queries to submit (-phase submit)")
+	tenants := flag.Int("tenants", 4, "tenants to spread the burst across (-phase submit)")
 	timeout := flag.Duration("timeout", 3*time.Minute, "per-job completion timeout")
 	flag.Parse()
 
@@ -89,7 +78,9 @@ func main() {
 	case *phase != "":
 		err = fmt.Errorf("unknown -phase %q (want submit or verify)", *phase)
 	default:
-		err = runLoad(c, *clients, *queries, *tenants)
+		fmt.Fprintln(os.Stderr, "arbload: need -smoke or -phase submit|verify")
+		flag.Usage()
+		os.Exit(2)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbload:", err)
@@ -346,94 +337,6 @@ func runSmoke(c *client) error {
 		return fmt.Errorf("job states = %v, want one done and one canceled", states)
 	}
 	fmt.Println("arbload: smoke ok — all endpoints exercised, budgets exact")
-	return nil
-}
-
-// runLoad spreads `queries` count-query submissions over `tenants` tenants
-// from `clients` concurrent clients and verifies the ledger afterwards.
-func runLoad(c *client, clients, queries, tenants int) error {
-	if tenants < 1 || clients < 1 || queries < 1 {
-		return fmt.Errorf("need positive -clients/-queries/-tenants")
-	}
-	names := make([]string, tenants)
-	for i := range names {
-		names[i] = fmt.Sprintf("load-%d", i)
-		// Budget every tenant generously: the load test measures
-		// throughput, not rejection (the smoke pass covers rejection).
-		if err := c.ensureTenant(names[i], float64(queries)*countEpsilon); err != nil {
-			return err
-		}
-	}
-	before := make(map[string]balance, tenants)
-	for _, n := range names {
-		b, err := c.budget(n)
-		if err != nil {
-			return err
-		}
-		before[n] = b
-	}
-
-	var mu sync.Mutex
-	var latencies []time.Duration
-	perTenantDone := map[string]int{}
-	start := time.Now()
-	err := parallel.ForEach(nil, queries, clients, func(i int) error {
-		tenant := names[i%tenants]
-		t0 := time.Now()
-		j, err := c.submit(tenant, countQuery)
-		if err != nil {
-			return err
-		}
-		fin, err := c.wait(j.ID)
-		if err != nil {
-			return err
-		}
-		if fin.State != "done" {
-			return fmt.Errorf("job %s for %s: %s (%s: %s)", j.ID, tenant, fin.State, fin.ErrorCode, fin.Error)
-		}
-		mu.Lock()
-		latencies = append(latencies, time.Since(t0))
-		perTenantDone[tenant]++
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	// The ledger invariant, from the outside: each tenant's spend moved by
-	// exactly (completed queries × the per-query certificate ε), nothing is
-	// left reserved, and no balance is oversubscribed.
-	for _, n := range names {
-		b, err := c.budget(n)
-		if err != nil {
-			return err
-		}
-		wantSpent := before[n].EpsSpent + float64(perTenantDone[n])*countEpsilon
-		if math.Abs(b.EpsSpent-wantSpent) > 1e-9 {
-			return fmt.Errorf("tenant %s: spent ε = %g, want %g (double-spend or lost commit)", n, b.EpsSpent, wantSpent)
-		}
-		if b.EpsReserved != 0 {
-			return fmt.Errorf("tenant %s: ε %g still reserved after drain", n, b.EpsReserved)
-		}
-		if b.EpsSpent > b.EpsTotal+1e-9 {
-			return fmt.Errorf("tenant %s: oversubscribed: spent %g of %g", n, b.EpsSpent, b.EpsTotal)
-		}
-	}
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	var sum time.Duration
-	for _, l := range latencies {
-		sum += l
-	}
-	fmt.Printf("arbload: %d queries, %d tenants, %d clients in %v (%.2f q/s)\n",
-		queries, tenants, clients, elapsed.Round(time.Millisecond),
-		float64(queries)/elapsed.Seconds())
-	fmt.Printf("arbload: latency mean %v p50 %v max %v; budgets exact for all tenants\n",
-		(sum / time.Duration(len(latencies))).Round(time.Millisecond),
-		latencies[len(latencies)/2].Round(time.Millisecond),
-		latencies[len(latencies)-1].Round(time.Millisecond))
 	return nil
 }
 

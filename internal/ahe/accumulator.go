@@ -40,8 +40,8 @@ func (a *Accumulator) Reset() { a.set = false }
 
 // Add folds one ciphertext into the running sum.
 func (a *Accumulator) Add(ct *Ciphertext) error {
-	if ct == nil || ct.C == nil {
-		return errors.New("ahe: nil ciphertext")
+	if err := a.pk.check(ct); err != nil {
+		return err
 	}
 	if !a.set {
 		a.acc.Set(ct.C)
@@ -56,8 +56,8 @@ func (a *Accumulator) Add(ct *Ciphertext) error {
 // Set makes the running sum a copy of ct — restoring a checkpoint exported
 // earlier with Snapshot or Value.
 func (a *Accumulator) Set(ct *Ciphertext) error {
-	if ct == nil || ct.C == nil {
-		return errors.New("ahe: nil ciphertext")
+	if err := a.pk.check(ct); err != nil {
+		return err
 	}
 	a.acc.Set(ct.C)
 	a.set = true

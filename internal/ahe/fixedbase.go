@@ -16,10 +16,9 @@ package ahe
 // window powers — entry (i, j) = gn^(j·16^i) — so one encryption costs at
 // most 128 modular multiplications and no squarings, and the table is shared
 // across every encryption under the key (EncryptVector's per-slot
-// encryptions in particular). On 64-bit platforms the table is stored in
-// Montgomery form and the ~120-multiplication walk runs as allocation-free
-// CIOS products on pooled limb scratch — no division anywhere in the chain;
-// elsewhere it falls back to the original math/big Mul+Mod walk.
+// encryptions in particular). The table and the walk are math/big values:
+// each step is one Mul into pooled scratch and one QuoRem back into the
+// accumulator, so a walk allocates nothing (docs/KERNELS.md, "Why math/big").
 
 import (
 	"crypto/sha256"
@@ -37,31 +36,22 @@ const (
 )
 
 // fixedBase is immutable after newFixedBase and safe for concurrent use: the
-// tables are read-only and the mutable per-call state lives in a pool of
+// table is read-only and the mutable per-call state lives in a pool of
 // scratch structs.
 type fixedBase struct {
 	n2 *big.Int
 
-	// Montgomery fast path (mc non-nil): one flat limb vector holding every
-	// window power in Montgomery form; entry (i, j−1) for nonzero digit j of
-	// window i starts at ((i·fbRowLen)+j−1)·mc.k.
-	mc     *montCtx
-	mtable []uint64
-
-	// math/big fallback (mc nil): table[i][j-1] = gn^(j·16^i) mod n².
+	// table[i][j-1] = gn^(j·16^i) mod n².
 	table [][]*big.Int
 
-	// scratch pools the per-encryption working state: the Montgomery
-	// accumulator and CIOS vector, the randomizer-exponent bytes, and the
-	// big.Int temporaries encrypt folds its product in.
+	// scratch pools the per-encryption working state: the randomizer-exponent
+	// bytes and the big.Int temporaries encrypt folds its product in.
 	scratch fixed.Pool[fbScratch]
 }
 
 // fbScratch is one encryption's working state. Nothing in it survives into a
 // returned ciphertext: encrypt copies its final value into the result box.
 type fbScratch struct {
-	acc []uint64 // Montgomery accumulator, k limbs
-	t   []uint64 // CIOS scratch, k+2 limbs
 	exp [fbExpBytes]byte
 	msg big.Int // m mod n
 	gm  big.Int // 1 + msg·n
@@ -101,38 +91,8 @@ func deriveH(n *big.Int) *big.Int {
 // newFixedBase precomputes the window-power table for gn = h^n mod n².
 // Each window's powers are fifteen multiplications by the previous entry,
 // and the last entry (gn^(15·16^i)) times the window base is exactly the
-// next window's base, so no squarings are needed anywhere. The powers are
-// computed once in plain form and then converted to Montgomery form when the
-// platform supports the fast path.
+// next window's base, so no squarings are needed anywhere.
 func newFixedBase(n, n2 *big.Int) *fixedBase {
-	fb := newFixedBasePlain(n, n2)
-	if mc := newMontCtx(n2); mc != nil {
-		fb.mc = mc
-		fb.mtable = make([]uint64, fbWindows*fbRowLen*mc.k)
-		t := make([]uint64, mc.scratchLen())
-		for i := 0; i < fbWindows; i++ {
-			for j := 0; j < fbRowLen; j++ {
-				e := fb.entry(i, j)
-				wordsTo(e, fb.table[i][j])
-				montMul(e, e, mc.r2, mc, t) // to Montgomery form
-			}
-		}
-		fb.table = nil // the Montgomery table supersedes the plain one
-	}
-	k := 1
-	if fb.mc != nil {
-		k = fb.mc.k
-	}
-	fb.scratch.New = func() *fbScratch {
-		return &fbScratch{acc: make([]uint64, k), t: make([]uint64, k+2)}
-	}
-	return fb
-}
-
-// newFixedBasePlain builds the math/big window-power table only — the form
-// every platform can run. Tests use it directly to pin the fallback walk
-// against the Montgomery one.
-func newFixedBasePlain(n, n2 *big.Int) *fixedBase {
 	base := new(big.Int).Exp(deriveH(n), n, n2)
 	fb := &fixedBase{n2: n2, table: make([][]*big.Int, fbWindows)}
 	g := base
@@ -147,60 +107,26 @@ func newFixedBasePlain(n, n2 *big.Int) *fixedBase {
 		fb.table[i] = row
 		g = cur // g^16: the next window's base
 	}
-	fb.scratch.New = func() *fbScratch {
-		return &fbScratch{acc: make([]uint64, 1), t: make([]uint64, 3)}
-	}
+	fb.scratch.New = func() *fbScratch { return new(fbScratch) }
 	return fb
 }
 
-// entry returns the Montgomery-form limb slice for nonzero digit j+1 of
-// window i.
-func (fb *fixedBase) entry(i, j int) []uint64 {
-	k := fb.mc.k
-	off := (i*fbRowLen + j) * k
-	return fb.mtable[off : off+k]
-}
-
-// randomPower draws a fresh randomizer gn^x mod n² with x a uniform 512-bit
-// exponent read from random: one table-entry multiply per nonzero 4-bit
-// digit of x, ~120 modular multiplications in expectation.
-func (fb *fixedBase) randomPower(random io.Reader) (*big.Int, error) {
-	s := fb.scratch.Get()
-	defer fb.scratch.Put(s)
-	if err := fb.randomPowerInto(random, s); err != nil {
-		return nil, err
-	}
-	return new(big.Int).Set(&s.rn), nil
-}
-
-// randomPowerInto draws the randomizer into s.rn using only s's scratch:
-// the allocation-free core of randomPower, shared with encrypt.
+// randomPowerInto draws a fresh randomizer gn^x mod n² into s.rn, with x a
+// uniform 512-bit exponent read from random: one table-entry multiply per
+// nonzero 4-bit digit of x, ~120 modular multiplications in expectation, all
+// on s's scratch.
 func (fb *fixedBase) randomPowerInto(random io.Reader, s *fbScratch) error {
 	if _, err := io.ReadFull(random, s.exp[:]); err != nil {
 		return err
 	}
-	if fb.mc == nil {
-		// math/big fallback: plain Mul+Mod walk over the plain table.
-		acc := s.rn.SetInt64(1)
-		for i := 0; i < fbWindows; i++ {
-			d := fb.expDigit(s, i)
-			if d != 0 {
-				s.mul.Mul(acc, fb.table[i][d-1])
-				s.quo.QuoRem(&s.mul, fb.n2, acc)
-			}
-		}
-		return nil
-	}
-	mc := fb.mc
-	copy(s.acc, mc.rone) // Montgomery 1
+	acc := s.rn.SetInt64(1)
 	for i := 0; i < fbWindows; i++ {
 		d := fb.expDigit(s, i)
 		if d != 0 {
-			montMul(s.acc, s.acc, fb.entry(i, int(d-1)), mc, s.t)
+			s.mul.Mul(acc, fb.table[i][d-1])
+			s.quo.QuoRem(&s.mul, fb.n2, acc)
 		}
 	}
-	montMul(s.acc, s.acc, mc.oneW, mc, s.t) // out of Montgomery form
-	setFromWords(&s.rn, s.acc)
 	return nil
 }
 

@@ -75,7 +75,8 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	if len(rest) != 0 {
 		return errors.New("ahe: trailing bytes after public key")
 	}
-	if n.Sign() <= 0 || n.BitLen() < 128 {
+	// A Paillier modulus is a product of two odd primes of useful size.
+	if n.Bit(0) == 0 || n.BitLen() < 128 {
 		return errors.New("ahe: implausible modulus")
 	}
 	pk.N = n

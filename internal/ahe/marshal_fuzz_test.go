@@ -61,6 +61,7 @@ func FuzzPublicKeyUnmarshal(f *testing.F) {
 	f.Add(valid[:2])
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 9})
+	f.Add(appendBig(nil, new(big.Int).Lsh(one, 200))) // plausible size, but even
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var pk PublicKey
 		if err := pk.UnmarshalBinary(data); err != nil {
@@ -68,6 +69,9 @@ func FuzzPublicKeyUnmarshal(f *testing.F) {
 		}
 		if pk.N.BitLen() < 128 {
 			t.Fatal("accepted implausibly small modulus")
+		}
+		if pk.N.Bit(0) == 0 {
+			t.Fatal("accepted an even modulus")
 		}
 		want := new(big.Int).Mul(pk.N, pk.N)
 		if pk.N2.Cmp(want) != 0 {

@@ -10,6 +10,11 @@
 // paper's BGV-derived rates regardless of the concrete scheme, so the plan
 // costs are unaffected by this substitution (see DESIGN.md).
 //
+// All modular arithmetic is math/big — Exp for the decryption and textbook
+// encryption exponentiations, Mul+QuoRem on pooled receivers for the
+// fixed-base randomizer walk and the additive folds — on every platform;
+// there is no second kernel (docs/KERNELS.md, "Why math/big").
+//
 // # Thread safety
 //
 // PublicKey and PrivateKey are immutable after creation: every method only
@@ -85,13 +90,11 @@ type PrivateKey struct {
 	// exponentiate mod p² and q² separately (~4× at 2048-bit keys) and
 	// recombine. Keys reassembled from shared secrets via FromSecrets have no
 	// factorization — p stays nil and Decrypt takes the lambda/mu path.
-	p, q       *big.Int
-	p2, q2     *big.Int // p², q²
-	pm1, qm1   *big.Int // p−1 and q−1, the CRT decryption exponents
-	hp, hq     *big.Int // L_p(g^{p−1} mod p²)^{-1} mod p and the q analogue
-	pInvQ      *big.Int // p^{-1} mod q, for the CRT recombination
-	mcP2, mcQ2 *montCtx // Montgomery contexts for the two half-width moduli
-	mcN2       *montCtx // Montgomery context for n², the lambda/mu path
+	p, q     *big.Int
+	p2, q2   *big.Int // p², q²
+	pm1, qm1 *big.Int // p−1 and q−1, the CRT decryption exponents
+	hp, hq   *big.Int // L_p(g^{p−1} mod p²)^{-1} mod p and the q analogue
+	pInvQ    *big.Int // p^{-1} mod q, for the CRT recombination
 }
 
 // Ciphertext is a Paillier ciphertext.
@@ -168,9 +171,6 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 			hp:        hp,
 			hq:        hq,
 			pInvQ:     pInvQ,
-			mcP2:      newMontCtx(p2),
-			mcQ2:      newMontCtx(q2),
-			mcN2:      newMontCtx(n2),
 		}, nil
 	}
 }
@@ -243,12 +243,7 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	if sk.p != nil {
 		m = sk.decryptCRT(ct.C)
 	} else {
-		var u *big.Int
-		if sk.mcN2 != nil {
-			u = sk.mcN2.exp(ct.C, sk.lambda)
-		} else {
-			u = new(big.Int).Exp(ct.C, sk.lambda, sk.N2)
-		}
+		u := new(big.Int).Exp(ct.C, sk.lambda, sk.N2)
 		// L(u) = (u-1)/n
 		u.Sub(u, one)
 		u.Div(u, sk.N)
@@ -266,28 +261,17 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 // recombines: m_p = L_p(c^{p−1} mod p²)·hp mod p with L_p(x) = (x−1)/p, the
 // same mod q, then m = m_p + p·((m_q − m_p)·p^{-1} mod q). Exponent and
 // modulus are both half-width, which is ~4× cheaper than the lambda/mu
-// exponentiation mod n² at 2048-bit keys. The two exponentiations run in
-// Montgomery form (montgomery.go) where the platform supports it.
+// exponentiation mod n² at 2048-bit keys.
 func (sk *PrivateKey) decryptCRT(c *big.Int) *big.Int {
-	var up *big.Int
-	if sk.mcP2 != nil {
-		up = sk.mcP2.exp(c, sk.pm1)
-	} else {
-		up = new(big.Int).Mod(c, sk.p2)
-		up.Exp(up, sk.pm1, sk.p2)
-	}
+	up := new(big.Int).Mod(c, sk.p2)
+	up.Exp(up, sk.pm1, sk.p2)
 	up.Sub(up, one)
 	up.Div(up, sk.p)
 	mp := up.Mul(up, sk.hp)
 	mp.Mod(mp, sk.p)
 
-	var uq *big.Int
-	if sk.mcQ2 != nil {
-		uq = sk.mcQ2.exp(c, sk.qm1)
-	} else {
-		uq = new(big.Int).Mod(c, sk.q2)
-		uq.Exp(uq, sk.qm1, sk.q2)
-	}
+	uq := new(big.Int).Mod(c, sk.q2)
+	uq.Exp(uq, sk.qm1, sk.q2)
 	uq.Sub(uq, one)
 	uq.Div(uq, sk.q)
 	mq := uq.Mul(uq, sk.hq)
@@ -302,11 +286,22 @@ func (sk *PrivateKey) decryptCRT(c *big.Int) *big.Int {
 	return d.Add(d, mp)
 }
 
+// check rejects a ciphertext operand that is a nil pointer or carries no
+// value (the zero Ciphertext) before any arithmetic dereferences it.
+func (pk *PublicKey) check(cts ...*Ciphertext) error {
+	for _, ct := range cts {
+		if ct == nil || ct.C == nil {
+			return errors.New("ahe: nil ciphertext")
+		}
+	}
+	return nil
+}
+
 // Add returns a ciphertext encrypting the sum of the two plaintexts: the ⊞
 // operator of Section 2.2.
 func (pk *PublicKey) Add(a, b *Ciphertext) (*Ciphertext, error) {
-	if a == nil || b == nil {
-		return nil, errors.New("ahe: nil ciphertext")
+	if err := pk.check(a, b); err != nil {
+		return nil, err
 	}
 	c := new(big.Int).Mul(a.C, b.C)
 	c.Mod(c, pk.N2)
@@ -315,8 +310,8 @@ func (pk *PublicKey) Add(a, b *Ciphertext) (*Ciphertext, error) {
 
 // AddPlain returns a ciphertext encrypting plaintext(a) + k.
 func (pk *PublicKey) AddPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
-	if a == nil {
-		return nil, errors.New("ahe: nil ciphertext")
+	if err := pk.check(a); err != nil {
+		return nil, err
 	}
 	gk := new(big.Int).Mul(new(big.Int).Mod(k, pk.N), pk.N)
 	gk.Add(gk, one)
@@ -328,8 +323,8 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 
 // MulPlain returns a ciphertext encrypting plaintext(a) · k for public k.
 func (pk *PublicKey) MulPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
-	if a == nil {
-		return nil, errors.New("ahe: nil ciphertext")
+	if err := pk.check(a); err != nil {
+		return nil, err
 	}
 	kk := new(big.Int).Mod(k, pk.N)
 	c := new(big.Int).Exp(a.C, kk, pk.N2)
@@ -353,6 +348,9 @@ var accPool = fixed.Pool[Accumulator]{New: func() *Accumulator { return new(Accu
 // Sum chunk and of the streaming-ingest shard aggregators.
 func (pk *PublicKey) sumRange(cts []*Ciphertext) (*Ciphertext, error) {
 	if len(cts) == 1 {
+		if err := pk.check(cts[0]); err != nil {
+			return nil, err
+		}
 		return cts[0], nil
 	}
 	acc := accPool.Get()
@@ -457,13 +455,11 @@ func (sk *PrivateKey) Mu() *big.Int { return new(big.Int).Set(sk.mu) }
 
 // FromSecrets reassembles a private key from redistributed secrets, used by
 // decryption committees after VSR hand-off. The key has no factorization, so
-// Decrypt takes the lambda/mu path — in Montgomery form mod n² where the
-// platform supports it.
+// Decrypt takes the lambda/mu path: one full-width exponentiation mod n².
 func FromSecrets(pk *PublicKey, lambda, mu *big.Int) *PrivateKey {
 	return &PrivateKey{
 		PublicKey: *pk,
 		lambda:    new(big.Int).Set(lambda),
 		mu:        new(big.Int).Set(mu),
-		mcN2:      newMontCtx(pk.N2),
 	}
 }

@@ -185,17 +185,40 @@ func TestDecryptRejectsBadCiphertext(t *testing.T) {
 	}
 }
 
+// TestNilCiphertextOps feeds every ciphertext-taking PublicKey operation a
+// nil pointer and a zero-value Ciphertext (nil C): each must return an
+// error, never panic inside math/big or hand the bad operand back.
 func TestNilCiphertextOps(t *testing.T) {
 	sk := testKeyPair(t)
 	ct, _ := sk.Encrypt(rand.Reader, big.NewInt(1))
-	if _, err := sk.Add(nil, ct); err == nil {
-		t.Error("Add(nil, ct) accepted")
+	k := big.NewInt(1)
+	ops := []struct {
+		name string
+		run  func(bad *Ciphertext) (*Ciphertext, error)
+	}{
+		{"Add left", func(bad *Ciphertext) (*Ciphertext, error) { return sk.Add(bad, ct) }},
+		{"Add right", func(bad *Ciphertext) (*Ciphertext, error) { return sk.Add(ct, bad) }},
+		{"AddPlain", func(bad *Ciphertext) (*Ciphertext, error) { return sk.AddPlain(bad, k) }},
+		{"MulPlain", func(bad *Ciphertext) (*Ciphertext, error) { return sk.MulPlain(bad, k) }},
+		{"Sum of one", func(bad *Ciphertext) (*Ciphertext, error) { return sk.Sum([]*Ciphertext{bad}) }},
+		{"Sum of many", func(bad *Ciphertext) (*Ciphertext, error) { return sk.Sum([]*Ciphertext{ct, bad, ct}) }},
 	}
-	if _, err := sk.AddPlain(nil, big.NewInt(1)); err == nil {
-		t.Error("AddPlain(nil) accepted")
-	}
-	if _, err := sk.MulPlain(nil, big.NewInt(1)); err == nil {
-		t.Error("MulPlain(nil) accepted")
+	operands := []struct {
+		name string
+		bad  *Ciphertext
+	}{{"nil", nil}, {"zero value", &Ciphertext{}}}
+	for _, op := range ops {
+		for _, operand := range operands {
+			t.Run(op.name+"/"+operand.name, func(t *testing.T) {
+				got, err := op.run(operand.bad)
+				if err == nil || err.Error() != "ahe: nil ciphertext" {
+					t.Errorf("err = %v, want ahe: nil ciphertext", err)
+				}
+				if got != nil {
+					t.Errorf("returned %v alongside the error", got)
+				}
+			})
+		}
 	}
 }
 
@@ -338,5 +361,60 @@ func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 	// Implausible moduli are rejected.
 	if err := pk.UnmarshalBinary(appendBig(nil, big.NewInt(12345))); err == nil {
 		t.Error("tiny modulus accepted")
+	}
+	// So are even ones: no product of two odd primes is even.
+	if err := pk.UnmarshalBinary(appendBig(nil, new(big.Int).Lsh(one, 200))); err == nil {
+		t.Error("even modulus accepted")
+	}
+}
+
+// TestAHEPooledBuffersDoNotEscape is the ahe side of the pooling fence: a
+// ciphertext returned by Encrypt or Sum must be unaffected by later calls
+// that reuse the pooled scratch (fbScratch, the package Accumulator pool).
+func TestAHEPooledBuffersDoNotEscape(t *testing.T) {
+	sk, err := GenerateKey(rand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := &sk.PublicKey
+	first, err := pk.Encrypt(rand.Reader, big.NewInt(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstWords := append([]big.Word(nil), first.C.Bits()...)
+	second, err := pk.Encrypt(rand.Reader, big.NewInt(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := pk.Sum([]*Ciphertext{first, second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumWords := append([]big.Word(nil), sum.C.Bits()...)
+	// Churn the pools.
+	for i := 0; i < 8; i++ {
+		if _, err := pk.Encrypt(rand.Reader, big.NewInt(int64(100+i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pk.Sum([]*Ciphertext{second, second}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, w := range firstWords {
+		if first.C.Bits()[i] != w {
+			t.Fatal("issued ciphertext changed under pool reuse")
+		}
+	}
+	for i, w := range sumWords {
+		if sum.C.Bits()[i] != w {
+			t.Fatal("issued sum changed under pool reuse")
+		}
+	}
+	got, err := sk.Decrypt(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Int64() != 33 {
+		t.Fatalf("sum decrypts to %v after pool churn, want 33", got)
 	}
 }

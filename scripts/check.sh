@@ -79,7 +79,25 @@ if [ "${ARBORETUM_CHECK_BENCH:-0}" = "1" ]; then
     echo "== scripts/bench.sh smoke run (-benchtime 1x)"
     SMOKE_OUT="$(mktemp)"
     ARBORETUM_BENCH_TIME=1x ARBORETUM_BENCH_OUT="$SMOKE_OUT" sh scripts/bench.sh
+    # A ledger row nothing emits any more is a number nobody can refresh:
+    # every (pkg, op, ring) committed in BENCH_kernels.json for a package
+    # that produced rows in this run must be among those rows.
+    echo "== BENCH_kernels.json rows vs the benchmarks that exist"
+    STALE="$(awk '
+    function key(line) {
+        if (!match(line, /"pkg": "[^"]*", "op": "[^"]*", "ring": [^,]*/)) return ""
+        return substr(line, RSTART, RLENGTH)
+    }
+    { k = key($0); if (k == "") next; split(k, f, "\"") }
+    FNR == NR { emitted[k] = 1; ran[f[4]] = 1; next }
+    (f[4] in ran) && !(k in emitted) { print "  " k }
+    ' "$SMOKE_OUT" BENCH_kernels.json)"
     rm -f "$SMOKE_OUT"
+    if [ -n "$STALE" ]; then
+        echo "BENCH_kernels.json has rows no benchmark emits (delete them or restore the benchmark):" >&2
+        echo "$STALE" >&2
+        exit 1
+    fi
 fi
 
 echo "ok"
