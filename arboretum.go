@@ -26,8 +26,6 @@ package arboretum
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"arboretum/internal/bgv"
@@ -128,9 +126,8 @@ type PlanRequest struct {
 	// e.g. {"sum": "device-tree"} or {"em": "gumbel"}) — used to price the
 	// roads not taken.
 	ForceChoices map[string]string
-	// Workers bounds the planner's worker pool (0 = the ARBORETUM_WORKERS
-	// environment variable, then GOMAXPROCS; 1 = sequential). The chosen
-	// plan is identical at every setting.
+	// Workers bounds the planner's worker pool (0 = GOMAXPROCS;
+	// 1 = sequential). The chosen plan is identical at every setting.
 	Workers int
 	// Ring selects the BGV ring the FHE costs are priced for, by name
 	// ("paper" = the deployment ring, 2^15 degree / 135-bit RNS modulus;
@@ -148,7 +145,8 @@ type PlanResult struct {
 	Summary string
 	// Detail additionally prices every vignette for one member/executor.
 	Detail string
-	// Choices records the search decisions (operator variants, fanouts).
+	// Choices records the search decisions (operator variants, fanouts) as
+	// display labels — the vocabulary of ForceChoices and `explain`.
 	Choices map[string]string
 
 	// The six cost metrics of the chosen plan.
@@ -169,6 +167,10 @@ type PlanResult struct {
 	// Search statistics.
 	PlanningTime     time.Duration
 	PrefixesExplored int64
+
+	// The plan's execution-level choices, typed, for RunPlanned.
+	emVariant mechanism.EMVariant
+	sumFanout int
 }
 
 // Plan certifies and plans a query (Section 4 of the paper end to end).
@@ -222,6 +224,8 @@ func Plan(req PlanRequest) (*PlanResult, error) {
 		Delta:               res.Certificate.Delta,
 		PlanningTime:        res.PlanningTime,
 		PrefixesExplored:    res.Stats.PrefixesExplored,
+		emVariant:           p.EMVariant,
+		sumFanout:           p.SumFanout,
 	}, nil
 }
 
@@ -242,8 +246,8 @@ type DeploymentConfig struct {
 	// BudgetEpsilon is the deployment's total privacy budget (default 10).
 	BudgetEpsilon float64
 	// Workers bounds the runtime's worker pool for per-device work
-	// (0 = the ARBORETUM_WORKERS environment variable, then GOMAXPROCS;
-	// 1 = sequential). Released outputs are identical at every setting.
+	// (0 = GOMAXPROCS; 1 = sequential). Released outputs are identical at
+	// every setting.
 	Workers int
 	// Faults is a fault-injection schedule, e.g.
 	// "seed=7,upload=0.1,dropout=0.005,shard@1" — comma-separated rates per
@@ -319,7 +323,8 @@ func (d *Deployment) Run(source string) (*RunResult, error) {
 }
 
 // RunWithExponentiateEM executes with the exponentiation-based em variant
-// (Figure 4, left) instead of the default Gumbel variant.
+// (Figure 4, left), named explicitly. (It is also the runtime's zero-value
+// variant, so Run executes it too; RunPlanned runs whichever the plan chose.)
 func (d *Deployment) RunWithExponentiateEM(source string) (*RunResult, error) {
 	return d.run(source, runtime.RunOptions{EMVariant: mechanism.EMExponentiate})
 }
@@ -371,20 +376,18 @@ func EvaluationQueries() []QueryInfo {
 
 // RunPlanned executes a query using the execution-level choices a plan made:
 // the em variant and, when the plan outsourced the sum to a tree, that
-// tree's fanout for the ingest shard combine. This is how the two phases of the paper compose — plan
+// tree's fanout for the ingest shard combine. The choices arrive typed from
+// the planner (plan.Plan.EMVariant / SumFanout), not parsed back out of the
+// Choices labels. This is how the two phases of the paper compose — plan
 // once at deployment scale, execute with the same structure.
 func (d *Deployment) RunPlanned(p *PlanResult, source string) (*RunResult, error) {
 	if p == nil {
 		return nil, fmt.Errorf("arboretum: nil plan")
 	}
-	opts := runtime.RunOptions{}
-	if strings.HasPrefix(p.Choices["em"], "exponentiate") {
-		opts.EMVariant = mechanism.EMExponentiate
-	}
-	if f, ok := strings.CutPrefix(p.Choices["sum"], "device-tree-fanout-"); ok {
-		if n, err := strconv.Atoi(f); err == nil && n > 1 {
-			opts.SumTreeFanout = n
-		}
-	}
-	return d.run(source, opts)
+	return d.run(source, p.runOptions())
+}
+
+// runOptions is the plan → run seam.
+func (p *PlanResult) runOptions() runtime.RunOptions {
+	return runtime.RunOptions{EMVariant: p.emVariant, SumTreeFanout: p.sumFanout}
 }

@@ -3,6 +3,8 @@ package arboretum
 import (
 	"strings"
 	"testing"
+
+	"arboretum/internal/mechanism"
 )
 
 func TestPlanFacade(t *testing.T) {
@@ -161,6 +163,43 @@ func TestRunPlanned(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The plan's choices reach the runtime typed, not parsed from labels.
+	if got := p.runOptions(); got.EMVariant != mechanism.EMExponentiate || got.SumTreeFanout != 8 {
+		t.Errorf("forced plan runs as %v / fanout %d, want exponentiate / 8 (choices %v)",
+			got.EMVariant, got.SumTreeFanout, p.Choices)
+	}
+	gum, err := Plan(PlanRequest{
+		Name: "planned", Source: src, N: 1 << 26, Categories: 8,
+		Limits:       DefaultLimits(),
+		ForceChoices: map[string]string{"sum": "aggregator-loop", "em": "gumbel"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := gum.runOptions(); got.EMVariant != mechanism.EMGumbel || got.SumTreeFanout != 0 {
+		t.Errorf("gumbel/loop plan runs as %v / fanout %d (choices %v)",
+			got.EMVariant, got.SumTreeFanout, gum.Choices)
+	}
+	// Only the em step steers the runtime's em: a top-k plan names an em
+	// variant in its peel-… label, but there is no em step to set one, so
+	// the variant stays at its zero value whichever family is forced.
+	topkSrc := "aggr = sum(db);\nbest = topk(aggr, 3, 0.1);\noutput(declassify(best[0]));"
+	for _, family := range []string{"peel-gumbel", "peel-exponentiate"} {
+		tk, err := Plan(PlanRequest{
+			Name: "topk", Source: topkSrc, N: 1 << 26, Categories: 8,
+			Limits:       DefaultLimits(),
+			ForceChoices: map[string]string{"topk": family},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(tk.Choices["topk"], family) || tk.Choices["em"] != "" {
+			t.Fatalf("topk plan choices %v, want only a %s… topk label", tk.Choices, family)
+		}
+		if got := tk.runOptions().EMVariant; got != 0 {
+			t.Errorf("%s top-k plan set the em variant to %v", family, got)
+		}
 	}
 	d, err := NewDeployment(DeploymentConfig{
 		Devices: 64, Categories: 8, Seed: 4, BudgetEpsilon: 100,

@@ -8,11 +8,8 @@ package arboretum
 import (
 	"testing"
 
-	"arboretum/internal/costmodel"
 	"arboretum/internal/eval"
 	"arboretum/internal/mechanism"
-	"arboretum/internal/planner"
-	"arboretum/internal/queries"
 	"arboretum/internal/runtime"
 )
 
@@ -182,45 +179,6 @@ func BenchmarkDesignAblations(b *testing.B) {
 }
 
 // --- supporting micro- and end-to-end benchmarks ---
-
-// BenchmarkPlannerPerQuery times the planner on each query separately
-// (the per-bar breakdown behind Figure 9).
-func BenchmarkPlannerPerQuery(b *testing.B) {
-	for _, q := range queries.All {
-		q := q
-		b.Run(q.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := planner.Plan(planner.Request{
-					Name: q.Name, Source: q.Source, N: eval.PaperN,
-					Categories: q.Categories,
-					Goal:       costmodel.PartExpCPU,
-					Limits:     planner.DefaultLimits,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEndToEndTop1 executes the running-example query on a real
-// (small) deployment: Paillier, sortition, VSR, ZKPs, audits, MPC.
-func BenchmarkEndToEndTop1(b *testing.B) {
-	src := "aggr = sum(db);\nresult = em(aggr, 2.0);\noutput(result);"
-	for i := 0; i < b.N; i++ {
-		d, err := runtime.NewDeployment(runtime.Config{
-			N: 64, Categories: 8, CommitteeSize: 5, Seed: int64(i),
-			BudgetEpsilon: 1e9,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Run(src, runtime.RunOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkEndToEndGumbelVsExponentiate compares the two em instantiations
 // end to end (the trade-off of Figure 4).

@@ -13,7 +13,7 @@
 // cost each entity (unset limits default to the paper's evaluation setup).
 // `run` executes the query end to end on a small simulated deployment with
 // real cryptography. `list` shows the built-in evaluation queries. -workers
-// bounds the worker pool (default: ARBORETUM_WORKERS, then GOMAXPROCS);
+// bounds the worker pool (default: GOMAXPROCS);
 // plans and query outputs are identical at every worker count.
 package main
 
@@ -105,7 +105,7 @@ func planCmd(args []string) error {
 	goal := fs.String("goal", string(arboretum.MinimizeExpectedDeviceCPU), "optimization goal")
 	verbose := fs.Bool("v", false, "show per-vignette member costs")
 	asJSON := fs.Bool("json", false, "emit the plan result as JSON")
-	workers := fs.Int("workers", 0, "search worker pool size (0 = ARBORETUM_WORKERS, then GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "search worker pool size (0 = GOMAXPROCS)")
 	ring := fs.String("ring", "", "measure FHE costs natively on a named BGV ring (\"paper\" = 2^15/135-bit RNS, \"test\"); default: reference model")
 	limAvgSent := fs.Float64("limit-avg-sent-user", -1, "max expected MB sent per user device")
 	limAvgComp := fs.Float64("limit-avg-comp-user", -1, "max expected compute seconds per user device")
@@ -173,7 +173,7 @@ func runCmd(args []string) error {
 	categories := fs.Int64("categories", 8, "categories for the simulated data")
 	committee := fs.Int("committee", 5, "committee size")
 	seed := fs.Int64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size for per-device work (0 = ARBORETUM_WORKERS, then GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker pool size for per-device work (0 = GOMAXPROCS)")
 	faultSpec := fs.String("faults", "", `fault schedule, e.g. "seed=7,upload=0.1,dropout=0.005,shard@1" (see docs/FAULTS.md)`)
 	shards := fs.Int("ingest-shards", 0, "ingest shard count (0 = default 8; docs/INGEST.md)")
 	batch := fs.Int("ingest-batch", 0, "ingest batch size (0 = default 64)")

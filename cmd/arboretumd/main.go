@@ -94,7 +94,7 @@ func run(args []string) error {
 	categories := fs.Int("categories", 8, "one-hot categories per device input")
 	committee := fs.Int("committee", 5, "committee size")
 	seed := fs.Int64("seed", 1, "base seed; job j runs on seed+j")
-	workers := fs.Int("workers", 0, "per-job runtime worker pool (0 = ARBORETUM_WORKERS, then GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "per-job runtime worker pool (0 = GOMAXPROCS)")
 	jobWorkers := fs.Int("job-workers", 2, "jobs executing concurrently")
 	queue := fs.Int("queue", 64, "submit queue depth (full queue = 503)")
 	rate := fs.Float64("rate", 5, "per-tenant sustained submissions per second (0 = unlimited)")

@@ -31,7 +31,6 @@ func allocCeiling(t *testing.T, name string, max float64, f func()) {
 }
 
 func TestAllocGatePaillier(t *testing.T) {
-	t.Setenv("ARBORETUM_WORKERS", "1")
 	rng := benchrand.New(0xA110E)
 	sk, err := GenerateKey(rng, 512)
 	if err != nil {

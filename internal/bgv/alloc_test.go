@@ -12,10 +12,10 @@ package bgv
 // runtime adds its own shadow allocations, so the counts are meaningless
 // there — scripts/check.sh runs the gates in the plain pass.
 //
-// The gates force one worker (AllocsPerRun pins GOMAXPROCS; the env pin
-// covers the ARBORETUM_WORKERS override) because the parallel paths allocate
-// closures per call by design — the discipline is about the per-op steady
-// state, which at scale is dominated by the sequential inner loops.
+// The gates run at one worker (testing.AllocsPerRun pins GOMAXPROCS to 1,
+// which is what sizes the pool) because the parallel paths allocate closures
+// per call by design — the discipline is about the per-op steady state,
+// which at scale is dominated by the sequential inner loops.
 
 import (
 	"testing"
@@ -37,7 +37,6 @@ func allocCeiling(t *testing.T, name string, max float64, f func()) {
 
 // allocGate pins Encrypt, Mul and Sum on the ring p at two allocations each.
 func allocGate(t *testing.T, p Params, seed uint64) {
-	t.Setenv("ARBORETUM_WORKERS", "1")
 	ctx, err := NewContext(p)
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,10 @@ import (
 // TestForcedCrashBeforeCommit is the mid-commit crash of the service
 // contract: the daemon dies while appending the commit record (stage 0 of
 // the "wal" fault), so the reservation is still held on disk. Replay
-// restores it exactly, and CommitDangling charges the crashed query at
-// its certified spend — the recovered balance is identical to the one a
-// crash-free run would have reached.
+// restores it exactly, and settling it fail-closed the way the gateway's
+// startup recovery does — Reservations, then Commit at the reserved amount —
+// charges the crashed query at its certified spend: the recovered balance is
+// identical to the one a crash-free run would have reached.
 func TestForcedCrashBeforeCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	plan, err := faults.Parse("seed=1,wal@3") // record 3 = the commit below
@@ -41,15 +42,15 @@ func TestForcedCrashBeforeCommit(t *testing.T) {
 	// "Restart": replay keeps the reservation held, never silently released.
 	r := openT(t, path, Options{})
 	wantBalance(t, r, "alice", 0, 1, 0)
-	if d := r.Dangling(); len(d) != 1 || d[0] != "alice/j1" {
-		t.Fatalf("Dangling() = %v, want [alice/j1]", d)
+	held := r.Reservations()
+	if len(held) != 1 || held[0] != (Reservation{Tenant: "alice", Job: "j1", Eps: 1, Del: 1e-9}) {
+		t.Fatalf("Reservations() = %+v, want alice/j1 held at (1, 1e-9)", held)
 	}
-	resolved, err := r.CommitDangling("crash-recovery")
-	if err != nil {
+	if err := r.Commit(held[0].Tenant, held[0].Job, held[0].Eps, held[0].Del); err != nil {
 		t.Fatal(err)
 	}
-	if len(resolved) != 1 || resolved[0] != "alice/j1" {
-		t.Fatalf("CommitDangling resolved %v", resolved)
+	if left := r.Reservations(); len(left) != 0 {
+		t.Fatalf("still held after settlement: %+v", left)
 	}
 	// Exact, not merely conservative: reservation == certificate spend.
 	wantBalance(t, r, "alice", 1, 0, 1)

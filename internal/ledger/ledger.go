@@ -23,12 +23,12 @@
 // Reservations that were in flight when the process died are *kept held* by
 // replay — never silently released, because the crash may have happened
 // after the query's DP release but before the commit record became durable.
-// The daemon pairs them at startup with its own job journal and either
-// re-executes the job deterministically (committing exactly the certified
-// spend) or settles fail-closed with CommitDangling, charging each at its
-// full reserved amount: since a reservation is exactly the certificate's ε,
-// the recovered balance equals the balance a crash-free run would have
-// reached, and spend is never under-counted (never-double-spend's dual).
+// The daemon pairs them (Reservations) at startup with its own job journal
+// and either re-executes the job deterministically, committing exactly the
+// certified spend, or settles fail-closed with a Commit at the full reserved
+// amount: since a reservation is exactly the certificate's ε, the recovered
+// balance equals the balance a crash-free run would have reached, and spend
+// is never under-counted (never-double-spend's dual).
 // Crash points in the append path are simulation-injectable through an
 // internal/faults plan (the "wal" kind), which is how the crash-recovery
 // tests and the chaos-style service tests drive mid-commit failures
@@ -342,59 +342,9 @@ func (l *Ledger) Release(tenant, job string, note string) error {
 	return l.log.Append(&Record{Op: OpRelease, Tenant: tenant, Job: job, Note: note})
 }
 
-// CommitDangling resolves every reservation left over from a previous
-// process (replay keeps them held): each is committed at its full reserved
-// amount, charging the crashed query as spent. Fail-closed in the only safe
-// direction — the crash may have happened after the DP release but before
-// the commit record became durable, and a reservation equals the
-// certificate's spend, so the recovered balance matches a crash-free run
-// and spend is never under-counted. It returns the resolved job keys.
-//
-// The service only calls this for reservations its job journal cannot pair
-// with a recoverable job (docs/SERVICE.md); paired reservations are instead
-// re-executed deterministically and commit their exact certified spend.
-func (l *Ledger) CommitDangling(note string) ([]string, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	keys := make([]string, 0, len(l.reserved))
-	for key := range l.reserved {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	resolved := make([]string, 0, len(keys))
-	for _, key := range keys {
-		res := l.reserved[key]
-		tenant, job, _ := strings.Cut(key, "\x00")
-		err := l.log.Append(&Record{
-			Op: OpCommit, Tenant: tenant, Job: job,
-			Eps: res.eps, Del: res.del, Note: note,
-		})
-		if err != nil {
-			return resolved, err
-		}
-		resolved = append(resolved, tenant+"/"+job)
-	}
-	return resolved, nil
-}
-
-// Dangling returns the outstanding reservations as "tenant/job" keys, in
-// sorted order. After startup recovery, a non-empty result means those jobs
-// are currently queued or running.
-func (l *Ledger) Dangling() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.reserved))
-	for key := range l.reserved {
-		tenant, job, _ := strings.Cut(key, "\x00")
-		out = append(out, tenant+"/"+job)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reservations returns the outstanding holds, sorted by (tenant, job) —
-// the structured form of Dangling used by startup recovery to pair each
-// hold with its journaled job.
+// Reservations returns the outstanding holds, sorted by (tenant, job).
+// Startup recovery pairs each with its journaled job; afterwards, a
+// non-empty result means those jobs are currently queued or running.
 func (l *Ledger) Reservations() []Reservation {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -13,8 +13,8 @@
 //     replaces.
 //   - Sequential fallback. With one worker (or one item) the functions run
 //     the plain ordered loop on the calling goroutine — no goroutines, no
-//     channels — which makes `-cpu 1` runs and ARBORETUM_WORKERS=1 runs
-//     bit-identical to the pre-parallel code.
+//     channels — which makes `-cpu 1` / GOMAXPROCS=1 runs bit-identical to
+//     the pre-parallel code.
 //   - First-error propagation. If multiple items fail, the error of the
 //     lowest-indexed failing item is returned — again independent of
 //     scheduling — and remaining items are abandoned as soon as possible.
@@ -24,43 +24,24 @@
 //     calling goroutine (wrapped in a Panic with the original stack), so a
 //     crashing worker cannot take down the process from a detached goroutine.
 //
-// Worker-count resolution (Workers) is: explicit positive argument, else the
-// ARBORETUM_WORKERS environment variable, else GOMAXPROCS. See
-// docs/CONCURRENCY.md for the architecture-level picture.
+// Worker-count resolution (Workers) is: explicit positive argument, else
+// GOMAXPROCS — the process-wide knob the Go runtime already reads from the
+// environment. See docs/CONCURRENCY.md for the architecture-level picture.
 package parallel
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// envWorkers reads ARBORETUM_WORKERS once; 0 means "not set / invalid".
-var envWorkers = sync.OnceValue(func() int {
-	s := os.Getenv("ARBORETUM_WORKERS")
-	if s == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0
-	}
-	return n
-})
-
-// Workers resolves an effective worker count: an explicit n > 0 wins, then
-// the ARBORETUM_WORKERS environment variable, then GOMAXPROCS. The result is
-// always ≥ 1.
+// Workers resolves an effective worker count: an explicit n > 0 wins,
+// otherwise GOMAXPROCS. The result is always ≥ 1.
 func Workers(n int) int {
 	if n > 0 {
 		return n
-	}
-	if e := envWorkers(); e > 0 {
-		return e
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -170,10 +169,8 @@ func TestWorkersResolution(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Fatalf("Workers(3) = %d", got)
 	}
-	if os.Getenv("ARBORETUM_WORKERS") == "" {
-		if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-			t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-		}
+	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 	if got := Workers(-1); got < 1 {
 		t.Fatalf("Workers(-1) = %d, want ≥ 1", got)

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"arboretum/internal/costmodel"
+	"arboretum/internal/mechanism"
 )
 
 // Location says which entity executes a vignette.
@@ -229,8 +230,16 @@ type Plan struct {
 	CommitteeSize  int
 
 	// Choices records the search decisions (operator variants, fanouts) for
-	// explainability and tests.
+	// explainability and pinning — labels, not an interface: what the
+	// runtime acts on is in the typed fields below.
 	Choices map[string]string
+
+	// Execution-level choices, for runtime.RunOptions. EMVariant is the
+	// instantiation the em step chose (meaningful only when the query has
+	// one); SumFanout is the device sum tree's fanout, 0 when the aggregator
+	// sums in a loop.
+	EMVariant mechanism.EMVariant
+	SumFanout int
 
 	Cost costmodel.Vector
 

@@ -4,15 +4,21 @@ import (
 	"fmt"
 
 	"arboretum/internal/costmodel"
+	"arboretum/internal/mechanism"
 	"arboretum/internal/plan"
 )
 
 // option is one way to realize a step: a choice label plus the vignettes it
-// contributes to the plan.
+// contributes to the plan. The label — recorded in the plan's Choices under
+// the step kind's name — is for display and pinning (explain, ForceChoices);
+// what the runtime can act on travels in the typed fields, set beside the
+// label that names it and copied to the plan by assemble.
 type option struct {
-	choiceKey string
 	choiceVal string
 	vignettes []plan.Vignette
+
+	sumFanout int                 // sum options: device-tree fanout (0 = aggregator loop)
+	em        mechanism.EMVariant // em-family options: the Figure 4 instantiation
 }
 
 // searchSpace fixes the enumerable parameters of the design space. The
@@ -115,7 +121,7 @@ func (sp searchSpace) rawOptionsFor(st step) []option {
 	case stepNoise:
 		return sp.noiseOptions(st)
 	case stepEM:
-		return sp.emOptions(st, 1, "em")
+		return sp.emOptions(st, 1)
 	case stepTopK:
 		return sp.topKOptions(st)
 	case stepMaxSel:
@@ -135,7 +141,6 @@ func (sp searchSpace) rawOptionsFor(st step) []option {
 func (sp searchSpace) inputOptions(st step) []option {
 	cts := sp.ctsFor(st.c)
 	return []option{{
-		choiceKey: "input",
 		choiceVal: "onehot+zkp",
 		vignettes: []plan.Vignette{
 			{
@@ -158,7 +163,6 @@ func (sp searchSpace) inputOptions(st step) []option {
 
 func (sp searchSpace) sampleOptions() []option {
 	return []option{{
-		choiceKey: "sample",
 		choiceVal: "bin-window",
 		vignettes: []plan.Vignette{{
 			Desc: "sample bin window (secrecy of the sample)", Loc: plan.Committee,
@@ -175,7 +179,6 @@ func (sp searchSpace) sampleOptions() []option {
 func (sp searchSpace) sumOptions(st step) []option {
 	cts := sp.ctsFor(st.c)
 	opts := []option{{
-		choiceKey: "sum",
 		choiceVal: "aggregator-loop",
 		vignettes: []plan.Vignette{{
 			Desc: "AHE sum loop over all inputs", Loc: plan.Aggregator,
@@ -192,8 +195,8 @@ func (sp searchSpace) sumOptions(st step) []option {
 			instances = 1
 		}
 		opts = append(opts, option{
-			choiceKey: "sum",
 			choiceVal: fmt.Sprintf("device-tree-fanout-%d", phi),
+			sumFanout: int(phi),
 			vignettes: []plan.Vignette{
 				{
 					Desc: fmt.Sprintf("device sum tree (fanout %d)", phi), Loc: plan.Device,
@@ -225,7 +228,6 @@ func (sp searchSpace) computeOptions(st step) []option {
 		crypto = plan.CryptoFHE
 	}
 	opts = append(opts, option{
-		choiceKey: "compute",
 		choiceVal: "aggregator-he",
 		vignettes: []plan.Vignette{{
 			Desc: fmt.Sprintf("homomorphic compute over %d values", st.c), Loc: plan.Aggregator,
@@ -244,7 +246,6 @@ func (sp searchSpace) computeOptions(st step) []option {
 		}
 		count := ceilDiv(st.c, sigma)
 		opts = append(opts, option{
-			choiceKey: "compute",
 			choiceVal: fmt.Sprintf("committee-slice-%d", sigma),
 			vignettes: []plan.Vignette{{
 				Desc: fmt.Sprintf("MPC compute (%d values per committee)", sigma), Loc: plan.Committee,
@@ -272,7 +273,6 @@ func (sp searchSpace) noiseOptions(st step) []option {
 		}
 		count := ceilDiv(st.c, sigma)
 		opts = append(opts, option{
-			choiceKey: "noise",
 			choiceVal: fmt.Sprintf("committee-slice-%d", sigma),
 			vignettes: []plan.Vignette{{
 				Desc: fmt.Sprintf("laplace noise + decrypt (%d values per committee)", sigma),
@@ -292,7 +292,7 @@ func (sp searchSpace) noiseOptions(st step) []option {
 
 // emOptions: the two instantiations of the exponential mechanism (Figure 4).
 // rounds > 1 reuses the machinery for top-k peeling.
-func (sp searchSpace) emOptions(st step, rounds int64, key string) []option {
+func (sp searchSpace) emOptions(st step, rounds int64) []option {
 	var opts []option
 	cts := sp.ctsFor(st.c)
 
@@ -307,8 +307,8 @@ func (sp searchSpace) emOptions(st step, rounds int64, key string) []option {
 			noiseCount := ceilDiv(st.c, sigmaN)
 			treeCount := ceilDiv(st.c, psi-1)
 			opts = append(opts, option{
-				choiceKey: key,
 				choiceVal: fmt.Sprintf("gumbel-noise-%d-tree-%d", sigmaN, psi),
+				em:        mechanism.EMGumbel,
 				vignettes: []plan.Vignette{
 					{
 						Desc: "decrypt aggregate to secret shares", Loc: plan.Committee,
@@ -375,13 +375,13 @@ func (sp searchSpace) emOptions(st step, rounds int64, key string) []option {
 			Work: plan.Work{HEEncs: cts * rounds, ZKPGens: cts * rounds, CtsOut: cts * rounds},
 		}
 		opts = append(opts, option{
-			choiceKey: key,
 			choiceVal: fmt.Sprintf("exponentiate-mpc-slice-%d", sigma),
+			em:        mechanism.EMExponentiate,
 			vignettes: []plan.Vignette{decVig, expCommittee, scanVig, rerand},
 		})
 		opts = append(opts, option{
-			choiceKey: key,
 			choiceVal: fmt.Sprintf("exponentiate-fhe-scan-%d", sigma),
+			em:        mechanism.EMExponentiate,
 			vignettes: []plan.Vignette{expAggregator, decVig, scanVig, rerand},
 		})
 	}
@@ -397,7 +397,7 @@ func (sp searchSpace) topKOptions(st step) []option {
 	}
 	var opts []option
 	// Peeling: k full rounds.
-	for _, o := range sp.emOptions(st, k, "topk") {
+	for _, o := range sp.emOptions(st, k) {
 		o.choiceVal = "peel-" + o.choiceVal
 		opts = append(opts, o)
 	}
@@ -406,7 +406,6 @@ func (sp searchSpace) topKOptions(st step) []option {
 		treeCount := ceilDiv(st.c, psi-1)
 		noiseCount := ceilDiv(st.c, 1024)
 		opts = append(opts, option{
-			choiceKey: "topk",
 			choiceVal: fmt.Sprintf("oneshot-tree-%d", psi),
 			vignettes: []plan.Vignette{
 				{
@@ -447,7 +446,6 @@ func (sp searchSpace) maxSelOptions(st step) []option {
 	for _, psi := range sp.fanouts {
 		treeCount := ceilDiv(st.c, psi-1)
 		opts = append(opts, option{
-			choiceKey: "maxsel",
 			choiceVal: fmt.Sprintf("tree-%d", psi),
 			vignettes: []plan.Vignette{
 				{
@@ -470,7 +468,6 @@ func (sp searchSpace) maxSelOptions(st step) []option {
 
 func (sp searchSpace) outputOptions() []option {
 	return []option{{
-		choiceKey: "output",
 		choiceVal: "committee-reconstruct",
 		vignettes: []plan.Vignette{
 			{

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"arboretum/internal/costmodel"
-	"arboretum/internal/lang"
 	"arboretum/internal/plan"
 	"arboretum/internal/privacy"
 	"arboretum/internal/sortition"
@@ -18,9 +17,8 @@ import (
 // must not be asked to send more than 500 MB, and ... the plan with the
 // lowest expected computation time on participant devices").
 type Request struct {
-	Name    string
-	Source  string // query text; Program wins if both set
-	Program *lang.Program
+	Name   string
+	Source string // query text
 
 	N          int64       // participants
 	Categories int64       // db row width (one-hot categories)
@@ -29,9 +27,7 @@ type Request struct {
 	Goal   costmodel.Metric
 	Limits costmodel.Limits
 
-	Model      *costmodel.Model      // nil → costmodel.Default()
-	SizeParams *sortition.SizeParams // nil → sortition.DefaultSizeParams
-	Privacy    *privacy.Options      // nil → privacy.DefaultOptions
+	Model *costmodel.Model // nil → costmodel.Default()
 
 	// DisableBranchAndBound turns off pruning (the ablation of Section 7.3).
 	DisableBranchAndBound bool
@@ -44,9 +40,9 @@ type Request struct {
 	// ablations and by `arboretum explain` to price the roads not taken.
 	ForceChoices map[string]string
 
-	// Workers bounds the search worker pool. 0 resolves via the
-	// ARBORETUM_WORKERS environment variable, then GOMAXPROCS; 1 forces the
-	// sequential search. The chosen plan is identical at every setting.
+	// Workers bounds the search worker pool. 0 resolves to GOMAXPROCS; 1
+	// forces the sequential schedule. The chosen plan is identical at every
+	// setting.
 	Workers int
 }
 
@@ -79,30 +75,14 @@ func Plan(req Request) (*Result, error) {
 	if req.Categories <= 0 {
 		req.Categories = 1
 	}
-	prog := req.Program
-	if prog == nil {
-		var err error
-		prog, err = lang.Parse(req.Source)
-		if err != nil {
-			return nil, fmt.Errorf("planner: parse: %w", err)
-		}
-	}
 	elem := req.ElemRange
 	if elem.Lo == 0 && elem.Hi == 0 {
 		elem = types.Range{Lo: 0, Hi: 1}
 	}
-	db := types.DBInfo{N: req.N, Width: req.Categories, ElemRange: elem}
-	info, err := types.Infer(prog, db)
+	prog, info, cert, err := privacy.Admit(req.Source,
+		types.DBInfo{N: req.N, Width: req.Categories, ElemRange: elem})
 	if err != nil {
-		return nil, fmt.Errorf("planner: type inference: %w", err)
-	}
-	popts := privacy.DefaultOptions
-	if req.Privacy != nil {
-		popts = *req.Privacy
-	}
-	cert, err := privacy.Certify(prog, info, popts)
-	if err != nil {
-		return nil, fmt.Errorf("planner: certification: %w", err)
+		return nil, fmt.Errorf("planner: %w", err)
 	}
 
 	steps, err := decompose(prog, info)
@@ -114,50 +94,46 @@ func Plan(req Request) (*Result, error) {
 	if model == nil {
 		model = costmodel.Default()
 	}
-	size := sortition.DefaultSizeParams
-	if req.SizeParams != nil {
-		size = *req.SizeParams
-	}
 	sp := defaultSpace(req.N, model)
-	sc := newScorer(req.N, model, size)
+	sc := newScorer(req.N, model, sortition.DefaultSizeParams)
 	cfg := searchConfig{
-		goal:      req.Goal,
-		limits:    req.Limits,
-		noBB:      req.DisableBranchAndBound,
-		nodeCap:   req.NodeCap,
-		orderOpts: !req.DisableBranchAndBound,
-		force:     req.ForceChoices,
-		workers:   req.Workers,
+		goal:    req.Goal,
+		limits:  req.Limits,
+		noBB:    req.DisableBranchAndBound,
+		nodeCap: req.NodeCap,
+		force:   req.ForceChoices,
+		workers: req.Workers,
 	}
-	chosen, cost, bd, m, stats, err := search(steps, sp, sc, cfg)
+	best, stats, err := search(steps, sp, sc, cfg)
 	if err != nil {
 		return &Result{Stats: *stats, PlanningTime: time.Since(start)}, err
 	}
 
-	p := assemble(req, chosen, cost, bd, m)
 	return &Result{
-		Plan:         p,
+		Plan:         assemble(req, steps, best),
 		Certificate:  cert,
 		Stats:        *stats,
 		PlanningTime: time.Since(start),
 	}, nil
 }
 
-// assemble builds the final Plan object from the winning options.
-func assemble(req Request, chosen []option, cost costmodel.Vector, bd breakdown, m int) *plan.Plan {
+// assemble builds the final Plan object from the winning candidate (one
+// option per step).
+func assemble(req Request, steps []step, best *candidate) *plan.Plan {
+	bd := best.bd
 	p := &plan.Plan{
 		Query:           req.Name,
 		N:               req.N,
 		Categories:      req.Categories,
 		Choices:         map[string]string{},
-		Cost:            cost,
+		Cost:            best.cost,
 		ByRole:          bd.byRole,
 		BaseCPU:         bd.baseCPU,
 		BaseBytes:       bd.baseBytes,
 		AggOpsCPU:       bd.aggOpsCPU,
 		AggVerifyCPU:    bd.aggVerifyCPU,
 		AggForwardBytes: bd.aggForwardBytes,
-		CommitteeSize:   m,
+		CommitteeSize:   best.m,
 	}
 	id := 0
 	add := func(v plan.Vignette) {
@@ -168,8 +144,17 @@ func assemble(req Request, chosen []option, cost costmodel.Vector, bd breakdown,
 	add(keygenVignette())
 	var committees int64 = 1
 	var prev *plan.Vignette
-	for _, o := range chosen {
-		p.Choices[o.choiceKey] = o.choiceVal
+	for i, o := range best.choice {
+		p.Choices[steps[i].kind.String()] = o.choiceVal
+		// The execution-level choices cross to the runtime typed. Only the
+		// em and sum steps steer it: topk's peel-… options name an em
+		// variant too, but the runtime's top-k has one implementation.
+		switch steps[i].kind {
+		case stepEM:
+			p.EMVariant = o.em
+		case stepSum:
+			p.SumFanout = o.sumFanout
+		}
 		for _, v := range o.vignettes {
 			committees += v.Committees()
 			// Merge heuristic (Section 4.4): consecutive vignettes in the

@@ -23,13 +23,12 @@ type Stats struct {
 
 // searchConfig tunes the planner search.
 type searchConfig struct {
-	goal      costmodel.Metric
-	limits    costmodel.Limits
-	noBB      bool              // disable branch-and-bound (ablation, Section 7.3)
-	nodeCap   int64             // safety net for the ablation (0 = default)
-	orderOpts bool              // order options cheapest-first so pruning bites early
-	force     map[string]string // pin steps to choice-value prefixes
-	workers   int               // search parallelism (0 = parallel.Workers default)
+	goal    costmodel.Metric
+	limits  costmodel.Limits
+	noBB    bool              // disable branch-and-bound (ablation, Section 7.3)
+	nodeCap int64             // safety net for the ablation (0 = default)
+	force   map[string]string // pin steps to choice-value prefixes
+	workers int               // search parallelism (0 = parallel.Workers default)
 }
 
 const defaultNodeCap = 50_000_000
@@ -60,19 +59,52 @@ func totalFootprint(v costmodel.Vector) float64 {
 		(v.AggBytes+v.PartExpBytes+v.PartMaxBytes)/bytesPerSecond
 }
 
-// search runs DFS over the per-step options with branch-and-bound pruning.
-// It returns the winning option per step, its exact cost, and breakdowns.
-func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) ([]option, costmodel.Vector, breakdown, int, *Stats, error) {
+// candidate is a complete plan as the search scored it: one option per step,
+// the exact cost, the figure breakdowns and the committee size.
+type candidate struct {
+	choice []option
+	cost   costmodel.Vector
+	bd     breakdown
+	m      int
+}
+
+// search runs DFS over the per-step options with branch-and-bound pruning
+// and returns the winning candidate.
+//
+// There is one DFS. The option tree is cut into independent subtree tasks —
+// a single task holding the whole tree on the calling goroutine, or a
+// breadth-first frontier of subtrees on the worker pool — and the winner is
+// chosen by an ordered reduction over per-task winners that applies the
+// incumbent rule of a single task ("replace only if strictly better"), so
+// the plan at N workers is the plan at 1 worker. Three properties make the
+// cross-task pruning sound:
+//
+//   - Partial costs are admissible lower bounds: every scored quantity only
+//     grows as vignettes are appended (score documents this), so goal value
+//     and total footprint are monotone from prefix to full plan.
+//   - The shared bound prunes only on STRICT dominance (betterPlan(bound,
+//     partial)). A subtree whose prefix is already strictly beaten cannot
+//     contain the winner: any full plan in it costs at least the prefix, and
+//     the bound is itself a real candidate found by some task. Tied prefixes
+//     are never pruned, so order-based tie-breaking survives.
+//   - Each task keeps its own incumbent and prunes on it non-strictly, so
+//     within a task the DFS is the whole-tree DFS restricted to a subtree.
+//
+// Stats are exact sums of per-task counters. With one task they repeat
+// exactly; with pruning disabled PrefixesExplored is the same at every
+// worker count; with pruning on a pool, the counts depend on how fast the
+// shared bound tightens and may vary run to run — the chosen plan never does.
+func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candidate, *Stats, error) {
 	stats := &Stats{}
 	opts := make([][]option, len(steps))
 	for i, st := range steps {
 		os := sp.optionsFor(st)
 		if len(os) == 0 {
-			return nil, costmodel.Vector{}, breakdown{}, 0, stats, fmt.Errorf("planner: no implementation for step %v", st.kind)
+			return nil, stats, fmt.Errorf("planner: no implementation for step %v", st.kind)
 		}
 		// Pinned steps keep only the options matching the forced prefix.
 		if len(cfg.force) > 0 {
-			if prefix, pinned := cfg.force[os[0].choiceKey]; pinned {
+			if prefix, pinned := cfg.force[st.kind.String()]; pinned {
 				kept := os[:0]
 				for _, o := range os {
 					if strings.HasPrefix(o.choiceVal, prefix) {
@@ -80,16 +112,15 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) ([]optio
 					}
 				}
 				if len(kept) == 0 {
-					return nil, costmodel.Vector{}, breakdown{}, 0, stats,
-						fmt.Errorf("planner: no %s implementation matches forced choice %q", os[0].choiceKey, prefix)
+					return nil, stats, fmt.Errorf("planner: no %v implementation matches forced choice %q", st.kind, prefix)
 				}
 				os = kept
 			}
 		}
-		if cfg.orderOpts {
+		if !cfg.noBB {
 			// Heuristic order: score each option in isolation and try the
 			// cheapest first, so a good incumbent appears early and the
-			// bound prunes aggressively.
+			// bound prunes aggressively (pointless without pruning).
 			type scored struct {
 				o option
 				v float64
@@ -107,95 +138,151 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) ([]optio
 		opts[i] = os
 	}
 
-	cap := cfg.nodeCap
-	if cap == 0 {
-		cap = defaultNodeCap
+	nodeCap := cfg.nodeCap
+	if nodeCap == 0 {
+		nodeCap = defaultNodeCap
 	}
 
-	// The evaluation queries plan in milliseconds sequentially, so automatic
-	// parallelism only pays off on big option trees; an explicit Workers
-	// request always gets the pool. The plan is identical either way.
+	// Two schedules, one search. The evaluation queries plan in milliseconds
+	// on one goroutine, so automatic parallelism only pays off on big option
+	// trees; an explicit Workers request always gets the pool. Sequential is
+	// the degenerate schedule: a single task — the whole tree, rooted at the
+	// empty prefix — run on the calling goroutine. The plan is identical
+	// either way.
+	workers := 1
 	if w := parallel.Workers(cfg.workers); w > 1 && len(steps) > 0 &&
 		(cfg.workers > 1 || estLeaves(opts) >= parallelSearchThreshold) {
-		return searchParallel(steps, opts, sc, cfg, cap, w, stats)
+		workers = w
+	}
+	var nodes atomic.Int64 // shared node counter, also enforces the cap
+	frontier := [][]int{{}}
+	if workers > 1 {
+		frontier = expandFrontier(opts, workers*4, &nodes)
+	}
+	// Every node is visited exactly once: shallow ones by the expansion,
+	// counted here, deeper ones inside their task, added by the reduction.
+	stats.PrefixesExplored = nodes.Load()
+
+	// The shared incumbent bound: the cost vector of the best full candidate
+	// published by any task so far. Tasks prune against it strictly.
+	var bound atomic.Pointer[costmodel.Vector]
+	publish := func(v costmodel.Vector) {
+		for {
+			cur := bound.Load()
+			if cur != nil && !betterPlan(v, *cur, cfg.goal) {
+				return
+			}
+			nv := v
+			if bound.CompareAndSwap(cur, &nv) {
+				return
+			}
+		}
 	}
 
-	var (
-		bestChoice []option
-		bestCost   costmodel.Vector
-		bestBD     breakdown
-		bestM      int
-		haveBest   bool
-	)
+	type taskResult struct {
+		best  *candidate // the task's incumbent
+		stats Stats
+	}
 
-	prefix := make([]plan.Vignette, 0, 64)
-	prefix = append(prefix, keygenVignette())
-	choice := make([]option, len(steps))
-
-	var dfs func(depth int) bool // returns false when aborted
-	dfs = func(depth int) bool {
-		stats.PrefixesExplored++
-		if stats.PrefixesExplored > cap {
-			stats.Aborted = true
-			return false
+	results, err := parallel.Map(nil, len(frontier), workers, func(t int) (taskResult, error) {
+		var r taskResult
+		tsc := sc
+		if workers > 1 {
+			tsc = sc.clone() // scorer memo is not synchronized; one per pool task
 		}
-		partial, _, _ := sc.score(prefix)
-		if !cfg.noBB {
-			// Prune on hard limits: a prefix above a limit can only get
-			// worse (all work counters are non-negative).
-			if _, bad := cfg.limits.Violated(partial); bad {
-				stats.Pruned++
-				return true
-			}
-			// Prune on the incumbent. Partial costs only grow, so a prefix
-			// already worse than the incumbent (goal-first, footprint on
-			// ties — the same order betterPlan uses) cannot win.
-			if haveBest && !betterPlan(partial, bestCost, cfg.goal) {
-				stats.Pruned++
-				return true
-			}
-		}
-		if depth == len(steps) {
-			stats.FullCandidates++
-			full, bd, m := sc.score(prefix)
-			if _, bad := cfg.limits.Violated(full); bad {
-				return true
-			}
-			if !haveBest || betterPlan(full, bestCost, cfg.goal) {
-				haveBest = true
-				bestCost = full
-				bestBD = bd
-				bestM = m
-				bestChoice = append([]option(nil), choice...)
-			}
-			return true
-		}
-		for _, o := range opts[depth] {
-			mark := len(prefix)
+		prefix := make([]plan.Vignette, 0, 64)
+		prefix = append(prefix, keygenVignette())
+		choice := make([]option, len(steps))
+		for lvl, j := range frontier[t] {
+			o := opts[lvl][j]
+			choice[lvl] = o
 			prefix = append(prefix, o.vignettes...)
-			choice[depth] = o
-			ok := dfs(depth + 1)
-			prefix = prefix[:mark]
-			if !ok {
-				return false
-			}
 		}
-		return true
-	}
-	dfs(0)
 
-	if stats.Aborted {
-		return nil, costmodel.Vector{}, breakdown{}, 0, stats, errNodeCap
+		var dfs func(d int) error
+		dfs = func(d int) error {
+			r.stats.PrefixesExplored++
+			if nodes.Add(1) > nodeCap {
+				return errNodeCap
+			}
+			partial, _, _ := tsc.score(prefix)
+			if !cfg.noBB {
+				// Prune on hard limits: a prefix above a limit can only get
+				// worse (all work counters are non-negative).
+				if _, bad := cfg.limits.Violated(partial); bad {
+					r.stats.Pruned++
+					return nil
+				}
+				// Prune on the task's own incumbent, non-strictly. Partial
+				// costs only grow, so a prefix already no better than the
+				// incumbent (goal-first, footprint on ties — the order
+				// betterPlan uses) cannot win within this task.
+				if r.best != nil && !betterPlan(partial, r.best.cost, cfg.goal) {
+					r.stats.Pruned++
+					return nil
+				}
+				// Prune on the shared bound, on strict dominance only. (A
+				// lone task's bound is its own incumbent, which the check
+				// above already covers.)
+				if b := bound.Load(); b != nil && betterPlan(*b, partial, cfg.goal) {
+					r.stats.Pruned++
+					return nil
+				}
+			}
+			if d == len(steps) {
+				r.stats.FullCandidates++
+				full, bd, m := tsc.score(prefix)
+				if _, bad := cfg.limits.Violated(full); bad {
+					return nil
+				}
+				if r.best == nil || betterPlan(full, r.best.cost, cfg.goal) {
+					r.best = &candidate{choice: append([]option(nil), choice...), cost: full, bd: bd, m: m}
+					publish(full)
+				}
+				return nil
+			}
+			for _, o := range opts[d] {
+				mark := len(prefix)
+				prefix = append(prefix, o.vignettes...)
+				choice[d] = o
+				err := dfs(d + 1)
+				prefix = prefix[:mark]
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		return r, dfs(len(frontier[t]))
+	})
+	if err != nil {
+		// An aborted search has no task results to add up; the shared counter
+		// saw every node.
+		stats.Aborted = true
+		stats.PrefixesExplored = nodes.Load()
+		return nil, stats, errNodeCap
 	}
-	if !haveBest {
-		return nil, costmodel.Vector{}, breakdown{}, 0, stats,
-			errors.New("planner: no plan satisfies the limits")
+
+	// Ordered reduction in task order — the order one DFS over the whole tree
+	// reaches the same subtrees — with the incumbent rule of a single task
+	// ("replace only if strictly better").
+	var best *candidate
+	for _, r := range results {
+		stats.PrefixesExplored += r.stats.PrefixesExplored
+		stats.FullCandidates += r.stats.FullCandidates
+		stats.Pruned += r.stats.Pruned
+		if r.best != nil && (best == nil || betterPlan(r.best.cost, best.cost, cfg.goal)) {
+			best = r.best
+		}
 	}
-	return bestChoice, bestCost, bestBD, bestM, stats, nil
+	if best == nil {
+		return nil, stats, errors.New("planner: no plan satisfies the limits")
+	}
+	return best, stats, nil
 }
 
-// errNodeCap is the sentinel a parallel search task raises when the shared
-// node counter crosses the cap.
+// errNodeCap is the sentinel a search task raises when the shared node
+// counter crosses the cap.
 var errNodeCap = errors.New("planner: search exceeded the node cap (branch-and-bound disabled?)")
 
 // parallelSearchThreshold is the estimated full-candidate count below which
@@ -216,37 +303,14 @@ func estLeaves(opts [][]option) int64 {
 	return leaves
 }
 
-// searchParallel partitions the option tree into independent subtree tasks
-// and searches them on a worker pool. It is deterministic: the final winner
-// is chosen by an ordered reduction over per-task winners that applies
-// exactly the sequential incumbent rule ("replace only if strictly better"),
-// so the plan at N workers is the plan at 1 worker. Three properties make
-// the cross-task pruning sound:
-//
-//   - Partial costs are admissible lower bounds: every scored quantity only
-//     grows as vignettes are appended (score documents this), so goal value
-//     and total footprint are monotone from prefix to full plan.
-//   - The shared bound prunes only on STRICT dominance (betterPlan(bound,
-//     partial)). A subtree whose prefix is already strictly beaten cannot
-//     contain the sequential winner: any full plan in it costs at least the
-//     prefix, and the bound is itself a real candidate found by some task.
-//     Tied prefixes are never pruned, so order-based tie-breaking survives.
-//   - Each task keeps its own sequential incumbent (the non-strict rule),
-//     so within a task the DFS behaves exactly like the 1-worker search.
-//
-// Stats are exact sums of per-task counters. PrefixesExplored matches the
-// sequential search when pruning is disabled (every node is visited exactly
-// once: shallow nodes at task generation, deeper ones inside tasks); with
-// pruning, the counts depend on how fast the shared bound tightens and may
-// vary run to run — the chosen plan never does.
-func searchParallel(steps []step, opts [][]option, sc *scorer, cfg searchConfig, nodeCap int64, workers int, stats *Stats) ([]option, costmodel.Vector, breakdown, int, *Stats, error) {
-	// Expand the shallowest levels breadth-first into at least workers*4
-	// subtree tasks so the pool stays busy even when subtree sizes are
-	// lopsided. Each expanded node is counted once, here.
-	var nodes atomic.Int64 // shared node counter, also enforces the cap
+// expandFrontier expands the shallowest levels of the option tree
+// breadth-first into at least want subtree roots (option indices per level),
+// in the order one DFS over the whole tree would reach them, so the pool
+// stays busy even when subtree sizes are lopsided. Each expanded node is
+// counted once, here.
+func expandFrontier(opts [][]option, want int, nodes *atomic.Int64) [][]int {
 	frontier := [][]int{{}}
-	depth := 0
-	for depth < len(steps) && len(frontier) < workers*4 {
+	for depth := 0; depth < len(opts) && len(frontier) < want; depth++ {
 		next := make([][]int, 0, len(frontier)*len(opts[depth]))
 		for _, pre := range frontier {
 			nodes.Add(1)
@@ -258,132 +322,6 @@ func searchParallel(steps []step, opts [][]option, sc *scorer, cfg searchConfig,
 			}
 		}
 		frontier = next
-		depth++
 	}
-
-	// The shared incumbent bound: the cost vector of the best full candidate
-	// published by any task so far. Tasks prune against it strictly.
-	var bound atomic.Pointer[costmodel.Vector]
-	publish := func(v costmodel.Vector) {
-		for {
-			cur := bound.Load()
-			if cur != nil && !betterPlan(v, *cur, cfg.goal) {
-				return
-			}
-			nv := v
-			if bound.CompareAndSwap(cur, &nv) {
-				return
-			}
-		}
-	}
-
-	type taskResult struct {
-		choice []option
-		cost   costmodel.Vector
-		bd     breakdown
-		m      int
-		have   bool
-		stats  Stats
-	}
-
-	results, err := parallel.Map(nil, len(frontier), workers, func(t int) (taskResult, error) {
-		var r taskResult
-		tsc := sc.clone() // scorer memo is not synchronized; one per task
-		prefix := make([]plan.Vignette, 0, 64)
-		prefix = append(prefix, keygenVignette())
-		choice := make([]option, len(steps))
-		for lvl, j := range frontier[t] {
-			o := opts[lvl][j]
-			choice[lvl] = o
-			prefix = append(prefix, o.vignettes...)
-		}
-
-		var dfs func(d int) error
-		dfs = func(d int) error {
-			r.stats.PrefixesExplored++
-			if nodes.Add(1) > nodeCap {
-				r.stats.Aborted = true
-				return errNodeCap
-			}
-			partial, _, _ := tsc.score(prefix)
-			if !cfg.noBB {
-				if _, bad := cfg.limits.Violated(partial); bad {
-					r.stats.Pruned++
-					return nil
-				}
-				// The task-local incumbent prunes non-strictly (sequential
-				// semantics); the shared bound prunes only strict dominance.
-				if r.have && !betterPlan(partial, r.cost, cfg.goal) {
-					r.stats.Pruned++
-					return nil
-				}
-				if b := bound.Load(); b != nil && betterPlan(*b, partial, cfg.goal) {
-					r.stats.Pruned++
-					return nil
-				}
-			}
-			if d == len(steps) {
-				r.stats.FullCandidates++
-				full, bd, m := tsc.score(prefix)
-				if _, bad := cfg.limits.Violated(full); bad {
-					return nil
-				}
-				if !r.have || betterPlan(full, r.cost, cfg.goal) {
-					r.have = true
-					r.cost = full
-					r.bd = bd
-					r.m = m
-					r.choice = append([]option(nil), choice...)
-					publish(full)
-				}
-				return nil
-			}
-			for _, o := range opts[d] {
-				mark := len(prefix)
-				prefix = append(prefix, o.vignettes...)
-				choice[d] = o
-				err := dfs(d + 1)
-				prefix = prefix[:mark]
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := dfs(len(frontier[t])); err != nil {
-			return r, err
-		}
-		return r, nil
-	})
-	stats.PrefixesExplored = nodes.Load()
-	if err != nil {
-		stats.Aborted = true
-		return nil, costmodel.Vector{}, breakdown{}, 0, stats, errNodeCap
-	}
-
-	// Ordered reduction in task order — the order sequential DFS would have
-	// reached the same subtrees — with the sequential incumbent rule.
-	var (
-		bestChoice []option
-		bestCost   costmodel.Vector
-		bestBD     breakdown
-		bestM      int
-		haveBest   bool
-	)
-	for _, r := range results {
-		stats.FullCandidates += r.stats.FullCandidates
-		stats.Pruned += r.stats.Pruned
-		if r.have && (!haveBest || betterPlan(r.cost, bestCost, cfg.goal)) {
-			haveBest = true
-			bestCost = r.cost
-			bestBD = r.bd
-			bestM = r.m
-			bestChoice = r.choice
-		}
-	}
-	if !haveBest {
-		return nil, costmodel.Vector{}, breakdown{}, 0, stats,
-			errors.New("planner: no plan satisfies the limits")
-	}
-	return bestChoice, bestCost, bestBD, bestM, stats, nil
+	return frontier
 }

@@ -1,5 +1,5 @@
 // Package planner implements Arboretum's query planner (Section 4): it
-// takes a certified query, expands each abstract operator into candidate
+// admits a query through the one front end (privacy.Admit), expands each abstract operator into candidate
 // concrete implementations (Section 4.3), splits the work into vignettes
 // assigned to the aggregator, committees, or devices (Section 4.4), adds
 // encryption according to the taint analysis (Section 4.5), scores every
@@ -17,14 +17,16 @@
 // # Thread safety
 //
 // Plan is safe to call concurrently: every call builds its own scorer and
-// search state. Internally the search itself fans out over a worker pool
-// (Request.Workers; see internal/parallel) by partitioning the option tree
-// into independent subtree tasks that share only an atomic incumbent bound
-// and an atomic node counter. The chosen plan is identical at every worker
-// count — the shared bound prunes only on strict dominance and the final
-// winner comes from an ordered reduction that replays the sequential
-// tie-breaking — though Stats.Pruned/PrefixesExplored may vary run to run
-// when pruning is enabled with more than one worker.
+// search state. The search is one branch-and-bound DFS (search.go) run as
+// subtree tasks under one of two schedules (Request.Workers; see
+// internal/parallel): a single task — the whole option tree — on the calling
+// goroutine, or a breadth-first frontier of independent subtrees on the
+// worker pool, sharing only an atomic incumbent bound and an atomic node
+// counter. The chosen plan is identical at every worker count — the shared
+// bound prunes only on strict dominance and the final winner comes from an
+// ordered reduction that replays a single task's tie-breaking — though
+// Stats.Pruned/PrefixesExplored may vary run to run when pruning is enabled
+// with more than one worker.
 package planner
 
 import (

@@ -120,6 +120,7 @@ type certifier struct {
 	sens           map[string]float64 // per-variable sensitivity bound
 	cert           *Certificate
 	sawOutput      bool
+	sampledAt      lang.Pos // the query's one sampleUniform call, once seen
 	maxSensitivity int64
 }
 
@@ -165,6 +166,11 @@ func (c *certifier) stmt(s lang.Stmt, mult int64, ctx taint) error {
 		return err
 	case *lang.ForStmt:
 		iters := c.loopIterations(st)
+		if iters > math.MaxInt64/mult {
+			// The multiplier would wrap — to a small or negative count, and
+			// with it the certified ε.
+			return fmt.Errorf("%v: loop nest repeats its body more than 2^63 times", st.Position())
+		}
 		c.vars[st.Var] = public
 		return c.stmts(st.Body, mult*iters, ctx)
 	case *lang.IfStmt:
@@ -188,7 +194,11 @@ func (c *certifier) loopIterations(st *lang.ForStmt) int64 {
 	if !okF || !okT {
 		return 1
 	}
-	iters := int64(to.Range.Hi-from.Range.Lo) + 1
+	span := to.Range.Hi - from.Range.Lo
+	if !(span < 1<<62) {
+		return math.MaxInt64 // past what int64(span) can hold (or NaN)
+	}
+	iters := int64(span) + 1
 	if iters < 1 {
 		return 1
 	}
@@ -255,7 +265,10 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 		return noised, nil
 	case "topk":
 		eps := c.epsArg(ex, 2)
-		k := c.intArg(ex, 1, 1)
+		k, err := c.topkCount(ex)
+		if err != nil {
+			return sensitive, err
+		}
 		composed := eps * float64(k)
 		if c.opts.OneShotTopK {
 			composed = eps * math.Sqrt(float64(k))
@@ -280,6 +293,14 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 		}
 		return public, nil
 	case "sampleUniform":
+		// One query, one sample: the certificate holds one rate, the
+		// amplification theorem is applied once, and the runtime collects
+		// once — a second call has nothing to mean.
+		if c.sampledAt.Line > 0 {
+			return sensitive, fmt.Errorf("%v: second sampleUniform call (the query already samples at %v)",
+				ex.Position(), c.sampledAt)
+		}
+		c.sampledAt = ex.Position()
 		rate := c.floatArgValue(ex, 0, 1)
 		if rate > 0 && rate < 1 {
 			c.cert.SampleRate = rate
@@ -321,13 +342,16 @@ func (c *certifier) epsArg(ex *lang.CallExpr, idx int) float64 {
 	return c.opts.DefaultEpsilon
 }
 
-func (c *certifier) intArg(ex *lang.CallExpr, idx int, def int64) int64 {
-	if idx < len(ex.Args) {
-		if lit, ok := ex.Args[idx].(*lang.IntLit); ok {
-			return lit.Value
-		}
+// topkCount bounds the number of winners a topk call releases — what its ε
+// composes over — by the inferred upper bound of the k argument. The runtime
+// evaluates k, so a k that is not a literal must be charged at its bound,
+// not at a default.
+func (c *certifier) topkCount(ex *lang.CallExpr) (int64, error) {
+	t, ok := c.info.TypeOf(ex.Args[1])
+	if !ok || !(t.Range.Hi >= 1 && t.Range.Hi < 1<<31) {
+		return 0, fmt.Errorf("%v: topk needs a count k ≥ 1 with a known bound", ex.Position())
 	}
-	return def
+	return int64(t.Range.Hi), nil
 }
 
 func (c *certifier) floatArgValue(ex *lang.CallExpr, idx int, def float64) float64 {

@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"arboretum/internal/lang"
@@ -191,6 +192,68 @@ output(declassify(n));
 	want := math.Log1p(0.01 * math.Expm1(1.0))
 	if math.Abs(c.Epsilon-want) > 1e-9 {
 		t.Errorf("amplified ε = %g, want %g", c.Epsilon, want)
+	}
+}
+
+// One query, one sample: a second sampleUniform call is refused whatever its
+// rate, and the refusal names both call sites.
+func TestSecondSampleUniformRejected(t *testing.T) {
+	const tail = "aggr = sum(db);\nn = laplace(aggr[0], 1.0);\noutput(declassify(n));"
+	for _, second := range []string{"1", "0.5", "0.25"} {
+		_, err := certify(t, "sampleUniform(0.5); sampleUniform("+second+");\n"+tail)
+		if err == nil {
+			t.Fatalf("second sampleUniform(%s) certified", second)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "1:21") || !strings.Contains(msg, "1:1") ||
+			!strings.Contains(msg, "sampleUniform") {
+			t.Errorf("sampleUniform(%s): error %q does not name both calls", second, msg)
+		}
+	}
+	// Through the front end the refusal is a certification-stage error.
+	if _, _, _, err := Admit("sampleUniform(0.5); sampleUniform(1);\n"+tail, db); err == nil ||
+		!strings.HasPrefix(err.Error(), "certification: 1:21: ") {
+		t.Errorf("Admit: %v", err)
+	}
+}
+
+// The runtime evaluates topk's k, so the certifier charges the inferred
+// bound of a k that is not a literal (it used to charge k = 1), and refuses a
+// topk that releases nothing.
+func TestTopKCountFromRange(t *testing.T) {
+	lit := mustCertify(t, "aggr = sum(db);\nbest = topk(aggr, 4, 0.1);\noutput(declassify(best[0]));")
+	for _, src := range []string{
+		"aggr = sum(db);\nk = 4;\nbest = topk(aggr, k, 0.1);\noutput(declassify(best[0]));",
+		"aggr = sum(db);\nbest = topk(aggr, 2 + 2, 0.1);\noutput(declassify(best[0]));",
+	} {
+		if c := mustCertify(t, src); c.Epsilon != lit.Epsilon {
+			t.Errorf("ε = %g, want the literal-k price %g for\n%s", c.Epsilon, lit.Epsilon, src)
+		}
+	}
+	if _, err := certify(t, "aggr = sum(db);\nbest = topk(aggr, 0, 0.1);\noutput(1);"); err == nil {
+		t.Error("topk with k = 0 certified")
+	}
+}
+
+// A loop nest whose static trip count overflows int64 used to wrap the
+// invocation multiplier — here to a negative count, so a negative ε.
+func TestLoopNestOverflowRejected(t *testing.T) {
+	const nest = `aggr = sum(db);
+for i = 0 to 4000000000 do
+  for j = 0 to 4000000000 do
+    n = laplace(aggr[0], 0.1);
+  endfor;
+endfor;
+output(1);`
+	if c, err := certify(t, nest); err == nil {
+		t.Errorf("overflowing loop nest certified at ε = %g", c.Epsilon)
+	}
+	big := mustCertify(t, `aggr = sum(db);
+for i = 0 to 3999999999 do
+  n = laplace(aggr[0], 0.1);
+endfor;
+output(1);`)
+	if math.Abs(big.Epsilon-4e8) > 1 {
+		t.Errorf("4e9 iterations × 0.1 certified at ε = %g", big.Epsilon)
 	}
 }
 

@@ -3,44 +3,33 @@ package runtime
 import (
 	"fmt"
 
-	"arboretum/internal/lang"
 	"arboretum/internal/privacy"
 	"arboretum/internal/types"
 )
 
-// certifyProgram is the admission pipeline shared by Run and Certify:
-// parse, infer basic types and value ranges for a deployment of n devices
-// with the given one-hot width, and certify the program differentially
-// private. The certificate's (ε, δ) depends only on (src, n, categories),
-// so certifying at admission and re-certifying at execution — which is what
-// the analyst gateway does to price a reservation before the job runs —
-// always agree.
-func certifyProgram(src string, n, categories int) (*lang.Program, *privacy.Certificate, error) {
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return nil, nil, fmt.Errorf("runtime: parse: %w", err)
-	}
-	info, err := types.Infer(prog, types.DBInfo{
+// dbShape is the database a deployment of n devices presents to the query
+// front end: one one-hot row of the given width per device, elements in
+// [0, 1].
+func dbShape(n, categories int) types.DBInfo {
+	return types.DBInfo{
 		N: int64(n), Width: int64(categories),
 		ElemRange: types.Range{Lo: 0, Hi: 1},
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("runtime: types: %w", err)
 	}
-	cert, err := privacy.Certify(prog, info, privacy.DefaultOptions)
-	if err != nil {
-		return nil, nil, fmt.Errorf("runtime: certification: %w", err)
-	}
-	return prog, cert, nil
 }
 
-// Certify runs the admission pipeline without executing anything: it
-// returns the privacy certificate a deployment of n devices (one-hot width
-// categories) would charge for src. The analyst gateway
-// (internal/service) uses it to reserve exactly the certified (ε, δ) in the
-// tenant's budget ledger before a job is queued; a query that fails
-// certification is rejected with the returned error and spends nothing.
+// Certify admits src (privacy.Admit, the one query front end) without
+// executing anything: it returns the privacy certificate a deployment of n
+// devices (one-hot width categories) would charge for it. The certificate
+// depends only on (src, n, categories) and Run admits through the same
+// function, so certifying at admission and again at execution — which is
+// what the analyst gateway (internal/service) does to reserve exactly the
+// certified (ε, δ) in the tenant's budget ledger before a job is queued —
+// always agree. A query that fails admission is rejected with the returned
+// error and spends nothing.
 func Certify(src string, n, categories int) (*privacy.Certificate, error) {
-	_, cert, err := certifyProgram(src, n, categories)
-	return cert, err
+	_, _, cert, err := privacy.Admit(src, dbShape(n, categories))
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	return cert, nil
 }

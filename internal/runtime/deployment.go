@@ -79,9 +79,8 @@ type Config struct {
 
 	// Workers bounds the worker pool used for input collection (one task
 	// per ingest shard) and the combine tree. 0 resolves via
-	// parallel.Workers: the ARBORETUM_WORKERS environment variable, then
-	// GOMAXPROCS. 1 forces the sequential paths (bit-identical to the
-	// pre-parallel runtime).
+	// parallel.Workers to GOMAXPROCS. 1 forces the sequential paths
+	// (bit-identical to the pre-parallel runtime).
 	Workers int
 
 	// SecureNoise draws committee noise from crypto/rand

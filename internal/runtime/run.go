@@ -3,21 +3,20 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"arboretum/internal/ahe"
 	"arboretum/internal/fixed"
 	"arboretum/internal/mechanism"
 	"arboretum/internal/parallel"
 	"arboretum/internal/privacy"
-	"arboretum/internal/queries"
 	"arboretum/internal/sortition"
 )
 
 // RunOptions selects execution-level choices the planner normally makes.
 type RunOptions struct {
-	// EMVariant picks the exponential-mechanism instantiation (Figure 4);
-	// the default is the Gumbel variant.
+	// EMVariant picks the exponential-mechanism instantiation (Figure 4).
+	// The zero value is mechanism.EMExponentiate, so that is what a run
+	// with no options executes.
 	EMVariant mechanism.EMVariant
 	// SumTreeFanout is the planner's sum choice: the fanout of the tree
 	// that combines the ingest shards' partial sums (≤ 1 = pairwise). The
@@ -65,9 +64,9 @@ type Result struct {
 func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 	d.runCtx = opts.Ctx
 	defer func() { d.runCtx = nil }()
-	prog, cert, err := certifyProgram(src, d.cfg.N, d.cfg.Categories)
+	prog, _, cert, err := privacy.Admit(src, dbShape(d.cfg.N, d.cfg.Categories))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	if err := d.checkpoint("query start"); err != nil {
 		return nil, err
@@ -131,12 +130,12 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 		sampled  int
 		accepted int
 	)
-	if rate := sampleRate(prog); rate > 0 && rate < 1 {
+	if cert.SampleRate < 1 {
 		perBin, binOf, err := d.collectBinned(km, opts.SumTreeFanout)
 		if err != nil {
 			return nil, err
 		}
-		sums, sampled, err = d.windowSums(km, perBin, binOf, rate)
+		sums, sampled, err = d.windowSums(km, perBin, binOf, cert.SampleRate)
 		if err != nil {
 			return nil, err
 		}
@@ -229,14 +228,4 @@ func foldGroups(pub *ahe.PublicKey, inputs [][]*ahe.Ciphertext, fanout, workers 
 		sent += gs.sent
 	}
 	return out, sent, nil
-}
-
-// quantileSrc builds the quantile query with a large ε for deterministic
-// small-scale tests.
-func quantileSrc(num, den int64) (string, error) {
-	src, err := queries.QuantileSource(num, den)
-	if err != nil {
-		return "", err
-	}
-	return strings.ReplaceAll(src, "em(util, 0.1)", "em(util, 3.0)"), nil
 }

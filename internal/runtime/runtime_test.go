@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -203,6 +204,50 @@ output(declassify(noised));`
 	// Amplification: the certificate's ε is far below the mechanism's 5.0.
 	if res.Certificate.Epsilon >= 5.0 {
 		t.Errorf("sampling did not amplify: ε = %g", res.Certificate.Epsilon)
+	}
+}
+
+// TestSampleUniformSingleSource: the certificate is the one reader of
+// sampleUniform that decides anything. The rate Run collects at is the rate
+// the certificate amplified ε by, and a second call — two rates, of which a
+// certifier and a collector could each keep a different one — is refused
+// before any budget is charged.
+func TestSampleUniformSingleSource(t *testing.T) {
+	const tail = `aggr = sum(db);
+c = laplace(aggr[0], 1.0);
+output(declassify(c));`
+	d := smallDeployment(t, 64, 2, func(c *Config) { c.Seed = 3; c.BudgetEpsilon = 100 })
+
+	res, err := d.Run("sampleUniform(0.5);\n"+tail, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := math.Log1p(0.5 * math.Expm1(1.0)) // 0.6201
+	if math.Abs(res.Certificate.Epsilon-want) > 1e-12 || res.Certificate.SampleRate != 0.5 {
+		t.Errorf("one call certifies ε = %g at rate %g, want %g at 0.5",
+			res.Certificate.Epsilon, res.Certificate.SampleRate, want)
+	}
+	if res.Sampled >= res.Accepted {
+		t.Errorf("one call sampled %d of %d accepted devices, want a strict subset", res.Sampled, res.Accepted)
+	}
+	before, _ := d.Budget.Remaining()
+	if math.Abs(before-(100-want)) > 1e-9 {
+		t.Errorf("remaining ε = %g after one query of %g", before, want)
+	}
+
+	res, err = d.Run("sampleUniform(0.5); sampleUniform(1);\n"+tail, RunOptions{})
+	if err == nil {
+		t.Fatalf("two calls ran: sampled %d of %d at ε = %g", res.Sampled, res.Accepted, res.Certificate.Epsilon)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "runtime: certification: ") ||
+		!strings.Contains(msg, "1:1") || !strings.Contains(msg, "1:21") {
+		t.Errorf("refusal %q does not name the stage and both calls", msg)
+	}
+	if after, _ := d.Budget.Remaining(); after != before {
+		t.Errorf("refused query charged ε: %g → %g", before, after)
+	}
+	if _, err := Certify("sampleUniform(0.5); sampleUniform(1);\n"+tail, 64, 2); err == nil {
+		t.Error("Certify priced the two-call program")
 	}
 }
 
@@ -514,4 +559,14 @@ output(result);`
 	if m.AuditsServed == 0 {
 		t.Error("no audits served")
 	}
+}
+
+// quantileSrc builds the quantile query with a large ε for deterministic
+// small-scale tests.
+func quantileSrc(num, den int64) (string, error) {
+	src, err := queries.QuantileSource(num, den)
+	if err != nil {
+		return "", err
+	}
+	return strings.ReplaceAll(src, "em(util, 0.1)", "em(util, 3.0)"), nil
 }

@@ -6,7 +6,6 @@ import (
 	"math/big"
 
 	"arboretum/internal/ahe"
-	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
 )
 
@@ -22,22 +21,6 @@ import (
 // sampleBinCount is the b of the protocol in the simulation (the paper uses
 // the number of plaintext slots in a standard ciphertext).
 const sampleBinCount = 16
-
-// sampleRate extracts the sampleUniform rate from a program (0 = none).
-func sampleRate(prog *lang.Program) float64 {
-	rate := 0.0
-	lang.WalkExprs(prog.Stmts, func(e lang.Expr) {
-		if call, ok := e.(*lang.CallExpr); ok && call.Func == "sampleUniform" {
-			switch lit := call.Args[0].(type) {
-			case *lang.FloatLit:
-				rate = lit.Value
-			case *lang.IntLit:
-				rate = float64(lit.Value)
-			}
-		}
-	})
-	return rate
-}
 
 // windowSums lets the committee decrypt only the sampled window: it draws
 // the secret window start j, homomorphically folds the window's bins into

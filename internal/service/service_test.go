@@ -223,6 +223,9 @@ func TestAdmissionRejections(t *testing.T) {
 		{"non-private program",
 			map[string]string{"tenant": "alice", "source": "aggr = sum(db);\noutput(declassify(aggr[0]));"},
 			http.StatusBadRequest, "not_private"},
+		{"two sampleUniform calls (one query, one sample) refused by the front end",
+			map[string]string{"tenant": "alice", "source": "sampleUniform(0.5); sampleUniform(1);\n" + countQuery},
+			http.StatusBadRequest, "not_private"},
 		{"unknown tenant",
 			map[string]string{"tenant": "mallory", "source": countQuery},
 			http.StatusNotFound, "no_tenant"},
@@ -547,8 +550,8 @@ func TestWALCrashRecovery(t *testing.T) {
 	if !ok || math.Abs(b.EpsSpent-j.Epsilon) > 1e-9 || b.EpsReserved != 0 || b.Queries != 1 {
 		t.Fatalf("recovered balance %+v, want spent=%g reserved=0 queries=1", b, j.Epsilon)
 	}
-	if d := s2.Ledger().Dangling(); len(d) != 0 {
-		t.Fatalf("dangling after recovery: %v", d)
+	if d := s2.Ledger().Reservations(); len(d) != 0 {
+		t.Fatalf("still reserved after recovery: %+v", d)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Runs the crypto, runtime, and planner benchmarks and emits a
+# Runs the crypto and runtime kernel benchmarks and emits a
 # machine-readable BENCH_kernels.json so the performance trajectory is
 # tracked from PR to PR. Run from anywhere inside the repository.
 #
@@ -72,7 +72,7 @@ fi
 BENCHTIME="${ARBORETUM_BENCH_TIME:-1s}"
 COUNT="${ARBORETUM_BENCH_COUNT:-1}"
 OUT="${ARBORETUM_BENCH_OUT:-BENCH_kernels.json}"
-PKGS="${ARBORETUM_BENCH_PKGS:-./internal/bgv ./internal/ahe ./internal/runtime ./internal/planner}"
+PKGS="${ARBORETUM_BENCH_PKGS:-./internal/bgv ./internal/ahe ./internal/runtime}"
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
