@@ -31,7 +31,7 @@ import (
 	"arboretum/internal/bgv"
 	"arboretum/internal/costmodel"
 	"arboretum/internal/faults"
-	"arboretum/internal/mechanism"
+	"arboretum/internal/plan"
 	"arboretum/internal/planner"
 	"arboretum/internal/queries"
 	"arboretum/internal/runtime"
@@ -168,9 +168,8 @@ type PlanResult struct {
 	PlanningTime     time.Duration
 	PrefixesExplored int64
 
-	// The plan's execution-level choices, typed, for RunPlanned.
-	emVariant mechanism.EMVariant
-	sumFanout int
+	// The plan itself, for RunPlanned.
+	plan *plan.Plan
 }
 
 // Plan certifies and plans a query (Section 4 of the paper end to end).
@@ -224,8 +223,7 @@ func Plan(req PlanRequest) (*PlanResult, error) {
 		Delta:               res.Certificate.Delta,
 		PlanningTime:        res.PlanningTime,
 		PrefixesExplored:    res.Stats.PrefixesExplored,
-		emVariant:           p.EMVariant,
-		sumFanout:           p.SumFanout,
+		plan:                p,
 	}, nil
 }
 
@@ -313,24 +311,20 @@ type RunResult struct {
 	// SampledDevices counts devices included by secrecy-of-the-sample
 	// (equal to the deployment size when the query does not sample).
 	SampledDevices int
+	// Choices are the search decisions of the plan that was executed, as
+	// display labels (PlanResult.Choices).
+	Choices map[string]string
 }
 
-// Run executes a query end to end: sortition, key generation, ZKP-checked
-// input collection, audited aggregation, committee MPC vignettes, output
-// (Section 5 of the paper).
+// Run plans a query for this deployment's own size and executes the plan end
+// to end: sortition, key generation, ZKP-checked input collection, audited
+// aggregation, committee MPC vignettes, output (Section 5 of the paper). The
+// planner searches only the options the runtime has a code path for.
 func (d *Deployment) Run(source string) (*RunResult, error) {
-	return d.run(source, runtime.RunOptions{})
+	return runResult(d.inner.Run(source, runtime.RunOptions{}))
 }
 
-// RunWithExponentiateEM executes with the exponentiation-based em variant
-// (Figure 4, left), named explicitly. (It is also the runtime's zero-value
-// variant, so Run executes it too; RunPlanned runs whichever the plan chose.)
-func (d *Deployment) RunWithExponentiateEM(source string) (*RunResult, error) {
-	return d.run(source, runtime.RunOptions{EMVariant: mechanism.EMExponentiate})
-}
-
-func (d *Deployment) run(source string, opts runtime.RunOptions) (*RunResult, error) {
-	res, err := d.inner.Run(source, opts)
+func runResult(res *runtime.Result, err error) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -343,6 +337,7 @@ func (d *Deployment) run(source string, opts runtime.RunOptions) (*RunResult, er
 		Epsilon:        res.Certificate.Epsilon,
 		AcceptedInputs: res.Accepted,
 		SampledDevices: res.Sampled,
+		Choices:        res.Plan.Choices,
 	}, nil
 }
 
@@ -374,20 +369,17 @@ func EvaluationQueries() []QueryInfo {
 	return out
 }
 
-// RunPlanned executes a query using the execution-level choices a plan made:
-// the em variant and, when the plan outsourced the sum to a tree, that
-// tree's fanout for the ingest shard combine. The choices arrive typed from
-// the planner (plan.Plan.EMVariant / SumFanout), not parsed back out of the
-// Choices labels. This is how the two phases of the paper compose — plan
-// once at deployment scale, execute with the same structure.
+// RunPlanned executes a query under a plan made by Plan — typically at
+// deployment scale (N = 2^30): this is how the two phases of the paper
+// compose, plan once, execute with the same structure. The runtime reads the
+// plan's typed choices (the em variant and the sum tree's fanout) and sizes
+// committees from its own configuration. A plan that chose an option the
+// runtime cannot execute (an FHE circuit, one-shot top-k) is refused with
+// runtime.ErrPlanNotExecutable before anything is spent; pin the step with
+// ForceChoices, or let Run plan.
 func (d *Deployment) RunPlanned(p *PlanResult, source string) (*RunResult, error) {
 	if p == nil {
 		return nil, fmt.Errorf("arboretum: nil plan")
 	}
-	return d.run(source, p.runOptions())
-}
-
-// runOptions is the plan → run seam.
-func (p *PlanResult) runOptions() runtime.RunOptions {
-	return runtime.RunOptions{EMVariant: p.emVariant, SumTreeFanout: p.sumFanout}
+	return runResult(d.inner.RunPlan(p.plan, source, runtime.RunOptions{}))
 }

@@ -140,12 +140,33 @@ func TestRunWithExponentiateEM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.RunWithExponentiateEM("aggr = sum(db);\nresult = em(aggr, 3.0);\noutput(result);")
+	// The exponentiation-based em variant (Figure 4, left) is a plan choice
+	// like any other: pin it, plan, run the plan.
+	src := "aggr = sum(db);\nresult = em(aggr, 3.0);\noutput(result);"
+	p, err := Plan(PlanRequest{
+		Source: src, N: 64, Categories: 4, Limits: DefaultLimits(),
+		ForceChoices: map[string]string{"em": "exponentiate-mpc"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.RunPlanned(p, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int(res.Outputs[0]) != 1 {
 		t.Errorf("exponentiate-variant top1 = %v, want 1", res.Outputs[0])
+	}
+	if !strings.HasPrefix(res.Choices["em"], "exponentiate-mpc") {
+		t.Errorf("executed choices %v, want the pinned exponentiate-mpc em", res.Choices)
+	}
+	// Left to itself, Run plans at the deployment's own shape and gets Gumbel.
+	res, err = d.Run(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(res.Choices["em"], "gumbel") {
+		t.Errorf("Run executed choices %v, want a gumbel em", res.Choices)
 	}
 }
 
@@ -158,16 +179,16 @@ func TestRunPlanned(t *testing.T) {
 		Limits: DefaultLimits(),
 		ForceChoices: map[string]string{
 			"sum": "device-tree-fanout-8",
-			"em":  "exponentiate",
+			"em":  "exponentiate-mpc",
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The plan's choices reach the runtime typed, not parsed from labels.
-	if got := p.runOptions(); got.EMVariant != mechanism.EMExponentiate || got.SumTreeFanout != 8 {
-		t.Errorf("forced plan runs as %v / fanout %d, want exponentiate / 8 (choices %v)",
-			got.EMVariant, got.SumTreeFanout, p.Choices)
+	if got := p.plan; got.EMVariant != mechanism.EMExponentiate || got.SumFanout != 8 || !got.Executable {
+		t.Errorf("forced plan runs as %v / fanout %d / executable %v, want exponentiate / 8 / true (choices %v)",
+			got.EMVariant, got.SumFanout, got.Executable, p.Choices)
 	}
 	gum, err := Plan(PlanRequest{
 		Name: "planned", Source: src, N: 1 << 26, Categories: 8,
@@ -177,13 +198,15 @@ func TestRunPlanned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := gum.runOptions(); got.EMVariant != mechanism.EMGumbel || got.SumTreeFanout != 0 {
-		t.Errorf("gumbel/loop plan runs as %v / fanout %d (choices %v)",
-			got.EMVariant, got.SumTreeFanout, gum.Choices)
+	if got := gum.plan; got.EMVariant != mechanism.EMGumbel || got.SumFanout != 0 || !got.Executable {
+		t.Errorf("gumbel/loop plan runs as %v / fanout %d / executable %v (choices %v)",
+			got.EMVariant, got.SumFanout, got.Executable, gum.Choices)
 	}
 	// Only the em step steers the runtime's em: a top-k plan names an em
 	// variant in its peel-… label, but there is no em step to set one, so
-	// the variant stays at its zero value whichever family is forced.
+	// the variant stays at its zero value whichever family is forced. The
+	// runtime's top-k peels with Gumbel rounds only, so only that family is
+	// executable.
 	topkSrc := "aggr = sum(db);\nbest = topk(aggr, 3, 0.1);\noutput(declassify(best[0]));"
 	for _, family := range []string{"peel-gumbel", "peel-exponentiate"} {
 		tk, err := Plan(PlanRequest{
@@ -197,8 +220,11 @@ func TestRunPlanned(t *testing.T) {
 		if !strings.HasPrefix(tk.Choices["topk"], family) || tk.Choices["em"] != "" {
 			t.Fatalf("topk plan choices %v, want only a %s… topk label", tk.Choices, family)
 		}
-		if got := tk.runOptions().EMVariant; got != 0 {
+		if got := tk.plan.EMVariant; got != 0 {
 			t.Errorf("%s top-k plan set the em variant to %v", family, got)
+		}
+		if got, want := tk.plan.Executable, family == "peel-gumbel"; got != want {
+			t.Errorf("%s top-k plan executable = %v, want %v", family, got, want)
 		}
 	}
 	d, err := NewDeployment(DeploymentConfig{
@@ -219,6 +245,9 @@ func TestRunPlanned(t *testing.T) {
 	}
 	if int(res.Outputs[0]) != 6 {
 		t.Errorf("planned run top1 = %v, want 6", res.Outputs[0])
+	}
+	if got := res.Choices; got["sum"] != "device-tree-fanout-8" || !strings.HasPrefix(got["em"], "exponentiate-mpc") {
+		t.Errorf("planned run executed choices %v, want the plan's", got)
 	}
 	if _, err := d.RunPlanned(nil, src); err == nil {
 		t.Error("nil plan accepted")

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"arboretum/internal/eval"
-	"arboretum/internal/mechanism"
+	"arboretum/internal/planner"
 	"arboretum/internal/runtime"
 )
 
@@ -184,9 +184,9 @@ func BenchmarkDesignAblations(b *testing.B) {
 // end to end (the trade-off of Figure 4).
 func BenchmarkEndToEndGumbelVsExponentiate(b *testing.B) {
 	src := "aggr = sum(db);\nresult = em(aggr, 2.0);\noutput(result);"
-	for _, v := range []mechanism.EMVariant{mechanism.EMGumbel, mechanism.EMExponentiate} {
-		v := v
-		b.Run(v.String(), func(b *testing.B) {
+	for _, family := range []string{"gumbel", "exponentiate-mpc"} {
+		family := family
+		b.Run(family, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d, err := runtime.NewDeployment(runtime.Config{
 					N: 64, Categories: 8, CommitteeSize: 5, Seed: int64(i),
@@ -195,7 +195,13 @@ func BenchmarkEndToEndGumbelVsExponentiate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := d.Run(src, runtime.RunOptions{EMVariant: v}); err != nil {
+				req := d.PlanRequest(src)
+				req.ForceChoices = map[string]string{"em": family}
+				p, err := planner.Plan(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := d.RunPlan(p.Plan, src, runtime.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,9 +11,9 @@
 // `plan` prints the chosen plan (vignettes, committees, six-metric cost) for
 // a deployment of -n participants; the -limit-* flags bound what the plan may
 // cost each entity (unset limits default to the paper's evaluation setup).
-// `run` executes the query end to end on a small simulated deployment with
-// real cryptography. `list` shows the built-in evaluation queries. -workers
-// bounds the worker pool (default: GOMAXPROCS);
+// `run` plans the query for a small simulated deployment and executes that
+// plan end to end with real cryptography. `list` shows the built-in
+// evaluation queries. -workers bounds the worker pool (default: GOMAXPROCS);
 // plans and query outputs are identical at every worker count.
 package main
 
@@ -209,6 +209,7 @@ func runCmd(args []string) error {
 	}
 	fmt.Printf("accepted inputs: %d\n", res.AcceptedInputs)
 	fmt.Printf("charged ε: %.4g\n", res.Epsilon)
+	fmt.Printf("choices: %v\n", res.Choices)
 	for i, o := range res.Outputs {
 		fmt.Printf("output[%d] = %g\n", i, o)
 	}

@@ -140,16 +140,26 @@ func TestRunCmdBadFaultSpec(t *testing.T) {
 // the deleted materialize-and-audit path printed — recorded here from the
 // commit before that deletion, for a plain and a sampled query — at the
 // default shape and at any shard/batch/worker shape, and a forced shard crash
-// recovers from its batch checkpoint without changing it.
+// recovers from its batch checkpoint without changing it. The sampled
+// query's released values are still that recording; top1's output was
+// re-captured (0 → 2) when `run` began executing the plan it makes — Gumbel
+// em at this shape — instead of the exponentiate variant a plan-less run
+// defaulted to, and both transcripts gained the executed plan's choices line.
 func TestRunCmdStreamMatchesLegacy(t *testing.T) {
+	const (
+		top1 = "accepted inputs: 48\ncharged ε: 0.1\n" +
+			"choices: map[em:gumbel-noise-4-tree-12 input:onehot+zkp output:committee-reconstruct sum:aggregator-loop]\n" +
+			"output[0] = 2\n"
+		secrecy = "accepted inputs: 64\ncharged ε: 0.01704\n" +
+			"choices: map[compute:committee-slice-1 input:onehot+zkp noise:committee-slice-1 output:committee-reconstruct sample:bin-window sum:aggregator-loop]\n" +
+			"output[0] = 200\noutput[1] = -1800\noutput[2] = 2200\noutput[3] = 1\n"
+	)
 	for _, tc := range []struct {
 		base   []string
 		legacy string
 	}{
-		{[]string{"-query", "top1", "-devices", "48", "-committee", "5", "-seed", "7"},
-			"accepted inputs: 48\ncharged ε: 0.1\noutput[0] = 0\n"},
-		{[]string{"-query", "secrecy", "-devices", "64", "-seed", "3"},
-			"accepted inputs: 64\ncharged ε: 0.01704\noutput[0] = 200\noutput[1] = -1800\noutput[2] = 2200\noutput[3] = 1\n"},
+		{[]string{"-query", "top1", "-devices", "48", "-committee", "5", "-seed", "7"}, top1},
+		{[]string{"-query", "secrecy", "-devices", "64", "-seed", "3"}, secrecy},
 	} {
 		for _, extra := range [][]string{
 			nil,
@@ -175,7 +185,7 @@ func TestRunCmdStreamMatchesLegacy(t *testing.T) {
 	if !strings.Contains(crashed, "1 shard crashes (1 resumes)") {
 		t.Errorf("shard crash-then-resume not in recovery summary:\n%s", crashed)
 	}
-	if !strings.HasSuffix(crashed, "accepted inputs: 48\ncharged ε: 0.1\noutput[0] = 0\n") {
+	if !strings.HasSuffix(crashed, top1) {
 		t.Errorf("recovered run released a different transcript:\n%s", crashed)
 	}
 }

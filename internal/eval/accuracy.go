@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"arboretum/internal/mechanism"
+	"arboretum/internal/planner"
 	"arboretum/internal/runtime"
 )
 
@@ -52,7 +53,7 @@ func Accuracy(trialsPerEps int) ([]AccuracyRow, error) {
 				return nil, err
 			}
 			src := fmt.Sprintf("aggr = sum(db);\nresult = em(aggr, %g);\noutput(result);", eps)
-			res, err := d.Run(src, runtime.RunOptions{})
+			res, err := runForcedEM(d, src, row.Variant)
 			if err != nil {
 				return nil, err
 			}
@@ -64,6 +65,21 @@ func Accuracy(trialsPerEps int) ([]AccuracyRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// runForcedEM executes src under the deployment's own-shape plan with the em
+// step pinned to one instantiation of Figure 4.
+func runForcedEM(d *runtime.Deployment, src string, v mechanism.EMVariant) (*runtime.Result, error) {
+	req := d.PlanRequest(src)
+	req.ForceChoices = map[string]string{"em": "gumbel"}
+	if v == mechanism.EMExponentiate {
+		req.ForceChoices["em"] = "exponentiate-mpc"
+	}
+	res, err := planner.Plan(req)
+	if err != nil {
+		return nil, err
+	}
+	return d.RunPlan(res.Plan, src, runtime.RunOptions{})
 }
 
 // RenderAccuracy formats the utility curve.

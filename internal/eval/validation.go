@@ -48,7 +48,7 @@ func Validate() ([]ValidationRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		if _, err := d.Run(src, runtime.RunOptions{EMVariant: variant}); err != nil {
+		if _, err := runForcedEM(d, src, variant); err != nil {
 			return 0, err
 		}
 		return d.Metrics.MPCComparisons, nil

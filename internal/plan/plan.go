@@ -234,12 +234,18 @@ type Plan struct {
 	// runtime acts on is in the typed fields below.
 	Choices map[string]string
 
-	// Execution-level choices, for runtime.RunOptions. EMVariant is the
-	// instantiation the em step chose (meaningful only when the query has
-	// one); SumFanout is the device sum tree's fanout, 0 when the aggregator
-	// sums in a loop.
-	EMVariant mechanism.EMVariant
-	SumFanout int
+	// What the runtime reads (runtime.Deployment.RunPlan) — the typed
+	// choices and nothing else: a plan is structure, so N, CommitteeSize and
+	// CommitteeCount above price the deployment the plan was made for and
+	// never size the one it runs on. EMVariant is the instantiation the em
+	// step chose (meaningful only when the query has one); SumFanout is the
+	// device sum tree's fanout, 0 when the aggregator sums in a loop.
+	// Executable is false when some chosen option has no code path in the
+	// runtime (an FHE vignette, a non-Gumbel top-k): the plan is priced
+	// only, and RunPlan refuses it.
+	EMVariant  mechanism.EMVariant
+	SumFanout  int
+	Executable bool
 
 	Cost costmodel.Vector
 

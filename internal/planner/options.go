@@ -19,6 +19,10 @@ type option struct {
 
 	sumFanout int                 // sum options: device-tree fanout (0 = aggregator loop)
 	em        mechanism.EMVariant // em-family options: the Figure 4 instantiation
+	// exec says the runtime has a code path for this option. It has none for
+	// an FHE vignette (it runs AHE and committee MPC only) and its top-k is
+	// Gumbel peeling only; those options are priced, never run.
+	exec bool
 }
 
 // searchSpace fixes the enumerable parameters of the design space. The
@@ -26,10 +30,11 @@ type option struct {
 // parallelization widths — the "millions of different ways" of Section 1
 // once the per-step choices multiply out.
 type searchSpace struct {
-	n       int64
-	model   *costmodel.Model
-	fanouts []int64 // sum/argmax tree fanouts
-	slices  []int64 // values handled per committee
+	n        int64
+	model    *costmodel.Model
+	fanouts  []int64 // sum/argmax tree fanouts
+	slices   []int64 // values handled per committee
+	execOnly bool    // keep only options the runtime can run (Request.ExecutableOnly)
 }
 
 func defaultSpace(n int64, m *costmodel.Model) searchSpace {
@@ -78,6 +83,16 @@ func ceilDiv(a, b int64) int64 {
 // committee, the heaviest mandatory role).
 func (sp searchSpace) optionsFor(st step) []option {
 	opts := sp.rawOptionsFor(st)
+	if sp.execOnly {
+		// Every step kind has an executable family, so this never empties.
+		runnable := opts[:0]
+		for _, o := range opts {
+			if o.exec {
+				runnable = append(runnable, o)
+			}
+		}
+		opts = runnable
+	}
 	filtered := opts[:0]
 	for _, o := range opts {
 		if sp.biteSize(o) {
@@ -142,6 +157,7 @@ func (sp searchSpace) inputOptions(st step) []option {
 	cts := sp.ctsFor(st.c)
 	return []option{{
 		choiceVal: "onehot+zkp",
+		exec:      true,
 		vignettes: []plan.Vignette{
 			{
 				Desc: "encrypt input + prove well-formedness", Loc: plan.Device,
@@ -164,6 +180,7 @@ func (sp searchSpace) inputOptions(st step) []option {
 func (sp searchSpace) sampleOptions() []option {
 	return []option{{
 		choiceVal: "bin-window",
+		exec:      true,
 		vignettes: []plan.Vignette{{
 			Desc: "sample bin window (secrecy of the sample)", Loc: plan.Committee,
 			Role: plan.RoleOps, Count: 1, Crypto: plan.CryptoMPC,
@@ -180,6 +197,7 @@ func (sp searchSpace) sumOptions(st step) []option {
 	cts := sp.ctsFor(st.c)
 	opts := []option{{
 		choiceVal: "aggregator-loop",
+		exec:      true,
 		vignettes: []plan.Vignette{{
 			Desc: "AHE sum loop over all inputs", Loc: plan.Aggregator,
 			Count: 1, Crypto: plan.CryptoAHE,
@@ -197,6 +215,7 @@ func (sp searchSpace) sumOptions(st step) []option {
 		opts = append(opts, option{
 			choiceVal: fmt.Sprintf("device-tree-fanout-%d", phi),
 			sumFanout: int(phi),
+			exec:      true,
 			vignettes: []plan.Vignette{
 				{
 					Desc: fmt.Sprintf("device sum tree (fanout %d)", phi), Loc: plan.Device,
@@ -229,6 +248,7 @@ func (sp searchSpace) computeOptions(st step) []option {
 	}
 	opts = append(opts, option{
 		choiceVal: "aggregator-he",
+		exec:      crypto != plan.CryptoFHE,
 		vignettes: []plan.Vignette{{
 			Desc: fmt.Sprintf("homomorphic compute over %d values", st.c), Loc: plan.Aggregator,
 			Count: 1, Crypto: crypto,
@@ -247,6 +267,7 @@ func (sp searchSpace) computeOptions(st step) []option {
 		count := ceilDiv(st.c, sigma)
 		opts = append(opts, option{
 			choiceVal: fmt.Sprintf("committee-slice-%d", sigma),
+			exec:      true,
 			vignettes: []plan.Vignette{{
 				Desc: fmt.Sprintf("MPC compute (%d values per committee)", sigma), Loc: plan.Committee,
 				Role: plan.RoleOps, Parallel: count > 1, Count: count, Crypto: plan.CryptoMPC,
@@ -274,6 +295,7 @@ func (sp searchSpace) noiseOptions(st step) []option {
 		count := ceilDiv(st.c, sigma)
 		opts = append(opts, option{
 			choiceVal: fmt.Sprintf("committee-slice-%d", sigma),
+			exec:      true,
 			vignettes: []plan.Vignette{{
 				Desc: fmt.Sprintf("laplace noise + decrypt (%d values per committee)", sigma),
 				Loc:  plan.Committee, Role: plan.RoleDecrypt,
@@ -309,6 +331,7 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 			opts = append(opts, option{
 				choiceVal: fmt.Sprintf("gumbel-noise-%d-tree-%d", sigmaN, psi),
 				em:        mechanism.EMGumbel,
+				exec:      true,
 				vignettes: []plan.Vignette{
 					{
 						Desc: "decrypt aggregate to secret shares", Loc: plan.Committee,
@@ -377,11 +400,13 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 		opts = append(opts, option{
 			choiceVal: fmt.Sprintf("exponentiate-mpc-slice-%d", sigma),
 			em:        mechanism.EMExponentiate,
+			exec:      true,
 			vignettes: []plan.Vignette{decVig, expCommittee, scanVig, rerand},
 		})
 		opts = append(opts, option{
 			choiceVal: fmt.Sprintf("exponentiate-fhe-scan-%d", sigma),
 			em:        mechanism.EMExponentiate,
+			exec:      false, // expAggregator is an FHE circuit
 			vignettes: []plan.Vignette{expAggregator, decVig, scanVig, rerand},
 		})
 	}
@@ -399,6 +424,7 @@ func (sp searchSpace) topKOptions(st step) []option {
 	// Peeling: k full rounds.
 	for _, o := range sp.emOptions(st, k) {
 		o.choiceVal = "peel-" + o.choiceVal
+		o.exec = o.exec && o.em == mechanism.EMGumbel // the runtime peels with Gumbel-argmax rounds only
 		opts = append(opts, o)
 	}
 	// One-shot: noise once, then k tournament passes (cheaper, √k·ε).
@@ -407,6 +433,7 @@ func (sp searchSpace) topKOptions(st step) []option {
 		noiseCount := ceilDiv(st.c, 1024)
 		opts = append(opts, option{
 			choiceVal: fmt.Sprintf("oneshot-tree-%d", psi),
+			exec:      false, // the runtime's top-k peels
 			vignettes: []plan.Vignette{
 				{
 					Desc: "decrypt aggregate to secret shares", Loc: plan.Committee,
@@ -447,6 +474,7 @@ func (sp searchSpace) maxSelOptions(st step) []option {
 		treeCount := ceilDiv(st.c, psi-1)
 		opts = append(opts, option{
 			choiceVal: fmt.Sprintf("tree-%d", psi),
+			exec:      true,
 			vignettes: []plan.Vignette{
 				{
 					Desc: "decrypt to secret shares", Loc: plan.Committee,
@@ -469,6 +497,7 @@ func (sp searchSpace) maxSelOptions(st step) []option {
 func (sp searchSpace) outputOptions() []option {
 	return []option{{
 		choiceVal: "committee-reconstruct",
+		exec:      true,
 		vignettes: []plan.Vignette{
 			{
 				Desc: "reconstruct and release result", Loc: plan.Committee,

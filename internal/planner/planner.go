@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"arboretum/internal/costmodel"
+	"arboretum/internal/lang"
 	"arboretum/internal/plan"
 	"arboretum/internal/privacy"
 	"arboretum/internal/sortition"
@@ -31,7 +32,8 @@ type Request struct {
 
 	// DisableBranchAndBound turns off pruning (the ablation of Section 7.3).
 	DisableBranchAndBound bool
-	// NodeCap bounds the search when pruning is disabled (0 = default).
+	// NodeCap bounds the prefixes a search may visit (0 = 50 million); past
+	// it Plan returns ErrNodeCap.
 	NodeCap int64
 
 	// ForceChoices pins steps to implementations whose choice value starts
@@ -44,6 +46,17 @@ type Request struct {
 	// forces the sequential schedule. The chosen plan is identical at every
 	// setting.
 	Workers int
+
+	// ExecutableOnly restricts the search to what the runtime can execute,
+	// so the plan can be handed to runtime.Deployment.RunPlan: only options
+	// it has a code path for, and one choice per step kind — a run has one
+	// em variant and one sum fanout, so every step of a kind is priced under
+	// the same label (search.go, tieKinds), and a query's search no longer
+	// grows with the number of mechanism calls in it. The zero value prices
+	// the whole design space (FHE circuits, one-shot top-k, a choice per
+	// step), which is what `arboretum plan`, `explain` and the evaluation
+	// do; such a plan may come out with Plan.Executable false.
+	ExecutableOnly bool
 }
 
 // DefaultLimits matches the evaluation setup (Section 7.2): participants may
@@ -84,7 +97,19 @@ func Plan(req Request) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)
 	}
+	return planAdmitted(req, prog, info, cert, start)
+}
 
+// PlanAdmitted plans a query its caller has already put through
+// privacy.Admit — the runtime, which admits once and both plans and runs
+// from that one program and certificate. The deployment shape is the one the
+// query was admitted against (info.DB); req.Source is not read.
+func PlanAdmitted(req Request, prog *lang.Program, info *types.Info, cert *privacy.Certificate) (*Result, error) {
+	req.N, req.Categories = info.DB.N, info.DB.Width
+	return planAdmitted(req, prog, info, cert, time.Now())
+}
+
+func planAdmitted(req Request, prog *lang.Program, info *types.Info, cert *privacy.Certificate, start time.Time) (*Result, error) {
 	steps, err := decompose(prog, info)
 	if err != nil {
 		return nil, err
@@ -95,6 +120,7 @@ func Plan(req Request) (*Result, error) {
 		model = costmodel.Default()
 	}
 	sp := defaultSpace(req.N, model)
+	sp.execOnly = req.ExecutableOnly
 	sc := newScorer(req.N, model, sortition.DefaultSizeParams)
 	cfg := searchConfig{
 		goal:    req.Goal,
@@ -126,6 +152,7 @@ func assemble(req Request, steps []step, best *candidate) *plan.Plan {
 		N:               req.N,
 		Categories:      req.Categories,
 		Choices:         map[string]string{},
+		Executable:      true,
 		Cost:            best.cost,
 		ByRole:          bd.byRole,
 		BaseCPU:         bd.baseCPU,
@@ -144,16 +171,22 @@ func assemble(req Request, steps []step, best *candidate) *plan.Plan {
 	add(keygenVignette())
 	var committees int64 = 1
 	var prev *plan.Vignette
+	var sawEM, sawSum bool
 	for i, o := range best.choice {
 		p.Choices[steps[i].kind.String()] = o.choiceVal
+		p.Executable = p.Executable && o.exec
 		// The execution-level choices cross to the runtime typed. Only the
 		// em and sum steps steer it: topk's peel-… options name an em
-		// variant too, but the runtime's top-k has one implementation.
+		// variant too, but the runtime's top-k has one implementation. A
+		// plan holds one value of each, so two steps that chose differently
+		// (only a full-space search lets them) make it priced-only.
 		switch steps[i].kind {
 		case stepEM:
-			p.EMVariant = o.em
+			p.Executable = p.Executable && (!sawEM || p.EMVariant == o.em)
+			p.EMVariant, sawEM = o.em, true
 		case stepSum:
-			p.SumFanout = o.sumFanout
+			p.Executable = p.Executable && (!sawSum || p.SumFanout == o.sumFanout)
+			p.SumFanout, sawSum = o.sumFanout, true
 		}
 		for _, v := range o.vignettes {
 			committees += v.Committees()

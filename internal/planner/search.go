@@ -18,7 +18,7 @@ type Stats struct {
 	PrefixesExplored int64 // DFS nodes visited ("plan prefixes")
 	FullCandidates   int64 // complete plans scored exactly
 	Pruned           int64 // prefixes cut by a limit or the incumbent
-	Aborted          bool  // hit the node cap with pruning disabled
+	Aborted          bool  // hit the node cap
 }
 
 // searchConfig tunes the planner search.
@@ -26,7 +26,7 @@ type searchConfig struct {
 	goal    costmodel.Metric
 	limits  costmodel.Limits
 	noBB    bool              // disable branch-and-bound (ablation, Section 7.3)
-	nodeCap int64             // safety net for the ablation (0 = default)
+	nodeCap int64             // Request.NodeCap (0 = defaultNodeCap)
 	force   map[string]string // pin steps to choice-value prefixes
 	workers int               // search parallelism (0 = parallel.Workers default)
 }
@@ -96,7 +96,7 @@ type candidate struct {
 // shared bound tightens and may vary run to run — the chosen plan never does.
 func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candidate, *Stats, error) {
 	stats := &Stats{}
-	opts := make([][]option, len(steps))
+	stepOpts := make([][]option, len(steps))
 	for i, st := range steps {
 		os := sp.optionsFor(st)
 		if len(os) == 0 {
@@ -117,14 +117,28 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 				os = kept
 			}
 		}
-		if !cfg.noBB {
-			// Heuristic order: score each option in isolation and try the
-			// cheapest first, so a good incumbent appears early and the
-			// bound prunes aggressively (pointless without pruning).
-			type scored struct {
-				o option
-				v float64
-			}
+		stepOpts[i] = os
+	}
+
+	// The tree has one level per step — or, planning for execution, one per
+	// step kind (tieKinds): opts[l] are level l's options, levelOf[i] is the
+	// level that decides step i.
+	opts, levelOf := stepOpts, []int(nil)
+	if sp.execOnly {
+		var err error
+		if opts, levelOf, err = tieKinds(steps, stepOpts); err != nil {
+			return nil, stats, err
+		}
+	}
+	if !cfg.noBB {
+		// Heuristic order: score each option in isolation and try the
+		// cheapest first, so a good incumbent appears early and the
+		// bound prunes aggressively (pointless without pruning).
+		type scored struct {
+			o option
+			v float64
+		}
+		for _, os := range opts {
 			ss := make([]scored, len(os))
 			for j, o := range os {
 				v, _, _ := sc.score(o.vignettes)
@@ -135,7 +149,6 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 				os[j] = ss[j].o
 			}
 		}
-		opts[i] = os
 	}
 
 	nodeCap := cfg.nodeCap
@@ -150,7 +163,7 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 	// empty prefix — run on the calling goroutine. The plan is identical
 	// either way.
 	workers := 1
-	if w := parallel.Workers(cfg.workers); w > 1 && len(steps) > 0 &&
+	if w := parallel.Workers(cfg.workers); w > 1 && len(opts) > 0 &&
 		(cfg.workers > 1 || estLeaves(opts) >= parallelSearchThreshold) {
 		workers = w
 	}
@@ -192,7 +205,7 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 		}
 		prefix := make([]plan.Vignette, 0, 64)
 		prefix = append(prefix, keygenVignette())
-		choice := make([]option, len(steps))
+		choice := make([]option, len(opts))
 		for lvl, j := range frontier[t] {
 			o := opts[lvl][j]
 			choice[lvl] = o
@@ -203,7 +216,7 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 		dfs = func(d int) error {
 			r.stats.PrefixesExplored++
 			if nodes.Add(1) > nodeCap {
-				return errNodeCap
+				return ErrNodeCap
 			}
 			partial, _, _ := tsc.score(prefix)
 			if !cfg.noBB {
@@ -229,7 +242,7 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 					return nil
 				}
 			}
-			if d == len(steps) {
+			if d == len(opts) {
 				r.stats.FullCandidates++
 				full, bd, m := tsc.score(prefix)
 				if _, bad := cfg.limits.Violated(full); bad {
@@ -260,7 +273,7 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 		// saw every node.
 		stats.Aborted = true
 		stats.PrefixesExplored = nodes.Load()
-		return nil, stats, errNodeCap
+		return nil, stats, ErrNodeCap
 	}
 
 	// Ordered reduction in task order — the order one DFS over the whole tree
@@ -278,12 +291,70 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 	if best == nil {
 		return nil, stats, errors.New("planner: no plan satisfies the limits")
 	}
+	if levelOf != nil {
+		// Back to one option per step: each step's own option under the
+		// label its kind's level chose.
+		perStep := make([]option, len(steps))
+		for i := range steps {
+			perStep[i] = stepOpts[i][labelIndex(stepOpts[i], best.choice[levelOf[i]].choiceVal)]
+		}
+		best.choice = perStep
+	}
 	return best, stats, nil
 }
 
-// errNodeCap is the sentinel a search task raises when the shared node
-// counter crosses the cap.
-var errNodeCap = errors.New("planner: search exceeded the node cap (branch-and-bound disabled?)")
+// tieKinds folds the per-step option lists into one search level per step
+// kind: a level's options are the labels every step of the kind offers, each
+// carrying the vignettes of all those steps, so one choice prices the
+// operator everywhere the query uses it. That is what a plan can say — its
+// Choices hold one label per kind, EMVariant and SumFanout one value per
+// plan — and what the runtime can honour: every em call of a run executes
+// the one variant. It also makes the tree's depth a property of the
+// language (nine kinds) instead of the program's length: ten em calls search
+// the tree one em call does. Returns the levels, in order of each kind's
+// first step, and the level of every step.
+func tieKinds(steps []step, stepOpts [][]option) ([][]option, []int, error) {
+	var levels [][]option
+	levelOf := make([]int, len(steps))
+	first := map[stepKind]int{}
+	for i, st := range steps {
+		l, tied := first[st.kind]
+		if !tied {
+			first[st.kind] = len(levels)
+			levelOf[i] = len(levels)
+			levels = append(levels, append([]option(nil), stepOpts[i]...))
+			continue
+		}
+		levelOf[i] = l
+		shared := levels[l][:0]
+		for _, o := range levels[l] {
+			if j := labelIndex(stepOpts[i], o.choiceVal); j >= 0 {
+				o.vignettes = append(o.vignettes[:len(o.vignettes):len(o.vignettes)], stepOpts[i][j].vignettes...)
+				shared = append(shared, o)
+			}
+		}
+		if len(shared) == 0 {
+			return nil, nil, fmt.Errorf("planner: no %v implementation fits every %v step of the query", st.kind, st.kind)
+		}
+		levels[l] = shared
+	}
+	return levels, levelOf, nil
+}
+
+// labelIndex finds the option with the given choice label (-1 if none).
+func labelIndex(os []option, label string) int {
+	for j := range os {
+		if os[j].choiceVal == label {
+			return j
+		}
+	}
+	return -1
+}
+
+// ErrNodeCap is what a search returns when the shared node counter crosses
+// Request.NodeCap: the query's option tree is larger than the caller is
+// willing to search.
+var ErrNodeCap = errors.New("planner: search exceeded the node cap")
 
 // parallelSearchThreshold is the estimated full-candidate count below which
 // an automatically-sized search stays sequential: per-node work is tiny

@@ -9,7 +9,8 @@
 // The search granularity is the logical step (an operator occurrence or a
 // fused block of scalar computation): each step contributes a set of
 // candidate (implementation × location × parameter) options, and a candidate
-// plan is one choice per step. This is the same design space the paper
+// plan is one choice per step (per step kind when planning for execution,
+// Request.ExecutableOnly). This is the same design space the paper
 // describes — operator instantiations (sum trees of different fanouts, the
 // two em variants of Figure 4), placement, and cryptosystem — explored
 // mechanically with pruning.
@@ -103,7 +104,13 @@ func decompose(p *lang.Program, info *types.Info) ([]step, error) {
 	}
 	d.flushCompute()
 	if !d.sawOutput {
-		return nil, fmt.Errorf("planner: query has no output step")
+		if !containsCall(p.Stmts, "output") {
+			return nil, fmt.Errorf("planner: query has no output step")
+		}
+		// The output call sits where the walk does not make steps (inside a
+		// branch, or as a subexpression): the release is a publish step all
+		// the same, so every query the front end admits has a plan.
+		d.steps = append(d.steps, step{kind: stepOutput, desc: "publish result", c: 1})
 	}
 	// Move the sample step (if any) right after input: sampling shapes how
 	// devices upload (Section 6's bin protocol).

@@ -39,11 +39,18 @@ type Options struct {
 // DefaultOptions matches the evaluation setup.
 var DefaultOptions = Options{DefaultEpsilon: 0.1, OneShotTopK: true}
 
-// MechanismUse records one mechanism invocation found in the query.
+// MechanismUse records one mechanism call site found in the query. It is the
+// one reading of the call's ε and of the bound on topk's k: the certificate
+// is charged from it, and the runtime executes the call at Pos with
+// CallEpsilon and releases at most K winners, so what runs is within what was
+// charged.
 type MechanismUse struct {
-	Func        string  // laplace | em | topk
-	Epsilon     float64 // per-invocation ε (after k-composition for topk)
-	Invocations int64   // static count (loops multiply)
+	Func        string   // laplace | em | topk
+	Pos         lang.Pos // the call site
+	CallEpsilon float64  // the ε the mechanism runs at: the call's argument, or the default
+	K           int64    // topk: the winner count charged for (k's inferred upper bound); 0 otherwise
+	Epsilon     float64  // per-invocation ε charged (CallEpsilon after k-composition for topk)
+	Invocations int64    // static count (loops multiply)
 	Sensitivity int64
 }
 
@@ -171,8 +178,20 @@ func (c *certifier) stmt(s lang.Stmt, mult int64, ctx taint) error {
 			// with it the certified ε.
 			return fmt.Errorf("%v: loop nest repeats its body more than 2^63 times", st.Position())
 		}
-		c.vars[st.Var] = public
-		return c.stmts(st.Body, mult*iters, ctx)
+		// The bounds are expressions like any other: a mechanism call in one
+		// is charged, and what the trip count depends on flows into the loop
+		// variable and, implicitly, into everything the body assigns.
+		fromT, err := c.expr(st.From, mult)
+		if err != nil {
+			return err
+		}
+		toT, err := c.expr(st.To, mult)
+		if err != nil {
+			return err
+		}
+		bounds := fromT.join(toT)
+		c.vars[st.Var] = bounds
+		return c.stmts(st.Body, mult*iters, ctx.join(bounds))
 	case *lang.IfStmt:
 		condT, err := c.expr(st.Cond, mult)
 		if err != nil {
@@ -255,16 +274,30 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 	}
 	switch ex.Func {
 	case "laplace":
-		eps := c.epsArg(ex, 1)
-		sens := c.laplaceSensitivity(ex)
-		c.record("laplace", eps, mult, sens)
+		eps, err := c.epsArg(ex, 1)
+		if err != nil {
+			return sensitive, err
+		}
+		c.record(MechanismUse{
+			Func: "laplace", Pos: ex.Position(), CallEpsilon: eps, Epsilon: eps,
+			Invocations: mult, Sensitivity: c.laplaceSensitivity(ex),
+		})
 		return noised, nil
 	case "em":
-		eps := c.epsArg(ex, 1)
-		c.record("em", eps, mult, 1)
+		eps, err := c.epsArg(ex, 1)
+		if err != nil {
+			return sensitive, err
+		}
+		c.record(MechanismUse{
+			Func: "em", Pos: ex.Position(), CallEpsilon: eps, Epsilon: eps,
+			Invocations: mult, Sensitivity: 1,
+		})
 		return noised, nil
 	case "topk":
-		eps := c.epsArg(ex, 2)
+		eps, err := c.epsArg(ex, 2)
+		if err != nil {
+			return sensitive, err
+		}
 		k, err := c.topkCount(ex)
 		if err != nil {
 			return sensitive, err
@@ -273,7 +306,10 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 		if c.opts.OneShotTopK {
 			composed = eps * math.Sqrt(float64(k))
 		}
-		c.record("topk", composed, mult, 1)
+		c.record(MechanismUse{
+			Func: "topk", Pos: ex.Position(), CallEpsilon: eps, K: k, Epsilon: composed,
+			Invocations: mult, Sensitivity: 1,
+		})
 		return noised, nil
 	case "gumbel":
 		// Raw Gumbel noise: output is noised only when added to something
@@ -321,25 +357,31 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 }
 
 // record accumulates one mechanism use under sequential composition.
-func (c *certifier) record(fn string, eps float64, mult int64, sens int64) {
-	c.cert.Mechanisms = append(c.cert.Mechanisms, MechanismUse{
-		Func: fn, Epsilon: eps, Invocations: mult, Sensitivity: sens,
-	})
-	c.cert.Epsilon += eps * float64(mult)
-	c.cert.Delta += deltaPerMechanism * float64(mult)
-	if sens > c.maxSensitivity {
-		c.maxSensitivity = sens
+func (c *certifier) record(m MechanismUse) {
+	c.cert.Mechanisms = append(c.cert.Mechanisms, m)
+	c.cert.Epsilon += m.Epsilon * float64(m.Invocations)
+	c.cert.Delta += deltaPerMechanism * float64(m.Invocations)
+	if m.Sensitivity > c.maxSensitivity {
+		c.maxSensitivity = m.Sensitivity
 	}
 }
 
-// epsArg extracts an explicit ε argument or falls back to the default.
-func (c *certifier) epsArg(ex *lang.CallExpr, idx int) float64 {
+// epsArg reads a mechanism call's ε: a literal argument, which must be
+// positive (noise at ε ≤ 0 has no finite scale, so there is nothing to run
+// and nothing to charge), or the default when the argument is absent or not
+// a literal.
+func (c *certifier) epsArg(ex *lang.CallExpr, idx int) (float64, error) {
 	if idx < len(ex.Args) {
-		if v := c.floatArgValue(ex, idx, 0); v > 0 {
-			return v
+		switch ex.Args[idx].(type) {
+		case *lang.FloatLit, *lang.IntLit:
+			eps := c.floatArgValue(ex, idx, 0)
+			if !(eps > 0) {
+				return 0, fmt.Errorf("%v: %s with ε = %g (ε must be positive)", ex.Position(), ex.Func, eps)
+			}
+			return eps, nil
 		}
 	}
-	return c.opts.DefaultEpsilon
+	return c.opts.DefaultEpsilon, nil
 }
 
 // topkCount bounds the number of winners a topk call releases — what its ε

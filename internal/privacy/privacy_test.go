@@ -398,3 +398,53 @@ output(aggr[i]);
 		t.Fatal("outputting a raw element selected by a noised index certified")
 	}
 }
+
+// An explicit ε must be positive: the certifier used to fall back to the
+// default for a literal ≤ 0 while the runtime ran the literal — charged 0.1,
+// executed at ε = 0.
+func TestEpsilonLiteralMustBePositive(t *testing.T) {
+	for _, call := range []string{
+		"laplace(aggr[0], 0)", "laplace(aggr[0], 0.0)",
+		"em(aggr, 0)", "topk(aggr, 2, 0.0)[0]",
+	} {
+		src := "aggr = sum(db);\noutput(declassify(" + call + "));"
+		c, err := certify(t, src)
+		if err == nil {
+			t.Errorf("%s certified at ε = %g", call, c.Epsilon)
+			continue
+		}
+		if !strings.Contains(err.Error(), "2:19") || !strings.Contains(err.Error(), "must be positive") {
+			t.Errorf("%s refused with %q, want a positioned ε-must-be-positive error", call, err)
+		}
+	}
+	// A non-literal ε is the default at certification and at run time alike.
+	c := mustCertify(t, "aggr = sum(db);\ne = 0;\noutput(declassify(laplace(aggr[0], e)));")
+	if m := c.Mechanisms[0]; m.CallEpsilon != DefaultOptions.DefaultEpsilon || c.Epsilon != m.CallEpsilon {
+		t.Errorf("non-literal ε certified as %+v (total %g), want the default", m, c.Epsilon)
+	}
+}
+
+// Every mechanism call is recorded where the runtime will look it up: by
+// call position, with the ε it runs at and, for topk, the certified k.
+func TestMechanismUseCarriesCallSite(t *testing.T) {
+	c := mustCertify(t, "aggr = sum(db);\nbest = topk(aggr, 3, 0.5);\nn = laplace(aggr[0], 2.0);\noutput(declassify(n));")
+	if len(c.Mechanisms) != 2 {
+		t.Fatalf("mechanisms = %+v", c.Mechanisms)
+	}
+	tk, lap := c.Mechanisms[0], c.Mechanisms[1]
+	if tk.Pos != (lang.Pos{Line: 2, Col: 8}) || tk.K != 3 || tk.CallEpsilon != 0.5 || tk.Epsilon != 0.5*math.Sqrt(3) {
+		t.Errorf("topk use = %+v", tk)
+	}
+	if lap.Pos != (lang.Pos{Line: 3, Col: 5}) || lap.K != 0 || lap.CallEpsilon != 2 || lap.Epsilon != 2 {
+		t.Errorf("laplace use = %+v", lap)
+	}
+}
+
+// A mechanism call in a loop bound runs once per evaluation of the loop and
+// must be charged; the certifier used to skip the bounds entirely.
+func TestMechanismInLoopBoundCharged(t *testing.T) {
+	c := mustCertify(t, "aggr = sum(db);\nfor i = 0 to em(aggr, 1.0) do\n  x = i;\nendfor;\noutput(x);")
+	if len(c.Mechanisms) != 1 || c.Epsilon != 1 {
+		t.Errorf("em in a loop bound certified as ε = %g, mechanisms %+v", c.Epsilon, c.Mechanisms)
+	}
+}

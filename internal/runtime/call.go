@@ -123,19 +123,6 @@ func (ip *interp) sumArray(ex *lang.CallExpr) (value, error) {
 	}
 }
 
-// epsArg extracts the trailing ε argument (default 0.1).
-func (ip *interp) epsArg(ex *lang.CallExpr, idx int) float64 {
-	if idx < len(ex.Args) {
-		switch lit := ex.Args[idx].(type) {
-		case *lang.FloatLit:
-			return lit.Value
-		case *lang.IntLit:
-			return float64(lit.Value)
-		}
-	}
-	return 0.1
-}
-
 // mechanismEngine resolves the committee for a mechanism call: inputs that
 // are already shared stay with their committee; fresh ciphertext (or
 // public) inputs move to the next spare committee, with a VSR hand-off of
@@ -155,7 +142,11 @@ func (ip *interp) emCall(ex *lang.CallExpr) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	eps := ip.epsArg(ex, 1)
+	use, err := ip.use(ex)
+	if err != nil {
+		return value{}, err
+	}
+	eps := use.CallEpsilon
 	return ip.runVignette(scores, func(ce *committeeExec, in value) (value, error) {
 		shared, err := ip.toSharedIn(ce, in)
 		if err != nil {
@@ -187,7 +178,16 @@ func (ip *interp) topkCall(ex *lang.CallExpr) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	eps := ip.epsArg(ex, 2)
+	use, err := ip.use(ex)
+	if err != nil {
+		return value{}, err
+	}
+	// k is the program's value; the certificate charged for up to use.K
+	// winners (k's inferred upper bound), so more than that is not released.
+	k := kv.num.Int()
+	if k > use.K {
+		return value{}, fmt.Errorf("%v: topk count %d exceeds the certified bound %d", ex.Position(), k, use.K)
+	}
 	return ip.runVignette(scores, func(ce *committeeExec, in value) (value, error) {
 		shared, err := ip.toSharedIn(ce, in)
 		if err != nil {
@@ -196,7 +196,7 @@ func (ip *interp) topkCall(ex *lang.CallExpr) (value, error) {
 		if shared.kind != vSharedArr {
 			return value{}, fmt.Errorf("runtime: topk requires a score array")
 		}
-		idxs, err := ce.topKSelect(shared.secs, int(kv.num.Int()), ip.sens, eps)
+		idxs, err := ce.topKSelect(shared.secs, int(k), ip.sens, use.CallEpsilon)
 		if err != nil {
 			return value{}, err
 		}
@@ -213,7 +213,11 @@ func (ip *interp) laplaceCall(ex *lang.CallExpr) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	eps := ip.epsArg(ex, 1)
+	use, err := ip.use(ex)
+	if err != nil {
+		return value{}, err
+	}
+	eps := use.CallEpsilon
 	switch v.kind {
 	case vCipher:
 		return ip.runVignette(v, func(ce *committeeExec, in value) (value, error) {

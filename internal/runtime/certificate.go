@@ -8,6 +8,7 @@ import (
 
 	"arboretum/internal/hashing"
 	"arboretum/internal/merkle"
+	"arboretum/internal/plan"
 	"arboretum/internal/sortition"
 )
 
@@ -111,7 +112,12 @@ func (d *Deployment) VerifyCertificate(cert *AuthCertificate) error {
 	return nil
 }
 
-// planDigest hashes the query source as the plan commitment.
-func planDigest(src string) [sha256.Size]byte {
-	return sha256.Sum256([]byte(src))
+// planDigest is the certificate's plan commitment: the query text and the
+// typed choices the run executes under (everything RunPlan reads from the
+// plan), so the signed record says which instantiation of the query the
+// committees execute (Section 5.2), not just which query. What a plan only
+// prices — its scale, vignette wording, costs — is not in it: two plans that
+// run identically sign the same digest.
+func planDigest(src string, p *plan.Plan) [sha256.Size]byte {
+	return sha256.Sum256(fmt.Appendf(nil, "%s\x00em=%d sum-fanout=%d", src, p.EMVariant, p.SumFanout))
 }

@@ -3,18 +3,23 @@ package runtime
 import (
 	"fmt"
 
+	"arboretum/internal/lang"
 	"arboretum/internal/privacy"
 	"arboretum/internal/types"
 )
 
-// dbShape is the database a deployment of n devices presents to the query
-// front end: one one-hot row of the given width per device, elements in
-// [0, 1].
-func dbShape(n, categories int) types.DBInfo {
-	return types.DBInfo{
+// admit puts src through the one query front end (privacy.Admit) against
+// the database a deployment of n devices presents: one one-hot row of the
+// given width per device, elements in [0, 1].
+func admit(src string, n, categories int) (*lang.Program, *types.Info, *privacy.Certificate, error) {
+	prog, info, cert, err := privacy.Admit(src, types.DBInfo{
 		N: int64(n), Width: int64(categories),
 		ElemRange: types.Range{Lo: 0, Hi: 1},
+	})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("runtime: %w", err)
 	}
+	return prog, info, cert, nil
 }
 
 // Certify admits src (privacy.Admit, the one query front end) without
@@ -27,9 +32,6 @@ func dbShape(n, categories int) types.DBInfo {
 // always agree. A query that fails admission is rejected with the returned
 // error and spends nothing.
 func Certify(src string, n, categories int) (*privacy.Certificate, error) {
-	_, _, cert, err := privacy.Admit(src, dbShape(n, categories))
-	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	return cert, nil
+	_, _, cert, err := admit(src, n, categories)
+	return cert, err
 }

@@ -6,3 +6,7 @@ package runtime
 // time; a smaller slice keeps the race pass focused on interleavings — the
 // full coverage sweep runs in the non-race pass.
 const chaosSchedules = 5
+
+// Forty instrumented end-to-end runs would take the race pass past its
+// timeout; these three cover the em, top-k and max+noise paths.
+var seamQueries = []string{"top1", "topK", "gap"}

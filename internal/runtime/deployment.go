@@ -77,10 +77,10 @@ type Config struct {
 	// BudgetEpsilon is the deployment's total privacy budget (default 10).
 	BudgetEpsilon float64
 
-	// Workers bounds the worker pool used for input collection (one task
-	// per ingest shard) and the combine tree. 0 resolves via
-	// parallel.Workers to GOMAXPROCS. 1 forces the sequential paths
-	// (bit-identical to the pre-parallel runtime).
+	// Workers bounds the worker pool used for Run's plan search, input
+	// collection (one task per ingest shard) and the combine tree. 0
+	// resolves via parallel.Workers to GOMAXPROCS. 1 forces the sequential
+	// paths (bit-identical to the pre-parallel runtime).
 	Workers int
 
 	// SecureNoise draws committee noise from crypto/rand
@@ -136,8 +136,9 @@ type Deployment struct {
 
 	// runCtx is the current Run's cancellation context (RunOptions.Ctx);
 	// nil between runs and for uncancellable runs. It is written once at
-	// the top of Run, before any fan-out, and only read afterwards (the
-	// checkpoint method), so pool workers may consult it without races.
+	// the top of Run or RunPlan, before any fan-out, and only read
+	// afterwards (the checkpoint method), so pool workers may consult it
+	// without races.
 	runCtx context.Context
 
 	// vignetteSeq and transferSeq number the mechanism vignettes and VSR

@@ -200,7 +200,7 @@ func ingestEqRun(t *testing.T, src string, seed int64, cfg ingestEqCfg) (*Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run(src, RunOptions{SumTreeFanout: cfg.fanout})
+	res, err := runWith(t, d, src, nil, withFanout(cfg.fanout))
 	if err != nil {
 		t.Fatalf("%v: %v", cfg, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
 	"arboretum/internal/mpc"
+	"arboretum/internal/privacy"
 	"arboretum/internal/sortition"
 )
 
@@ -74,7 +75,28 @@ type interp struct {
 	outputs   []fixed.Fixed
 	dbSums    []*ahe.Ciphertext // aggregated column sums, set by run.go
 	sens      int64
-	emVariant mechanism.EMVariant
+	uses      map[lang.Pos]privacy.MechanismUse // the certificate's ε and k, by call site
+	emVariant mechanism.EMVariant               // plan.Plan.EMVariant
+}
+
+// mechanismUses indexes the certificate's mechanism call sites by position.
+func mechanismUses(cert *privacy.Certificate) map[lang.Pos]privacy.MechanismUse {
+	uses := make(map[lang.Pos]privacy.MechanismUse, len(cert.Mechanisms))
+	for _, m := range cert.Mechanisms {
+		uses[m.Pos] = m
+	}
+	return uses
+}
+
+// use returns what the certifier decided for a mechanism call — the ε it
+// runs at and, for topk, the most winners it may release — so the run stays
+// within what the certificate charges.
+func (ip *interp) use(ex *lang.CallExpr) (privacy.MechanismUse, error) {
+	m, ok := ip.uses[ex.Position()]
+	if !ok {
+		return m, fmt.Errorf("%v: %s call is not in the privacy certificate", ex.Position(), ex.Func)
+	}
+	return m, nil
 }
 
 // rotate moves execution to the next spare committee: the private key is

@@ -23,7 +23,7 @@ func stableMetrics(m Metrics) Metrics {
 	return m
 }
 
-func runOnce(t *testing.T, workers int, src string, opts RunOptions) (*Result, Metrics) {
+func runOnce(t *testing.T, workers int, src string, fanout int) (*Result, Metrics) {
 	t.Helper()
 	d, err := NewDeployment(Config{
 		N: 48, Categories: 6, CommitteeSize: 5, Seed: 42,
@@ -32,7 +32,7 @@ func runOnce(t *testing.T, workers int, src string, opts RunOptions) (*Result, M
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run(src, opts)
+	res, err := runWith(t, d, src, nil, withFanout(fanout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func runOnce(t *testing.T, workers int, src string, opts RunOptions) (*Result, M
 // workers and demands identical outputs and metrics.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	src := "aggr = sum(db);\nresult = em(aggr, 3.0);\noutput(result);"
-	res1, m1 := runOnce(t, 1, src, RunOptions{})
-	res8, m8 := runOnce(t, 8, src, RunOptions{})
+	res1, m1 := runOnce(t, 1, src, 0)
+	res8, m8 := runOnce(t, 8, src, 0)
 	if !reflect.DeepEqual(res1.Outputs, res8.Outputs) {
 		t.Fatalf("outputs differ across worker counts: %v vs %v", res1.Outputs, res8.Outputs)
 	}
@@ -62,16 +62,15 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 // default pairwise combine: the fanout reshapes the tree, never the result.
 func TestSumTreeDeterministicAcrossWorkers(t *testing.T) {
 	src := "aggr = sum(db);\nresult = em(aggr, 3.0);\noutput(result);"
-	opts := RunOptions{SumTreeFanout: 4}
-	res1, m1 := runOnce(t, 1, src, opts)
-	res8, m8 := runOnce(t, 8, src, opts)
+	res1, m1 := runOnce(t, 1, src, 4)
+	res8, m8 := runOnce(t, 8, src, 4)
 	if !reflect.DeepEqual(res1.Outputs, res8.Outputs) {
 		t.Fatalf("sum-tree outputs differ: %v vs %v", res1.Outputs, res8.Outputs)
 	}
 	if stableMetrics(m1) != stableMetrics(m8) {
 		t.Fatalf("sum-tree metrics differ:\n1 worker: %+v\n8 workers: %+v", m1, m8)
 	}
-	resDef, mDef := runOnce(t, 8, src, RunOptions{})
+	resDef, mDef := runOnce(t, 8, src, 0)
 	if !reflect.DeepEqual(res1.Outputs, resDef.Outputs) || stableMetrics(m1) != stableMetrics(mDef) {
 		t.Fatalf("fanout 4 diverged from the default combine: %v vs %v", res1.Outputs, resDef.Outputs)
 	}

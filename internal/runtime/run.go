@@ -2,26 +2,24 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"arboretum/internal/ahe"
+	"arboretum/internal/costmodel"
 	"arboretum/internal/fixed"
-	"arboretum/internal/mechanism"
+	"arboretum/internal/lang"
 	"arboretum/internal/parallel"
+	"arboretum/internal/plan"
+	"arboretum/internal/planner"
 	"arboretum/internal/privacy"
 	"arboretum/internal/sortition"
 )
 
-// RunOptions selects execution-level choices the planner normally makes.
+// RunOptions is what a run takes besides the query and the plan. Every
+// execution-level choice (the em variant, the sum tree's fanout) lives on the
+// plan.Plan the run executes, so there is none to set here.
 type RunOptions struct {
-	// EMVariant picks the exponential-mechanism instantiation (Figure 4).
-	// The zero value is mechanism.EMExponentiate, so that is what a run
-	// with no options executes.
-	EMVariant mechanism.EMVariant
-	// SumTreeFanout is the planner's sum choice: the fanout of the tree
-	// that combines the ingest shards' partial sums (≤ 1 = pairwise). The
-	// released outputs are identical at every fanout.
-	SumTreeFanout int
 	// Ctx cancels the run cooperatively: the runtime checks it at phase,
 	// statement, vignette-attempt, and ingest-batch boundaries — points
 	// where nothing is half-open, so a canceled run aborts without having
@@ -52,21 +50,102 @@ func (d *Deployment) checkpoint(where string) error {
 type Result struct {
 	Outputs     []fixed.Fixed
 	Certificate *privacy.Certificate
+	Plan        *plan.Plan       // the plan that was executed
 	Auth        *AuthCertificate // the published query authorization
 	Sampled     int              // devices included by secrecy-of-the-sample (0 = all)
 	Accepted    int              // inputs that passed ZKP verification
 }
 
-// Run executes one query end to end over the deployment (Section 5's whole
-// pipeline). It charges the privacy budget, runs sortition, key generation,
-// ZKP-checked input collection, audited aggregation, committee vignettes,
-// and returns the released outputs.
+// ErrPlanNotExecutable is RunPlan's refusal of a priced-only plan: one that
+// chose an option the runtime has no code path for (plan.Plan.Executable).
+// Nothing has been selected, charged or collected when it is returned.
+var ErrPlanNotExecutable = errors.New("runtime: plan is priced-only (it chose an option the runtime cannot execute)")
+
+// ErrPlanSearchExceeded is Run's refusal of a certified query whose option
+// tree is larger than planSearchCap; it wraps planner.ErrNodeCap. Nothing
+// has been selected, charged or collected when it is returned.
+var ErrPlanSearchExceeded = errors.New("runtime: query is too large to plan")
+
+// planSearchCap bounds the planning Run does on behalf of whoever submitted
+// the query — over HTTP, any tenant. Planning for execution makes one choice
+// per step kind (planner.Request.ExecutableOnly), so the tree's depth does
+// not grow with the program: ten em/max pairs search ~5,000 prefixes like one
+// pair does, the evaluation corpus at most 9,590 (gap at 64×32), and a query
+// using every operator of the language 0.2–1.4 million (~1 s) at shapes from
+// 64×8 to 2^20×2^15. The cap is a backstop past all of those, not a gate any
+// known query meets. (A variable so that a test can lower it.)
+var planSearchCap int64 = 1 << 21
+
+// PlanRequest is the planning task Run sets itself for src: this deployment's
+// own (N, Categories), expected device CPU as the goal, the evaluation
+// limits, the default cost model, and only options the runtime can execute.
+// A caller that wants one choice different pins it (ForceChoices), plans, and
+// hands the plan to RunPlan.
+func (d *Deployment) PlanRequest(src string) planner.Request {
+	return planner.Request{
+		Source:         src,
+		N:              int64(d.cfg.N),
+		Categories:     int64(d.cfg.Categories),
+		Goal:           costmodel.PartExpCPU,
+		Limits:         planner.DefaultLimits,
+		NodeCap:        planSearchCap,
+		Workers:        d.cfg.Workers,
+		ExecutableOnly: true,
+	}
+}
+
+// Run plans the query for this deployment's own shape and executes the plan:
+// admit once (privacy.Admit), search the options the runtime can execute for
+// the plan cheapest in expected device CPU under the evaluation limits, then
+// run it exactly as RunPlan would. The plan is a pure function of (src, N,
+// Categories), so a re-run — the gateway's crash recovery — executes the
+// same plan.
 func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 	d.runCtx = opts.Ctx
 	defer func() { d.runCtx = nil }()
-	prog, _, cert, err := privacy.Admit(src, dbShape(d.cfg.N, d.cfg.Categories))
+	prog, info, cert, err := admit(src, d.cfg.N, d.cfg.Categories)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.checkpoint("plan"); err != nil {
+		return nil, err
+	}
+	res, err := planner.PlanAdmitted(d.PlanRequest(src), prog, info, cert)
+	if errors.Is(err, planner.ErrNodeCap) {
+		return nil, fmt.Errorf("%w: %w", ErrPlanSearchExceeded, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	if err := d.checkpoint("plan"); err != nil {
+		return nil, err
+	}
+	return d.execute(res.Plan, src, prog, cert)
+}
+
+// RunPlan executes a query under a plan made elsewhere — at deployment scale
+// (the paper's plan-once-then-execute composition), or with a choice forced
+// (planner.Request.ForceChoices). A plan is structure plus typed choices:
+// RunPlan reads EMVariant and SumFanout and sizes everything else from its
+// own Config, so a plan made for 2^30 devices runs on 64. A priced-only plan
+// is refused with ErrPlanNotExecutable.
+func (d *Deployment) RunPlan(p *plan.Plan, src string, opts RunOptions) (*Result, error) {
+	d.runCtx = opts.Ctx
+	defer func() { d.runCtx = nil }()
+	prog, _, cert, err := admit(src, d.cfg.N, d.cfg.Categories)
+	if err != nil {
+		return nil, err
+	}
+	return d.execute(p, src, prog, cert)
+}
+
+// execute runs an admitted query under a plan, end to end over the
+// deployment (Section 5's whole pipeline): it charges the privacy budget,
+// runs sortition, key generation, ZKP-checked input collection, audited
+// aggregation, committee vignettes, and returns the released outputs.
+func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert *privacy.Certificate) (*Result, error) {
+	if p == nil || !p.Executable {
+		return nil, ErrPlanNotExecutable
 	}
 	if err := d.checkpoint("query start"); err != nil {
 		return nil, err
@@ -110,7 +189,7 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 	}
 	// ... and signs the query authorization certificate, which devices
 	// verify before encrypting anything under the new key.
-	auth, err := d.issueCertificate(km, planDigest(src))
+	auth, err := d.issueCertificate(km, planDigest(src, p))
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +210,7 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 		accepted int
 	)
 	if cert.SampleRate < 1 {
-		perBin, binOf, err := d.collectBinned(km, opts.SumTreeFanout)
+		perBin, binOf, err := d.collectBinned(km, p.SumFanout)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +220,7 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 		}
 		accepted = len(binOf)
 	} else {
-		sums, accepted, err = d.collectInputs(km, opts.SumTreeFanout)
+		sums, accepted, err = d.collectInputs(km, p.SumFanout)
 		if err != nil {
 			return nil, err
 		}
@@ -166,7 +245,8 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 		env:       map[string]value{},
 		dbSums:    sums,
 		sens:      cert.Sensitivity,
-		emVariant: opts.EMVariant,
+		uses:      mechanismUses(cert),
+		emVariant: p.EMVariant,
 	}
 	if err := ip.run(prog.Stmts); err != nil {
 		return nil, err
@@ -181,6 +261,7 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 	return &Result{
 		Outputs:     ip.outputs,
 		Certificate: cert,
+		Plan:        p,
 		Auth:        auth,
 		Sampled:     sampled,
 		Accepted:    accepted,

@@ -5,7 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"arboretum/internal/mechanism"
+	"arboretum/internal/plan"
+	"arboretum/internal/planner"
 	"arboretum/internal/queries"
 )
 
@@ -22,6 +23,29 @@ func smallDeployment(t *testing.T, n, categories int, opts ...func(*Config)) *De
 		t.Fatal(err)
 	}
 	return d
+}
+
+// runWith executes src under the plan Run would make for it on d, after
+// change has edited the plan's typed choices or its request has been pinned:
+// how a test reaches a variant Run's own planning does not pick.
+func runWith(t testing.TB, d *Deployment, src string, force map[string]string, change func(*plan.Plan)) (*Result, error) {
+	t.Helper()
+	req := d.PlanRequest(src)
+	req.ForceChoices = force
+	res, err := planner.Plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if change != nil {
+		change(res.Plan)
+	}
+	return d.RunPlan(res.Plan, src, RunOptions{})
+}
+
+// withFanout sets the plan's sum-tree fanout to any value, including ones the
+// planner's fanout ladder does not offer.
+func withFanout(fanout int) func(*plan.Plan) {
+	return func(p *plan.Plan) { p.SumFanout = fanout }
 }
 
 // skewedData makes category `mode` the clear winner.
@@ -88,7 +112,7 @@ func TestRunTop1ExponentiateVariant(t *testing.T) {
 	src := `aggr = sum(db);
 result = em(aggr, 2.0);
 output(result);`
-	res, err := d.Run(src, RunOptions{EMVariant: mechanism.EMExponentiate})
+	res, err := runWith(t, d, src, map[string]string{"em": "exponentiate-mpc"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +196,7 @@ func TestDeviceSumTree(t *testing.T) {
 	src := `aggr = sum(db);
 noised = laplace(aggr[0], 50.0);
 output(declassify(noised));`
-	res, err := d.Run(src, RunOptions{SumTreeFanout: 8})
+	res, err := runWith(t, d, src, map[string]string{"sum": "device-tree-fanout-8"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,7 @@
 // recovery_test.go.
 //
 // Per-tenant token-bucket rate limiting, a per-tenant in-flight cap, and
-// a bounded queue protect the executor; scripts/loadtest.sh drives the
-// whole stack with concurrent analysts — including a SIGKILL-and-restart
-// mode — and asserts the never-double-spend invariant from the outside.
+// a bounded queue protect the executor.
 //
 // Concurrency: jobs are independent by construction — each owns a private
 // runtime.Deployment (a Deployment is not safe for concurrent use, so one

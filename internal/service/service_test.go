@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -226,6 +227,9 @@ func TestAdmissionRejections(t *testing.T) {
 		{"two sampleUniform calls (one query, one sample) refused by the front end",
 			map[string]string{"tenant": "alice", "source": "sampleUniform(0.5); sampleUniform(1);\n" + countQuery},
 			http.StatusBadRequest, "not_private"},
+		{"explicit ε = 0 (nothing to charge, nothing to run) refused by the front end",
+			map[string]string{"tenant": "alice", "source": "hist = sum(db);\noutput(declassify(laplace(hist[0], 0)));"},
+			http.StatusBadRequest, "not_private"},
 		{"unknown tenant",
 			map[string]string{"tenant": "mallory", "source": countQuery},
 			http.StatusNotFound, "no_tenant"},
@@ -249,6 +253,36 @@ func TestAdmissionRejections(t *testing.T) {
 	}
 	if got := s.ledger.Seq(); got != 1 { // only the tenant-create record
 		t.Fatalf("ledger advanced to seq %d on rejected submissions", got)
+	}
+}
+
+// TestLongQueryRunsThroughGateway: planning happens inside the job's run, and
+// its search does not grow with the number of mechanism calls, so a query of
+// six em/max pairs is admitted, planned, run and charged like any other.
+func TestLongQueryRunsThroughGateway(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 1, Delta: 1e-6}}
+	_, ts := startT(t, cfg, nil)
+
+	var src strings.Builder
+	src.WriteString("aggr = sum(db);\n")
+	for i := 0; i < 6; i++ {
+		fmt.Fprintf(&src, "r%d = em(aggr, 0.01);\nm%d = max(aggr);\n", i, i)
+	}
+	src.WriteString("output(r0);\n")
+	j, code, ec := submit(t, ts.URL, "alice", src.String())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d code %q, want the certified query admitted", code, ec)
+	}
+	if math.Abs(j.Epsilon-0.06) > 1e-9 {
+		t.Fatalf("admitted at ε = %g, want six em calls at 0.01", j.Epsilon)
+	}
+	f := waitTerminal(t, ts.URL, j.ID)
+	if f.State != JobDone {
+		t.Fatalf("job ended %s code %q (%s), want done", f.State, f.ErrorCode, f.Error)
+	}
+	if b := budget(t, ts.URL, "alice"); math.Abs(b.EpsSpent-j.Epsilon) > 1e-9 || b.EpsReserved != 0 || b.Queries != 1 {
+		t.Fatalf("balance after the run %+v, want %g spent", b, j.Epsilon)
 	}
 }
 

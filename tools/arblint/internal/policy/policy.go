@@ -180,10 +180,11 @@ var RawAggregateSources = map[string]map[string]bool{
 }
 
 // ReleaseSanitizers maps a package to the functions whose results are
-// certified released values: the runtime's Run executes the full certify →
-// noise → release pipeline, so its outputs are safe to encode.
+// certified released values: the runtime's Run and RunPlan (Run with the
+// plan made elsewhere) execute the full certify → noise → release pipeline,
+// so their outputs are safe to encode.
 var ReleaseSanitizers = map[string]map[string]bool{
-	"internal/runtime": {"Run": true},
+	"internal/runtime": {"Run": true, "RunPlan": true},
 }
 
 // SecretTypes maps a package to the named types whose whole values are
