@@ -27,7 +27,7 @@
 // is killed mid-burst (transport errors are the expected end of the
 // phase, not a failure). `-phase verify` runs against the restarted
 // daemon: every acknowledged job in FILE must recover to done with the
-// exact certificate spend, every journaled-but-unacknowledged job must
+// exact certificate spend, every durable-but-unacknowledged job must
 // be terminal (done, or failed closed as "crashed"), nothing may be left
 // reserved, and each tenant's spent ε must equal its done jobs × the
 // per-query ε — the exact-accounting bar for crash recovery.
@@ -382,7 +382,7 @@ func runKillSubmit(c *client, queries, tenants int, idsPath string) error {
 
 // runKillVerify is the second half of the kill test, run against the
 // restarted daemon. Every job acknowledged before the kill must recover to
-// done with the exact certificate spend; jobs the daemon journaled but never
+// done with the exact certificate spend; jobs the daemon made durable but never
 // acknowledged (their 202 died with the process) must be terminal too —
 // re-executed to done, or failed closed as "crashed" — and each tenant's
 // ledger must balance exactly: nothing reserved, spent ε equal to done jobs

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	arboretumd [-addr :8750] [-ledger arboretumd.ledger] [-journal PATH] \
+//	arboretumd [-addr :8750] [-ledger arboretumd.ledger] \
 //	           [-tenants "alice=5,bob=3"] \
 //	           [-devices 96] [-categories 8] [-committee 5] [-seed 1] \
 //	           [-workers 0] [-job-workers 2] [-queue 64] \
@@ -22,13 +22,13 @@
 // it serves; -addr :0 picks a free port (scripts/loadtest.sh relies on
 // both).
 //
-// Jobs are crash-resumable: every lifecycle transition is journaled (to
-// -journal, default LEDGER.jobs) before it is observable, and a restarted
-// daemon re-executes journaled in-flight jobs deterministically against
-// their still-held reservations instead of dropping them. On SIGINT or
-// SIGTERM the daemon stops accepting work, gives running jobs up to
-// -drain-timeout to finish, journals the rest for the next start, and
-// closes the journal and ledger.
+// Jobs are crash-resumable: -ledger is the daemon's one durable file, every
+// lifecycle transition is a record in it before it is observable, and a
+// restarted daemon re-executes the jobs the log leaves in flight
+// deterministically against their still-held reservations instead of
+// dropping them. On SIGINT or SIGTERM the daemon stops accepting work, gives
+// running jobs up to -drain-timeout to finish, leaves the rest in the log
+// for the next start, and closes the ledger.
 package main
 
 import (
@@ -87,8 +87,7 @@ func parseTenants(spec string) ([]service.TenantSpec, error) {
 func run(args []string) error {
 	fs := flag.NewFlagSet("arboretumd", flag.ExitOnError)
 	addr := fs.String("addr", ":8750", "listen address (:0 picks a free port)")
-	ledgerPath := fs.String("ledger", "arboretumd.ledger", "privacy-budget WAL path")
-	journalPath := fs.String("journal", "", "job journal path (default LEDGER.jobs)")
+	ledgerPath := fs.String("ledger", "arboretumd.ledger", "the daemon's durable file: the WAL of tenant budgets and job lifecycles")
 	tenants := fs.String("tenants", "", `tenants to seed, e.g. "alice=5,bob=3" or "alice=5:1e-6"`)
 	devices := fs.Int("devices", 96, "simulated devices per job deployment")
 	categories := fs.Int("categories", 8, "one-hot categories per device input")
@@ -124,7 +123,6 @@ func run(args []string) error {
 	}
 	srv, err := service.New(service.Config{
 		LedgerPath:    *ledgerPath,
-		JournalPath:   *journalPath,
 		Tenants:       tens,
 		Devices:       *devices,
 		Categories:    *categories,
@@ -167,8 +165,8 @@ func run(args []string) error {
 	}
 	fmt.Println("arboretumd: shutting down")
 	// Drain first: admission flips to 503 shutting_down, running jobs get up
-	// to -drain-timeout, and whatever remains is journaled for the next
-	// start. Then close the HTTP front end (read-only requests keep working
+	// to -drain-timeout, and whatever remains stays in the ledger for the
+	// next start. Then close the HTTP front end (read-only requests keep working
 	// during the drain).
 	drainErr := srv.Drain(*drainTimeout)
 	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

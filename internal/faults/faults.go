@@ -48,13 +48,15 @@ const (
 	// dealing its VSR sub-shares. Coordinates: (transfer sequence, attempt,
 	// dealer position).
 	DealerFailure Kind = 2
-	// WALCrash: the analyst-gateway daemon dies while appending one record
-	// to the privacy-budget ledger WAL (internal/ledger). Coordinates:
+	// WALCrash: the analyst-gateway daemon dies while writing its ledger WAL
+	// (internal/ledger) — one record, or a compaction's rewrite, which is
+	// addressed as the record after the last durable one. Coordinates:
 	// (record sequence, stage), where stage 0 crashes before any byte is
-	// written and stage 1 crashes after a torn partial write. A forced
-	// "wal@N" therefore crashes before record N reaches the disk; rates
-	// exercise both stages. Recovery is the ledger's replay on reopen
-	// (docs/SERVICE.md).
+	// written (a rewrite: on a torn temp file) and stage 1 after a torn
+	// partial write (a rewrite: between the temp file's fsync and the
+	// rename). A forced "wal@N" therefore crashes before record N reaches
+	// the disk; rates exercise both stages. Recovery is the ledger's replay
+	// on reopen (docs/SERVICE.md).
 	WALCrash Kind = 4
 	// ShardCrash: an ingest shard aggregator dies while folding one upload
 	// batch; it must resume from its last batch-boundary checkpoint,
@@ -64,12 +66,12 @@ const (
 	ShardCrash Kind = 5
 	// DaemonCrash: the arboretumd gateway process dies at a job-lifecycle
 	// boundary (internal/service). Coordinates: (job sequence, stage),
-	// where stage 0 crashes before the claim is journaled, 1 after the
-	// claim is journaled but before execution, 2 mid-execute (the run is
+	// where stage 0 crashes before the claim record is durable, 1 after
+	// it is durable but before execution, 2 mid-execute (the run is
 	// canceled at its next checkpoint, then the daemon dies), and 3 after
 	// the run completes but before the budget commit. A forced "daemon@N"
 	// therefore kills the daemon just as job N is claimed; rates exercise
-	// every stage. Recovery is the job journal's replay + deterministic
+	// every stage. Recovery is the ledger's replay + deterministic
 	// re-execution on restart (docs/SERVICE.md).
 	DaemonCrash Kind = 6
 

@@ -11,10 +11,11 @@ import (
 // TestForcedCrashBeforeCommit is the mid-commit crash of the service
 // contract: the daemon dies while appending the commit record (stage 0 of
 // the "wal" fault), so the reservation is still held on disk. Replay
-// restores it exactly, and settling it fail-closed the way the gateway's
-// startup recovery does — Reservations, then Commit at the reserved amount —
-// charges the crashed query at its certified spend: the recovered balance is
-// identical to the one a crash-free run would have reached.
+// restores it exactly and hands it to the Replay hook as a job in flight,
+// and settling it fail-closed the way the gateway's startup recovery does
+// for a job it cannot re-run — a commit at the reserved amount with an error
+// code — charges the crashed query at its certified spend: the recovered
+// balance is identical to the one a crash-free run would have reached.
 func TestForcedCrashBeforeCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	plan, err := faults.Parse("seed=1,wal@3") // record 3 = the commit below
@@ -32,32 +33,40 @@ func TestForcedCrashBeforeCommit(t *testing.T) {
 		t.Fatalf("commit under wal@3 = %v, want ErrCrashed", err)
 	}
 	// The crashed ledger is poisoned: every further append refuses.
-	if err := l.Release("alice", "j1", "after crash"); !errors.Is(err, ErrCrashed) {
+	if err := release(l, "alice", "j1", "after crash"); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("append on crashed ledger = %v, want ErrCrashed", err)
 	}
 	if fired := plan.Fired(); len(fired) != 1 || fired[0].Kind != faults.WALCrash {
 		t.Fatalf("fired log = %v, want one WALCrash", fired)
 	}
 
-	// "Restart": replay keeps the reservation held, never silently released.
-	r := openT(t, path, Options{})
+	// "Restart": replay keeps the reservation held, never silently released,
+	// and the hook sees the job's whole durable life — one reserve.
+	var replayed []Record
+	r := openT(t, path, Options{Replay: func(rec *Record) { replayed = append(replayed, *rec) }})
 	wantBalance(t, r, "alice", 0, 1, 0)
-	held := r.Reservations()
-	if len(held) != 1 || held[0] != (Reservation{Tenant: "alice", Job: "j1", Eps: 1, Del: 1e-9}) {
-		t.Fatalf("Reservations() = %+v, want alice/j1 held at (1, 1e-9)", held)
+	if len(replayed) != 2 || replayed[1].Op != OpReserve || replayed[1].Job != "j1" ||
+		replayed[1].Eps != 1 || replayed[1].Del != 1e-9 {
+		t.Fatalf("replayed %+v, want create then alice/j1 reserved at (1, 1e-9)", replayed)
 	}
-	if err := r.Commit(held[0].Tenant, held[0].Job, held[0].Eps, held[0].Del); err != nil {
+	held := replayed[1]
+	charge := &Record{Op: OpCommit, Tenant: held.Tenant, Job: held.Job, Eps: held.Eps, Del: held.Del, Code: "crashed"}
+	if err := r.Append(charge, nil); err != nil {
 		t.Fatal(err)
 	}
-	if left := r.Reservations(); len(left) != 0 {
-		t.Fatalf("still held after settlement: %+v", left)
+	if err := r.Append(charge, nil); !errors.Is(err, ErrNoReservation) {
+		t.Fatalf("second settlement = %v, want ErrNoReservation", err)
 	}
 	// Exact, not merely conservative: reservation == certificate spend.
 	wantBalance(t, r, "alice", 1, 0, 1)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A second replay of the recovered WAL lands on identical balances.
+	// A second replay of the recovered WAL lands on identical balances, and
+	// the hook is not called for records appended after Open.
+	if len(replayed) != 2 {
+		t.Fatalf("Replay saw %d records, want only the 2 that Open replayed", len(replayed))
+	}
 	rr := openT(t, path, Options{})
 	wantBalance(t, rr, "alice", 1, 0, 1)
 }
@@ -122,7 +131,7 @@ func TestCrashSweep(t *testing.T) {
 				return err
 			}
 			if i == 1 {
-				if err := l.Release("alice", job, "failed"); err != nil {
+				if err := release(l, "alice", job, "failed"); err != nil {
 					return err
 				}
 				continue

@@ -17,9 +17,7 @@ import (
 var (
 	errQueueFull     = errors.New("service: job queue full")
 	errShutdown      = errors.New("service: server is shutting down")
-	errNoJob         = errors.New("service: no such job")
 	errNotCancelable = errors.New("service: job is not queued")
-	errExpired       = errors.New("service: job expired from the retention window")
 )
 
 // apiError is the error envelope every non-2xx response carries.
@@ -62,15 +60,20 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleHealth reports liveness plus the gauges an operator watches: job
-// counts by state, queue occupancy, per-tenant saturation, ledger and
-// journal positions, journal lag (records appended since the last
-// compaction), recovery and retention counters, uptime.
+// counts by state, queue occupancy, per-tenant saturation, the ledger's
+// position, size and lag (records appended since the last compaction),
+// recovery and retention counters, uptime.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	if s.draining.Load() || s.crashed.Load() {
 		status = "draining"
 	}
-	jseq := s.journal.log.Seq()
+	// Compaction renumbers the log, so a read racing one can see the old
+	// mark with the new sequence.
+	seq, lag := s.ledger.Seq(), uint64(0)
+	if last := s.lastCompact.Load(); seq > last {
+		lag = seq - last
+	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":              status,
 		"uptime_seconds":      time.Since(s.started).Seconds(),
@@ -79,11 +82,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"queue_cap":           cap(s.store.queue),
 		"in_flight_by_tenant": s.store.inFlightByTenant(),
 		"ledger_path":         s.ledger.Path(),
-		"ledger_seq":          s.ledger.Seq(),
-		"journal_path":        s.journal.log.Path(),
-		"journal_seq":         jseq,
-		"journal_bytes":       s.journal.log.Size(),
-		"journal_lag":         jseq - s.lastCompact.Load(),
+		"ledger_seq":          seq,
+		"ledger_bytes":        s.ledger.Size(),
+		"ledger_lag":          lag,
 		"recovered_jobs":      s.recovered,
 		"expired_jobs":        s.store.evictedCount(),
 		"tenants":             len(s.ledger.Tenants()),
@@ -111,6 +112,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ledger.ErrTenantExists):
 			s.writeError(w, http.StatusConflict, "tenant_exists", "%v", err)
 		case errors.Is(err, ledger.ErrCrashed):
+			s.logLost("create "+req.Tenant, err)
 			s.writeError(w, http.StatusInternalServerError, "ledger_error", "%v", err)
 		default:
 			s.writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
@@ -146,14 +148,13 @@ type submitRequest struct {
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 }
 
-// handleSubmit is the admission path: rate limit → certify → journal →
-// reserve → enqueue. Order matters twice over — certification prices the
-// reservation, so a query that exceeds the remaining budget is rejected
-// here with a typed error and never executes; and the submit record is
-// journaled before the reservation, so a reservation can never exist
-// without the journal entry that lets a restarted daemon pair and settle
-// it (the reverse — a journaled submit with no reservation — recovers
-// fail-closed with nothing charged).
+// handleSubmit is the admission path: rate limit → certify → reserve, and
+// the reserve record is the submission. Certification prices it, the
+// ledger checks the balance before it writes, so a query that exceeds the
+// remaining budget is rejected here with a typed error, never executes and
+// leaves no trace; and one record carries both the hold and everything a
+// restarted daemon needs to run the job, so there is no moment at which one
+// exists without the other.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -201,30 +202,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
-	// The submit record — with everything a restarted daemon needs to
-	// re-execute this job deterministically — must be durable before the
-	// reservation and before the 202.
-	seq := s.store.nextSeq()
-	if err := s.journal.append(&jrec{
-		Op: jopSubmit, Job: id, Tenant: req.Tenant,
-		Source: req.Source, Faults: req.Faults, JobSeq: seq,
-		Eps: cert.Epsilon, Del: cert.Delta, Timeout: req.TimeoutSeconds,
-	}); err != nil {
-		s.writeError(w, http.StatusInternalServerError, "journal_error", "job journal: %v", err)
-		return
-	}
-	if err := s.ledger.Reserve(req.Tenant, id, cert.Epsilon, cert.Delta); err != nil {
-		// Close out the journaled submit so a restart doesn't see a phantom
-		// in-flight job.
-		code, status := "ledger_error", http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ledger.ErrBudgetExhausted):
-			code, status = "budget_exhausted", http.StatusConflict
-		case errors.Is(err, ledger.ErrNoTenant):
-			code, status = "no_tenant", http.StatusNotFound
+	// A queue slot first: a full queue refuses while refusing is free.
+	if err := s.store.reserveSlot(); err != nil {
+		if errors.Is(err, errShutdown) {
+			s.writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is shutting down")
+			return
 		}
-		s.journalTerminal(&jrec{Op: jopFailed, Job: id, Tenant: req.Tenant, Code: code})
-		s.writeError(w, status, code, "%v", err)
+		s.writeError(w, http.StatusServiceUnavailable, "queue_full",
+			"job queue is full (%d jobs)", cap(s.store.queue))
 		return
 	}
 	j := &Job{
@@ -232,27 +217,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Epsilon: cert.Epsilon, Delta: cert.Delta,
 		Submitted:      time.Now(),
 		TimeoutSeconds: req.TimeoutSeconds,
-		source:         req.Source, faults: req.Faults, seq: seq,
+		source:         req.Source, faults: req.Faults, seq: s.store.nextSeq(),
 	}
-	if err := s.store.add(j); err != nil {
-		// Undo the reservation and close out the journal: the job never
-		// entered the system. (During shutdown the ledger may already be
-		// closed; the release then fails, the reservation dangles paired
-		// with its journaled submit, and startup recovery settles it.)
-		code := "queue_full"
-		if errors.Is(err, errShutdown) {
-			code = "shutting_down"
-		}
-		if lerr := s.ledger.Release(req.Tenant, id, code); lerr != nil {
-			s.cfg.Logf("service: release %s/%s after refused enqueue: %v", req.Tenant, id, lerr)
-		}
-		s.journalTerminal(&jrec{Op: jopFailed, Job: id, Tenant: req.Tenant, Code: code})
-		if errors.Is(err, errShutdown) {
+	// Admission is this one append; the job enters the table and the queue
+	// inside it.
+	rec := &ledger.Record{
+		Op: ledger.OpReserve, Tenant: j.Tenant, Job: j.ID,
+		Eps: j.Epsilon, Del: j.Delta,
+		Source: j.source, Faults: j.faults, JobSeq: j.seq, Timeout: j.TimeoutSeconds,
+	}
+	if err := s.ledger.Append(rec, func() { s.store.add(j) }); err != nil {
+		s.store.releaseSlot()
+		switch {
+		case errors.Is(err, ledger.ErrBudgetExhausted):
+			s.writeError(w, http.StatusConflict, "budget_exhausted", "%v", err)
+		case errors.Is(err, ledger.ErrNoTenant):
+			s.writeError(w, http.StatusNotFound, "no_tenant", "%v", err)
+		case errors.Is(err, ledger.ErrCrashed) && s.draining.Load():
+			// Lost the race with a drain that has already closed the ledger.
 			s.writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is shutting down")
-			return
+		default:
+			s.logLost(rec.WALDesc(), err)
+			s.writeError(w, http.StatusInternalServerError, "ledger_error", "%v", err)
 		}
-		s.writeError(w, http.StatusServiceUnavailable, "queue_full",
-			"job queue is full (%d jobs)", cap(s.store.queue))
 		return
 	}
 	snap, _, _ := s.store.get(id)
@@ -311,35 +298,37 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleCancel cancels a queued job and releases its reservation. Running
-// jobs are not cancelable (their vignettes may already have released DP
-// noise — the budget outcome must come from the run); terminal jobs 409.
+// handleCancel cancels a queued job and releases its reservation: one
+// release record, noted as a cancellation, which the ledger refuses for a
+// job an executor has claimed. Running jobs are not cancelable (their
+// vignettes may already have released DP noise — the budget outcome must
+// come from the run); terminal jobs 409.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, err := s.store.cancel(r.PathValue("id"))
+	id := r.PathValue("id")
+	j, ok, expired := s.store.get(id)
 	switch {
-	case errors.Is(err, errNoJob):
-		s.writeError(w, http.StatusNotFound, "no_job", "unknown job %q", r.PathValue("id"))
+	case expired:
+		s.writeError(w, http.StatusGone, "expired", "job %q expired from the retention window", id)
 		return
-	case errors.Is(err, errExpired):
-		s.writeError(w, http.StatusGone, "expired",
-			"job %q expired from the retention window", r.PathValue("id"))
+	case !ok:
+		s.writeError(w, http.StatusNotFound, "no_job", "unknown job %q", id)
 		return
-	case errors.Is(err, errNotCancelable):
+	case j.State != JobQueued:
 		s.writeError(w, http.StatusConflict, "not_cancelable", "job %s is %s", j.ID, j.State)
 		return
 	}
-	// Refund durably, then journal the terminal state. A crash in between
-	// recovers fail-closed without re-charging (the journal still shows the
-	// job queued and the ledger shows no reservation); a crash before the
-	// release leaves a canceled record paired with a dangling reservation,
-	// which recovery refunds.
-	if lerr := s.ledger.Release(j.Tenant, j.ID, "canceled"); lerr != nil {
-		s.cfg.Logf("service: release %s/%s after cancel: %v", j.Tenant, j.ID, lerr)
-		s.journalTerminal(&jrec{Op: jopCanceled, Job: j.ID, Tenant: j.Tenant})
-		s.writeError(w, http.StatusInternalServerError, "ledger_error",
-			"job canceled but reservation not released: %v", lerr)
-		return
+	rec := &ledger.Record{Op: ledger.OpRelease, Tenant: j.Tenant, Job: j.ID, Note: ledger.NoteCanceled}
+	err := s.ledger.Append(rec, func() { j, _ = s.store.cancel(id) })
+	switch {
+	case err == nil:
+		s.writeJSON(w, http.StatusOK, j)
+	case errors.Is(err, ledger.ErrClaimed), errors.Is(err, ledger.ErrNoReservation):
+		// Lost the race: an executor claimed the job, or it settled, since
+		// the look above.
+		j, _, _ = s.store.get(id)
+		s.writeError(w, http.StatusConflict, "not_cancelable", "job %s is %s", j.ID, j.State)
+	default:
+		s.logLost(rec.WALDesc(), err)
+		s.writeError(w, http.StatusInternalServerError, "ledger_error", "job not canceled: %v", err)
 	}
-	s.journalTerminal(&jrec{Op: jopCanceled, Job: j.ID, Tenant: j.Tenant})
-	s.writeJSON(w, http.StatusOK, j)
 }

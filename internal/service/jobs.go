@@ -2,6 +2,7 @@ package service
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -52,7 +53,7 @@ type Job struct {
 	// server's Config.JobTimeout).
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 
-	// Recovered marks a job replayed from the journal after a restart. A
+	// Recovered marks a job replayed from the ledger after a restart. A
 	// recovered terminal job keeps its state and ResultDigest but not its
 	// outputs (those died with the old process unless re-executed).
 	Recovered bool `json:"recovered,omitempty"`
@@ -69,27 +70,33 @@ type Job struct {
 	faults string // per-job fault spec ("" = server default)
 	seq    uint64 // submission sequence; seeds the job's deployment
 
-	// recoveredClaim marks a recovered job whose claim was already durable
-	// before the crash: the executor must not journal a second claim.
-	recoveredClaim bool
-	// skipCommit marks a recovered job whose budget commit was already
-	// durable (the crash fell between commit and the done record): the
-	// re-execution regains the outputs but must not spend again.
-	skipCommit bool
+	// claimed records that the job's claim is durable. It outlives the
+	// process: a job recovered after its claim is queued again, but the
+	// executor must not append a second one.
+	claimed bool
+}
+
+// terminal reports whether the job has settled.
+func (j *Job) terminal() bool {
+	return j.State == JobDone || j.State == JobFailed || j.State == JobCanceled
 }
 
 // store is the in-memory job table plus the work queue the executor pool
 // drains. Terminal jobs past the retention cap are evicted oldest-first
 // (their IDs are remembered so status reads return a typed "expired" error
-// instead of 404); the durable history is the job journal + ledger.
+// instead of 404); the durable history is the ledger, and every lifecycle
+// transition here follows its record there (see ledger.Append).
 type store struct {
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	seq    uint64
-	closed bool // set by close; add refuses afterwards
-	// queue feeds the executor pool. Enqueue fails fast when full (the
-	// admission path maps that to 503) instead of blocking the handler.
-	queue chan *Job
+	closed bool // set by close; reserveSlot refuses afterwards
+	// queue feeds the executor pool. A submission reserves its slot before
+	// its reservation is written (a full queue is a 503 that writes
+	// nothing), so the enqueue that follows the durable record cannot
+	// block; pending counts the slots reserved but not yet filled.
+	queue   chan *Job
+	pending int
 
 	// retain caps the terminal jobs kept in the table; terminalOrder is the
 	// eviction queue (oldest settled first).
@@ -133,7 +140,7 @@ func newJobID() (string, error) {
 }
 
 // nextSeq reserves the next job sequence number (the deployment seed
-// offset). It is taken before the submit record is journaled so the journal
+// offset). It is taken before the reserve record is written so the log
 // carries the same seq the execution will use.
 func (st *store) nextSeq() uint64 {
 	st.mu.Lock()
@@ -142,27 +149,46 @@ func (st *store) nextSeq() uint64 {
 	return st.seq
 }
 
-// add registers a queued job (whose seq was already assigned by nextSeq)
-// and enqueues it; it fails without registering when the queue is full or
-// the store has been closed.
-func (st *store) add(j *Job) error {
+// reserveSlot holds one queue slot for a submission about to be made
+// durable, or refuses it — when the queue is full or admission has stopped —
+// while refusing still costs nothing.
+func (st *store) reserveSlot() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return errShutdown
 	}
-	j.State = JobQueued
-	select {
-	case st.queue <- j:
-	default:
+	if len(st.queue)+st.pending >= cap(st.queue) {
 		return errQueueFull
 	}
-	st.jobs[j.ID] = j
+	st.pending++
 	return nil
 }
 
-// restore inserts a journal-recovered job: non-terminal jobs re-enter the
-// queue (capacity was sized for them), terminal jobs are registered
+// releaseSlot returns the slot of a submission the ledger refused.
+func (st *store) releaseSlot() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.pending--
+}
+
+// add registers a queued job (whose seq was assigned by nextSeq and whose
+// reservation is durable) and enqueues it into its reserved slot. A job
+// admitted as the store closed is registered but not enqueued: it is as
+// durable as any other queued job, and the next start runs it.
+func (st *store) add(j *Job) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.pending--
+	j.State = JobQueued
+	st.jobs[j.ID] = j
+	if !st.closed {
+		st.queue <- j
+	}
+}
+
+// restore inserts a job replayed from the ledger: non-terminal jobs re-enter
+// the queue (capacity was sized for them), terminal jobs are registered
 // directly. The store's sequence counter advances past every restored seq
 // so new submissions never reuse a seed offset.
 func (st *store) restore(j *Job) {
@@ -172,10 +198,9 @@ func (st *store) restore(j *Job) {
 		st.seq = j.seq
 	}
 	st.jobs[j.ID] = j
-	switch j.State {
-	case JobDone, JobFailed, JobCanceled:
+	if j.terminal() {
 		st.markTerminalLocked(j.ID)
-	default:
+	} else {
 		j.State = JobQueued
 		st.queue <- j
 	}
@@ -183,7 +208,7 @@ func (st *store) restore(j *Job) {
 
 // close stops admission and closes the queue so the executor pool drains
 // and exits. Taking the mutex serializes it with add's send: a handler
-// racing shutdown gets errShutdown, never a send on a closed channel.
+// racing shutdown never sends on a closed channel.
 func (st *store) close() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -228,8 +253,8 @@ func (st *store) byTenant(tenant string) []Job {
 	return out
 }
 
-// snapshot returns every job, in submission order — the journal-compaction
-// rebuild source.
+// snapshot returns every job, in submission order — the source of the
+// records ledger compaction keeps.
 func (st *store) snapshot() []Job {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -283,16 +308,15 @@ func (st *store) inFlightByTenant() map[string]int {
 // cancel transitions a queued job to Canceled. Running jobs are not
 // cancelable: their committee vignettes may already have released DP noise,
 // so the budget outcome must come from the run itself. The executor skips
-// canceled jobs when it dequeues them.
+// canceled jobs when it dequeues them. The handler calls it once the
+// canceling release is durable — the ledger, which refuses to cancel a
+// claimed job, has already decided the race with the executor.
 func (st *store) cancel(id string) (Job, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	j, ok := st.jobs[id]
 	if !ok {
-		if st.evicted[id] {
-			return Job{}, errExpired
-		}
-		return Job{}, errNoJob
+		return Job{}, errNotCancelable
 	}
 	if j.State != JobQueued {
 		return *j, errNotCancelable
@@ -304,12 +328,10 @@ func (st *store) cancel(id string) (Job, error) {
 }
 
 // claim atomically transitions a dequeued job from Queued to Running. It
-// reports false — and the executor must skip the job — when the job is no
-// longer queued, i.e. it was canceled and its reservation already
-// released. Claim and cancel serialize under the store mutex, so exactly
-// one of a racing claim/cancel pair wins; a check-then-update in two lock
-// acquisitions would let a cancel land in between, refund the budget, and
-// still have the job run.
+// reports false when the job is no longer queued, i.e. it was canceled and
+// its reservation already released. Claim and cancel serialize under the
+// store mutex, so at most one of a racing pair wins here too; the executor
+// calls it once the claim record is durable.
 func (st *store) claim(id string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -319,6 +341,7 @@ func (st *store) claim(id string) bool {
 	}
 	j.State = JobRunning
 	j.Started = time.Now()
+	j.claimed = true
 	return true
 }
 
@@ -332,10 +355,9 @@ func (st *store) update(id string, fn func(*Job)) {
 	if !ok {
 		return
 	}
-	wasTerminal := j.State == JobDone || j.State == JobFailed || j.State == JobCanceled
+	wasTerminal := j.terminal()
 	fn(j)
-	nowTerminal := j.State == JobDone || j.State == JobFailed || j.State == JobCanceled
-	if nowTerminal && !wasTerminal {
+	if j.terminal() && !wasTerminal {
 		st.markTerminalLocked(id)
 	}
 }
@@ -371,4 +393,17 @@ func (st *store) evictedCount() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.evictedOrder)
+}
+
+// resultDigest is the short commitment to a job's released outputs that its
+// commit record carries: a restarted daemon re-executing the job must
+// reproduce it bit-for-bit (the determinism guarantee the recovery tests
+// pin).
+func resultDigest(outputs []float64, accepted, sampled int) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d|%d", accepted, sampled)
+	for _, o := range outputs {
+		fmt.Fprintf(h, "|%.17g", o)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"arboretum/internal/faults"
-	"arboretum/internal/wal"
+	"arboretum/internal/ledger"
 )
 
 // meanQuery is a second fixed-price query so recovery sweeps mix certified
@@ -58,8 +61,8 @@ func waitSettled(t *testing.T, s *Server, ids []string) {
 
 // TestDaemonCrashStages kills the daemon deterministically at each of the
 // four job-lifecycle boundaries ("daemon" stage 0–3) and asserts the restart
-// re-executes the job to Done with exactly the certified spend — the
-// journal+ledger pairing recovers every crash point, never double-charging.
+// re-executes the job to Done with exactly the certified spend — replaying
+// the one log recovers every crash point, never double-charging.
 func TestDaemonCrashStages(t *testing.T) {
 	for stage := 0; stage <= 3; stage++ {
 		t.Run(fmt.Sprintf("stage%d", stage), func(t *testing.T) {
@@ -96,11 +99,11 @@ func TestDaemonCrashStages(t *testing.T) {
 	}
 }
 
-// TestDaemonCrashRestartSweep is the chaos acceptance scenario for the job
-// journal: recoverySchedules independent seeded daemon-death schedules, each
+// TestDaemonCrashRestartSweep is the chaos acceptance scenario for crash
+// recovery: recoverySchedules independent seeded daemon-death schedules, each
 // killing the daemon at rate-drawn job-lifecycle boundaries, restarting on
-// the same ledger+journal (with fresh death schedules, then a clean final
-// life) until everything settles. After every schedule: all jobs Done, each
+// the same ledger (with fresh death schedules, then a clean final life)
+// until everything settles. After every schedule: all jobs Done, each
 // reproducing the crash-free baseline's result digest bit-for-bit, with the
 // tenant charged exactly once per job — no double-spends, no leaked
 // reservations, no lost jobs.
@@ -249,7 +252,7 @@ func TestJobDeadline(t *testing.T) {
 
 // TestDrainTimeout: Drain with a deadline returns once the deadline passes
 // even though a worker is wedged (parked on the test gate mid-job); the
-// undone job keeps its journaled submit and reservation, and a restart
+// undone job keeps its reserve record and so its reservation, and a restart
 // re-executes it to completion with exact accounting.
 func TestDrainTimeout(t *testing.T) {
 	cfg := testConfig(t)
@@ -285,135 +288,6 @@ func TestDrainTimeout(t *testing.T) {
 	}
 }
 
-// TestJobRetention: terminal jobs past Config.RetainJobs are evicted
-// oldest-first; their status, result, and cancel reads return the typed 410
-// "expired" error, and the health endpoint counts them.
-func TestJobRetention(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.JobWorkers = 1
-	cfg.RetainJobs = 3
-	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 100, Delta: 1e-3}}
-	_, ts := startT(t, cfg, nil)
-
-	var ids []string
-	for i := 0; i < 6; i++ {
-		j, code, _ := submit(t, ts.URL, "alice", countQuery)
-		if code != http.StatusAccepted {
-			t.Fatalf("submit %d: HTTP %d", i, code)
-		}
-		if f := waitTerminal(t, ts.URL, j.ID); f.State != JobDone {
-			t.Fatalf("job %d = %s (%s)", i, f.State, f.Error)
-		}
-		ids = append(ids, j.ID)
-	}
-	var e errEnvelope
-	for _, path := range []string{
-		"/v1/queries/" + ids[0],
-		"/v1/queries/" + ids[0] + "/result",
-	} {
-		if code := call(t, "GET", ts.URL+path, nil, &e); code != http.StatusGone || e.Error.Code != "expired" {
-			t.Fatalf("GET %s = HTTP %d %q, want 410 expired", path, code, e.Error.Code)
-		}
-	}
-	if code := call(t, "DELETE", ts.URL+"/v1/queries/"+ids[0], nil, &e); code != http.StatusGone || e.Error.Code != "expired" {
-		t.Fatalf("cancel evicted = HTTP %d %q, want 410 expired", code, e.Error.Code)
-	}
-	// The newest jobs are still inside the window.
-	var j Job
-	if code := call(t, "GET", ts.URL+"/v1/queries/"+ids[5], nil, &j); code != http.StatusOK || j.State != JobDone {
-		t.Fatalf("newest job = HTTP %d %s", code, j.State)
-	}
-	var h struct {
-		Expired   int            `json:"expired_jobs"`
-		Recovered int            `json:"recovered_jobs"`
-		InFlight  map[string]int `json:"in_flight_by_tenant"`
-		Journal   string         `json:"journal_path"`
-	}
-	if code := call(t, "GET", ts.URL+"/v1/health", nil, &h); code != http.StatusOK {
-		t.Fatalf("health: HTTP %d", code)
-	}
-	if h.Expired != 3 || h.Journal == "" {
-		t.Fatalf("health gauges %+v, want expired_jobs=3 and a journal path", h)
-	}
-}
-
-// TestJournalTornAndCorrupt: the journal inherits the WAL's recovery rules —
-// a torn tail (crash mid-append) truncates silently on restart, but interior
-// corruption of a durable record refuses to start the daemon.
-func TestJournalTornAndCorrupt(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
-	s, ts := startT(t, cfg, nil)
-	j, code, _ := submit(t, ts.URL, "alice", countQuery)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	if f := waitTerminal(t, ts.URL, j.ID); f.State != JobDone {
-		t.Fatalf("job = %s", f.State)
-	}
-	ts.Close()
-	s.Close()
-	jpath := cfg.LedgerPath + ".jobs"
-
-	// Torn tail: a half-written record with no newline is truncated and the
-	// daemon starts with the intact history.
-	fh, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fh.WriteString(`{"seq":99,"op":"submit","job":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	fh.Close()
-	s2, ts2 := startT(t, cfg, nil)
-	var got Job
-	if code := call(t, "GET", ts2.URL+"/v1/queries/"+j.ID, nil, &got); code != http.StatusOK {
-		t.Fatalf("status after torn-tail restart: HTTP %d", code)
-	}
-	if got.State != JobDone || !got.Recovered || got.ResultDigest == "" {
-		t.Fatalf("restored job = %s recovered=%v digest=%q", got.State, got.Recovered, got.ResultDigest)
-	}
-	ts2.Close()
-	s2.Close()
-
-	// Interior corruption: flip a field inside a durable record; the daemon
-	// must refuse to guess at job history.
-	data, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupted := bytesReplace(data, []byte(`"op":"submit"`), []byte(`"op":"submyt"`))
-	if string(corrupted) == string(data) {
-		t.Fatal("corruption target not found in journal")
-	}
-	if err := os.WriteFile(jpath, corrupted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg); !errors.Is(err, wal.ErrCorrupt) {
-		t.Fatalf("open over corrupt journal = %v, want wal.ErrCorrupt", err)
-	}
-}
-
-// bytesReplace is bytes.Replace(.., 1) without importing bytes twice in the
-// test file's head.
-func bytesReplace(data, old, new []byte) []byte {
-	s := string(data)
-	i := indexOf(s, string(old))
-	if i < 0 {
-		return data
-	}
-	return []byte(s[:i] + string(new) + s[i+len(old):])
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
 // submitTimeout posts a submission with a timeout_seconds override.
 func submitTimeout(t *testing.T, base, tenant, source string, timeout float64) (Job, int, string) {
 	t.Helper()
@@ -434,51 +308,563 @@ func submitTimeout(t *testing.T, base, tenant, source string, timeout float64) (
 	return Job{}, code, e.Error.Code
 }
 
-// FuzzJournalReplay feeds arbitrary bytes to the journal opener: it must
-// never panic, must fail only with the WAL's typed errors, and must keep
-// working (append + reopen) whenever it accepts the file.
-func FuzzJournalReplay(f *testing.F) {
-	mk := func(recs ...*jrec) []byte {
-		var out []byte
-		for i, r := range recs {
-			r.Seq = uint64(i + 1)
-			r.Sum = r.WALChecksum()
-			line, _ := json.Marshal(r)
-			out = append(out, line...)
-			out = append(out, '\n')
+// failClosedFaults is a per-job fault spec under which every upload times
+// out, so the run fails closed (no valid inputs) before any heavy work.
+const failClosedFaults = "seed=9,upload=1"
+
+// submitWith posts a submission with extra fields (faults, timeout_seconds).
+func submitWith(t *testing.T, base, tenant, source string, extra map[string]any) Job {
+	t.Helper()
+	body := map[string]any{"tenant": tenant, "source": source}
+	for k, v := range extra {
+		body[k] = v
+	}
+	var j Job
+	if code := call(t, "POST", base+"/v1/queries", body, &j); code != http.StatusAccepted {
+		t.Fatalf("submit for %s: HTTP %d", tenant, code)
+	}
+	return j
+}
+
+// TestJobRetention: terminal jobs past Config.RetainJobs are evicted
+// oldest-first; their status, result, and cancel reads return the typed 410
+// "expired" error, and the health endpoint counts them. The ledger is bounded
+// the same way: compaction drops the evicted jobs' records and keeps their
+// spend in a checkpoint, so after six times the retention cap in settled
+// jobs — done, canceled, failed closed, across three tenants — the file is
+// the size it was after one, every balance equals, bit for bit, a reference
+// ledger that saw the same operations and was never compacted, and a death
+// inside the compaction leaves the old file.
+func TestJobRetention(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.JobWorkers = 1
+	cfg.RetainJobs = 3
+	tenants := []string{"alice", "bob", "carol"}
+	ref, err := ledger.Open(filepath.Join(t.TempDir(), "reference"), ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for _, id := range tenants {
+		cfg.Tenants = append(cfg.Tenants, TenantSpec{ID: id, Epsilon: 100, Delta: 1e-3})
+		if err := ref.CreateTenant(id, 100, 1e-3); err != nil {
+			t.Fatal(err)
 		}
-		return out
+	}
+	// One token per dequeued job lets the test keep a job queued long enough
+	// to cancel it.
+	hold := make(chan struct{})
+	s, ts := startT(t, cfg, hold)
+
+	var ids []string // settled jobs, oldest first
+	settled := func(j Job, want JobState) {
+		t.Helper()
+		f := waitTerminal(t, ts.URL, j.ID)
+		if f.State != want {
+			t.Fatalf("job %d = %s (%s), want %s", len(ids), f.State, f.Error, want)
+		}
+		// The reference sees the same budget operations, in the same order.
+		if err := ref.Reserve(j.Tenant, j.ID, j.Epsilon, j.Delta); err != nil {
+			t.Fatal(err)
+		}
+		if want == JobDone {
+			err = ref.Commit(j.Tenant, j.ID, f.SpentEpsilon, f.SpentDelta)
+		} else {
+			err = ref.Append(&ledger.Record{Op: ledger.OpRelease, Tenant: j.Tenant, Job: j.ID, Note: f.ErrorCode}, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	run := func(i int) {
+		t.Helper()
+		tenant, query := tenants[i%3], []string{countQuery, meanQuery}[i%2]
+		switch {
+		case i == 7: // the fail-closed job
+			j := submitWith(t, ts.URL, tenant, query, map[string]any{"faults": failClosedFaults})
+			hold <- struct{}{}
+			settled(j, JobFailed)
+		case i%5 == 4: // canceled while queued behind a parked job
+			parked := submitWith(t, ts.URL, tenant, query, nil)
+			queued := submitWith(t, ts.URL, tenant, query, nil)
+			if code := call(t, "DELETE", ts.URL+"/v1/queries/"+queued.ID, nil, nil); code != http.StatusOK {
+				t.Fatalf("cancel: HTTP %d", code)
+			}
+			settled(queued, JobCanceled)
+			hold <- struct{}{} // parked runs
+			settled(parked, JobDone)
+			hold <- struct{}{} // the canceled job is dequeued and skipped
+		default:
+			j := submitWith(t, ts.URL, tenant, query, nil)
+			hold <- struct{}{}
+			settled(j, JobDone)
+		}
+	}
+	sameBalances := func(when string, l *ledger.Ledger) {
+		t.Helper()
+		if got, want := l.Tenants(), ref.Tenants(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s the balances are\n%+v\nthe uncompacted reference has\n%+v", when, got, want)
+		}
+	}
+
+	for i := 0; len(ids) < cfg.RetainJobs; i++ {
+		run(i)
+	}
+	if err := s.compact(); err != nil {
+		t.Fatal(err)
+	}
+	sizeAtOne := s.ledger.Size()
+	for i := cfg.RetainJobs; len(ids) < 6*cfg.RetainJobs; i++ {
+		run(i)
+	}
+	sameBalances("before compaction", s.ledger)
+	uncompacted := s.ledger.Size()
+	if err := s.compact(); err != nil {
+		t.Fatal(err)
+	}
+	sameBalances("after compaction", s.ledger)
+	if size := s.ledger.Size(); size > 2*sizeAtOne || size >= uncompacted {
+		t.Fatalf("ledger is %d bytes after %d settled jobs (%d before compaction), %d after %d: not bounded by the retention cap",
+			size, len(ids), uncompacted, sizeAtOne, cfg.RetainJobs)
+	}
+
+	oldest, newest := ids[0], ids[len(ids)-1]
+	var e errEnvelope
+	for _, path := range []string{"/v1/queries/" + oldest, "/v1/queries/" + oldest + "/result"} {
+		if code := call(t, "GET", ts.URL+path, nil, &e); code != http.StatusGone || e.Error.Code != "expired" {
+			t.Fatalf("GET %s = HTTP %d %q, want 410 expired", path, code, e.Error.Code)
+		}
+	}
+	if code := call(t, "DELETE", ts.URL+"/v1/queries/"+oldest, nil, &e); code != http.StatusGone || e.Error.Code != "expired" {
+		t.Fatalf("cancel evicted = HTTP %d %q, want 410 expired", code, e.Error.Code)
+	}
+	// The newest jobs are still inside the window.
+	var j Job
+	if code := call(t, "GET", ts.URL+"/v1/queries/"+newest, nil, &j); code != http.StatusOK || j.State != JobDone {
+		t.Fatalf("newest job = HTTP %d %s", code, j.State)
+	}
+	var h struct {
+		Expired int    `json:"expired_jobs"`
+		Path    string `json:"ledger_path"`
+		Bytes   int64  `json:"ledger_bytes"`
+		Lag     uint64 `json:"ledger_lag"`
+	}
+	if code := call(t, "GET", ts.URL+"/v1/health", nil, &h); code != http.StatusOK {
+		t.Fatalf("health: HTTP %d", code)
+	}
+	if h.Expired != len(ids)-cfg.RetainJobs || h.Path != cfg.LedgerPath || h.Bytes != s.ledger.Size() || h.Lag != 0 {
+		t.Fatalf("health gauges %+v, want expired_jobs=%d and the compacted ledger's path, size and zero lag",
+			h, len(ids)-cfg.RetainJobs)
+	}
+
+	// Close + reopen: the compacted file replays to the same balances and
+	// the retained jobs; a job compacted away is unknown to the new process.
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for stage := 0; stage <= 1; stage++ {
+		// A death inside the rewrite (the record after the last one): torn
+		// temp file, then between its fsync and the rename.
+		crash := cfg
+		crash.LedgerFaults = faults.New(1).ForceAt(faults.WALCrash, int(s.ledger.Seq())+1, stage)
+		sc, _ := startT(t, crash, nil)
+		sameBalances("after close + reopen", sc.ledger)
+		if n := len(sc.store.snapshot()); n != cfg.RetainJobs {
+			t.Fatalf("reopened job table has %d jobs, want the %d retained", n, cfg.RetainJobs)
+		}
+		if _, ok, expired := sc.store.get(oldest); ok || expired {
+			t.Fatalf("a job compacted out of the log came back (found %v, expired %v)", ok, expired)
+		}
+		if err := sc.compact(); !errors.Is(err, ledger.ErrCrashed) {
+			t.Fatalf("compaction under wal@%d.%d = %v, want ErrCrashed", s.ledger.Seq()+1, stage, err)
+		}
+		sc.Close()
+		l, err := ledger.Open(cfg.LedgerPath, ledger.Options{})
+		if err != nil {
+			t.Fatalf("reopen after a crash inside Compact (stage %d): %v", stage, err)
+		}
+		sameBalances("after a crash inside Compact", l)
+		l.Close()
+	}
+}
+
+// TestJournalTornAndCorrupt: the gateway's one log follows the WAL's
+// recovery rules — a torn tail (crash mid-append) truncates silently on
+// restart, but interior corruption of a durable record refuses to start the
+// daemon.
+func TestJournalTornAndCorrupt(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
+	s, ts := startT(t, cfg, nil)
+	j, code, _ := submit(t, ts.URL, "alice", countQuery)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	done := waitTerminal(t, ts.URL, j.ID)
+	if done.State != JobDone {
+		t.Fatalf("job = %s", done.State)
+	}
+	ts.Close()
+	s.Close()
+
+	// Torn tail: a half-written record with no newline is truncated and the
+	// daemon starts with the intact history.
+	fh, err := os.OpenFile(cfg.LedgerPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fh.WriteString(`{"seq":99,"op":"reserve","tenant":"alice","job":"torn`); err != nil {
+		t.Fatal(err)
+	}
+	fh.Close()
+	s2, ts2 := startT(t, cfg, nil)
+	var got Job
+	if code := call(t, "GET", ts2.URL+"/v1/queries/"+j.ID, nil, &got); code != http.StatusOK {
+		t.Fatalf("status after torn-tail restart: HTTP %d", code)
+	}
+	if got.State != JobDone || !got.Recovered || got.ResultDigest != done.ResultDigest || got.SpentEpsilon != done.SpentEpsilon {
+		t.Fatalf("restored job = %s recovered=%v digest=%q spent=%g, want done with digest %q",
+			got.State, got.Recovered, got.ResultDigest, got.SpentEpsilon, done.ResultDigest)
+	}
+	ts2.Close()
+	s2.Close()
+
+	// Interior corruption: flip a field inside a durable record; the daemon
+	// must refuse to guess at job history or balances.
+	data, err := os.ReadFile(cfg.LedgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupted := bytes.Replace(data, []byte(`"op":"reserve"`), []byte(`"op":"reserv3"`), 1)
+	if bytes.Equal(corrupted, data) {
+		t.Fatal("corruption target not found in the ledger")
+	}
+	if err := os.WriteFile(cfg.LedgerPath, corrupted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(cfg); !errors.Is(err, ledger.ErrCorrupt) {
+		t.Fatalf("open over a corrupt ledger = %v, want ledger.ErrCorrupt", err)
+	}
+}
+
+// TestLegacyLedger: a ledger written before jobs lived in it (the four lines
+// below are that code's bytes) opens as it is. Its dangling reservation
+// carries no payload, so it cannot be re-executed: it is charged fail-closed
+// at the reserved amount — that daemon's rule for a reservation it could not
+// match to a job, which survives only here. The job journal it may have left
+// beside the ledger is neither read nor deleted.
+func TestLegacyLedger(t *testing.T) {
+	const legacy = `{"seq":1,"op":"create","tenant":"alice","eps":5,"del":0.000001,"sum":"bb9389a6f9e9b469"}
+{"seq":2,"op":"reserve","tenant":"alice","job":"9a2c326eaa477746","eps":1,"del":9.094947017729282e-13,"sum":"21dae49cb149ec36"}
+{"seq":3,"op":"commit","tenant":"alice","job":"9a2c326eaa477746","eps":1,"del":9.094947017729282e-13,"sum":"9fa4cff8aaeb2d58"}
+{"seq":4,"op":"reserve","tenant":"alice","job":"dangling","eps":2,"sum":"3f32e64e646ada5a"}
+`
+	const leftover = "not a journal any more\n"
+	cfg := testConfig(t)
+	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 5, Delta: 1e-6}}
+	if err := os.WriteFile(cfg.LedgerPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.LedgerPath+".jobs", []byte(leftover), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := startT(t, cfg, nil)
+	if b, _ := s.ledger.Balance("alice"); b.EpsSpent != 3 || b.EpsReserved != 0 || b.Queries != 2 {
+		t.Fatalf("balance %+v, want the dangling ε=2 charged on top of the committed ε=1", b)
+	}
+	var j Job
+	if code := call(t, "GET", ts.URL+"/v1/queries/dangling", nil, &j); code != http.StatusOK {
+		t.Fatalf("status of the dangling job: HTTP %d", code)
+	}
+	if j.State != JobFailed || j.ErrorCode != "crashed" || j.SpentEpsilon != 2 {
+		t.Fatalf("dangling job = %s/%s spent %g, want failed/crashed charged 2", j.State, j.ErrorCode, j.SpentEpsilon)
+	}
+	data, err := os.ReadFile(cfg.LedgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(legacy)) || !bytes.Contains(data[len(legacy):], []byte(`"op":"commit","tenant":"alice","job":"dangling","eps":2,"code":"crashed"`)) {
+		t.Fatalf("ledger after recovery:\n%s", data)
+	}
+	if got, err := os.ReadFile(cfg.LedgerPath + ".jobs"); err != nil || string(got) != leftover {
+		t.Fatalf("the leftover journal was touched: %q, %v", got, err)
+	}
+}
+
+// TestSecureNoiseRecovery: under SecureNoise a job in flight at a crash is
+// not re-executed — a second run would be a second DP release against one
+// certificate — but charged at its reservation and failed as "crashed".
+func TestSecureNoiseRecovery(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.JobWorkers = 1
+	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
+	hold := make(chan struct{})
+	s, ts := startT(t, cfg, hold)
+	j, code, _ := submit(t, ts.URL, "alice", countQuery)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	if err := s.Drain(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	close(hold)
+
+	cfg.SecureNoise = true
+	s2, ts2 := startT(t, cfg, nil)
+	f := waitTerminal(t, ts2.URL, j.ID)
+	if f.State != JobFailed || f.ErrorCode != "crashed" || f.SpentEpsilon != j.Epsilon || !f.Recovered {
+		t.Fatalf("recovered job = %s/%s spent %g, want failed/crashed charged %g", f.State, f.ErrorCode, f.SpentEpsilon, j.Epsilon)
+	}
+	if b, _ := s2.ledger.Balance("alice"); b.EpsSpent != j.Epsilon || b.EpsReserved != 0 || b.Queries != 1 {
+		t.Fatalf("balance %+v, want the reservation charged", b)
+	}
+}
+
+// logLines splits a ledger file into its newline-terminated records.
+func logLines(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	return lines[:len(lines)-1] // the file ends in a newline: drop the empty remainder
+}
+
+// TestEveryPrefixRecovers replaces case analysis with enumeration. With one
+// log a crash is a prefix of it, so: record one uncrashed session — three
+// tenants, jobs that end done, canceled while queued, failed closed,
+// deadline-exceeded, and one left queued at the drain — and then, for every
+// record boundary k and for record k+1 torn in half, start a gateway on the
+// first k records and let it settle. Whatever k: every job the prefix knows
+// is terminal, each tenant has spent exactly the certified ε of its done
+// jobs with nothing reserved, every done job has the digest every other
+// prefix gave it (the uncrashed session's, where that finished it), and no
+// job the prefix had settled has changed its mind.
+func TestEveryPrefixRecovers(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.JobWorkers = 1
+	for _, id := range []string{"alice", "bob", "carol"} {
+		cfg.Tenants = append(cfg.Tenants, TenantSpec{ID: id, Epsilon: 50, Delta: 1e-3})
+	}
+	hold := make(chan struct{})
+	s, ts := startT(t, cfg, hold)
+	finish := func(j Job, want JobState, code string) {
+		t.Helper()
+		if f := waitTerminal(t, ts.URL, j.ID); f.State != want || f.ErrorCode != code {
+			t.Fatalf("session job %s = %s/%s (%s), want %s/%s", j.ID, f.State, f.ErrorCode, f.Error, want, code)
+		}
+	}
+	run := func(tenant, query string, extra map[string]any, want JobState, code string) {
+		t.Helper()
+		j := submitWith(t, ts.URL, tenant, query, extra)
+		hold <- struct{}{}
+		finish(j, want, code)
+	}
+	run("alice", countQuery, nil, JobDone, "")
+	run("bob", meanQuery, nil, JobDone, "")
+	parked := submitWith(t, ts.URL, "carol", countQuery, nil)
+	queued := submitWith(t, ts.URL, "carol", meanQuery, nil)
+	if code := call(t, "DELETE", ts.URL+"/v1/queries/"+queued.ID, nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel: HTTP %d", code)
+	}
+	hold <- struct{}{}
+	finish(parked, JobDone, "")
+	hold <- struct{}{} // the canceled job is dequeued and skipped
+	run("alice", countQuery, map[string]any{"faults": failClosedFaults}, JobFailed, "failed_closed")
+	run("bob", countQuery, map[string]any{"timeout_seconds": 1e-9}, JobFailed, "deadline_exceeded")
+	run("carol", meanQuery, nil, JobDone, "")
+	submitWith(t, ts.URL, "alice", countQuery, nil) // still queued when the daemon drains
+	if err := s.Drain(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	close(hold)
+	ts.Close()
+	lines := logLines(t, cfg.LedgerPath)
+	if len(lines) != 3+6*3+2+1 { // creates; six jobs of three records; the cancel's two; the queued job's one
+		t.Fatalf("the session wrote %d records:\n%s", len(lines), bytes.Join(lines, nil))
+	}
+
+	// settle starts a gateway on a log and returns every job once all are
+	// terminal, having checked the accounting.
+	settle := func(name string, log []byte) map[string]Job {
+		t.Helper()
+		c := cfg
+		c.LedgerPath = filepath.Join(t.TempDir(), "ledger")
+		if err := os.WriteFile(c.LedgerPath, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sp, err := New(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer sp.Close()
+		jobs := map[string]Job{}
+		spent, done := map[string]float64{}, map[string]int{}
+		deadline := time.Now().Add(60 * time.Second)
+		for _, j := range sp.store.snapshot() {
+			for !j.terminal() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: job %s still %s after 60s", name, j.ID, j.State)
+				}
+				time.Sleep(5 * time.Millisecond)
+				j, _, _ = sp.store.get(j.ID)
+			}
+			jobs[j.ID] = j
+			if j.State == JobDone {
+				spent[j.Tenant] += j.Epsilon
+				done[j.Tenant]++
+				if j.SpentEpsilon != j.Epsilon {
+					t.Fatalf("%s: done job %s spent %g of its certified %g", name, j.ID, j.SpentEpsilon, j.Epsilon)
+				}
+			} else if j.SpentEpsilon != 0 {
+				t.Fatalf("%s: %s job %s spent %g", name, j.State, j.ID, j.SpentEpsilon)
+			}
+		}
+		for _, b := range sp.ledger.Tenants() {
+			if b.EpsSpent != spent[b.TenantID] || b.EpsReserved != 0 || b.DelReserved != 0 || b.Queries != done[b.TenantID] {
+				t.Fatalf("%s: balance %+v, want ε spent = %g over %d done jobs and nothing reserved",
+					name, b, spent[b.TenantID], done[b.TenantID])
+			}
+		}
+		return jobs
+	}
+
+	// The whole log is the uncrashed session: its restart finishes the job
+	// the drain left queued, and its digests are the baseline.
+	baseline := settle("the whole log", bytes.Join(lines, nil))
+	if len(baseline) != 8 {
+		t.Fatalf("the session's log holds %d jobs, want 8", len(baseline))
+	}
+	digests := map[string]string{}
+	for id, j := range baseline {
+		if j.State == JobDone {
+			digests[id] = j.ResultDigest
+		}
+	}
+	if len(digests) != 5 || baseline[queued.ID].State != JobCanceled {
+		t.Fatalf("baseline: %d done jobs and the canceled job %s, want 5 and canceled", len(digests), baseline[queued.ID].State)
+	}
+
+	for k := 0; k < len(lines); k += prefixStride {
+		prefix := bytes.Join(lines[:k], nil)
+		// What the prefix itself says of each job, before any recovery.
+		var before replay
+		for _, line := range lines[:k] {
+			var r ledger.Record
+			if err := json.Unmarshal(line, &r); err != nil {
+				t.Fatal(err)
+			}
+			before.fold(&r)
+		}
+		torn := append(append([]byte(nil), prefix...), lines[k][:len(lines[k])/2]...)
+		for name, log := range map[string][]byte{
+			fmt.Sprintf("first %d records", k):                         prefix,
+			fmt.Sprintf("first %d records + a torn record %d", k, k+1): torn,
+		} {
+			after := settle(name, log)
+			if len(after) != len(before.jobs) {
+				t.Fatalf("%s: %d jobs after recovery, the prefix holds %d", name, len(after), len(before.jobs))
+			}
+			for _, was := range before.jobs {
+				now := after[was.ID]
+				if was.terminal() && (now.State != was.State || now.ErrorCode != was.ErrorCode || now.ResultDigest != was.ResultDigest) {
+					t.Fatalf("%s: job %s was %s/%s digest %q, is %s/%s digest %q — a settled job moved",
+						name, was.ID, was.State, was.ErrorCode, was.ResultDigest, now.State, now.ErrorCode, now.ResultDigest)
+				}
+				if now.State != JobDone {
+					continue
+				}
+				// A job the session canceled runs to done when the prefix
+				// ends before the cancel; every prefix that runs it must
+				// agree on what it released.
+				if want, seen := digests[now.ID]; !seen {
+					digests[now.ID] = now.ResultDigest
+				} else if now.ResultDigest != want {
+					t.Fatalf("%s: job %s digest %s, every other run of it gave %s", name, now.ID, now.ResultDigest, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to the gateway's log: opening it
+// and folding it into jobs must never panic and must fail only with the
+// WAL's typed error; and whenever the file is accepted it must keep working —
+// it compacts from the folded jobs without moving a balance, takes an append,
+// and reopens.
+func FuzzJournalReplay(f *testing.F) {
+	mk := func(recs ...*ledger.Record) []byte {
+		path := filepath.Join(f.TempDir(), "seed")
+		l, err := ledger.Open(path, ledger.Options{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := l.Append(r, nil); err != nil {
+				f.Fatal(err)
+			}
+		}
+		l.Close()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
 	}
 	f.Add(mk(
-		&jrec{Op: jopSubmit, Job: "j1", Tenant: "a", Source: "q", JobSeq: 1, Eps: 1},
-		&jrec{Op: jopClaim, Job: "j1", Tenant: "a"},
-		&jrec{Op: jopDone, Job: "j1", Tenant: "a", Digest: "d"},
+		&ledger.Record{Op: ledger.OpCreate, Tenant: "a", Eps: 5},
+		&ledger.Record{Op: ledger.OpReserve, Tenant: "a", Job: "j1", Eps: 1, Source: "q", JobSeq: 1},
+		&ledger.Record{Op: ledger.OpClaim, Tenant: "a", Job: "j1"},
+		&ledger.Record{Op: ledger.OpCommit, Tenant: "a", Job: "j1", Eps: 1, Digest: "d"},
+		&ledger.Record{Op: ledger.OpReserve, Tenant: "a", Job: "j2", Eps: 1, Source: "q", JobSeq: 2},
 	))
-	f.Add(mk(&jrec{Op: jopSubmit, Job: "j1", Tenant: "a"}))
-	f.Add([]byte(`{"seq":1,"op":"submit","job":"j1"`))
+	f.Add(mk(&ledger.Record{Op: ledger.OpCreate, Tenant: "a", Eps: 5}))
+	f.Add([]byte(`{"seq":1,"op":"reserve","tenant":"a","job":"j1"`))
 	f.Add([]byte("not json\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := t.TempDir() + "/journal"
+		path := t.TempDir() + "/ledger"
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		jn, err := openJournal(path)
+		var folded replay
+		l, err := ledger.Open(path, ledger.Options{Replay: folded.fold})
 		if err != nil {
-			if !errors.Is(err, wal.ErrCorrupt) {
+			if !errors.Is(err, ledger.ErrCorrupt) {
 				t.Fatalf("open failed with untyped error: %v", err)
 			}
 			return
 		}
-		jn.live = true
-		if err := jn.append(&jrec{Op: jopSubmit, Job: "fuzz-probe", Tenant: "t"}); err != nil {
-			t.Fatalf("append on accepted journal: %v", err)
+		balances := l.Tenants()
+		jobs := make([]Job, len(folded.jobs))
+		for i, j := range folded.jobs {
+			jobs[i] = *j
 		}
-		if err := jn.close(); err != nil {
+		if err := l.Compact(func() []*ledger.Record { return jobRecords(jobs) }); err != nil {
+			t.Fatalf("compaction of an accepted ledger from its own jobs: %v", err)
+		}
+		if err := l.EnsureTenant("fuzz-probe", 1, 0); err != nil {
+			t.Fatalf("append on accepted ledger: %v", err)
+		}
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openJournal(path); err != nil {
-			t.Fatalf("reopen of accepted journal: %v", err)
+		var again replay
+		l2, err := ledger.Open(path, ledger.Options{Replay: again.fold})
+		if err != nil {
+			t.Fatalf("reopen of accepted ledger: %v", err)
+		}
+		defer l2.Close()
+		for _, b := range balances {
+			if got, _ := l2.Balance(b.TenantID); got != b {
+				t.Fatalf("balance of %q moved across compaction + reopen: %+v, was %+v", b.TenantID, got, b)
+			}
+		}
+		if len(again.jobs) != len(folded.jobs) {
+			t.Fatalf("%d jobs after compaction + reopen, %d before", len(again.jobs), len(folded.jobs))
 		}
 	})
 }

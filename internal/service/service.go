@@ -3,34 +3,39 @@
 // pipeline that cmd/arboretum runs per invocation. It has three parts —
 // transport (handlers.go: the /v1 API of docs/SERVICE.md), a job store
 // with an asynchronous executor pool (jobs.go, this file; the pool is
-// internal/parallel.ForEach draining a bounded queue), and the admission
-// path that welds the two to internal/ledger's durable per-tenant
-// privacy-budget ledger and the durable job journal (journal.go, built on
-// the same internal/wal machinery).
+// internal/parallel.ForEach draining a bounded queue), and the mapping
+// between jobs and the records of internal/ledger (recovery.go), the
+// gateway's one durable file.
 //
-// The budget lifecycle is the service's core contract. At admission the
-// query is certified (runtime.Certify) and exactly the certificate's
-// (ε, δ) is reserved in the ledger — a query whose certified cost exceeds
-// the tenant's remaining budget is rejected with a typed error before
-// anything executes. Each admitted job then runs on its own simulated
-// deployment (seeded from the server seed and the job sequence, so any
-// job replays bit-for-bit) whose runtime budget equals the reservation,
-// extending the runtime's fail-closed guarantee to the service boundary:
-// on success the ledger commits exactly the executed certificate's spend;
-// on failure — including fault-injected fail-closed runs — the
-// reservation is released and the tenant spends nothing.
+// The budget lifecycle is the service's core contract, and a job's life is
+// the same four records. At admission the query is certified
+// (runtime.Certify) and exactly the certificate's (ε, δ) is reserved — the
+// reserve record is the submission, carrying what a restart needs to run
+// the job again — and a query whose certified cost exceeds the tenant's
+// remaining budget is rejected with a typed error before anything is
+// written or executed. Each admitted job is claimed (one record) and runs
+// on its own simulated deployment (seeded from the server seed and the job
+// sequence, so any job replays bit-for-bit) whose runtime budget equals the
+// reservation, extending the runtime's fail-closed guarantee to the service
+// boundary: on success the commit record makes exactly the executed
+// certificate's spend permanent and carries the result digest; on failure —
+// including fault-injected fail-closed runs — the release record returns
+// the reservation and the tenant spends nothing.
 //
-// Jobs are crash-resumable: every transition is journaled before it is
-// observable, and a restarted daemon replays the journal, pairs each
-// non-terminal job with its dangling ledger reservation, and re-executes
-// it deterministically from the same seed — committing exactly the
-// certified spend and reproducing bit-identical outputs — instead of
-// dropping the work (recovery.go; docs/SERVICE.md documents the pairing
-// rules). Execution is deadline-bounded (Config.JobTimeout plus a
-// per-submission override): an overdue job is canceled at the runtime's
-// next checkpoint, its reservation released, and its executor slot
-// reclaimed. Injected daemon deaths at the job-lifecycle boundaries (the
-// faults "daemon" kind) drive the chaos restart sweep in
+// Every transition is one ledger.Append, durable before it is observable,
+// and the job table moves inside the append's critical section, so memory
+// is never ahead of the log nor visibly behind it. Jobs are therefore
+// crash-resumable with no pairing step: a restarted daemon replays the log
+// into jobs, restores the terminal ones, and re-executes the rest
+// deterministically from the same seed — committing exactly the certified
+// spend and reproducing bit-identical outputs (recovery.go). A record that
+// cannot be made durable means the log is gone, and the gateway stops with
+// it: the job stays in flight for the next start. Execution is
+// deadline-bounded (Config.JobTimeout plus a per-submission override): an
+// overdue job is canceled at the runtime's next checkpoint, its reservation
+// released, and its executor slot reclaimed. Injected daemon deaths at the
+// job-lifecycle boundaries (the faults "daemon" kind) and injected WAL
+// crashes at every record (the "wal" kind) drive the chaos restart sweeps in
 // recovery_test.go.
 //
 // Per-tenant token-bucket rate limiting, a per-tenant in-flight cap, and
@@ -38,10 +43,10 @@
 //
 // Concurrency: jobs are independent by construction — each owns a private
 // runtime.Deployment (a Deployment is not safe for concurrent use, so one
-// is never shared), the job table, journal, and ledger serialize under
-// their own locks, and all fan-out goes through internal/parallel except
-// the per-job watchdog goroutine that bounds a wedged run (runJob). See
-// docs/CONCURRENCY.md.
+// is never shared), the ledger and the job table serialize under their own
+// locks (ledger before store, never the reverse), and all fan-out goes
+// through internal/parallel except the per-job watchdog goroutine that
+// bounds a wedged run (runJob). See docs/CONCURRENCY.md.
 package service
 
 import (
@@ -69,10 +74,9 @@ type TenantSpec struct {
 
 // Config shapes the gateway.
 type Config struct {
-	// LedgerPath is the privacy-budget WAL (required). JournalPath is the
-	// durable job journal (default LedgerPath + ".jobs").
-	LedgerPath  string
-	JournalPath string
+	// LedgerPath is the gateway's one durable file (required): the WAL of
+	// tenant budgets and job lifecycles.
+	LedgerPath string
 	// Tenants are created if absent when the server starts.
 	Tenants []TenantSpec
 
@@ -104,9 +108,10 @@ type Config struct {
 	// deadline_exceeded, and releases its reservation.
 	JobTimeout time.Duration
 
-	// RetainJobs caps the terminal jobs kept in memory and in the journal
-	// (default 10000): past it the oldest settled jobs are evicted and
-	// their status reads return a typed "expired" error.
+	// RetainJobs caps the terminal jobs kept in memory and, through
+	// compaction, in the ledger (default 10000): past it the oldest settled
+	// jobs are evicted and their status reads return a typed "expired"
+	// error.
 	RetainJobs int
 
 	// Rate/Burst are the per-tenant token bucket: Rate submissions per
@@ -118,8 +123,8 @@ type Config struct {
 
 	// FaultSpec is the default fault-injection schedule applied to every
 	// job's deployment (docs/FAULTS.md); a submission may override it.
-	// LedgerFaults injects simulated crashes into the ledger's WAL append
-	// path (the "wal" kind); DaemonFaults injects simulated daemon deaths
+	// LedgerFaults injects simulated crashes into the ledger's WAL write
+	// paths (the "wal" kind); DaemonFaults injects simulated daemon deaths
 	// at job-lifecycle boundaries (the "daemon" kind) — chaos testing only.
 	FaultSpec    string
 	LedgerFaults *faults.Plan
@@ -140,13 +145,12 @@ const abandonGrace = 2 * time.Second
 type Server struct {
 	cfg     Config
 	ledger  *ledger.Ledger
-	journal *journal
 	store   *store
 	limiter *tenantLimiter
 	started time.Time
 
 	crash      *faults.Plan // injected daemon deaths (Config.DaemonFaults)
-	crashed    atomic.Bool  // an injected death fired: the "process" is gone
+	crashed    atomic.Bool  // an injected death fired or the log died: the "process" is gone
 	draining   atomic.Bool  // Drain/Close began: stop claiming queued jobs
 	abandoning atomic.Bool  // Drain's deadline passed: running jobs dropped
 
@@ -159,8 +163,8 @@ type Server struct {
 	runMu   sync.Mutex
 	running map[string]context.CancelFunc
 
-	// lastCompact is the journal sequence at the last compaction; the
-	// journal is rewritten from the job table when enough records pile up
+	// lastCompact is the ledger sequence right after the last compaction;
+	// the ledger is rewritten from the job table when enough records pile up
 	// past it.
 	lastCompact atomic.Uint64
 
@@ -173,10 +177,10 @@ type Server struct {
 	workersDone chan struct{}
 }
 
-// New opens the ledger and the job journal, recovers every job the journal
-// shows in flight (re-enqueueing it for deterministic re-execution paired
-// with its dangling reservation — see recovery.go), seeds the configured
-// tenants, and starts the executor pool.
+// New opens the ledger, folds its records into jobs, recovers every job the
+// log leaves in flight (re-enqueueing it for deterministic re-execution —
+// see recovery.go), seeds the configured tenants, and starts the executor
+// pool.
 func New(cfg Config) (*Server, error) {
 	return newServer(cfg, nil)
 }
@@ -186,9 +190,6 @@ func New(cfg Config) (*Server, error) {
 func newServer(cfg Config, hold chan struct{}) (*Server, error) {
 	if cfg.LedgerPath == "" {
 		return nil, fmt.Errorf("service: Config.LedgerPath is required")
-	}
-	if cfg.JournalPath == "" {
-		cfg.JournalPath = cfg.LedgerPath + ".jobs"
 	}
 	if cfg.Devices == 0 {
 		cfg.Devices = 96
@@ -208,7 +209,8 @@ func newServer(cfg Config, hold chan struct{}) (*Server, error) {
 	if _, err := faults.Parse(cfg.FaultSpec); err != nil {
 		return nil, fmt.Errorf("service: default fault spec: %w", err)
 	}
-	led, err := ledger.Open(cfg.LedgerPath, ledger.Options{Crash: cfg.LedgerFaults})
+	var replayed replay
+	led, err := ledger.Open(cfg.LedgerPath, ledger.Options{Crash: cfg.LedgerFaults, Replay: replayed.fold})
 	if err != nil {
 		return nil, err
 	}
@@ -217,20 +219,15 @@ func newServer(cfg Config, hold chan struct{}) (*Server, error) {
 			return nil, errors.Join(err, led.Close())
 		}
 	}
-	jn, err := openJournal(cfg.JournalPath)
-	if err != nil {
-		return nil, errors.Join(fmt.Errorf("service: job journal: %w", err), led.Close())
-	}
 	inflight := 0
-	for _, jj := range jn.jobs {
-		if !jj.terminal() {
+	for _, j := range replayed.jobs {
+		if !j.terminal() {
 			inflight++
 		}
 	}
 	s := &Server{
 		cfg:         cfg,
 		ledger:      led,
-		journal:     jn,
 		store:       newStore(cfg.QueueDepth, inflight, cfg.RetainJobs),
 		limiter:     newTenantLimiter(cfg.Rate, cfg.Burst, nil),
 		started:     time.Now(),
@@ -239,8 +236,7 @@ func newServer(cfg Config, hold chan struct{}) (*Server, error) {
 		hold:        hold,
 		workersDone: make(chan struct{}),
 	}
-	if err := s.recoverJobs(); err != nil {
-		jn.close()
+	if err := s.recoverJobs(replayed.jobs); err != nil {
 		return nil, errors.Join(fmt.Errorf("service: crash recovery: %w", err), led.Close())
 	}
 	//arblint:ignore rawgo daemon-lifecycle supervisor, not data-path fan-out; joined via workersDone on Close
@@ -260,7 +256,7 @@ func (s *Server) runWorkers() {
 				<-s.hold
 			}
 			// A "dead" daemon executes nothing more, and a draining one
-			// stops claiming: either way the skipped job stays journaled
+			// stops claiming: either way the skipped job stays in the log
 			// with its reservation held, and the next startup recovers it.
 			if s.crashed.Load() || s.draining.Load() {
 				continue
@@ -278,13 +274,14 @@ func (s *Server) runWorkers() {
 // tests; the job lifecycle is the only writer).
 func (s *Server) Ledger() *ledger.Ledger { return s.ledger }
 
-// Crashed reports whether an injected daemon death has fired (chaos tests
-// restart against the same ledger+journal afterwards).
+// Crashed reports whether the gateway has stopped as a dead process would —
+// an injected daemon death fired, or a record could not be made durable
+// (chaos tests restart against the same ledger afterwards).
 func (s *Server) Crashed() bool { return s.crashed.Load() }
 
 // Close stops admission (late submissions get 503 shutting_down), stops
 // claiming queued jobs, waits for running jobs to finish, and closes the
-// journal and ledger. Jobs still queued keep their journal records and
+// ledger. Jobs still queued keep their reserve records and so their
 // reservations: the next startup re-enqueues and re-executes them
 // deterministically. Close is idempotent; repeated calls return the first
 // result.
@@ -292,9 +289,9 @@ func (s *Server) Close() error { return s.Drain(-1) }
 
 // Drain is Close with a bounded wait: running jobs get up to timeout to
 // finish (negative = forever); past it they are canceled and abandoned
-// un-settled — their claims stay journaled and their reservations held, so
-// the next startup re-executes them exactly like a crash. Queued jobs are
-// never started once draining begins.
+// un-settled — claimed in the log, their reservations held — so the next
+// startup re-executes them exactly like a crash. Queued jobs are never
+// started once draining begins.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
@@ -313,11 +310,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 				s.cfg.Logf("service: drain timeout after %v; abandoning running jobs for restart recovery", timeout)
 			}
 		}
-		jerr := s.journal.close()
 		s.closeErr = s.ledger.Close()
-		if s.closeErr == nil {
-			s.closeErr = jerr
-		}
 	})
 	return s.closeErr
 }
@@ -332,21 +325,36 @@ func (s *Server) cancelRunning() {
 }
 
 // die simulates the daemon's death at a job-lifecycle boundary (the
-// "daemon" fault kind): record the fault, stop executing, and close the
-// journal and ledger descriptors the way the kernel would — without
-// flushing anything not already durable — so a "restarted" server can
-// reopen the same files and recover.
+// "daemon" fault kind): record the fault and halt.
 func (s *Server) die(j *Job, stage int, note string) {
 	s.crash.Record(faults.Fault{
 		Kind: faults.DaemonCrash, Idx: []int{int(j.seq), stage},
 		Note: fmt.Sprintf("job %s/%s: %s", j.Tenant, j.ID, note),
 	})
-	s.crashed.Store(true)
 	s.cfg.Logf("service: injected daemon crash (job %s, stage %d): %s", j.ID, stage, note)
+	s.halt()
+}
+
+// halt stops the gateway the way a process death would: nothing more is
+// admitted, executed or settled, and the ledger's descriptor is closed — the
+// way the kernel would, every record already being fsynced — so a
+// "restarted" server can reopen the same file and recover.
+func (s *Server) halt() {
+	s.crashed.Store(true)
 	s.store.close()
-	s.journal.kill()
 	//arblint:ignore errdiscard simulated daemon crash: the abrupt teardown IS the fault being injected
 	s.ledger.Close()
+}
+
+// logLost handles a write to the ledger that did not become durable. The
+// transition it described did not happen: a job it belongs to stays where
+// the log has it, for the next start to recover. If the log itself is dead (an injected
+// WAL crash, a failed write), so is the gateway.
+func (s *Server) logLost(what string, err error) {
+	s.cfg.Logf("service: %s did not become durable: %v", what, err)
+	if errors.Is(err, ledger.ErrCrashed) {
+		s.halt()
+	}
 }
 
 // jobContext builds the job's deadline context: the per-submission
@@ -365,33 +373,39 @@ func (s *Server) jobContext(j *Job) (context.Context, context.CancelFunc) {
 // execute runs one dequeued job end to end and settles its reservation.
 // The numbered crash stages are the "daemon" fault kind's injection points
 // (docs/FAULTS.md): each simulates the process dying at that boundary, and
-// the restart-recovery tests assert the journal+ledger pairing puts every
-// such job back.
+// the restart-recovery tests assert that replaying the log puts every such
+// job back.
 func (s *Server) execute(j *Job) {
-	// Claim Queued→Running atomically: a job canceled while queued has
-	// already had its reservation released and must not run, and the claim
-	// bars any later cancel (the job is Running). The claim is a single
-	// compare-and-swap under the store mutex — a separate check and update
-	// would race a cancel landing in between (see store.claim).
-	if !s.store.claim(j.ID) {
+	// A job canceled while queued has nothing left to run against (and
+	// should not trip a crash stage on its way out).
+	if cur, ok, _ := s.store.get(j.ID); !ok || cur.State != JobQueued {
 		return
 	}
 	seq := int(j.seq)
 	if s.crash.Fires(faults.DaemonCrash, seq, 0) {
-		s.die(j, 0, "crashed before journaling the claim")
+		s.die(j, 0, "crashed before the claim became durable")
 		return
 	}
-	// Journal the claim before executing (recovered jobs whose claim was
-	// already durable skip the duplicate). A claim that cannot be journaled
-	// must not run: fail closed, release the hold.
-	if !j.recoveredClaim {
-		if err := s.journal.append(&jrec{Op: jopClaim, Job: j.ID, Tenant: j.Tenant}); err != nil {
-			s.settleFailure(j, "journal_error", fmt.Errorf("journal claim: %w", err), "")
+	// Claim queued → running: one record, with the job table following it
+	// inside the append. The ledger decides the race with a cancel — a
+	// cancel that got there first has released the reservation and the
+	// claim is refused; after the claim, it is the cancel that is refused.
+	// A recovered job whose claim the last process made durable skips the
+	// record, not the transition.
+	claim := func() { s.store.claim(j.ID) }
+	if j.claimed {
+		claim()
+	} else {
+		rec := &ledger.Record{Op: ledger.OpClaim, Tenant: j.Tenant, Job: j.ID}
+		if err := s.ledger.Append(rec, claim); err != nil {
+			if !errors.Is(err, ledger.ErrNoReservation) {
+				s.logLost(rec.WALDesc(), err)
+			}
 			return
 		}
 	}
 	if s.crash.Fires(faults.DaemonCrash, seq, 1) {
-		s.die(j, 1, "crashed after journaling the claim, before execution")
+		s.die(j, 1, "crashed after the claim became durable, before execution")
 		return
 	}
 
@@ -417,89 +431,66 @@ func (s *Server) execute(j *Job) {
 	}
 	if err != nil {
 		if s.abandoning.Load() && errors.Is(err, context.Canceled) {
-			// Drain abandoned this run: leave the claim journaled and the
+			// Drain abandoned this run: leave it claimed and its
 			// reservation held so the next startup re-executes it.
 			return
 		}
-		s.settleFailure(j, classify(err), err, report)
+		// Release the whole reservation: a run that failed closed spends
+		// nothing. The note is the job's error code.
+		code := classify(err)
+		s.settle(j, &ledger.Record{Op: ledger.OpRelease, Tenant: j.Tenant, Job: j.ID, Note: code}, func(j *Job) {
+			j.State = JobFailed
+			j.Error = err.Error()
+			j.ErrorCode = code
+			j.FaultReport = report
+		})
 		return
 	}
 	if s.crash.Fires(faults.DaemonCrash, seq, 3) {
 		s.die(j, 3, "crashed after the run, before the budget commit")
 		return
 	}
-	// Commit exactly the executed certificate's spend, durably, before the
-	// result becomes visible: a crash between run and commit leaves the
-	// reservation dangling paired with a journaled claim, and recovery
-	// re-executes — never under-counts. A recovered job whose commit was
-	// already durable (skipCommit) re-earned its outputs; it must not spend
-	// twice.
-	if !j.skipCommit {
-		if err := s.ledger.Commit(j.Tenant, j.ID, res.Certificate.Epsilon, res.Certificate.Delta); err != nil {
-			s.cfg.Logf("service: commit %s/%s: %v", j.Tenant, j.ID, err)
-			s.journalTerminal(&jrec{Op: jopFailed, Job: j.ID, Tenant: j.Tenant, Code: "ledger_error"})
-			s.store.update(j.ID, func(j *Job) {
-				j.State = JobFailed
-				j.Finished = time.Now()
-				j.Error = fmt.Sprintf("budget commit failed (epsilon remains charged): %v", err)
-				j.ErrorCode = "ledger_error"
-				j.FaultReport = report
-			})
-			s.maybeCompact()
-			return
-		}
-	}
+	// Commit exactly the executed certificate's spend, with the digest of
+	// what is about to be released.
 	outs := make([]float64, len(res.Outputs))
 	for i, o := range res.Outputs {
 		outs[i] = o.Float()
 	}
-	digest := resultDigest(outs, res.Accepted, res.Sampled)
-	// The done record (with the result digest) becomes durable before the
-	// outputs become visible.
-	s.journalTerminal(&jrec{Op: jopDone, Job: j.ID, Tenant: j.Tenant, Digest: digest})
-	s.store.update(j.ID, func(j *Job) {
+	commit := &ledger.Record{
+		Op: ledger.OpCommit, Tenant: j.Tenant, Job: j.ID,
+		Eps: res.Certificate.Epsilon, Del: res.Certificate.Delta,
+		Digest: resultDigest(outs, res.Accepted, res.Sampled),
+	}
+	s.settle(j, commit, func(j *Job) {
 		j.State = JobDone
-		j.Finished = time.Now()
-		j.SpentEpsilon = res.Certificate.Epsilon
-		j.SpentDelta = res.Certificate.Delta
+		j.SpentEpsilon = commit.Eps
+		j.SpentDelta = commit.Del
 		j.Outputs = outs
 		j.AcceptedInputs = res.Accepted
 		j.SampledDevices = res.Sampled
 		j.FaultReport = report
-		j.ResultDigest = digest
+		j.ResultDigest = commit.Digest
 	})
-	s.maybeCompact()
 }
 
-// settleFailure releases the job's reservation, journals the failure, and
-// records the terminal state — in that order, so the refund is durable
-// before the failure is observable.
-func (s *Server) settleFailure(j *Job, code string, err error, report string) {
-	if lerr := s.ledger.Release(j.Tenant, j.ID, code); lerr != nil {
-		// The release did not become durable (e.g. an injected WAL crash,
-		// or a recovered job whose release predated the crash): ε stays
-		// reserved and startup recovery settles it. Surface the ledger
-		// failure, keep the run error.
-		s.cfg.Logf("service: release %s/%s: %v", j.Tenant, j.ID, lerr)
-	}
-	s.journalTerminal(&jrec{Op: jopFailed, Job: j.ID, Tenant: j.Tenant, Code: code})
-	s.store.update(j.ID, func(j *Job) {
-		j.State = JobFailed
-		j.Finished = time.Now()
-		j.Error = err.Error()
-		j.ErrorCode = code
-		j.FaultReport = report
+// settle appends the job's terminal record and moves the job table to the
+// terminal state inside the append, so the outcome is durable before it is
+// visible and the two are one step. If the record does not become durable
+// nothing was settled: the job stays running here and in the log, and a
+// restart finds exactly a job that crashed before settling — it re-executes
+// to the same digest and commits then.
+func (s *Server) settle(j *Job, rec *ledger.Record, terminal func(*Job)) {
+	err := s.ledger.Append(rec, func() {
+		s.store.update(j.ID, func(j *Job) {
+			j.Finished = time.Now()
+			terminal(j)
+		})
 	})
-	s.maybeCompact()
-}
-
-// journalTerminal appends a terminal record, logging (not failing) on
-// error: the budget action is already durable, and at worst a restart
-// re-executes the job deterministically to the same outcome.
-func (s *Server) journalTerminal(r *jrec) {
-	if err := s.journal.append(r); err != nil {
-		s.cfg.Logf("service: journal %s %s/%s: %v", r.Op, r.Tenant, r.Job, err)
+	if err != nil {
+		s.logLost(rec.WALDesc(), err)
+		return
 	}
+	s.maybeCompact()
 }
 
 // runJob executes the deployment under a watchdog. The run honors its
@@ -566,15 +557,16 @@ func (s *Server) runDeployment(ctx context.Context, j *Job) (*runtime.Result, st
 	return res, report, err
 }
 
-// maybeCompact rewrites the journal from the live job table once enough
-// records have piled up since the last compaction, bounding journal growth
-// on a long-lived daemon (evicted jobs drop out of the rewrite entirely).
+// maybeCompact rewrites the ledger from the live job table once enough
+// records have piled up since the last compaction, bounding the file on a
+// long-lived daemon (evicted jobs drop out of the rewrite; their spend stays
+// in the tenants' checkpoints).
 func (s *Server) maybeCompact() {
 	every := uint64(4 * s.store.retain)
 	if every < 256 {
 		every = 256
 	}
-	seq := s.journal.log.Seq()
+	seq := s.ledger.Seq()
 	last := s.lastCompact.Load()
 	if seq < last || seq-last < every {
 		return
@@ -582,23 +574,31 @@ func (s *Server) maybeCompact() {
 	if !s.lastCompact.CompareAndSwap(last, seq) {
 		return // another settler is compacting
 	}
-	if err := s.journal.compact(func() []*jrec { return journalRecords(s.store.snapshot()) }); err != nil {
-		s.cfg.Logf("service: journal compaction: %v", err)
-		return
+	if err := s.compact(); err != nil {
+		s.logLost("compaction", err)
 	}
-	s.lastCompact.Store(s.journal.log.Seq())
+}
+
+// compact rewrites the ledger as the tenants' balances plus the records of
+// the jobs the store retains. The snapshot is taken under the ledger mutex,
+// where the job table and the log agree (every transition moves both inside
+// one Append).
+func (s *Server) compact() error {
+	err := s.ledger.Compact(func() []*ledger.Record { return jobRecords(s.store.snapshot()) })
+	if err == nil {
+		s.lastCompact.Store(s.ledger.Seq())
+	}
+	return err
 }
 
 // classify maps an execution error to an API error code: every typed
 // fail-closed runtime error keeps its contract visible at the service
 // boundary, a deadline keeps its own code, anything else is an internal
-// failure.
+// failure. ("canceled" is not a code a run can fail with: it is the
+// ledger's note for a job canceled before any run.)
 func classify(err error) string {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return "deadline_exceeded"
-	}
-	if errors.Is(err, context.Canceled) {
-		return "canceled"
 	}
 	for _, e := range []error{
 		runtime.ErrCommitteeBroken, runtime.ErrCommitteeDegraded,

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -256,6 +257,115 @@ func TestAdmissionRejections(t *testing.T) {
 	}
 }
 
+// TestRefusedSubmissionWritesNothing: the balance check precedes the one
+// append, so a submission refused for budget or tenant leaves no record — the
+// log's sequence and the file's size do not move however many arrive — and
+// the refusals read exactly as they always have.
+func TestRefusedSubmissionWritesNothing(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 0.5, Delta: 1e-6}}
+	s, ts := startT(t, cfg, nil)
+	seq, size := s.ledger.Seq(), s.ledger.Size()
+
+	post := func(body string) (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(data)
+	}
+	overBudget, _ := json.Marshal(map[string]string{"tenant": "alice", "source": countQuery})
+	noTenant, _ := json.Marshal(map[string]string{"tenant": "mallory", "source": countQuery})
+	const n = 25
+	for i := 0; i < n; i++ {
+		if code, body := post(string(overBudget)); code != http.StatusConflict ||
+			body != `{"error":{"code":"budget_exhausted","message":"ledger: privacy budget exhausted: tenant \"alice\" needs ε=1, has 0.5 of 0.5 (0 spent, 0 reserved)"}}`+"\n" {
+			t.Fatalf("over-budget submission %d = HTTP %d %s", i, code, body)
+		}
+		if code, body := post(string(noTenant)); code != http.StatusNotFound ||
+			body != `{"error":{"code":"no_tenant","message":"unknown tenant \"mallory\""}}`+"\n" {
+			t.Fatalf("unknown-tenant submission %d = HTTP %d %s", i, code, body)
+		}
+	}
+	if got := s.ledger.Seq(); got != seq {
+		t.Fatalf("%d refused submissions moved the log from seq %d to %d", 2*n, seq, got)
+	}
+	fi, err := os.Stat(cfg.LedgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != size || s.ledger.Size() != size {
+		t.Fatalf("%d refused submissions grew the file from %d to %d bytes", 2*n, size, fi.Size())
+	}
+	if _, err := os.Stat(cfg.LedgerPath + ".jobs"); !os.IsNotExist(err) {
+		t.Fatalf("a second durable file appeared beside the ledger: %v", err)
+	}
+	if n := len(s.store.byTenant("alice")); n != 0 {
+		t.Fatalf("%d jobs registered by refused submissions", n)
+	}
+}
+
+// TestDurableWritesPerOperation counts the records each operation costs,
+// from the log's own sequence: an accepted job that runs to done is three
+// (reserve, claim, commit), a job canceled while queued is two (reserve,
+// release), a refused submission none.
+func TestDurableWritesPerOperation(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.JobWorkers = 1
+	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 2, Delta: 1e-6}}
+	hold := make(chan struct{})
+	s, ts := startT(t, cfg, hold)
+	at := s.ledger.Seq()
+	delta := func(what string, want uint64) {
+		t.Helper()
+		if got := s.ledger.Seq() - at; got != want {
+			t.Fatalf("%s cost %d records, want %d", what, got, want)
+		}
+		at = s.ledger.Seq()
+	}
+
+	parked, code, _ := submit(t, ts.URL, "alice", countQuery) // dequeued, parked at the gate
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	delta("admission", 1)
+	queued, code, _ := submit(t, ts.URL, "alice", countQuery)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	if code := call(t, "DELETE", ts.URL+"/v1/queries/"+queued.ID, nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel: HTTP %d", code)
+	}
+	delta("a job canceled while queued", 2)
+	// alice has 2 − 1 (held) = 1 left, so ε = 1 still fits; a third would not
+	// once it is held too.
+	if _, code, _ := submit(t, ts.URL, "alice", countQuery); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	delta("admission", 1)
+	if _, code, ec := submit(t, ts.URL, "alice", countQuery); code != http.StatusConflict || ec != "budget_exhausted" {
+		t.Fatalf("over-budget submit = HTTP %d %q", code, ec)
+	}
+	if _, code, ec := submit(t, ts.URL, "mallory", countQuery); code != http.StatusNotFound || ec != "no_tenant" {
+		t.Fatalf("unknown-tenant submit = HTTP %d %q", code, ec)
+	}
+	delta("two refused submissions", 0)
+
+	close(hold)
+	if f := waitTerminal(t, ts.URL, parked.ID); f.State != JobDone {
+		t.Fatalf("job = %s (%s)", f.State, f.Error)
+	}
+	for _, j := range s.store.byTenant("alice") {
+		waitTerminal(t, ts.URL, j.ID)
+	}
+	delta("running two admitted jobs to done", 2*2) // claim + commit each: 3 with the reserve
+}
+
 // TestLongQueryRunsThroughGateway: planning happens inside the job's run, and
 // its search does not grow with the number of mechanism calls, so a query of
 // six em/max pairs is admitted, planned, run and charged like any other.
@@ -343,13 +453,17 @@ func TestCancelQueuedReleasesReservation(t *testing.T) {
 // canceled job can never be claimed (its reservation is already released),
 // a claimed job can never be canceled, and a job is claimed at most once.
 func TestStoreClaimVsCancel(t *testing.T) {
-	st := newStore(4, 0, 0)
-	a, b := &Job{ID: "a"}, &Job{ID: "b"}
-	if err := st.add(a); err != nil {
-		t.Fatal(err)
+	st := newStore(2, 0, 0)
+	for _, j := range []*Job{{ID: "a"}, {ID: "b"}} {
+		if err := st.reserveSlot(); err != nil {
+			t.Fatal(err)
+		}
+		st.add(j)
 	}
-	if err := st.add(b); err != nil {
-		t.Fatal(err)
+	// The queue is full: a third submission is refused before it costs
+	// anything, and a refused one gives its slot back.
+	if err := st.reserveSlot(); !errors.Is(err, errQueueFull) {
+		t.Fatalf("slot in a full queue = %v, want errQueueFull", err)
 	}
 	if _, err := st.cancel("a"); err != nil {
 		t.Fatal(err)
@@ -435,9 +549,9 @@ func TestCancelExecuteRace(t *testing.T) {
 
 // TestSubmitDuringShutdown: Close stops admission under the store mutex, so
 // a submission racing shutdown gets a typed 503 instead of panicking on a
-// closed queue. Jobs admitted but never started keep their journaled submit
-// and their reservation — a restart on the same ledger+journal re-executes
-// them and settles to exact accounting.
+// closed queue. Jobs admitted but never started keep their reserve record
+// and so their reservation — a restart on the same ledger re-executes them
+// and settles to exact accounting.
 func TestSubmitDuringShutdown(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.JobWorkers = 1
@@ -478,7 +592,7 @@ func TestSubmitDuringShutdown(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	// None of the admitted jobs ran: each holds exactly its certified
-	// reservation, journaled for the next process.
+	// reservation, in the log for the next process.
 	var wantEps float64
 	for _, j := range accepted {
 		wantEps += j.Epsilon
@@ -488,9 +602,8 @@ func TestSubmitDuringShutdown(t *testing.T) {
 			b, wantEps, len(accepted))
 	}
 
-	// Restart on the same ledger+journal: recovery re-enqueues and
-	// re-executes every admitted job, committing exactly the certified
-	// spend.
+	// Restart on the same ledger: recovery re-enqueues and re-executes every
+	// admitted job, committing exactly the certified spend.
 	s2, ts2 := startT(t, cfg, nil)
 	for _, j := range accepted {
 		f := waitTerminal(t, ts2.URL, j.ID)
@@ -543,61 +656,95 @@ func TestRateAndInFlightLimits(t *testing.T) {
 	})
 }
 
-// TestWALCrashRecovery is the chaos acceptance scenario: the ledger WAL
-// crashes (injected via internal/faults) exactly on the job's commit
-// record, after the deployment ran. The job reports ledger_error, the ε
-// stays reserved on disk, and a restarted gateway replays the WAL and
-// settles the dangling reservation fail-closed — final balances are
-// identical to a crash-free run's and stable across further replays.
+// TestWALCrashRecovery is the chaos acceptance scenario for the "wal" kind:
+// the ledger's WAL crashes (injected via internal/faults) exactly on one of
+// the job's records — the claim, or the commit after the deployment ran. A
+// record that does not become durable did not happen, and the gateway stops
+// with its log: nothing is settled in the dying process, the ε stays
+// reserved on disk, and a restarted gateway finds exactly a job that crashed
+// before that record — it re-executes to the uncrashed digest and commits.
+// Final balances are identical to a crash-free run's and stable across
+// further replays.
 func TestWALCrashRecovery(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 5, Delta: 1e-6}}
-	// Record 1 = tenant create, 2 = reserve at admission, 3 = the commit.
-	cfg.LedgerFaults = faults.New(1).Force(faults.WALCrash, 3)
-	s, ts := startT(t, cfg, nil)
-
-	j, code, _ := submit(t, ts.URL, "alice", countQuery)
+	// The uncrashed run of the same job (seq 1) pins the digest.
+	base := testConfig(t)
+	base.Tenants = []TenantSpec{{ID: "alice", Epsilon: 5, Delta: 1e-6}}
+	_, bts := startT(t, base, nil)
+	bj, code, _ := submit(t, bts.URL, "alice", countQuery)
 	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+		t.Fatalf("baseline submit: HTTP %d", code)
 	}
-	f := waitTerminal(t, ts.URL, j.ID)
-	if f.State != JobFailed || f.ErrorCode != "ledger_error" {
-		t.Fatalf("job under wal@3 = %s/%s (%s), want failed/ledger_error", f.State, f.ErrorCode, f.Error)
+	want := waitTerminal(t, bts.URL, bj.ID)
+	if want.State != JobDone || want.ResultDigest == "" {
+		t.Fatalf("baseline job = %s digest %q", want.State, want.ResultDigest)
 	}
-	// In memory and on disk the reservation is still held.
-	if b, _ := s.ledger.Balance("alice"); b.EpsReserved != j.Epsilon || b.EpsSpent != 0 {
-		t.Fatalf("post-crash balance %+v", b)
-	}
-	ts.Close()
-	s.Close()
 
-	// Restart on the same WAL, no fault plan: startup recovery commits the
-	// dangling reservation at its certified price.
-	cfg2 := testConfig(t)
-	cfg2.LedgerPath = cfg.LedgerPath
-	cfg2.Tenants = cfg.Tenants
-	s2, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, ok := s2.Ledger().Balance("alice")
-	if !ok || math.Abs(b.EpsSpent-j.Epsilon) > 1e-9 || b.EpsReserved != 0 || b.Queries != 1 {
-		t.Fatalf("recovered balance %+v, want spent=%g reserved=0 queries=1", b, j.Epsilon)
-	}
-	if d := s2.Ledger().Reservations(); len(d) != 0 {
-		t.Fatalf("still reserved after recovery: %+v", d)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A plain replay of the recovered WAL reproduces identical balances.
-	l, err := ledger.Open(cfg.LedgerPath, ledger.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if rb, _ := l.Balance("alice"); rb != b {
-		t.Fatalf("replay diverged: %+v vs %+v", rb, b)
+	// Record 1 = tenant create, 2 = reserve at admission, 3 = the claim,
+	// 4 = the commit. Stage 0 dies before the record, stage 1 tears it.
+	for _, tc := range []struct {
+		name       string
+		seq, stage int
+		state      JobState // where the dying process leaves the job
+	}{
+		{"claim", 3, 0, JobQueued},
+		{"commit", 4, 0, JobRunning},
+		{"commit-torn", 4, 1, JobRunning},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.Tenants = base.Tenants
+			cfg.LedgerFaults = faults.New(1).ForceAt(faults.WALCrash, tc.seq, tc.stage)
+			s, ts := startT(t, cfg, nil)
+
+			j, code, _ := submit(t, ts.URL, "alice", countQuery)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: HTTP %d", code)
+			}
+			waitCrashed(t, s)
+			if n := len(cfg.LedgerFaults.Fired()); n != 1 {
+				t.Fatalf("%d WAL crashes fired, want 1", n)
+			}
+			// Nothing settled: the job is where the log has it, its
+			// reservation held, and the dead gateway admits nothing.
+			if got, _, _ := s.store.get(j.ID); got.State != tc.state {
+				t.Fatalf("job in the dying process = %s, want %s", got.State, tc.state)
+			}
+			if b, _ := s.ledger.Balance("alice"); b.EpsReserved != j.Epsilon || b.EpsSpent != 0 {
+				t.Fatalf("post-crash balance %+v", b)
+			}
+			if _, code, ec := submit(t, ts.URL, "alice", countQuery); code != http.StatusServiceUnavailable || ec != "shutting_down" {
+				t.Fatalf("submit to a gateway whose log died = HTTP %d %q", code, ec)
+			}
+			ts.Close()
+			s.Close()
+
+			// Restart on the same WAL, no fault plan.
+			cfg2 := cfg
+			cfg2.LedgerFaults = nil
+			s2, ts2 := startT(t, cfg2, nil)
+			f := waitTerminal(t, ts2.URL, j.ID)
+			if f.State != JobDone || !f.Recovered || f.ResultDigest != want.ResultDigest {
+				t.Fatalf("recovered job = %s recovered=%v digest %q (%s), want done with the uncrashed digest %q",
+					f.State, f.Recovered, f.ResultDigest, f.Error, want.ResultDigest)
+			}
+			b, ok := s2.Ledger().Balance("alice")
+			if !ok || math.Abs(b.EpsSpent-j.Epsilon) > 1e-9 || b.EpsReserved != 0 || b.Queries != 1 {
+				t.Fatalf("recovered balance %+v, want spent=%g reserved=0 queries=1", b, j.Epsilon)
+			}
+			ts2.Close()
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// A plain replay of the recovered WAL reproduces identical balances.
+			l, err := ledger.Open(cfg.LedgerPath, ledger.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if rb, _ := l.Balance("alice"); rb != b {
+				t.Fatalf("replay diverged: %+v vs %+v", rb, b)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,8 @@
-// Package wal is the shared write-ahead-log machinery behind Arboretum's
-// durable state: checksummed JSON-lines records, fsync-before-apply
-// ordering, exclusive advisory locking, and crash-aware replay. It was
-// factored out of internal/ledger so the privacy-budget ledger and the
-// gateway's job journal (internal/service) enforce one set of durability
-// rules instead of two drifting copies:
+// Package wal is the write-ahead-log machinery behind Arboretum's durable
+// state: checksummed JSON-lines records, fsync-before-apply ordering,
+// exclusive advisory locking, and crash-aware replay. It has one client in
+// the tree — internal/ledger, the gateway's only durable file — and keeps
+// the durability rules apart from what the records mean:
 //
 //   - every record is one JSON line carrying a sequence number and a
 //     checksum over all its other fields; Append assigns both, writes the
@@ -17,14 +16,21 @@
 //     fails its checksum, sequence, or apply, even on the final line: a
 //     torn append cannot include the trailing newline, so such a record was
 //     durably written whole and silently dropping it would rewrite history;
-//   - simulated process deaths are injectable into the append path through
-//     an internal/faults plan (stage 0 dies before any byte is written,
-//     stage 1 after a torn half-write; both close the descriptor the way a
-//     real death would, releasing the lock so a "restarted" process can
-//     reopen), poisoning the log with ErrCrashed until reopened.
+//   - Rewrite replaces the whole log atomically (temp file, fsync, rename):
+//     compaction leaves the old log or the new one, never a mix;
+//   - simulated process deaths are injectable into both write paths through
+//     an internal/faults plan. In Append, stage 0 dies before any byte is
+//     written and stage 1 after a torn half-write; in Rewrite — addressed
+//     as the record after the last durable one — stage 0 dies on a torn
+//     temp file and stage 1 between the temp file's fsync and the rename.
+//     Every death closes the descriptor the way a real one would (releasing
+//     the lock so a "restarted" process can reopen) and poisons the log
+//     with ErrCrashed until reopened. A write or fsync that really fails
+//     poisons it the same way: what reached the disk is unknown until a
+//     reopen's replay re-establishes the intact prefix.
 //
 // The record type is supplied by the caller via the Record interface; the
-// checksum algorithm is the caller's too (it is part of each log's on-disk
+// checksum algorithm is the caller's too (it is part of the log's on-disk
 // format), so ledger files written before this package existed replay
 // byte-for-byte.
 package wal
@@ -42,16 +48,16 @@ import (
 	"arboretum/internal/faults"
 )
 
-// Typed failure modes, shared by every log built on this package.
+// Typed failure modes.
 var (
 	// ErrCorrupt means replay found a durably written record that is
 	// syntactically broken, fails its checksum, or cannot be applied. The
 	// log refuses to guess at state.
 	ErrCorrupt = errors.New("wal: corrupt record")
-	// ErrCrashed is the simulated process death injected by a faults plan:
-	// the log is poisoned exactly as if the process had died mid-append and
-	// must be reopened (replayed) before further use.
-	ErrCrashed = errors.New("wal: simulated crash during append")
+	// ErrCrashed means the log is dead: a faults plan injected a process
+	// death into a write, a write or fsync really failed, or the log was
+	// closed. Nothing more becomes durable until it is reopened (replayed).
+	ErrCrashed = errors.New("wal: log crashed; reopen to recover")
 	// ErrLocked means another live process holds the log file: Open refuses
 	// rather than let two writers interleave conflicting sequence numbers.
 	ErrLocked = errors.New("wal: log file held by another process")
@@ -79,7 +85,7 @@ type Record interface {
 
 // Options configures Open.
 type Options struct {
-	// Crash injects simulated process deaths into the append path
+	// Crash injects simulated process deaths into Append and Rewrite
 	// (coordinates: (record sequence, stage)); nil injects nothing.
 	Crash *faults.Plan
 	// CrashKind addresses Crash's decisions and the fired-fault log (e.g.
@@ -100,7 +106,7 @@ type Log[R Record] struct {
 	apply  func(R) error
 	crash  *faults.Plan
 	kind   faults.Kind
-	dead   bool // poisoned by a simulated crash or apply failure
+	dead   bool // poisoned by a crash, a failed write, an apply failure, or Close
 }
 
 // Open opens (creating if absent) the log at path, takes an exclusive
@@ -218,22 +224,24 @@ func (l *Log[R]) Append(r R) error {
 	line = append(line, '\n')
 	seq := r.WALSeq()
 	if l.crash.Fires(l.kind, int(seq), 0) {
-		l.die(r, 0, "crashed before WAL append")
+		l.die(seq, 0, r.WALDesc(), "crashed before WAL append")
 		return fmt.Errorf("%w (before record %d)", ErrCrashed, seq)
 	}
 	if l.crash.Fires(l.kind, int(seq), 1) {
 		// Torn write: half the line reaches the disk, no newline, no fsync.
-		if _, err := l.f.Write(line[:len(line)/2]); err != nil {
-			return fmt.Errorf("wal: append: %w", err)
-		}
-		l.die(r, 1, "crashed mid-append (torn record)")
-		return fmt.Errorf("%w (torn record %d)", ErrCrashed, seq)
+		_, werr := l.f.Write(line[:len(line)/2])
+		l.die(seq, 1, r.WALDesc(), "crashed mid-append (torn record)")
+		return errors.Join(fmt.Errorf("%w (torn record %d)", ErrCrashed, seq), werr)
 	}
+	// A failed write or fsync leaves an unknown tail on disk; appending past
+	// it could bury a torn line mid-file, so the log dies here too.
 	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+		l.dead = true
+		return fmt.Errorf("%w: append record %d: %v", ErrCrashed, seq, err)
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		l.dead = true
+		return fmt.Errorf("%w: fsync record %d: %v", ErrCrashed, seq, err)
 	}
 	if err := l.apply(r); err != nil {
 		// The record is durable but inconsistent with memory — a programming
@@ -250,15 +258,15 @@ func (l *Log[R]) Append(r R) error {
 // descriptor is closed the way the kernel would on a real process death —
 // in particular releasing the advisory lock so the "restarted" process can
 // Open the file.
-func (l *Log[R]) die(r R, stage int, note string) {
+func (l *Log[R]) die(seq uint64, stage int, desc, note string) {
 	l.dead = true
 	if l.f != nil {
 		l.f.Close()
 		l.f = nil
 	}
 	l.crash.Record(faults.Fault{
-		Kind: l.kind, Idx: []int{int(r.WALSeq()), stage},
-		Note: fmt.Sprintf("%s: %s", r.WALDesc(), note),
+		Kind: l.kind, Idx: []int{int(seq), stage},
+		Note: fmt.Sprintf("%s: %s", desc, note),
 	})
 }
 
@@ -267,52 +275,64 @@ func (l *Log[R]) die(r R, stage int, note string) {
 // same directory, fsynced, and renamed over the log, so a crash during
 // Rewrite leaves either the old log or the new one — never a mix. The
 // caller's apply state must already reflect recs; Rewrite does not re-apply
-// them.
+// them. Its two crash stages are addressed as the record after the last
+// durable one: stage 0 dies on a torn temp file, stage 1 between the temp
+// file's fsync and the rename — both leave the old log in place.
 func (l *Log[R]) Rewrite(recs []R) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.dead {
 		return ErrCrashed
 	}
-	tmpPath := l.path + ".rewrite"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: rewrite: %w", err)
-	}
-	// Lock the replacement before it becomes visible under the log's path:
-	// the flock rides the open descriptor across the rename, so there is no
-	// window where another process could grab the new inode.
-	if err := syscall.Flock(int(tmp.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: rewrite lock: %w", err)
-	}
-	var size int64
+	var buf bytes.Buffer
 	for i, r := range recs {
 		r.SetWALSeq(uint64(i) + 1)
 		r.SetWALSum(r.WALChecksum())
 		line, err := json.Marshal(r)
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
 			return fmt.Errorf("wal: rewrite marshal: %w", err)
 		}
-		line = append(line, '\n')
-		if _, err := tmp.Write(line); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("wal: rewrite: %w", err)
-		}
-		size += int64(len(line))
+		buf.Write(line)
+		buf.WriteByte('\n')
+	}
+	tmpPath := l.path + ".rewrite"
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: rewrite: %w", err)
+	}
+	// abandon drops the half-built replacement; the log itself is untouched.
+	abandon := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return err
+	}
+	// Lock the replacement before it becomes visible under the log's path:
+	// the flock rides the open descriptor across the rename, so there is no
+	// window where another process could grab the new inode.
+	if err := syscall.Flock(int(tmp.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		return abandon(fmt.Errorf("wal: rewrite lock: %w", err))
+	}
+	at := l.seq + 1
+	desc := fmt.Sprintf("rewrite of %d records", len(recs))
+	if l.crash.Fires(l.kind, int(at), 0) {
+		_, werr := tmp.Write(buf.Bytes()[:buf.Len()/2])
+		tmp.Close()
+		l.die(at, 0, desc, "crashed mid-rewrite (torn temp file)")
+		return errors.Join(fmt.Errorf("%w (mid-rewrite at record %d)", ErrCrashed, at), werr)
+	}
+	if _, err := tmp.Write(buf.Bytes()); err != nil {
+		return abandon(fmt.Errorf("wal: rewrite: %w", err))
 	}
 	if err := tmp.Sync(); err != nil {
+		return abandon(fmt.Errorf("wal: rewrite fsync: %w", err))
+	}
+	if l.crash.Fires(l.kind, int(at), 1) {
 		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: rewrite fsync: %w", err)
+		l.die(at, 1, desc, "crashed between the temp file's fsync and the rename")
+		return fmt.Errorf("%w (before the rewrite's rename at record %d)", ErrCrashed, at)
 	}
 	if err := os.Rename(tmpPath, l.path); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: rewrite rename: %w", err)
+		return abandon(fmt.Errorf("wal: rewrite rename: %w", err))
 	}
 	// Make the rename itself durable.
 	if dir, err := os.Open(dirOf(l.path)); err == nil {
@@ -324,7 +344,7 @@ func (l *Log[R]) Rewrite(recs []R) error {
 	}
 	l.f = tmp
 	l.seq = uint64(len(recs))
-	l.size = size
+	l.size = int64(buf.Len())
 	return nil
 }
 
@@ -339,20 +359,6 @@ func dirOf(path string) string {
 		}
 	}
 	return "."
-}
-
-// Kill poisons the log and closes its descriptor without flushing —
-// simulating a process death outside the append path (the service's
-// "daemon" fault kind). Every append already fsynced, so no durable state
-// is lost; the lock is released so a restarted process can reopen.
-func (l *Log[R]) Kill() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dead = true
-	if l.f != nil {
-		l.f.Close()
-		l.f = nil
-	}
 }
 
 // Path returns the log file path.

@@ -252,6 +252,60 @@ func TestRewrite(t *testing.T) {
 	}
 }
 
+// TestRewriteCrashStages: a death inside Rewrite — on a torn temp file
+// (stage 0) or between the temp file's fsync and the rename (stage 1),
+// addressed as the record after the last durable one — leaves the old log
+// whole: the reopen replays it, and the next Rewrite is not bothered by the
+// leftover temp file.
+func TestRewriteCrashStages(t *testing.T) {
+	for stage := 0; stage <= 1; stage++ {
+		t.Run(fmt.Sprintf("stage%d", stage), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.wal")
+			plan := faults.New(1).ForceAt(faults.WALCrash, 4, stage)
+			l, err := openT(t, path, map[string]int{}, Options{Crash: plan, CrashKind: faults.WALCrash})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := l.Append(&trec{K: "a", V: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Rewrite([]*trec{{K: "a", V: 3}}); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("rewrite at crash point = %v, want ErrCrashed", err)
+			}
+			if err := l.Append(&trec{K: "b", V: 1}); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("append after crashed rewrite = %v, want ErrCrashed", err)
+			}
+			if n := len(plan.Fired()); n != 1 {
+				t.Fatalf("fired log has %d entries, want 1", n)
+			}
+			if after, _ := os.ReadFile(path); string(after) != string(before) {
+				t.Fatalf("crashed rewrite touched the log:\n%s\nwas\n%s", after, before)
+			}
+			m2 := map[string]int{}
+			l2, err := openT(t, path, m2, Options{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer l2.Close()
+			if m2["a"] != 3 || l2.Seq() != 3 {
+				t.Fatalf("recovered state = %v seq %d, want the three old records", m2, l2.Seq())
+			}
+			if err := l2.Rewrite([]*trec{{K: "a", V: 3}}); err != nil {
+				t.Fatalf("rewrite over the leftover temp file: %v", err)
+			}
+			if l2.Seq() != 1 {
+				t.Fatalf("seq after rewrite = %d, want 1", l2.Seq())
+			}
+		})
+	}
+}
+
 // TestApplyFailurePoisons: a record that is durable but cannot be applied is
 // a programming error — the append reports it, the log poisons (memory and
 // disk would otherwise diverge), and a reopen refuses with ErrCorrupt.
@@ -267,7 +321,7 @@ func TestApplyFailurePoisons(t *testing.T) {
 	if err := l.Append(&trec{K: "a", V: 1}); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("append after poison = %v, want ErrCrashed", err)
 	}
-	l.Kill()
+	l.Close()
 	if _, err := openT(t, path, map[string]int{}, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("reopen = %v, want ErrCorrupt (durable unapplyable record)", err)
 	}

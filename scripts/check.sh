@@ -63,8 +63,8 @@ if [ "${ARBORETUM_CHECK_FAST:-0}" = "1" ]; then
     # The fast path trades the race pass for the arboretumd end-to-end
     # smokes: the conformance pass (every docs/SERVICE.md endpoint, exact
     # budget debits) and the crash-recovery pass (SIGKILL mid-burst,
-    # restart on the same ledger + journal, every accepted job recovered
-    # with exact accounting). The slow path already covers the service
+    # restart on the same ledger, every accepted job recovered with exact
+    # accounting). The slow path already covers the service
     # packages under the race detector above.
     echo "== scripts/loadtest.sh -smoke"
     sh scripts/loadtest.sh -smoke

@@ -4,9 +4,9 @@
 #   scripts/loadtest.sh -smoke     # CI conformance pass: every docs/SERVICE.md
 #                                  # endpoint, typed budget rejection, exact debits
 #   scripts/loadtest.sh -kill      # crash-recovery pass: SIGKILL the daemon
-#                                  # mid-burst, restart it on the same ledger +
-#                                  # journal, verify every accepted job recovers
-#                                  # to done with exact budget accounting
+#                                  # mid-burst, restart it on the same ledger,
+#                                  # verify every accepted job recovers to done
+#                                  # with exact budget accounting
 #
 # Both modes build arboretumd + arbload, start a daemon on a free port with
 # a fresh temporary ledger, drive it over HTTP, and shut it down. (The
@@ -59,10 +59,10 @@ else
     JOB_WORKERS=4
 fi
 
-# start_daemon LOGFILE: launch arboretumd against $LEDGER (and its default
-# job journal $LEDGER.jobs), wait for the "listening on" line, and set
-# DAEMON_PID + ADDR. Called twice in kill mode — the restart reuses the same
-# ledger and journal, which is the point.
+# start_daemon LOGFILE: launch arboretumd against $LEDGER (its one durable
+# file), wait for the "listening on" line, and set DAEMON_PID + ADDR. Called
+# twice in kill mode — the restart reuses the same ledger, which is the
+# point.
 start_daemon() {
     log="$1"
     "$WORKDIR/arboretumd" -addr 127.0.0.1:0 -ledger "$LEDGER" \
@@ -102,7 +102,7 @@ smoke)
 kill)
     # Phase 1: submit a burst in the background, recording each accepted
     # (202) job. Once a few acceptances are on disk — jobs queued and
-    # executing — SIGKILL the daemon: no drain, no journal close, the
+    # executing — SIGKILL the daemon: no drain, no ledger close, the
     # hardest crash it can take.
     "$WORKDIR/arbload" -addr "$ADDR" -phase submit -ids "$IDS" \
         -queries "$QUERIES" -tenants "$TENANTS" > "$WORKDIR/submit.log" 2>&1 &
@@ -132,10 +132,16 @@ kill)
         echo "no jobs were accepted before the kill — nothing to verify" >&2
         exit 1
     fi
-    # Phase 2: restart on the same ledger + journal and hold recovery to the
+    # Phase 2: restart on the same ledger and hold recovery to the
     # exact-accounting bar: every acknowledged job done with its certified
-    # spend, nothing reserved, budgets exact.
-    echo "== restarting arboretumd on the same ledger + journal"
+    # spend, nothing reserved, budgets exact. The ledger is the only file the
+    # first life left behind.
+    if [ "$(ls "$WORKDIR" | grep -c '^arboretumd\.ledger')" != 1 ]; then
+        echo "the daemon left more than one durable file:" >&2
+        ls "$WORKDIR" >&2
+        exit 1
+    fi
+    echo "== restarting arboretumd on the same ledger"
     start_daemon "$WORKDIR/arboretumd-2.log"
     "$WORKDIR/arbload" -addr "$ADDR" -phase verify -ids "$IDS"
     ;;

@@ -16,8 +16,8 @@
 // field (directly, or by calling any function that transitively writes one)
 // that may precede — on some control-flow path, per the function's CFG — a
 // call that transitively reaches wal Append/Rewrite is a finding. Both
-// sides of the race look through helpers: `jn.finishReplay()` is a root
-// write, `s.journalTerminal(...)` is an append, wherever the bodies live.
+// sides of the race look through helpers: a method that resets a root is a
+// root write, `l.CreateTenant(...)` is an append, wherever the bodies live.
 package walorder
 
 import (

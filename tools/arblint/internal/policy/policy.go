@@ -141,8 +141,8 @@ var MustCheckErrors = Set{
 	"internal/sortition": true,
 	"crypto/rand":        true,
 	"hash":               true,
-	// Durability layer (PRs 5 and 8): a discarded wal.Append, ledger, or
-	// journal error is a silently-lost durability guarantee.
+	// Durability layer: a discarded wal.Append or ledger error is a
+	// silently-lost durability guarantee.
 	"internal/wal":     true,
 	"internal/ledger":  true,
 	"internal/service": true,
@@ -224,13 +224,13 @@ var CheckpointFuncs = map[string][]string{
 }
 
 // WALClients lists the packages that own a write-ahead log through
-// internal/wal. walorder enforces fsync-before-apply from the client side:
-// the durable-state fields their apply callbacks maintain may not be
-// mutated on any path that precedes a WAL append — disk is never behind
+// internal/wal — one: the ledger is the gateway's only durable file.
+// walorder enforces fsync-before-apply from the client side: the
+// durable-state fields its apply callback maintains may not be mutated on
+// any path that precedes a WAL append or rewrite — disk is never behind
 // memory (docs/FAULTS.md).
 var WALClients = Set{
-	"internal/ledger":  true,
-	"internal/service": true,
+	"internal/ledger": true,
 }
 
 // Unregulated lists the internal packages the policy table deliberately
