@@ -48,6 +48,7 @@ const (
 	RoleKeyGen
 	RoleDecrypt
 	RoleOps
+	NumRoles // sentinel: sizes tables indexed by Role
 )
 
 func (r Role) String() string {

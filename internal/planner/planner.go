@@ -8,7 +8,6 @@ import (
 	"arboretum/internal/lang"
 	"arboretum/internal/plan"
 	"arboretum/internal/privacy"
-	"arboretum/internal/sortition"
 	"arboretum/internal/types"
 )
 
@@ -121,7 +120,7 @@ func planAdmitted(req Request, prog *lang.Program, info *types.Info, cert *priva
 	}
 	sp := defaultSpace(req.N, model)
 	sp.execOnly = req.ExecutableOnly
-	sc := newScorer(req.N, model, sortition.DefaultSizeParams)
+	sc := newScorer(req.N, model)
 	cfg := searchConfig{
 		goal:    req.Goal,
 		limits:  req.Limits,
@@ -154,7 +153,7 @@ func assemble(req Request, steps []step, best *candidate) *plan.Plan {
 		Choices:         map[string]string{},
 		Executable:      true,
 		Cost:            best.cost,
-		ByRole:          bd.byRole,
+		ByRole:          bd.roleMap(),
 		BaseCPU:         bd.baseCPU,
 		BaseBytes:       bd.baseBytes,
 		AggOpsCPU:       bd.aggOpsCPU,

@@ -2,62 +2,56 @@ package planner
 
 import (
 	"math"
+	"math/bits"
+	"sync/atomic"
 
 	"arboretum/internal/costmodel"
 	"arboretum/internal/plan"
 	"arboretum/internal/sortition"
 )
 
-// scorer turns vignette lists into six-metric cost vectors (Section 4.6).
-// Committee sizes depend on the number of committees, so it memoizes the
-// MinCommitteeSize solver per committee count.
+// scorer turns vignette lists into six-metric cost vectors (Section 4.6). It
+// holds no mutable state, so the search's pool tasks share the caller's.
 type scorer struct {
-	n      int64
-	model  *costmodel.Model
-	size   sortition.SizeParams
-	mCache map[int]int
+	n     int64
+	model *costmodel.Model
 }
 
-func newScorer(n int64, model *costmodel.Model, size sortition.SizeParams) *scorer {
-	return &scorer{n: n, model: model, size: size, mCache: map[int]int{}}
+func newScorer(n int64, model *costmodel.Model) *scorer {
+	return &scorer{n: n, model: model}
 }
 
-// clone returns an independent scorer with a fresh memo. The parallel search
-// gives each subtree task its own clone because mCache is not synchronized;
-// the memoized solver is deterministic, so clones always agree.
-func (sc *scorer) clone() *scorer {
-	return newScorer(sc.n, sc.model, sc.size)
-}
+// sizeTable memoizes sortition.MinCommitteeSize at sortition.DefaultSizeParams
+// — the only parameters the planner sizes committees with — per power-of-two
+// committee count, indexed by log2 of the count (0 = not solved yet). Every
+// Plan call and every pool task shares it: the solver is a pure function, so
+// racing fills of one entry store equal values.
+var sizeTable [bits.UintSize]atomic.Int32
 
 // committeeSize returns the minimum committee size for c committees;
 // failures (absurd parameter corners) saturate at the search cap.
-func (sc *scorer) committeeSize(c int) int {
+func committeeSize(c int) int {
 	if c < 1 {
 		c = 1
 	}
 	// Bucket the count so the memo stays small and monotone: round up to
 	// the next power of two (conservative: more committees need bigger m).
-	bucket := 1
-	for bucket < c {
-		bucket <<= 1
+	lg := bits.Len(uint(c - 1))
+	if m := sizeTable[lg].Load(); m != 0 {
+		return int(m)
 	}
-	if m, ok := sc.mCache[bucket]; ok {
-		return m
-	}
-	m, err := sortition.MinCommitteeSize(bucket, sc.size)
+	m, err := sortition.MinCommitteeSize(1<<lg, sortition.DefaultSizeParams)
 	if err != nil {
-		m = sc.size.Max
-		if m == 0 {
-			m = 2048
-		}
+		m = sortition.DefaultSizeParams.Max
 	}
-	sc.mCache[bucket] = m
+	sizeTable[lg].Store(int32(m))
 	return m
 }
 
 // breakdown carries the figure-oriented split alongside the vector.
 type breakdown struct {
-	byRole             map[plan.Role]plan.RoleCost
+	byRole             [plan.NumRoles]plan.RoleCost // indexed by plan.Role
+	roles              uint8                        // bit r: some committee vignette had role r (even at Count 0)
 	baseCPU, baseBytes float64
 	deviceExtraCPU     float64
 	deviceExtraBytes   float64
@@ -74,10 +68,10 @@ func (sc *scorer) score(vs []plan.Vignette) (costmodel.Vector, breakdown, int) {
 	for i := range vs {
 		committees += vs[i].Committees()
 	}
-	m := sc.committeeSize(int(committees))
+	m := committeeSize(int(committees))
 
 	var v costmodel.Vector
-	bd := breakdown{byRole: map[plan.Role]plan.RoleCost{}}
+	var bd breakdown
 	n := float64(sc.n)
 
 	for i := range vs {
@@ -125,13 +119,13 @@ func (sc *scorer) score(vs []plan.Vignette) (costmodel.Vector, breakdown, int) {
 			}
 			v.PartExpCPU += cpu * frac
 			v.PartExpBytes += bytes * frac
-			rc := bd.byRole[vig.Role]
+			rc := &bd.byRole[vig.Role]
+			bd.roles |= 1 << vig.Role
 			// A device serves on at most one committee, so the role's
 			// worst case is the most expensive single vignette.
 			rc.CPU = math.Max(rc.CPU, cpu)
 			rc.Bytes = math.Max(rc.Bytes, bytes)
 			rc.Count += vig.Count
-			bd.byRole[vig.Role] = rc
 			// Committee traffic transits the aggregator's mailbox
 			// (Section 5.4), so the aggregator forwards it all.
 			fwd := bytes * members
@@ -144,7 +138,7 @@ func (sc *scorer) score(vs []plan.Vignette) (costmodel.Vector, breakdown, int) {
 	// additionally serves on the most expensive committee (or sum-tree
 	// vertex, whichever is worse).
 	worstCPU, worstBytes := bd.deviceExtraCPU, bd.deviceExtraBytes
-	for _, rc := range bd.byRole {
+	for _, rc := range &bd.byRole {
 		if rc.CPU > worstCPU {
 			worstCPU = rc.CPU
 		}
@@ -156,4 +150,16 @@ func (sc *scorer) score(vs []plan.Vignette) (costmodel.Vector, breakdown, int) {
 	v.PartMaxBytes = bd.baseBytes + worstBytes
 
 	return v, bd, m
+}
+
+// roleMap converts the per-role table to Plan.ByRole's map: exactly the roles
+// some committee vignette had, so readers that range over it see no empty role.
+func (bd *breakdown) roleMap() map[plan.Role]plan.RoleCost {
+	m := map[plan.Role]plan.RoleCost{}
+	for r, rc := range bd.byRole {
+		if bd.roles&(1<<r) != 0 {
+			m[plan.Role(r)] = rc
+		}
+	}
+	return m
 }

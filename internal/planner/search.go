@@ -199,10 +199,6 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 
 	results, err := parallel.Map(nil, len(frontier), workers, func(t int) (taskResult, error) {
 		var r taskResult
-		tsc := sc
-		if workers > 1 {
-			tsc = sc.clone() // scorer memo is not synchronized; one per pool task
-		}
 		prefix := make([]plan.Vignette, 0, 64)
 		prefix = append(prefix, keygenVignette())
 		choice := make([]option, len(opts))
@@ -218,7 +214,7 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 			if nodes.Add(1) > nodeCap {
 				return ErrNodeCap
 			}
-			partial, _, _ := tsc.score(prefix)
+			partial, bd, m := sc.score(prefix)
 			if !cfg.noBB {
 				// Prune on hard limits: a prefix above a limit can only get
 				// worse (all work counters are non-negative).
@@ -243,14 +239,14 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 				}
 			}
 			if d == len(opts) {
+				// A leaf's partial cost is the plan's exact cost.
 				r.stats.FullCandidates++
-				full, bd, m := tsc.score(prefix)
-				if _, bad := cfg.limits.Violated(full); bad {
+				if _, bad := cfg.limits.Violated(partial); bad {
 					return nil
 				}
-				if r.best == nil || betterPlan(full, r.best.cost, cfg.goal) {
-					r.best = &candidate{choice: append([]option(nil), choice...), cost: full, bd: bd, m: m}
-					publish(full)
+				if r.best == nil || betterPlan(partial, r.best.cost, cfg.goal) {
+					r.best = &candidate{choice: append([]option(nil), choice...), cost: partial, bd: bd, m: m}
+					publish(partial)
 				}
 				return nil
 			}

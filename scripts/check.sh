@@ -45,11 +45,13 @@ go -C bench vet ./...
 go -C bench test ./...
 
 # Allocation-regression gates (docs/KERNELS.md): the kernel hot paths are
-# pinned to their steady-state allocation counts. Runs inside `go test ./...`
-# too; this named invocation bypasses the test cache so the gate always
-# executes, and fails loudly on its own line when a hot path regresses.
+# pinned to their steady-state allocation counts, and the planner's scorer —
+# run once per plan prefix the search visits — to zero. Runs inside
+# `go test ./...` too; this named invocation bypasses the test cache so the
+# gate always executes, and fails loudly on its own line when a hot path
+# regresses.
 echo "== alloc-regression gates"
-go test ./internal/bgv ./internal/ahe -run '^TestAllocGate' -count=1
+go test ./internal/bgv ./internal/ahe ./internal/planner -run '^TestAllocGate' -count=1
 
 # Streaming-ingest memory-flatness smoke (docs/INGEST.md): peak heap at 10^6
 # simulated devices must stay within 1.2x of the 10^5 run. Runs without the
