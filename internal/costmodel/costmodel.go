@@ -120,20 +120,22 @@ type Limits struct {
 	PartMaxBytes float64
 }
 
-// Violated reports the first limit a cost vector exceeds, if any.
+// Violated reports the first limit a cost vector exceeds, if any, in the
+// order of the fields above.
 func (l Limits) Violated(v Vector) (Metric, bool) {
-	type check struct {
-		limit float64
-		m     Metric
-	}
-	for _, c := range []check{
-		{l.AggCPU, AggCPU}, {l.AggBytes, AggBytes},
-		{l.PartExpCPU, PartExpCPU}, {l.PartExpBytes, PartExpBytes},
-		{l.PartMaxCPU, PartMaxCPU}, {l.PartMaxBytes, PartMaxBytes},
-	} {
-		if c.limit > 0 && v.Get(c.m) > c.limit {
-			return c.m, true
-		}
+	switch {
+	case l.AggCPU > 0 && v.AggCPU > l.AggCPU:
+		return AggCPU, true
+	case l.AggBytes > 0 && v.AggBytes > l.AggBytes:
+		return AggBytes, true
+	case l.PartExpCPU > 0 && v.PartExpCPU > l.PartExpCPU:
+		return PartExpCPU, true
+	case l.PartExpBytes > 0 && v.PartExpBytes > l.PartExpBytes:
+		return PartExpBytes, true
+	case l.PartMaxCPU > 0 && v.PartMaxCPU > l.PartMaxCPU:
+		return PartMaxCPU, true
+	case l.PartMaxBytes > 0 && v.PartMaxBytes > l.PartMaxBytes:
+		return PartMaxBytes, true
 	}
 	return 0, false
 }

@@ -52,6 +52,27 @@ func TestLimitsViolated(t *testing.T) {
 	}
 }
 
+// TestLimitsViolatedOrder pins which metric Violated names when two limits are
+// exceeded at once: the earlier one in the order AggCPU, AggBytes, PartExpCPU,
+// PartExpBytes, PartMaxCPU, PartMaxBytes — callers print it.
+func TestLimitsViolatedOrder(t *testing.T) {
+	over := [...]Vector{{AggCPU: 2}, {AggBytes: 2}, {PartExpCPU: 2}, {PartExpBytes: 2}, {PartMaxCPU: 2}, {PartMaxBytes: 2}}
+	exceed := func(a, b Metric) Vector { return over[a].Add(over[b]) }
+	all := Limits{AggCPU: 1, AggBytes: 1, PartExpCPU: 1, PartExpBytes: 1, PartMaxCPU: 1, PartMaxBytes: 1}
+	for first := AggCPU; first <= PartMaxBytes; first++ {
+		for second := first + 1; second <= PartMaxBytes; second++ {
+			if m, bad := all.Violated(exceed(second, first)); !bad || m != first {
+				t.Errorf("%v and %v both exceeded: Violated = %v, %v; want %v", first, second, m, bad, first)
+			}
+		}
+		// A limit of zero on the earlier metric hands the report to the later one.
+		only := Limits{PartMaxBytes: 1}
+		if m, bad := only.Violated(exceed(first, PartMaxBytes)); !bad || m != PartMaxBytes {
+			t.Errorf("%v unlimited, %v exceeded: Violated = %v, %v", first, PartMaxBytes, m, bad)
+		}
+	}
+}
+
 func TestMetricString(t *testing.T) {
 	for m := AggCPU; m <= PartMaxBytes; m++ {
 		if m.String() == "" {

@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"arboretum/internal/costmodel"
@@ -190,10 +191,99 @@ func TestSharedSizeMemo(t *testing.T) {
 	}
 }
 
-// gapFullPlan returns a scorer and the unmerged vignette list of the plan the
-// sequential search picks for gap at N = 2^30: the longest list the
-// plan-corpus scores.
-func gapFullPlan(tb testing.TB) (*scorer, []plan.Vignette) {
+// TestFrameStackMatchesScore is the frame stack's differential check, at every
+// node the real DFS visits: the frame's (Vector, breakdown, m) must equal —
+// with ==, no tolerance — score over the materialised prefix. It walks the
+// sixteen requests of TestSearchStatsMatchParent (fifteen distinct) and the
+// corpus planned for execution at every run shape, each on one task, on the
+// pool (where a task first rebuilds the frames of its frontier prefix) and
+// with pruning off (where no subtree is skipped), and demands that every walk
+// met pushes into another committee-size bucket: the ones that fold the whole
+// prefix again (summed over the requests on the pool, where a small tree's
+// crossing levels can all fall to the frontier expansion and the shared
+// bound).
+func TestFrameStackMatchesScore(t *testing.T) {
+	var reqs []Request
+	for _, q := range queries.All {
+		reqs = append(reqs, Request{Name: q.Name, Source: q.Source, N: testN, Categories: q.Categories,
+			Goal: costmodel.PartExpCPU, Limits: DefaultLimits})
+	}
+	for _, g := range sixGoals {
+		q := queries.Gap
+		if g == costmodel.PartExpCPU {
+			continue // the row above
+		}
+		reqs = append(reqs, Request{Name: q.Name, Source: q.Source, N: testN, Categories: q.Categories,
+			Goal: g, Limits: DefaultLimits})
+	}
+	for _, shape := range runShapes {
+		for _, q := range queries.All {
+			req := forExecution(q.Source, shape[0], shape[1])
+			req.Name = q.Name
+			reqs = append(reqs, req)
+		}
+	}
+
+	var nodes, crossings, poolCrossings, mismatches atomic.Int64
+	nodeHook = func(fs *frameStack, d int) {
+		nodes.Add(1)
+		prefix := []plan.Vignette{keygenVignette()}
+		for l, j := range fs.idx[:d] {
+			prefix = append(prefix, fs.opts[l][j].vignettes...)
+		}
+		f := &fs.frames[d]
+		if d > 0 && sizeBucket(int(f.committees)) != sizeBucket(int(fs.frames[d-1].committees)) {
+			crossings.Add(1)
+		}
+		v, bd, m := fs.sc.score(prefix)
+		if got := f.finish(); got != v || f.bd != bd || f.m != m {
+			if mismatches.Add(1) <= 5 {
+				t.Errorf("prefix %v: frame (%+v, %+v, m=%d), score (%+v, %+v, m=%d)", fs.idx[:d], got, f.bd, f.m, v, bd, m)
+			}
+		}
+	}
+	defer func() { nodeHook = nil }()
+
+	for _, req := range reqs {
+		for _, mode := range []struct {
+			name    string
+			workers int
+			noBB    bool
+		}{{"one task", 1, false}, {"pool", 4, false}, {"no pruning", 1, true}} {
+			if mode.noBB && req.Name == "gap" && req.Goal != costmodel.PartExpCPU {
+				continue // without pruning the goal steers nothing: one walk of gap's 859,756 prefixes
+			}
+			req.Workers, req.DisableBranchAndBound = mode.workers, mode.noBB
+			nodes.Store(0)
+			crossings.Store(0)
+			res, err := Plan(req)
+			if err != nil {
+				t.Errorf("%s N=%d %v, %s: %v", req.Name, req.N, req.Goal, mode.name, err)
+				continue
+			}
+			// On the pool the breadth-first expansion counts the shallowest
+			// nodes without scoring them.
+			if n := nodes.Load(); n == 0 || n > res.Stats.PrefixesExplored || (mode.workers == 1 && n != res.Stats.PrefixesExplored) {
+				t.Errorf("%s N=%d %v, %s: hook saw %d nodes, the search explored %d", req.Name, req.N, req.Goal, mode.name, n, res.Stats.PrefixesExplored)
+			}
+			if mode.workers > 1 {
+				poolCrossings.Add(crossings.Load())
+			} else if crossings.Load() == 0 {
+				t.Errorf("%s N=%d %v, %s: no push crossed a committee-size bucket", req.Name, req.N, req.Goal, mode.name)
+			}
+		}
+	}
+	if poolCrossings.Load() == 0 {
+		t.Error("pool: no push crossed a committee-size bucket")
+	}
+	if n := mismatches.Load(); n > 0 {
+		t.Errorf("%d nodes where the frame is not score(prefix)", n)
+	}
+}
+
+// gapSearch returns what search needs to plan gap at N = 2^30 — the largest
+// option tree of the plan-corpus.
+func gapSearch(tb testing.TB) ([]step, searchSpace, *scorer) {
 	tb.Helper()
 	q := queries.Gap
 	prog, info, _, err := privacy.Admit(q.Source, types.DBInfo{N: testN, Width: q.Categories, ElemRange: q.ElemRange})
@@ -205,8 +295,16 @@ func gapFullPlan(tb testing.TB) (*scorer, []plan.Vignette) {
 		tb.Fatal(err)
 	}
 	model := costmodel.Default()
-	sc := newScorer(testN, model)
-	best, _, err := search(steps, defaultSpace(testN, model), sc,
+	return steps, defaultSpace(testN, model), newScorer(testN, model)
+}
+
+// gapFullPlan returns a scorer and the unmerged vignette list of the plan the
+// sequential search picks for gap at N = 2^30: the longest list the
+// plan-corpus scores.
+func gapFullPlan(tb testing.TB) (*scorer, []plan.Vignette) {
+	tb.Helper()
+	steps, sp, sc := gapSearch(tb)
+	best, _, err := search(steps, sp, sc,
 		searchConfig{goal: costmodel.PartExpCPU, limits: DefaultLimits, workers: 1})
 	if err != nil {
 		tb.Fatal(err)

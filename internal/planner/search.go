@@ -1,15 +1,15 @@
 package planner
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
 	"arboretum/internal/costmodel"
 	"arboretum/internal/parallel"
-	"arboretum/internal/plan"
 )
 
 // Stats reports what the search did (Figure 9 and the branch-and-bound
@@ -133,21 +133,25 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 	if !cfg.noBB {
 		// Heuristic order: score each option in isolation and try the
 		// cheapest first, so a good incumbent appears early and the
-		// bound prunes aggressively (pointless without pruning).
-		type scored struct {
-			o option
-			v float64
+		// bound prunes aggressively (pointless without pruning). Ties keep
+		// their enumeration order.
+		type key struct {
+			goal float64
+			at   int
 		}
-		for _, os := range opts {
-			ss := make([]scored, len(os))
-			for j, o := range os {
-				v, _, _ := sc.score(o.vignettes)
-				ss[j] = scored{o: o, v: v.Get(cfg.goal)}
+		var keys []key
+		for l, os := range opts {
+			keys = keys[:0]
+			for j := range os {
+				v, _, _ := sc.score(os[j].vignettes)
+				keys = append(keys, key{goal: v.Get(cfg.goal), at: j})
 			}
-			sort.SliceStable(ss, func(a, b int) bool { return ss[a].v < ss[b].v })
-			for j := range ss {
-				os[j] = ss[j].o
+			slices.SortStableFunc(keys, func(a, b key) int { return cmp.Compare(a.goal, b.goal) })
+			sorted := make([]option, len(os))
+			for j, k := range keys {
+				sorted[j] = os[k.at]
 			}
+			opts[l] = sorted
 		}
 	}
 
@@ -199,14 +203,13 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 
 	results, err := parallel.Map(nil, len(frontier), workers, func(t int) (taskResult, error) {
 		var r taskResult
-		prefix := make([]plan.Vignette, 0, 64)
-		prefix = append(prefix, keygenVignette())
-		choice := make([]option, len(opts))
+		fs := newFrameStack(sc, opts)
 		for lvl, j := range frontier[t] {
-			o := opts[lvl][j]
-			choice[lvl] = o
-			prefix = append(prefix, o.vignettes...)
+			fs.push(lvl, j)
 		}
+		// The incumbent is recorded in place: one candidate, overwritten by
+		// every improvement.
+		incumbent := candidate{choice: make([]option, len(opts))}
 
 		var dfs func(d int) error
 		dfs = func(d int) error {
@@ -214,7 +217,11 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 			if nodes.Add(1) > nodeCap {
 				return ErrNodeCap
 			}
-			partial, bd, m := sc.score(prefix)
+			if nodeHook != nil {
+				nodeHook(fs, d)
+			}
+			f := &fs.frames[d]
+			partial := f.finish()
 			if !cfg.noBB {
 				// Prune on hard limits: a prefix above a limit can only get
 				// worse (all work counters are non-negative).
@@ -239,24 +246,29 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 				}
 			}
 			if d == len(opts) {
-				// A leaf's partial cost is the plan's exact cost.
+				// A leaf's partial cost is the plan's exact cost. With
+				// pruning on, it has already passed the limits above.
 				r.stats.FullCandidates++
-				if _, bad := cfg.limits.Violated(partial); bad {
-					return nil
+				if cfg.noBB {
+					if _, bad := cfg.limits.Violated(partial); bad {
+						return nil
+					}
 				}
 				if r.best == nil || betterPlan(partial, r.best.cost, cfg.goal) {
-					r.best = &candidate{choice: append([]option(nil), choice...), cost: partial, bd: bd, m: m}
-					publish(partial)
+					r.best = &incumbent
+					for l, j := range fs.idx {
+						incumbent.choice[l] = opts[l][j]
+					}
+					incumbent.cost, incumbent.bd, incumbent.m = partial, f.bd, f.m
+					if len(frontier) > 1 {
+						publish(partial) // a lone task's bound is its own incumbent
+					}
 				}
 				return nil
 			}
-			for _, o := range opts[d] {
-				mark := len(prefix)
-				prefix = append(prefix, o.vignettes...)
-				choice[d] = o
-				err := dfs(d + 1)
-				prefix = prefix[:mark]
-				if err != nil {
+			for j := range opts[d] {
+				fs.push(d, j)
+				if err := dfs(d + 1); err != nil {
 					return err
 				}
 			}
@@ -346,6 +358,11 @@ func labelIndex(os []option, label string) int {
 	}
 	return -1
 }
+
+// nodeHook, when a test sets it, is shown every node the DFS visits — the
+// task's frame stack and the node's depth — from whichever goroutine runs
+// the task.
+var nodeHook func(fs *frameStack, d int)
 
 // ErrNodeCap is what a search returns when the shared node counter crosses
 // Request.NodeCap: the query's option tree is larger than the caller is

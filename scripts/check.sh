@@ -53,6 +53,12 @@ go -C bench test ./...
 echo "== alloc-regression gates"
 go test ./internal/bgv ./internal/ahe ./internal/planner -run '^TestAllocGate' -count=1
 
+# The planner's go test -bench handles (ROADMAP 1(c), the verify skill) are
+# compiled by the passes above but run by none of them; one iteration each
+# (under a second) so a handle that panics or rots fails here.
+echo "== planner bench handles (-benchtime 1x)"
+go test ./internal/planner -run '^$' -bench . -benchtime 1x
+
 # Streaming-ingest memory-flatness smoke (docs/INGEST.md): peak heap at 10^6
 # simulated devices must stay within 1.2x of the 10^5 run. Runs without the
 # race detector (the test is !race-tagged: 10^6 instrumented Paillier folds
