@@ -33,8 +33,18 @@ type searchSpace struct {
 	n        int64
 	model    *costmodel.Model
 	fanouts  []int64 // sum/argmax tree fanouts
-	slices   []int64 // values handled per committee
+	slices   []int64 // values handled per committee, ascending
 	execOnly bool    // keep only options the runtime can run (Request.ExecutableOnly)
+}
+
+// slicesFor returns the slice widths worth offering for a c-vector: those
+// up to c, and always the narrowest.
+func (sp searchSpace) slicesFor(c int64) []int64 {
+	k := 1
+	for k < len(sp.slices) && sp.slices[k] <= c {
+		k++
+	}
+	return sp.slices[:k]
 }
 
 func defaultSpace(n int64, m *costmodel.Model) searchSpace {
@@ -195,7 +205,8 @@ func (sp searchSpace) sampleOptions() []option {
 // work — the outsourcing lever behind Figure 10.
 func (sp searchSpace) sumOptions(st step) []option {
 	cts := sp.ctsFor(st.c)
-	opts := []option{{
+	opts := make([]option, 1, 1+len(sp.fanouts))
+	opts[0] = option{
 		choiceVal: "aggregator-loop",
 		exec:      true,
 		vignettes: []plan.Vignette{{
@@ -203,7 +214,7 @@ func (sp searchSpace) sumOptions(st step) []option {
 			Count: 1, Crypto: plan.CryptoAHE,
 			Work: plan.Work{HEAdds: sp.n * cts},
 		}},
-	}}
+	}
 	for _, phi := range sp.fanouts {
 		if phi < 2 {
 			continue
@@ -239,7 +250,8 @@ func (sp searchSpace) sumOptions(st step) []option {
 func (sp searchSpace) computeOptions(st step) []option {
 	// st.ops holds TOTAL operation counts for the whole step (loop
 	// iterations already folded in by the decomposer).
-	var opts []option
+	widths := sp.slicesFor(st.c)
+	opts := make([]option, 0, 1+len(widths))
 	// Additions and plaintext multiplications stay in AHE; comparisons and
 	// exponentials force FHE (Section 4.5's rule).
 	crypto := plan.CryptoAHE
@@ -260,10 +272,7 @@ func (sp searchSpace) computeOptions(st step) []option {
 			},
 		}},
 	})
-	for _, sigma := range sp.slices {
-		if sigma > st.c && sigma != sp.slices[0] {
-			continue
-		}
+	for _, sigma := range widths {
 		count := ceilDiv(st.c, sigma)
 		opts = append(opts, option{
 			choiceVal: fmt.Sprintf("committee-slice-%d", sigma),
@@ -287,11 +296,9 @@ func (sp searchSpace) computeOptions(st step) []option {
 // pattern): committees jointly decrypt the aggregated ciphertext slice and
 // release the noised values.
 func (sp searchSpace) noiseOptions(st step) []option {
-	var opts []option
-	for _, sigma := range sp.slices {
-		if sigma > st.c && sigma != sp.slices[0] {
-			continue
-		}
+	widths := sp.slicesFor(st.c)
+	opts := make([]option, 0, len(widths))
+	for _, sigma := range widths {
 		count := ceilDiv(st.c, sigma)
 		opts = append(opts, option{
 			choiceVal: fmt.Sprintf("committee-slice-%d", sigma),
@@ -315,15 +322,13 @@ func (sp searchSpace) noiseOptions(st step) []option {
 // emOptions: the two instantiations of the exponential mechanism (Figure 4).
 // rounds > 1 reuses the machinery for top-k peeling.
 func (sp searchSpace) emOptions(st step, rounds int64) []option {
-	var opts []option
+	widths := sp.slicesFor(st.c)
+	opts := make([]option, 0, len(widths)*(len(sp.fanouts)+2))
 	cts := sp.ctsFor(st.c)
 
 	// Variant 1 (Figure 4 right): decrypt sums to shares, add Gumbel noise,
 	// tournament argmax across committees.
-	for _, sigmaN := range sp.slices {
-		if sigmaN > st.c && sigmaN != sp.slices[0] {
-			continue
-		}
+	for _, sigmaN := range widths {
 		for _, psi := range sp.fanouts {
 			decCount := ceilDiv(st.c, 1024) // decryption slices are coarse
 			noiseCount := ceilDiv(st.c, sigmaN)
@@ -364,10 +369,7 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 	// Variant 2 (Figure 4 left): exponentiate scores, then CDF selection.
 	// The exponentials run either as an FHE circuit at the aggregator or in
 	// committee MPCs; the CDF scan's comparisons always run on committees.
-	for _, sigma := range sp.slices {
-		if sigma > st.c && sigma != sp.slices[0] {
-			continue
-		}
+	for _, sigma := range widths {
 		scanCount := ceilDiv(st.c, sigma)
 		expCommittee := plan.Vignette{
 			Desc: fmt.Sprintf("fixed-point exp in MPC (%d scores per committee)", sigma),
@@ -420,12 +422,12 @@ func (sp searchSpace) topKOptions(st step) []option {
 	if k < 1 {
 		k = 1
 	}
-	var opts []option
 	// Peeling: k full rounds.
-	for _, o := range sp.emOptions(st, k) {
+	opts := sp.emOptions(st, k)
+	for i := range opts {
+		o := &opts[i]
 		o.choiceVal = "peel-" + o.choiceVal
 		o.exec = o.exec && o.em == mechanism.EMGumbel // the runtime peels with Gumbel-argmax rounds only
-		opts = append(opts, o)
 	}
 	// One-shot: noise once, then k tournament passes (cheaper, √k·ε).
 	for _, psi := range sp.fanouts {
@@ -469,7 +471,7 @@ func (sp searchSpace) topKOptions(st step) []option {
 // maxSelOptions: max/argmax over encrypted values — a tournament without
 // noise.
 func (sp searchSpace) maxSelOptions(st step) []option {
-	var opts []option
+	opts := make([]option, 0, len(sp.fanouts))
 	for _, psi := range sp.fanouts {
 		treeCount := ceilDiv(st.c, psi-1)
 		opts = append(opts, option{

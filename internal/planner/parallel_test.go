@@ -8,6 +8,7 @@ package planner
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -92,19 +93,25 @@ func TestParallelBranchAndBoundPrunes(t *testing.T) {
 }
 
 // TestParallelNodeCapAborts mirrors TestNodeCapAborts on the parallel path:
-// the shared node counter must stop a capped exhaustive search.
+// the shared node counter must stop a capped exhaustive search. Pool tasks
+// add to it in batches, so the search may run past the cap — by fewer than
+// workers×nodeBatch nodes.
 func TestParallelNodeCapAborts(t *testing.T) {
-	_, err := Plan(Request{
+	const workers = 8
+	res, err := Plan(Request{
 		Name: "median", Source: queries.Median.Source, N: 1 << 30,
 		Categories:            queries.Median.Categories,
 		Goal:                  costmodel.PartExpCPU,
 		Limits:                DefaultLimits,
 		DisableBranchAndBound: true,
 		NodeCap:               1000,
-		Workers:               8,
+		Workers:               workers,
 	})
-	if err == nil {
-		t.Fatal("capped parallel exhaustive search should abort")
+	if !errors.Is(err, ErrNodeCap) {
+		t.Fatalf("capped parallel exhaustive search: %v, want ErrNodeCap", err)
+	}
+	if n := res.Stats.PrefixesExplored; !res.Stats.Aborted || n <= 1000 || n > 1000+workers*nodeBatch {
+		t.Errorf("stats %+v, want Aborted after 1000 < prefixes ≤ %d", res.Stats, 1000+workers*nodeBatch)
 	}
 }
 
@@ -196,22 +203,31 @@ func TestSearchStatsMatchParent(t *testing.T) {
 	}
 }
 
-// BenchmarkSearch plans the median query (the largest option tree among the
-// evaluation queries) with branch-and-bound disabled so the full tree is
-// walked. Run with -cpu 1,4 to compare the sequential fallback against the
-// worker pool.
+// BenchmarkSearch plans gap — the largest option tree among the evaluation
+// queries, 210,574 leaves — on one task and on a pool of four, with
+// branch-and-bound on (the shared bound and node counter under contention)
+// and off (the whole tree walked).
 func BenchmarkSearch(b *testing.B) {
-	req := Request{
-		Name: "median", Source: queries.Median.Source, N: 1 << 30,
-		Categories:            queries.Median.Categories,
-		Goal:                  costmodel.PartExpCPU,
-		Limits:                DefaultLimits,
-		DisableBranchAndBound: true,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Plan(req); err != nil {
-			b.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		noBB bool
+	}{{"prune", false}, {"exhaustive", true}} {
+		for _, workers := range []int{1, 4} {
+			req := Request{
+				Name: "gap", Source: queries.Gap.Source, N: 1 << 30,
+				Categories:            queries.Gap.Categories,
+				Goal:                  costmodel.PartExpCPU,
+				Limits:                DefaultLimits,
+				DisableBranchAndBound: mode.noBB,
+				Workers:               workers,
+			}
+			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := Plan(req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

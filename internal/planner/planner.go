@@ -32,7 +32,8 @@ type Request struct {
 	// DisableBranchAndBound turns off pruning (the ablation of Section 7.3).
 	DisableBranchAndBound bool
 	// NodeCap bounds the prefixes a search may visit (0 = 50 million); past
-	// it Plan returns ErrNodeCap.
+	// it Plan returns ErrNodeCap. A search on the worker pool may run past
+	// the cap by up to a fixed per-task batch of prefixes per worker.
 	NodeCap int64
 
 	// ForceChoices pins steps to implementations whose choice value starts

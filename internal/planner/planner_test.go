@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"errors"
 	"testing"
 
 	"arboretum/internal/costmodel"
@@ -243,18 +244,23 @@ func TestBranchAndBoundPreservesOptimum(t *testing.T) {
 }
 
 // The node cap models the paper's OOM: with pruning disabled and a small
-// cap, complex queries abort.
+// cap, complex queries abort. A lone task is the node counter's only writer,
+// so it stops at exactly the first node past the cap.
 func TestNodeCapAborts(t *testing.T) {
-	_, err := Plan(Request{
+	res, err := Plan(Request{
 		Name: "median", Source: queries.Median.Source, N: testN,
 		Categories:            queries.Median.Categories,
 		Goal:                  costmodel.PartExpCPU,
 		Limits:                DefaultLimits,
 		DisableBranchAndBound: true,
 		NodeCap:               1000,
+		Workers:               1,
 	})
-	if err == nil {
-		t.Fatal("capped exhaustive search should abort")
+	if !errors.Is(err, ErrNodeCap) {
+		t.Fatalf("capped exhaustive search: %v, want ErrNodeCap", err)
+	}
+	if !res.Stats.Aborted || res.Stats.PrefixesExplored != 1001 {
+		t.Errorf("stats %+v, want Aborted after exactly 1001 prefixes", res.Stats)
 	}
 }
 

@@ -182,9 +182,13 @@ func (f *frame) finish() costmodel.Vector {
 // from the first d tree levels, so descending to a child copies its parent's
 // frame and adds only the child's own vignettes, and returning costs nothing
 // — the next sibling overwrites the slot. A prefix's committee size m comes
-// from the bucket of its committee count and MemberCost scales MPC bytes by m,
-// so a child in another bucket than its parent does not extend the parent's
-// sums: it folds its whole prefix again at its own m.
+// from its committee count and MemberCost scales MPC bytes by m, so a child
+// whose m differs from its parent's cannot extend the parent's sums: it
+// extends alt[d] instead, the parent's prefix folded again at the child's m.
+// That re-fold is done once and reused by every later sibling landing on the
+// same m, until a push at level d-1 replaces the parent (m 0 marks it stale).
+// A child that only crosses into another size bucket keeps its parent's m
+// (sizeTable saturates) and extends the parent frame like any other.
 //
 // Either way each vignette's MemberCost is looked up, not computed: costs
 // holds it once per (option, m) the task has met. Nothing here is shared — a
@@ -196,6 +200,7 @@ type frameStack struct {
 	keygen [1]plan.Vignette
 	idx    []int
 	frames []frame
+	alt    []frame // alt[d]: frames[d]'s prefix at another m (m 0 = none yet)
 
 	base  []int        // base[l]+j numbers opts[l][j]; 0 is the keygen vignette
 	sizes []int        // the committee sizes met so far
@@ -212,6 +217,7 @@ func newFrameStack(sc *scorer, opts [][]option) *frameStack {
 		keygen: [1]plan.Vignette{keygenVignette()},
 		idx:    make([]int, len(opts)),
 		frames: make([]frame, len(opts)+1),
+		alt:    make([]frame, len(opts)+1),
 		base:   make([]int, len(opts)+1),
 	}
 	fs.base[0] = 1
@@ -225,7 +231,8 @@ func newFrameStack(sc *scorer, opts [][]option) *frameStack {
 	// Most options meet one committee size: room for each once and a quarter
 	// again seldom has to grow.
 	fs.costs = make([]memberCost, 0, vignettes+vignettes/4)
-	fs.refold(0, fs.keygen[0].Committees())
+	c := fs.keygen[0].Committees()
+	fs.refold(&fs.frames[0], 0, c, committeeSize(int(c)))
 	return fs
 }
 
@@ -233,26 +240,28 @@ func newFrameStack(sc *scorer, opts [][]option) *frameStack {
 // longer prefix into frames[d+1].
 func (fs *frameStack) push(d, j int) {
 	fs.idx[d] = j
-	parent, f := &fs.frames[d], &fs.frames[d+1]
+	fs.alt[d+1].m = 0 // frames[d+1] is about to change
+	parent := &fs.frames[d]
 	vs := fs.opts[d][j].vignettes
 	committees := parent.committees
 	for i := range vs {
 		committees += vs[i].Committees()
 	}
-	if sizeBucket(int(committees)) != sizeBucket(int(parent.committees)) {
-		fs.refold(d+1, committees)
-		return
+	if m := committeeSize(int(committees)); m != parent.m {
+		if parent = &fs.alt[d]; parent.m != m {
+			fs.refold(parent, d, fs.frames[d].committees, m)
+		}
 	}
+	f := &fs.frames[d+1]
 	*f = *parent
 	f.committees = committees
 	fs.fold(f, fs.base[d]+j, vs)
 }
 
-// refold scores the prefix idx[:d], of the given committee count, into
-// frames[d] from the keygen vignette on.
-func (fs *frameStack) refold(d int, committees int64) {
-	f := &fs.frames[d]
-	*f = frame{committees: committees, m: committeeSize(int(committees))}
+// refold sets f to score's fold, at committee size m, of the prefix idx[:d]
+// with the given committee count.
+func (fs *frameStack) refold(f *frame, d int, committees int64, m int) {
+	*f = frame{committees: committees, m: m}
 	fs.fold(f, 0, fs.keygen[:])
 	for l, j := range fs.idx[:d] {
 		fs.fold(f, fs.base[l]+j, fs.opts[l][j].vignettes)

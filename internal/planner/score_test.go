@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -191,17 +193,34 @@ func TestSharedSizeMemo(t *testing.T) {
 	}
 }
 
+// The ways a push can make its frame, as TestFrameStackMatchesScore tells
+// them apart from the frames it sees.
+const (
+	pushExtend    = iota // same m, same size bucket: the parent frame extended
+	pushCrossing         // another size bucket at the same m: extended all the same
+	pushAltBuilt         // another m: the parent's prefix re-folded at it, into alt
+	pushAltReused        // another m that an earlier sibling already re-folded at
+	numPushKinds
+)
+
+// emQuery reports whether a query calls the exponential mechanism, whose
+// options add the hundreds of committees that move m.
+func emQuery(src string) bool {
+	return strings.Contains(src, "em(") || strings.Contains(src, "topk(")
+}
+
 // TestFrameStackMatchesScore is the frame stack's differential check, at every
 // node the real DFS visits: the frame's (Vector, breakdown, m) must equal —
 // with ==, no tolerance — score over the materialised prefix. It walks the
 // sixteen requests of TestSearchStatsMatchParent (fifteen distinct) and the
 // corpus planned for execution at every run shape, each on one task, on the
 // pool (where a task first rebuilds the frames of its frontier prefix) and
-// with pruning off (where no subtree is skipped), and demands that every walk
-// met pushes into another committee-size bucket: the ones that fold the whole
-// prefix again (summed over the requests on the pool, where a small tree's
-// crossing levels can all fall to the frontier expansion and the shared
-// bound).
+// with pruning off (where no subtree is skipped). It also sorts every push by
+// the path it took — extending the parent frame within its size bucket or
+// across one at the same m, or extending alt after re-folding it or reusing
+// a sibling's re-fold — and demands a bucket crossing of every one-task walk
+// and each path of the em queries, on one task and on the pool: a stale or
+// wrong-m alternate frame shows up as a mismatch.
 func TestFrameStackMatchesScore(t *testing.T) {
 	var reqs []Request
 	for _, q := range queries.All {
@@ -224,7 +243,13 @@ func TestFrameStackMatchesScore(t *testing.T) {
 		}
 	}
 
-	var nodes, crossings, poolCrossings, mismatches atomic.Int64
+	var nodes, mismatches atomic.Int64
+	var mu sync.Mutex // guards kinds and altM
+	var kinds [numPushKinds]int64
+	// Per task, the m each alt[d] was last re-folded at, 0 once frames[d]
+	// changes: what push must have found there, so the hook can tell a
+	// re-fold from a reuse.
+	altM := map[*frameStack][]int{}
 	nodeHook = func(fs *frameStack, d int) {
 		nodes.Add(1)
 		prefix := []plan.Vignette{keygenVignette()}
@@ -232,9 +257,27 @@ func TestFrameStackMatchesScore(t *testing.T) {
 			prefix = append(prefix, fs.opts[l][j].vignettes...)
 		}
 		f := &fs.frames[d]
-		if d > 0 && sizeBucket(int(f.committees)) != sizeBucket(int(fs.frames[d-1].committees)) {
-			crossings.Add(1)
+		mu.Lock()
+		model := altM[fs]
+		if model == nil {
+			model = make([]int, len(fs.frames))
+			altM[fs] = model
 		}
+		model[d] = 0 // the push that made frames[d] invalidated alt[d]
+		if d > 0 {
+			parent := &fs.frames[d-1]
+			kind := pushExtend
+			switch {
+			case f.m != parent.m && model[d-1] == f.m:
+				kind = pushAltReused
+			case f.m != parent.m:
+				kind, model[d-1] = pushAltBuilt, f.m
+			case sizeBucket(int(f.committees)) != sizeBucket(int(parent.committees)):
+				kind = pushCrossing
+			}
+			kinds[kind]++
+		}
+		mu.Unlock()
 		v, bd, m := fs.sc.score(prefix)
 		if got := f.finish(); got != v || f.bd != bd || f.m != m {
 			if mismatches.Add(1) <= 5 {
@@ -244,6 +287,7 @@ func TestFrameStackMatchesScore(t *testing.T) {
 	}
 	defer func() { nodeHook = nil }()
 
+	emPushes := map[string][numPushKinds]int64{} // by mode, over the em queries at N = 2^30
 	for _, req := range reqs {
 		for _, mode := range []struct {
 			name    string
@@ -255,7 +299,8 @@ func TestFrameStackMatchesScore(t *testing.T) {
 			}
 			req.Workers, req.DisableBranchAndBound = mode.workers, mode.noBB
 			nodes.Store(0)
-			crossings.Store(0)
+			kinds = [numPushKinds]int64{}
+			clear(altM)
 			res, err := Plan(req)
 			if err != nil {
 				t.Errorf("%s N=%d %v, %s: %v", req.Name, req.N, req.Goal, mode.name, err)
@@ -266,15 +311,28 @@ func TestFrameStackMatchesScore(t *testing.T) {
 			if n := nodes.Load(); n == 0 || n > res.Stats.PrefixesExplored || (mode.workers == 1 && n != res.Stats.PrefixesExplored) {
 				t.Errorf("%s N=%d %v, %s: hook saw %d nodes, the search explored %d", req.Name, req.N, req.Goal, mode.name, n, res.Stats.PrefixesExplored)
 			}
-			if mode.workers > 1 {
-				poolCrossings.Add(crossings.Load())
-			} else if crossings.Load() == 0 {
+			if mode.workers == 1 && kinds[pushExtend] == nodes.Load()-1 {
 				t.Errorf("%s N=%d %v, %s: no push crossed a committee-size bucket", req.Name, req.N, req.Goal, mode.name)
+			}
+			if req.N == testN && emQuery(req.Source) {
+				sum := emPushes[mode.name]
+				for k, n := range kinds {
+					sum[k] += n
+				}
+				emPushes[mode.name] = sum
 			}
 		}
 	}
-	if poolCrossings.Load() == 0 {
-		t.Error("pool: no push crossed a committee-size bucket")
+	// A small tree can lack a kind (top1 never crosses a bucket at an
+	// unchanged m; on the pool the frontier's pushes, where most re-folds
+	// happen, are not DFS nodes), so the kinds are required of the em
+	// queries together.
+	for _, mode := range []string{"one task", "pool"} {
+		sum := emPushes[mode]
+		t.Logf("%s, em queries at N = 2^30: pushes extend/crossing/alt built/alt reused %v", mode, sum)
+		if slices.Contains(sum[:], 0) {
+			t.Errorf("%s, em queries at N = 2^30: pushes extend/crossing/alt built/alt reused %v, want every kind", mode, sum)
+		}
 	}
 	if n := mismatches.Load(); n > 0 {
 		t.Errorf("%d nodes where the frame is not score(prefix)", n)
@@ -329,17 +387,23 @@ func BenchmarkScore(b *testing.B) {
 
 var scoreSink costmodel.Vector // keeps BenchmarkScore's call alive
 
-// BenchmarkPlanCorpusSequential is one plan-corpus operation (bench/planwl.go)
-// on one goroutine: the ten evaluation queries under each of the six goals at
-// N = 2^30.
-func BenchmarkPlanCorpusSequential(b *testing.B) {
+// BenchmarkPlanCorpus is one plan-corpus operation (bench/planwl.go): the ten
+// evaluation queries under each of the six goals at N = 2^30, with Workers
+// unset as the workload plans — gap's six searches go to the pool.
+func BenchmarkPlanCorpus(b *testing.B) { benchmarkPlanCorpus(b, 0) }
+
+// BenchmarkPlanCorpusSequential is the same corpus on one goroutine: the
+// planner's own cost, free of the pool's scheduling and shared counters.
+func BenchmarkPlanCorpusSequential(b *testing.B) { benchmarkPlanCorpus(b, 1) }
+
+func benchmarkPlanCorpus(b *testing.B, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries.All {
 			for _, g := range sixGoals {
 				_, err := Plan(Request{
 					Name: q.Name, Source: q.Source, N: testN, Categories: q.Categories,
-					ElemRange: q.ElemRange, Goal: g, Limits: DefaultLimits, Workers: 1,
+					ElemRange: q.ElemRange, Goal: g, Limits: DefaultLimits, Workers: workers,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -171,9 +171,15 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 		(cfg.workers > 1 || estLeaves(opts) >= parallelSearchThreshold) {
 		workers = w
 	}
-	var nodes atomic.Int64 // shared node counter, also enforces the cap
+	lone := workers == 1
+	// The shared node counter, which enforces the cap. A task adds its nodes
+	// in batches of nodeBatch and checks the counter plus its unadded nodes,
+	// so a lone task stops at exactly the node past the cap and a pool can
+	// run past it by fewer than workers×nodeBatch nodes before every task has
+	// seen it.
+	var nodes atomic.Int64
 	frontier := [][]int{{}}
-	if workers > 1 {
+	if !lone {
 		frontier = expandFrontier(opts, workers*4, &nodes)
 	}
 	// Every node is visited exactly once: shallow ones by the expansion,
@@ -210,11 +216,16 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 		// The incumbent is recorded in place: one candidate, overwritten by
 		// every improvement.
 		incumbent := candidate{choice: make([]option, len(opts))}
+		var pending int64 // nodes visited, not yet added to the shared counter
 
 		var dfs func(d int) error
 		dfs = func(d int) error {
 			r.stats.PrefixesExplored++
-			if nodes.Add(1) > nodeCap {
+			if pending++; pending == nodeBatch {
+				nodes.Add(nodeBatch)
+				pending = 0
+			}
+			if nodes.Load()+pending > nodeCap {
 				return ErrNodeCap
 			}
 			if nodeHook != nil {
@@ -260,7 +271,7 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 						incumbent.choice[l] = opts[l][j]
 					}
 					incumbent.cost, incumbent.bd, incumbent.m = partial, f.bd, f.m
-					if len(frontier) > 1 {
+					if !lone {
 						publish(partial) // a lone task's bound is its own incumbent
 					}
 				}
@@ -274,11 +285,13 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 			}
 			return nil
 		}
-		return r, dfs(len(frontier[t]))
+		err := dfs(len(frontier[t]))
+		nodes.Add(pending)
+		return r, err
 	})
 	if err != nil {
-		// An aborted search has no task results to add up; the shared counter
-		// saw every node.
+		// An aborted search has no task results to add up; every task has
+		// added all its nodes to the shared counter by the time Map returns.
 		stats.Aborted = true
 		stats.PrefixesExplored = nodes.Load()
 		return nil, stats, ErrNodeCap
@@ -373,6 +386,11 @@ var ErrNodeCap = errors.New("planner: search exceeded the node cap")
 // an automatically-sized search stays sequential: per-node work is tiny
 // (microseconds), so small trees finish before a pool would warm up.
 const parallelSearchThreshold = 1 << 14
+
+// nodeBatch is how many nodes a task visits between additions to the shared
+// node counter: rare enough that the counter's cache line stays put,
+// small next to any cap worth setting.
+const nodeBatch = 1 << 10
 
 // estLeaves estimates the full-candidate count of the option tree (the
 // product of per-step option counts), saturating well past the threshold.
