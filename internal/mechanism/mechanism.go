@@ -1,8 +1,10 @@
-// Package mechanism implements the differential-privacy mechanisms Arboretum
-// plans around (Section 2.1): the Laplace mechanism for numerical queries,
-// the exponential mechanism for categorical queries — in both the textbook
-// exponentiation form and the Gumbel-noise form of Figure 4 — top-k
-// selection, and the secrecy-of-the-sample amplification bound.
+// Package mechanism holds the differential-privacy building blocks Arboretum
+// plans around (Section 2.1): the Laplace and Gumbel noise samplers, the two
+// instantiations of the exponential mechanism (EMVariant), the bin protocol
+// and the secrecy-of-the-sample amplification bound. The mechanisms
+// themselves — Laplace noising, exponentiate-select, Gumbel argmax and top-k
+// peeling — run as committee MPC in internal/runtime, drawing their noise
+// from these samplers.
 //
 // Samplers work in the Q30.16 fixed-point arithmetic of internal/fixed,
 // matching the paper's MP-SPDZ sfix programs (Section 6): base-2
@@ -148,138 +150,6 @@ func (v EMVariant) String() string {
 	default:
 		return fmt.Sprintf("EMVariant(%d)", int(v))
 	}
-}
-
-// normalizationBits is the paper's L = max(s) − 11 window ("16 bits"): scores
-// further than this below the maximum round to probability zero, which is
-// what introduces the δ term.
-const normalizationBits = 11
-
-// Exponential runs the exponential mechanism over integer quality scores with
-// the given sensitivity and ε, using the requested variant. It returns the
-// selected index.
-func Exponential(rng Rand, scores []int64, sensitivity int64, epsilon float64, v EMVariant) (int, error) {
-	if len(scores) == 0 {
-		return 0, errors.New("mechanism: empty score vector")
-	}
-	if sensitivity <= 0 || epsilon <= 0 {
-		return 0, fmt.Errorf("mechanism: sensitivity %d and epsilon %g must be positive", sensitivity, epsilon)
-	}
-	switch v {
-	case EMExponentiate:
-		return emExponentiate(rng, scores, sensitivity, epsilon)
-	case EMGumbel:
-		return emGumbel(rng, scores, sensitivity, epsilon)
-	default:
-		return 0, fmt.Errorf("mechanism: unknown variant %v", v)
-	}
-}
-
-// emExponentiate mirrors Figure 4 (left): normalize to [max−L, max], weight
-// w_i = exp((s_i − L)·ε/(2·sens)), draw r ∈ [0, Σw), return the bracket.
-func emExponentiate(rng Rand, scores []int64, sensitivity int64, epsilon float64) (int, error) {
-	maxScore := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxScore {
-			maxScore = s
-		}
-	}
-	low := maxScore - normalizationBits*2*sensitivity // scores below contribute ~0
-	epsFix := fixed.FromFloat(epsilon)
-	denom := fixed.FromInt(2 * sensitivity)
-	weights := make([]fixed.Fixed, len(scores))
-	var total fixed.Fixed
-	for i, s := range scores {
-		if s < low {
-			weights[i] = 0
-			continue
-		}
-		exponent := fixed.FromInt(s - low).Mul(epsFix).Div(denom)
-		w := fixed.Exp(exponent)
-		weights[i] = w
-		total = total.Add(w)
-	}
-	if total <= 0 {
-		return 0, errors.New("mechanism: all weights underflowed")
-	}
-	r := rng.Uniform().Mul(total)
-	var cum fixed.Fixed
-	for i, w := range weights {
-		cum = cum.Add(w)
-		if r < cum {
-			return i, nil
-		}
-	}
-	return len(scores) - 1, nil
-}
-
-// emGumbel mirrors Figure 4 (right): s_i + Gumbel(2·sens/ε), return argmax.
-func emGumbel(rng Rand, scores []int64, sensitivity int64, epsilon float64) (int, error) {
-	scale := fixed.FromFloat(2 * float64(sensitivity) / epsilon)
-	best := 0
-	var bestVal fixed.Fixed
-	for i, s := range scores {
-		noised := fixed.FromInt(s).Add(Gumbel(rng, scale))
-		if i == 0 || noised > bestVal {
-			best = i
-			bestVal = noised
-		}
-	}
-	return best, nil
-}
-
-// TopK returns the k indices with the highest Gumbel-noised scores
-// (Durfee-Rogers pay-what-you-get top-k, the paper's topK query). Per
-// Section 2.1, noising once and releasing the k best costs (√k·ε, 0)-DP;
-// noising k times costs (k·ε, 0)-DP — the OneShot flag selects which.
-func TopK(rng Rand, scores []int64, k int, sensitivity int64, epsilon float64, oneShot bool) ([]int, error) {
-	if k <= 0 || k > len(scores) {
-		return nil, fmt.Errorf("mechanism: k=%d out of range (1..%d)", k, len(scores))
-	}
-	if sensitivity <= 0 || epsilon <= 0 {
-		return nil, errors.New("mechanism: sensitivity and epsilon must be positive")
-	}
-	scale := fixed.FromFloat(2 * float64(sensitivity) / epsilon)
-	type noised struct {
-		idx int
-		val fixed.Fixed
-	}
-	ns := make([]noised, len(scores))
-	for i, s := range scores {
-		ns[i] = noised{idx: i, val: fixed.FromInt(s).Add(Gumbel(rng, scale))}
-	}
-	if !oneShot {
-		// Peeling: re-noise after each selection (k independent draws).
-		out := make([]int, 0, k)
-		taken := make(map[int]bool, k)
-		for round := 0; round < k; round++ {
-			best := -1
-			var bestVal fixed.Fixed
-			for i, s := range scores {
-				if taken[i] {
-					continue
-				}
-				v := fixed.FromInt(s).Add(Gumbel(rng, scale))
-				if best == -1 || v > bestVal {
-					best, bestVal = i, v
-				}
-			}
-			taken[best] = true
-			out = append(out, best)
-		}
-		return out, nil
-	}
-	// One-shot: sort by the single noised draw, take k best.
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j].val > ns[j-1].val; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = ns[i].idx
-	}
-	return out, nil
 }
 
 // AmplifyBySampling returns the effective ε after running an (ε, 0)-DP query

@@ -52,93 +52,47 @@ func TestGumbelMoments(t *testing.T) {
 	}
 }
 
-// The exponential mechanism must overwhelmingly pick the clear winner when
-// the score gap is large relative to 2·sens/ε.
-func TestExponentialPicksWinner(t *testing.T) {
-	scores := []int64{10, 20, 500, 30}
-	for _, v := range []EMVariant{EMExponentiate, EMGumbel} {
-		rng := NewRand(3)
-		wins := 0
-		const trials = 200
-		for i := 0; i < trials; i++ {
-			idx, err := Exponential(rng, scores, 1, 1.0, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if idx == 2 {
-				wins++
-			}
-		}
-		if wins < trials*9/10 {
-			t.Errorf("%v: winner chosen %d/%d times", v, wins, trials)
-		}
+// The Gumbel sampler must realise the exponential mechanism the way the
+// committee's Gumbel argmax uses it: argmax_i(s_i + Gumbel(2·Δ/ε)) selects i
+// with P[i] ∝ exp(ε·s_i / (2·Δ)). Check the empirical distribution of that
+// argmax, in fixed point, against the exact one.
+func TestExponentialDistributionMatchesTheory(t *testing.T) {
+	scores := []int64{0, 4, 8, 12}
+	const (
+		eps    = 0.5
+		sens   = 1
+		trials = 20000
+	)
+	want := make([]float64, len(scores))
+	var z float64
+	for i, s := range scores {
+		want[i] = math.Exp(eps * float64(s) / (2 * sens))
+		z += want[i]
 	}
-}
-
-// With tiny ε the choice must be close to uniform (privacy dominates).
-func TestExponentialSmallEpsilonNearUniform(t *testing.T) {
-	scores := []int64{0, 1, 2, 3}
-	for _, v := range []EMVariant{EMExponentiate, EMGumbel} {
-		rng := NewRand(4)
-		counts := make([]int, 4)
-		const trials = 4000
-		for i := 0; i < trials; i++ {
-			idx, err := Exponential(rng, scores, 1, 0.001, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[idx]++
-		}
-		for i, c := range counts {
-			if c < trials/8 {
-				t.Errorf("%v: category %d chosen only %d/%d times", v, i, c, trials)
+	for i := range want {
+		want[i] /= z
+	}
+	rng := NewRand(11)
+	scale := fixed.FromFloat(2 * sens / eps)
+	counts := make([]float64, len(scores))
+	for trial := 0; trial < trials; trial++ {
+		best := 0
+		var bestVal fixed.Fixed
+		for i, s := range scores {
+			v := fixed.FromInt(s).Add(Gumbel(rng, scale))
+			if i == 0 || v > bestVal {
+				best, bestVal = i, v
 			}
 		}
+		counts[best]++
 	}
-}
-
-// The two instantiations of em are distributionally equivalent: for a fixed
-// input their selection frequencies should agree within sampling error.
-func TestEMVariantsAgree(t *testing.T) {
-	scores := []int64{100, 105, 95}
-	const trials = 5000
-	freq := func(v EMVariant, seed int64) []float64 {
-		rng := NewRand(seed)
-		counts := make([]float64, len(scores))
-		for i := 0; i < trials; i++ {
-			idx, err := Exponential(rng, scores, 1, 0.5, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[idx]++
+	for i := range counts {
+		got := counts[i] / trials
+		// Sampling error at 20k trials is ≈ 0.01; allow 3σ plus the
+		// fixed-point quantization slack.
+		if math.Abs(got-want[i]) > 0.02 {
+			t.Errorf("P[%d] = %.3f, theory %.3f", i, got, want[i])
 		}
-		for i := range counts {
-			counts[i] /= trials
-		}
-		return counts
-	}
-	fe := freq(EMExponentiate, 5)
-	fg := freq(EMGumbel, 6)
-	for i := range scores {
-		if math.Abs(fe[i]-fg[i]) > 0.05 {
-			t.Errorf("category %d: exponentiate %g vs gumbel %g", i, fe[i], fg[i])
-		}
-	}
-}
-
-func TestExponentialErrors(t *testing.T) {
-	rng := NewRand(1)
-	if _, err := Exponential(rng, nil, 1, 1, EMGumbel); err == nil {
-		t.Error("empty scores accepted")
-	}
-	if _, err := Exponential(rng, []int64{1}, 0, 1, EMGumbel); err == nil {
-		t.Error("zero sensitivity accepted")
-	}
-	if _, err := Exponential(rng, []int64{1}, 1, 0, EMGumbel); err == nil {
-		t.Error("zero epsilon accepted")
-	}
-	if _, err := Exponential(rng, []int64{1}, 1, 1, EMVariant(99)); err == nil {
-		t.Error("unknown variant accepted")
 	}
 }
 
@@ -148,68 +102,6 @@ func TestEMVariantString(t *testing.T) {
 	}
 	if EMVariant(9).String() == "" {
 		t.Error("unknown variant String empty")
-	}
-}
-
-func TestTopK(t *testing.T) {
-	scores := []int64{1000, 10, 900, 20, 800}
-	for _, oneShot := range []bool{true, false} {
-		rng := NewRand(7)
-		hits := 0
-		const trials = 100
-		for i := 0; i < trials; i++ {
-			got, err := TopK(rng, scores, 3, 1, 2.0, oneShot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != 3 {
-				t.Fatalf("TopK returned %d items", len(got))
-			}
-			want := map[int]bool{0: true, 2: true, 4: true}
-			ok := true
-			for _, idx := range got {
-				if !want[idx] {
-					ok = false
-				}
-			}
-			if ok {
-				hits++
-			}
-		}
-		if hits < trials*8/10 {
-			t.Errorf("oneShot=%v: correct top-3 %d/%d times", oneShot, hits, trials)
-		}
-	}
-}
-
-func TestTopKNoDuplicates(t *testing.T) {
-	rng := NewRand(8)
-	scores := []int64{5, 5, 5, 5, 5}
-	for i := 0; i < 50; i++ {
-		got, err := TopK(rng, scores, 4, 1, 1.0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[int]bool{}
-		for _, idx := range got {
-			if seen[idx] {
-				t.Fatalf("duplicate index %d in %v", idx, got)
-			}
-			seen[idx] = true
-		}
-	}
-}
-
-func TestTopKErrors(t *testing.T) {
-	rng := NewRand(1)
-	if _, err := TopK(rng, []int64{1, 2}, 3, 1, 1, true); err == nil {
-		t.Error("k > len accepted")
-	}
-	if _, err := TopK(rng, []int64{1, 2}, 0, 1, 1, true); err == nil {
-		t.Error("k = 0 accepted")
-	}
-	if _, err := TopK(rng, []int64{1, 2}, 1, 0, 1, true); err == nil {
-		t.Error("zero sensitivity accepted")
 	}
 }
 
@@ -308,61 +200,6 @@ func BenchmarkLaplace(b *testing.B) {
 	scale := fixed.FromFloat(1.5)
 	for i := 0; i < b.N; i++ {
 		_ = Laplace(rng, scale)
-	}
-}
-
-func BenchmarkExponentialGumbel1024(b *testing.B) {
-	rng := NewRand(1)
-	scores := make([]int64, 1024)
-	for i := range scores {
-		scores[i] = int64(i % 37)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Exponential(rng, scores, 1, 1.0, EMGumbel); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The exponential mechanism's selection probabilities must match the theory:
-// P[i] ∝ exp(ε·s_i / (2·Δ)). Check the empirical distribution against the
-// exact one with a chi-squared-style bound.
-func TestExponentialDistributionMatchesTheory(t *testing.T) {
-	scores := []int64{0, 4, 8, 12}
-	const (
-		eps    = 0.5
-		sens   = 1
-		trials = 20000
-	)
-	// Exact distribution.
-	want := make([]float64, len(scores))
-	var z float64
-	for i, s := range scores {
-		want[i] = math.Exp(eps * float64(s) / (2 * sens))
-		z += want[i]
-	}
-	for i := range want {
-		want[i] /= z
-	}
-	for _, v := range []EMVariant{EMExponentiate, EMGumbel} {
-		rng := NewRand(11)
-		counts := make([]float64, len(scores))
-		for i := 0; i < trials; i++ {
-			idx, err := Exponential(rng, scores, sens, eps, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[idx]++
-		}
-		for i := range counts {
-			got := counts[i] / trials
-			// Sampling error at 20k trials is ≈ 0.01; allow 3σ plus the
-			// fixed-point quantization slack.
-			if math.Abs(got-want[i]) > 0.02 {
-				t.Errorf("%v: P[%d] = %.3f, theory %.3f", v, i, got, want[i])
-			}
-		}
 	}
 }
 

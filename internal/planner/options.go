@@ -429,7 +429,9 @@ func (sp searchSpace) topKOptions(st step) []option {
 		o.choiceVal = "peel-" + o.choiceVal
 		o.exec = o.exec && o.em == mechanism.EMGumbel // the runtime peels with Gumbel-argmax rounds only
 	}
-	// One-shot: noise once, then k tournament passes (cheaper, √k·ε).
+	// One-shot: noise once, then k tournament passes — cheaper in MPC, and
+	// by Durfee and Rogers distributed as k peeled rounds, so charged the
+	// same k·ε. Priced only.
 	for _, psi := range sp.fanouts {
 		treeCount := ceilDiv(st.c, psi-1)
 		noiseCount := ceilDiv(st.c, 1024)

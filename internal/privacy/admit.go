@@ -9,7 +9,7 @@ import (
 
 // Admit is the query front end, and the only one: parse src, infer basic
 // types and value ranges against the database shape, and certify the program
-// differentially private under DefaultOptions. The planner, the runtime and
+// differentially private. The planner, the runtime and
 // (through runtime.Certify) the analyst gateway all admit a query here, so
 // the certificate a reservation is priced from is the certificate the run
 // charges and the plan reports — (ε, δ, sample rate) depend only on (src, db).
@@ -25,7 +25,7 @@ func Admit(src string, db types.DBInfo) (*lang.Program, *types.Info, *Certificat
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("types: %w", err)
 	}
-	cert, err := Certify(prog, info, DefaultOptions)
+	cert, err := Certify(prog, info)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("certification: %w", err)
 	}

@@ -24,7 +24,7 @@ func TestAdmitStages(t *testing.T) {
 	if err != nil || prog == nil || info == nil || cert == nil {
 		t.Fatalf("Admit(top1) = %v, %v, %v, %v", prog, info, cert, err)
 	}
-	if cert.Epsilon != DefaultOptions.DefaultEpsilon {
+	if cert.Epsilon != defaultEpsilon {
 		t.Errorf("top1 ε = %g", cert.Epsilon)
 	}
 }

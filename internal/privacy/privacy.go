@@ -9,8 +9,8 @@
 //     DP mechanism (including control-flow dependence, the implicit-flow
 //     case of Figure 4's exponentiation variant);
 //   - ε accounting across mechanism invocations (sequential composition),
-//     loop-aware, with √k composition for one-shot top-k and secrecy-of-
-//     the-sample amplification;
+//     loop-aware — a topk call is its k peeled rounds, k mechanisms — with
+//     secrecy-of-the-sample amplification;
 //   - sensitivity bounds from the database row shape and clip ranges.
 //
 // Programs that try to output raw tainted data, or declassify values that
@@ -26,18 +26,9 @@ import (
 	"arboretum/internal/types"
 )
 
-// Options configures certification.
-type Options struct {
-	// DefaultEpsilon is used for mechanism calls without an explicit ε
-	// argument.
-	DefaultEpsilon float64
-	// OneShotTopK selects √k·ε composition (noise once, release k best)
-	// instead of k·ε (Section 2.1).
-	OneShotTopK bool
-}
-
-// DefaultOptions matches the evaluation setup.
-var DefaultOptions = Options{DefaultEpsilon: 0.1, OneShotTopK: true}
+// defaultEpsilon is the ε of a mechanism call without a literal ε argument
+// (the evaluation setup).
+const defaultEpsilon = 0.1
 
 // MechanismUse records one mechanism call site found in the query. It is the
 // one reading of the call's ε and of the bound on topk's k: the certificate
@@ -49,7 +40,7 @@ type MechanismUse struct {
 	Pos         lang.Pos // the call site
 	CallEpsilon float64  // the ε the mechanism runs at: the call's argument, or the default
 	K           int64    // topk: the winner count charged for (k's inferred upper bound); 0 otherwise
-	Epsilon     float64  // per-invocation ε charged (CallEpsilon after k-composition for topk)
+	Epsilon     float64  // per-invocation ε charged: CallEpsilon, or K·CallEpsilon for topk's K rounds
 	Invocations int64    // static count (loops multiply)
 	Sensitivity int64
 }
@@ -86,13 +77,9 @@ const deltaPerMechanism = 1.0 / (1 << 40)
 
 // Certify checks the program and returns its privacy certificate. The types
 // result supplies loop extents and clip ranges.
-func Certify(p *lang.Program, info *types.Info, opts Options) (*Certificate, error) {
-	if opts.DefaultEpsilon <= 0 {
-		return nil, fmt.Errorf("privacy: default epsilon %g must be positive", opts.DefaultEpsilon)
-	}
+func Certify(p *lang.Program, info *types.Info) (*Certificate, error) {
 	c := &certifier{
 		info: info,
-		opts: opts,
 		vars: map[string]taint{"db": sensitive},
 		sens: map[string]float64{"db": info.DB.ElemRange.Width()},
 		cert: &Certificate{SampleRate: 1},
@@ -122,7 +109,6 @@ func Certify(p *lang.Program, info *types.Info, opts Options) (*Certificate, err
 
 type certifier struct {
 	info           *types.Info
-	opts           Options
 	vars           map[string]taint
 	sens           map[string]float64 // per-variable sensitivity bound
 	cert           *Certificate
@@ -302,12 +288,10 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 		if err != nil {
 			return sensitive, err
 		}
-		composed := eps * float64(k)
-		if c.opts.OneShotTopK {
-			composed = eps * math.Sqrt(float64(k))
-		}
+		// The runtime peels k Gumbel-argmax rounds, each at the call's ε:
+		// k pure-ε mechanisms, which compose to k·ε.
 		c.record(MechanismUse{
-			Func: "topk", Pos: ex.Position(), CallEpsilon: eps, K: k, Epsilon: composed,
+			Func: "topk", Pos: ex.Position(), CallEpsilon: eps, K: k, Epsilon: eps * float64(k),
 			Invocations: mult, Sensitivity: 1,
 		})
 		return noised, nil
@@ -356,11 +340,16 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 	}
 }
 
-// record accumulates one mechanism use under sequential composition.
+// record accumulates one mechanism use under sequential composition. Each
+// mechanism run clips its own tails, so a topk invocation adds K δ terms.
 func (c *certifier) record(m MechanismUse) {
+	runs := float64(m.Invocations)
+	if m.K > 0 {
+		runs *= float64(m.K)
+	}
 	c.cert.Mechanisms = append(c.cert.Mechanisms, m)
 	c.cert.Epsilon += m.Epsilon * float64(m.Invocations)
-	c.cert.Delta += deltaPerMechanism * float64(m.Invocations)
+	c.cert.Delta += deltaPerMechanism * runs
 	if m.Sensitivity > c.maxSensitivity {
 		c.maxSensitivity = m.Sensitivity
 	}
@@ -381,7 +370,7 @@ func (c *certifier) epsArg(ex *lang.CallExpr, idx int) (float64, error) {
 			return eps, nil
 		}
 	}
-	return c.opts.DefaultEpsilon, nil
+	return defaultEpsilon, nil
 }
 
 // topkCount bounds the number of winners a topk call releases — what its ε

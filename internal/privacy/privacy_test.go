@@ -21,7 +21,7 @@ func certify(t *testing.T, src string) (*Certificate, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Certify(prog, info, DefaultOptions)
+	return Certify(prog, info)
 }
 
 func mustCertify(t *testing.T, src string) *Certificate {
@@ -39,8 +39,8 @@ aggr = sum(db);
 result = em(aggr);
 output(result);
 `)
-	if c.Epsilon != DefaultOptions.DefaultEpsilon {
-		t.Errorf("ε = %g, want %g", c.Epsilon, DefaultOptions.DefaultEpsilon)
+	if c.Epsilon != defaultEpsilon {
+		t.Errorf("ε = %g, want %g", c.Epsilon, defaultEpsilon)
 	}
 	if c.Sensitivity != 1 {
 		t.Errorf("sensitivity = %d, want 1", c.Sensitivity)
@@ -149,33 +149,17 @@ output(total);
 }
 
 func TestTopKComposition(t *testing.T) {
-	oneShot := mustCertify(t, `
+	c := mustCertify(t, `
 aggr = sum(db);
 best = topk(aggr, 4, 0.1);
 output(declassify(best[0]));
 `)
-	// One-shot: √4 × 0.1 = 0.2.
-	if math.Abs(oneShot.Epsilon-0.2) > 1e-9 {
-		t.Errorf("one-shot topk ε = %g, want 0.2", oneShot.Epsilon)
+	// Four peeled rounds at 0.1 each: 4 × 0.1 = 0.4, and a tail δ per round.
+	if math.Abs(c.Epsilon-0.4) > 1e-9 {
+		t.Errorf("topk ε = %g, want 0.4", c.Epsilon)
 	}
-	// Peeling: 4 × 0.1 = 0.4.
-	prog := lang.MustParse(`
-aggr = sum(db);
-best = topk(aggr, 4, 0.1);
-output(declassify(best[0]));
-`)
-	info, err := types.Infer(prog, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions
-	opts.OneShotTopK = false
-	peel, err := Certify(prog, info, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(peel.Epsilon-0.4) > 1e-9 {
-		t.Errorf("peeling topk ε = %g, want 0.4", peel.Epsilon)
+	if c.Delta != 4*deltaPerMechanism {
+		t.Errorf("topk δ = %g, want 4·2⁻⁴⁰", c.Delta)
 	}
 }
 
@@ -284,14 +268,6 @@ output(declassify(n));
 func TestNoOutputRejected(t *testing.T) {
 	if _, err := certify(t, `aggr = sum(db);`); err == nil {
 		t.Fatal("query without output certified")
-	}
-}
-
-func TestBadOptions(t *testing.T) {
-	prog := lang.MustParse(`output(1);`)
-	info, _ := types.Infer(prog, db)
-	if _, err := Certify(prog, info, Options{DefaultEpsilon: 0}); err == nil {
-		t.Fatal("zero default epsilon accepted")
 	}
 }
 
@@ -419,7 +395,7 @@ func TestEpsilonLiteralMustBePositive(t *testing.T) {
 	}
 	// A non-literal ε is the default at certification and at run time alike.
 	c := mustCertify(t, "aggr = sum(db);\ne = 0;\noutput(declassify(laplace(aggr[0], e)));")
-	if m := c.Mechanisms[0]; m.CallEpsilon != DefaultOptions.DefaultEpsilon || c.Epsilon != m.CallEpsilon {
+	if m := c.Mechanisms[0]; m.CallEpsilon != defaultEpsilon || c.Epsilon != m.CallEpsilon {
 		t.Errorf("non-literal ε certified as %+v (total %g), want the default", m, c.Epsilon)
 	}
 }
@@ -432,7 +408,7 @@ func TestMechanismUseCarriesCallSite(t *testing.T) {
 		t.Fatalf("mechanisms = %+v", c.Mechanisms)
 	}
 	tk, lap := c.Mechanisms[0], c.Mechanisms[1]
-	if tk.Pos != (lang.Pos{Line: 2, Col: 8}) || tk.K != 3 || tk.CallEpsilon != 0.5 || tk.Epsilon != 0.5*math.Sqrt(3) {
+	if tk.Pos != (lang.Pos{Line: 2, Col: 8}) || tk.K != 3 || tk.CallEpsilon != 0.5 || tk.Epsilon != 1.5 {
 		t.Errorf("topk use = %+v", tk)
 	}
 	if lap.Pos != (lang.Pos{Line: 3, Col: 5}) || lap.K != 0 || lap.CallEpsilon != 2 || lap.Epsilon != 2 {

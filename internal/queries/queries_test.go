@@ -24,7 +24,7 @@ func TestAllQueriesCertify(t *testing.T) {
 			if err != nil {
 				t.Fatalf("types: %v", err)
 			}
-			cert, err := privacy.Certify(prog, info, privacy.DefaultOptions)
+			cert, err := privacy.Certify(prog, info)
 			if err != nil {
 				t.Fatalf("certify: %v", err)
 			}
@@ -142,7 +142,7 @@ func TestQuantileSourceCertifies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d/%d: types: %v", frac[0], frac[1], err)
 		}
-		if _, err := privacy.Certify(prog, info, privacy.DefaultOptions); err != nil {
+		if _, err := privacy.Certify(prog, info); err != nil {
 			t.Fatalf("%d/%d: certify: %v", frac[0], frac[1], err)
 		}
 	}

@@ -147,7 +147,7 @@ func (ip *interp) emCall(ex *lang.CallExpr) (value, error) {
 		return value{}, err
 	}
 	eps := use.CallEpsilon
-	return ip.runVignette(scores, func(ce *committeeExec, in value) (value, error) {
+	return ip.runVignette(ex.Position(), scores, func(ce *committeeExec, in value) (value, error) {
 		shared, err := ip.toSharedIn(ce, in)
 		if err != nil {
 			return value{}, err
@@ -188,7 +188,8 @@ func (ip *interp) topkCall(ex *lang.CallExpr) (value, error) {
 	if k > use.K {
 		return value{}, fmt.Errorf("%v: topk count %d exceeds the certified bound %d", ex.Position(), k, use.K)
 	}
-	return ip.runVignette(scores, func(ce *committeeExec, in value) (value, error) {
+	var won []int // winners opened so far: a retried attempt resumes after them
+	return ip.runVignette(ex.Position(), scores, func(ce *committeeExec, in value) (value, error) {
 		shared, err := ip.toSharedIn(ce, in)
 		if err != nil {
 			return value{}, err
@@ -196,12 +197,12 @@ func (ip *interp) topkCall(ex *lang.CallExpr) (value, error) {
 		if shared.kind != vSharedArr {
 			return value{}, fmt.Errorf("runtime: topk requires a score array")
 		}
-		idxs, err := ce.topKSelect(shared.secs, int(k), ip.sens, use.CallEpsilon)
+		won, err = ce.topKSelect(shared.secs, won, int(k), ip.sens, use.CallEpsilon)
 		if err != nil {
 			return value{}, err
 		}
-		out := make([]fixed.Fixed, len(idxs))
-		for i, idx := range idxs {
+		out := make([]fixed.Fixed, len(won))
+		for i, idx := range won {
 			out[i] = fixed.FromInt(int64(idx))
 		}
 		return pubArr(out), nil
@@ -220,7 +221,7 @@ func (ip *interp) laplaceCall(ex *lang.CallExpr) (value, error) {
 	eps := use.CallEpsilon
 	switch v.kind {
 	case vCipher:
-		return ip.runVignette(v, func(ce *committeeExec, in value) (value, error) {
+		return ip.runVignette(ex.Position(), v, func(ce *committeeExec, in value) (value, error) {
 			f, err := ce.laplaceRelease(ip.km, in.ct, ip.sens, eps)
 			if err != nil {
 				return value{}, err
@@ -228,7 +229,7 @@ func (ip *interp) laplaceCall(ex *lang.CallExpr) (value, error) {
 			return pub(f), nil
 		})
 	case vShared:
-		return ip.runVignette(v, func(ce *committeeExec, in value) (value, error) {
+		return ip.runVignette(ex.Position(), v, func(ce *committeeExec, in value) (value, error) {
 			sh, err := ip.toSharedIn(ce, in)
 			if err != nil {
 				return value{}, err
@@ -241,7 +242,9 @@ func (ip *interp) laplaceCall(ex *lang.CallExpr) (value, error) {
 		})
 	case vPublic:
 		scale := fixed.FromFloat(float64(ip.sens) / eps)
-		return pub(v.num.Add(mechanism.Laplace(ip.dep.noiseRand(), scale))), nil
+		noised := v.num.Add(mechanism.Laplace(ip.dep.noiseRand(), scale))
+		ip.dep.spent[ex.Position()] += eps
+		return pub(noised), nil
 	default:
 		return value{}, fmt.Errorf("runtime: laplace on %v", v.kind)
 	}
@@ -267,7 +270,7 @@ func (ip *interp) maxCall(ex *lang.CallExpr) (value, error) {
 		}
 		return pub(best), nil
 	}
-	return ip.runVignette(v, func(ce *committeeExec, in value) (value, error) {
+	return ip.runVignette(ex.Position(), v, func(ce *committeeExec, in value) (value, error) {
 		shared, err := ip.toSharedIn(ce, in)
 		if err != nil {
 			return value{}, err

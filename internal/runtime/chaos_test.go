@@ -9,6 +9,8 @@ import (
 
 	"arboretum/internal/faults"
 	"arboretum/internal/fixed"
+	"arboretum/internal/lang"
+	"arboretum/internal/privacy"
 	"arboretum/internal/vsr"
 )
 
@@ -192,16 +194,16 @@ func chaosTypedErr(err error) bool {
 	return false
 }
 
-// chaosBudgetEps runs each shape once without faults to learn its certified
-// per-query ε — the only amount any faulty run may charge.
-func chaosBudgetEps(t *testing.T, src string) float64 {
+// chaosCertificate runs each shape once without faults to learn its
+// certificate — its ε is the only amount any faulty run may charge.
+func chaosCertificate(t *testing.T, src string) *privacy.Certificate {
 	t.Helper()
 	d := chaosDeployment(t, nil, 42)
 	res, err := d.Run(src, RunOptions{})
 	if err != nil {
 		t.Fatalf("fault-free baseline failed: %v", err)
 	}
-	return res.Certificate.Epsilon
+	return res.Certificate
 }
 
 // assertBudget enforces the no-double-spend invariant for one run: the
@@ -220,6 +222,23 @@ func assertBudget(t *testing.T, d *Deployment, certEps float64, label string) {
 	}
 }
 
+// assertSpentCovered is the tally property: at every call site, the ε a run
+// released — counted at each open or decrypt of a noised value, failed
+// vignette attempts included — is within what the certificate charged
+// there, Epsilon × Invocations.
+func assertSpentCovered(t *testing.T, cert *privacy.Certificate, spent map[lang.Pos]float64, label string) {
+	t.Helper()
+	charged := map[lang.Pos]float64{}
+	for _, m := range cert.Mechanisms {
+		charged[m.Pos] = m.Epsilon * float64(m.Invocations)
+	}
+	for pos, eps := range spent {
+		if eps > charged[pos]*(1+1e-9) {
+			t.Errorf("%s: call site %v released ε = %g, the certificate charged %g", label, pos, eps, charged[pos])
+		}
+	}
+}
+
 func almostEq(a, b float64) bool {
 	d := a - b
 	return d < 1e-9 && d > -1e-9
@@ -227,13 +246,14 @@ func almostEq(a, b float64) bool {
 
 // chaosSweep is the acceptance sweep: chaosSchedules × 3 shapes end-to-end
 // runs with every runtime fault kind armed. Every run completes correctly
-// (per the plan-derived reference) or fails closed with a typed error, and
-// never double-charges the budget; at least one schedule must complete and at
+// (per the plan-derived reference) or fails closed with a typed error, never
+// double-charges the budget, and never releases more ε at a call site than
+// the certificate charged there; at least one schedule must complete and at
 // least one must fire a shard crash.
 func chaosSweep(t *testing.T, seedBase uint64, deploy func(*testing.T, *faults.Plan, int64) *Deployment) {
-	certEps := map[string]float64{}
+	certs := map[string]*privacy.Certificate{}
 	for _, shape := range chaosShapes {
-		certEps[shape.name] = chaosBudgetEps(t, shape.src)
+		certs[shape.name] = chaosCertificate(t, shape.src)
 	}
 	// Every (schedule, shape) run is an independent deployment, so the sweep
 	// fans out as parallel subtests; the tallies are checked by the cleanup
@@ -262,7 +282,8 @@ func chaosSweep(t *testing.T, seedBase uint64, deploy func(*testing.T, *faults.P
 					SetRate(faults.ShardCrash, 0.25)
 				d := deploy(t, plan, 42)
 				res, err := d.Run(shape.src, RunOptions{})
-				assertBudget(t, d, certEps[shape.name], shape.name)
+				assertBudget(t, d, certs[shape.name].Epsilon, shape.name)
+				assertSpentCovered(t, certs[shape.name], d.spent, shape.name)
 				mu.Lock()
 				if d.Metrics.ShardCrashes > 0 {
 					crashed++
@@ -379,7 +400,42 @@ func TestChaosTotalDropoutFailsClosed(t *testing.T) {
 		!errors.Is(err, ErrCommitteeBroken) {
 		t.Errorf("unexpected failure mode: %v", err)
 	}
-	assertBudget(t, d, chaosBudgetEps(t, chaosShapes[1].src), "total dropout")
+	assertBudget(t, d, chaosCertificate(t, chaosShapes[1].src).Epsilon, "total dropout")
+}
+
+// TestTopKRetryOpensKWinners: a member dropout in the second round of a top2
+// vignette degrades the committee after the first round's winner was opened.
+// The retry on a re-formed committee resumes after that winner, so the
+// vignette opens exactly k = 2 winners — 2ε released, not the 3ε a re-run of
+// both rounds would open — and still releases the true top two.
+func TestTopKRetryOpensKWinners(t *testing.T) {
+	// The vignette's MPC rounds: 4 to share the decrypted counts, then one
+	// Gumbel argmax per topk round; the dropout hits the first round of the
+	// second.
+	probe := newBareCommittee(t, 5, 1)
+	scores := shareScores(probe.engine, make([]int64, 4))
+	before := probe.engine.Stats().Rounds
+	if _, err := probe.gumbelArgmax(scores, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	round := 4 + probe.engine.Stats().Rounds - before
+	plan := faults.New(1).ForceAt(faults.MemberDropout, 0, 0, round)
+	d := chaosDeployment(t, plan, 42)
+	res, err := d.Run(chaosShapes[2].src, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Metrics.MemberDropouts != 1 || d.Metrics.VignetteRetries != 1 {
+		t.Fatalf("dropouts=%d retries=%d, want 1/1", d.Metrics.MemberDropouts, d.Metrics.VignetteRetries)
+	}
+	use := res.Certificate.Mechanisms[0]
+	if got, want := res.Spent[use.Pos], 2*use.CallEpsilon; got != want {
+		t.Errorf("top2 opened ε = %g in all, want %g (two winners at ε = %g)", got, want, use.CallEpsilon)
+	}
+	first, second, _, _ := top2(chaosCounts(plan))
+	if got := [2]int64{res.Outputs[0].Int(), res.Outputs[1].Int()}; got != [2]int64{int64(first), int64(second)} {
+		t.Errorf("top2 released %v, want [%d %d]", got, first, second)
+	}
 }
 
 // TestChaosTotalDealerFailureFailsClosed: when every dealer vanishes during

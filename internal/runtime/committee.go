@@ -8,6 +8,7 @@ import (
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
 	"arboretum/internal/fixed"
+	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
 	"arboretum/internal/mpc"
 	"arboretum/internal/sortition"
@@ -40,6 +41,10 @@ type committeeExec struct {
 	attempt    int
 	rounds     int
 	inVignette bool
+
+	// site is the call site of the running vignette: the key its opens of
+	// noised values are tallied under (Deployment.spent).
+	site lang.Pos
 }
 
 func (d *Deployment) newCommittee(members sortition.Committee) (*committeeExec, error) {
@@ -54,9 +59,9 @@ func (d *Deployment) newCommittee(members sortition.Committee) (*committeeExec, 
 }
 
 // beginVignette opens a MemberDropout injection window for one attempt of
-// one mechanism vignette.
-func (ce *committeeExec) beginVignette(seq, attempt int) {
-	ce.vigSeq, ce.attempt, ce.rounds, ce.inVignette = seq, attempt, 0, true
+// the mechanism vignette at call site site.
+func (ce *committeeExec) beginVignette(seq, attempt int, site lang.Pos) {
+	ce.vigSeq, ce.attempt, ce.rounds, ce.inVignette, ce.site = seq, attempt, 0, true, site
 }
 
 // endVignette closes the injection window (members lost stay lost).
@@ -119,6 +124,10 @@ func (ce *committeeExec) health() error {
 	}
 	return nil
 }
+
+// spend tallies one open or decrypt of a value noised at ε against the
+// vignette's call site.
+func (ce *committeeExec) spend(eps float64) { ce.dep.spent[ce.site] += eps }
 
 // flushMetrics folds the engine's traffic into the deployment metrics
 // (idempotent: only deltas since the last flush count).
@@ -203,6 +212,7 @@ func (ce *committeeExec) laplaceRelease(km *keyMaterial, ct *ahe.Ciphertext, sen
 	if err != nil {
 		return 0, err
 	}
+	ce.spend(eps)
 	return fixed.FromInt(v), nil
 }
 
@@ -215,7 +225,9 @@ func (ce *committeeExec) laplaceShared(sec mpc.Secret, sens int64, eps float64) 
 	if err := ce.health(); err != nil {
 		return 0, err
 	}
-	return ce.engine.OpenFixed(noised), nil
+	v := ce.engine.OpenFixed(noised)
+	ce.spend(eps)
+	return v, nil
 }
 
 // gumbelArgmax is the em variant of Figure 4 (right) as a committee MPC:
@@ -237,7 +249,9 @@ func (ce *committeeExec) gumbelArgmax(scores []mpc.Secret, sens int64, eps float
 	if err := ce.health(); err != nil {
 		return 0, err
 	}
-	return int(ce.engine.Open(idx)), nil
+	winner := int(ce.engine.Open(idx))
+	ce.spend(eps)
+	return winner, nil
 }
 
 // emExpWindow is the normalization window of the exponentiation variant:
@@ -316,6 +330,7 @@ func (ce *committeeExec) exponentiateSelect(scores []mpc.Secret, sens int64, eps
 		return 0, err
 	}
 	idx := int(e.Open(idxAcc))
+	ce.spend(eps)
 	if idx >= len(scores) {
 		idx = len(scores) - 1
 	}
@@ -330,24 +345,29 @@ func (ce *committeeExec) maxShared(scores []mpc.Secret) (mpc.Secret, error) {
 	return ce.engine.Max(scores)
 }
 
-// topKSelect runs k rounds of gumbelArgmax with exclusion (the peeling
-// composition); each winner's score is pushed far below the rest before the
-// next round.
-func (ce *committeeExec) topKSelect(scores []mpc.Secret, k int, sens int64, eps float64) ([]int, error) {
+// topKSelect peels gumbelArgmax rounds with exclusion until k winners are
+// open; each winner's score is pushed far below the rest before the next
+// round. won holds the winners an earlier attempt of the vignette already
+// opened: they are excluded up front and not drawn again, so a retried
+// vignette opens k winners in all. It returns every winner opened so far,
+// also on error.
+func (ce *committeeExec) topKSelect(scores []mpc.Secret, won []int, k int, sens int64, eps float64) ([]int, error) {
 	if k < 1 || k > len(scores) {
-		return nil, fmt.Errorf("runtime: top-k with k=%d over %d scores", k, len(scores))
+		return won, fmt.Errorf("runtime: top-k with k=%d over %d scores", k, len(scores))
 	}
 	work := make([]mpc.Secret, len(scores))
 	copy(work, scores)
 	const exclusion = int64(1) << 40
-	var out []int
-	for round := 0; round < k; round++ {
-		idx, err := ce.gumbelArgmax(work, sens, eps)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, idx)
+	for _, idx := range won {
 		work[idx] = ce.engine.AddConst(work[idx], -exclusion)
 	}
-	return out, nil
+	for len(won) < k {
+		idx, err := ce.gumbelArgmax(work, sens, eps)
+		if err != nil {
+			return won, err
+		}
+		won = append(won, idx)
+		work[idx] = ce.engine.AddConst(work[idx], -exclusion)
+	}
+	return won, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"arboretum/internal/fixed"
+	"arboretum/internal/lang"
 	"arboretum/internal/mpc"
 	"arboretum/internal/sortition"
 )
@@ -17,6 +18,7 @@ func newBareCommittee(t *testing.T, m int, seed int64) *committeeExec {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.spent = map[lang.Pos]float64{}
 	eng, err := mpc.NewEngine(m)
 	if err != nil {
 		t.Fatal(err)
@@ -32,8 +34,10 @@ func shareScores(e *mpc.Engine, scores []int64) []mpc.Secret {
 	return out
 }
 
-// The committee-MPC exponentiate-select must follow the exponential
-// mechanism's distribution: P[i] ∝ exp(ε·s_i/(2·Δ)).
+// Both em variants the committee runs — exponentiate-select and Gumbel
+// argmax — must follow the exponential mechanism's distribution:
+// P[i] ∝ exp(ε·s_i/(2·Δ)). Each selection opens one noised index, tallied
+// at ε.
 func TestExponentiateSelectDistribution(t *testing.T) {
 	scores := []int64{0, 2, 4}
 	const (
@@ -49,20 +53,31 @@ func TestExponentiateSelectDistribution(t *testing.T) {
 	for i := range want {
 		want[i] /= z
 	}
-	counts := make([]float64, len(scores))
-	for trial := 0; trial < trials; trial++ {
-		ce := newBareCommittee(t, 5, int64(trial))
-		idx, err := ce.exponentiateSelect(shareScores(ce.engine, scores), 1, eps)
-		if err != nil {
-			t.Fatal(err)
+	for _, v := range []struct {
+		name string
+		pick func(*committeeExec, []mpc.Secret, int64, float64) (int, error)
+	}{
+		{"exponentiate", (*committeeExec).exponentiateSelect},
+		{"gumbel", (*committeeExec).gumbelArgmax},
+	} {
+		counts := make([]float64, len(scores))
+		for trial := 0; trial < trials; trial++ {
+			ce := newBareCommittee(t, 5, int64(trial))
+			idx, err := v.pick(ce, shareScores(ce.engine, scores), 1, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spent := ce.dep.spent[ce.site]; spent != eps {
+				t.Fatalf("%s: one selection tallied ε = %g, want %g", v.name, spent, eps)
+			}
+			counts[idx]++
 		}
-		counts[idx]++
-	}
-	for i := range counts {
-		got := counts[i] / trials
-		// 300 trials → σ ≈ 0.03; allow 3σ plus fixed-point slack.
-		if math.Abs(got-want[i]) > 0.1 {
-			t.Errorf("P[%d] = %.3f, theory %.3f", i, got, want[i])
+		for i := range counts {
+			got := counts[i] / trials
+			// 300 trials → σ ≈ 0.03; allow 3σ plus fixed-point slack.
+			if math.Abs(got-want[i]) > 0.1 {
+				t.Errorf("%s: P[%d] = %.3f, theory %.3f", v.name, i, got, want[i])
+			}
 		}
 	}
 }
@@ -86,7 +101,7 @@ func TestGumbelArgmaxDeterministicAtLargeEps(t *testing.T) {
 func TestTopKSelectPermutation(t *testing.T) {
 	ce := newBareCommittee(t, 5, 7)
 	scores := []int64{10, 20, 30, 40}
-	idxs, err := ce.topKSelect(shareScores(ce.engine, scores), 4, 1, 10)
+	idxs, err := ce.topKSelect(shareScores(ce.engine, scores), nil, 4, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +119,7 @@ func TestTopKSelectPermutation(t *testing.T) {
 	if idxs[0] != 3 {
 		t.Errorf("first winner = %d, want 3", idxs[0])
 	}
-	if _, err := ce.topKSelect(shareScores(ce.engine, scores), 9, 1, 1); err == nil {
+	if _, err := ce.topKSelect(shareScores(ce.engine, scores), nil, 9, 1, 1); err == nil {
 		t.Error("k > len accepted")
 	}
 }

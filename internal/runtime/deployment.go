@@ -38,6 +38,7 @@ import (
 
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
+	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
 	"arboretum/internal/merkle"
 	"arboretum/internal/parallel"
@@ -77,10 +78,11 @@ type Config struct {
 	// BudgetEpsilon is the deployment's total privacy budget (default 10).
 	BudgetEpsilon float64
 
-	// Workers bounds the worker pool used for Run's plan search, input
-	// collection (one task per ingest shard) and the combine tree. 0
-	// resolves via parallel.Workers to GOMAXPROCS. 1 forces the sequential
-	// paths (bit-identical to the pre-parallel runtime).
+	// Workers bounds the worker pool used for input collection (one task
+	// per ingest shard) and the combine tree. 0 resolves via
+	// parallel.Workers to GOMAXPROCS. 1 forces the sequential paths
+	// (bit-identical to the pre-parallel runtime). Run's plan search does
+	// not read it (PlanRequest).
 	Workers int
 
 	// SecureNoise draws committee noise from crypto/rand
@@ -148,6 +150,12 @@ type Deployment struct {
 	// and consecutive queries.
 	vignetteSeq int
 	transferSeq int
+
+	// spent is the current query's tally of released ε by mechanism call
+	// site (Result.Spent). It is written at each open or decrypt of a
+	// noised value, on every vignette attempt, and survives a failed run so
+	// a failed-closed query can be checked too.
+	spent map[lang.Pos]float64
 
 	// Measured totals (the simulation's "ground truth" next to the cost
 	// model's estimates).

@@ -122,16 +122,20 @@ func (ip *interp) rotate() error {
 	return nil
 }
 
-// runVignette executes one mechanism vignette under the recovery policy: the
-// protocol runs against a committee with fault injection armed; a degraded
-// committee (too much churn, but still a reconstructing majority) is replaced
-// from the sortition pool and the attempt repeats with the shares re-dealt to
-// the new members. Any other failure — a broken committee, a protocol error —
-// fails closed immediately: the health gates inside the protocols guarantee
-// nothing was opened or decrypted on the failed attempt, so a retry with
-// fresh noise releases exactly one value per vignette and the privacy charge
-// (taken once, up front) stays correct.
-func (ip *interp) runVignette(input value, protocol func(ce *committeeExec, in value) (value, error)) (value, error) {
+// runVignette executes the vignette at call site site under the recovery
+// policy: the protocol runs against a committee with fault injection armed;
+// a degraded committee (too much churn, but still a reconstructing majority)
+// is replaced from the sortition pool and the attempt repeats with the shares
+// re-dealt to the new members. Any other failure — a broken committee, a
+// protocol error — fails closed immediately. The health gates inside the
+// protocols run before every open or decrypt, so a failed attempt opened only
+// values it had finished computing: none for em and laplace, whose one open
+// ends the protocol, so their retry draws fresh noise; for topk, the winners
+// of its completed rounds, so its retry resumes after them (topKSelect).
+// Either way a vignette opens each of its noised values once, within the
+// privacy charge taken up front — Deployment.spent counts every open, failed
+// attempts included.
+func (ip *interp) runVignette(site lang.Pos, input value, protocol func(ce *committeeExec, in value) (value, error)) (value, error) {
 	seq := ip.dep.vignetteSeq
 	ip.dep.vignetteSeq++
 	ce, err := ip.mechanismEngine(input)
@@ -140,9 +144,9 @@ func (ip *interp) runVignette(input value, protocol func(ce *committeeExec, in v
 	}
 	var lastErr error
 	for attempt := 0; attempt < vignetteBackoff.attempts; attempt++ {
-		// Attempt boundaries are cancellation checkpoints: the previous
-		// attempt's health gates guarantee nothing was opened, so aborting
-		// here releases nothing.
+		// Attempt boundaries are cancellation checkpoints: no protocol step
+		// is in flight and nothing has been released, so aborting here
+		// releases nothing.
 		if err := ip.dep.checkpoint("vignette attempt"); err != nil {
 			return value{}, err
 		}
@@ -150,7 +154,7 @@ func (ip *interp) runVignette(input value, protocol func(ce *committeeExec, in v
 			ip.dep.Metrics.VignetteRetries++
 			ip.dep.Metrics.BackoffSimulated += vignetteBackoff.delay(attempt - 1)
 		}
-		ce.beginVignette(seq, attempt)
+		ce.beginVignette(seq, attempt, site)
 		out, err := protocol(ce, input)
 		ce.endVignette()
 		if err == nil {

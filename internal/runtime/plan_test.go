@@ -32,7 +32,8 @@ func untouched(t *testing.T, d *Deployment, eps float64) {
 
 // TestRunIsPlanThenExecute: for every corpus query (three named ones under
 // the race detector), Run(src) is bit-for-bit RunPlan(the executable plan at
-// the deployment's own shape, src), at one worker and at four.
+// the deployment's own shape, src), at one worker and at four — and no call
+// site releases more ε than the certificate charged it.
 func TestRunIsPlanThenExecute(t *testing.T) {
 	corpus := queries.All
 	if len(seamQueries) > 0 {
@@ -66,6 +67,7 @@ func TestRunIsPlanThenExecute(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: RunPlan: %v", q.Name, workers, err)
 			}
+			assertSpentCovered(t, got.Certificate, got.Spent, q.Name)
 			if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Accepted != want.Accepted || got.Sampled != want.Sampled {
 				t.Errorf("%s workers=%d: Run released %v (%d/%d), RunPlan %v (%d/%d)", q.Name, workers,
 					got.Outputs, got.Accepted, got.Sampled, want.Outputs, want.Accepted, want.Sampled)
@@ -202,9 +204,9 @@ output(b2[1]);`, RunOptions{})
 		t.Errorf("loop-variable k released %v in %d comparisons, literal k %v in %d",
 			got.Outputs, loop.Metrics.MPCComparisons, want.Outputs, unrolled.Metrics.MPCComparisons)
 	}
-	// The charge is the bound: both calls of the loop at k = 2 (√k·ε each).
-	if l, _ := loop.Budget.Remaining(); math.Abs(100-l-2*3.0*math.Sqrt2) > 1e-9 {
-		t.Errorf("loop charged %g, want %g (two calls at the bound k = 2)", 100-l, 2*3.0*math.Sqrt2)
+	// The charge is the bound: both calls of the loop at k = 2 (k·ε each).
+	if l, _ := loop.Budget.Remaining(); math.Abs(100-l-12) > 1e-9 {
+		t.Errorf("loop charged %g, want 12 (two calls at the bound k = 2)", 100-l)
 	}
 }
 

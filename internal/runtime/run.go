@@ -54,6 +54,12 @@ type Result struct {
 	Auth        *AuthCertificate // the published query authorization
 	Sampled     int              // devices included by secrecy-of-the-sample (0 = all)
 	Accepted    int              // inputs that passed ZKP verification
+
+	// Spent is the ε the run released at each mechanism call site, keyed
+	// by Certificate.Mechanisms' Pos and counted at every open or decrypt of
+	// a noised value. A call site never spends more than its certified
+	// Epsilon × Invocations.
+	Spent map[lang.Pos]float64
 }
 
 // ErrPlanNotExecutable is RunPlan's refusal of a priced-only plan: one that
@@ -79,8 +85,10 @@ var planSearchCap int64 = 1 << 21
 // PlanRequest is the planning task Run sets itself for src: this deployment's
 // own (N, Categories), expected device CPU as the goal, the evaluation
 // limits, the default cost model, and only options the runtime can execute.
-// A caller that wants one choice different pins it (ForceChoices), plans, and
-// hands the plan to RunPlan.
+// It leaves Workers unset, so the tree's size picks the search schedule: a
+// Run's small tree plans on the calling goroutine whatever Config.Workers
+// says. A caller that wants one choice different pins it (ForceChoices),
+// plans, and hands the plan to RunPlan.
 func (d *Deployment) PlanRequest(src string) planner.Request {
 	return planner.Request{
 		Source:         src,
@@ -89,7 +97,6 @@ func (d *Deployment) PlanRequest(src string) planner.Request {
 		Goal:           costmodel.PartExpCPU,
 		Limits:         planner.DefaultLimits,
 		NodeCap:        planSearchCap,
-		Workers:        d.cfg.Workers,
 		ExecutableOnly: true,
 	}
 }
@@ -150,6 +157,7 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	if err := d.checkpoint("query start"); err != nil {
 		return nil, err
 	}
+	d.spent = map[lang.Pos]float64{}
 
 	// Sortition for this query round: committee 0 generates keys
 	// (Section 5.2), committee 1 runs the first operations/decryption
@@ -265,6 +273,7 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 		Auth:        auth,
 		Sampled:     sampled,
 		Accepted:    accepted,
+		Spent:       d.spent,
 	}, nil
 }
 

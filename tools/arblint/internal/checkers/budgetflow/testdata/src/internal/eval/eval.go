@@ -9,9 +9,9 @@ func Leak(rng mech.Rand) int64 {
 	return mech.Laplace(rng, 3) // want `call to mech.Laplace outside budget-accounted packages`
 }
 
-// LeakTopK draws through a different constructor.
-func LeakTopK(rng mech.Rand, scores []int64) []int {
-	return mech.TopK(rng, scores, 2) // want `call to mech.TopK outside budget-accounted packages`
+// LeakSampleBins draws sampling randomness through a different constructor.
+func LeakSampleBins(rng mech.Rand) *mech.SampleBins {
+	return mech.NewSampleBins(rng, 8, 2) // want `call to mech.NewSampleBins outside budget-accounted packages`
 }
 
 // Harmless calls a non-constructor and is not flagged.

@@ -14,8 +14,11 @@ func Laplace(rng Rand, scale int64) int64 { return int64(rng.Intn(1)) + scale }
 // Gumbel mirrors the real noise constructor's name.
 func Gumbel(rng Rand, scale int64) int64 { return int64(rng.Intn(1)) + scale }
 
-// TopK mirrors the real noise constructor's name.
-func TopK(rng Rand, scores []int64, k int) []int { return make([]int, k) }
+// SampleBins mirrors the real bin-protocol window.
+type SampleBins struct{ B, X, J int }
+
+// NewSampleBins mirrors the real noise constructor's name.
+func NewSampleBins(rng Rand, b, x int) *SampleBins { return &SampleBins{B: b, X: x, J: rng.Intn(b)} }
 
 // Describe is not a noise constructor and may be called from anywhere.
 func Describe() string { return "mechanism testdata" }

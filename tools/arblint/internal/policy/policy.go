@@ -91,8 +91,6 @@ const NoiseSource = "internal/mechanism"
 var NoiseConstructors = map[string]bool{
 	"Laplace":       true,
 	"Gumbel":        true,
-	"Exponential":   true,
-	"TopK":          true,
 	"NewSampleBins": true,
 }
 

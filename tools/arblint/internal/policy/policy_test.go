@@ -210,4 +210,7 @@ func TestPolicyKeysExist(t *testing.T) {
 			resolve("CheckpointFuncs", pkg, id, false)
 		}
 	}
+	for id := range NoiseConstructors {
+		resolve("NoiseConstructors", NoiseSource, id, false)
+	}
 }
