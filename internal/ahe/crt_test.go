@@ -224,7 +224,7 @@ func TestFixedBaseFallbackMatchesMontgomery(t *testing.T) {
 		if err := fb.randomPowerInto(benchrand.New(uint64(seed)), s); err != nil {
 			t.Fatal(err)
 		}
-		// expDigit reads nibble i of the stream as the coefficient of 16^i,
+		// The comb reads nibble i of the stream as the coefficient of 16^i,
 		// so x is the 64 stream bytes as a little-endian integer.
 		var xb [fbExpBytes]byte
 		if _, err := benchrand.New(uint64(seed)).Read(xb[:]); err != nil {

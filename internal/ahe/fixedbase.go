@@ -12,13 +12,11 @@ package ahe
 // untouched; semantic security rests on the standard subgroup variant of
 // the decisional composite residuosity assumption (see docs/KERNELS.md).
 //
-// Because the base is fixed, the exponentiation uses a comb of precomputed
-// window powers — entry (i, j) = gn^(j·16^i) — so one encryption costs at
-// most 128 modular multiplications and no squarings, and the table is shared
-// across every encryption under the key (EncryptVector's per-slot
-// encryptions in particular). The table and the walk are math/big values:
-// each step is one Mul into pooled scratch and one QuoRem back into the
-// accumulator, so a walk allocates nothing (docs/KERNELS.md, "Why math/big").
+// Because the base is fixed, the exponentiation walks an internal/fixedbase
+// comb — at most 128 modular multiplications and no squarings per
+// encryption — and the table is shared across every encryption under the
+// key (EncryptVector's per-slot encryptions in particular). The walk runs on
+// pooled scratch, so it allocates nothing (docs/KERNELS.md, "Why math/big").
 
 import (
 	"crypto/sha256"
@@ -26,23 +24,16 @@ import (
 	"math/big"
 
 	"arboretum/internal/fixed"
+	"arboretum/internal/fixedbase"
 )
 
-const (
-	fbWindowBits = 4
-	fbExpBytes   = 64 // 512-bit randomizer exponents
-	fbWindows    = fbExpBytes * 8 / fbWindowBits
-	fbRowLen     = (1 << fbWindowBits) - 1 // nonzero digit values per window
-)
+const fbExpBytes = 64 // 512-bit randomizer exponents
 
 // fixedBase is immutable after newFixedBase and safe for concurrent use: the
-// table is read-only and the mutable per-call state lives in a pool of
+// comb is read-only and the mutable per-call state lives in a pool of
 // scratch structs.
 type fixedBase struct {
-	n2 *big.Int
-
-	// table[i][j-1] = gn^(j·16^i) mod n².
-	table [][]*big.Int
+	comb *fixedbase.Table // for gn = h^n mod n²
 
 	// scratch pools the per-encryption working state: the randomizer-exponent
 	// bytes and the big.Int temporaries encrypt folds its product in.
@@ -88,53 +79,22 @@ func deriveH(n *big.Int) *big.Int {
 	}
 }
 
-// newFixedBase precomputes the window-power table for gn = h^n mod n².
-// Each window's powers are fifteen multiplications by the previous entry,
-// and the last entry (gn^(15·16^i)) times the window base is exactly the
-// next window's base, so no squarings are needed anywhere.
+// newFixedBase precomputes the comb for gn = h^n mod n².
 func newFixedBase(n, n2 *big.Int) *fixedBase {
-	base := new(big.Int).Exp(deriveH(n), n, n2)
-	fb := &fixedBase{n2: n2, table: make([][]*big.Int, fbWindows)}
-	g := base
-	for i := 0; i < fbWindows; i++ {
-		row := make([]*big.Int, fbRowLen)
-		cur := g
-		for j := range row {
-			row[j] = cur
-			next := new(big.Int).Mul(cur, g)
-			cur = next.Mod(next, n2)
-		}
-		fb.table[i] = row
-		g = cur // g^16: the next window's base
-	}
+	gn := new(big.Int).Exp(deriveH(n), n, n2)
+	fb := &fixedBase{comb: fixedbase.New(gn, n2, fbExpBytes)}
 	fb.scratch.New = func() *fbScratch { return new(fbScratch) }
 	return fb
 }
 
 // randomPowerInto draws a fresh randomizer gn^x mod n² into s.rn, with x a
-// uniform 512-bit exponent read from random: one table-entry multiply per
-// nonzero 4-bit digit of x, ~120 modular multiplications in expectation, all
-// on s's scratch.
+// uniform 512-bit exponent read from random as little-endian bytes: one
+// table-entry multiply per nonzero 4-bit digit of x, ~120 modular
+// multiplications in expectation, all on s's scratch.
 func (fb *fixedBase) randomPowerInto(random io.Reader, s *fbScratch) error {
 	if _, err := io.ReadFull(random, s.exp[:]); err != nil {
 		return err
 	}
-	acc := s.rn.SetInt64(1)
-	for i := 0; i < fbWindows; i++ {
-		d := fb.expDigit(s, i)
-		if d != 0 {
-			s.mul.Mul(acc, fb.table[i][d-1])
-			s.quo.QuoRem(&s.mul, fb.n2, acc)
-		}
-	}
+	fb.comb.Exp(&s.rn, &s.mul, &s.quo, s.exp[:])
 	return nil
-}
-
-// expDigit extracts 4-bit window i of the drawn exponent.
-func (fb *fixedBase) expDigit(s *fbScratch, i int) byte {
-	d := s.exp[i>>1]
-	if i&1 == 0 {
-		return d & 0x0f
-	}
-	return d >> 4
 }

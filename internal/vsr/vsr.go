@@ -18,7 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
+	"arboretum/internal/fixed"
+	"arboretum/internal/fixedbase"
 	"arboretum/internal/shamir"
 )
 
@@ -31,10 +34,32 @@ var ErrInsufficientShares = errors.New("vsr: insufficient shares for threshold")
 
 // Group is a Schnorr group: commitments live in the order-q subgroup of
 // Z_p* generated by G, and shared secrets live in Z_q.
+//
+// The sharing field and the commitment comb are built from P, Q and G on
+// first use and shared read-only after that, so a Group is safe for
+// concurrent use and its fields must not change once Field or Commit has
+// run.
 type Group struct {
 	P *big.Int // safe prime
 	Q *big.Int // (P−1)/2, the subgroup order and the sharing field
 	G *big.Int // generator of the order-Q subgroup
+
+	fieldOnce sync.Once
+	field     *shamir.Field
+
+	combOnce sync.Once
+	comb     *fixedbase.Table // for G mod P, walked by Commit
+	scratch  fixed.Pool[commitScratch]
+}
+
+// commitScratch is one commitment's working state; Commit copies the result
+// out before returning it to the pool.
+type commitScratch struct {
+	exp []byte  // v mod Q as little-endian bytes, one per byte of Q
+	x   big.Int // v mod Q
+	acc big.Int // G^x mod P
+	mul big.Int // double-width product
+	quo big.Int // quotient scratch
 }
 
 // rfc3526Prime1536 is the 1536-bit MODP safe prime from RFC 3526 §2.
@@ -63,15 +88,32 @@ var defaultGroup = func() *Group {
 // not modify it.
 func DefaultGroup() *Group { return defaultGroup }
 
-// Field returns the Z_q sharing field of the group. It validates Q (a
-// 20-round primality test) on every call.
+// Field returns the Z_q sharing field of the group. The first call builds it
+// (shamir.MustField, whose 20-round primality test of Q is the field's
+// validation) and every call returns that one field, which is shared:
+// callers must not modify it.
 func (g *Group) Field() *shamir.Field {
-	return shamir.MustField(g.Q)
+	g.fieldOnce.Do(func() { g.field = shamir.MustField(g.Q) })
+	return g.field
 }
 
-// Commit returns g^v mod p.
+// Commit returns G^v mod P, with v reduced mod Q. It walks a fixed-base comb
+// for G that the first call builds.
 func (g *Group) Commit(v *big.Int) *big.Int {
-	return new(big.Int).Exp(g.G, new(big.Int).Mod(v, g.Q), g.P)
+	g.combOnce.Do(func() {
+		n := (g.Q.BitLen() + 7) / 8
+		g.comb = fixedbase.New(g.G, g.P, n)
+		g.scratch.New = func() *commitScratch { return &commitScratch{exp: make([]byte, n)} }
+	})
+	s := g.scratch.Get()
+	defer g.scratch.Put(s)
+	s.quo.DivMod(v, g.Q, &s.x)
+	s.x.FillBytes(s.exp) // big-endian; the comb reads little-endian
+	for i, j := 0, len(s.exp)-1; i < j; i, j = i+1, j-1 {
+		s.exp[i], s.exp[j] = s.exp[j], s.exp[i]
+	}
+	g.comb.Exp(&s.acc, &s.mul, &s.quo, s.exp)
+	return new(big.Int).Set(&s.acc)
 }
 
 // Dealing is what one old-committee member sends: fresh sub-shares of its
@@ -118,12 +160,16 @@ func Deal(g *Group, share shamir.Share, newN, newT int) (*Dealing, error) {
 }
 
 // VerifySubShare checks new member j's sub-share against the dealing's
-// Feldman commitments: g^{y} == Π_k C_k^{x^k}.
+// Feldman commitments: the sub-share must be addressed to j (X = j) and
+// satisfy g^{y} == Π_k C_k^{j^k}.
 func VerifySubShare(g *Group, d *Dealing, j int) bool {
 	if d == nil || j < 1 || j > len(d.SubShares) {
 		return false
 	}
 	sub := d.SubShares[j-1]
+	if sub.X != int64(j) {
+		return false
+	}
 	lhs := g.Commit(sub.Y)
 	rhs := big.NewInt(1)
 	x := big.NewInt(sub.X)

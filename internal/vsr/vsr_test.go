@@ -3,8 +3,10 @@ package vsr
 import (
 	"errors"
 	"math/big"
+	"sync"
 	"testing"
 
+	"arboretum/internal/benchrand"
 	"arboretum/internal/shamir"
 )
 
@@ -29,10 +31,92 @@ func TestDefaultGroupSanity(t *testing.T) {
 	}
 }
 
-// The group is parsed once and shared, not rebuilt per query.
+// The group is parsed once and shared, not rebuilt per query, and so is its
+// sharing field.
 func TestDefaultGroupBuiltOnce(t *testing.T) {
 	if DefaultGroup() != DefaultGroup() {
 		t.Fatal("DefaultGroup is rebuilt per call")
+	}
+	g := DefaultGroup()
+	f := g.Field()
+	if g.Field() != f {
+		t.Fatal("Field is rebuilt per call")
+	}
+	if f.P.Cmp(g.Q) != 0 {
+		t.Fatal("sharing field is not Z_Q")
+	}
+}
+
+// commitValues are the edge values every Commit check covers: zero, one,
+// both sides of Q, a negative value, and the largest 1535-bit value.
+func commitValues(g *Group) []*big.Int {
+	one := big.NewInt(1)
+	return []*big.Int{
+		big.NewInt(0),
+		big.NewInt(1),
+		new(big.Int).Sub(g.Q, one),
+		new(big.Int).Set(g.Q),
+		new(big.Int).Add(g.Q, one),
+		big.NewInt(-1),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 1535), one),
+	}
+}
+
+// expCommit is the definition Commit's comb must reproduce.
+func expCommit(g *Group, v *big.Int) *big.Int {
+	return new(big.Int).Exp(g.G, new(big.Int).Mod(v, g.Q), g.P)
+}
+
+// TestCommitMatchesExp holds the comb walk to the full exponentiation it
+// replaced, on the edge values and on 200 random values up to 2^1536.
+func TestCommitMatchesExp(t *testing.T) {
+	g := DefaultGroup()
+	vs := commitValues(g)
+	rng := benchrand.New(28)
+	buf := make([]byte, 192)
+	for i := 0; i < 200; i++ {
+		if _, err := rng.Read(buf); err != nil {
+			t.Fatal(err)
+		}
+		vs = append(vs, new(big.Int).SetBytes(buf))
+	}
+	for _, v := range vs {
+		if got, want := g.Commit(v), expCommit(g, v); got.Cmp(want) != 0 {
+			t.Fatalf("Commit(%v) = %v, want G^(v mod Q) mod P = %v", v, got, want)
+		}
+	}
+}
+
+// TestGroupConcurrentFirstUse has eight goroutines make the first Field and
+// Commit calls on a fresh group at once: under -race this checks the lazy
+// builds are synchronized, and every goroutine must see the same field and
+// correct commitments.
+func TestGroupConcurrentFirstUse(t *testing.T) {
+	d := DefaultGroup()
+	g := &Group{P: d.P, Q: d.Q, G: d.G}
+	vs := commitValues(g)
+	const workers = 8
+	fields := make([]*shamir.Field, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fields[w] = g.Field()
+			v := vs[w%len(vs)]
+			if got, want := g.Commit(v), expCommit(g, v); got.Cmp(want) != 0 {
+				t.Errorf("goroutine %d: Commit(%v) = %v, want %v", w, v, got, want)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, f := range fields {
+		if f != fields[0] {
+			t.Fatalf("goroutine %d saw field %p, goroutine 0 saw %p", w, f, fields[0])
+		}
+	}
+	if fields[0].P.Cmp(g.Q) != 0 {
+		t.Fatal("sharing field is not Z_Q")
 	}
 }
 
@@ -104,6 +188,26 @@ func TestVerifySubShare(t *testing.T) {
 	}
 	if VerifySubShare(g, nil, 1) {
 		t.Error("nil dealing accepted")
+	}
+}
+
+// A dealer that hands member 3 member 1's valid sub-share must be caught:
+// the sub-share verifies against the commitments at its own X, so only the
+// X = j check rejects it, before Combine builds member 3's share from it.
+func TestMisaddressedSubShareRejected(t *testing.T) {
+	g := DefaultGroup()
+	field := g.Field()
+	old, _ := field.Split(big.NewInt(7), 3, 2)
+	d, err := Deal(g, old[0], 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SubShares[2] = d.SubShares[0]
+	if VerifySubShare(g, d, 3) {
+		t.Fatal("member 1's sub-share accepted as member 3's")
+	}
+	if !VerifySubShare(g, d, 1) {
+		t.Fatal("correctly addressed sub-share rejected")
 	}
 }
 
@@ -198,6 +302,19 @@ func BenchmarkRedistribute5to7(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkCommit(b *testing.B) {
+	g := DefaultGroup()
+	v := new(big.Int).Sub(g.Q, big.NewInt(12345))
+	g.Commit(v) // build the comb outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = g.Commit(v)
+	}
+}
+
+var sink *big.Int
 
 // TestInsufficientSharesTyped: both VSR entry points report share shortfalls
 // through the typed ErrInsufficientShares, which the runtime's hand-off

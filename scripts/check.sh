@@ -45,19 +45,20 @@ go -C bench vet ./...
 go -C bench test ./...
 
 # Allocation-regression gates (docs/KERNELS.md): the kernel hot paths are
-# pinned to their steady-state allocation counts, and the planner's scorer —
-# run once per plan prefix the search visits — to zero. Runs inside
+# pinned to their steady-state allocation counts, the planner's scorer — run
+# once per plan prefix the search visits — and a warm vsr.Group.Field to
+# zero. Runs inside
 # `go test ./...` too; this named invocation bypasses the test cache so the
 # gate always executes, and fails loudly on its own line when a hot path
 # regresses.
 echo "== alloc-regression gates"
-go test ./internal/bgv ./internal/ahe ./internal/planner -run '^TestAllocGate' -count=1
+go test ./internal/bgv ./internal/ahe ./internal/planner ./internal/vsr -run '^TestAllocGate' -count=1
 
-# The planner's go test -bench handles (ROADMAP 1(c), the verify skill) are
+# The planner's and vsr's go test -bench handles (the verify skill) are
 # compiled by the passes above but run by none of them; one iteration each
 # (under a second) so a handle that panics or rots fails here.
-echo "== planner bench handles (-benchtime 1x)"
-go test ./internal/planner -run '^$' -bench . -benchtime 1x
+echo "== planner and vsr bench handles (-benchtime 1x)"
+go test ./internal/planner ./internal/vsr -run '^$' -bench . -benchtime 1x
 
 # Streaming-ingest memory-flatness smoke (docs/INGEST.md): peak heap at 10^6
 # simulated devices must stay within 1.2x of the 10^5 run. Runs without the

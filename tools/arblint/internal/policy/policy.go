@@ -240,6 +240,7 @@ var Unregulated = Set{
 	"internal/benchrand": true, // deterministic bench inputs by design (see DeterministicBench)
 	"internal/costmodel": true, // pure arithmetic over plan shapes; no secrets, no I/O
 	"internal/eval":      true, // offline accuracy-evaluation harness, not a release path
+	"internal/fixedbase": true, // fixed-base comb arithmetic: callers supply exponent and scratch; no randomness, errors or goroutines
 	"internal/hashing":   true, // keyed device-row hashing; error discipline via the stdlib "hash" entry
 	"internal/lang":      true, // DSL parser/AST; pure syntax
 	"internal/plan":      true, // plan IR and variant expansion; pure data
