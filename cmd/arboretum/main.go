@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"arboretum"
+	"arboretum/internal/eval"
 	"arboretum/internal/queries"
 )
 
@@ -240,15 +241,9 @@ func explainCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	families := map[string][]string{
-		"sum":     {"aggregator-loop", "device-tree-fanout-2", "device-tree-fanout-8", "device-tree-fanout-64"},
-		"em":      {"gumbel", "exponentiate-mpc", "exponentiate-fhe"},
-		"noise":   {"committee-slice-1", "committee-slice-16", "committee-slice-64"},
-		"compute": {"aggregator-he", "committee-slice-16", "committee-slice-1024"},
-	}
-	alts, ok := families[*dim]
-	if !ok {
-		return fmt.Errorf("unknown dimension %q", *dim)
+	rows, err := eval.PinChoices(queries.Query{Name: label, Source: src, Categories: c}, *n, *dim)
+	if err != nil {
+		return err
 	}
 	free, err := arboretum.Plan(arboretum.PlanRequest{
 		Name: label, Source: src, N: *n, Categories: c,
@@ -259,19 +254,13 @@ func explainCmd(args []string) error {
 	}
 	fmt.Printf("planner's choice for %s: %s\n\n", *dim, free.Choices[*dim])
 	fmt.Printf("%-24s %10s %9s %8s %9s %8s\n", "pinned", "agg h", "exp s", "exp MB", "max s", "max GB")
-	for _, alt := range alts {
-		res, err := arboretum.Plan(arboretum.PlanRequest{
-			Name: label, Source: src, N: *n, Categories: c,
-			Limits:       arboretum.DefaultLimits(),
-			ForceChoices: map[string]string{*dim: alt},
-		})
-		if err != nil {
-			fmt.Printf("%-24s infeasible (%v)\n", alt, err)
+	for _, r := range rows {
+		if !r.Feasible {
+			fmt.Printf("%-24s infeasible (%v)\n", r.Choice, r.Err)
 			continue
 		}
 		fmt.Printf("%-24s %10.0f %9.1f %8.2f %9.0f %8.2f\n",
-			alt, res.AggregatorCoreHours, res.DeviceExpectedCPU, res.DeviceExpectedMB,
-			res.DeviceMaxCPU, res.DeviceMaxGB)
+			r.Choice, r.AggCoreHours, r.ExpCPU, r.ExpMB, r.MaxCPU, r.MaxGB)
 	}
 	return nil
 }

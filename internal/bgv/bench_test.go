@@ -163,12 +163,10 @@ func BenchmarkEncryptLarge(b *testing.B) {
 
 // --- multi-prime ring benchmarks ---
 //
-// Each of these runs under a /ring=<degree>x<primes> sub-name;
-// scripts/bench.sh parses the tag into a "ring" field in BENCH_kernels.json,
-// so the tracked rows distinguish the test ring from the paper's deployment
-// ring (2^15, 135-bit composite modulus). The paper-scale rows are the
-// point: Table 1's FHE column is measured on this machine, not extrapolated
-// from a reduced ring.
+// Each of these runs under a /ring=<degree>x<primes> sub-name, so the rows
+// distinguish the test ring from the paper's deployment ring (2^15, 135-bit
+// composite modulus). The paper-scale rows are the point: Table 1's FHE
+// column is measured on this machine, not extrapolated from a reduced ring.
 
 var benchRNSRings = []Params{TestRNSParams, PaperRNSParams}
 

@@ -9,8 +9,8 @@ package bgv
 // element is stored as its residues mod each q_l — L rows of N words. Every
 // ring operation is then L independent single-prime operations on the
 // per-prime NTT tables from ntt.go, so the paper-scale parameters run natively
-// on 64-bit arithmetic and scripts/bench.sh can *measure* the Table 1 FHE
-// column instead of extrapolating it. The prime basis is a parameter value
+// on 64-bit arithmetic and the BenchmarkRNS* handles can *measure* the Table
+// 1 FHE column instead of extrapolating it. The prime basis is a parameter value
 // (Params.Qi), not a second implementation: the one-prime test ring
 // (TestParams) is this code at L = 1.
 //

@@ -1,6 +1,6 @@
-// Design ablations (the "what did each planner idea buy" table): plan each
-// evaluation query with planner features switched off one at a time and
-// compare costs against the full planner.
+// Design ablations (the "what did each planner idea buy" table): plan an
+// evaluation query with one operator pinned to each of its implementation
+// families in turn and compare what each alternative costs.
 
 package eval
 
@@ -13,6 +13,19 @@ import (
 	"arboretum/internal/queries"
 )
 
+// PinnedFamilies lists, per operator, the implementation families that
+// PinChoices prices — for DesignAblations and `arboretum explain`.
+var PinnedFamilies = map[string][]string{
+	// Sum: the aggregator loop vs. device trees of different fanouts
+	// (Section 4.3's first example of operator instantiation).
+	"sum": {"aggregator-loop", "device-tree-fanout-2", "device-tree-fanout-8", "device-tree-fanout-64"},
+	// em: the two instantiations of Figure 4.
+	"em": {"gumbel", "exponentiate-mpc", "exponentiate-fhe"},
+	// Laplace noising: values per committee.
+	"noise":   {"committee-slice-1", "committee-slice-16", "committee-slice-64"},
+	"compute": {"aggregator-he", "committee-slice-16", "committee-slice-1024"},
+}
+
 // DesignRow prices one pinned design choice at deployment scale — the
 // ablations behind the planner's decisions: how much each alternative
 // implementation of an operator actually costs (Section 4.3's tradeoffs,
@@ -23,6 +36,7 @@ type DesignRow struct {
 	Choice    string // the pinned implementation (prefix)
 	Chosen    string // the full choice the search settled on
 	Feasible  bool
+	Err       error // why no plan fits the pin, when !Feasible
 
 	AggCoreHours float64
 	ExpCPU       float64 // expected participant seconds
@@ -32,17 +46,22 @@ type DesignRow struct {
 	Committees   int
 }
 
-// DesignAblations prices the main alternatives for the sum operator, the em
-// variant, and the Laplace noising slice width, with everything else free.
-func DesignAblations() ([]DesignRow, error) {
-	var rows []DesignRow
-	pin := func(q queries.Query, dim, prefix string) error {
+// PinChoices plans q for n participants once per family PinnedFamilies
+// lists for dim, with dim pinned to that family and everything else free.
+// A pin no plan fits is a row with Err set; an unknown dim is an error.
+func PinChoices(q queries.Query, n int64, dim string) ([]DesignRow, error) {
+	families, ok := PinnedFamilies[dim]
+	if !ok {
+		return nil, fmt.Errorf("unknown dimension %q", dim)
+	}
+	rows := make([]DesignRow, 0, len(families))
+	for _, family := range families {
 		res, err := planner.Plan(planner.Request{
-			Name: q.Name, Source: q.Source, N: PaperN, Categories: q.Categories,
+			Name: q.Name, Source: q.Source, N: n, Categories: q.Categories,
 			Goal: costmodel.PartExpCPU, Limits: planner.DefaultLimits,
-			ForceChoices: map[string]string{dim: prefix},
+			ForceChoices: map[string]string{dim: family},
 		})
-		row := DesignRow{Dimension: dim, Choice: prefix}
+		row := DesignRow{Dimension: dim, Choice: family, Err: err}
 		if err == nil {
 			p := res.Plan
 			row.Feasible = true
@@ -55,30 +74,23 @@ func DesignAblations() ([]DesignRow, error) {
 			row.Committees = p.CommitteeCount
 		}
 		rows = append(rows, row)
-		return nil
 	}
-	// Sum: the aggregator loop vs. device trees of different fanouts
-	// (Section 4.3's first example of operator instantiation).
-	for _, choice := range []string{
-		"aggregator-loop", "device-tree-fanout-2", "device-tree-fanout-8", "device-tree-fanout-64",
-	} {
-		if err := pin(queries.Top1, "sum", choice); err != nil {
+	return rows, nil
+}
+
+// DesignAblations prices the alternatives for the sum operator and the em
+// variant on top1, and for the Laplace noising slice width on bayes (C=115).
+func DesignAblations() ([]DesignRow, error) {
+	var rows []DesignRow
+	for _, pin := range []struct {
+		q   queries.Query
+		dim string
+	}{{queries.Top1, "sum"}, {queries.Top1, "em"}, {queries.Bayes, "noise"}} {
+		r, err := PinChoices(pin.q, PaperN, pin.dim)
+		if err != nil {
 			return nil, err
 		}
-	}
-	// em: the two instantiations of Figure 4.
-	for _, choice := range []string{"gumbel", "exponentiate-mpc", "exponentiate-fhe"} {
-		if err := pin(queries.Top1, "em", choice); err != nil {
-			return nil, err
-		}
-	}
-	// Laplace noising: values per committee (bayes, C=115).
-	for _, choice := range []string{
-		"committee-slice-1", "committee-slice-16", "committee-slice-64",
-	} {
-		if err := pin(queries.Bayes, "noise", choice); err != nil {
-			return nil, err
-		}
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }

@@ -1,7 +1,7 @@
 // Package eval regenerates every table and figure of the paper's evaluation
 // (Section 7). Each experiment has one generator returning structured rows
-// plus a text renderer; cmd/experiments prints them and bench_test.go wraps
-// each in a benchmark. Absolute numbers come from this repository's
+// plus a text renderer; cmd/experiments prints them and a Test*Shape test
+// asserts each one's shape. Absolute numbers come from this repository's
 // calibrated cost model, so the point of comparison with the paper is the
 // *shape*: who wins, by what factor, and where the crossovers fall (see
 // EXPERIMENTS.md).

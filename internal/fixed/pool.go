@@ -4,8 +4,8 @@ package fixed
 //
 // The bgv and ahe kernels used to burn most of their per-op cost on
 // allocation: every multiplication, encryption, and fold built its scratch
-// polynomials fresh (BENCH_kernels.json recorded bgv.Mul at 1.2 MB / 47
-// allocs per op before pooling). This file is the shared remedy: SlabPool, a
+// polynomials fresh (bgv.Mul measured 1.2 MB / 47 allocs per op before
+// pooling). This file is the shared remedy: SlabPool, a
 // sync.Pool of fixed-size uint64 slabs, and Pool[T], a typed sync.Pool of
 // scratch structs, which the kernels check out per operation and return on
 // exit so steady-state hot loops run at zero (bgv) or near-zero (ahe) heap

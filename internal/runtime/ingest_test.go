@@ -16,6 +16,7 @@ import (
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
 	"arboretum/internal/fixed"
+	"arboretum/internal/planner"
 )
 
 // --- virtual-population helpers ---
@@ -591,8 +592,8 @@ func reportPerDevice(b *testing.B, before goruntime.MemStats, devices int) {
 }
 
 // BenchmarkIngest drives the sharded, streaming pipeline over a virtual
-// population — the 10^5..10^8-device scaling harness (`scripts/bench.sh
-// ingest` sweeps ARBORETUM_BENCH_DEVICES). Per-device state derives from the
+// population — the 10^5..10^8-device scaling harness (ARBORETUM_BENCH_DEVICES
+// sets the population; docs/INGEST.md). Per-device state derives from the
 // population seed inside each shard and uploads fold into pooled
 // accumulators, so allocations and live heap stay O(shards × batch) while
 // ns/device stays flat: the heap-peak-bytes metric is the flatness evidence.
@@ -656,4 +657,33 @@ func BenchmarkCollectInputs(b *testing.B) {
 	}
 	b.StopTimer()
 	reportPerDevice(b, before, d.cfg.N)
+}
+
+// BenchmarkEndToEndGumbelVsExponentiate times one em query end to end under
+// each executable em variant (the trade-off of Figure 4): a fresh
+// deployment, its own-shape plan with the variant pinned, and the run.
+func BenchmarkEndToEndGumbelVsExponentiate(b *testing.B) {
+	src := "aggr = sum(db);\nresult = em(aggr, 2.0);\noutput(result);"
+	for _, family := range []string{"gumbel", "exponentiate-mpc"} {
+		b.Run(family, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d, err := NewDeployment(Config{
+					N: 64, Categories: 8, CommitteeSize: 5, Seed: int64(i),
+					BudgetEpsilon: 1e9,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				req := d.PlanRequest(src)
+				req.ForceChoices = map[string]string{"em": family}
+				p, err := planner.Plan(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := d.RunPlan(p.Plan, src, RunOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -7,11 +7,11 @@
 //     sortition tickets, or noise. Deliberately deterministic simulation
 //     draws are annotated with //arblint:ignore randsource <reason>.
 //
-//   - In benchmark files of packages whose kernel timings are tracked
+//   - In benchmark files of packages whose kernel timings are compared
 //     across commits (policy.DeterministicBench), crypto/rand must not be
-//     used: benchmark inputs must be identical run to run so
-//     BENCH_kernels.json deltas measure the code, not the inputs. Those
-//     benchmarks draw from internal/benchrand instead.
+//     used: benchmark inputs must be identical run to run so the
+//     before/after go test -bench rows of docs/KERNELS.md measure the code,
+//     not the inputs. Those benchmarks draw from internal/benchrand instead.
 //
 // The analyzer inspects _test.go files too (syntactically), since both
 // rules apply to test code.

@@ -71,10 +71,11 @@ var SimulationExempt = Set{
 }
 
 // DeterministicBench lists the packages whose *bench_test.go files must not
-// draw from crypto/rand (randsource): scripts/bench.sh tracks kernel timings
-// across commits in BENCH_kernels.json, and nondeterministic benchmark
-// inputs (key material, polynomial coefficients) add run-to-run noise to the
-// numbers being compared. Benchmarks there use internal/benchrand instead.
+// draw from crypto/rand (randsource): docs/KERNELS.md compares kernel
+// timings before and after a change by their go test -bench rows, and
+// nondeterministic benchmark inputs (key material, polynomial coefficients)
+// add run-to-run noise to the numbers being compared. Benchmarks there use
+// internal/benchrand instead.
 var DeterministicBench = Set{
 	"internal/ahe": true,
 	"internal/bgv": true,
