@@ -131,8 +131,8 @@ func TestFixedBaseEncryptMatchesTextbook(t *testing.T) {
 	}
 }
 
-// TestEncryptVectorSharedTable exercises the table-per-call path: a key
-// without a precomputed table must still one-hot encrypt correctly.
+// TestEncryptVectorSharedTable checks a hand-built key with no table: every
+// slot takes the textbook path, and the one-hot vector still decrypts.
 func TestEncryptVectorSharedTable(t *testing.T) {
 	sk := testKeyPair(t)
 	bare := PublicKey{N: sk.N, N2: sk.N2}

@@ -13,10 +13,11 @@ package ahe
 // the decisional composite residuosity assumption (see docs/KERNELS.md).
 //
 // Because the base is fixed, the exponentiation walks an internal/fixedbase
-// comb — at most 128 modular multiplications and no squarings per
-// encryption — and the table is shared across every encryption under the
-// key (EncryptVector's per-slot encryptions in particular). The walk runs on
-// pooled scratch, so it allocates nothing (docs/KERNELS.md, "Why math/big").
+// comb — at most 86 Barrett-reduced multiplications and no squarings per
+// encryption — and the key carries one table, built by GenerateKey or
+// UnmarshalBinary and shared by every encryption under it (EncryptVector's
+// per-slot encryptions in particular). The walk runs on pooled scratch, so
+// it allocates nothing (docs/KERNELS.md, "Why math/big").
 
 import (
 	"crypto/sha256"
@@ -36,7 +37,8 @@ type fixedBase struct {
 	comb *fixedbase.Table // for gn = h^n mod n²
 
 	// scratch pools the per-encryption working state: the randomizer-exponent
-	// bytes and the big.Int temporaries encrypt folds its product in.
+	// bytes, the big.Int temporaries encrypt folds its product in and the
+	// comb's Barrett scratch.
 	scratch fixed.Pool[fbScratch]
 }
 
@@ -47,8 +49,8 @@ type fbScratch struct {
 	msg big.Int // m mod n
 	gm  big.Int // 1 + msg·n
 	rn  big.Int // randomizer r^n mod n²
-	mul big.Int // double-width product gm·rn
-	quo big.Int // quotient scratch for the final reduction
+	c   big.Int // gm·rn mod n²
+	fb  fixedbase.Scratch
 }
 
 // deriveH returns a canonical unit mod n, derived deterministically from the
@@ -89,12 +91,12 @@ func newFixedBase(n, n2 *big.Int) *fixedBase {
 
 // randomPowerInto draws a fresh randomizer gn^x mod n² into s.rn, with x a
 // uniform 512-bit exponent read from random as little-endian bytes: one
-// table-entry multiply per nonzero 4-bit digit of x, ~120 modular
+// table-entry multiply per nonzero 6-bit digit of x, ~84 modular
 // multiplications in expectation, all on s's scratch.
 func (fb *fixedBase) randomPowerInto(random io.Reader, s *fbScratch) error {
 	if _, err := io.ReadFull(random, s.exp[:]); err != nil {
 		return err
 	}
-	fb.comb.Exp(&s.rn, &s.mul, &s.quo, s.exp[:])
+	fb.comb.Exp(&s.rn, &s.fb, s.exp[:])
 	return nil
 }

@@ -66,7 +66,8 @@ func (pk *PublicKey) MarshalBinary() ([]byte, error) {
 	return appendBig(nil, pk.N), nil
 }
 
-// UnmarshalBinary deserializes a public key.
+// UnmarshalBinary deserializes a public key and attaches its fixed-base
+// table, the same comb GenerateKey builds: deriveH is deterministic in n.
 func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	n, rest, err := readBig(data)
 	if err != nil {
@@ -81,5 +82,6 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	}
 	pk.N = n
 	pk.N2 = new(big.Int).Mul(n, n)
+	pk.fb = newFixedBase(n, pk.N2)
 	return nil
 }

@@ -11,9 +11,10 @@
 // costs are unaffected by this substitution (see DESIGN.md).
 //
 // All modular arithmetic is math/big — Exp for the decryption and textbook
-// encryption exponentiations, Mul+QuoRem on pooled receivers for the
-// fixed-base randomizer walk and the additive folds — on every platform;
-// there is no second kernel (docs/KERNELS.md, "Why math/big").
+// encryption exponentiations, Barrett-reduced Muls on pooled receivers for
+// the fixed-base randomizer walk and the encryption product, Mul+QuoRem for
+// the additive folds — on every platform; there is no second kernel
+// (docs/KERNELS.md, "Why math/big").
 //
 // # Thread safety
 //
@@ -71,11 +72,11 @@ type PublicKey struct {
 	N2 *big.Int // n^2, cached
 
 	// fb is the precomputed fixed-base table that accelerates the r^n mod n²
-	// factor of every encryption (see fixedbase.go). GenerateKey populates
-	// it; keys built by hand or deserialized leave it nil, in which case
-	// Encrypt falls back to the textbook exponentiation and EncryptVector
-	// builds one table shared across its per-slot encryptions. The table is
-	// immutable, so copying the key copies the pointer safely.
+	// factor of every encryption (see fixedbase.go). GenerateKey and
+	// UnmarshalBinary populate it; a key built by hand leaves it nil, and
+	// then every encryption — Encrypt's and each EncryptVector slot's —
+	// takes the textbook exponentiation. The table is immutable, so copying
+	// the key copies the pointer safely.
 	fb *fixedBase
 }
 
@@ -181,14 +182,12 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 	return pk.encrypt(random, m, pk.fb)
 }
 
-// encrypt is Encrypt with an explicit fixed-base table (possibly nil), so
-// EncryptVector can share one table across slots even on keys without a
-// precomputed one.
+// encrypt is Encrypt with an explicit fixed-base table (possibly nil).
 //
 // With a table, the whole operation runs on the table's pooled scratch —
-// randomizer walk, g^m, product, and reduction — and only the returned
-// ciphertext is freshly allocated (two allocations: box + limbs). Without
-// one it falls back to the allocating textbook path.
+// randomizer walk, g^m, and the Barrett-reduced product — and only the
+// returned ciphertext is freshly allocated (two allocations: box + limbs).
+// Without one it falls back to the allocating textbook path.
 func (pk *PublicKey) encrypt(random io.Reader, m *big.Int, fb *fixedBase) (*Ciphertext, error) {
 	if fb == nil {
 		// Textbook path: r uniform in [1, n) with gcd(r, n) = 1
@@ -219,15 +218,12 @@ func (pk *PublicKey) encrypt(random io.Reader, m *big.Int, fb *fixedBase) (*Ciph
 	}
 	msg := s.msg.Mod(m, pk.N)
 	// c = g^m · r^n mod n^2 with g = n+1: g^m = 1 + m·n, which is already
-	// below n² (msg ≤ n−1 gives g^m ≤ n² − n + 1), so no reduction is needed
-	// before the product.
+	// below n² (msg ≤ n−1 gives g^m ≤ n² − n + 1), so it is a valid operand
+	// of the comb's reduction mod n² as it stands.
 	gm := s.gm.Mul(msg, pk.N)
 	gm.Add(gm, one)
-	s.mul.Mul(gm, &s.rn)
-	box := &ctBox{}
-	s.quo.QuoRem(&s.mul, pk.N2, &box.v)
-	box.ct.C = &box.v
-	return &box.ct, nil
+	fb.comb.MulMod(&s.c, &s.fb, gm, &s.rn)
+	return newCiphertextFrom(&s.c), nil
 }
 
 // Decrypt recovers the plaintext. Values above n/2 are returned negative,
@@ -421,16 +417,12 @@ func parallelSafeReader(r io.Reader) io.Reader {
 // encryption of 1 at position hot and encryptions of 0 elsewhere. This is
 // the device-side input step for categorical queries (Section 5.3). The
 // per-position encryptions are independent, so they run on the package's
-// worker pool; slot i always holds position i's ciphertext. All slots share
-// one fixed-base table for their r^n factors — the key's precomputed table
-// when present, otherwise one built here for the call.
+// worker pool; slot i always holds position i's ciphertext. Every slot
+// encrypts as Encrypt does: on the key's fixed-base table when it has one,
+// by the textbook path when the key was built by hand.
 func (pk *PublicKey) EncryptVector(random io.Reader, length, hot int) ([]*Ciphertext, error) {
 	if hot < 0 || hot >= length {
 		return nil, fmt.Errorf("ahe: hot index %d out of [0,%d)", hot, length)
-	}
-	fb := pk.fb
-	if fb == nil {
-		fb = newFixedBase(pk.N, pk.N2)
 	}
 	w := parallel.Workers(0)
 	if w > 1 && length > 1 {
@@ -441,7 +433,7 @@ func (pk *PublicKey) EncryptVector(random io.Reader, length, hot int) ([]*Cipher
 		if i == hot {
 			m = one
 		}
-		return pk.encrypt(random, m, fb)
+		return pk.Encrypt(random, m)
 	})
 }
 

@@ -1,11 +1,14 @@
 package ahe
 
 import (
+	"bytes"
 	"crypto/rand"
 	"math/big"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"arboretum/internal/benchrand"
 )
 
 // testKey caches a keypair: Paillier keygen is the slow part and the tests
@@ -365,6 +368,45 @@ func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 	// So are even ones: no product of two odd primes is even.
 	if err := pk.UnmarshalBinary(appendBig(nil, new(big.Int).Lsh(one, 200))); err == nil {
 		t.Error("even modulus accepted")
+	}
+}
+
+// TestUnmarshaledKeyEncryptsIdentically holds a deserialized public key to
+// the key it came from: UnmarshalBinary attaches the same comb GenerateKey
+// built, so the same randomness stream gives byte-identical ciphertexts, one
+// by one and as a one-hot vector.
+func TestUnmarshaledKeyEncryptsIdentically(t *testing.T) {
+	sk := testKeyPair(t)
+	data, err := sk.PublicKey.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back PublicKey
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	encryptAll := func(pk *PublicKey) [][]byte {
+		rng := benchrand.New(30)
+		var out [][]byte
+		for _, m := range []int64{0, 1, -5, 1 << 40} {
+			ct, err := pk.Encrypt(rng, big.NewInt(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ct.C.Bytes())
+		}
+		// One slot, so the parallel fan-out cannot reorder the stream.
+		vec, err := pk.EncryptVector(rng, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(out, vec[0].C.Bytes())
+	}
+	want, got := encryptAll(&sk.PublicKey), encryptAll(&back)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("ciphertext %d: unmarshaled key %x, original %x", i, got[i], want[i])
+		}
 	}
 }
 

@@ -3,10 +3,22 @@ package fixedbase
 import (
 	"bytes"
 	"math/big"
+	"strings"
 	"testing"
 
 	"arboretum/internal/benchrand"
 )
+
+// sizes are the two shapes the callers use: ahe's 512-bit randomizer
+// exponents over a 1024-bit n², and vsr's 1536-bit commitment exponents over
+// a 1536-bit P.
+var sizes = []struct {
+	name            string
+	modBits, expLen int
+}{
+	{"ahe", 1024, 64},
+	{"vsr", 1536, 192},
+}
 
 // littleEndian reads exp as the little-endian integer the comb walks.
 func littleEndian(exp []byte) *big.Int {
@@ -17,49 +29,163 @@ func littleEndian(exp []byte) *big.Int {
 	return new(big.Int).SetBytes(be)
 }
 
+// randomBytes returns n bytes from rng.
+func randomBytes(tb testing.TB, rng *benchrand.Reader, n int) []byte {
+	tb.Helper()
+	b := make([]byte, n)
+	if _, err := rng.Read(b); err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// oddModulus returns a random odd modulus of exactly modBits bits.
+func oddModulus(tb testing.TB, rng *benchrand.Reader, modBits int) *big.Int {
+	tb.Helper()
+	mb := randomBytes(tb, rng, modBits/8)
+	mb[0] |= 0x80
+	mb[len(mb)-1] |= 1
+	return new(big.Int).SetBytes(mb)
+}
+
+// withTopWord returns m with its most significant word replaced by top.
+func withTopWord(m *big.Int, top big.Word) *big.Int {
+	w := append([]big.Word(nil), m.Bits()...)
+	w[len(w)-1] = top
+	return new(big.Int).SetBits(w)
+}
+
 // TestExpMatchesExp holds the comb walk to big.Int.Exp at the two sizes its
-// callers use — ahe's 512-bit randomizer exponents over a 1024-bit n², and
-// vsr's 1536-bit commitment exponents over a 1536-bit P — on all-zero,
-// all-0xff, short and random exponents, with the scratch reused throughout.
+// callers use, each over a random modulus and over the two Barrett edge
+// shapes — a top word of 1, so μ is as large as it gets, and a top word of
+// all ones, so μ is as small — on all-zero, all-0xff (every digit 63),
+// short, digit-alignment and random exponents, with the scratch reused
+// throughout.
 func TestExpMatchesExp(t *testing.T) {
 	rng := benchrand.New(7)
-	for _, size := range []struct {
-		name            string
-		modBits, expLen int
-	}{
-		{"ahe", 1024, 64},
-		{"vsr", 1536, 192},
-	} {
+	for _, size := range sizes {
 		t.Run(size.name, func(t *testing.T) {
-			mb := make([]byte, size.modBits/8)
-			if _, err := rng.Read(mb); err != nil {
-				t.Fatal(err)
-			}
-			mb[0] |= 0x80
-			mb[len(mb)-1] |= 1
-			m := new(big.Int).SetBytes(mb)
-			g := big.NewInt(4)
-			tab := New(g, m, size.expLen)
+			random := oddModulus(t, rng, size.modBits)
+			mods := []*big.Int{random, withTopWord(random, 1), withTopWord(random, ^big.Word(0))}
 			exps := [][]byte{
 				make([]byte, size.expLen),
 				bytes.Repeat([]byte{0xff}, size.expLen),
+				bytes.Repeat([]byte{0xff}, size.expLen-1),
 				{0x01},
 				{0xf0, 0x0f},
 			}
-			for i := 0; i < 20; i++ {
+			// A run of six ones at every bit offset mod 8: the runs at offsets
+			// 3..7 straddle a byte boundary, and each run splits across two
+			// 6-bit digits unless it sits on a window.
+			for off := uint(0); off < 8; off++ {
 				e := make([]byte, size.expLen)
-				if _, err := rng.Read(e); err != nil {
-					t.Fatal(err)
-				}
+				run := uint(0x3f) << (8 + off)
+				e[1], e[2] = byte(run>>8), byte(run>>16)
 				exps = append(exps, e)
+				// The same run in the top bytes, where the last window is
+				// partial.
+				top := make([]byte, size.expLen)
+				top[size.expLen-2], top[size.expLen-1] = byte(run>>8), byte(run>>16)
+				exps = append(exps, top)
 			}
-			var z, mul, quo big.Int
-			for _, e := range exps {
-				x := littleEndian(e)
-				tab.Exp(&z, &mul, &quo, e)
-				if want := new(big.Int).Exp(g, x, m); z.Cmp(want) != 0 {
-					t.Fatalf("x = %x: comb %v, Exp %v", x, &z, want)
+			for _, n := range []int{1, 2, 3, 5, size.expLen - 1} {
+				exps = append(exps, randomBytes(t, rng, n))
+			}
+			for i := 0; i < 20; i++ {
+				exps = append(exps, randomBytes(t, rng, size.expLen))
+			}
+			var z big.Int
+			var s Scratch
+			for _, m := range mods {
+				g := big.NewInt(4)
+				tab := New(g, m, size.expLen)
+				for _, e := range exps {
+					x := littleEndian(e)
+					tab.Exp(&z, &s, e)
+					if want := new(big.Int).Exp(g, x, m); z.Cmp(want) != 0 {
+						t.Fatalf("m = %x, x = %x: comb %v, Exp %v", m, x, &z, want)
+					}
 				}
+			}
+		})
+	}
+}
+
+// TestExpLengthContract checks Exp's one length rule: an exponent of up to
+// the table's expBytes walks, and a longer one panics whatever its tail
+// holds.
+func TestExpLengthContract(t *testing.T) {
+	const expBytes = 8
+	m := big.NewInt(1000003)
+	g := big.NewInt(5)
+	tab := New(g, m, expBytes)
+	var z big.Int
+	var s Scratch
+	for _, n := range []int{0, 1, expBytes - 1, expBytes} {
+		e := bytes.Repeat([]byte{0xa5}, n)
+		tab.Exp(&z, &s, e)
+		if want := new(big.Int).Exp(g, littleEndian(e), m); z.Cmp(want) != 0 {
+			t.Fatalf("%d-byte exponent: comb %v, Exp %v", n, &z, want)
+		}
+	}
+	for _, e := range [][]byte{
+		make([]byte, expBytes+1), // zero tail
+		make([]byte, expBytes+2),
+		append(make([]byte, expBytes), 1),
+	} {
+		func() {
+			defer func() {
+				if r, ok := recover().(string); !ok || !strings.Contains(r, "exceeds") {
+					t.Errorf("%d-byte exponent: recovered %v, want the length panic", len(e), r)
+				}
+			}()
+			tab.Exp(&z, &s, e)
+		}()
+	}
+}
+
+// TestMulModMatchesMod holds the Barrett step to Mul then Mod on operands
+// at the edges of [0, m) as well as random ones.
+func TestMulModMatchesMod(t *testing.T) {
+	rng := benchrand.New(30)
+	m := oddModulus(t, rng, 1024)
+	tab := New(big.NewInt(3), m, 1)
+	mMinus1 := new(big.Int).Sub(m, big.NewInt(1))
+	vals := []*big.Int{big.NewInt(0), big.NewInt(1), mMinus1, new(big.Int).Rsh(m, 1)}
+	for i := 0; i < 8; i++ {
+		v := new(big.Int).SetBytes(randomBytes(t, rng, 128))
+		vals = append(vals, v.Mod(v, m))
+	}
+	var z big.Int
+	var s Scratch
+	for _, x := range vals {
+		for _, y := range vals {
+			tab.MulMod(&z, &s, x, y)
+			want := new(big.Int).Mul(x, y)
+			if want.Mod(want, m); z.Cmp(want) != 0 {
+				t.Fatalf("%v·%v: MulMod %v, Mul+Mod %v", x, y, &z, want)
+			}
+		}
+	}
+}
+
+// BenchmarkExp times one walk at each caller's size on random exponents:
+// the kernel row of docs/KERNELS.md's "Fixed-base combs".
+func BenchmarkExp(b *testing.B) {
+	for _, size := range sizes {
+		b.Run(size.name, func(b *testing.B) {
+			rng := benchrand.New(uint64(size.modBits))
+			tab := New(big.NewInt(4), oddModulus(b, rng, size.modBits), size.expLen)
+			exps := make([][]byte, 64)
+			for i := range exps {
+				exps[i] = randomBytes(b, rng, size.expLen)
+			}
+			var z big.Int
+			var s Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tab.Exp(&z, &s, exps[i%len(exps)])
 			}
 		})
 	}

@@ -58,8 +58,8 @@ type commitScratch struct {
 	exp []byte  // v mod Q as little-endian bytes, one per byte of Q
 	x   big.Int // v mod Q
 	acc big.Int // G^x mod P
-	mul big.Int // double-width product
-	quo big.Int // quotient scratch
+	quo big.Int // v div Q, discarded
+	fb  fixedbase.Scratch
 }
 
 // rfc3526Prime1536 is the 1536-bit MODP safe prime from RFC 3526 §2.
@@ -112,7 +112,7 @@ func (g *Group) Commit(v *big.Int) *big.Int {
 	for i, j := 0, len(s.exp)-1; i < j; i, j = i+1, j-1 {
 		s.exp[i], s.exp[j] = s.exp[j], s.exp[i]
 	}
-	g.comb.Exp(&s.acc, &s.mul, &s.quo, s.exp)
+	g.comb.Exp(&s.acc, &s.fb, s.exp)
 	return new(big.Int).Set(&s.acc)
 }
 

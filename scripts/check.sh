@@ -46,13 +46,13 @@ go -C bench test ./...
 
 # Allocation-regression gates (docs/KERNELS.md): the kernel hot paths are
 # pinned to their steady-state allocation counts, the planner's scorer — run
-# once per plan prefix the search visits — and a warm vsr.Group.Field to
-# zero. Runs inside
+# once per plan prefix the search visits — a warm vsr.Group.Field and a warm
+# fixed-base comb walk to zero. Runs inside
 # `go test ./...` too; this named invocation bypasses the test cache so the
 # gate always executes, and fails loudly on its own line when a hot path
 # regresses.
 echo "== alloc-regression gates"
-go test ./internal/bgv ./internal/ahe ./internal/planner ./internal/vsr -run '^TestAllocGate' -count=1
+go test ./internal/bgv ./internal/ahe ./internal/planner ./internal/vsr ./internal/fixedbase -run '^TestAllocGate' -count=1
 
 # Every go test -bench handle in the module (kernels, planner, ingest, vsr)
 # is compiled by the passes above but run by none of them; one iteration
