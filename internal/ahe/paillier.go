@@ -442,12 +442,15 @@ func (pk *PublicKey) EncryptVector(random io.Reader, length, hot int) ([]*Cipher
 // mirroring how the real system would share a BGV key; see DESIGN.md).
 func (sk *PrivateKey) Lambda() *big.Int { return new(big.Int).Set(sk.lambda) }
 
-// Mu exposes a copy of the post-processing inverse, shared alongside Lambda.
+// Mu exposes a copy of the post-processing inverse, (λ mod n)⁻¹ mod n. It is
+// a public function of Lambda and N, so committees do not share it: they
+// recompute it from a reconstructed λ.
 func (sk *PrivateKey) Mu() *big.Int { return new(big.Int).Set(sk.mu) }
 
-// FromSecrets reassembles a private key from redistributed secrets, used by
-// decryption committees after VSR hand-off. The key has no factorization, so
-// Decrypt takes the lambda/mu path: one full-width exponentiation mod n².
+// FromSecrets reassembles a private key from a reconstructed λ and its μ,
+// used by decryption committees after VSR hand-off. The key has no
+// factorization, so Decrypt takes the lambda/mu path: one full-width
+// exponentiation mod n².
 func FromSecrets(pk *PublicKey, lambda, mu *big.Int) *PrivateKey {
 	return &PrivateKey{
 		PublicKey: *pk,

@@ -2,10 +2,10 @@
 // loops: a bounded worker pool with deterministic output ordering, first-error
 // propagation, context cancellation, and panic forwarding.
 //
-// Every parallelized path in the crypto (internal/ahe, internal/bgv), runtime
-// (internal/runtime), and planner (internal/planner) layers funnels through
-// this package, so concurrency policy is set in exactly one place. The
-// guarantees callers rely on (and tests assert):
+// Every parallelized path in the crypto (internal/ahe, internal/bgv,
+// internal/vsr), runtime (internal/runtime), and planner (internal/planner)
+// layers funnels through this package, so concurrency policy is set in
+// exactly one place. The guarantees callers rely on (and tests assert):
 //
 //   - Deterministic ordering. Map writes result i of input i to slot i of the
 //     returned slice regardless of which worker ran it or when it finished,

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -11,6 +12,7 @@ import (
 	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
 	"arboretum/internal/mpc"
+	"arboretum/internal/parallel"
 	"arboretum/internal/sortition"
 )
 
@@ -144,12 +146,32 @@ func (ce *committeeExec) flushMetrics() {
 	ce.dep.Metrics.AggregatorBytes += dBytes
 }
 
+// errDecryptRange is the fail-closed refusal of a plaintext the committee
+// cannot hold as an int64: both decryption paths return it rather than
+// truncate the value.
+var errDecryptRange = errors.New("runtime: decrypted value exceeds int64")
+
+// decryptInt64 decrypts one ciphertext to an int64, refusing a plaintext out
+// of range with errDecryptRange.
+func decryptInt64(sk *ahe.PrivateKey, ct *ahe.Ciphertext) (int64, error) {
+	pt, err := sk.Decrypt(ct)
+	if err != nil {
+		return 0, fmt.Errorf("runtime: committee decryption: %w", err)
+	}
+	if !pt.IsInt64() {
+		return 0, errDecryptRange
+	}
+	return pt.Int64(), nil
+}
+
 // decryptToShares has the committee holding the key decrypt the counts and
 // re-enter them as joint secrets scaled to Q30.16 — the "decrypt aggregate
 // to secret shares" vignette. (In the real system the decryption itself runs
 // inside the MPC; the simulation reconstructs the key under the same
 // honest-majority assumption and keeps the plaintexts out of any single
-// party's hands by re-sharing immediately — see DESIGN.md.)
+// party's hands by re-sharing immediately — see DESIGN.md.) The decryptions
+// run on the deployment's pool; the counts enter the MPC one by one in slot
+// order, so the share stream is the same at every worker count.
 func (ce *committeeExec) decryptToShares(km *keyMaterial, cts []*ahe.Ciphertext) ([]mpc.Secret, error) {
 	if err := ce.health(); err != nil {
 		return nil, err
@@ -158,16 +180,15 @@ func (ce *committeeExec) decryptToShares(km *keyMaterial, cts []*ahe.Ciphertext)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]mpc.Secret, len(cts))
-	for i, ct := range cts {
-		pt, err := sk.Decrypt(ct)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: committee decryption: %w", err)
-		}
-		if !pt.IsInt64() {
-			return nil, fmt.Errorf("runtime: decrypted value exceeds int64")
-		}
-		out[i] = ce.engine.JointFixed(fixed.FromInt(pt.Int64()))
+	pts, err := parallel.Map(nil, len(cts), ce.dep.workers(), func(i int) (int64, error) {
+		return decryptInt64(sk, cts[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]mpc.Secret, len(pts))
+	for i, pt := range pts {
+		out[i] = ce.engine.JointFixed(fixed.FromInt(pt))
 	}
 	return out, nil
 }
@@ -182,11 +203,7 @@ func (ce *committeeExec) decryptScalar(km *keyMaterial, ct *ahe.Ciphertext) (int
 	if err != nil {
 		return 0, err
 	}
-	pt, err := sk.Decrypt(ct)
-	if err != nil {
-		return 0, err
-	}
-	return pt.Int64(), nil
+	return decryptInt64(sk, ct)
 }
 
 // laplaceRelease adds Laplace noise to the encrypted value under encryption

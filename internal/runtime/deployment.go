@@ -31,7 +31,9 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"math/big"
 	//arblint:ignore randsource simulation determinism only; secrets use crypto/rand and noise honors Config.SecureNoise
 	mrand "math/rand"
 	"time"
@@ -350,11 +352,14 @@ func (d *Deployment) selectCommittees(count int) ([]sortition.Committee, error) 
 // keyMaterial is the deployment's per-query key state: the public key is
 // published in the query authorization certificate; the private key exists
 // only as shares held by the current key committee (Section 5.2).
+//
+// The committee shares λ alone. μ = (λ mod n)⁻¹ mod n is a public function
+// of λ and n, so shares of it would protect nothing that λ's shares do not;
+// reconstructKey derives it (DESIGN.md, "Key shares").
 type keyMaterial struct {
 	pub          *ahe.PublicKey
 	group        *vsr.Group
 	lambdaShares []shamir.Share
-	muShares     []shamir.Share
 	threshold    int
 	holder       sortition.Committee
 
@@ -376,29 +381,21 @@ func (km *keyMaterial) markLost(dropped map[int]bool) {
 }
 
 // keygen runs the key-generation committee: a fresh Paillier keypair whose
-// private values are immediately secret-shared among the committee; the
-// clear private key is discarded (the simulation's stand-in for generating
-// the key inside the MPC — see DESIGN.md). It also advances the sortition
-// block with the committee's joint randomness.
+// λ is immediately secret-shared among the committee (shareKey); the clear
+// private key is discarded (the simulation's stand-in for generating the key
+// inside the MPC — see DESIGN.md). It also advances the sortition block with
+// the committee's joint randomness.
 func (d *Deployment) keygen(committee sortition.Committee) (*keyMaterial, error) {
 	sk, err := ahe.GenerateKey(rand.Reader, d.cfg.KeyBits)
 	if err != nil {
 		return nil, err
 	}
-	group := vsr.DefaultGroup()
-	field := group.Field()
-	m := len(committee)
-	t := m/2 + 1
-	lambdaShares, err := field.Split(sk.Lambda(), m, t)
-	if err != nil {
-		return nil, err
-	}
-	muShares, err := field.Split(sk.Mu(), m, t)
+	km, err := shareKey(sk, committee)
 	if err != nil {
 		return nil, err
 	}
 	// New random block from member contributions (Section 5.2).
-	contribs := make([][]byte, m)
+	contribs := make([][]byte, len(committee))
 	for i := range contribs {
 		c := make([]byte, sha256.Size)
 		if _, err := rand.Read(c); err != nil {
@@ -411,15 +408,19 @@ func (d *Deployment) keygen(committee sortition.Committee) (*keyMaterial, error)
 		return nil, err
 	}
 	d.block = next
+	return km, nil
+}
+
+// shareKey splits sk's λ among committee with an honest-majority threshold.
+func shareKey(sk *ahe.PrivateKey, committee sortition.Committee) (*keyMaterial, error) {
+	group := vsr.DefaultGroup()
+	t := len(committee)/2 + 1
+	shares, err := group.Field().Split(sk.Lambda(), len(committee), t)
+	if err != nil {
+		return nil, err
+	}
 	pub := sk.PublicKey
-	return &keyMaterial{
-		pub:          &pub,
-		group:        group,
-		lambdaShares: lambdaShares,
-		muShares:     muShares,
-		threshold:    t,
-		holder:       committee,
-	}, nil
+	return &keyMaterial{pub: &pub, group: group, lambdaShares: shares, threshold: t, holder: committee}, nil
 }
 
 // handoff redistributes the private-key shares from the current holder to a
@@ -446,7 +447,7 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 			d.Metrics.VSRRedeals++
 			d.Metrics.BackoffSimulated += handoffBackoff.delay(attempt - 1)
 		}
-		var lambda, mu []shamir.Share
+		var lambda []shamir.Share
 		for i := range km.lambdaShares {
 			if i < len(km.lost) && km.lost[i] {
 				continue // dropped mid-vignette earlier; its share is gone
@@ -460,25 +461,18 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 				continue
 			}
 			lambda = append(lambda, km.lambdaShares[i])
-			mu = append(mu, km.muShares[i])
 		}
 		if len(lambda) < km.threshold {
 			lastErr = fmt.Errorf("%d of %d dealers survived, need %d: %w",
 				len(lambda), len(km.lambdaShares), km.threshold, vsr.ErrInsufficientShares)
 			continue
 		}
-		newLambda, err := vsr.Redistribute(km.group, lambda, km.threshold, newN, newT)
+		shares, err := vsr.Redistribute(km.group, lambda, km.threshold, newN, newT)
 		if err != nil {
-			lastErr = fmt.Errorf("runtime: VSR lambda: %w", err)
+			lastErr = fmt.Errorf("runtime: VSR: %w", err)
 			continue
 		}
-		newMu, err := vsr.Redistribute(km.group, mu, km.threshold, newN, newT)
-		if err != nil {
-			lastErr = fmt.Errorf("runtime: VSR mu: %w", err)
-			continue
-		}
-		km.lambdaShares = newLambda
-		km.muShares = newMu
+		km.lambdaShares = shares
 		km.threshold = newT
 		km.holder = to
 		km.lost = nil // the new committee starts with every share present
@@ -490,16 +484,18 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 }
 
 // reconstructKey lets the current holding committee (honest majority
-// assumed) reassemble the private key for a decryption step.
+// assumed) reassemble the private key for a decryption step: λ from its
+// shares, and μ = (λ mod n)⁻¹ mod n, the formula ahe.GenerateKey uses. A λ
+// with no inverse cannot decrypt, so it fails closed.
 func (km *keyMaterial) reconstructKey() (*ahe.PrivateKey, error) {
-	field := km.group.Field()
-	lambda, err := field.Reconstruct(km.lambdaShares, km.threshold)
+	lambda, err := km.group.Field().Reconstruct(km.lambdaShares, km.threshold)
 	if err != nil {
 		return nil, err
 	}
-	mu, err := field.Reconstruct(km.muShares, km.threshold)
-	if err != nil {
-		return nil, err
+	n := km.pub.N
+	mu := new(big.Int).ModInverse(new(big.Int).Mod(lambda, n), n)
+	if mu == nil {
+		return nil, errors.New("runtime: reconstructed key has no inverse mod n")
 	}
 	return ahe.FromSecrets(km.pub, lambda, mu), nil
 }

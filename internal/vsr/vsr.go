@@ -22,6 +22,7 @@ import (
 
 	"arboretum/internal/fixed"
 	"arboretum/internal/fixedbase"
+	"arboretum/internal/parallel"
 	"arboretum/internal/shamir"
 )
 
@@ -230,30 +231,28 @@ func Combine(g *Group, dealings []*Dealing, j int, oldT int) (shamir.Share, erro
 // returns the new committee's shares and an error if any verification fails.
 // The runtime uses this for committee-to-committee hand-offs; tests also
 // drive the individual steps to exercise malicious behaviour.
+//
+// The members run on the worker pool, as they run side by side in the real
+// protocol: one task per dealer, then one task per new member verifying and
+// combining. Shares come back in member order, and the lowest-index failure
+// is the one reported, at every worker count.
 func Redistribute(g *Group, oldShares []shamir.Share, oldT, newN, newT int) ([]shamir.Share, error) {
 	if len(oldShares) < oldT {
 		return nil, fmt.Errorf("need %d old shares, have %d: %w", oldT, len(oldShares), ErrInsufficientShares)
 	}
-	dealings := make([]*Dealing, 0, oldT)
-	for _, s := range oldShares[:oldT] {
-		d, err := Deal(g, s, newN, newT)
-		if err != nil {
-			return nil, err
-		}
-		dealings = append(dealings, d)
+	dealings, err := parallel.Map(nil, oldT, 0, func(i int) (*Dealing, error) {
+		return Deal(g, oldShares[i], newN, newT)
+	})
+	if err != nil {
+		return nil, err
 	}
-	out := make([]shamir.Share, newN)
-	for j := 1; j <= newN; j++ {
+	return parallel.Map(nil, newN, 0, func(m int) (shamir.Share, error) {
+		j := m + 1
 		for i, d := range dealings {
 			if !VerifySubShare(g, d, j) {
-				return nil, fmt.Errorf("vsr: member %d rejected dealing from x=%d (%d)", j, d.FromX, i)
+				return shamir.Share{}, fmt.Errorf("vsr: member %d rejected dealing from x=%d (%d)", j, d.FromX, i)
 			}
 		}
-		sh, err := Combine(g, dealings, j, oldT)
-		if err != nil {
-			return nil, err
-		}
-		out[j-1] = sh
-	}
-	return out, nil
+		return Combine(g, dealings, j, oldT)
+	})
 }

@@ -2,7 +2,10 @@ package vsr
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
+	"math/bits"
+	goruntime "runtime"
 	"sync"
 	"testing"
 
@@ -120,28 +123,58 @@ func TestGroupConcurrentFirstUse(t *testing.T) {
 	}
 }
 
+// TestRedistributePreservesSecret runs the pooled protocol on one worker (the
+// sequential loop) and on four: at both, every t-subset of the new shares
+// must reconstruct the secret, and a shortfall must still be the typed
+// ErrInsufficientShares.
 func TestRedistributePreservesSecret(t *testing.T) {
 	g := DefaultGroup()
 	field := g.Field()
 	secret := big.NewInt(987654321012345)
-
-	oldShares, err := field.Split(secret, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newShares, err := Redistribute(g, oldShares, 3, 7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(newShares) != 7 {
-		t.Fatalf("got %d new shares", len(newShares))
-	}
-	got, err := field.Reconstruct(newShares, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(secret) != 0 {
-		t.Fatalf("redistributed secret = %v, want %v", got, secret)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs%d", procs), func(t *testing.T) {
+			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+			old, err := field.Split(secret, 5, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const newN, newT = 7, 4
+			shares, err := Redistribute(g, old, 3, newN, newT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, sh := range shares {
+				if sh.X != int64(j+1) {
+					t.Fatalf("share %d is at x=%d, want %d", j, sh.X, j+1)
+				}
+			}
+			subsets := 0
+			for mask := 0; mask < 1<<newN; mask++ {
+				if bits.OnesCount(uint(mask)) != newT {
+					continue
+				}
+				var sub []shamir.Share
+				for j := 0; j < newN; j++ {
+					if mask&(1<<j) != 0 {
+						sub = append(sub, shares[j])
+					}
+				}
+				got, err := field.Reconstruct(sub, newT)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Cmp(secret) != 0 {
+					t.Fatalf("subset %07b reconstructs %v, want %v", mask, got, secret)
+				}
+				subsets++
+			}
+			if subsets != 35 {
+				t.Fatalf("checked %d subsets, want C(7,4) = 35", subsets)
+			}
+			if _, err := Redistribute(g, old[:2], 3, newN, newT); !errors.Is(err, ErrInsufficientShares) {
+				t.Errorf("Redistribute with 2 of 3 shares: got %v, want ErrInsufficientShares", err)
+			}
+		})
 	}
 }
 

@@ -112,6 +112,8 @@ var BudgetApprovedCallers = Set{
 // docs/CONCURRENCY.md). internal/service joined with the gateway: its two
 // daemon-lifecycle goroutines (executor-pool supervisor, per-job watchdog)
 // carry //arblint:ignore annotations recording why each is outside the pool.
+// internal/vsr joined when Redistribute began running its dealers and its
+// verifying members as pool tasks.
 var PoolOnly = Set{
 	"internal/ahe":     true,
 	"internal/bgv":     true,
@@ -119,6 +121,7 @@ var PoolOnly = Set{
 	"internal/planner": true,
 	"internal/mpc":     true,
 	"internal/service": true,
+	"internal/vsr":     true,
 }
 
 // MustCheckErrors lists the packages whose error returns may not be
