@@ -14,8 +14,10 @@ import (
 
 // The doc gate: every name the living docs hand a reader must resolve in
 // the tree. A backticked repo path must exist, an ARBORETUM_* variable must
-// be read by some script or Go file, and a Benchmark* name must be declared
-// in some _test.go of this module.
+// be read by some script or Go file, a Benchmark* name must be declared
+// in some _test.go of this module, and a backticked Test* name must be a
+// top-level declaration of this module outside bench/ — any kind, since
+// bgv.TestParams and TestRNSParams are vars.
 //
 // bench/README.md is not scanned: bench/ is the benchmark's own module and
 // changes only together with the benchmark, and its prose still names the
@@ -27,6 +29,7 @@ var (
 	braceGroup   = regexp.MustCompile(`(\S*)\{([^{}]*)\}`)
 	envName      = regexp.MustCompile(`ARBORETUM_[A-Z0-9_]+`)
 	benchName    = regexp.MustCompile(`\bBenchmark[A-Z0-9]\w*`)
+	testName     = regexp.MustCompile(`\bTest[A-Z]\w*`)
 	goEnvRead    = regexp.MustCompile(`(?:Getenv|LookupEnv)\("(ARBORETUM_[A-Z0-9_]+)"`)
 	shEnvRead    = regexp.MustCompile(`\$\{?(ARBORETUM_[A-Z0-9_]+)`)
 	qualifiedID  = regexp.MustCompile(`^(.+)\.[A-Z]\w*$`)
@@ -50,6 +53,14 @@ func TestDocNamesResolve(t *testing.T) {
 			for _, tok := range strings.Fields(expandBraces(span)) {
 				if p, ok := repoPath(tok); ok && !tree.resolves(p) {
 					t.Errorf("%s:%d: `%s` names %s, which does not exist", doc, line(m[0]), span, p)
+				}
+				if strings.Contains(tok, "*") { // a pattern, like TestAllocGate*
+					continue
+				}
+				for _, name := range testName.FindAllString(tok, -1) {
+					if !tree.testDecls[name] {
+						t.Errorf("%s:%d: `%s` names %s, which nothing in the module declares", doc, line(m[0]), span, name)
+					}
 				}
 			}
 		}
@@ -99,6 +110,7 @@ type docTree struct {
 	baseNames  map[string]bool // every file's base name
 	envRead    map[string]bool // ARBORETUM_* names some script or Go file reads
 	benchmarks map[string]bool // Benchmark* functions of this module's tests
+	testDecls  map[string]bool // top-level Test* declarations of this module
 }
 
 // resolves reports whether p exists: a bare file name anywhere in the tree,
@@ -119,7 +131,7 @@ func (tree docTree) resolves(p string) bool {
 }
 
 func walkDocTree(t *testing.T) docTree {
-	tree := docTree{map[string]bool{}, map[string]bool{}, map[string]bool{}}
+	tree := docTree{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -145,7 +157,7 @@ func walkDocTree(t *testing.T) docTree {
 		}
 		// bench/ is a module of its own, and testdata is never compiled.
 		slashed := filepath.ToSlash(path)
-		if !strings.HasSuffix(path, "_test.go") || strings.HasPrefix(slashed, "bench/") ||
+		if filepath.Ext(path) != ".go" || strings.HasPrefix(slashed, "bench/") ||
 			strings.Contains(slashed, "/testdata/") {
 			return nil
 		}
@@ -153,9 +165,13 @@ func walkDocTree(t *testing.T) docTree {
 		if err != nil {
 			return err
 		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
-				tree.benchmarks[fn.Name.Name] = true
+		isTest := strings.HasSuffix(path, "_test.go")
+		for _, name := range topLevelNames(f) {
+			if isTest && strings.HasPrefix(name, "Benchmark") {
+				tree.benchmarks[name] = true
+			}
+			if strings.HasPrefix(name, "Test") {
+				tree.testDecls[name] = true
 			}
 		}
 		return nil
@@ -164,4 +180,30 @@ func walkDocTree(t *testing.T) docTree {
 		t.Fatal(err)
 	}
 	return tree
+}
+
+// topLevelNames returns the names f declares at package level: functions
+// without a receiver, types, vars and consts.
+func topLevelNames(f *ast.File) []string {
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names = append(names, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						names = append(names, id.Name)
+					}
+				}
+			}
+		}
+	}
+	return names
 }

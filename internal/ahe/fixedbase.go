@@ -13,15 +13,15 @@ package ahe
 // the decisional composite residuosity assumption (see docs/KERNELS.md).
 //
 // Because the base is fixed, the exponentiation walks an internal/fixedbase
-// comb — at most 86 Barrett-reduced multiplications and no squarings per
-// encryption — and the key carries one table, built by GenerateKey or
+// comb — at most 86 Montgomery multiplications and no squarings per
+// encryption, the last of which multiplies in g^m, so the whole ciphertext
+// is one walk — and the key carries one table, built by GenerateKey or
 // UnmarshalBinary and shared by every encryption under it (EncryptVector's
 // per-slot encryptions in particular). The walk runs on pooled scratch, so
 // it allocates nothing (docs/KERNELS.md, "Why math/big").
 
 import (
 	"crypto/sha256"
-	"io"
 	"math/big"
 
 	"arboretum/internal/fixed"
@@ -37,8 +37,8 @@ type fixedBase struct {
 	comb *fixedbase.Table // for gn = h^n mod n²
 
 	// scratch pools the per-encryption working state: the randomizer-exponent
-	// bytes, the big.Int temporaries encrypt folds its product in and the
-	// comb's Barrett scratch.
+	// bytes, the big.Int temporaries encrypt forms its product in and the
+	// comb's walk scratch.
 	scratch fixed.Pool[fbScratch]
 }
 
@@ -48,8 +48,7 @@ type fbScratch struct {
 	exp [fbExpBytes]byte
 	msg big.Int // m mod n
 	gm  big.Int // 1 + msg·n
-	rn  big.Int // randomizer r^n mod n²
-	c   big.Int // gm·rn mod n²
+	c   big.Int // gm·gn^x mod n²
 	fb  fixedbase.Scratch
 }
 
@@ -87,16 +86,4 @@ func newFixedBase(n, n2 *big.Int) *fixedBase {
 	fb := &fixedBase{comb: fixedbase.New(gn, n2, fbExpBytes)}
 	fb.scratch.New = func() *fbScratch { return new(fbScratch) }
 	return fb
-}
-
-// randomPowerInto draws a fresh randomizer gn^x mod n² into s.rn, with x a
-// uniform 512-bit exponent read from random as little-endian bytes: one
-// table-entry multiply per nonzero 6-bit digit of x, ~84 modular
-// multiplications in expectation, all on s's scratch.
-func (fb *fixedBase) randomPowerInto(random io.Reader, s *fbScratch) error {
-	if _, err := io.ReadFull(random, s.exp[:]); err != nil {
-		return err
-	}
-	fb.comb.Exp(&s.rn, &s.fb, s.exp[:])
-	return nil
 }

@@ -11,10 +11,10 @@
 // costs are unaffected by this substitution (see DESIGN.md).
 //
 // All modular arithmetic is math/big — Exp for the decryption and textbook
-// encryption exponentiations, Barrett-reduced Muls on pooled receivers for
-// the fixed-base randomizer walk and the encryption product, Mul+QuoRem for
-// the additive folds — on every platform; there is no second kernel
-// (docs/KERNELS.md, "Why math/big").
+// encryption exponentiations, Montgomery steps on math/big's own addMulVVW
+// for the fixed-base walk that forms the whole encryption product,
+// Mul+QuoRem for the additive folds — on every platform; there is no second
+// kernel (docs/KERNELS.md, "Why math/big").
 //
 // # Thread safety
 //
@@ -185,7 +185,7 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 // encrypt is Encrypt with an explicit fixed-base table (possibly nil).
 //
 // With a table, the whole operation runs on the table's pooled scratch —
-// randomizer walk, g^m, and the Barrett-reduced product — and only the
+// g^m, then one walk that multiplies it by the randomizer — and only the
 // returned ciphertext is freshly allocated (two allocations: box + limbs).
 // Without one it falls back to the allocating textbook path.
 func (pk *PublicKey) encrypt(random io.Reader, m *big.Int, fb *fixedBase) (*Ciphertext, error) {
@@ -213,16 +213,18 @@ func (pk *PublicKey) encrypt(random io.Reader, m *big.Int, fb *fixedBase) (*Ciph
 	}
 	s := fb.scratch.Get()
 	defer fb.scratch.Put(s)
-	if err := fb.randomPowerInto(random, s); err != nil {
+	// The randomizer is gn^x for x a uniform 512-bit exponent, read from
+	// random as little-endian bytes.
+	if _, err := io.ReadFull(random, s.exp[:]); err != nil {
 		return nil, err
 	}
 	msg := s.msg.Mod(m, pk.N)
-	// c = g^m · r^n mod n^2 with g = n+1: g^m = 1 + m·n, which is already
-	// below n² (msg ≤ n−1 gives g^m ≤ n² − n + 1), so it is a valid operand
-	// of the comb's reduction mod n² as it stands.
+	// c = g^m · gn^x mod n² with g = n+1: g^m = 1 + m·n, which is already
+	// below n² (msg ≤ n−1 gives g^m ≤ n² − n + 1), so it is a valid factor
+	// for the comb's walk as it stands.
 	gm := s.gm.Mul(msg, pk.N)
 	gm.Add(gm, one)
-	fb.comb.MulMod(&s.c, &s.fb, gm, &s.rn)
+	fb.comb.MulExp(&s.c, &s.fb, gm, s.exp[:])
 	return newCiphertextFrom(&s.c), nil
 }
 

@@ -15,12 +15,14 @@ import (
 	"arboretum/internal/benchrand"
 )
 
-// newAllocs caps New at both sizes: the table, its modulus, μ and slab, the
-// two walk receivers and the build's scratch growing to size measure 26
-// (ahe) and 30 (vsr) allocations, and a sync.Pool miss inside math/big's
-// division of μ adds a few now and then. Before the slab it was one per
-// entry, 1,936 at the ahe size.
-const newAllocs = 40
+// newAllocs caps New at both sizes: the table, its modulus words and slab,
+// the base in Montgomery form (g·R mod m, one Lsh and two Mods) and the
+// build's step buffers measure 8–10 allocations at the ahe and 9–10 at the
+// vsr size. The spread is math/big's division drawing its two scratch nats
+// from a sync.Pool, and a miss costs two allocations each, so the margin of
+// four above the measured 10 covers both missing at once. Before the slab
+// it was one per entry, 1,936 at the ahe size.
+const newAllocs = 14
 
 func TestAllocGateFixedBase(t *testing.T) {
 	rng := benchrand.New(0xA110C)

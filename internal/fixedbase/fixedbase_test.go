@@ -55,10 +55,19 @@ func withTopWord(m *big.Int, top big.Word) *big.Int {
 	return new(big.Int).SetBits(w)
 }
 
+// withLowWord returns m with its least significant word replaced by low,
+// which must be odd.
+func withLowWord(m *big.Int, low big.Word) *big.Int {
+	w := append([]big.Word(nil), m.Bits()...)
+	w[0] = low
+	return new(big.Int).SetBits(w)
+}
+
 // TestExpMatchesExp holds the comb walk to big.Int.Exp at the two sizes its
-// callers use, each over a random modulus and over the two Barrett edge
-// shapes — a top word of 1, so μ is as large as it gets, and a top word of
-// all ones, so μ is as small — on all-zero, all-0xff (every digit 63),
+// callers use, each over a random modulus, over the two top-word edges — a
+// top word of 1 and a top word of all ones — and over the two ends of
+// m′ = −m⁻¹ mod b — a low word of 1, so m′ is all ones, and a low word of
+// all ones, so m′ is 1 — on all-zero, all-0xff (every digit 63),
 // short, digit-alignment and random exponents, with the scratch reused
 // throughout.
 func TestExpMatchesExp(t *testing.T) {
@@ -66,7 +75,11 @@ func TestExpMatchesExp(t *testing.T) {
 	for _, size := range sizes {
 		t.Run(size.name, func(t *testing.T) {
 			random := oddModulus(t, rng, size.modBits)
-			mods := []*big.Int{random, withTopWord(random, 1), withTopWord(random, ^big.Word(0))}
+			mods := []*big.Int{
+				random,
+				withTopWord(random, 1), withTopWord(random, ^big.Word(0)),
+				withLowWord(random, 1), withLowWord(random, ^big.Word(0)),
+			}
 			exps := [][]byte{
 				make([]byte, size.expLen),
 				bytes.Repeat([]byte{0xff}, size.expLen),
@@ -144,28 +157,67 @@ func TestExpLengthContract(t *testing.T) {
 	}
 }
 
-// TestMulModMatchesMod holds the Barrett step to Mul then Mod on operands
-// at the edges of [0, m) as well as random ones.
-func TestMulModMatchesMod(t *testing.T) {
+// TestMulExpMatchesMod holds the walk with a plain factor, y·g^x mod m, to
+// Mul, Exp and Mod: y at the edges of [0, m) and random, on all-zero,
+// all-0xff and random exponents, at both callers' sizes and on a one-word
+// modulus, with the scratch reused and z aliasing y on every other call.
+func TestMulExpMatchesMod(t *testing.T) {
 	rng := benchrand.New(30)
-	m := oddModulus(t, rng, 1024)
-	tab := New(big.NewInt(3), m, 1)
-	mMinus1 := new(big.Int).Sub(m, big.NewInt(1))
-	vals := []*big.Int{big.NewInt(0), big.NewInt(1), mMinus1, new(big.Int).Rsh(m, 1)}
-	for i := 0; i < 8; i++ {
-		v := new(big.Int).SetBytes(randomBytes(t, rng, 128))
-		vals = append(vals, v.Mod(v, m))
+	mods := []struct {
+		m      *big.Int
+		expLen int
+	}{{big.NewInt(1000003), 8}}
+	for _, size := range sizes {
+		mods = append(mods, struct {
+			m      *big.Int
+			expLen int
+		}{oddModulus(t, rng, size.modBits), size.expLen})
 	}
 	var z big.Int
 	var s Scratch
-	for _, x := range vals {
-		for _, y := range vals {
-			tab.MulMod(&z, &s, x, y)
-			want := new(big.Int).Mul(x, y)
-			if want.Mod(want, m); z.Cmp(want) != 0 {
-				t.Fatalf("%v·%v: MulMod %v, Mul+Mod %v", x, y, &z, want)
+	for _, mod := range mods {
+		m := mod.m
+		g := big.NewInt(3)
+		tab := New(g, m, mod.expLen)
+		ys := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(m, big.NewInt(1)), new(big.Int).Rsh(m, 1)}
+		for i := 0; i < 4; i++ {
+			y := new(big.Int).SetBytes(randomBytes(t, rng, len(m.Bytes())+1))
+			ys = append(ys, y.Mod(y, m))
+		}
+		exps := [][]byte{make([]byte, mod.expLen), bytes.Repeat([]byte{0xff}, mod.expLen)}
+		for i := 0; i < 4; i++ {
+			exps = append(exps, randomBytes(t, rng, mod.expLen))
+		}
+		for i, y := range ys {
+			for _, e := range exps {
+				want := new(big.Int).Exp(g, littleEndian(e), m)
+				want.Mul(want, y).Mod(want, m)
+				got, factor := &z, y
+				if i%2 == 1 {
+					got = new(big.Int).Set(y)
+					factor = got
+				}
+				tab.MulExp(got, &s, factor, e)
+				if got.Cmp(want) != 0 {
+					t.Fatalf("m = %x, y = %x, x = %x: MulExp %v, Mul+Exp+Mod %v", m, y, littleEndian(e), got, want)
+				}
 			}
 		}
+	}
+}
+
+// TestNewPanicsOnEvenModulus checks New's one precondition on m: the
+// Montgomery step needs m odd, and both callers' moduli are.
+func TestNewPanicsOnEvenModulus(t *testing.T) {
+	for _, m := range []*big.Int{big.NewInt(1000004), new(big.Int).Lsh(big.NewInt(1), 1024)} {
+		func() {
+			defer func() {
+				if r, ok := recover().(string); !ok || !strings.Contains(r, "odd") {
+					t.Errorf("m = %v: recovered %v, want the odd-modulus panic", m, r)
+				}
+			}()
+			New(big.NewInt(3), m, 8)
+		}()
 	}
 }
 
@@ -186,6 +238,21 @@ func BenchmarkExp(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tab.Exp(&z, &s, exps[i%len(exps)])
+			}
+		})
+	}
+}
+
+// BenchmarkNew times one table build at each caller's size: what GenerateKey
+// and UnmarshalBinary pay per key, and vsr per group.
+func BenchmarkNew(b *testing.B) {
+	for _, size := range sizes {
+		b.Run(size.name, func(b *testing.B) {
+			m := oddModulus(b, benchrand.New(uint64(size.modBits)), size.modBits)
+			g := big.NewInt(4)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				New(g, m, size.expLen)
 			}
 		})
 	}

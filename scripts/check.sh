@@ -54,6 +54,12 @@ go -C bench test ./...
 echo "== alloc-regression gates"
 go test ./internal/bgv ./internal/ahe ./internal/planner ./internal/vsr ./internal/fixedbase -run '^TestAllocGate' -count=1
 
+# The 32-bit word path: word width changes the fixed-base comb's m′ =
+# −m⁻¹ mod b, its carries and the word math/big's addMulVVW works on, and no
+# other pass runs it (~8 s, most of it vsr). Its two callers run too.
+echo "== GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr"
+GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr
+
 # Every go test -bench handle in the module (kernels, planner, ingest, vsr)
 # is compiled by the passes above but run by none of them; one iteration
 # each (~10 s in all) so a handle that panics or rots fails here.

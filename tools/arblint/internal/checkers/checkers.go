@@ -1,7 +1,7 @@
-// Package checkers is the arblint analyzer registry: the nine domain
+// Package checkers is the arblint analyzer registry: the ten domain
 // analyzers plus the always-on directive validator, in the order the driver
-// runs and documents them (docs/ANALYSIS.md). The first five are syntactic
-// (PR 3); the last four ride the interprocedural dataflow engine
+// runs and documents them (docs/ANALYSIS.md). The first five and the last
+// are syntactic; the four between ride the interprocedural dataflow engine
 // (internal/dataflow) and reason through helper-function hops.
 package checkers
 
@@ -11,6 +11,7 @@ import (
 	"arboretum/tools/arblint/internal/checkers/budgetflow"
 	"arboretum/tools/arblint/internal/checkers/ctxcheckpoint"
 	"arboretum/tools/arblint/internal/checkers/errdiscard"
+	"arboretum/tools/arblint/internal/checkers/linkname"
 	"arboretum/tools/arblint/internal/checkers/noiserelease"
 	"arboretum/tools/arblint/internal/checkers/randsource"
 	"arboretum/tools/arblint/internal/checkers/rawgo"
@@ -19,7 +20,7 @@ import (
 	"arboretum/tools/arblint/internal/directive"
 )
 
-// Domain returns the nine domain analyzers.
+// Domain returns the ten domain analyzers.
 func Domain() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		randsource.Analyzer,
@@ -31,6 +32,7 @@ func Domain() []*analysis.Analyzer {
 		secretflow.Analyzer,
 		ctxcheckpoint.Analyzer,
 		walorder.Analyzer,
+		linkname.Analyzer,
 	}
 }
 

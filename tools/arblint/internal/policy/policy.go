@@ -235,6 +235,15 @@ var WALClients = Set{
 	"internal/ledger": true,
 }
 
+// Linkname lists the packages allowed a //go:linkname (linkname): one, the
+// fixed-base comb, whose Montgomery step runs on math/big's own assembly
+// inner loop. Everywhere else a linkname is flagged.
+var Linkname = Set{"internal/fixedbase": true}
+
+// LinknameTarget is the one symbol a Linkname package may pull: math/big
+// keeps it linkable for this use (go.dev/issue/67401).
+const LinknameTarget = "math/big.addMulVVW"
+
 // Unregulated lists the internal packages the policy table deliberately
 // leaves outside every analyzer-scoping set, each with a reason. The policy
 // regression test fails when a package is neither governed nor listed here,
@@ -244,7 +253,6 @@ var Unregulated = Set{
 	"internal/benchrand": true, // deterministic bench inputs by design (see DeterministicBench)
 	"internal/costmodel": true, // pure arithmetic over plan shapes; no secrets, no I/O
 	"internal/eval":      true, // offline accuracy-evaluation harness, not a release path
-	"internal/fixedbase": true, // fixed-base comb arithmetic: callers supply exponent and scratch; no randomness, errors or goroutines
 	"internal/hashing":   true, // keyed device-row hashing; error discipline via the stdlib "hash" entry
 	"internal/lang":      true, // DSL parser/AST; pure syntax
 	"internal/plan":      true, // plan IR and variant expansion; pure data

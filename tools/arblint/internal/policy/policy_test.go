@@ -41,6 +41,7 @@ func governingSets() map[string]Set {
 		"MustCheckErrors":       MustCheckErrors,
 		"ReleaseBoundaries":     ReleaseBoundaries,
 		"WALClients":            WALClients,
+		"Linkname":              Linkname,
 		"NoiseSource":           {NoiseSource: true},
 	}
 	tables := map[string]Set{
