@@ -42,8 +42,9 @@ import (
 	"io"
 )
 
-// Q is the 60-bit NTT-friendly prime 2^60 − 2^18 + 1, q ≡ 1 (mod 2^18), so
-// the negacyclic NTT works for every ring degree up to 2^17. It is the whole
+// Q is the 60-bit NTT-friendly prime 2^60 − 2^14 + 1. Q − 1 = 2^14 · (2^46 −
+// 1), so Q ≡ 1 (mod 2^14) only, and the negacyclic NTT on it (which needs
+// Q ≡ 1 mod 2N) reaches ring degree 2^13. It is the whole
 // basis of the one-prime test ring (TestParams).
 const Q uint64 = 1152921504606830593
 

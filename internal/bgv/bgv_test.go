@@ -35,7 +35,8 @@ func TestParamsValidate(t *testing.T) {
 	bad := []Params{
 		{N: 10, T: 17, Qi: qi},           // not a power of two
 		{N: 8, T: 17, Qi: qi},            // too small
-		{N: 1 << 18, T: 17, Qi: qi},      // exceeds Q's 2-adicity
+		{N: 1 << 18, T: 17, Qi: qi},      // exceeds the 2^17 cap
+		{N: 1 << 14, T: 17, Qi: qi},      // exceeds Q's 2-adicity: Q ≢ 1 mod 2^15
 		{N: 1 << 10, T: 1, Qi: qi},       // t too small
 		{N: 1 << 10, T: 1 << 21, Qi: qi}, // t too large
 	}
@@ -46,6 +47,10 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if err := TestParams.Validate(); err != nil {
 		t.Errorf("TestParams rejected: %v", err)
+	}
+	// 2^13 is the largest degree Q's 2-adicity admits (Q ≡ 1 mod 2^14).
+	if err := (Params{N: 1 << 13, T: 17, Qi: qi}).Validate(); err != nil {
+		t.Errorf("N = 2^13 on Q rejected: %v", err)
 	}
 }
 

@@ -16,28 +16,33 @@ import (
 // (Section 6) — here that shows up as DealerBytes preprocessing.
 
 // bitLTPublic computes the shared bit [c < r] where c is public and r is
-// given by its shared bits rBits (LSB first). Uses the most-significant
-// differing bit: [c < r] = Σ_i r_i(1−c_i) · Π_{j>i} (1 − f_j) with
-// f_j = r_j ⊕ c_j. The prefix products take len−1 sequential
+// given by its shared bits rBits (LSB first, M words each). Uses the
+// most-significant differing bit: [c < r] = Σ_i r_i(1−c_i) · Π_{j>i} (1 − f_j)
+// with f_j = r_j ⊕ c_j. The prefix products take len−1 sequential
 // multiplications.
-func (e *Engine) bitLTPublic(c uint64, rBits []Secret) Secret {
-	n := len(rBits)
+func (e *Engine) bitLTPublic(c uint64, rBits []uint64) Secret {
+	m := e.M
+	n := len(rBits) / m
+	r := func(i int) []uint64 { return rBits[i*m : (i+1)*m] }
 	// f_j = r_j ⊕ c_j is affine in the shared bit: c_j=0 → r_j; c_j=1 → 1−r_j.
-	f := make([]Secret, n)
-	for j := 0; j < n; j++ {
-		if (c>>uint(j))&1 == 0 {
-			f[j] = rBits[j]
-		} else {
-			f[j] = e.AddConst(e.MulConst(rBits[j], -1), 1)
-		}
+	// It enters the products only as 1 − f_j, so both passes run in
+	// scratch. f_0 enters none, but its flip is charged all the same.
+	if c&1 == 1 {
+		e.stats.LocalMults += int64(m)
 	}
-	// prefix[i] = Π_{j>i} (1 − f_j), scanning from the MSB.
-	prefix := make([]Secret, n)
-	one := e.shareValue(1) // public constant sharing (deterministic poly not needed for correctness)
-	prefix[n-1] = one
+	w := e.ws()
+	notF := w.tmp
+	// prefix_i = Π_{j>i} (1 − f_j), scanning from the MSB.
+	prefix := func(i int) []uint64 { return w.prefix[i*m : (i+1)*m] }
+	e.shareInto(prefix(n-1), 1) // public constant sharing (deterministic poly not needed for correctness)
 	for i := n - 2; i >= 0; i-- {
-		notF := e.AddConst(e.MulConst(f[i+1], -1), 1)
-		prefix[i] = e.Mul(prefix[i+1], notF)
+		f := r(i + 1)
+		if (c>>uint(i+1))&1 == 1 {
+			e.oneMinusInto(notF, f)
+			f = notF
+		}
+		e.oneMinusInto(notF, f)
+		e.mulInto(prefix(i), prefix(i+1), notF)
 	}
 	// term_i = r_i(1−c_i) · prefix_i ; r_i(1−c_i) is local. The product is
 	// evaluated for every bit — including those zeroed by (1−c_i) — so the
@@ -45,23 +50,17 @@ func (e *Engine) bitLTPublic(c uint64, rBits []Secret) Secret {
 	// opened masked value (whose bits depend on the dealer's randomness).
 	// Deterministic round counts are what lets a fault schedule addressed by
 	// (vignette, attempt, round) replay bit-for-bit; see docs/FAULTS.md.
-	var acc Secret
-	first := true
+	// If c has every bit set, no term counts and c ≥ r: acc stays 0.
+	acc := e.newSecret()
+	term := notF
 	for i := 0; i < n; i++ {
-		term := e.Mul(rBits[i], prefix[i])
+		e.mulInto(term, r(i), prefix(i))
 		if (c>>uint(i))&1 == 1 {
 			continue // (1−c_i) = 0
 		}
-		if first {
-			acc = term
-			first = false
-		} else {
-			acc = e.Add(acc, term)
+		for p := range acc.shares {
+			acc.shares[p] = fadd(acc.shares[p], term[p])
 		}
-	}
-	if first {
-		// c had all bits set: c ≥ r always.
-		return e.shareValue(0)
 	}
 	return acc
 }
@@ -72,36 +71,41 @@ func (e *Engine) Mod2m(a Secret, m int) (Secret, error) {
 	if m <= 0 || m >= ValueBits {
 		return Secret{}, fmt.Errorf("mpc: Mod2m with m=%d out of (0,%d)", m, ValueBits)
 	}
-	// Dealer randomness: m shared bits and a statistical mask.
-	rBits := make([]Secret, m)
-	var rLow Secret
-	rLowSet := false
+	// Dealer randomness: m shared bits into scratch, accumulated in place
+	// into r_low, and a statistical mask r_high.
+	rBits := e.ws().rBits[:m*e.M]
+	rLow := e.newSecret()
 	for i := 0; i < m; i++ {
-		bit, _ := e.randomBit()
-		rBits[i] = bit
-		shifted := e.mulConstField(bit, uint64(1)<<uint(i))
-		if !rLowSet {
-			rLow = shifted
-			rLowSet = true
-		} else {
-			rLow = e.Add(rLow, shifted)
+		bit := rBits[i*e.M : (i+1)*e.M]
+		e.randomBitInto(bit)
+		k := uint64(1) << uint(i)
+		for p, s := range bit {
+			rLow.shares[p] = fadd(rLow.shares[p], fmul(s, k))
 		}
+		e.stats.LocalMults += int64(e.M)
 	}
-	rHigh := e.randomBounded(ValueBits + kappaStat - m)
 	// c = a + 2^(ValueBits−1) + r_low + 2^m·r_high, opened.
-	shiftA := e.AddConst(a, 1<<(ValueBits-1))
-	masked := e.Add(shiftA, rLow)
-	masked = e.Add(masked, e.mulConstField(rHigh, uint64(1)<<uint(m)))
+	masked := e.ws().tmp
+	e.randomBoundedInto(masked, ValueBits+kappaStat-m)
+	e.scaleInto(masked, masked, uint64(1)<<uint(m))
+	shift := toField(1 << (ValueBits - 1))
+	for p := range masked {
+		masked[p] = fadd(fadd(fadd(a.shares[p], shift), rLow.shares[p]), masked[p])
+	}
 	c := e.reconstruct(masked)
 	e.stats.Opens++
 	e.chargeBroadcastRound(1)
 	cLow := c & ((uint64(1) << uint(m)) - 1)
 	// u = [cLow < r_low]: a borrow from the low bits.
 	u := e.bitLTPublic(cLow, rBits)
-	// a mod 2^m = cLow − r_low + 2^m·u.
-	res := e.AddConst(e.MulConst(rLow, -1), int64(cLow))
-	res = e.Add(res, e.mulConstField(u, uint64(1)<<uint(m)))
-	return res, nil
+	// a mod 2^m = cLow − r_low + 2^m·u, written over r_low, which nothing
+	// else holds.
+	twoM := uint64(1) << uint(m)
+	for p := range rLow.shares {
+		rLow.shares[p] = fadd(fsub(cLow, rLow.shares[p]), fmul(u.shares[p], twoM))
+	}
+	e.stats.LocalMults += int64(2 * e.M)
+	return rLow, nil
 }
 
 // Trunc returns ⌊a / 2^m⌋ (arithmetic shift) for signed a within range.
@@ -110,8 +114,12 @@ func (e *Engine) Trunc(a Secret, m int) (Secret, error) {
 	if err != nil {
 		return Secret{}, err
 	}
-	diff := e.Sub(a, low)
-	return e.mulConstField(diff, finv(uint64(1)<<uint(m))), nil
+	// (a − low)/2^m, written over low, which nothing else holds.
+	for p := range low.shares {
+		low.shares[p] = fsub(a.shares[p], low.shares[p])
+	}
+	e.scaleInto(low.shares, low.shares, fpow((fieldPrime+1)/2, uint64(m))) // 2^−m
+	return low, nil
 }
 
 // LTZ returns the shared bit [a < 0] for a in
@@ -122,8 +130,9 @@ func (e *Engine) LTZ(a Secret) (Secret, error) {
 	if err != nil {
 		return Secret{}, err
 	}
-	// ⌊a/2^(k−1)⌋ is −1 for negative a, 0 otherwise.
-	return e.MulConst(t, -1), nil
+	// ⌊a/2^(k−1)⌋ is −1 for negative a, 0 otherwise: negate in place.
+	e.scaleInto(t.shares, t.shares, fieldPrime-1)
+	return t, nil
 }
 
 // Less returns the shared bit [a < b]. Operands must satisfy
@@ -132,8 +141,8 @@ func (e *Engine) Less(a, b Secret) (Secret, error) {
 	return e.LTZ(e.Sub(a, b))
 }
 
-// Max returns the maximum of the values and the shared one-hot... rather, the
-// shared maximum value, by a sequential tournament of Less+Select.
+// Max returns the shared maximum of the values, by a sequential tournament
+// of Less+Select.
 func (e *Engine) Max(vals []Secret) (Secret, error) {
 	if len(vals) == 0 {
 		return Secret{}, errors.New("mpc: empty max")

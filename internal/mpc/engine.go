@@ -12,13 +12,22 @@
 // (DESIGN.md). Round and byte counts drive the cost model and the
 // heterogeneity experiments.
 //
-// Values are field elements of the same 60-bit prime field as internal/bgv
-// (the paper sets the MPC modulus to BGV's ciphertext modulus). Signed
-// integers up to ValueBits bits are embedded centered; fixed-point values
-// reuse internal/fixed's Q30.16 scaling.
+// The dealer draws from crypto/rand only, a block at a time, into a stream
+// its engine owns. A triple is dealt into engine scratch and never outlives
+// its multiplication, and a comparison's random bits and prefix products
+// stay in scratch too. Every Secret the engine returns is carved from an
+// engine-owned slab that is never recycled. None of this is locked: an
+// engine is driven from one goroutine (docs/CONCURRENCY.md).
+//
+// Values are field elements of internal/bgv's 60-bit prime field (the paper
+// sets the MPC modulus to BGV's ciphertext modulus). Signed integers up to
+// ValueBits bits are embedded centered; fixed-point values reuse
+// internal/fixed's Q30.16 scaling.
 package mpc
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -62,7 +71,9 @@ func (s *Stats) MaxPartyBytes() int64 {
 }
 
 // Secret is a secret-shared field element: shares[i] is party i's share
-// (evaluation point x = i+1).
+// (evaluation point x = i+1). The shares are carved from the engine's slab,
+// which is never recycled, so no later engine call rewrites a Secret a
+// caller holds.
 type Secret struct {
 	shares []uint64
 }
@@ -79,6 +90,68 @@ type Engine struct {
 	// natural point where a party can be noticed missing). The runtime's
 	// fault-injection engine hooks it to model mid-round committee dropout.
 	onRound func(rounds int)
+
+	// work is made on the engine's first sharing: a deployment forms an
+	// engine for every committee, and one that never shares a value
+	// allocates nothing beyond NewEngine.
+	work *workspace
+}
+
+// randBlock is how many bytes of crypto/rand output the dealer reads at a
+// time.
+const randBlock = 4096
+
+// slabWords sizes each share slab: every Secret the engine returns is an
+// M-word piece of one.
+const slabWords = 1024
+
+// workspace is an engine's dealer stream, share slab and scratch. Like the
+// engine it is driven from the coordinating goroutine only.
+type workspace struct {
+	// rnd is a block of crypto/rand output; rnd[pos:] is unread.
+	rnd [randBlock]byte
+	pos int
+	// bits holds nbits unread random bits for drawBits.
+	bits  uint64
+	nbits int
+	// slab is the uncarved tail of the current share slab. It is only ever
+	// carved forward: a full slab is replaced, never reused.
+	slab []uint64
+	// Scratch that no Secret outlives: a Beaver triple's three sharings, one
+	// local temporary, a sharing polynomial's T coefficients, and a
+	// comparison's dealer bits and prefix products (ValueBits−1 sharings
+	// each).
+	ta, tb, tc, tmp, coeffs, rBits, prefix []uint64
+}
+
+// ws returns the engine's workspace, making it on first use.
+func (e *Engine) ws() *workspace {
+	if e.work == nil {
+		m, k := e.M, (ValueBits-1)*e.M
+		s := make([]uint64, 4*m+e.T+2*k)
+		take := func(n int) []uint64 {
+			v := s[:n:n]
+			s = s[n:]
+			return v
+		}
+		e.work = &workspace{
+			pos: randBlock,
+			ta:  take(m), tb: take(m), tc: take(m), tmp: take(m),
+			coeffs: take(e.T), rBits: take(k), prefix: take(k),
+		}
+	}
+	return e.work
+}
+
+// newSecret carves a zeroed M-word sharing from the slab.
+func (e *Engine) newSecret() Secret {
+	w := e.ws()
+	if len(w.slab) < e.M {
+		w.slab = make([]uint64, max(slabWords/e.M, 1)*e.M)
+	}
+	s := w.slab[:e.M:e.M]
+	w.slab = w.slab[e.M:]
+	return Secret{shares: s}
 }
 
 // NewEngine creates an engine for an m-party committee (m ≥ 3). The
@@ -119,23 +192,28 @@ func lagrangeAtZero(t int) []uint64 {
 	return out
 }
 
+// shareInto writes a fresh degree-(T−1) sharing of v into dst.
+func (e *Engine) shareInto(dst []uint64, v uint64) {
+	c := e.ws().coeffs
+	c[0] = v
+	for i := 1; i < e.T; i++ {
+		c[i] = e.drawField()
+	}
+	for p := range dst {
+		x := uint64(p + 1)
+		acc := c[e.T-1]
+		for i := e.T - 2; i >= 0; i-- {
+			acc = fadd(fmul(acc, x), c[i])
+		}
+		dst[p] = acc
+	}
+}
+
 // shareValue creates a fresh degree-(T−1) sharing of v.
 func (e *Engine) shareValue(v uint64) Secret {
-	coeffs := make([]uint64, e.T)
-	coeffs[0] = v
-	for i := 1; i < e.T; i++ {
-		coeffs[i] = randField()
-	}
-	shares := make([]uint64, e.M)
-	for p := 0; p < e.M; p++ {
-		x := uint64(p + 1)
-		acc := uint64(0)
-		for i := e.T - 1; i >= 0; i-- {
-			acc = fadd(fmul(acc, x), coeffs[i])
-		}
-		shares[p] = acc
-	}
-	return Secret{shares: shares}
+	s := e.newSecret()
+	e.shareInto(s.shares, v)
+	return s
 }
 
 // Input shares a value known to one party (the owner distributes shares to
@@ -182,12 +260,12 @@ func (e *Engine) chargeBroadcastRound(k int) {
 func (e *Engine) SetRoundObserver(fn func(rounds int)) { e.onRound = fn }
 
 // reconstruct recovers the secret from the first T shares.
-func (e *Engine) reconstruct(s Secret) uint64 {
+func (e *Engine) reconstruct(shares []uint64) uint64 {
 	acc := uint64(0)
-	for i := 0; i < e.T; i++ {
-		acc = fadd(acc, fmul(e.lagrange[i], s.shares[i]))
-		e.stats.LocalMults++
+	for i, l := range e.lagrange {
+		acc = fadd(acc, fmul(l, shares[i]))
 	}
+	e.stats.LocalMults += int64(e.T)
 	return acc
 }
 
@@ -195,23 +273,12 @@ func (e *Engine) reconstruct(s Secret) uint64 {
 func (e *Engine) Open(s Secret) int64 {
 	e.stats.Opens++
 	e.chargeBroadcastRound(1)
-	return fromField(e.reconstruct(s))
-}
-
-// openMany reveals several secrets in a single round.
-func (e *Engine) openMany(ss []Secret) []uint64 {
-	e.stats.Opens += len(ss)
-	e.chargeBroadcastRound(len(ss))
-	out := make([]uint64, len(ss))
-	for i, s := range ss {
-		out[i] = e.reconstruct(s)
-	}
-	return out
+	return fromField(e.reconstruct(s.shares))
 }
 
 // Add returns a+b (local).
 func (e *Engine) Add(a, b Secret) Secret {
-	out := Secret{shares: make([]uint64, e.M)}
+	out := e.newSecret()
 	for i := range out.shares {
 		out.shares[i] = fadd(a.shares[i], b.shares[i])
 	}
@@ -220,7 +287,7 @@ func (e *Engine) Add(a, b Secret) Secret {
 
 // Sub returns a−b (local).
 func (e *Engine) Sub(a, b Secret) Secret {
-	out := Secret{shares: make([]uint64, e.M)}
+	out := e.newSecret()
 	for i := range out.shares {
 		out.shares[i] = fsub(a.shares[i], b.shares[i])
 	}
@@ -230,7 +297,7 @@ func (e *Engine) Sub(a, b Secret) Secret {
 // AddConst returns a+k for public k (local).
 func (e *Engine) AddConst(a Secret, k int64) Secret {
 	kk := toField(k)
-	out := Secret{shares: make([]uint64, e.M)}
+	out := e.newSecret()
 	for i := range out.shares {
 		out.shares[i] = fadd(a.shares[i], kk)
 	}
@@ -239,53 +306,100 @@ func (e *Engine) AddConst(a Secret, k int64) Secret {
 
 // MulConst returns a·k for public k (local).
 func (e *Engine) MulConst(a Secret, k int64) Secret {
-	kk := toField(k)
-	out := Secret{shares: make([]uint64, e.M)}
-	for i := range out.shares {
-		out.shares[i] = fmul(a.shares[i], kk)
-		e.stats.LocalMults++
-	}
-	return out
+	return e.mulConstField(a, toField(k))
 }
 
 // mulConstField is MulConst for a raw field constant.
 func (e *Engine) mulConstField(a Secret, k uint64) Secret {
-	out := Secret{shares: make([]uint64, e.M)}
-	for i := range out.shares {
-		out.shares[i] = fmul(a.shares[i], k)
-		e.stats.LocalMults++
-	}
+	out := e.newSecret()
+	e.scaleInto(out.shares, a.shares, k)
 	return out
+}
+
+// scaleInto writes k·a into dst, one local multiplication per share; dst
+// may be a.
+func (e *Engine) scaleInto(dst, a []uint64, k uint64) {
+	for i := range dst {
+		dst[i] = fmul(a[i], k)
+	}
+	e.stats.LocalMults += int64(e.M)
+}
+
+// oneMinusInto writes 1 − a into dst; dst may be a. It is charged as the
+// MulConst by −1 it fuses with the AddConst of 1.
+func (e *Engine) oneMinusInto(dst, a []uint64) {
+	for i := range dst {
+		dst[i] = fsub(1, a[i])
+	}
+	e.stats.LocalMults += int64(e.M)
 }
 
 // --- dealer (preprocessing) ---
 
-// triple produces a fresh Beaver triple (a, b, ab).
-func (e *Engine) triple() (Secret, Secret, Secret) {
-	a := randField()
-	b := randField()
+// drawWord returns the next 64 bits of the dealer's crypto/rand stream.
+func (e *Engine) drawWord() uint64 {
+	w := e.ws()
+	if w.pos == randBlock {
+		if _, err := rand.Read(w.rnd[:]); err != nil {
+			panic("mpc: randomness unavailable: " + err.Error())
+		}
+		w.pos = 0
+	}
+	v := binary.LittleEndian.Uint64(w.rnd[w.pos:])
+	w.pos += 8
+	return v
+}
+
+// drawField returns a uniform field element.
+func (e *Engine) drawField() uint64 {
+	for {
+		// Rejection sampling over a multiple of the prime keeps it unbiased.
+		if v := e.drawWord(); v < fieldPrime*16 {
+			return v % fieldPrime
+		}
+	}
+}
+
+// drawBits returns n ≤ 64 uniform bits, taken from one raw word until it
+// runs out.
+func (e *Engine) drawBits(n int) uint64 {
+	w := e.ws()
+	if n > w.nbits {
+		w.bits, w.nbits = e.drawWord(), 64
+	}
+	v := w.bits & (uint64(1)<<uint(n) - 1)
+	w.bits >>= uint(n)
+	w.nbits -= n
+	return v
+}
+
+// dealTriple deals a fresh Beaver triple (a, b, ab) into the workspace's
+// scratch; it is valid until the next triple.
+func (e *Engine) dealTriple() (ta, tb, tc []uint64) {
+	w := e.ws()
+	a := e.drawField()
+	b := e.drawField()
 	e.stats.Triples++
 	e.stats.DealerBytes += int64(3 * 8 * e.M)
-	return e.shareValue(a), e.shareValue(b), e.shareValue(fmul(a, b))
+	e.shareInto(w.ta, a)
+	e.shareInto(w.tb, b)
+	e.shareInto(w.tc, fmul(a, b))
+	return w.ta, w.tb, w.tc
 }
 
-// randomBit produces a shared uniform bit with its cleartext retained by the
-// dealer only (preprocessing).
-func (e *Engine) randomBit() (Secret, uint64) {
-	b := randField() & 1
+// randomBitInto writes a fresh sharing of a uniform bit, known to the
+// dealer only (preprocessing), into dst.
+func (e *Engine) randomBitInto(dst []uint64) {
 	e.stats.RandBits++
 	e.stats.DealerBytes += int64(8 * e.M)
-	return e.shareValue(b), b
+	e.shareInto(dst, e.drawBits(1))
 }
 
-// randomBounded produces a shared uniform value in [0, 2^bits).
-func (e *Engine) randomBounded(bitsN int) Secret {
-	v := uint64(0)
-	for i := 0; i < bitsN; i++ {
-		v |= (randField() & 1) << uint(i)
-	}
+// randomBoundedInto writes a fresh sharing of a uniform value in
+// [0, 2^bits) into dst.
+func (e *Engine) randomBoundedInto(dst []uint64, bitsN int) {
 	e.stats.DealerBytes += int64(8 * e.M)
-	return e.shareValue(v)
+	e.shareInto(dst, e.drawBits(bitsN))
 }
 
 // --- multiplication ---
@@ -293,26 +407,44 @@ func (e *Engine) randomBounded(bitsN int) Secret {
 // Mul returns a·b via a Beaver triple (one communication round: the two
 // maskings open together).
 func (e *Engine) Mul(a, b Secret) Secret {
-	ta, tb, tc := e.triple()
-	d := e.Sub(a, ta)
-	f := e.Sub(b, tb)
-	opened := e.openMany([]Secret{d, f})
-	dv, fv := opened[0], opened[1]
-	// z = c + d·b + f·a + d·f
-	z := e.Add(tc, e.mulConstField(tb, dv))
-	z = e.Add(z, e.mulConstField(ta, fv))
-	df := fmul(dv, fv)
-	out := Secret{shares: make([]uint64, e.M)}
-	for i := range out.shares {
-		out.shares[i] = fadd(z.shares[i], df)
-	}
+	out := e.newSecret()
+	e.mulInto(out.shares, a.shares, b.shares)
 	return out
+}
+
+// mulInto writes a·b into dst. The triple lives in scratch: d = a − ta and
+// f = b − tb are opened together in one round, and only dst is written. dst
+// may be a or b.
+func (e *Engine) mulInto(dst, a, b []uint64) {
+	ta, tb, tc := e.dealTriple()
+	e.stats.Opens += 2
+	e.chargeBroadcastRound(2)
+	var dv, fv uint64
+	for i, l := range e.lagrange {
+		dv = fadd(dv, fmul(l, fsub(a[i], ta[i])))
+		fv = fadd(fv, fmul(l, fsub(b[i], tb[i])))
+	}
+	// z = c + d·b + f·a + d·f
+	df := fmul(dv, fv)
+	for i := range dst {
+		dst[i] = fadd(fadd(fadd(tc[i], fmul(tb[i], dv)), fmul(ta[i], fv)), df)
+	}
+	e.stats.LocalMults += int64(2*e.T + 2*e.M)
 }
 
 // Select returns x if bit=1 else y: y + bit·(x−y), one multiplication.
 // bit must be a sharing of 0 or 1.
 func (e *Engine) Select(bit, x, y Secret) Secret {
-	return e.Add(y, e.Mul(bit, e.Sub(x, y)))
+	diff := e.ws().tmp
+	for i := range diff {
+		diff[i] = fsub(x.shares[i], y.shares[i])
+	}
+	out := e.newSecret()
+	e.mulInto(out.shares, bit.shares, diff)
+	for i := range out.shares {
+		out.shares[i] = fadd(y.shares[i], out.shares[i])
+	}
+	return out
 }
 
 // Sum adds a slice of secrets (local).
@@ -320,9 +452,12 @@ func (e *Engine) Sum(vals []Secret) (Secret, error) {
 	if len(vals) == 0 {
 		return Secret{}, errors.New("mpc: empty sum")
 	}
-	acc := vals[0]
+	acc := e.newSecret()
+	copy(acc.shares, vals[0].shares)
 	for _, v := range vals[1:] {
-		acc = e.Add(acc, v)
+		for i := range acc.shares {
+			acc.shares[i] = fadd(acc.shares[i], v.shares[i])
+		}
 	}
 	return acc, nil
 }
@@ -338,11 +473,12 @@ func (e *Engine) Sum(vals []Secret) (Secret, error) {
 func Transfer(from *Engine, s Secret, to *Engine) Secret {
 	// Lagrange coefficients for the sending committee's first T points.
 	lambda := from.lagrange
-	out := Secret{shares: make([]uint64, to.M)}
+	out := to.newSecret()
+	sub := to.ws().tmp
 	for i := 0; i < from.T; i++ {
-		sub := to.shareValue(s.shares[i])
+		to.shareInto(sub, s.shares[i])
 		for j := range out.shares {
-			out.shares[j] = fadd(out.shares[j], fmul(lambda[i], sub.shares[j]))
+			out.shares[j] = fadd(out.shares[j], fmul(lambda[i], sub[j]))
 		}
 	}
 	// Each sender distributes sub-shares to every receiver (one round);

@@ -1,15 +1,15 @@
 package mpc
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"math/bits"
+
+	"arboretum/internal/bgv"
 )
 
 // The MPC field. Following the paper (Section 6: "the encryption, decryption,
 // and key generation MPCs set the prime modulus to BGV's ciphertext
-// modulus"), we compute over the same 60-bit prime as internal/bgv.
-const fieldPrime uint64 = 1152921504606830593 // 2^60 − 2^18 + 1
+// modulus"), we compute over internal/bgv's 60-bit prime 2^60 − 2^14 + 1.
+const fieldPrime = bgv.Q
 
 func fadd(a, b uint64) uint64 {
 	s := a + b
@@ -68,19 +68,4 @@ func fromField(v uint64) int64 {
 		return -int64(fieldPrime - v)
 	}
 	return int64(v)
-}
-
-// randField returns a uniform field element from crypto/rand.
-func randField() uint64 {
-	var buf [8]byte
-	for {
-		if _, err := rand.Read(buf[:]); err != nil {
-			panic("mpc: randomness unavailable: " + err.Error())
-		}
-		v := binary.LittleEndian.Uint64(buf[:])
-		// Rejection sampling over a multiple of the prime keeps it unbiased.
-		if v < fieldPrime*16 {
-			return v % fieldPrime
-		}
-	}
 }

@@ -410,6 +410,44 @@ func BenchmarkLess40Parties(b *testing.B) {
 	}
 }
 
+// BenchmarkMul5Parties, BenchmarkLess5Parties and BenchmarkArgmax32 run at
+// the runtime's shape: 5-party committees, and top-k over 32 categories.
+func BenchmarkMul5Parties(b *testing.B) {
+	e, _ := NewEngine(5)
+	x, _ := e.Input(0, 123)
+	y, _ := e.Input(1, 456)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Mul(x, y)
+	}
+}
+
+func BenchmarkLess5Parties(b *testing.B) {
+	e, _ := NewEngine(5)
+	x, _ := e.Input(0, 123)
+	y, _ := e.Input(1, 456)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Less(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkArgmax32(b *testing.B) {
+	e, _ := NewEngine(5)
+	vals := make([]Secret, 32)
+	for i := range vals {
+		vals[i], _ = e.Input(i%5, int64(i*37%101))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Argmax(vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkArgmax10(b *testing.B) {
 	e, _ := NewEngine(11)
 	vals := make([]Secret, 10)
