@@ -80,6 +80,38 @@ func BenchmarkDecrypt2048(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitteeDecrypt times one decryption at the runtime's 512-bit
+// key under the key a committee rebuilds: KeyFromPrime's, which carries the
+// factorization and takes the CRT path, and FromSecrets', the λ/μ path
+// committees took when they shared λ.
+func BenchmarkCommitteeDecrypt(b *testing.B) {
+	sk := benchKey(b)
+	fromPrime, err := KeyFromPrime(&sk.PublicKey, sk.Prime())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct, err := sk.Encrypt(benchrand.New(4), big.NewInt(-123456))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []struct {
+		name string
+		sk   *PrivateKey
+	}{
+		{"KeyFromPrime", fromPrime},
+		{"FromSecrets", FromSecrets(&sk.PublicKey, sk.Lambda(), sk.Mu())},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := k.sk.Decrypt(ct); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEncrypt2048 times one encryption at the deployment key size —
 // the device-side kernel of AHE-sum plans.
 func BenchmarkEncrypt2048(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"io"
 	"math/big"
 	"testing"
@@ -18,16 +19,35 @@ import (
 )
 
 // TestDecryptCRTMatchesLambdaMu decrypts the same ciphertexts with the CRT
-// path and with a FromSecrets-reassembled key (lambda/mu path) and requires
-// identical plaintexts, including negatives.
+// path, with a FromSecrets-reassembled key (lambda/mu path) and with keys
+// KeyFromPrime rebuilds from either prime factor, and requires identical
+// plaintexts, including negatives. The key rebuilt from the generating
+// key's own p equals it in every field.
 func TestDecryptCRTMatchesLambdaMu(t *testing.T) {
 	sk := testKeyPair(t)
 	if sk.p == nil {
 		t.Fatal("generated key lost its factorization; CRT path untested")
 	}
 	re := FromSecrets(&sk.PublicKey, sk.Lambda(), sk.Mu())
-	if re.p != nil {
+	if re.p != nil || re.Prime() != nil {
 		t.Fatal("reassembled key claims a factorization it does not have")
+	}
+	if re.Equal(sk) || sk.Equal(re) {
+		t.Fatal("a key without a factorization equals one with it")
+	}
+	fromP, err := KeyFromPrime(&sk.PublicKey, sk.Prime())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fromP.Equal(sk) || fromP.fb != sk.fb {
+		t.Fatal("KeyFromPrime(p) differs from the generating key")
+	}
+	fromQ, err := KeyFromPrime(&sk.PublicKey, sk.q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromQ.Lambda().Cmp(sk.Lambda()) != 0 || fromQ.Mu().Cmp(sk.Mu()) != 0 {
+		t.Fatal("KeyFromPrime(q) derived a different λ or μ")
 	}
 	msgs := []*big.Int{
 		big.NewInt(0), big.NewInt(1), big.NewInt(-1),
@@ -56,6 +76,31 @@ func TestDecryptCRTMatchesLambdaMu(t *testing.T) {
 		}
 		if crt.Cmp(lm) != 0 {
 			t.Fatalf("Decrypt mismatch for m=%v: CRT %v, lambda/mu %v", m, crt, lm)
+		}
+		for name, k := range map[string]*PrivateKey{"KeyFromPrime(p)": fromP, "KeyFromPrime(q)": fromQ} {
+			got, err := k.Decrypt(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(crt) != 0 {
+				t.Fatalf("Decrypt mismatch for m=%v: generating key %v, %s %v", m, crt, name, got)
+			}
+		}
+	}
+}
+
+// TestKeyFromPrimeRejectsNonFactors: 0, 1, n, n ± 1 and p + 2 are not
+// proper factors of n, and KeyFromPrime refuses each with
+// ErrNotFactor rather than build a key that decrypts garbage.
+func TestKeyFromPrimeRejectsNonFactors(t *testing.T) {
+	sk := testKeyPair(t)
+	n := sk.N
+	for _, v := range []*big.Int{
+		big.NewInt(0), big.NewInt(1), new(big.Int).Set(n), new(big.Int).Add(n, one),
+		new(big.Int).Add(sk.p, big.NewInt(2)), new(big.Int).Sub(n, one),
+	} {
+		if k, err := KeyFromPrime(&sk.PublicKey, v); !errors.Is(err, ErrNotFactor) || k != nil {
+			t.Errorf("KeyFromPrime(%v) = %v, %v; want ErrNotFactor", v, k, err)
 		}
 	}
 }

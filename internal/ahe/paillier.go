@@ -87,10 +87,10 @@ type PrivateKey struct {
 	lambda *big.Int // lcm(p-1, q-1)
 	mu     *big.Int // (L(g^lambda mod n^2))^-1 mod n
 
-	// CRT acceleration: GenerateKey records the prime factors so Decrypt can
+	// CRT acceleration: KeyFromPrime records the prime factors so Decrypt can
 	// exponentiate mod p² and q² separately (~4× at 2048-bit keys) and
-	// recombine. Keys reassembled from shared secrets via FromSecrets have no
-	// factorization — p stays nil and Decrypt takes the lambda/mu path.
+	// recombine. Keys reassembled via FromSecrets have no factorization — p
+	// stays nil and Decrypt takes the lambda/mu path.
 	p, q     *big.Int
 	p2, q2   *big.Int // p², q²
 	pm1, qm1 *big.Int // p−1 and q−1, the CRT decryption exponents
@@ -114,19 +114,23 @@ func (c *Ciphertext) Bytes() int {
 
 // GenerateKey creates a Paillier keypair with an n of the given bit length.
 // bits must be at least 128 (tests use small keys; deployments use ≥ 2048).
+// The two primes are drawn side by side on the worker pool, through a
+// mutex-wrapped reader unless random is crypto/rand's (a seeded reader does
+// not make the key reproducible anyway: crypto/rand.Prime consumes a random
+// extra byte on purpose), and the key is built by KeyFromPrime.
 func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 	if bits < 128 {
 		return nil, errors.New("ahe: key too small")
 	}
+	random = parallelSafeReader(random)
 	for {
-		p, err := rand.Prime(random, bits/2)
+		pq, err := parallel.Map(nil, 2, 0, func(int) (*big.Int, error) {
+			return rand.Prime(random, bits/2)
+		})
 		if err != nil {
 			return nil, err
 		}
-		q, err := rand.Prime(random, bits/2)
-		if err != nil {
-			return nil, err
-		}
+		p, q := pq[0], pq[1]
 		if p.Cmp(q) == 0 {
 			continue
 		}
@@ -134,46 +138,66 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		if n.BitLen() != bits {
 			continue
 		}
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
-		lambda := new(big.Int).Mul(pm1, qm1)
-		lambda.Div(lambda, gcd)
 		n2 := new(big.Int).Mul(n, n)
-		// g = n+1, so g^lambda mod n^2 = 1 + n·lambda mod n^2 and
-		// L(g^lambda) = lambda mod n; mu = lambda^-1 mod n.
-		mu := new(big.Int).ModInverse(new(big.Int).Mod(lambda, n), n)
-		if mu == nil {
+		sk, err := KeyFromPrime(&PublicKey{N: n, N2: n2}, p)
+		if err != nil {
 			continue
 		}
-		// CRT precomputation. With g = n+1 and n ≡ 0 (mod p),
-		// g^{p−1} mod p² = 1 + (p−1)·n mod p², so
-		// L_p(g^{p−1}) = (p−1)·q mod p and hp is its inverse (hq likewise).
-		p2 := new(big.Int).Mul(p, p)
-		q2 := new(big.Int).Mul(q, q)
-		hp := new(big.Int).ModInverse(
-			new(big.Int).Mod(new(big.Int).Mul(pm1, q), p), p)
-		hq := new(big.Int).ModInverse(
-			new(big.Int).Mod(new(big.Int).Mul(qm1, p), q), q)
-		pInvQ := new(big.Int).ModInverse(new(big.Int).Mod(p, q), q)
-		if hp == nil || hq == nil || pInvQ == nil {
-			continue
-		}
-		return &PrivateKey{
-			PublicKey: PublicKey{N: n, N2: n2, fb: newFixedBase(n, n2)},
-			lambda:    lambda,
-			mu:        mu,
-			p:         p,
-			q:         q,
-			p2:        p2,
-			q2:        q2,
-			pm1:       pm1,
-			qm1:       qm1,
-			hp:        hp,
-			hq:        hq,
-			pInvQ:     pInvQ,
-		}, nil
+		sk.fb = newFixedBase(n, n2)
+		return sk, nil
 	}
+}
+
+// ErrNotFactor is KeyFromPrime's refusal of a p that is not a proper factor
+// of n, or whose cofactor does not yield a decryption key.
+var ErrNotFactor = errors.New("ahe: not a proper factor of the modulus")
+
+// KeyFromPrime builds the private key for pub from one prime factor p of
+// its modulus: q = n/p, then λ = lcm(p−1, q−1), μ = (λ mod n)⁻¹ mod n and the
+// CRT values, so Decrypt takes the CRT path. GenerateKey builds every key
+// this way, and a decryption committee rebuilds its key from a reconstructed
+// p. It fails closed with ErrNotFactor unless 1 < p < n and p divides n, and
+// the derived inverses exist. The result shares pub's fixed-base table.
+func KeyFromPrime(pub *PublicKey, p *big.Int) (*PrivateKey, error) {
+	n := pub.N
+	if p.Cmp(one) <= 0 || p.Cmp(n) >= 0 {
+		return nil, ErrNotFactor
+	}
+	q, r := new(big.Int).QuoRem(n, p, new(big.Int))
+	if r.Sign() != 0 {
+		return nil, ErrNotFactor
+	}
+	pm1 := new(big.Int).Sub(p, one)
+	qm1 := new(big.Int).Sub(q, one)
+	gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
+	lambda := new(big.Int).Mul(pm1, qm1)
+	lambda.Div(lambda, gcd)
+	// g = n+1, so g^lambda mod n^2 = 1 + n·lambda mod n^2 and
+	// L(g^lambda) = lambda mod n; mu = lambda^-1 mod n.
+	mu := new(big.Int).ModInverse(new(big.Int).Mod(lambda, n), n)
+	// CRT precomputation. With g = n+1 and n ≡ 0 (mod p),
+	// g^{p−1} mod p² = 1 + (p−1)·n mod p², so
+	// L_p(g^{p−1}) = (p−1)·q mod p and hp is its inverse (hq likewise).
+	hp := new(big.Int).ModInverse(new(big.Int).Mod(new(big.Int).Mul(pm1, q), p), p)
+	hq := new(big.Int).ModInverse(new(big.Int).Mod(new(big.Int).Mul(qm1, p), q), q)
+	pInvQ := new(big.Int).ModInverse(new(big.Int).Mod(p, q), q)
+	if mu == nil || hp == nil || hq == nil || pInvQ == nil {
+		return nil, ErrNotFactor
+	}
+	return &PrivateKey{
+		PublicKey: *pub,
+		lambda:    lambda,
+		mu:        mu,
+		p:         new(big.Int).Set(p),
+		q:         q,
+		p2:        new(big.Int).Mul(p, p),
+		q2:        new(big.Int).Mul(q, q),
+		pm1:       pm1,
+		qm1:       qm1,
+		hp:        hp,
+		hq:        hq,
+		pInvQ:     pInvQ,
+	}, nil
 }
 
 // Encrypt encrypts m ∈ [0, n) under pk. Negative messages are mapped to
@@ -230,9 +254,9 @@ func (pk *PublicKey) encrypt(random io.Reader, m *big.Int, fb *fixedBase) (*Ciph
 
 // Decrypt recovers the plaintext. Values above n/2 are returned negative,
 // matching Encrypt's handling of negative messages. Keys that carry their
-// factorization (from GenerateKey) decrypt via CRT — two half-width
-// exponentiations instead of one full-width one; reassembled keys
-// (FromSecrets) use the lambda/mu formula. Both compute the same value.
+// factorization (GenerateKey, KeyFromPrime) decrypt via CRT — two half-width
+// exponentiations instead of one full-width one; keys from FromSecrets use
+// the lambda/mu formula. Both compute the same value.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	if ct == nil || ct.C == nil || ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
 		return nil, errors.New("ahe: ciphertext out of range")
@@ -439,20 +463,39 @@ func (pk *PublicKey) EncryptVector(random io.Reader, length, hot int) ([]*Cipher
 	})
 }
 
-// Lambda exposes a copy of the decryption exponent for threshold-style
-// handoff to a committee (the runtime secret-shares it via internal/shamir,
-// mirroring how the real system would share a BGV key; see DESIGN.md).
+// Prime exposes a copy of the prime factor p of n for threshold-style
+// handoff to a committee: the runtime secret-shares it via internal/shamir,
+// mirroring how the real system would share a BGV key, and rebuilds the key
+// with KeyFromPrime (DESIGN.md, "Key shares"). A key from FromSecrets has no
+// factorization, and Prime returns nil.
+func (sk *PrivateKey) Prime() *big.Int {
+	if sk.p == nil {
+		return nil
+	}
+	return new(big.Int).Set(sk.p)
+}
+
+// Equal reports whether sk and x are the same key down to every value
+// Decrypt reads: n, λ, μ and each CRT value. A key without a factorization
+// (FromSecrets) equals only another without one.
+func (sk *PrivateKey) Equal(x *PrivateKey) bool {
+	same := func(a, b *big.Int) bool { return (a == nil) == (b == nil) && (a == nil || a.Cmp(b) == 0) }
+	return same(sk.N, x.N) && same(sk.N2, x.N2) && same(sk.lambda, x.lambda) && same(sk.mu, x.mu) &&
+		same(sk.p, x.p) && same(sk.q, x.q) && same(sk.p2, x.p2) && same(sk.q2, x.q2) &&
+		same(sk.pm1, x.pm1) && same(sk.qm1, x.qm1) && same(sk.hp, x.hp) && same(sk.hq, x.hq) &&
+		same(sk.pInvQ, x.pInvQ)
+}
+
+// Lambda exposes a copy of the decryption exponent λ = lcm(p−1, q−1).
 func (sk *PrivateKey) Lambda() *big.Int { return new(big.Int).Set(sk.lambda) }
 
-// Mu exposes a copy of the post-processing inverse, (λ mod n)⁻¹ mod n. It is
-// a public function of Lambda and N, so committees do not share it: they
-// recompute it from a reconstructed λ.
+// Mu exposes a copy of the post-processing inverse, (λ mod n)⁻¹ mod n.
 func (sk *PrivateKey) Mu() *big.Int { return new(big.Int).Set(sk.mu) }
 
-// FromSecrets reassembles a private key from a reconstructed λ and its μ,
-// used by decryption committees after VSR hand-off. The key has no
+// FromSecrets reassembles a private key from λ and its μ. The key has no
 // factorization, so Decrypt takes the lambda/mu path: one full-width
-// exponentiation mod n².
+// exponentiation mod n². Committees rebuild their key with KeyFromPrime
+// instead; this and the lambda/mu path remain for the benchmark's replay.
 func FromSecrets(pk *PublicKey, lambda, mu *big.Int) *PrivateKey {
 	return &PrivateKey{
 		PublicKey: *pk,

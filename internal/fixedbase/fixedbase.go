@@ -30,6 +30,8 @@ import (
 	"math/big"
 	"math/bits"
 	_ "unsafe" // for go:linkname
+
+	"arboretum/internal/parallel"
 )
 
 const (
@@ -74,10 +76,12 @@ func (s *Scratch) grow(k int) (acc, y, w []big.Word) {
 }
 
 // New precomputes the comb for g modulo m over exponents of up to expBytes
-// bytes. m must be odd and above 1, or New panics. Each window's powers are
-// 63 Montgomery steps by the window base, and the last entry
-// (g^(63·64^i)·R) times the window base is exactly the next window's base, so
-// no squarings are needed anywhere.
+// bytes. m must be odd and above 1, or New panics. Window i's base
+// g^(64^i)·R is six Montgomery squarings of window i−1's, a short chain run
+// first; then each window's 62 further powers, one Montgomery step by the
+// base apiece, are filled on the worker pool, one contiguous run of windows
+// per worker. Every entry is the unique residue g^(j·64^i)·R mod m, so the
+// table is the same at every worker count.
 func New(g, m *big.Int, expBytes int) *Table {
 	if m.Sign() <= 0 || m.Bit(0) == 0 || m.BitLen() < 2 {
 		panic(fmt.Sprintf("fixedbase: modulus %v is not odd and above 1", m))
@@ -102,15 +106,28 @@ func New(g, m *big.Int, expBytes int) *Table {
 
 	gR := new(big.Int).Mod(g, m)
 	gR.Lsh(gR, uint(k*bits.UintSize)).Mod(gR, m)
-	base := make([]big.Word, k)
-	copy(base, gR.Bits())
-	w := make([]big.Word, 2*k+1)
-	for i := 0; i < windows; i++ {
-		copy(t.entry(i, 1), base)
-		for j := 2; j <= rowLen; j++ {
-			t.step(t.entry(i, j), t.entry(i, j-1), base, w)
+	copy(t.entry(0, 1), gR.Bits())
+	workers := min(parallel.Workers(0), windows)
+	run := (windows + workers - 1) / workers
+	ws := make([]big.Word, workers*(2*k+1))
+	for i := 1; i < windows; i++ {
+		base := t.entry(i, 1)
+		copy(base, t.entry(i-1, 1))
+		for range windowBits {
+			t.step(base, base, base, ws)
 		}
-		t.step(base, t.entry(i, rowLen), base, w) // g^(64^(i+1))·R: the next window's base
+	}
+	if err := parallel.ForEach(nil, workers, workers, func(c int) error {
+		w := ws[c*(2*k+1) : (c+1)*(2*k+1)]
+		for i := c * run; i < min((c+1)*run, windows); i++ {
+			base := t.entry(i, 1)
+			for j := 2; j <= rowLen; j++ {
+				t.step(t.entry(i, j), t.entry(i, j-1), base, w)
+			}
+		}
+		return nil
+	}); err != nil {
+		panic(err) // unreachable: no task fails and no context cancels
 	}
 	return t
 }

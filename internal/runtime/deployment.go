@@ -33,7 +33,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math/big"
 	//arblint:ignore randsource simulation determinism only; secrets use crypto/rand and noise honors Config.SecureNoise
 	mrand "math/rand"
 	"time"
@@ -193,6 +192,11 @@ type Metrics struct {
 	BackoffSimulated time.Duration // total backoff a real deployment would have waited
 }
 
+// ErrKeyTooLarge refuses a KeyBits whose prime factor does not fit below
+// the order Q of the key-sharing field (vsr.DefaultGroup): shares of a
+// larger prime would reconstruct it reduced mod Q, a different value.
+var ErrKeyTooLarge = errors.New("runtime: key's prime factor does not fit the key-sharing field")
+
 // NewDeployment registers N devices and runs the trusted setup (Section 5.1:
 // the initial random block B_0 is chosen while the aggregator is still
 // trusted).
@@ -211,6 +215,11 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	}
 	if cfg.KeyBits == 0 {
 		cfg.KeyBits = 512
+	}
+	// ahe.GenerateKey's primes have KeyBits/2 bits, so each is below Q
+	// exactly when KeyBits/2 < Q's bit length.
+	if q := vsr.DefaultGroup().Q.BitLen(); cfg.KeyBits/2 >= q {
+		return nil, fmt.Errorf("%w: KeyBits %d needs %d-bit primes, Q has %d bits", ErrKeyTooLarge, cfg.KeyBits, cfg.KeyBits/2, q)
 	}
 	if cfg.BudgetEpsilon == 0 {
 		cfg.BudgetEpsilon = 10
@@ -353,15 +362,16 @@ func (d *Deployment) selectCommittees(count int) ([]sortition.Committee, error) 
 // published in the query authorization certificate; the private key exists
 // only as shares held by the current key committee (Section 5.2).
 //
-// The committee shares λ alone. μ = (λ mod n)⁻¹ mod n is a public function
-// of λ and n, so shares of it would protect nothing that λ's shares do not;
-// reconstructKey derives it (DESIGN.md, "Key shares").
+// The committee shares the prime p alone. q = n/p, λ, μ and the CRT values
+// are public functions of p and n, so shares of them would protect nothing
+// that p's shares do not; reconstructKey derives them (DESIGN.md, "Key
+// shares").
 type keyMaterial struct {
-	pub          *ahe.PublicKey
-	group        *vsr.Group
-	lambdaShares []shamir.Share
-	threshold    int
-	holder       sortition.Committee
+	pub         *ahe.PublicKey
+	group       *vsr.Group
+	primeShares []shamir.Share
+	threshold   int
+	holder      sortition.Committee
 
 	// lost marks holder positions whose member dropped mid-vignette: their
 	// shares are gone, so hand-offs must re-deal from the survivors.
@@ -371,7 +381,7 @@ type keyMaterial struct {
 // markLost records dropped holder positions (keyed like holder/shares).
 func (km *keyMaterial) markLost(dropped map[int]bool) {
 	if km.lost == nil {
-		km.lost = make([]bool, len(km.lambdaShares))
+		km.lost = make([]bool, len(km.primeShares))
 	}
 	for i := range km.lost {
 		if dropped[i] {
@@ -381,7 +391,7 @@ func (km *keyMaterial) markLost(dropped map[int]bool) {
 }
 
 // keygen runs the key-generation committee: a fresh Paillier keypair whose
-// λ is immediately secret-shared among the committee (shareKey); the clear
+// prime p is immediately secret-shared among the committee (shareKey); the clear
 // private key is discarded (the simulation's stand-in for generating the key
 // inside the MPC — see DESIGN.md). It also advances the sortition block with
 // the committee's joint randomness.
@@ -411,16 +421,17 @@ func (d *Deployment) keygen(committee sortition.Committee) (*keyMaterial, error)
 	return km, nil
 }
 
-// shareKey splits sk's λ among committee with an honest-majority threshold.
+// shareKey splits sk's prime p among committee with an honest-majority
+// threshold.
 func shareKey(sk *ahe.PrivateKey, committee sortition.Committee) (*keyMaterial, error) {
 	group := vsr.DefaultGroup()
 	t := len(committee)/2 + 1
-	shares, err := group.Field().Split(sk.Lambda(), len(committee), t)
+	shares, err := group.Field().Split(sk.Prime(), len(committee), t)
 	if err != nil {
 		return nil, err
 	}
 	pub := sk.PublicKey
-	return &keyMaterial{pub: &pub, group: group, lambdaShares: shares, threshold: t, holder: committee}, nil
+	return &keyMaterial{pub: &pub, group: group, primeShares: shares, threshold: t, holder: committee}, nil
 }
 
 // handoff redistributes the private-key shares from the current holder to a
@@ -447,8 +458,8 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 			d.Metrics.VSRRedeals++
 			d.Metrics.BackoffSimulated += handoffBackoff.delay(attempt - 1)
 		}
-		var lambda []shamir.Share
-		for i := range km.lambdaShares {
+		var alive []shamir.Share
+		for i := range km.primeShares {
 			if i < len(km.lost) && km.lost[i] {
 				continue // dropped mid-vignette earlier; its share is gone
 			}
@@ -460,19 +471,19 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 				})
 				continue
 			}
-			lambda = append(lambda, km.lambdaShares[i])
+			alive = append(alive, km.primeShares[i])
 		}
-		if len(lambda) < km.threshold {
+		if len(alive) < km.threshold {
 			lastErr = fmt.Errorf("%d of %d dealers survived, need %d: %w",
-				len(lambda), len(km.lambdaShares), km.threshold, vsr.ErrInsufficientShares)
+				len(alive), len(km.primeShares), km.threshold, vsr.ErrInsufficientShares)
 			continue
 		}
-		shares, err := vsr.Redistribute(km.group, lambda, km.threshold, newN, newT)
+		shares, err := vsr.Redistribute(km.group, alive, km.threshold, newN, newT)
 		if err != nil {
 			lastErr = fmt.Errorf("runtime: VSR: %w", err)
 			continue
 		}
-		km.lambdaShares = shares
+		km.primeShares = shares
 		km.threshold = newT
 		km.holder = to
 		km.lost = nil // the new committee starts with every share present
@@ -484,20 +495,19 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 }
 
 // reconstructKey lets the current holding committee (honest majority
-// assumed) reassemble the private key for a decryption step: λ from its
-// shares, and μ = (λ mod n)⁻¹ mod n, the formula ahe.GenerateKey uses. A λ
-// with no inverse cannot decrypt, so it fails closed.
+// assumed) reassemble the private key for a decryption step: p from its
+// shares, then the whole CRT key by ahe.KeyFromPrime. A p that is not a
+// proper factor of n fails closed with ahe.ErrNotFactor.
 func (km *keyMaterial) reconstructKey() (*ahe.PrivateKey, error) {
-	lambda, err := km.group.Field().Reconstruct(km.lambdaShares, km.threshold)
+	p, err := km.group.Field().Reconstruct(km.primeShares, km.threshold)
 	if err != nil {
 		return nil, err
 	}
-	n := km.pub.N
-	mu := new(big.Int).ModInverse(new(big.Int).Mod(lambda, n), n)
-	if mu == nil {
-		return nil, errors.New("runtime: reconstructed key has no inverse mod n")
+	sk, err := ahe.KeyFromPrime(km.pub, p)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: reconstructed key: %w", err)
 	}
-	return ahe.FromSecrets(km.pub, lambda, mu), nil
+	return sk, nil
 }
 
 // upload is one device's contribution: the encrypted vector plus its proof,

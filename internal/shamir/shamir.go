@@ -44,12 +44,6 @@ func MustField(p *big.Int) *Field {
 	return f
 }
 
-// Reduce returns v mod p in [0, p).
-func (f *Field) Reduce(v *big.Int) *big.Int {
-	r := new(big.Int).Mod(v, f.P)
-	return r
-}
-
 // Rand returns a uniformly random field element.
 func (f *Field) Rand() (*big.Int, error) {
 	return rand.Int(rand.Reader, f.P)
@@ -61,14 +55,22 @@ type Polynomial struct {
 	field  *Field
 }
 
+// ErrSecretRange is returned for a secret outside [0, p): reducing it would
+// share a different value, which no share holder could notice.
+var ErrSecretRange = errors.New("shamir: secret outside the field")
+
 // RandomPolynomial returns a degree-(t−1) polynomial with constant term
-// secret, so any t shares reconstruct and t−1 reveal nothing.
+// secret, so any t shares reconstruct and t−1 reveal nothing. A secret
+// outside [0, p) is refused with ErrSecretRange.
 func (f *Field) RandomPolynomial(secret *big.Int, t int) (*Polynomial, error) {
 	if t < 1 {
 		return nil, errors.New("shamir: threshold must be at least 1")
 	}
+	if secret.Sign() < 0 || secret.Cmp(f.P) >= 0 {
+		return nil, ErrSecretRange
+	}
 	coeffs := make([]*big.Int, t)
-	coeffs[0] = f.Reduce(secret)
+	coeffs[0] = new(big.Int).Set(secret)
 	for i := 1; i < t; i++ {
 		c, err := f.Rand()
 		if err != nil {
@@ -93,7 +95,7 @@ func (p *Polynomial) Eval(x int64) *big.Int {
 
 // Split shares secret among n parties with reconstruction threshold t
 // (any t of the n shares recover the secret). Party i receives the share at
-// x = i+1.
+// x = i+1. A secret outside [0, p) is refused with ErrSecretRange.
 func (f *Field) Split(secret *big.Int, n, t int) ([]Share, error) {
 	if n < t {
 		return nil, fmt.Errorf("shamir: n=%d < t=%d", n, t)

@@ -1,6 +1,7 @@
 package shamir
 
 import (
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -151,6 +152,29 @@ func TestScalarMulAndAddConst(t *testing.T) {
 	got, _ = f.Reconstruct(plus5, 3)
 	if got.Int64() != 26 {
 		t.Fatalf("21+5 = %v", got)
+	}
+}
+
+// TestSecretOutsideFieldRefused: a secret outside [0, p) used to be reduced
+// silently, sharing a different value; Split and RandomPolynomial now refuse
+// it with ErrSecretRange, and p − 1 still round-trips.
+func TestSecretOutsideFieldRefused(t *testing.T) {
+	f := field(t)
+	for _, s := range []*big.Int{big.NewInt(-1), new(big.Int).Set(f.P), new(big.Int).Lsh(f.P, 1)} {
+		if _, err := f.Split(s, 5, 3); !errors.Is(err, ErrSecretRange) {
+			t.Errorf("Split(%v): got %v, want ErrSecretRange", s, err)
+		}
+		if _, err := f.RandomPolynomial(s, 3); !errors.Is(err, ErrSecretRange) {
+			t.Errorf("RandomPolynomial(%v): got %v, want ErrSecretRange", s, err)
+		}
+	}
+	top := new(big.Int).Sub(f.P, big.NewInt(1))
+	shares, err := f.Split(top, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Reconstruct(shares[2:], 3); err != nil || got.Cmp(top) != 0 {
+		t.Fatalf("Reconstruct = %v, %v; want %v", got, err, top)
 	}
 }
 

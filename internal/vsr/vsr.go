@@ -7,11 +7,16 @@
 //
 // Each member of the old committee re-shares its share to the new committee
 // with a fresh Shamir polynomial and publishes Feldman commitments
-// g^{a_k} to the polynomial's coefficients; new members verify their
-// sub-shares against the commitments, and combine verified sub-shares with
-// the Lagrange coefficients of the old committee's evaluation points. The
+// g^{a_k} to the polynomial's coefficients; new members combine their
+// sub-shares with the Lagrange coefficients of the old committee's
+// evaluation points and verify the result against the commitments. The
 // paper uses the Extended VSR implementation from Mycelium; this is a
 // from-scratch implementation of the same protocol family (see DESIGN.md).
+//
+// Redistribute makes one Feldman check per new member, of its combined
+// share, rather than one per sub-share, and loops VerifySubShare only to
+// blame a dealing once that check has failed (finish; docs/KERNELS.md, "One
+// Feldman check per member").
 package vsr
 
 import (
@@ -142,22 +147,31 @@ func (d *Dealing) Bytes() int {
 // Deal re-shares the member's share to a new committee of size newN with
 // threshold newT.
 func Deal(g *Group, share shamir.Share, newN, newT int) (*Dealing, error) {
-	if newN < newT || newT < 1 {
-		return nil, fmt.Errorf("vsr: invalid committee newN=%d newT=%d", newN, newT)
-	}
-	field := g.Field()
-	poly, err := field.RandomPolynomial(share.Y, newT)
+	d, poly, err := draw(g, share, newN, newT)
 	if err != nil {
 		return nil, err
-	}
-	d := &Dealing{FromX: share.X}
-	for j := 1; j <= newN; j++ {
-		d.SubShares = append(d.SubShares, shamir.Share{X: int64(j), Y: poly.Eval(int64(j))})
 	}
 	for _, c := range poly.Coeffs {
 		d.Commitments = append(d.Commitments, g.Commit(c))
 	}
 	return d, nil
+}
+
+// draw is Deal without the commitments: the dealing's sub-shares and the
+// re-sharing polynomial its commitments are to be made to.
+func draw(g *Group, share shamir.Share, newN, newT int) (*Dealing, *shamir.Polynomial, error) {
+	if newN < newT || newT < 1 {
+		return nil, nil, fmt.Errorf("vsr: invalid committee newN=%d newT=%d", newN, newT)
+	}
+	poly, err := g.Field().RandomPolynomial(share.Y, newT)
+	if err != nil {
+		return nil, nil, err
+	}
+	d := &Dealing{FromX: share.X, SubShares: make([]shamir.Share, newN)}
+	for j := range d.SubShares {
+		d.SubShares[j] = shamir.Share{X: int64(j + 1), Y: poly.Eval(int64(j + 1))}
+	}
+	return d, poly, nil
 }
 
 // VerifySubShare checks new member j's sub-share against the dealing's
@@ -227,32 +241,168 @@ func Combine(g *Group, dealings []*Dealing, j int, oldT int) (shamir.Share, erro
 }
 
 // Redistribute runs the whole protocol for an honest execution: every old
-// member deals, every new member verifies all sub-shares and combines. It
+// member deals, every new member verifies its sub-shares and combines. It
 // returns the new committee's shares and an error if any verification fails.
 // The runtime uses this for committee-to-committee hand-offs; tests also
 // drive the individual steps to exercise malicious behaviour.
 //
 // The members run on the worker pool, as they run side by side in the real
-// protocol: one task per dealer, then one task per new member verifying and
-// combining. Shares come back in member order, and the lowest-index failure
-// is the one reported, at every worker count.
+// protocol: one task per dealer drawing its polynomial and sub-shares, one
+// per (dealer, coefficient) commitment, one per combined commitment, then
+// one per new member checking and combining (see finish). Shares come back
+// in member order, and the lowest-index failure is the one reported, at
+// every worker count.
 func Redistribute(g *Group, oldShares []shamir.Share, oldT, newN, newT int) ([]shamir.Share, error) {
 	if len(oldShares) < oldT {
 		return nil, fmt.Errorf("need %d old shares, have %d: %w", oldT, len(oldShares), ErrInsufficientShares)
 	}
-	dealings, err := parallel.Map(nil, oldT, 0, func(i int) (*Dealing, error) {
-		return Deal(g, oldShares[i], newN, newT)
+	type drawn struct {
+		d    *Dealing
+		poly *shamir.Polynomial
+	}
+	draws, err := parallel.Map(nil, oldT, 0, func(i int) (drawn, error) {
+		d, poly, err := draw(g, oldShares[i], newN, newT)
+		return drawn{d, poly}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	commits, err := parallel.Map(nil, oldT*newT, 0, func(c int) (*big.Int, error) {
+		return g.Commit(draws[c/newT].poly.Coeffs[c%newT]), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	dealings := make([]*Dealing, oldT)
+	for i, dr := range draws {
+		dr.d.Commitments = commits[i*newT : (i+1)*newT : (i+1)*newT]
+		dealings[i] = dr.d
+	}
+	return finish(g, dealings, newN)
+}
+
+// finish is the new committee's half of a hand-off from the dealings of
+// exactly the old threshold's dealers. Rather than one Feldman check per
+// sub-share, each member j makes one check of its combined share s′_j
+// (docs/KERNELS.md, "One Feldman check per member"):
+//
+//   - weights gives integers D and a_i with D·λ_i = a_i exactly, λ_i the
+//     Lagrange coefficients of the dealers' points;
+//   - the combined commitments E⁺_k = Π_{a_i>0} C_ik^{a_i} and
+//     E⁻_k = Π_{a_i<0} C_ik^{−a_i} mod P are formed once per hand-off;
+//   - member j checks every sub-share is addressed to it (X = j), runs
+//     Combine, and accepts iff G^{D·s′_j} · Π_k (E⁻_k)^{j^k} ≡ Π_k (E⁺_k)^{j^k}.
+//
+// One comb walk per member instead of one per dealing. When every sub-share
+// passes VerifySubShare the check holds, so a failed check means some
+// dealing fails it: only then does the member loop VerifySubShare over the
+// dealings, to name the lowest failing one. The
+// check is sound for the member's share: it passes exactly when s′_j lies on
+// F = Σ λ_i f_i, whose constant term F(0) = Σ λ_i s_i is the secret, so
+// sub-share errors that cancel in the combination leave the new sharing
+// correct.
+func finish(g *Group, dealings []*Dealing, newN int) ([]shamir.Share, error) {
+	xs := make([]int64, len(dealings))
+	for i, d := range dealings {
+		xs[i] = d.FromX
+	}
+	D, a, err := weights(xs)
+	if err != nil {
+		return nil, err
+	}
+	nk := 0
+	for _, d := range dealings {
+		nk = max(nk, len(d.Commitments))
+	}
+	type combined struct{ pos, neg *big.Int }
+	es, err := parallel.Map(nil, nk, 0, func(k int) (combined, error) {
+		e := combined{big.NewInt(1), big.NewInt(1)}
+		t := new(big.Int)
+		for i, d := range dealings {
+			if k >= len(d.Commitments) {
+				continue
+			}
+			acc := e.pos
+			if a[i].Sign() < 0 {
+				acc = e.neg
+			}
+			t.Exp(d.Commitments[k], t.Abs(a[i]), g.P)
+			acc.Mul(acc, t).Mod(acc, g.P)
+		}
+		return e, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return parallel.Map(nil, newN, 0, func(m int) (shamir.Share, error) {
 		j := m + 1
+		ok := true
+		for _, d := range dealings {
+			ok = ok && j <= len(d.SubShares) && d.SubShares[j-1].X == int64(j)
+		}
+		var s shamir.Share
+		if ok {
+			var err error
+			if s, err = Combine(g, dealings, j, len(dealings)); err != nil {
+				return shamir.Share{}, err
+			}
+			// Horner over k: h(E) = Π_k E_k^{j^k}.
+			bj := big.NewInt(int64(j))
+			hPos, hNeg := big.NewInt(1), big.NewInt(1)
+			for k := nk - 1; k >= 0; k-- {
+				hPos.Exp(hPos, bj, g.P).Mul(hPos, es[k].pos).Mod(hPos, g.P)
+				hNeg.Exp(hNeg, bj, g.P).Mul(hNeg, es[k].neg).Mod(hNeg, g.P)
+			}
+			lhs := g.Commit(new(big.Int).Mul(D, s.Y))
+			lhs.Mul(lhs, hNeg).Mod(lhs, g.P)
+			ok = lhs.Cmp(hPos) == 0
+		}
+		if ok {
+			return s, nil
+		}
 		for i, d := range dealings {
 			if !VerifySubShare(g, d, j) {
 				return shamir.Share{}, fmt.Errorf("vsr: member %d rejected dealing from x=%d (%d)", j, d.FromX, i)
 			}
 		}
-		return Combine(g, dealings, j, oldT)
+		return shamir.Share{}, fmt.Errorf("vsr: member %d rejected its combined share", j)
 	})
+}
+
+// weights returns integer Lagrange weights for the evaluation points xs:
+// with λ_i = num_i/den_i the coefficient of point i at 0 (num_i = Π_{m≠i} x_m,
+// den_i = Π_{m≠i} (x_m − x_i)), D = lcm|den_i| and a_i = num_i·D/den_i, so
+// D·λ_i = a_i exactly and, mod Q, a_i ≡ D·λ_i. The points must be nonzero
+// and distinct, as shamir.Field.LagrangeCoefficients requires.
+func weights(xs []int64) (D *big.Int, a []*big.Int, err error) {
+	seen := make(map[int64]bool, len(xs))
+	for _, x := range xs {
+		if x == 0 || seen[x] {
+			return nil, nil, fmt.Errorf("vsr: bad evaluation point x=%d", x)
+		}
+		seen[x] = true
+	}
+	num := make([]*big.Int, len(xs))
+	den := make([]*big.Int, len(xs))
+	D = big.NewInt(1)
+	gcd := new(big.Int)
+	for i, xi := range xs {
+		num[i], den[i] = big.NewInt(1), big.NewInt(1)
+		for m, xm := range xs {
+			if m != i {
+				num[i].Mul(num[i], big.NewInt(xm))
+				den[i].Mul(den[i], big.NewInt(xm-xi))
+			}
+		}
+		// D = lcm(D, |den_i|) = D·|den_i| / gcd(D, |den_i|).
+		abs := new(big.Int).Abs(den[i])
+		gcd.GCD(nil, nil, D, abs)
+		D.Mul(D, abs.Quo(abs, gcd))
+	}
+	a = make([]*big.Int, len(xs))
+	for i := range xs {
+		a[i] = new(big.Int).Quo(D, den[i])
+		a[i].Mul(a[i], num[i])
+	}
+	return D, a, nil
 }

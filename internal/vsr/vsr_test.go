@@ -324,6 +324,21 @@ func TestDealingBytes(t *testing.T) {
 	}
 }
 
+// BenchmarkRedistribute5to5 is the runtime's hand-off: a five-member
+// committee at threshold 3 to the next five-member committee.
+func BenchmarkRedistribute5to5(b *testing.B) {
+	g := DefaultGroup()
+	old, _ := g.Field().Split(big.NewInt(123456), 5, 3)
+	Redistribute(g, old, 3, 5, 3) // build the comb outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Redistribute(g, old, 3, 5, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRedistribute5to7(b *testing.B) {
 	g := DefaultGroup()
 	field := g.Field()

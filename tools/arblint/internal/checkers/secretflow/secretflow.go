@@ -1,6 +1,7 @@
 // Package secretflow bans flows from cryptographic secrets — Paillier
 // private keys, BGV secret keys, Shamir shares, VSR dealings
-// (policy.SecretTypes) — into anything that renders or persists them: fmt
+// (policy.SecretTypes), and the plain *big.Int key values the Paillier
+// key's accessors return (policy.SecretSources) — into anything that renders or persists them: fmt
 // error/format strings, the log package, and JSON encoders. A secret in an
 // error message survives into HTTP responses, journals, and CI logs long
 // after the code that leaked it is gone, so the ban applies in every
@@ -31,6 +32,16 @@ var Analyzer = &analysis.Analyzer{
 
 var spec = &dataflow.Spec{
 	Key: "secretflow",
+	SourceCall: func(callee *types.Func, call *ast.CallExpr) (string, bool) {
+		if callee.Pkg() == nil {
+			return "", false
+		}
+		path := callee.Pkg().Path()
+		if policy.FuncIn(policy.SecretSources, path, callee.Name()) {
+			return path[strings.LastIndex(path, "/")+1:] + "." + callee.Name(), true
+		}
+		return "", false
+	},
 	SourceType: func(t types.Type) (string, bool) {
 		named, ok := t.(*types.Named)
 		if !ok {

@@ -113,15 +113,17 @@ var BudgetApprovedCallers = Set{
 // daemon-lifecycle goroutines (executor-pool supervisor, per-job watchdog)
 // carry //arblint:ignore annotations recording why each is outside the pool.
 // internal/vsr joined when Redistribute began running its dealers and its
-// verifying members as pool tasks.
+// verifying members as pool tasks, internal/fixedbase when New began filling
+// the comb's rows on the pool.
 var PoolOnly = Set{
-	"internal/ahe":     true,
-	"internal/bgv":     true,
-	"internal/runtime": true,
-	"internal/planner": true,
-	"internal/mpc":     true,
-	"internal/service": true,
-	"internal/vsr":     true,
+	"internal/ahe":       true,
+	"internal/bgv":       true,
+	"internal/runtime":   true,
+	"internal/planner":   true,
+	"internal/mpc":       true,
+	"internal/service":   true,
+	"internal/vsr":       true,
+	"internal/fixedbase": true,
 }
 
 // MustCheckErrors lists the packages whose error returns may not be
@@ -199,6 +201,15 @@ var SecretTypes = map[string]map[string]bool{
 	"internal/bgv":    {"SecretKey": true},
 	"internal/shamir": {"Share": true},
 	"internal/vsr":    {"Dealing": true},
+}
+
+// SecretSources maps a package to the functions whose results are key
+// material though their type is a plain *big.Int: the Paillier key's prime
+// factor, which committees share, and its λ and μ. secretflow taints those
+// results as it taints a SecretTypes value, the way noiserelease taints
+// RawAggregateSources.
+var SecretSources = map[string]map[string]bool{
+	"internal/ahe": {"Prime": true, "Lambda": true, "Mu": true},
 }
 
 // AliasProne maps a package to the named types whose values alias pooled or

@@ -48,6 +48,7 @@ func governingSets() map[string]Set {
 		"RawAggregateSources": {},
 		"ReleaseSanitizers":   {},
 		"SecretTypes":         {},
+		"SecretSources":       {},
 		"AliasProne":          {},
 		"CheckpointFuncs":     {},
 	}
@@ -59,6 +60,9 @@ func governingSets() map[string]Set {
 	}
 	for key := range SecretTypes {
 		tables["SecretTypes"][key] = true
+	}
+	for key := range SecretSources {
+		tables["SecretSources"][key] = true
 	}
 	for key := range AliasProne {
 		tables["AliasProne"][key] = true
@@ -195,7 +199,7 @@ func TestPolicyKeysExist(t *testing.T) {
 	}
 	byKind := map[bool]map[string]map[string]map[string]bool{
 		true:  {"SecretTypes": SecretTypes, "AliasProne": AliasProne},
-		false: {"RawAggregateSources": RawAggregateSources, "ReleaseSanitizers": ReleaseSanitizers},
+		false: {"RawAggregateSources": RawAggregateSources, "ReleaseSanitizers": ReleaseSanitizers, "SecretSources": SecretSources},
 	}
 	for wantType, tables := range byKind {
 		for table, rows := range tables {
