@@ -1,6 +1,7 @@
 package arboretum
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -17,7 +18,11 @@ import (
 // be read by some script or Go file, a Benchmark* name must be declared
 // in some _test.go of this module, and a backticked Test* name must be a
 // top-level declaration of this module outside bench/ — any kind, since
-// bgv.TestParams and TestRNSParams are vars.
+// bgv.TestParams and TestRNSParams are vars. A backticked metric name of the
+// form layer.name_unit must be one BENCHMARK.json declares, and a backticked
+// two-word name like collect-wide must be one of its workloads, unless a Go
+// string literal outside bench/ or a CI workflow spells it (a planner choice,
+// a reported metric, an artifact). The gate only reads BENCHMARK.json.
 //
 // bench/README.md is not scanned: bench/ is the benchmark's own module and
 // changes only together with the benchmark, and its prose still names the
@@ -33,6 +38,9 @@ var (
 	goEnvRead    = regexp.MustCompile(`(?:Getenv|LookupEnv)\("(ARBORETUM_[A-Z0-9_]+)"`)
 	shEnvRead    = regexp.MustCompile(`\$\{?(ARBORETUM_[A-Z0-9_]+)`)
 	qualifiedID  = regexp.MustCompile(`^(.+)\.[A-Z]\w*$`)
+	metricName   = regexp.MustCompile(`^[a-z]+\.[a-z0-9]+(?:_[a-z0-9]+)+$`)
+	pairName     = regexp.MustCompile(`^[a-z]+-[a-z]+$`)
+	hyphenated   = regexp.MustCompile(`[a-z0-9]+(?:-[a-z0-9]+)+`)
 )
 
 func TestDocNamesResolve(t *testing.T) {
@@ -41,6 +49,7 @@ func TestDocNamesResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := walkDocTree(t)
+	bench := readBenchmarkNames(t)
 	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -56,6 +65,13 @@ func TestDocNamesResolve(t *testing.T) {
 				}
 				if strings.Contains(tok, "*") { // a pattern, like TestAllocGate*
 					continue
+				}
+				name := strings.Trim(tok, `"'(),:;`)
+				if metricName.MatchString(name) && !bench.metrics[name] {
+					t.Errorf("%s:%d: `%s` names metric %s, which BENCHMARK.json does not declare", doc, line(m[0]), span, name)
+				}
+				if pairName.MatchString(name) && !bench.workloads[name] && !tree.spelled[name] {
+					t.Errorf("%s:%d: `%s` names %s, which is no BENCHMARK.json workload and no source spells", doc, line(m[0]), span, name)
 				}
 				for _, name := range testName.FindAllString(tok, -1) {
 					if !tree.testDecls[name] {
@@ -105,12 +121,43 @@ func repoPath(tok string) (string, bool) {
 	return tok, strings.HasSuffix(tok, ".json") || strings.HasSuffix(tok, ".sh")
 }
 
+// benchmarkNames are the names BENCHMARK.json declares.
+type benchmarkNames struct {
+	metrics   map[string]bool // end-to-end and per-layer metrics
+	workloads map[string]bool
+}
+
+func readBenchmarkNames(t *testing.T) benchmarkNames {
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type named []struct{ Name string }
+	var decl struct {
+		Workloads named
+		EndToEnd  named `json:"end_to_end"`
+		PerLayer  named `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &decl); err != nil {
+		t.Fatal(err)
+	}
+	names := benchmarkNames{map[string]bool{}, map[string]bool{}}
+	for _, w := range decl.Workloads {
+		names.workloads[w.Name] = true
+	}
+	for _, m := range append(decl.EndToEnd, decl.PerLayer...) {
+		names.metrics[m.Name] = true
+	}
+	return names
+}
+
 // docTree is what the gate resolves names against, gathered in one walk.
 type docTree struct {
 	baseNames  map[string]bool // every file's base name
 	envRead    map[string]bool // ARBORETUM_* names some script or Go file reads
 	benchmarks map[string]bool // Benchmark* functions of this module's tests
 	testDecls  map[string]bool // top-level Test* declarations of this module
+	spelled    map[string]bool // hyphenated words of Go string literals and CI workflows
 }
 
 // resolves reports whether p exists: a bare file name anywhere in the tree,
@@ -131,7 +178,7 @@ func (tree docTree) resolves(p string) bool {
 }
 
 func walkDocTree(t *testing.T) docTree {
-	tree := docTree{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
+	tree := docTree{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -174,10 +221,31 @@ func walkDocTree(t *testing.T) docTree {
 				tree.testDecls[name] = true
 			}
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				for _, w := range hyphenated.FindAllString(lit.Value, -1) {
+					tree.spelled[w] = true
+				}
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	workflows, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range workflows {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range hyphenated.FindAllString(string(src), -1) {
+			tree.spelled[w] = true
+		}
 	}
 	return tree
 }

@@ -13,12 +13,12 @@ package ahe
 // the decisional composite residuosity assumption (see docs/KERNELS.md).
 //
 // Because the base is fixed, the exponentiation walks an internal/fixedbase
-// comb — at most 86 Montgomery multiplications and no squarings per
-// encryption, the last of which multiplies in g^m, so the whole ciphertext
-// is one walk — and the key carries one table, built by GenerateKey or
-// UnmarshalBinary and shared by every encryption under it (EncryptVector's
-// per-slot encryptions in particular). The walk runs on pooled scratch, so
-// it allocates nothing (docs/KERNELS.md, "Why math/big").
+// comb — at most 64 Montgomery steps per encryption, 7 of them squarings,
+// the last of which multiplies in g^m, so the whole ciphertext is one walk —
+// and the key carries one table, built by GenerateKey or UnmarshalBinary and
+// shared by every encryption under it (EncryptVector's per-slot encryptions
+// in particular). The walk runs on pooled scratch, so it allocates nothing
+// (docs/KERNELS.md, "Why math/big").
 
 import (
 	"crypto/sha256"

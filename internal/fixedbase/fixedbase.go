@@ -1,9 +1,15 @@
-// Package fixedbase computes y·g^x mod m for a base g fixed in advance, by a
-// comb of precomputed window powers: entry (i, j) of the table is
-// g^(j·64^i) mod m, so one exponentiation is at most one modular
-// multiplication per 6-bit digit of x and no squarings. Building the table
-// costs 63 multiplications per window, many full exponentiations' worth, so
-// it pays only for a base that is raised many times.
+// Package fixedbase computes y·g^x mod m for a base g fixed in advance, by
+// the fixed-base comb of Lim and Lee (HAC 14.117). The t bits of x are laid
+// out as 9 rows of a = ⌈t/9⌉ bits, bit i·a+c in row i and column c, and the
+// a columns fall into v ≤ 8 groups of b = ⌈a/8⌉ columns each. Entry (s, u) of
+// the table, for every nonzero 9-bit u, is Π_i g^(u_i·2^(i·a+s·b)) mod m, so
+// column s·b+j of x, its nine row bits read as u, contributes entry (s, u)
+// raised to 2^j. A walk runs Horner over the column offsets j = b−1 … 0: one
+// squaring per offset and one multiplication per nonzero group index. For a
+// 512-bit x that is 7 squarings and at most 57 multiplications from 4,088
+// entries. Building the table costs a chain of about t squarings and one
+// multiplication per entry, many full exponentiations' worth, so it pays
+// only for a base that is raised many times.
 //
 // Two packages raise a fixed base: internal/ahe draws every Paillier
 // randomizer as gn^x mod n² and multiplies in g^msg on the walk's last step,
@@ -11,14 +17,14 @@
 // this one table (docs/KERNELS.md, "Fixed-base combs").
 //
 // Each step is one Montgomery multiplication (HAC 14.36) for the odd modulus
-// m: the table stores every entry in Montgomery form, g^(j·64^i)·R mod m with
-// R = b^k (b the word base, k the words of m), and a step x·y·R⁻¹ mod m keeps
-// the running product in that form. The walk leaves the form for free: its
-// last step multiplies by the plain factor y, and R·R⁻¹ cancels. The step's
-// row loop is ours; its inner loop is math/big's own assembly addMulVVW. The
-// table is one flat word slab, k words per entry, and the walk's state is
-// caller-supplied Scratch, so once the scratch has grown to size a walk
-// allocates nothing.
+// m: the table stores every entry in Montgomery form, times R mod m with
+// R = 2^(W·k) (W the bits of a word, k the words of m), and a step
+// x·y·R⁻¹ mod m keeps the running product in that form. The walk leaves the
+// form for free: its last step multiplies by the plain factor y, and R·R⁻¹
+// cancels. The step's row loop is ours; its inner loop is math/big's own
+// assembly addMulVVW. The table is one flat word slab, k words per entry,
+// and the walk's state is caller-supplied Scratch, so once the scratch has
+// grown to size a walk allocates nothing.
 //
 // The package reaches addMulVVW through a //go:linkname that math/big keeps
 // for this use (go.dev/issue/67401). A build with -tags math_big_pure_go
@@ -35,8 +41,9 @@ import (
 )
 
 const (
-	windowBits = 6
-	rowLen     = 1<<windowBits - 1 // nonzero digit values per window
+	rows   = 9           // h: the exponent's rows, the bits of a group index
+	groups = 8           // v: the most column groups a table has
+	span   = 1<<rows - 1 // entries per group, one per nonzero index
 )
 
 // addMulVVW adds x·y to z, len(z) == len(x), and returns the carry word.
@@ -51,11 +58,14 @@ func addMulVVW(z, x []big.Word, y big.Word) (c big.Word)
 type Table struct {
 	mod      big.Int
 	m        []big.Word // mod's k words
-	mInv     big.Word   // −m⁻¹ mod b
+	mInv     big.Word   // −m⁻¹ mod 2^W
 	k        int
 	expBytes int
-	// entries holds entry (i, j) = g^(j·64^i)·R mod m, for digit values
-	// j = 1..63, as k little-endian words at (i·rowLen + j−1)·k.
+	a        int // bits per row: ⌈8·expBytes/rows⌉
+	b        int // columns per group: ⌈a/groups⌉
+	v        int // groups: ⌈a/b⌉, so none is empty
+	// entries holds entry (s, u) = Π_i g^(u_i·2^(i·a+s·b))·R mod m, for
+	// u = 1..span, as k little-endian words at (s·span + u−1)·k.
 	entries []big.Word
 }
 
@@ -75,23 +85,28 @@ func (s *Scratch) grow(k int) (acc, y, w []big.Word) {
 	return s.buf[:k], s.buf[k : 2*k], s.buf[2*k : 4*k+1]
 }
 
-// New precomputes the comb for g modulo m over exponents of up to expBytes
-// bytes. m must be odd and above 1, or New panics. Window i's base
-// g^(64^i)·R is six Montgomery squarings of window i−1's, a short chain run
-// first; then each window's 62 further powers, one Montgomery step by the
-// base apiece, are filled on the worker pool, one contiguous run of windows
-// per worker. Every entry is the unique residue g^(j·64^i)·R mod m, so the
-// table is the same at every worker count.
+// New precomputes the comb for g modulo m over exponents of 1 to expBytes
+// bytes. m must be odd and above 1, or New panics. One serial chain of
+// Montgomery squarings from g·R yields every single-row entry
+// g^(2^(i·a+s·b))·R; then each group's other entries, entry (s, u) the
+// step of entry (s, u minus its lowest bit) by entry (s, that bit), are
+// filled on the worker pool, one group per task. Every entry is the unique
+// residue it names, so the table is the same at every worker count.
 func New(g, m *big.Int, expBytes int) *Table {
 	if m.Sign() <= 0 || m.Bit(0) == 0 || m.BitLen() < 2 {
 		panic(fmt.Sprintf("fixedbase: modulus %v is not odd and above 1", m))
 	}
 	k := len(m.Bits())
-	windows := (expBytes*8 + windowBits - 1) / windowBits
+	a := (expBytes*8 + rows - 1) / rows
+	b := (a + groups - 1) / groups
+	v := (a + b - 1) / b
 	t := &Table{
 		k:        k,
 		expBytes: expBytes,
-		entries:  make([]big.Word, windows*rowLen*k),
+		a:        a,
+		b:        b,
+		v:        v,
+		entries:  make([]big.Word, v*span*k),
 	}
 	t.mod.Set(m)
 	t.m = t.mod.Bits()
@@ -106,23 +121,27 @@ func New(g, m *big.Int, expBytes int) *Table {
 
 	gR := new(big.Int).Mod(g, m)
 	gR.Lsh(gR, uint(k*bits.UintSize)).Mod(gR, m)
-	copy(t.entry(0, 1), gR.Bits())
-	workers := min(parallel.Workers(0), windows)
-	run := (windows + workers - 1) / workers
-	ws := make([]big.Word, workers*(2*k+1))
-	for i := 1; i < windows; i++ {
-		base := t.entry(i, 1)
-		copy(base, t.entry(i-1, 1))
-		for range windowBits {
-			t.step(base, base, base, ws)
+	ws := make([]big.Word, v*(2*k+1))
+	// The single-row entries' exponents i·a+s·b rise with (i, s), since
+	// (v−1)·b < a, so one chain of squarings visits them in order.
+	pow := t.entry(0, 1)
+	copy(pow, gR.Bits())
+	at := 0
+	for i := range rows {
+		for s := range v {
+			e := t.entry(s, 1<<i)
+			copy(e, pow)
+			for ; at < i*a+s*b; at++ {
+				t.step(e, e, e, ws)
+			}
+			pow = e
 		}
 	}
-	if err := parallel.ForEach(nil, workers, workers, func(c int) error {
-		w := ws[c*(2*k+1) : (c+1)*(2*k+1)]
-		for i := c * run; i < min((c+1)*run, windows); i++ {
-			base := t.entry(i, 1)
-			for j := 2; j <= rowLen; j++ {
-				t.step(t.entry(i, j), t.entry(i, j-1), base, w)
+	if err := parallel.ForEach(nil, v, 0, func(s int) error {
+		w := ws[s*(2*k+1) : (s+1)*(2*k+1)]
+		for u := 3; u <= span; u++ {
+			if low := u & -u; low != u {
+				t.step(t.entry(s, u), t.entry(s, u-low), t.entry(s, low), w)
 			}
 		}
 		return nil
@@ -132,10 +151,10 @@ func New(g, m *big.Int, expBytes int) *Table {
 	return t
 }
 
-// entry returns the k words of g^(j·64^i)·R mod m, capped so no append can
-// reach the next entry.
-func (t *Table) entry(i, j int) []big.Word {
-	off := (i*rowLen + j - 1) * t.k
+// entry returns the k words of entry (s, u), capped so no append can reach
+// the next entry.
+func (t *Table) entry(s, u int) []big.Word {
+	off := (s*span + u - 1) * t.k
 	return t.entries[off : off+t.k : off+t.k]
 }
 
@@ -166,9 +185,9 @@ func (t *Table) step(z, x, y, w []big.Word) {
 }
 
 // Exp sets z to g^x mod m, where x is the byte string exp read as a
-// little-endian integer: bits 6i..6i+5 of it are the digit of 64^i. exp may
-// be shorter than the table's expBytes; a longer one panics. z must not
-// alias s or the table.
+// little-endian integer: bit p of x is bit p%8 of exp[p/8]. exp may be
+// shorter than the table's expBytes; a longer one panics. z must not alias s
+// or the table.
 func (t *Table) Exp(z *big.Int, s *Scratch, exp []byte) {
 	t.MulExp(z, s, bigOne, exp)
 }
@@ -176,8 +195,10 @@ func (t *Table) Exp(z *big.Int, s *Scratch, exp []byte) {
 var bigOne = big.NewInt(1)
 
 // MulExp sets z to y·g^x mod m for y in [0, m), with x read from exp as Exp
-// reads it. The first nonzero digit copies its entry and each later one is a
-// Montgomery step; the last step, by y itself, returns the product to plain
+// reads it. Column offset j = b−1 … 0 squares the running product, once it
+// has started, and then takes each group's index u, the row bits of column
+// s·b+j: the first nonzero index copies its entry and each later one is a
+// Montgomery step. The last step, by y itself, returns the product to plain
 // form. An all-zero exponent sets z to y. z may alias y but not s or the
 // table.
 func (t *Table) MulExp(z *big.Int, s *Scratch, y *big.Int, exp []byte) {
@@ -189,20 +210,24 @@ func (t *Table) MulExp(z *big.Int, s *Scratch, y *big.Int, exp []byte) {
 	}
 	acc, yw, w := s.grow(t.k)
 	started := false
-	for i, n := 0, (len(exp)*8+windowBits-1)/windowBits; i < n; i++ {
-		at := i * windowBits
-		b := uint(exp[at/8])
-		if at/8+1 < len(exp) {
-			b |= uint(exp[at/8+1]) << 8
+	n := len(exp) * 8
+	for j := t.b - 1; j >= 0; j-- {
+		if started {
+			t.step(acc, acc, acc, w)
 		}
-		d := int(b>>(at%8)) & (1<<windowBits - 1)
-		switch {
-		case d == 0:
-		case started:
-			t.step(acc, acc, t.entry(i, d), w)
-		default:
-			copy(acc, t.entry(i, d))
-			started = true
+		for c, g := j, 0; c < t.a; c, g = c+t.b, g+1 { // column c of group g
+			u := 0
+			for p, bit := c, 0; p < n; p, bit = p+t.a, bit+1 {
+				u |= int(exp[p>>3]>>(p&7)&1) << bit
+			}
+			switch {
+			case u == 0:
+			case started:
+				t.step(acc, acc, t.entry(g, u), w)
+			default:
+				copy(acc, t.entry(g, u))
+				started = true
+			}
 		}
 	}
 	if !started {

@@ -3,6 +3,8 @@ package fixedbase
 import (
 	"bytes"
 	"math/big"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,10 +68,10 @@ func withLowWord(m *big.Int, low big.Word) *big.Int {
 // TestExpMatchesExp holds the comb walk to big.Int.Exp at the two sizes its
 // callers use, each over a random modulus, over the two top-word edges — a
 // top word of 1 and a top word of all ones — and over the two ends of
-// m′ = −m⁻¹ mod b — a low word of 1, so m′ is all ones, and a low word of
-// all ones, so m′ is 1 — on all-zero, all-0xff (every digit 63),
-// short, digit-alignment and random exponents, with the scratch reused
-// throughout.
+// m′ = −m⁻¹ mod 2^W — a low word of 1, so m′ is all ones, and a low word of
+// all ones, so m′ is 1 — on all-zero, all-0xff (every index all ones),
+// short, row- and group-boundary and random exponents, with the scratch
+// reused throughout.
 func TestExpMatchesExp(t *testing.T) {
 	rng := benchrand.New(7)
 	for _, size := range sizes {
@@ -87,20 +89,29 @@ func TestExpMatchesExp(t *testing.T) {
 				{0x01},
 				{0xf0, 0x0f},
 			}
-			// A run of six ones at every bit offset mod 8: the runs at offsets
-			// 3..7 straddle a byte boundary, and each run splits across two
-			// 6-bit digits unless it sits on a window.
-			for off := uint(0); off < 8; off++ {
-				e := make([]byte, size.expLen)
-				run := uint(0x3f) << (8 + off)
-				e[1], e[2] = byte(run>>8), byte(run>>16)
-				exps = append(exps, e)
-				// The same run in the top bytes, where the last window is
-				// partial.
-				top := make([]byte, size.expLen)
-				top[size.expLen-2], top[size.expLen-1] = byte(run>>8), byte(run>>16)
-				exps = append(exps, top)
+			// The comb's seams: a run of ones ending on and a single bit
+			// starting at every row boundary i·a and every group boundary
+			// s·b within row 1, and an exponent shorter than a row.
+			lay := New(big.NewInt(4), random, size.expLen)
+			setBits := func(e []byte, from, to int) []byte {
+				for p := max(from, 0); p < min(to, 8*len(e)); p++ {
+					e[p/8] |= 1 << (p % 8)
+				}
+				return e
 			}
+			for i := 1; i < rows; i++ {
+				at := i * lay.a
+				exps = append(exps,
+					setBits(make([]byte, size.expLen), at-lay.b, at),
+					setBits(make([]byte, size.expLen), at, at+1))
+			}
+			for g := 1; g < lay.v; g++ {
+				at := lay.a + g*lay.b
+				exps = append(exps,
+					setBits(make([]byte, size.expLen), at-3, at+3),
+					setBits(make([]byte, size.expLen), at, at+1))
+			}
+			exps = append(exps, setBits(make([]byte, (lay.a-1)/8), 0, lay.a-1))
 			for _, n := range []int{1, 2, 3, 5, size.expLen - 1} {
 				exps = append(exps, randomBytes(t, rng, n))
 			}
@@ -121,6 +132,90 @@ func TestExpMatchesExp(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExpSingleBits walks 2^p for every bit position p of the exponent, at
+// both callers' sizes and on a one-word modulus. Each p is one (row, column)
+// slot, so between them the walks read every single-row entry and every
+// column offset, the last group's short run of columns included.
+func TestExpSingleBits(t *testing.T) {
+	rng := benchrand.New(35)
+	mods := []struct {
+		m      *big.Int
+		expLen int
+	}{{big.NewInt(1000003), 8}}
+	for _, size := range sizes {
+		mods = append(mods, struct {
+			m      *big.Int
+			expLen int
+		}{oddModulus(t, rng, size.modBits), size.expLen})
+	}
+	var z big.Int
+	var s Scratch
+	g := big.NewInt(5)
+	for _, mod := range mods {
+		tab := New(g, mod.m, mod.expLen)
+		for p := 0; p < 8*mod.expLen; p++ {
+			e := make([]byte, mod.expLen)
+			e[p/8] = 1 << (p % 8)
+			tab.Exp(&z, &s, e)
+			want := new(big.Int).Exp(g, new(big.Int).Lsh(bigOne, uint(p)), mod.m)
+			if z.Cmp(want) != 0 {
+				t.Fatalf("m = %x, x = 2^%d: comb %v, Exp %v", mod.m, p, &z, want)
+			}
+		}
+	}
+}
+
+// TestLayout pins the comb's shape at both callers' sizes: 8·511 = 4,088
+// entries, no empty group, and a walk of at most b−1 squarings, a−1
+// multiplications after the first column's copy and the final step by y —
+// 64 steps for ahe's 512-bit exponents.
+func TestLayout(t *testing.T) {
+	rng := benchrand.New(36)
+	for _, size := range []struct {
+		name            string
+		modBits, expLen int
+		a, b, v, most   int
+	}{
+		{"ahe", 1024, 64, 57, 8, 8, 64},
+		{"vsr", 1536, 192, 171, 22, 8, 192},
+		{"one-byte", 64, 1, 1, 1, 1, 1},
+		{"three-byte", 64, 3, 3, 1, 3, 3},
+	} {
+		tab := New(big.NewInt(4), oddModulus(t, rng, size.modBits), size.expLen)
+		if tab.a != size.a || tab.b != size.b || tab.v != size.v {
+			t.Errorf("%s: a, b, v = %d, %d, %d, want %d, %d, %d", size.name, tab.a, tab.b, tab.v, size.a, size.b, size.v)
+		}
+		if n := len(tab.entries) / tab.k; n != size.v*span {
+			t.Errorf("%s: %d entries, want %d", size.name, n, size.v*span)
+		}
+		if (tab.v-1)*tab.b >= tab.a {
+			t.Errorf("%s: group %d is empty", size.name, tab.v-1)
+		}
+		if most := (tab.b - 1) + (tab.a - 1) + 1; most != size.most {
+			t.Errorf("%s: at most %d steps a walk, want %d", size.name, most, size.most)
+		}
+	}
+}
+
+// TestNewSameAtEveryWorkerCount builds each caller's table on one worker and
+// on four and requires the same slab: every entry is one residue, whichever
+// task filled its group.
+func TestNewSameAtEveryWorkerCount(t *testing.T) {
+	rng := benchrand.New(37)
+	for _, size := range sizes {
+		m := oddModulus(t, rng, size.modBits)
+		g := big.NewInt(4)
+		prev := runtime.GOMAXPROCS(1)
+		one := New(g, m, size.expLen)
+		runtime.GOMAXPROCS(4)
+		four := New(g, m, size.expLen)
+		runtime.GOMAXPROCS(prev)
+		if !slices.Equal(one.entries, four.entries) {
+			t.Errorf("%s: the table built on 4 workers differs from the one built on 1", size.name)
+		}
 	}
 }
 

@@ -264,9 +264,13 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 		if err != nil {
 			return sensitive, err
 		}
+		sens, err := c.laplaceSensitivity(ex)
+		if err != nil {
+			return sensitive, err
+		}
 		c.record(MechanismUse{
 			Func: "laplace", Pos: ex.Position(), CallEpsilon: eps, Epsilon: eps,
-			Invocations: mult, Sensitivity: c.laplaceSensitivity(ex),
+			Invocations: mult, Sensitivity: sens,
 		})
 		return noised, nil
 	case "em":
@@ -399,13 +403,18 @@ func (c *certifier) floatArgValue(ex *lang.CallExpr, idx int, def float64) float
 
 // laplaceSensitivity derives the sensitivity of a Laplace invocation from
 // the tracked per-row influence of its argument (Fuzzi's sensitivity
-// analysis); the unclipped one-hot default is 1.
-func (c *certifier) laplaceSensitivity(ex *lang.CallExpr) int64 {
+// analysis). An argument no row can move is charged at 1, the unclipped
+// one-hot default. An unbounded one, such as a product of two sensitive
+// values, is refused: no finite noise scale covers it.
+func (c *certifier) laplaceSensitivity(ex *lang.CallExpr) (int64, error) {
 	s := c.sensExpr(ex.Args[0])
-	if s <= 0 || math.IsInf(s, 1) {
-		return 1
+	switch {
+	case math.IsInf(s, 1) || math.IsNaN(s):
+		return 0, fmt.Errorf("%v: laplace of an argument with unbounded sensitivity (one row can move it without limit)", ex.Position())
+	case s <= 0:
+		return 1, nil
 	}
-	return int64(math.Ceil(s))
+	return int64(math.Ceil(s)), nil
 }
 
 // sensExpr bounds how much one participant's row can change the value of an

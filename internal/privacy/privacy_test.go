@@ -375,6 +375,32 @@ output(aggr[i]);
 	}
 }
 
+// A Laplace argument of unbounded sensitivity is refused at its call site.
+// The product of two counts moves without limit when one row moves between
+// them, and the certifier used to charge it at sensitivity 1: noise at scale
+// 1/ε over a release one device could shift by the size of the population.
+func TestUnboundedLaplaceSensitivityRefused(t *testing.T) {
+	src := "aggr = sum(db); x = aggr[0] * aggr[1]; n = laplace(x, 5.0); output(declassify(n));"
+	_, _, cert, err := Admit(src, db)
+	if err == nil {
+		t.Fatalf("certified at ε = %g, sensitivity %d", cert.Epsilon, cert.Mechanisms[0].Sensitivity)
+	}
+	if !strings.HasPrefix(err.Error(), "certification: 1:44") || !strings.Contains(err.Error(), "unbounded sensitivity") {
+		t.Errorf("refused with %q, want a positioned unbounded-sensitivity error", err)
+	}
+	// Zero times an unbounded value is NaN to the analysis, which used to
+	// convert to a garbage int64 sensitivity; it is refused the same way.
+	if _, _, _, err := Admit("aggr = sum(db); n = laplace(0 * (aggr[0] * aggr[1]), 5.0); output(declassify(n));", db); err == nil || !strings.Contains(err.Error(), "unbounded sensitivity") {
+		t.Errorf("0 · (aggr[0] · aggr[1]): Admit = %v, want the unbounded-sensitivity refusal", err)
+	}
+	// A bounded argument of the same shape, scaled by a public constant,
+	// still certifies at its own sensitivity.
+	c := mustCertify(t, "aggr = sum(db); x = aggr[0] * 3; n = laplace(x, 5.0); output(declassify(n));")
+	if got := c.Mechanisms[0].Sensitivity; got != 3 {
+		t.Errorf("aggr[0] * 3 certified at sensitivity %d, want 3", got)
+	}
+}
+
 // An explicit ε must be positive: the certifier used to fall back to the
 // default for a literal ≤ 0 while the runtime ran the literal — charged 0.1,
 // executed at ε = 0.
