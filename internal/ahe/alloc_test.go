@@ -14,6 +14,7 @@ package ahe
 // the plain pass.
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -62,12 +63,36 @@ func TestAllocGatePaillier(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Two per slot (the ciphertext box and its limbs) plus the result slice
-	// and parallel.Map's error bookkeeping.
+	// EncryptVector, kept for the benchmark's replay: two per slot plus the
+	// result slice and parallel.Map's error bookkeeping.
 	const vecLen = 16
 	allocCeiling(t, "ahe.EncryptVector", 2*vecLen+2, func() {
 		if _, err := pk.EncryptVector(rng, vecLen, 3); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestAllocGatePackedRow gates a device's packed upload (Packing.Encrypt):
+// two allocations per ciphertext (the box and its limbs) plus the row
+// slice. 2048 devices × 16 cells is collect-wide's shape, one ciphertext;
+// 64 × 512 is the bin protocol's 16·32 cells, seven.
+func TestAllocGatePackedRow(t *testing.T) {
+	rng := benchrand.New(0xA110F)
+	sk, err := GenerateKey(rng, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range []struct{ devices, cells int }{{2048, 16}, {64, 16 * 32}} {
+		codec, err := sk.NewPacking(sh.devices, sh.cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("ahe.Packing.Encrypt/%dx%d", sh.devices, sh.cells)
+		allocCeiling(t, name, float64(2*codec.Ciphertexts()+1), func() {
+			if _, err := codec.Encrypt(rng, sh.cells-1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -3,7 +3,7 @@ package ahe
 // Benchmarks for the parallelized hot paths. Run with -cpu to compare the
 // sequential fallback against the worker pool, e.g.
 //
-//	go test ./internal/ahe -bench 'EncryptVector|Sum' -cpu 1,4
+//	go test ./internal/ahe -bench 'Encrypt(Vector|Packed)|Sum' -cpu 1,4
 //
 // At -cpu 1 the pool takes its sequential fast path, so that column is the
 // pre-parallel baseline.
@@ -12,6 +12,7 @@ package ahe
 // same keys and plaintexts (the randsource invariant for bench files).
 
 import (
+	"fmt"
 	"math/big"
 	"sync"
 	"testing"
@@ -38,6 +39,28 @@ func BenchmarkEncryptVector(b *testing.B) {
 		if _, err := pk.EncryptVector(rng, 64, 7); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEncryptPacked times the device-side input step as the runtime
+// runs it: one packed one-hot row at collect-wide's 2048 devices, which
+// holds 16 or 32 categories in one ciphertext.
+func BenchmarkEncryptPacked(b *testing.B) {
+	pk := &benchKey(b).PublicKey
+	for _, cells := range []int{16, 32} {
+		codec, err := pk.NewPacking(2048, cells)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("C=%d", cells), func(b *testing.B) {
+			rng := benchrand.New(2)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := codec.Encrypt(rng, 7); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

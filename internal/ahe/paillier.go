@@ -3,9 +3,12 @@
 // Arboretum inserts AHE for confidential values that are only ever added
 // (Section 4.5): in the common one-hot-encoded plans, each device encrypts
 // its input vector and the aggregator sums a billion ciphertexts without
-// learning anything. The paper's prototype uses the additive subset of BGV;
-// we provide Paillier here because it is a real AHE scheme implementable on
-// the standard library alone, with identical homomorphic semantics
+// learning anything. A device's one-hot row travels packed (Packing, in
+// packing.go): base-2^w digits of one plaintext, ⌈C/digits⌉ ciphertexts per
+// row, which the key committee unpacks once per query. The paper's
+// prototype uses the additive subset of BGV; we provide Paillier here
+// because it is a real AHE scheme implementable on the standard library
+// alone, with identical homomorphic semantics
 // (E(a) ⊞ E(b) = E(a+b)). The cost model charges AHE operations at the
 // paper's BGV-derived rates regardless of the concrete scheme, so the plan
 // costs are unaffected by this substitution (see DESIGN.md).
@@ -21,14 +24,17 @@
 // PublicKey and PrivateKey are immutable after creation: every method only
 // reads them, so a single key may be shared freely across goroutines.
 // Ciphertext values are not synchronized — callers must not mutate a
-// ciphertext that another goroutine is reading. The vector operations
-// (EncryptVector, Sum) parallelize internally across parallel.Workers(0)
-// goroutines; both produce bit-identical results at any worker count
-// (EncryptVector's outputs are index-ordered, and Sum's chunked fold relies
-// on modular multiplication being associative and commutative). Randomness
-// readers passed to EncryptVector are wrapped with a mutex unless they are
-// crypto/rand.Reader, which is already safe for concurrent use. See
-// docs/CONCURRENCY.md.
+// ciphertext that another goroutine is reading. A Packing is immutable too,
+// and encrypts a row's few ciphertexts on the calling goroutine. The vector
+// operations (EncryptVector, Sum) parallelize internally across
+// parallel.Workers(0) goroutines; both produce bit-identical results at any
+// worker count (EncryptVector's outputs are index-ordered, and Sum's chunked
+// fold relies on modular multiplication being associative and commutative).
+// Randomness readers passed to EncryptVector are wrapped with a mutex unless
+// they are crypto/rand.Reader, which is already safe for concurrent use.
+// EncryptVector has no caller in the product: it is kept only for the
+// benchmark module's per-layer replay (bench/replay.go), which prices C slot
+// encryptions per device. See docs/CONCURRENCY.md.
 package ahe
 
 import (
@@ -439,9 +445,11 @@ func parallelSafeReader(r io.Reader) io.Reader {
 	return &lockedReader{r: r}
 }
 
-// EncryptVector one-hot-encodes and encrypts: the returned slice has an
-// encryption of 1 at position hot and encryptions of 0 elsewhere. This is
-// the device-side input step for categorical queries (Section 5.3). The
+// EncryptVector one-hot-encodes and encrypts one slot per position: the
+// returned slice has an encryption of 1 at position hot and encryptions of
+// 0 elsewhere. Devices upload packed rows instead (Packing.Encrypt), so no
+// product code calls this; it stays exported only because the benchmark
+// module's replay (bench/replay.go) does, and goes when the replay does. The
 // per-position encryptions are independent, so they run on the package's
 // worker pool; slot i always holds position i's ciphertext. Every slot
 // encrypts as Encrypt does: on the key's fixed-base table when it has one,

@@ -18,6 +18,7 @@
 package privacy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -74,6 +75,12 @@ func (t taint) join(o taint) taint {
 // fixed-point range (Section 6: "the use of finite-range data types adds a
 // small δ"). 2^-40 matches the 40 bits of statistical security.
 const deltaPerMechanism = 1.0 / (1 << 40)
+
+// ErrUnboundedSensitivity is the refusal of a laplace argument that one row
+// can move without limit: no finite noise scale covers it. The error names
+// the call site and wraps this sentinel, so callers (the gateway's
+// not_private refusal among them) can test for it with errors.Is.
+var ErrUnboundedSensitivity = errors.New("laplace of an argument with unbounded sensitivity (one row can move it without limit)")
 
 // Certify checks the program and returns its privacy certificate. The types
 // result supplies loop extents and clip ranges.
@@ -405,12 +412,12 @@ func (c *certifier) floatArgValue(ex *lang.CallExpr, idx int, def float64) float
 // the tracked per-row influence of its argument (Fuzzi's sensitivity
 // analysis). An argument no row can move is charged at 1, the unclipped
 // one-hot default. An unbounded one, such as a product of two sensitive
-// values, is refused: no finite noise scale covers it.
+// values, is refused with ErrUnboundedSensitivity.
 func (c *certifier) laplaceSensitivity(ex *lang.CallExpr) (int64, error) {
 	s := c.sensExpr(ex.Args[0])
 	switch {
 	case math.IsInf(s, 1) || math.IsNaN(s):
-		return 0, fmt.Errorf("%v: laplace of an argument with unbounded sensitivity (one row can move it without limit)", ex.Position())
+		return 0, fmt.Errorf("%v: %w", ex.Position(), ErrUnboundedSensitivity)
 	case s <= 0:
 		return 1, nil
 	}

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -385,12 +386,12 @@ func TestUnboundedLaplaceSensitivityRefused(t *testing.T) {
 	if err == nil {
 		t.Fatalf("certified at ε = %g, sensitivity %d", cert.Epsilon, cert.Mechanisms[0].Sensitivity)
 	}
-	if !strings.HasPrefix(err.Error(), "certification: 1:44") || !strings.Contains(err.Error(), "unbounded sensitivity") {
-		t.Errorf("refused with %q, want a positioned unbounded-sensitivity error", err)
+	if !strings.HasPrefix(err.Error(), "certification: 1:44") || !errors.Is(err, ErrUnboundedSensitivity) {
+		t.Errorf("refused with %q, want a positioned ErrUnboundedSensitivity", err)
 	}
 	// Zero times an unbounded value is NaN to the analysis, which used to
 	// convert to a garbage int64 sensitivity; it is refused the same way.
-	if _, _, _, err := Admit("aggr = sum(db); n = laplace(0 * (aggr[0] * aggr[1]), 5.0); output(declassify(n));", db); err == nil || !strings.Contains(err.Error(), "unbounded sensitivity") {
+	if _, _, _, err := Admit("aggr = sum(db); n = laplace(0 * (aggr[0] * aggr[1]), 5.0); output(declassify(n));", db); !errors.Is(err, ErrUnboundedSensitivity) {
 		t.Errorf("0 · (aggr[0] · aggr[1]): Admit = %v, want the unbounded-sensitivity refusal", err)
 	}
 	// A bounded argument of the same shape, scaled by a public constant,

@@ -16,8 +16,6 @@ import (
 	"arboretum/internal/sortition"
 )
 
-func bigOne() *big.Int { return big.NewInt(1) }
-
 // committeeExec is one committee running MPC vignettes: an engine plus the
 // members selected by sortition.
 type committeeExec struct {

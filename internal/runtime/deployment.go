@@ -510,10 +510,10 @@ func (km *keyMaterial) reconstructKey() (*ahe.PrivateKey, error) {
 	return sk, nil
 }
 
-// upload is one device's contribution: the encrypted vector plus its proof,
-// and the upload-fault history its pool task observed. Fault counters ride
-// in the struct instead of mutating shared metrics so pool tasks stay
-// write-isolated; the coordinator tallies them in device order
+// upload is one device's contribution: its packed row's ciphertexts plus
+// its proof, and the upload-fault history its pool task observed. Fault
+// counters ride in the struct instead of mutating shared metrics so pool
+// tasks stay write-isolated; the coordinator tallies them in device order
 // (tallyUpload).
 type upload struct {
 	vec   []*ahe.Ciphertext
@@ -533,30 +533,26 @@ type uploadEvent struct {
 	dropped  bool          // gave up after uploadBackoff.attempts
 }
 
-// deviceUpload produces one device's upload for the given one-hot position:
-// honest devices encrypt their row and prove it well formed; malicious
-// devices upload an all-ones vector (inflating every count) with a forged
-// proof. It runs on pool workers: it touches only the device's own state and
-// crypto/rand.
-func (d *Deployment) deviceUpload(km *keyMaterial, dev *Device, width, hot int) (upload, error) {
-	claim := zkp.Claim{Kind: zkp.ClaimOneHot, VectorLen: width}
+// deviceUpload produces one device's upload for the given one-hot cell:
+// honest devices encrypt their packed row (ahe.Packing) and prove the row
+// well formed; malicious devices upload the all-ones row (inflating every
+// count) with a forged proof. It runs on pool workers: it touches only the
+// device's own state and crypto/rand.
+func (d *Deployment) deviceUpload(dev *Device, codec *ahe.Packing, hot int) (upload, error) {
+	claim := zkp.Claim{Kind: zkp.ClaimOneHot, VectorLen: codec.Cells()}
 	stmt := zkp.Statement{Device: dev.ID, QueryID: d.queryID, Claim: claim}
 	if dev.Malicious {
-		vec := make([]*ahe.Ciphertext, width)
-		var err error
-		for i := range vec {
-			vec[i], err = km.pub.Encrypt(rand.Reader, bigOne())
-			if err != nil {
-				return upload{}, err
-			}
+		vec, err := codec.EncryptOnes(rand.Reader)
+		if err != nil {
+			return upload{}, err
 		}
 		return upload{vec: vec, proof: zkp.Forge(stmt)}, nil
 	}
-	vec, err := km.pub.EncryptVector(rand.Reader, width, hot)
+	vec, err := codec.Encrypt(rand.Reader, hot)
 	if err != nil {
 		return upload{}, err
 	}
-	witness := make([]int64, width)
+	witness := make([]int64, codec.Cells())
 	witness[hot] = 1
 	proof, err := zkp.NewProver(dev.Key).Prove(stmt, zkp.Witness{Vector: witness})
 	if err != nil {
@@ -572,7 +568,7 @@ func (d *Deployment) deviceUpload(km *keyMaterial, dev *Device, width, hot int) 
 // this runs on pool workers. A device that times out uploadBackoff.attempts
 // times in a row is dropped (it behaves exactly like a churned-offline
 // device: its row is simply missing).
-func (d *Deployment) deviceUploadRetry(km *keyMaterial, dev *Device, width, hot int) (upload, error) {
+func (d *Deployment) deviceUploadRetry(dev *Device, codec *ahe.Packing, hot int) (upload, error) {
 	var timeouts int
 	var backoff time.Duration
 	//arblint:ignore ctxcheckpoint bounded retry: the device is dropped once attempt+1 reaches uploadBackoff.attempts
@@ -585,7 +581,7 @@ func (d *Deployment) deviceUploadRetry(km *keyMaterial, dev *Device, width, hot 
 			backoff += uploadBackoff.delay(attempt)
 			continue
 		}
-		up, err := d.deviceUpload(km, dev, width, hot)
+		up, err := d.deviceUpload(dev, codec, hot)
 		if err != nil {
 			return upload{}, err
 		}

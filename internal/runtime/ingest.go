@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -18,15 +19,17 @@ import (
 )
 
 // This file is input collection (Section 5.3; docs/INGEST.md): the sharded,
-// streaming ingest pipeline. Devices upload in batches to per-shard
-// aggregators; each shard verifies proofs, folds the batch into pooled
-// accumulators (one per ciphertext cell), and commits the running partials
-// at every batch boundary, so folding holds O(shards × batch) ciphertexts at
-// any instant. Shard partials then combine in a tree of the planner's
-// sum-tree fanout, and devices audit the committed batches. Because a
-// Paillier addition is multiplication mod n² — associative and commutative —
-// the combined sums are bit-for-bit identical at every worker count, shard
-// count, batch size, and fanout.
+// streaming ingest pipeline. Devices upload their one-hot rows packed into
+// few ciphertexts (ahe.Packing) in batches to per-shard aggregators; each
+// shard verifies proofs, folds the batch into pooled accumulators (one per
+// packed ciphertext), and commits the running partials at every batch
+// boundary, so folding holds O(shards × batch) ciphertexts at any instant.
+// Shard partials then combine in a tree of the planner's sum-tree fanout,
+// devices audit the committed batches, and the key committee unpacks the
+// audited sums into one ciphertext per cell. Because a Paillier addition is
+// multiplication mod n² — associative and commutative — the combined sums
+// are bit-for-bit identical at every worker count, shard count, batch size,
+// and fanout.
 
 const (
 	// defaultIngestShards and defaultIngestBatch are fixed constants — never
@@ -63,7 +66,7 @@ type shardRun struct {
 // ingestSpec configures one sharded, streaming ingest run.
 type ingestSpec struct {
 	pub     *ahe.PublicKey
-	width   int // ciphertext cells per upload (categories, or bins×categories)
+	width   int // ciphertexts per upload: the packed row's Packing.Ciphertexts
 	batch   int // devices folded per batch: the bounded-memory unit
 	fanout  int // shard-combine tree fanout (≤ 1 = defaultCombineFanout)
 	workers int
@@ -358,7 +361,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 // ingestResult is a completed sharded ingest.
 type ingestResult struct {
 	shards       []*shardResult
-	sums         []*ahe.Ciphertext // hierarchically combined shard partials
+	sums         []*ahe.Ciphertext // combined shard partials; Deployment.ingest unpacks them per cell
 	tree         *merkle.Tree      // global commitment over every batch leaf, shard order
 	accepted     int
 	combineBytes int64 // aggregator-side traffic of the shard combine
@@ -509,10 +512,9 @@ func auditIngestBatch(pub *ahe.PublicKey, tree *merkle.Tree, leaf int, rb retain
 // one batch of device ciphertexts per shard.
 type deviceSource struct {
 	d       *Deployment
-	km      *keyMaterial
+	codec   *ahe.Packing
 	devices []*Device // the shard's online devices, device order
 	base    int       // global online index of devices[0]
-	width   int
 	hot     func(onlineIdx int, dev *Device) int
 }
 
@@ -521,7 +523,7 @@ func (s *deviceSource) count() int { return len(s.devices) }
 func (s *deviceSource) fill(buf []upload, start, n int) error {
 	for i := 0; i < n; i++ {
 		dev := s.devices[start+i]
-		up, err := s.d.deviceUploadRetry(s.km, dev, s.width, s.hot(s.base+start+i, dev))
+		up, err := s.d.deviceUploadRetry(dev, s.codec, s.hot(s.base+start+i, dev))
 		if err != nil {
 			return err
 		}
@@ -533,9 +535,16 @@ func (s *deviceSource) fill(buf []upload, start, n int) error {
 // ingest runs the pipeline over the deployment's online devices, cut into
 // contiguous shard ranges in device order (so shard order IS device order
 // and every coordinator tally below replays identically), audits every
-// committed batch, and folds the shard-side counters into the metrics.
-// fanout is the planner's sum-tree choice for the shard combine.
-func (d *Deployment) ingest(km *keyMaterial, width, fanout int, hot func(onlineIdx int, dev *Device) int, track bool) (*ingestResult, error) {
+// committed batch, folds the shard-side counters into the metrics, and has
+// the key committee unpack the audited sums: res.sums holds one ciphertext
+// per cell. cells is the length of a device's one-hot row, which it uploads
+// packed for the deployment's device count. fanout is the planner's sum-tree
+// choice for the shard combine.
+func (d *Deployment) ingest(km *keyMaterial, cells, fanout int, hot func(onlineIdx int, dev *Device) int, track bool) (*ingestResult, error) {
+	codec, err := km.pub.NewPacking(d.cfg.N, cells)
+	if err != nil {
+		return nil, err
+	}
 	var online []*Device
 	for _, dev := range d.Devices {
 		if !dev.Offline { // churned devices simply do not upload
@@ -551,7 +560,7 @@ func (d *Deployment) ingest(km *keyMaterial, width, fanout int, hot func(onlineI
 	}
 	sp := &ingestSpec{
 		pub:     km.pub,
-		width:   width,
+		width:   codec.Ciphertexts(),
 		batch:   batch,
 		fanout:  fanout,
 		workers: d.workers(),
@@ -570,7 +579,7 @@ func (d *Deployment) ingest(km *keyMaterial, width, fanout int, hot func(onlineI
 		}
 		jobs[s] = shardRun{
 			base:     lo,
-			src:      &deviceSource{d: d, km: km, devices: devs, base: lo, width: width, hot: hot},
+			src:      &deviceSource{d: d, codec: codec, devices: devs, base: lo, hot: hot},
 			verifier: zkp.NewVerifier(keys),
 		}
 	}
@@ -620,13 +629,48 @@ func (d *Deployment) ingest(km *keyMaterial, width, fanout int, hot func(onlineI
 	if err := auditIngest(km.pub, res, &d.Metrics); err != nil {
 		return nil, fmt.Errorf("runtime: audit: %w", err)
 	}
+	if res.sums, err = d.unpack(km, codec, res.sums); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-// collectInputs has every online device encrypt its one-hot row under the
-// query key and prove it well formed; the shard aggregators verify each
-// proof, drop invalid uploads, and fold the rest (Section 5.3). It returns
-// the audited per-category sums and how many uploads were accepted.
+// unpack has the committee holding the key turn the audited packed sums into
+// one ciphertext per cell: it reconstructs the key, decrypts the
+// ⌈cells/digits⌉ sums on the pool, splits the digits (ahe.Packing.Unpack)
+// and re-encrypts each count under the same key, so everything downstream
+// (windowSums, the interpreter, laplaceRelease, decryptToShares) runs on
+// per-cell ciphertexts. This is the same simulation shortcut as
+// decryptToShares (DESIGN.md, "Key shares"): a real committee would decrypt
+// to shares inside the MPC and convert the shares to ciphertexts. It draws
+// nothing from the deployment RNG, takes no vignette or transfer sequence
+// number and runs outside every fault-injection window, so noise draws and
+// fault schedules are the ones a per-cell upload would see.
+func (d *Deployment) unpack(km *keyMaterial, codec *ahe.Packing, packed []*ahe.Ciphertext) ([]*ahe.Ciphertext, error) {
+	sk, err := km.reconstructKey()
+	if err != nil {
+		return nil, err
+	}
+	pts, err := parallel.Map(nil, len(packed), d.workers(), func(k int) (*big.Int, error) {
+		return sk.Decrypt(packed[k])
+	})
+	if err != nil {
+		return nil, fmt.Errorf("runtime: committee decryption: %w", err)
+	}
+	counts, err := codec.Unpack(pts)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: unpack: %w", err)
+	}
+	return parallel.Map(nil, len(counts), d.workers(), func(c int) (*ahe.Ciphertext, error) {
+		return km.pub.Encrypt(rand.Reader, big.NewInt(counts[c]))
+	})
+}
+
+// collectInputs has every online device encrypt its packed one-hot row
+// under the query key and prove it well formed; the shard aggregators verify
+// each proof, drop invalid uploads, and fold the rest (Section 5.3). It
+// returns the audited per-category sums, unpacked to one ciphertext per
+// category, and how many uploads were accepted.
 func (d *Deployment) collectInputs(km *keyMaterial, fanout int) ([]*ahe.Ciphertext, int, error) {
 	res, err := d.ingest(km, d.cfg.Categories, fanout, func(_ int, dev *Device) int { return dev.Category }, false)
 	if err != nil {
@@ -636,9 +680,10 @@ func (d *Deployment) collectInputs(km *keyMaterial, fanout int) ([]*ahe.Cipherte
 }
 
 // collectBinned is collection for the bin protocol (sample.go): every online
-// device uploads a b×C vector with its one-hot row in a uniformly random
-// bin, zeros elsewhere, and a proof that the whole vector is one-hot. It
-// returns the audited per-bin-per-category sums (for windowSums) and the
+// device uploads a packed b×C row with its one-hot cell in a uniformly
+// random bin, zeros elsewhere, and a proof that the whole row is one-hot. It
+// returns the audited per-bin-per-category sums, unpacked to one ciphertext
+// per cell (for windowSums), and the
 // (simulation-only) bin each accepted device chose. The bin draws consume
 // the deployment RNG sequentially in device order BEFORE any shard task
 // runs, so the stream is identical at every worker and shard count.

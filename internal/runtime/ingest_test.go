@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/big"
 	"os"
 	"reflect"
 	goruntime "runtime"
@@ -40,19 +41,21 @@ func ingestKey(t testing.TB) *ahe.PrivateKey {
 	return ingestTestKey
 }
 
-// decryptSums decrypts a combined sum vector into per-cell counts.
-func decryptSums(t *testing.T, sk *ahe.PrivateKey, sums []*ahe.Ciphertext) []int64 {
+// decryptSums decrypts a combined vector of packed sums and unpacks it into
+// per-cell counts.
+func decryptSums(t *testing.T, sk *ahe.PrivateKey, codec *ahe.Packing, sums []*ahe.Ciphertext) []int64 {
 	t.Helper()
-	out := make([]int64, len(sums))
-	for c, ct := range sums {
-		if ct == nil {
-			continue
-		}
+	pts := make([]*big.Int, len(sums))
+	for k, ct := range sums {
 		m, err := sk.Decrypt(ct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[c] = m.Int64()
+		pts[k] = m
+	}
+	out, err := codec.Unpack(pts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -62,7 +65,7 @@ func decryptSums(t *testing.T, sk *ahe.PrivateKey, sums []*ahe.Ciphertext) []int
 // invariant: any dropped or twice-folded upload shifts a count by ≥1.
 func ingestHistogram(t *testing.T, sk *ahe.PrivateKey, pop *virtualPopulation, res *ingestResult) {
 	t.Helper()
-	got := decryptSums(t, sk, res.sums)
+	got := decryptSums(t, sk, pop.codec, res.sums)
 	want := pop.histogram()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decrypted sums %v, exact histogram %v", got, want)
@@ -312,7 +315,7 @@ func auditFixture(t *testing.T, sk *ahe.PrivateKey, pop *virtualPopulation, shar
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.pub, sp.width, sp.batch = &sk.PublicKey, pop.categories, batch
+	sp.pub, sp.width, sp.batch = &sk.PublicKey, pop.codec.Ciphertexts(), batch
 	res, err := runShardedIngest(&sp, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -485,10 +488,10 @@ func TestCombineFanoutInvariant(t *testing.T) {
 	pop := newVirtualPopulation(9, 200, 4)
 	const shards = 5
 	cell := int64((sk.N2.BitLen() + 7) / 8)
-	adds := int64((shards - 1) * pop.categories)
 	var want []*ahe.Ciphertext
 	for _, fanout := range []int{0, 2, 8, shards + 3} {
 		res := auditFixture(t, sk, pop, shards, 16, ingestSpec{fanout: fanout, workers: 4})
+		adds := int64((shards - 1) * pop.codec.Ciphertexts())
 		if want == nil {
 			want = res.sums
 			ingestHistogram(t, sk, pop, res)

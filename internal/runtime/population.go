@@ -24,10 +24,11 @@ type virtualPopulation struct {
 	n          int
 	categories int
 
-	// Cached per-category template vectors (templatesFor): encrypting them
-	// costs ~250 allocations per ciphertext, which would otherwise swamp
-	// every benchmark iteration's allocation count with setup noise.
+	// Cached per-category packed template rows and their codec
+	// (templatesFor): encrypting them would otherwise swamp every benchmark
+	// iteration's allocation count with setup noise.
 	tmplPub   *ahe.PublicKey
+	codec     *ahe.Packing
 	templates [][]*ahe.Ciphertext
 }
 
@@ -85,7 +86,7 @@ func (p *virtualPopulation) histogram() []int64 {
 }
 
 // templateSource is the virtual population's upload source: every device of
-// a category shares one pre-encrypted one-hot vector — the homomorphic fold
+// a category shares one pre-encrypted packed row — the homomorphic fold
 // neither knows nor cares that ciphertext values repeat — while proofs are
 // generated per device on pooled scratch, because the verifier binds each
 // proof to the device identity and query. Upload generation is therefore
@@ -98,7 +99,7 @@ type templateSource struct {
 	queryID uint64
 	base, n int // the shard's device range [base, base+n)
 
-	templates [][]*ahe.Ciphertext // shared per-category one-hot vectors (immutable)
+	templates [][]*ahe.Ciphertext // shared per-category packed rows (immutable)
 	sc        *zkp.Scratch
 	witness   []int64
 	lastHot   int
@@ -130,24 +131,29 @@ func (s *templateSource) fill(buf []upload, start, n int) error {
 	return nil
 }
 
-// templatesFor returns the population's per-category one-hot template
-// vectors under pub — one vector per category, shared across every shard —
-// encrypting and caching them on first use (the sweep's only width²-sized
-// cost; benchmarks call this in setup so the timed loop starts warm). Not
-// safe for concurrent first calls; the pipeline only reads the result.
+// templatesFor returns the population's per-category packed template rows
+// under pub — one row per category, packed for the population's size the
+// way a deployment packs its devices' rows and shared across every shard —
+// encrypting and caching them on first use (benchmarks call this in setup
+// so the timed loop starts warm). Not safe for concurrent first calls; the
+// pipeline only reads the result.
 func (p *virtualPopulation) templatesFor(pub *ahe.PublicKey) ([][]*ahe.Ciphertext, error) {
 	if p.tmplPub == pub && p.templates != nil {
 		return p.templates, nil
 	}
+	codec, err := pub.NewPacking(p.n, p.categories)
+	if err != nil {
+		return nil, err
+	}
 	templates := make([][]*ahe.Ciphertext, p.categories)
 	for cat := range templates {
-		vec, err := pub.EncryptVector(rand.Reader, p.categories, cat)
+		row, err := codec.Encrypt(rand.Reader, cat)
 		if err != nil {
 			return nil, err
 		}
-		templates[cat] = vec
+		templates[cat] = row
 	}
-	p.tmplPub, p.templates = pub, templates
+	p.tmplPub, p.codec, p.templates = pub, codec, templates
 	return templates, nil
 }
 
@@ -175,8 +181,9 @@ func (p *virtualPopulation) shardRuns(pub *ahe.PublicKey, queryID uint64, shards
 }
 
 // virtualIngest runs the streaming pipeline over a virtual population — the
-// entry point for the ingest benchmarks and the crash/memory tests. With no
-// faults fired, decrypting the returned sums yields pop.histogram exactly.
+// entry point for the ingest benchmarks and the crash/memory tests. The
+// returned sums stay packed: with no faults fired, decrypting them and
+// unpacking with pop.codec yields pop.histogram exactly.
 // It is the one caller that samples the audit (ingestSpec.sampleAudit): its
 // job is showing fold memory flat at 10^6–10^7 devices.
 func virtualIngest(pop *virtualPopulation, pub *ahe.PublicKey, queryID uint64, shards, batch, workers int, plan *faults.Plan, gauge *heapGauge) (*ingestResult, error) {
@@ -191,7 +198,7 @@ func virtualIngest(pop *virtualPopulation, pub *ahe.PublicKey, queryID uint64, s
 		return nil, err
 	}
 	return runShardedIngest(&ingestSpec{
-		pub: pub, width: pop.categories, batch: batch,
+		pub: pub, width: pop.codec.Ciphertexts(), batch: batch,
 		workers: workers, plan: plan, gauge: gauge, sampleAudit: true,
 	}, jobs)
 }

@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"crypto/rand"
 	"math"
 	"strings"
 	"testing"
 
+	"arboretum/internal/ahe"
 	"arboretum/internal/plan"
 	"arboretum/internal/planner"
 	"arboretum/internal/queries"
@@ -564,9 +566,18 @@ output(result);`
 		t.Fatal(err)
 	}
 	m := d.Metrics
-	// Each device sends cats ciphertexts (~1024/8 bytes each at 512-bit
-	// Paillier: n² is 1024 bits) plus one proof.
-	perDevice := int64(cats*128 + 256)
+	// Each device sends its packed row — ⌈cats/digits⌉ ciphertexts of
+	// ~1024/8 bytes each at 512-bit Paillier (n² is 1024 bits) — plus one
+	// proof.
+	sk, err := ahe.GenerateKey(rand.Reader, 512) // the deployment's key size
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := sk.NewPacking(n, cats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDevice := int64(codec.Ciphertexts()*128 + 256)
 	if m.DeviceBytesSent < int64(n)*perDevice/2 || m.DeviceBytesSent > int64(n)*perDevice*2 {
 		t.Errorf("device bytes = %d, want ~%d", m.DeviceBytesSent, int64(n)*perDevice)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"arboretum/internal/faults"
 	"arboretum/internal/ledger"
+	"arboretum/internal/privacy"
 	"arboretum/internal/runtime"
 )
 
@@ -254,6 +255,32 @@ func TestAdmissionRejections(t *testing.T) {
 	}
 	if got := s.ledger.Seq(); got != 1 { // only the tenant-create record
 		t.Fatalf("ledger advanced to seq %d on rejected submissions", got)
+	}
+}
+
+// TestUnboundedSensitivityNotPrivate: a laplace argument one row can move
+// without limit is refused at submission with the 400 not_private every
+// other certification failure gets, and the error behind it is the
+// certifier's typed privacy.ErrUnboundedSensitivity.
+func TestUnboundedSensitivityNotPrivate(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
+	s, ts := startT(t, cfg, nil)
+	const src = "aggr = sum(db);\nx = aggr[0] * aggr[1];\nn = laplace(x, 1.0);\noutput(declassify(n));"
+	var e errEnvelope
+	body := map[string]string{"tenant": "alice", "source": src}
+	if code := call(t, "POST", ts.URL+"/v1/queries", body, &e); code != http.StatusBadRequest || e.Error.Code != "not_private" {
+		t.Fatalf("HTTP %d code %q, want 400 not_private", code, e.Error.Code)
+	}
+	if !strings.Contains(e.Error.Message, privacy.ErrUnboundedSensitivity.Error()) {
+		t.Errorf("message %q does not carry the refusal", e.Error.Message)
+	}
+	// The gateway certifies with runtime.Certify at its own shape.
+	if _, err := runtime.Certify(src, cfg.Devices, cfg.Categories); !errors.Is(err, privacy.ErrUnboundedSensitivity) {
+		t.Errorf("Certify = %v, want privacy.ErrUnboundedSensitivity", err)
+	}
+	if n := len(s.store.byTenant("alice")); n != 0 {
+		t.Errorf("%d jobs registered by the refused submission", n)
 	}
 }
 
