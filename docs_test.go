@@ -3,8 +3,10 @@ package arboretum
 import (
 	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -24,6 +26,13 @@ import (
 // string literal outside bench/ or a CI workflow spells it (a planner choice,
 // a reported metric, an artifact). The gate only reads BENCHMARK.json.
 //
+// A backticked Go name whose first word is the name of an internal/ package
+// — pkg.Ident, pkg.Type.Member (a method or field) or the docs' shorthand
+// pkg.Method — must be declared in a non-test file of that package; the
+// shorthand resolves when any type there has that method. A name the
+// standard library package of the same name declares resolves too
+// (runtime.GOMAXPROCS).
+//
 // bench/README.md is not scanned: bench/ is the benchmark's own module and
 // changes only together with the benchmark, and its prose still names the
 // StreamIngest switch that collection no longer has. CHANGES.md and
@@ -41,6 +50,8 @@ var (
 	metricName   = regexp.MustCompile(`^[a-z]+\.[a-z0-9]+(?:_[a-z0-9]+)+$`)
 	pairName     = regexp.MustCompile(`^[a-z]+-[a-z]+$`)
 	hyphenated   = regexp.MustCompile(`[a-z0-9]+(?:-[a-z0-9]+)+`)
+	goName       = regexp.MustCompile(`^([a-z]\w*)\.(?:\(\*)?(\w+)\)?(?:\.(\w+))?$`)
+	typeArgs     = regexp.MustCompile(`\[[^\]]*\]`)
 )
 
 func TestDocNamesResolve(t *testing.T) {
@@ -73,6 +84,9 @@ func TestDocNamesResolve(t *testing.T) {
 				if pairName.MatchString(name) && !bench.workloads[name] && !tree.spelled[name] {
 					t.Errorf("%s:%d: `%s` names %s, which is no BENCHMARK.json workload and no source spells", doc, line(m[0]), span, name)
 				}
+				if !tree.resolvesGo(name) {
+					t.Errorf("%s:%d: `%s` names %s, which no non-test file of that package declares", doc, line(m[0]), span, name)
+				}
 				for _, name := range testName.FindAllString(tok, -1) {
 					if !tree.testDecls[name] {
 						t.Errorf("%s:%d: `%s` names %s, which nothing in the module declares", doc, line(m[0]), span, name)
@@ -89,6 +103,32 @@ func TestDocNamesResolve(t *testing.T) {
 			if name := text[m[0]:m[1]]; !tree.benchmarks[name] {
 				t.Errorf("%s:%d: no _test.go declares %s", doc, line(m[0]), name)
 			}
+		}
+	}
+}
+
+// TestDocGoNamesResolver holds the Go-name rule to one good and one planted
+// bad name of each form: a declaration that lives only in a test file does
+// not resolve.
+func TestDocGoNamesResolver(t *testing.T) {
+	tree := walkDocTree(t)
+	for name, want := range map[string]bool{
+		"bgv.PaperRNSParams":     true,  // pkg.Ident
+		"bgv.NoSuchParams":       false, //
+		"bgv.Context.Mul":        true,  // pkg.Type.Method
+		"bgv.Context.Sum":        false, // declared in ops_test.go only
+		"runtime.Config.Workers": true,  // pkg.Type.Field
+		"vsr.(*Group).Commit":    true,  // pkg.(*Type).Method
+		"vsr.(*Group).Deal":      false, //
+		"vsr.Commit":             true,  // shorthand pkg.Method
+		"bgv.Decrypt":            false, // declared in ops_test.go only
+		"runtime.GOMAXPROCS":     true,  // the standard library's runtime
+		"runtime.GOMAXPROCESSES": false, //
+		"internal/wal.Log[R]":    true,  // path-qualified, type arguments
+		"plan.go":                true,  // a file, not a Go name
+	} {
+		if got := tree.resolvesGo(name); got != want {
+			t.Errorf("resolvesGo(%q) = %v, want %v", name, got, want)
 		}
 	}
 }
@@ -153,11 +193,41 @@ func readBenchmarkNames(t *testing.T) benchmarkNames {
 
 // docTree is what the gate resolves names against, gathered in one walk.
 type docTree struct {
-	baseNames  map[string]bool // every file's base name
-	envRead    map[string]bool // ARBORETUM_* names some script or Go file reads
-	benchmarks map[string]bool // Benchmark* functions of this module's tests
-	testDecls  map[string]bool // top-level Test* declarations of this module
-	spelled    map[string]bool // hyphenated words of Go string literals and CI workflows
+	baseNames  map[string]bool            // every file's base name
+	envRead    map[string]bool            // ARBORETUM_* names some script or Go file reads
+	benchmarks map[string]bool            // Benchmark* functions of this module's tests
+	testDecls  map[string]bool            // top-level Test* declarations of this module
+	spelled    map[string]bool            // hyphenated words of Go string literals and CI workflows
+	goDecls    map[string]map[string]bool // internal/ package name → its non-test declarations
+}
+
+// resolvesGo reports whether name, if it is a Go name in an internal/
+// package (see the gate's comment), names a declaration there or in the
+// standard library package of the same name. Other names resolve trivially:
+// file names, metrics, and the Benchmark*/Test* names the gate checks apart.
+func (tree docTree) resolvesGo(name string) bool {
+	m := goName.FindStringSubmatch(typeArgs.ReplaceAllString(strings.TrimPrefix(name, "internal/"), ""))
+	if m == nil || tree.goDecls[m[1]] == nil || tree.baseNames[name] || metricName.MatchString(name) ||
+		strings.HasPrefix(m[2], "Benchmark") || strings.HasPrefix(m[2], "Test") {
+		return true
+	}
+	member := m[2]
+	if m[3] != "" {
+		member += "." + m[3]
+	}
+	if tree.goDecls[m[1]][member] {
+		return true
+	}
+	std, err := importer.Default().Import(m[1])
+	if err != nil {
+		return false
+	}
+	obj := std.Scope().Lookup(m[2])
+	if obj == nil || m[3] == "" {
+		return obj != nil
+	}
+	sel, _, _ := types.LookupFieldOrMethod(obj.Type(), true, std, m[3])
+	return sel != nil
 }
 
 // resolves reports whether p exists: a bare file name anywhere in the tree,
@@ -178,7 +248,8 @@ func (tree docTree) resolves(p string) bool {
 }
 
 func walkDocTree(t *testing.T) docTree {
-	tree := docTree{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
+	tree := docTree{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{},
+		map[string]map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -213,6 +284,16 @@ func walkDocTree(t *testing.T) docTree {
 			return err
 		}
 		isTest := strings.HasSuffix(path, "_test.go")
+		if !isTest && strings.HasPrefix(slashed, "internal/") {
+			decls := tree.goDecls[f.Name.Name]
+			if decls == nil {
+				decls = map[string]bool{}
+				tree.goDecls[f.Name.Name] = decls
+			}
+			for _, name := range memberNames(f) {
+				decls[name] = true
+			}
+		}
 		for _, name := range topLevelNames(f) {
 			if isTest && strings.HasPrefix(name, "Benchmark") {
 				tree.benchmarks[name] = true
@@ -268,6 +349,53 @@ func topLevelNames(f *ast.File) []string {
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
 						names = append(names, id.Name)
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// memberNames returns what f declares under the gate's Go-name forms: its
+// top-level names, Type.Method and Type.Field for its methods, struct fields
+// and interface methods, and each method name alone (the shorthand).
+func memberNames(f *ast.File) []string {
+	names := topLevelNames(f)
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				continue
+			}
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if idx, ok := recv.(*ast.IndexExpr); ok {
+				recv = idx.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				names = append(names, id.Name+"."+d.Name.Name, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				var fields *ast.FieldList
+				switch t := ts.Type.(type) {
+				case *ast.StructType:
+					fields = t.Fields
+				case *ast.InterfaceType:
+					fields = t.Methods
+				default:
+					continue
+				}
+				for _, field := range fields.List {
+					for _, id := range field.Names {
+						names = append(names, ts.Name.Name+"."+id.Name)
 					}
 				}
 			}

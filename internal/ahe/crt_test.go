@@ -307,3 +307,14 @@ func TestFixedBaseFallbackMatchesMontgomery(t *testing.T) {
 		t.Fatalf("fixed-base encryption decrypted to %v", got)
 	}
 }
+
+// Equal reports whether sk and x are the same key down to every value
+// Decrypt reads: n, λ, μ and each CRT value. A key without a factorization
+// (FromSecrets) equals only another without one.
+func (sk *PrivateKey) Equal(x *PrivateKey) bool {
+	same := func(a, b *big.Int) bool { return (a == nil) == (b == nil) && (a == nil || a.Cmp(b) == 0) }
+	return same(sk.N, x.N) && same(sk.N2, x.N2) && same(sk.lambda, x.lambda) && same(sk.mu, x.mu) &&
+		same(sk.p, x.p) && same(sk.q, x.q) && same(sk.p2, x.p2) && same(sk.q2, x.q2) &&
+		same(sk.pm1, x.pm1) && same(sk.qm1, x.qm1) && same(sk.hp, x.hp) && same(sk.hq, x.hq) &&
+		same(sk.pInvQ, x.pInvQ)
+}

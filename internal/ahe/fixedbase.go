@@ -8,16 +8,16 @@ package ahe
 // shortened-exponent variant, we instead fix a base gn = h^n mod n² (h a
 // canonical unit derived from n) and draw the randomizer as gn^x for a
 // random 512-bit exponent x. The randomizer is still an n-th power, so
-// decryption, the homomorphic operations, and the wire format are all
-// untouched; semantic security rests on the standard subgroup variant of
-// the decisional composite residuosity assumption (see docs/KERNELS.md).
+// decryption and the homomorphic operations are untouched; semantic security
+// rests on the standard subgroup variant of the decisional composite
+// residuosity assumption (see docs/KERNELS.md).
 //
 // Because the base is fixed, the exponentiation walks an internal/fixedbase
 // comb — at most 64 Montgomery steps per encryption, 7 of them squarings,
 // the last of which multiplies in g^m, so the whole ciphertext is one walk —
-// and the key carries one table, built by GenerateKey or UnmarshalBinary and
-// shared by every encryption under it. The walk runs on pooled scratch, so
-// it allocates nothing (docs/KERNELS.md, "Why math/big").
+// and the key carries one table, built by GenerateKey and shared by every
+// encryption under it. The walk runs on pooled scratch, so it allocates
+// nothing (docs/KERNELS.md, "Why math/big").
 
 import (
 	"crypto/sha256"

@@ -6,10 +6,10 @@ import (
 	"math/big"
 )
 
-// Wire formats: ciphertexts and public keys travel between devices, the
-// aggregator, and committees, so they need stable serializations. The format
-// is a 4-byte big-endian length followed by the big-endian magnitude bytes
-// of each integer.
+// A wire format for ciphertexts and public keys, which no production path
+// uses (keys and ciphertexts move between the simulated parties as values):
+// a 4-byte big-endian length followed by the big-endian magnitude bytes of
+// each integer.
 
 func appendBig(buf []byte, v *big.Int) []byte {
 	b := v.Bytes()

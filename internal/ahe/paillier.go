@@ -78,8 +78,8 @@ type PublicKey struct {
 	N2 *big.Int // n^2, cached
 
 	// fb is the precomputed fixed-base table that accelerates the r^n mod n²
-	// factor of every encryption (see fixedbase.go). GenerateKey and
-	// UnmarshalBinary populate it; a key built by hand leaves it nil, and
+	// factor of every encryption (see fixedbase.go). GenerateKey populates
+	// it; a key built by hand leaves it nil, and
 	// then every encryption — Encrypt's and each EncryptVector slot's —
 	// takes the textbook exponentiation. The table is immutable, so copying
 	// the key copies the pointer safely.
@@ -481,17 +481,6 @@ func (sk *PrivateKey) Prime() *big.Int {
 		return nil
 	}
 	return new(big.Int).Set(sk.p)
-}
-
-// Equal reports whether sk and x are the same key down to every value
-// Decrypt reads: n, λ, μ and each CRT value. A key without a factorization
-// (FromSecrets) equals only another without one.
-func (sk *PrivateKey) Equal(x *PrivateKey) bool {
-	same := func(a, b *big.Int) bool { return (a == nil) == (b == nil) && (a == nil || a.Cmp(b) == 0) }
-	return same(sk.N, x.N) && same(sk.N2, x.N2) && same(sk.lambda, x.lambda) && same(sk.mu, x.mu) &&
-		same(sk.p, x.p) && same(sk.q, x.q) && same(sk.p2, x.p2) && same(sk.q2, x.q2) &&
-		same(sk.pm1, x.pm1) && same(sk.qm1, x.qm1) && same(sk.hp, x.hp) && same(sk.hq, x.hq) &&
-		same(sk.pInvQ, x.pInvQ)
 }
 
 // Lambda exposes a copy of the decryption exponent λ = lcm(p−1, q−1).

@@ -116,30 +116,6 @@ func BenchmarkMulLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkSum folds 256 ciphertexts — the aggregator's FHE sum loop.
-func BenchmarkSum(b *testing.B) {
-	ctx := benchContext(b)
-	rng := benchrand.New(5)
-	kp, err := ctx.GenerateKeys(rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cts := make([]*Ciphertext, 256)
-	for i := range cts {
-		ct, err := ctx.EncryptValues(rng, kp.PK, []uint64{uint64(i % 5)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cts[i] = ct
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctx.Sum(cts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEncryptLarge times one degree-4096 encryption (one forward and
 // two inverse transforms against the key's cached NTT forms).
 func BenchmarkEncryptLarge(b *testing.B) {
@@ -262,25 +238,6 @@ func BenchmarkRNSAdd(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.ctx.Add(s.a, s.b); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRNSSum folds 64 ciphertexts per ring — the aggregator's loop.
-func BenchmarkRNSSum(b *testing.B) {
-	for _, p := range benchRNSRings {
-		b.Run(ringTag(p), func(b *testing.B) {
-			s := benchRNSState(b, p)
-			cts := make([]*Ciphertext, 64)
-			for i := range cts {
-				cts[i] = s.a
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.ctx.Sum(cts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,19 +3,22 @@
 // NTT-friendly primes (an RNS basis).
 //
 // Arboretum's prototype uses BGV (Section 6) with a polynomial degree of 2^15
-// and a 135-bit ciphertext modulus. This package is a real, working RLWE
-// scheme — key generation, encryption, decryption, homomorphic addition,
-// plaintext multiplication, and one level of ciphertext multiplication with
-// gadget relinearization — implemented on the standard library alone. There
-// is one ring implementation, parameterised by its prime basis (Params.Qi):
-// PaperRNSParams is the paper's deployment ring (2^15, three 45-bit primes,
-// exactly 135 bits), which the benchmarks and the cost model's calibration
-// (costmodel.CalibrateRing) measure natively; TestRNSParams (2^10, three
-// primes) and TestParams (2^10, the single prime Q) are the reduced rings the
-// unit tests run. The execution runtime does not import this package: the
-// planner prices FHE operations from the cost model, whose FHE rates
-// `arboretum plan -ring` measures on this ring (see DESIGN.md for the
-// substitution argument).
+// and a 135-bit ciphertext modulus. Here the package is a calibration kernel
+// for the cost model: the planner prices FHE options from per-operation
+// rates, and costmodel.CalibrateRing (`arboretum plan -ring`) measures those
+// rates on this ring. Its non-test code is what that calibration times — key
+// generation with a relinearization key, Encode, Encrypt, Add, and one level
+// of ciphertext multiplication (Mul) with gadget relinearization — on the
+// standard library alone. No execution path encrypts or decrypts with it
+// (see DESIGN.md for the substitution argument). Decrypt, the correctness
+// oracle, lives in the package's tests, with the scheme's other homomorphic
+// operations and a wire format that no production path uses.
+//
+// There is one ring implementation, parameterised by its prime basis
+// (Params.Qi): PaperRNSParams is the paper's deployment ring (2^15, three
+// 45-bit primes, exactly 135 bits), which the benchmarks and the calibration
+// measure natively; TestRNSParams (2^10, three primes) and TestParams (2^10,
+// the single prime Q) are the reduced rings the unit tests run.
 //
 // Encoding is coefficient packing: a plaintext is a vector of up to n values
 // mod t placed in the polynomial's coefficients. Addition is slot-wise;
@@ -30,11 +33,10 @@
 // concurrently. The same holds for SecretKey, PublicKey, and RelinKey once
 // generated. Ciphertext, Poly, and Plaintext values are plain slices with no
 // internal synchronization: do not mutate one while another goroutine reads
-// it. The hot paths (Encrypt's and Mul's per-prime lanes, Sum's chunked fold)
-// fan out over the internal/parallel worker pool; every result is
-// bit-identical at any worker count because all ring arithmetic is exact
-// modular arithmetic, the lanes are independent, and partial results are
-// combined in a fixed order. See docs/CONCURRENCY.md.
+// it. The hot paths (Encrypt's and Mul's per-prime lanes) fan out over the
+// internal/parallel worker pool; every result is bit-identical at any worker
+// count because all ring arithmetic is exact modular arithmetic and the lanes
+// are independent. See docs/CONCURRENCY.md.
 package bgv
 
 import (

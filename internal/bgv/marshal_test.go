@@ -6,12 +6,13 @@ import (
 	"fmt"
 )
 
-// Wire format for ciphertexts: a header naming the ring — 4-byte degree,
-// 4-byte prime count, then the primes themselves, little-endian 8 bytes each
-// — followed by C0's L rows and C1's L rows of 8-byte coefficients. Embedding
-// the primes makes the blob self-describing (a gateway can reject a
-// ciphertext from the wrong ring before touching its payload) and gives the
-// format a unique encoding: every accepted byte string re-marshals to itself.
+// A wire format for ciphertexts, which no production path uses: a header
+// naming the ring — 4-byte degree, 4-byte prime count, then the primes
+// themselves, little-endian 8 bytes each — followed by C0's L rows and C1's L
+// rows of 8-byte coefficients. Embedding the primes makes the blob
+// self-describing (a reader can reject a ciphertext from the wrong ring
+// before touching its payload) and gives the format a unique encoding: every
+// accepted byte string re-marshals to itself.
 
 // wireHeader is the fixed prefix length before the prime list.
 const wireHeader = 8

@@ -13,13 +13,6 @@ func addMod(a, b, q uint64) uint64 {
 	return s
 }
 
-func subMod(a, b, q uint64) uint64 {
-	if a >= b {
-		return a - b
-	}
-	return a + q - b
-}
-
 // mulMod returns a·b mod q using a 128-bit intermediate product. Both inputs
 // must be < q, so the high word of the product is < q and
 // bits.Div64's precondition holds.
@@ -31,7 +24,7 @@ func mulMod(a, b, q uint64) uint64 {
 
 // shoupPrecomp returns ⌊w·2^64/q⌋, the Shoup companion word for the constant
 // w < q. Precomputing it once per twiddle factor lets every butterfly
-// multiply run division-free: see mulModShoup.
+// multiply run division-free: see mulModShoupLazy.
 func shoupPrecomp(w, q uint64) uint64 {
 	quo, _ := bits.Div64(w, 0, q) // w·2^64 / q; w < q keeps Div64 in range
 	return quo
@@ -46,16 +39,6 @@ func shoupPrecomp(w, q uint64) uint64 {
 func mulModShoupLazy(a, w, wShoup, q uint64) uint64 {
 	hi, _ := bits.Mul64(a, wShoup)
 	return a*w - hi*q
-}
-
-// mulModShoup returns a·w mod q fully reduced, division-free, for a
-// precomputed constant w (one conditional subtract on top of the lazy form).
-func mulModShoup(a, w, wShoup, q uint64) uint64 {
-	r := mulModShoupLazy(a, w, wShoup, q)
-	if r >= q {
-		r -= q
-	}
-	return r
 }
 
 // powMod returns a^e mod q by square-and-multiply.

@@ -36,7 +36,7 @@ func TestRNSParamsValidate(t *testing.T) {
 	if err := PaperRNSParams.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := PaperRNSParams.ModulusBits(); got != 135 {
+	if got := PaperRNSParams.Modulus().BitLen(); got != 135 {
 		t.Fatalf("paper modulus is %d bits, want 135", got)
 	}
 	if PaperRNSParams.N != 1<<15 {

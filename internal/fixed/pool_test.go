@@ -1,6 +1,9 @@
 package fixed
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestSlabPoolRoundTrip(t *testing.T) {
 	sp := NewSlabPool(64)
@@ -80,4 +83,48 @@ func TestTypedPoolRoundTrip(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("Pool[T] round trip allocates %.1f/op, want 0", avg)
 	}
+}
+
+// Slab is a pooled uint64 buffer. A checked-out slab aliases pool-owned
+// memory: it may be sliced and written freely while held, but must never be
+// retained, returned across an exported API boundary, or read after Put.
+type Slab []uint64
+
+// SlabPool hands out uint64 slabs of one fixed size. The zero value is not
+// usable; create pools with NewSlabPool. A SlabPool is safe for concurrent
+// use; individual slabs are not.
+type SlabPool struct {
+	size int
+	p    sync.Pool
+}
+
+// NewSlabPool returns a pool of slabs of exactly size words.
+func NewSlabPool(size int) *SlabPool {
+	if size <= 0 {
+		panic("fixed: SlabPool size must be positive")
+	}
+	sp := &SlabPool{size: size}
+	sp.p.New = func() any {
+		s := make(Slab, size)
+		return &s
+	}
+	return sp
+}
+
+// Size returns the word length of the pool's slabs.
+func (sp *SlabPool) Size() int { return sp.size }
+
+// Get checks a slab out of the pool. The contents are arbitrary (typically
+// a previous holder's scratch); callers must overwrite every word they read.
+func (sp *SlabPool) Get() *Slab {
+	return sp.p.Get().(*Slab)
+}
+
+// Put returns a slab obtained from Get. Putting a slab of the wrong size
+// (for example a resliced view) panics rather than poisoning the pool.
+func (sp *SlabPool) Put(s *Slab) {
+	if s == nil || len(*s) != sp.size {
+		panic("fixed: SlabPool.Put of wrong-size slab")
+	}
+	sp.p.Put(s)
 }

@@ -183,9 +183,6 @@ func NewSampleBins(rng Rand, b, x int) (*SampleBins, error) {
 	return &SampleBins{B: b, X: x, J: rng.Intn(b)}, nil
 }
 
-// DeviceBin returns the uniform bin a device places its contribution in.
-func (s *SampleBins) DeviceBin(rng Rand) int { return rng.Intn(s.B) }
-
 // Included reports whether a bin falls inside the sampled window.
 func (s *SampleBins) Included(bin int) bool {
 	d := bin - s.J
@@ -194,6 +191,3 @@ func (s *SampleBins) Included(bin int) bool {
 	}
 	return d < s.X
 }
-
-// Rate returns the effective sampling probability x/b.
-func (s *SampleBins) Rate() float64 { return float64(s.X) / float64(s.B) }

@@ -9,7 +9,6 @@ package merkle
 import (
 	"crypto/sha256"
 	"errors"
-	"math"
 
 	"arboretum/internal/hashing"
 )
@@ -80,17 +79,11 @@ func New(leaves [][]byte) (*Tree, error) {
 // Root returns the tree root.
 func (t *Tree) Root() Hash { return t.levels[len(t.levels)-1][0] }
 
-// Size returns the number of leaves.
-func (t *Tree) Size() int { return len(t.leaves) }
-
 // Proof is an inclusion proof for one leaf.
 type Proof struct {
 	Index    int    // leaf position
 	Siblings []Hash // bottom-up sibling hashes
 }
-
-// Bytes returns the serialized size of the proof, used by the cost model.
-func (p *Proof) Bytes() int { return 8 + len(p.Siblings)*HashSize }
 
 // Prove returns the inclusion proof for leaf i.
 func (t *Tree) Prove(i int) (*Proof, error) {
@@ -126,22 +119,4 @@ func Verify(root Hash, payload []byte, p *Proof) bool {
 		idx >>= 1
 	}
 	return h == root
-}
-
-// AuditsPerDevice returns how many random leaves each of nDevices auditors
-// must check so that a single incorrect leaf among nLeaves escapes all audits
-// with probability at most pMax (Section 5.3). Each audit hits the bad leaf
-// with probability 1/nLeaves, so the escape probability after k total audits
-// is (1 − 1/nLeaves)^(k·nDevices) ≤ pMax.
-func AuditsPerDevice(nLeaves int, nDevices int64, pMax float64) int {
-	if nLeaves <= 1 || nDevices <= 0 || pMax >= 1 {
-		return 1
-	}
-	perAudit := math.Log1p(-1.0 / float64(nLeaves)) // log(1 - 1/n) < 0
-	needed := math.Log(pMax) / perAudit             // total audits required
-	per := int(math.Ceil(needed / float64(nDevices)))
-	if per < 1 {
-		per = 1
-	}
-	return per
 }

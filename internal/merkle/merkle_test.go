@@ -2,6 +2,7 @@ package merkle
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,8 +43,8 @@ func TestProveVerifyAllSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Size() != n {
-			t.Fatalf("Size() = %d, want %d", tr.Size(), n)
+		if len(tr.leaves) != n {
+			t.Fatalf("%d leaves, want %d", len(tr.leaves), n)
 		}
 		for i := 0; i < n; i++ {
 			p, err := tr.Prove(i)
@@ -204,4 +205,25 @@ func BenchmarkProveVerify(b *testing.B) {
 			b.Fatal("verify failed")
 		}
 	}
+}
+
+// Bytes returns the serialized size of the proof.
+func (p *Proof) Bytes() int { return 8 + len(p.Siblings)*HashSize }
+
+// AuditsPerDevice returns how many random leaves each of nDevices auditors
+// must check so that a single incorrect leaf among nLeaves escapes all audits
+// with probability at most pMax (Section 5.3). Each audit hits the bad leaf
+// with probability 1/nLeaves, so the escape probability after k total audits
+// is (1 − 1/nLeaves)^(k·nDevices) ≤ pMax.
+func AuditsPerDevice(nLeaves int, nDevices int64, pMax float64) int {
+	if nLeaves <= 1 || nDevices <= 0 || pMax >= 1 {
+		return 1
+	}
+	perAudit := math.Log1p(-1.0 / float64(nLeaves)) // log(1 - 1/n) < 0
+	needed := math.Log(pMax) / perAudit             // total audits required
+	per := int(math.Ceil(needed / float64(nDevices)))
+	if per < 1 {
+		per = 1
+	}
+	return per
 }

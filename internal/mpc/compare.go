@@ -180,11 +180,6 @@ func (e *Engine) Argmax(vals []Secret) (Secret, error) {
 
 // --- fixed-point layer ---
 
-// InputFixed shares a Q30.16 fixed-point value from one party.
-func (e *Engine) InputFixed(owner int, v fixed.Fixed) (Secret, error) {
-	return e.Input(owner, int64(v))
-}
-
 // JointFixed shares a fixed-point value on behalf of the committee
 // (joint noise sampling).
 func (e *Engine) JointFixed(v fixed.Fixed) Secret {

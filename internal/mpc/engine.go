@@ -58,18 +58,6 @@ type Stats struct {
 	perParty    []int64
 }
 
-// MaxPartyBytes returns the largest per-party traffic (what a committee
-// member actually sends), the quantity behind Figure 7a.
-func (s *Stats) MaxPartyBytes() int64 {
-	var m int64
-	for _, b := range s.perParty {
-		if b > m {
-			m = b
-		}
-	}
-	return m
-}
-
 // Secret is a secret-shared field element: shares[i] is party i's share
 // (evaluation point x = i+1). The shares are carved from the engine's slab,
 // which is never recycled, so no later engine call rewrites a Secret a

@@ -47,13 +47,6 @@ func fpow(a, e uint64) uint64 {
 
 func finv(a uint64) uint64 { return fpow(a, fieldPrime-2) }
 
-func fneg(a uint64) uint64 {
-	if a == 0 {
-		return 0
-	}
-	return fieldPrime - a
-}
-
 // toField maps a signed integer into the field (negative values wrap).
 func toField(v int64) uint64 {
 	if v >= 0 {

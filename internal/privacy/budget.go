@@ -51,6 +51,8 @@ func (b *Budget) Remaining() (eps, delta float64) {
 }
 
 // Queries returns the number of charged queries.
+//
+//arblint:ignore deadexport test seam: runtime's chaos tests count charges through it to prove no run is charged twice
 func (b *Budget) Queries() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

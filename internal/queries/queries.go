@@ -237,27 +237,3 @@ func ByName(name string) (Query, error) {
 	}
 	return Query{}, fmt.Errorf("queries: unknown query %q", name)
 }
-
-// QuantileSource builds a query selecting the bucket at the num/den quantile
-// of a one-hot-encoded value domain — the paper notes the median query "can
-// be easily extended to support quantiles". The median is QuantileSource(1, 2).
-func QuantileSource(num, den int64) (string, error) {
-	if den <= 0 || num <= 0 || num >= den {
-		return "", fmt.Errorf("queries: quantile %d/%d out of (0, 1)", num, den)
-	}
-	return fmt.Sprintf(`hist = sum(db);
-n = len(hist);
-rank[0] = hist[0];
-for i = 1 to n - 1 do
-  rank[i] = rank[i - 1] + hist[i];
-endfor;
-total = rank[n - 1];
-target = total * %d / %d;
-for i = 0 to n - 1 do
-  dev[i] = rank[i] - target;
-  mag[i] = abs(dev[i]);
-  util[i] = 0 - mag[i];
-endfor;
-q = em(util, 0.1);
-output(q);`, num, den), nil
-}

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"hash"
 	"math/big"
+	goruntime "runtime"
+	"sync"
 	"time"
 
 	"arboretum/internal/ahe"
@@ -72,7 +74,7 @@ type ingestSpec struct {
 	workers int
 	plan    *faults.Plan
 	track   bool       // record accepted device indices (the bin protocol needs them)
-	gauge   *heapGauge // optional peak-heap sampling for the bench harness
+	gauge   *heapGauge // optional peak-heap sampling for the test harness
 	// byz makes the aggregator Byzantine: it shifts the partial that batch
 	// byzBatch of shard byzShard commits and carries the lie forward.
 	byz                bool
@@ -706,4 +708,36 @@ func (d *Deployment) collectBinned(km *keyMaterial, fanout int) ([]*ahe.Cipherte
 		bins[i] = chosen[idx]
 	}
 	return res.sums, bins, nil
+}
+
+// heapGauge samples the process heap so the ingest tests and benchmarks can
+// report a peak-heap figure — the memory-flatness evidence the ingest sweep
+// exists to produce. Safe for concurrent use by
+// shard tasks; ReadMemStats stops the world, so shards only call it at
+// batch boundaries and the gauge keeps calls ≥50 ms apart. A nil gauge
+// disables sampling.
+type heapGauge struct {
+	mu   sync.Mutex
+	last time.Time
+	peak uint64
+}
+
+// sample records the current heap allocation if the throttle window passed;
+// force ignores the throttle (used at end-of-run boundaries).
+func (g *heapGauge) sample(force bool) {
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	now := time.Now()
+	if !force && now.Sub(g.last) < 50*time.Millisecond {
+		return
+	}
+	g.last = now
+	var ms goruntime.MemStats
+	goruntime.ReadMemStats(&ms)
+	if ms.HeapAlloc > g.peak {
+		g.peak = ms.HeapAlloc
+	}
 }

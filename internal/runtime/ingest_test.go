@@ -17,6 +17,7 @@ import (
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
 	"arboretum/internal/fixed"
+	"arboretum/internal/merkle"
 	"arboretum/internal/planner"
 )
 
@@ -331,8 +332,8 @@ func TestAuditedSumCorrectTotals(t *testing.T) {
 	pop := newVirtualPopulation(3, 40, 4)
 	res := auditFixture(t, sk, pop, 2, 8, ingestSpec{}) // 2 shards × 20 devices = 3 batches each
 	ingestHistogram(t, sk, pop, res)
-	if res.tree.Size() != 6 {
-		t.Errorf("tree has %d leaves, want 6", res.tree.Size())
+	if n := leafCount(res.tree); n != 6 {
+		t.Errorf("tree has %d leaves, want 6", n)
 	}
 	var m Metrics
 	if err := auditIngest(&sk.PublicKey, res, &m); err != nil {
@@ -473,8 +474,8 @@ func TestIngestSmallShapes(t *testing.T) {
 	pop := newVirtualPopulation(1, 1, 3)
 	res := auditFixture(t, sk, pop, 1, 64, ingestSpec{})
 	ingestHistogram(t, sk, pop, res)
-	if err := auditIngest(&sk.PublicKey, res, &Metrics{}); err != nil || res.tree.Size() != 1 {
-		t.Errorf("single one-device shard: audit %v, %d leaves", err, res.tree.Size())
+	if err := auditIngest(&sk.PublicKey, res, &Metrics{}); err != nil || leafCount(res.tree) != 1 {
+		t.Errorf("single one-device shard: audit %v, %d leaves", err, leafCount(res.tree))
 	}
 }
 
@@ -688,5 +689,16 @@ func BenchmarkEndToEndGumbelVsExponentiate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// leafCount is the number of leaves tr commits: the first index Prove
+// refuses.
+func leafCount(tr *merkle.Tree) int {
+	n := 0
+	for ; ; n++ {
+		if _, err := tr.Prove(n); err != nil {
+			return n
+		}
 	}
 }

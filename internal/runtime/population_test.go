@@ -4,9 +4,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	goruntime "runtime"
-	"sync"
-	"time"
 
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
@@ -201,38 +198,6 @@ func virtualIngest(pop *virtualPopulation, pub *ahe.PublicKey, queryID uint64, s
 		pub: pub, width: pop.codec.Ciphertexts(), batch: batch,
 		workers: workers, plan: plan, gauge: gauge, sampleAudit: true,
 	}, jobs)
-}
-
-// heapGauge samples the process heap so the bench harness can report a
-// peak-heap figure next to the timing trajectory — the memory-flatness
-// evidence the ingest sweep exists to produce. Safe for concurrent use by
-// shard tasks; ReadMemStats stops the world, so shards only call it at
-// batch boundaries and the gauge keeps calls ≥50 ms apart. A nil gauge
-// disables sampling.
-type heapGauge struct {
-	mu   sync.Mutex
-	last time.Time
-	peak uint64
-}
-
-// sample records the current heap allocation if the throttle window passed;
-// force ignores the throttle (used at end-of-run boundaries).
-func (g *heapGauge) sample(force bool) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	now := time.Now()
-	if !force && now.Sub(g.last) < 50*time.Millisecond {
-		return
-	}
-	g.last = now
-	var ms goruntime.MemStats
-	goruntime.ReadMemStats(&ms)
-	if ms.HeapAlloc > g.peak {
-		g.peak = ms.HeapAlloc
-	}
 }
 
 // peakBytes returns the largest heap allocation observed.

@@ -509,11 +509,7 @@ func TestRunQuantileQuery(t *testing.T) {
 		c.Data = func(i int) int { return i / 16 }
 		c.BudgetEpsilon = 100
 	})
-	src, err := quantileSrc(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.Run(src, RunOptions{})
+	res, err := d.Run(quantile34, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,12 +592,21 @@ output(result);`
 	}
 }
 
-// quantileSrc builds the quantile query with a large ε for deterministic
-// small-scale tests.
-func quantileSrc(num, den int64) (string, error) {
-	src, err := queries.QuantileSource(num, den)
-	if err != nil {
-		return "", err
-	}
-	return strings.ReplaceAll(src, "em(util, 0.1)", "em(util, 3.0)"), nil
-}
+// quantile34 selects the bucket at the 3/4 quantile of a one-hot value
+// domain (the median query with the target moved), with a large ε for a
+// deterministic small-scale test.
+const quantile34 = `hist = sum(db);
+n = len(hist);
+rank[0] = hist[0];
+for i = 1 to n - 1 do
+  rank[i] = rank[i - 1] + hist[i];
+endfor;
+total = rank[n - 1];
+target = total * 3 / 4;
+for i = 0 to n - 1 do
+  dev[i] = rank[i] - target;
+  mag[i] = abs(dev[i]);
+  util[i] = 0 - mag[i];
+endfor;
+q = em(util, 3.0);
+output(q);`

@@ -27,7 +27,7 @@ func waitCrashed(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Crashed() {
+		if s.crashed.Load() {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -41,7 +41,7 @@ func waitSettled(t *testing.T, s *Server, ids []string) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Crashed() {
+		if s.crashed.Load() {
 			return
 		}
 		settled := 0
@@ -91,7 +91,7 @@ func TestDaemonCrashStages(t *testing.T) {
 				t.Fatalf("recovered job = %s recovered=%v digest=%q (%s)",
 					f.State, f.Recovered, f.ResultDigest, f.Error)
 			}
-			b, _ := s2.Ledger().Balance("alice")
+			b, _ := s2.ledger.Balance("alice")
 			if math.Abs(b.EpsSpent-j.Epsilon) > 1e-9 || b.EpsReserved != 0 || b.Queries != 1 {
 				t.Fatalf("stage %d balance %+v, want spent=%g reserved=0 queries=1", stage, b, j.Epsilon)
 			}
@@ -160,7 +160,7 @@ func TestDaemonCrashRestartSweep(t *testing.T) {
 			close(hold)
 
 			waitSettled(t, s, ids)
-			for life := 1; s.Crashed(); life++ {
+			for life := 1; s.crashed.Load(); life++ {
 				if life > 8 {
 					t.Fatalf("seed %d: still crashing after 8 restarts", seed)
 				}
@@ -192,7 +192,7 @@ func TestDaemonCrashRestartSweep(t *testing.T) {
 						seed, i, j.ResultDigest, want[i].ResultDigest)
 				}
 			}
-			b, _ := s.Ledger().Balance("alice")
+			b, _ := s.ledger.Balance("alice")
 			if math.Abs(b.EpsSpent-wantEps) > 1e-9 || b.EpsReserved != 0 || b.Queries != len(queries) {
 				t.Fatalf("seed %d balance %+v, want spent=%g reserved=0 queries=%d — budget drifted across crash+restart",
 					seed, b, wantEps, len(queries))
@@ -221,7 +221,7 @@ func TestJobDeadline(t *testing.T) {
 	if f1.State != JobFailed || f1.ErrorCode != "deadline_exceeded" {
 		t.Fatalf("overdue job = %s/%s (%s), want failed/deadline_exceeded", f1.State, f1.ErrorCode, f1.Error)
 	}
-	if b, _ := s.Ledger().Balance("alice"); b.EpsReserved != 0 || b.EpsSpent != 0 {
+	if b, _ := s.ledger.Balance("alice"); b.EpsReserved != 0 || b.EpsSpent != 0 {
 		t.Fatalf("balance after deadline %+v, want reservation released", b)
 	}
 
@@ -240,7 +240,7 @@ func TestJobDeadline(t *testing.T) {
 	if f2.State != JobDone {
 		t.Fatalf("job with extended deadline = %s (%s)", f2.State, f2.Error)
 	}
-	if b, _ := s.Ledger().Balance("alice"); math.Abs(b.EpsSpent-j2.Epsilon) > 1e-9 || b.EpsReserved != 0 || b.Queries != 1 {
+	if b, _ := s.ledger.Balance("alice"); math.Abs(b.EpsSpent-j2.Epsilon) > 1e-9 || b.EpsReserved != 0 || b.Queries != 1 {
 		t.Fatalf("final balance %+v, want only the completed job spent", b)
 	}
 
@@ -273,7 +273,7 @@ func TestDrainTimeout(t *testing.T) {
 		t.Fatalf("Drain blocked %v past its deadline", waited)
 	}
 	// The job never ran: its reservation is still held for the next process.
-	if b, _ := s.Ledger().Balance("alice"); b.EpsReserved != j.Epsilon {
+	if b, _ := s.ledger.Balance("alice"); b.EpsReserved != j.Epsilon {
 		t.Fatalf("post-drain balance %+v, want the queued job's reservation held", b)
 	}
 	close(hold) // release the parked worker; it sees draining and exits
@@ -283,7 +283,7 @@ func TestDrainTimeout(t *testing.T) {
 	if f.State != JobDone || !f.Recovered {
 		t.Fatalf("recovered job = %s recovered=%v (%s)", f.State, f.Recovered, f.Error)
 	}
-	if b, _ := s2.Ledger().Balance("alice"); math.Abs(b.EpsSpent-j.Epsilon) > 1e-9 || b.EpsReserved != 0 {
+	if b, _ := s2.ledger.Balance("alice"); math.Abs(b.EpsSpent-j.Epsilon) > 1e-9 || b.EpsReserved != 0 {
 		t.Fatalf("post-recovery balance %+v", b)
 	}
 }

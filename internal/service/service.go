@@ -270,15 +270,6 @@ func (s *Server) runWorkers() {
 	}
 }
 
-// Ledger exposes the budget ledger (read paths are used by handlers and
-// tests; the job lifecycle is the only writer).
-func (s *Server) Ledger() *ledger.Ledger { return s.ledger }
-
-// Crashed reports whether the gateway has stopped as a dead process would —
-// an injected daemon death fired, or a record could not be made durable
-// (chaos tests restart against the same ledger afterwards).
-func (s *Server) Crashed() bool { return s.crashed.Load() }
-
 // Close stops admission (late submissions get 503 shutting_down), stops
 // claiming queued jobs, waits for running jobs to finish, and closes the
 // ledger. Jobs still queued keep their reserve records and so their

@@ -624,7 +624,7 @@ func TestSubmitDuringShutdown(t *testing.T) {
 	for _, j := range accepted {
 		wantEps += j.Epsilon
 	}
-	if b, _ := s.Ledger().Balance("alice"); math.Abs(b.EpsReserved-wantEps) > 1e-9 || b.EpsSpent != 0 {
+	if b, _ := s.ledger.Balance("alice"); math.Abs(b.EpsReserved-wantEps) > 1e-9 || b.EpsSpent != 0 {
 		t.Fatalf("post-drain balance %+v, want reserved=%g spent=0 for %d queued jobs",
 			b, wantEps, len(accepted))
 	}
@@ -638,7 +638,7 @@ func TestSubmitDuringShutdown(t *testing.T) {
 			t.Fatalf("recovered job %s = %s recovered=%v (%s)", j.ID, f.State, f.Recovered, f.Error)
 		}
 	}
-	if b, _ := s2.Ledger().Balance("alice"); math.Abs(b.EpsSpent-wantEps) > 1e-9 || b.EpsReserved != 0 || b.Queries != len(accepted) {
+	if b, _ := s2.ledger.Balance("alice"); math.Abs(b.EpsSpent-wantEps) > 1e-9 || b.EpsReserved != 0 || b.Queries != len(accepted) {
 		t.Fatalf("post-recovery balance %+v, want spent=%g reserved=0 queries=%d",
 			b, wantEps, len(accepted))
 	}
@@ -754,7 +754,7 @@ func TestWALCrashRecovery(t *testing.T) {
 				t.Fatalf("recovered job = %s recovered=%v digest %q (%s), want done with the uncrashed digest %q",
 					f.State, f.Recovered, f.ResultDigest, f.Error, want.ResultDigest)
 			}
-			b, ok := s2.Ledger().Balance("alice")
+			b, ok := s2.ledger.Balance("alice")
 			if !ok || math.Abs(b.EpsSpent-j.Epsilon) > 1e-9 || b.EpsReserved != 0 || b.Queries != 1 {
 				t.Fatalf("recovered balance %+v, want spent=%g reserved=0 queries=1", b, j.Epsilon)
 			}

@@ -183,30 +183,3 @@ func (f *Field) lagrangeAtZero(shares []Share, i int) *big.Int {
 	num.Mod(num, f.P)
 	return num
 }
-
-// Add returns the share-wise sum of two sharings (same X required), the
-// local "addition gate" of Shamir MPC.
-func (f *Field) Add(a, b Share) (Share, error) {
-	if a.X != b.X {
-		return Share{}, fmt.Errorf("shamir: mismatched share points %d and %d", a.X, b.X)
-	}
-	y := new(big.Int).Add(a.Y, b.Y)
-	y.Mod(y, f.P)
-	return Share{X: a.X, Y: y}, nil
-}
-
-// ScalarMul multiplies a share by a public constant.
-func (f *Field) ScalarMul(a Share, k *big.Int) Share {
-	y := new(big.Int).Mul(a.Y, k)
-	y.Mod(y, f.P)
-	return Share{X: a.X, Y: y}
-}
-
-// AddConst adds a public constant to a sharing (added to every share of a
-// degree-(t−1) sharing of the secret; valid because the constant polynomial
-// is itself a valid sharing of k).
-func (f *Field) AddConst(a Share, k *big.Int) Share {
-	y := new(big.Int).Add(a.Y, k)
-	y.Mod(y, f.P)
-	return Share{X: a.X, Y: y}
-}

@@ -159,16 +159,6 @@ func MinCommitteeSize(c int, sp SizeParams) (int, error) {
 	return 0, fmt.Errorf("sortition: no committee size ≤ %d achieves p1=%g with c=%d", maxM, p1, c)
 }
 
-// ServingFraction returns the fraction of N devices that serve on any
-// committee for a plan with the given committee count and size (the paper
-// reports 0.00022%–0.49% across the evaluation queries).
-func ServingFraction(c, m int, n int64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(c) * float64(m) / float64(n)
-}
-
 // logChoose returns log C(n, k) via lgamma.
 func logChoose(n, k int) float64 {
 	if k < 0 || k > n {

@@ -49,20 +49,6 @@ func (r Range) Union(o Range) Range {
 // Width returns Hi − Lo.
 func (r Range) Width() float64 { return r.Hi - r.Lo }
 
-// Bits returns the number of bits needed to represent any integer in the
-// range (plus sign), which sizes the plaintext modulus.
-func (r Range) Bits() int {
-	m := math.Max(math.Abs(r.Lo), math.Abs(r.Hi))
-	if m < 1 {
-		return 1
-	}
-	b := int(math.Ceil(math.Log2(m + 1)))
-	if r.Lo < 0 {
-		b++
-	}
-	return b
-}
-
 func add(a, b Range) Range { return Range{a.Lo + b.Lo, a.Hi + b.Hi} }
 func sub(a, b Range) Range { return Range{a.Lo - b.Hi, a.Hi - b.Lo} }
 func mulR(a, b Range) Range {

@@ -316,3 +316,17 @@ endfor;
 		t.Errorf("multiplicative accumulator upper = %g, want ≥ 16", p.Range.Hi)
 	}
 }
+
+// Bits returns the number of bits needed to represent any integer in the
+// range (plus sign).
+func (r Range) Bits() int {
+	m := math.Max(math.Abs(r.Lo), math.Abs(r.Hi))
+	if m < 1 {
+		return 1
+	}
+	b := int(math.Ceil(math.Log2(m + 1)))
+	if r.Lo < 0 {
+		b++
+	}
+	return b
+}

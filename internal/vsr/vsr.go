@@ -131,34 +131,8 @@ type Dealing struct {
 	Commitments []*big.Int     // g^{a_k}, k = 0..t'−1
 }
 
-// Bytes returns the approximate wire size of the dealing for traffic
-// accounting.
-func (d *Dealing) Bytes() int {
-	n := 8
-	for _, s := range d.SubShares {
-		n += 8 + (s.Y.BitLen()+7)/8
-	}
-	for _, c := range d.Commitments {
-		n += (c.BitLen() + 7) / 8
-	}
-	return n
-}
-
-// Deal re-shares the member's share to a new committee of size newN with
-// threshold newT.
-func Deal(g *Group, share shamir.Share, newN, newT int) (*Dealing, error) {
-	d, poly, err := draw(g, share, newN, newT)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range poly.Coeffs {
-		d.Commitments = append(d.Commitments, g.Commit(c))
-	}
-	return d, nil
-}
-
-// draw is Deal without the commitments: the dealing's sub-shares and the
-// re-sharing polynomial its commitments are to be made to.
+// draw makes a dealing without its commitments: the sub-shares and the
+// re-sharing polynomial the commitments are to be made to.
 func draw(g *Group, share shamir.Share, newN, newT int) (*Dealing, *shamir.Polynomial, error) {
 	if newN < newT || newT < 1 {
 		return nil, nil, fmt.Errorf("vsr: invalid committee newN=%d newT=%d", newN, newT)
@@ -197,18 +171,6 @@ func VerifySubShare(g *Group, d *Dealing, j int) bool {
 		xPow.Mod(xPow, g.Q)
 	}
 	return lhs.Cmp(rhs) == 0
-}
-
-// ShareCommitment returns the dealing's commitment to the re-shared secret
-// (g^{share}); the new committee checks it against the published commitment
-// of the old sharing to catch an old member re-sharing a wrong value.
-func (d *Dealing) ShareCommitment() *big.Int {
-	if len(d.Commitments) == 0 {
-		return nil
-	}
-	// Defensive copy: a caller mutating the returned value must not be able
-	// to corrupt the dealing's published commitment (bigintalias invariant).
-	return new(big.Int).Set(d.Commitments[0])
 }
 
 // Combine computes new member j's share of the original secret from the
@@ -252,6 +214,12 @@ func Combine(g *Group, dealings []*Dealing, j int, oldT int) (shamir.Share, erro
 // one per new member checking and combining (see finish). Shares come back
 // in member order, and the lowest-index failure is the one reported, at
 // every worker count.
+//
+// One check is not made: no new member compares a dealing's commitment to
+// its re-shared value, g^{s_i}, with the old sharing's published commitment.
+// Sub-shares are checked against the dealer's own polynomial only, so an old
+// member that re-shares a wrong value goes undetected here
+// (TestWrongShareCommitmentDetected shows the comparison that would catch it).
 func Redistribute(g *Group, oldShares []shamir.Share, oldT, newN, newT int) ([]shamir.Share, error) {
 	if len(oldShares) < oldT {
 		return nil, fmt.Errorf("need %d old shares, have %d: %w", oldT, len(oldShares), ErrInsufficientShares)

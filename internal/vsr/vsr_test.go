@@ -387,3 +387,41 @@ func TestInsufficientSharesTyped(t *testing.T) {
 		t.Errorf("full redistribution failed: %v", err)
 	}
 }
+
+// Bytes returns the approximate wire size of the dealing.
+func (d *Dealing) Bytes() int {
+	n := 8
+	for _, s := range d.SubShares {
+		n += 8 + (s.Y.BitLen()+7)/8
+	}
+	for _, c := range d.Commitments {
+		n += (c.BitLen() + 7) / 8
+	}
+	return n
+}
+
+// Deal re-shares the member's share to a new committee of size newN with
+// threshold newT.
+func Deal(g *Group, share shamir.Share, newN, newT int) (*Dealing, error) {
+	d, poly, err := draw(g, share, newN, newT)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range poly.Coeffs {
+		d.Commitments = append(d.Commitments, g.Commit(c))
+	}
+	return d, nil
+}
+
+// ShareCommitment returns the dealing's commitment to the re-shared secret
+// (g^{share}). Checked against the old sharing's published commitment, it
+// catches an old member re-sharing a wrong value; Redistribute does not make
+// that check yet.
+func (d *Dealing) ShareCommitment() *big.Int {
+	if len(d.Commitments) == 0 {
+		return nil
+	}
+	// Defensive copy: a caller mutating the returned value must not be able
+	// to corrupt the dealing's published commitment (bigintalias invariant).
+	return new(big.Int).Set(d.Commitments[0])
+}

@@ -62,6 +62,8 @@ func (sc *Scratch) tag(key []byte, s Statement) [sha256.Size]byte {
 // on demand (virtual-device populations) or recycle proof slots per batch —
 // no Prover, no per-call allocation. Like Prove, it fails when the witness
 // does not satisfy the claim, leaving *out unchanged.
+//
+//arblint:ignore deadexport test seam: runtime's virtual-population ingest tests prove per device through it
 func ProveKeyed(sc *Scratch, key []byte, s Statement, w Witness, out *Proof) error {
 	if !satisfies(s.Claim, w) {
 		return errors.New("zkp: witness does not satisfy the claim")
@@ -70,9 +72,4 @@ func ProveKeyed(sc *Scratch, key []byte, s Statement, w Witness, out *Proof) err
 	out.tag = sc.tag(key, s)
 	out.valid = true
 	return nil
-}
-
-// ProveInto is ProveKeyed under the prover's key.
-func (p *Prover) ProveInto(sc *Scratch, s Statement, w Witness, out *Proof) error {
-	return ProveKeyed(sc, p.key, s, w, out)
 }

@@ -56,7 +56,7 @@ func TestProveKeyedCrossVerifies(t *testing.T) {
 	}
 	sc := NewScratch()
 	var pooled Proof
-	if err := NewProver(key).ProveInto(sc, s, w, &pooled); err != nil {
+	if err := ProveKeyed(sc, key, s, w, &pooled); err != nil {
 		t.Fatal(err)
 	}
 	if pooled.tag != classic.tag {

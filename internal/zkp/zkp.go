@@ -181,6 +181,8 @@ func NewVerifier(proverKeys map[int][]byte) *Verifier {
 
 // NewVerifierFunc returns a verifier that accepts proofs from devices in
 // [lo, hi), resolving each signing key through keyOf at verification time.
+//
+//arblint:ignore deadexport test seam: runtime's virtual-population ingest tests verify 10^6 devices without a key map
 func NewVerifierFunc(keyOf KeyFunc, lo, hi int) *Verifier {
 	return &Verifier{keyOf: keyOf, lo: lo, hi: hi, seenBits: map[uint64][]uint64{}}
 }

@@ -47,6 +47,13 @@ import "math/rand"
 // Draw uses a predictable generator for share material.
 func Draw() int64 { return rand.Int63() }
 `)
+	// A caller keeps Draw live, so the only findings are randsource's.
+	write("cmd/seed/main.go", `package main
+
+import "seedcheck/internal/shamir"
+
+func main() { println(shamir.Draw()) }
+`)
 	findings, err := arblint.Run(dir, []string{"./..."}, checkers.All())
 	if err != nil {
 		t.Fatalf("arblint over seeded module: %v", err)

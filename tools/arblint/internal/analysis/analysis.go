@@ -32,6 +32,11 @@ type Analyzer struct {
 	// must degrade to syntactic analysis when TypesInfo lookups miss.
 	TestFiles bool
 
+	// WholeProgram marks an analyzer that reports only when the load is the
+	// whole module (Prog.Whole). On a partial load arblint cannot judge
+	// its directives stale.
+	WholeProgram bool
+
 	// Run applies the analyzer to one package, reporting findings through
 	// pass.Report/Reportf.
 	Run func(pass *Pass) error

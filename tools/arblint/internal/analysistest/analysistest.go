@@ -58,9 +58,12 @@ func Run(t *testing.T, a *analysis.Analyzer, rels ...string) {
 	var diags []analysis.Diagnostic
 	var files []*ast.File
 	fset := pkgs[0].Fset
+	// The testdata tree stands in for a whole module rooted at testdata/src.
 	prog := dataflow.NewProgram(fset)
+	prog.Dir = filepath.Join("testdata", "src")
+	prog.Whole = true
 	for _, pkg := range pkgs {
-		prog.AddPackage(pkg.ImportPath, pkg.Files, pkg.Info)
+		prog.AddPackage(pkg)
 	}
 	for _, pkg := range pkgs {
 		pass := &analysis.Pass{

@@ -50,14 +50,16 @@ func RunStats(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]
 	var prog *dataflow.Program
 	if len(pkgs) > 0 {
 		prog = dataflow.NewProgram(pkgs[0].Fset)
+		prog.Dir = dir
+		prog.Whole = len(patterns) == 1 && patterns[0] == "./..."
 		for _, pkg := range pkgs {
-			prog.AddPackage(pkg.ImportPath, pkg.Files, pkg.Info)
+			prog.AddPackage(pkg)
 		}
 	}
 
 	ran := map[string]bool{}
 	for _, a := range analyzers {
-		ran[a.Name] = true
+		ran[a.Name] = !a.WholeProgram || (prog != nil && prog.Whole)
 	}
 
 	stats := make([]Stat, len(analyzers))

@@ -2,12 +2,11 @@
 // exported API boundary without a defensive copy. math/big values are
 // mutable, so an exported method that returns an internal *big.Int field (or
 // stores a caller's *big.Int into one) lets the caller and the data
-// structure silently mutate each other — the aliasing bug class the ahe/bgv
-// marshal fuzz tests catch only dynamically, promoted here to a static
-// check. The same rule covers the pooled buffer types listed in
-// policy.AliasProne (fixed.Slab, bgv.Poly): a pooled slab that escapes
-// across an exported boundary is recycled into the next operation's scratch
-// and corrupts the caller's value after the fact.
+// structure silently mutate each other — an aliasing bug that otherwise
+// shows only at run time, promoted here to a static check. The same rule
+// covers the pooled buffer types listed in policy.AliasProne (bgv.Poly): a
+// pooled slab that escapes across an exported boundary is recycled into the
+// next operation's scratch and corrupts the caller's value after the fact.
 //
 // Three shapes are flagged inside exported functions and methods of
 // exported types, for *big.Int and for every alias-prone named type:

@@ -8,5 +8,5 @@ import (
 )
 
 func TestBigIntAlias(t *testing.T) {
-	analysistest.Run(t, bigintalias.Analyzer, "internal/vsr", "internal/fixed")
+	analysistest.Run(t, bigintalias.Analyzer, "internal/vsr", "internal/bgv")
 }

@@ -1,8 +1,9 @@
-// Package checkers is the arblint analyzer registry: the ten domain
+// Package checkers is the arblint analyzer registry: the eleven domain
 // analyzers plus the always-on directive validator, in the order the driver
-// runs and documents them (docs/ANALYSIS.md). The first five and the last
-// are syntactic; the four between ride the interprocedural dataflow engine
-// (internal/dataflow) and reason through helper-function hops.
+// runs and documents them (docs/ANALYSIS.md). The first five and linkname are
+// syntactic; the four between ride the interprocedural dataflow engine
+// (internal/dataflow) and reason through helper-function hops; deadexport,
+// last, indexes every use in the whole load.
 package checkers
 
 import (
@@ -10,6 +11,7 @@ import (
 	"arboretum/tools/arblint/internal/checkers/bigintalias"
 	"arboretum/tools/arblint/internal/checkers/budgetflow"
 	"arboretum/tools/arblint/internal/checkers/ctxcheckpoint"
+	"arboretum/tools/arblint/internal/checkers/deadexport"
 	"arboretum/tools/arblint/internal/checkers/errdiscard"
 	"arboretum/tools/arblint/internal/checkers/linkname"
 	"arboretum/tools/arblint/internal/checkers/noiserelease"
@@ -20,7 +22,7 @@ import (
 	"arboretum/tools/arblint/internal/directive"
 )
 
-// Domain returns the ten domain analyzers.
+// Domain returns the eleven domain analyzers.
 func Domain() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		randsource.Analyzer,
@@ -33,6 +35,7 @@ func Domain() []*analysis.Analyzer {
 		ctxcheckpoint.Analyzer,
 		walorder.Analyzer,
 		linkname.Analyzer,
+		deadexport.Analyzer,
 	}
 }
 

@@ -23,6 +23,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"arboretum/tools/arblint/internal/load"
 )
 
 // Program is the cross-package function registry plus the memo tables the
@@ -33,7 +35,18 @@ import (
 type Program struct {
 	Fset *token.FileSet
 
-	fns map[*types.Func]*Func
+	// Dir is the directory the load ran in, and Whole reports that the load
+	// was the whole module (./...). A whole-program analyzer (deadexport)
+	// reads callers from every package, so it reports nothing on a partial
+	// load, where a caller outside it would go unseen.
+	Dir   string
+	Whole bool
+
+	// Pkgs lists every type-checked package of the load, in load order.
+	Pkgs []*load.Package
+
+	fns  map[*types.Func]*Func
+	memo map[string]any
 
 	summaries  map[sumKey]*Summary
 	inProgress map[sumKey]bool
@@ -70,6 +83,7 @@ func NewProgram(fset *token.FileSet) *Program {
 	return &Program{
 		Fset:       fset,
 		fns:        map[*types.Func]*Func{},
+		memo:       map[string]any{},
 		summaries:  map[sumKey]*Summary{},
 		inProgress: map[sumKey]bool{},
 		matchMemo:  map[matchKey]bool{},
@@ -77,14 +91,16 @@ func NewProgram(fset *token.FileSet) *Program {
 	}
 }
 
-// AddPackage registers every declared function of one type-checked package.
-// info may be nil (type checking failed); the package then contributes no
+// AddPackage registers every declared function of one loaded package. Its
+// Info may be nil (type checking failed); the package then contributes no
 // bodies and callees into it fall back to conservative defaults.
-func (p *Program) AddPackage(pkgPath string, files []*ast.File, info *types.Info) {
+func (p *Program) AddPackage(pkg *load.Package) {
+	pkgPath, info := pkg.ImportPath, pkg.Info
 	if info == nil {
 		return
 	}
-	for _, f := range files {
+	p.Pkgs = append(p.Pkgs, pkg)
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -107,6 +123,15 @@ func (p *Program) FuncOf(obj *types.Func) *Func {
 		return nil
 	}
 	return p.fns[obj]
+}
+
+// Memo returns build's value for key, calling build once per Program: a
+// whole-program index is built by the first pass that needs it.
+func (p *Program) Memo(key string, build func() any) any {
+	if _, ok := p.memo[key]; !ok {
+		p.memo[key] = build()
+	}
+	return p.memo[key]
 }
 
 // CFG returns the function's control-flow graph, built on first use.

@@ -179,7 +179,6 @@ var ReleaseBoundaries = Set{
 // release un-noised.
 var RawAggregateSources = map[string]map[string]bool{
 	"internal/ahe":    {"Decrypt": true, "Sum": true},
-	"internal/bgv":    {"Decrypt": true},
 	"internal/shamir": {"Reconstruct": true},
 }
 
@@ -213,16 +212,15 @@ var SecretSources = map[string]map[string]bool{
 }
 
 // AliasProne maps a package to the named types whose values alias pooled or
-// otherwise recycled memory: a fixed.Slab checked out of a SlabPool is
-// returned to the pool and handed to the next operation, and a bgv.Poly may
-// be a view into a pooled scratch slab. bigintalias extends its
-// no-uncopied-boundary-crossing rule from *big.Int to these types — an
-// exported function that returns such a field of its receiver or parameters,
-// or stores a caller's value into one, must copy first (or annotate the
-// documented ownership transfer with //arblint:ignore bigintalias).
+// otherwise recycled memory: a bgv.Poly may be a view into a pooled scratch
+// slab, which is returned to the pool and handed to the next operation.
+// bigintalias extends its no-uncopied-boundary-crossing rule from *big.Int to
+// these types — an exported function that returns such a field of its
+// receiver or parameters, or stores a caller's value into one, must copy
+// first (or annotate the documented ownership transfer with
+// //arblint:ignore bigintalias).
 var AliasProne = map[string]map[string]bool{
-	"internal/bgv":   {"Poly": true},
-	"internal/fixed": {"Slab": true},
+	"internal/bgv": {"Poly": true},
 }
 
 // CheckpointFuncs maps a package to the "Type.method" (or plain function)
@@ -264,6 +262,7 @@ var Unregulated = Set{
 	"internal/benchrand": true, // deterministic bench inputs by design (see DeterministicBench)
 	"internal/costmodel": true, // pure arithmetic over plan shapes; no secrets, no I/O
 	"internal/eval":      true, // offline accuracy-evaluation harness, not a release path
+	"internal/fixed":     true, // fixed-point arithmetic and a typed scratch pool; no secrets, no I/O
 	"internal/hashing":   true, // keyed device-row hashing; error discipline via the stdlib "hash" entry
 	"internal/lang":      true, // DSL parser/AST; pure syntax
 	"internal/plan":      true, // plan IR and variant expansion; pure data
