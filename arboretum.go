@@ -126,9 +126,6 @@ type PlanRequest struct {
 	// e.g. {"sum": "device-tree"} or {"em": "gumbel"}) — used to price the
 	// roads not taken.
 	ForceChoices map[string]string
-	// Workers bounds the planner's worker pool (0 = GOMAXPROCS;
-	// 1 = sequential). The chosen plan is identical at every setting.
-	Workers int
 	// Ring selects the BGV ring the FHE costs are priced for, by name
 	// ("paper" = the deployment ring, 2^15 degree / 135-bit RNS modulus;
 	// "test" = the reduced unit-test ring). When set, the FHE constants in
@@ -197,7 +194,6 @@ func Plan(req PlanRequest) (*PlanResult, error) {
 		Limits:       req.Limits.internal(),
 		Model:        model,
 		ForceChoices: req.ForceChoices,
-		Workers:      req.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -12,9 +12,9 @@
 // a deployment of -n participants; the -limit-* flags bound what the plan may
 // cost each entity (unset limits default to the paper's evaluation setup).
 // `run` plans the query for a small simulated deployment and executes that
-// plan end to end with real cryptography. `list` shows the built-in
-// evaluation queries. -workers bounds the worker pool (default: GOMAXPROCS);
-// plans and query outputs are identical at every worker count.
+// plan end to end with real cryptography; its -workers bounds the runtime's
+// worker pool (default: GOMAXPROCS), and query outputs are identical at every
+// worker count. `list` shows the built-in evaluation queries.
 package main
 
 import (
@@ -60,7 +60,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   arboretum plan    -query <name> | -file <path> [-n N] [-categories C] [-goal G]
-                    [-workers W] [-ring paper|test]
+                    [-ring paper|test]
                     [-limit-avg-sent-user MB] [-limit-avg-comp-user s]
                     [-limit-max-sent-user MB] [-limit-max-comp-user s]
                     [-limit-agg-core-hours h] [-limit-agg-sent GB]
@@ -106,7 +106,6 @@ func planCmd(args []string) error {
 	goal := fs.String("goal", string(arboretum.MinimizeExpectedDeviceCPU), "optimization goal")
 	verbose := fs.Bool("v", false, "show per-vignette member costs")
 	asJSON := fs.Bool("json", false, "emit the plan result as JSON")
-	workers := fs.Int("workers", 0, "search worker pool size (0 = GOMAXPROCS)")
 	ring := fs.String("ring", "", "measure FHE costs natively on a named BGV ring (\"paper\" = 2^15/135-bit RNS, \"test\"); default: reference model")
 	limAvgSent := fs.Float64("limit-avg-sent-user", -1, "max expected MB sent per user device")
 	limAvgComp := fs.Float64("limit-avg-comp-user", -1, "max expected compute seconds per user device")
@@ -145,7 +144,7 @@ func planCmd(args []string) error {
 	res, err := arboretum.Plan(arboretum.PlanRequest{
 		Name: label, Source: src, N: *n, Categories: c,
 		Goal: arboretum.Goal(*goal), Limits: limits,
-		Workers: *workers, Ring: *ring,
+		Ring: *ring,
 	})
 	if err != nil {
 		return err

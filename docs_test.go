@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,10 @@ import (
 // standard library package of the same name declares resolves too
 // (runtime.GOMAXPROCS).
 //
+// A backticked command line — a span that starts with arboretum and a
+// subcommand, arboretumd, experiments or arbload — may name only the -flags
+// that command's FlagSet declares in its cmd/*/main.go.
+//
 // bench/README.md is not scanned: bench/ is the benchmark's own module and
 // changes only together with the benchmark, and its prose still names the
 // StreamIngest switch that collection no longer has. CHANGES.md and
@@ -52,6 +57,7 @@ var (
 	hyphenated   = regexp.MustCompile(`[a-z0-9]+(?:-[a-z0-9]+)+`)
 	goName       = regexp.MustCompile(`^([a-z]\w*)\.(?:\(\*)?(\w+)\)?(?:\.(\w+))?$`)
 	typeArgs     = regexp.MustCompile(`\[[^\]]*\]`)
+	cliFlag      = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=\S*)?$`)
 )
 
 func TestDocNamesResolve(t *testing.T) {
@@ -93,6 +99,9 @@ func TestDocNamesResolve(t *testing.T) {
 					}
 				}
 			}
+			for _, flag := range tree.unknownFlags(span) {
+				t.Errorf("%s:%d: `%s` names %s, which that command does not declare", doc, line(m[0]), span, flag)
+			}
 		}
 		for _, m := range envName.FindAllStringIndex(text, -1) {
 			if name := text[m[0]:m[1]]; !tree.envRead[name] {
@@ -109,7 +118,8 @@ func TestDocNamesResolve(t *testing.T) {
 
 // TestDocGoNamesResolver holds the Go-name rule to one good and one planted
 // bad name of each form: a declaration that lives only in a test file does
-// not resolve.
+// not resolve. The command-line rule gets a planted pair too: plan has no
+// -workers, run has.
 func TestDocGoNamesResolver(t *testing.T) {
 	tree := walkDocTree(t)
 	for name, want := range map[string]bool{
@@ -131,6 +141,45 @@ func TestDocGoNamesResolver(t *testing.T) {
 			t.Errorf("resolvesGo(%q) = %v, want %v", name, got, want)
 		}
 	}
+	for span, want := range map[string]bool{
+		"arboretum plan -workers": false,
+		"arboretum run -workers":  true,
+		"arboretumd -faults":      true,
+		"arbload -faults":         false,
+	} {
+		if got := tree.unknownFlags(span) == nil; got != want {
+			t.Errorf("unknownFlags(%q) = %v, want every flag resolved %v", span, tree.unknownFlags(span), want)
+		}
+	}
+}
+
+// unknownFlags returns the -flags a command-line span names that its
+// command does not declare; a span that is no command line names none. The
+// command's arguments end at the first pipe, list operator or redirection.
+func (tree docTree) unknownFlags(span string) []string {
+	words := strings.Fields(span)
+	if len(words) == 0 {
+		return nil
+	}
+	cmd := words[0]
+	switch {
+	case cmd == "arboretum" && len(words) > 1:
+		cmd, words = cmd+" "+words[1], words[2:]
+	case cmd == "arboretumd" || cmd == "experiments" || cmd == "arbload":
+		words = words[1:]
+	default:
+		return nil
+	}
+	var unknown []string
+	for _, w := range words {
+		if w == "|" || w == "||" || w == "&&" || w == ";" || strings.ContainsAny(w[:1], "<>") || strings.HasPrefix(w, "2>") {
+			break
+		}
+		if m := cliFlag.FindStringSubmatch(strings.Trim(w, `[](),;"'`)); m != nil && !tree.cliFlags[cmd][m[1]] {
+			unknown = append(unknown, "-"+m[1])
+		}
+	}
+	return unknown
 }
 
 // expandBraces spells internal/{ahe, bgv} out as internal/ahe internal/bgv.
@@ -199,6 +248,7 @@ type docTree struct {
 	testDecls  map[string]bool            // top-level Test* declarations of this module
 	spelled    map[string]bool            // hyphenated words of Go string literals and CI workflows
 	goDecls    map[string]map[string]bool // internal/ package name → its non-test declarations
+	cliFlags   map[string]map[string]bool // "arboretum plan", "arboretumd", … → the flags it declares
 }
 
 // resolvesGo reports whether name, if it is a Go name in an internal/
@@ -249,7 +299,7 @@ func (tree docTree) resolves(p string) bool {
 
 func walkDocTree(t *testing.T) docTree {
 	tree := docTree{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{},
-		map[string]map[string]bool{}}
+		map[string]map[string]bool{}, map[string]map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -282,6 +332,9 @@ func walkDocTree(t *testing.T) docTree {
 		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		if dir, ok := strings.CutSuffix(slashed, "/main.go"); ok && strings.HasPrefix(dir, "cmd/") {
+			declaredFlags(f, strings.TrimPrefix(dir, "cmd/"), tree.cliFlags)
 		}
 		isTest := strings.HasSuffix(path, "_test.go")
 		if !isTest && strings.HasPrefix(slashed, "internal/") {
@@ -329,6 +382,86 @@ func walkDocTree(t *testing.T) docTree {
 		}
 	}
 	return tree
+}
+
+// flagDefiners are the flag package's functions and FlagSet methods that
+// define a flag named by their first argument.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolFunc": true, "Duration": true, "Float64": true, "Func": true,
+	"Int": true, "Int64": true, "String": true, "Uint": true, "Uint64": true,
+}
+
+// declaredFlags adds the flags each function of command cmd's main.go
+// defines, on the flag package or on the FlagSet it makes, under the
+// command's name: cmd itself, or "cmd sub" for a FlagSet named sub.
+func declaredFlags(f *ast.File, cmd string, into map[string]map[string]bool) {
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		key, definers := cmd, map[string]bool{"flag": true}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+				return true
+			}
+			call, ok := as.Rhs[0].(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			if recv, name := selectorCall(call); recv != "flag" || name != "NewFlagSet" {
+				return true
+			}
+			if name, isLit := stringLit(call.Args[0]); isLit && name != cmd {
+				key = cmd + " " + name
+			}
+			if id, isID := as.Lhs[0].(*ast.Ident); isID {
+				definers[id.Name] = true
+			}
+			return true
+		})
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			if recv, name := selectorCall(call); !definers[recv] || !flagDefiners[name] {
+				return true
+			}
+			if name, isLit := stringLit(call.Args[0]); isLit {
+				if into[key] == nil {
+					into[key] = map[string]bool{}
+				}
+				into[key][name] = true
+			}
+			return true
+		})
+	}
+}
+
+// selectorCall returns the identifier and the name of a call of the form
+// x.Name(…), and two empty strings for any other call.
+func selectorCall(call *ast.CallExpr) (recv, name string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", ""
+	}
+	return id.Name, sel.Sel.Name
+}
+
+// stringLit returns the value of a string literal expression.
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }
 
 // topLevelNames returns the names f declares at package level: functions

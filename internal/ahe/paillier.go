@@ -25,16 +25,15 @@
 // reads them, so a single key may be shared freely across goroutines.
 // Ciphertext values are not synchronized — callers must not mutate a
 // ciphertext that another goroutine is reading. A Packing is immutable too,
-// and encrypts a row's few ciphertexts on the calling goroutine. The vector
-// operations (EncryptVector, Sum) parallelize internally across
-// parallel.Workers(0) goroutines; both produce bit-identical results at any
-// worker count (EncryptVector's outputs are index-ordered, and Sum's chunked
-// fold relies on modular multiplication being associative and commutative).
-// Randomness readers passed to EncryptVector are wrapped with a mutex unless
-// they are crypto/rand.Reader, which is already safe for concurrent use.
-// EncryptVector has no caller in the product: it is kept only for the
-// benchmark module's per-layer replay (bench/replay.go), which prices C slot
-// encryptions per device. See docs/CONCURRENCY.md.
+// and encrypts a row's few ciphertexts on the calling goroutine, as Sum
+// folds its slice. EncryptVector parallelizes internally across
+// parallel.Workers(0) goroutines; its outputs are index-ordered, so they are
+// bit-identical at any worker count. Randomness readers passed to
+// EncryptVector are wrapped with a mutex unless they are crypto/rand.Reader,
+// which is already safe for concurrent use. EncryptVector has no caller in
+// the product: it is kept only for the benchmark module's per-layer replay
+// (bench/replay.go), which prices C slot encryptions per device. See
+// docs/CONCURRENCY.md.
 package ahe
 
 import (
@@ -56,7 +55,7 @@ var (
 
 // ctBox bundles a ciphertext header with its big.Int value so a hot-path
 // result costs one struct allocation plus one limb allocation — the whole
-// steady-state budget of sumRange and encrypt.
+// steady-state budget of Sum and encrypt.
 type ctBox struct {
 	ct Ciphertext
 	v  big.Int
@@ -359,22 +358,20 @@ func (pk *PublicKey) MulPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{C: c}, nil
 }
 
-// minParallelSum is the slice length below which Sum stays sequential: a
-// Paillier Add is a single modular multiplication, so tiny sums would be
-// dominated by pool overhead.
-const minParallelSum = 64
-
-// accPool recycles sumRange's accumulators (and their grown scratch limbs)
+// accPool recycles Sum's accumulators (and their grown scratch limbs)
 // across calls. An accumulator checked out here is re-bound to the calling
 // key before use, so the pool is safe to share across keys; a key-size
 // change just regrows the limbs once.
 var accPool = fixed.Pool[Accumulator]{New: func() *Accumulator { return new(Accumulator) }}
 
-// sumRange folds Add sequentially over a non-empty slice. It runs on a
-// pooled Accumulator so the whole range costs two allocations (the returned
-// ciphertext box) regardless of length — this is the inner loop of every
-// Sum chunk and of the streaming-ingest shard aggregators.
-func (pk *PublicKey) sumRange(cts []*Ciphertext) (*Ciphertext, error) {
+// Sum folds Add over a slice of ciphertexts; this is the aggregator's inner
+// loop in AHE-sum plans (Figure 5). It runs on a pooled Accumulator on the
+// calling goroutine, so the whole slice costs two allocations (the returned
+// ciphertext box) regardless of length.
+func (pk *PublicKey) Sum(cts []*Ciphertext) (*Ciphertext, error) {
+	if len(cts) == 0 {
+		return nil, errors.New("ahe: empty sum")
+	}
 	if len(cts) == 1 {
 		if err := pk.check(cts[0]); err != nil {
 			return nil, err
@@ -391,36 +388,6 @@ func (pk *PublicKey) sumRange(cts []*Ciphertext) (*Ciphertext, error) {
 		}
 	}
 	return newCiphertextFrom(&acc.acc), nil
-}
-
-// Sum folds Add over a slice of ciphertexts; this is the aggregator's inner
-// loop in AHE-sum plans (Figure 5). Large sums are folded in parallel chunks
-// (one per worker) and the chunk partials are combined in index order;
-// because ciphertext addition is multiplication mod n² — associative and
-// commutative — the result is bit-identical to the sequential fold at every
-// worker count.
-func (pk *PublicKey) Sum(cts []*Ciphertext) (*Ciphertext, error) {
-	if len(cts) == 0 {
-		return nil, errors.New("ahe: empty sum")
-	}
-	w := parallel.Workers(0)
-	if w > 1 && len(cts) >= minParallelSum {
-		chunk := (len(cts) + w - 1) / w
-		nChunks := (len(cts) + chunk - 1) / chunk
-		partials, err := parallel.Map(nil, nChunks, w, func(ci int) (*Ciphertext, error) {
-			lo := ci * chunk
-			hi := lo + chunk
-			if hi > len(cts) {
-				hi = len(cts)
-			}
-			return pk.sumRange(cts[lo:hi])
-		})
-		if err != nil {
-			return nil, err
-		}
-		return pk.sumRange(partials)
-	}
-	return pk.sumRange(cts)
 }
 
 // lockedReader serializes Read calls so a non-thread-safe randomness source

@@ -96,22 +96,45 @@ func TestAddPlainMulPlain(t *testing.T) {
 	}
 }
 
+// TestSum folds 1..20, and 145 ciphertexts of i mod 5 (an odd size): each
+// sum must be the Add fold's group element and decrypt to the plaintexts'
+// sum.
 func TestSum(t *testing.T) {
 	sk := testKeyPair(t)
-	var cts []*Ciphertext
-	want := int64(0)
-	for i := int64(1); i <= 20; i++ {
-		ct, _ := sk.Encrypt(rand.Reader, big.NewInt(i))
-		cts = append(cts, ct)
-		want += i
-	}
-	sum, err := sk.Sum(cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := sk.Decrypt(sum)
-	if got.Int64() != want {
-		t.Fatalf("Sum = %v, want %d", got, want)
+	for _, c := range []struct {
+		n       int64
+		message func(i int64) int64
+	}{
+		{20, func(i int64) int64 { return i + 1 }},
+		{145, func(i int64) int64 { return i % 5 }},
+	} {
+		var cts []*Ciphertext
+		want := int64(0)
+		for i := int64(0); i < c.n; i++ {
+			ct, err := sk.Encrypt(rand.Reader, big.NewInt(c.message(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cts = append(cts, ct)
+			want += c.message(i)
+		}
+		sum, err := sk.Sum(cts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold := cts[0]
+		for _, ct := range cts[1:] {
+			if fold, err = sk.Add(fold, ct); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sum.C.Cmp(fold.C) != 0 {
+			t.Fatalf("Sum of %d ciphertexts differs from the Add fold", c.n)
+		}
+		got, _ := sk.Decrypt(sum)
+		if got.Int64() != want {
+			t.Fatalf("Sum of %d = %v, want %d", c.n, got, want)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func TestAllocGateScore(t *testing.T) {
 // nodes it visits or how often the incumbent improves.
 func TestAllocGateSearchNode(t *testing.T) {
 	steps, sp, sc := gapSearch(t)
-	cfg := searchConfig{goal: costmodel.PartMaxBytes, limits: DefaultLimits, workers: 1}
+	cfg := searchConfig{goal: costmodel.PartMaxBytes, limits: DefaultLimits}
 	var visited [2]int64
 	var allocs [2]float64
 	for i, noBB := range []bool{false, true} {

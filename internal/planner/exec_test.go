@@ -221,7 +221,6 @@ func FuzzPlanForExecution(f *testing.F) {
 			t.Skip()
 		}
 		req := forExecution(src, 64, 8)
-		req.Workers = 1
 		r1, err1 := Plan(req)
 		r2, err2 := Plan(req)
 		if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {

@@ -31,9 +31,8 @@ type Request struct {
 
 	// DisableBranchAndBound turns off pruning (the ablation of Section 7.3).
 	DisableBranchAndBound bool
-	// NodeCap bounds the prefixes a search may visit (0 = 50 million); past
-	// it Plan returns ErrNodeCap. A search on the worker pool may run past
-	// the cap by up to a fixed per-task batch of prefixes per worker.
+	// NodeCap bounds the prefixes a search may visit (0 = 50 million); at
+	// the first prefix past it Plan returns ErrNodeCap.
 	NodeCap int64
 
 	// ForceChoices pins steps to implementations whose choice value starts
@@ -42,9 +41,10 @@ type Request struct {
 	// ablations and by `arboretum explain` to price the roads not taken.
 	ForceChoices map[string]string
 
-	// Workers bounds the search worker pool. 0 resolves to GOMAXPROCS; 1
-	// forces the sequential schedule. The chosen plan is identical at every
-	// setting.
+	// Workers is read by nothing: the search is one sequential DFS.
+	//
+	// Deprecated: the next change to the benchmark module removes it
+	// (ROADMAP item 5), together with the lines there that set it.
 	Workers int
 
 	// ExecutableOnly restricts the search to what the runtime can execute,
@@ -128,7 +128,6 @@ func planAdmitted(req Request, prog *lang.Program, info *types.Info, cert *priva
 		noBB:    req.DisableBranchAndBound,
 		nodeCap: req.NodeCap,
 		force:   req.ForceChoices,
-		workers: req.Workers,
 	}
 	best, stats, err := search(steps, sp, sc, cfg)
 	if err != nil {

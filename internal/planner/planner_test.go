@@ -244,8 +244,8 @@ func TestBranchAndBoundPreservesOptimum(t *testing.T) {
 }
 
 // The node cap models the paper's OOM: with pruning disabled and a small
-// cap, complex queries abort. A lone task is the node counter's only writer,
-// so it stops at exactly the first node past the cap.
+// cap, complex queries abort — at exactly the first node past the cap, with
+// the counters of the walk made so far.
 func TestNodeCapAborts(t *testing.T) {
 	res, err := Plan(Request{
 		Name: "median", Source: queries.Median.Source, N: testN,
@@ -254,13 +254,15 @@ func TestNodeCapAborts(t *testing.T) {
 		Limits:                DefaultLimits,
 		DisableBranchAndBound: true,
 		NodeCap:               1000,
-		Workers:               1,
 	})
 	if !errors.Is(err, ErrNodeCap) {
 		t.Fatalf("capped exhaustive search: %v, want ErrNodeCap", err)
 	}
 	if !res.Stats.Aborted || res.Stats.PrefixesExplored != 1001 {
 		t.Errorf("stats %+v, want Aborted after exactly 1001 prefixes", res.Stats)
+	}
+	if res.Stats.FullCandidates == 0 {
+		t.Errorf("stats %+v, want the full candidates the walk scored before the cap", res.Stats)
 	}
 }
 

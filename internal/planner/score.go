@@ -12,7 +12,7 @@ import (
 )
 
 // scorer turns vignette lists into six-metric cost vectors (Section 4.6). It
-// holds no mutable state, so the search's pool tasks share the caller's.
+// holds no mutable state.
 type scorer struct {
 	n     int64
 	model *costmodel.Model
@@ -25,8 +25,8 @@ func newScorer(n int64, model *costmodel.Model) *scorer {
 // sizeTable memoizes sortition.MinCommitteeSize at sortition.DefaultSizeParams
 // — the only parameters the planner sizes committees with — per power-of-two
 // committee count, indexed by log2 of the count (0 = not solved yet). Every
-// Plan call and every pool task shares it: the solver is a pure function, so
-// racing fills of one entry store equal values.
+// Plan call shares it, and concurrent calls may fill one entry at once: the
+// solver is a pure function, so racing fills store equal values.
 var sizeTable [bits.UintSize]atomic.Int32
 
 // committeeSize returns the minimum committee size for c committees;
@@ -177,7 +177,7 @@ func (f *frame) finish() costmodel.Vector {
 	return v
 }
 
-// frameStack scores the prefixes of one search task incrementally: frames[d]
+// frameStack scores the prefixes of one search incrementally: frames[d]
 // is score's fold over the keygen vignette plus the options idx[:d] picks
 // from the first d tree levels, so descending to a child copies its parent's
 // frame and adds only the child's own vignettes, and returning costs nothing
@@ -191,9 +191,8 @@ func (f *frame) finish() costmodel.Vector {
 // (sizeTable saturates) and extends the parent frame like any other.
 //
 // Either way each vignette's MemberCost is looked up, not computed: costs
-// holds it once per (option, m) the task has met. Nothing here is shared — a
-// pool task builds its own stack and re-derives the frames of its frontier
-// prefix itself.
+// holds it once per (option, m) the search has met. Nothing here is shared
+// between Plan calls.
 type frameStack struct {
 	sc     *scorer
 	opts   [][]option

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"arboretum/internal/costmodel"
@@ -105,7 +104,7 @@ func TestBreakdownMatchesParent(t *testing.T) {
 		q := queryByName(want.query)
 		res, err := Plan(Request{
 			Name: q.Name, Source: q.Source, N: testN, Categories: q.Categories,
-			Goal: want.goal, Limits: DefaultLimits, Workers: 1,
+			Goal: want.goal, Limits: DefaultLimits,
 		})
 		if err != nil {
 			t.Fatalf("%s/%v: %v", want.query, want.goal, err)
@@ -124,14 +123,14 @@ func TestBreakdownMatchesParent(t *testing.T) {
 	}
 }
 
-// TestSharedSizeMemo plans gap on the pool and sequentially from eight
-// goroutines at once — every search filling the one size table — and demands
-// the sequential plan every time; then every filled entry must be what the
-// solver says for its bucket, including the saturated last one.
+// TestSharedSizeMemo plans gap from eight goroutines at once — every search
+// filling the one size table — and demands the plan of a lone call every
+// time; then every filled entry must be what the solver says for its bucket,
+// including the saturated last one.
 func TestSharedSizeMemo(t *testing.T) {
 	req := Request{
 		Name: "gap", Source: queries.Gap.Source, N: testN, Categories: queries.Gap.Categories,
-		Goal: costmodel.PartExpCPU, Limits: DefaultLimits, Workers: 1,
+		Goal: costmodel.PartExpCPU, Limits: DefaultLimits,
 	}
 	want, err := Plan(req)
 	if err != nil {
@@ -143,19 +142,15 @@ func TestSharedSizeMemo(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				r := req
-				if (g+i)%2 == 0 {
-					r.Workers = 4
-				}
-				got, err := Plan(r)
+				got, err := Plan(req)
 				if err != nil {
-					t.Errorf("goroutine %d, workers %d: %v", g, r.Workers, err)
+					t.Errorf("goroutine %d, plan %d: %v", g, i, err)
 					return
 				}
 				if got.Plan.String() != want.Plan.String() || got.Plan.Cost != want.Plan.Cost ||
-					!reflect.DeepEqual(got.Plan.ByRole, want.Plan.ByRole) {
-					t.Errorf("goroutine %d, workers %d: plan differs from the sequential one:\n%s\nvs\n%s",
-						g, r.Workers, got.Plan, want.Plan)
+					!reflect.DeepEqual(got.Plan.ByRole, want.Plan.ByRole) || got.Stats != want.Stats {
+					t.Errorf("goroutine %d, plan %d: plan differs from the lone call's:\n%s\nvs\n%s",
+						g, i, got.Plan, want.Plan)
 				}
 			}
 		}(g)
@@ -213,14 +208,12 @@ func emQuery(src string) bool {
 // node the real DFS visits: the frame's (Vector, breakdown, m) must equal —
 // with ==, no tolerance — score over the materialised prefix. It walks the
 // sixteen requests of TestSearchStatsMatchParent (fifteen distinct) and the
-// corpus planned for execution at every run shape, each on one task, on the
-// pool (where a task first rebuilds the frames of its frontier prefix) and
-// with pruning off (where no subtree is skipped). It also sorts every push by
-// the path it took — extending the parent frame within its size bucket or
-// across one at the same m, or extending alt after re-folding it or reusing
-// a sibling's re-fold — and demands a bucket crossing of every one-task walk
-// and each path of the em queries, on one task and on the pool: a stale or
-// wrong-m alternate frame shows up as a mismatch.
+// corpus planned for execution at every run shape, each with pruning on and
+// off (where no subtree is skipped). It also sorts every push by the path it
+// took — extending the parent frame within its size bucket or across one at
+// the same m, or extending alt after re-folding it or reusing a sibling's
+// re-fold — and demands a bucket crossing of every walk and each path of the
+// em queries: a stale or wrong-m alternate frame shows up as a mismatch.
 func TestFrameStackMatchesScore(t *testing.T) {
 	var reqs []Request
 	for _, q := range queries.All {
@@ -243,25 +236,21 @@ func TestFrameStackMatchesScore(t *testing.T) {
 		}
 	}
 
-	var nodes, mismatches atomic.Int64
-	var mu sync.Mutex // guards kinds and altM
+	var nodes, mismatches int64
 	var kinds [numPushKinds]int64
-	// Per task, the m each alt[d] was last re-folded at, 0 once frames[d]
-	// changes: what push must have found there, so the hook can tell a
-	// re-fold from a reuse.
-	altM := map[*frameStack][]int{}
+	// The m each alt[d] was last re-folded at, 0 once frames[d] changes: what
+	// push must have found there, so the hook can tell a re-fold from a
+	// reuse.
+	var model []int
 	nodeHook = func(fs *frameStack, d int) {
-		nodes.Add(1)
+		nodes++
 		prefix := []plan.Vignette{keygenVignette()}
 		for l, j := range fs.idx[:d] {
 			prefix = append(prefix, fs.opts[l][j].vignettes...)
 		}
 		f := &fs.frames[d]
-		mu.Lock()
-		model := altM[fs]
 		if model == nil {
 			model = make([]int, len(fs.frames))
-			altM[fs] = model
 		}
 		model[d] = 0 // the push that made frames[d] invalidated alt[d]
 		if d > 0 {
@@ -277,65 +266,51 @@ func TestFrameStackMatchesScore(t *testing.T) {
 			}
 			kinds[kind]++
 		}
-		mu.Unlock()
 		v, bd, m := fs.sc.score(prefix)
 		if got := f.finish(); got != v || f.bd != bd || f.m != m {
-			if mismatches.Add(1) <= 5 {
+			if mismatches++; mismatches <= 5 {
 				t.Errorf("prefix %v: frame (%+v, %+v, m=%d), score (%+v, %+v, m=%d)", fs.idx[:d], got, f.bd, f.m, v, bd, m)
 			}
 		}
 	}
 	defer func() { nodeHook = nil }()
 
-	emPushes := map[string][numPushKinds]int64{} // by mode, over the em queries at N = 2^30
+	var emPushes [numPushKinds]int64 // pruned walks of the em queries at N = 2^30
 	for _, req := range reqs {
-		for _, mode := range []struct {
-			name    string
-			workers int
-			noBB    bool
-		}{{"one task", 1, false}, {"pool", 4, false}, {"no pruning", 1, true}} {
-			if mode.noBB && req.Name == "gap" && req.Goal != costmodel.PartExpCPU {
+		for _, noBB := range []bool{false, true} {
+			if noBB && req.Name == "gap" && req.Goal != costmodel.PartExpCPU {
 				continue // without pruning the goal steers nothing: one walk of gap's 859,756 prefixes
 			}
-			req.Workers, req.DisableBranchAndBound = mode.workers, mode.noBB
-			nodes.Store(0)
+			req.DisableBranchAndBound = noBB
+			nodes = 0
 			kinds = [numPushKinds]int64{}
-			clear(altM)
+			model = nil
 			res, err := Plan(req)
 			if err != nil {
-				t.Errorf("%s N=%d %v, %s: %v", req.Name, req.N, req.Goal, mode.name, err)
+				t.Errorf("%s N=%d %v, no pruning %v: %v", req.Name, req.N, req.Goal, noBB, err)
 				continue
 			}
-			// On the pool the breadth-first expansion counts the shallowest
-			// nodes without scoring them.
-			if n := nodes.Load(); n == 0 || n > res.Stats.PrefixesExplored || (mode.workers == 1 && n != res.Stats.PrefixesExplored) {
-				t.Errorf("%s N=%d %v, %s: hook saw %d nodes, the search explored %d", req.Name, req.N, req.Goal, mode.name, n, res.Stats.PrefixesExplored)
+			if nodes != res.Stats.PrefixesExplored {
+				t.Errorf("%s N=%d %v, no pruning %v: hook saw %d nodes, the search explored %d", req.Name, req.N, req.Goal, noBB, nodes, res.Stats.PrefixesExplored)
 			}
-			if mode.workers == 1 && kinds[pushExtend] == nodes.Load()-1 {
-				t.Errorf("%s N=%d %v, %s: no push crossed a committee-size bucket", req.Name, req.N, req.Goal, mode.name)
+			if kinds[pushExtend] == nodes-1 {
+				t.Errorf("%s N=%d %v, no pruning %v: no push crossed a committee-size bucket", req.Name, req.N, req.Goal, noBB)
 			}
-			if req.N == testN && emQuery(req.Source) {
-				sum := emPushes[mode.name]
+			if !noBB && req.N == testN && emQuery(req.Source) {
 				for k, n := range kinds {
-					sum[k] += n
+					emPushes[k] += n
 				}
-				emPushes[mode.name] = sum
 			}
 		}
 	}
 	// A small tree can lack a kind (top1 never crosses a bucket at an
-	// unchanged m; on the pool the frontier's pushes, where most re-folds
-	// happen, are not DFS nodes), so the kinds are required of the em
-	// queries together.
-	for _, mode := range []string{"one task", "pool"} {
-		sum := emPushes[mode]
-		t.Logf("%s, em queries at N = 2^30: pushes extend/crossing/alt built/alt reused %v", mode, sum)
-		if slices.Contains(sum[:], 0) {
-			t.Errorf("%s, em queries at N = 2^30: pushes extend/crossing/alt built/alt reused %v, want every kind", mode, sum)
-		}
+	// unchanged m), so the kinds are required of the em queries together.
+	t.Logf("em queries at N = 2^30: pushes extend/crossing/alt built/alt reused %v", emPushes)
+	if slices.Contains(emPushes[:], 0) {
+		t.Errorf("em queries at N = 2^30: pushes extend/crossing/alt built/alt reused %v, want every kind", emPushes)
 	}
-	if n := mismatches.Load(); n > 0 {
-		t.Errorf("%d nodes where the frame is not score(prefix)", n)
+	if mismatches > 0 {
+		t.Errorf("%d nodes where the frame is not score(prefix)", mismatches)
 	}
 }
 
@@ -363,7 +338,7 @@ func gapFullPlan(tb testing.TB) (*scorer, []plan.Vignette) {
 	tb.Helper()
 	steps, sp, sc := gapSearch(tb)
 	best, _, err := search(steps, sp, sc,
-		searchConfig{goal: costmodel.PartExpCPU, limits: DefaultLimits, workers: 1})
+		searchConfig{goal: costmodel.PartExpCPU, limits: DefaultLimits})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -388,22 +363,15 @@ func BenchmarkScore(b *testing.B) {
 var scoreSink costmodel.Vector // keeps BenchmarkScore's call alive
 
 // BenchmarkPlanCorpus is one plan-corpus operation (bench/planwl.go): the ten
-// evaluation queries under each of the six goals at N = 2^30, with Workers
-// unset as the workload plans — gap's six searches go to the pool.
-func BenchmarkPlanCorpus(b *testing.B) { benchmarkPlanCorpus(b, 0) }
-
-// BenchmarkPlanCorpusSequential is the same corpus on one goroutine: the
-// planner's own cost, free of the pool's scheduling and shared counters.
-func BenchmarkPlanCorpusSequential(b *testing.B) { benchmarkPlanCorpus(b, 1) }
-
-func benchmarkPlanCorpus(b *testing.B, workers int) {
+// evaluation queries under each of the six goals at N = 2^30.
+func BenchmarkPlanCorpus(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries.All {
 			for _, g := range sixGoals {
 				_, err := Plan(Request{
 					Name: q.Name, Source: q.Source, N: testN, Categories: q.Categories,
-					ElemRange: q.ElemRange, Goal: g, Limits: DefaultLimits, Workers: workers,
+					ElemRange: q.ElemRange, Goal: g, Limits: DefaultLimits,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"arboretum/internal/costmodel"
-	"arboretum/internal/parallel"
 )
 
 // Stats reports what the search did (Figure 9 and the branch-and-bound
@@ -28,7 +26,6 @@ type searchConfig struct {
 	noBB    bool              // disable branch-and-bound (ablation, Section 7.3)
 	nodeCap int64             // Request.NodeCap (0 = defaultNodeCap)
 	force   map[string]string // pin steps to choice-value prefixes
-	workers int               // search parallelism (0 = parallel.Workers default)
 }
 
 const defaultNodeCap = 50_000_000
@@ -69,31 +66,10 @@ type candidate struct {
 }
 
 // search runs DFS over the per-step options with branch-and-bound pruning
-// and returns the winning candidate.
-//
-// There is one DFS. The option tree is cut into independent subtree tasks —
-// a single task holding the whole tree on the calling goroutine, or a
-// breadth-first frontier of subtrees on the worker pool — and the winner is
-// chosen by an ordered reduction over per-task winners that applies the
-// incumbent rule of a single task ("replace only if strictly better"), so
-// the plan at N workers is the plan at 1 worker. Three properties make the
-// cross-task pruning sound:
-//
-//   - Partial costs are admissible lower bounds: every scored quantity only
-//     grows as vignettes are appended (score documents this), so goal value
-//     and total footprint are monotone from prefix to full plan.
-//   - The shared bound prunes only on STRICT dominance (betterPlan(bound,
-//     partial)). A subtree whose prefix is already strictly beaten cannot
-//     contain the winner: any full plan in it costs at least the prefix, and
-//     the bound is itself a real candidate found by some task. Tied prefixes
-//     are never pruned, so order-based tie-breaking survives.
-//   - Each task keeps its own incumbent and prunes on it non-strictly, so
-//     within a task the DFS is the whole-tree DFS restricted to a subtree.
-//
-// Stats are exact sums of per-task counters. With one task they repeat
-// exactly; with pruning disabled PrefixesExplored is the same at every
-// worker count; with pruning on a pool, the counts depend on how fast the
-// shared bound tightens and may vary run to run — the chosen plan never does.
+// and returns the winning candidate. It is one sequential DFS on the calling
+// goroutine, so its Stats repeat exactly and the node cap stops it at the
+// first prefix past Request.NodeCap. An aborted search still reports every
+// counter of the walk it made.
 func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candidate, *Stats, error) {
 	stats := &Stats{}
 	stepOpts := make([][]option, len(steps))
@@ -159,155 +135,67 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 	if nodeCap == 0 {
 		nodeCap = defaultNodeCap
 	}
+	fs := newFrameStack(sc, opts)
+	// The incumbent is recorded in place: one candidate, overwritten by
+	// every improvement.
+	var best *candidate
+	incumbent := candidate{choice: make([]option, len(opts))}
 
-	// Two schedules, one search. The evaluation queries plan in milliseconds
-	// on one goroutine, so automatic parallelism only pays off on big option
-	// trees; an explicit Workers request always gets the pool. Sequential is
-	// the degenerate schedule: a single task — the whole tree, rooted at the
-	// empty prefix — run on the calling goroutine. The plan is identical
-	// either way.
-	workers := 1
-	if w := parallel.Workers(cfg.workers); w > 1 && len(opts) > 0 &&
-		(cfg.workers > 1 || estLeaves(opts) >= parallelSearchThreshold) {
-		workers = w
-	}
-	lone := workers == 1
-	// The shared node counter, which enforces the cap. A task adds its nodes
-	// in batches of nodeBatch and checks the counter plus its unadded nodes,
-	// so a lone task stops at exactly the node past the cap and a pool can
-	// run past it by fewer than workers×nodeBatch nodes before every task has
-	// seen it.
-	var nodes atomic.Int64
-	frontier := [][]int{{}}
-	if !lone {
-		frontier = expandFrontier(opts, workers*4, &nodes)
-	}
-	// Every node is visited exactly once: shallow ones by the expansion,
-	// counted here, deeper ones inside their task, added by the reduction.
-	stats.PrefixesExplored = nodes.Load()
-
-	// The shared incumbent bound: the cost vector of the best full candidate
-	// published by any task so far. Tasks prune against it strictly.
-	var bound atomic.Pointer[costmodel.Vector]
-	publish := func(v costmodel.Vector) {
-		for {
-			cur := bound.Load()
-			if cur != nil && !betterPlan(v, *cur, cfg.goal) {
-				return
-			}
-			nv := v
-			if bound.CompareAndSwap(cur, &nv) {
-				return
-			}
+	var dfs func(d int) error
+	dfs = func(d int) error {
+		if stats.PrefixesExplored++; stats.PrefixesExplored > nodeCap {
+			return ErrNodeCap
 		}
-	}
-
-	type taskResult struct {
-		best  *candidate // the task's incumbent
-		stats Stats
-	}
-
-	results, err := parallel.Map(nil, len(frontier), workers, func(t int) (taskResult, error) {
-		var r taskResult
-		fs := newFrameStack(sc, opts)
-		for lvl, j := range frontier[t] {
-			fs.push(lvl, j)
+		if nodeHook != nil {
+			nodeHook(fs, d)
 		}
-		// The incumbent is recorded in place: one candidate, overwritten by
-		// every improvement.
-		incumbent := candidate{choice: make([]option, len(opts))}
-		var pending int64 // nodes visited, not yet added to the shared counter
-
-		var dfs func(d int) error
-		dfs = func(d int) error {
-			r.stats.PrefixesExplored++
-			if pending++; pending == nodeBatch {
-				nodes.Add(nodeBatch)
-				pending = 0
-			}
-			if nodes.Load()+pending > nodeCap {
-				return ErrNodeCap
-			}
-			if nodeHook != nil {
-				nodeHook(fs, d)
-			}
-			f := &fs.frames[d]
-			partial := f.finish()
-			if !cfg.noBB {
-				// Prune on hard limits: a prefix above a limit can only get
-				// worse (all work counters are non-negative).
-				if _, bad := cfg.limits.Violated(partial); bad {
-					r.stats.Pruned++
-					return nil
-				}
-				// Prune on the task's own incumbent, non-strictly. Partial
-				// costs only grow, so a prefix already no better than the
-				// incumbent (goal-first, footprint on ties — the order
-				// betterPlan uses) cannot win within this task.
-				if r.best != nil && !betterPlan(partial, r.best.cost, cfg.goal) {
-					r.stats.Pruned++
-					return nil
-				}
-				// Prune on the shared bound, on strict dominance only. (A
-				// lone task's bound is its own incumbent, which the check
-				// above already covers.)
-				if b := bound.Load(); b != nil && betterPlan(*b, partial, cfg.goal) {
-					r.stats.Pruned++
-					return nil
-				}
-			}
-			if d == len(opts) {
-				// A leaf's partial cost is the plan's exact cost. With
-				// pruning on, it has already passed the limits above.
-				r.stats.FullCandidates++
-				if cfg.noBB {
-					if _, bad := cfg.limits.Violated(partial); bad {
-						return nil
-					}
-				}
-				if r.best == nil || betterPlan(partial, r.best.cost, cfg.goal) {
-					r.best = &incumbent
-					for l, j := range fs.idx {
-						incumbent.choice[l] = opts[l][j]
-					}
-					incumbent.cost, incumbent.bd, incumbent.m = partial, f.bd, f.m
-					if !lone {
-						publish(partial) // a lone task's bound is its own incumbent
-					}
-				}
+		f := &fs.frames[d]
+		partial := f.finish()
+		if !cfg.noBB {
+			// Prune on hard limits: a prefix above a limit can only get
+			// worse (all work counters are non-negative).
+			if _, bad := cfg.limits.Violated(partial); bad {
+				stats.Pruned++
 				return nil
 			}
-			for j := range opts[d] {
-				fs.push(d, j)
-				if err := dfs(d + 1); err != nil {
-					return err
+			// Prune on the incumbent, non-strictly. Partial costs only
+			// grow as vignettes are appended (score documents this), so a
+			// prefix already no better than the incumbent (goal-first,
+			// footprint on ties — the order betterPlan uses) cannot win.
+			if best != nil && !betterPlan(partial, best.cost, cfg.goal) {
+				stats.Pruned++
+				return nil
+			}
+		}
+		if d == len(opts) {
+			// A leaf's partial cost is the plan's exact cost. With pruning
+			// on, it has already passed the limits above.
+			stats.FullCandidates++
+			if cfg.noBB {
+				if _, bad := cfg.limits.Violated(partial); bad {
+					return nil
 				}
+			}
+			if best == nil || betterPlan(partial, best.cost, cfg.goal) {
+				best = &incumbent
+				for l, j := range fs.idx {
+					incumbent.choice[l] = opts[l][j]
+				}
+				incumbent.cost, incumbent.bd, incumbent.m = partial, f.bd, f.m
 			}
 			return nil
 		}
-		err := dfs(len(frontier[t]))
-		nodes.Add(pending)
-		return r, err
-	})
-	if err != nil {
-		// An aborted search has no task results to add up; every task has
-		// added all its nodes to the shared counter by the time Map returns.
-		stats.Aborted = true
-		stats.PrefixesExplored = nodes.Load()
-		return nil, stats, ErrNodeCap
-	}
-
-	// Ordered reduction in task order — the order one DFS over the whole tree
-	// reaches the same subtrees — with the incumbent rule of a single task
-	// ("replace only if strictly better").
-	var best *candidate
-	for _, r := range results {
-		stats.PrefixesExplored += r.stats.PrefixesExplored
-		stats.FullCandidates += r.stats.FullCandidates
-		stats.Pruned += r.stats.Pruned
-		if r.best != nil && (best == nil || betterPlan(r.best.cost, best.cost, cfg.goal)) {
-			best = r.best
+		for j := range opts[d] {
+			fs.push(d, j)
+			if err := dfs(d + 1); err != nil {
+				return err
+			}
 		}
+		return nil
+	}
+	if err := dfs(0); err != nil {
+		stats.Aborted = true
+		return nil, stats, err
 	}
 	if best == nil {
 		return nil, stats, errors.New("planner: no plan satisfies the limits")
@@ -372,58 +260,11 @@ func labelIndex(os []option, label string) int {
 	return -1
 }
 
-// nodeHook, when a test sets it, is shown every node the DFS visits — the
-// task's frame stack and the node's depth — from whichever goroutine runs
-// the task.
+// nodeHook, when a test sets it, is shown every node the DFS visits: the
+// search's frame stack and the node's depth.
 var nodeHook func(fs *frameStack, d int)
 
-// ErrNodeCap is what a search returns when the shared node counter crosses
+// ErrNodeCap is what a search returns when it visits more prefixes than
 // Request.NodeCap: the query's option tree is larger than the caller is
 // willing to search.
 var ErrNodeCap = errors.New("planner: search exceeded the node cap")
-
-// parallelSearchThreshold is the estimated full-candidate count below which
-// an automatically-sized search stays sequential: per-node work is tiny
-// (microseconds), so small trees finish before a pool would warm up.
-const parallelSearchThreshold = 1 << 14
-
-// nodeBatch is how many nodes a task visits between additions to the shared
-// node counter: rare enough that the counter's cache line stays put,
-// small next to any cap worth setting.
-const nodeBatch = 1 << 10
-
-// estLeaves estimates the full-candidate count of the option tree (the
-// product of per-step option counts), saturating well past the threshold.
-func estLeaves(opts [][]option) int64 {
-	leaves := int64(1)
-	for _, os := range opts {
-		leaves *= int64(len(os))
-		if leaves >= 1<<30 {
-			return 1 << 30
-		}
-	}
-	return leaves
-}
-
-// expandFrontier expands the shallowest levels of the option tree
-// breadth-first into at least want subtree roots (option indices per level),
-// in the order one DFS over the whole tree would reach them, so the pool
-// stays busy even when subtree sizes are lopsided. Each expanded node is
-// counted once, here.
-func expandFrontier(opts [][]option, want int, nodes *atomic.Int64) [][]int {
-	frontier := [][]int{{}}
-	for depth := 0; depth < len(opts) && len(frontier) < want; depth++ {
-		next := make([][]int, 0, len(frontier)*len(opts[depth]))
-		for _, pre := range frontier {
-			nodes.Add(1)
-			for j := range opts[depth] {
-				child := make([]int, len(pre)+1)
-				copy(child, pre)
-				child[len(pre)] = j
-				next = append(next, child)
-			}
-		}
-		frontier = next
-	}
-	return frontier
-}

@@ -1,126 +1,23 @@
 package planner
 
-// Worker-count determinism for the search: the plan picked at N workers must
-// be the plan picked at 1 worker — same choices, same cost vector, same
-// committee sizing, same rendered summary. The parallel search earns this
-// with strict-dominance-only pruning against the shared bound and an ordered
-// reduction over subtree tasks (see search).
+// The search pinned to an earlier commit's plans and counts, and its
+// go test -bench handle.
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"arboretum/internal/costmodel"
 	"arboretum/internal/queries"
 )
 
-func planWithWorkers(t *testing.T, q queries.Query, n int64, workers int, noBB bool) *Result {
-	t.Helper()
-	res, err := Plan(Request{
-		Name:       q.Name,
-		Source:     q.Source,
-		N:          n,
-		Categories: q.Categories,
-		Goal:       costmodel.PartExpCPU,
-		Limits:     DefaultLimits,
-
-		DisableBranchAndBound: noBB,
-		Workers:               workers,
-	})
-	if err != nil {
-		t.Fatalf("Plan(%s, workers=%d): %v", q.Name, workers, err)
-	}
-	return res
-}
-
-// TestSearchDeterministicAcrossWorkers plans every evaluation query at 1 and
-// 8 workers and demands identical outcomes.
-func TestSearchDeterministicAcrossWorkers(t *testing.T) {
-	for _, q := range queries.All {
-		seq := planWithWorkers(t, q, 1<<20, 1, false)
-		par := planWithWorkers(t, q, 1<<20, 8, false)
-		if !reflect.DeepEqual(seq.Plan.Choices, par.Plan.Choices) {
-			t.Errorf("%s: choices differ: %v vs %v", q.Name, seq.Plan.Choices, par.Plan.Choices)
-		}
-		if seq.Plan.Cost != par.Plan.Cost {
-			t.Errorf("%s: cost differs:\n1 worker: %+v\n8 workers: %+v", q.Name, seq.Plan.Cost, par.Plan.Cost)
-		}
-		if seq.Plan.CommitteeSize != par.Plan.CommitteeSize ||
-			seq.Plan.CommitteeCount != par.Plan.CommitteeCount {
-			t.Errorf("%s: committee shape differs: %d×%d vs %d×%d", q.Name,
-				seq.Plan.CommitteeCount, seq.Plan.CommitteeSize,
-				par.Plan.CommitteeCount, par.Plan.CommitteeSize)
-		}
-		if seq.Plan.String() != par.Plan.String() {
-			t.Errorf("%s: summaries differ:\n%s\nvs\n%s", q.Name, seq.Plan.String(), par.Plan.String())
-		}
-	}
-}
-
-// TestParallelExhaustiveCountsMatch checks that with pruning disabled the
-// parallel search visits exactly the nodes the sequential search visits:
-// shallow nodes are counted once at task generation, deeper nodes inside
-// their subtree task.
-func TestParallelExhaustiveCountsMatch(t *testing.T) {
-	seq := planWithWorkers(t, queries.CMS, 1<<20, 1, true)
-	par := planWithWorkers(t, queries.CMS, 1<<20, 8, true)
-	if seq.Stats.PrefixesExplored != par.Stats.PrefixesExplored {
-		t.Errorf("exhaustive node counts differ: %d sequential vs %d parallel",
-			seq.Stats.PrefixesExplored, par.Stats.PrefixesExplored)
-	}
-	if seq.Stats.FullCandidates != par.Stats.FullCandidates {
-		t.Errorf("full candidate counts differ: %d vs %d",
-			seq.Stats.FullCandidates, par.Stats.FullCandidates)
-	}
-	if seq.Plan.Cost != par.Plan.Cost {
-		t.Errorf("exhaustive cost differs: %+v vs %+v", seq.Plan.Cost, par.Plan.Cost)
-	}
-}
-
-// TestParallelBranchAndBoundPrunes makes sure the shared bound actually
-// bites when searching in parallel.
-func TestParallelBranchAndBoundPrunes(t *testing.T) {
-	res := planWithWorkers(t, queries.Median, 1<<20, 8, false)
-	if res.Stats.Pruned == 0 {
-		t.Error("parallel branch-and-bound never pruned")
-	}
-	if res.Stats.FullCandidates == 0 {
-		t.Error("no full candidates scored")
-	}
-}
-
-// TestParallelNodeCapAborts mirrors TestNodeCapAborts on the parallel path:
-// the shared node counter must stop a capped exhaustive search. Pool tasks
-// add to it in batches, so the search may run past the cap — by fewer than
-// workers×nodeBatch nodes.
-func TestParallelNodeCapAborts(t *testing.T) {
-	const workers = 8
-	res, err := Plan(Request{
-		Name: "median", Source: queries.Median.Source, N: 1 << 30,
-		Categories:            queries.Median.Categories,
-		Goal:                  costmodel.PartExpCPU,
-		Limits:                DefaultLimits,
-		DisableBranchAndBound: true,
-		NodeCap:               1000,
-		Workers:               workers,
-	})
-	if !errors.Is(err, ErrNodeCap) {
-		t.Fatalf("capped parallel exhaustive search: %v, want ErrNodeCap", err)
-	}
-	if n := res.Stats.PrefixesExplored; !res.Stats.Aborted || n <= 1000 || n > 1000+workers*nodeBatch {
-		t.Errorf("stats %+v, want Aborted after 1000 < prefixes ≤ %d", res.Stats, 1000+workers*nodeBatch)
-	}
-}
-
-// TestSearchStatsMatchParent pins the one-task (Workers: 1) schedule to the
-// sequential search it replaced: the ten evaluation queries at N = 2^30
-// minimizing expected participant CPU, plus gap under all six goals, must
-// render the same plan (first 16 hex digits of sha256(Plan.String())), cost
-// the same vector and visit, score and prune exactly as many prefixes as the
-// parent commit's dedicated sequential DFS did. The table was printed by a
+// TestSearchStatsMatchParent pins the search to the sequential DFS of an
+// earlier commit, with the default Request, as every caller plans: the ten
+// evaluation queries at N = 2^30 minimizing expected participant CPU, plus
+// gap under all six goals, must render the same plan (first 16 hex digits of
+// sha256(Plan.String())), cost the same vector and visit, score and prune
+// exactly as many prefixes as that DFS did. The table was printed by a
 // throwaway test running these same requests in a clone of that commit.
 func TestSearchStatsMatchParent(t *testing.T) {
 	byName := map[string]queries.Query{}
@@ -186,7 +83,7 @@ func TestSearchStatsMatchParent(t *testing.T) {
 		q := byName[want.query]
 		res, err := Plan(Request{
 			Name: q.Name, Source: q.Source, N: 1 << 30, Categories: q.Categories,
-			Goal: want.goal, Limits: DefaultLimits, Workers: 1,
+			Goal: want.goal, Limits: DefaultLimits,
 		})
 		if err != nil {
 			t.Fatalf("%s/%v: %v", want.query, want.goal, err)
@@ -204,30 +101,26 @@ func TestSearchStatsMatchParent(t *testing.T) {
 }
 
 // BenchmarkSearch plans gap — the largest option tree among the evaluation
-// queries, 210,574 leaves — on one task and on a pool of four, with
-// branch-and-bound on (the shared bound and node counter under contention)
-// and off (the whole tree walked).
+// queries, 210,574 leaves — with branch-and-bound on and off (the whole tree
+// walked).
 func BenchmarkSearch(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		noBB bool
 	}{{"prune", false}, {"exhaustive", true}} {
-		for _, workers := range []int{1, 4} {
-			req := Request{
-				Name: "gap", Source: queries.Gap.Source, N: 1 << 30,
-				Categories:            queries.Gap.Categories,
-				Goal:                  costmodel.PartExpCPU,
-				Limits:                DefaultLimits,
-				DisableBranchAndBound: mode.noBB,
-				Workers:               workers,
-			}
-			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := Plan(req); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		req := Request{
+			Name: "gap", Source: queries.Gap.Source, N: 1 << 30,
+			Categories:            queries.Gap.Categories,
+			Goal:                  costmodel.PartExpCPU,
+			Limits:                DefaultLimits,
+			DisableBranchAndBound: mode.noBB,
 		}
+		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Plan(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -18,16 +18,10 @@
 // # Thread safety
 //
 // Plan is safe to call concurrently: every call builds its own scorer and
-// search state. The search is one branch-and-bound DFS (search.go) run as
-// subtree tasks under one of two schedules (Request.Workers; see
-// internal/parallel): a single task — the whole option tree — on the calling
-// goroutine, or a breadth-first frontier of independent subtrees on the
-// worker pool, sharing only an atomic incumbent bound and an atomic node
-// counter. The chosen plan is identical at every worker count — the shared
-// bound prunes only on strict dominance and the final winner comes from an
-// ordered reduction that replays a single task's tie-breaking — though
-// Stats.Pruned/PrefixesExplored may vary run to run when pruning is enabled
-// with more than one worker.
+// search state. The search is one branch-and-bound DFS (search.go) on the
+// calling goroutine, so a plan's Stats repeat exactly. The one state calls
+// share is the committee-size memo (score.go, sizeTable), whose entries are
+// atomics that racing fills set to equal values.
 package planner
 
 import (

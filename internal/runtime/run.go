@@ -85,10 +85,9 @@ var planSearchCap int64 = 1 << 21
 // PlanRequest is the planning task Run sets itself for src: this deployment's
 // own (N, Categories), expected device CPU as the goal, the evaluation
 // limits, the default cost model, and only options the runtime can execute.
-// It leaves Workers unset, so the tree's size picks the search schedule: a
-// Run's small tree plans on the calling goroutine whatever Config.Workers
-// says. A caller that wants one choice different pins it (ForceChoices),
-// plans, and hands the plan to RunPlan.
+// The search runs on the calling goroutine whatever Config.Workers says. A
+// caller that wants one choice different pins it (ForceChoices), plans, and
+// hands the plan to RunPlan.
 func (d *Deployment) PlanRequest(src string) planner.Request {
 	return planner.Request{
 		Source:         src,
