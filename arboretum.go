@@ -239,10 +239,6 @@ type DeploymentConfig struct {
 	Data func(device int) int
 	// BudgetEpsilon is the deployment's total privacy budget (default 10).
 	BudgetEpsilon float64
-	// Workers bounds the runtime's worker pool for per-device work
-	// (0 = GOMAXPROCS; 1 = sequential). Released outputs are identical at
-	// every setting.
-	Workers int
 	// Faults is a fault-injection schedule, e.g.
 	// "seed=7,upload=0.1,dropout=0.005,shard@1" — comma-separated rates per
 	// fault kind (upload, dropout, dealer, shard) plus forced
@@ -250,11 +246,6 @@ type DeploymentConfig struct {
 	// seed, so a run replays deterministically; see docs/FAULTS.md. Empty
 	// disables injection.
 	Faults string
-	// IngestShards and IngestBatch shape input collection's sharded
-	// streaming pipeline (docs/INGEST.md); they default to 8 and 64 when
-	// ≤ 0, and released outputs are identical at every shape.
-	IngestShards int
-	IngestBatch  int
 }
 
 // Deployment is a running simulated federated-analytics system.
@@ -277,10 +268,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		ByzantineAggregator: cfg.ByzantineAggregator,
 		Data:                cfg.Data,
 		BudgetEpsilon:       cfg.BudgetEpsilon,
-		Workers:             cfg.Workers,
 		Faults:              plan,
-		IngestShards:        cfg.IngestShards,
-		IngestBatch:         cfg.IngestBatch,
 	})
 	if err != nil {
 		return nil, err

@@ -5,16 +5,16 @@
 //	arboretum plan  -query top1 [-n 1073741824] [-goal device-expected-cpu]
 //	arboretum plan  -query median -limit-max-sent-user 1000 -limit-agg-core-hours 1000
 //	arboretum plan  -file my_query.txt -categories 1024
-//	arboretum run   -query top1 [-devices 128] [-committee 5] [-workers 4]
+//	arboretum run   -query top1 [-devices 128] [-committee 5]
 //	arboretum list
 //
 // `plan` prints the chosen plan (vignettes, committees, six-metric cost) for
 // a deployment of -n participants; the -limit-* flags bound what the plan may
 // cost each entity (unset limits default to the paper's evaluation setup).
 // `run` plans the query for a small simulated deployment and executes that
-// plan end to end with real cryptography; its -workers bounds the runtime's
-// worker pool (default: GOMAXPROCS), and query outputs are identical at every
-// worker count. `list` shows the built-in evaluation queries.
+// plan end to end with real cryptography; the runtime's worker pools follow
+// GOMAXPROCS, and query outputs are identical at every setting. `list` shows
+// the built-in evaluation queries.
 package main
 
 import (
@@ -64,9 +64,8 @@ func usage() {
                     [-limit-avg-sent-user MB] [-limit-avg-comp-user s]
                     [-limit-max-sent-user MB] [-limit-max-comp-user s]
                     [-limit-agg-core-hours h] [-limit-agg-sent GB]
-  arboretum run     -query <name> | -file <path> [-devices D] [-committee M] [-seed S] [-workers W]
+  arboretum run     -query <name> | -file <path> [-devices D] [-committee M] [-seed S]
                     [-faults "seed=7,upload=0.1,dropout=0.005"]
-                    [-ingest-shards S] [-ingest-batch B]
   arboretum explain -query <name> | -file <path> [-n N] -dim sum|em|noise|compute
   arboretum list`)
 }
@@ -173,10 +172,7 @@ func runCmd(args []string) error {
 	categories := fs.Int64("categories", 8, "categories for the simulated data")
 	committee := fs.Int("committee", 5, "committee size")
 	seed := fs.Int64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size for per-device work (0 = GOMAXPROCS)")
 	faultSpec := fs.String("faults", "", `fault schedule, e.g. "seed=7,upload=0.1,dropout=0.005,shard@1" (see docs/FAULTS.md)`)
-	shards := fs.Int("ingest-shards", 0, "ingest shard count (0 = default 8; docs/INGEST.md)")
-	batch := fs.Int("ingest-batch", 0, "ingest batch size (0 = default 64)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -189,9 +185,7 @@ func runCmd(args []string) error {
 	}
 	d, err := arboretum.NewDeployment(arboretum.DeploymentConfig{
 		Devices: *devices, Categories: int(c), CommitteeSize: *committee,
-		Seed: *seed, BudgetEpsilon: 1000, Workers: *workers,
-		Faults:       *faultSpec,
-		IngestShards: *shards, IngestBatch: *batch,
+		Seed: *seed, BudgetEpsilon: 1000, Faults: *faultSpec,
 	})
 	if err != nil {
 		return err

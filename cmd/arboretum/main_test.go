@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -138,19 +139,21 @@ func TestRunCmdBadFaultSpec(t *testing.T) {
 // TestRunCmdStreamMatchesLegacy is the CLI half of the ingest equivalence
 // contract (docs/INGEST.md): at the same seed, `run` prints the transcript
 // the deleted materialize-and-audit path printed — recorded here from the
-// commit before that deletion, for a plain and a sampled query — at the
-// default shape and at any shard/batch/worker shape, and a forced shard crash
-// recovers from its batch checkpoint without changing it. The sampled
-// query's released values are still that recording; top1's output was
-// re-captured (0 → 2) when `run` began executing the plan it makes — Gumbel
-// em at this shape — instead of the exponentiate variant a plan-less run
-// defaulted to, and both transcripts gained the executed plan's choices line.
+// commit before that deletion, for a plain and a sampled query — at
+// GOMAXPROCS 1 and 4, and a forced shard crash recovers from its batch
+// checkpoint without changing it. The sampled query's released values are
+// still that recording; top1's output was re-captured (0 → 2) when `run`
+// began executing the plan it makes — Gumbel em at this shape — instead of
+// the exponentiate variant a plan-less run defaulted to, and both
+// transcripts gained the executed plan's choices line. The sampled query is
+// charged ε amplified by the rate its window of one bin in 16 realizes, not
+// by the 0.01 it asks for.
 func TestRunCmdStreamMatchesLegacy(t *testing.T) {
 	const (
 		top1 = "accepted inputs: 48\ncharged ε: 0.1\n" +
 			"choices: map[em:gumbel-noise-4-tree-12 input:onehot+zkp output:committee-reconstruct sum:aggregator-loop]\n" +
 			"output[0] = 2\n"
-		secrecy = "accepted inputs: 64\ncharged ε: 0.01704\n" +
+		secrecy = "accepted inputs: 64\ncharged ε: 0.102\n" +
 			"choices: map[compute:committee-slice-1 input:onehot+zkp noise:committee-slice-1 output:committee-reconstruct sample:bin-window sum:aggregator-loop]\n" +
 			"output[0] = 200\noutput[1] = -1800\noutput[2] = 2200\noutput[3] = 1\n"
 	)
@@ -161,21 +164,22 @@ func TestRunCmdStreamMatchesLegacy(t *testing.T) {
 		{[]string{"-query", "top1", "-devices", "48", "-committee", "5", "-seed", "7"}, top1},
 		{[]string{"-query", "secrecy", "-devices", "64", "-seed", "3"}, secrecy},
 	} {
-		for _, extra := range [][]string{
-			nil,
-			{"-ingest-shards", "3", "-ingest-batch", "5", "-workers", "4"},
-		} {
-			got, err := captureRun(t, append(append([]string{}, tc.base...), extra...))
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got, err := captureRun(t, tc.base)
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
-				t.Fatalf("run %v %v: %v", tc.base, extra, err)
+				t.Fatalf("run %v at GOMAXPROCS %d: %v", tc.base, procs, err)
 			}
 			if got != tc.legacy {
-				t.Errorf("transcript %v %v diverged from legacy:\n--- legacy ---\n%s\n--- got ---\n%s", tc.base, extra, tc.legacy, got)
+				t.Errorf("transcript %v at GOMAXPROCS %d diverged from legacy:\n--- legacy ---\n%s\n--- got ---\n%s", tc.base, procs, tc.legacy, got)
 			}
 		}
 	}
+	// 48 devices over the default 8 shards: shard 1 holds 6 devices, one
+	// batch, so the crash lands before anything is committed.
 	crashed, err := captureRun(t, []string{"-query", "top1", "-devices", "48", "-committee", "5", "-seed", "7",
-		"-ingest-batch", "8", "-faults", "seed=7,shard@1"})
+		"-faults", "seed=7,shard@1"})
 	if err != nil {
 		t.Fatalf("run with forced shard crash: %v", err)
 	}

@@ -9,7 +9,7 @@
 //	arboretumd [-addr :8750] [-ledger arboretumd.ledger] \
 //	           [-tenants "alice=5,bob=3"] \
 //	           [-devices 96] [-categories 8] [-committee 5] [-seed 1] \
-//	           [-workers 0] [-job-workers 2] [-queue 64] \
+//	           [-job-workers 2] [-queue 64] \
 //	           [-rate 5] [-burst 10] [-max-inflight 4] \
 //	           [-job-timeout 0] [-retain-jobs 10000] [-drain-timeout 30s] \
 //	           [-faults ""] [-secure-noise]
@@ -93,7 +93,6 @@ func run(args []string) error {
 	categories := fs.Int("categories", 8, "one-hot categories per device input")
 	committee := fs.Int("committee", 5, "committee size")
 	seed := fs.Int64("seed", 1, "base seed; job j runs on seed+j")
-	workers := fs.Int("workers", 0, "per-job runtime worker pool (0 = GOMAXPROCS)")
 	jobWorkers := fs.Int("job-workers", 2, "jobs executing concurrently")
 	queue := fs.Int("queue", 64, "submit queue depth (full queue = 503)")
 	rate := fs.Float64("rate", 5, "per-tenant sustained submissions per second (0 = unlimited)")
@@ -129,7 +128,6 @@ func run(args []string) error {
 		CommitteeSize: *committee,
 		Seed:          *seed,
 		SecureNoise:   *secureNoise,
-		Workers:       *workers,
 		JobWorkers:    *jobWorkers,
 		QueueDepth:    *queue,
 		Rate:          *rate,

@@ -38,6 +38,9 @@ import (
 // subcommand, arboretumd, experiments or arbload — may name only the -flags
 // that command's FlagSet declares in its cmd/*/main.go.
 //
+// The verify skill notes (.claude/skills/verify/SKILL.md) are scanned with
+// the living docs: they hand the next reader commands to paste.
+//
 // bench/README.md is not scanned: bench/ is the benchmark's own module and
 // changes only together with the benchmark, and its prose still names the
 // StreamIngest switch that collection no longer has. CHANGES.md and
@@ -67,7 +70,7 @@ func TestDocNamesResolve(t *testing.T) {
 	}
 	tree := walkDocTree(t)
 	bench := readBenchmarkNames(t)
-	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
+	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}, docs...) {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -118,8 +121,9 @@ func TestDocNamesResolve(t *testing.T) {
 
 // TestDocGoNamesResolver holds the Go-name rule to one good and one planted
 // bad name of each form: a declaration that lives only in a test file does
-// not resolve. The command-line rule gets a planted pair too: plan has no
-// -workers, run has.
+// not resolve, and neither does a field that was deleted. The command-line
+// rule gets planted names too: neither plan nor run has -workers, run has
+// -faults.
 func TestDocGoNamesResolver(t *testing.T) {
 	tree := walkDocTree(t)
 	for name, want := range map[string]bool{
@@ -127,7 +131,8 @@ func TestDocGoNamesResolver(t *testing.T) {
 		"bgv.NoSuchParams":       false, //
 		"bgv.Context.Mul":        true,  // pkg.Type.Method
 		"bgv.Context.Sum":        false, // declared in ops_test.go only
-		"runtime.Config.Workers": true,  // pkg.Type.Field
+		"runtime.Config.Faults":  true,  // pkg.Type.Field
+		"runtime.Config.Workers": false, // deleted: GOMAXPROCS sizes the pools
 		"vsr.(*Group).Commit":    true,  // pkg.(*Type).Method
 		"vsr.(*Group).Deal":      false, //
 		"vsr.Commit":             true,  // shorthand pkg.Method
@@ -143,7 +148,8 @@ func TestDocGoNamesResolver(t *testing.T) {
 	}
 	for span, want := range map[string]bool{
 		"arboretum plan -workers": false,
-		"arboretum run -workers":  true,
+		"arboretum run -workers":  false,
+		"arboretum run -faults":   true,
 		"arboretumd -faults":      true,
 		"arbload -faults":         false,
 	} {

@@ -165,6 +165,19 @@ func AmplifyBySampling(epsilon, phi float64) (float64, error) {
 	return math.Log1p(phi * (math.Expm1(epsilon))), nil
 }
 
+// SampleBinCount is the bin protocol's b: the number of bins a device hides
+// its input among (the paper uses the plaintext slots of a standard
+// ciphertext).
+const SampleBinCount = 16
+
+// SampleWindow is the bin protocol's x for a requested sampling rate φ: the
+// number of the SampleBinCount bins the committee decrypts, round(φ·b)
+// clamped to [1, b]. The rate the protocol realizes is x/b, not φ, and x/b
+// is the rate amplification by sampling must be charged at.
+func SampleWindow(phi float64) int {
+	return min(max(int(phi*SampleBinCount+0.5), 1), SampleBinCount)
+}
+
 // SampleBins implements the bin protocol from Section 6: given b bins and a
 // target sample size fraction x/b, the committee draws a starting bin j and
 // decrypts only bins j..j+x−1 (mod b). Devices independently place their

@@ -192,6 +192,18 @@ func TestSampleBinsErrors(t *testing.T) {
 	}
 }
 
+// TestSampleWindow pins the rounding from a requested rate to whole bins: a
+// window is never empty and never wider than SampleBinCount.
+func TestSampleWindow(t *testing.T) {
+	for phi, want := range map[float64]int{
+		0.001: 1, 0.01: 1, 0.05: 1, 0.1: 2, 0.25: 4, 0.5: 8, 0.97: 16, 1: 16,
+	} {
+		if got := SampleWindow(phi); got != want {
+			t.Errorf("SampleWindow(%g) = %d, want %d", phi, got, want)
+		}
+	}
+}
+
 func BenchmarkLaplace(b *testing.B) {
 	rng := NewRand(1)
 	scale := fixed.FromFloat(1.5)

@@ -51,7 +51,7 @@ type Certificate struct {
 	Epsilon     float64 // total ε under sequential composition
 	Delta       float64 // δ from finite-precision tail clipping (Section 6)
 	Sensitivity int64   // worst-case per-row influence on any aggregate
-	SampleRate  float64 // secrecy-of-the-sample rate, 1 if unsampled
+	SampleRate  float64 // secrecy-of-the-sample rate the bin window realizes, 1 if unsampled
 	Mechanisms  []MechanismUse
 }
 
@@ -332,9 +332,10 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 				ex.Position(), c.sampledAt)
 		}
 		c.sampledAt = ex.Position()
-		rate := c.floatArgValue(ex, 0, 1)
-		if rate > 0 && rate < 1 {
-			c.cert.SampleRate = rate
+		// The runtime decrypts a window of whole bins, so the rate it
+		// collects at, and the one ε is amplified by, is the window's x/b.
+		if rate := c.floatArgValue(ex, 0, 1); rate > 0 && rate < 1 {
+			c.cert.SampleRate = float64(mechanism.SampleWindow(rate)) / mechanism.SampleBinCount
 		}
 		return argT[0], nil
 	case "len":

@@ -164,6 +164,8 @@ output(declassify(best[0]));
 	}
 }
 
+// TestSamplingAmplification: ε is amplified by the rate the bin window
+// realizes, one of 16 bins for sampleUniform(0.01), not by the 0.01 asked for.
 func TestSamplingAmplification(t *testing.T) {
 	c := mustCertify(t, `
 sampled = sampleUniform(0.01);
@@ -171,10 +173,10 @@ aggr = sum(db);
 n = laplace(aggr[0], 1.0);
 output(declassify(n));
 `)
-	if c.SampleRate != 0.01 {
-		t.Errorf("sample rate = %g", c.SampleRate)
+	if c.SampleRate != 1.0/16 {
+		t.Errorf("sample rate = %g, want the window's 1/16", c.SampleRate)
 	}
-	want := math.Log1p(0.01 * math.Expm1(1.0))
+	want := math.Log1p(math.Expm1(1.0) / 16)
 	if math.Abs(c.Epsilon-want) > 1e-9 {
 		t.Errorf("amplified ε = %g, want %g", c.Epsilon, want)
 	}

@@ -58,10 +58,12 @@ func chaosShapedDeployment(t *testing.T, plan *faults.Plan, seed int64, shards, 
 	d, err := NewDeployment(Config{
 		N: chaosN, Categories: 4, CommitteeSize: 5, Seed: seed, KeyBits: 256,
 		BudgetEpsilon: 1000, Data: chaosData, Faults: plan,
-		IngestShards: shards, IngestBatch: batch,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if shards > 0 {
+		d.shards, d.batch = shards, batch
 	}
 	return d
 }

@@ -17,13 +17,13 @@ output(declassify(noised));`
 func TestChurnQueryStillCompletes(t *testing.T) {
 	d := smallDeployment(t, 200, 1, func(c *Config) {
 		c.OfflineFrac = 0.2
-		// 9-member committees tolerating a third offline: a 20%-churn world
-		// needs either bigger committees or a bigger g, exactly the trade
-		// the MinCommitteeSize solver captures at scale.
 		c.CommitteeSize = 9
-		c.OfflineTolerance = 0.34
 		c.Data = func(int) int { return 0 }
 	})
+	// 9-member committees tolerating a third offline: a 20%-churn world
+	// needs either bigger committees or a bigger g, exactly the trade the
+	// MinCommitteeSize solver captures at scale.
+	d.g = 0.34
 	res, err := d.Run(countSrc, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestViableCommitteeMatrix(t *testing.T) {
 	d := smallDeployment(t, 64, 2)
 	cases := []struct {
 		m int     // committee size
-		g float64 // configured tolerance (0 = default 0.15)
+		g float64 // tolerance (0 = the default, sortition.DefaultSizeParams.G)
 	}{
 		{4, 0.15},
 		{5, 0.15},
@@ -63,11 +63,12 @@ func TestViableCommitteeMatrix(t *testing.T) {
 		{10, 0.3},
 		{16, 0.2},
 	}
+	def := d.g // the tolerance NewDeployment set
 	for _, tc := range cases {
-		d.cfg.OfflineTolerance = tc.g
+		d.g = tc.g
 		gEff := tc.g
-		if gEff == 0 {
-			gEff = 0.15
+		if tc.g == 0 {
+			d.g, gEff = def, sortition.DefaultSizeParams.G
 		}
 		c := make(sortition.Committee, tc.m)
 		for i := range c {
@@ -89,7 +90,6 @@ func TestViableCommitteeMatrix(t *testing.T) {
 			d.Devices[i].Offline = false
 		}
 	}
-	d.cfg.OfflineTolerance = 0
 }
 
 func TestPickViableReassigns(t *testing.T) {

@@ -115,11 +115,7 @@ func (ce *committeeExec) health() error {
 	if online < m/2+1 || online < 3 {
 		return fmt.Errorf("%w: %d of %d members reachable", ErrCommitteeBroken, online, m)
 	}
-	g := ce.dep.cfg.OfflineTolerance
-	if g == 0 {
-		g = 0.15
-	}
-	if float64(m-online) > g*float64(m) {
+	if !ce.dep.tolerates(m-online, m) {
 		return fmt.Errorf("%w: %d of %d members reachable", ErrCommitteeDegraded, online, m)
 	}
 	return nil
@@ -178,7 +174,7 @@ func (ce *committeeExec) decryptToShares(km *keyMaterial, cts []*ahe.Ciphertext)
 	if err != nil {
 		return nil, err
 	}
-	pts, err := parallel.Map(nil, len(cts), ce.dep.workers(), func(i int) (int64, error) {
+	pts, err := parallel.Map(nil, len(cts), 0, func(i int) (int64, error) {
 		return decryptInt64(sk, cts[i])
 	})
 	if err != nil {

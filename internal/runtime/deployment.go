@@ -17,7 +17,7 @@
 // Input collection — encrypting one-hot rows, generating and verifying
 // proofs, folding — is embarrassingly parallel across ingest shards, and the
 // runtime fans the shards (and the combine tree's groups) out over the
-// internal/parallel worker pool (Config.Workers; 0 = auto). A Deployment
+// internal/parallel worker pool, sized by GOMAXPROCS. A Deployment
 // itself is NOT safe for concurrent use: Run mutates shared state (metrics,
 // budget, RNG). Determinism is preserved at every worker count because all
 // draws from the deployment's seeded RNG happen sequentially on the
@@ -42,7 +42,6 @@ import (
 	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
 	"arboretum/internal/merkle"
-	"arboretum/internal/parallel"
 	"arboretum/internal/privacy"
 	"arboretum/internal/shamir"
 	"arboretum/internal/sortition"
@@ -68,23 +67,16 @@ type Config struct {
 
 	// OfflineFrac of devices are unreachable during the query. Committees
 	// that lose too many members have their tasks reassigned to the next
-	// committee (Section 5.1's churn handling; the tolerated fraction is
-	// OfflineTolerance, the paper's g, default 0.15).
-	OfflineFrac      float64
-	OfflineTolerance float64
+	// committee (Section 5.1's churn handling; the tolerated fraction is the
+	// paper's g, sortition.DefaultSizeParams.G, the value the planner sizes
+	// committees at).
+	OfflineFrac float64
 
 	// Data assigns each device its category; nil uses a Zipf-like default.
 	Data func(device int) int
 
 	// BudgetEpsilon is the deployment's total privacy budget (default 10).
 	BudgetEpsilon float64
-
-	// Workers bounds the worker pool used for input collection (one task
-	// per ingest shard) and the combine tree. 0 resolves via
-	// parallel.Workers to GOMAXPROCS. 1 forces the sequential paths
-	// (bit-identical to the pre-parallel runtime). Run's plan search does
-	// not read it (PlanRequest).
-	Workers int
 
 	// SecureNoise draws committee noise from crypto/rand
 	// (mechanism.CryptoRand) instead of the seeded simulation stream. A
@@ -99,16 +91,6 @@ type Config struct {
 	// Schedules are pure functions of the plan's seed, so a run replays
 	// bit-for-bit (docs/FAULTS.md).
 	Faults *faults.Plan
-
-	// IngestShards and IngestBatch shape input collection (docs/INGEST.md;
-	// defaults 8 and 64): devices upload in batches to IngestShards
-	// per-shard aggregators that verify, fold, and commit incrementally,
-	// and the shard partials combine in a tree. Both are fixed counts —
-	// never derived from GOMAXPROCS — so fault schedules addressed by
-	// (shard, batch, attempt) replay identically on any machine at any
-	// worker count, and the released outputs are identical at every shape.
-	IngestShards int
-	IngestBatch  int
 }
 
 // Device is one participant.
@@ -125,6 +107,14 @@ type Deployment struct {
 	cfg     Config
 	Devices []*Device
 	Budget  *privacy.Budget
+
+	// shards and batch shape input collection (defaultIngestShards,
+	// defaultIngestBatch; docs/INGEST.md), and g is the churn tolerance
+	// (sortition.DefaultSizeParams.G). NewDeployment fixes all three, and
+	// released outputs are identical at every shape; in-package tests vary
+	// them.
+	shards, batch int
+	g             float64
 
 	block    []byte       // sortition randomness B_i
 	registry *merkle.Tree // registered devices (M_i)
@@ -224,8 +214,14 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if cfg.BudgetEpsilon == 0 {
 		cfg.BudgetEpsilon = 10
 	}
-	//arblint:ignore randsource deterministic device data is the simulation replay contract
-	d := &Deployment{cfg: cfg, rng: mrand.New(mrand.NewSource(cfg.Seed))}
+	d := &Deployment{
+		cfg:    cfg,
+		shards: defaultIngestShards,
+		batch:  defaultIngestBatch,
+		g:      sortition.DefaultSizeParams.G,
+		//arblint:ignore randsource deterministic device data is the simulation replay contract
+		rng: mrand.New(mrand.NewSource(cfg.Seed)),
+	}
 	budget, err := privacy.NewBudget(cfg.BudgetEpsilon, 1e-6)
 	if err != nil {
 		return nil, err
@@ -275,9 +271,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-// workers resolves the deployment's effective worker count.
-func (d *Deployment) workers() int { return parallel.Workers(d.cfg.Workers) }
-
 // onlineMembers filters a committee to its reachable members.
 func (d *Deployment) onlineMembers(c sortition.Committee) sortition.Committee {
 	var out sortition.Committee
@@ -294,15 +287,17 @@ func (d *Deployment) onlineMembers(c sortition.Committee) sortition.Committee {
 // strict majority of the original size must remain so reconstruction
 // thresholds hold.
 func (d *Deployment) viableCommittee(c sortition.Committee) bool {
-	g := d.cfg.OfflineTolerance
-	if g == 0 {
-		g = 0.15
-	}
 	online := len(d.onlineMembers(c))
 	if online < len(c)/2+1 || online < 3 {
 		return false
 	}
-	return float64(len(c)-online) <= g*float64(len(c))
+	return d.tolerates(len(c)-online, len(c))
+}
+
+// tolerates reports whether offline of a committee's m members stay within
+// the churn tolerance g·m.
+func (d *Deployment) tolerates(offline, m int) bool {
+	return float64(offline) <= d.g*float64(m)
 }
 
 // pickViable returns the first viable committees from the sortition output,

@@ -15,6 +15,7 @@ import (
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
 	"arboretum/internal/hashing"
+	"arboretum/internal/mechanism"
 	"arboretum/internal/merkle"
 	"arboretum/internal/parallel"
 	"arboretum/internal/zkp"
@@ -67,14 +68,13 @@ type shardRun struct {
 
 // ingestSpec configures one sharded, streaming ingest run.
 type ingestSpec struct {
-	pub     *ahe.PublicKey
-	width   int // ciphertexts per upload: the packed row's Packing.Ciphertexts
-	batch   int // devices folded per batch: the bounded-memory unit
-	fanout  int // shard-combine tree fanout (≤ 1 = defaultCombineFanout)
-	workers int
-	plan    *faults.Plan
-	track   bool       // record accepted device indices (the bin protocol needs them)
-	gauge   *heapGauge // optional peak-heap sampling for the test harness
+	pub    *ahe.PublicKey
+	width  int // ciphertexts per upload: the packed row's Packing.Ciphertexts
+	batch  int // devices folded per batch: the bounded-memory unit
+	fanout int // shard-combine tree fanout (≤ 1 = defaultCombineFanout)
+	plan   *faults.Plan
+	track  bool       // record accepted device indices (the bin protocol needs them)
+	gauge  *heapGauge // optional peak-heap sampling for the test harness
 	// byz makes the aggregator Byzantine: it shifts the partial that batch
 	// byzBatch of shard byzShard commits and carries the lie forward.
 	byz                bool
@@ -376,7 +376,7 @@ type ingestResult struct {
 // lowest-shard error first, so the whole phase is deterministic at every
 // worker and shard count.
 func runShardedIngest(sp *ingestSpec, jobs []shardRun) (*ingestResult, error) {
-	shards, err := parallel.Map(nil, len(jobs), sp.workers, func(s int) (*shardResult, error) {
+	shards, err := parallel.Map(nil, len(jobs), 0, func(s int) (*shardResult, error) {
 		return sp.runShard(s, jobs[s])
 	})
 	if err != nil {
@@ -398,7 +398,7 @@ func runShardedIngest(sp *ingestSpec, jobs []shardRun) (*ingestResult, error) {
 	if res.accepted == 0 {
 		return res, nil
 	}
-	sums, sent, err := combinePartials(sp.pub, partials, sp.fanout, sp.workers)
+	sums, sent, err := combinePartials(sp.pub, partials, sp.fanout)
 	if err != nil {
 		return nil, err
 	}
@@ -428,13 +428,13 @@ func runShardedIngest(sp *ingestSpec, jobs []shardRun) (*ingestResult, error) {
 // generated (aggregator-side: shard partials travel between aggregator
 // tiers, not from devices). Every tree shape performs len(partials)−1
 // additions per cell, so the traffic is the same at every fanout.
-func combinePartials(pub *ahe.PublicKey, partials [][]*ahe.Ciphertext, fanout, workers int) ([]*ahe.Ciphertext, int64, error) {
+func combinePartials(pub *ahe.PublicKey, partials [][]*ahe.Ciphertext, fanout int) ([]*ahe.Ciphertext, int64, error) {
 	if fanout <= 1 {
 		fanout = defaultCombineFanout
 	}
 	var total int64
 	for len(partials) > 1 {
-		next, sent, err := foldGroups(pub, partials, fanout, workers)
+		next, sent, err := foldGroups(pub, partials, fanout)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -553,22 +553,15 @@ func (d *Deployment) ingest(km *keyMaterial, cells, fanout int, hot func(onlineI
 			online = append(online, dev)
 		}
 	}
-	shards, batch := d.cfg.IngestShards, d.cfg.IngestBatch
-	if shards <= 0 {
-		shards = defaultIngestShards
-	}
-	if batch <= 0 {
-		batch = defaultIngestBatch
-	}
+	shards, batch := d.shards, d.batch
 	sp := &ingestSpec{
-		pub:     km.pub,
-		width:   codec.Ciphertexts(),
-		batch:   batch,
-		fanout:  fanout,
-		workers: d.workers(),
-		plan:    d.cfg.Faults,
-		track:   track,
-		ctx:     d.runCtx,
+		pub:    km.pub,
+		width:  codec.Ciphertexts(),
+		batch:  batch,
+		fanout: fanout,
+		plan:   d.cfg.Faults,
+		track:  track,
+		ctx:    d.runCtx,
 	}
 	jobs := make([]shardRun, shards)
 	for s := 0; s < shards; s++ {
@@ -653,7 +646,7 @@ func (d *Deployment) unpack(km *keyMaterial, codec *ahe.Packing, packed []*ahe.C
 	if err != nil {
 		return nil, err
 	}
-	pts, err := parallel.Map(nil, len(packed), d.workers(), func(k int) (*big.Int, error) {
+	pts, err := parallel.Map(nil, len(packed), 0, func(k int) (*big.Int, error) {
 		return sk.Decrypt(packed[k])
 	})
 	if err != nil {
@@ -663,7 +656,7 @@ func (d *Deployment) unpack(km *keyMaterial, codec *ahe.Packing, packed []*ahe.C
 	if err != nil {
 		return nil, fmt.Errorf("runtime: unpack: %w", err)
 	}
-	return parallel.Map(nil, len(counts), d.workers(), func(c int) (*ahe.Ciphertext, error) {
+	return parallel.Map(nil, len(counts), 0, func(c int) (*ahe.Ciphertext, error) {
 		return km.pub.Encrypt(rand.Reader, big.NewInt(counts[c]))
 	})
 }
@@ -694,10 +687,10 @@ func (d *Deployment) collectBinned(km *keyMaterial, fanout int) ([]*ahe.Cipherte
 	var chosen []int
 	for _, dev := range d.Devices {
 		if !dev.Offline {
-			chosen = append(chosen, d.rng.Intn(sampleBinCount))
+			chosen = append(chosen, d.rng.Intn(mechanism.SampleBinCount))
 		}
 	}
-	res, err := d.ingest(km, sampleBinCount*cats, fanout, func(onlineIdx int, dev *Device) int {
+	res, err := d.ingest(km, mechanism.SampleBinCount*cats, fanout, func(onlineIdx int, dev *Device) int {
 		return chosen[onlineIdx]*cats + dev.Category
 	}, true)
 	if err != nil {

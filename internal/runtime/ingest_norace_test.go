@@ -33,7 +33,7 @@ func TestIngestMemoryFlat(t *testing.T) {
 		goruntime.GC() // settle the baseline before sampling begins
 		gauge := &heapGauge{}
 		gauge.sample(true)
-		res, err := virtualIngest(pop, &sk.PublicKey, uint64(n), 8, 1024, 0, nil, gauge)
+		res, err := virtualIngest(pop, &sk.PublicKey, uint64(n), 8, 1024, nil, gauge)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func ingestHistogram(t *testing.T, sk *ahe.PrivateKey, pop *virtualPopulation, r
 func TestVirtualIngestExactHistogram(t *testing.T) {
 	sk := ingestKey(t)
 	pop := newVirtualPopulation(99, 2000, 8)
-	res, err := virtualIngest(pop, &sk.PublicKey, 1, 8, 64, 4, nil, nil)
+	res, err := virtualIngest(pop, &sk.PublicKey, 1, 8, 64, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestVirtualIngestCrashResumeExact(t *testing.T) {
 	sk := ingestKey(t)
 	pop := newVirtualPopulation(99, 2000, 8)
 	plan := faults.New(1).Force(faults.ShardCrash, 2)
-	res, err := virtualIngest(pop, &sk.PublicKey, 2, 8, 64, 4, plan, nil)
+	res, err := virtualIngest(pop, &sk.PublicKey, 2, 8, 64, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestVirtualIngestCrashScheduleExact(t *testing.T) {
 	crashes, resumes, completed := 0, 0, 0
 	for seed := uint64(30); seed < 36; seed++ {
 		plan := faults.New(seed).SetRate(faults.ShardCrash, 0.15)
-		res, err := virtualIngest(pop, &sk.PublicKey, seed, 8, 32, 4, plan, nil)
+		res, err := virtualIngest(pop, &sk.PublicKey, seed, 8, 32, plan, nil)
 		if err != nil {
 			if !errors.Is(err, ErrShardFailed) {
 				t.Fatalf("seed %d: untyped failure: %v", seed, err)
@@ -162,7 +162,7 @@ func TestVirtualIngestTotalCrashFailsClosed(t *testing.T) {
 	sk := ingestKey(t)
 	pop := newVirtualPopulation(99, 500, 4)
 	plan := faults.New(9).SetRate(faults.ShardCrash, 1)
-	res, err := virtualIngest(pop, &sk.PublicKey, 3, 4, 32, 4, plan, nil)
+	res, err := virtualIngest(pop, &sk.PublicKey, 3, 4, 32, plan, nil)
 	if err == nil {
 		t.Fatalf("ingest completed under total crash: accepted=%d", res.accepted)
 	}
@@ -173,15 +173,16 @@ func TestVirtualIngestTotalCrashFailsClosed(t *testing.T) {
 
 // --- shape invariance against the recorded golden table ---
 
-// ingestEqCfg is one run of the equivalence matrix (0 = the default).
+// ingestEqCfg is one run of the equivalence matrix (0 = the default; procs
+// is GOMAXPROCS).
 type ingestEqCfg struct {
 	shards, batch int
-	workers       int
+	procs         int
 	fanout        int
 }
 
 func (c ingestEqCfg) String() string {
-	return fmt.Sprintf("s%d.b%d.w%d.f%d", c.shards, c.batch, c.workers, c.fanout)
+	return fmt.Sprintf("s%d.b%d.p%d.f%d", c.shards, c.batch, c.procs, c.fanout)
 }
 
 // ingestEqRun executes one full query with upload faults armed and returns
@@ -193,19 +194,21 @@ func ingestEqRun(t *testing.T, src string, seed int64, cfg ingestEqCfg) (*Result
 	plan := faults.New(77).SetRate(faults.UploadTimeout, 0.12)
 	d, err := NewDeployment(Config{
 		N: 64, Categories: 4, CommitteeSize: 5, Seed: seed, KeyBits: 256,
-		// OfflineTolerance 0.4: churned devices must exercise the ingest's
-		// online slicing, but committee composition rides on crypto/rand
-		// sortition keys — at the default tolerance a 10%-offline population
-		// makes committee viability a per-process dice roll.
-		MaliciousFrac: 0.1, OfflineFrac: 0.1, OfflineTolerance: 0.4,
-		BudgetEpsilon: 1000,
-		Workers:       cfg.workers, Faults: plan,
-		IngestShards: cfg.shards, IngestBatch: cfg.batch,
+		MaliciousFrac: 0.1, OfflineFrac: 0.1, BudgetEpsilon: 1000, Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runWith(t, d, src, nil, withFanout(cfg.fanout))
+	// g = 0.4: churned devices must exercise the ingest's online slicing,
+	// but committee composition rides on crypto/rand sortition keys — at the
+	// default tolerance a 10%-offline population makes committee viability a
+	// per-process dice roll.
+	d.g = 0.4
+	if cfg.shards > 0 {
+		d.shards, d.batch = cfg.shards, cfg.batch
+	}
+	var res *Result
+	withProcs(cfg.procs, func() { res, err = runWith(t, d, src, nil, withFanout(cfg.fanout)) })
 	if err != nil {
 		t.Fatalf("%v: %v", cfg, err)
 	}
@@ -271,12 +274,12 @@ output(declassify(noised));`
 		}},
 	}
 	variants := []ingestEqCfg{
-		{}, // every default: 8 shards, batch 64, auto workers, pairwise combine
-		{shards: 1, batch: 8, workers: 1},
-		{shards: 3, batch: 8, workers: 4, fanout: 8},
-		{shards: 8, batch: 8, workers: 2, fanout: 3},
-		{shards: 5, batch: 3, workers: 1, fanout: 2},
-		{shards: 16, batch: 1, workers: 4, fanout: 100},
+		{}, // every default: 8 shards, batch 64, the process's GOMAXPROCS, pairwise combine
+		{shards: 1, batch: 8, procs: 1},
+		{shards: 3, batch: 8, procs: 4, fanout: 8},
+		{shards: 8, batch: 8, procs: 2, fanout: 3},
+		{shards: 5, batch: 3, procs: 1, fanout: 2},
+		{shards: 16, batch: 1, procs: 4, fanout: 100},
 	}
 	for _, shape := range shapes {
 		t.Run(fmt.Sprintf("%s/seed%d", shape.name, shape.seed), func(t *testing.T) {
@@ -417,12 +420,12 @@ func TestIngestByzantineDetected(t *testing.T) {
 		d, err := NewDeployment(Config{
 			N: 64, Categories: 4, CommitteeSize: 5, Seed: seed, KeyBits: 256,
 			BudgetEpsilon: 1000, ByzantineAggregator: true,
-			Data:         func(int) int { return 0 }, // cell 0 is never empty
-			IngestShards: shards, IngestBatch: 8,
+			Data: func(int) int { return 0 }, // cell 0 is never empty
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.shards, d.batch = shards, 8
 		_, err = d.Run(countSrc, RunOptions{})
 		if err == nil {
 			t.Fatalf("seed %d: run completed with a Byzantine aggregator", seed)
@@ -446,15 +449,16 @@ func TestIngestSmallShapes(t *testing.T) {
 	for _, shards := range []int{16, 7, 1} {
 		d, err := NewDeployment(Config{
 			N: 8, Categories: 2, CommitteeSize: 4, Seed: 5, KeyBits: 256,
-			// Two 4-member committees cover all 8 devices; with one device
-			// churned away both stay viable at g = 0.4.
-			OfflineTolerance: 0.4, BudgetEpsilon: 1000,
-			Data:         func(int) int { return 0 },
-			IngestShards: shards, IngestBatch: 4,
+			BudgetEpsilon: 1000,
+			Data:          func(int) int { return 0 },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Two 4-member committees cover all 8 devices; with one device
+		// churned away both stay viable at g = 0.4.
+		d.g = 0.4
+		d.shards, d.batch = shards, 4
 		d.Devices[3].Offline = true
 		res, err := d.Run(countSrc, RunOptions{})
 		if err != nil {
@@ -491,7 +495,7 @@ func TestCombineFanoutInvariant(t *testing.T) {
 	cell := int64((sk.N2.BitLen() + 7) / 8)
 	var want []*ahe.Ciphertext
 	for _, fanout := range []int{0, 2, 8, shards + 3} {
-		res := auditFixture(t, sk, pop, shards, 16, ingestSpec{fanout: fanout, workers: 4})
+		res := auditFixture(t, sk, pop, shards, 16, ingestSpec{fanout: fanout})
 		adds := int64((shards - 1) * pop.codec.Ciphertexts())
 		if want == nil {
 			want = res.sums
@@ -511,7 +515,7 @@ func TestCombineFanoutInvariant(t *testing.T) {
 // --- chaos integration (shard crashes inside full end-to-end queries) ---
 
 // TestChaosStreamReplayDeterminism: a run with mid-stream shard crashes
-// replays bit-for-bit from its plan seed at any worker count — outputs,
+// replays bit-for-bit from its plan seed at GOMAXPROCS 1 and 8 — outputs,
 // fired-fault coordinates, shard crash/resume counters, and error text all
 // identical.
 func TestChaosStreamReplayDeterminism(t *testing.T) {
@@ -521,13 +525,14 @@ func TestChaosStreamReplayDeterminism(t *testing.T) {
 		fired    []faults.Fault
 		counters [6]int
 	}
-	run := func(workers int) trace {
+	run := func(procs int) trace {
 		plan := faults.New(13).
 			SetRate(faults.UploadTimeout, 0.15).
 			SetRate(faults.ShardCrash, 0.3)
 		d := chaosStreamDeployment(t, plan, 42)
-		d.cfg.Workers = workers
-		res, err := d.Run(chaosShapes[1].src, RunOptions{})
+		var res *Result
+		var err error
+		withProcs(procs, func() { res, err = d.Run(chaosShapes[1].src, RunOptions{}) })
 		m := d.Metrics
 		tr := trace{
 			fired: plan.Fired(),
@@ -616,7 +621,7 @@ func BenchmarkIngest(b *testing.B) {
 	goruntime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := virtualIngest(pop, &sk.PublicKey, uint64(i+1), 0, 0, 0, nil, gauge)
+		res, err := virtualIngest(pop, &sk.PublicKey, uint64(i+1), 0, 0, nil, gauge)
 		if err != nil {
 			b.Fatal(err)
 		}

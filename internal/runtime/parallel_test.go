@@ -2,9 +2,10 @@ package runtime
 
 // Worker-count determinism: a deployment with a fixed seed must release
 // byte-identical results — outputs, accepted counts, and measured metrics —
-// whether the per-device work runs on 1 worker or many. All seeded-RNG draws
-// happen sequentially on the coordinating goroutine; the parallel sections
-// consume only crypto/rand, which never reaches the released values.
+// whether the per-device work runs on 1 worker or many (GOMAXPROCS sizes
+// every pool). All seeded-RNG draws happen sequentially on the coordinating
+// goroutine; the parallel sections consume only crypto/rand, which never
+// reaches the released values.
 
 import (
 	"reflect"
@@ -23,24 +24,25 @@ func stableMetrics(m Metrics) Metrics {
 	return m
 }
 
-func runOnce(t *testing.T, workers int, src string, fanout int) (*Result, Metrics) {
+func runOnce(t *testing.T, procs int, src string, fanout int) (*Result, Metrics) {
 	t.Helper()
 	d, err := NewDeployment(Config{
 		N: 48, Categories: 6, CommitteeSize: 5, Seed: 42,
-		MaliciousFrac: 0.05, BudgetEpsilon: 1e9, Workers: workers,
+		MaliciousFrac: 0.05, BudgetEpsilon: 1e9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runWith(t, d, src, nil, withFanout(fanout))
+	var res *Result
+	withProcs(procs, func() { res, err = runWith(t, d, src, nil, withFanout(fanout)) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, d.Metrics
 }
 
-// TestRunDeterministicAcrossWorkers runs the same seeded query at 1 and 8
-// workers and demands identical outputs and metrics.
+// TestRunDeterministicAcrossWorkers runs the same seeded query at GOMAXPROCS
+// 1 and 8 and demands identical outputs and metrics.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	src := "aggr = sum(db);\nresult = em(aggr, 3.0);\noutput(result);"
 	res1, m1 := runOnce(t, 1, src, 0)
@@ -58,7 +60,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSumTreeDeterministicAcrossWorkers exercises the planner's sum-tree
-// choice — the shard-combine fanout — at both worker counts, and against the
+// choice — the shard-combine fanout — at GOMAXPROCS 1 and 8, and against the
 // default pairwise combine: the fanout reshapes the tree, never the result.
 func TestSumTreeDeterministicAcrossWorkers(t *testing.T) {
 	src := "aggr = sum(db);\nresult = em(aggr, 3.0);\noutput(result);"

@@ -15,7 +15,8 @@ import (
 // protocol's windowed sums). The values were recorded when every device
 // still uploaded one ciphertext per cell, so they hold the packed upload and
 // the key committee's unpack to the same bits. Each must come out identical
-// at one and four workers and at two ingest shard/batch shapes.
+// at GOMAXPROCS one and four and at two ingest shard/batch shapes (0 = the
+// default).
 func TestPinnedOutputs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,7 +30,7 @@ func TestPinnedOutputs(t *testing.T) {
 		{"count", countSrc, 4, 11, 0.1, []fixed.Fixed{1769472}},
 		{"secrecy", queries.Secrecy.Source, 4, 3, 0, []fixed.Fixed{13107200, -117964800, 144179200, 65536}},
 	}
-	shapes := []struct{ workers, shards, batch int }{
+	shapes := []struct{ workers, shards, batch int }{ // workers: GOMAXPROCS
 		{1, 0, 0},
 		{4, 0, 0},
 		{1, 3, 5},
@@ -42,10 +43,13 @@ func TestPinnedOutputs(t *testing.T) {
 					c.Seed = tc.seed
 					c.MaliciousFrac = tc.mal
 					c.BudgetEpsilon = 1e9
-					c.Workers = sh.workers
-					c.IngestShards, c.IngestBatch = sh.shards, sh.batch
 				})
-				res, err := d.Run(tc.src, RunOptions{})
+				if sh.shards > 0 {
+					d.shards, d.batch = sh.shards, sh.batch
+				}
+				var res *Result
+				var err error
+				withProcs(sh.workers, func() { res, err = d.Run(tc.src, RunOptions{}) })
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -32,7 +32,7 @@ func untouched(t *testing.T, d *Deployment, eps float64) {
 
 // TestRunIsPlanThenExecute: for every corpus query (three named ones under
 // the race detector), Run(src) is bit-for-bit RunPlan(the executable plan at
-// the deployment's own shape, src), at one worker and at four — and no call
+// the deployment's own shape, src), at GOMAXPROCS one and four — and no call
 // site releases more ε than the certificate charged it.
 func TestRunIsPlanThenExecute(t *testing.T) {
 	corpus := queries.All
@@ -50,11 +50,13 @@ func TestRunIsPlanThenExecute(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			deploy := func() *Deployment {
 				return smallDeployment(t, 64, 8, func(c *Config) {
-					c.Seed, c.Workers, c.BudgetEpsilon, c.KeyBits = 3, workers, 1000, 256
+					c.Seed, c.BudgetEpsilon, c.KeyBits = 3, 1000, 256
 				})
 			}
 			ran := deploy()
-			got, err := ran.Run(q.Source, RunOptions{})
+			var got *Result
+			var err error
+			withProcs(workers, func() { got, err = ran.Run(q.Source, RunOptions{}) })
 			if err != nil {
 				t.Fatalf("%s workers=%d: Run: %v", q.Name, workers, err)
 			}
@@ -63,7 +65,8 @@ func TestRunIsPlanThenExecute(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: Plan: %v", q.Name, workers, err)
 			}
-			want, err := planned.RunPlan(res.Plan, q.Source, RunOptions{})
+			var want *Result
+			withProcs(workers, func() { want, err = planned.RunPlan(res.Plan, q.Source, RunOptions{}) })
 			if err != nil {
 				t.Fatalf("%s workers=%d: RunPlan: %v", q.Name, workers, err)
 			}

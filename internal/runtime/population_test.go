@@ -183,7 +183,7 @@ func (p *virtualPopulation) shardRuns(pub *ahe.PublicKey, queryID uint64, shards
 // unpacking with pop.codec yields pop.histogram exactly.
 // It is the one caller that samples the audit (ingestSpec.sampleAudit): its
 // job is showing fold memory flat at 10^6–10^7 devices.
-func virtualIngest(pop *virtualPopulation, pub *ahe.PublicKey, queryID uint64, shards, batch, workers int, plan *faults.Plan, gauge *heapGauge) (*ingestResult, error) {
+func virtualIngest(pop *virtualPopulation, pub *ahe.PublicKey, queryID uint64, shards, batch int, plan *faults.Plan, gauge *heapGauge) (*ingestResult, error) {
 	if shards <= 0 {
 		shards = defaultIngestShards
 	}
@@ -196,7 +196,7 @@ func virtualIngest(pop *virtualPopulation, pub *ahe.PublicKey, queryID uint64, s
 	}
 	return runShardedIngest(&ingestSpec{
 		pub: pub, width: pop.codec.Ciphertexts(), batch: batch,
-		workers: workers, plan: plan, gauge: gauge, sampleAudit: true,
+		plan: plan, gauge: gauge, sampleAudit: true,
 	}, jobs)
 }
 

@@ -85,8 +85,7 @@ var planSearchCap int64 = 1 << 21
 // PlanRequest is the planning task Run sets itself for src: this deployment's
 // own (N, Categories), expected device CPU as the goal, the evaluation
 // limits, the default cost model, and only options the runtime can execute.
-// The search runs on the calling goroutine whatever Config.Workers says. A
-// caller that wants one choice different pins it (ForceChoices), plans, and
+// The search runs on the calling goroutine. A caller that wants one choice different pins it (ForceChoices), plans, and
 // hands the plan to RunPlan.
 func (d *Deployment) PlanRequest(src string) planner.Request {
 	return planner.Request{
@@ -280,13 +279,13 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 // fanout — one pool task per group, partials reassembled in group order, so
 // the output is identical at every worker count. It is one level of the
 // ingest's shard-combine tree, and reports the traffic the folds generated.
-func foldGroups(pub *ahe.PublicKey, inputs [][]*ahe.Ciphertext, fanout, workers int) ([][]*ahe.Ciphertext, int64, error) {
+func foldGroups(pub *ahe.PublicKey, inputs [][]*ahe.Ciphertext, fanout int) ([][]*ahe.Ciphertext, int64, error) {
 	nGroups := (len(inputs) + fanout - 1) / fanout
 	type groupSum struct {
 		acc  []*ahe.Ciphertext
 		sent int64
 	}
-	sums, err := parallel.Map(nil, nGroups, workers, func(g int) (groupSum, error) {
+	sums, err := parallel.Map(nil, nGroups, 0, func(g int) (groupSum, error) {
 		start := g * fanout
 		end := start + fanout
 		if end > len(inputs) {

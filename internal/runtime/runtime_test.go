@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -25,6 +27,14 @@ func smallDeployment(t *testing.T, n, categories int, opts ...func(*Config)) *De
 		t.Fatal(err)
 	}
 	return d
+}
+
+// withProcs runs f at GOMAXPROCS procs (0 keeps the current value), the one
+// setting that sizes every internal/parallel pool, and restores the previous
+// value. Tests that call it must not call t.Parallel.
+func withProcs(procs int, f func()) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+	f()
 }
 
 // runWith executes src under the plan Run would make for it on d, after
@@ -234,34 +244,44 @@ output(declassify(noised));`
 }
 
 // TestSampleUniformSingleSource: the certificate is the one reader of
-// sampleUniform that decides anything. The rate Run collects at is the rate
-// the certificate amplified ε by, and a second call — two rates, of which a
-// certifier and a collector could each keep a different one — is refused
-// before any budget is charged.
+// sampleUniform that decides anything. The rate Run collects at — a window
+// of whole bins, x of 16 — is the rate the certificate amplified ε by, also
+// where the analyst's φ is not a multiple of 1/16, and a second call — two
+// rates, of which a certifier and a collector could each keep a different
+// one — is refused before any budget is charged.
 func TestSampleUniformSingleSource(t *testing.T) {
 	const tail = `aggr = sum(db);
 c = laplace(aggr[0], 1.0);
 output(declassify(c));`
 	d := smallDeployment(t, 64, 2, func(c *Config) { c.Seed = 3; c.BudgetEpsilon = 100 })
 
-	res, err := d.Run("sampleUniform(0.5);\n"+tail, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Log1p(0.5 * math.Expm1(1.0)) // 0.6201
-	if math.Abs(res.Certificate.Epsilon-want) > 1e-12 || res.Certificate.SampleRate != 0.5 {
-		t.Errorf("one call certifies ε = %g at rate %g, want %g at 0.5",
-			res.Certificate.Epsilon, res.Certificate.SampleRate, want)
-	}
-	if res.Sampled >= res.Accepted {
-		t.Errorf("one call sampled %d of %d accepted devices, want a strict subset", res.Sampled, res.Accepted)
+	charged := 0.0
+	for _, tc := range []struct{ phi, realized float64 }{
+		{0.5, 8.0 / 16},
+		{0.1, 2.0 / 16},  // round(1.6) bins
+		{0.01, 1.0 / 16}, // round(0.16) is 0, and a window is never empty
+	} {
+		res, err := d.Run(fmt.Sprintf("sampleUniform(%g);\n", tc.phi)+tail, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Log1p(tc.realized * math.Expm1(1.0))
+		if math.Abs(res.Certificate.Epsilon-want) > 1e-12 || res.Certificate.SampleRate != tc.realized {
+			t.Errorf("sampleUniform(%g) certifies ε = %g at rate %g, want %g at the window's %g",
+				tc.phi, res.Certificate.Epsilon, res.Certificate.SampleRate, want, tc.realized)
+		}
+		if res.Sampled >= res.Accepted {
+			t.Errorf("sampleUniform(%g) sampled %d of %d accepted devices, want a strict subset",
+				tc.phi, res.Sampled, res.Accepted)
+		}
+		charged += want
+		if left, _ := d.Budget.Remaining(); math.Abs(left-(100-charged)) > 1e-9 {
+			t.Errorf("remaining ε = %g after queries charging %g", left, charged)
+		}
 	}
 	before, _ := d.Budget.Remaining()
-	if math.Abs(before-(100-want)) > 1e-9 {
-		t.Errorf("remaining ε = %g after one query of %g", before, want)
-	}
 
-	res, err = d.Run("sampleUniform(0.5); sampleUniform(1);\n"+tail, RunOptions{})
+	res, err := d.Run("sampleUniform(0.5); sampleUniform(1);\n"+tail, RunOptions{})
 	if err == nil {
 		t.Fatalf("two calls ran: sampled %d of %d at ε = %g", res.Sampled, res.Accepted, res.Certificate.Epsilon)
 	}

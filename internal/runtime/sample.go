@@ -18,34 +18,25 @@ import (
 // elements were selected, which is exactly what the amplification theorem
 // requires.
 
-// sampleBinCount is the b of the protocol in the simulation (the paper uses
-// the number of plaintext slots in a standard ciphertext).
-const sampleBinCount = 16
-
 // windowSums lets the committee decrypt only the sampled window: it draws
 // the secret window start j, homomorphically folds the window's bins into
 // per-category sums (out-of-window bins are simply never touched), and
 // reports how many accepted devices the window covered (simulation-side, for
-// tests — in the real protocol nobody learns this).
+// tests — in the real protocol nobody learns this). rate is the
+// certificate's SampleRate, already a whole number of bins (x/b), so the
+// window is the one ε was charged for.
 func (d *Deployment) windowSums(km *keyMaterial, perBin []*ahe.Ciphertext, bins []int, rate float64) ([]*ahe.Ciphertext, int, error) {
 	cats := d.cfg.Categories
-	if len(perBin) != sampleBinCount*cats {
+	if len(perBin) != mechanism.SampleBinCount*cats {
 		return nil, 0, fmt.Errorf("runtime: bin layout mismatch: %d cells", len(perBin))
 	}
-	x := int(rate*sampleBinCount + 0.5)
-	if x < 1 {
-		x = 1
-	}
-	if x > sampleBinCount {
-		x = sampleBinCount
-	}
-	sb, err := mechanism.NewSampleBins(d.noiseRand(), sampleBinCount, x)
+	sb, err := mechanism.NewSampleBins(d.noiseRand(), mechanism.SampleBinCount, mechanism.SampleWindow(rate))
 	if err != nil {
 		return nil, 0, err
 	}
 	sums := make([]*ahe.Ciphertext, cats)
 	for c := 0; c < cats; c++ {
-		for bin := 0; bin < sampleBinCount; bin++ {
+		for bin := 0; bin < mechanism.SampleBinCount; bin++ {
 			if !sb.Included(bin) {
 				continue
 			}

@@ -95,10 +95,8 @@ type Config struct {
 	// fail-closed at restart instead of re-run.
 	SecureNoise bool
 
-	// Workers bounds each job's runtime worker pool (0 = auto).
 	// JobWorkers bounds how many jobs execute concurrently (default 2).
 	// QueueDepth bounds the submit queue (default 64; full queue = 503).
-	Workers    int
 	JobWorkers int
 	QueueDepth int
 
@@ -533,7 +531,6 @@ func (s *Server) runDeployment(ctx context.Context, j *Job) (*runtime.Result, st
 		CommitteeSize: s.cfg.CommitteeSize,
 		Seed:          s.cfg.Seed + int64(j.seq),
 		BudgetEpsilon: j.Epsilon,
-		Workers:       s.cfg.Workers,
 		SecureNoise:   s.cfg.SecureNoise,
 		Faults:        plan,
 	})

@@ -91,7 +91,8 @@ else
     go test -race ./...
 fi
 
-# ROADMAP Aim 2's size counts, printed for information only: not a gate.
+# ROADMAP Aim 2's size and option counts, printed for information only: not
+# a gate.
 echo "== scripts/loc.sh"
 sh scripts/loc.sh
 

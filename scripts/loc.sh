@@ -1,10 +1,14 @@
 #!/bin/sh
-# Print the four size counts ROADMAP's Aim 2 ("the least code") tracks:
+# Print the size counts ROADMAP's Aim 2 ("the least code") tracks:
 #
 #   non-test Go outside bench/ and tools/     (lines)
 #   test Go outside bench/ and tools/         (lines)
 #   tools/arblint non-test Go, no testdata    (lines)
 #   living Markdown: README, DESIGN, EXPERIMENTS, docs/*, bench/README.md (bytes)
+#
+# and the operator-facing options: the exported fields of runtime.Config,
+# arboretum.DeploymentConfig and service.Config, and the flags each
+# cmd/*/main.go declares.
 #
 # Run from anywhere: scripts/loc.sh. It counts the working tree, so run it in
 # two checkouts to compare a change with its parent.
@@ -24,3 +28,26 @@ printf '%-36s %8s\n' "tools/arblint non-test Go" \
     "$(find tools/arblint -name '*.go' ! -name '*_test.go' -not -path '*/testdata/*' | lines)"
 printf '%-36s %8s\n' "living Markdown (bytes)" \
     "$(cat README.md DESIGN.md EXPERIMENTS.md docs/*.md bench/README.md | wc -c | tr -d ' ')"
+
+# fields FILE TYPE counts the exported field names declared in the struct
+# TYPE of FILE, several per line in `A, B int`.
+fields() {
+    awk -v type="$2" '
+        $0 ~ "^type " type " struct \\{" { in_struct = 1; next }
+        in_struct && /^}/ { exit }
+        in_struct && /^\t[A-Z]/ {
+            sub(/^\t/, ""); sub(/\/\/.*/, "")
+            n = split($0, names, ",")
+            for (i = 1; i <= n; i++) if (names[i] ~ /^ *[A-Z]/) count++
+        }
+        END { print count + 0 }
+    ' "$1"
+}
+
+printf '%-36s %8s\n' "runtime.Config fields" "$(fields internal/runtime/deployment.go Config)"
+printf '%-36s %8s\n' "arboretum.DeploymentConfig fields" "$(fields arboretum.go DeploymentConfig)"
+printf '%-36s %8s\n' "service.Config fields" "$(fields internal/service/service.go Config)"
+for main in cmd/*/main.go; do
+    printf '%-36s %8s\n' "$(basename "$(dirname "$main")") flags" \
+        "$(grep -cE '\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|Uint|Uint64)\("' "$main" || true)"
+done
