@@ -155,7 +155,7 @@ func TestRunCmdStreamMatchesLegacy(t *testing.T) {
 			"output[0] = 2\n"
 		secrecy = "accepted inputs: 64\ncharged ε: 0.102\n" +
 			"choices: map[compute:committee-slice-1 input:onehot+zkp noise:committee-slice-1 output:committee-reconstruct sample:bin-window sum:aggregator-loop]\n" +
-			"output[0] = 200\noutput[1] = -1800\noutput[2] = 2200\noutput[3] = 1\n"
+			"output[0] = 32\noutput[1] = -1968\noutput[2] = 2032\noutput[3] = 1\n"
 	)
 	for _, tc := range []struct {
 		base   []string

@@ -1,9 +1,6 @@
 package ahe
 
-import (
-	"errors"
-	"math/big"
-)
+import "math/big"
 
 // Accumulator is the pooled-scratch form of the aggregator's inner fold: a
 // running homomorphic sum that reuses three big.Int buffers across every Add
@@ -15,10 +12,10 @@ import (
 // pipeline (internal/runtime) keeps one accumulator per ciphertext cell per
 // shard; Sum uses the same machinery for its chunk folds.
 //
-// An Accumulator is not safe for concurrent use. It starts empty; Add folds
-// a ciphertext in (the first Add just copies), and Value/Snapshot export the
-// current running sum. The exported ciphertexts are copies — mutating the
-// accumulator afterwards never reaches them.
+// An Accumulator is not safe for concurrent use. It starts empty; Set seeds
+// it with a ciphertext, Add folds one in (the first Add into an empty
+// accumulator just copies), and Value exports the running sum as a copy —
+// mutating the accumulator afterwards never reaches it.
 type Accumulator struct {
 	pk  *PublicKey
 	acc big.Int // running product mod n², meaningful only when set
@@ -31,9 +28,6 @@ type Accumulator struct {
 func (pk *PublicKey) NewAccumulator() *Accumulator {
 	return &Accumulator{pk: pk}
 }
-
-// Empty reports whether nothing has been folded in since the last Reset.
-func (a *Accumulator) Empty() bool { return !a.set }
 
 // Reset empties the accumulator, keeping its scratch buffers.
 func (a *Accumulator) Reset() { a.set = false }
@@ -53,8 +47,8 @@ func (a *Accumulator) Add(ct *Ciphertext) error {
 	return nil
 }
 
-// Set makes the running sum a copy of ct — restoring a checkpoint exported
-// earlier with Snapshot or Value.
+// Set makes the running sum a copy of ct — seeding a fold with partials
+// exported earlier by Value.
 func (a *Accumulator) Set(ct *Ciphertext) error {
 	if err := a.pk.check(ct); err != nil {
 		return err
@@ -71,26 +65,4 @@ func (a *Accumulator) Value() *Ciphertext {
 		return nil
 	}
 	return &Ciphertext{C: new(big.Int).Set(&a.acc)}
-}
-
-// Snapshot copies the running sum into dst (reusing dst's limbs), for
-// checkpoint buffers that rotate without allocating. dst must be non-nil
-// with a non-nil C; the accumulator must not be empty.
-func (a *Accumulator) Snapshot(dst *Ciphertext) error {
-	if !a.set {
-		return errors.New("ahe: snapshot of empty accumulator")
-	}
-	if dst == nil || dst.C == nil {
-		return errors.New("ahe: nil snapshot destination")
-	}
-	dst.C.Set(&a.acc)
-	return nil
-}
-
-// Fill writes the running sum's fixed-width big-endian bytes into buf
-// (zero-padded on the left) and returns buf. buf must hold at least
-// ⌈n².bitlen/8⌉ bytes; the fixed width makes repeated hashing of partials
-// allocation-free and unambiguous. The accumulator must not be empty.
-func (a *Accumulator) Fill(buf []byte) []byte {
-	return a.acc.FillBytes(buf)
 }

@@ -34,21 +34,18 @@ func TestAccumulatorMatchesAdd(t *testing.T) {
 	}
 
 	acc := pk.NewAccumulator()
-	if !acc.Empty() {
+	if acc.Value() != nil {
 		t.Fatal("new accumulator not empty")
 	}
 	for i, ct := range cts {
 		if err := acc.Add(ct); err != nil {
 			t.Fatal(err)
 		}
-		// Exercise the checkpoint cycle mid-fold: snapshot, reset, restore.
+		// Exercise the checkpoint cycle mid-fold: export, reset, reseed.
 		if i == len(cts)/2 {
-			snap := &Ciphertext{C: new(big.Int)}
-			if err := acc.Snapshot(snap); err != nil {
-				t.Fatal(err)
-			}
+			snap := acc.Value()
 			acc.Reset()
-			if !acc.Empty() {
+			if acc.Value() != nil {
 				t.Fatal("reset accumulator not empty")
 			}
 			if err := acc.Set(snap); err != nil {
@@ -74,17 +71,9 @@ func TestAccumulatorMatchesAdd(t *testing.T) {
 	if m.Cmp(want) != 0 {
 		t.Fatalf("accumulator sum decrypts to %v, want %v", m, want)
 	}
-
-	// Fill's fixed-width encoding must match FillBytes on the exported value.
-	buf := make([]byte, (pk.N2.BitLen()+7)/8)
-	fill := append([]byte(nil), acc.Fill(buf)...)
-	val := acc.Value()
-	if string(val.C.FillBytes(buf)) != string(fill) {
-		t.Fatal("Fill differs from FillBytes of Value")
-	}
 }
 
-// TestAccumulatorErrors covers the fail-closed edges of the checkpoint API.
+// TestAccumulatorErrors covers the fail-closed edges of Add, Set and Value.
 func TestAccumulatorErrors(t *testing.T) {
 	sk, err := GenerateKey(benchrand.New(3), 256)
 	if err != nil {
@@ -103,21 +92,5 @@ func TestAccumulatorErrors(t *testing.T) {
 	}
 	if got := acc.Value(); got != nil {
 		t.Fatal("empty Value not nil")
-	}
-	if err := acc.Snapshot(&Ciphertext{C: new(big.Int)}); err == nil {
-		t.Fatal("empty Snapshot did not error")
-	}
-	ct, err := pk.Encrypt(benchrand.New(4), big.NewInt(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Add(ct); err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Snapshot(nil); err == nil {
-		t.Fatal("Snapshot(nil) did not error")
-	}
-	if err := acc.Snapshot(&Ciphertext{}); err == nil {
-		t.Fatal("Snapshot into nil-valued ciphertext did not error")
 	}
 }

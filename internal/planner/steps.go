@@ -26,6 +26,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 
 	"arboretum/internal/lang"
 	"arboretum/internal/types"
@@ -76,7 +77,37 @@ type opTally struct {
 	adds, mults, divs, cmps, exps int64
 }
 
-func (o opTally) total() int64 { return o.adds + o.mults + o.divs + o.cmps + o.exps }
+func (o opTally) total() int64 {
+	return satAdd(satAdd(satAdd(satAdd(o.adds, o.mults), o.divs), o.cmps), o.exps)
+}
+
+// addTimes folds k repetitions of t into o: a loop body's tally times its
+// trip count. Every count saturates at math.MaxInt64 instead of wrapping, so
+// a loop of unbounded span (types.Info.LoopIters) prices as the most work,
+// never as a negative or small count.
+func (o *opTally) addTimes(t opTally, k int64) {
+	o.adds = satAdd(o.adds, satMul(t.adds, k))
+	o.mults = satAdd(o.mults, satMul(t.mults, k))
+	o.divs = satAdd(o.divs, satMul(t.divs, k))
+	o.cmps = satAdd(o.cmps, satMul(t.cmps, k))
+	o.exps = satAdd(o.exps, satMul(t.exps, k))
+}
+
+// satMul is a·b for non-negative a and b, saturating at math.MaxInt64.
+func satMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+// satAdd is a+b for non-negative a and b, saturating at math.MaxInt64.
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
 
 // step is one logical step of the query with its shape parameters.
 type step struct {
@@ -221,7 +252,7 @@ func (d *decomposer) stmt(s lang.Stmt) error {
 		// A mechanism or output inside a loop becomes one step per abstract
 		// operator occurrence with the loop's width folded in; pure loops
 		// fold to compute work.
-		iters := d.loopIters(st)
+		iters := d.info.LoopIters(st)
 		if containsMechanism(st.Body) || containsCall(st.Body, "output") ||
 			containsCall(st.Body, "sampleUniform") {
 			d.flushCompute()
@@ -231,11 +262,7 @@ func (d *decomposer) stmt(s lang.Stmt) error {
 		for _, b := range st.Body {
 			tallyStmt(b, &t)
 		}
-		d.pending.adds += t.adds * iters
-		d.pending.mults += t.mults * iters
-		d.pending.divs += t.divs * iters
-		d.pending.cmps += t.cmps * iters
-		d.pending.exps += t.exps * iters
+		d.pending.addTimes(t, iters)
 		if iters > d.pendingC {
 			d.pendingC = iters
 		}
@@ -266,10 +293,7 @@ func (d *decomposer) walkScaled(stmts []lang.Stmt, iters int64) error {
 		if as, ok := s.(*lang.AssignStmt); ok {
 			if mech := d.mechanismOf(as.Value); mech != nil {
 				m := *mech
-				m.c *= iters
-				if m.c < 1 {
-					m.c = 1
-				}
+				m.c = max(satMul(m.c, iters), 1)
 				d.steps = append(d.steps, m)
 				continue
 			}
@@ -280,19 +304,6 @@ func (d *decomposer) walkScaled(stmts []lang.Stmt, iters int64) error {
 	}
 	d.flushCompute()
 	return nil
-}
-
-func (d *decomposer) loopIters(st *lang.ForStmt) int64 {
-	from, okF := d.info.TypeOf(st.From)
-	to, okT := d.info.TypeOf(st.To)
-	if !okF || !okT {
-		return 1
-	}
-	it := int64(to.Range.Hi-from.Range.Lo) + 1
-	if it < 1 {
-		return 1
-	}
-	return it
 }
 
 // mechanismOf recognizes an expression that is (or wraps) a mechanism or

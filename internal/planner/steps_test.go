@@ -1,10 +1,12 @@
 package planner
 
 import (
+	"math"
 	"testing"
 
 	"arboretum/internal/costmodel"
 	"arboretum/internal/lang"
+	"arboretum/internal/privacy"
 	"arboretum/internal/queries"
 	"arboretum/internal/types"
 )
@@ -157,5 +159,50 @@ func TestBiteSizeFilter(t *testing.T) {
 		if !sp.biteSize(o) {
 			t.Errorf("non-bite-size option %s survived the filter", o.choiceVal)
 		}
+	}
+}
+
+// TestDecomposeUnboundedLoopSaturates: a certified loop whose span int64
+// cannot hold runs math.MaxInt64 times (types.Info.LoopIters), the count
+// privacy charges. Scaling a step's width or a body's tally by it saturates
+// instead of wrapping, so every width and tally stays positive.
+func TestDecomposeUnboundedLoopSaturates(t *testing.T) {
+	prog, info, _, err := privacy.Admit(`aggr = sum(db);
+c = declassify(laplace(aggr[0], 1.0));
+x = 0;
+for i = 0 to 9000000000000000000 * 2 do
+  x = x + c * 3;
+endfor;
+for j = 0 to 9000000000000000000 * 2 do
+  n = declassify(laplace(aggr[0], 1.0));
+  output(n);
+endfor;
+output(x);`, types.DBInfo{N: 100, Width: 4, ElemRange: types.Range{Hi: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, err := decompose(prog, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compute, noise bool
+	for _, st := range steps {
+		if st.c < 1 {
+			t.Errorf("%v step has width %d", st.kind, st.c)
+		}
+		for _, n := range []int64{st.ops.adds, st.ops.mults, st.ops.divs, st.ops.cmps, st.ops.exps} {
+			if n < 0 {
+				t.Errorf("%v step has tally %+v", st.kind, st.ops)
+			}
+		}
+		switch st.kind {
+		case stepCompute:
+			compute = st.ops.adds == math.MaxInt64 && st.ops.mults == math.MaxInt64 && st.c == math.MaxInt64
+		case stepNoise:
+			noise = st.c == math.MaxInt64
+		}
+	}
+	if !compute || !noise {
+		t.Errorf("want a saturated compute step and a saturated noise step: %+v", steps)
 	}
 }

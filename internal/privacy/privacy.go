@@ -165,7 +165,7 @@ func (c *certifier) stmt(s lang.Stmt, mult int64, ctx taint) error {
 		_, err := c.expr(st.X, mult)
 		return err
 	case *lang.ForStmt:
-		iters := c.loopIterations(st)
+		iters := c.info.LoopIters(st)
 		if iters > math.MaxInt64/mult {
 			// The multiplier would wrap — to a small or negative count, and
 			// with it the certified ε.
@@ -198,23 +198,6 @@ func (c *certifier) stmt(s lang.Stmt, mult int64, ctx taint) error {
 	default:
 		return fmt.Errorf("privacy: unknown statement %T", s)
 	}
-}
-
-func (c *certifier) loopIterations(st *lang.ForStmt) int64 {
-	from, okF := c.info.TypeOf(st.From)
-	to, okT := c.info.TypeOf(st.To)
-	if !okF || !okT {
-		return 1
-	}
-	span := to.Range.Hi - from.Range.Lo
-	if !(span < 1<<62) {
-		return math.MaxInt64 // past what int64(span) can hold (or NaN)
-	}
-	iters := int64(span) + 1
-	if iters < 1 {
-		return 1
-	}
-	return iters
 }
 
 func (c *certifier) expr(e lang.Expr, mult int64) (taint, error) {

@@ -119,7 +119,7 @@ var Secrecy = Query{
 aggr = sum(db);
 count = laplace(aggr[0], 1.0);
 c = declassify(count);
-scaled = c * 100;
+scaled = c * 16; // the bin window realizes rate 1/16: SampleWindow(0.01) is 1 of 16 bins
 low = scaled - 2000;
 high = scaled + 2000;
 inrange = 0;

@@ -103,22 +103,11 @@ func (ce *committeeExec) observeRound() {
 }
 
 // health is the fail-closed gate the vignette protocols call at step
-// boundaries — always before opening or decrypting anything. It mirrors
-// viableCommittee's thresholds against the members lost mid-execution:
-// below the reconstruction threshold the shares are unrecoverable
-// (ErrCommitteeBroken); above it but past the churn tolerance g·m the
-// vignette aborts so recovery can re-form the committee while a
-// reconstructing majority still survives (ErrCommitteeDegraded).
+// boundaries — always before opening or decrypting anything: the
+// formation check (Deployment.reachable) against the members lost
+// mid-execution.
 func (ce *committeeExec) health() error {
-	m := len(ce.members)
-	online := m - len(ce.lost)
-	if online < m/2+1 || online < 3 {
-		return fmt.Errorf("%w: %d of %d members reachable", ErrCommitteeBroken, online, m)
-	}
-	if !ce.dep.tolerates(m-online, m) {
-		return fmt.Errorf("%w: %d of %d members reachable", ErrCommitteeDegraded, online, m)
-	}
-	return nil
+	return ce.dep.reachable(len(ce.members)-len(ce.lost), len(ce.members))
 }
 
 // spend tallies one open or decrypt of a value noised at ε against the

@@ -282,22 +282,31 @@ func (d *Deployment) onlineMembers(c sortition.Committee) sortition.Committee {
 	return out
 }
 
-// viableCommittee reports whether enough members are online: the paper
-// tolerates up to g·m offline members without extra cost, and in any case a
-// strict majority of the original size must remain so reconstruction
-// thresholds hold.
+// viableCommittee reports whether enough members are online to form the
+// committee (reachable).
 func (d *Deployment) viableCommittee(c sortition.Committee) bool {
-	online := len(d.onlineMembers(c))
-	if online < len(c)/2+1 || online < 3 {
-		return false
-	}
-	return d.tolerates(len(c)-online, len(c))
+	return d.reachable(len(d.onlineMembers(c)), len(c)) == nil
 }
 
-// tolerates reports whether offline of a committee's m members stay within
-// the churn tolerance g·m.
-func (d *Deployment) tolerates(offline, m int) bool {
-	return float64(offline) <= d.g*float64(m)
+// majority is the honest-majority threshold of an m-member committee: the
+// shares a reconstruction needs.
+func majority(m int) int { return m/2 + 1 }
+
+// reachable is the one check on how many of a committee's m members are
+// online, at formation and at every vignette step boundary. Fewer than a
+// strict majority of the original size, or than 3, cannot reconstruct the
+// key (ErrCommitteeBroken); more offline than the churn tolerance g·m — the
+// paper's no-extra-cost bound — fails too, while a reconstructing majority
+// still survives, so recovery can re-form the committee
+// (ErrCommitteeDegraded).
+func (d *Deployment) reachable(online, m int) error {
+	if online < majority(m) || online < 3 {
+		return fmt.Errorf("%w: %d of %d members reachable", ErrCommitteeBroken, online, m)
+	}
+	if float64(m-online) > d.g*float64(m) {
+		return fmt.Errorf("%w: %d of %d members reachable", ErrCommitteeDegraded, online, m)
+	}
+	return nil
 }
 
 // pickViable returns the first viable committees from the sortition output,
@@ -420,7 +429,7 @@ func (d *Deployment) keygen(committee sortition.Committee) (*keyMaterial, error)
 // threshold.
 func shareKey(sk *ahe.PrivateKey, committee sortition.Committee) (*keyMaterial, error) {
 	group := vsr.DefaultGroup()
-	t := len(committee)/2 + 1
+	t := majority(len(committee))
 	shares, err := group.Field().Split(sk.Prime(), len(committee), t)
 	if err != nil {
 		return nil, err
@@ -446,7 +455,7 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 	seq := d.transferSeq
 	d.transferSeq++
 	newN := len(to)
-	newT := newN/2 + 1
+	newT := majority(newN)
 	var lastErr error
 	for attempt := 0; attempt < handoffBackoff.attempts; attempt++ {
 		if attempt > 0 {

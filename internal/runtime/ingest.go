@@ -93,11 +93,12 @@ type ingestSpec struct {
 
 // retainedBatch is what an audit replays: a batch's accepted inputs plus the
 // shard's claimed partials just before and just after folding it. Every
-// retained claim is pinned to the global batch-commitment tree.
+// retained claim is pinned to the global batch-commitment tree. prev and
+// claimed are the shard's own immutable vectors, shared, not copied.
 type retainedBatch struct {
 	batch   int                 // shard-local batch index
-	prev    []*ahe.Ciphertext   // checkpoint before the batch (nil cells: nothing folded yet)
-	claimed []*ahe.Ciphertext   // checkpoint after the batch (the committed leaf's preimage)
+	prev    []*ahe.Ciphertext   // partials before the batch (nil cells: nothing folded yet)
+	claimed []*ahe.Ciphertext   // partials after the batch (the committed leaf's preimage)
 	inputs  [][]*ahe.Ciphertext // the batch's accepted upload vectors
 }
 
@@ -151,64 +152,67 @@ func ingestPartialHash(h hash.Hash, cts []*ahe.Ciphertext, fill, dst []byte) []b
 	return h.Sum(dst)
 }
 
-// ingestAccHash is ingestPartialHash over live accumulators; the two must
-// produce identical bytes for the same partials (the crash-recovery path
-// re-hashes the checkpoint copy of what this committed).
-func ingestAccHash(h hash.Hash, accs []*ahe.Accumulator, fill, dst []byte) []byte {
-	h.Reset()
-	for _, a := range accs {
-		if a.Empty() {
-			hashing.Write(h, ingestNilCell)
-		} else {
-			hashing.Write(h, ingestOneCell, a.Fill(fill))
+// foldBatch seeds accs from the partials prev, folds every input vector into
+// them and returns the result as a fresh vector; a cell nothing has folded
+// into stays nil. prev is never mutated, so a committed vector stays valid as
+// the next batch's prev and as an audit sample. The shard and the audit share
+// it: the audit recomputes a claimed partial with exactly the fold that made
+// it.
+func foldBatch(accs []*ahe.Accumulator, prev []*ahe.Ciphertext, inputs [][]*ahe.Ciphertext) ([]*ahe.Ciphertext, error) {
+	out := make([]*ahe.Ciphertext, len(accs))
+	for c, acc := range accs {
+		acc.Reset()
+		if prev[c] != nil {
+			if err := acc.Set(prev[c]); err != nil {
+				return nil, err
+			}
 		}
+		for _, vec := range inputs {
+			if err := acc.Add(vec[c]); err != nil {
+				return nil, err
+			}
+		}
+		out[c] = acc.Value()
 	}
-	return h.Sum(dst)
+	return out, nil
 }
 
-// snapshotCts deep-copies a checkpoint vector. The shard's rotating buffers
-// are overwritten in place at every batch boundary, so audit samples keep
-// their own big.Int values.
-func snapshotCts(cts []*ahe.Ciphertext) []*ahe.Ciphertext {
-	out := make([]*ahe.Ciphertext, len(cts))
-	for i, ct := range cts {
-		if ct != nil {
-			out[i] = &ahe.Ciphertext{C: new(big.Int).Set(ct.C)}
-		}
+// newAccumulators returns one empty accumulator per packed ciphertext.
+func newAccumulators(pub *ahe.PublicKey, width int) []*ahe.Accumulator {
+	accs := make([]*ahe.Accumulator, width)
+	for c := range accs {
+		accs[c] = pub.NewAccumulator()
 	}
-	return out
+	return accs
 }
 
 // runShard is one shard aggregator: generate a batch of uploads, verify
-// their proofs once, fold the accepted vectors into the pooled accumulators
-// (with the ShardCrash injection point wrapping the fold in a
-// checkpoint/resume retry loop), commit the partials, and move to the next
-// batch. Steady-state fold memory is one upload batch plus 2×width big.Ints
-// (accumulators and the rotating checkpoint), independent of shard size;
-// what grows with the shard is what the audit retains (ingestSpec.retains).
+// their proofs once, fold the accepted vectors onto the last committed
+// partials (with the ShardCrash injection point wrapping the fold in a
+// resume retry loop), commit the result, and move to the next batch.
+//
+// Between batches the shard's whole state is one immutable vector, last: the
+// partials its latest leaf commits to. A fold never writes into last; it
+// returns a fresh vector that becomes the new last, so a retained batch
+// shares its prev and claimed vectors with the shard instead of copying
+// them. Steady-state fold memory is one upload batch plus the width
+// accumulators and the last vector, independent of shard size; what grows
+// with the shard is what the audit retains (ingestSpec.retains).
 //
 // Verification runs exactly once per batch, before any fold attempt: its
 // outcomes — the accepted set and the verifier's replay state — are durable
 // across fold crashes, and a resume only refolds already-verified uploads
-// from the restored checkpoint. That is the no-double-count argument: a
-// device's upload is admitted at most once, and every fold attempt starts
-// from a checkpoint that does not include the in-flight batch.
+// from last, re-verified against its leaf. That is the no-double-count
+// argument: a device's upload is admitted at most once, and every fold
+// attempt starts from partials that do not include the in-flight batch.
 func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 	res := &shardResult{}
 	n := job.src.count()
 	if n == 0 {
 		return res, nil
 	}
-	width := sp.width
-	accs := make([]*ahe.Accumulator, width)
-	for c := range accs {
-		accs[c] = sp.pub.NewAccumulator()
-	}
-	// Rotating checkpoint: the partials as of the last completed batch plus
-	// their commitment hash, overwritten in place at each boundary.
-	checkpoint := make([]*ahe.Ciphertext, width)
-	ckptHash := make([]byte, 0, sha256.Size)
-	haveCkpt := false
+	accs := newAccumulators(sp.pub, sp.width)
+	last := make([]*ahe.Ciphertext, sp.width)
 
 	h := sha256.New()
 	fill := make([]byte, (sp.pub.N2.BitLen()+7)/8)
@@ -226,7 +230,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 
 	for b := 0; b < nBatches; b++ {
 		// Batch boundaries are cancellation checkpoints: the shard's last
-		// checkpoint is committed and no upload is half-folded, so a
+		// partials are committed and no upload is half-folded, so a
 		// deadline-canceled ingest aborts here without double-counting.
 		if sp.ctx != nil {
 			select {
@@ -237,10 +241,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 			}
 		}
 		start := b * sp.batch
-		cnt := sp.batch
-		if start+cnt > n {
-			cnt = n - start
-		}
+		cnt := min(sp.batch, n-start)
 		if err := job.src.fill(batchBuf[:cnt], start, cnt); err != nil {
 			return nil, err
 		}
@@ -267,10 +268,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 				res.acceptedIdx = append(res.acceptedIdx, int32(start+i))
 			}
 		}
-		var prev []*ahe.Ciphertext
-		if sp.retains(b, nBatches) {
-			prev = snapshotCts(checkpoint)
-		}
+		var next []*ahe.Ciphertext
 		//arblint:ignore ctxcheckpoint bounded retry: returns once attempt+1 reaches shardBackoff.attempts
 		for attempt := 0; ; attempt++ {
 			if sp.plan.Fires(faults.ShardCrash, shard, b, attempt) {
@@ -284,78 +282,50 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 						ErrShardFailed, shard, b, attempt+1)
 				}
 				res.backoff += shardBackoff.delay(attempt)
-				// The crash loses the in-flight fold. Restore the last
-				// batch-boundary checkpoint, verifying it against the
-				// recorded commitment before trusting it.
-				if haveCkpt {
-					verifyHash = ingestPartialHash(h, checkpoint, fill, verifyHash[:0])
-					if !bytes.Equal(verifyHash, ckptHash) {
+				// The crash loses the in-flight fold. The retry refolds from
+				// last, verified against the leaf that committed it before it
+				// is trusted.
+				if b > 0 {
+					verifyHash = ingestPartialHash(h, last, fill, verifyHash[:0])
+					if !bytes.Equal(verifyHash, res.leaves[len(res.leaves)-sha256.Size:]) {
 						return nil, fmt.Errorf("%w: shard %d checkpoint %d does not verify",
 							ErrShardFailed, shard, b-1)
-					}
-				}
-				for c, ct := range checkpoint {
-					if ct == nil {
-						accs[c].Reset()
-					} else if err := accs[c].Set(ct); err != nil {
-						return nil, err
 					}
 				}
 				res.resumes++
 				continue
 			}
-			for _, vec := range vecs {
-				for c := 0; c < width; c++ {
-					if err := accs[c].Add(vec[c]); err != nil {
-						return nil, err
-					}
-				}
+			var err error
+			if next, err = foldBatch(accs, last, vecs); err != nil {
+				return nil, err
 			}
 			break
 		}
-		if b == corruptAt && !accs[0].Empty() {
+		if b == corruptAt && next[0] != nil {
 			// Byzantine shard aggregator: silently shift cell 0's count and
 			// carry the corruption forward, as a cheating aggregator would.
-			bad, err := sp.pub.AddPlain(accs[0].Value(), big.NewInt(1000))
+			bad, err := sp.pub.AddPlain(next[0], big.NewInt(1000))
 			if err != nil {
 				return nil, err
 			}
-			if err := accs[0].Set(bad); err != nil {
-				return nil, err
-			}
+			next[0] = bad
 		}
-		// Batch boundary: rotate the checkpoint buffers and commit.
-		for c := range accs {
-			if accs[c].Empty() {
-				checkpoint[c] = nil
-				continue
-			}
-			if checkpoint[c] == nil {
-				checkpoint[c] = &ahe.Ciphertext{C: new(big.Int)}
-			}
-			if err := accs[c].Snapshot(checkpoint[c]); err != nil {
-				return nil, err
-			}
-		}
-		res.leaves = ingestAccHash(h, accs, fill, res.leaves)
-		ckptHash = append(ckptHash[:0], res.leaves[len(res.leaves)-sha256.Size:]...)
-		haveCkpt = true
+		// Batch boundary: commit next and make it the shard's state.
+		res.leaves = ingestPartialHash(h, next, fill, res.leaves)
 		if sp.retains(b, nBatches) {
 			res.retained = append(res.retained, retainedBatch{
 				batch:   b,
-				prev:    prev,
-				claimed: snapshotCts(checkpoint),
+				prev:    last,
+				claimed: next,
 				inputs:  append([][]*ahe.Ciphertext(nil), vecs...),
 			})
 		}
+		last = next
 		res.accepted += len(vecs)
 		sp.gauge.sample(false)
 	}
 	if res.accepted > 0 {
-		res.partial = make([]*ahe.Ciphertext, width)
-		for c := range accs {
-			res.partial[c] = accs[c].Value()
-		}
+		res.partial = last
 	}
 	return res, nil
 }
@@ -446,10 +416,10 @@ func combinePartials(pub *ahe.PublicKey, partials [][]*ahe.Ciphertext, fanout in
 
 // auditIngest replays the retained batches against the global batch
 // commitment: for each one, verify the Merkle inclusion of the claimed
-// checkpoint, then recompute claimed = prev ⊞ Σ batch inputs and compare.
-// A replay starts from the shard's own claimed prev, so it catches a lie
-// only in the batch where it was told — every later batch recomputes
-// consistently from the already-shifted checkpoint. Detection therefore
+// partials, then recompute claimed = prev ⊞ Σ batch inputs with the shard's
+// own foldBatch and compare. A replay starts from the shard's own claimed
+// prev, so it catches a lie only in the batch where it was told — every
+// later batch recomputes consistently from the already-shifted partials. Detection therefore
 // needs every batch retained, which is what Run does (ingestSpec.retains).
 func auditIngest(pub *ahe.PublicKey, res *ingestResult, m *Metrics) error {
 	if res.tree == nil {
@@ -475,7 +445,7 @@ func auditIngest(pub *ahe.PublicKey, res *ingestResult, m *Metrics) error {
 }
 
 // auditIngestBatch replays one retained batch against leaf index leaf of the
-// commitment tree.
+// commitment tree, on accumulators of its own.
 func auditIngestBatch(pub *ahe.PublicKey, tree *merkle.Tree, leaf int, rb retainedBatch, h hash.Hash, fill []byte) error {
 	proof, err := tree.Prove(leaf)
 	if err != nil {
@@ -484,20 +454,9 @@ func auditIngestBatch(pub *ahe.PublicKey, tree *merkle.Tree, leaf int, rb retain
 	if !merkle.Verify(tree.Root(), ingestPartialHash(h, rb.claimed, fill, nil), proof) {
 		return fmt.Errorf("runtime: ingest inclusion proof for batch %d failed", leaf)
 	}
-	// Shallow copy: the replay replaces cells, it never mutates one.
-	running := append([]*ahe.Ciphertext(nil), rb.prev...)
-	for _, vec := range rb.inputs {
-		for c := range vec {
-			if running[c] == nil {
-				running[c] = vec[c]
-				continue
-			}
-			sum, err := pub.Add(running[c], vec[c])
-			if err != nil {
-				return err
-			}
-			running[c] = sum
-		}
+	running, err := foldBatch(newAccumulators(pub, len(rb.claimed)), rb.prev, rb.inputs)
+	if err != nil {
+		return err
 	}
 	for c := range rb.claimed {
 		want, got := rb.claimed[c], running[c]

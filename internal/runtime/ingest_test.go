@@ -397,6 +397,82 @@ func TestAuditIndexValidation(t *testing.T) {
 	}
 }
 
+// TestIngestCheckpointChain: between batches a shard's state is the one
+// vector its last leaf commits to. On the production path (every batch
+// retained, a forced mid-shard crash resumed) and on the harness's sampled
+// path, every retained batch's prev hashes to the shard's previous leaf and
+// its claimed to its own; under full retention prev IS the previous batch's
+// claimed vector, shared rather than copied.
+func TestIngestCheckpointChain(t *testing.T) {
+	d, err := NewDeployment(Config{
+		N: 64, Categories: 4, CommitteeSize: 5, Seed: 3, KeyBits: 256,
+		BudgetEpsilon: 1000, Faults: faults.New(1).ForceAt(faults.ShardCrash, 1, 2, 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.shards, d.batch = 2, 8 // 32 devices per shard: 4 batches each
+	committees, err := d.selectCommittees(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	km, err := d.keygen(committees[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := d.ingest(km, d.cfg.Categories, 0, func(_ int, dev *Device) int { return dev.Category }, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Metrics.ShardResumes != 1 {
+		t.Fatalf("resumes = %d, want the forced crash resumed once", d.Metrics.ShardResumes)
+	}
+	sk := ingestKey(t)
+	sampled, err := virtualIngest(newVirtualPopulation(5, 100, 4), &sk.PublicKey, 1, 2, 8, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		pub      *ahe.PublicKey
+		res      *ingestResult
+		retained int // per shard
+	}{
+		{"production", km.pub, full, 4}, // every batch: consecutive retained batches
+		{"sampled", &sk.PublicKey, sampled, 3},
+	} {
+		h, fill := sha256.New(), make([]byte, (tc.pub.N2.BitLen()+7)/8)
+		leaf := func(sr *shardResult, b int) string {
+			return string(sr.leaves[b*sha256.Size : (b+1)*sha256.Size])
+		}
+		for s, sr := range tc.res.shards {
+			if len(sr.retained) != tc.retained {
+				t.Fatalf("%s shard %d: %d batches retained, want %d", tc.name, s, len(sr.retained), tc.retained)
+			}
+			for i, rb := range sr.retained {
+				if got := string(ingestPartialHash(h, rb.claimed, fill, nil)); got != leaf(sr, rb.batch) {
+					t.Errorf("%s shard %d batch %d: claimed does not hash to its leaf", tc.name, s, rb.batch)
+				}
+				if rb.batch == 0 {
+					for c, ct := range rb.prev {
+						if ct != nil {
+							t.Errorf("%s shard %d: batch 0 prev cell %d is not empty", tc.name, s, c)
+						}
+					}
+					continue
+				}
+				if got := string(ingestPartialHash(h, rb.prev, fill, nil)); got != leaf(sr, rb.batch-1) {
+					t.Errorf("%s shard %d batch %d: prev does not hash to leaf %d", tc.name, s, rb.batch, rb.batch-1)
+				}
+				if i > 0 && sr.retained[i-1].batch == rb.batch-1 && &rb.prev[0] != &sr.retained[i-1].claimed[0] {
+					t.Errorf("%s shard %d batch %d: prev is a copy of batch %d's claimed, not the same vector",
+						tc.name, s, rb.batch, rb.batch-1)
+				}
+			}
+		}
+	}
+}
+
 // TestIngestEmptyRejected: with nothing accepted there is nothing to commit
 // or audit, and collection fails closed instead of releasing empty sums.
 func TestIngestEmptyRejected(t *testing.T) {

@@ -28,7 +28,7 @@ func TestPinnedOutputs(t *testing.T) {
 	}{
 		{"top1", queries.Top1.Source, 8, 7, 0, []fixed.Fixed{262144}},
 		{"count", countSrc, 4, 11, 0.1, []fixed.Fixed{1769472}},
-		{"secrecy", queries.Secrecy.Source, 4, 3, 0, []fixed.Fixed{13107200, -117964800, 144179200, 65536}},
+		{"secrecy", queries.Secrecy.Source, 4, 3, 0, []fixed.Fixed{2097152, -128974848, 133169152, 65536}},
 	}
 	shapes := []struct{ workers, shards, batch int }{ // workers: GOMAXPROCS
 		{1, 0, 0},

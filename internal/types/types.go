@@ -101,6 +101,28 @@ func (in *Info) TypeOf(e lang.Expr) (Type, bool) {
 	return t, ok
 }
 
+// LoopIters returns how many times st's body runs, from the inferred ranges
+// of its bounds: hi(to) − lo(from) + 1, and at least 1. A span of 2^62 or
+// more (or a NaN one) saturates at math.MaxInt64, so a caller that
+// multiplies trip counts must saturate or refuse too; the float span is
+// converted to int64 only inside [0, 2^62), where the conversion is defined.
+// A loop whose bounds were never inferred counts once.
+func (in *Info) LoopIters(st *lang.ForStmt) int64 {
+	from, okF := in.TypeOf(st.From)
+	to, okT := in.TypeOf(st.To)
+	if !okF || !okT {
+		return 1
+	}
+	switch span := to.Range.Hi - from.Range.Lo; {
+	case !(span < 1<<62):
+		return math.MaxInt64
+	case span < 0:
+		return 1
+	default:
+		return int64(span) + 1
+	}
+}
+
 // Infer runs type and range inference over the program. It returns an error
 // for programs that use undefined variables, mix kinds incompatibly, or
 // index non-arrays.

@@ -330,3 +330,38 @@ func (r Range) Bits() int {
 	}
 	return b
 }
+
+// TestLoopIters: a loop's trip count is hi(to) − lo(from) + 1 from the
+// inferred ranges, at least 1, and saturates at math.MaxInt64 once the span
+// reaches 2^62 — the one count privacy charges and the planner prices.
+func TestLoopIters(t *testing.T) {
+	for _, tc := range []struct {
+		name, bounds string
+		want         int64
+	}{
+		{"ordinary", "0 to 9", 10},
+		{"data-dependent", "0 to aggr[0]", 101},
+		{"reversed", "9 to 0", 1},
+		{"reversed past int64", "9000000000000000000 * 2 to 0", 1},
+		{"span 2^62", "0 to 4611686018427387904", math.MaxInt64},
+		{"span past int64", "0 to 9000000000000000000 * 2", math.MaxInt64},
+	} {
+		src := "aggr = sum(db);\nfor i = " + tc.bounds + " do\n  x = i;\nendfor;\noutput(x);"
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := Infer(prog, DBInfo{N: 100, Width: 4, ElemRange: Range{Hi: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop := prog.Stmts[1].(*lang.ForStmt)
+		if got := info.LoopIters(loop); got != tc.want {
+			t.Errorf("%s: LoopIters = %d, want %d", tc.name, got, tc.want)
+		}
+		// Bounds inference never saw: the loop counts once.
+		if got := (&Info{Exprs: map[lang.Expr]Type{}}).LoopIters(loop); got != 1 {
+			t.Errorf("%s: LoopIters without inferred bounds = %d, want 1", tc.name, got)
+		}
+	}
+}

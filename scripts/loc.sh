@@ -5,6 +5,7 @@
 #   test Go outside bench/ and tools/         (lines)
 #   tools/arblint non-test Go, no testdata    (lines)
 #   living Markdown: README, DESIGN, EXPERIMENTS, docs/*, bench/README.md (bytes)
+#   the longest non-test Go function outside bench/ and tools/ (lines, name)
 #
 # and the operator-facing options: the exported fields of runtime.Config,
 # arboretum.DeploymentConfig and service.Config, and the flags each
@@ -28,6 +29,28 @@ printf '%-36s %8s\n' "tools/arblint non-test Go" \
     "$(find tools/arblint -name '*.go' ! -name '*_test.go' -not -path '*/testdata/*' | lines)"
 printf '%-36s %8s\n' "living Markdown (bytes)" \
     "$(cat README.md DESIGN.md EXPERIMENTS.md docs/*.md bench/README.md | wc -c | tr -d ' ')"
+
+# A function runs from its `func` line to the first line that is `}` alone;
+# one-line functions are skipped. The name carries its receiver type.
+longest="$(gofiles ! -name '*_test.go' | xargs awk '
+    FNR == 1 { start = 0 }
+    /^func / && !/}$/ {
+        name = $0; sub(/^func /, "", name); recv = ""
+        if (name ~ /^\(/) {
+            recv = name; sub(/\).*/, ")", recv); sub(/^\([^ ]* /, "(", recv)
+            sub(/^\([^)]*\) /, "", name); recv = recv "."
+        }
+        sub(/[(\[].*/, "", name)
+        start = FNR; label = FILENAME ": " recv name; sub(/^\.\//, "", label)
+        next
+    }
+    start && /^}/ {
+        if (FNR - start + 1 > best) { best = FNR - start + 1; what = label }
+        start = 0
+    }
+    END { print best, what }
+')"
+printf '%-36s %8s  %s\n' "longest non-test Go function" "${longest%% *}" "${longest#* }"
 
 # fields FILE TYPE counts the exported field names declared in the struct
 # TYPE of FILE, several per line in `A, B int`.
