@@ -17,11 +17,12 @@ import (
 
 // newAllocs caps New at both sizes: the table, its modulus words and slab,
 // the base in Montgomery form (g·R mod m, one Lsh and two Mods), the build's
-// step buffers and the group fill's closure measure 9 allocations at the ahe
-// and 9–10 at the vsr size (AllocsPerRun holds GOMAXPROCS at 1, so the fill
-// runs on the caller). The spread is math/big's division drawing its two
-// scratch nats from a sync.Pool, and a miss costs two allocations each, so
-// the margin of four above the measured 10 covers both missing at once.
+// step buffers and the group fill's closure measure 9 allocations at either
+// size, the vsr one a 65-byte exponent over a 1536-bit modulus
+// (AllocsPerRun holds GOMAXPROCS at 1, so the fill runs on the caller). Runs
+// also measure 11 and 13: math/big's division draws its two scratch nats
+// from a sync.Pool, and a miss costs two allocations each, so the ceiling
+// covers both missing at once with one to spare.
 // Before the slab it was one per entry, 1,936 at the ahe size.
 const newAllocs = 14
 

@@ -12,14 +12,14 @@ import (
 )
 
 // sizes are the two shapes the callers use: ahe's 512-bit randomizer
-// exponents over a 1024-bit n², and vsr's 1536-bit commitment exponents over
-// a 1536-bit P.
+// exponents over a 1024-bit n², and vsr's 65-byte commitment exponents (its
+// 513-bit Q) over a 1536-bit P.
 var sizes = []struct {
 	name            string
 	modBits, expLen int
 }{
 	{"ahe", 1024, 64},
-	{"vsr", 1536, 192},
+	{"vsr", 1536, 65},
 }
 
 // littleEndian reads exp as the little-endian integer the comb walks.
@@ -171,7 +171,7 @@ func TestExpSingleBits(t *testing.T) {
 // TestLayout pins the comb's shape at both callers' sizes: 8·511 = 4,088
 // entries, no empty group, and a walk of at most b−1 squarings, a−1
 // multiplications after the first column's copy and the final step by y —
-// 64 steps for ahe's 512-bit exponents.
+// 64 steps for ahe's 512-bit exponents and 65 for vsr's 520-bit ones.
 func TestLayout(t *testing.T) {
 	rng := benchrand.New(36)
 	for _, size := range []struct {
@@ -180,7 +180,7 @@ func TestLayout(t *testing.T) {
 		a, b, v, most   int
 	}{
 		{"ahe", 1024, 64, 57, 8, 8, 64},
-		{"vsr", 1536, 192, 171, 22, 8, 192},
+		{"vsr", 1536, 65, 58, 8, 8, 65},
 		{"one-byte", 64, 1, 1, 1, 1, 1},
 		{"three-byte", 64, 3, 3, 1, 3, 3},
 	} {

@@ -33,6 +33,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/big"
 	//arblint:ignore randsource simulation determinism only; secrets use crypto/rand and noise honors Config.SecureNoise
 	mrand "math/rand"
 	"time"
@@ -182,10 +183,13 @@ type Metrics struct {
 	BackoffSimulated time.Duration // total backoff a real deployment would have waited
 }
 
-// ErrKeyTooLarge refuses a KeyBits whose prime factor does not fit below
-// the order Q of the key-sharing field (vsr.DefaultGroup): shares of a
-// larger prime would reconstruct it reduced mod Q, a different value.
-var ErrKeyTooLarge = errors.New("runtime: key's prime factor does not fit the key-sharing field")
+// ErrKeyTooLarge refuses a KeyBits outside the supported range, whose
+// primes of KeyBits/2 bits have at most maxPrimeBits.
+var ErrKeyTooLarge = errors.New("runtime: key size outside the supported range")
+
+// maxPrimeBits is the widest key prime a deployment supports, at KeyBits
+// 3,068: three limbs of limbBits.
+const maxPrimeBits = 1534
 
 // NewDeployment registers N devices and runs the trusted setup (Section 5.1:
 // the initial random block B_0 is chosen while the aggregator is still
@@ -206,10 +210,9 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if cfg.KeyBits == 0 {
 		cfg.KeyBits = 512
 	}
-	// ahe.GenerateKey's primes have KeyBits/2 bits, so each is below Q
-	// exactly when KeyBits/2 < Q's bit length.
-	if q := vsr.DefaultGroup().Q.BitLen(); cfg.KeyBits/2 >= q {
-		return nil, fmt.Errorf("%w: KeyBits %d needs %d-bit primes, Q has %d bits", ErrKeyTooLarge, cfg.KeyBits, cfg.KeyBits/2, q)
+	// ahe.GenerateKey's primes have KeyBits/2 bits.
+	if cfg.KeyBits/2 > maxPrimeBits {
+		return nil, fmt.Errorf("%w: KeyBits %d needs %d-bit primes, at most %d are supported", ErrKeyTooLarge, cfg.KeyBits, cfg.KeyBits/2, maxPrimeBits)
 	}
 	if cfg.BudgetEpsilon == 0 {
 		cfg.BudgetEpsilon = 10
@@ -369,11 +372,14 @@ func (d *Deployment) selectCommittees(count int) ([]sortition.Committee, error) 
 // The committee shares the prime p alone. q = n/p, λ, μ and the CRT values
 // are public functions of p and n, so shares of them would protect nothing
 // that p's shares do not; reconstructKey derives them (DESIGN.md, "Key
-// shares").
+// shares"). p is shared in limbs of limbBits bits, each below the group's
+// order Q: one limb up to KeyBits 1,024, and a sharing per limb.
 type keyMaterial struct {
-	pub         *ahe.PublicKey
-	group       *vsr.Group
-	primeShares []shamir.Share
+	pub   *ahe.PublicKey
+	group *vsr.Group
+	// primeShares[l][i] is holder position i's share of limb l of p, the
+	// least significant limb first.
+	primeShares [][]shamir.Share
 	threshold   int
 	holder      sortition.Committee
 
@@ -385,7 +391,7 @@ type keyMaterial struct {
 // markLost records dropped holder positions (keyed like holder/shares).
 func (km *keyMaterial) markLost(dropped map[int]bool) {
 	if km.lost == nil {
-		km.lost = make([]bool, len(km.primeShares))
+		km.lost = make([]bool, len(km.holder))
 	}
 	for i := range km.lost {
 		if dropped[i] {
@@ -425,17 +431,54 @@ func (d *Deployment) keygen(committee sortition.Committee) (*keyMaterial, error)
 	return km, nil
 }
 
-// shareKey splits sk's prime p among committee with an honest-majority
-// threshold.
+// limbBits is the width of one limb of the shared key prime: the largest
+// power of two below the sharing field's order Q, so every limb fits it.
+var limbBits = uint(vsr.DefaultGroup().Q.BitLen() - 1)
+
+// splitLimbs cuts v ≥ 0 into limbs of limbBits bits, the least significant
+// first: ⌈bits/limbBits⌉ of them, and one for v = 0.
+func splitLimbs(v *big.Int) []*big.Int {
+	mask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), limbBits), big.NewInt(1))
+	var limbs []*big.Int
+	for rest := new(big.Int).Set(v); len(limbs) == 0 || rest.Sign() > 0; rest.Rsh(rest, limbBits) {
+		limbs = append(limbs, new(big.Int).And(rest, mask))
+	}
+	return limbs
+}
+
+// joinLimbs is splitLimbs's inverse: Σ_l limbs[l]·2^(l·limbBits).
+func joinLimbs(limbs []*big.Int) *big.Int {
+	v := new(big.Int)
+	for l := len(limbs) - 1; l >= 0; l-- {
+		v.Lsh(v, limbBits).Add(v, limbs[l])
+	}
+	return v
+}
+
+// shareKey splits each limb of sk's prime p among committee with an
+// honest-majority threshold.
 func shareKey(sk *ahe.PrivateKey, committee sortition.Committee) (*keyMaterial, error) {
 	group := vsr.DefaultGroup()
 	t := majority(len(committee))
-	shares, err := group.Field().Split(sk.Prime(), len(committee), t)
+	shares, err := splitKey(group, sk.Prime(), len(committee), t)
 	if err != nil {
 		return nil, err
 	}
 	pub := sk.PublicKey
 	return &keyMaterial{pub: &pub, group: group, primeShares: shares, threshold: t, holder: committee}, nil
+}
+
+// splitKey shares each limb of p among n members at threshold t.
+func splitKey(group *vsr.Group, p *big.Int, n, t int) ([][]shamir.Share, error) {
+	limbs := splitLimbs(p)
+	shares := make([][]shamir.Share, len(limbs))
+	for l, limb := range limbs {
+		var err error
+		if shares[l], err = group.Field().Split(limb, n, t); err != nil {
+			return nil, err
+		}
+	}
+	return shares, nil
 }
 
 // handoff redistributes the private-key shares from the current holder to a
@@ -450,7 +493,9 @@ func shareKey(sk *ahe.PrivateKey, committee sortition.Committee) (*keyMaterial, 
 // survivors' shares — the Lagrange combination only needs a reconstructing
 // subset, and each share carries its evaluation point. Below the threshold
 // the attempt fails with vsr.ErrInsufficientShares and the policy backs off
-// and retries; exhaustion fails closed with ErrHandoffFailed.
+// and retries; exhaustion fails closed with ErrHandoffFailed. An attempt
+// picks its dealers once and redistributes every limb of p from them, and a
+// hand-off counts one VSR transfer however many limbs it moves.
 func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 	seq := d.transferSeq
 	d.transferSeq++
@@ -462,8 +507,8 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 			d.Metrics.VSRRedeals++
 			d.Metrics.BackoffSimulated += handoffBackoff.delay(attempt - 1)
 		}
-		var alive []shamir.Share
-		for i := range km.primeShares {
+		var alive []int // surviving dealer positions
+		for i := range km.holder {
 			if i < len(km.lost) && km.lost[i] {
 				continue // dropped mid-vignette earlier; its share is gone
 			}
@@ -475,14 +520,14 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 				})
 				continue
 			}
-			alive = append(alive, km.primeShares[i])
+			alive = append(alive, i)
 		}
 		if len(alive) < km.threshold {
 			lastErr = fmt.Errorf("%d of %d dealers survived, need %d: %w",
-				len(alive), len(km.primeShares), km.threshold, vsr.ErrInsufficientShares)
+				len(alive), len(km.holder), km.threshold, vsr.ErrInsufficientShares)
 			continue
 		}
-		shares, err := vsr.Redistribute(km.group, alive, km.threshold, newN, newT)
+		shares, err := km.redistribute(alive, newN, newT)
 		if err != nil {
 			lastErr = fmt.Errorf("runtime: VSR: %w", err)
 			continue
@@ -498,16 +543,37 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 		ErrHandoffFailed, seq, newN, handoffBackoff.attempts, lastErr)
 }
 
-// reconstructKey lets the current holding committee (honest majority
-// assumed) reassemble the private key for a decryption step: p from its
-// shares, then the whole CRT key by ahe.KeyFromPrime. A p that is not a
-// proper factor of n fails closed with ahe.ErrNotFactor.
-func (km *keyMaterial) reconstructKey() (*ahe.PrivateKey, error) {
-	p, err := km.group.Field().Reconstruct(km.primeShares, km.threshold)
-	if err != nil {
-		return nil, err
+// redistribute runs one VSR per limb of p from the dealers at the holder
+// positions alive to a new committee of newN at threshold newT.
+func (km *keyMaterial) redistribute(alive []int, newN, newT int) ([][]shamir.Share, error) {
+	next := make([][]shamir.Share, len(km.primeShares))
+	for l, limb := range km.primeShares {
+		old := make([]shamir.Share, len(alive))
+		for k, i := range alive {
+			old[k] = limb[i]
+		}
+		var err error
+		if next[l], err = vsr.Redistribute(km.group, old, km.threshold, newN, newT); err != nil {
+			return nil, err
+		}
 	}
-	sk, err := ahe.KeyFromPrime(km.pub, p)
+	return next, nil
+}
+
+// reconstructKey lets the current holding committee (honest majority
+// assumed) reassemble the private key for a decryption step: each limb of p
+// from its shares, p from its limbs, then the whole CRT key by
+// ahe.KeyFromPrime. A p that is not a proper factor of n fails closed with
+// ahe.ErrNotFactor.
+func (km *keyMaterial) reconstructKey() (*ahe.PrivateKey, error) {
+	limbs := make([]*big.Int, len(km.primeShares))
+	for l, shares := range km.primeShares {
+		var err error
+		if limbs[l], err = km.group.Field().Reconstruct(shares, km.threshold); err != nil {
+			return nil, err
+		}
+	}
+	sk, err := ahe.KeyFromPrime(km.pub, joinLimbs(limbs))
 	if err != nil {
 		return nil, fmt.Errorf("runtime: reconstructed key: %w", err)
 	}

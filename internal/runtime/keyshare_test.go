@@ -3,23 +3,25 @@ package runtime
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
 	"arboretum/internal/sortition"
+	"arboretum/internal/vsr"
 )
 
-// keyShareFixture is a deployment carrying plan, a generated key and its
-// prime-only key material held by a five-member committee.
-func keyShareFixture(t *testing.T, plan *faults.Plan) (*Deployment, *ahe.PrivateKey, *keyMaterial) {
+// keyShareFixture is a deployment carrying plan, a generated key of keyBits
+// and its prime-only key material held by a five-member committee.
+func keyShareFixture(t *testing.T, keyBits int, plan *faults.Plan) (*Deployment, *ahe.PrivateKey, *keyMaterial) {
 	t.Helper()
-	d, err := NewDeployment(Config{N: 64, Categories: 2, CommitteeSize: 5, Seed: 1, KeyBits: 256, Faults: plan})
+	d, err := NewDeployment(Config{N: 64, Categories: 2, CommitteeSize: 5, Seed: 1, KeyBits: keyBits, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := ahe.GenerateKey(rand.Reader, 256)
+	sk, err := ahe.GenerateKey(rand.Reader, keyBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,37 +90,78 @@ func assertKeyMatches(t *testing.T, stage string, sk *ahe.PrivateKey, km *keyMat
 // TestPrimeOnlyKey: the committee holds shares of the prime p alone, and
 // the key it reconstructs is the generating key after key generation, after
 // a plain hand-off, and after a hand-off whose first attempt lost three of
-// five dealers (dealer@…, docs/FAULTS.md) and re-dealt.
+// five dealers (dealer@…, docs/FAULTS.md) and re-dealt. It runs with p in
+// one limb (KeyBits 256) and in two (KeyBits 1,040, a 520-bit p): the
+// dealer faults, re-deals and transfers count per hand-off, not per limb.
 func TestPrimeOnlyKey(t *testing.T) {
 	next := sortition.Committee{5, 6, 7, 8, 9}
+	for _, c := range []struct{ keyBits, limbs int }{{256, 1}, {1040, 2}} {
+		t.Run(fmt.Sprintf("keybits%d", c.keyBits), func(t *testing.T) {
+			d, sk, km := keyShareFixture(t, c.keyBits, nil)
+			if len(km.primeShares) != c.limbs {
+				t.Fatalf("p shared in %d limbs, want %d", len(km.primeShares), c.limbs)
+			}
+			assertKeyMatches(t, "after keygen", sk, km)
+			if err := km.handoff(d, next); err != nil {
+				t.Fatal(err)
+			}
+			assertKeyMatches(t, "after hand-off", sk, km)
 
-	d, sk, km := keyShareFixture(t, nil)
-	assertKeyMatches(t, "after keygen", sk, km)
-	if err := km.handoff(d, next); err != nil {
-		t.Fatal(err)
+			plan, err := faults.Parse("seed=1,dealer@0.0.0,dealer@0.0.1,dealer@0.0.2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, sk, km = keyShareFixture(t, c.keyBits, plan)
+			if err := km.handoff(d, next); err != nil {
+				t.Fatal(err)
+			}
+			if m := d.Metrics; m.DealerFailures != 3 || m.VSRRedeals != 1 || m.VSRTransfers != 1 {
+				t.Fatalf("dealer failures %d, re-deals %d, transfers %d; want 3, 1, 1",
+					m.DealerFailures, m.VSRRedeals, m.VSRTransfers)
+			}
+			assertKeyMatches(t, "after re-deal", sk, km)
+		})
 	}
-	assertKeyMatches(t, "after hand-off", sk, km)
+}
 
-	plan, err := faults.Parse("seed=1,dealer@0.0.0,dealer@0.0.1,dealer@0.0.2")
-	if err != nil {
-		t.Fatal(err)
+// TestKeyLimbs: splitLimbs cuts p into ⌈bits/limbBits⌉ limbs, each below
+// the sharing field's Q, and joinLimbs restores p, for the smallest and the
+// largest p of each width around the limb boundaries. It also guards the
+// limb count of the key sizes that matter: the primes of the default
+// KeyBits 512 (256 bits) and of 1,024 (512 bits) fit one limb, so no
+// benchmark shape goes multi-limb unnoticed, and the supported maximum,
+// KeyBits 3,068 (1,534 bits), takes three.
+func TestKeyLimbs(t *testing.T) {
+	q := vsr.DefaultGroup().Q
+	one := big.NewInt(1)
+	for _, c := range []struct{ bits, limbs int }{{1, 1}, {256, 1}, {511, 1}, {512, 1}, {513, 2}, {1024, 2}, {1534, 3}} {
+		smallest := new(big.Int).Lsh(one, uint(c.bits-1))
+		largest := new(big.Int).Sub(new(big.Int).Lsh(one, uint(c.bits)), one)
+		for _, p := range []*big.Int{smallest, largest} {
+			limbs := splitLimbs(p)
+			if len(limbs) != c.limbs {
+				t.Errorf("%d-bit p: %d limbs, want %d", c.bits, len(limbs), c.limbs)
+			}
+			for l, limb := range limbs {
+				if limb.Sign() < 0 || limb.Cmp(q) >= 0 {
+					t.Errorf("%d-bit p: limb %d outside Z_Q", c.bits, l)
+				}
+			}
+			if got := joinLimbs(limbs); got.Cmp(p) != 0 {
+				t.Errorf("%d-bit p: joined limbs give %x, want %x", c.bits, got, p)
+			}
+		}
 	}
-	d, sk, km = keyShareFixture(t, plan)
-	if err := km.handoff(d, next); err != nil {
-		t.Fatal(err)
+	if limbs := splitLimbs(new(big.Int)); len(limbs) != 1 || limbs[0].Sign() != 0 {
+		t.Errorf("splitLimbs(0) = %v, want one zero limb", limbs)
 	}
-	if m := d.Metrics; m.DealerFailures != 3 || m.VSRRedeals != 1 || m.VSRTransfers != 1 {
-		t.Fatalf("dealer failures %d, re-deals %d, transfers %d; want 3, 1, 1",
-			m.DealerFailures, m.VSRRedeals, m.VSRTransfers)
-	}
-	assertKeyMatches(t, "after re-deal", sk, km)
 }
 
 // TestNonFactorShareFailsClosed: shares of a value that is not a proper
 // factor of n — p + 2, 1, n itself — reconstruct to no key: reconstructKey
 // and both decryption paths fail with ahe.ErrNotFactor.
 func TestNonFactorShareFailsClosed(t *testing.T) {
-	_, sk, km := keyShareFixture(t, nil)
+	_, sk, km := keyShareFixture(t, 256, nil)
 	ce := newBareCommittee(t, 5, 1)
 	ct, err := km.pub.Encrypt(rand.Reader, big.NewInt(5))
 	if err != nil {
@@ -126,7 +169,7 @@ func TestNonFactorShareFailsClosed(t *testing.T) {
 	}
 	n := km.pub.N
 	for _, v := range []*big.Int{new(big.Int).Add(sk.Prime(), big.NewInt(2)), big.NewInt(1), n} {
-		shares, err := km.group.Field().Split(v, len(km.holder), km.threshold)
+		shares, err := splitKey(km.group, v, len(km.holder), km.threshold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,11 +186,12 @@ func TestNonFactorShareFailsClosed(t *testing.T) {
 	}
 }
 
-// TestKeyBits2048 is the regression for keys whose λ outgrew the 1535-bit
-// sharing field: the committee used to share λ, which the field silently
-// reduced, so a 2048-bit deployment decrypted garbage and refused every
-// release with errDecryptRange. Its 1024-bit prime fits, so a Laplace count
-// releases; a KeyBits whose prime does not fit is refused up front.
+// TestKeyBits2048 is the regression for keys whose λ outgrew the sharing
+// field: the committee used to share λ, which the field silently reduced,
+// so a 2048-bit deployment decrypted garbage and refused every release with
+// errDecryptRange. Its 1024-bit prime is shared in two 512-bit limbs, each
+// below the 513-bit Q, so a Laplace count releases; a KeyBits past the
+// supported range (1,534-bit primes, three limbs) is refused up front.
 func TestKeyBits2048(t *testing.T) {
 	d := smallDeployment(t, 16, 2, func(c *Config) {
 		c.KeyBits = 2048
@@ -176,7 +220,7 @@ output(c);`
 // a plaintext outside int64 with the same error. decryptScalar, which
 // laplaceRelease releases through, used to truncate it silently.
 func TestDecryptOutOfInt64FailsClosed(t *testing.T) {
-	_, _, km := keyShareFixture(t, nil)
+	_, _, km := keyShareFixture(t, 256, nil)
 	ce := newBareCommittee(t, 5, 1)
 	encrypt := func(m *big.Int) *ahe.Ciphertext {
 		ct, err := km.pub.Encrypt(rand.Reader, m)

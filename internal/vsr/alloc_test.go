@@ -3,7 +3,7 @@
 package vsr
 
 // Allocation-regression gate for the group's memoized state: a warm Field
-// hands back the one field the group built (the 1535-bit primality test runs
+// hands back the one field the group built (the 513-bit primality test runs
 // once per group, not per call), and a warm Commit walks the shared comb on
 // pooled scratch, allocating only its result. Excluded under -race like the
 // ahe and bgv gates: the race runtime adds its own allocations.

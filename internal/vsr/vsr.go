@@ -13,6 +13,11 @@
 // paper uses the Extended VSR implementation from Mycelium; this is a
 // from-scratch implementation of the same protocol family (see DESIGN.md).
 //
+// The commitments live in a Schnorr group (DefaultGroup): a 1,536-bit prime
+// P and a 513-bit prime order Q dividing P−1. Secrets are shared in Z_Q, so
+// a secret must lie below Q; the runtime shares a wider key prime in 512-bit
+// limbs, one sharing each.
+//
 // Redistribute makes one Feldman check per new member, of its combined
 // share, rather than one per sub-share, and loops VerifySubShare only to
 // blame a dealing once that check has failed (finish; docs/KERNELS.md, "One
@@ -38,16 +43,16 @@ import (
 // threshold the secret is unrecoverable and the query must abort.
 var ErrInsufficientShares = errors.New("vsr: insufficient shares for threshold")
 
-// Group is a Schnorr group: commitments live in the order-q subgroup of
-// Z_p* generated by G, and shared secrets live in Z_q.
+// Group is a Schnorr group: commitments live in the order-Q subgroup of
+// Z_P* generated by G, and shared secrets live in Z_Q.
 //
 // The sharing field and the commitment comb are built from P, Q and G on
 // first use and shared read-only after that, so a Group is safe for
 // concurrent use and its fields must not change once Field or Commit has
 // run.
 type Group struct {
-	P *big.Int // safe prime
-	Q *big.Int // (P−1)/2, the subgroup order and the sharing field
+	P *big.Int // prime modulus; Q divides P−1
+	Q *big.Int // prime order of G, and the sharing field
 	G *big.Int // generator of the order-Q subgroup
 
 	fieldOnce sync.Once
@@ -68,30 +73,58 @@ type commitScratch struct {
 	fb  fixedbase.Scratch
 }
 
-// rfc3526Prime1536 is the 1536-bit MODP safe prime from RFC 3526 §2.
-const rfc3526Prime1536 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF"
+// The default group's constants, in hex. They are the result of a
+// deterministic search from the label "arboretum/vsr/schnorr-1536-513",
+// which TestDefaultGroupDerivation re-runs. The label's stream for a tag is
+// SHA-256(label/tag ‖ i) for i = 0, 1, … (i as four big-endian bytes),
+// concatenated, and its first n bytes are read as a big-endian integer.
+//
+//  1. Q is the first prime at or above the "q" stream's 65 bytes shifted
+//     right by 7 bits with bit 512 set, so 2^512 < Q < 2^513.
+//  2. P = k·Q + 1 for the first k, counting up by 2 from ⌊x/Q⌋ rounded down
+//     to even, x the "k" stream's 192 bytes with bit 1535 set, that makes P
+//     a 1,536-bit prime.
+//  3. G = h^((P−1)/Q) mod P for the first h ≥ 2 that gives G ≠ 1.
+const (
+	groupQ = "183F8B221823672696566BEA73AF5F00B56A9283F23FF886" +
+		"D8B6DE2B72CE5108EF2970763BFB15DF7823D8F532D02843" +
+		"50134D080172BC0959D58B722DD8A8F45"
+	groupP = "D964CE8F12642A13CD9FC16230490F67C5813DAABCCD4990" +
+		"3CDEDE4FAB27768F68A65895E52D335F47198CD31F23BCE7" +
+		"821DEF7DB324E9B181B98CF9001B1A866A666647EB9F3EBE" +
+		"8C9A196C9FC948211C031D08D32F7CFFF6299312AEE5A89B" +
+		"D6F1D4D6AF19E0C5FD609D8173F420FADDB0E25AE97EE38F" +
+		"9BB1AB3924D232B98664FBE5A08A06F2F97CE5494F00C914" +
+		"C2EBAAC872FD04A7A52CDA60B59D57DF7F2B4491B7DE1D5B" +
+		"1D53FDFDFCBE164B14603601EC67BD76DE8447CC22BC551B"
+	groupG = "822CEFB5C892D09F138BB081E70117EBD0C232B024A17A43" +
+		"D8D07DF6B341CB6047E3B99D6EF859A7D21B7B82CA5DA3CD" +
+		"C94AD4999A9164960C84EBCB9030FF15A360E94B5391A686" +
+		"C999BC24491A88DC4F3D9580D2A4ECBDDE9BBADB036461ED" +
+		"70362370449E5D3FB4BCB40876585F764C19C1231FCF79BB" +
+		"464E821E0D04C3A138431FB7F55BA1863BFB48AA3167E71E" +
+		"5161F5643468966BBB82852037CE8B4849BCED67DC81CBD5" +
+		"2D42F17A6C74B624870AB1125FEE9200F9A3E0902E9565E9"
+)
 
-// defaultGroup is parsed once; TestDefaultGroupSanity validates the constant
-// (P and Q prime, P = 2Q+1, G of order Q).
+// defaultGroup is parsed once; TestDefaultGroupSanity validates the
+// constants (P and Q prime, Q | P−1, G of order Q).
 var defaultGroup = func() *Group {
-	p, ok := new(big.Int).SetString(rfc3526Prime1536, 16)
-	if !ok {
-		panic("vsr: bad built-in prime")
+	parse := func(hex string) *big.Int {
+		v, ok := new(big.Int).SetString(hex, 16)
+		if !ok {
+			panic("vsr: bad built-in group constant")
+		}
+		return v
 	}
-	q := new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 1)
-	return &Group{P: p, Q: q, G: big.NewInt(4)}
+	return &Group{P: parse(groupP), Q: parse(groupQ), G: parse(groupG)}
 }()
 
-// DefaultGroup returns the RFC 3526 1536-bit group with generator 4 (a
-// quadratic residue, hence of order Q). The group is shared: callers must
-// not modify it.
+// DefaultGroup returns the built-in Schnorr group: a 1,536-bit prime P, the
+// discrete-log strength of the RFC 3526 1,536-bit group, and a 513-bit prime
+// order Q, so every commitment exponent is 65 bytes and every secret below
+// 2^512 fits the sharing field. The group is shared: callers must not modify
+// it.
 func DefaultGroup() *Group { return defaultGroup }
 
 // Field returns the Z_q sharing field of the group. The first call builds it

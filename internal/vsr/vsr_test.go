@@ -1,6 +1,8 @@
 package vsr
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -13,24 +15,83 @@ import (
 	"arboretum/internal/shamir"
 )
 
-// TestDefaultGroupSanity validates the built-in group's constant.
+// TestDefaultGroupSanity validates the built-in group's constants: P and Q
+// prime, Q | P−1 with Q > 2^512, P of 1,536 bits, G ≠ 1 with G^Q ≡ 1 (so G
+// has the prime order Q), and the sharing field Z_Q.
 func TestDefaultGroupSanity(t *testing.T) {
 	g := DefaultGroup()
+	one := big.NewInt(1)
 	if !g.P.ProbablyPrime(20) {
 		t.Fatal("P not prime")
 	}
 	if !g.Q.ProbablyPrime(20) {
 		t.Fatal("Q not prime")
 	}
-	if twoQ := new(big.Int).Lsh(g.Q, 1); twoQ.Add(twoQ, big.NewInt(1)).Cmp(g.P) != 0 {
-		t.Fatal("P != 2Q+1")
+	if r := new(big.Int).Mod(new(big.Int).Sub(g.P, one), g.Q); r.Sign() != 0 {
+		t.Fatal("Q does not divide P−1")
 	}
-	// G must have order Q: G^Q = 1 and G ≠ 1 (Q is prime).
-	if g.G.Cmp(big.NewInt(1)) == 0 || new(big.Int).Exp(g.G, g.Q, g.P).Cmp(big.NewInt(1)) != 0 {
+	if g.Q.Cmp(new(big.Int).Lsh(one, 512)) <= 0 {
+		t.Fatalf("Q has %d bits, want Q > 2^512", g.Q.BitLen())
+	}
+	if g.P.BitLen() != 1536 {
+		t.Fatalf("P has %d bits, want 1536", g.P.BitLen())
+	}
+	if g.G.Cmp(one) == 0 || new(big.Int).Exp(g.G, g.Q, g.P).Cmp(one) != 0 {
 		t.Fatal("G does not have order Q")
 	}
 	if g.Field().P.Cmp(g.Q) != 0 {
 		t.Fatal("sharing field is not Z_Q")
+	}
+}
+
+// TestDefaultGroupDerivation re-runs the search vsr.go documents from its
+// label and requires the pinned constants: they are the search's output, not
+// unexplained numbers.
+func TestDefaultGroupDerivation(t *testing.T) {
+	const label = "arboretum/vsr/schnorr-1536-513"
+	// stream returns the first n bytes of SHA-256(label/tag ‖ i) for
+	// i = 0, 1, …, i as four big-endian bytes, read as a big-endian integer.
+	stream := func(tag string, n int) *big.Int {
+		var buf []byte
+		for i := uint32(0); len(buf) < n; i++ {
+			h := sha256.New()
+			h.Write([]byte(label + "/" + tag))
+			h.Write(binary.BigEndian.AppendUint32(nil, i))
+			buf = h.Sum(buf)
+		}
+		return new(big.Int).SetBytes(buf[:n])
+	}
+	one := big.NewInt(1)
+	q := stream("q", 65)
+	q.Rsh(q, 7).SetBit(q, 512, 1)
+	for !q.ProbablyPrime(20) {
+		q.Add(q, one)
+	}
+	k := stream("k", 192)
+	k.SetBit(k, 1535, 1).Quo(k, q).SetBit(k, 0, 0)
+	p := new(big.Int)
+	for {
+		p.Mul(k, q).Add(p, one)
+		if p.BitLen() == 1536 && p.ProbablyPrime(20) {
+			break
+		}
+		k.Add(k, big.NewInt(2))
+	}
+	e := new(big.Int).Quo(new(big.Int).Sub(p, one), q)
+	gen := new(big.Int)
+	for h := int64(2); ; h++ {
+		if gen.Exp(big.NewInt(h), e, p).Cmp(one) != 0 {
+			break
+		}
+	}
+	g := DefaultGroup()
+	for _, c := range []struct {
+		name      string
+		got, want *big.Int
+	}{{"Q", g.Q, q}, {"P", g.P, p}, {"G", g.G, gen}} {
+		if c.got.Cmp(c.want) != 0 {
+			t.Errorf("pinned %s = %X, the search gives %X", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -51,7 +112,8 @@ func TestDefaultGroupBuiltOnce(t *testing.T) {
 }
 
 // commitValues are the edge values every Commit check covers: zero, one,
-// both sides of Q, a negative value, and the largest 1535-bit value.
+// both sides of Q, a negative value, and the largest 1536-bit value, far
+// above Q, so Commit's reduction mod Q runs.
 func commitValues(g *Group) []*big.Int {
 	one := big.NewInt(1)
 	return []*big.Int{
@@ -61,7 +123,7 @@ func commitValues(g *Group) []*big.Int {
 		new(big.Int).Set(g.Q),
 		new(big.Int).Add(g.Q, one),
 		big.NewInt(-1),
-		new(big.Int).Sub(new(big.Int).Lsh(one, 1535), one),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 1536), one),
 	}
 }
 
@@ -314,16 +376,6 @@ func TestRedistributeErrors(t *testing.T) {
 	}
 }
 
-func TestDealingBytes(t *testing.T) {
-	g := DefaultGroup()
-	field := g.Field()
-	old, _ := field.Split(big.NewInt(7), 3, 2)
-	d, _ := Deal(g, old[0], 4, 2)
-	if d.Bytes() <= 0 {
-		t.Error("Bytes() not positive")
-	}
-}
-
 // BenchmarkRedistribute5to5 is the runtime's hand-off: a five-member
 // committee at threshold 3 to the next five-member committee.
 func BenchmarkRedistribute5to5(b *testing.B) {
@@ -386,18 +438,6 @@ func TestInsufficientSharesTyped(t *testing.T) {
 	if _, err := Redistribute(g, old, 3, 7, 4); err != nil {
 		t.Errorf("full redistribution failed: %v", err)
 	}
-}
-
-// Bytes returns the approximate wire size of the dealing.
-func (d *Dealing) Bytes() int {
-	n := 8
-	for _, s := range d.SubShares {
-		n += 8 + (s.Y.BitLen()+7)/8
-	}
-	for _, c := range d.Commitments {
-		n += (c.BitLen() + 7) / 8
-	}
-	return n
 }
 
 // Deal re-shares the member's share to a new committee of size newN with

@@ -57,7 +57,7 @@ go test ./internal/bgv ./internal/ahe ./internal/planner ./internal/vsr ./intern
 
 # The 32-bit word path: word width changes the fixed-base comb's m′ =
 # −m⁻¹ mod b, its carries and the word math/big's addMulVVW works on, and no
-# other pass runs it (~8 s, most of it vsr). Its two callers run too.
+# other pass runs it (~5 s). Its two callers run too.
 echo "== GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr"
 GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr
 
