@@ -13,6 +13,7 @@ package ahe
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"sync"
 	"testing"
@@ -179,5 +180,42 @@ func BenchmarkSum(b *testing.B) {
 	}
 	if m.Int64() != 1023 { // sum of i%3 over i = 0..1023
 		b.Fatalf("sum decrypted to %v, want 1023", m)
+	}
+}
+
+// BenchmarkGenerateKey times one 512-bit key, the runtime's default: two
+// prime searches side by side and the fixed-base table, sized for a gateway
+// job's 104 encryptions (96 packed rows and 8 re-encryptions, the 8 × 5
+// comb) and for no bound (9 × 8, what GenerateKey builds). Compare -cpu 1,2:
+// the primes and the table's groups share the pool.
+func BenchmarkGenerateKey(b *testing.B) {
+	for _, c := range []struct {
+		name        string
+		encryptions int
+	}{
+		{"encryptions=104", 104},
+		{"unbounded", math.MaxInt},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := benchrand.New(7)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := GenerateKeyFor(rng, 512, c.encryptions); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRandomPrime times one 256-bit prime, a 512-bit key's factor: the
+// trial-division filter and ProbablyPrime(20) on the survivors.
+func BenchmarkRandomPrime(b *testing.B) {
+	rng := benchrand.New(8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := randomPrime(rng, 256); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

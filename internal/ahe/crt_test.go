@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -244,10 +245,10 @@ func TestDecryptCRTAndFallback(t *testing.T) {
 // exponent streams, the math/big table walk must equal gn^x mod n² computed
 // from first principles, and must reproduce the SHA-256 digests of what the
 // Montgomery table walk returned for the same inputs at the last commit that
-// carried it (759ba63; captured there by a throwaway test, see CHANGES.md
-// PR 19). GenerateKey is not reproducible from a seeded reader
-// (crypto/rand.Prime deliberately consumes a random extra byte), so the
-// primes are literals.
+// carried it (759ba63; captured there by a throwaway test, see CHANGES.md).
+// GenerateKey is not reproducible from a seeded reader (its two primes draw
+// concurrently from the one reader), so the primes are literals, and the
+// table is the unbounded key's 9 × 8.
 func TestFixedBaseFallbackMatchesMontgomery(t *testing.T) {
 	p, _ := new(big.Int).SetString("dcf6b8cc6ef1628d3d4ea2a64ee79d0bfbfa9400e674becde2e581ebfa6c190d", 16)
 	q, _ := new(big.Int).SetString("f706c2a71cc81e8f4c60bb76d6b3545ac39b15d50ccbc29a2afee5a138570b39", 16)
@@ -262,7 +263,7 @@ func TestFixedBaseFallbackMatchesMontgomery(t *testing.T) {
 		"12fe584c374572377c37666a61979945f8672ebe36584df00de687fc08fabc55",
 		"87f5c0ca8cece0fc6f21687c0a2845867ceb0664bb579ba49e339e6e0f0c490e",
 	}
-	fb := newFixedBase(n, n2)
+	fb := newFixedBase(n, n2, math.MaxInt)
 	gn := new(big.Int).Exp(deriveH(n), n, n2)
 	s := fb.scratch.Get()
 	defer fb.scratch.Put(s)

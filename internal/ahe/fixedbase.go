@@ -13,11 +13,14 @@ package ahe
 // residuosity assumption (see docs/KERNELS.md).
 //
 // Because the base is fixed, the exponentiation walks an internal/fixedbase
-// comb — at most 64 Montgomery steps per encryption, 7 of them squarings,
-// the last of which multiplies in g^m, so the whole ciphertext is one walk —
-// and the key carries one table, built by GenerateKey and shared by every
-// encryption under it. The walk runs on pooled scratch, so it allocates
-// nothing (docs/KERNELS.md, "Why math/big").
+// comb, whose last step multiplies in g^m, so the whole ciphertext is one
+// walk. The key carries one table, built by GenerateKeyFor and shared by
+// every encryption under it, in the shape that costs least for the
+// encryptions the key will serve: a walk takes at most 64 Montgomery steps,
+// 7 of them squarings, in the 9 × 8 table of a key with no bound, and 76 in
+// the 8 × 5 table of a key for about a hundred, which builds in under half
+// the steps. The walk runs on pooled scratch, so it allocates nothing
+// (docs/KERNELS.md, "Why math/big").
 
 import (
 	"crypto/sha256"
@@ -79,10 +82,11 @@ func deriveH(n *big.Int) *big.Int {
 	}
 }
 
-// newFixedBase precomputes the comb for gn = h^n mod n².
-func newFixedBase(n, n2 *big.Int) *fixedBase {
+// newFixedBase precomputes the comb for gn = h^n mod n², sized for
+// encryptions walks of it.
+func newFixedBase(n, n2 *big.Int, encryptions int) *fixedBase {
 	gn := new(big.Int).Exp(deriveH(n), n, n2)
-	fb := &fixedBase{comb: fixedbase.New(gn, n2, fbExpBytes)}
+	fb := &fixedBase{comb: fixedbase.New(gn, n2, fbExpBytes, encryptions)}
 	fb.scratch.New = func() *fbScratch { return new(fbScratch) }
 	return fb
 }

@@ -3,6 +3,7 @@ package ahe
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/big"
 )
 
@@ -67,7 +68,8 @@ func (pk *PublicKey) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary deserializes a public key and attaches its fixed-base
-// table, the same comb GenerateKey builds: deriveH is deterministic in n.
+// table, the same comb GenerateKey builds, for any number of encryptions:
+// deriveH is deterministic in n.
 func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	n, rest, err := readBig(data)
 	if err != nil {
@@ -82,6 +84,6 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	}
 	pk.N = n
 	pk.N2 = new(big.Int).Mul(n, n)
-	pk.fb = newFixedBase(n, pk.N2)
+	pk.fb = newFixedBase(n, pk.N2, math.MaxInt)
 	return nil
 }

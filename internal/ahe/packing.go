@@ -51,8 +51,7 @@ func (pk *PublicKey) NewPacking(devices, cells int) (*Packing, error) {
 	if devices < 0 || cells < 1 {
 		return nil, fmt.Errorf("ahe: packing %d cells for %d devices", cells, devices)
 	}
-	w := max(bits.Len(uint(devices)), 1)
-	digits := (pk.N.BitLen() - 2) / w
+	w, digits := packShape(pk.N.BitLen(), devices)
 	if digits < 1 {
 		return nil, fmt.Errorf("ahe: a %d-bit key cannot hold a %d-bit digit", pk.N.BitLen(), w)
 	}
@@ -70,6 +69,24 @@ func (pk *PublicKey) NewPacking(devices, cells int) (*Packing, error) {
 		p.ones[k] = sum
 	}
 	return p, nil
+}
+
+// packShape returns the digit width and the cells per ciphertext of the
+// codec for an n of keyBits bits and the given device count.
+func packShape(keyBits, devices int) (width, digits int) {
+	width = max(bits.Len(uint(devices)), 1)
+	return width, (keyBits - 2) / width
+}
+
+// RowCiphertexts returns how many ciphertexts a row of cells cells packs
+// into under a key of keyBits bits, for devices devices: what NewPacking's
+// codec returns from Ciphertexts, computed before the key exists. It is 0
+// where NewPacking would refuse the key.
+func RowCiphertexts(keyBits, devices, cells int) int {
+	if _, digits := packShape(keyBits, devices); digits >= 1 {
+		return (cells + digits - 1) / digits
+	}
+	return 0
 }
 
 // Cells returns the row's cell count.

@@ -198,3 +198,24 @@ func TestNewPackingValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRowCiphertexts holds RowCiphertexts, the count a deployment sizes its
+// key's table by before the key exists, to the codec's own Ciphertexts over
+// key sizes, device counts and row widths, and to 0 where NewPacking
+// refuses the key.
+func TestRowCiphertexts(t *testing.T) {
+	for _, keyBits := range []int{10, 256, 512, 2048} {
+		pk := &PublicKey{N: new(big.Int).Lsh(one, uint(keyBits-1))}
+		for _, devices := range []int{0, 8, 96, 2048, 1 << 20} {
+			for _, cells := range []int{1, 8, 32, 72, 73, 512} {
+				want := 0
+				if p, err := pk.NewPacking(devices, cells); err == nil {
+					want = p.Ciphertexts()
+				}
+				if got := RowCiphertexts(keyBits, devices, cells); got != want {
+					t.Errorf("%d-bit key, %d devices × %d cells: %d ciphertexts, the codec packs %d", keyBits, devices, cells, got, want)
+				}
+			}
+		}
+	}
+}

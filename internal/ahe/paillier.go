@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"sync"
 
@@ -77,7 +78,7 @@ type PublicKey struct {
 	N2 *big.Int // n^2, cached
 
 	// fb is the precomputed fixed-base table that accelerates the r^n mod n²
-	// factor of every encryption (see fixedbase.go). GenerateKey populates
+	// factor of every encryption (see fixedbase.go). GenerateKeyFor populates
 	// it; a key built by hand leaves it nil, and
 	// then every encryption — Encrypt's and each EncryptVector slot's —
 	// takes the textbook exponentiation. The table is immutable, so copying
@@ -117,20 +118,34 @@ func (c *Ciphertext) Bytes() int {
 	return (c.C.BitLen() + 7) / 8
 }
 
-// GenerateKey creates a Paillier keypair with an n of the given bit length.
-// bits must be at least 128 (tests use small keys; deployments use ≥ 2048).
-// The two primes are drawn side by side on the worker pool, through a
-// mutex-wrapped reader unless random is crypto/rand's (a seeded reader does
-// not make the key reproducible anyway: crypto/rand.Prime consumes a random
-// extra byte on purpose), and the key is built by KeyFromPrime.
+// GenerateKey creates a Paillier keypair with an n of the given bit length
+// and a fixed-base table for any number of encryptions: GenerateKeyFor with
+// no bound.
 func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
+	return GenerateKeyFor(random, bits, math.MaxInt)
+}
+
+// GenerateKeyFor creates a Paillier keypair with an n of the given bit
+// length, whose fixed-base table is sized for about encryptions encryptions:
+// more still encrypt correctly, each walk a few steps longer than the
+// table's best. bits must be even, so that two primes of bits/2 bits with
+// their top two bits set make it, and at least 128 (tests use small keys;
+// deployments use ≥ 2048). The two primes are drawn side by side on the
+// worker pool (randomPrime), through a mutex-wrapped reader unless random is
+// crypto/rand's; which of them reads which bytes depends on the schedule, so
+// a seeded reader does not make the key reproducible. The key is built by
+// KeyFromPrime.
+func GenerateKeyFor(random io.Reader, bits, encryptions int) (*PrivateKey, error) {
 	if bits < 128 {
 		return nil, errors.New("ahe: key too small")
+	}
+	if bits%2 != 0 {
+		return nil, fmt.Errorf("ahe: key size %d is odd", bits)
 	}
 	random = parallelSafeReader(random)
 	for {
 		pq, err := parallel.Map(nil, 2, 0, func(int) (*big.Int, error) {
-			return rand.Prime(random, bits/2)
+			return randomPrime(random, bits/2)
 		})
 		if err != nil {
 			return nil, err
@@ -148,7 +163,7 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		if err != nil {
 			continue
 		}
-		sk.fb = newFixedBase(n, n2)
+		sk.fb = newFixedBase(n, n2, encryptions)
 		return sk, nil
 	}
 }
@@ -159,7 +174,7 @@ var ErrNotFactor = errors.New("ahe: not a proper factor of the modulus")
 
 // KeyFromPrime builds the private key for pub from one prime factor p of
 // its modulus: q = n/p, then λ = lcm(p−1, q−1), μ = (λ mod n)⁻¹ mod n and the
-// CRT values, so Decrypt takes the CRT path. GenerateKey builds every key
+// CRT values, so Decrypt takes the CRT path. GenerateKeyFor builds every key
 // this way, and a decryption committee rebuilds its key from a reconstructed
 // p. It fails closed with ErrNotFactor unless 1 < p < n and p divides n, and
 // the derived inverses exist. The result shares pub's fixed-base table.

@@ -10,6 +10,7 @@ package fixedbase
 
 import (
 	"math/big"
+	"runtime"
 	"testing"
 
 	"arboretum/internal/benchrand"
@@ -26,15 +27,22 @@ import (
 // Before the slab it was one per entry, 1,936 at the ahe size.
 const newAllocs = 14
 
+// newBytes104 caps the bytes New allocates for a table sized to 104 walks,
+// a gateway key's 96 uploads and 8 re-encryptions, at ahe's size: the 8 × 5
+// shape's slab of 5·255 entries of 128 bytes, 163,200 bytes, plus the
+// build's few thousand (165,856 measured). The 9 × 8 slab every key built
+// before was 523,264.
+const newBytes104 = 170_000
+
 func TestAllocGateFixedBase(t *testing.T) {
 	rng := benchrand.New(0xA110C)
 	for _, size := range sizes {
 		m := oddModulus(t, rng, size.modBits)
 		g := big.NewInt(4)
-		if got := testing.AllocsPerRun(2, func() { New(g, m, size.expLen) }); got > newAllocs {
+		if got := testing.AllocsPerRun(2, func() { New(g, m, size.expLen, size.walks) }); got > newAllocs {
 			t.Errorf("%s: New: %.0f allocs, ceiling %d", size.name, got, newAllocs)
 		}
-		tab := New(g, m, size.expLen)
+		tab := New(g, m, size.expLen, size.walks)
 		exp := randomBytes(t, rng, size.expLen)
 		var z big.Int
 		var s Scratch
@@ -42,5 +50,24 @@ func TestAllocGateFixedBase(t *testing.T) {
 		if got := testing.AllocsPerRun(10, func() { tab.Exp(&z, &s, exp) }); got != 0 {
 			t.Errorf("%s: warm Exp: %.1f allocs/op, want 0", size.name, got)
 		}
+	}
+	// The least of three builds, so a pool miss in math/big's division
+	// does not count.
+	m := oddModulus(t, rng, 1024)
+	g := big.NewInt(4)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	var least uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		New(g, m, 64, 104)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
+			least = got
+		}
+	}
+	if least > newBytes104 {
+		t.Errorf("New at 104 walks: %d bytes, ceiling %d", least, newBytes104)
 	}
 }

@@ -1,20 +1,26 @@
 // Package fixedbase computes y·g^x mod m for a base g fixed in advance, by
 // the fixed-base comb of Lim and Lee (HAC 14.117). The t bits of x are laid
-// out as 9 rows of a = ⌈t/9⌉ bits, bit i·a+c in row i and column c, and the
-// a columns fall into v ≤ 8 groups of b = ⌈a/8⌉ columns each. Entry (s, u) of
-// the table, for every nonzero 9-bit u, is Π_i g^(u_i·2^(i·a+s·b)) mod m, so
-// column s·b+j of x, its nine row bits read as u, contributes entry (s, u)
-// raised to 2^j. A walk runs Horner over the column offsets j = b−1 … 0: one
-// squaring per offset and one multiplication per nonzero group index. For a
-// 512-bit x that is 7 squarings and at most 57 multiplications from 4,088
-// entries. Building the table costs a chain of about t squarings and one
-// multiplication per entry, many full exponentiations' worth, so it pays
-// only for a base that is raised many times.
+// out as h rows of a = ⌈t/h⌉ bits, bit i·a+c in row i and column c, and the
+// a columns fall into v groups of b columns each. Entry (s, u) of the table,
+// for every nonzero h-bit u, is Π_i g^(u_i·2^(i·a+s·b)) mod m, so column
+// s·b+j of x, its h row bits read as u, contributes entry (s, u) raised to
+// 2^j. A walk runs Horner over the column offsets j = b−1 … 0: one squaring
+// per offset and one multiplication per nonzero group index, at most a+b−1
+// steps. Building the table costs a chain of about (h−1)·a + (v−1)·b
+// squarings and v·(2^h−1−h) multiplications, so a table pays only for a base
+// that is raised many times, and how many sets its best shape.
+//
+// New therefore takes the number of walks the table will serve and picks
+// the shape (h ≤ 9, v ≤ 8) that minimizes build + walks × walk in
+// Montgomery steps: a pure function of the exponent length and the walk
+// count (shapeFor). At the largest shape, 9 × 8 with 4,088 entries, a
+// 512-bit x walks in 7 squarings and at most 57 multiplications.
 //
 // Two packages raise a fixed base: internal/ahe draws every Paillier
 // randomizer as gn^x mod n² and multiplies in g^msg on the walk's last step,
-// and internal/vsr computes every Feldman commitment as G^v mod P. Both walk
-// this one table (docs/KERNELS.md, "Fixed-base combs").
+// its table sized to the encryptions its key will serve, and internal/vsr
+// computes every Feldman commitment as G^v mod P on one process-lifetime
+// table (docs/KERNELS.md, "Fixed-base combs").
 //
 // Each step is one Montgomery multiplication (HAC 14.36) for the odd modulus
 // m: the table stores every entry in Montgomery form, times R mod m with
@@ -41,9 +47,8 @@ import (
 )
 
 const (
-	rows   = 9           // h: the exponent's rows, the bits of a group index
-	groups = 8           // v: the most column groups a table has
-	span   = 1<<rows - 1 // entries per group, one per nonzero index
+	maxRows   = 9 // the most rows h a table has: a group index's bits
+	maxGroups = 8 // the most column groups v a table has
 )
 
 // addMulVVW adds x·y to z, len(z) == len(x), and returns the carry word.
@@ -61,12 +66,60 @@ type Table struct {
 	mInv     big.Word   // −m⁻¹ mod 2^W
 	k        int
 	expBytes int
-	a        int // bits per row: ⌈8·expBytes/rows⌉
-	b        int // columns per group: ⌈a/groups⌉
-	v        int // groups: ⌈a/b⌉, so none is empty
+	shape
+	span int // entries per group, one per nonzero index: 2^h − 1
 	// entries holds entry (s, u) = Π_i g^(u_i·2^(i·a+s·b))·R mod m, for
 	// u = 1..span, as k little-endian words at (s·span + u−1)·k.
 	entries []big.Word
+}
+
+// shape is a comb's layout for one exponent length.
+type shape struct {
+	h int // rows, the bits of a group index
+	a int // bits per row: ⌈8·expBytes/h⌉
+	b int // columns per group: ⌈a/v⌉ for the v asked
+	v int // groups: ⌈a/b⌉ ≤ maxGroups, so none is empty
+}
+
+// newShape lays 8·expBytes exponent bits out in h rows and at most groups
+// column groups.
+func newShape(expBytes, h, groups int) shape {
+	a := (8*expBytes + h - 1) / h
+	b := (a + groups - 1) / groups
+	return shape{h: h, a: a, b: b, v: (a + b - 1) / b}
+}
+
+// build is the Montgomery steps New spends on the table: the squaring chain
+// up to the last single-row entry and one step per multi-row entry.
+func (sh shape) build() int {
+	return (sh.h-1)*sh.a + (sh.v-1)*sh.b + sh.v*(1<<sh.h-1-sh.h)
+}
+
+// walk bounds one walk's Montgomery steps: b−1 squarings, a column indices
+// after the first and the final step by y, counted as a+b.
+func (sh shape) walk() int { return sh.a + sh.b }
+
+// shapeFor returns the shape, over h ≤ maxRows rows and v ≤ maxGroups
+// groups, that minimizes build + walks × walk for exponents of expBytes
+// bytes, the first (fewest rows, then fewest groups) among equals. Walks
+// past 2^40 count as 2^40, which already makes the walk the whole cost: a
+// table that lives for the process passes math.MaxInt and gets 9 × 8 at
+// both callers' lengths. For 64-byte exponents the shape is 8 × 5 from 84
+// to 125 walks and 9 × 8 from 506 up; docs/KERNELS.md ("Fixed-base combs")
+// lists every crossover.
+func shapeFor(expBytes, walks int) shape {
+	w := min(max(int64(walks), 1), 1<<40)
+	var best shape
+	bestCost := int64(-1)
+	for h := 1; h <= maxRows; h++ {
+		for groups := 1; groups <= maxGroups; groups++ {
+			sh := newShape(expBytes, h, groups)
+			if cost := int64(sh.build()) + w*int64(sh.walk()); bestCost < 0 || cost < bestCost {
+				best, bestCost = sh, cost
+			}
+		}
+	}
+	return best
 }
 
 // Scratch is one walk's working state. Its zero value is ready to use; it
@@ -86,26 +139,26 @@ func (s *Scratch) grow(k int) (acc, y, w []big.Word) {
 }
 
 // New precomputes the comb for g modulo m over exponents of 1 to expBytes
-// bytes. m must be odd and above 1, or New panics. One serial chain of
+// bytes, in the shape that serves walks walks at the least total cost
+// (shapeFor). m must be odd and above 1, or New panics. One serial chain of
 // Montgomery squarings from g·R yields every single-row entry
 // g^(2^(i·a+s·b))·R; then each group's other entries, entry (s, u) the
 // step of entry (s, u minus its lowest bit) by entry (s, that bit), are
 // filled on the worker pool, one group per task. Every entry is the unique
 // residue it names, so the table is the same at every worker count.
-func New(g, m *big.Int, expBytes int) *Table {
+func New(g, m *big.Int, expBytes, walks int) *Table {
 	if m.Sign() <= 0 || m.Bit(0) == 0 || m.BitLen() < 2 {
 		panic(fmt.Sprintf("fixedbase: modulus %v is not odd and above 1", m))
 	}
 	k := len(m.Bits())
-	a := (expBytes*8 + rows - 1) / rows
-	b := (a + groups - 1) / groups
-	v := (a + b - 1) / b
+	sh := shapeFor(expBytes, walks)
+	h, a, b, v := sh.h, sh.a, sh.b, sh.v
+	span := 1<<h - 1
 	t := &Table{
 		k:        k,
 		expBytes: expBytes,
-		a:        a,
-		b:        b,
-		v:        v,
+		shape:    sh,
+		span:     span,
 		entries:  make([]big.Word, v*span*k),
 	}
 	t.mod.Set(m)
@@ -127,7 +180,7 @@ func New(g, m *big.Int, expBytes int) *Table {
 	pow := t.entry(0, 1)
 	copy(pow, gR.Bits())
 	at := 0
-	for i := range rows {
+	for i := range h {
 		for s := range v {
 			e := t.entry(s, 1<<i)
 			copy(e, pow)
@@ -154,7 +207,7 @@ func New(g, m *big.Int, expBytes int) *Table {
 // entry returns the k words of entry (s, u), capped so no append can reach
 // the next entry.
 func (t *Table) entry(s, u int) []big.Word {
-	off := (s*span + u - 1) * t.k
+	off := (s*t.span + u - 1) * t.k
 	return t.entries[off : off+t.k : off+t.k]
 }
 

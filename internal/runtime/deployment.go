@@ -183,9 +183,14 @@ type Metrics struct {
 	BackoffSimulated time.Duration // total backoff a real deployment would have waited
 }
 
-// ErrKeyTooLarge refuses a KeyBits outside the supported range, whose
-// primes of KeyBits/2 bits have at most maxPrimeBits.
+// ErrKeyTooLarge refuses a KeyBits outside the supported range: an even
+// size of at least minKeyBits, whose primes of KeyBits/2 bits have at most
+// maxPrimeBits. Two primes of KeyBits/2 bits with their top two bits set
+// always make an even-length n, so no odd size can be generated.
 var ErrKeyTooLarge = errors.New("runtime: key size outside the supported range")
+
+// minKeyBits is the smallest key ahe.GenerateKeyFor makes.
+const minKeyBits = 128
 
 // maxPrimeBits is the widest key prime a deployment supports, at KeyBits
 // 3,068: three limbs of limbBits.
@@ -210,7 +215,10 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if cfg.KeyBits == 0 {
 		cfg.KeyBits = 512
 	}
-	// ahe.GenerateKey's primes have KeyBits/2 bits.
+	if cfg.KeyBits < minKeyBits || cfg.KeyBits%2 != 0 {
+		return nil, fmt.Errorf("%w: KeyBits %d is not an even size of at least %d", ErrKeyTooLarge, cfg.KeyBits, minKeyBits)
+	}
+	// ahe.GenerateKeyFor's primes have KeyBits/2 bits.
 	if cfg.KeyBits/2 > maxPrimeBits {
 		return nil, fmt.Errorf("%w: KeyBits %d needs %d-bit primes, at most %d are supported", ErrKeyTooLarge, cfg.KeyBits, cfg.KeyBits/2, maxPrimeBits)
 	}
@@ -406,7 +414,7 @@ func (km *keyMaterial) markLost(dropped map[int]bool) {
 // inside the MPC — see DESIGN.md). It also advances the sortition block with
 // the committee's joint randomness.
 func (d *Deployment) keygen(committee sortition.Committee) (*keyMaterial, error) {
-	sk, err := ahe.GenerateKey(rand.Reader, d.cfg.KeyBits)
+	sk, err := ahe.GenerateKeyFor(rand.Reader, d.cfg.KeyBits, d.keyEncryptions())
 	if err != nil {
 		return nil, err
 	}
@@ -429,6 +437,17 @@ func (d *Deployment) keygen(committee sortition.Committee) (*keyMaterial, error)
 	}
 	d.block = next
 	return km, nil
+}
+
+// keyEncryptions estimates how many encryptions a query key serves, which
+// sizes its fixed-base table: every device's packed one-hot row, at the
+// ciphertexts per row of the deployment's key size, device count and
+// categories, and one re-encryption per category when the committee unpacks
+// the sums. A binned row or the interpreter's few constants are left out:
+// the table's shape is constant over wide ranges of the count.
+func (d *Deployment) keyEncryptions() int {
+	c := d.cfg.Categories
+	return d.cfg.N*ahe.RowCiphertexts(d.cfg.KeyBits, d.cfg.N, c) + c
 }
 
 // limbBits is the width of one limb of the shared key prime: the largest

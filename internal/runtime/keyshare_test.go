@@ -216,6 +216,23 @@ output(c);`
 	}
 }
 
+// TestKeyBitsRange checks that NewDeployment refuses, with ErrKeyTooLarge,
+// every key size ahe.GenerateKeyFor cannot make: below 128 bits, where it
+// refuses, and odd, where no two primes of KeyBits/2 bits with their top two
+// bits set multiply to KeyBits bits and the first Run would search forever.
+func TestKeyBitsRange(t *testing.T) {
+	for _, bits := range []int{-512, 64, 126, 127, 129, 257, 513, 3067} {
+		if _, err := NewDeployment(Config{N: 16, Categories: 2, KeyBits: bits}); !errors.Is(err, ErrKeyTooLarge) {
+			t.Errorf("KeyBits %d: got %v, want ErrKeyTooLarge", bits, err)
+		}
+	}
+	for _, bits := range []int{0, 128, 130, 514} {
+		if _, err := NewDeployment(Config{N: 16, Categories: 2, KeyBits: bits}); err != nil {
+			t.Errorf("KeyBits %d: %v", bits, err)
+		}
+	}
+}
+
 // TestDecryptOutOfInt64FailsClosed: both committee decryption paths refuse
 // a plaintext outside int64 with the same error. decryptScalar, which
 // laplaceRelease releases through, used to truncate it silently.

@@ -27,6 +27,7 @@ package vsr
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"sync"
 
@@ -137,11 +138,12 @@ func (g *Group) Field() *shamir.Field {
 }
 
 // Commit returns G^v mod P, with v reduced mod Q. It walks a fixed-base comb
-// for G that the first call builds.
+// for G that the first call builds, in the largest shape, since the group's
+// comb serves every commitment for the life of the process.
 func (g *Group) Commit(v *big.Int) *big.Int {
 	g.combOnce.Do(func() {
 		n := (g.Q.BitLen() + 7) / 8
-		g.comb = fixedbase.New(g.G, g.P, n)
+		g.comb = fixedbase.New(g.G, g.P, n, math.MaxInt)
 		g.scratch.New = func() *commitScratch { return &commitScratch{exp: make([]byte, n)} }
 	})
 	s := g.scratch.Get()
