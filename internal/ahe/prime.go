@@ -26,9 +26,6 @@ import (
 // prime dividing it proves it composite.
 const sieveBound = 1 << 12
 
-// primeBatch is how many candidates randomPrime reads from random at once.
-const primeBatch = 16
-
 // sieveGroup is a run of consecutive sieve primes whose product fits a word,
 // so one division chain over the candidate's words gives its residue mod
 // all of them. For each prime p it holds p⁻¹ mod 2^64 and ⌊(2^64−1)/p⌋: a
@@ -93,9 +90,9 @@ func hasSmallFactor(w []uint64) bool {
 
 // randomPrime returns a prime of exactly bits bits, its top two bits set,
 // that passes ProbablyPrime(20). Each candidate is the next ⌈bits/8⌉ bytes
-// of random, read primeBatch candidates at a time, shaped as
-// crypto/rand.Prime shapes them: the excess high bits cleared, the top two
-// set, the low bit set. A reader error is returned as it is.
+// of random, one io.ReadFull each, shaped as crypto/rand.Prime shapes them:
+// the excess high bits cleared, the top two set, the low bit set. A reader
+// error is returned as it is.
 func randomPrime(random io.Reader, bits int) (*big.Int, error) {
 	if bits < 64 {
 		return nil, errors.New("ahe: prime size must be at least 64 bits")
@@ -105,34 +102,30 @@ func randomPrime(random io.Reader, bits int) (*big.Int, error) {
 	if top == 0 {
 		top = 8
 	}
-	buf := make([]byte, primeBatch*size)
 	words := make([]uint64, (size+7)/8)
 	padded := make([]byte, 8*len(words)) // the candidate, zero-extended to whole words
+	b := padded[len(padded)-size:]
 	p := new(big.Int)
 	for {
-		if _, err := io.ReadFull(random, buf); err != nil {
+		if _, err := io.ReadFull(random, b); err != nil {
 			return nil, err
 		}
-		for c := range primeBatch {
-			b := buf[c*size : (c+1)*size]
-			b[0] &= 1<<top - 1
-			if top >= 2 {
-				b[0] |= 3 << (top - 2)
-			} else {
-				b[0] |= 1
-				b[1] |= 0x80
-			}
-			b[size-1] |= 1
-			copy(padded[len(padded)-size:], b)
-			for i := range words {
-				words[i] = binary.BigEndian.Uint64(padded[8*i:])
-			}
-			if hasSmallFactor(words) {
-				continue
-			}
-			if p.SetBytes(b); p.ProbablyPrime(20) {
-				return p, nil
-			}
+		b[0] &= 1<<top - 1
+		if top >= 2 {
+			b[0] |= 3 << (top - 2)
+		} else {
+			b[0] |= 1
+			b[1] |= 0x80
+		}
+		b[size-1] |= 1
+		for i := range words {
+			words[i] = binary.BigEndian.Uint64(padded[8*i:])
+		}
+		if hasSmallFactor(words) {
+			continue
+		}
+		if p.SetBytes(b); p.ProbablyPrime(20) {
+			return p, nil
 		}
 	}
 }

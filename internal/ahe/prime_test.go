@@ -164,9 +164,9 @@ func (r *errReader) Read(p []byte) (int, error) {
 }
 
 // TestRandomPrimeReaderError checks that a reader's error, on the first
-// batch or a later one, comes back from randomPrime and GenerateKey.
+// candidate or a later one, comes back from randomPrime and GenerateKey.
 func TestRandomPrimeReaderError(t *testing.T) {
-	for _, n := range []int{0, 5, 32 * primeBatch} {
+	for _, n := range []int{0, 5, 32 * 16} {
 		if _, err := randomPrime(&errReader{n: n}, 256); !errors.Is(err, errRead) {
 			t.Errorf("randomPrime after %d bytes: %v, want the reader's error", n, err)
 		}

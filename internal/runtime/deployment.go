@@ -411,10 +411,11 @@ func (km *keyMaterial) markLost(dropped map[int]bool) {
 // keygen runs the key-generation committee: a fresh Paillier keypair whose
 // prime p is immediately secret-shared among the committee (shareKey); the clear
 // private key is discarded (the simulation's stand-in for generating the key
-// inside the MPC — see DESIGN.md). It also advances the sortition block with
+// inside the MPC — see DESIGN.md). Its fixed-base table is sized for
+// encryptions (keyEncryptions). It also advances the sortition block with
 // the committee's joint randomness.
-func (d *Deployment) keygen(committee sortition.Committee) (*keyMaterial, error) {
-	sk, err := ahe.GenerateKeyFor(rand.Reader, d.cfg.KeyBits, d.keyEncryptions())
+func (d *Deployment) keygen(committee sortition.Committee, encryptions int) (*keyMaterial, error) {
+	sk, err := ahe.GenerateKeyFor(rand.Reader, d.cfg.KeyBits, encryptions)
 	if err != nil {
 		return nil, err
 	}
@@ -439,15 +440,20 @@ func (d *Deployment) keygen(committee sortition.Committee) (*keyMaterial, error)
 	return km, nil
 }
 
-// keyEncryptions estimates how many encryptions a query key serves, which
-// sizes its fixed-base table: every device's packed one-hot row, at the
-// ciphertexts per row of the deployment's key size, device count and
-// categories, and one re-encryption per category when the committee unpacks
-// the sums. A binned row or the interpreter's few constants are left out:
-// the table's shape is constant over wide ranges of the count.
-func (d *Deployment) keyEncryptions() int {
+// keyEncryptions counts the encryptions a query key serves, which size its
+// fixed-base table: every device's packed row, at the ciphertexts per row of
+// the deployment's key size and device count; one re-encryption per cell
+// when the committee unpacks the sums; and, for a sampled query, whose rows
+// have a cell per bin and category (collectBinned), the zero per category
+// that starts each window sum (windowSums). The interpreter's few constants
+// and noise encryptions are left out.
+func (d *Deployment) keyEncryptions(sampled bool) int {
 	c := d.cfg.Categories
-	return d.cfg.N*ahe.RowCiphertexts(d.cfg.KeyBits, d.cfg.N, c) + c
+	cells, zeros := c, 0
+	if sampled {
+		cells, zeros = mechanism.SampleBinCount*c, c
+	}
+	return d.cfg.N*ahe.RowCiphertexts(d.cfg.KeyBits, d.cfg.N, cells) + cells + zeros
 }
 
 // limbBits is the width of one limb of the shared key prime: the largest

@@ -416,7 +416,7 @@ func TestIngestCheckpointChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	km, err := d.keygen(committees[0])
+	km, err := d.keygen(committees[0], d.keyEncryptions(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,7 +727,7 @@ func BenchmarkCollectInputs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	km, err := d.keygen(committees[0])
+	km, err := d.keygen(committees[0], d.keyEncryptions(false))
 	if err != nil {
 		b.Fatal(err)
 	}

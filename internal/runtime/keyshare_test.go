@@ -9,6 +9,7 @@ import (
 
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
+	"arboretum/internal/mechanism"
 	"arboretum/internal/sortition"
 	"arboretum/internal/vsr"
 )
@@ -229,6 +230,56 @@ func TestKeyBitsRange(t *testing.T) {
 	for _, bits := range []int{0, 128, 130, 514} {
 		if _, err := NewDeployment(Config{N: 16, Categories: 2, KeyBits: bits}); err != nil {
 			t.Errorf("KeyBits %d: %v", bits, err)
+		}
+	}
+}
+
+// TestKeyEncryptions pins the encryptions a query key's table is sized for,
+// unsampled and sampled, at three deployment shapes of 512-bit keys: N rows
+// of ⌈cells/72⌉ ciphertexts (⌈cells/42⌉ at 2,048 devices, whose counts need
+// 12 bits each), one re-encryption per cell, and a sampled query's zero per
+// category. A sampled row has 16 bins of C cells. The row ciphertexts are
+// checked against the codec a real key builds.
+func TestKeyEncryptions(t *testing.T) {
+	sk, err := ahe.GenerateKey(rand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n, c               int
+		unsampled, sampled int
+	}{
+		{96, 8, 96 + 8, 96*2 + 128 + 8},          // gateway-closed's shape
+		{100, 32, 100 + 32, 100*8 + 512 + 32},    // 32 categories
+		{2048, 16, 2048 + 16, 2048*7 + 256 + 16}, // collect-wide's shape
+	} {
+		d, err := NewDeployment(Config{N: tc.n, Categories: tc.c, CommitteeSize: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []struct {
+			sampled bool
+			cells   int
+			want    int
+		}{
+			{false, tc.c, tc.unsampled},
+			{true, mechanism.SampleBinCount * tc.c, tc.sampled},
+		} {
+			got := d.keyEncryptions(q.sampled)
+			if got != q.want {
+				t.Errorf("N %d, C %d, sampled %v: %d encryptions, want %d", tc.n, tc.c, q.sampled, got, q.want)
+			}
+			codec, err := sk.PublicKey.NewPacking(tc.n, q.cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zeros := 0
+			if q.sampled {
+				zeros = tc.c
+			}
+			if built := tc.n*codec.Ciphertexts() + q.cells + zeros; got != built {
+				t.Errorf("N %d, C %d, sampled %v: %d encryptions, the codec makes %d", tc.n, tc.c, q.sampled, got, built)
+			}
 		}
 	}
 }

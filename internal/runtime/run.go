@@ -184,7 +184,7 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	}
 	d.queryID++
 
-	km, err := d.keygen(committees[0])
+	km, err := d.keygen(committees[0], d.keyEncryptions(cert.SampleRate < 1))
 	if err != nil {
 		return nil, err
 	}
