@@ -120,8 +120,8 @@ func TestDocNamesResolve(t *testing.T) {
 }
 
 // TestDocGoNamesResolver holds the Go-name rule to one good and one planted
-// bad name of each form: a declaration that lives only in a test file does
-// not resolve, and neither does a field that was deleted. The command-line
+// bad name of each form: a method or field that was deleted does not
+// resolve. The command-line
 // rule gets planted names too: neither plan nor run has -workers, run has
 // -faults.
 func TestDocGoNamesResolver(t *testing.T) {
@@ -130,13 +130,13 @@ func TestDocGoNamesResolver(t *testing.T) {
 		"bgv.PaperRNSParams":     true,  // pkg.Ident
 		"bgv.NoSuchParams":       false, //
 		"bgv.Context.Mul":        true,  // pkg.Type.Method
-		"bgv.Context.Sum":        false, // declared in ops_test.go only
+		"bgv.Context.Sum":        false, // deleted with the scheme's unused operations
 		"runtime.Config.Faults":  true,  // pkg.Type.Field
 		"runtime.Config.Workers": false, // deleted: GOMAXPROCS sizes the pools
 		"vsr.(*Group).Commit":    true,  // pkg.(*Type).Method
 		"vsr.(*Group).Deal":      false, //
 		"vsr.Commit":             true,  // shorthand pkg.Method
-		"bgv.Decrypt":            false, // declared in ops_test.go only
+		"bgv.Decrypt":            false, // the oracle is the test helper decrypt
 		"runtime.GOMAXPROCS":     true,  // the standard library's runtime
 		"runtime.GOMAXPROCESSES": false, //
 		"internal/wal.Log[R]":    true,  // path-qualified, type arguments

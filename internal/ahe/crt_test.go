@@ -33,14 +33,14 @@ func TestDecryptCRTMatchesLambdaMu(t *testing.T) {
 	if re.p != nil || re.Prime() != nil {
 		t.Fatal("reassembled key claims a factorization it does not have")
 	}
-	if re.Equal(sk) || sk.Equal(re) {
+	if re.equal(sk) || sk.equal(re) {
 		t.Fatal("a key without a factorization equals one with it")
 	}
 	fromP, err := KeyFromPrime(&sk.PublicKey, sk.Prime())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fromP.Equal(sk) || fromP.fb != sk.fb {
+	if !fromP.equal(sk) || fromP.fb != sk.fb {
 		t.Fatal("KeyFromPrime(p) differs from the generating key")
 	}
 	fromQ, err := KeyFromPrime(&sk.PublicKey, sk.q)
@@ -309,10 +309,10 @@ func TestFixedBaseFallbackMatchesMontgomery(t *testing.T) {
 	}
 }
 
-// Equal reports whether sk and x are the same key down to every value
+// equal reports whether sk and x are the same key down to every value
 // Decrypt reads: n, λ, μ and each CRT value. A key without a factorization
 // (FromSecrets) equals only another without one.
-func (sk *PrivateKey) Equal(x *PrivateKey) bool {
+func (sk *PrivateKey) equal(x *PrivateKey) bool {
 	same := func(a, b *big.Int) bool { return (a == nil) == (b == nil) && (a == nil || a.Cmp(b) == 0) }
 	return same(sk.N, x.N) && same(sk.N2, x.N2) && same(sk.lambda, x.lambda) && same(sk.mu, x.mu) &&
 		same(sk.p, x.p) && same(sk.q, x.q) && same(sk.p2, x.p2) && same(sk.q2, x.q2) &&

@@ -1,14 +1,11 @@
 package ahe
 
 import (
-	"bytes"
 	"crypto/rand"
 	"math/big"
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"arboretum/internal/benchrand"
 )
 
 // testKey caches a keypair: Paillier keygen is the slow part and the tests
@@ -324,111 +321,6 @@ func BenchmarkDecrypt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sk.Decrypt(ct); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestCiphertextMarshalRoundTrip(t *testing.T) {
-	sk := testKeyPair(t)
-	ct, _ := sk.Encrypt(rand.Reader, big.NewInt(424242))
-	data, err := ct.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Ciphertext
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.Decrypt(&back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != 424242 {
-		t.Fatalf("round-tripped ciphertext decrypts to %v", got)
-	}
-	// Truncation and trailing garbage are rejected.
-	if err := back.UnmarshalBinary(data[:len(data)-1]); err == nil {
-		t.Error("truncated ciphertext accepted")
-	}
-	if err := back.UnmarshalBinary(append(data, 0)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	if err := back.UnmarshalBinary([]byte{0, 0}); err == nil {
-		t.Error("short buffer accepted")
-	}
-	var nilCt *Ciphertext
-	if _, err := nilCt.MarshalBinary(); err == nil {
-		t.Error("nil ciphertext marshaled")
-	}
-}
-
-func TestPublicKeyMarshalRoundTrip(t *testing.T) {
-	sk := testKeyPair(t)
-	data, err := sk.PublicKey.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pk PublicKey
-	if err := pk.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	// The deserialized key must encrypt values the original key decrypts.
-	ct, err := pk.Encrypt(rand.Reader, big.NewInt(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.Decrypt(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != 77 {
-		t.Fatalf("deserialized key roundtrip = %v", got)
-	}
-	// Implausible moduli are rejected.
-	if err := pk.UnmarshalBinary(appendBig(nil, big.NewInt(12345))); err == nil {
-		t.Error("tiny modulus accepted")
-	}
-	// So are even ones: no product of two odd primes is even.
-	if err := pk.UnmarshalBinary(appendBig(nil, new(big.Int).Lsh(one, 200))); err == nil {
-		t.Error("even modulus accepted")
-	}
-}
-
-// TestUnmarshaledKeyEncryptsIdentically holds a deserialized public key to
-// the key it came from: UnmarshalBinary attaches the same comb GenerateKey
-// built, so the same randomness stream gives byte-identical ciphertexts, one
-// by one and as a one-hot vector.
-func TestUnmarshaledKeyEncryptsIdentically(t *testing.T) {
-	sk := testKeyPair(t)
-	data, err := sk.PublicKey.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back PublicKey
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	encryptAll := func(pk *PublicKey) [][]byte {
-		rng := benchrand.New(30)
-		var out [][]byte
-		for _, m := range []int64{0, 1, -5, 1 << 40} {
-			ct, err := pk.Encrypt(rng, big.NewInt(m))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, ct.C.Bytes())
-		}
-		// One slot, so the parallel fan-out cannot reorder the stream.
-		vec, err := pk.EncryptVector(rng, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(out, vec[0].C.Bytes())
-	}
-	want, got := encryptAll(&sk.PublicKey), encryptAll(&back)
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("ciphertext %d: unmarshaled key %x, original %x", i, got[i], want[i])
 		}
 	}
 }

@@ -35,7 +35,7 @@ func allocCeiling(t *testing.T, name string, max float64, f func()) {
 	}
 }
 
-// allocGate pins Encrypt, Mul and Sum on the ring p at two allocations each.
+// allocGate pins Encrypt and Mul on the ring p at two allocations each.
 func allocGate(t *testing.T, p Params, seed uint64) {
 	ctx, err := NewContext(p)
 	if err != nil {
@@ -58,10 +58,6 @@ func allocGate(t *testing.T, p Params, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cts := make([]*Ciphertext, 48)
-	for i := range cts {
-		cts[i] = ct1
-	}
 	allocCeiling(t, "bgv.Encrypt", 2, func() {
 		if _, err := ctx.Encrypt(rng, kp.PK, m); err != nil {
 			t.Fatal(err)
@@ -69,11 +65,6 @@ func allocGate(t *testing.T, p Params, seed uint64) {
 	})
 	allocCeiling(t, "bgv.Mul", 2, func() {
 		if _, err := ctx.Mul(ct1, ct2, kp.RLK); err != nil {
-			t.Fatal(err)
-		}
-	})
-	allocCeiling(t, "bgv.Sum", 2, func() {
-		if _, err := ctx.Sum(cts); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -3,7 +3,7 @@ package bgv
 // Benchmarks for the NTT kernels and the ring's hot paths. Run with -cpu to
 // compare the sequential fallback against the worker pool:
 //
-//	go test ./internal/bgv -bench 'Mul|Sum' -cpu 1,4
+//	go test ./internal/bgv -bench Mul -cpu 1,4
 //
 // At -cpu 1 the pool takes its sequential fast path (the pre-parallel
 // baseline).

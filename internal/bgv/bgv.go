@@ -10,9 +10,8 @@
 // generation with a relinearization key, Encode, Encrypt, Add, and one level
 // of ciphertext multiplication (Mul) with gadget relinearization — on the
 // standard library alone. No execution path encrypts or decrypts with it
-// (see DESIGN.md for the substitution argument). Decrypt, the correctness
-// oracle, lives in the package's tests, with the scheme's other homomorphic
-// operations and a wire format that no production path uses.
+// (see DESIGN.md for the substitution argument). Decryption, the
+// correctness oracle, lives in the package's tests.
 //
 // There is one ring implementation, parameterised by its prime basis
 // (Params.Qi): PaperRNSParams is the paper's deployment ring (2^15, three

@@ -134,7 +134,7 @@ func TestEncryptDecrypt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := c.Decrypt(kp.SK, ct)
+	pt, err := c.decrypt(kp.SK, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,67 +158,11 @@ func TestHomomorphicAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, _ := c.Decrypt(kp.SK, sum)
+	pt, _ := c.decrypt(kp.SK, sum)
 	for i, want := range []uint64{101, 202, 303} {
 		if pt[i] != want {
 			t.Errorf("slot %d = %d, want %d", i, pt[i], want)
 		}
-	}
-}
-
-func TestHomomorphicSub(t *testing.T) {
-	c, kp := testCtx(t)
-	a, _ := c.EncryptValues(rand.Reader, kp.PK, []uint64{100})
-	b, _ := c.EncryptValues(rand.Reader, kp.PK, []uint64{30})
-	diff, err := c.Sub(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, _ := c.Decrypt(kp.SK, diff)
-	if pt[0] != 70 {
-		t.Errorf("100-30 = %d", pt[0])
-	}
-	// Negative result wraps mod T.
-	diff2, _ := c.Sub(b, a)
-	pt2, _ := c.Decrypt(kp.SK, diff2)
-	if pt2[0] != c.Params.T-70 {
-		t.Errorf("30-100 = %d, want %d", pt2[0], c.Params.T-70)
-	}
-}
-
-func TestAddPlainMulScalar(t *testing.T) {
-	c, kp := testCtx(t)
-	a, _ := c.EncryptValues(rand.Reader, kp.PK, []uint64{10, 20})
-	m, _ := c.Encode([]uint64{5, 6})
-	ap, err := c.AddPlain(a, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, _ := c.Decrypt(kp.SK, ap)
-	if pt[0] != 15 || pt[1] != 26 {
-		t.Errorf("AddPlain = %d,%d", pt[0], pt[1])
-	}
-	ms, err := c.MulScalar(a, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, _ = c.Decrypt(kp.SK, ms)
-	if pt[0] != 30 || pt[1] != 60 {
-		t.Errorf("MulScalar = %d,%d", pt[0], pt[1])
-	}
-}
-
-func TestMulPlainScalarPoly(t *testing.T) {
-	c, kp := testCtx(t)
-	a, _ := c.EncryptValues(rand.Reader, kp.PK, []uint64{7, 9})
-	m, _ := c.Encode([]uint64{4}) // degree-0: scalar multiply
-	mp, err := c.MulPlain(a, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, _ := c.Decrypt(kp.SK, mp)
-	if pt[0] != 28 || pt[1] != 36 {
-		t.Errorf("MulPlain = %d,%d", pt[0], pt[1])
 	}
 }
 
@@ -231,7 +175,7 @@ func TestCiphertextMul(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := c.Decrypt(kp.SK, prod)
+	pt, err := c.decrypt(kp.SK, prod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +197,7 @@ func TestMulThenAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, _ := c.Decrypt(kp.SK, res)
+	pt, _ := c.decrypt(kp.SK, res)
 	if pt[0] != 42 {
 		t.Fatalf("5*8+2 = %d, want 42", pt[0])
 	}
@@ -268,42 +212,6 @@ func TestMulRequiresRelinKey(t *testing.T) {
 	_ = kp
 }
 
-func TestSumManyCiphertexts(t *testing.T) {
-	c, kp := testCtx(t)
-	// Sum 50 one-hot vectors, the paper's canonical aggregation.
-	const devices, cats = 50, 8
-	counts := make([]uint64, cats)
-	cts := make([]*Ciphertext, devices)
-	for d := 0; d < devices; d++ {
-		hot := d % cats
-		counts[hot]++
-		vec := make([]uint64, cats)
-		vec[hot] = 1
-		ct, err := c.EncryptValues(rand.Reader, kp.PK, vec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cts[d] = ct
-	}
-	sum, err := c.Sum(cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, _ := c.Decrypt(kp.SK, sum)
-	for i := 0; i < cats; i++ {
-		if pt[i] != counts[i] {
-			t.Errorf("category %d = %d, want %d", i, pt[i], counts[i])
-		}
-	}
-}
-
-func TestSumEmpty(t *testing.T) {
-	c, _ := testCtx(t)
-	if _, err := c.Sum(nil); err == nil {
-		t.Fatal("empty Sum accepted")
-	}
-}
-
 func TestEncodeTooLong(t *testing.T) {
 	c, _ := testCtx(t)
 	if _, err := c.Encode(make([]uint64, c.Params.N+1)); err == nil {
@@ -313,23 +221,22 @@ func TestEncodeTooLong(t *testing.T) {
 
 func TestDecryptMalformed(t *testing.T) {
 	c, kp := testCtx(t)
-	if _, err := c.Decrypt(kp.SK, nil); err == nil {
+	if _, err := c.decrypt(kp.SK, nil); err == nil {
 		t.Error("nil ciphertext accepted")
 	}
-	if _, err := c.Decrypt(kp.SK, &Ciphertext{C0: make(Poly, 3), C1: make(Poly, 3)}); err == nil {
+	if _, err := c.decrypt(kp.SK, &Ciphertext{C0: make(Poly, 3), C1: make(Poly, 3)}); err == nil {
 		t.Error("wrong-degree ciphertext accepted")
 	}
 }
 
 // TestNilCiphertextOps: every ciphertext-taking method rejects an operand
 // that is nil or not shaped for this ring — a zero value, a truncated one, a
-// ciphertext of the three-prime ring — with the error Decrypt uses, in either
+// ciphertext of the three-prime ring — with the error decrypt uses, in either
 // operand position. (Unchecked, the row slicing panics, and Mul computes on
 // whatever the previous call left in its pooled scratch.)
 func TestNilCiphertextOps(t *testing.T) {
 	c, kp := testCtx(t)
 	a, _ := c.EncryptValues(rand.Reader, kp.PK, []uint64{1})
-	m, _ := c.Encode([]uint64{2})
 	c3, kp3 := testRNSCtx(t)
 	wrongRing, err := c3.EncryptValues(rand.Reader, kp3.PK, []uint64{1})
 	if err != nil {
@@ -343,19 +250,11 @@ func TestNilCiphertextOps(t *testing.T) {
 		"wrong ring": wrongRing,
 	}
 	ops := map[string]func(x *Ciphertext) error{
-		"Add(x, a)":  func(x *Ciphertext) error { _, err := c.Add(x, a); return err },
-		"Add(a, x)":  func(x *Ciphertext) error { _, err := c.Add(a, x); return err },
-		"Sub(x, a)":  func(x *Ciphertext) error { _, err := c.Sub(x, a); return err },
-		"Sub(a, x)":  func(x *Ciphertext) error { _, err := c.Sub(a, x); return err },
-		"Mul(x, a)":  func(x *Ciphertext) error { _, err := c.Mul(x, a, kp.RLK); return err },
-		"Mul(a, x)":  func(x *Ciphertext) error { _, err := c.Mul(a, x, kp.RLK); return err },
-		"AddPlain":   func(x *Ciphertext) error { _, err := c.AddPlain(x, m); return err },
-		"MulPlain":   func(x *Ciphertext) error { _, err := c.MulPlain(x, m); return err },
-		"MulScalar":  func(x *Ciphertext) error { _, err := c.MulScalar(x, 2); return err },
-		"Sum{a,x,a}": func(x *Ciphertext) error { _, err := c.Sum([]*Ciphertext{a, x, a}); return err },
-		"Sum{x}":     func(x *Ciphertext) error { _, err := c.Sum([]*Ciphertext{x}); return err },
-		"Decrypt":    func(x *Ciphertext) error { _, err := c.Decrypt(kp.SK, x); return err },
-		"Marshal":    func(x *Ciphertext) error { _, err := c.MarshalCiphertext(x); return err },
+		"Add(x, a)": func(x *Ciphertext) error { _, err := c.Add(x, a); return err },
+		"Add(a, x)": func(x *Ciphertext) error { _, err := c.Add(a, x); return err },
+		"Mul(x, a)": func(x *Ciphertext) error { _, err := c.Mul(x, a, kp.RLK); return err },
+		"Mul(a, x)": func(x *Ciphertext) error { _, err := c.Mul(a, x, kp.RLK); return err },
+		"Decrypt":   func(x *Ciphertext) error { _, err := c.decrypt(kp.SK, x); return err },
 	}
 	for opName, op := range ops {
 		for badName, x := range bad {
@@ -363,13 +262,6 @@ func TestNilCiphertextOps(t *testing.T) {
 				t.Errorf("%s on a %s ciphertext: err = %v, want bgv: malformed ciphertext", opName, badName, err)
 			}
 		}
-	}
-	// A plaintext of the wrong degree is rejected too, not indexed.
-	if _, err := c.AddPlain(a, m[:3]); err == nil {
-		t.Error("AddPlain with a short plaintext accepted")
-	}
-	if _, err := c.MulPlain(a, m[:3]); err == nil {
-		t.Error("MulPlain with a short plaintext accepted")
 	}
 }
 
@@ -399,7 +291,7 @@ func TestQuickAddHomomorphism(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pt, err := c.Decrypt(kp.SK, sum)
+		pt, err := c.decrypt(kp.SK, sum)
 		return err == nil && pt[0] == (uint64(a)+uint64(b))%c.Params.T
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -420,7 +312,7 @@ func TestQuickMulHomomorphism(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pt, err := c.Decrypt(kp.SK, prod)
+		pt, err := c.decrypt(kp.SK, prod)
 		return err == nil && pt[0] == uint64(a)*uint64(b)%c.Params.T
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
@@ -470,43 +362,5 @@ func BenchmarkNTT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.ntt[0].Forward(p)
 		c.ntt[0].Inverse(p)
-	}
-}
-
-func TestCiphertextMarshalRoundTrip(t *testing.T) {
-	c, kp := testCtx(t)
-	ct, _ := c.EncryptValues(rand.Reader, kp.PK, []uint64{7, 8, 9})
-	data, err := c.MarshalCiphertext(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != wireHeader+8+16*c.Params.N {
-		t.Fatalf("wire size = %d", len(data))
-	}
-	back, err := c.UnmarshalCiphertext(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := c.Decrypt(kp.SK, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt[0] != 7 || pt[1] != 8 || pt[2] != 9 {
-		t.Fatalf("round-tripped ciphertext decrypts to %v", pt[:3])
-	}
-	// Malformed wire data is rejected.
-	if _, err := c.UnmarshalCiphertext(data[:10]); err == nil {
-		t.Error("truncated ciphertext accepted")
-	}
-	bad := append([]byte(nil), data...)
-	// Coefficient ≥ Q.
-	for i := 0; i < 8; i++ {
-		bad[wireHeader+8+i] = 0xff
-	}
-	if _, err := c.UnmarshalCiphertext(bad); err == nil {
-		t.Error("out-of-range coefficient accepted")
-	}
-	if _, err := c.MarshalCiphertext(nil); err == nil {
-		t.Error("nil ciphertext marshaled")
 	}
 }

@@ -87,38 +87,6 @@ func TestMulMatchesTextbookFormulation(t *testing.T) {
 	}
 }
 
-// TestSumChunkedBitIdentical compares the chunked parallel Sum against the
-// sequential fold on an odd-sized slice.
-func TestSumChunkedBitIdentical(t *testing.T) {
-	ctx, err := NewContext(TestParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kp, err := ctx.GenerateKeys(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cts := make([]*Ciphertext, 2*minParallelSum+5)
-	for i := range cts {
-		if cts[i], err = ctx.EncryptValues(rand.Reader, kp.PK, []uint64{uint64(i % 3)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seq, err := ctx.sumRange(cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := runtime.GOMAXPROCS(4)
-	par, err := ctx.Sum(cts)
-	runtime.GOMAXPROCS(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !polyEq(seq.C0, par.C0) || !polyEq(seq.C1, par.C1) {
-		t.Fatal("chunked parallel Sum differs from sequential fold")
-	}
-}
-
 // TestEncryptDeterministicReader: with a fixed randomness stream the batched
 // encryption is a pure function — two runs give byte-identical ciphertexts.
 func TestEncryptDeterministicReader(t *testing.T) {

@@ -6,11 +6,11 @@ package bgv
 // randomness consumption, same draw order, same exact modular arithmetic —
 // and a word-level comparison held the two together. The literals below are
 // SHA-256 digests of the words the single-prime Context produced (keys,
-// a ciphertext, a relinearized product, a 48-way sum, a decryption) at the
+// a ciphertext, a relinearized product, a decryption) at the
 // last commit that had it, captured by running these same inputs through it
 // in a scratch checkout. Same seed ⇒ same bits is therefore pinned across
 // that deletion: any divergence in sampling, keygen, encryption,
-// multiplication, or summation changes a digest.
+// or multiplication changes a digest.
 //
 // The CRT half checks the reconstruction identities the multi-prime decoder
 // rests on: qHat/qHatInv are a valid CRT basis, and interpolation round-trips
@@ -34,8 +34,7 @@ const (
 	goldenRelinKey  = "bd88f3a2c02cd589ae4a8930305c9db4c86db8675acd498d45492641b0ce6b3f" // A[0] ‖ B[0] ‖ … ‖ A[5] ‖ B[5]
 	goldenEncrypt   = "acec515dc70c97f2c19486a2790b4e1d7ce4bc2a7e6e3026967e7a5e50a1fc9f" // C0 ‖ C1
 	goldenMul       = "9a5ad2e3cceb466e22aca599141ae7269028a00f52cad6c525992ff2a659ef54" // C0 ‖ C1
-	goldenMulPlain  = "2c4725e793403cd9bc235c6116fbb5b448f4c4617f15b93594a0fbd1bd13ba36" // Decrypt(product)
-	goldenSum       = "3a739bc6c04709241800aee06bb343178b4cf28561d44acad0d3a10daf80de14" // C0 ‖ C1
+	goldenMulPlain  = "2c4725e793403cd9bc235c6116fbb5b448f4c4617f15b93594a0fbd1bd13ba36" // decrypt(product)
 	goldenDecryptCt = "29c13b2ae0e27ffb0869e3cf9c9b6d17a4118c1c240515e29f4e16c9ed76ac98" // C0 ‖ C1
 	goldenDecrypt   = "fea097eaf403174654afc57762cff2db40f063593678565b01be0a8a3bab926f" // plaintext words
 )
@@ -127,7 +126,7 @@ func TestRNSSinglePrimeMulBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDigest(t, "mul", goldenMul, prod.C0, prod.C1)
-	pt, err := c.Decrypt(kp.SK, prod)
+	pt, err := c.decrypt(kp.SK, prod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,19 +134,6 @@ func TestRNSSinglePrimeMulBitExact(t *testing.T) {
 	if pt[0] != 48 || pt[1] != 6*9+7*8 {
 		t.Fatalf("product slots: got %v, want [48 110]", pt[:2])
 	}
-}
-
-func TestRNSSinglePrimeSumBitExact(t *testing.T) {
-	c, kp := equivRing(t)
-	cts := make([]*Ciphertext, 48) // above minParallelSum when workers > 1
-	for i := range cts {
-		cts[i] = encryptSeeded(t, c, kp.PK, uint64(1000+i), []uint64{uint64(i)})
-	}
-	sum, err := c.Sum(cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDigest(t, "sum", goldenSum, sum.C0, sum.C1)
 }
 
 func TestRNSSinglePrimeDecryptBitExact(t *testing.T) {
@@ -165,7 +151,7 @@ func TestRNSSinglePrimeDecryptBitExact(t *testing.T) {
 	}
 	ct := encryptSeeded(t, c, kp.PK, 5, values)
 	wantDigest(t, "ciphertext", goldenDecryptCt, ct.C0, ct.C1)
-	pt, err := c.Decrypt(kp.SK, ct)
+	pt, err := c.decrypt(kp.SK, ct)
 	if err != nil {
 		t.Fatal(err)
 	}

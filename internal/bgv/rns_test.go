@@ -77,7 +77,7 @@ func TestRNSEncryptDecryptRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := ctx.Decrypt(keys.SK, ct)
+	pt, err := ctx.decrypt(keys.SK, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,63 +107,12 @@ func TestRNSAddSub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := ctx.Decrypt(keys.SK, sum)
+	pt, err := ctx.decrypt(keys.SK, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pt[0] != 12 || pt[1] != 13 || pt[2] != 150 {
 		t.Fatalf("add: got %v", pt[:3])
-	}
-	diff, err := ctx.Sub(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err = ctx.Decrypt(keys.SK, diff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt[0] != ctx.Params.T-2 || pt[1] != 7 || pt[2] != 50 {
-		t.Fatalf("sub: got %v", pt[:3])
-	}
-}
-
-// TestRNSPlainOps runs the plaintext-operand operations on three lanes:
-// each is a per-row loop, and a plaintext coefficient (below T) must act as
-// the same residue in every lane.
-func TestRNSPlainOps(t *testing.T) {
-	ctx, keys := testRNSCtx(t)
-	a, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{10, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ctx.Encode([]uint64{5, ctx.Params.T - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := ctx.Encode([]uint64{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		op   func() (*Ciphertext, error)
-		want [2]uint64
-	}{
-		{"AddPlain", func() (*Ciphertext, error) { return ctx.AddPlain(a, m) }, [2]uint64{15, 19}},
-		{"MulPlain", func() (*Ciphertext, error) { return ctx.MulPlain(a, four) }, [2]uint64{40, 80}},
-		{"MulScalar", func() (*Ciphertext, error) { return ctx.MulScalar(a, ctx.Params.T+3) }, [2]uint64{30, 60}},
-	} {
-		ct, err := tc.op()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		pt, err := ctx.Decrypt(keys.SK, ct)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if pt[0] != tc.want[0] || pt[1] != tc.want[1] {
-			t.Errorf("%s: got %v, want %v", tc.name, pt[:2], tc.want)
-		}
 	}
 }
 
@@ -181,7 +130,7 @@ func TestRNSMul(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := ctx.Decrypt(keys.SK, prod)
+	pt, err := ctx.decrypt(keys.SK, prod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +159,7 @@ func TestRNSMulNegacyclicWraparound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := ctx.Decrypt(keys.SK, prod)
+	pt, err := ctx.decrypt(keys.SK, prod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,33 +171,6 @@ func TestRNSMulNegacyclicWraparound(t *testing.T) {
 		if i != n-2 && v != 0 {
 			t.Fatalf("slot %d: got %d, want 0", i, v)
 		}
-	}
-}
-
-func TestRNSSum(t *testing.T) {
-	ctx, keys := testRNSCtx(t)
-	const k = 40 // above minParallelSum when workers > 1
-	cts := make([]*Ciphertext, k)
-	var want uint64
-	for i := range cts {
-		v := uint64(i * 3)
-		want += v
-		ct, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cts[i] = ct
-	}
-	sum, err := ctx.Sum(cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := ctx.Decrypt(keys.SK, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt[0] != want%ctx.Params.T {
-		t.Fatalf("sum: got %d, want %d", pt[0], want%ctx.Params.T)
 	}
 }
 
@@ -278,11 +200,63 @@ func TestRNSPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := ctx.Decrypt(keys.SK, prod)
+	pt, err := ctx.decrypt(keys.SK, prod)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pt[0] != 55 || pt[1] != 11*1+22*5 {
 		t.Fatalf("paper-scale mul: got %v, want [55 132]", pt[:2])
+	}
+}
+
+// TestRNSPooledBuffersDoNotEscape pins the pooling discipline: results come
+// from fresh slabs, so a ciphertext returned by Encrypt or Mul must be
+// unaffected by any later call that reuses the pooled scratch.
+func TestRNSPooledBuffersDoNotEscape(t *testing.T) {
+	ctx, keys := testRNSCtx(t)
+	first, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{111})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0 := append([]uint64(nil), first.C0...)
+	c1 := append([]uint64(nil), first.C1...)
+	// Churn every pooled path: encryption and multiplication.
+	second, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{222})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.Mul(first, second, keys.RLK); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.EncryptValues(rand.Reader, keys.PK, []uint64{333}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range c0 {
+		if first.C0[i] != c0[i] || first.C1[i] != c1[i] {
+			t.Fatalf("word %d of an issued ciphertext changed under pool reuse", i)
+		}
+	}
+	pt, err := ctx.decrypt(keys.SK, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt[0] != 111 {
+		t.Fatalf("issued ciphertext decrypts to %d after pool churn, want 111", pt[0])
+	}
+	// Mul after Mul: the pooled scratch still holds the NTT-domain operands
+	// of the multiplication above. An operand too short to overwrite them
+	// must be rejected — not multiplied as whatever the last caller left
+	// behind, which decrypts to garbage with a nil error.
+	for name, empty := range map[string]*Ciphertext{
+		"zero value": {},
+		"short":      {C0: first.C0[:ctx.n], C1: first.C1[:ctx.n]},
+	} {
+		if got, err := ctx.Mul(empty, second, keys.RLK); err == nil {
+			stale, _ := ctx.decrypt(keys.SK, got)
+			t.Fatalf("Mul on a %s operand returned a ciphertext built from stale scratch (decrypts to %v…)", name, stale[:2])
+		}
+		if _, err := ctx.Mul(second, empty, keys.RLK); err == nil {
+			t.Fatalf("Mul with a %s right operand accepted", name)
+		}
 	}
 }

@@ -211,14 +211,6 @@ func TestQuickExpLogInverse(t *testing.T) {
 	}
 }
 
-func TestCmp(t *testing.T) {
-	if FromInt(1).Cmp(FromInt(2)) != -1 ||
-		FromInt(2).Cmp(FromInt(1)) != 1 ||
-		FromInt(1).Cmp(FromInt(1)) != 0 {
-		t.Error("Cmp ordering wrong")
-	}
-}
-
 func TestAbsFrac(t *testing.T) {
 	if FromFloat(-2.5).Abs().Float() != 2.5 {
 		t.Error("Abs(-2.5) wrong")
@@ -276,17 +268,5 @@ func TestQuickSqrtInverse(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Cmp returns −1, 0, or +1.
-func (f Fixed) Cmp(g Fixed) int {
-	switch {
-	case f < g:
-		return -1
-	case f > g:
-		return 1
-	default:
-		return 0
 	}
 }

@@ -181,7 +181,7 @@ func SampleWindow(phi float64) int {
 // SampleBins implements the bin protocol from Section 6: given b bins and a
 // target sample size fraction x/b, the committee draws a starting bin j and
 // decrypts only bins j..j+x−1 (mod b). Devices independently place their
-// input in a uniform bin via DeviceBin.
+// input in a uniform bin.
 type SampleBins struct {
 	B int // total bins in a ciphertext
 	X int // bins sampled

@@ -170,7 +170,7 @@ func TestSampleBinsDeviceUniform(t *testing.T) {
 	counts := make([]int, 4)
 	const trials = 8000
 	for i := 0; i < trials; i++ {
-		counts[sb.DeviceBin(rng)]++
+		counts[rng.Intn(sb.B)]++
 	}
 	for b, c := range counts {
 		if c < trials/4-trials/20 || c > trials/4+trials/20 {
@@ -236,6 +236,3 @@ func TestLaplaceTails(t *testing.T) {
 		t.Errorf("P[|X|>4b] = %.4f, theory %.4f", p4, math.Exp(-4))
 	}
 }
-
-// DeviceBin returns the uniform bin a device places its contribution in.
-func (s *SampleBins) DeviceBin(rng Rand) int { return rng.Intn(s.B) }

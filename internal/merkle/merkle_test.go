@@ -2,7 +2,6 @@ package merkle
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -150,41 +149,6 @@ func TestQuickProofSoundness(t *testing.T) {
 	}
 }
 
-func TestAuditsPerDevice(t *testing.T) {
-	// 1e9 devices auditing a 1000-leaf tree: one audit each is far more
-	// than enough.
-	if got := AuditsPerDevice(1000, 1_000_000_000, 1e-9); got != 1 {
-		t.Errorf("AuditsPerDevice huge fleet = %d, want 1", got)
-	}
-	// 10 devices auditing 1000 leaves down to 1e-6 takes many audits each.
-	got := AuditsPerDevice(1000, 10, 1e-6)
-	if got < 100 {
-		t.Errorf("AuditsPerDevice(1000,10,1e-6) = %d, want >= 100", got)
-	}
-	// Escape probability check: (1-1/n)^(k*devices) <= pMax.
-	n, dev, pMax := 1000, int64(10), 1e-6
-	k := AuditsPerDevice(n, dev, pMax)
-	escape := 1.0
-	for i := 0; i < k*int(dev); i++ {
-		escape *= 1 - 1.0/float64(n)
-	}
-	if escape > pMax {
-		t.Errorf("escape probability %g > pMax %g with k=%d", escape, pMax, k)
-	}
-	// Degenerate inputs.
-	if AuditsPerDevice(1, 10, 0.5) != 1 || AuditsPerDevice(10, 0, 0.5) != 1 {
-		t.Error("degenerate inputs should return 1")
-	}
-}
-
-func TestProofBytes(t *testing.T) {
-	tr, _ := New(leaves(16))
-	p, _ := tr.Prove(0)
-	if p.Bytes() != 8+4*HashSize {
-		t.Errorf("Bytes() = %d, want %d", p.Bytes(), 8+4*HashSize)
-	}
-}
-
 func BenchmarkBuild1024(b *testing.B) {
 	ls := leaves(1024)
 	b.ResetTimer()
@@ -205,25 +169,4 @@ func BenchmarkProveVerify(b *testing.B) {
 			b.Fatal("verify failed")
 		}
 	}
-}
-
-// Bytes returns the serialized size of the proof.
-func (p *Proof) Bytes() int { return 8 + len(p.Siblings)*HashSize }
-
-// AuditsPerDevice returns how many random leaves each of nDevices auditors
-// must check so that a single incorrect leaf among nLeaves escapes all audits
-// with probability at most pMax (Section 5.3). Each audit hits the bad leaf
-// with probability 1/nLeaves, so the escape probability after k total audits
-// is (1 − 1/nLeaves)^(k·nDevices) ≤ pMax.
-func AuditsPerDevice(nLeaves int, nDevices int64, pMax float64) int {
-	if nLeaves <= 1 || nDevices <= 0 || pMax >= 1 {
-		return 1
-	}
-	perAudit := math.Log1p(-1.0 / float64(nLeaves)) // log(1 - 1/n) < 0
-	needed := math.Log(pMax) / perAudit             // total audits required
-	per := int(math.Ceil(needed / float64(nDevices)))
-	if per < 1 {
-		per = 1
-	}
-	return per
 }

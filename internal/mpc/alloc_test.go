@@ -9,7 +9,7 @@ package mpc
 // out: a slab holds 204 five-party sharings, one per 204 Muls or ~68
 // Lesses, and testing.AllocsPerRun's whole-number average reads 0 for each.
 // An engine that never shares a value allocates what NewEngine always has:
-// the engine, its per-party byte counts and its Lagrange coefficients; the
+// the engine and its Lagrange coefficients; the
 // dealer's block, the slab and the scratch wait for the first sharing, since
 // a deployment forms an engine per committee and most never run a round.
 // Excluded under -race like the other gates: the race runtime adds its own
@@ -17,9 +17,9 @@ package mpc
 
 import "testing"
 
-// newEngineAllocs is what NewEngine allocated before the engine grew a
-// workspace, and still does.
-const newEngineAllocs = 3
+// newEngineAllocs is what NewEngine allocates: the engine and its Lagrange
+// coefficients.
+const newEngineAllocs = 2
 
 func TestAllocGateMPC(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() { NewEngine(5) }); got != newEngineAllocs {

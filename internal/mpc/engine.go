@@ -55,7 +55,6 @@ type Stats struct {
 	DealerBytes int64 // preprocessing material distributed (offline phase)
 	LocalMults  int64 // field multiplications (per-party compute proxy)
 	Comparisons int   // comparison protocols executed (LTZ invocations)
-	perParty    []int64
 }
 
 // Secret is a secret-shared field element: shares[i] is party i's share
@@ -149,17 +148,12 @@ func NewEngine(m int) (*Engine, error) {
 		return nil, fmt.Errorf("mpc: committee of %d is too small", m)
 	}
 	e := &Engine{M: m, T: m/2 + 1}
-	e.stats.perParty = make([]int64, m)
 	e.lagrange = lagrangeAtZero(e.T)
 	return e, nil
 }
 
 // Stats returns a copy of the execution statistics.
-func (e *Engine) Stats() Stats {
-	s := e.stats
-	s.perParty = append([]int64(nil), e.stats.perParty...)
-	return s
-}
+func (e *Engine) Stats() Stats { return e.stats }
 
 // lagrangeAtZero precomputes ℓ_i(0) for evaluation points 1..t.
 func lagrangeAtZero(t int) []uint64 {
@@ -212,9 +206,7 @@ func (e *Engine) Input(owner int, v int64) (Secret, error) {
 	}
 	s := e.shareValue(toField(v))
 	e.stats.Rounds++
-	sent := int64(8 * (e.M - 1))
-	e.stats.TotalBytes += sent
-	e.stats.perParty[owner] += sent
+	e.stats.TotalBytes += int64(8 * (e.M - 1))
 	return s, nil
 }
 
@@ -231,11 +223,7 @@ func (e *Engine) JointSecret(v int64) Secret {
 // chargeBroadcastRound charges k all-to-all broadcast values in one round.
 func (e *Engine) chargeBroadcastRound(k int) {
 	e.stats.Rounds++
-	per := int64(8 * k * (e.M - 1))
-	for p := 0; p < e.M; p++ {
-		e.stats.perParty[p] += per
-	}
-	e.stats.TotalBytes += per * int64(e.M)
+	e.stats.TotalBytes += int64(8*k*(e.M-1)) * int64(e.M)
 	if e.onRound != nil {
 		e.onRound(e.stats.Rounds)
 	}
@@ -472,11 +460,7 @@ func Transfer(from *Engine, s Secret, to *Engine) Secret {
 	// Each sender distributes sub-shares to every receiver (one round);
 	// receivers combine locally.
 	from.stats.Rounds++
-	sent := int64(8 * to.M)
-	for i := 0; i < from.T && i < from.M; i++ {
-		from.stats.perParty[i] += sent
-	}
-	from.stats.TotalBytes += sent * int64(from.T)
+	from.stats.TotalBytes += int64(8*to.M) * int64(from.T)
 	to.stats.LocalMults += int64(from.T * to.M)
 	return out
 }

@@ -23,27 +23,26 @@ type statsGolden struct {
 	name                                          string
 	rounds, opens, triples, randBits, comparisons int
 	totalBytes, dealerBytes, localMults           int64
-	perParty                                      string // runs of equal values, "v×n"
 	observed                                      string // runs of consecutive rounds, "a-b"
 }
 
 var statsGoldens = []statsGolden{
 	// name, rounds, opens, triples, randBits, comparisons, totalBytes,
-	// dealerBytes, localMults (base), perParty, observed
-	{"Input/5", 1, 0, 0, 0, 0, 32, 0, 0, "0×4 32", ""},
-	{"Mul/5", 3, 2, 1, 0, 0, 384, 120, 16, "96×2 64×3", "3"},
-	{"Less/5", 96, 187, 93, 47, 1, 29984, 13080, 1981, "6016×2 5984×3", "3-96"},
-	{"Argmax/5", 3008, 5921, 2945, 1457, 31, 948384, 412920, 62403, "189696×2 189664×3", "33-3008"},
-	{"FixedExp/5", 330, 648, 319, 160, 0, 103712, 45080, 6889, "20768 20736×4", "2-330"},
-	{"Transfer/5", 2, 0, 0, 0, 0, 1016, 0, 0, "360 328×2 0×2", ""},
-	{"Transfer/5→41", 0, 0, 0, 0, 0, 0, 0, 123, "0×41", ""},
-	{"Input/41", 1, 0, 0, 0, 0, 320, 0, 0, "0×40 320", ""},
-	{"Mul/41", 3, 2, 1, 0, 0, 26880, 984, 124, "960×2 640×39", "3"},
-	{"Less/41", 96, 187, 93, 47, 1, 2454080, 107256, 15571, "60160×2 59840×39", "3-96"},
-	{"Argmax/41", 3008, 5921, 2945, 1457, 31, 77693760, 3385944, 490389, "1895040×32 1894720×9", "33-3008"},
-	{"FixedExp/41", 330, 648, 319, 160, 0, 8502080, 369656, 54157, "207680 207360×40", "2-330"},
-	{"Transfer/41", 2, 0, 0, 0, 0, 1160, 0, 0, "360 40×20 0×20", ""},
-	{"Transfer/41→5", 0, 0, 0, 0, 0, 0, 0, 105, "0×5", ""},
+	// dealerBytes, localMults (base), observed
+	{"Input/5", 1, 0, 0, 0, 0, 32, 0, 0, ""},
+	{"Mul/5", 3, 2, 1, 0, 0, 384, 120, 16, "3"},
+	{"Less/5", 96, 187, 93, 47, 1, 29984, 13080, 1981, "3-96"},
+	{"Argmax/5", 3008, 5921, 2945, 1457, 31, 948384, 412920, 62403, "33-3008"},
+	{"FixedExp/5", 330, 648, 319, 160, 0, 103712, 45080, 6889, "2-330"},
+	{"Transfer/5", 2, 0, 0, 0, 0, 1016, 0, 0, ""},
+	{"Transfer/5→41", 0, 0, 0, 0, 0, 0, 0, 123, ""},
+	{"Input/41", 1, 0, 0, 0, 0, 320, 0, 0, ""},
+	{"Mul/41", 3, 2, 1, 0, 0, 26880, 984, 124, "3"},
+	{"Less/41", 96, 187, 93, 47, 1, 2454080, 107256, 15571, "3-96"},
+	{"Argmax/41", 3008, 5921, 2945, 1457, 31, 77693760, 3385944, 490389, "33-3008"},
+	{"FixedExp/41", 330, 648, 319, 160, 0, 8502080, 369656, 54157, "2-330"},
+	{"Transfer/41", 2, 0, 0, 0, 0, 1160, 0, 0, ""},
+	{"Transfer/41→5", 0, 0, 0, 0, 0, 0, 0, 105, ""},
 }
 
 // statsScenario runs one protocol on fresh engines of m parties and returns
@@ -91,7 +90,7 @@ func statsScenario(t *testing.T, op string, m int) (names []string, engines []*E
 		}
 		check = func() { wantOpen(t, e, idx, 30) }
 	case "FixedExp":
-		x, err := e.InputFixed(0, fixed.FromFloat(1.5))
+		x, err := e.inputFixed(0, fixed.FromFloat(1.5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,27 +119,6 @@ func wantOpen(t *testing.T, e *Engine, s Secret, want int64) {
 	if got := e.Open(s); got != want {
 		t.Errorf("opened %d, want %d", got, want)
 	}
-}
-
-// valueRuns prints a slice as runs of equal values: [7 7 7 9] → "7×3 9".
-func valueRuns(xs []int64) string {
-	var b strings.Builder
-	for i := 0; i < len(xs); {
-		j := i
-		for j < len(xs) && xs[j] == xs[i] {
-			j++
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		if j-i == 1 {
-			fmt.Fprint(&b, xs[i])
-		} else {
-			fmt.Fprintf(&b, "%d×%d", xs[i], j-i)
-		}
-		i = j
-	}
-	return b.String()
 }
 
 // roundRuns prints a sequence as runs of consecutive values: [3 4 5 8] →
@@ -188,8 +166,8 @@ func TestStatsGolden(t *testing.T) {
 					name: names[i], rounds: s.Rounds, opens: s.Opens, triples: s.Triples,
 					randBits: s.RandBits, comparisons: s.Comparisons,
 					totalBytes: s.TotalBytes, dealerBytes: s.DealerBytes,
-					localMults: s.LocalMults, perParty: valueRuns(s.perParty),
-					observed: roundRuns(observed[i]),
+					localMults: s.LocalMults,
+					observed:   roundRuns(observed[i]),
 				}
 				w, ok := want[got.name]
 				if k := flipBits[op]; ok && k > 0 && i == 0 {

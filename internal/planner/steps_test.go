@@ -6,7 +6,6 @@ import (
 
 	"arboretum/internal/costmodel"
 	"arboretum/internal/lang"
-	"arboretum/internal/privacy"
 	"arboretum/internal/queries"
 	"arboretum/internal/types"
 )
@@ -162,12 +161,13 @@ func TestBiteSizeFilter(t *testing.T) {
 	}
 }
 
-// TestDecomposeUnboundedLoopSaturates: a certified loop whose span int64
-// cannot hold runs math.MaxInt64 times (types.Info.LoopIters), the count
-// privacy charges. Scaling a step's width or a body's tally by it saturates
-// instead of wrapping, so every width and tally stays positive.
+// TestDecomposeUnboundedLoopSaturates: a loop whose span int64 cannot hold
+// runs math.MaxInt64 times (types.Info.LoopIters). Admission refuses such a
+// loop (privacy.ErrUnboundedLoop), so the program is typed here without it.
+// Scaling a step's width or a body's tally by the count saturates instead of
+// wrapping, so every width and tally stays positive.
 func TestDecomposeUnboundedLoopSaturates(t *testing.T) {
-	prog, info, _, err := privacy.Admit(`aggr = sum(db);
+	prog := lang.MustParse(`aggr = sum(db);
 c = declassify(laplace(aggr[0], 1.0));
 x = 0;
 for i = 0 to 9000000000000000000 * 2 do
@@ -177,7 +177,8 @@ for j = 0 to 9000000000000000000 * 2 do
   n = declassify(laplace(aggr[0], 1.0));
   output(n);
 endfor;
-output(x);`, types.DBInfo{N: 100, Width: 4, ElemRange: types.Range{Hi: 1}})
+output(x);`)
+	info, err := types.Infer(prog, types.DBInfo{N: 100, Width: 4, ElemRange: types.Range{Hi: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

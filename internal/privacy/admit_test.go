@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"arboretum/internal/queries"
+	"arboretum/internal/types"
 )
 
 // TestAdmitStages: each stage of the front end refuses under its own prefix,
@@ -26,6 +27,18 @@ func TestAdmitStages(t *testing.T) {
 	}
 	if cert.Epsilon != defaultEpsilon {
 		t.Errorf("top1 ε = %g", cert.Epsilon)
+	}
+}
+
+// TestQueriesAdmitUnderLoopBound: every built-in query stays inside the
+// loop-work bound at the paper's scale, N = 2^30 devices and C = 2^15
+// categories, where a loop over the categories runs 2^15 times.
+func TestQueriesAdmitUnderLoopBound(t *testing.T) {
+	for _, q := range queries.All {
+		paper := types.DBInfo{N: 1 << 30, Width: 1 << 15, ElemRange: q.ElemRange}
+		if _, _, _, err := Admit(q.Source, paper); err != nil {
+			t.Errorf("%s refused at N = 2^30, C = 2^15: %v", q.Name, err)
+		}
 	}
 }
 

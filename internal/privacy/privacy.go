@@ -82,6 +82,14 @@ const deltaPerMechanism = 1.0 / (1 << 40)
 // not_private refusal among them) can test for it with errors.Is.
 var ErrUnboundedSensitivity = errors.New("laplace of an argument with unbounded sensitivity (one row can move it without limit)")
 
+// ErrUnboundedLoop refuses a loop nest whose trip counts (types.Info.LoopIters)
+// multiply past maxLoopWork, the bound the runtime's array builtin puts on a
+// length, so admission bounds a query's work before any budget is reserved.
+// The error names the loop and wraps this sentinel.
+var ErrUnboundedLoop = fmt.Errorf("loop nest runs its body more than %d times", maxLoopWork)
+
+const maxLoopWork = 1 << 20
+
 // Certify checks the program and returns its privacy certificate. The types
 // result supplies loop extents and clip ranges.
 func Certify(p *lang.Program, info *types.Info) (*Certificate, error) {
@@ -165,11 +173,10 @@ func (c *certifier) stmt(s lang.Stmt, mult int64, ctx taint) error {
 		_, err := c.expr(st.X, mult)
 		return err
 	case *lang.ForStmt:
+		// mult ≤ maxLoopWork, so neither the test nor the product wraps.
 		iters := c.info.LoopIters(st)
-		if iters > math.MaxInt64/mult {
-			// The multiplier would wrap — to a small or negative count, and
-			// with it the certified ε.
-			return fmt.Errorf("%v: loop nest repeats its body more than 2^63 times", st.Position())
+		if iters > maxLoopWork/mult {
+			return fmt.Errorf("%v: %w", st.Position(), ErrUnboundedLoop)
 		}
 		// The bounds are expressions like any other: a mechanism call in one
 		// is charged, and what the trip count depends on flows into the loop

@@ -222,7 +222,8 @@ func TestTopKCountFromRange(t *testing.T) {
 }
 
 // A loop nest whose static trip count overflows int64 used to wrap the
-// invocation multiplier — here to a negative count, so a negative ε.
+// invocation multiplier — here to a negative count, so a negative ε. The
+// work bound now refuses it long before.
 func TestLoopNestOverflowRejected(t *testing.T) {
 	const nest = `aggr = sum(db);
 for i = 0 to 4000000000 do
@@ -231,16 +232,48 @@ for i = 0 to 4000000000 do
   endfor;
 endfor;
 output(1);`
-	if c, err := certify(t, nest); err == nil {
-		t.Errorf("overflowing loop nest certified at ε = %g", c.Epsilon)
+	if c, err := certify(t, nest); !errors.Is(err, ErrUnboundedLoop) {
+		t.Errorf("overflowing loop nest: certified at %+v, err %v; want ErrUnboundedLoop", c, err)
 	}
-	big := mustCertify(t, `aggr = sum(db);
-for i = 0 to 3999999999 do
-  n = laplace(aggr[0], 0.1);
+}
+
+// TestUnboundedLoopRefused: admission refuses a loop nest whose trip counts
+// multiply past 2^20, naming the loop, and admits one that reaches 2^20
+// exactly, charging every invocation.
+func TestUnboundedLoopRefused(t *testing.T) {
+	_, _, _, err := Admit(`aggr = sum(db);
+x = 0;
+for i = 0 to 2000000000 do
+  x = x + 1;
 endfor;
-output(1);`)
-	if math.Abs(big.Epsilon-4e8) > 1 {
-		t.Errorf("4e9 iterations × 0.1 certified at ε = %g", big.Epsilon)
+output(x);`, db)
+	if !errors.Is(err, ErrUnboundedLoop) || !strings.HasPrefix(err.Error(), "certification: 3:1") {
+		t.Errorf("2e9-iteration loop: err %v, want a positioned ErrUnboundedLoop", err)
+	}
+	for _, c := range []struct {
+		outer, inner string
+		ok           bool
+	}{
+		{"1023", "1023", true},  // 1024 × 1024 = 2^20
+		{"1023", "1024", false}, // 1024 × 1025
+		{"0", "1048575", true},  // 1 × 2^20
+		{"1", "1048575", false}, // 2 × 2^20
+	} {
+		_, _, cert, err := Admit(`aggr = sum(db);
+for i = 0 to `+c.outer+` do
+  for j = 0 to `+c.inner+` do
+    n = laplace(aggr[0], 0.5);
+  endfor;
+endfor;
+output(1);`, db)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("0..%s × 0..%s refused: %v", c.outer, c.inner, err)
+		case c.ok && cert.Epsilon != 1<<19:
+			t.Errorf("2^20 invocations × 0.5 certified at ε = %g", cert.Epsilon)
+		case !c.ok && !errors.Is(err, ErrUnboundedLoop):
+			t.Errorf("0..%s × 0..%s: err %v, want ErrUnboundedLoop", c.outer, c.inner, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package queries
 
 import (
-	"fmt"
 	"testing"
 
 	"arboretum/internal/lang"
@@ -125,58 +124,4 @@ func TestMechanismGrouping(t *testing.T) {
 	if q, _ := ByName("secrecy"); !hasCall(q, "sampleUniform") {
 		t.Error("secrecy should use sampleUniform")
 	}
-}
-
-func TestQuantileSourceCertifies(t *testing.T) {
-	for _, frac := range [][2]int64{{1, 2}, {1, 4}, {3, 4}, {9, 10}} {
-		src, err := QuantileSource(frac[0], frac[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := lang.Parse(src)
-		if err != nil {
-			t.Fatalf("%d/%d: parse: %v", frac[0], frac[1], err)
-		}
-		info, err := types.Infer(prog, types.DBInfo{
-			N: 1 << 20, Width: 64, ElemRange: types.Range{Lo: 0, Hi: 1},
-		})
-		if err != nil {
-			t.Fatalf("%d/%d: types: %v", frac[0], frac[1], err)
-		}
-		if _, err := privacy.Certify(prog, info); err != nil {
-			t.Fatalf("%d/%d: certify: %v", frac[0], frac[1], err)
-		}
-	}
-}
-
-func TestQuantileSourceRejectsBadFractions(t *testing.T) {
-	for _, frac := range [][2]int64{{0, 2}, {2, 2}, {3, 2}, {1, 0}, {-1, 4}} {
-		if _, err := QuantileSource(frac[0], frac[1]); err == nil {
-			t.Errorf("QuantileSource(%d, %d) accepted", frac[0], frac[1])
-		}
-	}
-}
-
-// QuantileSource builds a query selecting the bucket at the num/den quantile
-// of a one-hot-encoded value domain — the paper notes the median query "can
-// be easily extended to support quantiles". The median is QuantileSource(1, 2).
-func QuantileSource(num, den int64) (string, error) {
-	if den <= 0 || num <= 0 || num >= den {
-		return "", fmt.Errorf("queries: quantile %d/%d out of (0, 1)", num, den)
-	}
-	return fmt.Sprintf(`hist = sum(db);
-n = len(hist);
-rank[0] = hist[0];
-for i = 1 to n - 1 do
-  rank[i] = rank[i - 1] + hist[i];
-endfor;
-total = rank[n - 1];
-target = total * %d / %d;
-for i = 0 to n - 1 do
-  dev[i] = rank[i] - target;
-  mag[i] = abs(dev[i]);
-  util[i] = 0 - mag[i];
-endfor;
-q = em(util, 0.1);
-output(q);`, num, den), nil
 }

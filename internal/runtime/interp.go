@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"arboretum/internal/ahe"
 	"arboretum/internal/fixed"
@@ -362,8 +363,17 @@ func (ip *interp) setIndex(name string, i int, v value) error {
 	}
 }
 
-// promoteAndSet upgrades a public array to the element's kind.
+// promoteAndSet upgrades a public array to the element's kind. An array
+// holding a fraction cannot become ciphertexts, so a ciphertext element
+// promotes it to shares.
 func (ip *interp) promoteAndSet(name string, cur value, i int, v value) error {
+	if v.kind == vCipher && slices.ContainsFunc(cur.arr, fractional) {
+		shared, err := ip.toSharedIn(ip.ce, v)
+		if err != nil {
+			return err
+		}
+		v = shared
+	}
 	switch v.kind {
 	case vShared:
 		secs := make([]mpc.Secret, len(cur.arr))

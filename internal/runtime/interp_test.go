@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -141,5 +142,56 @@ output(declassify(n));`
 	}
 	if d.Metrics.MPCComparisons < 3 { // max tournament + two clip compares
 		t.Errorf("comparisons = %d, want ≥ 3", d.Metrics.MPCComparisons)
+	}
+}
+
+// A Paillier plaintext is an integer, so the AHE path may only add or
+// multiply by an integral public operand; a fractional one goes to the
+// committee MPC, where values are fixed-point. 64 devices all in category 0
+// and ε = 1000, so the noise is far below the tolerance.
+func TestFractionalPublicOperand(t *testing.T) {
+	d := smallDeployment(t, 64, 2, func(cfg *Config) {
+		cfg.BudgetEpsilon = 1e9
+		cfg.Data = func(int) int { return 0 }
+	})
+	for _, c := range []struct {
+		expr string
+		want float64
+	}{
+		{"aggr[0] * 0.5", 32},
+		{"aggr[0] * 2.5", 160},
+		{"1.5 * aggr[0]", 96},
+		{"aggr[0] + 0.5", 64.5},
+		{"0.25 + aggr[0]", 64.25},
+		{"aggr[0] - 0.5", 63.5},
+		{"aggr[0] * 2", 128},
+	} {
+		res, err := d.Run("aggr = sum(db);\nx = laplace("+c.expr+", 1000);\noutput(declassify(x));", RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.expr, err)
+		}
+		if got := res.Outputs[0].Float(); math.Abs(got-c.want) > 0.1 {
+			t.Errorf("%s released %g, want %g", c.expr, got, c.want)
+		}
+	}
+}
+
+// A public array holding a fractional value that takes a ciphertext element
+// is promoted to shares, not to ciphertexts of its truncated values.
+func TestPromoteFractionalArray(t *testing.T) {
+	d := smallDeployment(t, 64, 2, func(cfg *Config) {
+		cfg.BudgetEpsilon = 1e9
+		cfg.Data = func(int) int { return 0 }
+	})
+	res, err := d.Run(`aggr = sum(db);
+a[0] = 10.5;
+a[1] = aggr[0];
+x = laplace(a[0] + a[1], 1000);
+output(declassify(x));`, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Outputs[0].Float(); math.Abs(got-74.5) > 0.1 {
+		t.Errorf("10.5 + aggr[0] released %g, want 74.5", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/big"
 
+	"arboretum/internal/ahe"
 	"arboretum/internal/fixed"
 	"arboretum/internal/lang"
 	"arboretum/internal/mpc"
@@ -18,6 +19,10 @@ func bigNegOne() *big.Int { return big.NewInt(-1) }
 
 // bigFromFixed converts an integral fixed-point value to a big.Int plaintext.
 func bigFromFixed(f fixed.Fixed) *big.Int { return big.NewInt(f.Int()) }
+
+// fractional reports whether f is not a whole number. A Paillier plaintext
+// is an integer, so such a public value may not meet a ciphertext.
+func fractional(f fixed.Fixed) bool { return f%fixed.One != 0 }
 
 // binary evaluates a binary operator, dispatching on the operands'
 // confidentiality: public×public stays local, ciphertexts use the AHE
@@ -124,47 +129,36 @@ func (ip *interp) publicBinary(op lang.Token, x, y fixed.Fixed) (value, error) {
 	}
 }
 
-// cipherBinary handles the AHE-homomorphic cases; ok=false defers to MPC.
+// cipherBinary handles the AHE-homomorphic cases: a ciphertext adds or
+// subtracts a ciphertext, and adds, subtracts or multiplies by an integral
+// public value. ok=false defers to the MPC, whose values are fixed-point.
 func (ip *interp) cipherBinary(op lang.Token, xv, yv value) (value, bool, error) {
-	pk := ip.km.pub
-	switch op {
-	case lang.ADD:
-		switch {
-		case xv.kind == vCipher && yv.kind == vCipher:
-			ct, err := pk.Add(xv.ct, yv.ct)
-			return value{kind: vCipher, ct: ct}, true, err
-		case xv.kind == vCipher && yv.kind == vPublic:
-			ct, err := pk.AddPlain(xv.ct, bigFromFixed(yv.num))
-			return value{kind: vCipher, ct: ct}, true, err
-		case xv.kind == vPublic && yv.kind == vCipher:
-			ct, err := pk.AddPlain(yv.ct, bigFromFixed(xv.num))
-			return value{kind: vCipher, ct: ct}, true, err
-		}
-	case lang.SUB:
-		switch {
-		case xv.kind == vCipher && yv.kind == vCipher:
-			negY, err := pk.MulPlain(yv.ct, bigNegOne())
-			if err != nil {
-				return value{}, true, err
-			}
-			ct, err := pk.Add(xv.ct, negY)
-			return value{kind: vCipher, ct: ct}, true, err
-		case xv.kind == vCipher && yv.kind == vPublic:
-			ct, err := pk.AddPlain(xv.ct, big.NewInt(-yv.num.Int()))
-			return value{kind: vCipher, ct: ct}, true, err
-		}
-	case lang.MUL:
-		// Plaintext multiplication only; cipher×cipher needs the MPC.
-		if xv.kind == vCipher && yv.kind == vPublic {
-			ct, err := pk.MulPlain(xv.ct, bigFromFixed(yv.num))
-			return value{kind: vCipher, ct: ct}, true, err
-		}
-		if xv.kind == vPublic && yv.kind == vCipher {
-			ct, err := pk.MulPlain(yv.ct, bigFromFixed(xv.num))
-			return value{kind: vCipher, ct: ct}, true, err
-		}
+	if xv.kind == vPublic && op != lang.SUB { // + and * commute
+		xv, yv = yv, xv
 	}
-	return value{}, false, nil
+	if xv.kind != vCipher || (yv.kind == vPublic && fractional(yv.num)) {
+		return value{}, false, nil
+	}
+	pk := ip.km.pub
+	var ct *ahe.Ciphertext
+	var err error
+	switch {
+	case op == lang.ADD && yv.kind == vCipher:
+		ct, err = pk.Add(xv.ct, yv.ct)
+	case op == lang.ADD && yv.kind == vPublic:
+		ct, err = pk.AddPlain(xv.ct, bigFromFixed(yv.num))
+	case op == lang.SUB && yv.kind == vCipher:
+		if ct, err = pk.MulPlain(yv.ct, bigNegOne()); err == nil {
+			ct, err = pk.Add(xv.ct, ct)
+		}
+	case op == lang.SUB && yv.kind == vPublic:
+		ct, err = pk.AddPlain(xv.ct, bigFromFixed(yv.num.Neg()))
+	case op == lang.MUL && yv.kind == vPublic:
+		ct, err = pk.MulPlain(xv.ct, bigFromFixed(yv.num))
+	default:
+		return value{}, false, nil
+	}
+	return value{kind: vCipher, ct: ct}, true, err
 }
 
 func (ip *interp) sharedBinary(ce *committeeExec, op lang.Token, x, y mpc.Secret) (value, error) {

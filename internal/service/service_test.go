@@ -207,6 +207,10 @@ func TestTwoTenantSession(t *testing.T) {
 	}
 }
 
+// unboundedLoop is within alice's budget but runs its loop 2·10^9 times.
+const unboundedLoop = "aggr = sum(db);\nx = 0;\nfor i = 0 to 2000000000 do\n  x = x + 1;\nendfor;\n" +
+	"output(declassify(laplace(aggr[0], 0.1)));\noutput(x);"
+
 // TestAdmissionRejections covers every pre-execution refusal: none of these
 // may touch the ledger or enqueue work.
 func TestAdmissionRejections(t *testing.T) {
@@ -228,6 +232,9 @@ func TestAdmissionRejections(t *testing.T) {
 			http.StatusBadRequest, "not_private"},
 		{"two sampleUniform calls (one query, one sample) refused by the front end",
 			map[string]string{"tenant": "alice", "source": "sampleUniform(0.5); sampleUniform(1);\n" + countQuery},
+			http.StatusBadRequest, "not_private"},
+		{"a loop nest past 2^20 iterations refused by the front end",
+			map[string]string{"tenant": "alice", "source": unboundedLoop},
 			http.StatusBadRequest, "not_private"},
 		{"explicit ε = 0 (nothing to charge, nothing to run) refused by the front end",
 			map[string]string{"tenant": "alice", "source": "hist = sum(db);\noutput(declassify(laplace(hist[0], 0)));"},

@@ -2,7 +2,6 @@ package shamir
 
 import (
 	"errors"
-	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -108,54 +107,6 @@ func TestTMinusOneSharesRevealNothingStructural(t *testing.T) {
 	}
 }
 
-func TestHomomorphicAdd(t *testing.T) {
-	f := field(t)
-	a, _ := f.Split(big.NewInt(1000), 5, 3)
-	b, _ := f.Split(big.NewInt(234), 5, 3)
-	sum := make([]Share, 5)
-	for i := range sum {
-		s, err := f.Add(a[i], b[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum[i] = s
-	}
-	got, err := f.Reconstruct(sum, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != 1234 {
-		t.Fatalf("share-wise add reconstructed %v, want 1234", got)
-	}
-}
-
-func TestAddMismatchedPoints(t *testing.T) {
-	f := field(t)
-	a, _ := f.Split(big.NewInt(1), 3, 2)
-	if _, err := f.Add(a[0], a[1]); err == nil {
-		t.Fatal("adding shares at different points should fail")
-	}
-}
-
-func TestScalarMulAndAddConst(t *testing.T) {
-	f := field(t)
-	a, _ := f.Split(big.NewInt(21), 5, 3)
-	doubled := make([]Share, 5)
-	plus5 := make([]Share, 5)
-	for i := range a {
-		doubled[i] = f.ScalarMul(a[i], big.NewInt(2))
-		plus5[i] = f.AddConst(a[i], big.NewInt(5))
-	}
-	got, _ := f.Reconstruct(doubled, 3)
-	if got.Int64() != 42 {
-		t.Fatalf("2*21 = %v", got)
-	}
-	got, _ = f.Reconstruct(plus5, 3)
-	if got.Int64() != 26 {
-		t.Fatalf("21+5 = %v", got)
-	}
-}
-
 // TestSecretOutsideFieldRefused: a secret outside [0, p) used to be reduced
 // silently, sharing a different value; Split and RandomPolynomial now refuse
 // it with ErrSecretRange, and p − 1 still round-trips.
@@ -226,31 +177,6 @@ func TestQuickSplitReconstruct(t *testing.T) {
 		return err == nil && got.Cmp(secret) == 0
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: linearity — reconstruct(a+b shares) = a+b.
-func TestQuickLinearity(t *testing.T) {
-	f := field(t)
-	fn := func(a, b uint32) bool {
-		sa, err1 := f.Split(big.NewInt(int64(a)), 4, 2)
-		sb, err2 := f.Split(big.NewInt(int64(b)), 4, 2)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		sum := make([]Share, 4)
-		for i := range sum {
-			s, err := f.Add(sa[i], sb[i])
-			if err != nil {
-				return false
-			}
-			sum[i] = s
-		}
-		got, err := f.Reconstruct(sum, 2)
-		return err == nil && got.Int64() == int64(a)+int64(b)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }
@@ -346,31 +272,4 @@ func TestWrongDealingShareShiftsSecret(t *testing.T) {
 	if got.Cmp(secret) == 0 {
 		t.Error("tampered share still reconstructed the true secret")
 	}
-}
-
-// Add returns the share-wise sum of two sharings (same X required), the
-// local "addition gate" of Shamir MPC.
-func (f *Field) Add(a, b Share) (Share, error) {
-	if a.X != b.X {
-		return Share{}, fmt.Errorf("shamir: mismatched share points %d and %d", a.X, b.X)
-	}
-	y := new(big.Int).Add(a.Y, b.Y)
-	y.Mod(y, f.P)
-	return Share{X: a.X, Y: y}, nil
-}
-
-// ScalarMul multiplies a share by a public constant.
-func (f *Field) ScalarMul(a Share, k *big.Int) Share {
-	y := new(big.Int).Mul(a.Y, k)
-	y.Mod(y, f.P)
-	return Share{X: a.X, Y: y}
-}
-
-// AddConst adds a public constant to a sharing (added to every share of a
-// degree-(t−1) sharing of the secret; valid because the constant polynomial
-// is itself a valid sharing of k).
-func (f *Field) AddConst(a Share, k *big.Int) Share {
-	y := new(big.Int).Add(a.Y, k)
-	y.Mod(y, f.P)
-	return Share{X: a.X, Y: y}
 }

@@ -189,17 +189,6 @@ func TestMinCommitteeSizeErrors(t *testing.T) {
 	}
 }
 
-func TestServingFraction(t *testing.T) {
-	// topK at N=1e9: 1 + 328 + 115334 committees of ~42 → ~0.49%.
-	f := ServingFraction(1+328+115334, 42, 1_000_000_000)
-	if f < 0.004 || f > 0.006 {
-		t.Errorf("topK serving fraction = %g, paper reports ~0.0049", f)
-	}
-	if ServingFraction(1, 1, 0) != 0 {
-		t.Error("N=0 should give 0")
-	}
-}
-
 func TestNextBlock(t *testing.T) {
 	a := make([]byte, 32)
 	b := make([]byte, 32)
@@ -304,14 +293,4 @@ func TestBlockBitFlipsReshuffle(t *testing.T) {
 	if overlap > 8 {
 		t.Errorf("committee overlap after a bit flip = %d/20, want near random", overlap)
 	}
-}
-
-// ServingFraction returns the fraction of N devices that serve on any
-// committee for a plan with the given committee count and size (the paper
-// reports 0.00022%–0.49% across the evaluation queries).
-func ServingFraction(c, m int, n int64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(c) * float64(m) / float64(n)
 }

@@ -38,9 +38,6 @@ output(result);
 	if aggr.Range.Hi != float64(1<<30) || aggr.Range.Lo != 0 {
 		t.Fatalf("aggr range = %+v", aggr.Range)
 	}
-	if aggr.Range.Bits() != 31 {
-		t.Errorf("aggr bits = %d, want 31", aggr.Range.Bits())
-	}
 	res := info.Vars["result"]
 	if res.Kind != Int || res.Array {
 		t.Fatalf("result = %v", res)
@@ -195,25 +192,6 @@ func TestBoolEqualityAllowed(t *testing.T) {
 	infer(t, `a = true; b = a == false;`, oneHotDB)
 }
 
-func TestRangeBits(t *testing.T) {
-	cases := []struct {
-		r    Range
-		want int
-	}{
-		{Range{0, 1}, 1},
-		{Range{0, 255}, 8},
-		{Range{0, 256}, 9},
-		{Range{-128, 127}, 9}, // conservative: magnitude bits + sign bit
-		{Range{0, float64(1 << 30)}, 31},
-		{Range{0, 0}, 1},
-	}
-	for _, c := range cases {
-		if got := c.r.Bits(); got != c.want {
-			t.Errorf("Bits(%+v) = %d, want %d", c.r, got, c.want)
-		}
-	}
-}
-
 func TestTypeString(t *testing.T) {
 	ty := Type{Kind: Int, Array: true, Len: 4, Range: Range{0, 3}}
 	if ty.String() == "" || Kind(99).String() == "" {
@@ -315,20 +293,6 @@ endfor;
 	if p.Range.Hi < 16 {
 		t.Errorf("multiplicative accumulator upper = %g, want ≥ 16", p.Range.Hi)
 	}
-}
-
-// Bits returns the number of bits needed to represent any integer in the
-// range (plus sign).
-func (r Range) Bits() int {
-	m := math.Max(math.Abs(r.Lo), math.Abs(r.Hi))
-	if m < 1 {
-		return 1
-	}
-	b := int(math.Ceil(math.Log2(m + 1)))
-	if r.Lo < 0 {
-		b++
-	}
-	return b
 }
 
 // TestLoopIters: a loop's trip count is hi(to) − lo(from) + 1 from the

@@ -69,7 +69,7 @@ func dealAll(t *testing.T, g *Group, old []shamir.Share, newN, newT int) []*Deal
 	t.Helper()
 	ds := make([]*Dealing, len(old))
 	for i, sh := range old {
-		d, err := Deal(g, sh, newN, newT)
+		d, err := deal(g, sh, newN, newT)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -269,7 +269,7 @@ func TestVerifySubShare(t *testing.T) {
 	g := DefaultGroup()
 	field := g.Field()
 	old, _ := field.Split(big.NewInt(7), 3, 2)
-	d, err := Deal(g, old[0], 4, 2)
+	d, err := deal(g, old[0], 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestMisaddressedSubShareRejected(t *testing.T) {
 	g := DefaultGroup()
 	field := g.Field()
 	old, _ := field.Split(big.NewInt(7), 3, 2)
-	d, err := Deal(g, old[0], 4, 2)
+	d, err := deal(g, old[0], 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestTamperedSubShareRejected(t *testing.T) {
 	g := DefaultGroup()
 	field := g.Field()
 	old, _ := field.Split(big.NewInt(7), 3, 2)
-	d, _ := Deal(g, old[0], 4, 2)
+	d, _ := deal(g, old[0], 4, 2)
 	d.SubShares[2].Y = new(big.Int).Add(d.SubShares[2].Y, big.NewInt(1))
 	if VerifySubShare(g, d, 3) {
 		t.Fatal("tampered sub-share passed verification")
@@ -330,13 +330,13 @@ func TestWrongShareCommitmentDetected(t *testing.T) {
 	old, _ := field.Split(big.NewInt(7), 3, 2)
 	published := g.Commit(old[0].Y) // known from the previous round
 
-	honest, _ := Deal(g, old[0], 4, 2)
-	if honest.ShareCommitment().Cmp(published) != 0 {
+	honest, _ := deal(g, old[0], 4, 2)
+	if honest.shareCommitment().Cmp(published) != 0 {
 		t.Fatal("honest dealing's commitment mismatch")
 	}
 	lie := shamir.Share{X: old[0].X, Y: big.NewInt(999)}
-	evil, _ := Deal(g, lie, 4, 2)
-	if evil.ShareCommitment().Cmp(published) == 0 {
+	evil, _ := deal(g, lie, 4, 2)
+	if evil.shareCommitment().Cmp(published) == 0 {
 		t.Fatal("wrong share not detected by commitment check")
 	}
 }
@@ -345,11 +345,11 @@ func TestCombineErrors(t *testing.T) {
 	g := DefaultGroup()
 	field := g.Field()
 	old, _ := field.Split(big.NewInt(7), 3, 2)
-	d, _ := Deal(g, old[0], 4, 2)
+	d, _ := deal(g, old[0], 4, 2)
 	if _, err := Combine(g, []*Dealing{d}, 1, 2); err == nil {
 		t.Error("too few dealings accepted")
 	}
-	d2, _ := Deal(g, old[1], 4, 2)
+	d2, _ := deal(g, old[1], 4, 2)
 	if _, err := Combine(g, []*Dealing{d, d2}, 9, 2); err == nil {
 		t.Error("out-of-range member accepted")
 	}
@@ -359,10 +359,10 @@ func TestDealErrors(t *testing.T) {
 	g := DefaultGroup()
 	field := g.Field()
 	old, _ := field.Split(big.NewInt(7), 3, 2)
-	if _, err := Deal(g, old[0], 2, 3); err == nil {
+	if _, err := deal(g, old[0], 2, 3); err == nil {
 		t.Error("newN < newT accepted")
 	}
-	if _, err := Deal(g, old[0], 3, 0); err == nil {
+	if _, err := deal(g, old[0], 3, 0); err == nil {
 		t.Error("newT=0 accepted")
 	}
 }
@@ -427,7 +427,7 @@ func TestInsufficientSharesTyped(t *testing.T) {
 	if _, err := Redistribute(g, old[:2], 3, 7, 4); !errors.Is(err, ErrInsufficientShares) {
 		t.Errorf("Redistribute with 2 of 3 shares: got %v, want ErrInsufficientShares", err)
 	}
-	d, err := Deal(g, old[0], 4, 2)
+	d, err := deal(g, old[0], 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,9 +440,9 @@ func TestInsufficientSharesTyped(t *testing.T) {
 	}
 }
 
-// Deal re-shares the member's share to a new committee of size newN with
+// deal re-shares the member's share to a new committee of size newN with
 // threshold newT.
-func Deal(g *Group, share shamir.Share, newN, newT int) (*Dealing, error) {
+func deal(g *Group, share shamir.Share, newN, newT int) (*Dealing, error) {
 	d, poly, err := draw(g, share, newN, newT)
 	if err != nil {
 		return nil, err
@@ -453,11 +453,11 @@ func Deal(g *Group, share shamir.Share, newN, newT int) (*Dealing, error) {
 	return d, nil
 }
 
-// ShareCommitment returns the dealing's commitment to the re-shared secret
+// shareCommitment returns the dealing's commitment to the re-shared secret
 // (g^{share}). Checked against the old sharing's published commitment, it
 // catches an old member re-sharing a wrong value; Redistribute does not make
 // that check yet.
-func (d *Dealing) ShareCommitment() *big.Int {
+func (d *Dealing) shareCommitment() *big.Int {
 	if len(d.Commitments) == 0 {
 		return nil
 	}

@@ -15,6 +15,14 @@
 //
 // A recursive call does not count as a use. Nothing is reported on a partial
 // load (anything but ./...), where a caller outside the load would go unseen.
+//
+// Moving such code into a _test.go file is not deleting it, so the _test.go
+// files under internal/ are held to a second rule, read from syntax alone
+// (test files are not type-checked): they declare no exported method on a
+// type of the package's non-test files, and no exported top-level function
+// but Test*, Benchmark*, Fuzz* and Example*. A test's own helper is
+// unexported; a type the tests declare keeps any method it needs (an
+// io.Reader's Read).
 package deadexport
 
 import (
@@ -33,7 +41,8 @@ import (
 // Analyzer is the dead-code checker.
 var Analyzer = &analysis.Analyzer{
 	Name:         "deadexport",
-	Doc:          "flag internal/ functions and methods that no non-test code of the module or of bench/ references",
+	Doc:          "flag internal/ functions and methods that no non-test code of the module or of bench/ references, and exported non-test API declared in internal/ test files",
+	TestFiles:    true,
 	WholeProgram: true,
 	Run:          run,
 }
@@ -63,11 +72,62 @@ func run(pass *analysis.Pass) error {
 			if !ok || idx.used[key(fn)] {
 				continue
 			}
-			pass.Reportf(fd.Name.Pos(), "%s is referenced by no non-test code of the module or of bench/: delete it, or move it into a _test.go file",
+			pass.Reportf(fd.Name.Pos(), "%s is referenced by no non-test code of the module or of bench/: delete it, or make it an unexported test helper",
 				strings.TrimPrefix(key(fn), fn.Pkg().Path()+"."))
 		}
 	}
+	for _, f := range pass.TestFiles {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				checkTestDecl(pass, f, fd)
+			}
+		}
+	}
 	return nil
+}
+
+// checkTestDecl reports an exported function of a _test.go file that is
+// neither a test-framework entry point nor a method of a type the tests
+// declare.
+func checkTestDecl(pass *analysis.Pass, f *ast.File, fd *ast.FuncDecl) {
+	name := fd.Name.Name
+	if fd.Recv == nil {
+		for _, prefix := range []string{"Test", "Benchmark", "Fuzz", "Example"} {
+			if strings.HasPrefix(name, prefix) {
+				return
+			}
+		}
+		pass.Reportf(fd.Name.Pos(), "%s is an exported function of a _test.go file: delete it, or make it an unexported test helper", name)
+		return
+	}
+	// An external test package (pkg_test) cannot add methods to the
+	// package's types.
+	if pass.Pkg == nil || f.Name.Name != pass.Pkg.Name() {
+		return
+	}
+	recv := receiverName(fd.Recv.List[0].Type)
+	if _, ok := pass.Pkg.Scope().Lookup(recv).(*types.TypeName); ok {
+		pass.Reportf(fd.Name.Pos(), "%s.%s is an exported method declared in a _test.go file on a non-test type: delete it, or make it an unexported test helper", recv, name)
+	}
+}
+
+// receiverName is the type name of a receiver expression: T, *T, T[K] or
+// *T[K].
+func receiverName(x ast.Expr) string {
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
 }
 
 // underInternal reports whether pkgPath lies in the module's internal/ tree
