@@ -319,3 +319,28 @@ func (sk *PrivateKey) equal(x *PrivateKey) bool {
 		same(sk.pm1, x.pm1) && same(sk.qm1, x.qm1) && same(sk.hp, x.hp) && same(sk.hq, x.hq) &&
 		same(sk.pInvQ, x.pInvQ)
 }
+
+// TestPowNCRTMatchesExp holds key generation's CRT gn to the full-width
+// h^n mod n² at a test, the runtime's and a larger key size.
+func TestPowNCRTMatchesExp(t *testing.T) {
+	for _, bits := range []int{128, 512, 1024} {
+		p, err := randomPrime(rand.Reader, bits/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := randomPrime(rand.Reader, bits/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Cmp(q) == 0 {
+			t.Fatalf("%d bits: drew the same prime twice", bits)
+		}
+		n := new(big.Int).Mul(p, q)
+		n2 := new(big.Int).Mul(n, n)
+		h := deriveH(n)
+		want := new(big.Int).Exp(h, n, n2)
+		if got := powNCRT(h, p, q); got.Cmp(want) != 0 {
+			t.Errorf("%d bits: CRT h^n mod n² = %x, full-width Exp %x", bits, got, want)
+		}
+	}
+}

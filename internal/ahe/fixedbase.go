@@ -83,10 +83,41 @@ func deriveH(n *big.Int) *big.Int {
 }
 
 // newFixedBase precomputes the comb for gn = h^n mod n², sized for
-// encryptions walks of it.
-func newFixedBase(n, n2 *big.Int, encryptions int) *fixedBase {
-	gn := new(big.Int).Exp(deriveH(n), n, n2)
+// encryptions walks of it. Key generation passes n's prime factors p and q
+// too, and gn is then computed by CRT (powNCRT) at about 0.6 of the cost
+// of the one full-width exponentiation made without them.
+func newFixedBase(n, n2 *big.Int, encryptions int, pq ...*big.Int) *fixedBase {
+	h := deriveH(n)
+	var gn *big.Int
+	if len(pq) == 2 {
+		gn = powNCRT(h, pq[0], pq[1])
+	} else {
+		gn = new(big.Int).Exp(h, n, n2)
+	}
 	fb := &fixedBase{comb: fixedbase.New(gn, n2, fbExpBytes, encryptions)}
 	fb.scratch.New = func() *fbScratch { return new(fbScratch) }
 	return fb
+}
+
+// powNCRT returns h^n mod n² for n = p·q, p ≠ q prime and h a unit: the
+// residues gp = h^n mod p² and gq = h^n mod q² (powPQ), recombined as
+// gp + p²·((gq − gp)·(p²)⁻¹ mod q²).
+func powNCRT(h, p, q *big.Int) *big.Int {
+	p2 := new(big.Int).Mul(p, p)
+	q2 := new(big.Int).Mul(q, q)
+	gp, gq := powPQ(h, p, q, p2), powPQ(h, q, p, q2)
+	t := gq.Sub(gq, gp)
+	t.Mul(t, new(big.Int).ModInverse(p2, q2))
+	t.Mod(t, q2)
+	return t.Add(t.Mul(t, p2), gp)
+}
+
+// powPQ returns h^(p·q) mod p² for a prime p and a unit h. By the binomial
+// theorem (y + kp)^p ≡ y^p (mod p²), so (h^q)^p mod p² depends only on
+// h^q mod p, which is h^(q mod (p−1)) mod p by Fermat: one exponentiation
+// mod p, then one to the p-th power mod p², both with half-width exponents.
+func powPQ(h, p, q, p2 *big.Int) *big.Int {
+	y := new(big.Int).Mod(h, p)
+	y.Exp(y, new(big.Int).Mod(q, new(big.Int).Sub(p, one)), p)
+	return y.Exp(y, p, p2)
 }

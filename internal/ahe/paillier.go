@@ -51,6 +51,7 @@ import (
 
 var (
 	one  = big.NewInt(1)
+	two  = big.NewInt(2)
 	zero = big.NewInt(0)
 )
 
@@ -163,7 +164,7 @@ func GenerateKeyFor(random io.Reader, bits, encryptions int) (*PrivateKey, error
 		if err != nil {
 			continue
 		}
-		sk.fb = newFixedBase(n, n2, encryptions)
+		sk.fb = newFixedBase(n, n2, encryptions, p, q)
 		return sk, nil
 	}
 }

@@ -8,7 +8,12 @@ package ahe
 // that pays a Miller–Rabin exponentiation before it is rejected, about 25
 // per 256-bit prime. randomPrime rejects a candidate with an odd prime
 // factor below sieveBound first, which leaves about 12 candidates per prime
-// for ProbablyPrime(20), the unchanged check. Each attempt draws a fresh
+// for ProbablyPrime(20), the unchanged check. Of those, a composite is
+// rejected by one base-2 Fermat test before ProbablyPrime, whose first act
+// is to seed a math/rand source (about 10 µs) for its Miller–Rabin bases:
+// every prime passes the Fermat test, and so does every composite
+// ProbablyPrime accepts, since its Baillie–PSW half includes the strong
+// base-2 test, so the pre-test changes no result. Each attempt draws a fresh
 // candidate shaped exactly as crypto/rand.Prime shapes its bytes, and the
 // filter rejects only composites, so the primes it returns are distributed
 // as crypto/rand.Prime's.
@@ -105,7 +110,7 @@ func randomPrime(random io.Reader, bits int) (*big.Int, error) {
 	words := make([]uint64, (size+7)/8)
 	padded := make([]byte, 8*len(words)) // the candidate, zero-extended to whole words
 	b := padded[len(padded)-size:]
-	p := new(big.Int)
+	p, fermat, pm1 := new(big.Int), new(big.Int), new(big.Int)
 	for {
 		if _, err := io.ReadFull(random, b); err != nil {
 			return nil, err
@@ -124,7 +129,11 @@ func randomPrime(random io.Reader, bits int) (*big.Int, error) {
 		if hasSmallFactor(words) {
 			continue
 		}
-		if p.SetBytes(b); p.ProbablyPrime(20) {
+		p.SetBytes(b)
+		if fermat.Exp(two, pm1.Sub(p, one), p).Cmp(one) != 0 {
+			continue
+		}
+		if p.ProbablyPrime(20) {
 			return p, nil
 		}
 	}

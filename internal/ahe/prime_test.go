@@ -197,3 +197,33 @@ func TestGenerateKeyOddBits(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomPrimeGolden pins randomPrime's output for seeded readers to what
+// it returned before its base-2 pre-test: the pre-test rejects only
+// composites ProbablyPrime(20) rejects too, so the same stream yields the
+// same prime.
+func TestRandomPrimeGolden(t *testing.T) {
+	for _, c := range []struct {
+		bits int
+		seed uint64
+		want string
+	}{
+		{64, 100, "ee66bc12f4906aad"},
+		{64, 101, "cd8bc57cb47da431"},
+		{64, 102, "ec42b9aaa042484f"},
+		{128, 100, "dc6488be3f75fdc2d51c3e3456ba45a9"},
+		{128, 101, "fe3f7c64a4713e401984107d2b4b4575"},
+		{128, 102, "ca1a61c71b614a6bc5b694cd75b64c07"},
+		{256, 100, "fd8a40045d7a9559ef1348b3674a5f9d72d72230ec38a0b0576c976bc112927d"},
+		{256, 101, "f47eaaf2feb3e1f20a03891f73ba1a4dcd5671841151caf812fc1be51a9fd18d"},
+		{256, 102, "f44852c95f02e8e66e20e614d6c4f73609d17819d1c086dd0c4b60b103d5efbb"},
+	} {
+		p, err := randomPrime(benchrand.New(c.seed), c.bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Text(16); got != c.want {
+			t.Errorf("%d bits, seed %d: randomPrime %s, want %s", c.bits, c.seed, got, c.want)
+		}
+	}
+}

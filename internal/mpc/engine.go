@@ -12,12 +12,14 @@
 // (DESIGN.md). Round and byte counts drive the cost model and the
 // heterogeneity experiments.
 //
-// The dealer draws from crypto/rand only, a block at a time, into a stream
-// its engine owns. A triple is dealt into engine scratch and never outlives
-// its multiplication, and a comparison's random bits and prefix products
-// stay in scratch too. Every Secret the engine returns is carved from an
-// engine-owned slab that is never recycled. None of this is locked: an
-// engine is driven from one goroutine (docs/CONCURRENCY.md).
+// The dealer draws from an AES-256-CTR keystream its engine owns, a block at
+// a time; the stream's key is read from crypto/rand once, when the engine
+// first shares a value (drawWord says why that is as good as reading
+// crypto/rand throughout). A triple is dealt into engine scratch and never
+// outlives its multiplication, and a comparison's random bits and prefix
+// products stay in scratch too. Every Secret the engine returns is carved
+// from an engine-owned slab that is never recycled. None of this is locked:
+// an engine is driven from one goroutine (docs/CONCURRENCY.md).
 //
 // Values are field elements of internal/bgv's 60-bit prime field (the paper
 // sets the MPC modulus to BGV's ciphertext modulus). Signed integers up to
@@ -26,6 +28,8 @@
 package mpc
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -84,9 +88,11 @@ type Engine struct {
 	work *workspace
 }
 
-// randBlock is how many bytes of crypto/rand output the dealer reads at a
-// time.
+// randBlock is how many bytes of keystream the dealer generates at a time.
 const randBlock = 4096
+
+// dealerKeyBytes is the dealer stream's AES-256 key size.
+const dealerKeyBytes = 32
 
 // slabWords sizes each share slab: every Secret the engine returns is an
 // M-word piece of one.
@@ -95,9 +101,11 @@ const slabWords = 1024
 // workspace is an engine's dealer stream, share slab and scratch. Like the
 // engine it is driven from the coordinating goroutine only.
 type workspace struct {
-	// rnd is a block of crypto/rand output; rnd[pos:] is unread.
-	rnd [randBlock]byte
-	pos int
+	// stream is the dealer's AES-256-CTR keystream; rnd is a block of its
+	// output, and rnd[pos:] is unread.
+	stream cipher.Stream
+	rnd    [randBlock]byte
+	pos    int
 	// bits holds nbits unread random bits for drawBits.
 	bits  uint64
 	nbits int
@@ -111,23 +119,39 @@ type workspace struct {
 	ta, tb, tc, tmp, coeffs, rBits, prefix []uint64
 }
 
-// ws returns the engine's workspace, making it on first use.
+// ws returns the engine's workspace, making it on first use under a dealer
+// key read from crypto/rand.
 func (e *Engine) ws() *workspace {
 	if e.work == nil {
-		m, k := e.M, (ValueBits-1)*e.M
-		s := make([]uint64, 4*m+e.T+2*k)
-		take := func(n int) []uint64 {
-			v := s[:n:n]
-			s = s[n:]
-			return v
+		var key [dealerKeyBytes]byte
+		if _, err := rand.Read(key[:]); err != nil {
+			panic("mpc: randomness unavailable: " + err.Error())
 		}
-		e.work = &workspace{
-			pos: randBlock,
-			ta:  take(m), tb: take(m), tc: take(m), tmp: take(m),
-			coeffs: take(e.T), rBits: take(k), prefix: take(k),
-		}
+		e.work = e.newWorkspace(key[:])
 	}
 	return e.work
+}
+
+// newWorkspace makes a workspace whose dealer stream is AES-256-CTR under
+// key, from a zero counter.
+func (e *Engine) newWorkspace(key []byte) *workspace {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		panic("mpc: dealer key: " + err.Error())
+	}
+	m, k := e.M, (ValueBits-1)*e.M
+	s := make([]uint64, 4*m+e.T+2*k)
+	take := func(n int) []uint64 {
+		v := s[:n:n]
+		s = s[n:]
+		return v
+	}
+	return &workspace{
+		stream: cipher.NewCTR(block, make([]byte, aes.BlockSize)),
+		pos:    randBlock,
+		ta:     take(m), tb: take(m), tc: take(m), tmp: take(m),
+		coeffs: take(e.T), rBits: take(k), prefix: take(k),
+	}
 }
 
 // newSecret carves a zeroed M-word sharing from the slab.
@@ -312,13 +336,22 @@ func (e *Engine) oneMinusInto(dst, a []uint64) {
 
 // --- dealer (preprocessing) ---
 
-// drawWord returns the next 64 bits of the dealer's crypto/rand stream.
+// drawWord returns the next 64 bits of the dealer's stream.
+//
+// The stream is AES-256 in counter mode, the core of NIST SP 800-90A's
+// CTR_DRBG: each engine gets a fresh uniformly random key from crypto/rand
+// that no other engine or stream ever uses, the IV is zero and the counter
+// is 128 bits wide, and an engine's lifetime draws are far below 2^32
+// blocks. So no feasible test tells the stream from crypto/rand output, and
+// with AES in hardware it costs a fraction of crypto/rand's getrandom call
+// per block. Nothing released rests on it: a Beaver product and a
+// comparison are exact whatever the triples and bits hold; only the
+// shares' hiding does.
 func (e *Engine) drawWord() uint64 {
 	w := e.ws()
 	if w.pos == randBlock {
-		if _, err := rand.Read(w.rnd[:]); err != nil {
-			panic("mpc: randomness unavailable: " + err.Error())
-		}
+		clear(w.rnd[:])
+		w.stream.XORKeyStream(w.rnd[:], w.rnd[:])
 		w.pos = 0
 	}
 	v := binary.LittleEndian.Uint64(w.rnd[w.pos:])

@@ -29,6 +29,14 @@ const (
 	vSharedArr
 )
 
+var kindNames = [...]string{
+	vPublic: "public", vPublicArr: "public array",
+	vCipher: "cipher", vCipherArr: "cipher array",
+	vShared: "shared", vSharedArr: "shared array",
+}
+
+func (k valueKind) String() string { return kindNames[k] }
+
 // value is one runtime value. Public numbers use Q30.16 fixed point;
 // ciphertext values are integer-valued Paillier ciphertexts. Shared values
 // remember the committee whose MPC holds their shares — vignettes chained on
@@ -309,8 +317,14 @@ func (ip *interp) stmt(s lang.Stmt) error {
 	}
 }
 
-// setIndex assigns arr[i] = v, auto-extending public arrays.
+// setIndex assigns arr[i] = v, auto-extending arrays. An element of another
+// kind than the array's either joins it in the array's kind (a shared array
+// shares anything; a cipher array encrypts an integral public value) or
+// promotes the whole array (see promoteAndSet).
 func (ip *interp) setIndex(name string, i int, v value) error {
+	if v.isArr() {
+		return fmt.Errorf("runtime: cannot store a %v in an element of %s", v.kind, name)
+	}
 	cur, ok := ip.env[name]
 	if !ok {
 		cur = pubArr(nil)
@@ -318,7 +332,6 @@ func (ip *interp) setIndex(name string, i int, v value) error {
 	switch cur.kind {
 	case vPublicArr:
 		if v.kind != vPublic {
-			// Element kinds promote the whole array.
 			return ip.promoteAndSet(name, cur, i, v)
 		}
 		for len(cur.arr) <= i {
@@ -328,25 +341,36 @@ func (ip *interp) setIndex(name string, i int, v value) error {
 		ip.env[name] = cur
 		return nil
 	case vSharedArr:
-		if v.kind != vShared {
-			return fmt.Errorf("runtime: mixing shared array %s with %v element", name, v.kind)
-		}
-		if v.eng != cur.eng {
-			moved, err := ip.toSharedIn(cur.eng, v)
-			if err != nil {
-				return err
-			}
-			v = moved
+		sh, err := ip.toSharedIn(cur.eng, v)
+		if err != nil {
+			return err
 		}
 		for len(cur.secs) <= i {
 			cur.secs = append(cur.secs, cur.eng.engine.JointSecret(0))
 		}
-		cur.secs[i] = v.sec
+		cur.secs[i] = sh.sec
 		ip.env[name] = cur
 		return nil
 	case vCipherArr:
-		if v.kind != vCipher {
-			return fmt.Errorf("runtime: mixing cipher array %s with %v element", name, v.kind)
+		if v.kind == vShared || v.kind == vPublic && fractional(v.num) {
+			// A Paillier plaintext is an integer: the array moves to shares.
+			ce, err := ip.engineOf(v)
+			if err != nil {
+				return err
+			}
+			shared, err := ip.toSharedIn(ce, cur)
+			if err != nil {
+				return err
+			}
+			ip.env[name] = shared
+			return ip.setIndex(name, i, v)
+		}
+		if v.kind == vPublic {
+			ct, err := ip.km.pub.Encrypt(cryptoRand(), bigFromFixed(v.num))
+			if err != nil {
+				return err
+			}
+			v = value{kind: vCipher, ct: ct}
 		}
 		for len(cur.cts) <= i {
 			zero, err := ip.km.pub.Encrypt(cryptoRand(), bigZero())

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -42,6 +43,13 @@ output(x);`,
 			`a = array(0 - 5);
 output(1);`,
 			"array size",
+		},
+		{
+			"array stored in an element",
+			`aggr = sum(db);
+a[0] = aggr;
+output(1);`,
+			"cannot store a cipher array in an element of a",
 		},
 	}
 	for _, c := range cases {
@@ -193,5 +201,34 @@ output(declassify(x));`, RunOptions{})
 	}
 	if got := res.Outputs[0].Float(); math.Abs(got-74.5) > 0.1 {
 		t.Errorf("10.5 + aggr[0] released %g, want 74.5", got)
+	}
+}
+
+// An array element of another kind than the array's joins it: a shared
+// array shares a public element, and a cipher array encrypts an integral
+// one but moves to shares for a fractional or shared one. 64 devices all in
+// category 0, so aggr[0] = max(aggr) = 64, and ε = 1000.
+func TestMixedKindArrays(t *testing.T) {
+	d := smallDeployment(t, 64, 2, func(cfg *Config) {
+		cfg.BudgetEpsilon = 1e9
+		cfg.Data = func(int) int { return 0 }
+	})
+	for _, c := range []struct {
+		first, second string
+		want          float64
+	}{
+		{"aggr[0]", "3", 67},
+		{"max(aggr)", "3", 67},
+		{"aggr[0]", "2.5", 66.5},
+		{"aggr[0]", "max(aggr)", 128},
+	} {
+		src := fmt.Sprintf("aggr = sum(db);\na[0] = %s;\na[1] = %s;\nx = laplace(a[0] + a[1], 1000);\noutput(declassify(x));", c.first, c.second)
+		res, err := d.Run(src, RunOptions{})
+		if err != nil {
+			t.Fatalf("a[0] = %s; a[1] = %s: %v", c.first, c.second, err)
+		}
+		if got := res.Outputs[0].Float(); math.Abs(got-c.want) > 0.1 {
+			t.Errorf("a[0] = %s; a[1] = %s released %g, want %g", c.first, c.second, got, c.want)
+		}
 	}
 }

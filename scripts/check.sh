@@ -57,9 +57,11 @@ go test ./internal/bgv ./internal/ahe ./internal/planner ./internal/vsr ./intern
 
 # The 32-bit word path: word width changes the fixed-base comb's m′ =
 # −m⁻¹ mod b, its carries and the word math/big's addMulVVW works on, and no
-# other pass runs it (~5 s). Its two callers run too.
-echo "== GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr"
-GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr
+# other pass runs it (~5 s). Its two callers run too, and the MPC engine,
+# whose dealer turns keystream bytes into words and whose fmul is
+# bits.Mul64/Div64.
+echo "== GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr ./internal/mpc"
+GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr ./internal/mpc
 
 # Every go test -bench handle in the module (kernels, planner, ingest, vsr)
 # is compiled by the passes above but run by none of them; one iteration
