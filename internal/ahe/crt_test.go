@@ -263,7 +263,7 @@ func TestFixedBaseFallbackMatchesMontgomery(t *testing.T) {
 		"12fe584c374572377c37666a61979945f8672ebe36584df00de687fc08fabc55",
 		"87f5c0ca8cece0fc6f21687c0a2845867ceb0664bb579ba49e339e6e0f0c490e",
 	}
-	fb := newFixedBase(n, n2, math.MaxInt)
+	fb := newFixedBase(n, n2, math.MaxInt, p, q)
 	gn := new(big.Int).Exp(deriveH(n), n, n2)
 	s := fb.scratch.Get()
 	defer fb.scratch.Put(s)

@@ -630,30 +630,31 @@ type uploadEvent struct {
 
 // deviceUpload produces one device's upload for the given one-hot cell:
 // honest devices encrypt their packed row (ahe.Packing) and prove the row
-// well formed; malicious devices upload the all-ones row (inflating every
-// count) with a forged proof. It runs on pool workers: it touches only the
-// device's own state and crypto/rand.
-func (d *Deployment) deviceUpload(dev *Device, codec *ahe.Packing, hot int) (upload, error) {
-	claim := zkp.Claim{Kind: zkp.ClaimOneHot, VectorLen: codec.Cells()}
-	stmt := zkp.Statement{Device: dev.ID, QueryID: d.queryID, Claim: claim}
+// well formed with zkp.ProveKeyed into pr, the batch slot's recycled proof;
+// malicious devices upload the all-ones row (inflating every count) with a
+// forged proof. It runs inside the shard's pool task: it touches only the
+// device's own state, the source's scratch and crypto/rand.
+func (s *deviceSource) deviceUpload(dev *Device, hot int, pr *zkp.Proof) (upload, error) {
+	claim := zkp.Claim{Kind: zkp.ClaimOneHot, VectorLen: s.codec.Cells()}
+	stmt := zkp.Statement{Device: dev.ID, QueryID: s.d.queryID, Claim: claim}
 	if dev.Malicious {
-		vec, err := codec.EncryptOnes(rand.Reader)
+		vec, err := s.codec.EncryptOnes(rand.Reader)
 		if err != nil {
 			return upload{}, err
 		}
 		return upload{vec: vec, proof: zkp.Forge(stmt)}, nil
 	}
-	vec, err := codec.Encrypt(rand.Reader, hot)
+	vec, err := s.codec.Encrypt(rand.Reader, hot)
 	if err != nil {
 		return upload{}, err
 	}
-	witness := make([]int64, codec.Cells())
-	witness[hot] = 1
-	proof, err := zkp.NewProver(dev.Key).Prove(stmt, zkp.Witness{Vector: witness})
+	s.witness[hot] = 1
+	err = zkp.ProveKeyed(s.sc, dev.Key, stmt, zkp.Witness{Vector: s.witness}, pr)
+	s.witness[hot] = 0
 	if err != nil {
 		return upload{}, err
 	}
-	return upload{vec: vec, proof: proof}, nil
+	return upload{vec: vec, proof: pr}, nil
 }
 
 // deviceUploadRetry wraps deviceUpload with the upload-timeout injection
@@ -663,12 +664,12 @@ func (d *Deployment) deviceUpload(dev *Device, codec *ahe.Packing, hot int) (upl
 // this runs on pool workers. A device that times out uploadBackoff.attempts
 // times in a row is dropped (it behaves exactly like a churned-offline
 // device: its row is simply missing).
-func (d *Deployment) deviceUploadRetry(dev *Device, codec *ahe.Packing, hot int) (upload, error) {
+func (s *deviceSource) deviceUploadRetry(dev *Device, hot int, pr *zkp.Proof) (upload, error) {
 	var timeouts int
 	var backoff time.Duration
 	//arblint:ignore ctxcheckpoint bounded retry: the device is dropped once attempt+1 reaches uploadBackoff.attempts
 	for attempt := 0; ; attempt++ {
-		if d.cfg.Faults.Fires(faults.UploadTimeout, dev.ID, attempt) {
+		if s.d.cfg.Faults.Fires(faults.UploadTimeout, dev.ID, attempt) {
 			timeouts++
 			if attempt+1 >= uploadBackoff.attempts {
 				return upload{uploadEvent: uploadEvent{dev: dev.ID, timeouts: timeouts, backoff: backoff, dropped: true}}, nil
@@ -676,7 +677,7 @@ func (d *Deployment) deviceUploadRetry(dev *Device, codec *ahe.Packing, hot int)
 			backoff += uploadBackoff.delay(attempt)
 			continue
 		}
-		up, err := d.deviceUpload(dev, codec, hot)
+		up, err := s.deviceUpload(dev, hot, pr)
 		if err != nil {
 			return upload{}, err
 		}

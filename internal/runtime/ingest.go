@@ -217,7 +217,6 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 	h := sha256.New()
 	fill := make([]byte, (sp.pub.N2.BitLen()+7)/8)
 	verifyHash := make([]byte, 0, sha256.Size)
-	sc := zkp.NewScratch()
 	batchBuf := make([]upload, sp.batch)
 	vecs := make([][]*ahe.Ciphertext, 0, sp.batch)
 
@@ -259,7 +258,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 			}
 			res.bytes += int64(up.proof.Bytes())
 			res.verified++
-			if !job.verifier.VerifyScratch(sc, up.proof) {
+			if !job.verifier.Verify(up.proof) {
 				res.rejected++
 				continue
 			}
@@ -470,13 +469,18 @@ func auditIngestBatch(pub *ahe.PublicKey, tree *merkle.Tree, leaf int, rb retain
 // deviceSource adapts a contiguous range of the deployment's online devices
 // to the streaming interface. Upload generation (encryption + proof) happens
 // inside fill, one batch at a time, so the pipeline never holds more than
-// one batch of device ciphertexts per shard.
+// one batch of device ciphertexts per shard. Proofs are made on the
+// source's own scratch and witness row into the batch slots' recycled
+// proofs, the way the virtual-population harness's templateSource makes
+// them.
 type deviceSource struct {
 	d       *Deployment
 	codec   *ahe.Packing
 	devices []*Device // the shard's online devices, device order
 	base    int       // global online index of devices[0]
 	hot     func(onlineIdx int, dev *Device) int
+	sc      *zkp.Scratch
+	witness []int64 // the one-hot row being proven: all zeros between uploads
 }
 
 func (s *deviceSource) count() int { return len(s.devices) }
@@ -484,13 +488,51 @@ func (s *deviceSource) count() int { return len(s.devices) }
 func (s *deviceSource) fill(buf []upload, start, n int) error {
 	for i := 0; i < n; i++ {
 		dev := s.devices[start+i]
-		up, err := s.d.deviceUploadRetry(dev, s.codec, s.hot(s.base+start+i, dev))
+		pr := buf[i].proof
+		if pr == nil {
+			pr = new(zkp.Proof) // batch-slot reuse: allocated once per slot
+		}
+		up, err := s.deviceUploadRetry(dev, s.hot(s.base+start+i, dev), pr)
 		if err != nil {
 			return err
 		}
 		buf[i] = up
 	}
 	return nil
+}
+
+// shardRuns cuts the online devices into contiguous shard ranges in device
+// order, each with a device upload source and a verifier over the ids of
+// the shard's first through last device. Device ids index d.Devices, so the
+// verifier's key function reads a device's key there, and returns nil for
+// an offline one: an id inside the range is this shard's exactly when it is
+// online.
+func (d *Deployment) shardRuns(online []*Device, codec *ahe.Packing, hot func(onlineIdx int, dev *Device) int) []shardRun {
+	keyOf := func(id int) []byte {
+		if dev := d.Devices[id]; !dev.Offline {
+			return dev.Key
+		}
+		return nil
+	}
+	jobs := make([]shardRun, d.shards)
+	for s := range jobs {
+		lo := s * len(online) / d.shards
+		hi := (s + 1) * len(online) / d.shards
+		devs := online[lo:hi]
+		first, last := 0, -1
+		if len(devs) > 0 {
+			first, last = devs[0].ID, devs[len(devs)-1].ID
+		}
+		jobs[s] = shardRun{
+			base: lo,
+			src: &deviceSource{
+				d: d, codec: codec, devices: devs, base: lo, hot: hot,
+				sc: zkp.NewScratch(), witness: make([]int64, codec.Cells()),
+			},
+			verifier: zkp.NewVerifierFunc(keyOf, first, last+1),
+		}
+	}
+	return jobs
 }
 
 // ingest runs the pipeline over the deployment's online devices, cut into
@@ -522,21 +564,7 @@ func (d *Deployment) ingest(km *keyMaterial, cells, fanout int, hot func(onlineI
 		track:  track,
 		ctx:    d.runCtx,
 	}
-	jobs := make([]shardRun, shards)
-	for s := 0; s < shards; s++ {
-		lo := s * len(online) / shards
-		hi := (s + 1) * len(online) / shards
-		devs := online[lo:hi]
-		keys := make(map[int][]byte, len(devs))
-		for _, dev := range devs {
-			keys[dev.ID] = dev.Key
-		}
-		jobs[s] = shardRun{
-			base:     lo,
-			src:      &deviceSource{d: d, codec: codec, devices: devs, base: lo, hot: hot},
-			verifier: zkp.NewVerifier(keys),
-		}
-	}
+	jobs := d.shardRuns(online, codec, hot)
 	if d.cfg.ByzantineAggregator {
 		// The cheating aggregator lies in one batch of one shard; which one
 		// is a pure function of the seed, so the run replays and a sweep

@@ -6,6 +6,8 @@ import (
 	"os"
 	goruntime "runtime"
 	"testing"
+
+	"arboretum/internal/zkp"
 )
 
 // TestIngestMemoryFlat is the memory-flatness smoke (scripts/check.sh):
@@ -55,5 +57,41 @@ func TestIngestMemoryFlat(t *testing.T) {
 	if float64(big) > 1.2*float64(small) {
 		t.Errorf("peak heap grew %.2f× over a 10× population (want ≤1.2×): %d → %d bytes",
 			float64(big)/float64(small), small, big)
+	}
+}
+
+// TestAllocGateDeviceUpload pins one honest device's upload at the packed
+// row's own allocations: collect-wide's 2048 × 16 shape packs into one
+// ciphertext, which ahe's TestAllocGatePackedRow gates at three (its box,
+// its limbs and the row slice). The proof is made with zkp.ProveKeyed on the
+// source's scratch and witness row into a recycled slot, so it adds none.
+func TestAllocGateDeviceUpload(t *testing.T) {
+	sk := ingestKey(t)
+	d, err := NewDeployment(Config{
+		N: 8, Categories: 16, CommitteeSize: 4, Seed: 3, KeyBits: 256,
+		BudgetEpsilon: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := sk.NewPacking(2048, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := d.shardRuns(d.Devices, codec, nil)[0].src.(*deviceSource)
+	dev := src.devices[0]
+	pr := new(zkp.Proof)
+	upload := func() {
+		up, err := src.deviceUpload(dev, 5, pr)
+		if err != nil || up.proof != pr {
+			t.Fatalf("honest upload: err %v, proof slot not reused: %v", err, up.proof != pr)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		upload() // warm the encryption pools
+	}
+	const ceiling = 3
+	if got := testing.AllocsPerRun(10, upload); got > ceiling {
+		t.Errorf("deviceUpload: %.1f allocs/op, ceiling %d", got, ceiling)
 	}
 }

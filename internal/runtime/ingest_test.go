@@ -19,6 +19,7 @@ import (
 	"arboretum/internal/fixed"
 	"arboretum/internal/merkle"
 	"arboretum/internal/planner"
+	"arboretum/internal/zkp"
 )
 
 // --- virtual-population helpers ---
@@ -556,6 +557,67 @@ func TestIngestSmallShapes(t *testing.T) {
 	ingestHistogram(t, sk, pop, res)
 	if err := auditIngest(&sk.PublicKey, res, &Metrics{}); err != nil || leafCount(res.tree) != 1 {
 		t.Errorf("single one-device shard: audit %v, %d leaves", err, leafCount(res.tree))
+	}
+}
+
+// TestShardVerifiersAcceptOwnDevices: each shard's verifier accepts an
+// honest proof from exactly its own online devices. It refuses an honestly
+// keyed proof claiming an offline device's id inside the shard's range, and
+// one from a neighbouring shard's device.
+func TestShardVerifiersAcceptOwnDevices(t *testing.T) {
+	d, err := NewDeployment(Config{
+		N: 40, Categories: 2, CommitteeSize: 4, Seed: 9, KeyBits: 256,
+		BudgetEpsilon: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.shards = 4
+	for _, id := range []int{0, 5, 6, 17, 23, 39} {
+		d.Devices[id].Offline = true
+	}
+	var online []*Device
+	for _, dev := range d.Devices {
+		if !dev.Offline {
+			online = append(online, dev)
+		}
+	}
+	codec, err := ingestKey(t).NewPacking(len(d.Devices), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := d.shardRuns(online, codec, nil)
+	shardOf := map[int]int{}
+	for s, job := range jobs {
+		for _, dev := range job.src.(*deviceSource).devices {
+			shardOf[dev.ID] = s
+		}
+	}
+	if len(shardOf) != len(online) {
+		t.Fatalf("shards hold %d devices, %d online", len(shardOf), len(online))
+	}
+	inRangeOffline := 0
+	sc := zkp.NewScratch()
+	for s, job := range jobs {
+		devs := job.src.(*deviceSource).devices
+		for _, dev := range d.Devices {
+			stmt := zkp.Statement{Device: dev.ID, QueryID: d.queryID, Claim: zkp.Claim{Kind: zkp.ClaimOneHot, VectorLen: 2}}
+			var pr zkp.Proof
+			if err := zkp.ProveKeyed(sc, dev.Key, stmt, zkp.Witness{Vector: []int64{0, 1}}, &pr); err != nil {
+				t.Fatal(err)
+			}
+			own, ok := shardOf[dev.ID]
+			want := ok && own == s
+			if dev.Offline && dev.ID > devs[0].ID && dev.ID < devs[len(devs)-1].ID {
+				inRangeOffline++
+			}
+			if got := job.verifier.Verify(&pr); got != want {
+				t.Errorf("shard %d verifier: device %d (offline %v) accepted %v, want %v", s, dev.ID, dev.Offline, got, want)
+			}
+		}
+	}
+	if inRangeOffline == 0 {
+		t.Fatal("no offline device inside a shard's range: the fixture checks nothing")
 	}
 }
 

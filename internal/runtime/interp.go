@@ -235,13 +235,13 @@ func (ip *interp) reform(broken *committeeExec, input value) (*committeeExec, va
 // should run: the first shared operand's committee, or the current one when
 // none are shared. Operands held by other committees are migrated into it
 // by toSharedIn's VSR-style transfer.
-func (ip *interp) engineOf(vals ...value) (*committeeExec, error) {
+func (ip *interp) engineOf(vals ...value) *committeeExec {
 	for _, v := range vals {
 		if v.eng != nil {
-			return v.eng, nil
+			return v.eng
 		}
 	}
-	return ip.ce, nil
+	return ip.ce
 }
 
 func (ip *interp) run(stmts []lang.Stmt) error {
@@ -354,11 +354,7 @@ func (ip *interp) setIndex(name string, i int, v value) error {
 	case vCipherArr:
 		if v.kind == vShared || v.kind == vPublic && fractional(v.num) {
 			// A Paillier plaintext is an integer: the array moves to shares.
-			ce, err := ip.engineOf(v)
-			if err != nil {
-				return err
-			}
-			shared, err := ip.toSharedIn(ce, cur)
+			shared, err := ip.toSharedIn(ip.engineOf(v), cur)
 			if err != nil {
 				return err
 			}

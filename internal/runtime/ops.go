@@ -57,10 +57,7 @@ func (ip *interp) binary(ex *lang.BinaryExpr) (value, error) {
 		if yv.num == 0 {
 			return value{}, fmt.Errorf("runtime: division by zero")
 		}
-		owner, err := ip.engineOf(xv)
-		if err != nil {
-			return value{}, err
-		}
+		owner := ip.engineOf(xv)
 		xs, err := ip.toSharedIn(owner, xv)
 		if err != nil {
 			return value{}, err
@@ -74,10 +71,7 @@ func (ip *interp) binary(ex *lang.BinaryExpr) (value, error) {
 		return value{kind: vShared, sec: q, eng: owner}, nil
 	}
 	// Everything else runs on shares in the committee owning the operands.
-	owner, err := ip.engineOf(xv, yv)
-	if err != nil {
-		return value{}, err
-	}
+	owner := ip.engineOf(xv, yv)
 	xs, err := ip.toSharedIn(owner, xv)
 	if err != nil {
 		return value{}, err

@@ -8,12 +8,11 @@ import (
 	"arboretum/internal/hashing"
 )
 
-// Scratch is the pooled tag-computation state behind the streaming-ingest
-// prove/verify path (internal/runtime): statementTag builds a fresh HMAC
-// object per call, which costs several allocations per device, while a
-// Scratch computes the identical HMAC-SHA256 tag from one retained SHA-256
-// state and fixed buffers. A Scratch is not safe for concurrent use — each
-// shard aggregator (and each upload source) owns its own.
+// Scratch is the tag-computation state behind every prove and verify: it
+// computes the HMAC-SHA256 statement tag from one retained SHA-256 state and
+// fixed buffers, so a tag costs no allocation (a crypto/hmac object per
+// proof would cost several). A Scratch is not safe for concurrent use —
+// each Prover, Verifier and ingest upload source owns its own.
 type Scratch struct {
 	h   hash.Hash
 	pad [sha256.BlockSize]byte
@@ -26,8 +25,8 @@ func NewScratch() *Scratch {
 	return &Scratch{h: sha256.New()}
 }
 
-// tag computes HMAC-SHA256(key, encode(s)) — bit-identical to statementTag —
-// without allocating.
+// tag computes HMAC-SHA256(key, encode(s)) — bit-identical to crypto/hmac
+// over putStatement's encoding — without allocating.
 func (sc *Scratch) tag(key []byte, s Statement) [sha256.Size]byte {
 	if len(key) > sha256.BlockSize {
 		sc.h.Reset()
@@ -58,12 +57,11 @@ func (sc *Scratch) tag(key []byte, s Statement) [sha256.Size]byte {
 }
 
 // ProveKeyed proves a statement directly under a signing key, writing the
-// proof into caller-owned storage. It is Prove for callers that derive keys
-// on demand (virtual-device populations) or recycle proof slots per batch —
-// no Prover, no per-call allocation. Like Prove, it fails when the witness
-// does not satisfy the claim, leaving *out unchanged.
-//
-//arblint:ignore deadexport test seam: runtime's virtual-population ingest tests prove per device through it
+// proof into caller-owned storage: the one proving path, which Prove wraps.
+// Callers that hold keys per device (an ingest shard's upload source)
+// recycle proof slots per batch through it, so a proof costs no allocation.
+// It fails when the witness does not satisfy the claim, leaving *out
+// unchanged.
 func ProveKeyed(sc *Scratch, key []byte, s Statement, w Witness, out *Proof) error {
 	if !satisfies(s.Claim, w) {
 		return errors.New("zkp: witness does not satisfy the claim")

@@ -2,8 +2,11 @@ package zkp
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/sha256"
 	"testing"
+
+	"arboretum/internal/hashing"
 )
 
 func stmtAndWitness(dev int, q uint64, width int) (Statement, Witness) {
@@ -13,9 +16,10 @@ func stmtAndWitness(dev int, q uint64, width int) (Statement, Witness) {
 	return s, w
 }
 
-// TestScratchTagMatchesHMAC checks the pooled tag path is bit-identical to
-// statementTag for short keys, block-length keys, and over-length keys (the
-// hashed-key branch), across both claim kinds.
+// TestScratchTagMatchesHMAC checks the scratch tag is bit-identical to
+// crypto/hmac's HMAC-SHA256 over the statement encoding, for short keys,
+// block-length keys, and over-length keys (the hashed-key branch), across
+// both claim kinds.
 func TestScratchTagMatchesHMAC(t *testing.T) {
 	sc := NewScratch()
 	keys := [][]byte{
@@ -31,7 +35,12 @@ func TestScratchTagMatchesHMAC(t *testing.T) {
 	}
 	for _, key := range keys {
 		for _, s := range stmts {
-			want := statementTag(key, s)
+			mac := hmac.New(sha256.New, key)
+			var msg [statementMsgLen]byte
+			putStatement(msg[:], s)
+			hashing.Write(mac, msg[:])
+			var want [sha256.Size]byte
+			copy(want[:], mac.Sum(nil))
 			got := sc.tag(key, s)
 			if got != want {
 				t.Fatalf("scratch tag differs for key len %d, stmt %+v", len(key), s)
@@ -44,8 +53,9 @@ func TestScratchTagMatchesHMAC(t *testing.T) {
 	}
 }
 
-// TestProveKeyedCrossVerifies checks proofs from the pooled path verify under
-// the map verifier and vice versa, on both Verify and VerifyScratch.
+// TestProveKeyedCrossVerifies checks that Prove and ProveKeyed make the same
+// proof, and that it verifies once — and is refused as a replay — under
+// both verifier constructors.
 func TestProveKeyedCrossVerifies(t *testing.T) {
 	key := []byte("device-key-0123456789abcdef01234")
 	s, w := stmtAndWitness(3, 1, 8)
@@ -76,11 +86,11 @@ func TestProveKeyedCrossVerifies(t *testing.T) {
 			t.Fatalf("%s verifier accepts replay", name)
 		}
 		v = mk()
-		if !v.VerifyScratch(sc, &pooled) {
-			t.Fatalf("%s verifier rejects pooled proof via scratch", name)
+		if !v.Verify(&pooled) {
+			t.Fatalf("%s verifier rejects pooled proof", name)
 		}
-		if v.VerifyScratch(sc, &pooled) {
-			t.Fatalf("%s verifier accepts replay via scratch", name)
+		if v.Verify(&pooled) {
+			t.Fatalf("%s verifier accepts pooled replay", name)
 		}
 	}
 
@@ -108,10 +118,10 @@ func TestVerifierFuncRangeAndReplay(t *testing.T) {
 		if err := ProveKeyed(sc, keys[dev], s, w, &p); err != nil {
 			t.Fatal(err)
 		}
-		if !v.VerifyScratch(sc, &p) {
+		if !v.Verify(&p) {
 			t.Fatalf("device %d in range rejected", dev)
 		}
-		if v.VerifyScratch(sc, &p) {
+		if v.Verify(&p) {
 			t.Fatalf("device %d replay accepted", dev)
 		}
 		// A fresh query starts a fresh replay set.
@@ -121,7 +131,7 @@ func TestVerifierFuncRangeAndReplay(t *testing.T) {
 		if err := ProveKeyed(sc, keys[dev], s2, w, &p2); err != nil {
 			t.Fatal(err)
 		}
-		if !v.VerifyScratch(sc, &p2) {
+		if !v.Verify(&p2) {
 			t.Fatalf("device %d rejected in new query", dev)
 		}
 	}
@@ -133,15 +143,15 @@ func TestVerifierFuncRangeAndReplay(t *testing.T) {
 		if err := ProveKeyed(sc, keys[dev], s, w, &p); err != nil {
 			t.Fatal(err)
 		}
-		if v.VerifyScratch(sc, &p) {
+		if v.Verify(&p) {
 			t.Fatalf("device %d outside range accepted", dev)
 		}
 	}
 }
 
-// BenchmarkVerifyScratch tracks the pooled prove+verify cost per device —
-// the per-upload ZKP overhead of a streaming-ingest shard.
-func BenchmarkVerifyScratch(b *testing.B) {
+// BenchmarkProveKeyedVerify tracks the prove+verify cost per device — the
+// per-upload ZKP overhead of an ingest shard.
+func BenchmarkProveKeyedVerify(b *testing.B) {
 	key := bytes.Repeat([]byte{7}, 32)
 	keyOf := func(dev int) []byte { return key }
 	v := NewVerifierFunc(keyOf, 0, 1<<20)
@@ -158,7 +168,7 @@ func BenchmarkVerifyScratch(b *testing.B) {
 		if err := ProveKeyed(sc, key, s, w, &p); err != nil {
 			b.Fatal(err)
 		}
-		if !v.VerifyScratch(sc, &p) {
+		if !v.Verify(&p) {
 			b.Fatal("verify failed")
 		}
 	}

@@ -14,15 +14,19 @@
 // planner decisions are unaffected. See DESIGN.md for the substitution
 // argument. The simulation is NOT zero-knowledge: the verifier here is a
 // simulation harness that already holds the plaintexts it checks.
+//
+// There is one path each way. A proof's tag is an HMAC-SHA256 over the
+// statement, computed on a caller-owned Scratch (ProveKeyed; Prove wraps
+// it), and a Verifier checks it over a device range with on-demand keys and
+// a per-query replay bitset. The deployment runtime's ingest shards and its
+// virtual-population test harness both run exactly this path.
 package zkp
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
-	"errors"
-
-	"arboretum/internal/hashing"
+	"math"
 )
 
 // ProofSize is the wire size charged by the cost model: a Groth16 proof is
@@ -72,13 +76,17 @@ type Proof struct {
 func (p *Proof) Bytes() int { return ProofSize }
 
 // Prover generates proofs; it is keyed so that proofs bind the prover
-// identity (the signed-proof anti-replay measure of Section 6).
+// identity (the signed-proof anti-replay measure of Section 6). It tags on a
+// Scratch of its own, so it is not safe for concurrent use.
 type Prover struct {
 	key []byte
+	sc  *Scratch
 }
 
 // NewProver returns a prover with the given signing key.
-func NewProver(key []byte) *Prover { return &Prover{key: append([]byte(nil), key...)} }
+func NewProver(key []byte) *Prover {
+	return &Prover{key: append([]byte(nil), key...), sc: NewScratch()}
+}
 
 // satisfies checks the claim against the witness.
 func satisfies(c Claim, w Witness) bool {
@@ -110,8 +118,7 @@ func satisfies(c Claim, w Witness) bool {
 const statementMsgLen = 48
 
 // putStatement writes the canonical statement encoding into buf (at least
-// statementMsgLen bytes). statementTag and Scratch.tag MAC the same bytes,
-// so proofs from either prover path verify under either verifier path.
+// statementMsgLen bytes): the message Scratch.tag MACs.
 func putStatement(buf []byte, s Statement) {
 	binary.LittleEndian.PutUint64(buf[0:], uint64(s.Device))
 	binary.LittleEndian.PutUint64(buf[8:], s.QueryID)
@@ -121,25 +128,16 @@ func putStatement(buf []byte, s Statement) {
 	binary.LittleEndian.PutUint64(buf[40:], uint64(s.Claim.Hi))
 }
 
-func statementTag(key []byte, s Statement) [sha256.Size]byte {
-	mac := hmac.New(sha256.New, key)
-	var msg [statementMsgLen]byte
-	putStatement(msg[:], s)
-	hashing.Write(mac, msg[:])
-	var out [sha256.Size]byte
-	copy(out[:], mac.Sum(nil))
-	return out
-}
-
 // Prove produces a proof for the statement. Like a real prover run on a
 // false statement, it returns an error if the witness does not satisfy the
 // claim — a malicious device that wants to upload malformed data must skip
 // the proof (and be rejected by the verifier).
 func (p *Prover) Prove(s Statement, w Witness) (*Proof, error) {
-	if !satisfies(s.Claim, w) {
-		return nil, errors.New("zkp: witness does not satisfy the claim")
+	out := new(Proof)
+	if err := ProveKeyed(p.sc, p.key, s, w, out); err != nil {
+		return nil, err
 	}
-	return &Proof{Statement: s, tag: statementTag(p.key, s), valid: true}, nil
+	return out, nil
 }
 
 // Forge returns a proof object for a statement whose claim does NOT hold;
@@ -149,19 +147,18 @@ func Forge(s Statement) *Proof {
 	return &Proof{Statement: s, valid: false}
 }
 
-// Verifier checks proofs and enforces replay protection per query. It comes
-// in two constructions: NewVerifier holds an explicit device-key map (and a
-// map-backed replay set), while NewVerifierFunc resolves keys on demand over
-// a contiguous device range with a dense replay bitset — O(range/8) bytes of
-// state, which is what lets streaming-ingest shards verify virtual
-// populations of 10^8 devices without materializing a key table.
+// Verifier checks proofs and enforces replay protection per query. It
+// accepts devices in a contiguous range [lo, hi), resolves each signing key
+// on demand through a KeyFunc, and keeps one dense replay bitset per query:
+// O(range/8) bytes of state and no key table, which is what lets an ingest
+// shard verify its slice of a 10^8-device population. It tags on a Scratch
+// of its own, so like the shard aggregator that owns it, a Verifier is not
+// safe for concurrent use.
 type Verifier struct {
-	proverKeys map[int][]byte
-	seen       map[uint64]map[int]bool // queryID → device → used
-
-	keyOf    KeyFunc
-	lo, hi   int                 // accepted device range [lo, hi) (keyOf mode)
-	seenBits map[uint64][]uint64 // queryID → replay bitset over [lo, hi)
+	keyOf  KeyFunc
+	lo, hi int                 // accepted device range [lo, hi)
+	seen   map[uint64][]uint64 // queryID → replay bitset over [lo, hi)
+	sc     *Scratch
 }
 
 // KeyFunc resolves a device's signing key on demand. The returned slice is
@@ -170,89 +167,64 @@ type Verifier struct {
 type KeyFunc func(device int) []byte
 
 // NewVerifier returns a verifier that accepts proofs from the given device
-// keys (device index → signing key).
+// keys (device index → signing key): NewVerifierFunc over a copy of the map,
+// ranged from its smallest to its largest device index.
 func NewVerifier(proverKeys map[int][]byte) *Verifier {
 	keys := make(map[int][]byte, len(proverKeys))
+	lo, hi := math.MaxInt, math.MinInt
 	for d, k := range proverKeys {
 		keys[d] = append([]byte(nil), k...)
+		lo, hi = min(lo, d), max(hi, d)
 	}
-	return &Verifier{proverKeys: keys, seen: map[uint64]map[int]bool{}}
+	if len(keys) == 0 {
+		lo, hi = 0, -1
+	}
+	return NewVerifierFunc(func(d int) []byte { return keys[d] }, lo, hi+1)
 }
 
 // NewVerifierFunc returns a verifier that accepts proofs from devices in
 // [lo, hi), resolving each signing key through keyOf at verification time.
-//
-//arblint:ignore deadexport test seam: runtime's virtual-population ingest tests verify 10^6 devices without a key map
 func NewVerifierFunc(keyOf KeyFunc, lo, hi int) *Verifier {
-	return &Verifier{keyOf: keyOf, lo: lo, hi: hi, seenBits: map[uint64][]uint64{}}
-}
-
-// key resolves the device's signing key, or nil to reject.
-func (v *Verifier) key(device int) []byte {
-	if v.keyOf != nil {
-		if device < v.lo || device >= v.hi {
-			return nil
-		}
-		return v.keyOf(device)
-	}
-	return v.proverKeys[device]
+	return &Verifier{keyOf: keyOf, lo: lo, hi: hi, seen: map[uint64][]uint64{}, sc: NewScratch()}
 }
 
 // markSeen records the (query, device) pair, reporting whether it was fresh.
+// The query's bitset is allocated on its first proof.
 func (v *Verifier) markSeen(queryID uint64, device int) bool {
-	if v.keyOf != nil {
-		bits := v.seenBits[queryID]
-		if bits == nil {
-			bits = make([]uint64, (v.hi-v.lo+63)/64)
-			v.seenBits[queryID] = bits
-		}
-		i := device - v.lo
-		w, b := i/64, uint64(1)<<(i%64)
-		if bits[w]&b != 0 {
-			return false
-		}
-		bits[w] |= b
-		return true
+	bits := v.seen[queryID]
+	if bits == nil {
+		bits = make([]uint64, (v.hi-v.lo+63)/64)
+		v.seen[queryID] = bits
 	}
-	q := v.seen[queryID]
-	if q == nil {
-		q = map[int]bool{}
-		v.seen[queryID] = q
-	}
-	if q[device] {
+	i := device - v.lo
+	w, b := i/64, uint64(1)<<(i%64)
+	if bits[w]&b != 0 {
 		return false
 	}
-	q[device] = true
+	bits[w] |= b
 	return true
 }
 
-// verify is the shared check; a nil scratch takes the allocating tag path.
-func (v *Verifier) verify(p *Proof, sc *Scratch) bool {
+// Verify checks the proof. It fails for forged proofs, devices outside the
+// range or without a key, tag mismatches (wrong key or tampered statement),
+// and replays of a proof from the same device in the same query. Past each
+// query's first proof, which allocates its replay bitset, it allocates
+// nothing.
+func (v *Verifier) Verify(p *Proof) bool {
 	if p == nil || !p.valid {
 		return false
 	}
-	key := v.key(p.Statement.Device)
+	dev := p.Statement.Device
+	if dev < v.lo || dev >= v.hi {
+		return false
+	}
+	key := v.keyOf(dev)
 	if key == nil {
 		return false
 	}
-	var want [sha256.Size]byte
-	if sc != nil {
-		want = sc.tag(key, p.Statement)
-	} else {
-		want = statementTag(key, p.Statement)
-	}
-	if !hmac.Equal(want[:], p.tag[:]) {
+	want := v.sc.tag(key, p.Statement)
+	if subtle.ConstantTimeCompare(want[:], p.tag[:]) != 1 {
 		return false
 	}
-	return v.markSeen(p.Statement.QueryID, p.Statement.Device)
+	return v.markSeen(p.Statement.QueryID, dev)
 }
-
-// Verify checks the proof. It fails for forged proofs, unknown devices,
-// tag mismatches (wrong key or tampered statement), and replays of a proof
-// from the same device in the same query.
-func (v *Verifier) Verify(p *Proof) bool { return v.verify(p, nil) }
-
-// VerifyScratch is Verify on the pooled tag path: identical outcomes and
-// replay state, zero allocations past the per-query replay set. Callers own
-// the scratch's synchronization along with the verifier's.
-func (v *Verifier) VerifyScratch(sc *Scratch, p *Proof) bool { return v.verify(p, sc) }

@@ -6,6 +6,8 @@
 #   tools/arblint non-test Go, no testdata    (lines)
 #   living Markdown: README, DESIGN, EXPERIMENTS, docs/*, bench/README.md (bytes)
 #   the longest non-test Go function outside bench/ and tools/ (lines, name)
+#   //arblint:ignore directives in non-test Go outside bench/ and tools/
+#   (each one a place the invariant analyzers are told to look away)
 #
 # and the operator-facing options: the exported fields of runtime.Config,
 # arboretum.DeploymentConfig and service.Config, and the flags each
@@ -51,6 +53,8 @@ longest="$(gofiles ! -name '*_test.go' | xargs awk '
     END { print best, what }
 ')"
 printf '%-36s %8s  %s\n' "longest non-test Go function" "${longest%% *}" "${longest#* }"
+printf '%-36s %8s\n' "arblint:ignore directives" \
+    "$(gofiles ! -name '*_test.go' | xargs cat | grep -c '//arblint:ignore' || true)"
 
 # fields FILE TYPE counts the exported field names declared in the struct
 # TYPE of FILE, several per line in `A, B int`.
