@@ -1,7 +1,10 @@
 package privacy
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,10 +49,11 @@ func TestQueriesAdmitUnderLoopBound(t *testing.T) {
 // text straight from HTTP — with arbitrary source: it must never panic, must
 // be a function of its input (two calls agree on refusal or on (ε, δ, sample
 // rate)), and whatever it admits must carry a usable certificate: a sample
-// rate in (0, 1], and an ε that is the sequential composition of the
-// recorded mechanisms — positive as soon as there is one — lowered, never
-// raised, by sampling. (A query with no mechanism releases only public
-// values and certifies at ε = 0.)
+// rate in (0, 1], a finite δ, a finite ε that is the sequential composition
+// of the recorded mechanisms — positive as soon as there is one — lowered,
+// never raised, by sampling, and a sensitivity of at least 1 on every row.
+// (A query with no mechanism releases only public values and certifies at
+// ε = 0.)
 func FuzzAdmit(f *testing.F) {
 	for _, q := range queries.All {
 		f.Add(q.Source)
@@ -57,6 +61,8 @@ func FuzzAdmit(f *testing.F) {
 	f.Add("sampleUniform(0.5); sampleUniform(1); aggr = sum(db); c = laplace(aggr[0], 1.0); output(declassify(c));")
 	f.Add("")
 	f.Add("aggr = sum(db")
+	f.Add("sampleUniform(0.5); aggr = sum(db); c = laplace(aggr[0], 800); output(declassify(c));")
+	f.Add("aggr = sum(db); acc = 0; for i = 0 to 3 do acc = acc + aggr[0]; endfor; output(declassify(laplace(acc, 1.0)));")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4<<10 {
 			t.Skip()
@@ -75,24 +81,63 @@ func FuzzAdmit(f *testing.F) {
 		if c1.Epsilon != c2.Epsilon || c1.Delta != c2.Delta || c1.SampleRate != c2.SampleRate {
 			t.Fatalf("nondeterministic certificate: %+v vs %+v", c1, c2)
 		}
-		if !(c1.SampleRate > 0 && c1.SampleRate <= 1) {
-			t.Fatalf("admitted with sample rate %g", c1.SampleRate)
+		if !(c1.SampleRate > 0 && c1.SampleRate <= 1) || math.IsInf(c1.Delta, 0) || math.IsNaN(c1.Delta) {
+			t.Fatalf("admitted with sample rate %g, δ %g", c1.SampleRate, c1.Delta)
 		}
 		var composed float64
 		for _, m := range c1.Mechanisms {
-			if !(m.Epsilon > 0) || m.Invocations < 1 {
+			if !(m.Epsilon > 0) || m.Invocations < 1 || m.Sensitivity < 1 {
 				t.Fatalf("admitted with mechanism %+v", m)
 			}
 			composed += m.Epsilon * float64(m.Invocations)
 		}
 		switch {
+		case math.IsInf(c1.Epsilon, 0) || !(c1.Epsilon >= 0) || len(c1.Mechanisms) > 0 && !(c1.Epsilon > 0):
+			t.Fatalf("admitted at ε = %g", c1.Epsilon)
 		case c1.SampleRate == 1 && c1.Epsilon != composed:
 			t.Fatalf("ε = %g, mechanisms compose to %g", c1.Epsilon, composed)
-		case !(c1.Epsilon >= 0) ||
-			// e^ε overflows in the amplification past ε ≈ 709: +Inf
-			// over-charges, which fails closed at every budget.
-			c1.Epsilon > composed*(1+1e-12) && !math.IsInf(c1.Epsilon, 1):
+		case c1.Epsilon > composed*(1+1e-12):
 			t.Fatalf("ε = %g at sample rate %g, mechanisms compose to %g", c1.Epsilon, c1.SampleRate, composed)
 		}
 	})
+}
+
+// TestAmplifiedEpsilonOverflowRefused: amplification by sampling overflows
+// e^ε past ε ≈ 709; admission refuses such a query instead of certifying it
+// at ε = +Inf.
+func TestAmplifiedEpsilonOverflowRefused(t *testing.T) {
+	const src = "sampleUniform(0.5); aggr = sum(db); c = laplace(aggr[0], %s); output(declassify(c));"
+	if _, _, c, err := Admit(fmt.Sprintf(src, "700"), db); err != nil || math.IsInf(c.Epsilon, 0) {
+		t.Fatalf("ε = 700: %v, %v", c, err)
+	}
+	if _, _, c, err := Admit(fmt.Sprintf(src, "800"), db); !errors.Is(err, ErrEpsilonOverflow) {
+		t.Errorf("ε = 800 sampled: certified %+v, err %v; want ErrEpsilonOverflow", c, err)
+	}
+}
+
+// TestQuerySiteSensitivities pins the sensitivity each call site of the
+// evaluation queries is certified at, at their own category counts: em and
+// topk are charged by how far one row moves their scores, the rule laplace
+// uses. Auction's revenue p·atleast[p] moves by up to 2·(C−1) at C = 2^15 and
+// median's shifted deviation by 4; gap's em and its laplace each keep their
+// own.
+func TestQuerySiteSensitivities(t *testing.T) {
+	want := map[string][]int64{
+		"top1": {1}, "topK": {1}, "gap": {1, 2}, "auction": {65534},
+		"hypotest": {1}, "secrecy": {1}, "median": {4}, "cms": {1},
+		"bayes": {1}, "k-medians": {1},
+	}
+	for _, q := range queries.All {
+		_, _, cert, err := Admit(q.Source, types.DBInfo{N: 1 << 20, Width: q.Categories, ElemRange: q.ElemRange})
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		var got []int64
+		for _, m := range cert.Mechanisms {
+			got = append(got, m.Sensitivity)
+		}
+		if !slices.Equal(got, want[q.Name]) {
+			t.Errorf("%s: site sensitivities %v, want %v", q.Name, got, want[q.Name])
+		}
+	}
 }

@@ -11,7 +11,8 @@
 //   - ε accounting across mechanism invocations (sequential composition),
 //     loop-aware — a topk call is its k peeled rounds, k mechanisms — with
 //     secrecy-of-the-sample amplification;
-//   - sensitivity bounds from the database row shape and clip ranges.
+//   - a sensitivity bound per mechanism call site, from the database row
+//     shape and clip ranges, with loop bodies walked to a fixpoint.
 //
 // Programs that try to output raw tainted data, or declassify values that
 // never passed through a mechanism, are rejected.
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
@@ -32,10 +34,10 @@ import (
 const defaultEpsilon = 0.1
 
 // MechanismUse records one mechanism call site found in the query. It is the
-// one reading of the call's ε and of the bound on topk's k: the certificate
-// is charged from it, and the runtime executes the call at Pos with
-// CallEpsilon and releases at most K winners, so what runs is within what was
-// charged.
+// one reading of the call's ε, of the bound on topk's k and of the call's
+// sensitivity: the certificate is charged from it, and the runtime executes
+// the call at Pos with CallEpsilon, noise sized by Sensitivity, and at most K
+// winners released, so what runs is within what was charged.
 type MechanismUse struct {
 	Func        string   // laplace | em | topk
 	Pos         lang.Pos // the call site
@@ -43,16 +45,15 @@ type MechanismUse struct {
 	K           int64    // topk: the winner count charged for (k's inferred upper bound); 0 otherwise
 	Epsilon     float64  // per-invocation ε charged: CallEpsilon, or K·CallEpsilon for topk's K rounds
 	Invocations int64    // static count (loops multiply)
-	Sensitivity int64
+	Sensitivity int64    // how far one row moves argument 0 (the value or every score), at least 1
 }
 
 // Certificate is the result of a successful certification.
 type Certificate struct {
-	Epsilon     float64 // total ε under sequential composition
-	Delta       float64 // δ from finite-precision tail clipping (Section 6)
-	Sensitivity int64   // worst-case per-row influence on any aggregate
-	SampleRate  float64 // secrecy-of-the-sample rate the bin window realizes, 1 if unsampled
-	Mechanisms  []MechanismUse
+	Epsilon    float64 // total ε under sequential composition
+	Delta      float64 // δ from finite-precision tail clipping (Section 6)
+	SampleRate float64 // secrecy-of-the-sample rate the bin window realizes, 1 if unsampled
+	Mechanisms []MechanismUse
 }
 
 // taint levels form a small lattice: Public ⊑ Noised ⊑ Sensitive.
@@ -76,11 +77,16 @@ func (t taint) join(o taint) taint {
 // small δ"). 2^-40 matches the 40 bits of statistical security.
 const deltaPerMechanism = 1.0 / (1 << 40)
 
-// ErrUnboundedSensitivity is the refusal of a laplace argument that one row
+// ErrUnboundedSensitivity is the refusal of a mechanism argument that one row
 // can move without limit: no finite noise scale covers it. The error names
 // the call site and wraps this sentinel, so callers (the gateway's
 // not_private refusal among them) can test for it with errors.Is.
-var ErrUnboundedSensitivity = errors.New("laplace of an argument with unbounded sensitivity (one row can move it without limit)")
+var ErrUnboundedSensitivity = errors.New("mechanism argument with unbounded sensitivity (one row can move it without limit)")
+
+// ErrEpsilonOverflow refuses a query whose ε does not fit a float64 — most
+// often a sampled one, whose amplification overflows e^ε past ε ≈ 709 — so
+// there is no finite price to charge.
+var ErrEpsilonOverflow = errors.New("ε overflows a float64")
 
 // ErrUnboundedLoop refuses a loop nest whose trip counts (types.Info.LoopIters)
 // multiply past maxLoopWork, the bound the runtime's array builtin puts on a
@@ -98,18 +104,17 @@ func Certify(p *lang.Program, info *types.Info) (*Certificate, error) {
 		vars: map[string]taint{"db": sensitive},
 		sens: map[string]float64{"db": info.DB.ElemRange.Width()},
 		cert: &Certificate{SampleRate: 1},
+		hist: histograms(p.Stmts),
 	}
 	if err := c.stmts(p.Stmts, 1, public); err != nil {
 		return nil, err
 	}
+	for _, m := range c.cert.Mechanisms {
+		c.cert.Epsilon += m.Epsilon * float64(m.Invocations)
+		c.cert.Delta += deltaPerMechanism * float64(m.Invocations*max(m.K, 1))
+	}
 	if !c.sawOutput {
 		return nil, fmt.Errorf("privacy: query never calls output")
-	}
-	// Sensitivity: the worst mechanism-level sensitivity seen; for the
-	// one-hot database encoding every row changes each count by at most 1.
-	c.cert.Sensitivity = c.maxSensitivity
-	if c.cert.Sensitivity == 0 {
-		c.cert.Sensitivity = 1
 	}
 	// Amplification by sampling applies to the whole ε (Section 2.1).
 	if c.cert.SampleRate < 1 {
@@ -119,17 +124,22 @@ func Certify(p *lang.Program, info *types.Info) (*Certificate, error) {
 		}
 		c.cert.Epsilon = amp
 	}
+	if math.IsInf(c.cert.Epsilon, 1) {
+		return nil, fmt.Errorf("privacy: %w", ErrEpsilonOverflow)
+	}
 	return c.cert, nil
 }
 
 type certifier struct {
-	info           *types.Info
-	vars           map[string]taint
-	sens           map[string]float64 // per-variable sensitivity bound
-	cert           *Certificate
-	sawOutput      bool
-	sampledAt      lang.Pos // the query's one sampleUniform call, once seen
-	maxSensitivity int64
+	info      *types.Info
+	vars      map[string]taint
+	sens      map[string]float64 // per-variable sensitivity bound
+	cert      *Certificate
+	sawOutput bool
+	sampledAt lang.Pos        // the query's one sampleUniform call, once seen
+	hist      map[string]bool // names whose one assignment is sum(db)
+	loops     []*loopCtx      // the loops around the statement being walked
+	walks     int             // loop-body walks so far
 }
 
 // stmts walks a statement list. mult is the static invocation multiplier
@@ -150,23 +160,27 @@ func (c *certifier) stmt(s lang.Stmt, mult int64, ctx taint) error {
 		if err != nil {
 			return err
 		}
+		s := c.sensExpr(st.Value)
+		if x := c.accumulated(st); x != nil {
+			s = c.sensExpr(x)
+		}
 		if st.Index != nil {
 			it, err := c.expr(st.Index, mult)
 			if err != nil {
 				return err
 			}
 			t = t.join(it)
-		}
-		t = t.join(ctx) // implicit flow from the enclosing condition
-		if st.Index != nil {
-			// Element assignment joins into the whole array's taint.
+			if it == sensitive {
+				s = math.Inf(1) // a row picks which element changes
+			}
+			// Element assignment joins into the whole array's taint and bound.
 			t = t.join(c.vars[st.Name])
+			s = math.Max(s, c.sens[st.Name])
 		}
-		c.vars[st.Name] = t
-		s := c.sensExpr(st.Value)
-		if st.Index != nil && c.sens[st.Name] > s {
-			s = c.sens[st.Name]
+		if ctx == sensitive {
+			s = math.Inf(1) // a row picks whether, or how often, this runs
 		}
+		c.vars[st.Name] = t.join(ctx) // implicit flow from the enclosing condition
 		c.sens[st.Name] = s
 		return nil
 	case *lang.ExprStmt:
@@ -190,21 +204,205 @@ func (c *certifier) stmt(s lang.Stmt, mult int64, ctx taint) error {
 			return err
 		}
 		bounds := fromT.join(toT)
-		c.vars[st.Var] = bounds
-		return c.stmts(st.Body, mult*iters, ctx.join(bounds))
+		c.vars[st.Var], c.sens[st.Var] = bounds, 0
+		if bounds == sensitive {
+			c.sens[st.Var] = math.Inf(1)
+		}
+		return c.loop(st, mult*iters, ctx.join(bounds), iters)
 	case *lang.IfStmt:
 		condT, err := c.expr(st.Cond, mult)
 		if err != nil {
 			return err
 		}
+		// Each branch starts from the state before the if; after it, a
+		// variable is as tainted and as sensitive as either branch left it.
 		inner := ctx.join(condT)
+		written := map[string]int{}
+		countWrites(st.Then, written)
+		countWrites(st.Else, written)
+		entry := c.save(written)
 		if err := c.stmts(st.Then, mult, inner); err != nil {
 			return err
 		}
-		return c.stmts(st.Else, mult, inner)
+		then := c.save(written)
+		c.restore(entry)
+		if err := c.stmts(st.Else, mult, inner); err != nil {
+			return err
+		}
+		c.join(then)
+		return nil
 	default:
 		return fmt.Errorf("privacy: unknown statement %T", s)
 	}
+}
+
+// maxLoopPasses bounds the walks of one loop body before what still grows is
+// widened, and maxBodyWalks the walks of all loop bodies in one program.
+const (
+	maxLoopPasses = 8
+	maxBodyWalks  = 1 << 12
+)
+
+// loopCtx is the loop whose body is being walked.
+type loopCtx struct {
+	v      string         // the loop variable
+	writes map[string]int // assignments to each name in the body, nested loops included
+	later  bool           // a walk after the first
+}
+
+// loop certifies a loop body that runs iters times. An assignment that reads
+// what an earlier iteration wrote (acc = acc + x) compounds across
+// iterations, so the body is walked again from the join of the entry state
+// and what the last walk left, until a walk changes nothing or there has been
+// one walk per iteration; a bound still growing after maxLoopPasses walks
+// becomes +Inf (clip can bound it again, a mechanism refuses it). Every walk
+// records the body's mechanism calls afresh, so the certificate keeps what the
+// last walk, whose entry state covers every iteration, saw.
+func (c *certifier) loop(st *lang.ForStmt, mult int64, ctx taint, iters int64) error {
+	l := &loopCtx{v: st.Var, writes: map[string]int{}}
+	countWrites(st.Body, l.writes)
+	c.loops = append(c.loops, l)
+	defer func() { c.loops = c.loops[:len(c.loops)-1] }()
+	for pass := int64(1); ; pass++ {
+		if c.walks++; c.walks > maxBodyWalks {
+			return fmt.Errorf("%v: loop nest too deep to certify: %w", st.Position(), ErrUnboundedLoop)
+		}
+		before := c.save(l.writes)
+		if err := c.stmts(st.Body, mult, ctx); err != nil {
+			return err
+		}
+		if !c.join(before) || pass >= iters {
+			return nil
+		}
+		if pass >= maxLoopPasses {
+			for name, b := range before {
+				if c.sens[name] > b.sens {
+					c.sens[name] = math.Inf(1)
+				}
+			}
+		}
+		l.later = true
+	}
+}
+
+// binding is what the certifier knows of one name.
+type binding struct {
+	taint taint
+	sens  float64
+}
+
+// save returns the current bindings of names; a name not yet assigned is
+// public and 0-sensitive.
+func (c *certifier) save(names map[string]int) map[string]binding {
+	out := make(map[string]binding, len(names))
+	for name := range names {
+		out[name] = binding{c.vars[name], c.sens[name]}
+	}
+	return out
+}
+
+func (c *certifier) restore(saved map[string]binding) {
+	for name, b := range saved {
+		c.vars[name], c.sens[name] = b.taint, b.sens
+	}
+}
+
+// join sets each saved name to the join of its binding and the saved one,
+// and reports whether any binding grew past the saved one.
+func (c *certifier) join(saved map[string]binding) bool {
+	grew := false
+	for name, b := range saved {
+		t, s := c.vars[name], c.sens[name]
+		grew = grew || t > b.taint || s > b.sens
+		c.vars[name], c.sens[name] = t.join(b.taint), math.Max(s, b.sens)
+	}
+	return grew
+}
+
+// countWrites adds the assignments in ss to writes, by name.
+func countWrites(ss []lang.Stmt, writes map[string]int) {
+	for _, s := range ss {
+		switch st := s.(type) {
+		case *lang.AssignStmt:
+			writes[st.Name]++
+		case *lang.ForStmt:
+			writes[st.Var]++
+			countWrites(st.Body, writes)
+		case *lang.IfStmt:
+			countWrites(st.Then, writes)
+			countWrites(st.Else, writes)
+		}
+	}
+}
+
+// accumulated returns x when st, on a later walk of the innermost loop, adds
+// a histogram cell to what its own target held: x = x + h[f] or
+// x[g] = x[g′] + h[f] (either order), where h is sum(db) and never
+// reassigned, f takes a new value at every value of the loop variable, and st
+// is the body's only assignment to x. Over all iterations x then gains a sum
+// of distinct cells, which one row moves by at most one cell's bound — the
+// first walk charged that — so later walks charge x alone.
+func (c *certifier) accumulated(st *lang.AssignStmt) lang.Expr {
+	if len(c.loops) == 0 {
+		return nil
+	}
+	l := c.loops[len(c.loops)-1]
+	b, ok := st.Value.(*lang.BinaryExpr)
+	if !l.later || !ok || b.Op != lang.ADD || l.writes[st.Name] != 1 {
+		return nil
+	}
+	for _, xy := range [2][2]lang.Expr{{b.X, b.Y}, {b.Y, b.X}} {
+		if reads(xy[0], st.Name) && c.distinctCell(xy[1], l) {
+			return xy[0]
+		}
+	}
+	return nil
+}
+
+// reads reports whether e is name or an element of it.
+func reads(e lang.Expr, name string) bool {
+	if ix, ok := e.(*lang.IndexExpr); ok {
+		e = ix.X
+	}
+	id, ok := e.(*lang.Ident)
+	return ok && id.Name == name
+}
+
+// distinctCell reports whether e is h[f] for a histogram h and an index f
+// that moves with the loop variable.
+func (c *certifier) distinctCell(e lang.Expr, l *loopCtx) bool {
+	ix, ok := e.(*lang.IndexExpr)
+	if !ok {
+		return false
+	}
+	h, ok := ix.X.(*lang.Ident)
+	slope, affine := l.slope(ix.Index)
+	return ok && c.hist[h.Name] && affine && slope != 0
+}
+
+// slope is how far e moves when the loop variable steps by one, for an e
+// built by + and − from the variable, integers and names the body never
+// assigns; affine is false for any other e.
+func (l *loopCtx) slope(e lang.Expr) (slope int, affine bool) {
+	switch ex := e.(type) {
+	case *lang.IntLit:
+		return 0, true
+	case *lang.Ident:
+		if ex.Name == l.v {
+			return 1, l.writes[l.v] == 0
+		}
+		return 0, l.writes[ex.Name] == 0
+	case *lang.BinaryExpr:
+		x, okX := l.slope(ex.X)
+		y, okY := l.slope(ex.Y)
+		switch ex.Op {
+		case lang.ADD:
+			return x + y, okX && okY
+		case lang.SUB:
+			return x - y, okX && okY
+		}
+	}
+	return 0, false
 }
 
 func (c *certifier) expr(e lang.Expr, mult int64) (taint, error) {
@@ -256,45 +454,12 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 		argT[i] = t
 	}
 	switch ex.Func {
-	case "laplace":
-		eps, err := c.epsArg(ex, 1)
+	case "laplace", "em", "topk":
+		m, err := c.mechanismUse(ex, mult)
 		if err != nil {
 			return sensitive, err
 		}
-		sens, err := c.laplaceSensitivity(ex)
-		if err != nil {
-			return sensitive, err
-		}
-		c.record(MechanismUse{
-			Func: "laplace", Pos: ex.Position(), CallEpsilon: eps, Epsilon: eps,
-			Invocations: mult, Sensitivity: sens,
-		})
-		return noised, nil
-	case "em":
-		eps, err := c.epsArg(ex, 1)
-		if err != nil {
-			return sensitive, err
-		}
-		c.record(MechanismUse{
-			Func: "em", Pos: ex.Position(), CallEpsilon: eps, Epsilon: eps,
-			Invocations: mult, Sensitivity: 1,
-		})
-		return noised, nil
-	case "topk":
-		eps, err := c.epsArg(ex, 2)
-		if err != nil {
-			return sensitive, err
-		}
-		k, err := c.topkCount(ex)
-		if err != nil {
-			return sensitive, err
-		}
-		// The runtime peels k Gumbel-argmax rounds, each at the call's ε:
-		// k pure-ε mechanisms, which compose to k·ε.
-		c.record(MechanismUse{
-			Func: "topk", Pos: ex.Position(), CallEpsilon: eps, K: k, Epsilon: eps * float64(k),
-			Invocations: mult, Sensitivity: 1,
-		})
+		c.record(m)
 		return noised, nil
 	case "gumbel":
 		// Raw Gumbel noise: output is noised only when added to something
@@ -342,19 +507,65 @@ func (c *certifier) call(ex *lang.CallExpr, mult int64) (taint, error) {
 	}
 }
 
-// record accumulates one mechanism use under sequential composition. Each
-// mechanism run clips its own tails, so a topk invocation adds K δ terms.
+// record keeps one mechanism use per call site: a later walk of a loop body
+// replaces what an earlier one recorded. Certify composes the uses
+// sequentially; each mechanism run clips its own tails, so a topk invocation
+// adds K δ terms.
 func (c *certifier) record(m MechanismUse) {
-	runs := float64(m.Invocations)
-	if m.K > 0 {
-		runs *= float64(m.K)
+	if i := slices.IndexFunc(c.cert.Mechanisms, func(o MechanismUse) bool { return o.Pos == m.Pos }); i >= 0 {
+		c.cert.Mechanisms[i] = m
+		return
 	}
 	c.cert.Mechanisms = append(c.cert.Mechanisms, m)
-	c.cert.Epsilon += m.Epsilon * float64(m.Invocations)
-	c.cert.Delta += deltaPerMechanism * runs
-	if m.Sensitivity > c.maxSensitivity {
-		c.maxSensitivity = m.Sensitivity
+}
+
+// histograms returns the names whose only assignment in ss is sum(db): the
+// column sums of one-hot rows, in which one row moves at most two cells.
+func histograms(ss []lang.Stmt) map[string]bool {
+	writes, hist := map[string]int{}, map[string]bool{}
+	countWrites(ss, writes)
+	for _, s := range ss {
+		if st, ok := s.(*lang.AssignStmt); ok && st.Index == nil && writes[st.Name] == 1 && isSumDB(st.Value) {
+			hist[st.Name] = true
+		}
 	}
+	return hist
+}
+
+func isSumDB(e lang.Expr) bool {
+	call, ok := e.(*lang.CallExpr)
+	if !ok || call.Func != "sum" || len(call.Args) != 1 {
+		return false
+	}
+	id, ok := call.Args[0].(*lang.Ident)
+	return ok && id.Name == "db"
+}
+
+// mechanismUse reads a laplace, em or topk call by the one rule the three
+// share: ε from its ε argument (topk's third, the others' second), K from
+// topk's count, and the sensitivity of argument 0 — the released value, or
+// the score array each of whose scores one row moves by at most that much.
+func (c *certifier) mechanismUse(ex *lang.CallExpr, mult int64) (MechanismUse, error) {
+	m := MechanismUse{Func: ex.Func, Pos: ex.Position(), Invocations: mult}
+	epsIdx := 1
+	if ex.Func == "topk" {
+		epsIdx = 2
+	}
+	eps, err := c.epsArg(ex, epsIdx)
+	if err != nil {
+		return m, err
+	}
+	m.CallEpsilon, m.Epsilon = eps, eps
+	if ex.Func == "topk" {
+		if m.K, err = c.topkCount(ex); err != nil {
+			return m, err
+		}
+		// The runtime peels K Gumbel-argmax rounds, each at the call's ε:
+		// K pure-ε mechanisms, which compose to K·ε.
+		m.Epsilon = eps * float64(m.K)
+	}
+	m.Sensitivity, err = c.argSensitivity(ex)
+	return m, err
 }
 
 // epsArg reads a mechanism call's ε: a literal argument, which must be
@@ -378,11 +589,15 @@ func (c *certifier) epsArg(ex *lang.CallExpr, idx int) (float64, error) {
 // topkCount bounds the number of winners a topk call releases — what its ε
 // composes over — by the inferred upper bound of the k argument. The runtime
 // evaluates k, so a k that is not a literal must be charged at its bound,
-// not at a default.
+// not at a default; a bound past the scores' static length is refused, as
+// the run would be.
 func (c *certifier) topkCount(ex *lang.CallExpr) (int64, error) {
 	t, ok := c.info.TypeOf(ex.Args[1])
 	if !ok || !(t.Range.Hi >= 1 && t.Range.Hi < 1<<31) {
 		return 0, fmt.Errorf("%v: topk needs a count k ≥ 1 with a known bound", ex.Position())
+	}
+	if s, _ := c.info.TypeOf(ex.Args[0]); s.Len > 0 && t.Range.Hi > float64(s.Len) {
+		return 0, fmt.Errorf("%v: topk of up to %g winners from %d scores", ex.Position(), t.Range.Hi, s.Len)
 	}
 	return int64(t.Range.Hi), nil
 }
@@ -399,16 +614,17 @@ func (c *certifier) floatArgValue(ex *lang.CallExpr, idx int, def float64) float
 	return def
 }
 
-// laplaceSensitivity derives the sensitivity of a Laplace invocation from
-// the tracked per-row influence of its argument (Fuzzi's sensitivity
+// argSensitivity derives the sensitivity of a mechanism call from the
+// tracked per-row influence of its argument 0 (Fuzzi's sensitivity
 // analysis). An argument no row can move is charged at 1, the unclipped
 // one-hot default. An unbounded one, such as a product of two sensitive
-// values, is refused with ErrUnboundedSensitivity.
-func (c *certifier) laplaceSensitivity(ex *lang.CallExpr) (int64, error) {
+// values, or one past what an int64 holds, is refused with
+// ErrUnboundedSensitivity.
+func (c *certifier) argSensitivity(ex *lang.CallExpr) (int64, error) {
 	s := c.sensExpr(ex.Args[0])
 	switch {
-	case math.IsInf(s, 1) || math.IsNaN(s):
-		return 0, fmt.Errorf("%v: %w", ex.Position(), ErrUnboundedSensitivity)
+	case !(s < 1<<62): // +Inf and NaN too
+		return 0, fmt.Errorf("%v: %s: %w", ex.Position(), ex.Func, ErrUnboundedSensitivity)
 	case s <= 0:
 		return 1, nil
 	}
@@ -419,7 +635,9 @@ func (c *certifier) laplaceSensitivity(ex *lang.CallExpr) (int64, error) {
 // expression (sensitivity propagation): constants are 0-sensitive, the
 // database contributes its element width, sums of one-hot rows stay at the
 // row width, addition adds, multiplication by a public constant scales, and
-// clip caps at the clip width.
+// clip caps at the clip width. A 0/1 value (a comparison, a logical
+// operation) that a row can move at all moves by 1; a value that a row can
+// move and no rule bounds is +Inf.
 func (c *certifier) sensExpr(e lang.Expr) float64 {
 	switch ex := e.(type) {
 	case *lang.IntLit, *lang.FloatLit, *lang.BoolLit:
@@ -427,8 +645,14 @@ func (c *certifier) sensExpr(e lang.Expr) float64 {
 	case *lang.Ident:
 		return c.sens[ex.Name]
 	case *lang.IndexExpr:
+		if c.sensExpr(ex.Index) > 0 {
+			return math.Inf(1) // a row picks the element
+		}
 		return c.sensExpr(ex.X)
 	case *lang.UnaryExpr:
+		if ex.Op == lang.NOT {
+			return flips(c.sensExpr(ex.X))
+		}
 		return c.sensExpr(ex.X)
 	case *lang.BinaryExpr:
 		sx, sy := c.sensExpr(ex.X), c.sensExpr(ex.Y)
@@ -446,46 +670,68 @@ func (c *certifier) sensExpr(e lang.Expr) float64 {
 			}
 			return math.Inf(1)
 		case lang.QUO:
-			if sy == 0 {
-				d := c.exprMagnitude(ex.Y)
-				if d >= 1 {
-					return sx // dividing by ≥1 cannot grow sensitivity
-				}
+			// Dividing by a public value at least 1 in magnitude cannot grow
+			// sensitivity.
+			if t, ok := c.info.TypeOf(ex.Y); ok && sy == 0 && (t.Range.Lo >= 1 || t.Range.Hi <= -1) {
+				return sx
 			}
-			return math.Inf(1)
+			return unbounded(sx + sy)
 		default: // comparisons and logical ops produce 0/1 values
-			return sx + sy
+			return flips(sx + sy)
 		}
 	case *lang.CallExpr:
+		var s float64
+		for _, a := range ex.Args {
+			s += c.sensExpr(a)
+		}
 		switch ex.Func {
 		case "sum":
-			if id, ok := ex.Args[0].(*lang.Ident); ok && id.Name == "db" {
+			if isSumDB(ex) {
 				// Column sums of per-participant rows: one row changes each
 				// count by at most the element width.
 				return c.info.DB.ElemRange.Width()
 			}
-			return c.sensExpr(ex.Args[0]) // element-wise accumulation bound
+			if id, ok := ex.Args[0].(*lang.Ident); ok && c.hist[id.Name] {
+				return c.info.DB.ElemRange.Width() // a sum of distinct cells
+			}
+			if t, ok := c.info.TypeOf(ex.Args[0]); ok && t.Len > 0 {
+				return s * float64(t.Len) // every element may move
+			}
+			return unbounded(s)
 		case "clip":
 			w := c.exprMagnitude(ex.Args[2]) - (-c.exprMagnitude(ex.Args[1]))
 			if t, ok := c.info.TypeOf(ex); ok {
 				w = t.Range.Width()
 			}
-			s := c.sensExpr(ex.Args[0])
-			return math.Min(s, w)
-		case "max", "argmax", "em", "abs", "len":
-			return c.sensExpr(ex.Args[0])
-		case "laplace", "gumbel", "topk", "declassify", "output":
-			return 0 // mechanism outputs are no longer sensitive
-		default:
-			var s float64
-			for _, a := range ex.Args {
-				s += c.sensExpr(a)
+			return math.Min(c.sensExpr(ex.Args[0]), w)
+		case "max", "abs":
+			return s // 1-Lipschitz
+		case "argmax":
+			// The index of the largest score jumps as far as the scores reach.
+			if t, ok := c.info.TypeOf(ex); ok && s > 0 {
+				return t.Range.Width()
 			}
-			return s
+			return unbounded(s)
+		case "laplace", "em", "gumbel", "topk", "declassify", "output", "len":
+			return 0 // mechanism outputs are no longer sensitive; a length is public
+		default: // exp, log2, sqrt: not Lipschitz
+			return unbounded(s)
 		}
 	default:
 		return math.Inf(1)
 	}
+}
+
+// flips bounds a 0/1 value computed from something a row moves by s.
+func flips(s float64) float64 { return math.Min(unbounded(s), 1) }
+
+// unbounded bounds a value that no rule bounds, computed from something a row
+// moves by s: 0 if the row cannot move it at all.
+func unbounded(s float64) float64 {
+	if s > 0 {
+		return math.Inf(1)
+	}
+	return 0
 }
 
 // exprMagnitude returns a bound on |e| from the type-inference ranges.

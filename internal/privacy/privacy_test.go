@@ -43,10 +43,7 @@ output(result);
 	if c.Epsilon != defaultEpsilon {
 		t.Errorf("ε = %g, want %g", c.Epsilon, defaultEpsilon)
 	}
-	if c.Sensitivity != 1 {
-		t.Errorf("sensitivity = %d, want 1", c.Sensitivity)
-	}
-	if len(c.Mechanisms) != 1 || c.Mechanisms[0].Func != "em" {
+	if len(c.Mechanisms) != 1 || c.Mechanisms[0].Func != "em" || c.Mechanisms[0].Sensitivity != 1 {
 		t.Errorf("mechanisms = %+v", c.Mechanisms)
 	}
 	if c.Delta <= 0 {
@@ -219,6 +216,10 @@ func TestTopKCountFromRange(t *testing.T) {
 	if _, err := certify(t, "aggr = sum(db);\nbest = topk(aggr, 0, 0.1);\noutput(1);"); err == nil {
 		t.Error("topk with k = 0 certified")
 	}
+	// More winners than scores would fail at run time, after the charge.
+	if _, err := certify(t, "aggr = sum(db);\nbest = topk(aggr, 9, 0.1);\noutput(1);"); err == nil {
+		t.Error("topk of 9 winners from 8 scores certified")
+	}
 }
 
 // A loop nest whose static trip count overflows int64 used to wrap the
@@ -286,8 +287,8 @@ v = clip(aggr[0] * aggr[1], 0, 50);
 n = laplace(v, 0.1);
 output(declassify(n));
 `)
-	if c.Sensitivity != 50 {
-		t.Errorf("sensitivity = %d, want 50 (clip width)", c.Sensitivity)
+	if got := c.Mechanisms[0].Sensitivity; got != 50 {
+		t.Errorf("sensitivity = %d, want 50 (clip width)", got)
 	}
 	// Clipping a sensitivity-1 count cannot increase its sensitivity.
 	c2 := mustCertify(t, `
@@ -296,8 +297,8 @@ v = clip(aggr[0], 0, 50);
 n = laplace(v, 0.1);
 output(declassify(n));
 `)
-	if c2.Sensitivity != 1 {
-		t.Errorf("clipped count sensitivity = %d, want 1", c2.Sensitivity)
+	if got := c2.Mechanisms[0].Sensitivity; got != 1 {
+		t.Errorf("clipped count sensitivity = %d, want 1", got)
 	}
 }
 

@@ -142,11 +142,10 @@ func (ip *interp) emCall(ex *lang.CallExpr) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	use, err := ip.use(ex)
+	use, err := ip.site(ex)
 	if err != nil {
 		return value{}, err
 	}
-	eps := use.CallEpsilon
 	return ip.runVignette(ex.Position(), scores, func(ce *committeeExec, in value) (value, error) {
 		shared, err := ip.toSharedIn(ce, in)
 		if err != nil {
@@ -158,9 +157,9 @@ func (ip *interp) emCall(ex *lang.CallExpr) (value, error) {
 		var idx int
 		switch ip.emVariant {
 		case mechanism.EMExponentiate:
-			idx, err = ce.exponentiateSelect(shared.secs, ip.sens, eps)
+			idx, err = ce.exponentiateSelect(shared.secs, use.noise)
 		default:
-			idx, err = ce.gumbelArgmax(shared.secs, ip.sens, eps)
+			idx, err = ce.gumbelArgmax(shared.secs, use.noise)
 		}
 		if err != nil {
 			return value{}, err
@@ -178,7 +177,7 @@ func (ip *interp) topkCall(ex *lang.CallExpr) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	use, err := ip.use(ex)
+	use, err := ip.site(ex)
 	if err != nil {
 		return value{}, err
 	}
@@ -197,7 +196,7 @@ func (ip *interp) topkCall(ex *lang.CallExpr) (value, error) {
 		if shared.kind != vSharedArr {
 			return value{}, fmt.Errorf("runtime: topk requires a score array")
 		}
-		won, err = ce.topKSelect(shared.secs, won, int(k), ip.sens, use.CallEpsilon)
+		won, err = ce.topKSelect(shared.secs, won, int(k), use.noise)
 		if err != nil {
 			return value{}, err
 		}
@@ -214,15 +213,15 @@ func (ip *interp) laplaceCall(ex *lang.CallExpr) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	use, err := ip.use(ex)
+	use, err := ip.site(ex)
 	if err != nil {
 		return value{}, err
 	}
-	eps := use.CallEpsilon
+	n := use.noise
 	switch v.kind {
 	case vCipher:
 		return ip.runVignette(ex.Position(), v, func(ce *committeeExec, in value) (value, error) {
-			f, err := ce.laplaceRelease(ip.km, in.ct, ip.sens, eps)
+			f, err := ce.laplaceRelease(ip.km, in.ct, n)
 			if err != nil {
 				return value{}, err
 			}
@@ -234,16 +233,15 @@ func (ip *interp) laplaceCall(ex *lang.CallExpr) (value, error) {
 			if err != nil {
 				return value{}, err
 			}
-			f, err := ce.laplaceShared(sh.sec, ip.sens, eps)
+			f, err := ce.laplaceShared(sh.sec, n)
 			if err != nil {
 				return value{}, err
 			}
 			return pub(f), nil
 		})
 	case vPublic:
-		scale := fixed.FromFloat(float64(ip.sens) / eps)
-		noised := v.num.Add(mechanism.Laplace(ip.dep.noiseRand(), scale))
-		ip.dep.spent[ex.Position()] += eps
+		noised := v.num.Add(mechanism.Laplace(ip.dep.noiseRand(), n.scale))
+		ip.dep.spent[ex.Position()] += n.eps
 		return pub(noised), nil
 	default:
 		return value{}, fmt.Errorf("runtime: laplace on %v", v.kind)

@@ -417,7 +417,7 @@ func TestTopKRetryOpensKWinners(t *testing.T) {
 	probe := newBareCommittee(t, 5, 1)
 	scores := shareScores(probe.engine, make([]int64, 4))
 	before := probe.engine.Stats().Rounds
-	if _, err := probe.gumbelArgmax(scores, 1, 1); err != nil {
+	if _, err := probe.gumbelArgmax(scores, emNoise(t, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	round := 4 + probe.engine.Stats().Rounds - before

@@ -192,13 +192,12 @@ func (ce *committeeExec) decryptScalar(km *keyMaterial, ct *ahe.Ciphertext) (int
 // laplaceRelease adds Laplace noise to the encrypted value under encryption
 // (Enc(v) ⊞ Enc(noise)), decrypts the noised sum, and releases it — the
 // Orchard-style noising vignette.
-func (ce *committeeExec) laplaceRelease(km *keyMaterial, ct *ahe.Ciphertext, sens int64, eps float64) (fixed.Fixed, error) {
+func (ce *committeeExec) laplaceRelease(km *keyMaterial, ct *ahe.Ciphertext, n noise) (fixed.Fixed, error) {
 	if err := ce.health(); err != nil {
 		return 0, err
 	}
 	rng := ce.dep.noiseRand()
-	scale := fixed.FromFloat(float64(sens) / eps)
-	noise := mechanism.Laplace(rng, scale).Int() // integer noise under AHE
+	noise := mechanism.Laplace(rng, n.scale).Int() // integer noise under AHE
 	noiseCt, err := km.pub.Encrypt(rand.Reader, big.NewInt(noise))
 	if err != nil {
 		return 0, err
@@ -212,32 +211,29 @@ func (ce *committeeExec) laplaceRelease(km *keyMaterial, ct *ahe.Ciphertext, sen
 	if err != nil {
 		return 0, err
 	}
-	ce.spend(eps)
+	ce.spend(n.eps)
 	return fixed.FromInt(v), nil
 }
 
 // laplaceShared noises an already-shared value inside the MPC and opens it.
-func (ce *committeeExec) laplaceShared(sec mpc.Secret, sens int64, eps float64) (fixed.Fixed, error) {
+func (ce *committeeExec) laplaceShared(sec mpc.Secret, n noise) (fixed.Fixed, error) {
 	rng := ce.dep.noiseRand()
-	scale := fixed.FromFloat(float64(sens) / eps)
-	noise := mechanism.Laplace(rng, scale)
-	noised := ce.engine.Add(sec, ce.engine.JointFixed(noise))
+	noised := ce.engine.Add(sec, ce.engine.JointFixed(mechanism.Laplace(rng, n.scale)))
 	if err := ce.health(); err != nil {
 		return 0, err
 	}
 	v := ce.engine.OpenFixed(noised)
-	ce.spend(eps)
+	ce.spend(n.eps)
 	return v, nil
 }
 
 // gumbelArgmax is the em variant of Figure 4 (right) as a committee MPC:
 // add Gumbel(2·sens/ε) to every shared score, open only the argmax.
-func (ce *committeeExec) gumbelArgmax(scores []mpc.Secret, sens int64, eps float64) (int, error) {
+func (ce *committeeExec) gumbelArgmax(scores []mpc.Secret, n noise) (int, error) {
 	rng := ce.dep.noiseRand()
-	scale := fixed.FromFloat(2 * float64(sens) / eps)
 	noised := make([]mpc.Secret, len(scores))
 	for i, s := range scores {
-		noised[i] = ce.engine.Add(s, ce.engine.JointFixed(mechanism.Gumbel(rng, scale)))
+		noised[i] = ce.engine.Add(s, ce.engine.JointFixed(mechanism.Gumbel(rng, n.scale)))
 	}
 	if err := ce.health(); err != nil {
 		return 0, err
@@ -250,7 +246,7 @@ func (ce *committeeExec) gumbelArgmax(scores []mpc.Secret, sens int64, eps float
 		return 0, err
 	}
 	winner := int(ce.engine.Open(idx))
-	ce.spend(eps)
+	ce.spend(n.eps)
 	return winner, nil
 }
 
@@ -265,15 +261,15 @@ const emExpWindow = 5.0
 // MPC: normalize scores against the maximum, exponentiate in fixed point,
 // and select an index by inverse-CDF sampling — all on shares; only the
 // chosen index is opened.
-func (ce *committeeExec) exponentiateSelect(scores []mpc.Secret, sens int64, eps float64) (int, error) {
+func (ce *committeeExec) exponentiateSelect(scores []mpc.Secret, n noise) (int, error) {
 	e := ce.engine
 	maxS, err := e.Max(scores)
 	if err != nil {
 		return 0, err
 	}
 	// low = max − window/k where k = ε/(2·sens); x_i = (s_i − low)·k ∈ (−∞, window].
-	k := fixed.FromFloat(eps / (2 * float64(sens)))
-	lowOffset := fixed.FromFloat(emExpWindow / (eps / (2 * float64(sens))))
+	k := fixed.FromFloat(n.rate)
+	lowOffset := fixed.FromFloat(emExpWindow / n.rate)
 	low := e.AddConst(maxS, -int64(lowOffset))
 	weights := make([]mpc.Secret, len(scores))
 	zero := e.JointFixed(0)
@@ -330,7 +326,7 @@ func (ce *committeeExec) exponentiateSelect(scores []mpc.Secret, sens int64, eps
 		return 0, err
 	}
 	idx := int(e.Open(idxAcc))
-	ce.spend(eps)
+	ce.spend(n.eps)
 	if idx >= len(scores) {
 		idx = len(scores) - 1
 	}
@@ -351,7 +347,7 @@ func (ce *committeeExec) maxShared(scores []mpc.Secret) (mpc.Secret, error) {
 // opened: they are excluded up front and not drawn again, so a retried
 // vignette opens k winners in all. It returns every winner opened so far,
 // also on error.
-func (ce *committeeExec) topKSelect(scores []mpc.Secret, won []int, k int, sens int64, eps float64) ([]int, error) {
+func (ce *committeeExec) topKSelect(scores []mpc.Secret, won []int, k int, n noise) ([]int, error) {
 	if k < 1 || k > len(scores) {
 		return won, fmt.Errorf("runtime: top-k with k=%d over %d scores", k, len(scores))
 	}
@@ -362,7 +358,7 @@ func (ce *committeeExec) topKSelect(scores []mpc.Secret, won []int, k int, sens 
 		work[idx] = ce.engine.AddConst(work[idx], -exclusion)
 	}
 	for len(won) < k {
-		idx, err := ce.gumbelArgmax(work, sens, eps)
+		idx, err := ce.gumbelArgmax(work, n)
 		if err != nil {
 			return won, err
 		}

@@ -1,12 +1,15 @@
 package runtime
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"arboretum/internal/fixed"
 	"arboretum/internal/lang"
+	"arboretum/internal/mechanism"
 	"arboretum/internal/mpc"
+	"arboretum/internal/privacy"
 	"arboretum/internal/sortition"
 )
 
@@ -55,7 +58,7 @@ func TestExponentiateSelectDistribution(t *testing.T) {
 	}
 	for _, v := range []struct {
 		name string
-		pick func(*committeeExec, []mpc.Secret, int64, float64) (int, error)
+		pick func(*committeeExec, []mpc.Secret, noise) (int, error)
 	}{
 		{"exponentiate", (*committeeExec).exponentiateSelect},
 		{"gumbel", (*committeeExec).gumbelArgmax},
@@ -63,7 +66,7 @@ func TestExponentiateSelectDistribution(t *testing.T) {
 		counts := make([]float64, len(scores))
 		for trial := 0; trial < trials; trial++ {
 			ce := newBareCommittee(t, 5, int64(trial))
-			idx, err := v.pick(ce, shareScores(ce.engine, scores), 1, eps)
+			idx, err := v.pick(ce, shareScores(ce.engine, scores), emNoise(t, 1, eps))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,11 +85,54 @@ func TestExponentiateSelectDistribution(t *testing.T) {
 	}
 }
 
+// emNoise is the noise an em call certified at sensitivity sens and ε runs at.
+func emNoise(t *testing.T, sens int64, eps float64) noise {
+	t.Helper()
+	n, err := noiseFor(privacy.MechanismUse{Func: "em", Sensitivity: sens, CallEpsilon: eps}, mechanism.EMGumbel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestNoiseSizedFromTheRow: a call's noise comes from its own row, and a
+// noise Q30.16 cannot hold is refused: a Laplace or Gumbel scale of 2^30 or
+// more, and, for em under the exponentiate variant only, a rate ε/(2·sens)
+// that rounds to 0.
+func TestNoiseSizedFromTheRow(t *testing.T) {
+	for _, c := range []struct {
+		fn      string
+		sens    int64
+		eps     float64
+		variant mechanism.EMVariant
+		scale   float64 // 0: refused
+	}{
+		{"laplace", 3, 0.5, mechanism.EMGumbel, 6},
+		{"em", 3, 0.5, mechanism.EMGumbel, 12},
+		{"topk", 3, 0.5, mechanism.EMExponentiate, 12},
+		{"laplace", 1, 1e-9, mechanism.EMGumbel, 1e9},
+		{"laplace", 2, 1e-9, mechanism.EMGumbel, 0},
+		{"em", 1, 1e-9, mechanism.EMGumbel, 0},
+		{"em", 14000, 0.1, mechanism.EMGumbel, 280000},
+		{"em", 14000, 0.1, mechanism.EMExponentiate, 0},
+		{"em", 6553, 0.1, mechanism.EMExponentiate, 131060},
+	} {
+		use := privacy.MechanismUse{Func: c.fn, Sensitivity: c.sens, CallEpsilon: c.eps}
+		n, err := noiseFor(use, c.variant)
+		switch {
+		case c.scale == 0 && !errors.Is(err, ErrNoiseScale):
+			t.Errorf("%+v under %v: err %v, want ErrNoiseScale", use, c.variant, err)
+		case c.scale != 0 && (err != nil || math.Abs(n.scale.Float()-c.scale) > 1e-4 || n.eps != c.eps):
+			t.Errorf("%+v under %v: noise %+v, %v; want scale %g", use, c.variant, n, err, c.scale)
+		}
+	}
+}
+
 // gumbelArgmax at huge ε must return the true argmax deterministically.
 func TestGumbelArgmaxDeterministicAtLargeEps(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		ce := newBareCommittee(t, 5, seed)
-		idx, err := ce.gumbelArgmax(shareScores(ce.engine, []int64{5, 500, 50}), 1, 50)
+		idx, err := ce.gumbelArgmax(shareScores(ce.engine, []int64{5, 500, 50}), emNoise(t, 1, 50))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +147,7 @@ func TestGumbelArgmaxDeterministicAtLargeEps(t *testing.T) {
 func TestTopKSelectPermutation(t *testing.T) {
 	ce := newBareCommittee(t, 5, 7)
 	scores := []int64{10, 20, 30, 40}
-	idxs, err := ce.topKSelect(shareScores(ce.engine, scores), nil, 4, 1, 10)
+	idxs, err := ce.topKSelect(shareScores(ce.engine, scores), nil, 4, emNoise(t, 1, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +165,7 @@ func TestTopKSelectPermutation(t *testing.T) {
 	if idxs[0] != 3 {
 		t.Errorf("first winner = %d, want 3", idxs[0])
 	}
-	if _, err := ce.topKSelect(shareScores(ce.engine, scores), nil, 9, 1, 1); err == nil {
+	if _, err := ce.topKSelect(shareScores(ce.engine, scores), nil, 9, emNoise(t, 1, 1)); err == nil {
 		t.Error("k > len accepted")
 	}
 }

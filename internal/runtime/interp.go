@@ -82,30 +82,74 @@ type interp struct {
 	poolIdx   int
 	env       map[string]value
 	outputs   []fixed.Fixed
-	dbSums    []*ahe.Ciphertext // aggregated column sums, set by run.go
-	sens      int64
-	uses      map[lang.Pos]privacy.MechanismUse // the certificate's ε and k, by call site
-	emVariant mechanism.EMVariant               // plan.Plan.EMVariant
+	dbSums    []*ahe.Ciphertext   // aggregated column sums, set by run.go
+	sites     map[lang.Pos]site   // the certificate's mechanism call sites and their noise
+	emVariant mechanism.EMVariant // plan.Plan.EMVariant
 }
 
-// mechanismUses indexes the certificate's mechanism call sites by position.
-func mechanismUses(cert *privacy.Certificate) map[lang.Pos]privacy.MechanismUse {
-	uses := make(map[lang.Pos]privacy.MechanismUse, len(cert.Mechanisms))
+// site is a mechanism call site as the run executes it: the certifier's row
+// — the ε it runs at, the sensitivity its noise is sized by and, for topk,
+// the most winners it may release — and that noise.
+type site struct {
+	privacy.MechanismUse
+	noise noise
+}
+
+// sitesOf sizes the noise of every mechanism call site in cert before the
+// run selects, charges or collects anything, so a noise Q30.16 cannot hold
+// fails the run closed up front.
+func sitesOf(cert *privacy.Certificate, variant mechanism.EMVariant) (map[lang.Pos]site, error) {
+	sites := make(map[lang.Pos]site, len(cert.Mechanisms))
 	for _, m := range cert.Mechanisms {
-		uses[m.Pos] = m
+		n, err := noiseFor(m, variant)
+		if err != nil {
+			return nil, err
+		}
+		sites[m.Pos] = site{m, n}
 	}
-	return uses
+	return sites, nil
 }
 
-// use returns what the certifier decided for a mechanism call — the ε it
-// runs at and, for topk, the most winners it may release — so the run stays
-// within what the certificate charges.
-func (ip *interp) use(ex *lang.CallExpr) (privacy.MechanismUse, error) {
-	m, ok := ip.uses[ex.Position()]
+// site returns a mechanism call's site, so the run stays within what the
+// certificate charges.
+func (ip *interp) site(ex *lang.CallExpr) (site, error) {
+	s, ok := ip.sites[ex.Position()]
 	if !ok {
-		return m, fmt.Errorf("%v: %s call is not in the privacy certificate", ex.Position(), ex.Func)
+		return s, fmt.Errorf("%v: %s call is not in the privacy certificate", ex.Position(), ex.Func)
 	}
-	return m, nil
+	return s, nil
+}
+
+// ErrNoiseScale is the fail-closed refusal of a mechanism call whose noise
+// Q30.16 cannot hold: a Laplace or Gumbel scale of 2^30 or more saturates at
+// fixed.Max (too little noise), and the exponentiate variant's rate
+// k = ε/(2·sensitivity) rounds to 0 past sensitivity ε·2^16 (a uniform draw
+// that ignores the scores). A run returns it before it selects a committee.
+var ErrNoiseScale = errors.New("runtime: noise scale outside the Q30.16 range")
+
+// noise is a mechanism call's noise, sized from its certificate row.
+type noise struct {
+	eps   float64     // the call's ε, spent at each release
+	scale fixed.Fixed // b: sensitivity/ε for laplace, 2·sensitivity/ε for em and topk
+	rate  float64     // em and topk: ε/(2·sensitivity), the exponentiate variant's k
+}
+
+// noiseFor is the one place a mechanism's noise is sized: from the call's
+// certified sensitivity and ε, and the plan's em variant, nothing else. (The
+// rounding direction of scale and rate is ROADMAP item 2's.)
+func noiseFor(use privacy.MechanismUse, variant mechanism.EMVariant) (noise, error) {
+	sens := float64(use.Sensitivity)
+	n := noise{eps: use.CallEpsilon, scale: fixed.FromFloat(sens / use.CallEpsilon)}
+	if use.Func != "laplace" {
+		n.scale = fixed.FromFloat(2 * sens / use.CallEpsilon)
+		n.rate = use.CallEpsilon / (2 * sens)
+	}
+	if n.scale == fixed.Max ||
+		use.Func == "em" && variant == mechanism.EMExponentiate && fixed.FromFloat(n.rate) == 0 {
+		return n, fmt.Errorf("%v: %s at sensitivity %d and ε = %g: %w",
+			use.Pos, use.Func, use.Sensitivity, use.CallEpsilon, ErrNoiseScale)
+	}
+	return n, nil
 }
 
 // rotate moves execution to the next spare committee: the private key is
@@ -277,7 +321,13 @@ func (ip *interp) stmt(s lang.Stmt) error {
 		if iv.kind != vPublic {
 			return fmt.Errorf("%v: array index must be public", s.Position())
 		}
-		return ip.setIndex(st.Name, int(iv.num.Int()), v)
+		// An array grows to the index it is written at, up to the array
+		// builtin's bound.
+		i := iv.num.Int()
+		if i < 0 || i >= 1<<20 {
+			return fmt.Errorf("%v: array index %d outside [0, 2^20)", s.Position(), i)
+		}
+		return ip.setIndex(st.Name, int(i), v)
 	case *lang.ExprStmt:
 		_, err := ip.eval(st.X)
 		return err

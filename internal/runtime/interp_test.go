@@ -45,6 +45,18 @@ output(1);`,
 			"array size",
 		},
 		{
+			"negative element index",
+			`a[0 - 1] = 3;
+output(1);`,
+			"array index -1 outside",
+		},
+		{
+			"element index past the array bound",
+			`a[2000000] = 3;
+output(1);`,
+			"array index 2000000 outside",
+		},
+		{
 			"array stored in an element",
 			`aggr = sum(db);
 a[0] = aggr;

@@ -152,6 +152,10 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	if p == nil || !p.Executable {
 		return nil, ErrPlanNotExecutable
 	}
+	sites, err := sitesOf(cert, p.EMVariant)
+	if err != nil {
+		return nil, err
+	}
 	if err := d.checkpoint("query start"); err != nil {
 		return nil, err
 	}
@@ -250,8 +254,7 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 		pool:      pool,
 		env:       map[string]value{},
 		dbSums:    sums,
-		sens:      cert.Sensitivity,
-		uses:      mechanismUses(cert),
+		sites:     sites,
 		emVariant: p.EMVariant,
 	}
 	if err := ip.run(prog.Stmts); err != nil {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"math"
 	goruntime "runtime"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"arboretum/internal/ahe"
+	"arboretum/internal/mechanism"
 	"arboretum/internal/plan"
 	"arboretum/internal/planner"
 	"arboretum/internal/queries"
@@ -130,6 +132,32 @@ output(result);`
 	}
 	if got := res.Outputs[0].Int(); got != mode {
 		t.Errorf("top1(exponentiate) = %d, want %d", got, mode)
+	}
+}
+
+// TestNoiseScaleFailsClosed: an auction priced in thousands over 8 buckets
+// certifies its em at sensitivity 2·7000, where the exponentiate variant's
+// rate ε/(2·14000) rounds to 0 in Q30.16 — a uniform draw. Forced to that
+// variant the run is refused with ErrNoiseScale before it selects, charges
+// or collects anything; under Gumbel the scale 2·14000/ε fits, and it runs.
+func TestNoiseScaleFailsClosed(t *testing.T) {
+	src := strings.Replace(queries.Auction.Source, "p * atleast[p]", "p * 1000 * atleast[p]", 1)
+	d := smallDeployment(t, 64, 8, func(c *Config) { c.BudgetEpsilon = 1e9 })
+	if _, err := runWith(t, d, src, map[string]string{"em": "exponentiate-mpc"}, nil); !errors.Is(err, ErrNoiseScale) {
+		t.Fatalf("exponentiate: err %v, want ErrNoiseScale", err)
+	}
+	if len(d.spent) != 0 || d.Budget.Queries() != 0 || d.Metrics.CommitteesFormed != 0 {
+		t.Errorf("refused run spent %v, charged %d queries, formed %d committees", d.spent, d.Budget.Queries(), d.Metrics.CommitteesFormed)
+	}
+	res, err := smallDeployment(t, 64, 8, func(c *Config) { c.BudgetEpsilon = 1e9 }).Run(src, RunOptions{})
+	if err != nil {
+		t.Fatalf("gumbel: %v", err)
+	}
+	if m := res.Certificate.Mechanisms[0]; m.Sensitivity != 14000 || res.Plan.EMVariant != mechanism.EMGumbel {
+		t.Errorf("ran %+v under %v", m, res.Plan.EMVariant)
+	}
+	if p := res.Outputs[0].Int(); p < 0 || p > 7 {
+		t.Errorf("price %d out of range", p)
 	}
 }
 

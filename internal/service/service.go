@@ -591,7 +591,7 @@ func classify(err error) string {
 	for _, e := range []error{
 		runtime.ErrCommitteeBroken, runtime.ErrCommitteeDegraded,
 		runtime.ErrNoSpareCommittee, runtime.ErrHandoffFailed,
-		runtime.ErrNoValidInputs, runtime.ErrShardFailed,
+		runtime.ErrNoValidInputs, runtime.ErrShardFailed, runtime.ErrNoiseScale,
 	} {
 		if errors.Is(err, e) {
 			return "failed_closed"
