@@ -67,7 +67,7 @@ var (
 // scripts/loc.sh counts: README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md
 // and bench/README.md. A change may lower it to what it leaves; it may raise
 // it only with a CHANGES.md line that says why.
-const livingMarkdownCeiling = 221123
+const livingMarkdownCeiling = 221102
 
 // TestLivingMarkdownCeiling: the living docs stay within their ceiling. (It
 // only reads bench/README.md, which changes with the benchmark alone.)

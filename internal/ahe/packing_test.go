@@ -41,7 +41,7 @@ func foldRows(t *testing.T, sk *PrivateKey, p *Packing, devices int, ones func(i
 	}
 	pts := make([]*big.Int, len(cols))
 	for k, col := range cols {
-		sum, err := pk.Sum(col)
+		sum, err := foldSum(pk, col)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,10 +25,10 @@
 // reads them, so a single key may be shared freely across goroutines.
 // Ciphertext values are not synchronized — callers must not mutate a
 // ciphertext that another goroutine is reading. A Packing is immutable too,
-// and encrypts a row's few ciphertexts on the calling goroutine, as Sum
-// folds its slice. EncryptVector parallelizes internally across
-// parallel.Workers(0) goroutines; its outputs are index-ordered, so they are
-// bit-identical at any worker count. Randomness readers passed to
+// and encrypts a row's few ciphertexts on the calling goroutine.
+// EncryptVector parallelizes internally across parallel.Workers(0)
+// goroutines; its outputs are index-ordered, so they are bit-identical at
+// any worker count. Randomness readers passed to
 // EncryptVector are wrapped with a mutex unless they are crypto/rand.Reader,
 // which is already safe for concurrent use. EncryptVector has no caller in
 // the product: it is kept only for the benchmark module's per-layer replay
@@ -45,7 +45,6 @@ import (
 	"math/big"
 	"sync"
 
-	"arboretum/internal/fixed"
 	"arboretum/internal/parallel"
 )
 
@@ -57,7 +56,7 @@ var (
 
 // ctBox bundles a ciphertext header with its big.Int value so a hot-path
 // result costs one struct allocation plus one limb allocation — the whole
-// steady-state budget of Sum and encrypt.
+// steady-state budget of encrypt.
 type ctBox struct {
 	ct Ciphertext
 	v  big.Int
@@ -72,8 +71,8 @@ func newCiphertextFrom(v *big.Int) *Ciphertext {
 }
 
 // PublicKey is a Paillier public key (n, g = n+1). It is immutable after
-// key generation: all methods are safe for concurrent use, and several
-// (EncryptVector, Sum) fan work out over a pool internally.
+// key generation: all methods are safe for concurrent use, and
+// EncryptVector fans work out over a pool internally.
 type PublicKey struct {
 	N  *big.Int // modulus
 	N2 *big.Int // n^2, cached
@@ -362,48 +361,6 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	c := new(big.Int).Mul(a.C, gk)
 	c.Mod(c, pk.N2)
 	return &Ciphertext{C: c}, nil
-}
-
-// MulPlain returns a ciphertext encrypting plaintext(a) · k for public k.
-func (pk *PublicKey) MulPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
-	if err := pk.check(a); err != nil {
-		return nil, err
-	}
-	kk := new(big.Int).Mod(k, pk.N)
-	c := new(big.Int).Exp(a.C, kk, pk.N2)
-	return &Ciphertext{C: c}, nil
-}
-
-// accPool recycles Sum's accumulators (and their grown scratch limbs)
-// across calls. An accumulator checked out here is re-bound to the calling
-// key before use, so the pool is safe to share across keys; a key-size
-// change just regrows the limbs once.
-var accPool = fixed.Pool[Accumulator]{New: func() *Accumulator { return new(Accumulator) }}
-
-// Sum folds Add over a slice of ciphertexts; this is the aggregator's inner
-// loop in AHE-sum plans (Figure 5). It runs on a pooled Accumulator on the
-// calling goroutine, so the whole slice costs two allocations (the returned
-// ciphertext box) regardless of length.
-func (pk *PublicKey) Sum(cts []*Ciphertext) (*Ciphertext, error) {
-	if len(cts) == 0 {
-		return nil, errors.New("ahe: empty sum")
-	}
-	if len(cts) == 1 {
-		if err := pk.check(cts[0]); err != nil {
-			return nil, err
-		}
-		return cts[0], nil
-	}
-	acc := accPool.Get()
-	defer accPool.Put(acc)
-	acc.pk = pk
-	acc.Reset()
-	for _, ct := range cts {
-		if err := acc.Add(ct); err != nil {
-			return nil, err
-		}
-	}
-	return newCiphertextFrom(&acc.acc), nil
 }
 
 // lockedReader serializes Read calls so a non-thread-safe randomness source

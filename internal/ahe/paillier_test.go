@@ -2,6 +2,7 @@ package ahe
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"sync"
 	"testing"
@@ -72,7 +73,7 @@ func TestHomomorphicAdd(t *testing.T) {
 	}
 }
 
-func TestAddPlainMulPlain(t *testing.T) {
+func TestAddPlain(t *testing.T) {
 	sk := testKeyPair(t)
 	a, _ := sk.Encrypt(rand.Reader, big.NewInt(10))
 	ap, err := sk.AddPlain(a, big.NewInt(32))
@@ -83,19 +84,26 @@ func TestAddPlainMulPlain(t *testing.T) {
 	if got.Int64() != 42 {
 		t.Fatalf("AddPlain: %v", got)
 	}
-	mp, err := sk.MulPlain(a, big.NewInt(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ = sk.Decrypt(mp)
-	if got.Int64() != 70 {
-		t.Fatalf("MulPlain: %v", got)
-	}
 }
 
-// TestSum folds 1..20, and 145 ciphertexts of i mod 5 (an odd size): each
-// sum must be the Add fold's group element and decrypt to the plaintexts'
-// sum.
+// foldSum folds cts into one ciphertext with an Accumulator, the
+// aggregator's fold. An empty fold has no sum.
+func foldSum(pk *PublicKey, cts []*Ciphertext) (*Ciphertext, error) {
+	acc := pk.NewAccumulator()
+	for _, ct := range cts {
+		if err := acc.Add(ct); err != nil {
+			return nil, err
+		}
+	}
+	if v := acc.Value(); v != nil {
+		return v, nil
+	}
+	return nil, errors.New("ahe: empty sum")
+}
+
+// TestSum folds 1..20, and 145 ciphertexts of i mod 5 (an odd size), on an
+// Accumulator: each sum must be the Add fold's group element and decrypt to
+// the plaintexts' sum.
 func TestSum(t *testing.T) {
 	sk := testKeyPair(t)
 	for _, c := range []struct {
@@ -115,7 +123,7 @@ func TestSum(t *testing.T) {
 			cts = append(cts, ct)
 			want += c.message(i)
 		}
-		sum, err := sk.Sum(cts)
+		sum, err := foldSum(&sk.PublicKey, cts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,10 +143,21 @@ func TestSum(t *testing.T) {
 	}
 }
 
+// TestSumEmpty: an Accumulator nothing was folded into, or that was reset,
+// has no value.
 func TestSumEmpty(t *testing.T) {
 	sk := testKeyPair(t)
-	if _, err := sk.Sum(nil); err == nil {
-		t.Fatal("empty Sum accepted")
+	acc := sk.NewAccumulator()
+	if v := acc.Value(); v != nil {
+		t.Fatalf("empty accumulator holds %v", v)
+	}
+	ct, _ := sk.Encrypt(rand.Reader, big.NewInt(1))
+	if err := acc.Add(ct); err != nil {
+		t.Fatal(err)
+	}
+	acc.Reset()
+	if v := acc.Value(); v != nil {
+		t.Fatalf("reset accumulator holds %v", v)
 	}
 }
 
@@ -187,7 +206,7 @@ func TestOneHotAggregation(t *testing.T) {
 		for d := range perCat {
 			col[d] = perCat[d][c]
 		}
-		sum, _ := sk.Sum(col)
+		sum, _ := foldSum(&sk.PublicKey, col)
 		got, _ := sk.Decrypt(sum)
 		if got.Int64() != counts[c] {
 			t.Errorf("category %d count = %v, want %d", c, got, counts[c])
@@ -222,9 +241,8 @@ func TestNilCiphertextOps(t *testing.T) {
 		{"Add left", func(bad *Ciphertext) (*Ciphertext, error) { return sk.Add(bad, ct) }},
 		{"Add right", func(bad *Ciphertext) (*Ciphertext, error) { return sk.Add(ct, bad) }},
 		{"AddPlain", func(bad *Ciphertext) (*Ciphertext, error) { return sk.AddPlain(bad, k) }},
-		{"MulPlain", func(bad *Ciphertext) (*Ciphertext, error) { return sk.MulPlain(bad, k) }},
-		{"Sum of one", func(bad *Ciphertext) (*Ciphertext, error) { return sk.Sum([]*Ciphertext{bad}) }},
-		{"Sum of many", func(bad *Ciphertext) (*Ciphertext, error) { return sk.Sum([]*Ciphertext{ct, bad, ct}) }},
+		{"Sum of one", func(bad *Ciphertext) (*Ciphertext, error) { return foldSum(&sk.PublicKey, []*Ciphertext{bad}) }},
+		{"Sum of many", func(bad *Ciphertext) (*Ciphertext, error) { return foldSum(&sk.PublicKey, []*Ciphertext{ct, bad, ct}) }},
 	}
 	operands := []struct {
 		name string
@@ -326,8 +344,9 @@ func BenchmarkDecrypt(b *testing.B) {
 }
 
 // TestAHEPooledBuffersDoNotEscape is the ahe side of the pooling fence: a
-// ciphertext returned by Encrypt or Sum must be unaffected by later calls
-// that reuse the pooled scratch (fbScratch, the package Accumulator pool).
+// ciphertext returned by Encrypt or an Accumulator must be unaffected by
+// later calls that reuse the pooled scratch (fbScratch, the accumulator's
+// buffers).
 func TestAHEPooledBuffersDoNotEscape(t *testing.T) {
 	sk, err := GenerateKey(rand.Reader, 512)
 	if err != nil {
@@ -343,7 +362,7 @@ func TestAHEPooledBuffersDoNotEscape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := pk.Sum([]*Ciphertext{first, second})
+	sum, err := foldSum(pk, []*Ciphertext{first, second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +372,7 @@ func TestAHEPooledBuffersDoNotEscape(t *testing.T) {
 		if _, err := pk.Encrypt(rand.Reader, big.NewInt(int64(100+i))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pk.Sum([]*Ciphertext{second, second}); err != nil {
+		if _, err := foldSum(pk, []*Ciphertext{second, second}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,11 +1,17 @@
 package privacy
 
 import (
+	"errors"
 	"fmt"
 
 	"arboretum/internal/lang"
 	"arboretum/internal/types"
 )
+
+// ErrNoMechanism refuses a program that calls no mechanism (laplace, em or
+// topk): it releases nothing a mechanism noised, so there is no ε to charge
+// and no reason to collect a row.
+var ErrNoMechanism = errors.New("query calls no mechanism (laplace, em or topk)")
 
 // Admit is the query front end, and the only one: parse src, infer basic
 // types and value ranges against the database shape, and certify the program
@@ -26,6 +32,9 @@ func Admit(src string, db types.DBInfo) (*lang.Program, *types.Info, *Certificat
 		return nil, nil, nil, fmt.Errorf("types: %w", err)
 	}
 	cert, err := Certify(prog, info)
+	if err == nil && len(cert.Mechanisms) == 0 {
+		err = ErrNoMechanism
+	}
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("certification: %w", err)
 	}

@@ -49,11 +49,10 @@ func TestQueriesAdmitUnderLoopBound(t *testing.T) {
 // text straight from HTTP — with arbitrary source: it must never panic, must
 // be a function of its input (two calls agree on refusal or on (ε, δ, sample
 // rate)), and whatever it admits must carry a usable certificate: a sample
-// rate in (0, 1], a finite δ, a finite ε that is the sequential composition
-// of the recorded mechanisms — positive as soon as there is one — lowered,
-// never raised, by sampling, and a sensitivity of at least 1 on every row.
-// (A query with no mechanism releases only public values and certifies at
-// ε = 0.)
+// rate in (0, 1], a finite δ, at least one mechanism (a query with none is
+// refused with ErrNoMechanism), a positive finite ε that is the sequential
+// composition of the recorded mechanisms, lowered, never raised, by
+// sampling, and a sensitivity of at least 1 on every row.
 func FuzzAdmit(f *testing.F) {
 	for _, q := range queries.All {
 		f.Add(q.Source)
@@ -63,6 +62,7 @@ func FuzzAdmit(f *testing.F) {
 	f.Add("aggr = sum(db")
 	f.Add("sampleUniform(0.5); aggr = sum(db); c = laplace(aggr[0], 800); output(declassify(c));")
 	f.Add("aggr = sum(db); acc = 0; for i = 0 to 3 do acc = acc + aggr[0]; endfor; output(declassify(laplace(acc, 1.0)));")
+	f.Add("a = true; b = 0; for i = 0 to 1 do t = a; a = b; b = t; endfor; aggr = sum(db); output(declassify(laplace(aggr[0], 1.0)));")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4<<10 {
 			t.Skip()
@@ -92,7 +92,9 @@ func FuzzAdmit(f *testing.F) {
 			composed += m.Epsilon * float64(m.Invocations)
 		}
 		switch {
-		case math.IsInf(c1.Epsilon, 0) || !(c1.Epsilon >= 0) || len(c1.Mechanisms) > 0 && !(c1.Epsilon > 0):
+		case len(c1.Mechanisms) == 0:
+			t.Fatalf("admitted with no mechanism at ε = %g", c1.Epsilon)
+		case math.IsInf(c1.Epsilon, 0) || !(c1.Epsilon > 0):
 			t.Fatalf("admitted at ε = %g", c1.Epsilon)
 		case c1.SampleRate == 1 && c1.Epsilon != composed:
 			t.Fatalf("ε = %g, mechanisms compose to %g", c1.Epsilon, composed)
@@ -100,6 +102,20 @@ func FuzzAdmit(f *testing.F) {
 			t.Fatalf("ε = %g at sample rate %g, mechanisms compose to %g", c1.Epsilon, c1.SampleRate, composed)
 		}
 	})
+}
+
+// TestNoMechanismRefused: a program that calls no mechanism — public output
+// only, or sensitive data it never releases — is refused with
+// ErrNoMechanism, not certified at ε = 0.
+func TestNoMechanismRefused(t *testing.T) {
+	for _, src := range []string{
+		"output(1);",
+		"aggr = sum(db);\nx = aggr[0] + 1;\noutput(2);",
+	} {
+		if _, _, c, err := Admit(src, db); !errors.Is(err, ErrNoMechanism) {
+			t.Errorf("%q: certified %+v, err %v; want ErrNoMechanism", src, c, err)
+		}
+	}
 }
 
 // TestAmplifiedEpsilonOverflowRefused: amplification by sampling overflows

@@ -46,6 +46,7 @@ type MechanismUse struct {
 	Epsilon     float64  // per-invocation ε charged: CallEpsilon, or K·CallEpsilon for topk's K rounds
 	Invocations int64    // static count (loops multiply)
 	Sensitivity int64    // how far one row moves argument 0 (the value or every score), at least 1
+	Integral    bool     // laplace: argument 0 is Int-typed, a whole number, so its noise is too
 }
 
 // Certificate is the result of a successful certification.
@@ -563,6 +564,9 @@ func (c *certifier) mechanismUse(ex *lang.CallExpr, mult int64) (MechanismUse, e
 		// The runtime peels K Gumbel-argmax rounds, each at the call's ε:
 		// K pure-ε mechanisms, which compose to K·ε.
 		m.Epsilon = eps * float64(m.K)
+	}
+	if t, ok := c.info.TypeOf(ex.Args[0]); ok && ex.Func == "laplace" {
+		m.Integral = t.Kind == types.Int
 	}
 	m.Sensitivity, err = c.argSensitivity(ex)
 	return m, err

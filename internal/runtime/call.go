@@ -14,7 +14,7 @@ func (ip *interp) call(ex *lang.CallExpr) (value, error) {
 	switch ex.Func {
 	case "sum":
 		if id, ok := ex.Args[0].(*lang.Ident); ok && id.Name == "db" {
-			return value{kind: vCipherArr, cts: ip.dbSums}, nil
+			return ip.db, nil
 		}
 		return ip.sumArray(ex)
 	case "em":
@@ -106,12 +106,6 @@ func (ip *interp) sumArray(ex *lang.CallExpr) (value, error) {
 			acc = acc.Add(f)
 		}
 		return pub(acc), nil
-	case vCipherArr:
-		ct, err := ip.km.pub.Sum(v.cts)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: vCipher, ct: ct}, nil
 	case vSharedArr:
 		s, err := v.eng.engine.Sum(v.secs)
 		if err != nil {
@@ -123,12 +117,12 @@ func (ip *interp) sumArray(ex *lang.CallExpr) (value, error) {
 	}
 }
 
-// mechanismEngine resolves the committee for a mechanism call: inputs that
-// are already shared stay with their committee; fresh ciphertext (or
-// public) inputs move to the next spare committee, with a VSR hand-off of
-// the key (Section 5.4).
+// mechanismEngine resolves the committee for a mechanism call: inputs an
+// operations committee shares stay with it; inputs the decryption committee
+// still holds, and public ones, move to the next spare committee, where
+// toSharedIn carries them by VSR transfer (Section 5.4).
 func (ip *interp) mechanismEngine(v value) (*committeeExec, error) {
-	if v.eng != nil {
+	if v.eng != nil && v.eng != ip.db.eng {
 		return v.eng, nil
 	}
 	if err := ip.rotate(); err != nil {
@@ -219,14 +213,6 @@ func (ip *interp) laplaceCall(ex *lang.CallExpr) (value, error) {
 	}
 	n := use.noise
 	switch v.kind {
-	case vCipher:
-		return ip.runVignette(ex.Position(), v, func(ce *committeeExec, in value) (value, error) {
-			f, err := ce.laplaceRelease(ip.km, in.ct, n)
-			if err != nil {
-				return value{}, err
-			}
-			return pub(f), nil
-		})
 	case vShared:
 		return ip.runVignette(ex.Position(), v, func(ce *committeeExec, in value) (value, error) {
 			sh, err := ip.toSharedIn(ce, in)
@@ -240,7 +226,7 @@ func (ip *interp) laplaceCall(ex *lang.CallExpr) (value, error) {
 			return pub(f), nil
 		})
 	case vPublic:
-		noised := v.num.Add(mechanism.Laplace(ip.dep.noiseRand(), n.scale))
+		noised := v.num.Add(n.laplace(ip.dep.noiseRand()))
 		ip.dep.spent[ex.Position()] += n.eps
 		return pub(noised), nil
 	default:
@@ -324,16 +310,6 @@ func (ip *interp) clipCall(ex *lang.CallExpr) (value, error) {
 			return value{}, err
 		}
 		return value{kind: vShared, sec: s, eng: v.eng}, nil
-	case vCipher:
-		sh, err := ip.toSharedIn(ip.ce, v)
-		if err != nil {
-			return value{}, err
-		}
-		s, err := ip.clipShared(ip.ce, sh.sec, loV.num, hiV.num)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: vShared, sec: s, eng: ip.ce}, nil
 	default:
 		return value{}, fmt.Errorf("runtime: clip on %v", v.kind)
 	}
@@ -353,16 +329,6 @@ func (ip *interp) absCall(ex *lang.CallExpr) (value, error) {
 			return value{}, err
 		}
 		return value{kind: vShared, sec: s, eng: v.eng}, nil
-	case vCipher:
-		sh, err := ip.toSharedIn(ip.ce, v)
-		if err != nil {
-			return value{}, err
-		}
-		s, err := ip.absShared(ip.ce, sh.sec)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: vShared, sec: s, eng: ip.ce}, nil
 	default:
 		return value{}, fmt.Errorf("runtime: abs on %v", v.kind)
 	}

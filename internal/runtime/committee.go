@@ -1,18 +1,13 @@
 package runtime
 
 import (
-	"crypto/rand"
-	"errors"
 	"fmt"
-	"math/big"
 
-	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
 	"arboretum/internal/fixed"
 	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
 	"arboretum/internal/mpc"
-	"arboretum/internal/parallel"
 	"arboretum/internal/sortition"
 )
 
@@ -103,15 +98,14 @@ func (ce *committeeExec) observeRound() {
 }
 
 // health is the fail-closed gate the vignette protocols call at step
-// boundaries — always before opening or decrypting anything: the
-// formation check (Deployment.reachable) against the members lost
-// mid-execution.
+// boundaries — always before opening anything: the formation check
+// (Deployment.reachable) against the members lost mid-execution.
 func (ce *committeeExec) health() error {
 	return ce.dep.reachable(len(ce.members)-len(ce.lost), len(ce.members))
 }
 
-// spend tallies one open or decrypt of a value noised at ε against the
-// vignette's call site.
+// spend tallies one open of a value noised at ε against the vignette's call
+// site.
 func (ce *committeeExec) spend(eps float64) { ce.dep.spent[ce.site] += eps }
 
 // flushMetrics folds the engine's traffic into the deployment metrics
@@ -129,96 +123,9 @@ func (ce *committeeExec) flushMetrics() {
 	ce.dep.Metrics.AggregatorBytes += dBytes
 }
 
-// errDecryptRange is the fail-closed refusal of a plaintext the committee
-// cannot hold as an int64: both decryption paths return it rather than
-// truncate the value.
-var errDecryptRange = errors.New("runtime: decrypted value exceeds int64")
-
-// decryptInt64 decrypts one ciphertext to an int64, refusing a plaintext out
-// of range with errDecryptRange.
-func decryptInt64(sk *ahe.PrivateKey, ct *ahe.Ciphertext) (int64, error) {
-	pt, err := sk.Decrypt(ct)
-	if err != nil {
-		return 0, fmt.Errorf("runtime: committee decryption: %w", err)
-	}
-	if !pt.IsInt64() {
-		return 0, errDecryptRange
-	}
-	return pt.Int64(), nil
-}
-
-// decryptToShares has the committee holding the key decrypt the counts and
-// re-enter them as joint secrets scaled to Q30.16 — the "decrypt aggregate
-// to secret shares" vignette. (In the real system the decryption itself runs
-// inside the MPC; the simulation reconstructs the key under the same
-// honest-majority assumption and keeps the plaintexts out of any single
-// party's hands by re-sharing immediately — see DESIGN.md.) The decryptions
-// run on the deployment's pool; the counts enter the MPC one by one in slot
-// order, so the share stream is the same at every worker count.
-func (ce *committeeExec) decryptToShares(km *keyMaterial, cts []*ahe.Ciphertext) ([]mpc.Secret, error) {
-	if err := ce.health(); err != nil {
-		return nil, err
-	}
-	sk, err := km.reconstructKey()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := parallel.Map(nil, len(cts), 0, func(i int) (int64, error) {
-		return decryptInt64(sk, cts[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]mpc.Secret, len(pts))
-	for i, pt := range pts {
-		out[i] = ce.engine.JointFixed(fixed.FromInt(pt))
-	}
-	return out, nil
-}
-
-// decryptScalar decrypts one ciphertext and returns the plaintext, used for
-// mechanism outputs that are about to be released anyway.
-func (ce *committeeExec) decryptScalar(km *keyMaterial, ct *ahe.Ciphertext) (int64, error) {
-	if err := ce.health(); err != nil {
-		return 0, err
-	}
-	sk, err := km.reconstructKey()
-	if err != nil {
-		return 0, err
-	}
-	return decryptInt64(sk, ct)
-}
-
-// laplaceRelease adds Laplace noise to the encrypted value under encryption
-// (Enc(v) ⊞ Enc(noise)), decrypts the noised sum, and releases it — the
-// Orchard-style noising vignette.
-func (ce *committeeExec) laplaceRelease(km *keyMaterial, ct *ahe.Ciphertext, n noise) (fixed.Fixed, error) {
-	if err := ce.health(); err != nil {
-		return 0, err
-	}
-	rng := ce.dep.noiseRand()
-	noise := mechanism.Laplace(rng, n.scale).Int() // integer noise under AHE
-	noiseCt, err := km.pub.Encrypt(rand.Reader, big.NewInt(noise))
-	if err != nil {
-		return 0, err
-	}
-	noised, err := km.pub.Add(ct, noiseCt)
-	if err != nil {
-		return 0, err
-	}
-	ce.dep.Metrics.CommitteeBytes += int64(noiseCt.Bytes())
-	v, err := ce.decryptScalar(km, noised)
-	if err != nil {
-		return 0, err
-	}
-	ce.spend(n.eps)
-	return fixed.FromInt(v), nil
-}
-
-// laplaceShared noises an already-shared value inside the MPC and opens it.
+// laplaceShared noises a shared value inside the MPC and opens it.
 func (ce *committeeExec) laplaceShared(sec mpc.Secret, n noise) (fixed.Fixed, error) {
-	rng := ce.dep.noiseRand()
-	noised := ce.engine.Add(sec, ce.engine.JointFixed(mechanism.Laplace(rng, n.scale)))
+	noised := ce.engine.Add(sec, ce.engine.JointFixed(n.laplace(ce.dep.noiseRand())))
 	if err := ce.health(); err != nil {
 		return 0, err
 	}

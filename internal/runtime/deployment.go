@@ -136,17 +136,17 @@ type Deployment struct {
 	runCtx context.Context
 
 	// vignetteSeq and transferSeq number the mechanism vignettes and VSR
-	// hand-offs across the deployment's lifetime: they are the first
-	// coordinate of the corresponding fault-injection points, so a plan's
-	// decisions stay aligned with the execution structure across retries
-	// and consecutive queries.
+	// key hand-offs (one per query) across the deployment's lifetime: they
+	// are the first coordinate of the corresponding fault-injection points,
+	// so a plan's decisions stay aligned with the execution structure across
+	// retries and consecutive queries.
 	vignetteSeq int
 	transferSeq int
 
 	// spent is the current query's tally of released ε by mechanism call
-	// site (Result.Spent). It is written at each open or decrypt of a
-	// noised value, on every vignette attempt, and survives a failed run so
-	// a failed-closed query can be checked too.
+	// site (Result.Spent). It is written at each open of a noised value,
+	// on every vignette attempt, and survives a failed run so a
+	// failed-closed query can be checked too.
 	spent map[lang.Pos]float64
 
 	// Measured totals (the simulation's "ground truth" next to the cost
@@ -390,22 +390,6 @@ type keyMaterial struct {
 	primeShares [][]shamir.Share
 	threshold   int
 	holder      sortition.Committee
-
-	// lost marks holder positions whose member dropped mid-vignette: their
-	// shares are gone, so hand-offs must re-deal from the survivors.
-	lost []bool
-}
-
-// markLost records dropped holder positions (keyed like holder/shares).
-func (km *keyMaterial) markLost(dropped map[int]bool) {
-	if km.lost == nil {
-		km.lost = make([]bool, len(km.holder))
-	}
-	for i := range km.lost {
-		if dropped[i] {
-			km.lost[i] = true
-		}
-	}
 }
 
 // keygen runs the key-generation committee: a fresh Paillier keypair whose
@@ -442,18 +426,15 @@ func (d *Deployment) keygen(committee sortition.Committee, encryptions int) (*ke
 
 // keyEncryptions counts the encryptions a query key serves, which size its
 // fixed-base table: every device's packed row, at the ciphertexts per row of
-// the deployment's key size and device count; one re-encryption per cell
-// when the committee unpacks the sums; and, for a sampled query, whose rows
-// have a cell per bin and category (collectBinned), the zero per category
-// that starts each window sum (windowSums). The interpreter's few constants
-// and noise encryptions are left out.
+// the deployment's key size and device count, a sampled query's row having a
+// cell per bin and category (collectBinned). Nothing else is encrypted under
+// the key.
 func (d *Deployment) keyEncryptions(sampled bool) int {
-	c := d.cfg.Categories
-	cells, zeros := c, 0
+	cells := d.cfg.Categories
 	if sampled {
-		cells, zeros = mechanism.SampleBinCount*c, c
+		cells *= mechanism.SampleBinCount
 	}
-	return d.cfg.N*ahe.RowCiphertexts(d.cfg.KeyBits, d.cfg.N, cells) + cells + zeros
+	return d.cfg.N * ahe.RowCiphertexts(d.cfg.KeyBits, d.cfg.N, cells)
 }
 
 // limbBits is the width of one limb of the shared key prime: the largest
@@ -534,9 +515,6 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 		}
 		var alive []int // surviving dealer positions
 		for i := range km.holder {
-			if i < len(km.lost) && km.lost[i] {
-				continue // dropped mid-vignette earlier; its share is gone
-			}
 			if d.cfg.Faults.Fires(faults.DealerFailure, seq, attempt, i) {
 				d.Metrics.DealerFailures++
 				d.cfg.Faults.Record(faults.Fault{
@@ -560,7 +538,6 @@ func (km *keyMaterial) handoff(d *Deployment, to sortition.Committee) error {
 		km.primeShares = shares
 		km.threshold = newT
 		km.holder = to
-		km.lost = nil // the new committee starts with every share present
 		d.Metrics.VSRTransfers++
 		return nil
 	}
@@ -586,8 +563,8 @@ func (km *keyMaterial) redistribute(alive []int, newN, newT int) ([][]shamir.Sha
 }
 
 // reconstructKey lets the current holding committee (honest majority
-// assumed) reassemble the private key for a decryption step: each limb of p
-// from its shares, p from its limbs, then the whole CRT key by
+// assumed) reassemble the private key for the query's one decryption
+// (Deployment.unpack): each limb of p from its shares, p from its limbs, then the whole CRT key by
 // ahe.KeyFromPrime. A p that is not a proper factor of n fails closed with
 // ahe.ErrNotFactor.
 func (km *keyMaterial) reconstructKey() (*ahe.PrivateKey, error) {

@@ -397,7 +397,9 @@ func maxMove(a, b []float64) float64 {
 // TestGeneratedSensitivityCovers certifies generated programs and evaluates
 // each mechanism argument in the clear on a histogram and on every histogram
 // one device's move to another category makes of it: the argument must
-// never move by more than its call site's certified sensitivity.
+// never move by more than its call site's certified sensitivity. A laplace
+// argument typed Int, which draws whole-number noise, must evaluate to a
+// whole number.
 func TestGeneratedSensitivityCovers(t *testing.T) {
 	const (
 		cats     = 4
@@ -405,7 +407,7 @@ func TestGeneratedSensitivityCovers(t *testing.T) {
 		programs = 1000
 	)
 	db := types.DBInfo{N: devices, Width: cats, ElemRange: types.Range{Lo: 0, Hi: 1}}
-	admitted := 0
+	admitted, integral := 0, 0
 	for seed := int64(1); seed <= programs; seed++ {
 		//arblint:ignore randsource fixed seeds make every failure reproducible from the test log
 		rng := rand.New(rand.NewSource(seed))
@@ -417,6 +419,17 @@ func TestGeneratedSensitivityCovers(t *testing.T) {
 		admitted++
 		rows := genSiteRows(t, cert, p)
 		h := genHistogram(devices, cats, func(i int) int { return rng.Intn(cats) })
+		for _, s := range p.sites {
+			if !rows[s.line].Integral {
+				continue
+			}
+			integral++
+			for _, x := range s.arg(h) {
+				if x != math.Trunc(x) {
+					t.Fatalf("seed %d: laplace at line %d is typed Int but evaluates to %g\nprogram:\n%s", seed, s.line, x, p.src)
+				}
+			}
+		}
 		for from := 0; from < cats; from++ {
 			for to := 0; to < cats; to++ {
 				if from == to || h[from] == 0 {
@@ -435,8 +448,8 @@ func TestGeneratedSensitivityCovers(t *testing.T) {
 			}
 		}
 	}
-	if admitted < programs/4 {
-		t.Fatalf("only %d of %d generated programs admitted", admitted, programs)
+	if admitted < programs/4 || integral < programs/10 {
+		t.Fatalf("only %d of %d generated programs admitted, %d Int-typed laplace sites", admitted, programs, integral)
 	}
 }
 

@@ -3,7 +3,6 @@ package runtime
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -14,9 +13,11 @@ import (
 
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
+	"arboretum/internal/fixed"
 	"arboretum/internal/hashing"
 	"arboretum/internal/mechanism"
 	"arboretum/internal/merkle"
+	"arboretum/internal/mpc"
 	"arboretum/internal/parallel"
 	"arboretum/internal/zkp"
 )
@@ -28,8 +29,8 @@ import (
 // packed ciphertext), and commits the running partials at every batch
 // boundary, so folding holds O(shards × batch) ciphertexts at any instant.
 // Shard partials then combine in a tree of the planner's sum-tree fanout,
-// devices audit the committed batches, and the key committee unpacks the
-// audited sums into one ciphertext per cell. Because a Paillier addition is
+// devices audit the committed batches, and the decryption committee
+// decrypts the audited sums once into its MPC (unpack). Because a Paillier addition is
 // multiplication mod n² — associative and commutative — the combined sums
 // are bit-for-bit identical at every worker count, shard count, batch size,
 // and fanout.
@@ -332,7 +333,8 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 // ingestResult is a completed sharded ingest.
 type ingestResult struct {
 	shards       []*shardResult
-	sums         []*ahe.Ciphertext // combined shard partials; Deployment.ingest unpacks them per cell
+	sums         []*ahe.Ciphertext // combined shard partials, packed as codec packs a row
+	codec        *ahe.Packing      // the row packing (Deployment.ingest; nil in the harness)
 	tree         *merkle.Tree      // global commitment over every batch leaf, shard order
 	accepted     int
 	combineBytes int64 // aggregator-side traffic of the shard combine
@@ -538,11 +540,11 @@ func (d *Deployment) shardRuns(online []*Device, codec *ahe.Packing, hot func(on
 // ingest runs the pipeline over the deployment's online devices, cut into
 // contiguous shard ranges in device order (so shard order IS device order
 // and every coordinator tally below replays identically), audits every
-// committed batch, folds the shard-side counters into the metrics, and has
-// the key committee unpack the audited sums: res.sums holds one ciphertext
-// per cell. cells is the length of a device's one-hot row, which it uploads
-// packed for the deployment's device count. fanout is the planner's sum-tree
-// choice for the shard combine.
+// committed batch and folds the shard-side counters into the metrics:
+// res.sums holds the audited packed sums, which the decryption committee
+// unpacks (Deployment.unpack). cells is the length of a device's one-hot row,
+// which it uploads packed for the deployment's device count. fanout is the
+// planner's sum-tree choice for the shard combine.
 func (d *Deployment) ingest(km *keyMaterial, cells, fanout int, hot func(onlineIdx int, dev *Device) int, track bool) (*ingestResult, error) {
 	codec, err := km.pub.NewPacking(d.cfg.N, cells)
 	if err != nil {
@@ -611,65 +613,61 @@ func (d *Deployment) ingest(km *keyMaterial, cells, fanout int, hot func(onlineI
 	if err := auditIngest(km.pub, res, &d.Metrics); err != nil {
 		return nil, fmt.Errorf("runtime: audit: %w", err)
 	}
-	if res.sums, err = d.unpack(km, codec, res.sums); err != nil {
-		return nil, err
-	}
+	res.codec = codec
 	return res, nil
 }
 
-// unpack has the committee holding the key turn the audited packed sums into
-// one ciphertext per cell: it reconstructs the key, decrypts the
-// ⌈cells/digits⌉ sums on the pool, splits the digits (ahe.Packing.Unpack)
-// and re-encrypts each count under the same key, so everything downstream
-// (windowSums, the interpreter, laplaceRelease, decryptToShares) runs on
-// per-cell ciphertexts. This is the same simulation shortcut as
-// decryptToShares (DESIGN.md, "Key shares"): a real committee would decrypt
-// to shares inside the MPC and convert the shares to ciphertexts. It draws
-// nothing from the deployment RNG, takes no vignette or transfer sequence
-// number and runs outside every fault-injection window, so noise draws and
-// fault schedules are the ones a per-cell upload would see.
-func (d *Deployment) unpack(km *keyMaterial, codec *ahe.Packing, packed []*ahe.Ciphertext) ([]*ahe.Ciphertext, error) {
+// unpack is the query's one decryption, PAPER.md §4.5's dec() where the
+// counts enter a committee vignette: the decryption committee ce, which
+// holds the key after the hand-off, reconstructs it, decrypts the
+// ⌈cells/digits⌉ audited packed sums on the pool, splits the digits
+// (ahe.Packing.Unpack) and enters every count into its MPC as a joint
+// secret, in cell order, so the share stream is the same at every worker
+// count. Nothing is encrypted under the key afterwards, and it is not used
+// again. (A real committee decrypts inside the MPC; the simulation
+// reconstructs the key under the same honest-majority assumption and
+// re-shares at once — DESIGN.md, "Key shares".) It draws nothing from the
+// deployment RNG, takes no vignette or transfer sequence number and runs
+// outside every fault-injection window.
+func (d *Deployment) unpack(ce *committeeExec, km *keyMaterial, res *ingestResult) ([]mpc.Secret, error) {
 	sk, err := km.reconstructKey()
 	if err != nil {
 		return nil, err
 	}
-	pts, err := parallel.Map(nil, len(packed), 0, func(k int) (*big.Int, error) {
-		return sk.Decrypt(packed[k])
+	pts, err := parallel.Map(nil, len(res.sums), 0, func(k int) (*big.Int, error) {
+		return sk.Decrypt(res.sums[k])
 	})
 	if err != nil {
 		return nil, fmt.Errorf("runtime: committee decryption: %w", err)
 	}
-	counts, err := codec.Unpack(pts)
+	counts, err := res.codec.Unpack(pts)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: unpack: %w", err)
 	}
-	return parallel.Map(nil, len(counts), 0, func(c int) (*ahe.Ciphertext, error) {
-		return km.pub.Encrypt(rand.Reader, big.NewInt(counts[c]))
-	})
+	out := make([]mpc.Secret, len(counts))
+	for c, v := range counts {
+		out[c] = ce.engine.JointFixed(fixed.FromInt(v))
+	}
+	return out, nil
 }
 
 // collectInputs has every online device encrypt its packed one-hot row
 // under the query key and prove it well formed; the shard aggregators verify
 // each proof, drop invalid uploads, and fold the rest (Section 5.3). It
-// returns the audited per-category sums, unpacked to one ciphertext per
-// category, and how many uploads were accepted.
-func (d *Deployment) collectInputs(km *keyMaterial, fanout int) ([]*ahe.Ciphertext, int, error) {
-	res, err := d.ingest(km, d.cfg.Categories, fanout, func(_ int, dev *Device) int { return dev.Category }, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.sums, res.accepted, nil
+// returns the audited packed per-category sums and how many uploads were
+// accepted.
+func (d *Deployment) collectInputs(km *keyMaterial, fanout int) (*ingestResult, error) {
+	return d.ingest(km, d.cfg.Categories, fanout, func(_ int, dev *Device) int { return dev.Category }, false)
 }
 
 // collectBinned is collection for the bin protocol (sample.go): every online
 // device uploads a packed b×C row with its one-hot cell in a uniformly
 // random bin, zeros elsewhere, and a proof that the whole row is one-hot. It
-// returns the audited per-bin-per-category sums, unpacked to one ciphertext
-// per cell (for windowSums), and the
+// returns the audited packed per-bin-per-category sums, bin-major, and the
 // (simulation-only) bin each accepted device chose. The bin draws consume
 // the deployment RNG sequentially in device order BEFORE any shard task
 // runs, so the stream is identical at every worker and shard count.
-func (d *Deployment) collectBinned(km *keyMaterial, fanout int) ([]*ahe.Ciphertext, []int, error) {
+func (d *Deployment) collectBinned(km *keyMaterial, fanout int) (*ingestResult, []int, error) {
 	cats := d.cfg.Categories
 	var chosen []int
 	for _, dev := range d.Devices {
@@ -687,7 +685,7 @@ func (d *Deployment) collectBinned(km *keyMaterial, fanout int) ([]*ahe.Cipherte
 	for i, idx := range res.acceptedIdx {
 		bins[i] = chosen[idx]
 	}
-	return res.sums, bins, nil
+	return res, bins, nil
 }
 
 // heapGauge samples the process heap so the ingest tests and benchmarks can

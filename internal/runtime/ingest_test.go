@@ -798,7 +798,7 @@ func BenchmarkCollectInputs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.queryID++ // fresh replay-protection scope per iteration
-		if _, _, err := d.collectInputs(km, 0); err != nil {
+		if _, err := d.collectInputs(km, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"arboretum/internal/ahe"
 	"arboretum/internal/fixed"
 	"arboretum/internal/lang"
 	"arboretum/internal/mechanism"
@@ -15,39 +14,34 @@ import (
 )
 
 // valueKind classifies runtime values by confidentiality state, mirroring
-// the encryption-type inference of Section 4.5: public (declassified or
-// never sensitive), AHE ciphertexts at the aggregator, and secret shares
-// inside a committee MPC.
+// the encryption-type inference of Section 4.5 after collection: public
+// (declassified or never sensitive) or secret shares inside a committee MPC.
+// The AHE ciphertexts end at the one decryption (Deployment.unpack).
 type valueKind int
 
 const (
 	vPublic valueKind = iota
 	vPublicArr
-	vCipher
-	vCipherArr
 	vShared
 	vSharedArr
 )
 
 var kindNames = [...]string{
 	vPublic: "public", vPublicArr: "public array",
-	vCipher: "cipher", vCipherArr: "cipher array",
 	vShared: "shared", vSharedArr: "shared array",
 }
 
 func (k valueKind) String() string { return kindNames[k] }
 
-// value is one runtime value. Public numbers use Q30.16 fixed point;
-// ciphertext values are integer-valued Paillier ciphertexts. Shared values
-// remember the committee whose MPC holds their shares — vignettes chained on
-// the same committee keep using it, while fresh ciphertext inputs can move
-// to the next committee (Section 5.4's committee-to-committee hand-offs).
+// value is one runtime value, in Q30.16 fixed point. Shared values remember
+// the committee whose MPC holds their shares — vignettes chained on the same
+// committee keep using it, while inputs the decryption committee still holds
+// move to the next committee (Section 5.4's committee-to-committee
+// hand-offs).
 type value struct {
 	kind valueKind
 	num  fixed.Fixed
 	arr  []fixed.Fixed
-	ct   *ahe.Ciphertext
-	cts  []*ahe.Ciphertext
 	sec  mpc.Secret
 	secs []mpc.Secret
 	eng  *committeeExec // owner of sec/secs
@@ -57,15 +51,13 @@ func pub(v fixed.Fixed) value      { return value{kind: vPublic, num: v} }
 func pubArr(v []fixed.Fixed) value { return value{kind: vPublicArr, arr: v} }
 
 func (v value) isArr() bool {
-	return v.kind == vPublicArr || v.kind == vCipherArr || v.kind == vSharedArr
+	return v.kind == vPublicArr || v.kind == vSharedArr
 }
 
 func (v value) length() int {
 	switch v.kind {
 	case vPublicArr:
 		return len(v.arr)
-	case vCipherArr:
-		return len(v.cts)
 	case vSharedArr:
 		return len(v.secs)
 	default:
@@ -76,13 +68,12 @@ func (v value) length() int {
 // interp executes one query over a deployment.
 type interp struct {
 	dep       *Deployment
-	km        *keyMaterial
 	ce        *committeeExec        // the current operations committee
 	pool      []sortition.Committee // spare committees for rotation
 	poolIdx   int
 	env       map[string]value
 	outputs   []fixed.Fixed
-	dbSums    []*ahe.Ciphertext   // aggregated column sums, set by run.go
+	db        value               // sum(db): the counts, shared in the decryption committee
 	sites     map[lang.Pos]site   // the certificate's mechanism call sites and their noise
 	emVariant mechanism.EMVariant // plan.Plan.EMVariant
 }
@@ -129,9 +120,20 @@ var ErrNoiseScale = errors.New("runtime: noise scale outside the Q30.16 range")
 
 // noise is a mechanism call's noise, sized from its certificate row.
 type noise struct {
-	eps   float64     // the call's ε, spent at each release
-	scale fixed.Fixed // b: sensitivity/ε for laplace, 2·sensitivity/ε for em and topk
-	rate  float64     // em and topk: ε/(2·sensitivity), the exponentiate variant's k
+	eps      float64     // the call's ε, spent at each release
+	scale    fixed.Fixed // b: sensitivity/ε for laplace, 2·sensitivity/ε for em and topk
+	rate     float64     // em and topk: ε/(2·sensitivity), the exponentiate variant's k
+	integral bool        // laplace on an Int-typed argument: whole-number noise
+}
+
+// laplace draws one Laplace(scale) noise, truncated toward zero to a whole
+// number for an Int-typed argument, so a count stays a whole number.
+func (n noise) laplace(rng mechanism.Rand) fixed.Fixed {
+	v := mechanism.Laplace(rng, n.scale)
+	if n.integral {
+		v = fixed.FromInt(v.Int())
+	}
+	return v
 }
 
 // noiseFor is the one place a mechanism's noise is sized: from the call's
@@ -139,7 +141,7 @@ type noise struct {
 // rounding direction of scale and rate is ROADMAP item 2's.)
 func noiseFor(use privacy.MechanismUse, variant mechanism.EMVariant) (noise, error) {
 	sens := float64(use.Sensitivity)
-	n := noise{eps: use.CallEpsilon, scale: fixed.FromFloat(sens / use.CallEpsilon)}
+	n := noise{eps: use.CallEpsilon, scale: fixed.FromFloat(sens / use.CallEpsilon), integral: use.Integral}
 	if use.Func != "laplace" {
 		n.scale = fixed.FromFloat(2 * sens / use.CallEpsilon)
 		n.rate = use.CallEpsilon / (2 * sens)
@@ -152,20 +154,17 @@ func noiseFor(use privacy.MechanismUse, variant mechanism.EMVariant) (noise, err
 	return n, nil
 }
 
-// rotate moves execution to the next spare committee: the private key is
-// redistributed via VSR and a fresh MPC engine starts (Section 5.2/5.4).
-// Rotation happens at mechanism boundaries whose inputs are ciphertexts —
-// values already shared stay with the committee holding their shares. With
-// the pool exhausted, the current committee keeps serving.
+// rotate moves execution to the next spare committee, where a fresh MPC
+// engine starts (Section 5.4). Rotation happens at mechanism boundaries
+// whose inputs the decryption committee still holds (mechanismEngine);
+// values an operations committee shares stay with it. With the pool
+// exhausted, the current committee keeps serving.
 func (ip *interp) rotate() error {
 	if ip.poolIdx >= len(ip.pool) {
 		return nil
 	}
 	next := ip.pool[ip.poolIdx]
 	ip.poolIdx++
-	if err := ip.km.handoff(ip.dep, next); err != nil {
-		return err
-	}
 	ce, err := ip.dep.newCommittee(next)
 	if err != nil {
 		return err
@@ -181,7 +180,7 @@ func (ip *interp) rotate() error {
 // is replaced from the sortition pool and the attempt repeats with the shares
 // re-dealt to the new members. Any other failure — a broken committee, a
 // protocol error — fails closed immediately. The health gates inside the
-// protocols run before every open or decrypt, so a failed attempt opened only
+// protocols run before every open, so a failed attempt opened only
 // values it had finished computing: none for em and laplace, whose one open
 // ends the protocol, so their retry draws fresh noise; for topk, the winners
 // of its completed rounds, so its retry resumes after them (topKSelect).
@@ -227,9 +226,9 @@ func (ip *interp) runVignette(site lang.Pos, input value, protocol func(ce *comm
 }
 
 // reform replaces a degraded committee with the next spare from the
-// sortition pool: the key hand-off re-deals from the surviving share-holders
-// (the lost members cannot contribute dealings), live shared values migrate
-// to the new committee's MPC, and the vignette input follows them.
+// sortition pool: live shared values migrate to the new committee's MPC, and
+// the vignette input follows them. (The key is not used after the one
+// decryption, so nothing of it moves.)
 func (ip *interp) reform(broken *committeeExec, input value) (*committeeExec, value, error) {
 	if ip.poolIdx >= len(ip.pool) {
 		return nil, value{}, fmt.Errorf("%w: cannot replace degraded committee", ErrNoSpareCommittee)
@@ -237,14 +236,6 @@ func (ip *interp) reform(broken *committeeExec, input value) (*committeeExec, va
 	next := ip.pool[ip.poolIdx]
 	ip.poolIdx++
 	ip.dep.Metrics.Reformations++
-	if ip.km.holder.Equal(broken.members) {
-		// The degraded committee holds the key: its lost members cannot
-		// deal, so mark them before the hand-off skips them.
-		ip.km.markLost(broken.lost)
-	}
-	if err := ip.km.handoff(ip.dep, next); err != nil {
-		return nil, value{}, err
-	}
 	ce, err := ip.dep.newCommittee(next)
 	if err != nil {
 		return nil, value{}, err
@@ -311,6 +302,10 @@ func (ip *interp) stmt(s lang.Stmt) error {
 			return err
 		}
 		if st.Index == nil {
+			// An array is copied on assignment: setIndex writes in place,
+			// and through a shared slice it would write into another
+			// name's array or into the counts sum(db) hands out.
+			v.arr, v.secs = slices.Clone(v.arr), slices.Clone(v.secs)
 			ip.env[st.Name] = v
 			return nil
 		}
@@ -367,10 +362,9 @@ func (ip *interp) stmt(s lang.Stmt) error {
 	}
 }
 
-// setIndex assigns arr[i] = v, auto-extending arrays. An element of another
-// kind than the array's either joins it in the array's kind (a shared array
-// shares anything; a cipher array encrypts an integral public value) or
-// promotes the whole array (see promoteAndSet).
+// setIndex assigns arr[i] = v, auto-extending arrays. A shared array
+// shares a public element; a shared element moves a public array to shares
+// in its committee.
 func (ip *interp) setIndex(name string, i int, v value) error {
 	if v.isArr() {
 		return fmt.Errorf("runtime: cannot store a %v in an element of %s", v.kind, name)
@@ -379,11 +373,15 @@ func (ip *interp) setIndex(name string, i int, v value) error {
 	if !ok {
 		cur = pubArr(nil)
 	}
+	if cur.kind == vPublicArr && v.kind == vShared {
+		shared, err := ip.toSharedIn(v.eng, cur)
+		if err != nil {
+			return err
+		}
+		cur = shared
+	}
 	switch cur.kind {
 	case vPublicArr:
-		if v.kind != vPublic {
-			return ip.promoteAndSet(name, cur, i, v)
-		}
 		for len(cur.arr) <= i {
 			cur.arr = append(cur.arr, 0)
 		}
@@ -401,76 +399,14 @@ func (ip *interp) setIndex(name string, i int, v value) error {
 		cur.secs[i] = sh.sec
 		ip.env[name] = cur
 		return nil
-	case vCipherArr:
-		if v.kind == vShared || v.kind == vPublic && fractional(v.num) {
-			// A Paillier plaintext is an integer: the array moves to shares.
-			shared, err := ip.toSharedIn(ip.engineOf(v), cur)
-			if err != nil {
-				return err
-			}
-			ip.env[name] = shared
-			return ip.setIndex(name, i, v)
-		}
-		if v.kind == vPublic {
-			ct, err := ip.km.pub.Encrypt(cryptoRand(), bigFromFixed(v.num))
-			if err != nil {
-				return err
-			}
-			v = value{kind: vCipher, ct: ct}
-		}
-		for len(cur.cts) <= i {
-			zero, err := ip.km.pub.Encrypt(cryptoRand(), bigZero())
-			if err != nil {
-				return err
-			}
-			cur.cts = append(cur.cts, zero)
-		}
-		cur.cts[i] = v.ct
-		ip.env[name] = cur
-		return nil
 	default:
 		return fmt.Errorf("runtime: %s is not an array", name)
 	}
 }
 
-// promoteAndSet upgrades a public array to the element's kind. An array
-// holding a fraction cannot become ciphertexts, so a ciphertext element
-// promotes it to shares.
-func (ip *interp) promoteAndSet(name string, cur value, i int, v value) error {
-	if v.kind == vCipher && slices.ContainsFunc(cur.arr, fractional) {
-		shared, err := ip.toSharedIn(ip.ce, v)
-		if err != nil {
-			return err
-		}
-		v = shared
-	}
-	switch v.kind {
-	case vShared:
-		secs := make([]mpc.Secret, len(cur.arr))
-		for j, f := range cur.arr {
-			secs[j] = v.eng.engine.JointFixed(f)
-		}
-		ip.env[name] = value{kind: vSharedArr, secs: secs, eng: v.eng}
-	case vCipher:
-		cts := make([]*ahe.Ciphertext, 0, len(cur.arr))
-		for _, f := range cur.arr {
-			ct, err := ip.km.pub.Encrypt(cryptoRand(), bigFromFixed(f))
-			if err != nil {
-				return err
-			}
-			cts = append(cts, ct)
-		}
-		ip.env[name] = value{kind: vCipherArr, cts: cts}
-	default:
-		return fmt.Errorf("runtime: cannot promote array %s to %v", name, v.kind)
-	}
-	return ip.setIndex(name, i, v)
-}
-
-// toSharedIn converts a value into the given committee's MPC (the dec()
-// insertion of Section 4.5 when a confidential value enters a committee
-// vignette). Shares held by another committee migrate via a VSR-style
-// re-sharing transfer (Section 5.4).
+// toSharedIn converts a value into the given committee's MPC. Shares held
+// by another committee migrate via a VSR-style re-sharing transfer (Section
+// 5.4); public values are shared jointly.
 func (ip *interp) toSharedIn(ce *committeeExec, v value) (value, error) {
 	switch v.kind {
 	case vShared, vSharedArr:
@@ -491,18 +427,6 @@ func (ip *interp) toSharedIn(ce *committeeExec, v value) (value, error) {
 		return value{kind: vSharedArr, secs: secs, eng: ce}, nil
 	case vPublic:
 		return value{kind: vShared, sec: ce.engine.JointFixed(v.num), eng: ce}, nil
-	case vCipher:
-		secs, err := ce.decryptToShares(ip.km, []*ahe.Ciphertext{v.ct})
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: vShared, sec: secs[0], eng: ce}, nil
-	case vCipherArr:
-		secs, err := ce.decryptToShares(ip.km, v.cts)
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: vSharedArr, secs: secs, eng: ce}, nil
 	case vPublicArr:
 		secs := make([]mpc.Secret, len(v.arr))
 		for i, f := range v.arr {
@@ -553,8 +477,6 @@ func (ip *interp) eval(e lang.Expr) (value, error) {
 		switch xv.kind {
 		case vPublicArr:
 			return pub(xv.arr[i]), nil
-		case vCipherArr:
-			return value{kind: vCipher, ct: xv.cts[i]}, nil
 		case vSharedArr:
 			return value{kind: vShared, sec: xv.secs[i], eng: xv.eng}, nil
 		default:
@@ -593,12 +515,6 @@ func (ip *interp) negate(v value) (value, error) {
 		return pub(v.num.Neg()), nil
 	case vShared:
 		return value{kind: vShared, sec: v.eng.engine.MulConst(v.sec, -1), eng: v.eng}, nil
-	case vCipher:
-		ct, err := ip.km.pub.MulPlain(v.ct, bigNegOne())
-		if err != nil {
-			return value{}, err
-		}
-		return value{kind: vCipher, ct: ct}, nil
 	default:
 		return value{}, fmt.Errorf("runtime: cannot negate %v", v.kind)
 	}

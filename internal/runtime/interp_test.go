@@ -7,8 +7,13 @@ import (
 	"testing"
 )
 
+// mechanismTail is a mechanism call to end a program with, since a query
+// that calls none is refused at admission (privacy.ErrNoMechanism).
+const mechanismTail = "\nh = sum(db);\nn = laplace(h[0], 1.0);"
+
 // Error-path coverage for the interpreter: programs that certify but hit
-// runtime constraints must fail with actionable errors, not panic.
+// runtime constraints must fail with actionable errors, not panic. Each ends
+// in a laplace call (mechanismTail), so it admits; the error comes first.
 func TestInterpreterErrorPaths(t *testing.T) {
 	cases := []struct {
 		name, src, wantErr string
@@ -61,14 +66,14 @@ output(1);`,
 			`aggr = sum(db);
 a[0] = aggr;
 output(1);`,
-			"cannot store a cipher array in an element of a",
+			"cannot store a shared array in an element of a",
 		},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			d := smallDeployment(t, 64, 4, func(cfg *Config) { cfg.BudgetEpsilon = 1e9 })
-			_, err := d.Run(c.src, RunOptions{})
+			_, err := d.Run(c.src+mechanismTail, RunOptions{})
 			if err == nil {
 				t.Fatalf("%s: no error", c.name)
 			}
@@ -196,8 +201,8 @@ func TestFractionalPublicOperand(t *testing.T) {
 	}
 }
 
-// A public array holding a fractional value that takes a ciphertext element
-// is promoted to shares, not to ciphertexts of its truncated values.
+// A public array holding a fractional value that takes a shared count is
+// promoted to shares, fraction and all.
 func TestPromoteFractionalArray(t *testing.T) {
 	d := smallDeployment(t, 64, 2, func(cfg *Config) {
 		cfg.BudgetEpsilon = 1e9
@@ -217,9 +222,9 @@ output(declassify(x));`, RunOptions{})
 }
 
 // An array element of another kind than the array's joins it: a shared
-// array shares a public element, and a cipher array encrypts an integral
-// one but moves to shares for a fractional or shared one. 64 devices all in
-// category 0, so aggr[0] = max(aggr) = 64, and ε = 1000.
+// array shares a public element, whole or fractional, and a shared one held
+// by another committee. 64 devices all in category 0, so aggr[0] =
+// max(aggr) = 64, and ε = 1000.
 func TestMixedKindArrays(t *testing.T) {
 	d := smallDeployment(t, 64, 2, func(cfg *Config) {
 		cfg.BudgetEpsilon = 1e9

@@ -9,6 +9,7 @@ import (
 
 	"arboretum/internal/ahe"
 	"arboretum/internal/faults"
+	"arboretum/internal/fixed"
 	"arboretum/internal/mechanism"
 	"arboretum/internal/sortition"
 	"arboretum/internal/vsr"
@@ -36,8 +37,7 @@ func keyShareFixture(t *testing.T, keyBits int, plan *faults.Plan) (*Deployment,
 // assertKeyMatches holds the key the committee reconstructs from its p
 // shares to the generating key: the same n, p, λ and μ (every CRT value
 // derives from n and p), and the same decryption of a batch — 0, ±1,
-// ±(n/2 − 1), a random plaintext and ±2^63 — bit for bit, with decryptInt64
-// refusing the same plaintexts with errDecryptRange under both keys.
+// ±(n/2 − 1), a random plaintext and ±2^63 — bit for bit.
 func assertKeyMatches(t *testing.T, stage string, sk *ahe.PrivateKey, km *keyMaterial) {
 	t.Helper()
 	got, err := km.reconstructKey()
@@ -57,7 +57,6 @@ func assertKeyMatches(t *testing.T, stage string, sk *ahe.PrivateKey, km *keyMat
 	two63 := new(big.Int).Lsh(big.NewInt(1), 63)
 	pts := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), edge, new(big.Int).Neg(edge), random,
 		two63, new(big.Int).Neg(new(big.Int).Add(two63, big.NewInt(1)))}
-	refused := 0
 	for _, m := range pts {
 		ct, err := sk.PublicKey.Encrypt(rand.Reader, m)
 		if err != nil {
@@ -74,17 +73,6 @@ func assertKeyMatches(t *testing.T, stage string, sk *ahe.PrivateKey, km *keyMat
 		if have.Cmp(want) != 0 {
 			t.Fatalf("%s: reconstructed key decrypts %v to %v, the generating key to %v", stage, m, have, want)
 		}
-		wantV, wantErr := decryptInt64(sk, ct)
-		haveV, haveErr := decryptInt64(got, ct)
-		if haveV != wantV || !errors.Is(haveErr, wantErr) {
-			t.Fatalf("%s: decryptInt64 of %v: reconstructed %d, %v; generating %d, %v", stage, m, haveV, haveErr, wantV, wantErr)
-		}
-		if errors.Is(haveErr, errDecryptRange) {
-			refused++
-		}
-	}
-	if refused < 2 {
-		t.Fatalf("%s: %d plaintexts refused with errDecryptRange, want at least ±2^63's", stage, refused)
 	}
 }
 
@@ -158,16 +146,28 @@ func TestKeyLimbs(t *testing.T) {
 	}
 }
 
-// TestNonFactorShareFailsClosed: shares of a value that is not a proper
-// factor of n — p + 2, 1, n itself — reconstruct to no key: reconstructKey
-// and both decryption paths fail with ahe.ErrNotFactor.
-func TestNonFactorShareFailsClosed(t *testing.T) {
-	_, sk, km := keyShareFixture(t, 256, nil)
-	ce := newBareCommittee(t, 5, 1)
-	ct, err := km.pub.Encrypt(rand.Reader, big.NewInt(5))
+// packedFixture is an ingest result of one packed sum encrypting m under
+// km's key, for a row of two cells from 64 devices.
+func packedFixture(t *testing.T, km *keyMaterial, m *big.Int) *ingestResult {
+	t.Helper()
+	codec, err := km.pub.NewPacking(64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ct, err := km.pub.Encrypt(rand.Reader, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ingestResult{sums: []*ahe.Ciphertext{ct}, codec: codec}
+}
+
+// TestNonFactorShareFailsClosed: shares of a value that is not a proper
+// factor of n — p + 2, 1, n itself — reconstruct to no key: reconstructKey
+// and the one decryption, unpack, fail with ahe.ErrNotFactor.
+func TestNonFactorShareFailsClosed(t *testing.T) {
+	d, sk, km := keyShareFixture(t, 256, nil)
+	ce := newBareCommittee(t, 5, 1)
+	res := packedFixture(t, km, big.NewInt(5))
 	n := km.pub.N
 	for _, v := range []*big.Int{new(big.Int).Add(sk.Prime(), big.NewInt(2)), big.NewInt(1), n} {
 		shares, err := splitKey(km.group, v, len(km.holder), km.threshold)
@@ -178,11 +178,8 @@ func TestNonFactorShareFailsClosed(t *testing.T) {
 		if _, err := km.reconstructKey(); !errors.Is(err, ahe.ErrNotFactor) {
 			t.Errorf("reconstructKey: got %v, want ErrNotFactor", err)
 		}
-		if _, err := ce.decryptToShares(km, []*ahe.Ciphertext{ct}); !errors.Is(err, ahe.ErrNotFactor) {
-			t.Errorf("decryptToShares: got %v, want ErrNotFactor", err)
-		}
-		if _, err := ce.decryptScalar(km, ct); !errors.Is(err, ahe.ErrNotFactor) {
-			t.Errorf("decryptScalar: got %v, want ErrNotFactor", err)
+		if _, err := d.unpack(ce, km, res); !errors.Is(err, ahe.ErrNotFactor) {
+			t.Errorf("unpack: got %v, want ErrNotFactor", err)
 		}
 	}
 }
@@ -190,7 +187,7 @@ func TestNonFactorShareFailsClosed(t *testing.T) {
 // TestKeyBits2048 is the regression for keys whose λ outgrew the sharing
 // field: the committee used to share λ, which the field silently reduced,
 // so a 2048-bit deployment decrypted garbage and refused every release with
-// errDecryptRange. Its 1024-bit prime is shared in two 512-bit limbs, each
+// out-of-range plaintexts. Its 1024-bit prime is shared in two 512-bit limbs, each
 // below the 513-bit Q, so a Laplace count releases; a KeyBits past the
 // supported range (1,534-bit primes, three limbs) is refused up front.
 func TestKeyBits2048(t *testing.T) {
@@ -237,9 +234,8 @@ func TestKeyBitsRange(t *testing.T) {
 // TestKeyEncryptions pins the encryptions a query key's table is sized for,
 // unsampled and sampled, at three deployment shapes of 512-bit keys: N rows
 // of ⌈cells/72⌉ ciphertexts (⌈cells/42⌉ at 2,048 devices, whose counts need
-// 12 bits each), one re-encryption per cell, and a sampled query's zero per
-// category. A sampled row has 16 bins of C cells. The row ciphertexts are
-// checked against the codec a real key builds.
+// 12 bits each), and nothing else. A sampled row has 16 bins of C cells.
+// The row ciphertexts are checked against the codec a real key builds.
 func TestKeyEncryptions(t *testing.T) {
 	sk, err := ahe.GenerateKey(rand.Reader, 512)
 	if err != nil {
@@ -249,9 +245,9 @@ func TestKeyEncryptions(t *testing.T) {
 		n, c               int
 		unsampled, sampled int
 	}{
-		{96, 8, 96 + 8, 96*2 + 128 + 8},          // gateway-closed's shape
-		{100, 32, 100 + 32, 100*8 + 512 + 32},    // 32 categories
-		{2048, 16, 2048 + 16, 2048*7 + 256 + 16}, // collect-wide's shape
+		{96, 8, 96, 96 * 2},        // gateway-closed's shape
+		{100, 32, 100, 100 * 8},    // 32 categories
+		{2048, 16, 2048, 2048 * 7}, // collect-wide's shape
 	} {
 		d, err := NewDeployment(Config{N: tc.n, Categories: tc.c, CommitteeSize: 5})
 		if err != nil {
@@ -273,41 +269,32 @@ func TestKeyEncryptions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			zeros := 0
-			if q.sampled {
-				zeros = tc.c
-			}
-			if built := tc.n*codec.Ciphertexts() + q.cells + zeros; got != built {
+			if built := tc.n * codec.Ciphertexts(); got != built {
 				t.Errorf("N %d, C %d, sampled %v: %d encryptions, the codec makes %d", tc.n, tc.c, q.sampled, got, built)
 			}
 		}
 	}
 }
 
-// TestDecryptOutOfInt64FailsClosed: both committee decryption paths refuse
-// a plaintext outside int64 with the same error. decryptScalar, which
-// laplaceRelease releases through, used to truncate it silently.
-func TestDecryptOutOfInt64FailsClosed(t *testing.T) {
-	_, _, km := keyShareFixture(t, 256, nil)
+// TestUnpackOutOfRangeFailsClosed: the one decryption refuses a packed sum
+// whose plaintext no row of counts makes — 2^63, a bit above the row's last
+// digit — with ahe.ErrPackedRange rather than truncate it, and enters the
+// counts of one it does into the committee's MPC.
+func TestUnpackOutOfRangeFailsClosed(t *testing.T) {
+	d, _, km := keyShareFixture(t, 256, nil)
 	ce := newBareCommittee(t, 5, 1)
-	encrypt := func(m *big.Int) *ahe.Ciphertext {
-		ct, err := km.pub.Encrypt(rand.Reader, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ct
-	}
 	two63 := new(big.Int).Lsh(big.NewInt(1), 63)
-	ct := encrypt(two63)
-	if _, err := ce.decryptToShares(km, []*ahe.Ciphertext{ct}); !errors.Is(err, errDecryptRange) {
-		t.Errorf("decryptToShares(Enc(2^63)): got %v, want errDecryptRange", err)
+	if _, err := d.unpack(ce, km, packedFixture(t, km, two63)); !errors.Is(err, ahe.ErrPackedRange) {
+		t.Errorf("unpack(Enc(2^63)): got %v, want ErrPackedRange", err)
 	}
-	if v, err := ce.decryptScalar(km, ct); !errors.Is(err, errDecryptRange) {
-		t.Errorf("decryptScalar(Enc(2^63)) = %d, %v; want errDecryptRange", v, err)
+	// Counts 3 and 5 in two 7-bit digits (64 devices).
+	counts, err := d.unpack(ce, km, packedFixture(t, km, big.NewInt(3+5<<7)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The largest int64 still decrypts.
-	max := new(big.Int).Sub(two63, big.NewInt(1))
-	if v, err := ce.decryptScalar(km, encrypt(max)); err != nil || v != max.Int64() {
-		t.Errorf("decryptScalar(Enc(2^63 − 1)) = %d, %v; want %d", v, err, max.Int64())
+	for c, want := range []int64{3, 5} {
+		if got := ce.engine.OpenFixed(counts[c]); got != fixed.FromInt(want) {
+			t.Errorf("count %d opens to %v, want %d", c, got.Float(), want)
+		}
 	}
 }

@@ -1,34 +1,18 @@
 package runtime
 
 import (
-	"crypto/rand"
 	"fmt"
-	"io"
-	"math/big"
 
-	"arboretum/internal/ahe"
 	"arboretum/internal/fixed"
 	"arboretum/internal/lang"
 	"arboretum/internal/mpc"
 )
 
-func cryptoRand() io.Reader { return rand.Reader }
-
-func bigZero() *big.Int   { return big.NewInt(0) }
-func bigNegOne() *big.Int { return big.NewInt(-1) }
-
-// bigFromFixed converts an integral fixed-point value to a big.Int plaintext.
-func bigFromFixed(f fixed.Fixed) *big.Int { return big.NewInt(f.Int()) }
-
-// fractional reports whether f is not a whole number. A Paillier plaintext
-// is an integer, so such a public value may not meet a ciphertext.
-func fractional(f fixed.Fixed) bool { return f%fixed.One != 0 }
-
 // binary evaluates a binary operator, dispatching on the operands'
-// confidentiality: public×public stays local, ciphertexts use the AHE
-// homomorphisms where possible, and anything nonlinear moves into the
-// committee MPC (the planner's cryptosystem rule of Section 4.5, enforced
-// dynamically here).
+// confidentiality: public×public stays local, a public operand meets shares
+// locally where it can (constBinary), and anything else runs on shares in
+// the committee MPC (the planner's cryptosystem rule of Section 4.5,
+// enforced dynamically here).
 func (ip *interp) binary(ex *lang.BinaryExpr) (value, error) {
 	xv, err := ip.eval(ex.X)
 	if err != nil {
@@ -45,11 +29,8 @@ func (ip *interp) binary(ex *lang.BinaryExpr) (value, error) {
 	if xv.kind == vPublic && yv.kind == vPublic {
 		return ip.publicBinary(ex.Op, xv.num, yv.num)
 	}
-	// Ciphertext-friendly linear ops.
-	if xv.kind == vCipher || yv.kind == vCipher {
-		if v, ok, err := ip.cipherBinary(ex.Op, xv, yv); ok || err != nil {
-			return v, err
-		}
+	if v, ok := constBinary(ex.Op, xv, yv); ok {
+		return v, nil
 	}
 	// Division by a public constant on a confidential value: scale by the
 	// fixed-point reciprocal and truncate inside the MPC.
@@ -123,36 +104,36 @@ func (ip *interp) publicBinary(op lang.Token, x, y fixed.Fixed) (value, error) {
 	}
 }
 
-// cipherBinary handles the AHE-homomorphic cases: a ciphertext adds or
-// subtracts a ciphertext, and adds, subtracts or multiplies by an integral
-// public value. ok=false defers to the MPC, whose values are fixed-point.
-func (ip *interp) cipherBinary(op lang.Token, xv, yv value) (value, bool, error) {
+// constBinary applies a public operand to a shared one without a round: it
+// adds or subtracts either way round (AddConst) and multiplies by a whole
+// number (MulConst), exactly. ok=false leaves the rest to the MPC, whose
+// products of fixed-point shares truncate.
+func constBinary(op lang.Token, xv, yv value) (value, bool) {
 	if xv.kind == vPublic && op != lang.SUB { // + and * commute
 		xv, yv = yv, xv
 	}
-	if xv.kind != vCipher || (yv.kind == vPublic && fractional(yv.num)) {
-		return value{}, false, nil
+	sh, c := xv, yv
+	if op == lang.SUB && xv.kind == vPublic {
+		sh, c = yv, xv
 	}
-	pk := ip.km.pub
-	var ct *ahe.Ciphertext
-	var err error
+	if sh.kind != vShared || c.kind != vPublic {
+		return value{}, false
+	}
+	e := sh.eng.engine
+	var s mpc.Secret
 	switch {
-	case op == lang.ADD && yv.kind == vCipher:
-		ct, err = pk.Add(xv.ct, yv.ct)
-	case op == lang.ADD && yv.kind == vPublic:
-		ct, err = pk.AddPlain(xv.ct, bigFromFixed(yv.num))
-	case op == lang.SUB && yv.kind == vCipher:
-		if ct, err = pk.MulPlain(yv.ct, bigNegOne()); err == nil {
-			ct, err = pk.Add(xv.ct, ct)
-		}
-	case op == lang.SUB && yv.kind == vPublic:
-		ct, err = pk.AddPlain(xv.ct, bigFromFixed(yv.num.Neg()))
-	case op == lang.MUL && yv.kind == vPublic:
-		ct, err = pk.MulPlain(xv.ct, bigFromFixed(yv.num))
+	case op == lang.ADD:
+		s = e.AddConst(sh.sec, int64(c.num))
+	case op == lang.SUB && xv.kind == vShared:
+		s = e.AddConst(sh.sec, -int64(c.num))
+	case op == lang.SUB:
+		s = e.AddConst(e.MulConst(sh.sec, -1), int64(c.num))
+	case op == lang.MUL && c.num%fixed.One == 0:
+		s = e.MulConst(sh.sec, c.num.Int())
 	default:
-		return value{}, false, nil
+		return value{}, false
 	}
-	return value{kind: vCipher, ct: ct}, true, err
+	return value{kind: vShared, sec: s, eng: sh.eng}, true
 }
 
 func (ip *interp) sharedBinary(ce *committeeExec, op lang.Token, x, y mpc.Secret) (value, error) {

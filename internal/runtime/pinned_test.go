@@ -9,14 +9,14 @@ import (
 	"arboretum/internal/queries"
 )
 
-// TestPinnedOutputs pins the released values of three query shapes at fixed
-// seeds: top1 (the em path through decryptToShares), a laplace count (the
-// AHE noising path, with malicious devices armed) and secrecy (the bin
-// protocol's windowed sums). The values were recorded when every device
-// still uploaded one ciphertext per cell, so they hold the packed upload and
-// the key committee's unpack to the same bits. Each must come out identical
-// at GOMAXPROCS one and four and at two ingest shard/batch shapes (0 = the
-// default).
+// TestPinnedOutputs pins the released values of four query shapes at fixed
+// seeds: top1 (the em path), a laplace count (integer noise on a count, with
+// malicious devices armed), secrecy (the bin protocol's windowed sums) and
+// auction (prefix sums and public-by-shared products over the counts). The
+// values were recorded when every count was a ciphertext until its
+// vignette decrypted it, so they hold the one decryption into shares to the
+// same bits. Each must come out identical at GOMAXPROCS one and four and at
+// two ingest shard/batch shapes (0 = the default).
 func TestPinnedOutputs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,6 +29,7 @@ func TestPinnedOutputs(t *testing.T) {
 		{"top1", queries.Top1.Source, 8, 7, 0, []fixed.Fixed{262144}},
 		{"count", countSrc, 4, 11, 0.1, []fixed.Fixed{1769472}},
 		{"secrecy", queries.Secrecy.Source, 4, 3, 0, []fixed.Fixed{2097152, -128974848, 133169152, 65536}},
+		{"auction", queries.Auction.Source, 8, 5, 0, []fixed.Fixed{327680}},
 	}
 	shapes := []struct{ workers, shards, batch int }{ // workers: GOMAXPROCS
 		{1, 0, 0},
@@ -57,6 +58,25 @@ func TestPinnedOutputs(t *testing.T) {
 					t.Errorf("outputs %#v, pinned %#v", res.Outputs, tc.want)
 				}
 			})
+		}
+	}
+}
+
+// TestGapReleasesWholeNumber runs the gap query, whose laplace argument
+// clip(best − second, 0, 1024) is Int-typed: its noise is integer, so the
+// released g is a whole number, like every count's.
+func TestGapReleasesWholeNumber(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		d := smallDeployment(t, 64, 8, func(c *Config) {
+			c.Seed = seed
+			c.BudgetEpsilon = 1e9
+		})
+		res, err := d.Run(queries.Gap.Source, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := res.Outputs[1]; g%fixed.One != 0 {
+			t.Errorf("seed %d: released g = %v, want a whole number", seed, g.Float())
 		}
 	}
 }

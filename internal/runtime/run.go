@@ -56,9 +56,9 @@ type Result struct {
 	Accepted    int              // inputs that passed ZKP verification
 
 	// Spent is the ε the run released at each mechanism call site, keyed
-	// by Certificate.Mechanisms' Pos and counted at every open or decrypt of
-	// a noised value. A call site never spends more than its certified
-	// Epsilon × Invocations.
+	// by Certificate.Mechanisms' Pos and counted at every open of a noised
+	// value. A call site never spends more than its certified Epsilon ×
+	// Invocations.
 	Spent map[lang.Pos]float64
 }
 
@@ -162,10 +162,10 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	d.spent = map[lang.Pos]float64{}
 
 	// Sortition for this query round: committee 0 generates keys
-	// (Section 5.2), committee 1 runs the first operations/decryption
-	// vignettes, and later committees take over at mechanism boundaries
-	// with VSR hand-offs (Section 5.4). Extra committees also serve as
-	// spares when churn breaks one (Section 5.1).
+	// (Section 5.2), committee 1 decrypts the sums into its MPC and runs
+	// the first operations, and later committees take over at mechanism
+	// boundaries, the inputs moving by VSR transfer (Section 5.4). Extra
+	// committees also serve as spares when churn breaks one (Section 5.1).
 	const spares = 4
 	want := 2 + spares
 	if max := len(d.Devices) / d.cfg.CommitteeSize; want > max {
@@ -213,32 +213,23 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	// Input collection and audited aggregation (Section 5.3): the sums
 	// arrive combined and audited (docs/INGEST.md). Sampling queries run the
 	// bin protocol of Section 6: devices hide their contribution in a random
-	// bin and the committee decrypts only a secret window of bins.
+	// bin, and the committee sums only a secret window of bins.
 	var (
-		sums     []*ahe.Ciphertext
-		sampled  int
-		accepted int
+		res  *ingestResult
+		bins []int
 	)
 	if cert.SampleRate < 1 {
-		perBin, binOf, err := d.collectBinned(km, p.SumFanout)
-		if err != nil {
-			return nil, err
-		}
-		sums, sampled, err = d.windowSums(km, perBin, binOf, cert.SampleRate)
-		if err != nil {
-			return nil, err
-		}
-		accepted = len(binOf)
+		res, bins, err = d.collectBinned(km, p.SumFanout)
 	} else {
-		sums, accepted, err = d.collectInputs(km, p.SumFanout)
-		if err != nil {
-			return nil, err
-		}
-		sampled = accepted
+		res, err = d.collectInputs(km, p.SumFanout)
+	}
+	if err != nil {
+		return nil, err
 	}
 
-	// Hand the key to the operations committee via VSR (Section 5.2), then
-	// run the program with that committee attached.
+	// Hand the key to the decryption committee via VSR (Section 5.2), which
+	// decrypts the sums once into its MPC; then run the program with that
+	// committee attached.
 	if err := d.checkpoint("key hand-off"); err != nil {
 		return nil, err
 	}
@@ -249,11 +240,21 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	if err != nil {
 		return nil, err
 	}
+	counts, err := d.unpack(ce, km, res)
+	if err != nil {
+		return nil, err
+	}
+	sampled := res.accepted
+	if cert.SampleRate < 1 {
+		if counts, sampled, err = d.windowSums(ce, counts, bins, cert.SampleRate); err != nil {
+			return nil, err
+		}
+	}
 	ip := &interp{
-		dep: d, km: km, ce: ce,
+		dep: d, ce: ce,
 		pool:      pool,
 		env:       map[string]value{},
-		dbSums:    sums,
+		db:        value{kind: vSharedArr, secs: counts, eng: ce},
 		sites:     sites,
 		emVariant: p.EMVariant,
 	}
@@ -273,7 +274,7 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 		Plan:        p,
 		Auth:        auth,
 		Sampled:     sampled,
-		Accepted:    accepted,
+		Accepted:    res.accepted,
 		Spent:       d.spent,
 	}, nil
 }

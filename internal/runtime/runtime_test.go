@@ -179,6 +179,34 @@ output(c);`
 	}
 }
 
+// TestArrayWritesDoNotAlias: writing an element of one array never changes
+// another name's array or the counts a later sum(db) returns. Either would
+// release a multiple of a count under a certificate that charges
+// sensitivity 1. At ε = 1000 the integer noise is 0, so each release is the
+// count itself.
+func TestArrayWritesDoNotAlias(t *testing.T) {
+	d := smallDeployment(t, 64, 2, func(c *Config) {
+		c.Data = func(int) int { return 0 }
+		c.BudgetEpsilon = 1e4
+	})
+	for _, src := range []string{
+		"h = sum(db); h[0] = h[0] * 3; k = sum(db); output(declassify(laplace(k[0], 1000)));",
+		"h = sum(db); a = h; a[0] = h[0] * 3; output(declassify(laplace(h[0], 1000)));",
+		"h[0] = 5; h[1] = 6; a = h; a[0] = 7; output(h[0]); k = sum(db); output(declassify(laplace(k[0], 1000)));",
+	} {
+		res, err := d.Run(src, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := res.Outputs[len(res.Outputs)-1].Float(); got != 64 {
+			t.Errorf("%s: released %g, want the count 64", src, got)
+		}
+		if len(res.Outputs) == 2 && res.Outputs[0].Float() != 5 {
+			t.Errorf("%s: h[0] = %g after a write to its copy, want 5", src, res.Outputs[0].Float())
+		}
+	}
+}
+
 // Malicious devices with malformed inputs must be rejected by the ZKP check
 // and not corrupt the counts (Section 5.3).
 func TestMaliciousInputsRejected(t *testing.T) {
@@ -512,9 +540,10 @@ func shrinkQuery(src string) string {
 	return src
 }
 
-// Mechanism calls on fresh ciphertext inputs rotate to new committees with
-// VSR hand-offs; shares created by one committee can still meet shares from
-// another through the re-sharing transfer (the gap query's pattern).
+// Mechanism calls on inputs the decryption committee holds rotate to new
+// committees, the inputs following by VSR transfer; shares created by one
+// committee can still meet shares from another through the re-sharing
+// transfer (the gap query's pattern).
 func TestCommitteeRotationAndTransfer(t *testing.T) {
 	d := smallDeployment(t, 160, 8, func(c *Config) {
 		c.Data = skewedData(2, 8)
@@ -538,8 +567,9 @@ output(declassify(g));`
 	if g := res.Outputs[1].Float(); g < -20 || g > 1044 {
 		t.Errorf("gap = %g out of range", g)
 	}
-	// em + 2×max rotate: more than the 3 baseline hand-offs (keygen→ops and
-	// the two key rotations), plus share transfers for best−second.
+	// The key hand-off (keygen→decryption), the inputs of em and the two
+	// max moving to rotated committees, plus share transfers for
+	// best−second.
 	if d.Metrics.VSRTransfers < 3 {
 		t.Errorf("VSR transfers = %d, want several (rotations + share moves)", d.Metrics.VSRTransfers)
 	}

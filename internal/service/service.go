@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,6 +171,10 @@ type Server struct {
 	// dequeued job — a test hook for deterministic queue scenarios.
 	hold chan struct{}
 
+	// run executes one job's deployment: runDeployment, which a test may
+	// swap for another while the executors are held.
+	run func(context.Context, *Job) (*runtime.Result, string, error)
+
 	closeOnce   sync.Once
 	closeErr    error
 	workersDone chan struct{}
@@ -234,6 +239,7 @@ func newServer(cfg Config, hold chan struct{}) (*Server, error) {
 		hold:        hold,
 		workersDone: make(chan struct{}),
 	}
+	s.run = s.runDeployment
 	if err := s.recoverJobs(replayed.jobs); err != nil {
 		return nil, errors.Join(fmt.Errorf("service: crash recovery: %w", err), led.Close())
 	}
@@ -487,7 +493,11 @@ func (s *Server) settle(j *Job, rec *ledger.Record, terminal func(*Job)) {
 // normally surfaces as a prompt typed error from the run itself; a run
 // wedged between checkpoints is abandoned abandonGrace past the deadline —
 // the executor slot is reclaimed and the stray goroutine's eventual result
-// discarded (it cannot settle: settlement happens exactly once, here).
+// discarded (it cannot settle: settlement happens exactly once, here). A
+// run that panics — on this goroutine or on a pool worker, whose panic
+// parallel.Map forwards here — fails its job alone: the value and stack go
+// to Logf and the job fails with execution_error, releasing its
+// reservation.
 func (s *Server) runJob(ctx context.Context, j *Job) (*runtime.Result, string, error) {
 	type outcome struct {
 		res    *runtime.Result
@@ -497,7 +507,13 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*runtime.Result, string, e
 	ch := make(chan outcome, 1)
 	//arblint:ignore rawgo per-job watchdog so a deadline can abandon a wedged deployment; buffered channel, never leaks
 	go func() {
-		res, report, err := s.runDeployment(ctx, j)
+		defer func() {
+			if v := recover(); v != nil {
+				s.cfg.Logf("service: job %s: run panicked: %v\n%s", j.ID, v, debug.Stack())
+				ch <- outcome{err: fmt.Errorf("service: run panicked: %v", v)}
+			}
+		}()
+		res, report, err := s.run(ctx, j)
 		ch <- outcome{res, report, err}
 	}()
 	select {

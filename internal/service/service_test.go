@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -238,6 +239,9 @@ func TestAdmissionRejections(t *testing.T) {
 			http.StatusBadRequest, "not_private"},
 		{"explicit ε = 0 (nothing to charge, nothing to run) refused by the front end",
 			map[string]string{"tenant": "alice", "source": "hist = sum(db);\noutput(declassify(laplace(hist[0], 0)));"},
+			http.StatusBadRequest, "not_private"},
+		{"a program with no mechanism (nothing to charge) refused by the front end",
+			map[string]string{"tenant": "alice", "source": "aggr = sum(db);\noutput(1);"},
 			http.StatusBadRequest, "not_private"},
 		{"unknown tenant",
 			map[string]string{"tenant": "mallory", "source": countQuery},
@@ -824,5 +828,57 @@ func TestHealthAndTenantEndpoints(t *testing.T) {
 	}
 	if code := call(t, "GET", fmt.Sprintf("%s/v1/queries?tenant=", ts.URL), nil, &e); code != http.StatusBadRequest {
 		t.Fatalf("listing without tenant: HTTP %d", code)
+	}
+}
+
+// TestRunPanicFailsTheJobAlone: a run that panics fails its own job with
+// execution_error, logs the panic value and its stack, and releases the
+// reservation; the daemon keeps serving, and the next job completes.
+func TestRunPanicFailsTheJobAlone(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Tenants = []TenantSpec{{ID: "acme", Epsilon: 10, Delta: 1e-6}}
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	cfg.Logf = func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	hold := make(chan struct{})
+	s, ts := startT(t, cfg, hold)
+	// Swapped while the executors are held; the hold's close orders it
+	// before their first read. Only the first run panics.
+	var once sync.Once
+	s.run = func(ctx context.Context, j *Job) (*runtime.Result, string, error) {
+		once.Do(func() { panic("injected run panic") })
+		return s.runDeployment(ctx, j)
+	}
+	close(hold)
+
+	j, code, _ := submit(t, ts.URL, "acme", countQuery)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	if f := waitTerminal(t, ts.URL, j.ID); f.State != JobFailed || f.ErrorCode != "execution_error" {
+		t.Fatalf("panicking job: state %s code %q (%s), want failed execution_error", f.State, f.ErrorCode, f.Error)
+	}
+	if b := budget(t, ts.URL, "acme"); b.EpsReserved != 0 || b.EpsSpent != 0 {
+		t.Fatalf("after the panic: balance %+v, want nothing reserved or spent", b)
+	}
+	logMu.Lock()
+	logged := strings.Join(logs, "\n")
+	logMu.Unlock()
+	if !strings.Contains(logged, "injected run panic") || !strings.Contains(logged, "goroutine") {
+		t.Errorf("log %q lacks the panic value and its stack", logged)
+	}
+
+	j, code, _ = submit(t, ts.URL, "acme", countQuery)
+	if code != http.StatusAccepted {
+		t.Fatalf("second submit: HTTP %d", code)
+	}
+	if f := waitTerminal(t, ts.URL, j.ID); f.State != JobDone {
+		t.Fatalf("job after the panic: state %s (%s), want done", f.State, f.Error)
 	}
 }

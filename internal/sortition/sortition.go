@@ -44,22 +44,6 @@ func MakeTicket(deviceKey []byte, device int, block []byte, queryID uint64) Tick
 // Committee is an ordered list of device indices.
 type Committee []int
 
-// Equal reports whether two committees have the same members in the same
-// order (sortition output is ordered, so order-sensitive equality is the
-// identity test the runtime needs when matching a committee against the
-// current key holder).
-func (c Committee) Equal(o Committee) bool {
-	if len(c) != len(o) {
-		return false
-	}
-	for i, id := range c {
-		if id != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Select forms c committees of m members each from the tickets. It returns
 // an error if there are fewer than c·m tickets.
 func Select(tickets []Ticket, c, m int) ([]Committee, error) {

@@ -216,12 +216,28 @@ func (in *inferencer) stmt(s lang.Stmt) error {
 		// whose range grows per iteration; their growth is then scaled by
 		// the iteration count (conservative, Section 4.4).
 		before := snapshot(in.info.Vars)
-		if err := in.stmts(st.Body); err != nil {
-			return err
-		}
-		afterOnce := snapshot(in.info.Vars)
-		if err := in.stmts(st.Body); err != nil {
-			return err
+		var afterOnce map[string]Type
+		for {
+			if err := in.stmts(st.Body); err != nil {
+				return err
+			}
+			afterOnce = snapshot(in.info.Vars)
+			if err := in.stmts(st.Body); err != nil {
+				return err
+			}
+			// A variable the second pass still made Fix can carry Fix on
+			// to another on a third (a chain of copies carries it one
+			// variable per pass), so the passes start over from before
+			// with it Fix. Only variables defined before the loop carry a
+			// value from one iteration to the next (the body cannot read
+			// another before writing it), and each start over makes one
+			// more of them Fix for good, so this ends after at most
+			// len(before) of them. Other kind changes (a Bool and an Int
+			// swapped through a temporary) never start over.
+			if !widenToFix(before, afterOnce, in.info.Vars) {
+				break
+			}
+			in.info.Vars = snapshot(before)
 		}
 		for name, t2 := range in.info.Vars {
 			t1, ok1 := afterOnce[name]
@@ -259,6 +275,20 @@ func (in *inferencer) stmt(s lang.Stmt) error {
 	default:
 		return fmt.Errorf("%v: unknown statement %T", s.Position(), s)
 	}
+}
+
+// widenToFix makes Fix in before every variable that is Fix in now but
+// neither in after nor already in before, and reports whether there was one.
+func widenToFix(before, after, now map[string]Type) bool {
+	widened := false
+	for name, t := range before {
+		if t.Kind != Fix && after[name].Kind != Fix && now[name].Kind == Fix {
+			t.Kind = Fix
+			before[name] = t
+			widened = true
+		}
+	}
+	return widened
 }
 
 func snapshot(m map[string]Type) map[string]Type {
@@ -464,8 +494,14 @@ func (in *inferencer) call(ex *lang.CallExpr) (Type, error) {
 		hi := math.Max(math.Abs(args[0].Range.Lo), math.Abs(args[0].Range.Hi))
 		return Type{Kind: args[0].Kind, Range: Range{0, hi}}, nil
 	case "clip":
+		// A fractional bound can be the result, so it makes the result Fix:
+		// an Int value is always a whole number.
 		lo, hi := args[1].Range.Lo, args[2].Range.Hi
-		return Type{Kind: args[0].Kind, Range: Range{lo, hi}}, nil
+		kind := args[0].Kind
+		if args[1].Kind == Fix || args[2].Kind == Fix {
+			kind = Fix
+		}
+		return Type{Kind: kind, Range: Range{lo, hi}}, nil
 	case "sampleUniform":
 		return Type{Kind: Fix, Range: Range{0, args[0].Range.Hi}}, nil
 	case "len":

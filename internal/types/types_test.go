@@ -141,15 +141,78 @@ endfor;
 	}
 }
 
+// TestClipTightensRange: clip narrows the range to its bounds, and keeps
+// an Int argument Int only between Int bounds: a fractional bound can be
+// the result, so it makes the result Fix.
 func TestClipTightensRange(t *testing.T) {
 	info := infer(t, `
 a = sum(db);
 b = clip(a[0], 0, 100);
+c = clip(a[0], 0.5, 100);
+d = clip(a[0], 0, 99.5);
 `, oneHotDB)
 	b := info.Vars["b"]
 	if b.Range.Lo != 0 || b.Range.Hi != 100 {
 		t.Errorf("clip range = %+v", b.Range)
 	}
+	for name, want := range map[string]Kind{"b": Int, "c": Fix, "d": Fix} {
+		if got := info.Vars[name].Kind; got != want {
+			t.Errorf("%s: kind %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestLoopKindFixpoint: a Fix value carried around a loop through a chain
+// of copies reaches the head of the chain only on the third pass, and the
+// type of every use in the body is the one the loop converges to.
+func TestLoopKindFixpoint(t *testing.T) {
+	prog, err := lang.Parse(`
+h = sum(db);
+a = 0;
+b = 0;
+c = 0;
+for i = 0 to 3 do
+  g = a;
+  a = b;
+  b = c;
+  c = h[0] / 2;
+endfor;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := Infer(prog, oneHotDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	use := prog.Stmts[4].(*lang.ForStmt).Body[0].(*lang.AssignStmt).Value
+	if got, _ := info.TypeOf(use); got.Kind != Fix {
+		t.Errorf("a at the loop head: kind %v, want Fix", got.Kind)
+	}
+	if got := info.Vars["g"].Kind; got != Fix {
+		t.Errorf("g: kind %v, want Fix", got)
+	}
+	// Variables the body defines keep their widest kind from pass to pass
+	// without carrying a value between iterations; inference still ends.
+	infer(t, `
+for i = 0 to 3 do
+  x = 1;
+  y = x;
+  x = 0.5;
+endfor;
+`, oneHotDB)
+	// A Bool and an Int swapped through a temporary change kind on every
+	// pass and never become Fix: inference does not start over for them,
+	// and ends.
+	infer(t, `
+a = true;
+b = 0;
+for i = 0 to 1 do
+  t = a;
+  a = b;
+  b = t;
+endfor;
+`, oneHotDB)
 }
 
 func TestDBIndexing(t *testing.T) {

@@ -18,12 +18,3 @@ type PrivateKey struct {
 func (k *PrivateKey) Decrypt(ct *Ciphertext) (int64, error) {
 	return ct.C - k.D, nil
 }
-
-// Sum mirrors the real homomorphic accumulator.
-func Sum(cts []*Ciphertext) *Ciphertext {
-	out := &Ciphertext{}
-	for _, ct := range cts {
-		out.C += ct.C
-	}
-	return out
-}

@@ -34,10 +34,10 @@ func LeakViaHelper(w io.Writer, key *ahe.PrivateKey, ct *ahe.Ciphertext) {
 	writeJSON(w, raw) // want `raw aggregate from ahe.Decrypt reaches release sink json.Encode via writeJSON`
 }
 
-// LeakSum leaks through the other raw-aggregate producer and json.Marshal.
-func LeakSum(cts []*ahe.Ciphertext) []byte {
-	total := ahe.Sum(cts)
-	out, _ := json.Marshal(total) // want `raw aggregate from ahe.Sum reaches release sink json.Marshal`
+// LeakMarshal leaks the raw sum through json.Marshal.
+func LeakMarshal(key *ahe.PrivateKey, ct *ahe.Ciphertext) []byte {
+	raw, _ := key.Decrypt(ct)
+	out, _ := json.Marshal(raw) // want `raw aggregate from ahe.Decrypt reaches release sink json.Marshal`
 	return out
 }
 

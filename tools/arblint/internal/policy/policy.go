@@ -178,7 +178,7 @@ var ReleaseBoundaries = Set{
 // secret-shared values. These are the §5 intermediate values nothing may
 // release un-noised.
 var RawAggregateSources = map[string]map[string]bool{
-	"internal/ahe":    {"Decrypt": true, "Sum": true},
+	"internal/ahe":    {"Decrypt": true},
 	"internal/shamir": {"Reconstruct": true},
 }
 
