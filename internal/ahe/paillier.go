@@ -129,8 +129,10 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 // length, whose fixed-base table is sized for about encryptions encryptions:
 // more still encrypt correctly, each walk a few steps longer than the
 // table's best. bits must be even, so that two primes of bits/2 bits with
-// their top two bits set make it, and at least 128 (tests use small keys;
-// deployments use ≥ 2048). The two primes are drawn side by side on the
+// their top two bits set make it, and at least 128. The runtime draws keys
+// of runtime.Config.KeyBits bits, 512 by default, and no command or service
+// option sets another size; a 512-bit modulus can be factored, so a real
+// deployment needs 2048 or more. The two primes are drawn side by side on the
 // worker pool (randomPrime), through a mutex-wrapped reader unless random is
 // crypto/rand's; which of them reads which bytes depends on the schedule, so
 // a seeded reader does not make the key reproducible. The key is built by

@@ -471,29 +471,35 @@ func (e *Engine) Sum(vals []Secret) (Secret, error) {
 	return acc, nil
 }
 
-// Transfer re-shares a secret held by one committee into another committee's
+// Transfer re-shares secrets held by one committee into another committee's
 // MPC — the share-level core of the verifiable secret redistribution that
 // Arboretum uses between consecutive MPC vignettes (Section 5.4): each
-// member of the sending committee re-shares its share into the receiving
-// committee, and the receivers combine the sub-shares with the senders'
-// Lagrange coefficients. (The commitment-verification layer lives in
-// internal/vsr; the runtime uses it for key material, and this for
-// in-protocol values.) Both engines record the communication.
-func Transfer(from *Engine, s Secret, to *Engine) Secret {
+// member of the sending committee re-shares its share of every secret into
+// the receiving committee, and the receivers combine the sub-shares with the
+// senders' Lagrange coefficients. (The commitment-verification layer lives
+// in internal/vsr; the runtime uses it for key material, and this for
+// in-protocol values.) Both engines record the communication: one round
+// however many secrets move, and per secret the bytes and local
+// multiplications of moving it alone.
+func Transfer(from *Engine, ss []Secret, to *Engine) []Secret {
 	// Lagrange coefficients for the sending committee's first T points.
 	lambda := from.lagrange
-	out := to.newSecret()
+	out := make([]Secret, len(ss))
 	sub := to.ws().tmp
-	for i := 0; i < from.T; i++ {
-		to.shareInto(sub, s.shares[i])
-		for j := range out.shares {
-			out.shares[j] = fadd(out.shares[j], fmul(lambda[i], sub[j]))
+	for k, s := range ss {
+		out[k] = to.newSecret()
+		for i := 0; i < from.T; i++ {
+			to.shareInto(sub, s.shares[i])
+			for j := range out[k].shares {
+				out[k].shares[j] = fadd(out[k].shares[j], fmul(lambda[i], sub[j]))
+			}
 		}
 	}
-	// Each sender distributes sub-shares to every receiver (one round);
-	// receivers combine locally.
+	// Each sender distributes its sub-shares of every secret to every
+	// receiver in one round; receivers combine locally.
+	n := int64(len(ss))
 	from.stats.Rounds++
-	from.stats.TotalBytes += int64(8*to.M) * int64(from.T)
-	to.stats.LocalMults += int64(from.T * to.M)
+	from.stats.TotalBytes += n * int64(8*to.M) * int64(from.T)
+	to.stats.LocalMults += n * int64(from.T*to.M)
 	return out
 }

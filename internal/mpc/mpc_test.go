@@ -488,15 +488,16 @@ func TestTransferBetweenEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		moved := Transfer(from, s, to)
-		if got := to.Open(moved); got != v {
+		moved := Transfer(from, []Secret{s}, to)
+		if got := to.Open(moved[0]); got != v {
 			t.Errorf("Transfer(%d) opened to %d", v, got)
 		}
 	}
 	// The receiving committee can keep computing on the moved value.
 	a, _ := from.Input(0, 10)
 	b, _ := from.Input(1, 32)
-	ma, mb := Transfer(from, a, to), Transfer(from, b, to)
+	moved := Transfer(from, []Secret{a, b}, to)
+	ma, mb := moved[0], moved[1]
 	if got := to.Open(to.Add(ma, mb)); got != 42 {
 		t.Errorf("post-transfer add = %d", got)
 	}
@@ -519,8 +520,8 @@ func TestTransferRerandomizes(t *testing.T) {
 	from := newEngine(t, 5)
 	to := newEngine(t, 5)
 	s, _ := from.Input(0, 7)
-	m1 := Transfer(from, s, to)
-	m2 := Transfer(from, s, to)
+	m1 := Transfer(from, []Secret{s}, to)[0]
+	m2 := Transfer(from, []Secret{s}, to)[0]
 	same := true
 	for i := range m1.shares {
 		if m1.shares[i] != m2.shares[i] {

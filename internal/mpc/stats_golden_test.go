@@ -36,6 +36,8 @@ var statsGoldens = []statsGolden{
 	{"FixedExp/5", 330, 648, 319, 160, 0, 103712, 45080, 6889, "2-330"},
 	{"Transfer/5", 2, 0, 0, 0, 0, 1016, 0, 0, ""},
 	{"Transfer/5→41", 0, 0, 0, 0, 0, 0, 0, 123, ""},
+	{"TransferArray/5", 4, 0, 0, 0, 0, 3048, 0, 0, ""},
+	{"TransferArray/5→41", 0, 0, 0, 0, 0, 0, 0, 369, ""},
 	{"Input/41", 1, 0, 0, 0, 0, 320, 0, 0, ""},
 	{"Mul/41", 3, 2, 1, 0, 0, 26880, 984, 124, "3"},
 	{"Less/41", 96, 187, 93, 47, 1, 2454080, 107256, 15571, "3-96"},
@@ -43,6 +45,8 @@ var statsGoldens = []statsGolden{
 	{"FixedExp/41", 330, 648, 319, 160, 0, 8502080, 369656, 54157, "2-330"},
 	{"Transfer/41", 2, 0, 0, 0, 0, 1160, 0, 0, ""},
 	{"Transfer/41→5", 0, 0, 0, 0, 0, 0, 0, 105, ""},
+	{"TransferArray/41", 4, 0, 0, 0, 0, 3480, 0, 0, ""},
+	{"TransferArray/41→5", 0, 0, 0, 0, 0, 0, 0, 315, ""},
 }
 
 // statsScenario runs one protocol on fresh engines of m parties and returns
@@ -106,8 +110,19 @@ func statsScenario(t *testing.T, op string, m int) (names []string, engines []*E
 	case "Transfer":
 		to := newEngine(t, 46-m) // 5 → 41 and 41 → 5
 		watch(fmt.Sprintf("%s/%d→%d", op, m, to.M), to)
-		moved := Transfer(e, input(0, 424242), to)
-		check = func() { wantOpen(t, to, moved, 424242) }
+		moved := Transfer(e, []Secret{input(0, 424242)}, to)
+		check = func() { wantOpen(t, to, moved[0], 424242) }
+	case "TransferArray":
+		// Three secrets move in the one round of one secret, at three
+		// times its bytes and local multiplications.
+		to := newEngine(t, 46-m)
+		watch(fmt.Sprintf("%s/%d→%d", op, m, to.M), to)
+		moved := Transfer(e, []Secret{input(0, 7), input(1, -8), input(2, 9)}, to)
+		check = func() {
+			for i, v := range []int64{7, -8, 9} {
+				wantOpen(t, to, moved[i], v)
+			}
+		}
 	default:
 		t.Fatalf("unknown protocol %q", op)
 	}
@@ -158,7 +173,7 @@ func TestStatsGolden(t *testing.T) {
 		want[g.name] = g
 	}
 	for _, m := range []int{5, 41} {
-		for _, op := range []string{"Input", "Mul", "Less", "Argmax", "FixedExp", "Transfer"} {
+		for _, op := range []string{"Input", "Mul", "Less", "Argmax", "FixedExp", "Transfer", "TransferArray"} {
 			names, engines, observed, check := statsScenario(t, op, m)
 			for i, e := range engines {
 				s := e.Stats()

@@ -24,7 +24,9 @@
 // coordinating goroutine before any parallel section starts, the parallel
 // sections use only crypto/rand (whose output never reaches the released
 // values), and shard results are re-assembled in shard order, which is
-// device order. See docs/CONCURRENCY.md.
+// device order. From a deployment's second query on, the phase after
+// collection runs as one pool task beside a second that draws the next
+// query's key and touches no deployment state. See docs/CONCURRENCY.md.
 package runtime
 
 import (
@@ -142,6 +144,11 @@ type Deployment struct {
 	// retries and consecutive queries.
 	vignetteSeq int
 	transferSeq int
+
+	// spare is a query key drawn ahead, beside the previous query's
+	// post-collection phase (execute); keygen takes or drops it, so a key
+	// still serves one query.
+	spare spareKey
 
 	// spent is the current query's tally of released ε by mechanism call
 	// site (Result.Spent). It is written at each open of a noised value,
@@ -392,16 +399,34 @@ type keyMaterial struct {
 	holder      sortition.Committee
 }
 
+// spareKey is a key drawn ahead for a query of encryptions encryptions, or
+// the error that draw failed with.
+type spareKey struct {
+	sk          *ahe.PrivateKey
+	encryptions int
+	err         error
+}
+
+// drawKey draws every query key (a variable so that a test can watch the
+// draws).
+var drawKey = ahe.GenerateKeyFor
+
 // keygen runs the key-generation committee: a fresh Paillier keypair whose
 // prime p is immediately secret-shared among the committee (shareKey); the clear
 // private key is discarded (the simulation's stand-in for generating the key
 // inside the MPC — see DESIGN.md). Its fixed-base table is sized for
-// encryptions (keyEncryptions). It also advances the sortition block with
-// the committee's joint randomness.
+// encryptions (keyEncryptions): the spare key drawn ahead if its table was
+// sized for the same count, else a key drawn now. It also advances the
+// sortition block with the committee's joint randomness.
 func (d *Deployment) keygen(committee sortition.Committee, encryptions int) (*keyMaterial, error) {
-	sk, err := ahe.GenerateKeyFor(rand.Reader, d.cfg.KeyBits, encryptions)
-	if err != nil {
-		return nil, err
+	spare := d.spare
+	d.spare = spareKey{}
+	sk := spare.sk
+	if sk == nil || spare.encryptions != encryptions {
+		var err error
+		if sk, err = drawKey(rand.Reader, d.cfg.KeyBits, encryptions); err != nil {
+			return nil, errors.Join(err, spare.err)
+		}
 	}
 	km, err := shareKey(sk, committee)
 	if err != nil {

@@ -417,14 +417,10 @@ func (ip *interp) toSharedIn(ce *committeeExec, v value) (value, error) {
 		if v.kind == vShared {
 			return value{
 				kind: vShared, eng: ce,
-				sec: mpc.Transfer(v.eng.engine, v.sec, ce.engine),
+				sec: mpc.Transfer(v.eng.engine, []mpc.Secret{v.sec}, ce.engine)[0],
 			}, nil
 		}
-		secs := make([]mpc.Secret, len(v.secs))
-		for i, s := range v.secs {
-			secs[i] = mpc.Transfer(v.eng.engine, s, ce.engine)
-		}
-		return value{kind: vSharedArr, secs: secs, eng: ce}, nil
+		return value{kind: vSharedArr, secs: mpc.Transfer(v.eng.engine, v.secs, ce.engine), eng: ce}, nil
 	case vPublic:
 		return value{kind: vShared, sec: ce.engine.JointFixed(v.num), eng: ce}, nil
 	case vPublicArr:

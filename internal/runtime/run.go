@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 
@@ -188,7 +189,8 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	}
 	d.queryID++
 
-	km, err := d.keygen(committees[0], d.keyEncryptions(cert.SampleRate < 1))
+	encryptions := d.keyEncryptions(cert.SampleRate < 1)
+	km, err := d.keygen(committees[0], encryptions)
 	if err != nil {
 		return nil, err
 	}
@@ -230,43 +232,53 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	// Hand the key to the decryption committee via VSR (Section 5.2), which
 	// decrypts the sums once into its MPC; then run the program with that
 	// committee attached.
-	if err := d.checkpoint("key hand-off"); err != nil {
-		return nil, err
-	}
-	if err := km.handoff(d, committees[1]); err != nil {
-		return nil, err
-	}
-	ce, err := d.newCommittee(committees[1])
-	if err != nil {
-		return nil, err
-	}
-	counts, err := d.unpack(ce, km, res)
-	if err != nil {
-		return nil, err
-	}
-	sampled := res.accepted
-	if cert.SampleRate < 1 {
-		if counts, sampled, err = d.windowSums(ce, counts, bins, cert.SampleRate); err != nil {
-			return nil, err
+	var (
+		ip      *interp
+		sampled int
+	)
+	decryptAndRun := func() error {
+		if err := d.checkpoint("key hand-off"); err != nil {
+			return err
 		}
+		if err := km.handoff(d, committees[1]); err != nil {
+			return err
+		}
+		ce, err := d.newCommittee(committees[1])
+		if err != nil {
+			return err
+		}
+		counts, err := d.unpack(ce, km, res)
+		if err != nil {
+			return err
+		}
+		sampled = res.accepted
+		if cert.SampleRate < 1 {
+			if counts, sampled, err = d.windowSums(ce, counts, bins, cert.SampleRate); err != nil {
+				return err
+			}
+		}
+		ip = &interp{
+			dep: d, ce: ce,
+			pool:      pool,
+			env:       map[string]value{},
+			db:        value{kind: vSharedArr, secs: counts, eng: ce},
+			sites:     sites,
+			emVariant: p.EMVariant,
+		}
+		if err := ip.run(prog.Stmts); err != nil {
+			return err
+		}
+		// Fold every committee engine's traffic into the metrics
+		// (rotated-away committees may have kept serving transfers).
+		for _, e := range d.execs {
+			e.flushMetrics()
+		}
+		d.execs = nil
+		return nil
 	}
-	ip := &interp{
-		dep: d, ce: ce,
-		pool:      pool,
-		env:       map[string]value{},
-		db:        value{kind: vSharedArr, secs: counts, eng: ce},
-		sites:     sites,
-		emVariant: p.EMVariant,
-	}
-	if err := ip.run(prog.Stmts); err != nil {
+	if err := d.drawingAhead(encryptions, decryptAndRun); err != nil {
 		return nil, err
 	}
-	// Fold every committee engine's traffic into the metrics (rotated-away
-	// committees may have kept serving transfers).
-	for _, e := range d.execs {
-		e.flushMetrics()
-	}
-	d.execs = nil
 
 	return &Result{
 		Outputs:     ip.outputs,
@@ -277,6 +289,30 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 		Accepted:    res.accepted,
 		Spent:       d.spent,
 	}, nil
+}
+
+// drawingAhead runs phase, a query's committee phase, and from a
+// deployment's second query on draws the next query's key beside it, sized
+// for encryptions, as the deployment's spare. The MPC runs on one core, so
+// the draw leaves the critical path. It touches nothing of the deployment,
+// and both tasks end before drawingAhead returns; at one worker they run in
+// order. A deployment's first query may be its only one (the gateway builds
+// a deployment per job), so it draws no key ahead.
+func (d *Deployment) drawingAhead(encryptions int, phase func() error) error {
+	if d.queryID == 1 {
+		return phase()
+	}
+	var ahead spareKey
+	err := parallel.ForEach(nil, 2, 0, func(i int) error {
+		if i == 0 {
+			return phase()
+		}
+		ahead.sk, ahead.err = drawKey(rand.Reader, d.cfg.KeyBits, encryptions)
+		ahead.encryptions = encryptions
+		return nil
+	})
+	d.spare = ahead
+	return err
 }
 
 // foldGroups folds vectors column-wise in contiguous groups of the given
