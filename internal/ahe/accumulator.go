@@ -10,7 +10,7 @@ import "math/big"
 // QuoRem straight back into the running value, so a steady-state fold
 // performs zero heap allocations regardless of length. The streaming ingest
 // pipeline (internal/runtime) keeps one accumulator per ciphertext cell per
-// shard.
+// shard, and its audit and shard-combine tree fold on accumulators too.
 //
 // An Accumulator is not safe for concurrent use. It starts empty; Set seeds
 // it with a ciphertext, Add folds one in (the first Add into an empty

@@ -342,7 +342,9 @@ func (pk *PublicKey) check(cts ...*Ciphertext) error {
 }
 
 // Add returns a ciphertext encrypting the sum of the two plaintexts: the ⊞
-// operator of Section 2.2.
+// operator of Section 2.2. The runtime folds on Accumulators; of the
+// programs, only the benchmark's kernel timing (bench/replay.go) still calls
+// Add.
 func (pk *PublicKey) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := pk.check(a, b); err != nil {
 		return nil, err

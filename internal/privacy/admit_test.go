@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"arboretum/internal/lang"
 	"arboretum/internal/queries"
 	"arboretum/internal/types"
 )
@@ -52,7 +53,8 @@ func TestQueriesAdmitUnderLoopBound(t *testing.T) {
 // rate in (0, 1], a finite δ, at least one mechanism (a query with none is
 // refused with ErrNoMechanism), a positive finite ε that is the sequential
 // composition of the recorded mechanisms, lowered, never raised, by
-// sampling, and a sensitivity of at least 1 on every row.
+// sampling, and a sensitivity of at least 1 on every row. Admitted work is
+// bounded too: no loop nest runs its body more than maxLoopWork times.
 func FuzzAdmit(f *testing.F) {
 	for _, q := range queries.All {
 		f.Add(q.Source)
@@ -63,11 +65,13 @@ func FuzzAdmit(f *testing.F) {
 	f.Add("sampleUniform(0.5); aggr = sum(db); c = laplace(aggr[0], 800); output(declassify(c));")
 	f.Add("aggr = sum(db); acc = 0; for i = 0 to 3 do acc = acc + aggr[0]; endfor; output(declassify(laplace(acc, 1.0)));")
 	f.Add("a = true; b = 0; for i = 0 to 1 do t = a; a = b; b = t; endfor; aggr = sum(db); output(declassify(laplace(aggr[0], 1.0)));")
+	// 1025² body runs: refused, past maxLoopWork.
+	f.Add("aggr = sum(db); for i = 0 to 1024 do if i < 2 then for j = 0 to 1024 do x = j; endfor; endif; endfor; output(declassify(laplace(aggr[0], 1.0)));")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4<<10 {
 			t.Skip()
 		}
-		_, _, c1, err1 := Admit(src, db)
+		prog, info, c1, err1 := Admit(src, db)
 		_, _, c2, err2 := Admit(src, db)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("nondeterministic admission: %v vs %v", err1, err2)
@@ -101,7 +105,30 @@ func FuzzAdmit(f *testing.F) {
 		case c1.Epsilon > composed*(1+1e-12):
 			t.Fatalf("ε = %g at sample rate %g, mechanisms compose to %g", c1.Epsilon, c1.SampleRate, composed)
 		}
+		if w := loopWork(info, prog.Stmts); w > maxLoopWork {
+			t.Fatalf("admitted a loop nest that runs its body %d times, more than %d", w, maxLoopWork)
+		}
 	})
+}
+
+// loopWork is the most times any loop nest in stmts runs its innermost body:
+// the largest product of types.Info.LoopIters down a nest, through both arms
+// of every if, saturated at maxLoopWork+1.
+func loopWork(info *types.Info, stmts []lang.Stmt) int64 {
+	most := int64(1)
+	for _, s := range stmts {
+		switch st := s.(type) {
+		case *lang.ForStmt:
+			iters, inner := info.LoopIters(st), loopWork(info, st.Body)
+			if iters > maxLoopWork/inner {
+				return maxLoopWork + 1
+			}
+			most = max(most, iters*inner)
+		case *lang.IfStmt:
+			most = max(most, loopWork(info, st.Then), loopWork(info, st.Else))
+		}
+	}
+	return most
 }
 
 // TestNoMechanismRefused: a program that calls no mechanism — public output

@@ -100,12 +100,15 @@ func TestPickViableReassigns(t *testing.T) {
 	}
 	healthy := sortition.Committee{10, 11, 12, 13, 14}
 	healthy2 := sortition.Committee{20, 21, 22, 23, 24}
-	out, consumed, err := d.pickViable([]sortition.Committee{broken, healthy, healthy2}, 2)
+	healthy3 := sortition.Committee{30, 31, 32, 33, 34}
+	// A broken committee among the spares is no reassignment: it is left out
+	// of the pool.
+	out, spares, err := d.pickViable([]sortition.Committee{broken, healthy, healthy2, broken, healthy3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0][0] != 10 || out[1][0] != 20 || consumed != 3 {
-		t.Errorf("reassignment picked %v, consuming %d committees", out, consumed)
+	if len(out) != 2 || out[0][0] != 10 || out[1][0] != 20 || len(spares) != 1 || spares[0][0] != 30 {
+		t.Errorf("reassignment picked %v, leaving spares %v", out, spares)
 	}
 	if d.Metrics.Reassignments != 1 {
 		t.Errorf("reassignments = %d, want 1", d.Metrics.Reassignments)

@@ -18,12 +18,6 @@ type committeeExec struct {
 	members sortition.Committee
 	dep     *Deployment
 
-	// Already-flushed counters, so flushMetrics can be called repeatedly
-	// (committees stay live after rotation when they still own shares).
-	flushedBytes  int64
-	flushedRounds int
-	flushedCmps   int
-
 	// Fault-injection state: lost marks member positions that dropped
 	// mid-vignette; the remaining fields address the MemberDropout
 	// injection point (vignette sequence, attempt, round within the
@@ -42,15 +36,45 @@ type committeeExec struct {
 	site lang.Pos
 }
 
-func (d *Deployment) newCommittee(members sortition.Committee) (*committeeExec, error) {
+// newCommittee forms a committee of members with a fresh MPC engine. The
+// query forms every committee it runs and owns their engines: execute
+// flushes their traffic into the metrics once, when the query returns.
+func (ip *interp) newCommittee(members sortition.Committee) (*committeeExec, error) {
 	eng, err := mpc.NewEngine(len(members))
 	if err != nil {
 		return nil, err
 	}
-	ce := &committeeExec{engine: eng, members: members, dep: d, lost: map[int]bool{}}
+	ce := &committeeExec{engine: eng, members: members, dep: ip.dep, lost: map[int]bool{}}
 	eng.SetRoundObserver(func(int) { ce.observeRound() })
-	d.execs = append(d.execs, ce)
+	ip.committees = append(ip.committees, ce)
 	return ce, nil
+}
+
+// takeSpare forms the next spare committee of the sortition pool (Section
+// 5.1), or returns nil once the pool is exhausted.
+func (ip *interp) takeSpare() (*committeeExec, error) {
+	if len(ip.pool) == 0 {
+		return nil, nil
+	}
+	next := ip.pool[0]
+	ip.pool = ip.pool[1:]
+	return ip.newCommittee(next)
+}
+
+// flushMetrics folds the traffic of every committee the query formed into
+// the deployment metrics. execute calls it once, when the query returns —
+// completed, failed or canceled — so no engine is counted twice or outlives
+// its query.
+func (ip *interp) flushMetrics() {
+	m := &ip.dep.Metrics
+	for _, ce := range ip.committees {
+		st := ce.engine.Stats()
+		m.CommitteeBytes += st.TotalBytes
+		m.MPCRounds += st.Rounds
+		m.MPCComparisons += st.Comparisons
+		// The aggregator forwards inter-member traffic (mailbox, Section 5.4).
+		m.AggregatorBytes += st.TotalBytes
+	}
 }
 
 // beginVignette opens a MemberDropout injection window for one attempt of
@@ -107,21 +131,6 @@ func (ce *committeeExec) health() error {
 // spend tallies one open of a value noised at ε against the vignette's call
 // site.
 func (ce *committeeExec) spend(eps float64) { ce.dep.spent[ce.site] += eps }
-
-// flushMetrics folds the engine's traffic into the deployment metrics
-// (idempotent: only deltas since the last flush count).
-func (ce *committeeExec) flushMetrics() {
-	st := ce.engine.Stats()
-	dBytes := st.TotalBytes - ce.flushedBytes
-	dRounds := st.Rounds - ce.flushedRounds
-	dCmps := st.Comparisons - ce.flushedCmps
-	ce.flushedBytes, ce.flushedRounds, ce.flushedCmps = st.TotalBytes, st.Rounds, st.Comparisons
-	ce.dep.Metrics.CommitteeBytes += dBytes
-	ce.dep.Metrics.MPCRounds += dRounds
-	ce.dep.Metrics.MPCComparisons += dCmps
-	// The aggregator forwards inter-member traffic (mailbox, Section 5.4).
-	ce.dep.Metrics.AggregatorBytes += dBytes
-}
 
 // laplaceShared noises a shared value inside the MPC and opens it.
 func (ce *committeeExec) laplaceShared(sec mpc.Secret, n noise) (fixed.Fixed, error) {

@@ -126,10 +126,6 @@ type Deployment struct {
 	//arblint:ignore randsource seeded simulation stream; never used for keys, blocks, or deployment noise
 	rng *mrand.Rand
 
-	// execs tracks every committee engine created for the current query so
-	// their traffic can be flushed into the metrics at the end.
-	execs []*committeeExec
-
 	// runCtx is the current Run's cancellation context (RunOptions.Ctx);
 	// nil between runs and for uncancellable runs. It is written once at
 	// the top of Run or RunPlan, before any fan-out, and only read
@@ -327,28 +323,27 @@ func (d *Deployment) reachable(online, m int) error {
 	return nil
 }
 
-// pickViable returns the first viable committees from the sortition output,
-// reassigning the tasks of broken ones to the next committee (Section 5.1:
-// "Arboretum can reassign i's tasks to committee i+1 mod c"), and how many
-// of all it consumed doing so — the rest are the caller's spares.
-func (d *Deployment) pickViable(all []sortition.Committee, need int) ([]sortition.Committee, int, error) {
-	var out []sortition.Committee
-	consumed := 0
+// pickViable splits the sortition output, each committee cut to its online
+// members, into the first need viable committees and the spare pool of every
+// viable one after them. The tasks of a broken committee go to the next one
+// (Section 5.1: "Arboretum can reassign i's tasks to committee i+1 mod c").
+func (d *Deployment) pickViable(all []sortition.Committee, need int) (picked, spares []sortition.Committee, err error) {
 	for _, c := range all {
-		if len(out) == need {
-			break
+		switch {
+		case !d.viableCommittee(c):
+			if len(picked) < need {
+				d.Metrics.Reassignments++
+			}
+		case len(picked) < need:
+			picked = append(picked, d.onlineMembers(c))
+		default:
+			spares = append(spares, d.onlineMembers(c))
 		}
-		consumed++
-		if d.viableCommittee(c) {
-			out = append(out, d.onlineMembers(c))
-			continue
-		}
-		d.Metrics.Reassignments++
 	}
-	if len(out) < need {
-		return nil, 0, fmt.Errorf("%w: only %d of %d committees viable under churn", ErrNoSpareCommittee, len(out), need)
+	if len(picked) < need {
+		return nil, nil, fmt.Errorf("%w: only %d of %d committees viable under churn", ErrNoSpareCommittee, len(picked), need)
 	}
-	return out, consumed, nil
+	return picked, spares, nil
 }
 
 // defaultData is a Zipf-like category distribution: category 0 is the mode.

@@ -395,22 +395,34 @@ func runShardedIngest(sp *ingestSpec, jobs []shardRun) (*ingestResult, error) {
 }
 
 // combinePartials folds the shard partials level by level in groups of
-// fanout until one vector remains, reporting the traffic the combine
-// generated (aggregator-side: shard partials travel between aggregator
-// tiers, not from devices). Every tree shape performs len(partials)−1
-// additions per cell, so the traffic is the same at every fanout.
+// fanout until one vector remains: one pool task per group folds the rest of
+// the group onto its first partial with foldBatch, and the results stay in
+// group order, so the sums are the same at every worker count. It reports
+// the combine's traffic, the partials each group's combiner receives
+// (aggregator-side: shard partials travel between aggregator tiers, not from
+// devices); every tree shape moves len(partials)−1 vectors, so the traffic is
+// the same at every fanout.
 func combinePartials(pub *ahe.PublicKey, partials [][]*ahe.Ciphertext, fanout int) ([]*ahe.Ciphertext, int64, error) {
 	if fanout <= 1 {
 		fanout = defaultCombineFanout
 	}
 	var total int64
 	for len(partials) > 1 {
-		next, sent, err := foldGroups(pub, partials, fanout)
+		for i, vec := range partials {
+			if i%fanout != 0 {
+				for _, ct := range vec {
+					total += int64(ct.Bytes())
+				}
+			}
+		}
+		next, err := parallel.Map(nil, (len(partials)+fanout-1)/fanout, 0, func(g int) ([]*ahe.Ciphertext, error) {
+			group := partials[g*fanout : min((g+1)*fanout, len(partials))]
+			return foldBatch(newAccumulators(pub, len(group[0])), group[0], group[1:])
+		})
 		if err != nil {
 			return nil, 0, err
 		}
 		partials = next
-		total += sent
 	}
 	return partials[0], total, nil
 }

@@ -67,15 +67,15 @@ func (v value) length() int {
 
 // interp executes one query over a deployment.
 type interp struct {
-	dep       *Deployment
-	ce        *committeeExec        // the current operations committee
-	pool      []sortition.Committee // spare committees for rotation
-	poolIdx   int
-	env       map[string]value
-	outputs   []fixed.Fixed
-	db        value               // sum(db): the counts, shared in the decryption committee
-	sites     map[lang.Pos]site   // the certificate's mechanism call sites and their noise
-	emVariant mechanism.EMVariant // plan.Plan.EMVariant
+	dep        *Deployment
+	ce         *committeeExec        // the current operations committee
+	pool       []sortition.Committee // spare committees not yet formed
+	committees []*committeeExec      // every committee the query formed
+	env        map[string]value
+	outputs    []fixed.Fixed
+	db         value               // sum(db): the counts, shared in the decryption committee
+	sites      map[lang.Pos]site   // the certificate's mechanism call sites and their noise
+	emVariant  mechanism.EMVariant // plan.Plan.EMVariant
 }
 
 // site is a mechanism call site as the run executes it: the certifier's row
@@ -160,18 +160,11 @@ func noiseFor(use privacy.MechanismUse, variant mechanism.EMVariant) (noise, err
 // values an operations committee shares stay with it. With the pool
 // exhausted, the current committee keeps serving.
 func (ip *interp) rotate() error {
-	if ip.poolIdx >= len(ip.pool) {
-		return nil
+	ce, err := ip.takeSpare()
+	if ce != nil {
+		ip.ce = ce
 	}
-	next := ip.pool[ip.poolIdx]
-	ip.poolIdx++
-	ce, err := ip.dep.newCommittee(next)
-	if err != nil {
-		return err
-	}
-	ip.ce.flushMetrics()
-	ip.ce = ce
-	return nil
+	return err
 }
 
 // runVignette executes the vignette at call site site under the recovery
@@ -230,16 +223,14 @@ func (ip *interp) runVignette(site lang.Pos, input value, protocol func(ce *comm
 // the vignette input follows them. (The key is not used after the one
 // decryption, so nothing of it moves.)
 func (ip *interp) reform(broken *committeeExec, input value) (*committeeExec, value, error) {
-	if ip.poolIdx >= len(ip.pool) {
-		return nil, value{}, fmt.Errorf("%w: cannot replace degraded committee", ErrNoSpareCommittee)
-	}
-	next := ip.pool[ip.poolIdx]
-	ip.poolIdx++
-	ip.dep.Metrics.Reformations++
-	ce, err := ip.dep.newCommittee(next)
+	ce, err := ip.takeSpare()
 	if err != nil {
 		return nil, value{}, err
 	}
+	if ce == nil {
+		return nil, value{}, fmt.Errorf("%w: cannot replace degraded committee", ErrNoSpareCommittee)
+	}
+	ip.dep.Metrics.Reformations++
 	// Migrate every live value held by the broken committee. Map iteration
 	// order does not matter: Transfer moves each value independently and the
 	// byte/round metrics are order-insensitive sums.
@@ -259,7 +250,6 @@ func (ip *interp) reform(broken *committeeExec, input value) (*committeeExec, va
 		}
 		input = moved
 	}
-	broken.flushMetrics()
 	if ip.ce == broken {
 		ip.ce = ce
 	}

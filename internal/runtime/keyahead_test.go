@@ -209,3 +209,64 @@ func TestCancelDuringCommitteePhase(t *testing.T) {
 		t.Error("the query after the canceled one reused an earlier modulus")
 	}
 }
+
+// cancelAfterRelease is a context canceled once its deployment's query has
+// opened a noised value: the first checkpoint after the query's first
+// mechanism vignette observes it. Done reads the tally unlocked: the
+// committee phase writes it on the goroutine whose checkpoints ask Done, and
+// no other goroutine asks Done meanwhile.
+type cancelAfterRelease struct {
+	context.Context
+	d *Deployment
+}
+
+func (c cancelAfterRelease) Done() <-chan struct{} {
+	if len(c.d.spent) > 0 {
+		return closedDone
+	}
+	return nil
+}
+
+func (c cancelAfterRelease) Err() error {
+	if len(c.d.spent) > 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCanceledRunFlushesCommittees: a Run canceled at the statement after
+// its mechanism vignette has its committees' traffic in the metrics when it
+// returns — the same MPC rounds and committee bytes as the query run to the
+// end, whose last statement is public — and the next query adds exactly its
+// own.
+func TestCanceledRunFlushesCommittees(t *testing.T) {
+	const src = "h = sum(db); x = declassify(laplace(h[0], 1000)); output(x);"
+	d := aheadDeployment(t)
+	traffic := func(ctx context.Context) (rounds int, bytes int64, err error) {
+		r0, b0 := d.Metrics.MPCRounds, d.Metrics.CommitteeBytes
+		_, err = d.Run(src, RunOptions{Ctx: ctx})
+		return d.Metrics.MPCRounds - r0, d.Metrics.CommitteeBytes - b0, err
+	}
+	wantRounds, wantBytes, err := traffic(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantRounds == 0 || wantBytes == 0 {
+		t.Fatalf("query charged %d rounds and %d B: the fixture measures nothing", wantRounds, wantBytes)
+	}
+	clear(d.spent) // the last query's tally, which the next one replaces
+	rounds, bytes, err := traffic(cancelAfterRelease{context.Background(), d})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "canceled at statement") {
+		t.Fatalf("run returned %v, want a cancel at the statement after the release", err)
+	}
+	if rounds != wantRounds || bytes != wantBytes {
+		t.Errorf("canceled run flushed %d rounds and %d B, want %d and %d", rounds, bytes, wantRounds, wantBytes)
+	}
+	rounds, bytes, err = traffic(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds != wantRounds || bytes != wantBytes {
+		t.Errorf("query after the canceled one added %d rounds and %d B, want %d and %d", rounds, bytes, wantRounds, wantBytes)
+	}
+}

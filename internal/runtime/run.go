@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 
-	"arboretum/internal/ahe"
 	"arboretum/internal/costmodel"
 	"arboretum/internal/fixed"
 	"arboretum/internal/lang"
@@ -14,7 +13,7 @@ import (
 	"arboretum/internal/plan"
 	"arboretum/internal/planner"
 	"arboretum/internal/privacy"
-	"arboretum/internal/sortition"
+	"arboretum/internal/types"
 )
 
 // RunOptions is what a run takes besides the query and the plan. Every
@@ -107,26 +106,19 @@ func (d *Deployment) PlanRequest(src string) planner.Request {
 // Categories), so a re-run — the gateway's crash recovery — executes the
 // same plan.
 func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
-	d.runCtx = opts.Ctx
-	defer func() { d.runCtx = nil }()
-	prog, info, cert, err := admit(src, d.cfg.N, d.cfg.Categories)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkpoint("plan"); err != nil {
-		return nil, err
-	}
-	res, err := planner.PlanAdmitted(d.PlanRequest(src), prog, info, cert)
-	if errors.Is(err, planner.ErrNodeCap) {
-		return nil, fmt.Errorf("%w: %w", ErrPlanSearchExceeded, err)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	if err := d.checkpoint("plan"); err != nil {
-		return nil, err
-	}
-	return d.execute(res.Plan, src, prog, cert)
+	return d.admitted(src, opts, func(prog *lang.Program, info *types.Info, cert *privacy.Certificate) (*plan.Plan, error) {
+		if err := d.checkpoint("plan"); err != nil {
+			return nil, err
+		}
+		res, err := planner.PlanAdmitted(d.PlanRequest(src), prog, info, cert)
+		if errors.Is(err, planner.ErrNodeCap) {
+			return nil, fmt.Errorf("%w: %w", ErrPlanSearchExceeded, err)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("runtime: %w", err)
+		}
+		return res.Plan, d.checkpoint("plan")
+	})
 }
 
 // RunPlan executes a query under a plan made elsewhere — at deployment scale
@@ -136,9 +128,22 @@ func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
 // own Config, so a plan made for 2^30 devices runs on 64. A priced-only plan
 // is refused with ErrPlanNotExecutable.
 func (d *Deployment) RunPlan(p *plan.Plan, src string, opts RunOptions) (*Result, error) {
+	return d.admitted(src, opts, func(*lang.Program, *types.Info, *privacy.Certificate) (*plan.Plan, error) {
+		return p, nil
+	})
+}
+
+// admitted is Run's and RunPlan's one prologue: it holds opts.Ctx as the
+// run's cancellation context until the run returns, admits src, and executes
+// the plan planFor makes for the admitted query.
+func (d *Deployment) admitted(src string, opts RunOptions, planFor func(*lang.Program, *types.Info, *privacy.Certificate) (*plan.Plan, error)) (*Result, error) {
 	d.runCtx = opts.Ctx
 	defer func() { d.runCtx = nil }()
-	prog, _, cert, err := admit(src, d.cfg.N, d.cfg.Categories)
+	prog, info, cert, err := admit(src, d.cfg.N, d.cfg.Categories)
+	if err != nil {
+		return nil, err
+	}
+	p, err := planFor(prog, info, cert)
 	if err != nil {
 		return nil, err
 	}
@@ -168,24 +173,13 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	// boundaries, the inputs moving by VSR transfer (Section 5.4). Extra
 	// committees also serve as spares when churn breaks one (Section 5.1).
 	const spares = 4
-	want := 2 + spares
-	if max := len(d.Devices) / d.cfg.CommitteeSize; want > max {
-		want = max
-	}
-	all, err := d.selectCommittees(want)
+	all, err := d.selectCommittees(min(2+spares, len(d.Devices)/d.cfg.CommitteeSize))
 	if err != nil {
 		return nil, err
 	}
-	committees, consumed, err := d.pickViable(all, 2)
+	committees, pool, err := d.pickViable(all, 2)
 	if err != nil {
 		return nil, err
-	}
-	// Every remaining viable committee joins the rotation pool.
-	var pool []sortition.Committee
-	for _, c := range all[consumed:] {
-		if d.viableCommittee(c) {
-			pool = append(pool, d.onlineMembers(c))
-		}
 	}
 	d.queryID++
 
@@ -231,11 +225,12 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 
 	// Hand the key to the decryption committee via VSR (Section 5.2), which
 	// decrypts the sums once into its MPC; then run the program with that
-	// committee attached.
-	var (
-		ip      *interp
-		sampled int
-	)
+	// committee attached. The query forms every committee it runs from
+	// here on, and their traffic reaches the metrics once, however the
+	// query ends.
+	ip := &interp{dep: d, pool: pool, env: map[string]value{}, sites: sites, emVariant: p.EMVariant}
+	defer ip.flushMetrics()
+	sampled := res.accepted
 	decryptAndRun := func() error {
 		if err := d.checkpoint("key hand-off"); err != nil {
 			return err
@@ -243,7 +238,7 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 		if err := km.handoff(d, committees[1]); err != nil {
 			return err
 		}
-		ce, err := d.newCommittee(committees[1])
+		ce, err := ip.newCommittee(committees[1])
 		if err != nil {
 			return err
 		}
@@ -251,30 +246,13 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 		if err != nil {
 			return err
 		}
-		sampled = res.accepted
 		if cert.SampleRate < 1 {
 			if counts, sampled, err = d.windowSums(ce, counts, bins, cert.SampleRate); err != nil {
 				return err
 			}
 		}
-		ip = &interp{
-			dep: d, ce: ce,
-			pool:      pool,
-			env:       map[string]value{},
-			db:        value{kind: vSharedArr, secs: counts, eng: ce},
-			sites:     sites,
-			emVariant: p.EMVariant,
-		}
-		if err := ip.run(prog.Stmts); err != nil {
-			return err
-		}
-		// Fold every committee engine's traffic into the metrics
-		// (rotated-away committees may have kept serving transfers).
-		for _, e := range d.execs {
-			e.flushMetrics()
-		}
-		d.execs = nil
-		return nil
+		ip.ce, ip.db = ce, value{kind: vSharedArr, secs: counts, eng: ce}
+		return ip.run(prog.Stmts)
 	}
 	if err := d.drawingAhead(encryptions, decryptAndRun); err != nil {
 		return nil, err
@@ -313,47 +291,4 @@ func (d *Deployment) drawingAhead(encryptions int, phase func() error) error {
 	})
 	d.spare = ahead
 	return err
-}
-
-// foldGroups folds vectors column-wise in contiguous groups of the given
-// fanout — one pool task per group, partials reassembled in group order, so
-// the output is identical at every worker count. It is one level of the
-// ingest's shard-combine tree, and reports the traffic the folds generated.
-func foldGroups(pub *ahe.PublicKey, inputs [][]*ahe.Ciphertext, fanout int) ([][]*ahe.Ciphertext, int64, error) {
-	nGroups := (len(inputs) + fanout - 1) / fanout
-	type groupSum struct {
-		acc  []*ahe.Ciphertext
-		sent int64
-	}
-	sums, err := parallel.Map(nil, nGroups, 0, func(g int) (groupSum, error) {
-		start := g * fanout
-		end := start + fanout
-		if end > len(inputs) {
-			end = len(inputs)
-		}
-		group := inputs[start:end]
-		acc := append([]*ahe.Ciphertext(nil), group[0]...)
-		var sent int64
-		for _, vec := range group[1:] {
-			for c := range acc {
-				sum, err := pub.Add(acc[c], vec[c])
-				if err != nil {
-					return groupSum{}, err
-				}
-				acc[c] = sum
-				sent += int64(sum.Bytes())
-			}
-		}
-		return groupSum{acc: acc, sent: sent}, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([][]*ahe.Ciphertext, 0, nGroups)
-	var sent int64
-	for _, gs := range sums {
-		out = append(out, gs.acc)
-		sent += gs.sent
-	}
-	return out, sent, nil
 }

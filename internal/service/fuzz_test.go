@@ -18,7 +18,9 @@ import (
 // request bodies: no response is a 5xx, every refusal carries a typed error
 // code, and only a 202 moves the tenant's reserved ε — by exactly the job's
 // certified ε. An accepted job runs to its end before the next body, and a
-// failed one carries a typed code too.
+// failed one carries a typed code too. The executor is held until the
+// reservation has been read, so a job that fails fast cannot release it
+// first.
 func FuzzSubmit(f *testing.F) {
 	body := func(src string) []byte {
 		b, err := json.Marshal(map[string]string{"tenant": "alice", "source": src})
@@ -45,7 +47,8 @@ func FuzzSubmit(f *testing.F) {
 		JobWorkers: 1, JobTimeout: 10 * time.Second,
 		Logf: func(string, ...any) {},
 	}
-	s, err := New(cfg)
+	hold := make(chan struct{})
+	s, err := newServer(cfg, hold)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -71,6 +74,9 @@ func FuzzSubmit(f *testing.F) {
 		before := reserved(t)
 		rec := do(t, "POST", "/v1/queries", data)
 		after := reserved(t)
+		if rec.Code == http.StatusAccepted {
+			hold <- struct{}{} // the job may run now
+		}
 		if rec.Code != http.StatusAccepted {
 			var e errEnvelope
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" {

@@ -2,8 +2,7 @@
 # coverage_gate.sh — fail if internal/runtime statement coverage regresses.
 #
 # Runs the full test suite with a coverage profile and compares
-# internal/runtime's statement coverage against the checked-in baseline,
-# which was measured immediately before the fault-injection PR landed.
+# internal/runtime's statement coverage against the checked-in baseline.
 # The gate is one-way: raise BASELINE when coverage improves, never lower
 # it to make a PR pass. The profile is left at coverage.out so CI can
 # upload it as an artifact.
@@ -12,8 +11,9 @@
 
 set -e
 
-# Statement coverage of arboretum/internal/runtime before this gate existed.
-BASELINE=75.5
+# Statement coverage of arboretum/internal/runtime, as last measured by this
+# script and rounded down to 0.1 (75.5 when the gate was added).
+BASELINE=82.1
 
 out="${1:-coverage.out}"
 
