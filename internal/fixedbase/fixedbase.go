@@ -27,14 +27,21 @@
 // R = 2^(W·k) (W the bits of a word, k the words of m), and a step
 // x·y·R⁻¹ mod m keeps the running product in that form. The walk leaves the
 // form for free: its last step multiplies by the plain factor y, and R·R⁻¹
-// cancels. The step's row loop is ours; its inner loop is math/big's own
-// assembly addMulVVW. The table is one flat word slab, k words per entry,
-// and the walk's state is caller-supplied Scratch, so once the scratch has
-// grown to size a walk allocates nothing.
+// cancels. The table is one flat word slab, k words per entry, and the
+// walk's state is caller-supplied Scratch, so once the scratch has grown to
+// size a walk allocates nothing.
 //
-// The package reaches addMulVVW through a //go:linkname that math/big keeps
-// for this use (go.dev/issue/67401). A build with -tags math_big_pure_go
-// does not export the symbol and fails to link; that tag is unsupported.
+// A step's k rows run on one of two paths; the final conditional
+// subtraction is Go on both. On amd64 with ADX and BMI2, read from CPUID at
+// init, a modulus of a multiple of 8 words takes montRowsADX, which runs
+// all k rows in one assembly call on MULX and the two carry chains of ADCX
+// and ADOX. That covers n² at 512-, 1,024- and 2,048-bit keys and vsr's P.
+// Every other width, GOARCH and CPU takes the portable row loop, two calls
+// a row to math/big's assembly addMulVVW, and the tests hold the kernel to
+// it. The portable loop reaches addMulVVW through a //go:linkname that
+// math/big keeps for this use (go.dev/issue/67401). A build with
+// -tags math_big_pure_go does not export the symbol and fails to link; that
+// tag is unsupported.
 package fixedbase
 
 import (
@@ -65,6 +72,7 @@ type Table struct {
 	m        []big.Word // mod's k words
 	mInv     big.Word   // −m⁻¹ mod 2^W
 	k        int
+	kernel   bool // step's rows run on montRowsADX
 	expBytes int
 	shape
 	span int // entries per group, one per nonzero index: 2^h − 1
@@ -156,6 +164,7 @@ func New(g, m *big.Int, expBytes, walks int) *Table {
 	span := 1<<h - 1
 	t := &Table{
 		k:        k,
+		kernel:   haveADX && k%8 == 0,
 		expBytes: expBytes,
 		shape:    sh,
 		span:     span,
@@ -214,17 +223,23 @@ func (t *Table) entry(s, u int) []big.Word {
 // step sets z to x·y·R⁻¹ mod m for k-word x and y in [0, m), on w's 2k+1
 // words. z may alias x or y. Row i adds x·y_i, then the multiple u·m of m
 // that zeroes word i, so after k rows the low k words are zero and words
-// k..2k hold the product divided by R, below 2m.
+// k..2k hold the product divided by R, below 2m. The rows run on
+// montRowsADX when t.kernel is set and on the portable loop otherwise.
 func (t *Table) step(z, x, y, w []big.Word) {
 	k, m := t.k, t.m
-	clear(w[:k+1])
-	for i, yi := range y {
-		row := w[i : i+k]
-		c1 := addMulVVW(row, x, yi)
-		c2 := addMulVVW(row, m, row[0]*t.mInv)
-		lo, cc1 := bits.Add(uint(w[i+k]), uint(c1), 0)
-		lo, cc2 := bits.Add(lo, uint(c2), 0)
-		w[i+k], w[i+k+1] = big.Word(lo), big.Word(cc1+cc2)
+	if t.kernel {
+		clear(w[:k])
+		montRowsADX(&w[0], &x[0], &y[0], &m[0], k, t.mInv)
+	} else {
+		clear(w[:k+1])
+		for i, yi := range y {
+			row := w[i : i+k]
+			c1 := addMulVVW(row, x, yi)
+			c2 := addMulVVW(row, m, row[0]*t.mInv)
+			lo, cc1 := bits.Add(uint(w[i+k]), uint(c1), 0)
+			lo, cc2 := bits.Add(lo, uint(c2), 0)
+			w[i+k], w[i+k+1] = big.Word(lo), big.Word(cc1+cc2)
+		}
 	}
 	var borrow uint
 	for j, mj := range m {

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -392,6 +393,36 @@ output(total);`
 	_ = depth
 	if maxDepth < 3 {
 		t.Errorf("nesting depth = %d, want ≥ 3", maxDepth)
+	}
+}
+
+// TestNestingCap refuses every way of nesting 10^5 levels deep with
+// ErrTooDeep, before anything recurses that far, and parses each form at
+// a depth real queries never reach but well inside the cap.
+func TestNestingCap(t *testing.T) {
+	forms := []struct {
+		name string
+		src  func(n int) string
+	}{
+		{"parens", func(n int) string { return "x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";" }},
+		{"unary", func(n int) string { return "x = " + strings.Repeat("-", n) + "1;" }},
+		{"binary", func(n int) string { return "x = 1" + strings.Repeat(" + 1", n) + ";" }},
+		{"calls", func(n int) string { return "x = " + strings.Repeat("abs(", n) + "1" + strings.Repeat(")", n) + ";" }},
+		{"indices", func(n int) string { return "x = " + strings.Repeat("a[", n) + "0" + strings.Repeat("]", n) + ";" }},
+		{"for", func(n int) string {
+			return strings.Repeat("for i = 0 to 1 do ", n) + "x = 1;" + strings.Repeat(" endfor;", n)
+		}},
+		{"if", func(n int) string {
+			return strings.Repeat("if true then ", n) + "x = 1;" + strings.Repeat(" endif;", n)
+		}},
+	}
+	for _, f := range forms {
+		if _, err := Parse(f.src(100_000)); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s, 10^5 deep: %v, want ErrTooDeep", f.name, err)
+		}
+		if _, err := Parse(f.src(maxDepth / 4)); err != nil {
+			t.Errorf("%s, %d deep: %v", f.name, maxDepth/4, err)
+		}
 	}
 }
 

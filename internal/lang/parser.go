@@ -1,9 +1,21 @@
 package lang
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 )
+
+// maxDepth bounds how deeply a program nests: parentheses, unary chains,
+// binary operators, call arguments, indices and for/if bodies each take a
+// level. The parser and every pass over its tree recurse once a level, and
+// a goroutine that overflows its stack dies beyond any recover, so the
+// gateway, which parses whatever a request carries, refuses deep nesting
+// here. Real queries nest a few levels.
+const maxDepth = 256
+
+// ErrTooDeep refuses a program that nests more than maxDepth levels.
+var ErrTooDeep = errors.New("program nests too deeply")
 
 // Parse parses query source into a Program.
 func Parse(src string) (*Program, error) {
@@ -34,7 +46,20 @@ func MustParse(src string) *Program {
 type parser struct {
 	lexemes []lexeme
 	pos     int
+	depth   int // nesting levels open, at most maxDepth
 }
+
+// enter opens one nesting level, or refuses the program past maxDepth; each
+// successful enter is paired with a deferred leave.
+func (p *parser) enter() error {
+	if p.depth == maxDepth {
+		return fmt.Errorf("%v: %w (more than %d levels)", p.cur().pos, ErrTooDeep, maxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() lexeme { return p.lexemes[p.pos] }
 
@@ -60,6 +85,10 @@ func (p *parser) errorf(format string, args ...any) error {
 // stmtList parses statements until one of the closing tokens (which is not
 // consumed). Semicolons separate statements; trailing semicolons are fine.
 func (p *parser) stmtList(closers ...Token) ([]Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	isCloser := func(t Token) bool {
 		for _, c := range closers {
 			if t == c {
@@ -230,6 +259,10 @@ func (p *parser) ifStmt() (Stmt, error) {
 
 // expr parses a full expression with precedence climbing.
 func (p *parser) expr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	x, err := p.unary()
 	if err != nil {
 		return nil, err
@@ -240,11 +273,18 @@ func (p *parser) expr() (Expr, error) {
 // continueExpr extends a parsed left operand with binary operators of
 // at least the given precedence.
 func (p *parser) continueExpr(x Expr, minPrec int) (Expr, error) {
+	// Each operator nests the tree built so far one level deeper, and the
+	// passes over it recurse on that depth, so a long chain takes a level
+	// an operator.
+	defer func(depth int) { p.depth = depth }(p.depth)
 	for {
 		op := p.cur().tok
 		prec := op.Precedence()
 		if prec == 0 || prec < minPrec {
 			return x, nil
+		}
+		if err := p.enter(); err != nil {
+			return nil, err
 		}
 		p.advance()
 		y, err := p.unary()
@@ -263,6 +303,10 @@ func (p *parser) continueExpr(x Expr, minPrec int) (Expr, error) {
 func (p *parser) unary() (Expr, error) {
 	switch p.cur().tok {
 	case NOT, SUB:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		lx := p.advance()
 		x, err := p.unary()
 		if err != nil {

@@ -41,10 +41,9 @@ const (
 	// inputs to LTZ must lie in (−2^(ValueBits−1), 2^(ValueBits−1)).
 	ValueBits = 48
 	// kappaStat is the statistical masking parameter of the comparison
-	// protocols. ValueBits + kappaStat must stay below the 60-bit field.
-	// (A deployment would use ≥ 40; the paper's MP-SPDZ programs use 40.
-	// The reduced test value keeps everything inside one word — documented
-	// simulation parameter, DESIGN.md.)
+	// protocols. ValueBits + kappaStat must stay below the 60-bit field, so
+	// it is 10 where the paper's MP-SPDZ programs use 40; DESIGN.md §5,
+	// "Comparison masking", says what that costs against the certificate.
 	kappaStat = 10
 )
 

@@ -67,6 +67,9 @@ func FuzzAdmit(f *testing.F) {
 	f.Add("a = true; b = 0; for i = 0 to 1 do t = a; a = b; b = t; endfor; aggr = sum(db); output(declassify(laplace(aggr[0], 1.0)));")
 	// 1025² body runs: refused, past maxLoopWork.
 	f.Add("aggr = sum(db); for i = 0 to 1024 do if i < 2 then for j = 0 to 1024 do x = j; endfor; endif; endfor; output(declassify(laplace(aggr[0], 1.0)));")
+	// 1,500 levels of parentheses: refused with lang.ErrTooDeep, where the
+	// recursive descent used to go as deep as the source did.
+	f.Add("aggr = sum(db); x = " + strings.Repeat("(", 1500) + "aggr[0]" + strings.Repeat(")", 1500) + "; output(declassify(laplace(x, 1.0)));")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4<<10 {
 			t.Skip()

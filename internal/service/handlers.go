@@ -98,10 +98,31 @@ type createTenantRequest struct {
 	Delta   float64 `json:"delta"`
 }
 
+// maxBody bounds the bytes a request body may carry. A tenant or a query
+// takes a few hundred, and a query's source is parsed, so a body is read
+// only up to here.
+const maxBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBody bytes. On
+// failure it writes the refusal, 413 too_large past the bound and 400
+// bad_request otherwise, and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds %d bytes", maxBody)
+	default:
+		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req createTenantRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Delta == 0 {
@@ -157,8 +178,7 @@ type submitRequest struct {
 // exists without the other.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Tenant == "" || req.Source == "" {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"arboretum/internal/faults"
+	"arboretum/internal/lang"
 	"arboretum/internal/ledger"
 	"arboretum/internal/privacy"
 	"arboretum/internal/runtime"
@@ -266,6 +267,50 @@ func TestAdmissionRejections(t *testing.T) {
 	}
 	if got := s.ledger.Seq(); got != 1 { // only the tenant-create record
 		t.Fatalf("ledger advanced to seq %d on rejected submissions", got)
+	}
+}
+
+// TestBodyAndNestingBounds: a body past maxBody, to either endpoint that
+// reads one, gets 413 too_large, and a source nested 10^5 levels deep, small
+// enough to read, is refused 400 not_private with lang.ErrTooDeep behind it.
+// Neither writes a record, and the gateway goes on admitting.
+func TestBodyAndNestingBounds(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
+	s, ts := startT(t, cfg, nil)
+	seq := s.ledger.Seq()
+	huge := strings.Repeat("x", maxBody)
+	for _, c := range []struct {
+		path string
+		body map[string]string
+	}{
+		{"/v1/queries", map[string]string{"tenant": "alice", "source": huge}},
+		{"/v1/tenants", map[string]string{"tenant": huge}},
+	} {
+		var e errEnvelope
+		if code := call(t, "POST", ts.URL+c.path, c.body, &e); code != http.StatusRequestEntityTooLarge || e.Error.Code != "too_large" {
+			t.Errorf("POST %s, %d-byte body: HTTP %d code %q, want 413 too_large", c.path, len(huge), code, e.Error.Code)
+		}
+	}
+	const n = 100_000
+	deep := "aggr = sum(db);\nx = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";\n" +
+		"output(declassify(laplace(aggr[0], 1.0)));"
+	var e errEnvelope
+	if code := call(t, "POST", ts.URL+"/v1/queries", map[string]string{"tenant": "alice", "source": deep}, &e); code != http.StatusBadRequest || e.Error.Code != "not_private" {
+		t.Errorf("%d-deep source: HTTP %d code %q, want 400 not_private", n, code, e.Error.Code)
+	}
+	if !strings.Contains(e.Error.Message, lang.ErrTooDeep.Error()) {
+		t.Errorf("message %q does not carry lang.ErrTooDeep", e.Error.Message)
+	}
+	if got := s.ledger.Seq(); got != seq {
+		t.Errorf("refused bodies advanced the ledger from seq %d to %d", seq, got)
+	}
+	j, code, _ := submit(t, ts.URL, "alice", countQuery)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the refusals: HTTP %d", code)
+	}
+	if j = waitTerminal(t, ts.URL, j.ID); j.State != JobDone {
+		t.Errorf("job after the refusals ended %s: %s", j.State, j.Error)
 	}
 }
 

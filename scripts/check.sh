@@ -35,15 +35,6 @@ fi
 echo "== go test ./..."
 go test ./...
 
-# bench/ is a nested module (bench/go.mod, replace arboretum => ../), so
-# ./... above never reaches it; it compiles against runtime.Config,
-# runtime.Metrics, vsr and the service, so a root-module API change has to
-# build and pass there too (~25 s, mostly its -smoke run of all four
-# workloads).
-echo "== go -C bench vet ./... && go -C bench test ./..."
-go -C bench vet ./...
-go -C bench test ./...
-
 # Allocation-regression gates (docs/KERNELS.md): the kernel hot paths are
 # pinned to their steady-state allocation counts, the planner's scorer — run
 # once per plan prefix the search visits — a warm vsr.Group.Field and a warm
@@ -57,10 +48,12 @@ echo "== alloc-regression gates"
 go test ./internal/bgv ./internal/ahe ./internal/planner ./internal/vsr ./internal/fixedbase ./internal/mpc ./internal/zkp ./internal/runtime -run '^TestAllocGate' -count=1
 
 # The 32-bit word path: word width changes the fixed-base comb's m′ =
-# −m⁻¹ mod b, its carries and the word math/big's addMulVVW works on, and no
-# other pass runs it (~5 s). Its two callers run too, and the MPC engine,
-# whose dealer turns keystream bytes into words and whose fmul is
-# bits.Mul64/Div64.
+# −m⁻¹ mod b, its carries and the word math/big's addMulVVW works on (~5 s).
+# It is also the only pass that runs the comb's portable step end to end:
+# on amd64 with ADX and BMI2 both callers' moduli take the assembly kernel,
+# and the portable step is checked there against it only step by step. Its
+# two callers run too, and the MPC engine, whose dealer turns keystream
+# bytes into words and whose fmul is bits.Mul64/Div64.
 echo "== GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr ./internal/mpc"
 GOARCH=386 go test ./internal/fixedbase ./internal/ahe ./internal/vsr ./internal/mpc
 
@@ -98,5 +91,15 @@ fi
 # a gate.
 echo "== scripts/loc.sh"
 sh scripts/loc.sh
+
+# bench/ is a nested module (bench/go.mod, replace arboretum => ../), so
+# ./... above never reaches it; it compiles against runtime.Config,
+# runtime.Metrics, vsr and the service, so a root-module API change has to
+# build and pass there too (~25 s, mostly its -smoke run of all four
+# workloads). It runs last, so a failure here does not hide what the gates
+# above find; the script still fails with it.
+echo "== go -C bench vet ./... && go -C bench test ./..."
+go -C bench vet ./...
+go -C bench test ./...
 
 echo "ok"

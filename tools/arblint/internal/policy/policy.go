@@ -245,7 +245,8 @@ var WALClients = Set{
 }
 
 // Linkname lists the packages allowed a //go:linkname (linkname): one, the
-// fixed-base comb, whose Montgomery step runs on math/big's own assembly
+// fixed-base comb, whose portable Montgomery step, on every width, GOARCH
+// and CPU its own amd64 kernel does not take, runs on math/big's assembly
 // inner loop. Everywhere else a linkname is flagged.
 var Linkname = Set{"internal/fixedbase": true}
 
