@@ -109,14 +109,10 @@ type Ciphertext struct {
 	C *big.Int
 }
 
-// Bytes returns the serialized size, used by the cost model and the runtime's
-// traffic accounting.
-func (c *Ciphertext) Bytes() int {
-	if c == nil || c.C == nil {
-		return 0
-	}
-	return (c.C.BitLen() + 7) / 8
-}
+// CiphertextBytes is the wire size of a ciphertext under pk: a residue mod
+// n², sent at the width of n² whatever its value, so a count of ciphertexts
+// fixes the traffic. The runtime's traffic accounting charges it.
+func (pk *PublicKey) CiphertextBytes() int { return (pk.N2.BitLen() + 7) / 8 }
 
 // GenerateKey creates a Paillier keypair with an n of the given bit length
 // and a fixed-base table for any number of encryptions: GenerateKeyFor with

@@ -276,15 +276,22 @@ func TestKeyReassembly(t *testing.T) {
 	}
 }
 
+// TestCiphertextBytes: a ciphertext's wire size is the width of n², fixed by
+// the key, and holds every ciphertext, however short its value's minimal
+// encoding.
 func TestCiphertextBytes(t *testing.T) {
 	sk := testKeyPair(t)
-	ct, _ := sk.Encrypt(rand.Reader, big.NewInt(1))
-	if ct.Bytes() <= 0 || ct.Bytes() > 1024/8+1 {
-		t.Errorf("Bytes() = %d for 512-bit key", ct.Bytes())
+	if got := sk.CiphertextBytes(); got != 1024/8 {
+		t.Fatalf("CiphertextBytes() = %d for a 512-bit key, want %d", got, 1024/8)
 	}
-	var nilCt *Ciphertext
-	if nilCt.Bytes() != 0 {
-		t.Error("nil ciphertext Bytes() != 0")
+	for i := 0; i < 16; i++ {
+		ct, err := sk.Encrypt(rand.Reader, big.NewInt(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := (ct.C.BitLen() + 7) / 8; n > sk.CiphertextBytes() {
+			t.Fatalf("a %d-byte ciphertext overflows the %d-byte wire size", n, sk.CiphertextBytes())
+		}
 	}
 }
 

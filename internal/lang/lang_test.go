@@ -2,6 +2,7 @@ package lang
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -186,6 +187,9 @@ func TestParseErrors(t *testing.T) {
 		`x = /* unterminated`,       // unterminated comment
 		`x = 99999999999999999999;`, // integer overflow
 		`x = 1 y = 2;`,              // missing separator
+		`x[1][2] = 3;`,              // assignment to an index of an index
+		`f(x) = 1;`,                 // assignment to a call
+		`x = y = 1;`,                // chained assignment
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -433,5 +437,38 @@ func TestPositionsPointAtErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "2:") {
 		t.Errorf("error %q should reference line 2", err)
+	}
+}
+
+// TestTokenCap parses a program of exactly maxTokens tokens and refuses one
+// more with ErrTooLong at the first token past the cap, before the lexer
+// reads the rest of the source.
+func TestTokenCap(t *testing.T) {
+	// "x = 1;" is four tokens.
+	at := strings.Repeat("x = 1;", maxTokens/4)
+	if _, err := Parse(at); err != nil {
+		t.Fatalf("%d tokens: %v", maxTokens, err)
+	}
+	_, err := Parse(at + "x" + strings.Repeat(" %", 1000))
+	if !errors.Is(err, ErrTooLong) {
+		t.Fatalf("%d tokens then a lexical error: %v, want ErrTooLong", maxTokens+1, err)
+	}
+	if want := fmt.Sprintf("1:%d:", len(at)+1); !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("refusal %q is not at the first token past the cap, %s", err, want)
+	}
+}
+
+// TestFirstErrorWins: the parser pulls tokens as it goes, so the first error
+// in the source is the one reported, whether the lexer or the parser meets
+// it.
+func TestFirstErrorWins(t *testing.T) {
+	for src, want := range map[string]string{
+		"x = ;\ny = %;": "1:5: unexpected ; in expression",
+		"x = %;\ny = ;": `1:5: unexpected character "%"`,
+		"x = 1 1;\n/* ": "1:7: expected ';' after statement, found INT",
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %q", src, err, want)
+		}
 	}
 }

@@ -2,45 +2,44 @@ package lang
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-// lexer turns query source into tokens.
+// lexer reads query source in place, one token at a time. Its first error —
+// a lexical one, or the token cap's refusal — ends the stream: next returns
+// ILLEGAL from then on, the parser stops there, and Parse reports the error.
 type lexer struct {
-	src  []rune
-	pos  int
-	line int
-	col  int
+	src    string
+	pos    int // byte offset into src
+	line   int
+	col    int // in runes
+	tokens int // tokens read
+	err    error
 }
 
 type lexeme struct {
 	tok Token
-	lit string
+	lit string // the source text of an identifier, keyword or number
 	pos Pos
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
-}
-
+// peek and peek2 return the next rune and the one after it, or
+// utf8.RuneError past the end.
 func (l *lexer) peek() rune {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
 }
 
 func (l *lexer) peek2() rune {
-	if l.pos+1 >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos+1]
+	_, n := utf8.DecodeRuneInString(l.src[l.pos:])
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos+n:])
+	return r
 }
 
 func (l *lexer) advance() rune {
-	r := l.src[l.pos]
-	l.pos++
+	r, n := utf8.DecodeRuneInString(l.src[l.pos:])
+	l.pos += n
 	if r == '\n' {
 		l.line++
 		l.col = 1
@@ -84,7 +83,25 @@ func (l *lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-func (l *lexer) next() (lexeme, error) {
+// next returns the next token, or ILLEGAL once the stream has ended in an
+// error: the first one it meets, or ErrTooLong at the first token past
+// maxTokens.
+func (l *lexer) next() lexeme {
+	if l.err != nil {
+		return lexeme{tok: ILLEGAL}
+	}
+	lx, err := l.scan()
+	if l.tokens++; err == nil && lx.tok != EOF && l.tokens > maxTokens {
+		err = fmt.Errorf("%v: %w (more than %d tokens)", lx.pos, ErrTooLong, maxTokens)
+	}
+	if err != nil {
+		l.err = err
+		return lexeme{tok: ILLEGAL}
+	}
+	return lx
+}
+
+func (l *lexer) scan() (lexeme, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return lexeme{}, err
 	}
@@ -92,20 +109,19 @@ func (l *lexer) next() (lexeme, error) {
 	if l.pos >= len(l.src) {
 		return lexeme{tok: EOF, pos: pos}, nil
 	}
+	start := l.pos
 	r := l.peek()
 	switch {
 	case unicode.IsLetter(r) || r == '_':
-		var sb strings.Builder
 		for l.pos < len(l.src) && (unicode.IsLetter(l.peek()) || unicode.IsDigit(l.peek()) || l.peek() == '_') {
-			sb.WriteRune(l.advance())
+			l.advance()
 		}
-		word := sb.String()
+		word := l.src[start:l.pos]
 		if kw, ok := keywords[word]; ok {
 			return lexeme{tok: kw, lit: word, pos: pos}, nil
 		}
 		return lexeme{tok: IDENT, lit: word, pos: pos}, nil
 	case unicode.IsDigit(r):
-		var sb strings.Builder
 		isFloat := false
 		for l.pos < len(l.src) && (unicode.IsDigit(l.peek()) || l.peek() == '.') {
 			if l.peek() == '.' {
@@ -114,46 +130,29 @@ func (l *lexer) next() (lexeme, error) {
 				}
 				isFloat = true
 			}
-			sb.WriteRune(l.advance())
+			l.advance()
 		}
 		tok := INT
 		if isFloat {
 			tok = FLOAT
 		}
-		return lexeme{tok: tok, lit: sb.String(), pos: pos}, nil
+		return lexeme{tok: tok, lit: l.src[start:l.pos], pos: pos}, nil
 	}
 	l.advance()
 	two := func(second rune, with, without Token) (lexeme, error) {
 		if l.peek() == second {
 			l.advance()
-			return lexeme{tok: with, lit: tokenNames[with], pos: pos}, nil
+			return lexeme{tok: with, pos: pos}, nil
 		}
 		if without == ILLEGAL {
 			return lexeme{}, fmt.Errorf("%v: unexpected character %q", pos, string(r))
 		}
-		return lexeme{tok: without, lit: tokenNames[without], pos: pos}, nil
+		return lexeme{tok: without, pos: pos}, nil
+	}
+	if tok, ok := punct[r]; ok {
+		return lexeme{tok: tok, pos: pos}, nil
 	}
 	switch r {
-	case ';':
-		return lexeme{tok: SEMI, lit: ";", pos: pos}, nil
-	case ',':
-		return lexeme{tok: COMMA, lit: ",", pos: pos}, nil
-	case '(':
-		return lexeme{tok: LPAREN, lit: "(", pos: pos}, nil
-	case ')':
-		return lexeme{tok: RPAREN, lit: ")", pos: pos}, nil
-	case '[':
-		return lexeme{tok: LBRACK, lit: "[", pos: pos}, nil
-	case ']':
-		return lexeme{tok: RBRACK, lit: "]", pos: pos}, nil
-	case '+':
-		return lexeme{tok: ADD, lit: "+", pos: pos}, nil
-	case '-':
-		return lexeme{tok: SUB, lit: "-", pos: pos}, nil
-	case '*':
-		return lexeme{tok: MUL, lit: "*", pos: pos}, nil
-	case '/':
-		return lexeme{tok: QUO, lit: "/", pos: pos}, nil
 	case '&':
 		return two('&', LAND, ILLEGAL)
 	case '|':
@@ -168,20 +167,4 @@ func (l *lexer) next() (lexeme, error) {
 		return two('=', NEQ, NOT)
 	}
 	return lexeme{}, fmt.Errorf("%v: unexpected character %q", pos, string(r))
-}
-
-// lexAll tokenizes the whole source.
-func lexAll(src string) ([]lexeme, error) {
-	l := newLexer(src)
-	var out []lexeme
-	for {
-		lx, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, lx)
-		if lx.tok == EOF {
-			return out, nil
-		}
-	}
 }

@@ -14,22 +14,33 @@ import (
 // here. Real queries nest a few levels.
 const maxDepth = 256
 
-// ErrTooDeep refuses a program that nests more than maxDepth levels.
-var ErrTooDeep = errors.New("program nests too deeply")
+// maxTokens bounds how long a program is. The lexer reads one token ahead of
+// the parser, so with maxDepth it bounds what a parse costs: a refused
+// source is read only up to its first token past a cap. The longest
+// built-in query has about 150 tokens.
+const maxTokens = 1 << 16
 
-// Parse parses query source into a Program.
+// ErrTooDeep refuses a program that nests more than maxDepth levels;
+// ErrTooLong one of more than maxTokens tokens.
+var (
+	ErrTooDeep = errors.New("program nests too deeply")
+	ErrTooLong = errors.New("program has too many tokens")
+)
+
+// Parse parses query source into a Program. It reports the first error in
+// the source, lexical or syntactic.
 func Parse(src string) (*Program, error) {
-	lexemes, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{lexemes: lexemes}
+	p := &parser{lex: lexer{src: src, line: 1, col: 1}}
+	p.look = p.lex.next()
 	stmts, err := p.stmtList(EOF)
+	if err == nil && p.look.tok != EOF {
+		err = p.errorf("unexpected %v after program end", p.look.tok)
+	}
+	if p.lex.err != nil {
+		return nil, p.lex.err
+	}
 	if err != nil {
 		return nil, err
-	}
-	if p.cur().tok != EOF {
-		return nil, p.errorf("unexpected %v after program end", p.cur().tok)
 	}
 	return &Program{Stmts: stmts}, nil
 }
@@ -44,16 +55,16 @@ func MustParse(src string) *Program {
 }
 
 type parser struct {
-	lexemes []lexeme
-	pos     int
-	depth   int // nesting levels open, at most maxDepth
+	lex   lexer
+	look  lexeme // the current token
+	depth int    // nesting levels open, at most maxDepth
 }
 
 // enter opens one nesting level, or refuses the program past maxDepth; each
 // successful enter is paired with a deferred leave.
 func (p *parser) enter() error {
 	if p.depth == maxDepth {
-		return fmt.Errorf("%v: %w (more than %d levels)", p.cur().pos, ErrTooDeep, maxDepth)
+		return fmt.Errorf("%v: %w (more than %d levels)", p.look.pos, ErrTooDeep, maxDepth)
 	}
 	p.depth++
 	return nil
@@ -61,25 +72,23 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-func (p *parser) cur() lexeme { return p.lexemes[p.pos] }
-
 func (p *parser) advance() lexeme {
-	lx := p.lexemes[p.pos]
+	lx := p.look
 	if lx.tok != EOF {
-		p.pos++
+		p.look = p.lex.next()
 	}
 	return lx
 }
 
 func (p *parser) expect(tok Token) (lexeme, error) {
-	if p.cur().tok != tok {
-		return lexeme{}, p.errorf("expected %v, found %v", tok, p.cur().tok)
+	if p.look.tok != tok {
+		return lexeme{}, p.errorf("expected %v, found %v", tok, p.look.tok)
 	}
 	return p.advance(), nil
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("%v: %s", p.cur().pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%v: %s", p.look.pos, fmt.Sprintf(format, args...))
 }
 
 // stmtList parses statements until one of the closing tokens (which is not
@@ -99,13 +108,13 @@ func (p *parser) stmtList(closers ...Token) ([]Stmt, error) {
 	}
 	var stmts []Stmt
 	for {
-		for p.cur().tok == SEMI {
+		for p.look.tok == SEMI {
 			p.advance()
 		}
-		if isCloser(p.cur().tok) {
+		if isCloser(p.look.tok) {
 			return stmts, nil
 		}
-		if p.cur().tok == EOF {
+		if p.look.tok == EOF {
 			return nil, p.errorf("unexpected end of input (missing %v?)", closers[0])
 		}
 		s, err := p.stmt()
@@ -114,89 +123,48 @@ func (p *parser) stmtList(closers ...Token) ([]Stmt, error) {
 		}
 		stmts = append(stmts, s)
 		// A statement is followed by a separator or a closer.
-		if p.cur().tok != SEMI && !isCloser(p.cur().tok) && p.cur().tok != EOF {
-			return nil, p.errorf("expected ';' after statement, found %v", p.cur().tok)
+		if p.look.tok != SEMI && !isCloser(p.look.tok) && p.look.tok != EOF {
+			return nil, p.errorf("expected ';' after statement, found %v", p.look.tok)
 		}
 	}
 }
 
+// stmt parses a statement: a loop, a conditional, or an expression, which
+// is an assignment when '=' follows it and it names a variable or indexes
+// one.
 func (p *parser) stmt() (Stmt, error) {
-	switch p.cur().tok {
+	switch p.look.tok {
 	case FOR:
 		return p.forStmt()
 	case IF:
 		return p.ifStmt()
-	case IDENT:
-		return p.identStmt()
-	default:
-		// Bare expression statement (rare; output(...) goes through IDENT).
-		pos := p.cur().pos
-		x, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
+	}
+	pos := p.look.pos
+	x, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	if p.look.tok != ASSIGN {
 		return &ExprStmt{Pos: pos, X: x}, nil
 	}
-}
-
-// identStmt disambiguates assignment, indexed assignment, and expression
-// statements that start with an identifier (calls).
-func (p *parser) identStmt() (Stmt, error) {
-	pos := p.cur().pos
-	name := p.advance().lit
-	switch p.cur().tok {
-	case ASSIGN:
-		p.advance()
-		v, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		return &AssignStmt{Pos: pos, Name: name, Value: v}, nil
-	case LBRACK:
-		p.advance()
-		idx, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(RBRACK); err != nil {
-			return nil, err
-		}
-		if p.cur().tok == ASSIGN {
-			p.advance()
-			v, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			return &AssignStmt{Pos: pos, Name: name, Index: idx, Value: v}, nil
-		}
-		// Not an assignment: it was an index expression; keep parsing it.
-		var x Expr = &IndexExpr{X: &Ident{NamePos: pos, Name: name}, Index: idx}
-		x, err = p.continueExpr(x, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &ExprStmt{Pos: pos, X: x}, nil
-	case LPAREN:
-		call, err := p.callExpr(pos, name)
-		if err != nil {
-			return nil, err
-		}
-		x, err := p.continueExpr(call, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &ExprStmt{Pos: pos, X: x}, nil
-	default:
-		x, err := p.continueExpr(&Ident{NamePos: pos, Name: name}, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &ExprStmt{Pos: pos, X: x}, nil
+	var index Expr
+	if ix, ok := x.(*IndexExpr); ok {
+		x, index = ix.X, ix.Index
 	}
+	name, ok := x.(*Ident)
+	if !ok {
+		return nil, p.errorf("expected ';' after statement, found %v", p.look.tok)
+	}
+	p.advance()
+	v, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	return &AssignStmt{Pos: pos, Name: name.Name, Index: index, Value: v}, nil
 }
 
 func (p *parser) forStmt() (Stmt, error) {
-	pos := p.cur().pos
+	pos := p.look.pos
 	p.advance() // for
 	v, err := p.expect(IDENT)
 	if err != nil {
@@ -230,7 +198,7 @@ func (p *parser) forStmt() (Stmt, error) {
 }
 
 func (p *parser) ifStmt() (Stmt, error) {
-	pos := p.cur().pos
+	pos := p.look.pos
 	p.advance() // if
 	cond, err := p.expr()
 	if err != nil {
@@ -244,7 +212,7 @@ func (p *parser) ifStmt() (Stmt, error) {
 		return nil, err
 	}
 	var els []Stmt
-	if p.cur().tok == ELSE {
+	if p.look.tok == ELSE {
 		p.advance()
 		els, err = p.stmtList(ENDIF)
 		if err != nil {
@@ -278,7 +246,7 @@ func (p *parser) continueExpr(x Expr, minPrec int) (Expr, error) {
 	// an operator.
 	defer func(depth int) { p.depth = depth }(p.depth)
 	for {
-		op := p.cur().tok
+		op := p.look.tok
 		prec := op.Precedence()
 		if prec == 0 || prec < minPrec {
 			return x, nil
@@ -301,7 +269,7 @@ func (p *parser) continueExpr(x Expr, minPrec int) (Expr, error) {
 }
 
 func (p *parser) unary() (Expr, error) {
-	switch p.cur().tok {
+	switch p.look.tok {
 	case NOT, SUB:
 		if err := p.enter(); err != nil {
 			return nil, err
@@ -318,7 +286,7 @@ func (p *parser) unary() (Expr, error) {
 }
 
 func (p *parser) primary() (Expr, error) {
-	lx := p.cur()
+	lx := p.look
 	switch lx.tok {
 	case INT:
 		p.advance()
@@ -352,7 +320,7 @@ func (p *parser) primary() (Expr, error) {
 		return p.suffix(x)
 	case IDENT:
 		p.advance()
-		if p.cur().tok == LPAREN {
+		if p.look.tok == LPAREN {
 			call, err := p.callExpr(lx.pos, lx.lit)
 			if err != nil {
 				return nil, err
@@ -367,7 +335,7 @@ func (p *parser) primary() (Expr, error) {
 
 // suffix applies indexing suffixes: x[i][j]...
 func (p *parser) suffix(x Expr) (Expr, error) {
-	for p.cur().tok == LBRACK {
+	for p.look.tok == LBRACK {
 		p.advance()
 		idx, err := p.expr()
 		if err != nil {
@@ -386,14 +354,14 @@ func (p *parser) callExpr(pos Pos, name string) (Expr, error) {
 		return nil, err
 	}
 	var args []Expr
-	if p.cur().tok != RPAREN {
+	if p.look.tok != RPAREN {
 		for {
 			a, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			args = append(args, a)
-			if p.cur().tok != COMMA {
+			if p.look.tok != COMMA {
 				break
 			}
 			p.advance()

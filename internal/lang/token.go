@@ -82,6 +82,12 @@ func (t Token) String() string {
 	return fmt.Sprintf("Token(%d)", int(t))
 }
 
+// punct maps each token of one character that no second character extends.
+var punct = map[rune]Token{
+	';': SEMI, ',': COMMA, '(': LPAREN, ')': RPAREN, '[': LBRACK, ']': RBRACK,
+	'+': ADD, '-': SUB, '*': MUL, '/': QUO,
+}
+
 var keywords = map[string]Token{
 	"for": FOR, "to": TO, "do": DO, "endfor": ENDFOR,
 	"if": IF, "then": THEN, "else": ELSE, "endif": ENDIF,

@@ -78,19 +78,20 @@ type opTally struct {
 }
 
 func (o opTally) total() int64 {
-	return satAdd(satAdd(satAdd(satAdd(o.adds, o.mults), o.divs), o.cmps), o.exps)
+	return o.adds + o.mults + o.divs + o.cmps + o.exps
 }
 
 // addTimes folds k repetitions of t into o: a loop body's tally times its
-// trip count. Every count saturates at math.MaxInt64 instead of wrapping, so
-// a loop of unbounded span (types.Info.LoopIters) prices as the most work,
-// never as a negative or small count.
+// trip count. Neither can overflow on a program privacy.Admit took: a body
+// counts at most one operation per token (lang's cap, 2^16), and admission
+// refuses a loop nest that runs its body more than 2^20 times, so a tally is
+// below 2^36.
 func (o *opTally) addTimes(t opTally, k int64) {
-	o.adds = satAdd(o.adds, satMul(t.adds, k))
-	o.mults = satAdd(o.mults, satMul(t.mults, k))
-	o.divs = satAdd(o.divs, satMul(t.divs, k))
-	o.cmps = satAdd(o.cmps, satMul(t.cmps, k))
-	o.exps = satAdd(o.exps, satMul(t.exps, k))
+	o.adds += t.adds * k
+	o.mults += t.mults * k
+	o.divs += t.divs * k
+	o.cmps += t.cmps * k
+	o.exps += t.exps * k
 }
 
 // satMul is a·b for non-negative a and b, saturating at math.MaxInt64.
@@ -99,14 +100,6 @@ func satMul(a, b int64) int64 {
 		return math.MaxInt64
 	}
 	return a * b
-}
-
-// satAdd is a+b for non-negative a and b, saturating at math.MaxInt64.
-func satAdd(a, b int64) int64 {
-	if a > math.MaxInt64-b {
-		return math.MaxInt64
-	}
-	return a + b
 }
 
 // step is one logical step of the query with its shape parameters.
@@ -293,6 +286,10 @@ func (d *decomposer) walkScaled(stmts []lang.Stmt, iters int64) error {
 		if as, ok := s.(*lang.AssignStmt); ok {
 			if mech := d.mechanismOf(as.Value); mech != nil {
 				m := *mech
+				// A width is an array length: Request.N or Request.Categories,
+				// which the caller sets and nothing bounds, or an index range
+				// of the program. So this product can overflow where no
+				// tally can.
 				m.c = max(satMul(m.c, iters), 1)
 				d.steps = append(d.steps, m)
 				continue

@@ -1,11 +1,11 @@
 package planner
 
 import (
-	"math"
 	"testing"
 
 	"arboretum/internal/costmodel"
 	"arboretum/internal/lang"
+	"arboretum/internal/privacy"
 	"arboretum/internal/queries"
 	"arboretum/internal/types"
 )
@@ -161,49 +161,37 @@ func TestBiteSizeFilter(t *testing.T) {
 	}
 }
 
-// TestDecomposeUnboundedLoopSaturates: a loop whose span int64 cannot hold
-// runs math.MaxInt64 times (types.Info.LoopIters). Admission refuses such a
-// loop (privacy.ErrUnboundedLoop), so the program is typed here without it.
-// Scaling a step's width or a body's tally by the count saturates instead of
-// wrapping, so every width and tally stays positive.
-func TestDecomposeUnboundedLoopSaturates(t *testing.T) {
-	prog := lang.MustParse(`aggr = sum(db);
-c = declassify(laplace(aggr[0], 1.0));
-x = 0;
-for i = 0 to 9000000000000000000 * 2 do
-  x = x + c * 3;
-endfor;
-for j = 0 to 9000000000000000000 * 2 do
-  n = declassify(laplace(aggr[0], 1.0));
-  output(n);
-endfor;
-output(x);`)
-	info, err := types.Infer(prog, types.DBInfo{N: 100, Width: 4, ElemRange: types.Range{Hi: 1}})
-	if err != nil {
-		t.Fatal(err)
+// FuzzDecompose: on every program the front end admits, decompose's counts
+// are exact. No tally wraps or comes near saturating: a body counts at most
+// one operation per token (2^16 of them), and admission caps how often a loop
+// nest runs its body (2^20), so the five tallies of a step sum to at most
+// 2^36. Every width is at least 1.
+func FuzzDecompose(f *testing.F) {
+	for _, q := range queries.All {
+		f.Add(q.Source)
 	}
-	steps, err := decompose(prog, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var compute, noise bool
-	for _, st := range steps {
-		if st.c < 1 {
-			t.Errorf("%v step has width %d", st.kind, st.c)
+	f.Add("aggr = sum(db); c = declassify(laplace(aggr[0], 1.0)); x = 0; for i = 0 to 1048575 do x = x + c * 3 / 2 - exp(c); endfor; output(x);")
+	f.Add("aggr = sum(db); x = 0; for i = 0 to 1023 do for j = 0 to 1023 do if x < j then x = x + i * j; endif; endfor; endfor; output(declassify(laplace(x, 1.0)));")
+	f.Add("aggr = sum(db); for i = 0 to 1023 do n = declassify(laplace(aggr[i], 1.0)); output(n); endfor;")
+	f.Add("aggr = sum(db); for i = 0 to 9000000000000000000 * 2 do x = aggr[0] * 3; endfor; output(declassify(laplace(x, 1.0)));")
+	db := types.DBInfo{N: 1 << 20, Width: 1 << 15, ElemRange: types.Range{Hi: 1}}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4<<10 {
+			t.Skip()
 		}
-		for _, n := range []int64{st.ops.adds, st.ops.mults, st.ops.divs, st.ops.cmps, st.ops.exps} {
-			if n < 0 {
-				t.Errorf("%v step has tally %+v", st.kind, st.ops)
+		prog, info, _, err := privacy.Admit(src, db)
+		if err != nil {
+			return
+		}
+		steps, err := decompose(prog, info)
+		if err != nil {
+			t.Fatalf("admitted, then refused by decompose: %v", err)
+		}
+		for _, st := range steps {
+			o := st.ops
+			if st.c < 1 || min(o.adds, o.mults, o.divs, o.cmps, o.exps) < 0 || o.total() > 1<<36 {
+				t.Fatalf("%v step has width %d and tally %+v", st.kind, st.c, o)
 			}
 		}
-		switch st.kind {
-		case stepCompute:
-			compute = st.ops.adds == math.MaxInt64 && st.ops.mults == math.MaxInt64 && st.c == math.MaxInt64
-		case stepNoise:
-			noise = st.c == math.MaxInt64
-		}
-	}
-	if !compute || !noise {
-		t.Errorf("want a saturated compute step and a saturated noise step: %+v", steps)
-	}
+	})
 }

@@ -15,10 +15,10 @@ var ErrNoMechanism = errors.New("query calls no mechanism (laplace, em or topk)"
 
 // Admit is the query front end, and the only one: parse src, infer basic
 // types and value ranges against the database shape, and certify the program
-// differentially private. The planner, the runtime and
-// (through runtime.Certify) the analyst gateway all admit a query here, so
-// the certificate a reservation is priced from is the certificate the run
-// charges and the plan reports — (ε, δ, sample rate) depend only on (src, db).
+// differentially private. The planner and the runtime admit here, the
+// gateway once per job (runtime.Admit), so the certificate a reservation is
+// priced from is the object the run charges. (ε, δ, sample rate) depend only
+// on (src, db), and src is read only up to its first token past lang's caps.
 //
 // Errors carry the stage that refused the query ("parse:", "types:",
 // "certification:"); callers prefix their own package.

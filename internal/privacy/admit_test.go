@@ -70,6 +70,9 @@ func FuzzAdmit(f *testing.F) {
 	// 1,500 levels of parentheses: refused with lang.ErrTooDeep, where the
 	// recursive descent used to go as deep as the source did.
 	f.Add("aggr = sum(db); x = " + strings.Repeat("(", 1500) + "aggr[0]" + strings.Repeat(")", 1500) + "; output(declassify(laplace(x, 1.0)));")
+	for _, shape := range admissionShapes(4<<10 - 1) {
+		f.Add(shape.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4<<10 {
 			t.Skip()
@@ -112,6 +115,26 @@ func FuzzAdmit(f *testing.F) {
 			t.Fatalf("admitted a loop nest that runs its body %d times, more than %d", w, maxLoopWork)
 		}
 	})
+}
+
+// admissionShapes are four adversarial sources, each cut to exactly size
+// bytes (1 MiB for TestAllocGateAdmission, under 4 KiB for FuzzAdmit): deep
+// parentheses and a long binary chain, which the parser's depth cap refuses,
+// and a long statement list and many loops, which at 1 MiB its token cap
+// refuses. A front end that lexed the whole source first read all of each.
+func admissionShapes(size int) []struct{ name, src string } {
+	fill := func(head, unit, tail string) string {
+		n := (size - len(head) - len(tail)) / len(unit)
+		src := head + strings.Repeat(unit, n) + tail
+		return src + strings.Repeat(" ", size-len(src))
+	}
+	const release = "output(declassify(laplace(aggr[0], 1.0)));"
+	return []struct{ name, src string }{
+		{"parentheses", fill("x = ", "(", "")},
+		{"binary chain", fill("aggr = sum(db); x = aggr[0]", " + 1", ";")},
+		{"statement list", fill("aggr = sum(db); ", "x = 1; ", release)},
+		{"loops", fill("aggr = sum(db); ", "for i = 0 to 1 do x = 1; endfor; ", release)},
+	}
 }
 
 // loopWork is the most times any loop nest in stmts runs its innermost body:

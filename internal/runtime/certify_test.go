@@ -40,3 +40,30 @@ func TestCertifyRejects(t *testing.T) {
 		t.Error("unparseable program certified")
 	}
 }
+
+// TestExecuteRunsItsAdmission: Execute runs the program, certificate and
+// plan Admit made, and reads the source only for the plan digest: an
+// Admitted value whose source no longer parses still runs, and the result
+// carries the very certificate Admit returned. A deployment of another shape
+// refuses it before anything is charged.
+func TestExecuteRunsItsAdmission(t *testing.T) {
+	const n, categories = 64, 4
+	a, err := Admit(`aggr = sum(db);
+output(declassify(laplace(aggr[0], 1.0)));`, n, categories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.src = "not a program"
+	other := smallDeployment(t, n, 2*categories)
+	if _, err := other.Execute(a, RunOptions{}); err == nil {
+		t.Error("a deployment of another shape ran the query")
+	}
+	untouched(t, other, 10)
+	res, err := smallDeployment(t, n, categories).Execute(a, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Certificate != a.Certificate || res.Plan != a.plan {
+		t.Error("the run charged or ran something other than its admission")
+	}
+}

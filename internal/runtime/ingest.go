@@ -216,7 +216,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 	last := make([]*ahe.Ciphertext, sp.width)
 
 	h := sha256.New()
-	fill := make([]byte, (sp.pub.N2.BitLen()+7)/8)
+	fill := make([]byte, sp.pub.CiphertextBytes())
 	verifyHash := make([]byte, 0, sha256.Size)
 	batchBuf := make([]upload, sp.batch)
 	vecs := make([][]*ahe.Ciphertext, 0, sp.batch)
@@ -254,9 +254,7 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 			if up.dropped {
 				continue // nothing arrived
 			}
-			for _, ct := range up.vec {
-				res.bytes += int64(ct.Bytes())
-			}
+			res.bytes += int64(len(up.vec) * sp.pub.CiphertextBytes())
 			res.bytes += int64(up.proof.Bytes())
 			res.verified++
 			if !job.verifier.Verify(up.proof) {
@@ -410,9 +408,7 @@ func combinePartials(pub *ahe.PublicKey, partials [][]*ahe.Ciphertext, fanout in
 	for len(partials) > 1 {
 		for i, vec := range partials {
 			if i%fanout != 0 {
-				for _, ct := range vec {
-					total += int64(ct.Bytes())
-				}
+				total += int64(len(vec) * pub.CiphertextBytes())
 			}
 		}
 		next, err := parallel.Map(nil, (len(partials)+fanout-1)/fanout, 0, func(g int) ([]*ahe.Ciphertext, error) {
@@ -440,7 +436,7 @@ func auditIngest(pub *ahe.PublicKey, res *ingestResult, m *Metrics) error {
 	}
 	var firstErr error
 	h := sha256.New()
-	fill := make([]byte, (pub.N2.BitLen()+7)/8)
+	fill := make([]byte, pub.CiphertextBytes())
 	base := 0
 	for _, sr := range res.shards {
 		for _, rb := range sr.retained {

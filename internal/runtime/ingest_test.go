@@ -625,12 +625,12 @@ func TestShardVerifiersAcceptOwnDevices(t *testing.T) {
 // shard-combine tree. Every fanout — unset, pairwise, wide, wider than the
 // shard count — yields bit-identical sums from the same (partials − 1) × width
 // additions, so the combine traffic is the same number of ciphertext
-// transfers (byte totals wobble only with ciphertext lengths, ≤ 2 B each).
+// transfers, each charged the key's wire size.
 func TestCombineFanoutInvariant(t *testing.T) {
 	sk := ingestKey(t)
 	pop := newVirtualPopulation(9, 200, 4)
 	const shards = 5
-	cell := int64((sk.N2.BitLen() + 7) / 8)
+	cell := int64(sk.CiphertextBytes())
 	var want []*ahe.Ciphertext
 	for _, fanout := range []int{0, 2, 8, shards + 3} {
 		res := auditFixture(t, sk, pop, shards, 16, ingestSpec{fanout: fanout})
@@ -644,8 +644,8 @@ func TestCombineFanoutInvariant(t *testing.T) {
 				t.Errorf("fanout %d: cell %d differs from fanout 0", fanout, c)
 			}
 		}
-		if res.combineBytes > adds*cell || res.combineBytes < adds*(cell-2) {
-			t.Errorf("fanout %d: combine traffic %d B, want %d transfers of ~%d B", fanout, res.combineBytes, adds, cell)
+		if res.combineBytes != adds*cell {
+			t.Errorf("fanout %d: combine traffic %d B, want %d transfers of %d B", fanout, res.combineBytes, adds, cell)
 		}
 	}
 }

@@ -9,20 +9,11 @@ package runtime
 
 import (
 	"reflect"
+	"slices"
 	"testing"
-)
 
-// stableMetrics zeroes the fields that measure byte lengths and MPC round
-// counts of ciphertexts: those depend on crypto/rand draws (a Paillier
-// ciphertext is occasionally a byte shorter) and vary run to run even
-// sequentially. The remaining counters must be exact.
-func stableMetrics(m Metrics) Metrics {
-	m.DeviceBytesSent = 0
-	m.AggregatorBytes = 0
-	m.CommitteeBytes = 0
-	m.MPCRounds = 0
-	return m
-}
+	"arboretum/internal/queries"
+)
 
 func runOnce(t *testing.T, procs int, src string, fanout int) (*Result, Metrics) {
 	t.Helper()
@@ -54,7 +45,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("accepted/sampled differ: %d/%d vs %d/%d",
 			res1.Accepted, res1.Sampled, res8.Accepted, res8.Sampled)
 	}
-	if stableMetrics(m1) != stableMetrics(m8) {
+	if m1 != m8 {
 		t.Fatalf("metrics differ across worker counts:\n1 worker: %+v\n8 workers: %+v", m1, m8)
 	}
 }
@@ -69,11 +60,34 @@ func TestSumTreeDeterministicAcrossWorkers(t *testing.T) {
 	if !reflect.DeepEqual(res1.Outputs, res8.Outputs) {
 		t.Fatalf("sum-tree outputs differ: %v vs %v", res1.Outputs, res8.Outputs)
 	}
-	if stableMetrics(m1) != stableMetrics(m8) {
+	if m1 != m8 {
 		t.Fatalf("sum-tree metrics differ:\n1 worker: %+v\n8 workers: %+v", m1, m8)
 	}
 	resDef, mDef := runOnce(t, 8, src, 0)
-	if !reflect.DeepEqual(res1.Outputs, resDef.Outputs) || stableMetrics(m1) != stableMetrics(mDef) {
+	if !reflect.DeepEqual(res1.Outputs, resDef.Outputs) || m1 != mDef {
 		t.Fatalf("fanout 4 diverged from the default combine: %v vs %v", res1.Outputs, resDef.Outputs)
+	}
+}
+
+// TestMetricsRepeat: every Metrics field is a function of the inputs. Two
+// runs of each corpus query on one seed and the same data (seamQueries
+// under the race detector) count the same traffic, rounds and events: a
+// ciphertext is charged its wire size, not the length of its random value.
+func TestMetricsRepeat(t *testing.T) {
+	for _, q := range queries.All {
+		if len(seamQueries) > 0 && !slices.Contains(seamQueries, q.Name) {
+			continue
+		}
+		var m [2]Metrics
+		for i := range m {
+			d := smallDeployment(t, 64, 8, func(c *Config) { c.Seed, c.BudgetEpsilon = 5, 1e9 })
+			if _, err := d.Run(q.Source, RunOptions{}); err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+			m[i] = d.Metrics
+		}
+		if m[0] != m[1] {
+			t.Errorf("%s: metrics differ between two runs of one seed:\n%+v\n%+v", q.Name, m[0], m[1])
+		}
 	}
 }

@@ -75,7 +75,7 @@ func TestRunIsPlanThenExecute(t *testing.T) {
 				t.Errorf("%s workers=%d: Run released %v (%d/%d), RunPlan %v (%d/%d)", q.Name, workers,
 					got.Outputs, got.Accepted, got.Sampled, want.Outputs, want.Accepted, want.Sampled)
 			}
-			if stableMetrics(ran.Metrics) != stableMetrics(planned.Metrics) {
+			if ran.Metrics != planned.Metrics {
 				t.Errorf("%s workers=%d: metrics differ:\nRun:     %+v\nRunPlan: %+v", q.Name, workers, ran.Metrics, planned.Metrics)
 			}
 			if !reflect.DeepEqual(got.Plan.Choices, want.Plan.Choices) || got.Plan.String() != res.Plan.String() {

@@ -6,14 +6,11 @@ import (
 	"errors"
 	"fmt"
 
-	"arboretum/internal/costmodel"
 	"arboretum/internal/fixed"
 	"arboretum/internal/lang"
 	"arboretum/internal/parallel"
 	"arboretum/internal/plan"
-	"arboretum/internal/planner"
 	"arboretum/internal/privacy"
-	"arboretum/internal/types"
 )
 
 // RunOptions is what a run takes besides the query and the plan. Every
@@ -67,94 +64,51 @@ type Result struct {
 // Nothing has been selected, charged or collected when it is returned.
 var ErrPlanNotExecutable = errors.New("runtime: plan is priced-only (it chose an option the runtime cannot execute)")
 
-// ErrPlanSearchExceeded is Run's refusal of a certified query whose option
-// tree is larger than planSearchCap; it wraps planner.ErrNodeCap. Nothing
-// has been selected, charged or collected when it is returned.
-var ErrPlanSearchExceeded = errors.New("runtime: query is too large to plan")
-
-// planSearchCap bounds the planning Run does on behalf of whoever submitted
-// the query — over HTTP, any tenant. Planning for execution makes one choice
-// per step kind (planner.Request.ExecutableOnly), so the tree's depth does
-// not grow with the program: ten em/max pairs search ~5,000 prefixes like one
-// pair does, the evaluation corpus at most 9,590 (gap at 64×32), and a query
-// using every operator of the language 0.2–1.4 million (~1 s) at shapes from
-// 64×8 to 2^20×2^15. The cap is a backstop past all of those, not a gate any
-// known query meets. (A variable so that a test can lower it.)
-var planSearchCap int64 = 1 << 21
-
-// PlanRequest is the planning task Run sets itself for src: this deployment's
-// own (N, Categories), expected device CPU as the goal, the evaluation
-// limits, the default cost model, and only options the runtime can execute.
-// The search runs on the calling goroutine. A caller that wants one choice different pins it (ForceChoices), plans, and
-// hands the plan to RunPlan.
-func (d *Deployment) PlanRequest(src string) planner.Request {
-	return planner.Request{
-		Source:         src,
-		N:              int64(d.cfg.N),
-		Categories:     int64(d.cfg.Categories),
-		Goal:           costmodel.PartExpCPU,
-		Limits:         planner.DefaultLimits,
-		NodeCap:        planSearchCap,
-		ExecutableOnly: true,
-	}
-}
-
-// Run plans the query for this deployment's own shape and executes the plan:
-// admit once (privacy.Admit), search the options the runtime can execute for
-// the plan cheapest in expected device CPU under the evaluation limits, then
-// run it exactly as RunPlan would. The plan is a pure function of (src, N,
-// Categories), so a re-run — the gateway's crash recovery — executes the
-// same plan.
+// Run admits and plans the query for this deployment's own shape (Admit)
+// and executes the plan (Execute).
 func (d *Deployment) Run(src string, opts RunOptions) (*Result, error) {
-	return d.admitted(src, opts, func(prog *lang.Program, info *types.Info, cert *privacy.Certificate) (*plan.Plan, error) {
-		if err := d.checkpoint("plan"); err != nil {
-			return nil, err
-		}
-		res, err := planner.PlanAdmitted(d.PlanRequest(src), prog, info, cert)
-		if errors.Is(err, planner.ErrNodeCap) {
-			return nil, fmt.Errorf("%w: %w", ErrPlanSearchExceeded, err)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
-		return res.Plan, d.checkpoint("plan")
-	})
+	a, err := Admit(src, d.cfg.N, d.cfg.Categories)
+	if err != nil {
+		return nil, err
+	}
+	return d.Execute(a, opts)
 }
 
 // RunPlan executes a query under a plan made elsewhere — at deployment scale
 // (the paper's plan-once-then-execute composition), or with a choice forced
 // (planner.Request.ForceChoices). A plan is structure plus typed choices:
 // RunPlan reads EMVariant and SumFanout and sizes everything else from its
-// own Config, so a plan made for 2^30 devices runs on 64. A priced-only plan
-// is refused with ErrPlanNotExecutable.
+// own Config, so a plan made for 2^30 devices runs on 64. It admits src for
+// this deployment's shape, as Admit does, and does not plan. A priced-only
+// plan is refused with ErrPlanNotExecutable.
 func (d *Deployment) RunPlan(p *plan.Plan, src string, opts RunOptions) (*Result, error) {
-	return d.admitted(src, opts, func(*lang.Program, *types.Info, *privacy.Certificate) (*plan.Plan, error) {
-		return p, nil
-	})
-}
-
-// admitted is Run's and RunPlan's one prologue: it holds opts.Ctx as the
-// run's cancellation context until the run returns, admits src, and executes
-// the plan planFor makes for the admitted query.
-func (d *Deployment) admitted(src string, opts RunOptions, planFor func(*lang.Program, *types.Info, *privacy.Certificate) (*plan.Plan, error)) (*Result, error) {
-	d.runCtx = opts.Ctx
-	defer func() { d.runCtx = nil }()
 	prog, info, cert, err := admit(src, d.cfg.N, d.cfg.Categories)
 	if err != nil {
 		return nil, err
 	}
-	p, err := planFor(prog, info, cert)
-	if err != nil {
-		return nil, err
-	}
-	return d.execute(p, src, prog, cert)
+	return d.Execute(&Admitted{Certificate: cert, src: src, prog: prog, info: info, plan: p}, opts)
 }
 
-// execute runs an admitted query under a plan, end to end over the
+// Execute runs a query admitted for this deployment's shape under its plan,
+// holding opts.Ctx as the run's cancellation context until it returns. A
+// query admitted for another shape, whose certificate holds for another
+// database, is refused before anything is charged.
+func (d *Deployment) Execute(a *Admitted, opts RunOptions) (*Result, error) {
+	if db := a.info.DB; db.N != int64(d.cfg.N) || db.Width != int64(d.cfg.Categories) {
+		return nil, fmt.Errorf("runtime: query admitted for %d devices × %d categories, deployment has %d × %d",
+			db.N, db.Width, d.cfg.N, d.cfg.Categories)
+	}
+	d.runCtx = opts.Ctx
+	defer func() { d.runCtx = nil }()
+	return d.execute(a)
+}
+
+// execute runs an admitted query under its plan, end to end over the
 // deployment (Section 5's whole pipeline): it charges the privacy budget,
 // runs sortition, key generation, ZKP-checked input collection, audited
 // aggregation, committee vignettes, and returns the released outputs.
-func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert *privacy.Certificate) (*Result, error) {
+func (d *Deployment) execute(a *Admitted) (*Result, error) {
+	p, cert := a.plan, a.Certificate
 	if p == nil || !p.Executable {
 		return nil, ErrPlanNotExecutable
 	}
@@ -195,7 +149,7 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 	}
 	// ... and signs the query authorization certificate, which devices
 	// verify before encrypting anything under the new key.
-	auth, err := d.issueCertificate(km, planDigest(src, p))
+	auth, err := d.issueCertificate(km, planDigest(a.src, p))
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +206,7 @@ func (d *Deployment) execute(p *plan.Plan, src string, prog *lang.Program, cert 
 			}
 		}
 		ip.ce, ip.db = ce, value{kind: vSharedArr, secs: counts, eng: ce}
-		return ip.run(prog.Stmts)
+		return ip.run(a.prog.Stmts)
 	}
 	if err := d.drawingAhead(encryptions, decryptAndRun); err != nil {
 		return nil, err

@@ -169,13 +169,16 @@ type submitRequest struct {
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 }
 
-// handleSubmit is the admission path: rate limit → certify → reserve, and
-// the reserve record is the submission. Certification prices it, the
-// ledger checks the balance before it writes, so a query that exceeds the
-// remaining budget is rejected here with a typed error, never executes and
-// leaves no trace; and one record carries both the hold and everything a
-// restarted daemon needs to run the job, so there is no moment at which one
-// exists without the other.
+// handleSubmit is the admission path: rate limit → queue slot → admit and
+// plan → reserve, and the reserve record is the submission. The slot comes
+// first, so a full queue refuses while refusing is free, and every refusal
+// after it returns the slot. The job carries its admission (runtime.Admit)
+// to its executor, so the certificate that prices the reservation is the one
+// the run charges. The ledger checks the balance before it writes, so a query
+// that exceeds the remaining budget is rejected here with a typed error,
+// never executes and leaves no trace; and one record carries both the hold
+// and everything a restarted daemon needs to run the job, so there is no
+// moment at which one exists without the other.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
 	if !s.decodeBody(w, r, &req) {
@@ -211,18 +214,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "fault spec: %v", err)
 		return
 	}
-	cert, err := runtime.Certify(req.Source, s.cfg.Devices, s.cfg.Categories)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "not_private",
-			"query did not certify as differentially private: %v", err)
-		return
-	}
-	id, err := newJobID()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-		return
-	}
-	// A queue slot first: a full queue refuses while refusing is free.
 	if err := s.store.reserveSlot(); err != nil {
 		if errors.Is(err, errShutdown) {
 			s.writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is shutting down")
@@ -232,9 +223,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"job queue is full (%d jobs)", cap(s.store.queue))
 		return
 	}
+	admitted, err := runtime.Admit(req.Source, s.cfg.Devices, s.cfg.Categories)
+	if err != nil {
+		s.store.releaseSlot()
+		code := "not_private"
+		if errors.Is(err, runtime.ErrPlanSearchExceeded) {
+			code = "not_plannable"
+		}
+		s.writeError(w, http.StatusBadRequest, code, "query not admitted: %v", err)
+		return
+	}
+	id, err := newJobID()
+	if err != nil {
+		s.store.releaseSlot()
+		s.writeError(w, http.StatusInternalServerError, "internal", "%v", err)
+		return
+	}
 	j := &Job{
-		ID: id, Tenant: req.Tenant,
-		Epsilon: cert.Epsilon, Delta: cert.Delta,
+		ID: id, Tenant: req.Tenant, admitted: admitted,
+		Epsilon: admitted.Certificate.Epsilon, Delta: admitted.Certificate.Delta,
 		Submitted:      time.Now(),
 		TimeoutSeconds: req.TimeoutSeconds,
 		source:         req.Source, faults: req.Faults, seq: s.store.nextSeq(),

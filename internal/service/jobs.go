@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"arboretum/internal/runtime"
 )
 
 // JobState is a job's position in the queued → running → terminal lifecycle.
@@ -69,6 +71,9 @@ type Job struct {
 	source string
 	faults string // per-job fault spec ("" = server default)
 	seq    uint64 // submission sequence; seeds the job's deployment
+	// admitted is the submit handler's admission, which the executor reads
+	// after its claim; a settled job drops it (a recovered job never had one).
+	admitted *runtime.Admitted
 
 	// claimed records that the job's claim is durable. It outlives the
 	// process: a job recovered after its claim is queued again, but the
@@ -322,7 +327,7 @@ func (st *store) cancel(id string) (Job, error) {
 		return *j, errNotCancelable
 	}
 	j.State = JobCanceled
-	j.Finished = time.Now()
+	j.Finished, j.admitted = time.Now(), nil
 	st.markTerminalLocked(id)
 	return *j, nil
 }

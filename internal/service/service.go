@@ -8,10 +8,10 @@
 // gateway's one durable file.
 //
 // The budget lifecycle is the service's core contract, and a job's life is
-// the same four records. At admission the query is certified
-// (runtime.Certify) and exactly the certificate's (ε, δ) is reserved — the
-// reserve record is the submission, carrying what a restart needs to run
-// the job again — and a query whose certified cost exceeds the tenant's
+// the same four records. At admission the query is admitted and planned
+// once (runtime.Admit) and exactly the certificate's (ε, δ) is reserved —
+// the reserve record is the submission, carrying what a restart needs to
+// run the job again — and a query whose certified cost exceeds the tenant's
 // remaining budget is rejected with a typed error before anything is
 // written or executed. Each admitted job is claimed (one record) and runs
 // on its own simulated deployment (seeded from the server seed and the job
@@ -173,7 +173,7 @@ type Server struct {
 
 	// run executes one job's deployment: runDeployment, which a test may
 	// swap for another while the executors are held.
-	run func(context.Context, *Job) (*runtime.Result, string, error)
+	run func(context.Context, *Job, *runtime.Admitted) (*runtime.Result, string, error)
 
 	closeOnce   sync.Once
 	closeErr    error
@@ -415,7 +415,7 @@ func (s *Server) execute(j *Job) {
 	if midExecute {
 		cancel()
 	}
-	res, report, err := s.runJob(ctx, j)
+	res, report, err := s.runJob(ctx, j, j.admitted)
 	cancel()
 	s.runMu.Lock()
 	delete(s.running, j.ID)
@@ -477,7 +477,7 @@ func (s *Server) execute(j *Job) {
 func (s *Server) settle(j *Job, rec *ledger.Record, terminal func(*Job)) {
 	err := s.ledger.Append(rec, func() {
 		s.store.update(j.ID, func(j *Job) {
-			j.Finished = time.Now()
+			j.Finished, j.admitted = time.Now(), nil
 			terminal(j)
 		})
 	})
@@ -498,7 +498,7 @@ func (s *Server) settle(j *Job, rec *ledger.Record, terminal func(*Job)) {
 // parallel.Map forwards here — fails its job alone: the value and stack go
 // to Logf and the job fails with execution_error, releasing its
 // reservation.
-func (s *Server) runJob(ctx context.Context, j *Job) (*runtime.Result, string, error) {
+func (s *Server) runJob(ctx context.Context, j *Job, admitted *runtime.Admitted) (*runtime.Result, string, error) {
 	type outcome struct {
 		res    *runtime.Result
 		report string
@@ -513,7 +513,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*runtime.Result, string, e
 				ch <- outcome{err: fmt.Errorf("service: run panicked: %v", v)}
 			}
 		}()
-		res, report, err := s.run(ctx, j)
+		res, report, err := s.run(ctx, j, admitted)
 		ch <- outcome{res, report, err}
 	}()
 	select {
@@ -529,10 +529,19 @@ func (s *Server) runJob(ctx context.Context, j *Job) (*runtime.Result, string, e
 	}
 }
 
-// runDeployment builds the job's private deployment and runs the query.
-// The deployment's budget is exactly the reservation, so the runtime's own
-// budget check enforces the admission decision end to end.
-func (s *Server) runDeployment(ctx context.Context, j *Job) (*runtime.Result, string, error) {
+// runDeployment builds the job's private deployment and executes the
+// query's admission; a recovered job, which has none, is admitted here, once,
+// and a refusal fails it as a failed run does. The deployment's budget is
+// exactly the reservation, so the runtime's own budget check enforces the
+// admission decision end to end.
+func (s *Server) runDeployment(ctx context.Context, j *Job, admitted *runtime.Admitted) (*runtime.Result, string, error) {
+	var err error
+	if admitted == nil {
+		admitted, err = runtime.Admit(j.source, s.cfg.Devices, s.cfg.Categories)
+	}
+	if err != nil {
+		return nil, "", err
+	}
 	spec := j.faults
 	if spec == "" {
 		spec = s.cfg.FaultSpec
@@ -553,7 +562,7 @@ func (s *Server) runDeployment(ctx context.Context, j *Job) (*runtime.Result, st
 	if err != nil {
 		return nil, "", err
 	}
-	res, err := dep.Run(j.source, runtime.RunOptions{Ctx: ctx})
+	res, err := dep.Execute(admitted, runtime.RunOptions{Ctx: ctx})
 	report := ""
 	if spec != "" {
 		report = dep.FaultReport()

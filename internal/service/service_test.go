@@ -270,6 +270,78 @@ func TestAdmissionRejections(t *testing.T) {
 	}
 }
 
+// TestQueueSlotBeforeAdmission: a submission takes its queue slot before it
+// is admitted, so a full queue refuses any source, an inadmissible one
+// included, 503 queue_full without parsing it; and every refusal after the
+// slot returns it, so a queue of one keeps admitting.
+func TestQueueSlotBeforeAdmission(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.QueueDepth = 1
+	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 1.5, Delta: 1e-6}}
+	s, ts := startT(t, cfg, nil)
+	const inadmissible = "aggr = sum(db);\noutput(declassify(aggr[0]));"
+
+	if err := s.store.reserveSlot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, code, ec := submit(t, ts.URL, "alice", inadmissible); code != http.StatusServiceUnavailable || ec != "queue_full" {
+		t.Fatalf("inadmissible source, queue full: HTTP %d %q, want 503 queue_full", code, ec)
+	}
+	s.store.releaseSlot()
+	for i := 0; i < 3; i++ {
+		if _, code, ec := submit(t, ts.URL, "alice", inadmissible); code != http.StatusBadRequest || ec != "not_private" {
+			t.Fatalf("inadmissible source %d: HTTP %d %q, want 400 not_private", i, code, ec)
+		}
+	}
+	j, code, _ := submit(t, ts.URL, "alice", countQuery)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the refusals: HTTP %d", code)
+	}
+	if f := waitTerminal(t, ts.URL, j.ID); f.State != JobDone {
+		t.Fatalf("job: state %s (%s), want done", f.State, f.Error)
+	}
+	if _, code, ec := submit(t, ts.URL, "alice", countQuery); code != http.StatusConflict || ec != "budget_exhausted" {
+		t.Fatalf("over budget: HTTP %d %q, want 409 budget_exhausted", code, ec)
+	}
+	if _, code, _ := submit(t, ts.URL, "alice", strings.Replace(countQuery, "1.0", "0.25", 1)); code != http.StatusAccepted {
+		t.Fatalf("submit after the budget refusal: HTTP %d", code)
+	}
+}
+
+// TestJobAdmittedOnce: the submit handler admits and plans the query, and the
+// executor runs exactly that. The certificate the run charges is the object
+// that priced the reservation, not an equal one from a second admission, and
+// the settled job lets the admission go.
+func TestJobAdmittedOnce(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Tenants = []TenantSpec{{ID: "acme", Epsilon: 10, Delta: 1e-6}}
+	hold := make(chan struct{})
+	s, ts := startT(t, cfg, hold)
+	same := make(chan bool, 1)
+	s.run = func(ctx context.Context, j *Job, a *runtime.Admitted) (*runtime.Result, string, error) {
+		res, report, err := s.runDeployment(ctx, j, a)
+		same <- err == nil && a != nil && res.Certificate == a.Certificate
+		return res, report, err
+	}
+	close(hold)
+	j, code, _ := submit(t, ts.URL, "acme", countQuery)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	if f := waitTerminal(t, ts.URL, j.ID); f.State != JobDone {
+		t.Fatalf("job: state %s (%s), want done", f.State, f.Error)
+	}
+	if !<-same {
+		t.Error("the run charged a certificate other than the one its admission reserved")
+	}
+	s.store.mu.Lock()
+	kept := s.store.jobs[j.ID].admitted
+	s.store.mu.Unlock()
+	if kept != nil {
+		t.Error("a settled job keeps its admitted program and plan")
+	}
+}
+
 // TestBodyAndNestingBounds: a body past maxBody, to either endpoint that
 // reads one, gets 413 too_large, and a source nested 10^5 levels deep, small
 // enough to read, is refused 400 not_private with lang.ErrTooDeep behind it.
@@ -449,9 +521,9 @@ func TestDurableWritesPerOperation(t *testing.T) {
 	delta("running two admitted jobs to done", 2*2) // claim + commit each: 3 with the reserve
 }
 
-// TestLongQueryRunsThroughGateway: planning happens inside the job's run, and
-// its search does not grow with the number of mechanism calls, so a query of
-// six em/max pairs is admitted, planned, run and charged like any other.
+// TestLongQueryRunsThroughGateway: planning happens at admission, and its
+// search does not grow with the number of mechanism calls, so a query of six
+// em/max pairs is admitted, planned, run and charged like any other.
 func TestLongQueryRunsThroughGateway(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 1, Delta: 1e-6}}
@@ -896,9 +968,9 @@ func TestRunPanicFailsTheJobAlone(t *testing.T) {
 	// Swapped while the executors are held; the hold's close orders it
 	// before their first read. Only the first run panics.
 	var once sync.Once
-	s.run = func(ctx context.Context, j *Job) (*runtime.Result, string, error) {
+	s.run = func(ctx context.Context, j *Job, a *runtime.Admitted) (*runtime.Result, string, error) {
 		once.Do(func() { panic("injected run panic") })
-		return s.runDeployment(ctx, j)
+		return s.runDeployment(ctx, j, a)
 	}
 	close(hold)
 

@@ -39,13 +39,14 @@ go test ./...
 # pinned to their steady-state allocation counts, the planner's scorer — run
 # once per plan prefix the search visits — a warm vsr.Group.Field and a warm
 # fixed-base comb walk to zero, the committee MPC's Mul and Less below one
-# allocation each, a device's proof and a shard's verify to zero, and one
-# honest device upload to its packed row's own allocations. Runs inside
-# `go test ./...` too; this named invocation bypasses the test cache so the
-# gate always executes, and fails loudly on its own line when a hot path
-# regresses.
+# allocation each, a device's proof and a shard's verify to zero, one
+# honest device upload to its packed row's own allocations, and the query
+# front end (privacy.Admit) on four adversarial 1 MiB sources to 8 MB each.
+# Runs inside `go test ./...` too; this named invocation bypasses the test
+# cache so the gate always executes, and fails loudly on its own line when a
+# hot path regresses.
 echo "== alloc-regression gates"
-go test ./internal/bgv ./internal/ahe ./internal/planner ./internal/vsr ./internal/fixedbase ./internal/mpc ./internal/zkp ./internal/runtime -run '^TestAllocGate' -count=1
+go test ./internal/bgv ./internal/ahe ./internal/planner ./internal/vsr ./internal/fixedbase ./internal/mpc ./internal/zkp ./internal/runtime ./internal/privacy -run '^TestAllocGate' -count=1
 
 # The 32-bit word path: word width changes the fixed-base comb's m′ =
 # −m⁻¹ mod b, its carries and the word math/big's addMulVVW works on (~5 s).
