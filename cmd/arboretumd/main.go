@@ -45,7 +45,6 @@ import (
 	"syscall"
 	"time"
 
-	"arboretum/internal/faults"
 	"arboretum/internal/service"
 )
 
@@ -102,8 +101,6 @@ func run(args []string) error {
 	retainJobs := fs.Int("retain-jobs", 0, "terminal jobs kept queryable before eviction (0 = default 10000)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for running jobs (negative = forever)")
 	faultSpec := fs.String("faults", "", `default fault schedule per job, e.g. "seed=7,upload=0.1" (docs/FAULTS.md)`)
-	ledgerFaults := fs.String("ledger-faults", "", `WAL crash schedule for chaos testing, e.g. "seed=1,wal=0.01"`)
-	daemonFaults := fs.String("daemon-faults", "", `daemon death schedule for chaos testing, e.g. "seed=1,daemon=0.01" or "daemon@3.2"`)
 	secureNoise := fs.Bool("secure-noise", false, "draw committee noise from crypto/rand (production)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -111,14 +108,6 @@ func run(args []string) error {
 	tens, err := parseTenants(*tenants)
 	if err != nil {
 		return err
-	}
-	crashPlan, err := faults.Parse(*ledgerFaults)
-	if err != nil {
-		return fmt.Errorf("-ledger-faults: %w", err)
-	}
-	daemonPlan, err := faults.Parse(*daemonFaults)
-	if err != nil {
-		return fmt.Errorf("-daemon-faults: %w", err)
 	}
 	srv, err := service.New(service.Config{
 		LedgerPath:    *ledgerPath,
@@ -136,8 +125,6 @@ func run(args []string) error {
 		JobTimeout:    *jobTimeout,
 		RetainJobs:    *retainJobs,
 		FaultSpec:     *faultSpec,
-		LedgerFaults:  crashPlan,
-		DaemonFaults:  daemonPlan,
 	})
 	if err != nil {
 		return err

@@ -20,7 +20,7 @@ package ahe
 // 7 of them squarings, in the 9 × 8 table of a key with no bound, and 76 in
 // the 8 × 5 table of a key for about a hundred, which builds in under half
 // the steps. The walk runs on pooled scratch, so it allocates nothing
-// (docs/KERNELS.md, "Why math/big").
+// (docs/KERNELS.md, "Why `math/big`, and the comb's kernel").
 
 import (
 	"crypto/sha256"

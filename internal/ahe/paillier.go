@@ -13,11 +13,13 @@
 // paper's BGV-derived rates regardless of the concrete scheme, so the plan
 // costs are unaffected by this substitution (see DESIGN.md).
 //
-// All modular arithmetic is math/big — Exp for the decryption and textbook
-// encryption exponentiations, Montgomery steps on math/big's own addMulVVW
-// for the fixed-base walk that forms the whole encryption product,
-// Mul+QuoRem for the additive folds — on every platform; there is no second
-// kernel (docs/KERNELS.md, "Why math/big").
+// Modular arithmetic is math/big — Exp for the decryption and textbook
+// encryption exponentiations, Mul+QuoRem for the additive folds — except
+// the Montgomery steps of the fixed-base walk that forms the whole
+// encryption product: on amd64 with ADX and BMI2 they run on
+// internal/fixedbase's assembly kernel montRowsADX, and elsewhere on
+// math/big's own addMulVVW (docs/KERNELS.md, "Why `math/big`, and the
+// comb's kernel").
 //
 // # Thread safety
 //
@@ -142,7 +144,7 @@ func GenerateKeyFor(random io.Reader, bits, encryptions int) (*PrivateKey, error
 	}
 	random = parallelSafeReader(random)
 	for {
-		pq, err := parallel.Map(nil, 2, 0, func(int) (*big.Int, error) {
+		pq, err := parallel.Map(2, 0, func(int) (*big.Int, error) {
 			return randomPrime(random, bits/2)
 		})
 		if err != nil {
@@ -402,7 +404,7 @@ func (pk *PublicKey) EncryptVector(random io.Reader, length, hot int) ([]*Cipher
 	if w > 1 && length > 1 {
 		random = parallelSafeReader(random)
 	}
-	return parallel.Map(nil, length, w, func(i int) (*Ciphertext, error) {
+	return parallel.Map(length, w, func(i int) (*Ciphertext, error) {
 		m := zero
 		if i == hot {
 			m = one

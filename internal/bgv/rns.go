@@ -531,7 +531,7 @@ func (c *Context) Encrypt(r io.Reader, pk *PublicKey, m Poly) (*Ciphertext, erro
 		}
 	} else {
 		//arblint:ignore errdiscard ForEach only propagates closure errors and this closure is infallible
-		_ = parallel.ForEach(nil, c.l, 0, func(li int) error {
+		_ = parallel.ForEach(c.l, 0, func(li int) error {
 			c.encryptRow(s, pk, m, ct, li)
 			return nil
 		})
@@ -641,7 +641,7 @@ func (c *Context) Mul(a, b *Ciphertext, rlk *RelinKey) (*Ciphertext, error) {
 		}
 	} else {
 		//arblint:ignore errdiscard ForEach only propagates closure errors and these closures are infallible
-		_ = parallel.ForEach(nil, c.l, 0, func(li int) error {
+		_ = parallel.ForEach(c.l, 0, func(li int) error {
 			c.mulTensorRow(s, li)
 			return nil
 		})
@@ -649,7 +649,7 @@ func (c *Context) Mul(a, b *Ciphertext, rlk *RelinKey) (*Ciphertext, error) {
 		// prime's digits), so the relin phase starts only after the full
 		// tensor phase — ForEach is the barrier.
 		//arblint:ignore errdiscard ForEach only propagates closure errors and these closures are infallible
-		_ = parallel.ForEach(nil, c.l, 0, func(li int) error {
+		_ = parallel.ForEach(c.l, 0, func(li int) error {
 			c.mulRelinRow(s, rlk, ct, li, cached)
 			return nil
 		})

@@ -166,7 +166,6 @@ type Model struct {
 	KeyGenCPU     float64 // (~14 min)
 	DecPerCtBytes float64 // per decryption-committee member per ciphertext
 	DecPerCtCPU   float64
-	VSRBytes      float64 // hand one secret to the next committee, per member
 
 	// --- misc ---
 	SigVerify      float64 // verify one signature (sortition tickets, certs)
@@ -221,7 +220,6 @@ func Default() *Model {
 		KeyGenCPU:     840.0, // ~14 min
 		DecPerCtBytes: 6e6,
 		DecPerCtCPU:   4.0,
-		VSRBytes:      2e5,
 
 		SigVerify:      0.0008, // RSA-2048 verify, 767 µs sign (Section 7.5)
 		MerkleHash:     2e-7,

@@ -299,7 +299,6 @@ func Heterogeneity() (*HeterogeneityResult, error) {
 	lanRTT := 0.0005
 	compute := localSeconds - float64(rounds)*lanRTT
 	geo := costmodel.MPCWallClock(compute, rounds, costmodel.Server, maxGeo)
-	slow := costmodel.MPCWallClock(compute, rounds, costmodel.Pi4, lanRTT)
 	// The paper's slow-device run keeps most parties fast: only the
 	// comparison-heavy critical path serializes on the Pi, roughly its
 	// round share. Model: k Pi-class parties slow the blended compute by
@@ -318,7 +317,6 @@ func Heterogeneity() (*HeterogeneityResult, error) {
 		sweep[k] = slowAt(k)
 	}
 	slowBlend := slowAt(4)
-	_ = slow
 	return &HeterogeneityResult{
 		Parties:      parties,
 		Rounds:       rounds,

@@ -199,7 +199,7 @@ func New(g, m *big.Int, expBytes, walks int) *Table {
 			pow = e
 		}
 	}
-	if err := parallel.ForEach(nil, v, 0, func(s int) error {
+	if err := parallel.ForEach(v, 0, func(s int) error {
 		w := ws[s*(2*k+1) : (s+1)*(2*k+1)]
 		for u := 3; u <= span; u++ {
 			if low := u & -u; low != u {

@@ -246,7 +246,7 @@ func Open(path string, opts Options) (*Ledger, error) {
 		replay:   opts.Replay,
 	}
 	log, err := wal.Open(path, func() *Record { return new(Record) }, l.apply,
-		wal.Options{Crash: opts.Crash, CrashKind: faults.WALCrash})
+		wal.Options{Crash: opts.Crash})
 	if err != nil {
 		return nil, err
 	}

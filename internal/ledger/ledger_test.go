@@ -151,7 +151,7 @@ func TestConcurrentReservationsNeverOversubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	const attempts = 64
-	wins, err := parallel.Map(nil, attempts, 16, func(i int) (bool, error) {
+	wins, err := parallel.Map(attempts, 16, func(i int) (bool, error) {
 		err := l.Reserve("alice", "job-"+string(rune('A'+i/26))+string(rune('a'+i%26)), 1, 0)
 		if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 			return false, err

@@ -1,6 +1,6 @@
 // Package parallel is the shared execution engine for the repository's hot
 // loops: a bounded worker pool with deterministic output ordering, first-error
-// propagation, context cancellation, and panic forwarding.
+// propagation, and panic forwarding.
 //
 // Every parallelized path in the crypto (internal/ahe, internal/bgv,
 // internal/vsr), runtime (internal/runtime), and planner (internal/planner)
@@ -18,8 +18,8 @@
 //   - First-error propagation. If multiple items fail, the error of the
 //     lowest-indexed failing item is returned — again independent of
 //     scheduling — and remaining items are abandoned as soon as possible.
-//   - Context cancellation. A canceled context stops dispatching new items
-//     and returns ctx.Err() (unless an item error takes precedence).
+//   - No cancellation. The pool stops early only on an item's error or
+//     panic; a run stops at its next runtime checkpoint, between pool calls.
 //   - Panic forwarding. A panic in fn is captured and re-raised on the
 //     calling goroutine (wrapped in a Panic with the original stack), so a
 //     crashing worker cannot take down the process from a detached goroutine.
@@ -30,7 +30,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -60,7 +59,6 @@ func (p Panic) String() string {
 // state tracks the first (lowest-index) failure across workers.
 type state struct {
 	next int64 // next index to dispatch (atomic)
-	done int64 // items completed successfully (atomic)
 
 	mu       sync.Mutex
 	errIdx   int
@@ -93,11 +91,10 @@ func (s *state) panicAt(i int, v any, stack []byte) {
 
 // ForEach runs fn(0) … fn(n-1) on up to workers goroutines (resolved via
 // Workers) and waits for completion. It returns the error of the
-// lowest-indexed failing call, or ctx.Err() if the context was canceled
-// before all items ran. A nil ctx never cancels. See the package comment for
-// the full contract.
-func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
-	_, err := run(ctx, n, workers, func(i int) (struct{}, error) {
+// lowest-indexed failing call. See the package comment for the full
+// contract.
+func ForEach(n, workers int, fn func(i int) error) error {
+	_, err := run(n, workers, func(i int) (struct{}, error) {
 		return struct{}{}, fn(i)
 	})
 	return err
@@ -106,11 +103,11 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 // Map runs fn over 0 … n-1 on up to workers goroutines and returns the
 // results in input order: out[i] = fn(i). On error the partial results are
 // discarded and the lowest-indexed error is returned.
-func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return run(ctx, n, workers, fn)
+func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	return run(n, workers, fn)
 }
 
-func run[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
+func run[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -121,15 +118,8 @@ func run[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	out := make([]T, n)
 	if workers == 1 {
 		// Sequential fast path: same goroutine, same order as the loop this
-		// call replaced. Cancellation is still honored between items.
+		// call replaced.
 		for i := 0; i < n; i++ {
-			if ctx != nil {
-				select {
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				default:
-				}
-			}
 			v, err := fn(i)
 			if err != nil {
 				return nil, err
@@ -149,14 +139,6 @@ func run[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 				if st.stop.Load() {
 					return
 				}
-				if ctx != nil {
-					select {
-					case <-ctx.Done():
-						st.stop.Store(true)
-						return
-					default:
-					}
-				}
 				i := int(atomic.AddInt64(&st.next, 1)) - 1
 				if i >= n {
 					return
@@ -175,7 +157,6 @@ func run[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 						return
 					}
 					out[i] = v
-					atomic.AddInt64(&st.done, 1)
 				}()
 			}
 		}()
@@ -187,13 +168,6 @@ func run[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	}
 	if st.err != nil {
 		return nil, st.err
-	}
-	if int(atomic.LoadInt64(&st.done)) < n {
-		// Items were skipped without an item error: the context was canceled.
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, context.Canceled
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -14,7 +13,7 @@ import (
 // workers run or how long each item takes.
 func TestMapOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		out, err := Map(nil, 100, workers, func(i int) (int, error) {
+		out, err := Map(100, workers, func(i int) (int, error) {
 			if i%7 == 0 {
 				time.Sleep(time.Millisecond) // shuffle completion order
 			}
@@ -36,7 +35,7 @@ func TestMapOrdering(t *testing.T) {
 func TestMapSequentialFallback(t *testing.T) {
 	var orderOK = true
 	last := -1
-	_, err := Map(nil, 50, 1, func(i int) (int, error) {
+	_, err := Map(50, 1, func(i int) (int, error) {
 		if i != last+1 {
 			orderOK = false
 		}
@@ -57,7 +56,7 @@ func TestFirstErrorPropagation(t *testing.T) {
 	errAt := func(i int) error { return fmt.Errorf("item %d failed", i) }
 	for _, workers := range []int{1, 4, 8} {
 		for trial := 0; trial < 10; trial++ {
-			_, err := Map(nil, 64, workers, func(i int) (int, error) {
+			_, err := Map(64, workers, func(i int) (int, error) {
 				if i == 9 || i == 33 || i == 60 {
 					return 0, errAt(i)
 				}
@@ -74,7 +73,7 @@ func TestFirstErrorPropagation(t *testing.T) {
 // rather than running all n items.
 func TestErrorStopsDispatch(t *testing.T) {
 	var ran atomic.Int64
-	_, err := Map(nil, 10_000, 4, func(i int) (int, error) {
+	_, err := Map(10_000, 4, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("early failure")
@@ -86,36 +85,6 @@ func TestErrorStopsDispatch(t *testing.T) {
 	}
 	if n := ran.Load(); n > 5_000 {
 		t.Fatalf("pool kept dispatching after failure: %d of 10000 ran", n)
-	}
-}
-
-// TestCancellation: a canceled context stops the pool and surfaces ctx.Err().
-func TestCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := Map(ctx, 10_000, 4, func(i int) (int, error) {
-		if ran.Add(1) == 8 {
-			cancel()
-		}
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	// Sequential path honors cancellation too.
-	ran.Store(0)
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	_, err = Map(ctx2, 10_000, 1, func(i int) (int, error) {
-		if ran.Add(1) == 8 {
-			cancel2()
-		}
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("sequential: got %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n != 8 {
-		t.Fatalf("sequential: ran %d items after cancel, want 8", n)
 	}
 }
 
@@ -140,7 +109,7 @@ func TestPanicRecovery(t *testing.T) {
 					t.Fatalf("workers=%d: panic lost the worker stack", workers)
 				}
 			}()
-			ForEach(nil, 32, workers, func(i int) error {
+			ForEach(32, workers, func(i int) error {
 				if i == 5 {
 					panic("boom")
 				}
@@ -153,7 +122,7 @@ func TestPanicRecovery(t *testing.T) {
 // TestForEach exercises the no-result variant.
 func TestForEach(t *testing.T) {
 	var sum atomic.Int64
-	if err := ForEach(nil, 1000, 8, func(i int) error {
+	if err := ForEach(1000, 8, func(i int) error {
 		sum.Add(int64(i))
 		return nil
 	}); err != nil {
@@ -179,7 +148,7 @@ func TestWorkersResolution(t *testing.T) {
 
 // TestEmpty: zero items is a no-op for every worker count.
 func TestEmpty(t *testing.T) {
-	out, err := Map(nil, 0, 8, func(i int) (int, error) { return 0, errors.New("never") })
+	out, err := Map(0, 8, func(i int) (int, error) { return 0, errors.New("never") })
 	if err != nil || out != nil {
 		t.Fatalf("empty map: out=%v err=%v", out, err)
 	}

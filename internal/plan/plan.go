@@ -100,7 +100,6 @@ type Work struct {
 	HEEncs      int64 // ciphertexts encrypted
 	HEAdds      int64 // homomorphic additions
 	HEMulPlains int64
-	HEMulCts    int64
 	HECmps      int64 // encrypted comparisons (FHE)
 	HEExps      int64 // encrypted exponentials (FHE)
 	HEDecShares int64 // distributed-decryption shares contributed
@@ -116,7 +115,6 @@ type Work struct {
 	SigVerifies int64
 	MerkleOps   int64 // hashes for audit trees
 
-	CtsIn  int64 // ciphertexts received per instance
 	CtsOut int64 // ciphertexts sent per instance
 	Shares int64 // secret shares sent (VSR hand-offs, MPC I/O)
 	Audits int64 // audit challenges answered
@@ -127,7 +125,6 @@ func (w *Work) Add(o Work) {
 	w.HEEncs += o.HEEncs
 	w.HEAdds += o.HEAdds
 	w.HEMulPlains += o.HEMulPlains
-	w.HEMulCts += o.HEMulCts
 	w.HECmps += o.HECmps
 	w.HEExps += o.HEExps
 	w.HEDecShares += o.HEDecShares
@@ -140,7 +137,6 @@ func (w *Work) Add(o Work) {
 	w.ZKPVerifies += o.ZKPVerifies
 	w.SigVerifies += o.SigVerifies
 	w.MerkleOps += o.MerkleOps
-	w.CtsIn += o.CtsIn
 	w.CtsOut += o.CtsOut
 	w.Shares += o.Shares
 	w.Audits += o.Audits
@@ -173,7 +169,6 @@ func (v *Vignette) MemberCost(m *costmodel.Model, committeeSize int) (cpu, bytes
 	cpu += float64(w.HEEncs) * m.HEEnc
 	cpu += float64(w.HEAdds) * m.HEAdd
 	cpu += float64(w.HEMulPlains) * m.HEMulPlain
-	cpu += float64(w.HEMulCts) * m.HEMulCt
 	cpu += float64(w.HECmps) * m.HECmp
 	cpu += float64(w.HEExps) * m.HEExp
 	cpu += float64(w.HEDecShares) * m.HEDecShare

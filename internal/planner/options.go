@@ -231,7 +231,7 @@ func (sp searchSpace) sumOptions(st step) []option {
 				{
 					Desc: fmt.Sprintf("device sum tree (fanout %d)", phi), Loc: plan.Device,
 					Parallel: true, Count: instances, Crypto: plan.CryptoAHE,
-					Work: plan.Work{HEAdds: phi * cts, CtsIn: phi * cts, CtsOut: cts},
+					Work: plan.Work{HEAdds: phi * cts, CtsOut: cts},
 				},
 				{
 					Desc: "combine sum-tree roots", Loc: plan.Aggregator,
@@ -311,7 +311,6 @@ func (sp searchSpace) noiseOptions(st step) []option {
 					MPCNoises:   sigma,
 					HEDecShares: sp.ctsFor(sigma),
 					Shares:      sigma,
-					CtsIn:       sp.ctsFor(sigma),
 				},
 			}},
 		})
@@ -342,7 +341,7 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 						Desc: "decrypt aggregate to secret shares", Loc: plan.Committee,
 						Role: plan.RoleDecrypt, Parallel: decCount > 1, Count: decCount * rounds,
 						Crypto: plan.CryptoMPC,
-						Work:   plan.Work{HEDecShares: 1, Shares: 1024, CtsIn: 1},
+						Work:   plan.Work{HEDecShares: 1, Shares: 1024},
 					},
 					{
 						Desc: fmt.Sprintf("gumbel noise (%d scores per committee)", sigmaN),
@@ -386,7 +385,7 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 			Desc: "decrypt aggregate to secret shares", Loc: plan.Committee,
 			Role: plan.RoleDecrypt, Parallel: true, Count: ceilDiv(st.c, 1024) * rounds,
 			Crypto: plan.CryptoMPC,
-			Work:   plan.Work{HEDecShares: 1, Shares: 1024, CtsIn: 1},
+			Work:   plan.Work{HEDecShares: 1, Shares: 1024},
 		}
 		scanVig := plan.Vignette{
 			Desc: fmt.Sprintf("CDF scan (%d scores per committee)", sigma),
@@ -443,7 +442,7 @@ func (sp searchSpace) topKOptions(st step) []option {
 					Desc: "decrypt aggregate to secret shares", Loc: plan.Committee,
 					Role: plan.RoleDecrypt, Parallel: true, Count: ceilDiv(st.c, 1024),
 					Crypto: plan.CryptoMPC,
-					Work:   plan.Work{HEDecShares: 1, Shares: 1024, CtsIn: 1},
+					Work:   plan.Work{HEDecShares: 1, Shares: 1024},
 				},
 				{
 					Desc: "gumbel noise (one-shot)", Loc: plan.Committee, Role: plan.RoleOps,
@@ -484,7 +483,7 @@ func (sp searchSpace) maxSelOptions(st step) []option {
 					Desc: "decrypt to secret shares", Loc: plan.Committee,
 					Role: plan.RoleDecrypt, Parallel: true, Count: ceilDiv(st.c, 1024),
 					Crypto: plan.CryptoMPC,
-					Work:   plan.Work{HEDecShares: 1, Shares: 1024, CtsIn: 1},
+					Work:   plan.Work{HEDecShares: 1, Shares: 1024},
 				},
 				{
 					Desc: fmt.Sprintf("max tournament (fanout %d)", psi),

@@ -97,6 +97,12 @@ var ErrUnboundedLoop = fmt.Errorf("loop nest runs its body more than %d times", 
 
 const maxLoopWork = 1 << 20
 
+// ErrWalkBudget refuses a program whose loop bodies take the certifier more
+// than maxBodyWalks walks in all, however short each loop is: it bounds the
+// certifier's own work, not the query's. The error names the loop at which
+// the budget ran out and wraps this sentinel.
+var ErrWalkBudget = fmt.Errorf("certifier's walk budget exhausted (%d loop-body walks in all)", maxBodyWalks)
+
 // Certify checks the program and returns its privacy certificate. The types
 // result supplies loop extents and clip ranges.
 func Certify(p *lang.Program, info *types.Info) (*Certificate, error) {
@@ -266,7 +272,7 @@ func (c *certifier) loop(st *lang.ForStmt, mult int64, ctx taint, iters int64) e
 	defer func() { c.loops = c.loops[:len(c.loops)-1] }()
 	for pass := int64(1); ; pass++ {
 		if c.walks++; c.walks > maxBodyWalks {
-			return fmt.Errorf("%v: loop nest too deep to certify: %w", st.Position(), ErrUnboundedLoop)
+			return fmt.Errorf("%v: %w", st.Position(), ErrWalkBudget)
 		}
 		before := c.save(l.writes)
 		if err := c.stmts(st.Body, mult, ctx); err != nil {

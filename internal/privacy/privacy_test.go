@@ -278,6 +278,22 @@ output(1);`, db)
 	}
 }
 
+// TestWalkBudgetRefused: a program of many short sequential loops runs out
+// of the certifier's walk budget and is refused with its own sentinel, not
+// as a loop nest past the work bound; one within the budget is admitted.
+func TestWalkBudgetRefused(t *testing.T) {
+	loops := func(n int) string {
+		return "aggr = sum(db);\n" + strings.Repeat("for i = 0 to 1 do x = 1; endfor;\n", n) + "n = laplace(aggr[0], 0.5);\noutput(declassify(n));"
+	}
+	_, _, _, err := Admit(loops(4097), db)
+	if !errors.Is(err, ErrWalkBudget) || errors.Is(err, ErrUnboundedLoop) {
+		t.Errorf("4,097 two-iteration loops: err %v, want ErrWalkBudget alone", err)
+	}
+	if _, _, _, err := Admit(loops(4000), db); err != nil {
+		t.Errorf("4,000 two-iteration loops refused: %v", err)
+	}
+}
+
 func TestClipSensitivity(t *testing.T) {
 	// A product of two sensitive values has unbounded sensitivity; clipping
 	// caps it at the clip width, which the Laplace mechanism then uses.

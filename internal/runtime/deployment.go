@@ -129,7 +129,7 @@ type Deployment struct {
 	// runCtx is the current Run's cancellation context (RunOptions.Ctx);
 	// nil between runs and for uncancellable runs. It is written once at
 	// the top of Run or RunPlan, before any fan-out, and only read
-	// afterwards (the checkpoint method), so pool workers may consult it
+	// afterwards (by checkpoint), so pool workers may consult it
 	// without races.
 	runCtx context.Context
 

@@ -232,13 +232,8 @@ func (sp *ingestSpec) runShard(shard int, job shardRun) (*shardResult, error) {
 		// Batch boundaries are cancellation checkpoints: the shard's last
 		// partials are committed and no upload is half-folded, so a
 		// deadline-canceled ingest aborts here without double-counting.
-		if sp.ctx != nil {
-			select {
-			case <-sp.ctx.Done():
-				return nil, fmt.Errorf("runtime: ingest canceled at shard %d batch %d: %w",
-					shard, b, sp.ctx.Err())
-			default:
-			}
+		if err := checkpoint(sp.ctx, "ingest batch"); err != nil {
+			return nil, err
 		}
 		start := b * sp.batch
 		cnt := min(sp.batch, n-start)
@@ -345,7 +340,7 @@ type ingestResult struct {
 // lowest-shard error first, so the whole phase is deterministic at every
 // worker and shard count.
 func runShardedIngest(sp *ingestSpec, jobs []shardRun) (*ingestResult, error) {
-	shards, err := parallel.Map(nil, len(jobs), 0, func(s int) (*shardResult, error) {
+	shards, err := parallel.Map(len(jobs), 0, func(s int) (*shardResult, error) {
 		return sp.runShard(s, jobs[s])
 	})
 	if err != nil {
@@ -411,7 +406,7 @@ func combinePartials(pub *ahe.PublicKey, partials [][]*ahe.Ciphertext, fanout in
 				total += int64(len(vec) * pub.CiphertextBytes())
 			}
 		}
-		next, err := parallel.Map(nil, (len(partials)+fanout-1)/fanout, 0, func(g int) ([]*ahe.Ciphertext, error) {
+		next, err := parallel.Map((len(partials)+fanout-1)/fanout, 0, func(g int) ([]*ahe.Ciphertext, error) {
 			group := partials[g*fanout : min((g+1)*fanout, len(partials))]
 			return foldBatch(newAccumulators(pub, len(group[0])), group[0], group[1:])
 		})
@@ -642,7 +637,7 @@ func (d *Deployment) unpack(ce *committeeExec, km *keyMaterial, res *ingestResul
 	if err != nil {
 		return nil, err
 	}
-	pts, err := parallel.Map(nil, len(res.sums), 0, func(k int) (*big.Int, error) {
+	pts, err := parallel.Map(len(res.sums), 0, func(k int) (*big.Int, error) {
 		return sk.Decrypt(res.sums[k])
 	})
 	if err != nil {

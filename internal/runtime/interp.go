@@ -192,7 +192,7 @@ func (ip *interp) runVignette(site lang.Pos, input value, protocol func(ce *comm
 		// Attempt boundaries are cancellation checkpoints: no protocol step
 		// is in flight and nothing has been released, so aborting here
 		// releases nothing.
-		if err := ip.dep.checkpoint("vignette attempt"); err != nil {
+		if err := checkpoint(ip.dep.runCtx, "vignette attempt"); err != nil {
 			return value{}, err
 		}
 		if attempt > 0 {
@@ -274,7 +274,7 @@ func (ip *interp) run(stmts []lang.Stmt) error {
 		// Statement boundaries are cancellation checkpoints: nothing is
 		// half-open between statements, so a deadline-canceled run aborts
 		// here without a vignette in flight.
-		if err := ip.dep.checkpoint("statement"); err != nil {
+		if err := checkpoint(ip.dep.runCtx, "statement"); err != nil {
 			return err
 		}
 		if err := ip.stmt(s); err != nil {

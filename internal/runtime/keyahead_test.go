@@ -210,6 +210,24 @@ func TestCancelDuringCommitteePhase(t *testing.T) {
 	}
 }
 
+// TestCancelDuringIngest: a Run canceled at its first ingest batch, the
+// third Done call after the query-start and input-collection checkpoints,
+// fails with the context's error at the ingest checkpoint, before the key
+// hand-off, so no committee vignette runs.
+func TestCancelDuringIngest(t *testing.T) {
+	d := aheadDeployment(t)
+	_, err := d.Run(aheadCount, RunOptions{Ctx: &cancelAt{Context: context.Background(), at: 3}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "canceled at ingest batch") {
+		t.Fatalf("run canceled outside input collection: %v", err)
+	}
+	if d.Metrics.MPCRounds != 0 {
+		t.Errorf("a run canceled during collection ran %d MPC rounds", d.Metrics.MPCRounds)
+	}
+}
+
 // cancelAfterRelease is a context canceled once its deployment's query has
 // opened a noised value: the first checkpoint after the query's first
 // mechanism vignette observes it. Done reads the tally unlocked: the

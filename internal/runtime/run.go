@@ -27,17 +27,17 @@ type RunOptions struct {
 	Ctx context.Context
 }
 
-// checkpoint returns the run context's error, wrapped with where the
-// cancellation was observed, once the context is done; nil otherwise. The
-// caller sites are the run's cancellation checkpoints: batch, vignette,
-// statement, and phase boundaries.
-func (d *Deployment) checkpoint(where string) error {
-	if d.runCtx == nil {
+// checkpoint returns ctx's error, wrapped with where the cancellation was
+// observed, once ctx is done; nil otherwise, and always for a nil ctx. The
+// caller sites are the run's cancellation checkpoints: ingest batch,
+// vignette, statement, and phase boundaries.
+func checkpoint(ctx context.Context, where string) error {
+	if ctx == nil {
 		return nil
 	}
 	select {
-	case <-d.runCtx.Done():
-		return fmt.Errorf("runtime: run canceled at %s: %w", where, d.runCtx.Err())
+	case <-ctx.Done():
+		return fmt.Errorf("runtime: run canceled at %s: %w", where, ctx.Err())
 	default:
 		return nil
 	}
@@ -116,7 +116,7 @@ func (d *Deployment) execute(a *Admitted) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.checkpoint("query start"); err != nil {
+	if err := checkpoint(d.runCtx, "query start"); err != nil {
 		return nil, err
 	}
 	d.spent = map[lang.Pos]float64{}
@@ -157,7 +157,7 @@ func (d *Deployment) execute(a *Admitted) (*Result, error) {
 		return nil, fmt.Errorf("runtime: devices reject certificate: %w", err)
 	}
 
-	if err := d.checkpoint("input collection"); err != nil {
+	if err := checkpoint(d.runCtx, "input collection"); err != nil {
 		return nil, err
 	}
 	// Input collection and audited aggregation (Section 5.3): the sums
@@ -186,7 +186,7 @@ func (d *Deployment) execute(a *Admitted) (*Result, error) {
 	defer ip.flushMetrics()
 	sampled := res.accepted
 	decryptAndRun := func() error {
-		if err := d.checkpoint("key hand-off"); err != nil {
+		if err := checkpoint(d.runCtx, "key hand-off"); err != nil {
 			return err
 		}
 		if err := km.handoff(d, committees[1]); err != nil {
@@ -235,7 +235,7 @@ func (d *Deployment) drawingAhead(encryptions int, phase func() error) error {
 		return phase()
 	}
 	var ahead spareKey
-	err := parallel.ForEach(nil, 2, 0, func(i int) error {
+	err := parallel.ForEach(2, 0, func(i int) error {
 		if i == 0 {
 			return phase()
 		}

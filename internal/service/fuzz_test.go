@@ -48,7 +48,7 @@ func FuzzSubmit(f *testing.F) {
 		Logf: func(string, ...any) {},
 	}
 	hold := make(chan struct{})
-	s, err := newServer(cfg, hold)
+	s, err := newServer(cfg, hooks{hold: hold})
 	if err != nil {
 		f.Fatal(err)
 	}

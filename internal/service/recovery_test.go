@@ -68,8 +68,7 @@ func TestDaemonCrashStages(t *testing.T) {
 		t.Run(fmt.Sprintf("stage%d", stage), func(t *testing.T) {
 			cfg := testConfig(t)
 			cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 5, Delta: 1e-6}}
-			cfg.DaemonFaults = faults.New(1).ForceAt(faults.DaemonCrash, 1, stage)
-			s, ts := startT(t, cfg, nil)
+			s, ts := startT(t, cfg, hooks{daemon: faults.New(1).ForceAt(faults.DaemonCrash, 1, stage)})
 
 			j, code, _ := submit(t, ts.URL, "alice", countQuery)
 			if code != http.StatusAccepted {
@@ -83,9 +82,7 @@ func TestDaemonCrashStages(t *testing.T) {
 			ts.Close()
 			s.Close()
 
-			cfg2 := cfg
-			cfg2.DaemonFaults = nil
-			s2, ts2 := startT(t, cfg2, nil)
+			s2, ts2 := startT(t, cfg, hooks{})
 			f := waitTerminal(t, ts2.URL, j.ID)
 			if f.State != JobDone || !f.Recovered || f.ResultDigest == "" {
 				t.Fatalf("recovered job = %s recovered=%v digest=%q (%s)",
@@ -114,7 +111,7 @@ func TestDaemonCrashRestartSweep(t *testing.T) {
 	// reproduce under every crash schedule.
 	base := testConfig(t)
 	base.Tenants = []TenantSpec{{ID: "alice", Epsilon: 1000, Delta: 1e-3}}
-	_, bts := startT(t, base, nil)
+	_, bts := startT(t, base, hooks{})
 	want := make([]Job, len(queries))
 	for i, q := range queries {
 		j, code, _ := submit(t, bts.URL, "alice", q)
@@ -137,12 +134,14 @@ func TestDaemonCrashRestartSweep(t *testing.T) {
 			t.Parallel()
 			cfg := testConfig(t)
 			cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 1000, Delta: 1e-3}}
-			cfg.DaemonFaults = faults.New(uint64(seed)).SetRate(faults.DaemonCrash, 0.15)
 			// Park the executor until every job is admitted, so all
 			// schedules run the same submission order (seq 1..N) and the
 			// digests are comparable to the baseline's.
 			hold := make(chan struct{})
-			s, err := newServer(cfg, hold)
+			s, err := newServer(cfg, hooks{
+				hold:   hold,
+				daemon: faults.New(uint64(seed)).SetRate(faults.DaemonCrash, 0.15),
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,11 +167,11 @@ func TestDaemonCrashRestartSweep(t *testing.T) {
 				// Fresh death schedule for the first restart (the same seed
 				// would re-fire at the same recovered job seqs forever);
 				// later lives run clean to guarantee convergence.
-				cfg.DaemonFaults = faults.New(uint64(seed)*131+uint64(life)).SetRate(faults.DaemonCrash, 0.15)
-				if life >= 2 {
-					cfg.DaemonFaults = nil
+				var daemon *faults.Plan
+				if life < 2 {
+					daemon = faults.New(uint64(seed)*131+uint64(life)).SetRate(faults.DaemonCrash, 0.15)
 				}
-				s, err = New(cfg)
+				s, err = newServer(cfg, hooks{daemon: daemon})
 				if err != nil {
 					t.Fatalf("seed %d restart %d: %v", seed, life, err)
 				}
@@ -211,7 +210,7 @@ func TestJobDeadline(t *testing.T) {
 	cfg.JobWorkers = 1
 	cfg.JobTimeout = time.Nanosecond // every run starts already overdue
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
-	s, ts := startT(t, cfg, nil)
+	s, ts := startT(t, cfg, hooks{})
 
 	j1, code, _ := submit(t, ts.URL, "alice", countQuery)
 	if code != http.StatusAccepted {
@@ -259,7 +258,7 @@ func TestDrainTimeout(t *testing.T) {
 	cfg.JobWorkers = 1
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
 	hold := make(chan struct{})
-	s, ts := startT(t, cfg, hold)
+	s, ts := startT(t, cfg, hooks{hold: hold})
 
 	j, code, _ := submit(t, ts.URL, "alice", countQuery)
 	if code != http.StatusAccepted {
@@ -278,7 +277,7 @@ func TestDrainTimeout(t *testing.T) {
 	}
 	close(hold) // release the parked worker; it sees draining and exits
 
-	s2, ts2 := startT(t, cfg, nil)
+	s2, ts2 := startT(t, cfg, hooks{})
 	f := waitTerminal(t, ts2.URL, j.ID)
 	if f.State != JobDone || !f.Recovered {
 		t.Fatalf("recovered job = %s recovered=%v (%s)", f.State, f.Recovered, f.Error)
@@ -354,7 +353,7 @@ func TestJobRetention(t *testing.T) {
 	// One token per dequeued job lets the test keep a job queued long enough
 	// to cancel it.
 	hold := make(chan struct{})
-	s, ts := startT(t, cfg, hold)
+	s, ts := startT(t, cfg, hooks{hold: hold})
 
 	var ids []string // settled jobs, oldest first
 	settled := func(j Job, want JobState) {
@@ -467,9 +466,7 @@ func TestJobRetention(t *testing.T) {
 	for stage := 0; stage <= 1; stage++ {
 		// A death inside the rewrite (the record after the last one): torn
 		// temp file, then between its fsync and the rename.
-		crash := cfg
-		crash.LedgerFaults = faults.New(1).ForceAt(faults.WALCrash, int(s.ledger.Seq())+1, stage)
-		sc, _ := startT(t, crash, nil)
+		sc, _ := startT(t, cfg, hooks{ledger: faults.New(1).ForceAt(faults.WALCrash, int(s.ledger.Seq())+1, stage)})
 		sameBalances("after close + reopen", sc.ledger)
 		if n := len(sc.store.snapshot()); n != cfg.RetainJobs {
 			t.Fatalf("reopened job table has %d jobs, want the %d retained", n, cfg.RetainJobs)
@@ -497,7 +494,7 @@ func TestJobRetention(t *testing.T) {
 func TestJournalTornAndCorrupt(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
-	s, ts := startT(t, cfg, nil)
+	s, ts := startT(t, cfg, hooks{})
 	j, code, _ := submit(t, ts.URL, "alice", countQuery)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -519,7 +516,7 @@ func TestJournalTornAndCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	fh.Close()
-	s2, ts2 := startT(t, cfg, nil)
+	s2, ts2 := startT(t, cfg, hooks{})
 	var got Job
 	if code := call(t, "GET", ts2.URL+"/v1/queries/"+j.ID, nil, &got); code != http.StatusOK {
 		t.Fatalf("status after torn-tail restart: HTTP %d", code)
@@ -570,7 +567,7 @@ func TestLegacyLedger(t *testing.T) {
 	if err := os.WriteFile(cfg.LedgerPath+".jobs", []byte(leftover), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, ts := startT(t, cfg, nil)
+	s, ts := startT(t, cfg, hooks{})
 	if b, _ := s.ledger.Balance("alice"); b.EpsSpent != 3 || b.EpsReserved != 0 || b.Queries != 2 {
 		t.Fatalf("balance %+v, want the dangling ε=2 charged on top of the committed ε=1", b)
 	}
@@ -601,7 +598,7 @@ func TestSecureNoiseRecovery(t *testing.T) {
 	cfg.JobWorkers = 1
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
 	hold := make(chan struct{})
-	s, ts := startT(t, cfg, hold)
+	s, ts := startT(t, cfg, hooks{hold: hold})
 	j, code, _ := submit(t, ts.URL, "alice", countQuery)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -612,7 +609,7 @@ func TestSecureNoiseRecovery(t *testing.T) {
 	close(hold)
 
 	cfg.SecureNoise = true
-	s2, ts2 := startT(t, cfg, nil)
+	s2, ts2 := startT(t, cfg, hooks{})
 	f := waitTerminal(t, ts2.URL, j.ID)
 	if f.State != JobFailed || f.ErrorCode != "crashed" || f.SpentEpsilon != j.Epsilon || !f.Recovered {
 		t.Fatalf("recovered job = %s/%s spent %g, want failed/crashed charged %g", f.State, f.ErrorCode, f.SpentEpsilon, j.Epsilon)
@@ -650,7 +647,7 @@ func TestEveryPrefixRecovers(t *testing.T) {
 		cfg.Tenants = append(cfg.Tenants, TenantSpec{ID: id, Epsilon: 50, Delta: 1e-3})
 	}
 	hold := make(chan struct{})
-	s, ts := startT(t, cfg, hold)
+	s, ts := startT(t, cfg, hooks{hold: hold})
 	finish := func(j Job, want JobState, code string) {
 		t.Helper()
 		if f := waitTerminal(t, ts.URL, j.ID); f.State != want || f.ErrorCode != code {

@@ -122,12 +122,7 @@ type Config struct {
 
 	// FaultSpec is the default fault-injection schedule applied to every
 	// job's deployment (docs/FAULTS.md); a submission may override it.
-	// LedgerFaults injects simulated crashes into the ledger's WAL write
-	// paths (the "wal" kind); DaemonFaults injects simulated daemon deaths
-	// at job-lifecycle boundaries (the "daemon" kind) — chaos testing only.
-	FaultSpec    string
-	LedgerFaults *faults.Plan
-	DaemonFaults *faults.Plan
+	FaultSpec string
 
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
@@ -148,7 +143,7 @@ type Server struct {
 	limiter *tenantLimiter
 	started time.Time
 
-	crash      *faults.Plan // injected daemon deaths (Config.DaemonFaults)
+	crash      *faults.Plan // injected daemon deaths (hooks.daemon)
 	crashed    atomic.Bool  // an injected death fired or the log died: the "process" is gone
 	draining   atomic.Bool  // Drain/Close began: stop claiming queued jobs
 	abandoning atomic.Bool  // Drain's deadline passed: running jobs dropped
@@ -168,7 +163,7 @@ type Server struct {
 	lastCompact atomic.Uint64
 
 	// hold, when non-nil, makes executor workers block on it before each
-	// dequeued job — a test hook for deterministic queue scenarios.
+	// dequeued job (hooks.hold).
 	hold chan struct{}
 
 	// run executes one job's deployment: runDeployment, which a test may
@@ -185,12 +180,24 @@ type Server struct {
 // see recovery.go), seeds the configured tenants, and starts the executor
 // pool.
 func New(cfg Config) (*Server, error) {
-	return newServer(cfg, nil)
+	return newServer(cfg, hooks{})
 }
 
-// newServer is New plus the executor hold gate (nil in production; tests
-// install a channel to keep dequeued jobs parked deterministically).
-func newServer(cfg Config, hold chan struct{}) (*Server, error) {
+// hooks are the in-package tests' seams into a server, all unset in
+// production (New).
+type hooks struct {
+	// hold makes executor workers block on it before each dequeued job,
+	// keeping queue scenarios deterministic.
+	hold chan struct{}
+	// ledger injects simulated crashes into the ledger's WAL write paths
+	// (the "wal" kind); daemon injects simulated daemon deaths at
+	// job-lifecycle boundaries (the "daemon" kind).
+	ledger *faults.Plan
+	daemon *faults.Plan
+}
+
+// newServer is New plus the test hooks.
+func newServer(cfg Config, h hooks) (*Server, error) {
 	if cfg.LedgerPath == "" {
 		return nil, fmt.Errorf("service: Config.LedgerPath is required")
 	}
@@ -213,7 +220,7 @@ func newServer(cfg Config, hold chan struct{}) (*Server, error) {
 		return nil, fmt.Errorf("service: default fault spec: %w", err)
 	}
 	var replayed replay
-	led, err := ledger.Open(cfg.LedgerPath, ledger.Options{Crash: cfg.LedgerFaults, Replay: replayed.fold})
+	led, err := ledger.Open(cfg.LedgerPath, ledger.Options{Crash: h.ledger, Replay: replayed.fold})
 	if err != nil {
 		return nil, err
 	}
@@ -234,9 +241,9 @@ func newServer(cfg Config, hold chan struct{}) (*Server, error) {
 		store:       newStore(cfg.QueueDepth, inflight, cfg.RetainJobs),
 		limiter:     newTenantLimiter(cfg.Rate, cfg.Burst, nil),
 		started:     time.Now(),
-		crash:       cfg.DaemonFaults,
+		crash:       h.daemon,
 		running:     map[string]context.CancelFunc{},
-		hold:        hold,
+		hold:        h.hold,
 		workersDone: make(chan struct{}),
 	}
 	s.run = s.runDeployment
@@ -254,7 +261,7 @@ func newServer(cfg Config, hold chan struct{}) (*Server, error) {
 func (s *Server) runWorkers() {
 	defer close(s.workersDone)
 	n := s.cfg.JobWorkers
-	err := parallel.ForEach(nil, n, n, func(int) error {
+	err := parallel.ForEach(n, n, func(int) error {
 		for j := range s.store.queue {
 			if s.hold != nil {
 				<-s.hold

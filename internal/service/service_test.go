@@ -42,11 +42,11 @@ func testConfig(t *testing.T) Config {
 	}
 }
 
-// startT builds a gateway (optionally with the executor hold gate) plus an
-// httptest front end, and tears both down.
-func startT(t *testing.T, cfg Config, hold chan struct{}) (*Server, *httptest.Server) {
+// startT builds a gateway with the given test hooks plus an httptest front
+// end, and tears both down.
+func startT(t *testing.T, cfg Config, h hooks) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := newServer(cfg, hold)
+	s, err := newServer(cfg, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTwoTenantSession(t *testing.T) {
 		{ID: "alice", Epsilon: 3 * price.Epsilon, Delta: 1e-6},
 		{ID: "bob", Epsilon: price.Epsilon, Delta: 1e-6}, // exactly one query
 	}
-	_, ts := startT(t, cfg, nil)
+	_, ts := startT(t, cfg, hooks{})
 
 	ja, code, _ := submit(t, ts.URL, "alice", countQuery)
 	if code != http.StatusAccepted {
@@ -218,7 +218,7 @@ const unboundedLoop = "aggr = sum(db);\nx = 0;\nfor i = 0 to 2000000000 do\n  x 
 func TestAdmissionRejections(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 0.5, Delta: 1e-6}}
-	s, ts := startT(t, cfg, nil)
+	s, ts := startT(t, cfg, hooks{})
 
 	cases := []struct {
 		name    string
@@ -278,7 +278,7 @@ func TestQueueSlotBeforeAdmission(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.QueueDepth = 1
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 1.5, Delta: 1e-6}}
-	s, ts := startT(t, cfg, nil)
+	s, ts := startT(t, cfg, hooks{})
 	const inadmissible = "aggr = sum(db);\noutput(declassify(aggr[0]));"
 
 	if err := s.store.reserveSlot(); err != nil {
@@ -316,7 +316,7 @@ func TestJobAdmittedOnce(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Tenants = []TenantSpec{{ID: "acme", Epsilon: 10, Delta: 1e-6}}
 	hold := make(chan struct{})
-	s, ts := startT(t, cfg, hold)
+	s, ts := startT(t, cfg, hooks{hold: hold})
 	same := make(chan bool, 1)
 	s.run = func(ctx context.Context, j *Job, a *runtime.Admitted) (*runtime.Result, string, error) {
 		res, report, err := s.runDeployment(ctx, j, a)
@@ -349,7 +349,7 @@ func TestJobAdmittedOnce(t *testing.T) {
 func TestBodyAndNestingBounds(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
-	s, ts := startT(t, cfg, nil)
+	s, ts := startT(t, cfg, hooks{})
 	seq := s.ledger.Seq()
 	huge := strings.Repeat("x", maxBody)
 	for _, c := range []struct {
@@ -393,7 +393,7 @@ func TestBodyAndNestingBounds(t *testing.T) {
 func TestUnboundedSensitivityNotPrivate(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
-	s, ts := startT(t, cfg, nil)
+	s, ts := startT(t, cfg, hooks{})
 	const src = "aggr = sum(db);\nx = aggr[0] * aggr[1];\nn = laplace(x, 1.0);\noutput(declassify(n));"
 	var e errEnvelope
 	body := map[string]string{"tenant": "alice", "source": src}
@@ -419,7 +419,7 @@ func TestUnboundedSensitivityNotPrivate(t *testing.T) {
 func TestRefusedSubmissionWritesNothing(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 0.5, Delta: 1e-6}}
-	s, ts := startT(t, cfg, nil)
+	s, ts := startT(t, cfg, hooks{})
 	seq, size := s.ledger.Seq(), s.ledger.Size()
 
 	post := func(body string) (int, string) {
@@ -474,7 +474,7 @@ func TestDurableWritesPerOperation(t *testing.T) {
 	cfg.JobWorkers = 1
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 2, Delta: 1e-6}}
 	hold := make(chan struct{})
-	s, ts := startT(t, cfg, hold)
+	s, ts := startT(t, cfg, hooks{hold: hold})
 	at := s.ledger.Seq()
 	delta := func(what string, want uint64) {
 		t.Helper()
@@ -527,7 +527,7 @@ func TestDurableWritesPerOperation(t *testing.T) {
 func TestLongQueryRunsThroughGateway(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 1, Delta: 1e-6}}
-	_, ts := startT(t, cfg, nil)
+	_, ts := startT(t, cfg, hooks{})
 
 	var src strings.Builder
 	src.WriteString("aggr = sum(db);\n")
@@ -559,7 +559,7 @@ func TestCancelQueuedReleasesReservation(t *testing.T) {
 	cfg.JobWorkers = 1
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
 	hold := make(chan struct{})
-	_, ts := startT(t, cfg, hold)
+	_, ts := startT(t, cfg, hooks{hold: hold})
 
 	j1, code, _ := submit(t, ts.URL, "alice", countQuery) // dequeued, parked at the gate
 	if code != http.StatusAccepted {
@@ -654,7 +654,7 @@ func TestCancelExecuteRace(t *testing.T) {
 	cfg.JobWorkers = 1
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 2 * rounds, Delta: 1e-3}}
 	hold := make(chan struct{})
-	_, ts := startT(t, cfg, hold)
+	_, ts := startT(t, cfg, hooks{hold: hold})
 
 	wantSpent, done, canceled := 0.0, 0, 0
 	for i := 0; i < rounds; i++ {
@@ -712,7 +712,7 @@ func TestSubmitDuringShutdown(t *testing.T) {
 	cfg.JobWorkers = 1
 	cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 1000, Delta: 1e-3}}
 	hold := make(chan struct{})
-	s, ts := startT(t, cfg, hold)
+	s, ts := startT(t, cfg, hooks{hold: hold})
 
 	j1, code, _ := submit(t, ts.URL, "alice", countQuery)
 	if code != http.StatusAccepted {
@@ -759,7 +759,7 @@ func TestSubmitDuringShutdown(t *testing.T) {
 
 	// Restart on the same ledger: recovery re-enqueues and re-executes every
 	// admitted job, committing exactly the certified spend.
-	s2, ts2 := startT(t, cfg, nil)
+	s2, ts2 := startT(t, cfg, hooks{})
 	for _, j := range accepted {
 		f := waitTerminal(t, ts2.URL, j.ID)
 		if f.State != JobDone || !f.Recovered {
@@ -781,7 +781,7 @@ func TestRateAndInFlightLimits(t *testing.T) {
 		cfg.Rate, cfg.Burst = 0.0001, 1 // one instant token, refill ~3h away
 		cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
 		hold := make(chan struct{})
-		_, ts := startT(t, cfg, hold)
+		_, ts := startT(t, cfg, hooks{hold: hold})
 		j1, code, _ := submit(t, ts.URL, "alice", countQuery)
 		if code != http.StatusAccepted {
 			t.Fatalf("first submit: HTTP %d", code)
@@ -798,7 +798,7 @@ func TestRateAndInFlightLimits(t *testing.T) {
 		cfg.MaxInFlight = 1
 		cfg.Tenants = []TenantSpec{{ID: "alice", Epsilon: 10, Delta: 1e-6}}
 		hold := make(chan struct{})
-		_, ts := startT(t, cfg, hold)
+		_, ts := startT(t, cfg, hooks{hold: hold})
 		j1, code, _ := submit(t, ts.URL, "alice", countQuery)
 		if code != http.StatusAccepted {
 			t.Fatalf("first submit: HTTP %d", code)
@@ -824,7 +824,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	// The uncrashed run of the same job (seq 1) pins the digest.
 	base := testConfig(t)
 	base.Tenants = []TenantSpec{{ID: "alice", Epsilon: 5, Delta: 1e-6}}
-	_, bts := startT(t, base, nil)
+	_, bts := startT(t, base, hooks{})
 	bj, code, _ := submit(t, bts.URL, "alice", countQuery)
 	if code != http.StatusAccepted {
 		t.Fatalf("baseline submit: HTTP %d", code)
@@ -848,15 +848,15 @@ func TestWALCrashRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig(t)
 			cfg.Tenants = base.Tenants
-			cfg.LedgerFaults = faults.New(1).ForceAt(faults.WALCrash, tc.seq, tc.stage)
-			s, ts := startT(t, cfg, nil)
+			walCrash := faults.New(1).ForceAt(faults.WALCrash, tc.seq, tc.stage)
+			s, ts := startT(t, cfg, hooks{ledger: walCrash})
 
 			j, code, _ := submit(t, ts.URL, "alice", countQuery)
 			if code != http.StatusAccepted {
 				t.Fatalf("submit: HTTP %d", code)
 			}
 			waitCrashed(t, s)
-			if n := len(cfg.LedgerFaults.Fired()); n != 1 {
+			if n := len(walCrash.Fired()); n != 1 {
 				t.Fatalf("%d WAL crashes fired, want 1", n)
 			}
 			// Nothing settled: the job is where the log has it, its
@@ -874,9 +874,7 @@ func TestWALCrashRecovery(t *testing.T) {
 			s.Close()
 
 			// Restart on the same WAL, no fault plan.
-			cfg2 := cfg
-			cfg2.LedgerFaults = nil
-			s2, ts2 := startT(t, cfg2, nil)
+			s2, ts2 := startT(t, cfg, hooks{})
 			f := waitTerminal(t, ts2.URL, j.ID)
 			if f.State != JobDone || !f.Recovered || f.ResultDigest != want.ResultDigest {
 				t.Fatalf("recovered job = %s recovered=%v digest %q (%s), want done with the uncrashed digest %q",
@@ -908,7 +906,7 @@ func TestHealthAndTenantEndpoints(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.JobWorkers = 1
 	hold := make(chan struct{})
-	_, ts := startT(t, cfg, hold)
+	_, ts := startT(t, cfg, hooks{hold: hold})
 	defer close(hold)
 
 	var h struct {
@@ -964,7 +962,7 @@ func TestRunPanicFailsTheJobAlone(t *testing.T) {
 		logs = append(logs, fmt.Sprintf(format, args...))
 	}
 	hold := make(chan struct{})
-	s, ts := startT(t, cfg, hold)
+	s, ts := startT(t, cfg, hooks{hold: hold})
 	// Swapped while the executors are held; the hold's close orders it
 	// before their first read. Only the first run panics.
 	var once sync.Once

@@ -263,14 +263,14 @@ func Redistribute(g *Group, oldShares []shamir.Share, oldT, newN, newT int) ([]s
 		d    *Dealing
 		poly *shamir.Polynomial
 	}
-	draws, err := parallel.Map(nil, oldT, 0, func(i int) (drawn, error) {
+	draws, err := parallel.Map(oldT, 0, func(i int) (drawn, error) {
 		d, poly, err := draw(g, oldShares[i], newN, newT)
 		return drawn{d, poly}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	commits, err := parallel.Map(nil, oldT*newT, 0, func(c int) (*big.Int, error) {
+	commits, err := parallel.Map(oldT*newT, 0, func(c int) (*big.Int, error) {
 		return g.Commit(draws[c/newT].poly.Coeffs[c%newT]), nil
 	})
 	if err != nil {
@@ -318,7 +318,7 @@ func finish(g *Group, dealings []*Dealing, newN int) ([]shamir.Share, error) {
 		nk = max(nk, len(d.Commitments))
 	}
 	type combined struct{ pos, neg *big.Int }
-	es, err := parallel.Map(nil, nk, 0, func(k int) (combined, error) {
+	es, err := parallel.Map(nk, 0, func(k int) (combined, error) {
 		e := combined{big.NewInt(1), big.NewInt(1)}
 		t := new(big.Int)
 		for i, d := range dealings {
@@ -337,7 +337,7 @@ func finish(g *Group, dealings []*Dealing, newN int) ([]shamir.Share, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parallel.Map(nil, newN, 0, func(m int) (shamir.Share, error) {
+	return parallel.Map(newN, 0, func(m int) (shamir.Share, error) {
 		j := m + 1
 		ok := true
 		for _, d := range dealings {

@@ -85,12 +85,9 @@ type Record interface {
 
 // Options configures Open.
 type Options struct {
-	// Crash injects simulated process deaths into Append and Rewrite
-	// (coordinates: (record sequence, stage)); nil injects nothing.
+	// Crash injects simulated process deaths into Append and Rewrite, as
+	// faults.WALCrash at (record sequence, stage); nil injects nothing.
 	Crash *faults.Plan
-	// CrashKind addresses Crash's decisions and the fired-fault log (e.g.
-	// faults.WALCrash for the budget ledger).
-	CrashKind faults.Kind
 }
 
 // Log is a durable record log. Create one with Open. All methods are safe
@@ -105,7 +102,6 @@ type Log[R Record] struct {
 	newRec func() R
 	apply  func(R) error
 	crash  *faults.Plan
-	kind   faults.Kind
 	dead   bool // poisoned by a crash, a failed write, an apply failure, or Close
 }
 
@@ -137,7 +133,6 @@ func Open[R Record](path string, newRec func() R, apply func(R) error, opts Opti
 		newRec: newRec,
 		apply:  apply,
 		crash:  opts.Crash,
-		kind:   opts.CrashKind,
 	}
 	good, err := l.replay(data)
 	if err != nil {
@@ -223,11 +218,11 @@ func (l *Log[R]) Append(r R) error {
 	}
 	line = append(line, '\n')
 	seq := r.WALSeq()
-	if l.crash.Fires(l.kind, int(seq), 0) {
+	if l.crash.Fires(faults.WALCrash, int(seq), 0) {
 		l.die(seq, 0, r.WALDesc(), "crashed before WAL append")
 		return fmt.Errorf("%w (before record %d)", ErrCrashed, seq)
 	}
-	if l.crash.Fires(l.kind, int(seq), 1) {
+	if l.crash.Fires(faults.WALCrash, int(seq), 1) {
 		// Torn write: half the line reaches the disk, no newline, no fsync.
 		_, werr := l.f.Write(line[:len(line)/2])
 		l.die(seq, 1, r.WALDesc(), "crashed mid-append (torn record)")
@@ -265,7 +260,7 @@ func (l *Log[R]) die(seq uint64, stage int, desc, note string) {
 		l.f = nil
 	}
 	l.crash.Record(faults.Fault{
-		Kind: l.kind, Idx: []int{int(seq), stage},
+		Kind: faults.WALCrash, Idx: []int{int(seq), stage},
 		Note: fmt.Sprintf("%s: %s", desc, note),
 	})
 }
@@ -314,7 +309,7 @@ func (l *Log[R]) Rewrite(recs []R) error {
 	}
 	at := l.seq + 1
 	desc := fmt.Sprintf("rewrite of %d records", len(recs))
-	if l.crash.Fires(l.kind, int(at), 0) {
+	if l.crash.Fires(faults.WALCrash, int(at), 0) {
 		_, werr := tmp.Write(buf.Bytes()[:buf.Len()/2])
 		tmp.Close()
 		l.die(at, 0, desc, "crashed mid-rewrite (torn temp file)")
@@ -326,7 +321,7 @@ func (l *Log[R]) Rewrite(recs []R) error {
 	if err := tmp.Sync(); err != nil {
 		return abandon(fmt.Errorf("wal: rewrite fsync: %w", err))
 	}
-	if l.crash.Fires(l.kind, int(at), 1) {
+	if l.crash.Fires(faults.WALCrash, int(at), 1) {
 		tmp.Close()
 		l.die(at, 1, desc, "crashed between the temp file's fsync and the rename")
 		return fmt.Errorf("%w (before the rewrite's rename at record %d)", ErrCrashed, at)

@@ -175,7 +175,7 @@ func TestCrashStages(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "t.wal")
 			plan := faults.New(1).ForceAt(faults.WALCrash, 2, stage)
 			m := map[string]int{}
-			l, err := openT(t, path, m, Options{Crash: plan, CrashKind: faults.WALCrash})
+			l, err := openT(t, path, m, Options{Crash: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +262,7 @@ func TestRewriteCrashStages(t *testing.T) {
 		t.Run(fmt.Sprintf("stage%d", stage), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "t.wal")
 			plan := faults.New(1).ForceAt(faults.WALCrash, 4, stage)
-			l, err := openT(t, path, map[string]int{}, Options{Crash: plan, CrashKind: faults.WALCrash})
+			l, err := openT(t, path, map[string]int{}, Options{Crash: plan})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,8 +18,7 @@ func stmtAndWitness(dev int, q uint64, width int) (Statement, Witness) {
 
 // TestScratchTagMatchesHMAC checks the scratch tag is bit-identical to
 // crypto/hmac's HMAC-SHA256 over the statement encoding, for short keys,
-// block-length keys, and over-length keys (the hashed-key branch), across
-// both claim kinds.
+// block-length keys, and over-length keys (the hashed-key branch).
 func TestScratchTagMatchesHMAC(t *testing.T) {
 	sc := NewScratch()
 	keys := [][]byte{
@@ -31,7 +30,6 @@ func TestScratchTagMatchesHMAC(t *testing.T) {
 	stmts := []Statement{
 		{Device: 0, QueryID: 0, Claim: Claim{Kind: ClaimOneHot, VectorLen: 4}},
 		{Device: 12345, QueryID: 999, Claim: Claim{Kind: ClaimOneHot, VectorLen: 64}},
-		{Device: 7, QueryID: 3, Claim: Claim{Kind: ClaimRange, Lo: -10, Hi: 10}},
 	}
 	for _, key := range keys {
 		for _, s := range stmts {

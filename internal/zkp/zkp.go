@@ -1,7 +1,7 @@
 // Package zkp provides the input well-formedness proofs of Section 5.3:
 // participants prove that their encrypted upload is a valid one-hot encoding
-// (or an integer in a declared range) so that malicious devices cannot skew
-// results by submitting malformed inputs.
+// so that malicious devices cannot skew results by submitting malformed
+// inputs.
 //
 // The paper's prototype uses ZoKrates with the bellman backend and the
 // Groth16 scheme, with proofs signed to prevent replay (G16 is malleable).
@@ -44,24 +44,19 @@ type Statement struct {
 // Claim is what the proof asserts about the (hidden) witness.
 type Claim struct {
 	Kind      ClaimKind
-	VectorLen int   // for one-hot claims
-	Lo, Hi    int64 // for range claims
+	VectorLen int
 }
 
-// ClaimKind enumerates the supported input shapes.
+// ClaimKind names the input shape a claim asserts. The runtime uploads
+// one-hot rows only (Section 5.3); any other kind fails to prove.
 type ClaimKind int
 
-const (
-	// ClaimOneHot asserts the upload is a 0/1 vector with exactly one 1.
-	ClaimOneHot ClaimKind = iota
-	// ClaimRange asserts the upload is an integer in [Lo, Hi].
-	ClaimRange
-)
+// ClaimOneHot asserts the upload is a 0/1 vector with exactly one 1.
+const ClaimOneHot ClaimKind = 0
 
 // Witness is the device's private input.
 type Witness struct {
-	Vector []int64 // one-hot claims
-	Value  int64   // range claims
+	Vector []int64
 }
 
 // Proof is the simulated proof object. Verification succeeds only when the
@@ -90,32 +85,25 @@ func NewProver(key []byte) *Prover {
 
 // satisfies checks the claim against the witness.
 func satisfies(c Claim, w Witness) bool {
-	switch c.Kind {
-	case ClaimOneHot:
-		if len(w.Vector) != c.VectorLen {
-			return false
-		}
-		ones := 0
-		for _, v := range w.Vector {
-			switch v {
-			case 0:
-			case 1:
-				ones++
-			default:
-				return false
-			}
-		}
-		return ones == 1
-	case ClaimRange:
-		return w.Value >= c.Lo && w.Value <= c.Hi
-	default:
+	if c.Kind != ClaimOneHot || len(w.Vector) != c.VectorLen {
 		return false
 	}
+	ones := 0
+	for _, v := range w.Vector {
+		switch v {
+		case 0:
+		case 1:
+			ones++
+		default:
+			return false
+		}
+	}
+	return ones == 1
 }
 
-// statementMsgLen is the statement encoding's fixed length: six uint64
+// statementMsgLen is the statement encoding's fixed length: four uint64
 // fields, little-endian.
-const statementMsgLen = 48
+const statementMsgLen = 32
 
 // putStatement writes the canonical statement encoding into buf (at least
 // statementMsgLen bytes): the message Scratch.tag MACs.
@@ -124,8 +112,6 @@ func putStatement(buf []byte, s Statement) {
 	binary.LittleEndian.PutUint64(buf[8:], s.QueryID)
 	binary.LittleEndian.PutUint64(buf[16:], uint64(s.Claim.Kind))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(s.Claim.VectorLen))
-	binary.LittleEndian.PutUint64(buf[32:], uint64(s.Claim.Lo))
-	binary.LittleEndian.PutUint64(buf[40:], uint64(s.Claim.Hi))
 }
 
 // Prove produces a proof for the statement. Like a real prover run on a

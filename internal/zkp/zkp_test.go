@@ -38,25 +38,6 @@ func TestMalformedOneHotRejectedAtProving(t *testing.T) {
 	}
 }
 
-func TestRangeClaim(t *testing.T) {
-	p, v := setup()
-	s := Statement{Device: 0, QueryID: 2, Claim: Claim{Kind: ClaimRange, Lo: 0, Hi: 120}}
-	proof, err := p.Prove(s, Witness{Value: 34})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Verify(proof) {
-		t.Fatal("honest range proof rejected")
-	}
-	// The paper's example: a device pretending its user is 1,000 years old.
-	if _, err := p.Prove(s, Witness{Value: 1000}); err == nil {
-		t.Fatal("out-of-range witness produced a proof")
-	}
-	if _, err := p.Prove(s, Witness{Value: -1}); err == nil {
-		t.Fatal("negative witness produced a proof")
-	}
-}
-
 func TestForgedProofRejected(t *testing.T) {
 	_, v := setup()
 	if v.Verify(Forge(oneHotStatement(0, 1, 4))) {

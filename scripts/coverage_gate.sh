@@ -13,7 +13,7 @@ set -e
 
 # Statement coverage of arboretum/internal/runtime, as last measured by this
 # script and rounded down to 0.1 (75.5 when the gate was added).
-BASELINE=82.1
+BASELINE=82.2
 
 out="${1:-coverage.out}"
 

@@ -5,7 +5,7 @@
 // stops at the next batch/vignette/statement boundary instead of running to
 // completion while the gateway has already abandoned it. A checkpoint is a
 // select on ctx.Done(), a ctx.Err() poll, or a call to a function that
-// performs one (the Deployment.checkpoint helper counts through the
+// performs one (the runtime's checkpoint helper counts through the
 // interprocedural registry, however many hops deep). The analyzer also
 // requires every condition-less `for {}` loop in a listed package to carry
 // a checkpoint — a loop with no exit condition and no cancellation poll can
