@@ -157,11 +157,16 @@ func TestFigure9Shape(t *testing.T) {
 			t.Errorf("%s: empty search stats %+v", r.Query, r)
 		}
 	}
-	// The paper: planning time varies widely; complex queries (median)
-	// explore far more prefixes than trivial ones (hypotest).
-	if byName["median"].Prefixes < 10*byName["hypotest"].Prefixes {
-		t.Errorf("median prefixes %d should dwarf hypotest %d",
-			byName["median"].Prefixes, byName["hypotest"].Prefixes)
+	// The paper: planning time varies widely with the query; every query
+	// that selects by the exponential mechanism (em or top-k) explores more
+	// prefixes than every query that only adds Laplace noise.
+	for _, sel := range []string{"top1", "topK", "gap", "auction", "median"} {
+		for _, lap := range []string{"hypotest", "secrecy", "cms", "bayes", "k-medians"} {
+			if byName[sel].Prefixes <= byName[lap].Prefixes {
+				t.Errorf("%s explores %d prefixes, Laplace-only %s %d: want more",
+					sel, byName[sel].Prefixes, lap, byName[lap].Prefixes)
+			}
+		}
 	}
 	if RenderFigure9(rows) == "" {
 		t.Error("empty rendering")

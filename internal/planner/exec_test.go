@@ -207,7 +207,8 @@ func TestExecutableSearchTiesKinds(t *testing.T) {
 // of the planner's two refusals — ErrNodeCap (a backstop: the tree has one
 // level per step kind, so it does not grow with the program) or "no plan
 // satisfies the limits" (the evaluation limits on device and aggregator work,
-// which hold for any plan).
+// which hold for any plan). When the exhaustive walk fits in 20,000 prefixes,
+// the pruned plan must be as good as the walk's.
 func FuzzPlanForExecution(f *testing.F) {
 	for _, q := range queries.All {
 		f.Add(q.Source)
@@ -238,6 +239,19 @@ func FuzzPlanForExecution(f *testing.F) {
 		}
 		if r1.Plan.String() != r2.Plan.String() {
 			t.Fatalf("nondeterministic plan:\n%s\nvs\n%s", r1.Plan, r2.Plan)
+		}
+		// Where the exhaustive walk is small enough to afford, it must find
+		// no plan better than the pruned search's.
+		req.DisableBranchAndBound, req.NodeCap = true, 20_000
+		all, err := Plan(req)
+		if errors.Is(err, ErrNodeCap) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("exhaustive walk: %v", err)
+		}
+		if betterPlan(all.Plan.Cost, r1.Plan.Cost, req.Goal) || betterPlan(r1.Plan.Cost, all.Plan.Cost, req.Goal) {
+			t.Fatalf("pruned %+v, exhaustive %+v", r1.Plan.Cost, all.Plan.Cost)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package planner
 
 import (
-	"fmt"
+	"strconv"
 
 	"arboretum/internal/costmodel"
 	"arboretum/internal/mechanism"
@@ -73,6 +73,10 @@ func distDiv(total, parts int64) int64 {
 	}
 	return (total + parts - 1) / parts
 }
+
+// itoa renders a count in an option's label or a vignette's Desc, as %d
+// does.
+func itoa(n int64) string { return strconv.FormatInt(n, 10) }
 
 func ceilDiv(a, b int64) int64 {
 	if b <= 0 {
@@ -224,12 +228,12 @@ func (sp searchSpace) sumOptions(st step) []option {
 			instances = 1
 		}
 		opts = append(opts, option{
-			choiceVal: fmt.Sprintf("device-tree-fanout-%d", phi),
+			choiceVal: "device-tree-fanout-" + itoa(phi),
 			sumFanout: int(phi),
 			exec:      true,
 			vignettes: []plan.Vignette{
 				{
-					Desc: fmt.Sprintf("device sum tree (fanout %d)", phi), Loc: plan.Device,
+					Desc: "device sum tree (fanout " + itoa(phi) + ")", Loc: plan.Device,
 					Parallel: true, Count: instances, Crypto: plan.CryptoAHE,
 					Work: plan.Work{HEAdds: phi * cts, CtsOut: cts},
 				},
@@ -262,7 +266,7 @@ func (sp searchSpace) computeOptions(st step) []option {
 		choiceVal: "aggregator-he",
 		exec:      crypto != plan.CryptoFHE,
 		vignettes: []plan.Vignette{{
-			Desc: fmt.Sprintf("homomorphic compute over %d values", st.c), Loc: plan.Aggregator,
+			Desc: "homomorphic compute over " + itoa(st.c) + " values", Loc: plan.Aggregator,
 			Count: 1, Crypto: crypto,
 			Work: plan.Work{
 				HEAdds:      st.ops.adds,
@@ -275,10 +279,10 @@ func (sp searchSpace) computeOptions(st step) []option {
 	for _, sigma := range widths {
 		count := ceilDiv(st.c, sigma)
 		opts = append(opts, option{
-			choiceVal: fmt.Sprintf("committee-slice-%d", sigma),
+			choiceVal: "committee-slice-" + itoa(sigma),
 			exec:      true,
 			vignettes: []plan.Vignette{{
-				Desc: fmt.Sprintf("MPC compute (%d values per committee)", sigma), Loc: plan.Committee,
+				Desc: "MPC compute (" + itoa(sigma) + " values per committee)", Loc: plan.Committee,
 				Role: plan.RoleOps, Parallel: count > 1, Count: count, Crypto: plan.CryptoMPC,
 				Work: plan.Work{
 					MPCMults: distDiv(st.ops.mults+st.ops.divs, count),
@@ -301,10 +305,10 @@ func (sp searchSpace) noiseOptions(st step) []option {
 	for _, sigma := range widths {
 		count := ceilDiv(st.c, sigma)
 		opts = append(opts, option{
-			choiceVal: fmt.Sprintf("committee-slice-%d", sigma),
+			choiceVal: "committee-slice-" + itoa(sigma),
 			exec:      true,
 			vignettes: []plan.Vignette{{
-				Desc: fmt.Sprintf("laplace noise + decrypt (%d values per committee)", sigma),
+				Desc: "laplace noise + decrypt (" + itoa(sigma) + " values per committee)",
 				Loc:  plan.Committee, Role: plan.RoleDecrypt,
 				Parallel: count > 1, Count: count, Crypto: plan.CryptoMPC,
 				Work: plan.Work{
@@ -333,7 +337,7 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 			noiseCount := ceilDiv(st.c, sigmaN)
 			treeCount := ceilDiv(st.c, psi-1)
 			opts = append(opts, option{
-				choiceVal: fmt.Sprintf("gumbel-noise-%d-tree-%d", sigmaN, psi),
+				choiceVal: "gumbel-noise-" + itoa(sigmaN) + "-tree-" + itoa(psi),
 				em:        mechanism.EMGumbel,
 				exec:      true,
 				vignettes: []plan.Vignette{
@@ -344,13 +348,13 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 						Work:   plan.Work{HEDecShares: 1, Shares: 1024},
 					},
 					{
-						Desc: fmt.Sprintf("gumbel noise (%d scores per committee)", sigmaN),
+						Desc: "gumbel noise (" + itoa(sigmaN) + " scores per committee)",
 						Loc:  plan.Committee, Role: plan.RoleOps,
 						Parallel: noiseCount > 1, Count: noiseCount * rounds, Crypto: plan.CryptoMPC,
 						Work: plan.Work{MPCNoises: sigmaN, Shares: sigmaN},
 					},
 					{
-						Desc: fmt.Sprintf("argmax tournament (fanout %d)", psi),
+						Desc: "argmax tournament (fanout " + itoa(psi) + ")",
 						Loc:  plan.Committee, Role: plan.RoleOps,
 						Parallel: treeCount > 1, Count: treeCount * rounds, Crypto: plan.CryptoMPC,
 						Work: plan.Work{MPCCmps: psi - 1, MPCMults: 2 * (psi - 1), Shares: psi},
@@ -371,7 +375,7 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 	for _, sigma := range widths {
 		scanCount := ceilDiv(st.c, sigma)
 		expCommittee := plan.Vignette{
-			Desc: fmt.Sprintf("fixed-point exp in MPC (%d scores per committee)", sigma),
+			Desc: "fixed-point exp in MPC (" + itoa(sigma) + " scores per committee)",
 			Loc:  plan.Committee, Role: plan.RoleOps,
 			Parallel: scanCount > 1, Count: scanCount * rounds, Crypto: plan.CryptoMPC,
 			Work: plan.Work{MPCExps: sigma, Shares: sigma},
@@ -388,7 +392,7 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 			Work:   plan.Work{HEDecShares: 1, Shares: 1024},
 		}
 		scanVig := plan.Vignette{
-			Desc: fmt.Sprintf("CDF scan (%d scores per committee)", sigma),
+			Desc: "CDF scan (" + itoa(sigma) + " scores per committee)",
 			Loc:  plan.Committee, Role: plan.RoleOps,
 			Parallel: scanCount > 1, Count: scanCount * rounds, Crypto: plan.CryptoMPC,
 			Work: plan.Work{MPCCmps: sigma, MPCMults: sigma, Shares: sigma},
@@ -399,13 +403,13 @@ func (sp searchSpace) emOptions(st step, rounds int64) []option {
 			Work: plan.Work{HEEncs: cts * rounds, ZKPGens: cts * rounds, CtsOut: cts * rounds},
 		}
 		opts = append(opts, option{
-			choiceVal: fmt.Sprintf("exponentiate-mpc-slice-%d", sigma),
+			choiceVal: "exponentiate-mpc-slice-" + itoa(sigma),
 			em:        mechanism.EMExponentiate,
 			exec:      true,
 			vignettes: []plan.Vignette{decVig, expCommittee, scanVig, rerand},
 		})
 		opts = append(opts, option{
-			choiceVal: fmt.Sprintf("exponentiate-fhe-scan-%d", sigma),
+			choiceVal: "exponentiate-fhe-scan-" + itoa(sigma),
 			em:        mechanism.EMExponentiate,
 			exec:      false, // expAggregator is an FHE circuit
 			vignettes: []plan.Vignette{expAggregator, decVig, scanVig, rerand},
@@ -435,7 +439,7 @@ func (sp searchSpace) topKOptions(st step) []option {
 		treeCount := ceilDiv(st.c, psi-1)
 		noiseCount := ceilDiv(st.c, 1024)
 		opts = append(opts, option{
-			choiceVal: fmt.Sprintf("oneshot-tree-%d", psi),
+			choiceVal: "oneshot-tree-" + itoa(psi),
 			exec:      false, // the runtime's top-k peels
 			vignettes: []plan.Vignette{
 				{
@@ -450,7 +454,7 @@ func (sp searchSpace) topKOptions(st step) []option {
 					Work: plan.Work{MPCNoises: 1024, Shares: 1024},
 				},
 				{
-					Desc: fmt.Sprintf("k tournament passes (fanout %d)", psi),
+					Desc: "k tournament passes (fanout " + itoa(psi) + ")",
 					Loc:  plan.Committee, Role: plan.RoleOps,
 					Parallel: treeCount > 1, Count: treeCount * k, Crypto: plan.CryptoMPC,
 					Work: plan.Work{MPCCmps: psi - 1, MPCMults: 2 * (psi - 1), Shares: psi},
@@ -476,7 +480,7 @@ func (sp searchSpace) maxSelOptions(st step) []option {
 	for _, psi := range sp.fanouts {
 		treeCount := ceilDiv(st.c, psi-1)
 		opts = append(opts, option{
-			choiceVal: fmt.Sprintf("tree-%d", psi),
+			choiceVal: "tree-" + itoa(psi),
 			exec:      true,
 			vignettes: []plan.Vignette{
 				{
@@ -486,7 +490,7 @@ func (sp searchSpace) maxSelOptions(st step) []option {
 					Work:   plan.Work{HEDecShares: 1, Shares: 1024},
 				},
 				{
-					Desc: fmt.Sprintf("max tournament (fanout %d)", psi),
+					Desc: "max tournament (fanout " + itoa(psi) + ")",
 					Loc:  plan.Committee, Role: plan.RoleOps,
 					Parallel: treeCount > 1, Count: treeCount, Crypto: plan.CryptoMPC,
 					Work: plan.Work{MPCCmps: psi - 1, MPCMults: 2 * (psi - 1), Shares: psi},

@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 	"sync/atomic"
@@ -146,8 +145,12 @@ func (sc *scorer) add(f *frame, vig *plan.Vignette, cpu, bytes float64) {
 		bd.roles |= 1 << vig.Role
 		// A device serves on at most one committee, so the role's
 		// worst case is the most expensive single vignette.
-		rc.CPU = math.Max(rc.CPU, cpu)
-		rc.Bytes = math.Max(rc.Bytes, bytes)
+		if cpu > rc.CPU {
+			rc.CPU = cpu
+		}
+		if bytes > rc.Bytes {
+			rc.Bytes = bytes
+		}
 		rc.Count += vig.Count
 		// Committee traffic transits the aggregator's mailbox
 		// (Section 5.4), so the aggregator forwards it all.
@@ -201,10 +204,11 @@ type frameStack struct {
 	frames []frame
 	alt    []frame // alt[d]: frames[d]'s prefix at another m (m 0 = none yet)
 
-	base  []int        // base[l]+j numbers opts[l][j]; 0 is the keygen vignette
-	sizes []int        // the committee sizes met so far
-	at    [][]int32    // at[k][id]: 1 + where option id's costs at sizes[k] start (0 = not priced yet)
-	costs []memberCost // MemberCost per vignette, one run per priced (option, m)
+	base   []int                // base[l]+j numbers opts[l][j]; 0 is the keygen vignette
+	sizes  []int                // the committee sizes met so far
+	at     [][]int32            // at[k][id]: 1 + where option id's costs at sizes[k] start (0 = not priced yet)
+	floors [][]costmodel.Vector // floors[k]: floor's table at sizes[k] (nil = not built yet)
+	costs  []memberCost         // MemberCost per vignette, one run per priced (option, m)
 }
 
 type memberCost struct{ cpu, bytes float64 }
@@ -267,15 +271,21 @@ func (fs *frameStack) refold(f *frame, d int, committees int64, m int) {
 	}
 }
 
-// fold adds option id's vignettes vs to f at f.m.
-func (fs *frameStack) fold(f *frame, id int, vs []plan.Vignette) {
-	k := slices.Index(fs.sizes, f.m)
+// size returns the k with sizes[k] == m, registering m on first sight.
+func (fs *frameStack) size(m int) int {
+	k := slices.Index(fs.sizes, m)
 	if k < 0 {
 		k = len(fs.sizes)
-		fs.sizes = append(fs.sizes, f.m)
+		fs.sizes = append(fs.sizes, m)
 		fs.at = append(fs.at, make([]int32, fs.base[len(fs.opts)]))
+		fs.floors = append(fs.floors, nil)
 	}
-	at := &fs.at[k][id]
+	return k
+}
+
+// fold adds option id's vignettes vs to f at f.m.
+func (fs *frameStack) fold(f *frame, id int, vs []plan.Vignette) {
+	at := &fs.at[fs.size(f.m)][id]
 	if *at == 0 {
 		*at = int32(len(fs.costs)) + 1
 		for i := range vs {
@@ -286,6 +296,75 @@ func (fs *frameStack) fold(f *frame, id int, vs []plan.Vignette) {
 	costs := fs.costs[*at-1:]
 	for i := range vs {
 		fs.sc.add(f, &vs[i], costs[i].cpu, costs[i].bytes)
+	}
+}
+
+// floor returns the search's look-ahead at committee size m: floor(m)[d] is
+// at most what choosing levels d and below adds to any prefix priced at m,
+// so a depth-d node whose partial cost plus floor(m)[d] already breaks a
+// limit or loses to the incumbent has no completion that does better. Each
+// level contributes its cheapest option in every additive component —
+// AggCPU, AggBytes, PartExpCPU, PartExpBytes, and in PartMaxCPU and
+// PartMaxBytes the base every device pays — priced by folding the option
+// alone into an empty frame at m. That is a lower bound because every
+// component is a sum of non-negative per-vignette terms, each only growing
+// with m (MemberCost scales MPC bytes by m, committee fractions grow with
+// it), and the final m is at least the prefix's; PartMax* add to the base a
+// worst-participant term that only grows too. The table is scaled down by
+// 1e-9 so that float rounding never lifts a bound above a completion the
+// fold computes. It is built on the first node at m and kept for the search;
+// its options are priced directly, not through fold's table, which would
+// otherwise grow to hold every option at every m the search meets.
+func (fs *frameStack) floor(m int) []costmodel.Vector {
+	k := fs.size(m)
+	if fs.floors[k] != nil {
+		return fs.floors[k]
+	}
+	table := make([]costmodel.Vector, len(fs.opts)+1)
+	for l := len(fs.opts) - 1; l >= 0; l-- {
+		var least costmodel.Vector
+		for j := range fs.opts[l] {
+			f := frame{m: m}
+			vs := fs.opts[l][j].vignettes
+			for i := range vs {
+				cpu, bytes := vs[i].MemberCost(fs.sc.model, m)
+				fs.sc.add(&f, &vs[i], cpu, bytes)
+			}
+			v := f.v
+			v.PartMaxCPU, v.PartMaxBytes = f.bd.baseCPU, f.bd.baseBytes
+			if j == 0 {
+				least = v
+				continue
+			}
+			least.AggCPU = min(least.AggCPU, v.AggCPU)
+			least.AggBytes = min(least.AggBytes, v.AggBytes)
+			least.PartExpCPU = min(least.PartExpCPU, v.PartExpCPU)
+			least.PartExpBytes = min(least.PartExpBytes, v.PartExpBytes)
+			least.PartMaxCPU = min(least.PartMaxCPU, v.PartMaxCPU)
+			least.PartMaxBytes = min(least.PartMaxBytes, v.PartMaxBytes)
+		}
+		table[l] = addCost(table[l+1], least)
+	}
+	const slack = 1 - 1e-9
+	for d := range table {
+		v := &table[d]
+		v.AggCPU *= slack
+		v.AggBytes *= slack
+		v.PartExpCPU *= slack
+		v.PartExpBytes *= slack
+		v.PartMaxCPU *= slack
+		v.PartMaxBytes *= slack
+	}
+	fs.floors[k] = table
+	return table
+}
+
+// addCost is a + b, component by component.
+func addCost(a, b costmodel.Vector) costmodel.Vector {
+	return costmodel.Vector{
+		AggCPU: a.AggCPU + b.AggCPU, AggBytes: a.AggBytes + b.AggBytes,
+		PartExpCPU: a.PartExpCPU + b.PartExpCPU, PartExpBytes: a.PartExpBytes + b.PartExpBytes,
+		PartMaxCPU: a.PartMaxCPU + b.PartMaxCPU, PartMaxBytes: a.PartMaxBytes + b.PartMaxBytes,
 	}
 }
 

@@ -152,17 +152,21 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 		f := &fs.frames[d]
 		partial := f.finish()
 		if !cfg.noBB {
-			// Prune on hard limits: a prefix above a limit can only get
-			// worse (all work counters are non-negative).
-			if _, bad := cfg.limits.Violated(partial); bad {
+			// Every completion of the prefix costs at least lb: the partial
+			// cost, which only grows as vignettes are appended (score
+			// documents this), plus the look-ahead's least cost of the
+			// levels still open (frameStack.floor). At a leaf lb is the
+			// plan's exact cost.
+			lb := addCost(partial, fs.floor(f.m)[d])
+			// Prune on hard limits: all work counters are non-negative.
+			if _, bad := cfg.limits.Violated(lb); bad {
 				stats.Pruned++
 				return nil
 			}
-			// Prune on the incumbent, non-strictly. Partial costs only
-			// grow as vignettes are appended (score documents this), so a
-			// prefix already no better than the incumbent (goal-first,
+			// Prune on the incumbent, non-strictly: a prefix whose bound
+			// is already no better than the incumbent (goal-first,
 			// footprint on ties — the order betterPlan uses) cannot win.
-			if best != nil && !betterPlan(partial, best.cost, cfg.goal) {
+			if best != nil && !betterPlan(lb, best.cost, cfg.goal) {
 				stats.Pruned++
 				return nil
 			}

@@ -66,9 +66,9 @@ var ErrPlanSearchExceeded = errors.New("runtime: query is too large to plan")
 // planSearchCap bounds the planning Admit does on behalf of whoever submitted
 // the query — over HTTP, any tenant. Planning for execution makes one choice
 // per step kind (planner.Request.ExecutableOnly), so the tree's depth does
-// not grow with the program: ten em/max pairs search ~5,000 prefixes like one
-// pair does, the evaluation corpus at most 9,590 (gap at 64×32), and a query
-// using every operator of the language 0.2–1.4 million (~1 s) at shapes from
+// not grow with the program: one em/max pair searches 422 prefixes at 64×8
+// and ten pairs 2,298, the evaluation corpus at most 4,651 (gap at 2048×16),
+// and a query using every kind of operator 263–6,710 (~2 ms) at shapes from
 // 64×8 to 2^20×2^15. The cap is a backstop past all of those, not a gate any
 // known query meets. (A variable so that a test can lower it.)
 var planSearchCap int64 = 1 << 21

@@ -125,7 +125,7 @@ func manyMechanisms(pairs int) string {
 
 // TestManyMechanismsRun: a query's plan search does not grow with the number
 // of mechanism calls in it — planning for execution makes one choice per step
-// kind — so four em/max pairs plan in the few thousand prefixes one pair
+// kind — so four em/max pairs plan in the few hundred prefixes one pair
 // takes, and run end to end under one em variant, each call charged.
 func TestManyMechanismsRun(t *testing.T) {
 	const pairs = 4
@@ -164,11 +164,11 @@ func TestManyMechanismsRun(t *testing.T) {
 }
 
 // TestPlanSearchCapped: the cap is a backstop no known query meets, so the
-// test lowers it: Run refuses to search past it, typed, before the budget is
-// charged.
+// test lowers it below the 422 prefixes its query searches: Run refuses to
+// search past it, typed, before the budget is charged.
 func TestPlanSearchCapped(t *testing.T) {
 	defer func(was int64) { planSearchCap = was }(planSearchCap)
-	planSearchCap = 1000
+	planSearchCap = 300
 	d := smallDeployment(t, 64, 8)
 	_, err := d.Run(manyMechanisms(1), RunOptions{})
 	if !errors.Is(err, ErrPlanSearchExceeded) || !errors.Is(err, planner.ErrNodeCap) {
