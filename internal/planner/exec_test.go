@@ -69,7 +69,8 @@ func TestExecutableTable(t *testing.T) {
 	sp := defaultSpace(1<<20, costmodel.Default())
 	seen := map[string]bool{}
 	for name, st := range steps {
-		for _, o := range sp.rawOptionsFor(st) {
+		p := newPool()
+		for _, o := range sp.rawOptionsFor(st, p) {
 			family := name + "/" + digits.ReplaceAllString(o.choiceVal, "#")
 			exec, listed := want[family]
 			if !listed {
@@ -81,15 +82,15 @@ func TestExecutableTable(t *testing.T) {
 				t.Errorf("%s: exec = %v, table says %v", o.choiceVal, o.exec, exec)
 			}
 			fhe := false
-			for _, v := range o.vignettes {
-				fhe = fhe || v.Crypto == plan.CryptoFHE
+			for _, v := range o.vigs {
+				fhe = fhe || p.vs[v].Crypto == plan.CryptoFHE
 			}
 			if fhe && o.exec {
 				t.Errorf("%s has an FHE vignette and is marked executable", o.choiceVal)
 			}
 		}
 		sp.execOnly = true
-		for _, o := range sp.optionsFor(st) {
+		for _, o := range sp.optionsFor(st, p) {
 			if !o.exec {
 				t.Errorf("%s survived the executable-only filter", o.choiceVal)
 			}
@@ -186,7 +187,8 @@ func TestExecutableSearchTiesKinds(t *testing.T) {
 	sp := defaultSpace(64, costmodel.Default())
 	em := step{kind: stepEM, c: 8}
 	var gumbel, exponentiate option
-	for _, o := range sp.emOptions(em, 1) {
+	p := newPool()
+	for _, o := range sp.emOptions(em, 1, p) {
 		switch {
 		case o.exec && o.em == mechanism.EMGumbel:
 			gumbel = o
@@ -194,8 +196,8 @@ func TestExecutableSearchTiesKinds(t *testing.T) {
 			exponentiate = o
 		}
 	}
-	agree := assemble(Request{N: 64}, []step{em, em}, &candidate{choice: []option{gumbel, gumbel}})
-	differ := assemble(Request{N: 64}, []step{em, em}, &candidate{choice: []option{gumbel, exponentiate}})
+	agree := assemble(Request{N: 64}, []step{em, em}, &candidate{choice: []option{gumbel, gumbel}, vs: p.vs})
+	differ := assemble(Request{N: 64}, []step{em, em}, &candidate{choice: []option{gumbel, exponentiate}, vs: p.vs})
 	if !agree.Executable || differ.Executable {
 		t.Errorf("Executable: two Gumbel em steps %v, Gumbel + exponentiate %v; want true, false", agree.Executable, differ.Executable)
 	}
@@ -207,8 +209,11 @@ func TestExecutableSearchTiesKinds(t *testing.T) {
 // of the planner's two refusals — ErrNodeCap (a backstop: the tree has one
 // level per step kind, so it does not grow with the program) or "no plan
 // satisfies the limits" (the evaluation limits on device and aggregator work,
-// which hold for any plan). When the exhaustive walk fits in 20,000 prefixes,
-// the pruned plan must be as good as the walk's.
+// which hold for any plan). Pinned to its own Choices (ForceChoices), the
+// search returns a plan as good as the free one and as executable; planned
+// again unpinned, the free plan and its Stats come back byte for byte, so a
+// pin leaves nothing behind in what the next search enumerates. When the exhaustive walk
+// fits in 20,000 prefixes, the pruned plan must be as good as the walk's.
 func FuzzPlanForExecution(f *testing.F) {
 	for _, q := range queries.All {
 		f.Add(q.Source)
@@ -239,6 +244,24 @@ func FuzzPlanForExecution(f *testing.F) {
 		}
 		if r1.Plan.String() != r2.Plan.String() {
 			t.Fatalf("nondeterministic plan:\n%s\nvs\n%s", r1.Plan, r2.Plan)
+		}
+		pinned := req
+		pinned.ForceChoices = r1.Plan.Choices
+		rp, err := Plan(pinned)
+		if err != nil {
+			t.Fatalf("pinned to %v: %v", r1.Plan.Choices, err)
+		}
+		if betterPlan(rp.Plan.Cost, r1.Plan.Cost, req.Goal) || betterPlan(r1.Plan.Cost, rp.Plan.Cost, req.Goal) ||
+			rp.Plan.Executable != r1.Plan.Executable {
+			t.Fatalf("pinned to %v: %+v (executable %v), free %+v (executable %v)", r1.Plan.Choices,
+				rp.Plan.Cost, rp.Plan.Executable, r1.Plan.Cost, r1.Plan.Executable)
+		}
+		r3, err := Plan(req)
+		if err != nil {
+			t.Fatalf("free plan after a pinned one: %v", err)
+		}
+		if r3.Plan.String() != r1.Plan.String() || r3.Stats != r1.Stats {
+			t.Fatalf("free plan after a pinned one (%+v):\n%s\nwas (%+v)\n%s", r3.Stats, r3.Plan, r1.Stats, r1.Plan)
 		}
 		// Where the exhaustive walk is small enough to afford, it must find
 		// no plan better than the pruned search's.

@@ -187,7 +187,8 @@ func assemble(req Request, steps []step, best *candidate) *plan.Plan {
 			p.Executable = p.Executable && (!sawSum || p.SumFanout == o.sumFanout)
 			p.SumFanout, sawSum = o.sumFanout, true
 		}
-		for _, v := range o.vignettes {
+		for _, id := range o.vigs {
+			v := best.vs[id]
 			committees += v.Committees()
 			// Merge heuristic (Section 4.4): consecutive vignettes in the
 			// same location might as well be one — unless both run on

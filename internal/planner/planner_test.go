@@ -2,6 +2,7 @@ package planner
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"arboretum/internal/costmodel"
@@ -208,6 +209,27 @@ func TestInfeasibleAggregatorBudget(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("infeasible budget produced a plan")
+	}
+}
+
+// A looped mechanism's width saturates at math.MaxInt64 (satMul), and the
+// planner's ceilings must not wrap on it: at Categories = MaxInt64 the looped
+// em and top-k queries are refused, as they are at 2^62 — not planned as if
+// each em stage needed one committee and every device one ciphertext.
+func TestSaturatedWidthIsRefused(t *testing.T) {
+	for _, src := range []string{
+		"hist = sum(db); for i = 0 to 3 do best = em(hist, 1.0); output(best); endfor;",
+		"hist = sum(db); for i = 0 to 3 do best = topk(hist, 2, 1.0); output(best); endfor;",
+	} {
+		for _, c := range []int64{1 << 62, math.MaxInt64} {
+			res, err := Plan(Request{Source: src, N: testN, Categories: c, Goal: costmodel.PartExpCPU, Limits: DefaultLimits})
+			if err == nil || err.Error() != "planner: no plan satisfies the limits" {
+				t.Errorf("%s at C = %d: want no plan, got %v", src, c, err)
+				if err == nil {
+					t.Log(res.Plan)
+				}
+			}
+		}
 	}
 }
 

@@ -65,22 +65,23 @@ type breakdown struct {
 	aggForwardBytes    float64
 }
 
-// score prices a (possibly partial) vignette list. Partial lists use the
-// committee size implied by the committees seen so far, which underestimates
-// the final cost — exactly the admissible lower bound branch-and-bound needs.
+// score prices a (possibly partial) list of pool vignettes, vs[ids[0]],
+// vs[ids[1]], …. Partial lists use the committee size implied by the
+// committees seen so far, which underestimates the final cost — exactly the
+// admissible lower bound branch-and-bound needs.
 //
 // It is a left fold — add, one vignette at a time, in list order — closed by
 // finish. The search's frame stack runs the same two functions over the same
 // vignettes in the same order, so its floats are score's, bit for bit.
-func (sc *scorer) score(vs []plan.Vignette) (costmodel.Vector, breakdown, int) {
+func (sc *scorer) score(vs []plan.Vignette, ids []int32) (costmodel.Vector, breakdown, int) {
 	var f frame
-	for i := range vs {
-		f.committees += vs[i].Committees()
+	for _, v := range ids {
+		f.committees += vs[v].Committees()
 	}
 	f.m = committeeSize(int(f.committees))
-	for i := range vs {
-		cpu, bytes := vs[i].MemberCost(sc.model, f.m)
-		sc.add(&f, &vs[i], cpu, bytes)
+	for _, v := range ids {
+		cpu, bytes := vs[v].MemberCost(sc.model, f.m)
+		sc.add(&f, &vs[v], cpu, bytes)
 	}
 	return f.finish(), f.bd, f.m
 }
@@ -194,47 +195,34 @@ func (f *frame) finish() costmodel.Vector {
 // (sizeTable saturates) and extends the parent frame like any other.
 //
 // Either way each vignette's MemberCost is looked up, not computed: costs
-// holds it once per (option, m) the search has met. Nothing here is shared
-// between Plan calls.
+// prices every vignette of the search's pool once per m the search meets, so
+// options that share a vignette share its price. Nothing here — the pool
+// included — is shared between Plan calls.
 type frameStack struct {
 	sc     *scorer
+	vs     []plan.Vignette // the search's pool; vs[0] is the keygen vignette
 	opts   [][]option
-	keygen [1]plan.Vignette
 	idx    []int
 	frames []frame
 	alt    []frame // alt[d]: frames[d]'s prefix at another m (m 0 = none yet)
 
-	base   []int                // base[l]+j numbers opts[l][j]; 0 is the keygen vignette
 	sizes  []int                // the committee sizes met so far
-	at     [][]int32            // at[k][id]: 1 + where option id's costs at sizes[k] start (0 = not priced yet)
+	costs  [][]memberCost       // costs[k][v]: vs[v]'s MemberCost at sizes[k]
 	floors [][]costmodel.Vector // floors[k]: floor's table at sizes[k] (nil = not built yet)
-	costs  []memberCost         // MemberCost per vignette, one run per priced (option, m)
 }
 
 type memberCost struct{ cpu, bytes float64 }
 
-func newFrameStack(sc *scorer, opts [][]option) *frameStack {
+func newFrameStack(sc *scorer, vs []plan.Vignette, opts [][]option) *frameStack {
 	fs := &frameStack{
 		sc:     sc,
+		vs:     vs,
 		opts:   opts,
-		keygen: [1]plan.Vignette{keygenVignette()},
 		idx:    make([]int, len(opts)),
 		frames: make([]frame, len(opts)+1),
 		alt:    make([]frame, len(opts)+1),
-		base:   make([]int, len(opts)+1),
 	}
-	fs.base[0] = 1
-	vignettes := 1
-	for l, os := range opts {
-		fs.base[l+1] = fs.base[l] + len(os)
-		for j := range os {
-			vignettes += len(os[j].vignettes)
-		}
-	}
-	// Most options meet one committee size: room for each once and a quarter
-	// again seldom has to grow.
-	fs.costs = make([]memberCost, 0, vignettes+vignettes/4)
-	c := fs.keygen[0].Committees()
+	c := vs[0].Committees()
 	fs.refold(&fs.frames[0], 0, c, committeeSize(int(c)))
 	return fs
 }
@@ -245,10 +233,10 @@ func (fs *frameStack) push(d, j int) {
 	fs.idx[d] = j
 	fs.alt[d+1].m = 0 // frames[d+1] is about to change
 	parent := &fs.frames[d]
-	vs := fs.opts[d][j].vignettes
+	ids := fs.opts[d][j].vigs
 	committees := parent.committees
-	for i := range vs {
-		committees += vs[i].Committees()
+	for _, v := range ids {
+		committees += fs.vs[v].Committees()
 	}
 	if m := committeeSize(int(committees)); m != parent.m {
 		if parent = &fs.alt[d]; parent.m != m {
@@ -258,44 +246,41 @@ func (fs *frameStack) push(d, j int) {
 	f := &fs.frames[d+1]
 	*f = *parent
 	f.committees = committees
-	fs.fold(f, fs.base[d]+j, vs)
+	fs.fold(f, ids)
 }
 
 // refold sets f to score's fold, at committee size m, of the prefix idx[:d]
 // with the given committee count.
 func (fs *frameStack) refold(f *frame, d int, committees int64, m int) {
 	*f = frame{committees: committees, m: m}
-	fs.fold(f, 0, fs.keygen[:])
+	fs.fold(f, []int32{0})
 	for l, j := range fs.idx[:d] {
-		fs.fold(f, fs.base[l]+j, fs.opts[l][j].vignettes)
+		fs.fold(f, fs.opts[l][j].vigs)
 	}
 }
 
-// size returns the k with sizes[k] == m, registering m on first sight.
+// size returns the k with sizes[k] == m, registering and pricing m on first
+// sight.
 func (fs *frameStack) size(m int) int {
 	k := slices.Index(fs.sizes, m)
 	if k < 0 {
 		k = len(fs.sizes)
 		fs.sizes = append(fs.sizes, m)
-		fs.at = append(fs.at, make([]int32, fs.base[len(fs.opts)]))
+		costs := make([]memberCost, len(fs.vs))
+		for v := range costs {
+			costs[v].cpu, costs[v].bytes = fs.vs[v].MemberCost(fs.sc.model, m)
+		}
+		fs.costs = append(fs.costs, costs)
 		fs.floors = append(fs.floors, nil)
 	}
 	return k
 }
 
-// fold adds option id's vignettes vs to f at f.m.
-func (fs *frameStack) fold(f *frame, id int, vs []plan.Vignette) {
-	at := &fs.at[fs.size(f.m)][id]
-	if *at == 0 {
-		*at = int32(len(fs.costs)) + 1
-		for i := range vs {
-			cpu, bytes := vs[i].MemberCost(fs.sc.model, f.m)
-			fs.costs = append(fs.costs, memberCost{cpu, bytes})
-		}
-	}
-	costs := fs.costs[*at-1:]
-	for i := range vs {
-		fs.sc.add(f, &vs[i], costs[i].cpu, costs[i].bytes)
+// fold adds the pool vignettes ids to f at f.m.
+func (fs *frameStack) fold(f *frame, ids []int32) {
+	costs := fs.costs[fs.size(f.m)]
+	for _, v := range ids {
+		fs.sc.add(f, &fs.vs[v], costs[v].cpu, costs[v].bytes)
 	}
 }
 
@@ -312,9 +297,7 @@ func (fs *frameStack) fold(f *frame, id int, vs []plan.Vignette) {
 // it), and the final m is at least the prefix's; PartMax* add to the base a
 // worst-participant term that only grows too. The table is scaled down by
 // 1e-9 so that float rounding never lifts a bound above a completion the
-// fold computes. It is built on the first node at m and kept for the search;
-// its options are priced directly, not through fold's table, which would
-// otherwise grow to hold every option at every m the search meets.
+// fold computes. It is built on the first node at m and kept for the search.
 func (fs *frameStack) floor(m int) []costmodel.Vector {
 	k := fs.size(m)
 	if fs.floors[k] != nil {
@@ -323,13 +306,9 @@ func (fs *frameStack) floor(m int) []costmodel.Vector {
 	table := make([]costmodel.Vector, len(fs.opts)+1)
 	for l := len(fs.opts) - 1; l >= 0; l-- {
 		var least costmodel.Vector
-		for j := range fs.opts[l] {
+		for j, o := range fs.opts[l] {
 			f := frame{m: m}
-			vs := fs.opts[l][j].vignettes
-			for i := range vs {
-				cpu, bytes := vs[i].MemberCost(fs.sc.model, m)
-				fs.sc.add(&f, &vs[i], cpu, bytes)
-			}
+			fs.fold(&f, o.vigs)
 			v := f.v
 			v.PartMaxCPU, v.PartMaxBytes = f.bd.baseCPU, f.bd.baseBytes
 			if j == 0 {

@@ -244,9 +244,9 @@ func TestFrameStackMatchesScore(t *testing.T) {
 	var model []int
 	nodeHook = func(fs *frameStack, d int) {
 		nodes++
-		prefix := []plan.Vignette{keygenVignette()}
+		prefix := []int32{0} // the keygen vignette
 		for l, j := range fs.idx[:d] {
-			prefix = append(prefix, fs.opts[l][j].vignettes...)
+			prefix = append(prefix, fs.opts[l][j].vigs...)
 		}
 		f := &fs.frames[d]
 		if model == nil {
@@ -266,7 +266,7 @@ func TestFrameStackMatchesScore(t *testing.T) {
 			}
 			kinds[kind]++
 		}
-		v, bd, m := fs.sc.score(prefix)
+		v, bd, m := fs.sc.score(fs.vs, prefix)
 		if got := f.finish(); got != v || f.bd != bd || f.m != m {
 			if mismatches++; mismatches <= 5 {
 				t.Errorf("prefix %v: frame (%+v, %+v, m=%d), score (%+v, %+v, m=%d)", fs.idx[:d], got, f.bd, f.m, v, bd, m)
@@ -331,10 +331,10 @@ func gapSearch(tb testing.TB) ([]step, searchSpace, *scorer) {
 	return steps, defaultSpace(testN, model), newScorer(testN, model)
 }
 
-// gapFullPlan returns a scorer and the unmerged vignette list of the plan the
-// sequential search picks for gap at N = 2^30: the longest list the
-// plan-corpus scores.
-func gapFullPlan(tb testing.TB) (*scorer, []plan.Vignette) {
+// gapFullPlan returns a scorer, the search's pool and the unmerged vignette
+// list of the plan the sequential search picks for gap at N = 2^30: the
+// longest list the plan-corpus scores.
+func gapFullPlan(tb testing.TB) (*scorer, []plan.Vignette, []int32) {
 	tb.Helper()
 	steps, sp, sc := gapSearch(tb)
 	best, _, err := search(steps, sp, sc,
@@ -342,21 +342,21 @@ func gapFullPlan(tb testing.TB) (*scorer, []plan.Vignette) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	vs := []plan.Vignette{keygenVignette()}
+	ids := []int32{0} // the keygen vignette
 	for _, o := range best.choice {
-		vs = append(vs, o.vignettes...)
+		ids = append(ids, o.vigs...)
 	}
-	return sc, vs
+	return sc, best.vs, ids
 }
 
 // BenchmarkScore prices gap's full plan once per iteration: the planner's
 // unit of work (run with -benchmem; TestAllocGateScore holds it at 0 allocs).
 func BenchmarkScore(b *testing.B) {
-	sc, vs := gapFullPlan(b)
+	sc, vs, ids := gapFullPlan(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scoreSink, _, _ = sc.score(vs)
+		scoreSink, _, _ = sc.score(vs, ids)
 	}
 }
 

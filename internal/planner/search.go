@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"arboretum/internal/costmodel"
+	"arboretum/internal/plan"
 )
 
 // Stats reports what the search did (Figure 9 and the branch-and-bound
@@ -57,9 +58,11 @@ func totalFootprint(v costmodel.Vector) float64 {
 }
 
 // candidate is a complete plan as the search scored it: one option per step,
-// the exact cost, the figure breakdowns and the committee size.
+// the pool its vignette indices point into, the exact cost, the figure
+// breakdowns and the committee size.
 type candidate struct {
 	choice []option
+	vs     []plan.Vignette
 	cost   costmodel.Vector
 	bd     breakdown
 	m      int
@@ -72,9 +75,10 @@ type candidate struct {
 // counter of the walk it made.
 func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candidate, *Stats, error) {
 	stats := &Stats{}
+	p := newPool(steps...)
 	stepOpts := make([][]option, len(steps))
 	for i, st := range steps {
-		os := sp.optionsFor(st)
+		os := sp.optionsFor(st, p)
 		if len(os) == 0 {
 			return nil, stats, fmt.Errorf("planner: no implementation for step %v", st.kind)
 		}
@@ -102,32 +106,22 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 	opts, levelOf := stepOpts, []int(nil)
 	if sp.execOnly {
 		var err error
-		if opts, levelOf, err = tieKinds(steps, stepOpts); err != nil {
+		if opts, levelOf, err = tieKinds(steps, stepOpts, p); err != nil {
 			return nil, stats, err
 		}
 	}
+	fs := newFrameStack(sc, p.vs, opts)
 	if !cfg.noBB {
 		// Heuristic order: score each option in isolation and try the
 		// cheapest first, so a good incumbent appears early and the
 		// bound prunes aggressively (pointless without pruning). Ties keep
 		// their enumeration order.
-		type key struct {
-			goal float64
-			at   int
-		}
-		var keys []key
-		for l, os := range opts {
-			keys = keys[:0]
+		for _, os := range opts {
 			for j := range os {
-				v, _, _ := sc.score(os[j].vignettes)
-				keys = append(keys, key{goal: v.Get(cfg.goal), at: j})
+				v, _, _ := sc.score(p.vs, os[j].vigs)
+				os[j].goal = v.Get(cfg.goal)
 			}
-			slices.SortStableFunc(keys, func(a, b key) int { return cmp.Compare(a.goal, b.goal) })
-			sorted := make([]option, len(os))
-			for j, k := range keys {
-				sorted[j] = os[k.at]
-			}
-			opts[l] = sorted
+			slices.SortStableFunc(os, func(a, b option) int { return cmp.Compare(a.goal, b.goal) })
 		}
 	}
 
@@ -135,11 +129,10 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 	if nodeCap == 0 {
 		nodeCap = defaultNodeCap
 	}
-	fs := newFrameStack(sc, opts)
 	// The incumbent is recorded in place: one candidate, overwritten by
 	// every improvement.
 	var best *candidate
-	incumbent := candidate{choice: make([]option, len(opts))}
+	incumbent := candidate{choice: make([]option, len(opts)), vs: p.vs}
 
 	var dfs func(d int) error
 	dfs = func(d int) error {
@@ -218,15 +211,16 @@ func search(steps []step, sp searchSpace, sc *scorer, cfg searchConfig) (*candid
 
 // tieKinds folds the per-step option lists into one search level per step
 // kind: a level's options are the labels every step of the kind offers, each
-// carrying the vignettes of all those steps, so one choice prices the
-// operator everywhere the query uses it. That is what a plan can say — its
-// Choices hold one label per kind, EMVariant and SumFanout one value per
-// plan — and what the runtime can honour: every em call of a run executes
-// the one variant. It also makes the tree's depth a property of the
-// language (nine kinds) instead of the program's length: ten em calls search
-// the tree one em call does. Returns the levels, in order of each kind's
-// first step, and the level of every step.
-func tieKinds(steps []step, stepOpts [][]option) ([][]option, []int, error) {
+// carrying the vignettes of all those steps (their index lists concatenated
+// in the pool), so one choice prices the operator everywhere the query uses
+// it. That is what a plan can say — its Choices hold one label per kind,
+// EMVariant and SumFanout one value per plan — and what the runtime can
+// honour: every em call of a run executes the one variant. It also makes the
+// tree's depth a property of the language (nine kinds) instead of the
+// program's length: ten em calls search the tree one em call does. Returns
+// the levels, in order of each kind's first step, and the level of every
+// step.
+func tieKinds(steps []step, stepOpts [][]option, p *pool) ([][]option, []int, error) {
 	var levels [][]option
 	levelOf := make([]int, len(steps))
 	first := map[stepKind]int{}
@@ -242,7 +236,7 @@ func tieKinds(steps []step, stepOpts [][]option) ([][]option, []int, error) {
 		shared := levels[l][:0]
 		for _, o := range levels[l] {
 			if j := labelIndex(stepOpts[i], o.choiceVal); j >= 0 {
-				o.vignettes = append(o.vignettes[:len(o.vignettes):len(o.vignettes)], stepOpts[i][j].vignettes...)
+				o.vigs = p.carve(o.vigs, stepOpts[i][j].vigs)
 				shared = append(shared, o)
 			}
 		}

@@ -134,6 +134,62 @@ func TestPlansMatchParent(t *testing.T) {
 	}
 }
 
+// TestPlanFieldsMatchParent pins what Plan.String() leaves out: the labels
+// (Choices), the typed choices (EMVariant, SumFanout, Executable), the
+// committee count and size, the per-role costs, the breakdown fields and
+// every vignette's Work. It plans TestPlansMatchParent's 480 requests, and
+// then the ForceChoices pins internal/eval plans with — "sum: device-tree"
+// (the ablations) and "em: gumbel" and "em: exponentiate-mpc" (the accuracy
+// runs) — for the ten queries at the same four N, over the full space and
+// for execution. The digest was printed by this same test in a clone of the
+// commit before the vignette pool.
+func TestPlanFieldsMatchParent(t *testing.T) {
+	const want = "7b2da49f87bf514fbf54f4352e8dffe616af2ee1395ca7dadff88f1689e73d22"
+	h := sha256.New()
+	record := func(req Request) {
+		res, err := Plan(req)
+		if err != nil {
+			fmt.Fprintf(h, "%s %v N=%d exec=%v %v: %v\n", req.Name, req.Goal, req.N, req.ExecutableOnly, req.ForceChoices, err)
+			return
+		}
+		p := res.Plan
+		fmt.Fprintf(h, "%v %v %d %v %d %d %+v %v %v %v %v %v\n", p.Choices, p.EMVariant, p.SumFanout, p.Executable,
+			p.CommitteeCount, p.CommitteeSize, p.ByRole, p.BaseCPU, p.BaseBytes, p.AggOpsCPU, p.AggVerifyCPU, p.AggForwardBytes)
+		for _, v := range p.Vignettes {
+			fmt.Fprintf(h, "%d %v %+v\n", v.Count, v.Parallel, v.Work)
+		}
+	}
+	shapes := []int64{1 << 30, 1 << 20, 2048, 96}
+	for _, q := range queries.All {
+		for _, goal := range sixGoals {
+			for _, n := range shapes {
+				for _, exec := range []bool{false, true} {
+					record(Request{
+						Name: q.Name, Source: q.Source, N: n, Categories: q.Categories,
+						ElemRange: q.ElemRange, Goal: goal, Limits: DefaultLimits, ExecutableOnly: exec,
+					})
+				}
+			}
+		}
+	}
+	for _, force := range [][2]string{{"sum", "device-tree"}, {"em", "gumbel"}, {"em", "exponentiate-mpc"}} {
+		for _, q := range queries.All {
+			for _, n := range shapes {
+				for _, exec := range []bool{false, true} {
+					record(Request{
+						Name: q.Name, Source: q.Source, N: n, Categories: q.Categories,
+						ElemRange: q.ElemRange, Goal: costmodel.PartExpCPU, Limits: DefaultLimits,
+						ExecutableOnly: exec, ForceChoices: map[string]string{force[0]: force[1]},
+					})
+				}
+			}
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("the plans' fields hash to %s, want %s", got, want)
+	}
+}
+
 // BenchmarkSearch plans gap — the largest option tree among the evaluation
 // queries, 210,574 leaves — with branch-and-bound on and off (the whole tree
 // walked).

@@ -7,21 +7,22 @@
 // analyst's limits, using branch-and-bound to prune the search (Section 4.6).
 //
 // The search granularity is the logical step (an operator occurrence or a
-// fused block of scalar computation): each step contributes a set of
-// candidate (implementation × location × parameter) options, and a candidate
+// fused block of scalar computation): each step contributes candidate
+// (implementation × location × parameter) options, which name their
+// vignettes by index into the search's one pool (options.go), and a candidate
 // plan is one choice per step (per step kind when planning for execution,
-// Request.ExecutableOnly). This is the same design space the paper
-// describes — operator instantiations (sum trees of different fanouts, the
-// two em variants of Figure 4), placement, and cryptosystem — explored
-// mechanically with pruning.
+// Request.ExecutableOnly). This is the design space the paper describes —
+// operator instantiations (sum trees of different fanouts, the two em
+// variants of Figure 4), placement, and cryptosystem — searched with pruning.
 //
 // # Thread safety
 //
-// Plan is safe to call concurrently: every call builds its own scorer and
-// search state. The search is one branch-and-bound DFS (search.go) on the
-// calling goroutine, so a plan's Stats repeat exactly. The one state calls
-// share is the committee-size memo (score.go, sizeTable), whose entries are
-// atomics that racing fills set to equal values.
+// Plan is safe to call concurrently: every call builds its own scorer, pool
+// and search state, and only reads the label tables built at init. The
+// search is one branch-and-bound DFS (search.go) on the calling goroutine, so
+// a plan's Stats repeat exactly. The one mutable state calls share is the
+// committee-size memo (score.go, sizeTable), whose entries are atomics that
+// racing fills set to equal values.
 package planner
 
 import (

@@ -150,12 +150,13 @@ func TestBiteSizeFilter(t *testing.T) {
 	// A compute step with a huge total comparison count: the coarse slices
 	// must be filtered out, the fine ones kept.
 	st := step{kind: stepCompute, c: 1 << 15, ops: opTally{cmps: 1 << 16}}
-	opts := sp.optionsFor(st)
+	p := newPool()
+	opts := sp.optionsFor(st, p)
 	if len(opts) == 0 {
 		t.Fatal("no options survived")
 	}
 	for _, o := range opts {
-		if !sp.biteSize(o) {
+		if !p.biteSize(o) {
 			t.Errorf("non-bite-size option %s survived the filter", o.choiceVal)
 		}
 	}

@@ -38,7 +38,8 @@ go test ./...
 # Allocation-regression gates (docs/KERNELS.md): the kernel hot paths are
 # pinned to their steady-state allocation counts, the planner's scorer — run
 # once per plan prefix the search visits — a warm vsr.Group.Field and a warm
-# fixed-base comb walk to zero, the committee MPC's Mul and Less below one
+# fixed-base comb walk to zero, the planner's option enumeration to at most
+# three allocations a step whatever its option count, the committee MPC's Mul and Less below one
 # allocation each, a device's proof and a shard's verify to zero, one
 # honest device upload to its packed row's own allocations, and the query
 # front end (privacy.Admit) on four adversarial 1 MiB sources to 8 MB each.
