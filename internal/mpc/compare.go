@@ -71,19 +71,17 @@ func (e *Engine) Mod2m(a Secret, m int) (Secret, error) {
 	if m <= 0 || m >= ValueBits {
 		return Secret{}, fmt.Errorf("mpc: Mod2m with m=%d out of (0,%d)", m, ValueBits)
 	}
-	// Dealer randomness: m shared bits into scratch, accumulated in place
-	// into r_low, and a statistical mask r_high.
+	// Dealer randomness: m shared bits into scratch, weighed into r_low =
+	// Σ 2^i·r_i with one reduction per share, and a statistical mask r_high.
 	rBits := e.ws().rBits[:m*e.M]
-	rLow := e.newSecret()
 	for i := 0; i < m; i++ {
-		bit := rBits[i*e.M : (i+1)*e.M]
-		e.randomBitInto(bit)
-		k := uint64(1) << uint(i)
-		for p, s := range bit {
-			rLow.shares[p] = fadd(rLow.shares[p], fmul(s, k))
-		}
-		e.stats.LocalMults += int64(e.M)
+		e.randomBitInto(rBits[i*e.M : (i+1)*e.M])
 	}
+	rLow := e.newSecret()
+	for p := range rLow.shares {
+		rLow.shares[p] = weighBits(rBits[p:], e.M, m)
+	}
+	e.stats.LocalMults += int64(m * e.M)
 	// c = a + 2^(ValueBits−1) + r_low + 2^m·r_high, opened.
 	masked := e.ws().tmp
 	e.randomBoundedInto(masked, ValueBits+kappaStat-m)
@@ -118,9 +116,18 @@ func (e *Engine) Trunc(a Secret, m int) (Secret, error) {
 	for p := range low.shares {
 		low.shares[p] = fsub(a.shares[p], low.shares[p])
 	}
-	e.scaleInto(low.shares, low.shares, fpow((fieldPrime+1)/2, uint64(m))) // 2^−m
+	e.scaleInto(low.shares, low.shares, invPow2[m])
 	return low, nil
 }
+
+// invPow2[m] is 2^−m in the field.
+var invPow2 = func() (t [ValueBits]uint64) {
+	t[0] = 1
+	for m := 1; m < ValueBits; m++ {
+		t[m] = fmul(t[m-1], (fieldPrime+1)/2)
+	}
+	return t
+}()
 
 // LTZ returns the shared bit [a < 0] for a in
 // (−2^(ValueBits−1), 2^(ValueBits−1)).

@@ -15,9 +15,14 @@
 // The dealer draws from an AES-256-CTR keystream its engine owns, a block at
 // a time; the stream's key is read from crypto/rand once, when the engine
 // first shares a value (drawWord says why that is as good as reading
-// crypto/rand throughout). A triple is dealt into engine scratch and never
-// outlives its multiplication, and a comparison's random bits and prefix
-// products stay in scratch too. Every Secret the engine returns is carved
+// crypto/rand throughout). It shares a value by forward differences: the
+// differences of the sharing polynomial at 0 are drawn uniform and stepped
+// to each party's point by additions alone (drawTable says why that is the
+// uniform polynomial through the value). A multiplication deals its triple
+// in one pass over the parties, into engine scratch it never outlives, and
+// a comparison's random bits and prefix products stay in scratch too. Each
+// opened value and each product share is a 128-bit sum of products reduced
+// once (dot, mulAdd2). Every Secret the engine returns is carved
 // from an engine-owned slab that is never recycled. None of this is locked:
 // an engine is driven from one goroutine (docs/CONCURRENCY.md).
 //
@@ -112,23 +117,29 @@ type workspace struct {
 	// carved forward: a full slab is replaced, never reused.
 	slab []uint64
 	// Scratch that no Secret outlives: a Beaver triple's three sharings, one
-	// local temporary, a sharing polynomial's T coefficients, and a
-	// comparison's dealer bits and prefix products (ValueBits−1 sharings
-	// each).
-	ta, tb, tc, tmp, coeffs, rBits, prefix []uint64
+	// local temporary, three forward-difference tables of T words (a
+	// triple's, or one sharing's in diff[:T]), and a comparison's dealer
+	// bits and prefix products (ValueBits−1 sharings each).
+	ta, tb, tc, tmp, diff, rBits, prefix []uint64
 }
 
-// ws returns the engine's workspace, making it on first use under a dealer
-// key read from crypto/rand.
+// ws returns the engine's workspace, making it on first use. It is small
+// enough to inline into every caller.
 func (e *Engine) ws() *workspace {
 	if e.work == nil {
-		var key [dealerKeyBytes]byte
-		if _, err := rand.Read(key[:]); err != nil {
-			panic("mpc: randomness unavailable: " + err.Error())
-		}
-		e.work = e.newWorkspace(key[:])
+		e.makeWorkspace()
 	}
 	return e.work
+}
+
+// makeWorkspace makes the engine's workspace under a dealer key read from
+// crypto/rand.
+func (e *Engine) makeWorkspace() {
+	var key [dealerKeyBytes]byte
+	if _, err := rand.Read(key[:]); err != nil {
+		panic("mpc: randomness unavailable: " + err.Error())
+	}
+	e.work = e.newWorkspace(key[:])
 }
 
 // newWorkspace makes a workspace whose dealer stream is AES-256-CTR under
@@ -139,7 +150,7 @@ func (e *Engine) newWorkspace(key []byte) *workspace {
 		panic("mpc: dealer key: " + err.Error())
 	}
 	m, k := e.M, (ValueBits-1)*e.M
-	s := make([]uint64, 4*m+e.T+2*k)
+	s := make([]uint64, 4*m+3*e.T+2*k)
 	take := func(n int) []uint64 {
 		v := s[:n:n]
 		s = s[n:]
@@ -149,7 +160,7 @@ func (e *Engine) newWorkspace(key []byte) *workspace {
 		stream: cipher.NewCTR(block, make([]byte, aes.BlockSize)),
 		pos:    randBlock,
 		ta:     take(m), tb: take(m), tc: take(m), tmp: take(m),
-		coeffs: take(e.T), rBits: take(k), prefix: take(k),
+		diff: take(3 * e.T), rBits: take(k), prefix: take(k),
 	}
 }
 
@@ -199,18 +210,32 @@ func lagrangeAtZero(t int) []uint64 {
 
 // shareInto writes a fresh degree-(T−1) sharing of v into dst.
 func (e *Engine) shareInto(dst []uint64, v uint64) {
-	c := e.ws().coeffs
-	c[0] = v
-	for i := 1; i < e.T; i++ {
-		c[i] = e.drawField()
-	}
+	d := e.ws().diff[:e.T]
+	e.drawTable(d, v)
 	for p := range dst {
-		x := uint64(p + 1)
-		acc := c[e.T-1]
-		for i := e.T - 2; i >= 0; i-- {
-			acc = fadd(fmul(acc, x), c[i])
-		}
-		dst[p] = acc
+		stepTable(d)
+		dst[p] = d[0]
+	}
+}
+
+// drawTable sets d to the forward differences at x = 0 of a fresh sharing
+// polynomial f of v: d[0] = f(0) = v and d[1:] uniform. The differences
+// Δ^k f(0) are a linear map of f's coefficients c_1 … c_{T−1}, triangular
+// with diagonal k! ≠ 0 mod p, so uniform differences are exactly a uniform
+// polynomial of degree at most T−1 through (0, v).
+func (e *Engine) drawTable(d []uint64, v uint64) {
+	d[0] = v
+	for k := 1; k < len(d); k++ {
+		d[k] = e.drawField()
+	}
+}
+
+// stepTable moves a difference table from x to x+1, Δ^k f(x+1) = Δ^k f(x) +
+// Δ^(k+1) f(x), leaving f(x+1) in d[0]: len(d)−1 additions and no
+// multiplication.
+func stepTable(d []uint64) {
+	for k := 0; k+1 < len(d); k++ {
+		d[k] = fadd(d[k], d[k+1])
 	}
 }
 
@@ -258,14 +283,12 @@ func (e *Engine) chargeBroadcastRound(k int) {
 // docs/CONCURRENCY.md); fn must not re-enter the engine.
 func (e *Engine) SetRoundObserver(fn func(rounds int)) { e.onRound = fn }
 
-// reconstruct recovers the secret from the first T shares.
+// reconstruct recovers the secret from the first T shares, one reduction
+// per dotFold products. It is the one opening path: Open, a
+// multiplication's d and f, and Mod2m's c.
 func (e *Engine) reconstruct(shares []uint64) uint64 {
-	acc := uint64(0)
-	for i, l := range e.lagrange {
-		acc = fadd(acc, fmul(l, shares[i]))
-	}
 	e.stats.LocalMults += int64(e.T)
-	return acc
+	return dot(e.lagrange, shares)
 }
 
 // Open reveals a secret to all parties (one broadcast round).
@@ -358,12 +381,13 @@ func (e *Engine) drawWord() uint64 {
 	return v
 }
 
-// drawField returns a uniform field element.
+// drawField returns a uniform field element: a word's top 60 bits are
+// uniform below 2^60, and rejecting those ≥ p (probability 2^−46) leaves
+// them uniform below p.
 func (e *Engine) drawField() uint64 {
 	for {
-		// Rejection sampling over a multiple of the prime keeps it unbiased.
-		if v := e.drawWord(); v < fieldPrime*16 {
-			return v % fieldPrime
+		if v := e.drawWord() >> 4; v < fieldPrime {
+			return v
 		}
 	}
 }
@@ -379,20 +403,6 @@ func (e *Engine) drawBits(n int) uint64 {
 	w.bits >>= uint(n)
 	w.nbits -= n
 	return v
-}
-
-// dealTriple deals a fresh Beaver triple (a, b, ab) into the workspace's
-// scratch; it is valid until the next triple.
-func (e *Engine) dealTriple() (ta, tb, tc []uint64) {
-	w := e.ws()
-	a := e.drawField()
-	b := e.drawField()
-	e.stats.Triples++
-	e.stats.DealerBytes += int64(3 * 8 * e.M)
-	e.shareInto(w.ta, a)
-	e.shareInto(w.tb, b)
-	e.shareInto(w.tc, fmul(a, b))
-	return w.ta, w.tb, w.tc
 }
 
 // randomBitInto writes a fresh sharing of a uniform bit, known to the
@@ -420,24 +430,44 @@ func (e *Engine) Mul(a, b Secret) Secret {
 	return out
 }
 
-// mulInto writes a·b into dst. The triple lives in scratch: d = a − ta and
-// f = b − tb are opened together in one round, and only dst is written. dst
-// may be a or b.
+// mulInto writes a·b into dst. The dealer deals the triple (ta, tb, tc =
+// ta·tb) into scratch in one pass over the parties, stepping its three
+// difference tables together; d = a − ta and f = b − tb are opened
+// together in one round, and only dst is written. dst may be a or b.
 func (e *Engine) mulInto(dst, a, b []uint64) {
-	ta, tb, tc := e.dealTriple()
+	w, t := e.ws(), e.T
+	da, db, dc := w.diff[:t], w.diff[t:2*t], w.diff[2*t:3*t]
+	x, y := e.drawField(), e.drawField()
+	e.drawTable(da, x)
+	e.drawTable(db, y)
+	e.drawTable(dc, fmul(x, y))
+	e.stats.Triples++
+	e.stats.DealerBytes += int64(3 * 8 * e.M)
+	ta, tb, tc := w.ta, w.tb[:len(w.ta)], w.tc[:len(w.ta)]
+	for p := range ta {
+		// stepTable on the three tables at once: three independent chains.
+		for k := 0; k+1 < t; k++ {
+			da[k] = fadd(da[k], da[k+1])
+			db[k] = fadd(db[k], db[k+1])
+			dc[k] = fadd(dc[k], dc[k+1])
+		}
+		ta[p], tb[p], tc[p] = da[0], db[0], dc[0]
+	}
+	// The first T shares of d = a − ta and f = b − tb go over the spent
+	// tables.
+	for i := range da {
+		da[i] = fsub(a[i], ta[i])
+		db[i] = fsub(b[i], tb[i])
+	}
 	e.stats.Opens += 2
 	e.chargeBroadcastRound(2)
-	var dv, fv uint64
-	for i, l := range e.lagrange {
-		dv = fadd(dv, fmul(l, fsub(a[i], ta[i])))
-		fv = fadd(fv, fmul(l, fsub(b[i], tb[i])))
-	}
-	// z = c + d·b + f·a + d·f
+	dv, fv := e.reconstruct(da), e.reconstruct(db)
+	// z = c + d·b + f·a + d·f, one reduction per share.
 	df := fmul(dv, fv)
 	for i := range dst {
-		dst[i] = fadd(fadd(fadd(tc[i], fmul(tb[i], dv)), fmul(ta[i], fv)), df)
+		dst[i] = mulAdd2(tb[i], dv, ta[i], fv, tc[i]+df)
 	}
-	e.stats.LocalMults += int64(2*e.T + 2*e.M)
+	e.stats.LocalMults += int64(2 * e.M)
 }
 
 // Select returns x if bit=1 else y: y + bit·(x−y), one multiplication.

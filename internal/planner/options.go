@@ -253,8 +253,8 @@ func (sp searchSpace) inputOptions(st step, p *pool) []option {
 				Desc: "verify input proofs, build audit tree", Loc: plan.Aggregator,
 				Count: 1, Crypto: plan.CryptoAHE,
 				Work: plan.Work{
-					ZKPVerifies: sp.n * cts,
-					MerkleOps:   2 * sp.n * cts,
+					ZKPVerifies: satMul(sp.n, cts),
+					MerkleOps:   satMul(2, satMul(sp.n, cts)),
 					Audits:      sp.n, // one challenge-response per device
 				},
 			}),
@@ -287,7 +287,7 @@ func (sp searchSpace) sumOptions(st step, p *pool) []option {
 		vigs: p.carve([]int32{p.add(plan.Vignette{
 			Desc: "AHE sum loop over all inputs", Loc: plan.Aggregator,
 			Count: 1, Crypto: plan.CryptoAHE,
-			Work: plan.Work{HEAdds: sp.n * cts},
+			Work: plan.Work{HEAdds: satMul(sp.n, cts)},
 		})}),
 	}
 	for j, phi := range fanouts {

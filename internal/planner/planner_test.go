@@ -3,6 +3,8 @@ package planner
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"reflect"
 	"testing"
 
 	"arboretum/internal/costmodel"
@@ -501,6 +503,36 @@ func TestGoalSelfConsistency(t *testing.T) {
 				t.Errorf("goal %v: plan optimized for %v scores better (%g < %g)",
 					g, other, plans[other].Get(g), mine)
 			}
+		}
+	}
+}
+
+// The aggregator's work on a wide histogram saturates instead of wrapping:
+// at N = 2^30 and C = 2^48 the proof checks number N·C/slots, past
+// math.MaxInt64 once doubled for the audit tree. A Laplace count planned
+// without limits must report no negative work counter and an AggCPU no
+// lower than at C = 2^47.
+func TestAggregatorWorkSaturates(t *testing.T) {
+	src := "aggr = sum(db); count = laplace(aggr[0], 1.0); output(count);"
+	plan47, err := Plan(Request{Source: src, N: testN, Categories: 1 << 47, Goal: costmodel.AggCPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []int64{1 << 48, 1 << 50, 1 << 52} {
+		res, err := Plan(Request{Source: src, N: testN, Categories: c, Goal: costmodel.AggCPU})
+		if err != nil {
+			t.Fatalf("C = 2^%d: %v", bits.Len64(uint64(c))-1, err)
+		}
+		for _, v := range res.Plan.Vignettes {
+			w := reflect.ValueOf(v.Work)
+			for i := 0; i < w.NumField(); i++ {
+				if n := w.Field(i).Int(); n < 0 {
+					t.Errorf("C = 2^%d: %q has %s = %d", bits.Len64(uint64(c))-1, v.Desc, w.Type().Field(i).Name, n)
+				}
+			}
+		}
+		if got, floor := res.Plan.Cost.AggCPU, plan47.Plan.Cost.AggCPU; !(got >= floor) {
+			t.Errorf("C = 2^%d: AggCPU %g, below the %g of C = 2^47", bits.Len64(uint64(c))-1, got, floor)
 		}
 	}
 }
